@@ -281,7 +281,8 @@ func runReads(total int, backend, scale string, shards int, noCache, jsonOut boo
 		defer os.RemoveAll(dir)
 		cfg.Dir = dir
 	}
-	v, err := core.OpenCluster(cfg, shards)
+	cfg.Shards = shards
+	v, err := core.Open(cfg)
 	if err != nil {
 		return err
 	}
@@ -386,7 +387,8 @@ func scalingRun(w, total, shards int, backend string) (scalingResult, error) {
 		defer os.RemoveAll(dir)
 		cfg.Dir = dir
 	}
-	v, err := core.OpenCluster(cfg, shards)
+	cfg.Shards = shards
+	v, err := core.Open(cfg)
 	if err != nil {
 		return scalingResult{}, err
 	}

@@ -22,7 +22,7 @@ import (
 	"medvault/internal/vcrypto"
 )
 
-// newLoadTarget serves a fresh in-memory vault or cluster with every medload
+// newLoadTarget serves a fresh in-memory vault of the given shard count with every medload
 // principal provisioned, exactly as principals.conf lines would.
 func newLoadTarget(t *testing.T, shards, actors int) string {
 	t.Helper()
@@ -30,13 +30,7 @@ func newLoadTarget(t *testing.T, shards, actors int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Name: "load-test", Master: master}
-	var v core.API
-	if shards == 1 {
-		v, err = core.Open(cfg)
-	} else {
-		v, err = core.OpenCluster(cfg, shards)
-	}
+	v, err := core.Open(core.Config{Name: "load-test", Master: master, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -217,7 +218,7 @@ func cmdPut(args []string) error {
 	if *codes != "" {
 		rec.Codes = strings.Split(*codes, ",")
 	}
-	ver, err := v.Put(*vf.actor, rec)
+	ver, err := v.PutCtx(context.Background(), *vf.actor, rec)
 	if err != nil {
 		return err
 	}
@@ -247,9 +248,9 @@ func cmdGet(args []string) error {
 	var rec ehr.Record
 	var ver core.Version
 	if *version == 0 {
-		rec, ver, err = v.Get(*vf.actor, *id)
+		rec, ver, err = v.GetCtx(context.Background(), *vf.actor, *id)
 	} else {
-		rec, ver, err = v.GetVersion(*vf.actor, *id, *version)
+		rec, ver, err = v.GetVersionCtx(context.Background(), *vf.actor, *id, *version)
 	}
 	if err != nil {
 		return err
@@ -267,7 +268,7 @@ func cmdHistory(args []string) error {
 		return err
 	}
 	defer v.Close()
-	hist, err := v.History(*vf.actor, *id)
+	hist, err := v.HistoryCtx(context.Background(), *vf.actor, *id)
 	if err != nil {
 		return err
 	}
@@ -289,7 +290,7 @@ func cmdCorrect(args []string) error {
 		return err
 	}
 	defer v.Close()
-	rec, _, err := v.Get(*vf.actor, *id)
+	rec, _, err := v.GetCtx(context.Background(), *vf.actor, *id)
 	if err != nil {
 		return err
 	}
@@ -298,7 +299,7 @@ func cmdCorrect(args []string) error {
 	}
 	rec.Body = *body
 	rec.Author = *vf.actor
-	ver, err := v.Correct(*vf.actor, rec)
+	ver, err := v.CorrectCtx(context.Background(), *vf.actor, rec)
 	if err != nil {
 		return err
 	}
@@ -315,7 +316,7 @@ func cmdSearch(args []string) error {
 		return err
 	}
 	defer v.Close()
-	hits, err := v.Search(*vf.actor, *q)
+	hits, err := v.SearchCtx(context.Background(), *vf.actor, *q)
 	if err != nil {
 		return err
 	}
@@ -335,7 +336,7 @@ func cmdShred(args []string) error {
 		return err
 	}
 	defer v.Close()
-	if err := v.Shred(*vf.actor, *id); err != nil {
+	if err := v.ShredCtx(context.Background(), *vf.actor, *id); err != nil {
 		return err
 	}
 	fmt.Printf("securely deleted %s (data key destroyed)\n", *id)
@@ -366,7 +367,7 @@ func cmdAudit(args []string) error {
 		return err
 	}
 	defer v.Close()
-	events, err := v.AuditEvents(*vf.actor, audit.Query{Record: *record, DeniedOnly: *denied})
+	events, err := v.AuditEventsCtx(context.Background(), *vf.actor, audit.Query{Record: *record, DeniedOnly: *denied})
 	if err != nil {
 		return err
 	}
@@ -386,7 +387,7 @@ func cmdCustody(args []string) error {
 		return err
 	}
 	defer v.Close()
-	chain, err := v.Provenance(*vf.actor, *id)
+	chain, err := v.ProvenanceCtx(context.Background(), *vf.actor, *id)
 	if err != nil {
 		return err
 	}
@@ -433,7 +434,7 @@ func cmdDisclosures(args []string) error {
 		return err
 	}
 	defer v.Close()
-	ds, err := v.AccountingOfDisclosures(*vf.actor, *mrn)
+	ds, err := v.AccountingOfDisclosuresCtx(context.Background(), *vf.actor, *mrn)
 	if err != nil {
 		return err
 	}
@@ -459,7 +460,7 @@ func cmdBreakGlass(args []string) error {
 		return err
 	}
 	defer v.Close()
-	if err := v.BreakGlass(*vf.actor, *reason, time.Duration(*minutes)*time.Minute); err != nil {
+	if err := v.BreakGlassCtx(context.Background(), *vf.actor, *reason, time.Duration(*minutes)*time.Minute); err != nil {
 		return err
 	}
 	fmt.Printf("break-glass granted to %s for %d minutes (audited): %s\n", *vf.actor, *minutes, *reason)
@@ -480,7 +481,7 @@ func cmdHold(args []string) error {
 		return err
 	}
 	defer v.Close()
-	if err := v.PlaceHold(*vf.actor, *id, *reason); err != nil {
+	if err := v.PlaceHoldCtx(context.Background(), *vf.actor, *id, *reason); err != nil {
 		return err
 	}
 	fmt.Printf("legal hold placed on %s (durable, audited): %s\n", *id, *reason)
@@ -496,7 +497,7 @@ func cmdRelease(args []string) error {
 		return err
 	}
 	defer v.Close()
-	if err := v.ReleaseHold(*vf.actor, *id); err != nil {
+	if err := v.ReleaseHoldCtx(context.Background(), *vf.actor, *id); err != nil {
 		return err
 	}
 	fmt.Printf("legal hold released on %s\n", *id)
@@ -543,7 +544,7 @@ func cmdProve(args []string) error {
 		return err
 	}
 	defer v.Close()
-	proof, err := v.ProveVersion(*vf.actor, *id, *version)
+	proof, err := v.ProveVersionCtx(context.Background(), *vf.actor, *id, *version)
 	if err != nil {
 		return err
 	}

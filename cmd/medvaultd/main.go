@@ -203,7 +203,7 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 	if v.NumShards() > 1 {
 		// Every shard ran its own recovery at open; log each so a shard that
 		// replayed an unexpected WAL tail is visible at startup.
-		for i, sh := range v.ShardHealths() {
+		for i, sh := range h.Shards {
 			logger.Info("shard recovered",
 				"shard", i,
 				"records", sh.LiveRecords,

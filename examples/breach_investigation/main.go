@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		log.Fatal(err)
@@ -57,15 +59,16 @@ func main() {
 		if rec.Category != ehr.CategoryClinical {
 			continue
 		}
-		if _, err := vault.Put("dr-ibarra", rec); err != nil {
+		if _, err := vault.PutCtx(ctx, "dr-ibarra", rec); err != nil {
 			log.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
 	}
 	// The compliance office stores the signed tree head and an audit
 	// checkpoint OFF-SYSTEM — this is the anchor the insider cannot reach.
-	rememberedHead := vault.Head()
-	rememberedCP := vault.AuditCheckpoint()
+	// (Both are per-shard artifacts; this vault has one shard.)
+	rememberedHead := vault.Heads()[0]
+	rememberedCP := vault.Shard(0).AuditCheckpoint()
 	fmt.Printf("baseline: %d records; off-system anchors stored (tree size %d, audit seq %d)\n",
 		vault.Len(), rememberedHead.Size, rememberedCP.Seq)
 
@@ -97,14 +100,14 @@ func main() {
 
 	// A read of the victim record also fails loudly rather than serving
 	// falsified EPHI.
-	if _, _, err := vault.Get("dr-ibarra", victim); err != nil {
+	if _, _, err := vault.GetCtx(ctx, "dr-ibarra", victim); err != nil {
 		fmt.Printf("read of %s refused: %v\n", victim, err)
 	}
 
 	// ---- forensics ----
 	// Who touched this record through legitimate channels, and when?
 	fmt.Println("\nforensic audit walk (officer-cho):")
-	events, err := vault.AuditEvents("officer-cho", audit.Query{Record: victim})
+	events, err := vault.AuditEventsCtx(ctx, "officer-cho", audit.Query{Record: victim})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func main() {
 	fmt.Println("no legitimate write after creation -> the modification bypassed the API: storage-layer compromise confirmed.")
 
 	// The custody chain shows the record's full legitimate lifecycle.
-	chain, err := vault.Provenance("officer-cho", victim)
+	chain, err := vault.ProvenanceCtx(ctx, "officer-cho", victim)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func main() {
 	// rotate storage-layer credentials. The unaffected records still verify:
 	fmt.Println("\nuntouched records still verify individually:")
 	for _, id := range ids[:3] {
-		if _, _, err := vault.Get("dr-ibarra", id); err != nil {
+		if _, _, err := vault.GetCtx(ctx, "dr-ibarra", id); err != nil {
 			log.Fatalf("collateral damage on %s: %v", id, err)
 		}
 	}

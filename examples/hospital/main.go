@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +68,7 @@ func main() {
 		},
 	}
 	for _, rec := range patients {
-		if _, err := vault.Put("dr-grey", rec); err != nil {
+		if _, err := vault.PutCtx(ctx, "dr-grey", rec); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -76,29 +78,29 @@ func main() {
 		Category: ehr.CategoryBilling, Author: "clerk-odell", CreatedAt: vc.Now(),
 		Title: "Claim 2026-07-4471", Body: "Admission billing, pending insurer response.",
 	}
-	if _, err := vault.Put("clerk-odell", bill); err != nil {
+	if _, err := vault.PutCtx(ctx, "clerk-odell", bill); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("• records written: 2 clinical (dr-grey), 1 billing (clerk-odell)")
 
 	// Minimum necessary in action: the clerk cannot open clinical charts,
 	// and the nurse cannot see billing. Every denial is audited.
-	if _, _, err := vault.Get("clerk-odell", "mrn-1001/enc-0"); errors.Is(err, core.ErrDenied) {
+	if _, _, err := vault.GetCtx(ctx, "clerk-odell", "mrn-1001/enc-0"); errors.Is(err, core.ErrDenied) {
 		fmt.Println("• clerk denied access to clinical chart (audited)")
 	}
-	if _, _, err := vault.Get("nurse-park", "mrn-1001/bill-0"); errors.Is(err, core.ErrDenied) {
+	if _, _, err := vault.GetCtx(ctx, "nurse-park", "mrn-1001/bill-0"); errors.Is(err, core.ErrDenied) {
 		fmt.Println("• nurse denied access to billing record (audited)")
 	}
 
 	// The nurse reads the chart she is allowed to see.
-	if _, _, err := vault.Get("nurse-park", "mrn-1001/enc-0"); err != nil {
+	if _, _, err := vault.GetCtx(ctx, "nurse-park", "mrn-1001/enc-0"); err != nil {
 		log.Fatal(err)
 	}
 
 	// The patient requests a correction: the ECG note was transcribed wrong.
 	corrected := patients[0]
 	corrected.Body = "Admitted with chest pain. ECG shows normal sinus rhythm. History of hypertension. AMENDMENT: prior note omitted the ECG result."
-	ver, err := vault.Correct("dr-grey", corrected)
+	ver, err := vault.CorrectCtx(ctx, "dr-grey", corrected)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,21 +110,21 @@ func main() {
 	// desk and needs his chart NOW. Break-glass: time-boxed, reasoned,
 	// loudly audited.
 	vc.Advance(18 * time.Hour)
-	if err := vault.BreakGlass("clerk-odell", "code blue bed 12, on-call access", 30*time.Minute); err != nil {
+	if err := vault.BreakGlassCtx(ctx, "clerk-odell", "code blue bed 12, on-call access", 30*time.Minute); err != nil {
 		log.Fatal(err)
 	}
-	if _, _, err := vault.Get("clerk-odell", "mrn-1001/enc-0"); err != nil {
+	if _, _, err := vault.GetCtx(ctx, "clerk-odell", "mrn-1001/enc-0"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("• break-glass: clerk read the chart under an emergency grant")
 	vc.Advance(time.Hour)
-	if _, _, err := vault.Get("clerk-odell", "mrn-1001/enc-0"); errors.Is(err, core.ErrDenied) {
+	if _, _, err := vault.GetCtx(ctx, "clerk-odell", "mrn-1001/enc-0"); errors.Is(err, core.ErrDenied) {
 		fmt.Println("• grant expired: access denied again")
 	}
 
 	// Next morning: compliance review. Who was denied? Who broke glass?
 	fmt.Println("\ncompliance review (officer-ng):")
-	denied, err := vault.AuditEvents("officer-ng", audit.Query{DeniedOnly: true})
+	denied, err := vault.AuditEventsCtx(ctx, "officer-ng", audit.Query{DeniedOnly: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func main() {
 	for _, e := range denied {
 		fmt.Printf("    %s\n", e)
 	}
-	emergencies, err := vault.AuditEvents("officer-ng", audit.Query{Action: audit.ActionBreakGlass})
+	emergencies, err := vault.AuditEventsCtx(ctx, "officer-ng", audit.Query{Action: audit.ActionBreakGlass})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,7 +22,7 @@ import (
 	"medvault/internal/vcrypto"
 )
 
-func newVault(name string, vc *clock.Virtual) (*core.Vault, error) {
+func newVault(name string, vc *clock.Virtual) (*core.Cluster, error) {
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		return nil, err
@@ -45,6 +46,7 @@ func newVault(name string, vc *clock.Virtual) (*core.Vault, error) {
 }
 
 func main() {
+	ctx := context.Background()
 	vc := clock.NewVirtual(time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC))
 	oldSystem, err := newVault("mercy-general-legacy", vc)
 	if err != nil {
@@ -60,11 +62,11 @@ func main() {
 		if rec.Category == ehr.CategoryBilling || rec.Category == ehr.CategoryOccupational {
 			continue
 		}
-		if _, err := oldSystem.Put("dr-okafor", rec); err != nil {
+		if _, err := oldSystem.PutCtx(ctx, "dr-okafor", rec); err != nil {
 			log.Fatal(err)
 		}
 		if len(ids)%4 == 0 { // some records were corrected over the years
-			if _, err := oldSystem.Correct("dr-okafor", gen.Correction(rec)); err != nil {
+			if _, err := oldSystem.CorrectCtx(ctx, "dr-okafor", gen.Correction(rec)); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -93,7 +95,7 @@ func main() {
 	if _, err := newSystem.VerifyAll(nil, nil); err != nil {
 		log.Fatalf("target integrity failure: %v", err)
 	}
-	hist, err := newSystem.History("dr-okafor", ids[0])
+	hist, err := newSystem.HistoryCtx(ctx, "dr-okafor", ids[0])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func main() {
 
 	// The custody chain now spans both systems — HIPAA's record of
 	// movements, cryptographically signed by each custodian.
-	chain, err := newSystem.Provenance("officer-ng", ids[0])
+	chain, err := newSystem.ProvenanceCtx(ctx, "officer-ng", ids[0])
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		log.Fatal(err)
@@ -59,22 +61,22 @@ func main() {
 		mk(1, "Follow-up", "Migraines reduced in frequency. Continue current regimen."),
 	}
 	for _, rec := range visits {
-		if _, err := vault.Put("dr-adams", rec); err != nil {
+		if _, err := vault.PutCtx(ctx, "dr-adams", rec); err != nil {
 			log.Fatal(err)
 		}
 		vc.Advance(30 * 24 * time.Hour)
 	}
 	// Assorted accesses over the months, legitimate and not.
-	vault.Get("nurse-kim", visits[0].ID)
-	vault.Get("dr-adams", visits[1].ID)
-	vault.Get("clerk-roy", visits[0].ID) // denied: billing cannot read clinical
-	if err := vault.BreakGlass("clerk-roy", "night-shift emergency contact lookup", 15*time.Minute); err != nil {
+	vault.GetCtx(ctx, "nurse-kim", visits[0].ID)
+	vault.GetCtx(ctx, "dr-adams", visits[1].ID)
+	vault.GetCtx(ctx, "clerk-roy", visits[0].ID) // denied: billing cannot read clinical
+	if err := vault.BreakGlassCtx(ctx, "clerk-roy", "night-shift emergency contact lookup", 15*time.Minute); err != nil {
 		log.Fatal(err)
 	}
-	vault.Get("clerk-roy", visits[0].ID) // emergency read, flagged
+	vault.GetCtx(ctx, "clerk-roy", visits[0].ID) // emergency read, flagged
 
 	// ---- right of access ----
-	ids, err := vault.PatientRecords("dr-adams", mrn)
+	ids, err := vault.PatientRecordsCtx(ctx, "dr-adams", mrn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func main() {
 
 	// ---- accounting of disclosures (§164.528) ----
 	fmt.Println("accounting of disclosures (compiled by officer-lau):")
-	disclosures, err := vault.AccountingOfDisclosures("officer-lau", mrn)
+	disclosures, err := vault.AccountingOfDisclosuresCtx(ctx, "officer-lau", mrn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func main() {
 	// ---- right to request correction ----
 	corrected := visits[0]
 	corrected.Body = "Patient reports recurring migraines. Prescribed triptan therapy. AMENDMENT: dosage recorded incorrectly at intake; corrected per patient request."
-	ver, err := vault.Correct("dr-adams", corrected)
+	ver, err := vault.CorrectCtx(ctx, "dr-adams", corrected)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func main() {
 	// The patient's advocate wants more than the hospital's word: a proof
 	// that the correction they received is what the vault committed to,
 	// checkable with only the vault's public key.
-	proof, err := vault.ProveVersion("dr-adams", corrected.ID, ver.Number)
+	proof, err := vault.ProveVersionCtx(ctx, "dr-adams", corrected.ID, ver.Number)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Every vault needs a root secret. In production this comes from a KMS;
 	// here we generate one for the demo's lifetime.
 	master, err := vcrypto.NewKey()
@@ -53,14 +55,14 @@ func main() {
 		Body:      "Patient presents with elevated blood pressure. Suspected hypertension.",
 		Codes:     []string{"I10"},
 	}
-	ver, err := vault.Put("dr-chen", rec)
+	ver, err := vault.PutCtx(ctx, "dr-chen", rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored %s as version %d (commitment leaf %d)\n", rec.ID, ver.Number, ver.LeafIndex)
 
 	// Read it back: hash-verified against the commitment before decryption.
-	got, _, err := vault.Get("dr-chen", rec.ID)
+	got, _, err := vault.GetCtx(ctx, "dr-chen", rec.ID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,19 +71,19 @@ func main() {
 	// Patients may request corrections (HIPAA right to amend). Corrections
 	// never overwrite: they append a new version.
 	rec.Body = "Confirmed hypertension stage 1. AMENDMENT: prior note said 'suspected'."
-	ver2, err := vault.Correct("dr-chen", rec)
+	ver2, err := vault.CorrectCtx(ctx, "dr-chen", rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("corrected to version %d; version 1 remains readable:\n", ver2.Number)
-	v1, _, err := vault.GetVersion("dr-chen", rec.ID, 1)
+	v1, _, err := vault.GetVersionCtx(ctx, "dr-chen", rec.ID, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  v1: %q\n", v1.Body)
 
 	// Keyword search through the encrypted index.
-	hits, err := vault.Search("dr-chen", "hypertension")
+	hits, err := vault.SearchCtx(ctx, "dr-chen", "hypertension")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,8 +98,8 @@ func main() {
 	fmt.Printf("verified: %d record(s), %d version(s), %d audit event(s)\n",
 		report.RecordsChecked, report.VersionsChecked, report.AuditEvents)
 
-	// Remember the signed tree head off-system; future verifications against
-	// it detect history rewriting.
-	head := vault.Head()
+	// Remember the signed tree head off-system (one per shard; this vault has
+	// one); future verifications against it detect history rewriting.
+	head := vault.Heads()[0]
 	fmt.Printf("signed tree head: size=%d root=%x…\n", head.Size, head.Root[:8])
 }

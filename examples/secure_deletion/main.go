@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -24,6 +25,7 @@ import (
 const year = 365 * 24 * time.Hour
 
 func main() {
+	ctx := context.Background()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		log.Fatal(err)
@@ -67,13 +69,13 @@ func main() {
 	clinical := mk("mrn-2001/enc-0", ehr.CategoryClinical, "Noor Haddad", "migraine management plan")
 	billing := mk("mrn-2001/bill-0", ehr.CategoryBilling, "Noor Haddad", "claim settled in full")
 	exposure := mk("mrn-2002/occ-0", ehr.CategoryOccupational, "Viktor Petrov", "asbestos exposure assessment")
-	if _, err := vault.Put("dr-wu", clinical); err != nil {
+	if _, err := vault.PutCtx(ctx, "dr-wu", clinical); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := vault.Put("clerk-ma", billing); err != nil {
+	if _, err := vault.PutCtx(ctx, "clerk-ma", billing); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := vault.Put("oh-nurse", exposure); err != nil {
+	if _, err := vault.PutCtx(ctx, "oh-nurse", exposure); err != nil {
 		log.Fatal(err)
 	}
 	for _, id := range []string{clinical.ID, billing.ID, exposure.ID} {
@@ -86,7 +88,7 @@ func main() {
 
 	// Premature destruction is refused — keeping records is as mandatory as
 	// eventually destroying them.
-	if err := vault.Shred("arch-diaz", clinical.ID); err != nil {
+	if err := vault.ShredCtx(ctx, "arch-diaz", clinical.ID); err != nil {
 		fmt.Printf("\nyear 0 shred attempt refused: %v\n", err)
 	}
 
@@ -96,22 +98,22 @@ func main() {
 
 	// Litigation intervenes: legal hold on the clinical record. Placing it
 	// through the vault makes it durable and writes it to the audit trail.
-	if err := vault.PlaceHold("arch-diaz", clinical.ID, "Haddad v. Records Office, case 26-441"); err != nil {
+	if err := vault.PlaceHoldCtx(ctx, "arch-diaz", clinical.ID, "Haddad v. Records Office, case 26-441"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("legal hold placed; sweep now returns: %v\n", vault.ExpiredRecords())
-	if err := vault.Shred("arch-diaz", clinical.ID); err != nil {
+	if err := vault.ShredCtx(ctx, "arch-diaz", clinical.ID); err != nil {
 		fmt.Printf("shred under hold refused: %v\n", err)
 	}
 
 	// Case closes; dispose of the billing record and (after release) the
 	// clinical one. Shredding destroys the per-record data key: the
 	// ciphertext still sits in the append-only log, unreadable forever.
-	if err := vault.ReleaseHold("arch-diaz", clinical.ID); err != nil {
+	if err := vault.ReleaseHoldCtx(ctx, "arch-diaz", clinical.ID); err != nil {
 		log.Fatal(err)
 	}
 	for _, id := range []string{billing.ID, clinical.ID} {
-		if err := vault.Shred("arch-diaz", id); err != nil {
+		if err := vault.ShredCtx(ctx, "arch-diaz", id); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("shredded %s\n", id)
@@ -128,13 +130,13 @@ func main() {
 	fmt.Println("media residue probe: no disposed plaintext recoverable")
 
 	// The occupational record is untouched — 22 more years to go.
-	if _, _, err := vault.Get("oh-nurse", exposure.ID); err != nil {
+	if _, _, err := vault.GetCtx(ctx, "oh-nurse", exposure.ID); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("occupational record intact (OSHA 30-year rule); sweep: %v\n", vault.ExpiredRecords())
 
 	// Reads of the disposed records fail with a distinct, truthful error.
-	if _, _, err := vault.Get("dr-wu", clinical.ID); errors.Is(err, core.ErrShredded) {
+	if _, _, err := vault.GetCtx(ctx, "dr-wu", clinical.ID); errors.Is(err, core.ErrShredded) {
 		fmt.Println("disposed record reads report 'securely deleted', not 'not found'")
 	}
 

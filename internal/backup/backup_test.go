@@ -2,6 +2,7 @@ package backup
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 var epoch = time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 
-func newVault(t *testing.T, name string) *core.Vault {
+func newVault(t *testing.T, name string) *core.Cluster {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
@@ -42,7 +43,7 @@ func newVault(t *testing.T, name string) *core.Vault {
 	return v
 }
 
-func seed(t *testing.T, v *core.Vault, n int, genSeed int64) ([]string, *ehr.Generator) {
+func seed(t *testing.T, v *core.Cluster, n int, genSeed int64) ([]string, *ehr.Generator) {
 	t.Helper()
 	g := ehr.NewGenerator(genSeed, epoch)
 	var ids []string
@@ -51,7 +52,7 @@ func seed(t *testing.T, v *core.Vault, n int, genSeed int64) ([]string, *ehr.Gen
 		if r.Category != ehr.CategoryClinical && r.Category != ehr.CategoryLab {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.ID)
@@ -93,11 +94,11 @@ func TestFullBackupAndRestore(t *testing.T) {
 		t.Fatalf("restored %d records, target has %d", n, target.Len())
 	}
 	for _, id := range ids {
-		src, _, err := source.Get("dr-house", id)
+		src, _, err := source.GetCtx(context.Background(), "dr-house", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt, _, err := target.Get("dr-house", id)
+		tgt, _, err := target.GetCtx(context.Background(), "dr-house", id)
 		if err != nil {
 			t.Fatalf("target Get(%s): %v", id, err)
 		}
@@ -109,7 +110,7 @@ func TestFullBackupAndRestore(t *testing.T) {
 		t.Errorf("restored vault failed verification: %v", err)
 	}
 	// Custody chains record backup and restore.
-	chain, err := target.Provenance("officer-kim", ids[0])
+	chain, err := target.ProvenanceCtx(context.Background(), "officer-kim", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestIncrementalBackup(t *testing.T) {
 	}
 
 	// Correct one record and add two new ones.
-	rec, _, err := source.Get("dr-house", ids[0])
+	rec, _, err := source.GetCtx(context.Background(), "dr-house", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := source.Correct("dr-house", g.Correction(rec)); err != nil {
+	if _, err := source.CorrectCtx(context.Background(), "dr-house", g.Correction(rec)); err != nil {
 		t.Fatal(err)
 	}
 	// Continue the same generator so the new records get fresh IDs.
@@ -147,7 +148,7 @@ func TestIncrementalBackup(t *testing.T) {
 		if r.Category != ehr.CategoryClinical {
 			continue
 		}
-		if _, err := source.Put("dr-house", r); err != nil {
+		if _, err := source.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		newIDs = append(newIDs, r.ID)
@@ -194,7 +195,7 @@ func TestIncrementalBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range full.Manifest.Entries {
-		if _, _, err := fresh.Get("dr-house", e.ID); err == nil {
+		if _, _, err := fresh.GetCtx(context.Background(), "dr-house", e.ID); err == nil {
 			continue // already present from the incremental
 		}
 		plain, err := vcrypto.Open(key, full.Sealed[e.ID], []byte("backup/"+e.ID))
@@ -212,7 +213,7 @@ func TestIncrementalBackup(t *testing.T) {
 	if fresh.Len() != 8 {
 		t.Fatalf("chain restore produced %d records, want 8", fresh.Len())
 	}
-	got2, ver, err := fresh.Get("dr-house", ids[0])
+	got2, ver, err := fresh.GetCtx(context.Background(), "dr-house", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestArchiveConfidentiality(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := Encode(arch)
-	rec, _, err := source.Get("dr-house", ids[0])
+	rec, _, err := source.GetCtx(context.Background(), "dr-house", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package backup
 
 import (
 	"fmt"
-	"os"
 
 	"medvault/internal/faultfs"
 )
@@ -12,29 +11,8 @@ import (
 // crash mid-save leaves either the previous archive or none — never a
 // truncated one that would fail manifest verification at the worst moment.
 func SaveArchive(fsys faultfs.FS, path string, arch *Archive) error {
-	blob := Encode(arch)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
+	if err := faultfs.WriteFileAtomic(fsys, path, Encode(arch), 0o600); err != nil {
 		return fmt.Errorf("backup: writing archive: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("backup: writing archive: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("backup: syncing archive: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("backup: closing archive: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("backup: committing archive: %w", err)
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"medvault/internal/stores"
 )
 
-// Adapter presents a Vault through the stores.Store interface so the
+// Adapter presents the vault through the stores.Store interface so the
 // experiment harness can compare it head-to-head with the Section-4
 // baselines. It runs every operation as a single fully privileged principal
 // ("bench-admin") — the baselines have no access control, so giving the
@@ -20,7 +20,7 @@ import (
 // models, with the vault still paying its own authorization and audit costs
 // on every call.
 type Adapter struct {
-	v     API
+	v     *Cluster
 	actor string
 }
 
@@ -29,9 +29,8 @@ var (
 	_ stores.Tamperable = (*Adapter)(nil)
 )
 
-// NewAdapter wraps v — a single Vault or a Cluster — registering a fully
-// privileged bench principal.
-func NewAdapter(v API) (*Adapter, error) {
+// NewAdapter wraps v, registering a fully privileged bench principal.
+func NewAdapter(v *Cluster) (*Adapter, error) {
 	const actor = "bench-admin"
 	a := v.Authz()
 	a.DefineRole(authz.NewRole("bench-all-access", []authz.Action{
@@ -118,40 +117,12 @@ func (a *Adapter) Len() int { return a.v.Len() }
 // StorageBytes implements stores.Store.
 func (a *Adapter) StorageBytes() int64 { return a.v.StorageBytes() }
 
-// shardVaults lists the underlying vaults: the vault itself when wrapping a
-// bare Vault, the per-shard vaults in shard order for a Cluster.
-func (a *Adapter) shardVaults() []*Vault {
-	switch t := a.v.(type) {
-	case *Vault:
-		return []*Vault{t}
-	case *Cluster:
-		out := make([]*Vault, t.NumShards())
-		for i := range out {
-			out[i] = t.Shard(i)
-		}
-		return out
-	}
-	return nil
-}
-
-// vaultFor resolves the vault that owns id — the record's shard for a
-// Cluster, the vault itself otherwise.
-func (a *Adapter) vaultFor(id string) (*Vault, error) {
-	switch t := a.v.(type) {
-	case *Vault:
-		return t, nil
-	case *Cluster:
-		return t.shardFor(id), nil
-	}
-	return nil, fmt.Errorf("core: adapter wraps unsupported API implementation %T", a.v)
-}
-
 // RawBytes implements stores.Store: the ciphertext log plus the SSE index's
-// stored form — the at-rest attack surface. For a cluster it is the
-// concatenation over shards in shard order.
+// stored form — the at-rest attack surface, concatenated over shards in
+// shard order.
 func (a *Adapter) RawBytes() []byte {
 	var out []byte
-	for _, v := range a.shardVaults() {
+	for _, v := range a.v.shards {
 		mem, ok := v.blocks.(*blockstore.Memory)
 		if !ok {
 			raw, err := v.blocks.(*blockstore.File).ReadRaw()
@@ -173,12 +144,9 @@ func (a *Adapter) RawBytes() []byte {
 
 // TamperRecord implements stores.Tamperable on memory-backed vaults: a
 // format-aware insider rewrites the latest version's ciphertext in place
-// with a valid CRC. On a cluster the write lands on the record's own shard.
+// with a valid CRC, on the record's own shard.
 func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
-	v, err := a.vaultFor(id)
-	if err != nil {
-		return err
-	}
+	v := a.v.shardFor(id)
 	mem, ok := v.blocks.(*blockstore.Memory)
 	if !ok {
 		return fmt.Errorf("core: TamperRecord requires a memory-backed vault")
@@ -201,10 +169,7 @@ func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
 // hide the latest correction (truncating the version list). VerifyAll must
 // catch it via the commitment-log size check.
 func (a *Adapter) RollbackMetadata(id string) error {
-	v, err := a.vaultFor(id)
-	if err != nil {
-		return err
-	}
+	v := a.v.shardFor(id)
 	mu := v.stripes.forRecord(id)
 	mu.Lock()
 	defer mu.Unlock()
@@ -213,16 +178,6 @@ func (a *Adapter) RollbackMetadata(id string) error {
 		return fmt.Errorf("%w: %s has no correction to hide", stores.ErrNotFound, id)
 	}
 	st.versions = st.versions[:len(st.versions)-1]
-	return nil
-}
-
-// Vault returns the wrapped vault for probes needing the full API. It is nil
-// when the adapter wraps a multi-shard cluster — such probes are inherently
-// single-vault.
-func (a *Adapter) Vault() *Vault {
-	if vs := a.shardVaults(); len(vs) == 1 {
-		return vs[0]
-	}
 	return nil
 }
 

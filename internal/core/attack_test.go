@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // These tests pin the vault's headline property: every insider attack the
 // paper worries about is detected.
 
-func newAdapter(t *testing.T) (*Adapter, *Vault) {
+func newAdapter(t *testing.T) (*Adapter, *Cluster) {
 	t.Helper()
 	v, _ := newVault(t)
 	a, err := NewAdapter(v)
@@ -107,7 +108,7 @@ func TestVaultDetectsHistoryRewriteViaRememberedHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(name string) *Vault {
+	mk := func(name string) *Cluster {
 		v, err := Open(Config{Name: name, Master: master})
 		if err != nil {
 			t.Fatal(err)
@@ -131,14 +132,14 @@ func TestVaultDetectsHistoryRewriteViaRememberedHead(t *testing.T) {
 		if r1.Category == ehr.CategoryOccupational {
 			continue
 		}
-		if _, err := honest.Put(actor, r1); err != nil {
+		if _, err := honest.PutCtx(context.Background(), actor, r1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := evil.Put(actor, r2); err != nil {
+		if _, err := evil.PutCtx(context.Background(), actor, r2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	remembered := honest.Head()
+	remembered := honest.Shard(0).Head()
 	if _, err := honest.VerifyAll([]merkle.SignedTreeHead{remembered}, nil); err != nil {
 		t.Errorf("honest vault failed: %v", err)
 	}
@@ -188,7 +189,7 @@ func TestShredLeavesNoRecoverablePlaintext(t *testing.T) {
 		t.Error("plaintext recoverable after shred")
 	}
 	// Even the vault itself, holding every surviving key, cannot read it.
-	if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("Get after shred: %v", err)
 	}
 }
@@ -196,15 +197,15 @@ func TestShredLeavesNoRecoverablePlaintext(t *testing.T) {
 func TestAuditChainSurvivesAndDetects(t *testing.T) {
 	_, v := newAdapter(t)
 	rec := clinicalRecord(t, 26)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	events, err := v.AuditEvents("officer-kim", audit.Query{Record: rec.ID, Action: audit.ActionRead})
+	events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Record: rec.ID, Action: audit.ActionRead})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,8 @@ func CanonicalRecordBytes(rec ehr.Record) []byte { return ehr.Encode(rec) }
 
 // Sign signs data under the vault's identity with domain separation by
 // purpose. Used by the migrate and backup packages for manifests.
-func (v *Vault) Sign(purpose string, data []byte) []byte {
-	return v.signer.Sign(signingBytes(purpose, data))
+func (c *Cluster) Sign(purpose string, data []byte) []byte {
+	return c.shards[0].signer.Sign(signingBytes(purpose, data))
 }
 
 // VerifySignature verifies a purpose-bound signature by pub.

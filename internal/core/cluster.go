@@ -1,26 +1,30 @@
-// Cluster: the multi-vault "cluster in a process".
+// Cluster is the vault.
 //
-// A Cluster hash-partitions record IDs across N independent Vault shards.
-// Each shard is a complete trust boundary — its own WAL, blockstore,
+// A Cluster hash-partitions record IDs across N independent shards. Each
+// shard (a *Vault) is a complete trust boundary — its own WAL, blockstore,
 // keystore, Merkle commitment log, audit chain, read caches, and lock
 // stripes — so the split never separates security state from the data it
 // protects, and a compromised (or wedged) shard's blast radius stays inside
 // the shard. The shards share one clock, one authorizer, and one retention
 // manager: authorization decisions are shard-local and fully audited on the
 // shard that executes the operation, but the policy state they evaluate is
-// process-wide, exactly as it was with a single vault.
+// vault-wide.
 //
-// Routing: single-record operations go to ShardOf(id) and behave exactly as
-// on a single vault. Whole-cluster operations (VerifyAll, Search, Close,
-// Health, retention sweeps, disclosure accounting) fan out to every shard
-// and merge deterministically — per-shard results are always combined in
-// shard-index order, and order-bearing merges (audit events, disclosures)
-// are then stably sorted by timestamp, so ties keep shard order.
+// Routing: single-record operations go to ShardOf(id). Whole-vault
+// operations (VerifyAll, Search, Close, Health, retention sweeps, disclosure
+// accounting) visit every shard through gather and merge deterministically
+// — per-shard results are always combined in shard-index order, and
+// order-bearing merges (audit events, disclosures) are then stably sorted by
+// timestamp, so ties keep shard order.
 //
-// With one shard the Cluster is a pass-through: no manifest is written, the
-// directory layout is the classic single-vault layout, and every operation
-// delegates without wrapping, so behavior (including error text, audit
-// journal, and on-disk fs op sequence) is identical to a bare Vault.
+// One shard is the smallest cluster, not a second implementation: it takes
+// the same routing and gather paths. The helpers below keep it
+// indistinguishable from the pre-cluster vault — no manifest is written, the
+// directory is the classic single-vault layout, gather spawns no goroutine,
+// no shard index is stamped on errors, metrics, or spans, and a merge of one
+// part is that part — so behavior (error text, audit journal, on-disk fs op
+// sequence) is what it was before sharding existed, which the golden tests
+// in cluster_test.go and torture_test.go pin.
 package core
 
 import (
@@ -29,7 +33,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -43,7 +46,6 @@ import (
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/merkle"
-	"medvault/internal/obs"
 	"medvault/internal/provenance"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
@@ -73,10 +75,9 @@ func ShardOf(id string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// API is the vault operation surface, satisfied by both a single *Vault and
-// a *Cluster. Everything above core — httpapi, backup, migrate, the bench
-// adapter, the simulator — programs against this seam, so "one vault" is a
-// deployment choice, not an architectural assumption.
+// API is the vault operation surface *Cluster implements. Everything above
+// core — httpapi, backup, migrate — programs against this seam, so tests can
+// interpose a fake (a wedged or panicking vault) without a disk.
 type API interface {
 	// Identity and lifecycle.
 	Name() string
@@ -91,25 +92,15 @@ type API interface {
 	Retention() *retention.Manager
 
 	// Record operations (routed to one shard).
-	Put(actor string, rec ehr.Record) (Version, error)
 	PutCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
-	Get(actor, id string) (ehr.Record, Version, error)
 	GetCtx(ctx context.Context, actor, id string) (ehr.Record, Version, error)
-	GetVersion(actor, id string, number uint64) (ehr.Record, Version, error)
 	GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error)
-	History(actor, id string) ([]Version, error)
 	HistoryCtx(ctx context.Context, actor, id string) ([]Version, error)
-	Correct(actor string, rec ehr.Record) (Version, error)
 	CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
-	Shred(actor, id string) error
 	ShredCtx(ctx context.Context, actor, id string) error
-	PlaceHold(actor, id, reason string) error
 	PlaceHoldCtx(ctx context.Context, actor, id, reason string) error
-	ReleaseHold(actor, id string) error
 	ReleaseHoldCtx(ctx context.Context, actor, id string) error
-	Provenance(actor, id string) ([]provenance.Event, error)
 	ProvenanceCtx(ctx context.Context, actor, id string) ([]provenance.Event, error)
-	ProveVersion(actor, id string, number uint64) (VersionProof, error)
 	ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (VersionProof, error)
 	VersionCount(id string) (int, error)
 	Export(actor, id string) (ExportBundle, error)
@@ -118,18 +109,12 @@ type API interface {
 	RecordBackedUp(actor, id, destination string) error
 	RecordMigratedOut(actor, id, targetSystem string) error
 
-	// Whole-cluster operations (fanned out and merged).
-	Search(actor, keyword string) ([]string, error)
+	// Whole-vault operations (every shard visited, results merged).
 	SearchCtx(ctx context.Context, actor, keyword string) ([]string, error)
-	SearchAll(actor string, keywords ...string) ([]string, error)
 	SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error)
-	BreakGlass(actor, reason string, duration time.Duration) error
 	BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error
-	AuditEvents(actor string, q audit.Query) ([]audit.Event, error)
 	AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error)
-	AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error)
 	AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) ([]Disclosure, error)
-	PatientRecords(actor, mrn string) ([]string, error)
 	PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error)
 	VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (Report, error)
 	SanitizeMedia(actor string) (int, int64, error)
@@ -137,13 +122,10 @@ type API interface {
 	ExpiredRecords() []string
 }
 
-var (
-	_ API = (*Vault)(nil)
-	_ API = (*Cluster)(nil)
-)
+var _ API = (*Cluster)(nil)
 
-// Cluster hash-partitions records across independent vault shards behind
-// the Vault API. See the package comment above for routing and merge rules.
+// Cluster is the hybrid compliance store: records hash-partitioned over
+// independent shards. See the file comment above for routing and merge rules.
 type Cluster struct {
 	shards []*Vault
 	auth   *authz.Authorizer
@@ -151,30 +133,36 @@ type Cluster struct {
 	name   string
 }
 
-// OpenCluster creates or reopens a cluster of shards vaults over cfg.
+// Open creates or reopens the vault described by cfg.
 //
 // Layout: with one shard, cfg.Dir is used directly (the classic single-vault
-// layout — a one-shard cluster is bit-compatible with a bare Vault). With
-// more, each shard lives under cfg.Dir/shard-<i> and cfg.Dir/cluster.conf
-// pins the shard count; reopening with a different count is an error, and
-// shards == 0 adopts the manifest's count (1 when there is none).
+// layout). With more, each shard lives under cfg.Dir/shard-<i> and
+// cfg.Dir/cluster.conf pins the shard count; reopening with a different
+// count is an error, and cfg.Shards == 0 adopts the manifest's count (1 when
+// there is none).
 //
 // All shards share the master key, system name, clock, authorizer, and
-// retention manager, so the cluster presents one signing identity and one
+// retention manager, so the vault presents one signing identity and one
 // policy surface while every shard keeps its own full storage stack.
-func OpenCluster(cfg Config, shards int) (*Cluster, error) {
+func Open(cfg Config) (*Cluster, error) {
+	shards := cfg.Shards
 	if shards < 0 {
 		return nil, fmt.Errorf("core: shard count %d is negative", shards)
 	}
 	if shards > MaxShards {
 		return nil, fmt.Errorf("core: shard count %d exceeds the maximum of %d", shards, MaxShards)
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = faultfs.OS{}
+	if cfg.Name == "" {
+		cfg.Name = "medvault"
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.System{}
+	}
+	if cfg.FS == nil {
+		cfg.FS = faultfs.OS{}
 	}
 	if cfg.Dir != "" {
-		n, err := reconcileManifest(fsys, cfg.Dir, shards)
+		n, err := reconcileManifest(cfg.FS, cfg.Dir, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -183,36 +171,31 @@ func OpenCluster(cfg Config, shards int) (*Cluster, error) {
 		shards = 1
 	}
 
-	if cfg.Name == "" {
-		cfg.Name = "medvault"
-	}
+	// One authorizer and one retention manager for the whole vault: grants,
+	// roles, holds, and schedules are policy, not data, and must not diverge
+	// between shards.
 	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.System{}
+	c := &Cluster{
+		name: cfg.Name,
+		auth: authz.New(func() time.Time { return clk.Now() }),
+		ret:  retention.NewManager(clk),
 	}
-	cfg.Clock = clk
-	now := func() time.Time { return clk.Now() }
-
-	c := &Cluster{name: cfg.Name}
-	// One authorizer and one retention manager for the whole cluster:
-	// grants, roles, holds, and schedules are policy, not data, and must
-	// not diverge between shards. Vault.Open applies cfg.Policies (or the
-	// standard set) to the shared manager; SetPolicy is idempotent, so
-	// every shard applying the same set is harmless.
-	c.auth = authz.New(now)
-	c.ret = retention.NewManager(clk)
-
+	pols := cfg.Policies
+	if len(pols) == 0 {
+		pols = retention.StandardPolicies()
+	}
+	for _, p := range pols {
+		c.ret.SetPolicy(p)
+	}
 	for i := 0; i < shards; i++ {
-		scfg := cfg
-		scfg.sharedAuth = c.auth
-		scfg.sharedRet = c.ret
+		dir, tag := cfg.Dir, ""
 		if shards > 1 {
-			scfg.shardTag = strconv.Itoa(i)
+			tag = strconv.Itoa(i)
 			if cfg.Dir != "" {
-				scfg.Dir = filepath.Join(cfg.Dir, "shard-"+strconv.Itoa(i))
+				dir = filepath.Join(cfg.Dir, "shard-"+tag)
 			}
 		}
-		v, err := Open(scfg)
+		v, err := openShard(cfg, dir, tag, c.auth, c.ret)
 		if err != nil {
 			for _, prev := range c.shards {
 				_ = prev.Close()
@@ -258,32 +241,12 @@ func reconcileManifest(fsys faultfs.FS, dir string, requested int) (int, error) 
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return 0, fmt.Errorf("core: creating cluster directory: %w", err)
 		}
-		// The manifest is committed by write-tmp, sync, rename — the same
-		// idiom the metadata snapshot uses: a power cut (or ENOSPC) at any
-		// point during creation must leave either no manifest at all (the
-		// next open recreates it) or the complete synced one, never a
-		// present-but-empty file that poisons every later open.
-		tmp := path + ".tmp"
-		f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
+		// Crash-atomic: a power cut (or ENOSPC) at any point during creation
+		// must leave either no manifest at all (the next open recreates it)
+		// or the complete synced one, never a present-but-empty file that
+		// poisons every later open.
+		if err := faultfs.WriteFileAtomic(fsys, path, []byte(fmt.Sprintf("shards %d\n", requested)), 0o644); err != nil {
 			return 0, fmt.Errorf("core: writing %s: %w", path, err)
-		}
-		_, err = f.Write([]byte(fmt.Sprintf("shards %d\n", requested)))
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return 0, fmt.Errorf("core: writing %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			fsys.Remove(tmp)
-			return 0, fmt.Errorf("core: writing %s: %w", path, err)
-		}
-		if err := fsys.Rename(tmp, path); err != nil {
-			fsys.Remove(tmp)
-			return 0, fmt.Errorf("core: committing %s: %w", path, err)
 		}
 		return requested, nil
 	default:
@@ -316,18 +279,20 @@ func (c *Cluster) shardFor(id string) *Vault {
 	return c.shards[ShardOf(id, len(c.shards))]
 }
 
-// single reports whether this is a pass-through one-shard cluster.
-func (c *Cluster) single() bool { return len(c.shards) == 1 }
-
-// fanOut runs fn on every shard concurrently and merges the per-shard
-// errors deterministically: failures are reported in shard-index order,
-// each tagged with its shard, and a healthy shard's success is never masked
-// by a wedged sibling — every shard runs to completion.
-func (c *Cluster) fanOut(fn func(i int, v *Vault) error) error {
-	if c.single() {
-		return fn(0, c.shards[0])
-	}
+// gather runs fn once per shard and returns the errors indexed by shard;
+// fn stores its result in a slot it owns (parts[i]). Every shard runs to
+// completion — a wedged shard never stops or masks a healthy sibling. With
+// parallel set the shards run concurrently (one shard still runs inline, no
+// goroutine); otherwise one at a time in shard order, for operations whose
+// per-shard audit events must land in a deterministic order.
+func (c *Cluster) gather(parallel bool, fn func(i int, v *Vault) error) []error {
 	errs := make([]error, len(c.shards))
+	if !parallel || len(c.shards) == 1 {
+		for i, v := range c.shards {
+			errs[i] = fn(i, v)
+		}
+		return errs
+	}
 	var wg sync.WaitGroup
 	for i, v := range c.shards {
 		wg.Add(1)
@@ -337,6 +302,16 @@ func (c *Cluster) fanOut(fn func(i int, v *Vault) error) error {
 		}(i, v)
 	}
 	wg.Wait()
+	return errs
+}
+
+// joinShardErrs reports every failing shard in shard order, each tagged
+// with its index. One shard has no index worth naming: its error passes
+// through untouched.
+func joinShardErrs(errs []error) error {
+	if len(errs) == 1 {
+		return errs[0]
+	}
 	var failed []error
 	for i, err := range errs {
 		if err != nil {
@@ -346,25 +321,59 @@ func (c *Cluster) fanOut(fn func(i int, v *Vault) error) error {
 	return errors.Join(failed...)
 }
 
+// firstErr returns the lowest-indexed shard's error, untagged. It serves
+// the operations whose outcome the shared authorizer decides — every shard
+// reaches the same verdict, so one shard's error is the answer, phrased
+// exactly as a one-shard vault phrases it.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flatten concatenates per-shard results in shard order. One shard's result
+// is returned as is.
+func flatten[T any](parts [][]T) []T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	var out []T
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// unionIDs merges per-shard ID lists into one sorted list. Shards hold
+// disjoint records and every list arrives sorted, so the merge is a plain
+// union and one shard's list is already the answer.
+func unionIDs(parts [][]string) []string {
+	out := flatten(parts)
+	if len(parts) > 1 {
+		sort.Strings(out)
+	}
+	return out
+}
+
 // --- identity and lifecycle ---
 
-// Name returns the cluster's system name (shared by every shard).
+// Name returns the vault's system name (shared by every shard).
 func (c *Cluster) Name() string { return c.name }
 
-// PublicKey returns the signing identity. Every shard derives its signer
-// from the same master, so the cluster speaks with one key.
-func (c *Cluster) PublicKey() vcrypto.PublicKey { return c.shards[0].PublicKey() }
+// PublicKey returns the vault's signing identity. Every shard derives its
+// signer from the same master, so the vault speaks with one key.
+func (c *Cluster) PublicKey() vcrypto.PublicKey { return c.shards[0].signer.Public() }
 
-// Sign signs data under the cluster identity.
-func (c *Cluster) Sign(purpose string, data []byte) []byte { return c.shards[0].Sign(purpose, data) }
-
-// Authz returns the shared authorizer.
+// Authz returns the vault's authorizer for role and principal management.
 func (c *Cluster) Authz() *authz.Authorizer { return c.auth }
 
-// Retention returns the shared retention manager.
+// Retention returns the retention manager (legal holds, schedules).
 func (c *Cluster) Retention() *retention.Manager { return c.ret }
 
-// Len sums live records across shards.
+// Len returns the number of live (non-shredded) records.
 func (c *Cluster) Len() int {
 	n := 0
 	for _, v := range c.shards {
@@ -373,7 +382,8 @@ func (c *Cluster) Len() int {
 	return n
 }
 
-// StorageBytes sums storage across shards.
+// StorageBytes reports bytes consumed by ciphertext plus the index's stored
+// form — the cost-experiment accounting.
 func (c *Cluster) StorageBytes() int64 {
 	var n int64
 	for _, v := range c.shards {
@@ -383,7 +393,8 @@ func (c *Cluster) StorageBytes() int64 {
 }
 
 // Heads returns every shard's signed tree head, in shard order. Remember
-// them off-system and hand each back to its shard's VerifyAll.
+// them off-system and hand each back to its shard's VerifyAll to detect
+// history rewriting.
 func (c *Cluster) Heads() []merkle.SignedTreeHead {
 	out := make([]merkle.SignedTreeHead, len(c.shards))
 	for i, v := range c.shards {
@@ -392,18 +403,19 @@ func (c *Cluster) Heads() []merkle.SignedTreeHead {
 	return out
 }
 
-// Health merges per-shard health: the cluster is Open/Durable only if every
-// shard is, wedged if any shard is, and the counts are sums. InFlightOps is
-// the process-wide gauge, not a sum — shards share it.
+// Health reports the vault's current liveness for /healthz. With several
+// shards it merges their reports — Open/Durable only if every shard is,
+// wedged if any shard is (the first wedged shard named), counts summed —
+// and attaches the per-shard reports. InFlightOps is the process-wide
+// gauge, not a sum: shards share it.
 func (c *Cluster) Health() HealthStatus {
-	if c.single() {
+	if len(c.shards) == 1 {
 		return c.shards[0].Health()
 	}
-	var merged HealthStatus
-	merged.Open = true
-	merged.Durable = true
+	merged := HealthStatus{Open: true, Durable: true}
 	for i, v := range c.shards {
 		h := v.Health()
+		merged.Shards = append(merged.Shards, h)
 		merged.Open = merged.Open && h.Open
 		merged.Durable = merged.Durable && h.Durable
 		if h.WALWedged && !merged.WALWedged {
@@ -417,41 +429,22 @@ func (c *Cluster) Health() HealthStatus {
 		merged.LastRecovery.WALEntries += h.LastRecovery.WALEntries
 		merged.LastRecovery.RecordsLive += h.LastRecovery.RecordsLive
 	}
-	merged.InFlightOps = c.shards[0].Health().InFlightOps
+	merged.InFlightOps = merged.Shards[0].InFlightOps
 	return merged
 }
 
-// ShardHealths returns each shard's own health report, in shard order —
-// the per-shard detail behind the merged Health.
-func (c *Cluster) ShardHealths() []HealthStatus {
-	out := make([]HealthStatus, len(c.shards))
-	for i, v := range c.shards {
-		out[i] = v.Health()
-	}
-	return out
-}
-
-// Close closes every shard concurrently and reports failures in shard
-// order. A failing shard never prevents its siblings from closing.
+// Close flushes state and releases resources, every shard concurrently; a
+// failing shard never prevents its siblings from closing. See Vault.Close
+// for the drain-then-release contract each shard honors.
 func (c *Cluster) Close() error {
-	return c.fanOut(func(_ int, v *Vault) error { return v.Close() })
+	return joinShardErrs(c.gather(true, func(_ int, v *Vault) error { return v.Close() }))
 }
 
-// --- routed single-record operations ---
-
-// Put routes to the record's shard. See Vault.Put.
-func (c *Cluster) Put(actor string, rec ehr.Record) (Version, error) {
-	return c.shardFor(rec.ID).Put(actor, rec)
-}
+// --- single-record operations, routed to the record's shard ---
 
 // PutCtx routes to the record's shard. See Vault.PutCtx.
 func (c *Cluster) PutCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error) {
 	return c.shardFor(rec.ID).PutCtx(ctx, actor, rec)
-}
-
-// Get routes to the record's shard. See Vault.Get.
-func (c *Cluster) Get(actor, id string) (ehr.Record, Version, error) {
-	return c.shardFor(id).Get(actor, id)
 }
 
 // GetCtx routes to the record's shard. See Vault.GetCtx.
@@ -459,19 +452,9 @@ func (c *Cluster) GetCtx(ctx context.Context, actor, id string) (ehr.Record, Ver
 	return c.shardFor(id).GetCtx(ctx, actor, id)
 }
 
-// GetVersion routes to the record's shard. See Vault.GetVersion.
-func (c *Cluster) GetVersion(actor, id string, number uint64) (ehr.Record, Version, error) {
-	return c.shardFor(id).GetVersion(actor, id, number)
-}
-
 // GetVersionCtx routes to the record's shard. See Vault.GetVersionCtx.
 func (c *Cluster) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error) {
 	return c.shardFor(id).GetVersionCtx(ctx, actor, id, number)
-}
-
-// History routes to the record's shard. See Vault.History.
-func (c *Cluster) History(actor, id string) ([]Version, error) {
-	return c.shardFor(id).History(actor, id)
 }
 
 // HistoryCtx routes to the record's shard. See Vault.HistoryCtx.
@@ -479,27 +462,14 @@ func (c *Cluster) HistoryCtx(ctx context.Context, actor, id string) ([]Version, 
 	return c.shardFor(id).HistoryCtx(ctx, actor, id)
 }
 
-// Correct routes to the record's shard. See Vault.Correct.
-func (c *Cluster) Correct(actor string, rec ehr.Record) (Version, error) {
-	return c.shardFor(rec.ID).Correct(actor, rec)
-}
-
 // CorrectCtx routes to the record's shard. See Vault.CorrectCtx.
 func (c *Cluster) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error) {
 	return c.shardFor(rec.ID).CorrectCtx(ctx, actor, rec)
 }
 
-// Shred routes to the record's shard. See Vault.Shred.
-func (c *Cluster) Shred(actor, id string) error { return c.shardFor(id).Shred(actor, id) }
-
 // ShredCtx routes to the record's shard. See Vault.ShredCtx.
 func (c *Cluster) ShredCtx(ctx context.Context, actor, id string) error {
 	return c.shardFor(id).ShredCtx(ctx, actor, id)
-}
-
-// PlaceHold routes to the record's shard. See Vault.PlaceHold.
-func (c *Cluster) PlaceHold(actor, id, reason string) error {
-	return c.shardFor(id).PlaceHold(actor, id, reason)
 }
 
 // PlaceHoldCtx routes to the record's shard. See Vault.PlaceHoldCtx.
@@ -507,29 +477,14 @@ func (c *Cluster) PlaceHoldCtx(ctx context.Context, actor, id, reason string) er
 	return c.shardFor(id).PlaceHoldCtx(ctx, actor, id, reason)
 }
 
-// ReleaseHold routes to the record's shard. See Vault.ReleaseHold.
-func (c *Cluster) ReleaseHold(actor, id string) error {
-	return c.shardFor(id).ReleaseHold(actor, id)
-}
-
 // ReleaseHoldCtx routes to the record's shard. See Vault.ReleaseHoldCtx.
 func (c *Cluster) ReleaseHoldCtx(ctx context.Context, actor, id string) error {
 	return c.shardFor(id).ReleaseHoldCtx(ctx, actor, id)
 }
 
-// Provenance routes to the record's shard. See Vault.Provenance.
-func (c *Cluster) Provenance(actor, id string) ([]provenance.Event, error) {
-	return c.shardFor(id).Provenance(actor, id)
-}
-
 // ProvenanceCtx routes to the record's shard. See Vault.ProvenanceCtx.
 func (c *Cluster) ProvenanceCtx(ctx context.Context, actor, id string) ([]provenance.Event, error) {
 	return c.shardFor(id).ProvenanceCtx(ctx, actor, id)
-}
-
-// ProveVersion routes to the record's shard. See Vault.ProveVersion.
-func (c *Cluster) ProveVersion(actor, id string, number uint64) (VersionProof, error) {
-	return c.shardFor(id).ProveVersion(actor, id, number)
 }
 
 // ProveVersionCtx routes to the record's shard; the proof anchors to that
@@ -546,224 +501,112 @@ func (c *Cluster) Export(actor, id string) (ExportBundle, error) {
 	return c.shardFor(id).Export(actor, id)
 }
 
-// Import routes the bundle to its record's shard. See Vault.Import.
+// Import routes to the record's shard. See Vault.Import.
 func (c *Cluster) Import(actor string, bundle ExportBundle, sourceSystem string) error {
 	return c.shardFor(bundle.ID).Import(actor, bundle, sourceSystem)
 }
 
-// ImportRestored routes the bundle to its record's shard.
+// ImportRestored routes to the record's shard. See Vault.ImportRestored.
 func (c *Cluster) ImportRestored(actor string, bundle ExportBundle, sourceSystem string) error {
 	return c.shardFor(bundle.ID).ImportRestored(actor, bundle, sourceSystem)
 }
 
-// RecordBackedUp routes to the record's shard.
+// RecordBackedUp routes to the record's shard. See Vault.RecordBackedUp.
 func (c *Cluster) RecordBackedUp(actor, id, destination string) error {
 	return c.shardFor(id).RecordBackedUp(actor, id, destination)
 }
 
-// RecordMigratedOut routes to the record's shard.
+// RecordMigratedOut routes to the record's shard. See Vault.RecordMigratedOut.
 func (c *Cluster) RecordMigratedOut(actor, id, targetSystem string) error {
 	return c.shardFor(id).RecordMigratedOut(actor, id, targetSystem)
 }
 
-// --- fanned-out whole-cluster operations ---
+// --- whole-vault operations: every shard visited, results merged ---
 
-// Search fans out to every shard and merges the sorted union. Each shard
-// audits the search decision on its own chain — the shard that holds a hit
-// must also hold the audit trail of the query that found it.
-func (c *Cluster) Search(actor, keyword string) ([]string, error) {
-	return c.SearchCtx(context.Background(), actor, keyword)
-}
-
-// SearchCtx is Search under a caller-supplied context.
-func (c *Cluster) SearchCtx(ctx context.Context, actor, keyword string) ([]string, error) {
-	if c.single() {
-		return c.shards[0].SearchCtx(ctx, actor, keyword)
-	}
-	return c.mergeSearch(func(v *Vault) ([]string, error) {
-		return v.SearchCtx(ctx, actor, keyword)
-	})
-}
-
-// SearchAll fans out conjunctive search; see Search for audit semantics.
-func (c *Cluster) SearchAll(actor string, keywords ...string) ([]string, error) {
-	return c.SearchAllCtx(context.Background(), actor, keywords...)
-}
-
-// SearchAllCtx is SearchAll under a caller-supplied context.
-func (c *Cluster) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
-	if c.single() {
-		return c.shards[0].SearchAllCtx(ctx, actor, keywords...)
-	}
-	return c.mergeSearch(func(v *Vault) ([]string, error) {
-		return v.SearchAllCtx(ctx, actor, keywords...)
-	})
-}
-
-// mergeSearch runs one search per shard and merges hits into one sorted
-// list. Shards hold disjoint records, so the merge is a plain union. On a
-// shared-authorizer denial every shard still audits its own denial before
-// the error is returned.
-func (c *Cluster) mergeSearch(search func(*Vault) ([]string, error)) ([]string, error) {
-	res := make([][]string, len(c.shards))
-	err := c.fanOut(func(i int, v *Vault) error {
-		ids, err := search(v)
-		res[i] = ids
+// searchShards runs one ID-listing query per shard concurrently and merges
+// the hits. Each shard audits the decision on its own chain — the shard that
+// holds a hit must also hold the audit trail of the query that found it —
+// and on a shared-authorizer denial every shard still audits its own denial
+// before the error is returned.
+func (c *Cluster) searchShards(list func(*Vault) ([]string, error)) ([]string, error) {
+	parts := make([][]string, len(c.shards))
+	errs := c.gather(true, func(i int, v *Vault) (err error) {
+		parts[i], err = list(v)
 		return err
 	})
-	if err != nil {
+	if err := joinShardErrs(errs); err != nil {
 		return nil, err
 	}
-	var merged []string
-	for _, ids := range res {
-		merged = append(merged, ids...)
-	}
-	sort.Strings(merged)
-	return merged, nil
+	return unionIDs(parts), nil
 }
 
-// PatientRecords fans out and merges the sorted union (never audited,
-// never errors — see Vault.PatientRecords).
-func (c *Cluster) PatientRecords(actor, mrn string) ([]string, error) {
-	return c.PatientRecordsCtx(context.Background(), actor, mrn)
+// SearchCtx returns the sorted IDs of records matching keyword that the
+// actor is allowed to read. See Vault.SearchCtx and searchShards.
+func (c *Cluster) SearchCtx(ctx context.Context, actor, keyword string) ([]string, error) {
+	return c.searchShards(func(v *Vault) ([]string, error) { return v.SearchCtx(ctx, actor, keyword) })
 }
 
-// PatientRecordsCtx is PatientRecords under a caller-supplied context.
+// SearchAllCtx is the conjunctive form of SearchCtx: records containing
+// every keyword.
+func (c *Cluster) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
+	return c.searchShards(func(v *Vault) ([]string, error) { return v.SearchAllCtx(ctx, actor, keywords...) })
+}
+
+// PatientRecordsCtx returns the sorted IDs of the patient's records the
+// actor may read (never audited, never errors — see Vault.PatientRecordsCtx).
 func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error) {
-	if c.single() {
-		return c.shards[0].PatientRecordsCtx(ctx, actor, mrn)
-	}
-	return c.mergeSearch(func(v *Vault) ([]string, error) {
-		return v.PatientRecordsCtx(ctx, actor, mrn)
-	})
+	return c.searchShards(func(v *Vault) ([]string, error) { return v.PatientRecordsCtx(ctx, actor, mrn) })
 }
 
-// BreakGlass issues the emergency grant and audits it on every shard, in
-// shard order: the grant elevates access cluster-wide (the authorizer is
-// shared), so every shard's chain must show it. Re-issuing on each shard is
-// an idempotent overwrite of the same grant.
-func (c *Cluster) BreakGlass(actor, reason string, duration time.Duration) error {
-	return c.BreakGlassCtx(context.Background(), actor, reason, duration)
-}
-
-// BreakGlassCtx is BreakGlass under a caller-supplied context.
+// BreakGlassCtx grants the actor time-boxed emergency access and audits the
+// grant on every shard, in shard order: the grant elevates access vault-wide
+// (the authorizer is shared), so every shard's chain must show it.
+// Re-issuing on each shard is an idempotent overwrite of the same grant.
 func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error {
-	if c.single() {
-		return c.shards[0].BreakGlassCtx(ctx, actor, reason, duration)
-	}
-	var firstErr error
-	for _, v := range c.shards {
-		if err := v.BreakGlassCtx(ctx, actor, reason, duration); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return firstErr(c.gather(false, func(_ int, v *Vault) error {
+		return v.BreakGlassCtx(ctx, actor, reason, duration)
+	}))
 }
 
-// AuditEvents queries every shard — each shard audits the query decision on
-// its own chain — and merges matching events chronologically: shard results
-// are concatenated in shard order and stably sorted by timestamp, so
+// AuditEventsCtx returns audit events matching q; the query itself requires
+// (and is recorded with) audit permission on every shard's chain. Shard
+// results are concatenated in shard order and stably sorted by timestamp, so
 // same-instant events keep shard order. Seq numbers remain shard-local.
-func (c *Cluster) AuditEvents(actor string, q audit.Query) ([]audit.Event, error) {
-	return c.AuditEventsCtx(context.Background(), actor, q)
-}
-
-// AuditEventsCtx is AuditEvents under a caller-supplied context.
 func (c *Cluster) AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error) {
-	if c.single() {
-		return c.shards[0].AuditEventsCtx(ctx, actor, q)
-	}
-	res := make([][]audit.Event, len(c.shards))
-	var firstErr error
-	for i, v := range c.shards {
-		evs, err := v.AuditEventsCtx(ctx, actor, q)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		res[i] = evs
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var merged []audit.Event
-	for _, evs := range res {
-		merged = append(merged, evs...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		return merged[i].Timestamp.Before(merged[j].Timestamp)
+	parts := make([][]audit.Event, len(c.shards))
+	errs := c.gather(false, func(i int, v *Vault) (err error) {
+		parts[i], err = v.AuditEventsCtx(ctx, actor, q)
+		return err
 	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
+	merged := flatten(parts)
+	if len(parts) > 1 {
+		// One chain is already in its own (Seq) order, which a timestamp sort
+		// must not second-guess if the wall clock ever stepped backwards.
+		sort.SliceStable(merged, func(i, j int) bool {
+			return merged[i].Timestamp.Before(merged[j].Timestamp)
+		})
+	}
 	return merged, nil
 }
 
-// AccountingOfDisclosures fans the statutory accounting across shards:
-// every shard audits the query decision (sequentially, in shard order),
-// then each shard reconstructs the disclosures of the records it holds, and
-// the per-shard ledgers are concatenated in shard order and stably sorted
-// by timestamp — the same final ordering pass a single vault applies, so
-// ties keep shard order deterministically.
-func (c *Cluster) AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error) {
-	return c.AccountingOfDisclosuresCtx(context.Background(), actor, mrn)
-}
-
-// AccountingOfDisclosuresCtx is AccountingOfDisclosures under a
-// caller-supplied context.
-func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
-	if c.single() {
-		return c.shards[0].AccountingOfDisclosuresCtx(ctx, actor, mrn)
-	}
-	ctx, sp := obs.StartSpan(ctx, "core.disclosures")
-	defer func() { sp.End(retErr) }()
-	// Every shard audits the query decision before any denial is reported:
-	// the accounting request itself is disclosable activity on every shard.
-	var firstErr error
-	for _, v := range c.shards {
-		if err := v.disclosureQueryAudit(ctx, actor); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if mrn == "" {
-		return nil, fmt.Errorf("core: empty MRN")
-	}
-	var out []Disclosure
-	found := false
-	for _, v := range c.shards {
-		if err := v.gate.begin(); err != nil {
-			return nil, err
-		}
-		ds, ok := v.disclosuresScan(mrn)
-		v.gate.end()
-		found = found || ok
-		out = append(out, ds...)
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: no records for MRN %s", ErrNotFound, mrn)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
-	return out, nil
-}
-
-// VerifyAll runs the full integrity sweep on every shard concurrently and
-// sums the reports. A wedged or tampered shard fails the sweep with its
-// shard index named, without masking its siblings — every shard is swept
-// and every failure is reported, in shard order.
+// VerifyAll runs the full integrity sweep (see Vault.VerifyAll) on every
+// shard concurrently and sums the reports. A wedged or tampered shard fails
+// the sweep with its shard index named, without masking its siblings —
+// every shard is swept and every failure is reported, in shard order.
 //
 // Remembered heads and checkpoints are shard-local artifacts: with more
 // than one shard, hand each back to its own shard via Shard(i).VerifyAll;
 // passing them here is rejected rather than misverified.
 func (c *Cluster) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (Report, error) {
-	if c.single() {
-		return c.shards[0].VerifyAll(rememberedHeads, rememberedCheckpoints)
-	}
-	if len(rememberedHeads) > 0 || len(rememberedCheckpoints) > 0 {
+	if len(c.shards) > 1 && (len(rememberedHeads) > 0 || len(rememberedCheckpoints) > 0) {
 		return Report{}, fmt.Errorf("core: remembered heads and checkpoints are per-shard; verify them via Shard(i).VerifyAll")
 	}
 	reports := make([]Report, len(c.shards))
-	err := c.fanOut(func(i int, v *Vault) error {
-		rep, err := v.VerifyAll(nil, nil)
-		reports[i] = rep
+	errs := c.gather(true, func(i int, v *Vault) (err error) {
+		reports[i], err = v.VerifyAll(rememberedHeads, rememberedCheckpoints)
 		return err
 	})
 	var total Report
@@ -775,39 +618,31 @@ func (c *Cluster) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedC
 		total.HeadsChecked += rep.HeadsChecked
 		total.CheckpointsProven += rep.CheckpointsProven
 	}
-	return total, err
+	return total, joinShardErrs(errs)
 }
 
-// SanitizeMedia sweeps every shard in shard order and sums the results.
+// SanitizeMedia sweeps every shard in shard order (see Vault.SanitizeMedia)
+// and sums the results.
 func (c *Cluster) SanitizeMedia(actor string) (dropped int, reclaimed int64, err error) {
-	if c.single() {
-		return c.shards[0].SanitizeMedia(actor)
-	}
-	var failed []error
-	for i, v := range c.shards {
+	errs := c.gather(false, func(_ int, v *Vault) error {
 		d, r, err := v.SanitizeMedia(actor)
 		dropped += d
 		reclaimed += r
-		if err != nil {
-			failed = append(failed, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return dropped, reclaimed, errors.Join(failed...)
+		return err
+	})
+	return dropped, reclaimed, joinShardErrs(errs)
 }
 
-// RecordIDs merges every shard's live record IDs into one sorted list.
+// RecordIDs returns the IDs of live records, sorted.
 func (c *Cluster) RecordIDs() []string {
-	if c.single() {
-		return c.shards[0].RecordIDs()
+	parts := make([][]string, len(c.shards))
+	for i, v := range c.shards {
+		parts[i] = v.RecordIDs()
 	}
-	var out []string
-	for _, v := range c.shards {
-		out = append(out, v.RecordIDs()...)
-	}
-	sort.Strings(out)
-	return out
+	return unionIDs(parts)
 }
 
-// ExpiredRecords returns the cluster-wide disposition work list from the
-// shared retention manager (already globally sorted).
+// ExpiredRecords returns live records past their retention period and not
+// under legal hold — the disposition work list, from the shared retention
+// manager (already globally sorted).
 func (c *Cluster) ExpiredRecords() []string { return c.ret.Expired() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"medvault/internal/audit"
-	"medvault/internal/authz"
 	"medvault/internal/clock"
 	"medvault/internal/vcrypto"
 )
@@ -24,9 +24,9 @@ import (
 // migration path — update these constants only as part of one.
 func TestShardOfGolden(t *testing.T) {
 	golden := []struct {
-		id      string
-		n       int
-		want    int
+		id   string
+		n    int
+		want int
 	}{
 		{"", 2, 1}, {"", 4, 1}, {"", 8, 5},
 		{"rec-0001", 2, 1}, {"rec-0001", 4, 3}, {"rec-0001", 8, 7},
@@ -77,9 +77,9 @@ func auditKey(e audit.Event) string {
 		e.Seq, e.Timestamp.Format(time.RFC3339Nano), e.Actor, e.Action, e.Version, e.Record, e.Outcome, e.Detail)
 }
 
-// driveWorkload runs the scripted compliance workload against any API
-// implementation, returning the errors observed (for cross-run comparison).
-func driveWorkload(t *testing.T, v API, vc *clock.Virtual) []string {
+// driveWorkload runs the scripted compliance workload against the vault,
+// returning the errors observed (for comparison with the golden file).
+func driveWorkload(t *testing.T, v *Cluster, vc *clock.Virtual) []string {
 	t.Helper()
 	var outcomes []string
 	note := func(step string, err error) {
@@ -89,116 +89,249 @@ func driveWorkload(t *testing.T, v API, vc *clock.Virtual) []string {
 	denied := recs[6]
 	recs = recs[:6]
 	for i, r := range recs {
-		_, err := v.Put("dr-house", r)
+		_, err := v.PutCtx(context.Background(), "dr-house", r)
 		note(fmt.Sprintf("put-%d", i), err)
 	}
 	vc.Advance(time.Hour)
-	_, _, err := v.Get("nurse-joy", recs[0].ID)
+	_, _, err := v.GetCtx(context.Background(), "nurse-joy", recs[0].ID)
 	note("get-nurse", err)
-	_, err = v.Put("nurse-joy", denied)
+	_, err = v.PutCtx(context.Background(), "nurse-joy", denied)
 	note("put-denied", err)
-	_, _, err = v.Get("dr-house", "no-such-record")
+	_, _, err = v.GetCtx(context.Background(), "dr-house", "no-such-record")
 	note("get-missing", err)
 	fix := recs[1]
 	fix.Body = "corrected " + fix.Body
-	_, err = v.Correct("dr-house", fix)
+	_, err = v.CorrectCtx(context.Background(), "dr-house", fix)
 	note("correct", err)
-	err = v.BreakGlass("clerk-bob", "er consult", 30*time.Minute)
+	err = v.BreakGlassCtx(context.Background(), "clerk-bob", "er consult", 30*time.Minute)
 	note("break-glass", err)
-	_, _, err = v.Get("clerk-bob", recs[2].ID)
+	_, _, err = v.GetCtx(context.Background(), "clerk-bob", recs[2].ID)
 	note("get-break-glass", err)
-	err = v.PlaceHold("officer-kim", recs[3].ID, "litigation 44-B")
+	err = v.PlaceHoldCtx(context.Background(), "officer-kim", recs[3].ID, "litigation 44-B")
 	note("hold", err)
-	err = v.Shred("arch-lee", recs[3].ID)
+	err = v.ShredCtx(context.Background(), "arch-lee", recs[3].ID)
 	note("shred-held", err)
-	err = v.ReleaseHold("officer-kim", recs[3].ID)
+	err = v.ReleaseHoldCtx(context.Background(), "officer-kim", recs[3].ID)
 	note("release", err)
 	vc.Advance(time.Hour)
-	ids, err := v.Search("dr-house", strings.Fields(recs[4].Title)[0])
+	ids, err := v.SearchCtx(context.Background(), "dr-house", strings.Fields(recs[4].Title)[0])
 	note(fmt.Sprintf("search(%d)", len(ids)), err)
-	_, err = v.AccountingOfDisclosures("officer-kim", recs[0].MRN)
+	_, err = v.AccountingOfDisclosuresCtx(context.Background(), "officer-kim", recs[0].MRN)
 	note("disclosures", err)
-	_, err = v.History("dr-house", recs[1].ID)
+	_, err = v.HistoryCtx(context.Background(), "dr-house", recs[1].ID)
 	note("history", err)
 	return outcomes
 }
 
-// TestClusterOneShardEquivalence pins the tentpole's core promise: a
-// one-shard cluster is behaviorally identical to a bare vault. The same
-// scripted workload runs against both, and the audit journal (every field a
-// caller observes), the VerifyAll report, the tree-head size, and every
-// step's error must match exactly.
+// TestClusterOneShardEquivalence pins the promise the single-implementation
+// refactor rests on: a one-shard vault behaves exactly as the bare,
+// pre-cluster Vault did. The bare side no longer exists to run, so its half
+// is a literal: testdata/one_shard_workload.golden was written by the last
+// commit that still had a standalone Vault (PR 13), running this same
+// scripted workload with this master seed and clock. Every step's error,
+// the VerifyAll report, the tree-head size, and the audit journal (every
+// field a caller observes) must still match it line for line — at
+// Config.Shards 1 and at 0.
 func TestClusterOneShardEquivalence(t *testing.T) {
-	master, err := vcrypto.NewKey()
+	golden, err := os.ReadFile(filepath.Join("testdata", "one_shard_workload.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcA, vcB := clock.NewVirtual(testEpoch), clock.NewVirtual(testEpoch)
-	bare, err := Open(Config{Name: "equiv", Master: master, Clock: vcA})
+	var seed [32]byte
+	copy(seed[:], "medvault-fixture-master-seed-32b")
+	master, err := vcrypto.KeyFromBytes(seed[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bare.Close()
-	clu, err := OpenCluster(Config{Name: "equiv", Master: master, Clock: vcB}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clu.Close()
-	registerStaff(t, bare)
-	registerStaffAPI(t, clu)
+	for _, shards := range []int{1, 0} {
+		vc := clock.NewVirtual(testEpoch)
+		v, err := Open(Config{Name: "equiv", Master: master, Clock: vc, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		registerStaff(t, v)
 
-	outA := driveWorkload(t, bare, vcA)
-	outB := driveWorkload(t, clu, vcB)
-	if !reflect.DeepEqual(outA, outB) {
-		t.Errorf("workload outcomes diverge:\nbare:    %v\ncluster: %v", outA, outB)
-	}
-
-	repA, errA := bare.VerifyAll(nil, nil)
-	repB, errB := clu.VerifyAll(nil, nil)
-	if (errA == nil) != (errB == nil) {
-		t.Fatalf("VerifyAll errors diverge: %v vs %v", errA, errB)
-	}
-	if repA != repB {
-		t.Errorf("VerifyAll reports diverge:\nbare:    %+v\ncluster: %+v", repA, repB)
-	}
-	headsA, headsB := bare.Heads(), clu.Heads()
-	if len(headsB) != 1 || headsA[0].Size != headsB[0].Size {
-		t.Errorf("heads diverge: bare size %d, cluster %v", headsA[0].Size, headsB)
-	}
-
-	evA, err := bare.AuditEvents("officer-kim", audit.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evB, err := clu.AuditEvents("officer-kim", audit.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evA) != len(evB) {
-		t.Fatalf("audit journal lengths diverge: %d vs %d", len(evA), len(evB))
-	}
-	for i := range evA {
-		if auditKey(evA[i]) != auditKey(evB[i]) {
-			t.Errorf("audit event %d diverges:\nbare:    %s\ncluster: %s", i, auditKey(evA[i]), auditKey(evB[i]))
+		var got strings.Builder
+		for _, o := range driveWorkload(t, v, vc) {
+			fmt.Fprintf(&got, "outcome %s\n", o)
+		}
+		rep, err := v.VerifyAll(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "report %+v\n", rep)
+		heads := v.Heads()
+		if len(heads) != 1 {
+			t.Fatalf("Shards=%d: %d tree heads, want 1", shards, len(heads))
+		}
+		fmt.Fprintf(&got, "head-size %d\n", heads[0].Size)
+		evs, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			fmt.Fprintf(&got, "audit %s\n", auditKey(e))
+		}
+		if got.String() != string(golden) {
+			t.Errorf("Shards=%d diverges from the pre-cluster vault:\n%s", shards, lineDiff(string(golden), got.String()))
 		}
 	}
 }
 
-func registerStaffAPI(t *testing.T, v API) {
-	t.Helper()
-	a := v.Authz()
-	for _, r := range authz.StandardRoles() {
-		a.DefineRole(r)
+// lineDiff reports the first line at which two texts differ.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
 	}
-	for id, role := range map[string]string{
-		"dr-house":    "physician",
-		"nurse-joy":   "nurse",
-		"clerk-bob":   "billing-clerk",
-		"officer-kim": "compliance-officer",
-		"arch-lee":    "archivist",
-	} {
-		if err := a.AddPrincipal(id, role); err != nil {
+	return "identical"
+}
+
+// parentFixture is what testdata/parent-single-vault holds: a vault
+// directory written through the real filesystem by the last commit that had
+// a standalone single-vault constructor (PR 13's core.Open → *Vault), copied
+// while the second of two sessions was still open — so it carries a
+// metadata snapshot from the first clean Close plus an uncheckpointed WAL
+// tail, and reopening it exercises both snapshot load and WAL replay.
+var parentFixture = struct {
+	bodies   map[string][]string // live record → body per version
+	shredded string
+	held     string
+	leaves   uint64
+	now      time.Time // the writer's virtual clock when the copy was taken
+}{
+	bodies: map[string][]string{
+		"fx-a": {"fixture body fx-a v1", "fixture body fx-a v2"},
+		"fx-c": {"fixture body fx-c v1"},
+		"fx-d": {"fixture body fx-d v1"},
+	},
+	shredded: "fx-b",
+	held:     "fx-c",
+	leaves:   6,
+	now:      time.Date(2065, 12, 26, 9, 3, 0, 0, time.UTC),
+}
+
+// copyTree copies the directory src into dst through the real filesystem.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(p string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o600)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentSingleVaultDirectoryReopens: a directory the pre-refactor
+// single-vault code wrote must open, read back, and verify clean under the
+// one remaining constructor, at Shards 0 (adopt) and 1 — and must refuse to
+// be resharded in place.
+func TestParentSingleVaultDirectoryReopens(t *testing.T) {
+	var seed [32]byte
+	copy(seed[:], "medvault-fixture-master-seed-32b")
+	master, err := vcrypto.KeyFromBytes(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := parentFixture
+	for _, shards := range []int{0, 1} {
+		dir := t.TempDir()
+		copyTree(t, filepath.Join("testdata", "parent-single-vault"), dir)
+		cfg := Config{Name: "fixture", Master: master, Clock: clock.NewVirtual(fx.now), Dir: dir, Shards: shards}
+		v, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("Shards=%d: opening the parent commit's directory: %v", shards, err)
+		}
+		registerStaff(t, v)
+		if h := v.Health(); !h.LastRecovery.SnapshotLoaded || h.LastRecovery.WALEntries == 0 {
+			t.Errorf("Shards=%d: fixture should exercise snapshot load and WAL replay, recovery = %+v", shards, h.LastRecovery)
+		}
+		for id, bodies := range fx.bodies {
+			for i, want := range bodies {
+				rec, _, err := v.GetVersionCtx(context.Background(), "dr-house", id, uint64(i+1))
+				if err != nil || rec.Body != want {
+					t.Errorf("Shards=%d: %s v%d = %q, %v; want %q", shards, id, i+1, rec.Body, err, want)
+				}
+			}
+		}
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", fx.shredded); !errors.Is(err, ErrShredded) {
+			t.Errorf("Shards=%d: shredded %s reads as %v", shards, fx.shredded, err)
+		}
+		if holds := v.Retention().Holds(); len(holds) != 1 || holds[0].Record != fx.held {
+			t.Errorf("Shards=%d: holds = %+v, want one on %s", shards, holds, fx.held)
+		}
+		rep, err := v.VerifyAll(nil, nil)
+		if err != nil {
+			t.Fatalf("Shards=%d: VerifyAll on the parent commit's directory: %v", shards, err)
+		}
+		if rep.RecordsChecked != 4 || uint64(rep.VersionsChecked) != fx.leaves || v.Heads()[0].Size != fx.leaves {
+			t.Errorf("Shards=%d: report %+v, head size %d; want 4 records, %d versions", shards, rep, v.Heads()[0].Size, fx.leaves)
+		}
+		if err := v.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, clusterManifest)); err == nil {
+			t.Errorf("Shards=%d: reopening a single-vault directory wrote a manifest", shards)
+		}
+		cfg.Shards = 4
+		if _, err := Open(cfg); err == nil {
+			t.Errorf("sharding over the parent commit's single-vault layout accepted")
+		}
+	}
+}
+
+// TestOneShardClassicLayout: a fresh durable vault at Shards 1 — and at 0 —
+// holds exactly the classic pre-cluster layout: the shard's files directly
+// under Dir, no cluster.conf, no shard-0/.
+func TestOneShardClassicLayout(t *testing.T) {
+	for _, shards := range []int{1, 0} {
+		dir := t.TempDir()
+		v, err := Open(Config{Name: "layout", Master: mustKey(t), Clock: mustClock(), Dir: dir, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerStaff(t, v)
+		if _, err := v.PutCtx(context.Background(), "dr-house", clinicalRecord(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		want := []string{"audit", "blocks", "flight", "meta.snap", "meta.wal", "prov"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Shards=%d: directory holds %v, want the classic layout %v", shards, got, want)
 		}
 	}
 }
@@ -211,12 +344,12 @@ func newCluster(t *testing.T, n int) (*Cluster, *clock.Virtual) {
 		t.Fatal(err)
 	}
 	vc := clock.NewVirtual(testEpoch)
-	c, err := OpenCluster(Config{Name: "cluster-test", Master: master, Clock: vc}, n)
+	c, err := Open(Config{Name: "cluster-test", Master: master, Clock: vc, Shards: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	registerStaffAPI(t, c)
+	registerStaff(t, c)
 	return c, vc
 }
 
@@ -228,7 +361,7 @@ func TestClusterRoutingAndMerge(t *testing.T) {
 	var ids []string
 	perShard := make([]int, 4)
 	for i, rec := range clinicalRecords(t, 300, 12) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		ids = append(ids, rec.ID)
@@ -250,7 +383,7 @@ func TestClusterRoutingAndMerge(t *testing.T) {
 		t.Errorf("RecordIDs = %v, want %v", got, ids)
 	}
 	for _, id := range ids {
-		if _, _, err := c.Get("dr-house", id); err != nil {
+		if _, _, err := c.GetCtx(context.Background(), "dr-house", id); err != nil {
 			t.Errorf("get %s: %v", id, err)
 		}
 	}
@@ -283,7 +416,7 @@ func TestClusterRoutingAndMerge(t *testing.T) {
 func TestClusterFanOutErrorAggregation(t *testing.T) {
 	c, _ := newCluster(t, 2)
 	for _, rec := range clinicalRecords(t, 400, 6) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +446,7 @@ func TestClusterFanOutErrorAggregation(t *testing.T) {
 	if h.Open {
 		t.Error("cluster reports Open with a closed shard")
 	}
-	per := c.ShardHealths()
+	per := h.Shards
 	if !per[0].Open || per[1].Open {
 		t.Errorf("per-shard health wrong: %+v", per)
 	}
@@ -325,10 +458,10 @@ func TestClusterFanOutErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestOpenClusterLayout covers the durable layout rules: the manifest pins
+// TestOpenLayout covers the durable layout rules: the manifest pins
 // the shard count, shards=0 adopts it, mismatches and sharding over a
 // single-vault directory are refused, and one shard stays manifest-free.
-func TestOpenClusterLayout(t *testing.T) {
+func TestOpenLayout(t *testing.T) {
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		t.Fatal(err)
@@ -336,13 +469,13 @@ func TestOpenClusterLayout(t *testing.T) {
 	vc := clock.NewVirtual(testEpoch)
 	dir := t.TempDir()
 
-	c, err := OpenCluster(Config{Name: "layout", Master: master, Clock: vc, Dir: dir}, 3)
+	c, err := Open(Config{Name: "layout", Master: master, Clock: vc, Dir: dir, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerStaffAPI(t, c)
+	registerStaff(t, c)
 	for _, rec := range clinicalRecords(t, 500, 5) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,12 +484,12 @@ func TestOpenClusterLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := OpenCluster(Config{Name: "layout", Master: master, Clock: vc, Dir: dir}, 2); err == nil {
+	if _, err := Open(Config{Name: "layout", Master: master, Clock: vc, Dir: dir, Shards: 2}); err == nil {
 		t.Fatal("shard-count change accepted on reopen")
 	}
 
 	// shards=0 adopts the manifest.
-	c2, err := OpenCluster(Config{Name: "layout", Master: master, Clock: vc, Dir: dir}, 0)
+	c2, err := Open(Config{Name: "layout", Master: master, Clock: vc, Dir: dir, Shards: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,18 +505,18 @@ func TestOpenClusterLayout(t *testing.T) {
 
 	// A single-vault directory cannot be sharded in place.
 	soloDir := t.TempDir()
-	solo, err := Open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir})
+	solo, err := Open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := solo.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCluster(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir}, 4); err == nil {
+	if _, err := Open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir, Shards: 4}); err == nil {
 		t.Fatal("sharding over a single-vault layout accepted")
 	}
 	// But it reopens fine as a one-shard cluster, manifest-free.
-	c3, err := OpenCluster(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir}, 1)
+	c3, err := Open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +527,10 @@ func TestOpenClusterLayout(t *testing.T) {
 		t.Fatal("one-shard cluster wrote a manifest into a single-vault layout")
 	}
 
-	if _, err := OpenCluster(Config{Master: master, Clock: vc}, -1); err == nil {
+	if _, err := Open(Config{Master: master, Clock: vc, Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := OpenCluster(Config{Master: master, Clock: vc}, MaxShards+1); err == nil {
+	if _, err := Open(Config{Master: master, Clock: vc, Shards: MaxShards + 1}); err == nil {
 		t.Error("oversized shard count accepted")
 	}
 }

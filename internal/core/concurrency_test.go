@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,13 +40,13 @@ func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
 		}
 	}
 
-	mu := v.stripes.forRecord(idA)
+	mu := v.Shard(0).stripes.forRecord(idA)
 	mu.Lock()
 
 	// A writer on a different stripe commutes with the held one.
 	done := make(chan error, 1)
 	go func() {
-		_, err := v.Put("dr-house", stressRecord(otherStripe))
+		_, err := v.PutCtx(context.Background(), "dr-house", stressRecord(otherStripe))
 		done <- err
 	}()
 	select {
@@ -61,7 +62,7 @@ func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
 	// A writer on the held stripe must wait for it.
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := v.Put("dr-house", stressRecord(sameStripe))
+		_, err := v.PutCtx(context.Background(), "dr-house", stressRecord(sameStripe))
 		blocked <- err
 	}()
 	select {
@@ -106,7 +107,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				id := fmt.Sprintf("close-race-w%d-%d", w, i)
-				_, err := v.Put("dr-house", stressRecord(id))
+				_, err := v.PutCtx(context.Background(), "dr-house", stressRecord(id))
 				switch {
 				case err == nil:
 					mu.Lock()
@@ -118,7 +119,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 					errc <- fmt.Errorf("Put %s racing Close: %v", id, err)
 					return
 				}
-				if _, _, err := v.Get("dr-house", id); err != nil {
+				if _, _, err := v.GetCtx(context.Background(), "dr-house", id); err != nil {
 					// The Put above succeeded, so the only legitimate failure
 					// is the vault having closed in between — never a
 					// tampering report from a half-released store.
@@ -154,7 +155,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 		t.Errorf("reopened Len = %d, want %d committed records", got, len(committed))
 	}
 	for _, id := range committed {
-		if _, _, err := v2.Get("dr-house", id); err != nil {
+		if _, _, err := v2.GetCtx(context.Background(), "dr-house", id); err != nil {
 			t.Errorf("record %s committed before Close but unreadable after reopen: %v", id, err)
 		}
 	}
@@ -168,22 +169,22 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 func TestClosedVaultFailsFast(t *testing.T) {
 	v, _ := newVault(t)
 	rec := stressRecord("closed-vault-probe")
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", stressRecord("after-close")); !errors.Is(err, ErrClosed) {
+	if _, err := v.PutCtx(context.Background(), "dr-house", stressRecord("after-close")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrClosed) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after Close = %v, want ErrClosed", err)
 	}
-	if _, err := v.Search("dr-house", "probe"); !errors.Is(err, ErrClosed) {
+	if _, err := v.SearchCtx(context.Background(), "dr-house", "probe"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Search after Close = %v, want ErrClosed", err)
 	}
-	if err := v.Shred("arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
 		t.Errorf("Shred after Close = %v, want ErrClosed", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); !errors.Is(err, ErrClosed) {
@@ -215,23 +216,23 @@ func TestConcurrentVaultOperations(t *testing.T) {
 					Author:   "dr-house", CreatedAt: testEpoch,
 					Title: "t", Body: fmt.Sprintf("note %d from writer %d with hypertension", i, w),
 				}
-				if _, err := v.Put("dr-house", rec); err != nil {
+				if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 					errs <- fmt.Errorf("put w%d/%d: %w", w, i, err)
 					return
 				}
-				if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+				if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); err != nil {
 					errs <- fmt.Errorf("get w%d/%d: %w", w, i, err)
 					return
 				}
 				if i%5 == 0 {
 					rec.Body += " corrected"
-					if _, err := v.Correct("dr-house", rec); err != nil {
+					if _, err := v.CorrectCtx(context.Background(), "dr-house", rec); err != nil {
 						errs <- fmt.Errorf("correct w%d/%d: %w", w, i, err)
 						return
 					}
 				}
 				if i%7 == 0 {
-					if _, err := v.Search("dr-house", "hypertension"); err != nil {
+					if _, err := v.SearchCtx(context.Background(), "dr-house", "hypertension"); err != nil {
 						errs <- fmt.Errorf("search w%d/%d: %w", w, i, err)
 						return
 					}
@@ -255,7 +256,7 @@ func TestConcurrentVaultOperations(t *testing.T) {
 	if rep.VersionsChecked != wantVersions {
 		t.Errorf("versions = %d, want %d", rep.VersionsChecked, wantVersions)
 	}
-	if _, err := v.aud.Verify(); err != nil {
+	if _, err := v.Shard(0).aud.Verify(); err != nil {
 		t.Errorf("audit chain after concurrency: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
+	"medvault/internal/obs"
 )
 
 // Disclosure is one access to a patient's EPHI, as reconstructed from the
@@ -23,57 +24,54 @@ type Disclosure struct {
 	BreakGlass bool // the access rode an emergency grant
 }
 
-// AccountingOfDisclosures answers a patient's (or their representative's)
+// AccountingOfDisclosuresCtx answers a patient's (or their representative's)
 // statutory request: every access to every record carrying the patient's
 // MRN, in chronological order, reconstructed from the audit chain. Denied
 // attempts are included — a patient is entitled to know who *tried*.
 //
-// The query requires audit permission and is itself audited.
-func (v *Vault) AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error) {
-	return v.AccountingOfDisclosuresCtx(context.Background(), actor, mrn)
-}
-
-// AccountingOfDisclosuresCtx is AccountingOfDisclosures under a
-// caller-supplied context.
-func (v *Vault) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
-	ctx, sp := v.span(ctx, "core.disclosures")
+// The query requires audit permission and is itself audited — on every
+// shard, in shard order, even when it is denied: the accounting request is
+// disclosable activity on every chain it reads. Each shard reconstructs the
+// disclosures of the records it holds, and the per-shard ledgers are
+// concatenated in shard order and stably sorted by timestamp, so ties keep
+// shard order deterministically.
+func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
+	ctx, sp := obs.StartSpan(ctx, "core.disclosures")
 	defer func() { sp.End(retErr) }()
-	if err := v.gate.begin(); err != nil {
+	parts := make([][]Disclosure, len(c.shards))
+	found := false
+	errs := c.gather(false, func(i int, v *Vault) error {
+		if err := v.gate.begin(); err != nil {
+			return err
+		}
+		defer v.gate.end()
+		if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
+			return err
+		}
+		if mrn == "" {
+			return fmt.Errorf("core: empty MRN")
+		}
+		var ok bool
+		parts[i], ok = v.disclosuresScan(mrn)
+		found = found || ok
+		return nil
+	})
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
-	if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
-		return nil, err
-	}
-	if mrn == "" {
-		return nil, fmt.Errorf("core: empty MRN")
-	}
-	out, found := v.disclosuresScan(mrn)
 	if !found {
 		return nil, fmt.Errorf("%w: no records for MRN %s", ErrNotFound, mrn)
 	}
+	out := flatten(parts)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
 	return out, nil
 }
 
-// disclosureQueryAudit authorizes (and thereby audits) a disclosure
-// accounting query on this vault without running the scan. The cluster path
-// uses it so every shard's audit chain records the query decision before
-// any per-shard scanning begins.
-func (v *Vault) disclosureQueryAudit(ctx context.Context, actor string) error {
-	if err := v.gate.begin(); err != nil {
-		return err
-	}
-	defer v.gate.end()
-	return v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, "")
-}
-
-// disclosuresScan reconstructs this vault's disclosures for the MRN from
-// its audit chain, unsorted. It reports found=false when the vault holds no
+// disclosuresScan reconstructs this shard's disclosures for the MRN from
+// its audit chain, unsorted. It reports found=false when the shard holds no
 // record (live or shredded) with that MRN, in which case the event scan is
 // skipped entirely. The caller must hold the op gate and applies the final
-// chronological sort — on a cluster, after concatenating per-shard results
-// in shard order.
+// chronological sort after concatenating per-shard results in shard order.
 func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
 	// Collect the patient's record IDs (shredded ones included: the access
 	// history of a destroyed record is still disclosable). The MRN is
@@ -128,18 +126,12 @@ func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
 	return out, true
 }
 
-// PatientRecords returns the record IDs carrying the patient's MRN that the
+// PatientRecordsCtx returns the record IDs carrying the patient's MRN that the
 // actor is permitted to read — the entry point for a patient-access request
 // (HIPAA right of access, the paper's "individuals have the right to
-// request correction" precondition).
-func (v *Vault) PatientRecords(actor, mrn string) ([]string, error) {
-	return v.PatientRecordsCtx(context.Background(), actor, mrn)
-}
-
-// PatientRecordsCtx is PatientRecords under a caller-supplied context. The
-// scan is pure in-memory registry work, so the span has no children; it
-// exists so patient-access requests are visible in traces like every other
-// operation.
+// request correction" precondition). The scan is pure in-memory registry
+// work, so the span has no children; it exists so patient-access requests
+// are visible in traces like every other operation.
 func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []string, retErr error) {
 	_, sp := v.span(ctx, "core.patient_records")
 	defer func() { sp.End(retErr) }()

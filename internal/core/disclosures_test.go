@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -25,23 +26,23 @@ func TestAccountingOfDisclosures(t *testing.T) {
 		CreatedAt: testEpoch, Title: "note", Body: "unrelated",
 	}
 	for _, r := range []ehr.Record{recA, recB, other} {
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Accesses: two reads by the physician, one read by the nurse, one
 	// denied attempt by the clerk, one break-glass read by the clerk.
-	v.Get("dr-house", recA.ID)
-	v.Get("dr-house", recB.ID)
-	v.Get("nurse-joy", recA.ID)
-	v.Get("clerk-bob", recA.ID) // denied
-	if err := v.BreakGlass("clerk-bob", "after-hours emergency", time.Hour); err != nil {
+	v.GetCtx(context.Background(), "dr-house", recA.ID)
+	v.GetCtx(context.Background(), "dr-house", recB.ID)
+	v.GetCtx(context.Background(), "nurse-joy", recA.ID)
+	v.GetCtx(context.Background(), "clerk-bob", recA.ID) // denied
+	if err := v.BreakGlassCtx(context.Background(), "clerk-bob", "after-hours emergency", time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	v.Get("clerk-bob", recA.ID) // break-glass read
-	v.Get("dr-house", other.ID) // different patient: must not appear
+	v.GetCtx(context.Background(), "clerk-bob", recA.ID) // break-glass read
+	v.GetCtx(context.Background(), "dr-house", other.ID) // different patient: must not appear
 
-	disclosures, err := v.AccountingOfDisclosures("officer-kim", "mrn-777")
+	disclosures, err := v.AccountingOfDisclosuresCtx(context.Background(), "officer-kim", "mrn-777")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestAccountingOfDisclosures(t *testing.T) {
 	}
 
 	// Authorization: physicians cannot pull accountings.
-	if _, err := v.AccountingOfDisclosures("dr-house", "mrn-777"); !errors.Is(err, ErrDenied) {
+	if _, err := v.AccountingOfDisclosuresCtx(context.Background(), "dr-house", "mrn-777"); !errors.Is(err, ErrDenied) {
 		t.Errorf("physician accounting: %v", err)
 	}
 	// Unknown MRN.
-	if _, err := v.AccountingOfDisclosures("officer-kim", "mrn-000"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.AccountingOfDisclosuresCtx(context.Background(), "officer-kim", "mrn-000"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown MRN: %v", err)
 	}
 }
@@ -100,24 +101,24 @@ func TestPatientRecords(t *testing.T) {
 		ID: "mrn-9/bill-0", MRN: "mrn-9", Patient: "P", Category: ehr.CategoryBilling,
 		Author: "clerk-bob", CreatedAt: testEpoch, Title: "t", Body: "b",
 	}
-	if _, err := v.Put("dr-house", clin); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", clin); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("clerk-bob", bill); err != nil {
+	if _, err := v.PutCtx(context.Background(), "clerk-bob", bill); err != nil {
 		t.Fatal(err)
 	}
 	// The physician sees the clinical record only; the clerk the billing one.
-	got, err := v.PatientRecords("dr-house", "mrn-9")
+	got, err := v.PatientRecordsCtx(context.Background(), "dr-house", "mrn-9")
 	if err != nil || len(got) != 1 || got[0] != clin.ID {
 		t.Errorf("physician view = %v, %v", got, err)
 	}
-	got, err = v.PatientRecords("clerk-bob", "mrn-9")
+	got, err = v.PatientRecordsCtx(context.Background(), "clerk-bob", "mrn-9")
 	if err != nil || len(got) != 1 || got[0] != bill.ID {
 		t.Errorf("clerk view = %v, %v", got, err)
 	}
 	// Shredded records drop out of the patient view (but stay in the
 	// accounting, which TestAccountingOfDisclosures covers).
-	if got, _ := v.PatientRecords("dr-house", "mrn-none"); len(got) != 0 {
+	if got, _ := v.PatientRecordsCtx(context.Background(), "dr-house", "mrn-none"); len(got) != 0 {
 		t.Errorf("unknown MRN view = %v", got)
 	}
 }
@@ -130,10 +131,10 @@ func TestDisclosuresSurviveReopen(t *testing.T) {
 		ID: "mrn-5/enc-0", MRN: "mrn-5", Patient: "P", Category: ehr.CategoryClinical,
 		Author: "dr-house", CreatedAt: testEpoch, Title: "t", Body: "b",
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	v.Get("dr-house", rec.ID)
+	v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDisclosuresSurviveReopen(t *testing.T) {
 	if err := re.Authz().AddPrincipal("officer-kim", "compliance-officer"); err != nil {
 		t.Fatal(err)
 	}
-	disclosures, err := re.AccountingOfDisclosures("officer-kim", "mrn-5")
+	disclosures, err := re.AccountingOfDisclosuresCtx(context.Background(), "officer-kim", "mrn-5")
 	if err != nil {
 		t.Fatal(err)
 	}

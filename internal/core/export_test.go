@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -13,10 +14,10 @@ func TestExportAuthzAndContent(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Correct("dr-house", g.Correction(rec)); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", g.Correction(rec)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,7 +50,7 @@ func TestImportRejectsMalformedBundles(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := src.Put("dr-house", rec); err != nil {
+	if _, err := src.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	bundle, err := src.Export("arch-lee", rec.ID)
@@ -106,13 +107,13 @@ func TestVersionCountAndRecordIDs(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := v.VersionCount(rec.ID); err != nil || n != 1 {
 		t.Errorf("VersionCount = %d, %v", n, err)
 	}
-	if _, err := v.Correct("dr-house", g.Correction(rec)); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", g.Correction(rec)); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := v.VersionCount(rec.ID); n != 2 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 	"medvault/internal/index"
 	"medvault/internal/merkle"
 	"medvault/internal/vcrypto"
@@ -322,32 +323,8 @@ func (v *Vault) writeSnapshotLocked() error {
 		writeU64(&buf, uint64(h.Placed.UnixNano()))
 	}
 
-	path := filepath.Join(v.dir, "meta.snap")
-	tmp := path + ".tmp"
-	f, err := v.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
+	if err := faultfs.WriteFileAtomic(v.fs, filepath.Join(v.dir, "meta.snap"), buf.Bytes(), 0o600); err != nil {
 		return fmt.Errorf("core: writing snapshot: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		v.fs.Remove(tmp)
-		return fmt.Errorf("core: writing snapshot: %w", err)
-	}
-	// Sync before the rename: the rename can become durable ahead of the
-	// data it names, and a crash in that window would leave a truncated or
-	// empty snapshot where a complete one was promised.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		v.fs.Remove(tmp)
-		return fmt.Errorf("core: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		v.fs.Remove(tmp)
-		return fmt.Errorf("core: closing snapshot: %w", err)
-	}
-	if err := v.fs.Rename(tmp, path); err != nil {
-		v.fs.Remove(tmp)
-		return fmt.Errorf("core: committing snapshot: %w", err)
 	}
 	return nil
 }

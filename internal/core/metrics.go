@@ -44,8 +44,8 @@ var mutatingOps = map[string]bool{"put": true, "correct": true, "shred": true}
 // one outcome-labeled count, and one flight-recorder event (hashed record
 // ID, trace ID, outcome, latency — never plaintext). Shards of a
 // multi-shard Cluster add a shard label so /metrics breaks the top line
-// down per shard; a standalone vault (and a one-shard cluster) keeps the
-// exact label set it always had.
+// down per shard; a one-shard vault keeps the exact label set it always
+// had.
 //
 // Ordering matters for the crash invariant: the closure runs after the
 // operation has fully returned, i.e. after any WAL group-commit fsync for

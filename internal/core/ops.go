@@ -161,17 +161,12 @@ func (v *Vault) appendVersion(ctx context.Context, rec ehr.Record, author string
 	return ver, nil
 }
 
-// Put stores a new record on behalf of actor. The actor needs write
+// PutCtx stores a new record on behalf of actor. The actor needs write
 // permission for the record's category. The record's own CreatedAt starts
-// its retention clock.
-func (v *Vault) Put(actor string, rec ehr.Record) (Version, error) {
-	return v.PutCtx(context.Background(), actor, rec)
-}
-
-// PutCtx is Put under a caller-supplied context: when ctx carries a trace
-// (httpapi, the bench adapter), every mechanism the Put touches — seal,
-// blockstore, WAL, Merkle, index, audit — records its span under a
-// "core.put" parent.
+// its retention clock. When ctx carries a trace (httpapi, the bench
+// adapter), every mechanism the Put touches — seal, blockstore, WAL, Merkle,
+// index, audit — records its span under a "core.put" parent; the same holds
+// for every other operation and its own parent span.
 func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Version, err error) {
 	defer v.observeOp(ctx, "put", rec.ID, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.put")
@@ -276,14 +271,9 @@ func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.
 	return ehr.Decode(pt)
 }
 
-// Get returns the latest version of the record. The read — allowed or
+// GetCtx returns the latest version of the record. The read — allowed or
 // denied — is audited. Get holds only the record's stripe read lock, so
 // reads of distinct records (and of the same record) run in parallel.
-func (v *Vault) Get(actor, id string) (ehr.Record, Version, error) {
-	return v.GetCtx(context.Background(), actor, id)
-}
-
-// GetCtx is Get under a caller-supplied context (see PutCtx).
 func (v *Vault) GetCtx(ctx context.Context, actor, id string) (_ ehr.Record, _ Version, err error) {
 	defer v.observeOp(ctx, "get", id, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.get")
@@ -308,12 +298,7 @@ func (v *Vault) GetCtx(ctx context.Context, actor, id string) (_ ehr.Record, _ V
 	return rec, latest, err
 }
 
-// GetVersion returns a specific historical version (1-based).
-func (v *Vault) GetVersion(actor, id string, number uint64) (ehr.Record, Version, error) {
-	return v.GetVersionCtx(context.Background(), actor, id, number)
-}
-
-// GetVersionCtx is GetVersion under a caller-supplied context.
+// GetVersionCtx returns a specific historical version (1-based).
 func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (_ ehr.Record, _ Version, err error) {
 	defer v.observeOp(ctx, "get_version", id, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.get_version")
@@ -341,13 +326,8 @@ func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint
 	return rec, target, err
 }
 
-// History returns the version metadata of the record, oldest first. It does
+// HistoryCtx returns the version metadata of the record, oldest first. It does
 // not decrypt content, but still requires (and audits) read permission.
-func (v *Vault) History(actor, id string) ([]Version, error) {
-	return v.HistoryCtx(context.Background(), actor, id)
-}
-
-// HistoryCtx is History under a caller-supplied context.
 func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, err error) {
 	defer v.observeOp(ctx, "history", id, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.history")
@@ -370,15 +350,10 @@ func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, 
 	return append([]Version(nil), st.versions...), nil
 }
 
-// Correct appends an amended version of the record. History is preserved:
+// CorrectCtx appends an amended version of the record. History is preserved:
 // the prior version stays readable via GetVersion, and the correction is
 // committed, indexed, audited, and recorded in the custody chain. This is
 // the capability the paper finds missing from compliance WORM storage.
-func (v *Vault) Correct(actor string, rec ehr.Record) (Version, error) {
-	return v.CorrectCtx(context.Background(), actor, rec)
-}
-
-// CorrectCtx is Correct under a caller-supplied context.
 func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_ Version, err error) {
 	defer v.observeOp(ctx, "correct", rec.ID, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.correct")
@@ -478,14 +453,9 @@ func (v *Vault) filterSearchHits(actor string, hits []string) []string {
 	return out
 }
 
-// Search returns the IDs of records matching keyword that the actor is
+// SearchCtx returns the IDs of records matching keyword that the actor is
 // allowed to read — results outside the actor's categories are filtered,
 // enforcing minimum-necessary even through search.
-func (v *Vault) Search(actor, keyword string) ([]string, error) {
-	return v.SearchCtx(context.Background(), actor, keyword)
-}
-
-// SearchCtx is Search under a caller-supplied context.
 func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) (_ []string, err error) {
 	defer v.observeOp(ctx, "search", "", time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.search")
@@ -500,14 +470,9 @@ func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) (_ []strin
 	return v.filterSearchHits(actor, v.idx.SearchCtx(ctx, keyword)), nil
 }
 
-// SearchAll returns the IDs of readable records containing every keyword
+// SearchAllCtx returns the IDs of readable records containing every keyword
 // (conjunctive search), with the same authorization and filtering semantics
 // as Search.
-func (v *Vault) SearchAll(actor string, keywords ...string) ([]string, error) {
-	return v.SearchAllCtx(context.Background(), actor, keywords...)
-}
-
-// SearchAllCtx is SearchAll under a caller-supplied context.
 func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...string) (_ []string, err error) {
 	defer v.observeOp(ctx, "search", "", time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.search")
@@ -522,17 +487,12 @@ func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...stri
 	return v.filterSearchHits(actor, v.idx.SearchAllCtx(ctx, keywords...)), nil
 }
 
-// Shred securely deletes the record: its data key is destroyed, its index
+// ShredCtx securely deletes the record: its data key is destroyed, its index
 // postings removed, and the destruction is audited and recorded in the
 // custody chain. Shred refuses while retention is active or a legal hold is
 // in place. The ciphertext remains in the append-only log — permanently
 // unreadable — and the Merkle history of the record's existence is
 // preserved, as disposition accountability requires.
-func (v *Vault) Shred(actor, id string) error {
-	return v.ShredCtx(context.Background(), actor, id)
-}
-
-// ShredCtx is Shred under a caller-supplied context.
 func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 	defer v.observeOp(ctx, "shred", id, time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.shred")
@@ -590,15 +550,10 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 	return nil
 }
 
-// PlaceHold puts a durable legal hold on the record: disposition is blocked
+// PlaceHoldCtx puts a durable legal hold on the record: disposition is blocked
 // until release, the hold survives restarts (WAL-logged and snapshotted),
 // and both placement and release are audited. Requires disposition (shred)
 // permission — holds govern destruction.
-func (v *Vault) PlaceHold(actor, id, reason string) error {
-	return v.PlaceHoldCtx(context.Background(), actor, id, reason)
-}
-
-// PlaceHoldCtx is PlaceHold under a caller-supplied context.
 func (v *Vault) PlaceHoldCtx(ctx context.Context, actor, id, reason string) (err error) {
 	ctx, sp := v.span(ctx, "core.place_hold")
 	defer func() { sp.End(err) }()
@@ -634,12 +589,7 @@ func (v *Vault) PlaceHoldCtx(ctx context.Context, actor, id, reason string) (err
 	return nil
 }
 
-// ReleaseHold lifts a legal hold; the release is WAL-logged and audited.
-func (v *Vault) ReleaseHold(actor, id string) error {
-	return v.ReleaseHoldCtx(context.Background(), actor, id)
-}
-
-// ReleaseHoldCtx is ReleaseHold under a caller-supplied context.
+// ReleaseHoldCtx lifts a legal hold; the release is WAL-logged and audited.
 func (v *Vault) ReleaseHoldCtx(ctx context.Context, actor, id string) (err error) {
 	ctx, sp := v.span(ctx, "core.release_hold")
 	defer func() { sp.End(err) }()
@@ -666,13 +616,8 @@ func (v *Vault) ReleaseHoldCtx(ctx context.Context, actor, id string) (err error
 	return nil
 }
 
-// BreakGlass grants the actor time-boxed emergency access and records the
+// BreakGlassCtx grants the actor time-boxed emergency access and records the
 // grant in the audit trail.
-func (v *Vault) BreakGlass(actor, reason string, duration time.Duration) error {
-	return v.BreakGlassCtx(context.Background(), actor, reason, duration)
-}
-
-// BreakGlassCtx is BreakGlass under a caller-supplied context.
 func (v *Vault) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) (err error) {
 	ctx, sp := v.span(ctx, "core.break_glass")
 	defer func() { sp.End(err) }()
@@ -693,13 +638,8 @@ func (v *Vault) BreakGlassCtx(ctx context.Context, actor, reason string, duratio
 	return err
 }
 
-// AuditEvents returns audit events matching q; the query itself requires
+// AuditEventsCtx returns audit events matching q; the query itself requires
 // (and is recorded with) audit permission.
-func (v *Vault) AuditEvents(actor string, q audit.Query) ([]audit.Event, error) {
-	return v.AuditEventsCtx(context.Background(), actor, q)
-}
-
-// AuditEventsCtx is AuditEvents under a caller-supplied context.
 func (v *Vault) AuditEventsCtx(ctx context.Context, actor string, q audit.Query) (_ []audit.Event, err error) {
 	ctx, sp := v.span(ctx, "core.audit_events")
 	defer func() { sp.End(err) }()
@@ -713,12 +653,7 @@ func (v *Vault) AuditEventsCtx(ctx context.Context, actor string, q audit.Query)
 	return v.aud.Search(q), nil
 }
 
-// Provenance returns the record's custody chain; requires audit permission.
-func (v *Vault) Provenance(actor, id string) ([]provenance.Event, error) {
-	return v.ProvenanceCtx(context.Background(), actor, id)
-}
-
-// ProvenanceCtx is Provenance under a caller-supplied context.
+// ProvenanceCtx returns the record's custody chain; requires audit permission.
 func (v *Vault) ProvenanceCtx(ctx context.Context, actor, id string) (_ []provenance.Event, err error) {
 	ctx, sp := v.span(ctx, "core.provenance")
 	defer func() { sp.End(err) }()
@@ -763,7 +698,3 @@ func (v *Vault) RecordIDs() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ExpiredRecords returns live records past their retention period and not
-// under legal hold — the disposition work list.
-func (v *Vault) ExpiredRecords() []string { return v.ret.Expired() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 )
 
 // openDurable opens a file-backed vault in dir with standard staff.
-func openDurable(t *testing.T, dir string, master vcrypto.Key, vc *clock.Virtual) *Vault {
+func openDurable(t *testing.T, dir string, master vcrypto.Key, vc *clock.Virtual) *Cluster {
 	t.Helper()
 	v, err := Open(Config{Name: "durable", Master: master, Clock: vc, Dir: dir})
 	if err != nil {
@@ -49,13 +50,13 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		if r.Category == ehr.CategoryBilling || r.Category == ehr.CategoryOccupational {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.ID)
 		bodies = append(bodies, r.Body)
 	}
-	headBefore := v.Head()
+	headBefore := v.Shard(0).Head()
 	if err := v.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(ids))
 	}
 	for i, id := range ids {
-		rec, _, err := re.Get("dr-house", id)
+		rec, _, err := re.GetCtx(context.Background(), "dr-house", id)
 		if err != nil {
 			t.Fatalf("Get(%s) after reopen: %v", id, err)
 		}
@@ -79,7 +80,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		t.Fatalf("VerifyAll after reopen: %v", err)
 	}
 	// Search still works (index restored from snapshot).
-	hits, err := re.Search("dr-house", ehr.CommonCondition())
+	hits, err := re.SearchCtx(context.Background(), "dr-house", ehr.CommonCondition())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 	for r.Category != ehr.CategoryClinical {
 		r = g.Next()
 	}
-	if _, err := re.Put("dr-house", r); err != nil {
+	if _, err := re.PutCtx(context.Background(), "dr-house", r); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
 	}
 }
@@ -106,27 +107,27 @@ func TestDurableCrashRecoveryViaWAL(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	corr := g.Correction(rec)
-	if _, err := v.Correct("dr-house", corr); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", corr); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no Close, no snapshot. Recovery must come from the
 	// WAL alone.
-	v.blocks.Sync()
+	v.Shard(0).blocks.Sync()
 
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	got, ver, err := re.Get("dr-house", rec.ID)
+	got, ver, err := re.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get after crash: %v", err)
 	}
 	if ver.Number != 2 || !strings.Contains(got.Body, "AMENDMENT") {
 		t.Errorf("correction lost in crash recovery: v%d", ver.Number)
 	}
-	hist, err := re.History("dr-house", rec.ID)
+	hist, err := re.HistoryCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("history after crash: %d, %v", len(hist), err)
 	}
@@ -143,11 +144,11 @@ func TestDurableShredSurvivesReopen(t *testing.T) {
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(32, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatalf("Shred: %v", err)
 	}
 	if err := v.Close(); err != nil {
@@ -156,10 +157,10 @@ func TestDurableShredSurvivesReopen(t *testing.T) {
 
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("shred lost across reopen: %v", err)
 	}
-	if _, err := re.Put("dr-house", rec); !errors.Is(err, ErrShredded) {
+	if _, err := re.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrShredded) {
 		t.Errorf("shredded ID reusable after reopen: %v", err)
 	}
 	if _, err := re.VerifyAll(nil, nil); err != nil {
@@ -174,17 +175,17 @@ func TestDurableCrashAfterShredWALReplay(t *testing.T) {
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(33, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without Close: the shred lives only in the WAL.
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("WAL shred replay failed: %v", err)
 	}
 }
@@ -195,11 +196,11 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(36, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.PlaceHold("arch-lee", rec.ID, "grand jury subpoena 26-118"); err != nil {
+	if err := v.PlaceHoldCtx(context.Background(), "arch-lee", rec.ID, "grand jury subpoena 26-118"); err != nil {
 		t.Fatalf("PlaceHold: %v", err)
 	}
 	placedAt := v.Retention().Holds()[0].Placed
@@ -213,7 +214,7 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 	if !holds[0].Placed.Equal(placedAt) {
 		t.Error("hold timestamp drifted across replay")
 	}
-	if err := re.Shred("arch-lee", rec.ID); err == nil {
+	if err := re.ShredCtx(context.Background(), "arch-lee", rec.ID); err == nil {
 		t.Fatal("shred under replayed hold accepted")
 	}
 	// Clean close → snapshot path.
@@ -226,7 +227,7 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 		t.Fatal("hold lost in snapshot restore")
 	}
 	// Release is durable too.
-	if err := re2.ReleaseHold("arch-lee", rec.ID); err != nil {
+	if err := re2.ReleaseHoldCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := re2.Close(); err != nil {
@@ -237,11 +238,11 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 	if len(re3.Retention().Holds()) != 0 {
 		t.Fatal("released hold resurrected")
 	}
-	if err := re3.Shred("arch-lee", rec.ID); err != nil {
+	if err := re3.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatalf("shred after durable release: %v", err)
 	}
 	// Unauthorized hold management is refused.
-	if err := re3.PlaceHold("dr-house", rec.ID, "x"); !errors.Is(err, ErrShredded) && !errors.Is(err, ErrDenied) {
+	if err := re3.PlaceHoldCtx(context.Background(), "dr-house", rec.ID, "x"); !errors.Is(err, ErrShredded) && !errors.Is(err, ErrDenied) {
 		t.Errorf("hold by physician on shredded record: %v", err)
 	}
 }
@@ -252,7 +253,7 @@ func TestDurableWrongMasterFailsClosed(t *testing.T) {
 	vc := clock.NewVirtual(testEpoch)
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 34)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
@@ -270,7 +271,7 @@ func TestDurableSnapshotIsAtomic(t *testing.T) {
 	vc := clock.NewVirtual(testEpoch)
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 35)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {

@@ -29,15 +29,9 @@ type VersionProof struct {
 	Head      merkle.SignedTreeHead
 }
 
-// ProveVersion produces a VersionProof for the given version of the record.
+// ProveVersionCtx produces a VersionProof for the given version of the record.
 // It requires (and audits) read permission: the proof reveals the record's
 // existence and write history even though it reveals no content.
-func (v *Vault) ProveVersion(actor, id string, number uint64) (VersionProof, error) {
-	return v.ProveVersionCtx(context.Background(), actor, id, number)
-}
-
-// ProveVersionCtx is ProveVersion under a caller-supplied context, recording
-// a "core.prove_version" span with the Merkle proof as a child span.
 func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (_ VersionProof, retErr error) {
 	ctx, sp := v.span(ctx, "core.prove_version")
 	defer func() { sp.End(retErr) }()

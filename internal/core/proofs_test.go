@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,10 +15,10 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Correct("dr-house", g.Correction(rec)); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", g.Correction(rec)); err != nil {
 		t.Fatal(err)
 	}
 	// More records after, so the proof is a real path, not a root.
@@ -26,13 +27,13 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 		if r.Category != ehr.CategoryClinical {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for _, n := range []uint64{1, 2} {
-		proof, err := v.ProveVersion("dr-house", rec.ID, n)
+		proof, err := v.ProveVersionCtx(context.Background(), "dr-house", rec.ID, n)
 		if err != nil {
 			t.Fatalf("ProveVersion v%d: %v", n, err)
 		}
@@ -43,7 +44,7 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 	}
 
 	// Forgeries fail.
-	proof, err := v.ProveVersion("dr-house", rec.ID, 2)
+	proof, err := v.ProveVersionCtx(context.Background(), "dr-house", rec.ID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +80,16 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 func TestProveVersionAuthz(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 41)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ProveVersion("clerk-bob", rec.ID, 1); !errors.Is(err, ErrDenied) {
+	if _, err := v.ProveVersionCtx(context.Background(), "clerk-bob", rec.ID, 1); !errors.Is(err, ErrDenied) {
 		t.Errorf("clerk obtained a clinical proof: %v", err)
 	}
-	if _, err := v.ProveVersion("dr-house", rec.ID, 5); !errors.Is(err, ErrNotFound) {
+	if _, err := v.ProveVersionCtx(context.Background(), "dr-house", rec.ID, 5); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing version: %v", err)
 	}
-	if _, err := v.ProveVersion("dr-house", "ghost", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := v.ProveVersionCtx(context.Background(), "dr-house", "ghost", 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing record: %v", err)
 	}
 }
@@ -102,16 +103,16 @@ func TestProveExtension(t *testing.T) {
 			if r.Category != ehr.CategoryClinical {
 				continue
 			}
-			if _, err := v.Put("dr-house", r); err != nil {
+			if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		}
 	}
 	put(5)
-	oldHead := v.Head()
+	oldHead := v.Shard(0).Head()
 	put(7)
-	proof, newHead, err := v.ProveExtension(oldHead)
+	proof, newHead, err := v.Shard(0).ProveExtension(oldHead)
 	if err != nil {
 		t.Fatal(err)
 	}

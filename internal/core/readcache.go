@@ -17,8 +17,8 @@ const (
 )
 
 // cacheMetrics is one cache layer's instrumentation. Each cache instance
-// owns its set so a cluster shard's caches report under a shard label while
-// a standalone vault keeps the original single-label series (the DEK
+// owns its set so each shard's caches report under a shard label while a
+// one-shard vault keeps the original single-label series (the DEK
 // layer's counters live in vcrypto under cache="dek"). The series are
 // registered even for a disabled cache, so /metrics and the bench JSON
 // always expose every layer.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"sync"
@@ -108,17 +109,17 @@ func TestNegativeCachePutInvalidation(t *testing.T) {
 	rec := clinicalRecord(t, 77)
 
 	for i := 0; i < 2; i++ { // second probe is the cached-negative path
-		if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrNotFound) {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("probe %d of unknown %s: want ErrNotFound, got %v", i, rec.ID, err)
 		}
 	}
-	if !v.neg.has(rec.ID) {
+	if !v.Shard(0).neg.has(rec.ID) {
 		t.Fatalf("unknown-record probe did not populate the negative cache")
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := v.Get("dr-house", rec.ID)
+	got, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get after Put of a negatively-cached ID: %v", err)
 	}
@@ -126,10 +127,10 @@ func TestNegativeCachePutInvalidation(t *testing.T) {
 		t.Fatal("Get after Put returned wrong content")
 	}
 	// History and GetVersion share the read path; they must see it too.
-	if _, err := v.History("dr-house", rec.ID); err != nil {
+	if _, err := v.HistoryCtx(context.Background(), "dr-house", rec.ID); err != nil {
 		t.Fatalf("History after Put: %v", err)
 	}
-	if _, _, err := v.GetVersion("dr-house", rec.ID, 1); err != nil {
+	if _, _, err := v.GetVersionCtx(context.Background(), "dr-house", rec.ID, 1); err != nil {
 		t.Fatalf("GetVersion after Put: %v", err)
 	}
 }
@@ -140,19 +141,19 @@ func TestNegativeCachePutInvalidation(t *testing.T) {
 func TestShredNeverCachedAsNotFound(t *testing.T) {
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 78)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 			t.Fatalf("read %d of shredded record: want ErrShredded, got %v", i, err)
 		}
 	}
-	if v.neg.has(rec.ID) {
+	if v.Shard(0).neg.has(rec.ID) {
 		t.Fatal("shredded record entered the negative cache")
 	}
 }
@@ -164,30 +165,30 @@ func TestCachedReadsSurviveShredOfNeighbor(t *testing.T) {
 	v, vc := newVault(t)
 	recs := clinicalRecords(t, 80, 2)
 	keep, doomed := recs[0], recs[1]
-	if _, err := v.Put("dr-house", keep); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", keep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", doomed); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", doomed); err != nil {
 		t.Fatal(err)
 	}
 	// Warm both records' block-cache entries.
 	for _, id := range []string{keep.ID, doomed.ID} {
-		if _, _, err := v.Get("dr-house", id); err != nil {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", doomed.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", doomed.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := v.Get("dr-house", keep.ID)
+	got, _, err := v.GetCtx(context.Background(), "dr-house", keep.ID)
 	if err != nil {
 		t.Fatalf("cached read of surviving record: %v", err)
 	}
 	if got.Body != keep.Body {
 		t.Fatal("cached read of surviving record returned wrong content")
 	}
-	if _, _, err := v.Get("dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
 		t.Fatalf("read of shredded record: want ErrShredded, got %v", err)
 	}
 }
@@ -202,11 +203,11 @@ func TestVerifyAllCatchesStaleDEKAfterShred(t *testing.T) {
 
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 82)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.VerifyAll(nil, nil); !errors.Is(err, ErrTampered) {
@@ -217,11 +218,11 @@ func TestVerifyAllCatchesStaleDEKAfterShred(t *testing.T) {
 	vcrypto.TestHookKeepDEKCacheOnShred.Store(false)
 	v2, vc2 := newVault(t)
 	rec2 := clinicalRecord(t, 83)
-	if _, err := v2.Put("dr-house", rec2); err != nil {
+	if _, err := v2.PutCtx(context.Background(), "dr-house", rec2); err != nil {
 		t.Fatal(err)
 	}
 	vc2.Advance(40 * 365 * 24 * time.Hour)
-	if err := v2.Shred("arch-lee", rec2.ID); err != nil {
+	if err := v2.ShredCtx(context.Background(), "arch-lee", rec2.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v2.VerifyAll(nil, nil); err != nil {
@@ -239,13 +240,13 @@ func TestReopenedVaultIsCold(t *testing.T) {
 
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 84)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); err != nil {
 		t.Fatal(err)
 	}
-	if v.keys.CachedDEKs() == 0 {
+	if v.Shard(0).keys.CachedDEKs() == 0 {
 		t.Fatal("read did not warm the DEK cache")
 	}
 	if err := v.Close(); err != nil {
@@ -254,17 +255,17 @@ func TestReopenedVaultIsCold(t *testing.T) {
 
 	v2 := openDurable(t, dir, master, vc)
 	defer v2.Close()
-	if n := v2.keys.CachedDEKs(); n != 0 {
+	if n := v2.Shard(0).keys.CachedDEKs(); n != 0 {
 		t.Fatalf("reopened vault has %d cached DEKs, want 0", n)
 	}
-	got, _, err := v2.Get("dr-house", rec.ID)
+	got, _, err := v2.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("cold read after reopen: %v", err)
 	}
 	if got.Body != rec.Body {
 		t.Fatal("cold read returned wrong content")
 	}
-	if v2.keys.CachedDEKs() == 0 {
+	if v2.Shard(0).keys.CachedDEKs() == 0 {
 		t.Fatal("cold read did not refill the cache")
 	}
 }
@@ -279,7 +280,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 	const n = 16
 	ids := make([]string, 0, n)
 	for _, rec := range clinicalRecords(t, 100, n) {
-		if _, err := v.Put("dr-house", rec); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
@@ -293,7 +294,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := ids[(g*13+i)%n]
-				if _, _, err := v.Get("dr-house", id); err != nil && !errors.Is(err, ErrShredded) {
+				if _, _, err := v.GetCtx(context.Background(), "dr-house", id); err != nil && !errors.Is(err, ErrShredded) {
 					t.Errorf("Get(%s): %v", id, err)
 					return
 				}
@@ -304,7 +305,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, id := range ids {
-			if err := v.Shred("arch-lee", id); err != nil {
+			if err := v.ShredCtx(context.Background(), "arch-lee", id); err != nil {
 				t.Errorf("Shred(%s): %v", id, err)
 				return
 			}
@@ -313,10 +314,10 @@ func TestConcurrentGetShredStress(t *testing.T) {
 	wg.Wait()
 
 	for _, id := range ids {
-		if _, _, err := v.Get("dr-house", id); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", id); !errors.Is(err, ErrShredded) {
 			t.Fatalf("after stress, Get(%s): want ErrShredded, got %v", id, err)
 		}
-		if v.keys.HasCachedDEK(id) {
+		if v.Shard(0).keys.HasCachedDEK(id) {
 			t.Fatalf("after stress, %s still has a cached plaintext DEK", id)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func putTwo(t *testing.T, fsys faultfs.FS) (*Cluster, [2]string) {
 	var bodies [2]string
 	for i := 0; i < 2; i++ {
 		rec := tortureRecord([]string{"edge-a", "edge-b"}[i], 1, vc.Now())
-		if _, err := v.Put("dr-house", rec); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 		bodies[i] = rec.Body
@@ -37,7 +38,7 @@ func reopenAndCheck(t *testing.T, img *faultfs.Mem, bodies [2]string) {
 	}
 	defer v.Close()
 	for i, id := range []string{"edge-a", "edge-b"} {
-		rec, _, err := v.GetVersion("dr-house", id, 1)
+		rec, _, err := v.GetVersionCtx(context.Background(), "dr-house", id, 1)
 		if err != nil {
 			t.Fatalf("GetVersion(%s): %v", id, err)
 		}

@@ -5,6 +5,7 @@ package core
 // GetVersion/History must audit unknown-record probes exactly as Get does.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -31,7 +32,8 @@ func (f *failingStore) Append(data []byte) (blockstore.Ref, error) {
 
 // withFailingProvenance rewires the vault's custody tracker onto a store
 // whose Append can be made to fail on demand.
-func withFailingProvenance(t *testing.T, v *Vault) *failingStore {
+func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
+	v := c.Shard(0)
 	t.Helper()
 	fs := &failingStore{Store: blockstore.NewMemory(0)}
 	tr, err := provenance.Open(provenance.Config{
@@ -57,7 +59,7 @@ func TestPutSurvivesProvenanceFailure(t *testing.T) {
 	rec := clinicalRecord(t, 1)
 
 	fs.fail = true
-	ver, err := v.Put("dr-house", rec)
+	ver, err := v.PutCtx(context.Background(), "dr-house", rec)
 	if err != nil {
 		t.Fatalf("Put with failing provenance store = %v, want success (the version is committed)", err)
 	}
@@ -66,7 +68,7 @@ func TestPutSurvivesProvenanceFailure(t *testing.T) {
 	}
 
 	// The record is fully usable.
-	got, _, err := v.Get("dr-house", rec.ID)
+	got, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get after degraded Put: %v", err)
 	}
@@ -75,7 +77,7 @@ func TestPutSurvivesProvenanceFailure(t *testing.T) {
 	}
 
 	// The custody gap is audited as an error on the create action.
-	events, err := v.AuditEvents("officer-kim", audit.Query{Record: rec.ID})
+	events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Record: rec.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestPutSurvivesProvenanceFailure(t *testing.T) {
 
 	// And crucially: a client that (wrongly) retries is told the record
 	// exists — which is now consistent with the first call having succeeded.
-	if _, err := v.Put("dr-house", rec); !errors.Is(err, ErrExists) {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrExists) {
 		t.Errorf("retried Put = %v, want ErrExists", err)
 	}
 
@@ -108,21 +110,21 @@ func TestPutSurvivesProvenanceFailure(t *testing.T) {
 func TestCorrectSurvivesProvenanceFailure(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 2)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	fs := withFailingProvenance(t, v)
 
 	fs.fail = true
 	rec.Body += " amended after review"
-	ver, err := v.Correct("dr-house", rec)
+	ver, err := v.CorrectCtx(context.Background(), "dr-house", rec)
 	if err != nil {
 		t.Fatalf("Correct with failing provenance store = %v, want success", err)
 	}
 	if ver.Number != 2 {
 		t.Fatalf("version = %d, want 2", ver.Number)
 	}
-	got, gotVer, err := v.Get("dr-house", rec.ID)
+	got, gotVer, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestCorrectSurvivesProvenanceFailure(t *testing.T) {
 func TestGetVersionAuditsUnknownProbe(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 3)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,15 +153,15 @@ func TestGetVersionAuditsUnknownProbe(t *testing.T) {
 		id   string
 	}{
 		{"GetVersion unknown record", func() error {
-			_, _, err := v.GetVersion("dr-house", "no-such-record", 1)
+			_, _, err := v.GetVersionCtx(context.Background(), "dr-house", "no-such-record", 1)
 			return err
 		}, "no-such-record"},
 		{"GetVersion unknown version", func() error {
-			_, _, err := v.GetVersion("dr-house", rec.ID, 99)
+			_, _, err := v.GetVersionCtx(context.Background(), "dr-house", rec.ID, 99)
 			return err
 		}, rec.ID},
 		{"History unknown record", func() error {
-			_, err := v.History("dr-house", "ghost-record")
+			_, err := v.HistoryCtx(context.Background(), "dr-house", "ghost-record")
 			return err
 		}, "ghost-record"},
 	}
@@ -167,7 +169,7 @@ func TestGetVersionAuditsUnknownProbe(t *testing.T) {
 		if err := p.call(); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: err = %v, want ErrNotFound", p.name, err)
 		}
-		events, err := v.AuditEvents("officer-kim", audit.Query{Record: p.id})
+		events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Record: p.id})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,8 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
-	"medvault/internal/wal"
 )
 
 // ReplicaHead is one shard's Merkle position as computed from raw replica
@@ -38,7 +38,7 @@ type ReplicaHead struct {
 // ReplicaHeads computes every shard's (size, root) directly from the
 // metadata files under dir — the snapshot's persisted leaf hashes plus the
 // leaves implied by WAL entries the snapshot does not cover. The shard count
-// is taken from the cluster manifest (1 when absent, matching OpenCluster).
+// is taken from the cluster manifest (1 when absent, matching Open).
 func ReplicaHeads(fsys faultfs.FS, dir string) ([]ReplicaHead, error) {
 	shards := 1
 	if data, err := fsys.ReadFile(filepath.Join(dir, clusterManifest)); err == nil {
@@ -86,12 +86,12 @@ func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
 	}
 	var off int
 	for off < len(walData) {
-		e, n, ok := wal.DecodeFrame(walData[off:])
+		_, entry, n, ok := frame.Decode(walData[off:])
 		if !ok {
 			break // torn tail: ignored, exactly as recovery truncates it
 		}
 		off += n
-		lh, id, number, isVersion, err := versionEntryLeaf(e.Data)
+		lh, id, number, isVersion, err := versionEntryLeaf(entry)
 		if err != nil {
 			return ReplicaHead{}, fmt.Errorf("WAL entry at offset %d: %w", off-n, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 			continue
 		}
 		r.CreatedAt = testEpoch
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		if len(doomed) < 3 {
@@ -34,13 +35,13 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
 	for _, r := range doomed {
-		if err := v.Shred("arch-lee", r.ID); err != nil {
+		if err := v.ShredCtx(context.Background(), "arch-lee", r.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Shredded ciphertext still occupies the medium before sanitization.
-	bytesBefore := v.blocks.StorageBytes()
+	bytesBefore := v.Shard(0).blocks.StorageBytes()
 	dropped, reclaimed, err := v.SanitizeMedia("arch-lee")
 	if err != nil {
 		t.Fatalf("SanitizeMedia: %v", err)
@@ -48,13 +49,13 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 	if dropped != len(doomed) {
 		t.Errorf("dropped %d versions, want %d", dropped, len(doomed))
 	}
-	if reclaimed <= 0 || v.blocks.StorageBytes() >= bytesBefore {
-		t.Errorf("no bytes reclaimed: before=%d after=%d", bytesBefore, v.blocks.StorageBytes())
+	if reclaimed <= 0 || v.Shard(0).blocks.StorageBytes() >= bytesBefore {
+		t.Errorf("no bytes reclaimed: before=%d after=%d", bytesBefore, v.Shard(0).blocks.StorageBytes())
 	}
 
 	// Live records remain fully readable and verifiable.
 	for _, r := range keep {
-		got, _, err := v.Get("dr-house", r.ID)
+		got, _, err := v.GetCtx(context.Background(), "dr-house", r.ID)
 		if err != nil || got.Body != r.Body {
 			t.Fatalf("live record %s damaged by sanitization: %v", r.ID, err)
 		}
@@ -67,7 +68,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 		t.Errorf("records checked = %d", rep.RecordsChecked)
 	}
 	// Shredded records still answer with ErrShredded, not NotFound.
-	if _, _, err := v.Get("dr-house", doomed[0].ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", doomed[0].ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("Get after sanitize: %v", err)
 	}
 	// And no remnant of the doomed ciphertext is on the medium (we check
@@ -108,14 +109,14 @@ func TestSanitizeMediaDurable(t *testing.T) {
 	}
 	doomed.CreatedAt, keep.CreatedAt = testEpoch, testEpoch
 	doomed.Body = "radiotherapy session notes to be destroyed"
-	if _, err := v.Put("dr-house", doomed); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", doomed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", keep); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", keep); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", doomed.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", doomed.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +128,7 @@ func TestSanitizeMediaDurable(t *testing.T) {
 		t.Errorf("dropped=%d reclaimed=%d", dropped, reclaimed)
 	}
 	// Live record fine; verification green; vault still writable.
-	if _, _, err := v.Get("dr-house", keep.ID); err != nil {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", keep.ID); err != nil {
 		t.Fatalf("live record after durable sanitize: %v", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {
@@ -140,17 +141,17 @@ func TestSanitizeMediaDurable(t *testing.T) {
 	// Reopen: the sanitized media and checkpointed metadata recover cleanly.
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", keep.ID); err != nil {
+	if _, _, err := re.GetCtx(context.Background(), "dr-house", keep.ID); err != nil {
 		t.Fatalf("live record after reopen: %v", err)
 	}
-	if _, _, err := re.Get("dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(context.Background(), "dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("doomed record after reopen: %v", err)
 	}
 	if _, err := re.VerifyAll(nil, nil); err != nil {
 		t.Fatalf("VerifyAll after reopen: %v", err)
 	}
 	// And the doomed record's ciphertext is genuinely absent from the files.
-	fileStore, ok := re.blocks.(interface{ ReadRaw() ([]byte, error) })
+	fileStore, ok := re.Shard(0).blocks.(interface{ ReadRaw() ([]byte, error) })
 	if !ok {
 		t.Fatal("expected file-backed store")
 	}
@@ -159,7 +160,7 @@ func TestSanitizeMediaDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two versions were written originally; only one block remains.
-	if got := re.blocks.Len(); got != 1 {
+	if got := re.Shard(0).blocks.Len(); got != 1 {
 		t.Errorf("blocks on media = %d, want 1", got)
 	}
 	if bytes.Contains(raw, []byte(doomed.Patient)) {
@@ -171,11 +172,11 @@ func TestSanitizeThenContinueOperating(t *testing.T) {
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 61)
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
@@ -187,10 +188,10 @@ func TestSanitizeThenContinueOperating(t *testing.T) {
 	for r2 = g.Next(); r2.Category != ehr.CategoryClinical; r2 = g.Next() {
 	}
 	r2.ID = "post-sanitize/enc-0"
-	if _, err := v.Put("dr-house", r2); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", r2); err != nil {
 		t.Fatalf("Put after sanitize: %v", err)
 	}
-	if _, err := v.Correct("dr-house", r2); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", r2); err != nil {
 		t.Fatalf("Correct after sanitize: %v", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {

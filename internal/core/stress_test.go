@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,13 +49,13 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				rec := record(w, i)
-				if _, err := v.Put("dr-house", rec); err != nil {
+				if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 					errc <- fmt.Errorf("writer %d: Put %s: %w", w, rec.ID, err)
 					return
 				}
 				if i%3 == 0 {
 					rec.Body += " — amended"
-					if _, err := v.Correct("dr-house", rec); err != nil {
+					if _, err := v.CorrectCtx(context.Background(), "dr-house", rec); err != nil {
 						errc <- fmt.Errorf("writer %d: Correct %s: %w", w, rec.ID, err)
 						return
 					}
@@ -70,19 +71,19 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 				id := recID(r%writers, i%perWriter)
 				// Concurrent readers race the writers, so ErrNotFound is a
 				// legitimate outcome; anything else is not.
-				if _, _, err := v.Get("dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, _, err := v.GetCtx(context.Background(), "dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: Get %s: %w", r, id, err)
 					return
 				}
-				if _, _, err := v.GetVersion("dr-house", id, 1); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, _, err := v.GetVersionCtx(context.Background(), "dr-house", id, 1); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: GetVersion %s: %w", r, id, err)
 					return
 				}
-				if _, err := v.History("dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := v.HistoryCtx(context.Background(), "dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: History %s: %w", r, id, err)
 					return
 				}
-				if _, err := v.Search("dr-house", "hypertension"); err != nil {
+				if _, err := v.SearchCtx(context.Background(), "dr-house", "hypertension"); err != nil {
 					errc <- fmt.Errorf("reader %d: Search: %w", r, err)
 					return
 				}
@@ -99,7 +100,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < perWriter*writers; i++ {
 			id := recID(i%writers, i%perWriter)
-			err := v.PlaceHold("arch-lee", id, "stress-test litigation hold")
+			err := v.PlaceHoldCtx(context.Background(), "arch-lee", id, "stress-test litigation hold")
 			if errors.Is(err, ErrNotFound) {
 				continue
 			}
@@ -107,7 +108,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 				errc <- fmt.Errorf("hold: PlaceHold %s: %w", id, err)
 				return
 			}
-			if err := v.ReleaseHold("arch-lee", id); err != nil {
+			if err := v.ReleaseHoldCtx(context.Background(), "arch-lee", id); err != nil {
 				errc <- fmt.Errorf("hold: ReleaseHold %s: %w", id, err)
 				return
 			}
@@ -116,13 +117,13 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := v.BreakGlass("clerk-bob", "stress-test emergency", time.Hour); err != nil {
+		if err := v.BreakGlassCtx(context.Background(), "clerk-bob", "stress-test emergency", time.Hour); err != nil {
 			errc <- fmt.Errorf("break-glass grant: %w", err)
 			return
 		}
 		for i := 0; i < perWriter*writers; i++ {
 			id := recID(i%writers, i%perWriter)
-			if _, _, err := v.Get("clerk-bob", id); err != nil && !errors.Is(err, ErrNotFound) {
+			if _, _, err := v.GetCtx(context.Background(), "clerk-bob", id); err != nil && !errors.Is(err, ErrNotFound) {
 				errc <- fmt.Errorf("break-glass Get %s: %w", id, err)
 				return
 			}
@@ -155,7 +156,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 	if rep.RecordsChecked != writers*perWriter {
 		t.Errorf("verified %d records, want %d", rep.RecordsChecked, writers*perWriter)
 	}
-	head := v.Head()
+	head := v.Shard(0).Head()
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -153,7 +154,7 @@ func openTorture(fsys faultfs.FS, shards int) (*Cluster, *clock.Virtual, error) 
 		return nil, nil, err
 	}
 	vc := clock.NewVirtual(tortureEpoch)
-	v, err := OpenCluster(Config{Name: "torture", Master: master, Clock: vc, Dir: "vault", FS: fsys}, shards)
+	v, err := Open(Config{Name: "torture", Master: master, Clock: vc, Dir: "vault", FS: fsys, Shards: shards})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -177,9 +178,10 @@ func openTorture(fsys faultfs.FS, shards int) (*Cluster, *clock.Virtual, error) 
 // (the injected fault) and returns it; everything recorded before that
 // moment was acked and is owed durability.
 func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
+	ctx := context.Background()
 	put := func(id string) error {
 		rec := tortureRecord(id, 1, vc.Now())
-		if _, err := v.Put("dr-house", rec); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 			return err
 		}
 		o.bodies[id] = append(o.bodies[id], rec.Body)
@@ -188,7 +190,7 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	correct := func(id string) error {
 		n := len(o.bodies[id]) + 1
 		rec := tortureRecord(id, n, vc.Now())
-		if _, err := v.Correct("dr-house", rec); err != nil {
+		if _, err := v.CorrectCtx(ctx, "dr-house", rec); err != nil {
 			return err
 		}
 		o.bodies[id] = append(o.bodies[id], rec.Body)
@@ -206,16 +208,16 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	if err := correct("rec-2"); err != nil {
 		return err
 	}
-	if err := v.PlaceHold("arch-lee", "rec-3", "litigation"); err != nil {
+	if err := v.PlaceHoldCtx(ctx, "arch-lee", "rec-3", "litigation"); err != nil {
 		return err
 	}
 	o.holds["rec-3"] = true
-	if err := v.PlaceHold("arch-lee", "rec-2", "investigation"); err != nil {
+	if err := v.PlaceHoldCtx(ctx, "arch-lee", "rec-2", "investigation"); err != nil {
 		return err
 	}
 	o.holds["rec-2"] = true
 	o.releaseTried["rec-2"] = true
-	if err := v.ReleaseHold("arch-lee", "rec-2"); err != nil {
+	if err := v.ReleaseHoldCtx(ctx, "arch-lee", "rec-2"); err != nil {
 		return err
 	}
 	delete(o.holds, "rec-2")
@@ -225,17 +227,17 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	// plaintext DEK into the key cache and its ciphertext into the block
 	// cache, so the shred below must invalidate both — and a crash injected
 	// anywhere inside the shred exercises recovery with those caches gone.
-	if _, _, err := v.Get("dr-house", "rec-0"); err != nil {
+	if _, _, err := v.GetCtx(ctx, "dr-house", "rec-0"); err != nil {
 		return err
 	}
 	o.shredTried["rec-0"] = true
-	if err := v.Shred("arch-lee", "rec-0"); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", "rec-0"); err != nil {
 		return err
 	}
 	o.shredded["rec-0"] = true
 	// Read-after-shred probe: the caches warmed moments ago must not
 	// resurrect the record. Anything but ErrShredded is a stale cache layer.
-	if _, _, err := v.Get("dr-house", "rec-0"); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(ctx, "dr-house", "rec-0"); !errors.Is(err, ErrShredded) {
 		return fmt.Errorf("read-after-shred of rec-0: want ErrShredded, got %v", err)
 	}
 	if err := put("rec-4"); err != nil {
@@ -248,12 +250,13 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 // readable with its exact body, acked shreds shredded, acked holds held,
 // and full integrity verification clean.
 func (o *oracle) check(v *Cluster) error {
+	ctx := context.Background()
 	for id, bodies := range o.bodies {
 		if o.shredded[id] {
 			continue
 		}
 		for i, want := range bodies {
-			rec, _, err := v.GetVersion("dr-house", id, uint64(i+1))
+			rec, _, err := v.GetVersionCtx(ctx, "dr-house", id, uint64(i+1))
 			if err != nil {
 				// An in-flight shred's WAL intent may have survived the
 				// crash; the record landing shredded is a valid outcome.
@@ -268,7 +271,7 @@ func (o *oracle) check(v *Cluster) error {
 			// Read it again: the first read filled the block and DEK caches,
 			// so this one is served from them — the cached path must return
 			// the identical acked body, not a stale or cross-wired block.
-			rec, _, err = v.GetVersion("dr-house", id, uint64(i+1))
+			rec, _, err = v.GetVersionCtx(ctx, "dr-house", id, uint64(i+1))
 			if err != nil {
 				return fmt.Errorf("acked %s v%d unreadable on cached re-read: %w", id, i+1, err)
 			}
@@ -278,7 +281,7 @@ func (o *oracle) check(v *Cluster) error {
 		}
 	}
 	for id := range o.shredded {
-		if _, _, err := v.Get("dr-house", id); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(ctx, "dr-house", id); !errors.Is(err, ErrShredded) {
 			return fmt.Errorf("acked shred of %s not honored after recovery: err=%v", id, err)
 		}
 	}
@@ -372,6 +375,7 @@ func decodeFlightTail(img *faultfs.Mem, shards int) (flightTail, error) {
 // persisted event describes an op whose WAL entry was already durable, and
 // the tail must be a subset of what recovery rebuilds.
 func (ft flightTail) check(v *Cluster) error {
+	ctx := context.Background()
 	for id, n := range ft.okMutations {
 		if ft.shredOK[id] {
 			continue
@@ -390,7 +394,7 @@ func (ft flightTail) check(v *Cluster) error {
 		}
 	}
 	for id := range ft.shredOK {
-		if _, _, err := v.Get("dr-house", id); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(ctx, "dr-house", id); !errors.Is(err, ErrShredded) {
 			return fmt.Errorf("flight tail records acked shred of %s but recovered record is not shredded: err=%v", id, err)
 		}
 	}
@@ -535,6 +539,7 @@ func (a *armedRot) arm(skip int) { a.armed, a.skip, a.seen = true, skip, 0 }
 // body — silently wrong data is the one unforgivable outcome. Returns the
 // number of scenarios run and any failures.
 func runBitRot(shards int) (int, []TortureFailure) {
+	ctx := context.Background()
 	var fails []TortureFailure
 	mem := faultfs.NewMem()
 	o := newOracle()
@@ -565,7 +570,7 @@ func runBitRot(shards int) (int, []TortureFailure) {
 			for skip := 0; skip <= 1; skip++ {
 				rot.arm(skip)
 				scenarios++
-				rec, _, err := v.GetVersion("dr-house", id, uint64(i+1))
+				rec, _, err := v.GetVersionCtx(ctx, "dr-house", id, uint64(i+1))
 				if err == nil && rec.Body != want {
 					fails = append(fails, TortureFailure{
 						Scenario: fmt.Sprintf("bit-rot/read-%d", skip),

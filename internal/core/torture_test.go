@@ -5,22 +5,45 @@ import "testing"
 // TestTortureFull runs the complete crash-recovery torture schedule: every
 // mutating filesystem op the scripted workload performs gets a simulated
 // power cut (four keep policies plus torn writes), a failed fsync, and
-// ENOSPC, and every ciphertext read gets bit rot. The acceptance bar from
-// the issue: at least 50 distinct injection points, zero violated
-// invariants.
+// ENOSPC, and every ciphertext read gets bit rot. Zero invariants may be
+// violated, and the injection-point count is pinned exactly: it is the
+// number of mutating filesystem ops the scripted workload performs, so a
+// refactor that adds, drops, or reorders a single open, write, fsync, or
+// rename on the write path moves it. Update tortureInjectionPoints only
+// together with a deliberate change to the on-disk op sequence.
 func TestTortureFull(t *testing.T) {
 	rep, err := RunTorture(TortureOpts{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}
-	if rep.InjectionPoints < 50 {
-		t.Errorf("enumerated %d injection points, want >= 50", rep.InjectionPoints)
+	if rep.InjectionPoints != tortureInjectionPoints[1] {
+		t.Errorf("enumerated %d injection points, want exactly %d", rep.InjectionPoints, tortureInjectionPoints[1])
 	}
 	if rep.CrashScenarios < 200 {
 		t.Errorf("ran %d crash scenarios, want >= 200", rep.CrashScenarios)
 	}
 	if rep.FaultScenarios < 30 {
 		t.Errorf("ran %d fault scenarios, want >= 30", rep.FaultScenarios)
+	}
+	for _, f := range rep.Failures {
+		t.Errorf("invariant violated: %s", f)
+	}
+}
+
+// tortureInjectionPoints is the exact mutating-fs-op count of the scripted
+// torture workload, by shard count (captured on PR 13's commit).
+var tortureInjectionPoints = map[int]int{1: 85, 4: 134}
+
+// TestTortureShardedOpCount pins the 4-shard fs-op sequence length the same
+// way (per-shard WALs, blockstores, audit chains, and the manifest write),
+// over the subsampled matrix — enumeration is always complete.
+func TestTortureShardedOpCount(t *testing.T) {
+	rep, err := RunTorture(TortureOpts{Quick: true, Shards: 4})
+	if err != nil {
+		t.Fatalf("RunTorture: %v", err)
+	}
+	if rep.InjectionPoints != tortureInjectionPoints[4] {
+		t.Errorf("enumerated %d injection points at 4 shards, want exactly %d", rep.InjectionPoints, tortureInjectionPoints[4])
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)

@@ -1,7 +1,7 @@
 // Package core implements MedVault, the hybrid compliance store this
 // reproduction exists to build. The paper's conclusion calls for "a hybrid
 // model suited for trustworthy regulatory-compliant health-care record
-// storage" combining the strengths of the models it surveys; the Vault is
+// storage" combining the strengths of the models it surveys; the vault is
 // that model:
 //
 //   - Write-once versioned records: corrections never overwrite — they
@@ -19,8 +19,12 @@
 //   - Retention schedules with legal holds; verified migration and backup
 //     live in their own packages on top of the export API.
 //
-// A Vault is memory-backed by default; give Config.Dir to get durable
-// file-backed storage with write-ahead-logged metadata and crash recovery.
+// Open returns the vault: a *Cluster of one or more shards. It is
+// memory-backed by default; give Config.Dir to get durable file-backed
+// storage with write-ahead-logged metadata and crash recovery. Every
+// operation takes a context.Context first — when it carries a trace
+// (httpapi, the bench adapter), each mechanism the operation touches records
+// a child span under it.
 package core
 
 import (
@@ -96,7 +100,7 @@ type recordState struct {
 	sanitized bool // shredded AND ciphertext removed from media
 }
 
-// Config configures a Vault.
+// Config configures a vault.
 type Config struct {
 	// Name identifies this vault in provenance custody chains.
 	Name string
@@ -111,6 +115,13 @@ type Config struct {
 	// provenance go to segment files under Dir, and record metadata is
 	// write-ahead logged and snapshotted for crash recovery.
 	Dir string
+	// Shards is the number of independent shards records are hash-partitioned
+	// over. 1 is the classic single-vault layout directly under Dir; N > 1
+	// puts shard i under Dir/shard-<i> and pins N in Dir/cluster.conf; 0
+	// adopts whatever layout Dir already holds (1 for a fresh or memory-backed
+	// vault). The count is part of the data layout: reopening a durable vault
+	// with a different count is an error.
+	Shards int
 	// FS is the filesystem durable state is written through; nil means the
 	// real one. The crash-recovery torture harness injects faultfs.Mem (with
 	// a fault wrapper) here to simulate power cuts and media faults.
@@ -137,17 +148,12 @@ type Config struct {
 	// NegCacheEntries bounds the negative-lookup (known-missing ID) cache
 	// (default DefaultNegCacheEntries).
 	NegCacheEntries int
-
-	// Cluster plumbing, set only by OpenCluster (same package): shards share
-	// one authorizer and one retention manager so policy state never
-	// diverges, and a non-empty shardTag labels the shard's metrics and
-	// spans. All zero for a standalone vault.
-	sharedAuth *authz.Authorizer
-	sharedRet  *retention.Manager
-	shardTag   string
 }
 
-// Vault is the hybrid compliance store. Locking follows the discipline
+// Vault is one shard of a Cluster: a complete hybrid compliance store over
+// the records ShardOf routes to it. Callers reach it through Cluster;
+// Cluster.Shard hands out the shard itself to harnesses that must address
+// one shard's audit chain or tree head. Locking follows the discipline
 // documented in locks.go: gate → stripe → commitMu → leaf locks.
 type Vault struct {
 	gate     opGate       // open/close lifecycle; ops hold it shared
@@ -188,27 +194,16 @@ type Vault struct {
 	auditStore, provStore blockstore.Store
 }
 
-// Open creates or reopens a vault.
-func Open(cfg Config) (*Vault, error) {
-	if cfg.Name == "" {
-		cfg.Name = "medvault"
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.System{}
-	}
+// openShard creates or reopens one shard under dir (memory-backed when dir
+// is empty). cfg arrives normalized by Open — Name, Clock, and FS are set —
+// and auth and ret are the cluster-wide authorizer and retention manager
+// every shard shares. A non-empty tag labels the shard's metrics and spans.
+func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retention.Manager) (*Vault, error) {
+	clk, fsys := cfg.Clock, cfg.FS
 	signer := vcrypto.SignerFromSeed(vcrypto.DeriveKey(cfg.Master, "vault/signer"))
 	now := func() time.Time { return clk.Now() }
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
 
 	dekCap := cacheCap(cfg.DEKCacheEntries, vcrypto.DefaultDEKCacheCap)
-	auth := cfg.sharedAuth
-	if auth == nil {
-		auth = authz.New(now)
-	}
 	v := &Vault{
 		name:        cfg.Name,
 		clk:         clk,
@@ -216,48 +211,35 @@ func Open(cfg Config) (*Vault, error) {
 		keys:        vcrypto.NewKeyStoreCached(vcrypto.DeriveKey(cfg.Master, "vault/kek"), dekCap),
 		idx:         index.NewSSE(vcrypto.DeriveKey(cfg.Master, "vault/index")),
 		auth:        auth,
-		bcache:      newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), cfg.shardTag),
-		neg:         newNegCache(cacheCap(cfg.NegCacheEntries, DefaultNegCacheEntries), cfg.shardTag),
+		ret:         ret,
+		bcache:      newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), tag),
+		neg:         newNegCache(cacheCap(cfg.NegCacheEntries, DefaultNegCacheEntries), tag),
 		dekCacheCap: dekCap,
 		records:     make(map[string]*recordState),
-		dir:         cfg.Dir,
+		dir:         dir,
 		fs:          fsys,
 		masterFP:    cfg.Master.Fingerprint(),
-		shard:       cfg.shardTag,
+		shard:       tag,
 		flight:      cfg.Flight,
 	}
 	if v.flight == nil {
 		v.flight = obs.DefaultFlight
 	}
 
-	pols := cfg.Policies
-	if len(pols) == 0 {
-		pols = retention.StandardPolicies()
-	}
-	v.ret = cfg.sharedRet
-	if v.ret == nil {
-		v.ret = retention.NewManager(clk)
-	}
-	// SetPolicy is idempotent, so shards of a cluster re-applying the same
-	// set to the shared manager is harmless.
-	for _, p := range pols {
-		v.ret.SetPolicy(p)
-	}
-
 	var blockSt, auditSt, provSt blockstore.Store
-	if cfg.Dir == "" {
+	if dir == "" {
 		blockSt = blockstore.NewMemory(0)
 		auditSt = blockstore.NewMemory(0)
 		provSt = blockstore.NewMemory(0)
 	} else {
 		var err error
-		if blockSt, err = blockstore.OpenFileFS(fsys, filepath.Join(cfg.Dir, "blocks"), 0); err != nil {
+		if blockSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "blocks"), 0); err != nil {
 			return nil, fmt.Errorf("core: opening block store: %w", err)
 		}
-		if auditSt, err = blockstore.OpenFileFS(fsys, filepath.Join(cfg.Dir, "audit"), 0); err != nil {
+		if auditSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "audit"), 0); err != nil {
 			return nil, fmt.Errorf("core: opening audit store: %w", err)
 		}
-		if provSt, err = blockstore.OpenFileFS(fsys, filepath.Join(cfg.Dir, "prov"), 0); err != nil {
+		if provSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "prov"), 0); err != nil {
 			return nil, fmt.Errorf("core: opening provenance store: %w", err)
 		}
 	}
@@ -288,7 +270,7 @@ func Open(cfg Config) (*Vault, error) {
 
 	v.log = merkle.NewLog(signer, now)
 
-	if cfg.Dir != "" {
+	if dir != "" {
 		if err := v.recover(cfg.Master); err != nil {
 			return nil, err
 		}
@@ -296,15 +278,16 @@ func Open(cfg Config) (*Vault, error) {
 		// persist observability events still serves records. Segments go
 		// through v.fs — the same seam the vault's own data uses — so the
 		// torture harness sees them and a replicating primary ships them.
-		if sink, err := obs.OpenFlightSink(fsys, filepath.Join(cfg.Dir, "flight")); err == nil {
+		if sink, err := obs.OpenFlightSink(fsys, filepath.Join(dir, "flight")); err == nil {
 			v.fsink = sink
 		}
 	}
 	return v, nil
 }
 
-// RecoveryInfo describes what the last Open of a durable vault rebuilt.
-// Memory-backed vaults never run recovery, so Ran stays false.
+// RecoveryInfo describes what the last Open of a durable vault rebuilt
+// (summed over shards). Memory-backed vaults never run recovery, so Ran
+// stays false.
 type RecoveryInfo struct {
 	Ran            bool // a durable Open executed the recovery path
 	SnapshotLoaded bool // a metadata snapshot existed and was restored
@@ -347,9 +330,12 @@ type HealthStatus struct {
 	InFlightOps   int          // vault operations currently executing
 	LiveRecords   int          // non-shredded records
 	LastRecovery  RecoveryInfo // what the last durable Open rebuilt
+	// Shards is each shard's own report, in shard order — the detail behind
+	// the merged fields above. Nil for a one-shard vault.
+	Shards []HealthStatus
 }
 
-// Health reports the vault's current liveness. It takes no vault locks
+// Health reports the shard's current liveness. It takes no vault locks
 // beyond the registry read lock, so it answers even while Close is draining
 // or the WAL is wedged — exactly the situations a health probe exists for.
 func (v *Vault) Health() HealthStatus {
@@ -370,26 +356,10 @@ func (v *Vault) Health() HealthStatus {
 	return h
 }
 
-// Authz returns the vault's authorizer for role and principal management.
-func (v *Vault) Authz() *authz.Authorizer { return v.auth }
-
-// Retention returns the retention manager (legal holds, schedules).
-func (v *Vault) Retention() *retention.Manager { return v.ret }
-
-// Name returns the vault's system name.
-func (v *Vault) Name() string { return v.name }
-
-// PublicKey returns the vault's signing identity.
-func (v *Vault) PublicKey() vcrypto.PublicKey { return v.signer.Public() }
-
-// Head returns the current signed Merkle tree head. Store it off-system;
-// pass it back to VerifyAll to detect history rewriting.
+// Head returns the shard's current signed Merkle tree head. Store it
+// off-system; pass it back to the shard's VerifyAll to detect history
+// rewriting.
 func (v *Vault) Head() merkle.SignedTreeHead { return v.log.Head() }
-
-// Heads returns the vault's tree heads — always exactly one for a single
-// vault. It exists so callers can program against the API seam shared with
-// Cluster, where each shard contributes its own head.
-func (v *Vault) Heads() []merkle.SignedTreeHead { return []merkle.SignedTreeHead{v.log.Head()} }
 
 // Len returns the number of live (non-shredded) records.
 func (v *Vault) Len() int {

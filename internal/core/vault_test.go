@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ var testEpoch = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 
 // newVault builds a memory-backed vault with standard roles and a virtual
 // clock, plus registered principals for each role.
-func newVault(t *testing.T) (*Vault, *clock.Virtual) {
+func newVault(t *testing.T) (*Cluster, *clock.Virtual) {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
@@ -35,7 +36,7 @@ func newVault(t *testing.T) (*Vault, *clock.Virtual) {
 	return v, vc
 }
 
-func registerStaff(t *testing.T, v *Vault) {
+func registerStaff(t *testing.T, v *Cluster) {
 	t.Helper()
 	a := v.Authz()
 	for _, r := range authz.StandardRoles() {
@@ -69,14 +70,14 @@ func clinicalRecord(t *testing.T, seq int64) ehr.Record {
 func TestPutGetRoundTrip(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 1)
-	ver, err := v.Put("dr-house", rec)
+	ver, err := v.PutCtx(context.Background(), "dr-house", rec)
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if ver.Number != 1 || ver.Author != "dr-house" {
 		t.Errorf("version = %+v", ver)
 	}
-	got, gotVer, err := v.Get("dr-house", rec.ID)
+	got, gotVer, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -91,13 +92,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestPutDuplicateAndInvalid(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 2)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", rec); !errors.Is(err, ErrExists) {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate Put: %v", err)
 	}
-	if _, err := v.Put("dr-house", ehr.Record{ID: "x"}); err == nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", ehr.Record{ID: "x"}); err == nil {
 		t.Error("invalid record accepted")
 	}
 }
@@ -105,29 +106,29 @@ func TestPutDuplicateAndInvalid(t *testing.T) {
 func TestAccessControlEnforcedAndAudited(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 3)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 
 	// Nurse can read clinical but not write.
-	if _, _, err := v.Get("nurse-joy", rec.ID); err != nil {
+	if _, _, err := v.GetCtx(context.Background(), "nurse-joy", rec.ID); err != nil {
 		t.Errorf("nurse read: %v", err)
 	}
 	rec2 := clinicalRecord(t, 4)
-	if _, err := v.Put("nurse-joy", rec2); !errors.Is(err, ErrDenied) {
+	if _, err := v.PutCtx(context.Background(), "nurse-joy", rec2); !errors.Is(err, ErrDenied) {
 		t.Errorf("nurse write: %v", err)
 	}
 	// Billing clerk cannot read clinical.
-	if _, _, err := v.Get("clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
+	if _, _, err := v.GetCtx(context.Background(), "clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
 		t.Errorf("clerk read clinical: %v", err)
 	}
 	// Unknown actor denied.
-	if _, _, err := v.Get("mallory", rec.ID); !errors.Is(err, ErrDenied) {
+	if _, _, err := v.GetCtx(context.Background(), "mallory", rec.ID); !errors.Is(err, ErrDenied) {
 		t.Errorf("unknown actor: %v", err)
 	}
 
 	// Every denial must be in the audit log.
-	denied, err := v.AuditEvents("officer-kim", audit.Query{DeniedOnly: true})
+	denied, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{DeniedOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestAccessControlEnforcedAndAudited(t *testing.T) {
 		t.Errorf("audited %d denials, want 3: %v", len(denied), denied)
 	}
 	// And the audit query itself requires permission.
-	if _, err := v.AuditEvents("dr-house", audit.Query{}); !errors.Is(err, ErrDenied) {
+	if _, err := v.AuditEventsCtx(context.Background(), "dr-house", audit.Query{}); !errors.Is(err, ErrDenied) {
 		t.Errorf("physician read audit log: %v", err)
 	}
 }
@@ -146,11 +147,11 @@ func TestCorrectPreservesHistory(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	corr := g.Correction(rec)
-	ver2, err := v.Correct("dr-house", corr)
+	ver2, err := v.CorrectCtx(context.Background(), "dr-house", corr)
 	if err != nil {
 		t.Fatalf("Correct: %v", err)
 	}
@@ -159,15 +160,15 @@ func TestCorrectPreservesHistory(t *testing.T) {
 	}
 
 	// Latest is the correction; v1 remains readable.
-	latest, _, err := v.Get("dr-house", rec.ID)
+	latest, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil || !strings.Contains(latest.Body, "AMENDMENT") {
 		t.Errorf("latest not the correction: %v", err)
 	}
-	v1, _, err := v.GetVersion("dr-house", rec.ID, 1)
+	v1, _, err := v.GetVersionCtx(context.Background(), "dr-house", rec.ID, 1)
 	if err != nil || strings.Contains(v1.Body, "AMENDMENT") {
 		t.Errorf("v1 not preserved: %v", err)
 	}
-	hist, err := v.History("dr-house", rec.ID)
+	hist, err := v.HistoryCtx(context.Background(), "dr-house", rec.ID)
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("History: %d versions, %v", len(hist), err)
 	}
@@ -175,14 +176,14 @@ func TestCorrectPreservesHistory(t *testing.T) {
 		t.Error("history out of order")
 	}
 	// Bad version numbers.
-	if _, _, err := v.GetVersion("dr-house", rec.ID, 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := v.GetVersionCtx(context.Background(), "dr-house", rec.ID, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("version 0: %v", err)
 	}
-	if _, _, err := v.GetVersion("dr-house", rec.ID, 3); !errors.Is(err, ErrNotFound) {
+	if _, _, err := v.GetVersionCtx(context.Background(), "dr-house", rec.ID, 3); !errors.Is(err, ErrNotFound) {
 		t.Errorf("version 3: %v", err)
 	}
 	// Provenance recorded both events.
-	chain, err := v.Provenance("officer-kim", rec.ID)
+	chain, err := v.ProvenanceCtx(context.Background(), "officer-kim", rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +195,17 @@ func TestCorrectPreservesHistory(t *testing.T) {
 func TestCorrectRejectsIdentityChange(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 6)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	changed := rec
 	changed.Category = ehr.CategoryLab
-	if _, err := v.Correct("dr-house", changed); !errors.Is(err, ErrIdentityChanged) {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", changed); !errors.Is(err, ErrIdentityChanged) {
 		t.Errorf("category change: %v", err)
 	}
 	missing := clinicalRecord(t, 7)
 	missing.ID = "mrn-999999/enc-0"
-	if _, err := v.Correct("dr-house", missing); !errors.Is(err, ErrNotFound) {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", missing); !errors.Is(err, ErrNotFound) {
 		t.Errorf("correct missing: %v", err)
 	}
 }
@@ -223,7 +224,7 @@ func TestSearchFiltersByReadPermission(t *testing.T) {
 		if r.Category == ehr.CategoryOccupational {
 			continue // nobody in the standard roles writes these
 		}
-		if _, err := v.Put(actor, r); err != nil {
+		if _, err := v.PutCtx(context.Background(), actor, r); err != nil {
 			t.Fatal(err)
 		}
 		if strings.Contains(r.SearchText(), kw) {
@@ -235,14 +236,14 @@ func TestSearchFiltersByReadPermission(t *testing.T) {
 			}
 		}
 	}
-	drHits, err := v.Search("dr-house", kw)
+	drHits, err := v.SearchCtx(context.Background(), "dr-house", kw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(drHits) != clinicalHits {
 		t.Errorf("physician sees %d hits, want %d", len(drHits), clinicalHits)
 	}
-	clerkHits, err := v.Search("clerk-bob", kw)
+	clerkHits, err := v.SearchCtx(context.Background(), "clerk-bob", kw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestSearchFiltersByReadPermission(t *testing.T) {
 		t.Errorf("clerk sees %d hits, want %d", len(clerkHits), billingHits)
 	}
 	// Archivist has no search permission at all.
-	if _, err := v.Search("arch-lee", kw); !errors.Is(err, ErrDenied) {
+	if _, err := v.SearchCtx(context.Background(), "arch-lee", kw); !errors.Is(err, ErrDenied) {
 		t.Errorf("archivist search: %v", err)
 	}
 }
@@ -268,18 +269,18 @@ func TestSearchAllConjunction(t *testing.T) {
 		"b": "hypertension only",
 		"c": "diabetes only",
 	} {
-		if _, err := v.Put("dr-house", mk(id, body)); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", mk(id, body)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := v.SearchAll("dr-house", "hypertension", "diabetes")
+	got, err := v.SearchAllCtx(context.Background(), "dr-house", "hypertension", "diabetes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "a" {
 		t.Errorf("SearchAll = %v, want [a]", got)
 	}
-	if _, err := v.SearchAll("arch-lee", "hypertension"); !errors.Is(err, ErrDenied) {
+	if _, err := v.SearchAllCtx(context.Background(), "arch-lee", "hypertension"); !errors.Is(err, ErrDenied) {
 		t.Errorf("archivist SearchAll: %v", err)
 	}
 }
@@ -287,22 +288,22 @@ func TestSearchAllConjunction(t *testing.T) {
 func TestBreakGlass(t *testing.T) {
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 9)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	// Clerk cannot read clinical…
-	if _, _, err := v.Get("clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
+	if _, _, err := v.GetCtx(context.Background(), "clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
 		t.Fatal("precondition failed")
 	}
 	// …until break-glass.
-	if err := v.BreakGlass("clerk-bob", "mass casualty event", time.Hour); err != nil {
+	if err := v.BreakGlassCtx(context.Background(), "clerk-bob", "mass casualty event", time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v.Get("clerk-bob", rec.ID); err != nil {
+	if _, _, err := v.GetCtx(context.Background(), "clerk-bob", rec.ID); err != nil {
 		t.Errorf("break-glass read: %v", err)
 	}
 	// The emergency access left a distinct audit trail.
-	events, err := v.AuditEvents("officer-kim", audit.Query{Action: audit.ActionBreakGlass})
+	events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Action: audit.ActionBreakGlass})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestBreakGlass(t *testing.T) {
 	}
 	// Expiry restores denial.
 	vc.Advance(2 * time.Hour)
-	if _, _, err := v.Get("clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
+	if _, _, err := v.GetCtx(context.Background(), "clerk-bob", rec.ID); !errors.Is(err, ErrDenied) {
 		t.Errorf("expired break-glass still active: %v", err)
 	}
 }
@@ -320,35 +321,35 @@ func TestShredLifecycle(t *testing.T) {
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 10)
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	// Too early: retention refuses, and the refusal is audited.
-	if err := v.Shred("arch-lee", rec.ID); err == nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err == nil {
 		t.Fatal("shred during retention accepted")
 	}
 	// Unauthorized actor refused.
 	vc.Advance(10 * 365 * 24 * time.Hour)
-	if err := v.Shred("dr-house", rec.ID); !errors.Is(err, ErrDenied) {
+	if err := v.ShredCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrDenied) {
 		t.Errorf("physician shred: %v", err)
 	}
 	// Legal hold blocks.
 	if err := v.Retention().PlaceHold(rec.ID, "litigation"); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Shred("arch-lee", rec.ID); err == nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err == nil {
 		t.Fatal("shred under hold accepted")
 	}
 	v.Retention().ReleaseHold(rec.ID)
 
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); err != nil {
 		t.Fatalf("Shred: %v", err)
 	}
 	// Distinct from NotFound, content gone, not searchable, ID unusable.
-	if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("Get after shred: %v", err)
 	}
-	hits, err := v.Search("dr-house", ehr.CommonCondition())
+	hits, err := v.SearchCtx(context.Background(), "dr-house", ehr.CommonCondition())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +358,11 @@ func TestShredLifecycle(t *testing.T) {
 			t.Error("shredded record searchable")
 		}
 	}
-	if _, err := v.Put("dr-house", rec); !errors.Is(err, ErrShredded) {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrShredded) {
 		t.Errorf("ID reuse: %v", err)
 	}
 	// Custody chain records the destruction.
-	chain, err := v.Provenance("officer-kim", rec.ID)
+	chain, err := v.ProvenanceCtx(context.Background(), "officer-kim", rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestShredLifecycle(t *testing.T) {
 func TestClosedVaultRefusesMutations(t *testing.T) {
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 70)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
@@ -388,13 +389,13 @@ func TestClosedVaultRefusesMutations(t *testing.T) {
 	}
 	other := clinicalRecord(t, 71)
 	other.ID = "closed/enc-0"
-	if _, err := v.Put("dr-house", other); !errors.Is(err, ErrClosed) {
+	if _, err := v.PutCtx(context.Background(), "dr-house", other); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after close: %v", err)
 	}
-	if _, err := v.Correct("dr-house", rec); !errors.Is(err, ErrClosed) {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrClosed) {
 		t.Errorf("Correct after close: %v", err)
 	}
-	if err := v.Shred("arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
+	if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
 		t.Errorf("Shred after close: %v", err)
 	}
 }
@@ -403,25 +404,25 @@ func TestVerifyAllCleanVault(t *testing.T) {
 	v, _ := newVault(t)
 	g := ehr.NewGenerator(11, testEpoch)
 	var put int
-	head0 := v.Head()
+	head0 := v.Shard(0).Head()
 	for i := 0; i < 30; i++ {
 		r := g.Next()
 		if r.Category != ehr.CategoryClinical && r.Category != ehr.CategoryLab {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		put++
 	}
-	headMid := v.Head()
-	cp := v.AuditCheckpoint()
+	headMid := v.Shard(0).Head()
+	cp := v.Shard(0).AuditCheckpoint()
 	for i := 0; i < 10; i++ {
 		r := g.Next()
 		if r.Category != ehr.CategoryClinical {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		put++

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -161,7 +162,7 @@ func probeHistory(sub Subject) (string, error) {
 	if sub.Vault == nil {
 		return fail, nil // no model API exposes verifiable history
 	}
-	v1, _, err := sub.Vault.GetVersion("bench-admin", recs[0].ID, 1)
+	v1, _, err := sub.Vault.GetVersionCtx(context.Background(), "bench-admin", recs[0].ID, 1)
 	if err != nil {
 		return fail, nil
 	}
@@ -280,7 +281,7 @@ func probeAudit(sub Subject) (string, error) {
 	if _, err := sub.Store.Get(recs[0].ID); err != nil {
 		return "", err
 	}
-	events, err := sub.Vault.AuditEvents("bench-admin", audit.Query{Record: recs[0].ID})
+	events, err := sub.Vault.AuditEventsCtx(context.Background(), "bench-admin", audit.Query{Record: recs[0].ID})
 	if err != nil || len(events) == 0 {
 		return fail, nil
 	}
@@ -298,7 +299,7 @@ func probeProvenance(sub Subject) (string, error) {
 	if err := seed(sub.Store, recs); err != nil {
 		return "", err
 	}
-	chain, err := sub.Vault.Provenance("bench-admin", recs[0].ID)
+	chain, err := sub.Vault.ProvenanceCtx(context.Background(), "bench-admin", recs[0].ID)
 	if err != nil || len(chain) == 0 {
 		return fail, nil
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -74,7 +75,7 @@ func E6(n int) (Table, error) {
 	return t, nil
 }
 
-func migrationPair(n int) (src, dst *core.Vault, ids []string, err error) {
+func migrationPair(n int) (src, dst *core.Cluster, ids []string, err error) {
 	src, srcStore, err := namedVault("hospital-a")
 	if err != nil {
 		return nil, nil, nil, err
@@ -95,7 +96,7 @@ func migrationPair(n int) (src, dst *core.Vault, ids []string, err error) {
 
 // namedVault opens a vault with its own system name (custody chains must
 // distinguish source from target) plus the bench adapter's principal.
-func namedVault(name string) (*core.Vault, *core.Adapter, error) {
+func namedVault(name string) (*core.Cluster, *core.Adapter, error) {
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		return nil, nil, err
@@ -111,8 +112,8 @@ func namedVault(name string) (*core.Vault, *core.Adapter, error) {
 	return v, adapter, nil
 }
 
-func custodySpans(v *core.Vault, id string) (bool, error) {
-	chain, err := v.Provenance("bench-admin", id)
+func custodySpans(v *core.Cluster, id string) (bool, error) {
+	chain, err := v.ProvenanceCtx(context.Background(), "bench-admin", id)
 	if err != nil {
 		return false, err
 	}

@@ -91,7 +91,7 @@ type Subject struct {
 	// ignore time).
 	Clock *clock.Virtual
 	// Vault is non-nil for the MedVault subject.
-	Vault *core.Vault
+	Vault *core.Cluster
 	// Cryptonly is non-nil for the encryption-only subject.
 	Cryptonly *cryptonly.Store
 }

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"os"
 )
 
 // Errors returned by fault injection.
@@ -81,6 +82,35 @@ type FS interface {
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// Stat describes name.
 	Stat(name string) (fs.FileInfo, error)
+}
+
+// WriteFileAtomic replaces path with data crash-atomically: write path.tmp,
+// sync, close, rename over path. After a crash at any point path holds
+// either its previous content or all of data — never a prefix, and never an
+// empty file. The sync must precede the rename: a rename can become durable
+// ahead of the data it names, and a crash in that window would leave a
+// truncated file where a complete one was promised. A failed step removes
+// the temp file.
+func WriteFileAtomic(fsys FS, path string, data []byte, perm fs.FileMode) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
 }
 
 // OpKind classifies an operation for fault injection.

@@ -54,17 +54,13 @@ func Decode(b []byte) (seq uint64, data []byte, n int, ok bool) {
 	return seq, data, Overhead + int(ln), true
 }
 
-// Size returns the total byte length of the frame at the front of b without
-// validating its CRC — the cheap "can a complete frame be here" probe stream
-// readers use to decide whether to read more bytes.
+// Size reports the total encoded length of the frame whose header begins b,
+// without validating anything — a stream reader uses it to learn how many
+// bytes to collect before handing the complete frame to Decode. ok is false
+// when b holds less than a full header.
 func Size(b []byte) (int, bool) {
 	if len(b) < Overhead {
 		return 0, false
 	}
-	n := binary.BigEndian.Uint32(b[8:12])
-	total := uint64(Overhead) + uint64(n)
-	if total > uint64(len(b)) {
-		return 0, false
-	}
-	return int(total), true
+	return Overhead + int(binary.BigEndian.Uint32(b[8:12])), true
 }

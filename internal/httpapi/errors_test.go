@@ -2,9 +2,15 @@ package httpapi
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"medvault/internal/audit"
+	"medvault/internal/core"
+	"medvault/internal/merkle"
 )
 
 // rawRequest sends an arbitrary body (not necessarily JSON) as the given
@@ -113,9 +119,48 @@ func TestMissingActorHeader(t *testing.T) {
 		{"POST", "/records"},
 		{"GET", "/search?q=x"},
 		{"GET", "/audit"},
+		{"POST", "/breakglass"},
+		{"GET", "/retention/holds"},
+		{"POST", "/verify"}, // the sweep takes the whole vault exclusively; it used to run anonymously
 	} {
 		if code := rawRequest(t, ts.URL, tc.method, tc.path, "", "{}"); code != http.StatusUnauthorized {
 			t.Errorf("%s %s without actor = %d, want 401", tc.method, tc.path, code)
+		}
+	}
+}
+
+// tamperedAPI fails the integrity sweep the way a rewritten ciphertext does.
+type tamperedAPI struct {
+	core.API
+}
+
+func (tamperedAPI) VerifyAll([]merkle.SignedTreeHead, []audit.Checkpoint) (core.Report, error) {
+	return core.Report{}, fmt.Errorf("%w: p1 v1: ciphertext hash mismatch", core.ErrTampered)
+}
+
+// TestRouteSpecificErrorMappingsSurvive: funnelling every error through one
+// writeErr must not flatten the two routes whose non-outage failures have a
+// mapping of their own — /verify reports a failed sweep as 409 INTEGRITY
+// FAILURE (with its own body shape), and /breakglass reports a refused grant
+// (empty reason, unknown principal) as 400.
+func TestRouteSpecificErrorMappingsSurvive(t *testing.T) {
+	_, v := newRawServer(t)
+	ts := httptest.NewServer(New(tamperedAPI{v}))
+	defer ts.Close()
+
+	var verdict map[string]any
+	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict {
+		t.Errorf("tampered /verify = %d, want 409", code)
+	}
+	if verdict["status"] != "INTEGRITY FAILURE" || verdict["error"] == nil {
+		t.Errorf("tampered /verify body = %v", verdict)
+	}
+	for _, tc := range []struct{ name, actor, body string }{
+		{"empty reason", "clerk-bob", `{"reason":"","minutes":5}`},
+		{"unknown principal", "nobody-at-all", `{"reason":"code blue","minutes":5}`},
+	} {
+		if code := rawRequest(t, ts.URL, "POST", "/breakglass", tc.actor, tc.body); code != http.StatusBadRequest {
+			t.Errorf("/breakglass with %s = %d, want 400", tc.name, code)
 		}
 	}
 }

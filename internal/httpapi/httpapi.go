@@ -121,24 +121,9 @@ func New(v core.API, opts ...Option) *Server {
 		o(s)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("POST /records", s.handleCreate)
-	s.mux.HandleFunc("GET /records/{id}", s.handleGet)
-	s.mux.HandleFunc("GET /records/{id}/versions/{n}", s.handleGetVersion)
-	s.mux.HandleFunc("GET /records/{id}/history", s.handleHistory)
-	s.mux.HandleFunc("POST /records/{id}/corrections", s.handleCorrect)
-	s.mux.HandleFunc("DELETE /records/{id}", s.handleShred)
-	s.mux.HandleFunc("GET /search", s.handleSearch)
-	s.mux.HandleFunc("GET /audit", s.handleAudit)
-	s.mux.HandleFunc("GET /records/{id}/custody", s.handleCustody)
-	s.mux.HandleFunc("POST /verify", s.handleVerify)
-	s.mux.HandleFunc("POST /breakglass", s.handleBreakGlass)
-	s.mux.HandleFunc("GET /patients/{mrn}/records", s.handlePatientRecords)
-	s.mux.HandleFunc("GET /patients/{mrn}/disclosures", s.handleDisclosures)
-	s.mux.HandleFunc("GET /records/{id}/versions/{n}/proof", s.handleProof)
-	s.mux.HandleFunc("GET /retention/expired", s.handleExpired)
-	s.mux.HandleFunc("GET /retention/holds", s.handleListHolds)
-	s.mux.HandleFunc("PUT /records/{id}/hold", s.handlePlaceHold)
-	s.mux.HandleFunc("DELETE /records/{id}/hold", s.handleReleaseHold)
+	for _, rt := range vaultRoutes {
+		s.mux.HandleFunc(rt.pattern, s.asActor(rt.run))
+	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.Handle("GET /debug/traces", TraceHandler(s.tracer))
 	s.mux.Handle("GET /debug/flight", FlightHandler(s.flight))
@@ -291,21 +276,51 @@ type errorBody struct {
 // short — healthz polls are cheap, and a restarted node recovers in seconds.
 const retryAfterSeconds = "5"
 
-// writeUnavailable answers 503 with a Retry-After header, the one status
-// where the server can honestly tell the client when to try again.
-func writeUnavailable(w http.ResponseWriter, v any) {
-	w.Header().Set("Retry-After", retryAfterSeconds)
-	writeJSON(w, http.StatusServiceUnavailable, v)
+// statusError is a failure that knows its own HTTP answer: a malformed
+// request (400), an oversized body (413), a missing actor (401), a
+// role-gated route (403), or a route-specific mapping of a vault error
+// (err — it supplies the message, and Unwrap keeps it visible so outage
+// sentinels still outrank the mapping). body, when set, replaces the
+// default {"error": ...} envelope.
+type statusError struct {
+	status int
+	msg    string // used when err is nil
+	body   any
+	err    error
 }
 
-// writeErr maps vault sentinels to HTTP statuses. PHI never appears in
-// error bodies (core errors carry IDs and reasons, not record content).
-// Wedged-WAL and closed-vault failures are the node's problem, not the
-// request's: they map to 503 with a Retry-After so clients retry elsewhere
-// (or later) instead of treating a drainable outage as a hard error.
+func (e *statusError) Error() string {
+	if e.err != nil {
+		return e.err.Error()
+	}
+	return e.msg
+}
+func (e *statusError) Unwrap() error { return e.err }
+
+func badRequest(msg string) error { return &statusError{status: http.StatusBadRequest, msg: msg} }
+
+// writeErr is the one place an error becomes a response. PHI never appears
+// in error bodies (core errors carry IDs and reasons, not record content).
+//
+// Wedged-WAL and closed-vault failures are checked first, on every route and
+// under any route-specific wrapping: they are the node's problem, not the
+// request's, and answer 503 with a Retry-After so clients retry elsewhere (or
+// later) instead of treating a drainable outage as a client error — or, on
+// /verify, as tampering. Then a statusError answers for itself, and the
+// remaining vault sentinels map to their statuses; anything else is a 500.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
+	var body any = errorBody{Error: err.Error()}
+	var se *statusError
 	switch {
+	case errors.Is(err, core.ErrWedged), errors.Is(err, core.ErrClosed):
+		w.Header().Set("Retry-After", retryAfterSeconds)
+		status = http.StatusServiceUnavailable
+	case errors.As(err, &se):
+		status = se.status
+		if se.body != nil {
+			body = se.body
+		}
 	case errors.Is(err, core.ErrDenied):
 		status = http.StatusForbidden
 	case errors.Is(err, core.ErrNotFound):
@@ -318,11 +333,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, core.ErrTampered):
 		status = http.StatusConflict
-	case errors.Is(err, core.ErrWedged), errors.Is(err, core.ErrClosed):
-		writeUnavailable(w, errorBody{Error: err.Error()})
-		return
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	writeJSON(w, status, body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -336,32 +348,70 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // otherwise buffer whatever a client streams at it.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON decodes a size-limited JSON body, writing the appropriate
-// error response (413 for an oversized body, 400 for malformed JSON) and
-// returning false if the request cannot proceed.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+// decodeJSON decodes the (size-limited, see asActor) JSON body: 413 for an
+// oversized body, 400 for malformed JSON.
+func decodeJSON(r *http.Request, v any) error {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-			return false
+			return &statusError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
-		return false
+		return badRequest("invalid JSON: " + err.Error())
 	}
-	return true
+	return nil
 }
 
-// actor extracts the authenticated principal, failing the request if absent.
-func actor(w http.ResponseWriter, r *http.Request) (string, bool) {
-	a := r.Header.Get(actorHeader)
-	if a == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "missing " + actorHeader + " header"})
-		return "", false
+// vaultRoute is one vault endpoint's logic. It runs as the authenticated
+// actor and returns the success status and JSON body, or an error for
+// writeErr (status and body are then ignored) — it never touches the
+// ResponseWriter, so no route can invent its own error mapping.
+type vaultRoute func(s *Server, r *http.Request, actor string) (status int, body any, err error)
+
+// vaultRoutes is every route that acts on the vault.
+var vaultRoutes = []struct {
+	pattern string
+	run     vaultRoute
+}{
+	{"POST /records", (*Server).create},
+	{"GET /records/{id}", (*Server).get},
+	{"GET /records/{id}/versions/{n}", (*Server).getVersion},
+	{"GET /records/{id}/history", (*Server).history},
+	{"POST /records/{id}/corrections", (*Server).correct},
+	{"DELETE /records/{id}", (*Server).shred},
+	{"GET /search", (*Server).search},
+	{"GET /audit", (*Server).audit},
+	{"GET /records/{id}/custody", (*Server).custody},
+	{"POST /verify", (*Server).verify},
+	{"POST /breakglass", (*Server).breakGlass},
+	{"GET /patients/{mrn}/records", (*Server).patientRecords},
+	{"GET /patients/{mrn}/disclosures", (*Server).disclosures},
+	{"GET /records/{id}/versions/{n}/proof", (*Server).proof},
+	{"GET /retention/expired", (*Server).expired},
+	{"GET /retention/holds", (*Server).listHolds},
+	{"PUT /records/{id}/hold", (*Server).placeHold},
+	{"DELETE /records/{id}/hold", (*Server).releaseHold},
+}
+
+// asActor is the one wrapper every vault route runs under: it demands the
+// authenticated principal (there is no anonymous access), caps the body,
+// runs the route, and sends either its answer or — through writeErr, and
+// nowhere else — its error.
+func (s *Server) asActor(run vaultRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		actor := r.Header.Get(actorHeader)
+		if actor == "" {
+			writeErr(w, &statusError{status: http.StatusUnauthorized, msg: "missing " + actorHeader + " header"})
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		status, body, err := run(s, r, actor)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, status, body)
 	}
-	return a, true
 }
 
 // recordPayload is the JSON shape of a record in requests and responses.
@@ -378,14 +428,6 @@ type recordPayload struct {
 	Version   uint64    `json:"version,omitempty"`
 }
 
-func toRecord(p recordPayload) ehr.Record {
-	return ehr.Record{
-		ID: p.ID, Patient: p.Patient, MRN: p.MRN,
-		Category: ehr.Category(p.Category), Author: p.Author,
-		CreatedAt: p.CreatedAt, Title: p.Title, Body: p.Body, Codes: p.Codes,
-	}
-}
-
 func fromRecord(rec ehr.Record, ver core.Version) recordPayload {
 	return recordPayload{
 		ID: rec.ID, Patient: rec.Patient, MRN: rec.MRN,
@@ -393,6 +435,51 @@ func fromRecord(rec ehr.Record, ver core.Version) recordPayload {
 		CreatedAt: rec.CreatedAt, Title: rec.Title, Body: rec.Body,
 		Codes: rec.Codes, Version: ver.Number,
 	}
+}
+
+// decodeRecord reads a record body for create and correct (id, when set,
+// is the path's record ID and overrides the body's), defaulting the author
+// to the actor and the creation time to now. It validates before the vault
+// does: a missing MRN or bogus category is a malformed request (400), not an
+// internal error — the API's contract is that only node-side failures ever
+// answer 5xx.
+func decodeRecord(r *http.Request, actor, id string) (ehr.Record, error) {
+	var p recordPayload
+	if err := decodeJSON(r, &p); err != nil {
+		return ehr.Record{}, err
+	}
+	if id != "" {
+		p.ID = id
+	}
+	rec := ehr.Record{
+		ID: p.ID, Patient: p.Patient, MRN: p.MRN,
+		Category: ehr.Category(p.Category), Author: p.Author,
+		CreatedAt: p.CreatedAt, Title: p.Title, Body: p.Body, Codes: p.Codes,
+	}
+	if rec.Author == "" {
+		rec.Author = actor
+	}
+	if rec.CreatedAt.IsZero() {
+		rec.CreatedAt = time.Now().UTC()
+	}
+	if err := rec.Validate(); err != nil {
+		return ehr.Record{}, badRequest(err.Error())
+	}
+	return rec, nil
+}
+
+// versionParam parses the {n} path segment.
+func versionParam(r *http.Request) (uint64, error) {
+	n, err := strconv.ParseUint(r.PathValue("n"), 10, 64)
+	if err != nil {
+		return 0, badRequest("version must be a positive integer")
+	}
+	return n, nil
+}
+
+// idList is the body of every route that answers with record IDs.
+func idList(ids []string) map[string]any {
+	return map[string]any{"ids": ids, "count": len(ids)}
 }
 
 // healthPayload is the /healthz body: real vault state, not a static "ok".
@@ -408,7 +495,7 @@ type healthPayload struct {
 	WALQueueDepth int                  `json:"wal_queue_depth"`
 	InFlightOps   int                  `json:"in_flight_ops"`
 	LastRecovery  recoveryPayload      `json:"last_recovery"`
-	Shards        []shardHealthPayload `json:"shards,omitempty"`    // >1-shard clusters only
+	Shards        []shardHealthPayload `json:"shards,omitempty"`    // >1-shard vaults only
 	Anomalies     []anomalyPayload     `json:"anomalies,omitempty"` // watchdog-attached nodes only
 }
 
@@ -430,13 +517,6 @@ type shardHealthPayload struct {
 	WALWedged     bool   `json:"wal_wedged"`
 	WALWedgeError string `json:"wal_wedge_error,omitempty"`
 	WALQueueDepth int    `json:"wal_queue_depth"`
-}
-
-// shardHealther is implemented by *core.Cluster; /healthz uses it to attach
-// per-shard detail when the API behind the server is a multi-shard cluster.
-type shardHealther interface {
-	NumShards() int
-	ShardHealths() []core.HealthStatus
 }
 
 type recoveryPayload struct {
@@ -488,81 +568,40 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		},
 		Anomalies: anomalies,
 	}
-	if sh, ok := s.vault.(shardHealther); ok && sh.NumShards() > 1 {
-		for i, hs := range sh.ShardHealths() {
-			payload.Shards = append(payload.Shards, shardHealthPayload{
-				Shard:         i,
-				Open:          hs.Open,
-				Records:       hs.LiveRecords,
-				WALWedged:     hs.WALWedged,
-				WALWedgeError: hs.WALWedgeError,
-				WALQueueDepth: hs.WALQueueDepth,
-			})
-		}
+	for i, hs := range h.Shards {
+		payload.Shards = append(payload.Shards, shardHealthPayload{
+			Shard:         i,
+			Open:          hs.Open,
+			Records:       hs.LiveRecords,
+			WALWedged:     hs.WALWedged,
+			WALWedgeError: hs.WALWedgeError,
+			WALQueueDepth: hs.WALQueueDepth,
+		})
 	}
 	writeJSON(w, status, payload)
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	var p recordPayload
-	if !decodeJSON(w, r, &p) {
-		return
-	}
-	rec := toRecord(p)
-	if rec.Author == "" {
-		rec.Author = a
-	}
-	if rec.CreatedAt.IsZero() {
-		rec.CreatedAt = time.Now().UTC()
-	}
-	// Validate before the vault does: a missing MRN or bogus category is a
-	// malformed request (400), not an internal error — the API's contract is
-	// that only node-side failures ever answer 5xx.
-	if err := rec.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	ver, err := s.vault.PutCtx(r.Context(), a, rec)
+func (s *Server) create(r *http.Request, actor string) (int, any, error) {
+	rec, err := decodeRecord(r, actor, "")
 	if err != nil {
-		writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusCreated, fromRecord(rec, ver))
+	ver, err := s.vault.PutCtx(r.Context(), actor, rec)
+	return http.StatusCreated, fromRecord(rec, ver), err
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	rec, ver, err := s.vault.GetCtx(r.Context(), a, r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromRecord(rec, ver))
+func (s *Server) get(r *http.Request, actor string) (int, any, error) {
+	rec, ver, err := s.vault.GetCtx(r.Context(), actor, r.PathValue("id"))
+	return http.StatusOK, fromRecord(rec, ver), err
 }
 
-func (s *Server) handleGetVersion(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	n, err := strconv.ParseUint(r.PathValue("n"), 10, 64)
+func (s *Server) getVersion(r *http.Request, actor string) (int, any, error) {
+	n, err := versionParam(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "version must be a positive integer"})
-		return
+		return 0, nil, err
 	}
-	rec, ver, err := s.vault.GetVersionCtx(r.Context(), a, r.PathValue("id"), n)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromRecord(rec, ver))
+	rec, ver, err := s.vault.GetVersionCtx(r.Context(), actor, r.PathValue("id"), n)
+	return http.StatusOK, fromRecord(rec, ver), err
 }
 
 type versionPayload struct {
@@ -573,16 +612,8 @@ type versionPayload struct {
 	LeafIndex uint64    `json:"commitment_leaf"`
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	hist, err := s.vault.HistoryCtx(r.Context(), a, r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) history(r *http.Request, actor string) (int, any, error) {
+	hist, err := s.vault.HistoryCtx(r.Context(), actor, r.PathValue("id"))
 	out := make([]versionPayload, len(hist))
 	for i, v := range hist {
 		out[i] = versionPayload{
@@ -590,73 +621,38 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			CtHash: fmt.Sprintf("%x", v.CtHash), LeafIndex: v.LeafIndex,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, err
 }
 
-func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	var p recordPayload
-	if !decodeJSON(w, r, &p) {
-		return
-	}
-	p.ID = r.PathValue("id")
-	rec := toRecord(p)
-	if rec.Author == "" {
-		rec.Author = a
-	}
-	if rec.CreatedAt.IsZero() {
-		rec.CreatedAt = time.Now().UTC()
-	}
-	if err := rec.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	ver, err := s.vault.CorrectCtx(r.Context(), a, rec)
+func (s *Server) correct(r *http.Request, actor string) (int, any, error) {
+	rec, err := decodeRecord(r, actor, r.PathValue("id"))
 	if err != nil {
-		writeErr(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, fromRecord(rec, ver))
+	ver, err := s.vault.CorrectCtx(r.Context(), actor, rec)
+	return http.StatusOK, fromRecord(rec, ver), err
 }
 
-func (s *Server) handleShred(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	if err := s.vault.ShredCtx(r.Context(), a, r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "shredded", "id": r.PathValue("id")})
+func (s *Server) shred(r *http.Request, actor string) (int, any, error) {
+	id := r.PathValue("id")
+	err := s.vault.ShredCtx(r.Context(), actor, id)
+	return http.StatusOK, map[string]string{"status": "shredded", "id": id}, err
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) search(r *http.Request, actor string) (int, any, error) {
 	qs := r.URL.Query()["q"]
 	if len(qs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing q parameter"})
-		return
+		return 0, nil, badRequest("missing q parameter")
 	}
 	// Multiple q parameters form a conjunctive (AND) query.
 	var ids []string
 	var err error
 	if len(qs) == 1 {
-		ids, err = s.vault.SearchCtx(r.Context(), a, qs[0])
+		ids, err = s.vault.SearchCtx(r.Context(), actor, qs[0])
 	} else {
-		ids, err = s.vault.SearchAllCtx(r.Context(), a, qs...)
+		ids, err = s.vault.SearchAllCtx(r.Context(), actor, qs...)
 	}
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "count": len(ids)})
+	return http.StatusOK, idList(ids), err
 }
 
 type auditEventPayload struct {
@@ -671,21 +667,13 @@ type auditEventPayload struct {
 	Trace     string    `json:"trace,omitempty"`
 }
 
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) audit(r *http.Request, actor string) (int, any, error) {
 	q := audit.Query{
 		Record:     r.URL.Query().Get("record"),
 		Actor:      r.URL.Query().Get("actor"),
 		DeniedOnly: r.URL.Query().Get("denied") == "true",
 	}
-	events, err := s.vault.AuditEventsCtx(r.Context(), a, q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+	events, err := s.vault.AuditEventsCtx(r.Context(), actor, q)
 	out := make([]auditEventPayload, len(events))
 	for i, e := range events {
 		out[i] = auditEventPayload{
@@ -694,7 +682,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			Outcome: string(e.Outcome), Detail: e.Detail, Trace: e.Trace,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, err
 }
 
 type custodyPayload struct {
@@ -706,16 +694,8 @@ type custodyPayload struct {
 	Peer      string    `json:"peer,omitempty"`
 }
 
-func (s *Server) handleCustody(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	chain, err := s.vault.ProvenanceCtx(r.Context(), a, r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) custody(r *http.Request, actor string) (int, any, error) {
+	chain, err := s.vault.ProvenanceCtx(r.Context(), actor, r.PathValue("id"))
 	out := make([]custodyPayload, len(chain))
 	for i, e := range chain {
 		out[i] = custodyPayload{
@@ -723,17 +703,18 @@ func (s *Server) handleCustody(w http.ResponseWriter, r *http.Request) {
 			Actor: e.Actor, System: e.System, Peer: e.Peer,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, err
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+// verify runs the full integrity sweep. Any failure of the sweep itself is
+// reported as 409 INTEGRITY FAILURE — except an outage (closed or wedged
+// vault), which writeErr recognizes through the wrapping and answers 503: a
+// node that is draining has not been tampered with.
+func (s *Server) verify(*http.Request, string) (int, any, error) {
 	rep, err := s.vault.VerifyAll(nil, nil)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"status": "INTEGRITY FAILURE",
-			"error":  err.Error(),
-		})
-		return
+		return 0, nil, &statusError{status: http.StatusConflict, err: err,
+			body: map[string]any{"status": "INTEGRITY FAILURE", "error": err.Error()}}
 	}
 	heads := s.vault.Heads()
 	payload := map[string]any{
@@ -761,20 +742,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		payload["tree_head_size"] = total
 		payload["shards"] = shardHeads
 	}
-	writeJSON(w, http.StatusOK, payload)
+	return http.StatusOK, payload, nil
 }
 
-func (s *Server) handlePatientRecords(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	ids, err := s.vault.PatientRecordsCtx(r.Context(), a, r.PathValue("mrn"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "count": len(ids)})
+func (s *Server) patientRecords(r *http.Request, actor string) (int, any, error) {
+	ids, err := s.vault.PatientRecordsCtx(r.Context(), actor, r.PathValue("mrn"))
+	return http.StatusOK, idList(ids), err
 }
 
 type disclosurePayload struct {
@@ -787,16 +760,8 @@ type disclosurePayload struct {
 	BreakGlass bool      `json:"break_glass,omitempty"`
 }
 
-func (s *Server) handleDisclosures(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	ds, err := s.vault.AccountingOfDisclosuresCtx(r.Context(), a, r.PathValue("mrn"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) disclosures(r *http.Request, actor string) (int, any, error) {
+	ds, err := s.vault.AccountingOfDisclosuresCtx(r.Context(), actor, r.PathValue("mrn"))
 	out := make([]disclosurePayload, len(ds))
 	for i, d := range ds {
 		out[i] = disclosurePayload{
@@ -805,7 +770,7 @@ func (s *Server) handleDisclosures(w http.ResponseWriter, r *http.Request) {
 			BreakGlass: d.BreakGlass,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, err
 }
 
 type proofPayload struct {
@@ -821,26 +786,20 @@ type proofPayload struct {
 	VaultKey  string   `json:"vault_public_key"`
 }
 
-func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
-	}
-	n, err := strconv.ParseUint(r.PathValue("n"), 10, 64)
+func (s *Server) proof(r *http.Request, actor string) (int, any, error) {
+	n, err := versionParam(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "version must be a positive integer"})
-		return
+		return 0, nil, err
 	}
-	proof, err := s.vault.ProveVersionCtx(r.Context(), a, r.PathValue("id"), n)
+	proof, err := s.vault.ProveVersionCtx(r.Context(), actor, r.PathValue("id"), n)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return 0, nil, err
 	}
 	path := make([]string, len(proof.Inclusion.Hashes))
 	for i, h := range proof.Inclusion.Hashes {
 		path[i] = fmt.Sprintf("%x", h)
 	}
-	writeJSON(w, http.StatusOK, proofPayload{
+	return http.StatusOK, proofPayload{
 		RecordID:  proof.RecordID,
 		Version:   proof.Version,
 		CtHash:    fmt.Sprintf("%x", proof.CtHash),
@@ -851,42 +810,36 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 		HeadTime:  proof.Head.Timestamp.Format(time.RFC3339Nano),
 		HeadSig:   fmt.Sprintf("%x", proof.Head.Signature),
 		VaultKey:  s.vault.PublicKey().String(),
-	})
+	}, nil
 }
 
-// requireRole gates retention management behind an authz action check,
-// auditing the decision like every other gate.
-func (s *Server) requireArchivist(w http.ResponseWriter, r *http.Request) (string, bool) {
-	a, ok := actor(w, r)
-	if !ok {
-		return "", false
-	}
-	// Holds and sweeps are disposition management: archivist territory.
-	allowed := s.vault.Authz().Check(a, authz.ActShred, "").Allowed
+// requireArchivist gates retention management: holds and sweeps are
+// disposition management, so the actor needs shred permission on some
+// category.
+func (s *Server) requireArchivist(actor string) error {
+	allowed := s.vault.Authz().Check(actor, authz.ActShred, "").Allowed
 	for _, cat := range ehr.Categories() {
 		if allowed {
 			break
 		}
-		allowed = s.vault.Authz().Check(a, authz.ActShred, string(cat)).Allowed
+		allowed = s.vault.Authz().Check(actor, authz.ActShred, string(cat)).Allowed
 	}
 	if !allowed {
-		writeJSON(w, http.StatusForbidden, errorBody{Error: "retention management requires disposition (shred) permission"})
-		return "", false
+		return &statusError{status: http.StatusForbidden, msg: "retention management requires disposition (shred) permission"}
 	}
-	return a, true
+	return nil
 }
 
-func (s *Server) handleExpired(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.requireArchivist(w, r); !ok {
-		return
+func (s *Server) expired(_ *http.Request, actor string) (int, any, error) {
+	if err := s.requireArchivist(actor); err != nil {
+		return 0, nil, err
 	}
-	ids := s.vault.ExpiredRecords()
-	writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "count": len(ids)})
+	return http.StatusOK, idList(s.vault.ExpiredRecords()), nil
 }
 
-func (s *Server) handleListHolds(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.requireArchivist(w, r); !ok {
-		return
+func (s *Server) listHolds(_ *http.Request, actor string) (int, any, error) {
+	if err := s.requireArchivist(actor); err != nil {
+		return 0, nil, err
 	}
 	holds := s.vault.Retention().Holds()
 	type holdPayload struct {
@@ -898,69 +851,52 @@ func (s *Server) handleListHolds(w http.ResponseWriter, r *http.Request) {
 	for i, h := range holds {
 		out[i] = holdPayload{Record: h.Record, Reason: h.Reason, Placed: h.Placed}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out, nil
 }
 
-type holdRequest struct {
-	Reason string `json:"reason"`
-}
-
-func (s *Server) handlePlaceHold(w http.ResponseWriter, r *http.Request) {
-	a, ok := s.requireArchivist(w, r)
-	if !ok {
-		return
+func (s *Server) placeHold(r *http.Request, actor string) (int, any, error) {
+	if err := s.requireArchivist(actor); err != nil {
+		return 0, nil, err
 	}
-	var req holdRequest
-	if !decodeJSON(w, r, &req) {
-		return
+	var req struct {
+		Reason string `json:"reason"`
+	}
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
 	if req.Reason == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "a hold requires a JSON body with a reason"})
-		return
+		return 0, nil, badRequest("a hold requires a JSON body with a reason")
 	}
-	if err := s.vault.PlaceHoldCtx(r.Context(), a, r.PathValue("id"), req.Reason); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "held", "id": r.PathValue("id")})
+	id := r.PathValue("id")
+	err := s.vault.PlaceHoldCtx(r.Context(), actor, id, req.Reason)
+	return http.StatusOK, map[string]string{"status": "held", "id": id}, err
 }
 
-func (s *Server) handleReleaseHold(w http.ResponseWriter, r *http.Request) {
-	a, ok := s.requireArchivist(w, r)
-	if !ok {
-		return
+func (s *Server) releaseHold(r *http.Request, actor string) (int, any, error) {
+	if err := s.requireArchivist(actor); err != nil {
+		return 0, nil, err
 	}
-	if err := s.vault.ReleaseHoldCtx(r.Context(), a, r.PathValue("id")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "released", "id": r.PathValue("id")})
+	id := r.PathValue("id")
+	err := s.vault.ReleaseHoldCtx(r.Context(), actor, id)
+	return http.StatusOK, map[string]string{"status": "released", "id": id}, err
 }
 
-type breakGlassRequest struct {
-	Reason  string `json:"reason"`
-	Minutes int    `json:"minutes"`
-}
-
-func (s *Server) handleBreakGlass(w http.ResponseWriter, r *http.Request) {
-	a, ok := actor(w, r)
-	if !ok {
-		return
+// breakGlass issues an emergency grant. The vault rejects an empty reason or
+// an unknown principal; those are the caller's mistake, so any refusal is a
+// 400 — except an outage, which writeErr sees through the wrapping.
+func (s *Server) breakGlass(r *http.Request, actor string) (int, any, error) {
+	var req struct {
+		Reason  string `json:"reason"`
+		Minutes int    `json:"minutes"`
 	}
-	var req breakGlassRequest
-	if !decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
 	if req.Minutes <= 0 {
 		req.Minutes = 60
 	}
-	if err := s.vault.BreakGlassCtx(r.Context(), a, req.Reason, time.Duration(req.Minutes)*time.Minute); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+	if err := s.vault.BreakGlassCtx(r.Context(), actor, req.Reason, time.Duration(req.Minutes)*time.Minute); err != nil {
+		return 0, nil, &statusError{status: http.StatusBadRequest, err: err}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "granted",
-		"actor":   a,
-		"minutes": req.Minutes,
-	})
+	return http.StatusOK, map[string]any{"status": "granted", "actor": actor, "minutes": req.Minutes}, nil
 }

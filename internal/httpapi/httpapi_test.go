@@ -19,7 +19,7 @@ import (
 var epoch = time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 
 // provisionPersonas installs the standard roles plus the test persona set.
-func provisionPersonas(t *testing.T, v *core.Vault) {
+func provisionPersonas(t *testing.T, v *core.Cluster) {
 	t.Helper()
 	a := v.Authz()
 	for _, r := range authz.StandardRoles() {
@@ -43,13 +43,13 @@ func newServer(t *testing.T) (*httptest.Server, *clock.Virtual) {
 
 // newRawServer exposes the underlying vault alongside the server, for tests
 // that need to wedge, wrap, or close it out from under the handler.
-func newRawServer(t *testing.T) (*httptest.Server, *core.Vault) {
+func newRawServer(t *testing.T) (*httptest.Server, *core.Cluster) {
 	t.Helper()
 	ts, v, _ := newRawServerClock(t)
 	return ts, v
 }
 
-func newRawServerClock(t *testing.T) (*httptest.Server, *core.Vault, *clock.Virtual) {
+func newRawServerClock(t *testing.T) (*httptest.Server, *core.Cluster, *clock.Virtual) {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {

@@ -8,14 +8,69 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
+	"medvault/internal/audit"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
+	"medvault/internal/merkle"
 )
+
+// outageRoutes is one request per vault route family, well-formed enough to
+// reach the vault. On a closed or wedged vault every one of them must answer
+// 503 + Retry-After with the plain error envelope — never a route-specific
+// client error (POST /breakglass used to say 400) and never a false tamper
+// alarm (POST /verify used to say 409 INTEGRITY FAILURE).
+var outageRoutes = []struct{ method, path, actor, body string }{
+	{"POST", "/records", "dr-house", `{"id":"p1","patient":"Ada","mrn":"mrn-1","category":"clinical","title":"t","body":"b"}`},
+	{"GET", "/records/p1", "dr-house", ""},
+	{"GET", "/records/p1/history", "dr-house", ""},
+	{"POST", "/records/p1/corrections", "dr-house", `{"patient":"Ada","mrn":"mrn-1","category":"clinical","title":"t","body":"b"}`},
+	{"DELETE", "/records/p1", "arch-lee", ""},
+	{"GET", "/search?q=x", "dr-house", ""},
+	{"GET", "/audit", "officer-kim", ""},
+	{"GET", "/records/p1/custody", "officer-kim", ""},
+	{"GET", "/patients/mrn-1/disclosures", "officer-kim", ""},
+	{"GET", "/records/p1/versions/1/proof", "dr-house", ""},
+	{"PUT", "/records/p1/hold", "arch-lee", `{"reason":"litigation"}`},
+	{"DELETE", "/records/p1/hold", "arch-lee", ""},
+	{"POST", "/breakglass", "clerk-bob", `{"reason":"code blue","minutes":5}`},
+	{"POST", "/verify", "officer-kim", ""},
+}
+
+// expectOutage sends one request and requires 503, Retry-After, and the
+// plain {"error": ...} envelope.
+func expectOutage(t *testing.T, url, method, path, actor, body string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(actorHeader, actor)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env map[string]any
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("%s %s = %d %v, want 503", method, path, resp.StatusCode, env)
+		return
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
+		t.Errorf("%s %s Retry-After = %q, want %q", method, path, ra, retryAfterSeconds)
+	}
+	if env["error"] == nil || env["status"] != nil {
+		t.Errorf("%s %s outage body = %v, want the plain error envelope", method, path, env)
+	}
+}
 
 // wedgedAPI simulates a vault whose WAL wedged mid-flight: durable
 // mutations fail with an ErrWedged chain and Health reports the wedge.
@@ -25,6 +80,14 @@ type wedgedAPI struct {
 
 func (w wedgedAPI) PutCtx(ctx context.Context, actor string, rec ehr.Record) (core.Version, error) {
 	return core.Version{}, fmt.Errorf("core: logging %s v1: %w: fsync failed", rec.ID, core.ErrWedged)
+}
+
+func (w wedgedAPI) BreakGlassCtx(context.Context, string, string, time.Duration) error {
+	return fmt.Errorf("audit: appending grant: %w", core.ErrWedged)
+}
+
+func (w wedgedAPI) VerifyAll([]merkle.SignedTreeHead, []audit.Checkpoint) (core.Report, error) {
+	return core.Report{}, fmt.Errorf("shard 1: %w", core.ErrWedged)
 }
 
 func (w wedgedAPI) Health() core.HealthStatus {
@@ -40,23 +103,17 @@ func TestWedgedVaultRejectionsCarryRetryAfter(t *testing.T) {
 	wedged := httptest.NewServer(New(wedgedAPI{API: v}))
 	defer wedged.Close()
 
-	// The rejected write: 503, Retry-After, error envelope.
-	req, _ := http.NewRequest("POST", wedged.URL+"/records", jsonBody(t, sampleRecord("p1")))
-	req.Header.Set(actorHeader, "dr-house")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("wedged write = %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
-		t.Errorf("wedged write Retry-After = %q, want %q", ra, retryAfterSeconds)
+	// The rejected operations — the write, and the two routes with an error
+	// mapping of their own: 503, Retry-After, error envelope.
+	for _, rt := range outageRoutes {
+		switch rt.path {
+		case "/records", "/breakglass", "/verify":
+			expectOutage(t, wedged.URL, rt.method, rt.path, rt.actor, rt.body)
+		}
 	}
 
 	// The health probe: same status, same header, honest state.
-	resp, err = http.Get(wedged.URL + "/healthz")
+	resp, err := http.Get(wedged.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +133,13 @@ func TestClosedVaultAnswers503WithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Operations on a draining/closed vault are 503, not 500: the request
-	// was fine, the node is going away.
-	req, _ := http.NewRequest("GET", ts.URL+"/records/p1", nil)
-	req.Header.Set(actorHeader, "dr-house")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("closed-vault read = %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
-		t.Errorf("closed-vault Retry-After = %q, want %q", ra, retryAfterSeconds)
+	// Operations on a draining/closed vault are 503 on every route, not 500
+	// or a client error: the request was fine, the node is going away.
+	for _, rt := range outageRoutes {
+		expectOutage(t, ts.URL, rt.method, rt.path, rt.actor, rt.body)
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // newDurableServer builds a file-backed vault (WAL + blockstore on disk) so
 // traces cross every mechanism, served with a private tracer so tests never
 // race other tests through obs.DefaultTracer.
-func newDurableServer(t *testing.T) (*httptest.Server, *core.Vault, *obs.Tracer) {
+func newDurableServer(t *testing.T) (*httptest.Server, *core.Cluster, *obs.Tracer) {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 var epoch = time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 
-func newVault(t *testing.T, name string) *core.Vault {
+func newVault(t *testing.T, name string) *core.Cluster {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
@@ -44,7 +45,7 @@ func newVault(t *testing.T, name string) *core.Vault {
 
 // seed populates v with n clinical records (with one correction each on
 // every third record) and returns their IDs.
-func seed(t *testing.T, v *core.Vault, n int, genSeed int64) []string {
+func seed(t *testing.T, v *core.Cluster, n int, genSeed int64) []string {
 	t.Helper()
 	g := ehr.NewGenerator(genSeed, epoch)
 	var ids []string
@@ -53,11 +54,11 @@ func seed(t *testing.T, v *core.Vault, n int, genSeed int64) []string {
 		if r.Category != ehr.CategoryClinical && r.Category != ehr.CategoryLab {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		if len(ids)%3 == 0 {
-			if _, err := v.Correct("dr-house", g.Correction(r)); err != nil {
+			if _, err := v.CorrectCtx(context.Background(), "dr-house", g.Correction(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -87,19 +88,19 @@ func TestMigrationRoundTrip(t *testing.T) {
 
 	// Content identical on the target, including full version history.
 	for _, id := range ids {
-		srcRec, srcVer, err := source.Get("dr-house", id)
+		srcRec, srcVer, err := source.GetCtx(context.Background(), "dr-house", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgtRec, tgtVer, err := target.Get("dr-house", id)
+		tgtRec, tgtVer, err := target.GetCtx(context.Background(), "dr-house", id)
 		if err != nil {
 			t.Fatalf("target Get(%s): %v", id, err)
 		}
 		if srcRec.Body != tgtRec.Body || srcVer.Number != tgtVer.Number {
 			t.Errorf("%s differs after migration", id)
 		}
-		srcHist, _ := source.History("dr-house", id)
-		tgtHist, _ := target.History("dr-house", id)
+		srcHist, _ := source.HistoryCtx(context.Background(), "dr-house", id)
+		tgtHist, _ := target.HistoryCtx(context.Background(), "dr-house", id)
 		if len(srcHist) != len(tgtHist) {
 			t.Errorf("%s history truncated: %d vs %d", id, len(srcHist), len(tgtHist))
 		}
@@ -110,7 +111,7 @@ func TestMigrationRoundTrip(t *testing.T) {
 		t.Errorf("target VerifyAll: %v", err)
 	}
 	// Custody chains span both systems, in order.
-	chain, err := target.Provenance("officer-kim", ids[0])
+	chain, err := target.ProvenanceCtx(context.Background(), "officer-kim", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestMigrationRoundTrip(t *testing.T) {
 		t.Errorf("custody does not span systems: %v", types)
 	}
 	// Source recorded the departure.
-	srcChain, err := source.Provenance("officer-kim", ids[0])
+	srcChain, err := source.ProvenanceCtx(context.Background(), "officer-kim", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}

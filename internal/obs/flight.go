@@ -241,7 +241,6 @@ const (
 const (
 	osWronly = 0x1
 	osCreate = 0x40
-	osTrunc  = 0x200
 	osAppend = 0x400
 )
 

@@ -116,24 +116,8 @@ func WritePostmortem(fsys faultfs.FS, dir, reason string, cfg PostmortemConfig) 
 		return "", fmt.Errorf("obs: creating postmortem dir: %w", err)
 	}
 	final := path.Join(pmDir, fmt.Sprintf("pm-%s.json", pm.Time.Format("20060102-150405.000000000")))
-	tmp := final + ".tmp"
-	f, err := fsys.OpenFile(tmp, osWronly|osCreate|osTrunc, 0o600)
-	if err != nil {
-		return "", fmt.Errorf("obs: creating postmortem tmp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	if err := faultfs.WriteFileAtomic(fsys, final, data, 0o600); err != nil {
 		return "", fmt.Errorf("obs: writing postmortem: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("obs: syncing postmortem: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("obs: closing postmortem: %w", err)
-	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		return "", fmt.Errorf("obs: publishing postmortem: %w", err)
 	}
 	return final, nil
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -183,7 +184,7 @@ func TestPromotePersistsAndFences(t *testing.T) {
 func TestSplitBrainFencingAudited(t *testing.T) {
 	pmem, fmem, fol, cap := pair(t)
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("acked", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("acked", 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +194,7 @@ func TestSplitBrainFencingAudited(t *testing.T) {
 
 	// The stale primary is still up and takes a write: the ship is fenced,
 	// which must fail the client op rather than fork history locally.
-	if _, err := v.Put("dr-house", testRecord("forked", 1)); err == nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("forked", 1)); err == nil {
 		t.Fatal("stale primary committed a write after its follower was promoted")
 	}
 
@@ -210,17 +211,17 @@ func TestSplitBrainFencingAudited(t *testing.T) {
 		t.Fatalf("stale reconnect not fenced: %v", err)
 	}
 
-	if _, _, err := pv.Get("dr-house", "acked"); err != nil {
+	if _, _, err := pv.GetCtx(context.Background(), "dr-house", "acked"); err != nil {
 		t.Fatalf("acked record missing from promoted vault: %v", err)
 	}
-	if _, _, err := pv.Get("dr-house", "forked"); err == nil {
+	if _, _, err := pv.GetCtx(context.Background(), "dr-house", "forked"); err == nil {
 		t.Fatal("fenced write leaked into the promoted vault")
 	}
 	if _, err := pv.VerifyAll(nil, nil); err != nil {
 		t.Fatalf("VerifyAll on promoted vault: %v", err)
 	}
 
-	evs, err := pv.AuditEvents("officer-kim", audit.Query{DeniedOnly: true})
+	evs, err := pv.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{DeniedOnly: true})
 	if err != nil {
 		t.Fatalf("audit query: %v", err)
 	}

@@ -8,8 +8,8 @@ import (
 	"sync"
 
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/obs"
-	"medvault/internal/wal"
 )
 
 // Follower applies a primary's captured fs ops into its own replica
@@ -417,16 +417,16 @@ func opName(k uint8) string {
 // plus the number of bytes consumed; a trailing partial frame stays in the
 // caller's buffer. A frame that fails validation (bad checksum, short
 // header with no more input coming) is indistinguishable from a torn tail
-// by design: both are dropped by the same wal.DecodeFrame check that
+// by design: both are dropped by the same frame.Decode check that
 // truncates a torn WAL after a power cut.
 func (f *Follower) FeedStream(buf []byte) (resps [][]byte, consumed int, err error) {
 	for consumed < len(buf) {
-		e, n, ok := wal.DecodeFrame(buf[consumed:])
+		seq, data, n, ok := frame.Decode(buf[consumed:])
 		if !ok {
 			return resps, consumed, nil
 		}
 		consumed += n
-		resp, err := f.HandlePayload(e.Seq, e.Data)
+		resp, err := f.HandlePayload(seq, data)
 		if err != nil {
 			return resps, consumed, err
 		}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"medvault/internal/faultfs"
-	"medvault/internal/wal"
+	"medvault/internal/frame"
 )
 
 // FuzzReplFrame throws arbitrary bytes at the follower's stream entry
@@ -14,14 +14,14 @@ import (
 // follower must remain able to serve a fresh primary's handshake. A wedged
 // follower is the one failure mode replication cannot self-heal.
 func FuzzReplFrame(f *testing.F) {
-	f.Add(wal.AppendFrame(nil, 0, payload(1, frameHello, nil)))
-	f.Add(wal.AppendFrame(nil, 0, payload(1, frameOp,
+	f.Add(frame.Append(nil, 0, payload(1, frameHello, nil)))
+	f.Add(frame.Append(nil, 0, payload(1, frameOp,
 		encodeOp(OpRecord{Kind: opWrite, Path: "meta.wal", Data: []byte("x")}))))
-	f.Add(wal.AppendFrame(wal.AppendFrame(nil, 0, payload(1, frameHello, nil)), 1,
+	f.Add(frame.Append(frame.Append(nil, 0, payload(1, frameHello, nil)), 1,
 		payload(1, frameOp, encodeOp(OpRecord{Kind: opMkdirAll, Path: "d", Perm: 0o700}))))
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all, just bytes pretending"))
-	f.Add(wal.AppendFrame(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
+	f.Add(frame.Append(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fol, err := NewFollower(faultfs.NewMem(), "r")

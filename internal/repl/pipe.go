@@ -2,9 +2,9 @@ package repl
 
 import (
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/vcrypto"
-	"medvault/internal/wal"
 )
 
 // KillMode selects where, relative to one op frame's round trip, a scripted
@@ -74,13 +74,12 @@ func (p *Pipe) roundTrip(pl []byte) ([]byte, error) {
 	if p.killed {
 		return nil, ErrPrimaryKilled
 	}
-	frame := wal.AppendFrame(nil, p.seq, pl)
+	seq, data, _, ok := frame.Decode(frame.Append(nil, p.seq, pl))
 	p.seq++
-	e, _, ok := wal.DecodeFrame(frame)
 	if !ok {
 		return nil, ErrBadFrame
 	}
-	return p.f.HandlePayload(e.Seq, e.Data)
+	return p.f.HandlePayload(seq, data)
 }
 
 // Hello implements Session.

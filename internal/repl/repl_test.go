@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -12,8 +13,8 @@ import (
 	"medvault/internal/core"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
-	"medvault/internal/wal"
 )
 
 const testRoot = "vault"
@@ -34,9 +35,9 @@ func testMaster(t *testing.T) vcrypto.Key {
 func openVault(t *testing.T, fsys faultfs.FS, shards int) *core.Cluster {
 	t.Helper()
 	vc := clock.NewVirtual(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC))
-	v, err := core.OpenCluster(core.Config{
-		Name: "repl-test", Master: testMaster(t), Clock: vc, Dir: testRoot, FS: fsys,
-	}, shards)
+	v, err := core.Open(core.Config{
+		Name: "repl-test", Master: testMaster(t), Clock: vc, Dir: testRoot, FS: fsys, Shards: shards,
+	})
 	if err != nil {
 		t.Fatalf("opening vault: %v", err)
 	}
@@ -83,11 +84,11 @@ func TestReplicateAndPromote(t *testing.T) {
 	pmem, fmem, fol, cap := pair(t)
 	v := openVault(t, cap, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := v.Put("dr-house", testRecord(fmt.Sprintf("rec-%d", i), 1)); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", testRecord(fmt.Sprintf("rec-%d", i), 1)); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
-	if _, err := v.Correct("dr-house", testRecord("rec-1", 2)); err != nil {
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", testRecord("rec-1", 2)); err != nil {
 		t.Fatalf("correct: %v", err)
 	}
 	if err := v.Close(); err != nil {
@@ -111,7 +112,7 @@ func TestReplicateAndPromote(t *testing.T) {
 	}
 	pv := openVault(t, fmem, 1)
 	defer pv.Close()
-	rec, _, err := pv.Get("dr-house", "rec-1")
+	rec, _, err := pv.GetCtx(context.Background(), "dr-house", "rec-1")
 	if err != nil {
 		t.Fatalf("reading from promoted vault: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestReplicateAndPromote(t *testing.T) {
 func TestConnectResync(t *testing.T) {
 	pmem := faultfs.NewMem()
 	v := openVault(t, pmem, 1)
-	if _, err := v.Put("dr-house", testRecord("old-rec", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("old-rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
@@ -154,7 +155,7 @@ func TestConnectResync(t *testing.T) {
 
 	// New writes ship incrementally on top of the resynced base.
 	v2 := openVault(t, cap, 1)
-	if _, err := v2.Put("dr-house", testRecord("new-rec", 1)); err != nil {
+	if _, err := v2.PutCtx(context.Background(), "dr-house", testRecord("new-rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v2.Close(); err != nil {
@@ -166,7 +167,7 @@ func TestConnectResync(t *testing.T) {
 	pv := openVault(t, fmem, 1)
 	defer pv.Close()
 	for _, id := range []string{"old-rec", "new-rec"} {
-		if _, _, err := pv.Get("dr-house", id); err != nil {
+		if _, _, err := pv.GetCtx(context.Background(), "dr-house", id); err != nil {
 			t.Fatalf("promoted vault missing %s: %v", id, err)
 		}
 	}
@@ -197,7 +198,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	v := openVault(t, cap, 2)
 	for i := 0; i < 4; i++ {
-		if _, err := v.Put("dr-house", testRecord(fmt.Sprintf("tcp-%d", i), 1)); err != nil {
+		if _, err := v.PutCtx(context.Background(), "dr-house", testRecord(fmt.Sprintf("tcp-%d", i), 1)); err != nil {
 			t.Fatalf("put over TCP replication: %v", err)
 		}
 	}
@@ -223,7 +224,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	pv := openVault(t, fmem, 2)
 	defer pv.Close()
-	if _, _, err := pv.Get("dr-house", "tcp-3"); err != nil {
+	if _, _, err := pv.GetCtx(context.Background(), "dr-house", "tcp-3"); err != nil {
 		t.Fatalf("promoted vault after TCP replication: %v", err)
 	}
 }
@@ -239,11 +240,11 @@ func buildStream(t *testing.T, epoch uint64) (stream []byte, frameEnds []int) {
 		{Kind: opWrite, Path: "meta.wal", Data: []byte("payload-two")},
 	}
 	var seq uint64
-	stream = wal.AppendFrame(nil, seq, payload(epoch, frameHello, nil))
+	stream = frame.Append(nil, seq, payload(epoch, frameHello, nil))
 	seq++
 	frameEnds = append(frameEnds, len(stream))
 	for _, rec := range ops {
-		stream = wal.AppendFrame(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
+		stream = frame.Append(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
 		seq++
 		frameEnds = append(frameEnds, len(stream))
 	}
@@ -326,7 +327,7 @@ func TestTornFinalFrameOverTCP(t *testing.T) {
 func TestCorruptFrameDropsConnNotFollower(t *testing.T) {
 	stream, ends := buildStream(t, 1)
 	corrupt := append([]byte(nil), stream...)
-	corrupt[ends[len(ends)-2]+wal.FrameOverhead] ^= 0xff // flip a payload byte of the final frame
+	corrupt[ends[len(ends)-2]+frame.Overhead] ^= 0xff // flip a payload byte of the final frame
 
 	fol, err := NewFollower(faultfs.NewMem(), testRoot)
 	if err != nil {
@@ -359,11 +360,11 @@ func TestDegradedModeContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("before", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("before", 1)); err != nil {
 		t.Fatal(err)
 	}
 	pipe.KillAtFrame(pipe.OpFrames(), KillSend) // link dies at the next frame
-	if _, err := v.Put("dr-house", testRecord("during", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("during", 1)); err != nil {
 		t.Fatalf("degraded primary must keep serving writes: %v", err)
 	}
 	if cap.Connected() {
@@ -396,7 +397,7 @@ func TestAntiEntropyDivergenceResync(t *testing.T) {
 	pmem, fmem, _, cap := pair(t)
 	v := openVault(t, cap, 1)
 	defer v.Close()
-	if _, err := v.Put("dr-house", testRecord("rec", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the replica with an unrelated vault's WAL: same leaf count,
@@ -405,7 +406,7 @@ func TestAntiEntropyDivergenceResync(t *testing.T) {
 	// consistency rightly tolerates without a resync.)
 	alien := faultfs.NewMem()
 	av := openVault(t, alien, 1)
-	if _, err := av.Put("dr-house", testRecord("alien", 9)); err != nil {
+	if _, err := av.PutCtx(context.Background(), "dr-house", testRecord("alien", 9)); err != nil {
 		t.Fatal(err)
 	}
 	// Read the alien WAL while that vault is live: Close would checkpoint
@@ -445,13 +446,13 @@ func TestFencedWriteFailsEvenDegraded(t *testing.T) {
 	pmem, _, fol, cap := pair(t)
 	_ = pmem
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("pre", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("pre", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fol.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", testRecord("post", 1)); err == nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("post", 1)); err == nil {
 		t.Fatal("fenced primary committed a write")
 	}
 	v.Close()

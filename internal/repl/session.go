@@ -65,25 +65,9 @@ func writeEpoch(fsys faultfs.FS, dir string, epoch uint64) error {
 	if err := fsys.MkdirAll(dir, 0o700); err != nil {
 		return fmt.Errorf("repl: creating %s: %w", dir, err)
 	}
-	p := path.Join(dir, StateFile)
-	tmp := p + ".tmp"
-	f, err := fsys.OpenFile(tmp, osWronly|osCreate|osTrunc, 0o600)
-	if err != nil {
+	data := []byte(fmt.Sprintf("epoch %d\n", epoch))
+	if err := faultfs.WriteFileAtomic(fsys, path.Join(dir, StateFile), data, 0o600); err != nil {
 		return fmt.Errorf("repl: writing %s: %w", StateFile, err)
-	}
-	if _, err := f.Write([]byte(fmt.Sprintf("epoch %d\n", epoch))); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: writing %s: %w", StateFile, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: syncing %s: %w", StateFile, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("repl: closing %s: %w", StateFile, err)
-	}
-	if err := fsys.Rename(tmp, p); err != nil {
-		return fmt.Errorf("repl: committing %s: %w", StateFile, err)
 	}
 	return nil
 }

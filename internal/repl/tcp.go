@@ -9,9 +9,9 @@ import (
 	"sync"
 
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/vcrypto"
-	"medvault/internal/wal"
 )
 
 // TCPSession is the network transport: each frame is written with the WAL's
@@ -69,20 +69,20 @@ func (s *TCPSession) roundTrip(pl []byte) ([]byte, error) {
 	if s.conn == nil {
 		return nil, errors.New("repl: session disconnected")
 	}
-	frame := wal.AppendFrame(nil, s.seq, pl)
+	out := frame.Append(nil, s.seq, pl)
 	s.seq++
-	if _, err := s.conn.Write(frame); err != nil {
+	if _, err := s.conn.Write(out); err != nil {
 		s.conn.Close()
 		s.conn = nil
 		return nil, fmt.Errorf("repl: writing frame: %w", err)
 	}
-	e, err := readFrame(s.br)
+	_, resp, err := readFrame(s.br)
 	if err != nil {
 		s.conn.Close()
 		s.conn = nil
 		return nil, fmt.Errorf("repl: reading response: %w", err)
 	}
-	return e.Data, nil
+	return resp, nil
 }
 
 // maxFrameSize caps what readFrame will allocate from a claimed length, so
@@ -91,28 +91,28 @@ func (s *TCPSession) roundTrip(pl []byte) ([]byte, error) {
 const maxFrameSize = 1 << 30
 
 // readFrame collects one complete frame from r: the header names the total
-// size, and wal.DecodeFrame validates the result — the same check that
+// size, and frame.Decode validates the result — the same check that
 // truncates a torn WAL tail, so a stream cut mid-frame surfaces as
 // io.ErrUnexpectedEOF here and the partial frame is never acted on.
-func readFrame(r io.Reader) (wal.Entry, error) {
-	hdr := make([]byte, wal.FrameOverhead)
+func readFrame(r io.Reader) (seq uint64, data []byte, err error) {
+	hdr := make([]byte, frame.Overhead)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return wal.Entry{}, err
+		return 0, nil, err
 	}
-	total, ok := wal.FrameSize(hdr)
-	if !ok || total < wal.FrameOverhead || total > maxFrameSize {
-		return wal.Entry{}, ErrBadFrame
+	total, ok := frame.Size(hdr)
+	if !ok || total < frame.Overhead || total > maxFrameSize {
+		return 0, nil, ErrBadFrame
 	}
 	buf := make([]byte, total)
 	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[wal.FrameOverhead:]); err != nil {
-		return wal.Entry{}, err
+	if _, err := io.ReadFull(r, buf[frame.Overhead:]); err != nil {
+		return 0, nil, err
 	}
-	e, _, ok := wal.DecodeFrame(buf)
+	seq, data, _, ok = frame.Decode(buf)
 	if !ok {
-		return wal.Entry{}, ErrBadFrame
+		return 0, nil, ErrBadFrame
 	}
-	return e, nil
+	return seq, data, nil
 }
 
 // Hello implements Session, redialing first if the link died.
@@ -202,18 +202,18 @@ func ServeConn(conn net.Conn, f *Follower) error {
 	br := bufio.NewReader(conn)
 	var outSeq uint64
 	for {
-		e, err := readFrame(br)
+		seq, data, err := readFrame(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil // stream ended (possibly mid-frame): torn tail discarded
 			}
 			return err
 		}
-		resp, err := f.HandlePayload(e.Seq, e.Data)
+		resp, err := f.HandlePayload(seq, data)
 		if err != nil {
 			return err
 		}
-		if _, err := conn.Write(wal.AppendFrame(nil, outSeq, resp)); err != nil {
+		if _, err := conn.Write(frame.Append(nil, outSeq, resp)); err != nil {
 			return fmt.Errorf("repl: writing response: %w", err)
 		}
 		outSeq++

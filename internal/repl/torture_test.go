@@ -18,8 +18,12 @@ func TestFailoverTorture(t *testing.T) {
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)
 	}
-	if rep.FSKillPoints == 0 || rep.FrameKillPoints == 0 {
-		t.Fatalf("no kill points enumerated (fs=%d frames=%d)", rep.FSKillPoints, rep.FrameKillPoints)
+	// Exact counts (captured on PR 13's commit): one kill point per mutating
+	// fs op the scripted workload performs — the same 85 the local torture
+	// enumerates — and one per op frame the capture ships. A refactor that
+	// changes the on-disk op sequence moves these numbers.
+	if rep.FSKillPoints != 85 || rep.FrameKillPoints != 90 {
+		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 85 + 90", rep.FSKillPoints, rep.FrameKillPoints)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestTraceMarkReachesFollowerFlight(t *testing.T) {
 	}
 
 	// An untraced write ships no mark: the follower ring stays at one event.
-	if _, err := v.Put("dr-house", testRecord("untraced-rec", 1)); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("untraced-rec", 1)); err != nil {
 		t.Fatalf("untraced put: %v", err)
 	}
 	if evs := fol.flight.Snapshot(obs.FlightFilter{Kind: "repl.apply"}); len(evs) != 1 {

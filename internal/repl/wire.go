@@ -58,7 +58,7 @@ var (
 const StateFile = "repl.state"
 
 // Frame payload kinds. Every payload is u64 epoch | u8 kind | body; the
-// outer framing (seq, length, checksum) is the WAL's, via internal/wal.
+// outer framing (seq, length, checksum) is the WAL's, via internal/frame.
 const (
 	frameHello     uint8 = iota + 1 // primary → follower: handshake, epoch proposal
 	frameHelloAck                   // follower → primary: epoch, heads, dir digest

@@ -295,7 +295,7 @@ func validCategory(c string) bool {
 
 // --- per-operation semantics ---
 
-// put mirrors Vault.Put.
+// put mirrors Vault.PutCtx.
 func (m *Model) put(s Step) outcome {
 	if s.Record == "" || s.MRN == "" || s.Category == "" || s.Actor == "" || !validCategory(s.Category) {
 		return fail(eInvalid)
@@ -322,7 +322,7 @@ func (m *Model) put(s Step) outcome {
 	return outcome{kind: eOK, version: 1}
 }
 
-// get mirrors Vault.Get.
+// get mirrors Vault.GetCtx.
 func (m *Model) get(s Step) outcome {
 	r, ok := m.records[s.Record]
 	if !ok {
@@ -340,7 +340,7 @@ func (m *Model) get(s Step) outcome {
 	return outcome{kind: eOK, version: latest, body: r.Versions[latest-1].Body, flexible: s.Rot}
 }
 
-// getVersion mirrors Vault.GetVersion.
+// getVersion mirrors Vault.GetVersionCtx.
 func (m *Model) getVersion(s Step) outcome {
 	r, ok := m.records[s.Record]
 	switch {
@@ -360,7 +360,7 @@ func (m *Model) getVersion(s Step) outcome {
 	return outcome{kind: eOK, version: s.Version, body: r.Versions[s.Version-1].Body}
 }
 
-// history mirrors Vault.History.
+// history mirrors Vault.HistoryCtx.
 func (m *Model) history(s Step) outcome {
 	r, ok := m.records[s.Record]
 	if !ok {
@@ -377,7 +377,7 @@ func (m *Model) history(s Step) outcome {
 	return outcome{kind: eOK, history: append([]mVersion(nil), r.Versions...)}
 }
 
-// correct mirrors Vault.Correct. Note the asymmetries it preserves: missing
+// correct mirrors Vault.CorrectCtx. Note the asymmetries it preserves: missing
 // and shredded records are NOT audit-probed (unlike Get), and authorization
 // is checked against the record's stored category, not the payload's.
 func (m *Model) correct(s Step) outcome {
@@ -439,7 +439,7 @@ func (m *Model) searchHits(actor string, match func(*mRecord) bool) []string {
 	return ids
 }
 
-// search mirrors Vault.Search (one keyword) and SearchAll (conjunction).
+// search mirrors Vault.SearchCtx (one keyword) and SearchAllCtx (conjunction).
 func (m *Model) search(s Step, conjunctive bool) outcome {
 	allowed := m.searchAllowed(s.Actor)
 	out := audit.OutcomeAllowed
@@ -469,7 +469,7 @@ func (m *Model) expiresAt(r *mRecord) time.Time {
 	return r.Created.Add(m.policies[r.Category])
 }
 
-// shred mirrors Vault.Shred.
+// shred mirrors Vault.ShredCtx.
 func (m *Model) shred(s Step) outcome {
 	r, ok := m.records[s.Record]
 	if !ok {
@@ -496,7 +496,7 @@ func (m *Model) shred(s Step) outcome {
 	return outcome{kind: eOK}
 }
 
-// placeHold mirrors Vault.PlaceHold.
+// placeHold mirrors Vault.PlaceHoldCtx.
 func (m *Model) placeHold(s Step) outcome {
 	if s.Reason == "" {
 		return fail(eBadInput)
@@ -516,7 +516,7 @@ func (m *Model) placeHold(s Step) outcome {
 	return outcome{kind: eOK}
 }
 
-// releaseHold mirrors Vault.ReleaseHold — which deliberately has no
+// releaseHold mirrors Vault.ReleaseHoldCtx — which deliberately has no
 // existence check: releasing a hold that isn't there (or a record that
 // isn't) succeeds and is audited.
 func (m *Model) releaseHold(s Step) outcome {
@@ -528,7 +528,7 @@ func (m *Model) releaseHold(s Step) outcome {
 	return outcome{kind: eOK}
 }
 
-// breakGlass mirrors Vault.BreakGlass.
+// breakGlass mirrors Vault.BreakGlassCtx.
 func (m *Model) breakGlass(s Step) outcome {
 	if s.Reason == "" {
 		return fail(eBadInput)
@@ -616,7 +616,7 @@ func (m *Model) disclosuresFor(mrn string) []mDisclosure {
 	return out
 }
 
-// patientRecords mirrors Vault.PatientRecords: live records with the MRN
+// patientRecords mirrors Vault.PatientRecordsCtx: live records with the MRN
 // that the actor may read, sorted. It never errors and never audits.
 func (m *Model) patientRecords(s Step) outcome {
 	ids := m.searchHits(s.Actor, func(r *mRecord) bool { return r.MRN == s.MRN })

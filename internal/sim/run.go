@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -25,6 +26,10 @@ import (
 // contract: replays reconstruct the same clock from the same epoch.
 var simEpoch = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 
+// ctx is what every simulated operation runs under: a run has no deadline
+// and no trace to thread through the vault.
+var ctx = context.Background()
+
 // auditor is the fixed compliance-officer principal the deep check and
 // crash-resync run their queries as.
 const auditor = "officer-kim"
@@ -43,9 +48,9 @@ func (d *Divergence) Error() string {
 
 // RunOpts configures a generated run.
 type RunOpts struct {
-	Seed    int64
-	Ops     int
-	Workers int  // logical writers the generator interleaves (min 1)
+	Seed     int64
+	Ops      int
+	Workers  int  // logical writers the generator interleaves (min 1)
 	Shards   int  // cluster shard count; <= 1 runs the classic single vault
 	Durable  bool // file-backed vault over faultfs.Mem, with crash/fault steps
 	Failover bool // durable mode: crash steps promote a warm follower instead
@@ -160,7 +165,7 @@ type engine struct {
 	fol  *repl.Follower
 
 	heads [][]merkle.SignedTreeHead // indexed by shard
-	cps   [][]audit.Checkpoint     // indexed by shard
+	cps   [][]audit.Checkpoint      // indexed by shard
 }
 
 func newEngine(plan Plan, logf func(format string, args ...any)) (*engine, error) {
@@ -228,7 +233,8 @@ func (e *engine) open() error {
 			cfg.FS = cap
 		}
 	}
-	v, err := core.OpenCluster(cfg, e.shards)
+	cfg.Shards = e.shards
+	v, err := core.Open(cfg)
 	if err != nil {
 		return err
 	}
@@ -322,7 +328,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 	case OpPut:
 		rec := e.stepRecord(s)
 		want := e.model.put(s)
-		ver, err := e.v.Put(s.Actor, rec)
+		ver, err := e.v.PutCtx(ctx, s.Actor, rec)
 		got := classify(err)
 		if got != want.kind {
 			return want, mismatch(want, got, err)
@@ -336,7 +342,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 			e.inj.rot = true
 		}
 		want := e.model.get(s)
-		rec, ver, err := e.v.Get(s.Actor, s.Record)
+		rec, ver, err := e.v.GetCtx(ctx, s.Actor, s.Record)
 		if e.plan.Durable {
 			e.inj.rot = false // a denied read leaves the arm untouched; clear it
 		}
@@ -360,7 +366,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	case OpGetVersion:
 		want := e.model.getVersion(s)
-		rec, ver, err := e.v.GetVersion(s.Actor, s.Record, s.Version)
+		rec, ver, err := e.v.GetVersionCtx(ctx, s.Actor, s.Record, s.Version)
 		got := classify(err)
 		if got != want.kind {
 			return want, mismatch(want, got, err)
@@ -376,7 +382,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	case OpHistory:
 		want := e.model.history(s)
-		hist, err := e.v.History(s.Actor, s.Record)
+		hist, err := e.v.HistoryCtx(ctx, s.Actor, s.Record)
 		got := classify(err)
 		if got != want.kind {
 			return want, mismatch(want, got, err)
@@ -396,7 +402,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 	case OpCorrect:
 		rec := e.stepRecord(s)
 		want := e.model.correct(s)
-		ver, err := e.v.Correct(s.Actor, rec)
+		ver, err := e.v.CorrectCtx(ctx, s.Actor, rec)
 		got := classify(err)
 		if got != want.kind {
 			return want, mismatch(want, got, err)
@@ -411,9 +417,9 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		var ids []string
 		var err error
 		if conj {
-			ids, err = e.v.SearchAll(s.Actor, s.Keywords...)
+			ids, err = e.v.SearchAllCtx(ctx, s.Actor, s.Keywords...)
 		} else {
-			ids, err = e.v.Search(s.Actor, s.Keywords[0])
+			ids, err = e.v.SearchCtx(ctx, s.Actor, s.Keywords[0])
 		}
 		got := classify(err)
 		if got != want.kind {
@@ -425,35 +431,35 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	case OpShred:
 		want := e.model.shred(s)
-		err := e.v.Shred(s.Actor, s.Record)
+		err := e.v.ShredCtx(ctx, s.Actor, s.Record)
 		if got := classify(err); got != want.kind {
 			return want, mismatch(want, got, err)
 		}
 		return want, nil
 	case OpPlaceHold:
 		want := e.model.placeHold(s)
-		err := e.v.PlaceHold(s.Actor, s.Record, s.Reason)
+		err := e.v.PlaceHoldCtx(ctx, s.Actor, s.Record, s.Reason)
 		if got := classify(err); got != want.kind {
 			return want, mismatch(want, got, err)
 		}
 		return want, nil
 	case OpReleaseHold:
 		want := e.model.releaseHold(s)
-		err := e.v.ReleaseHold(s.Actor, s.Record)
+		err := e.v.ReleaseHoldCtx(ctx, s.Actor, s.Record)
 		if got := classify(err); got != want.kind {
 			return want, mismatch(want, got, err)
 		}
 		return want, nil
 	case OpBreakGlass:
 		want := e.model.breakGlass(s)
-		err := e.v.BreakGlass(s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute)
+		err := e.v.BreakGlassCtx(ctx, s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute)
 		if got := classify(err); got != want.kind {
 			return want, mismatch(want, got, err)
 		}
 		return want, nil
 	case OpDisclosures:
 		want := e.model.disclosures(s)
-		ds, err := e.v.AccountingOfDisclosures(s.Actor, s.MRN)
+		ds, err := e.v.AccountingOfDisclosuresCtx(ctx, s.Actor, s.MRN)
 		got := classify(err)
 		if got != want.kind {
 			return want, mismatch(want, got, err)
@@ -466,7 +472,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	case OpPatientRecs:
 		want := e.model.patientRecords(s)
-		ids, err := e.v.PatientRecords(s.Actor, s.MRN)
+		ids, err := e.v.PatientRecordsCtx(ctx, s.Actor, s.MRN)
 		if err != nil {
 			return want, div("patient_recs: unexpected error %v", err)
 		}
@@ -626,7 +632,7 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 
 	for _, id := range m.allIDs() {
 		m.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
-		chain, err := e.v.Provenance(auditor, id)
+		chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
 		want := m.prov[id]
 		if len(want) == 0 {
 			// The whole chain was lost to a crash before any event synced;
@@ -651,7 +657,7 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 
 	for _, mrn := range m.mrns() {
 		want := m.disclosures(Step{Op: OpDisclosures, Actor: auditor, MRN: mrn})
-		ds, err := e.v.AccountingOfDisclosures(auditor, mrn)
+		ds, err := e.v.AccountingOfDisclosuresCtx(ctx, auditor, mrn)
 		if want.kind != eOK {
 			return div("model cannot account for %s: %s", mrn, want.kind)
 		}
@@ -667,7 +673,7 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 	// journal — Seq numbers are shard-local, so they must be dense per shard.
 	for s := 0; s < e.shards; s++ {
 		m.appendShard(s, auditQueryEvent(""))
-		evs, err := e.shard(s).AuditEvents(auditor, audit.Query{})
+		evs, err := e.shard(s).AuditEventsCtx(ctx, auditor, audit.Query{})
 		if err != nil {
 			return div("shard %d audit query: %v", s, err)
 		}
@@ -692,7 +698,7 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 		// merges chronologically; the model's merged journal must match
 		// event for event.
 		m.authorize(auditor, authz.ActAudit, audit.ActionVerify, "", 0, "")
-		evs, err := e.v.AuditEvents(auditor, audit.Query{})
+		evs, err := e.v.AuditEventsCtx(ctx, auditor, audit.Query{})
 		if err != nil {
 			return div("cluster audit query: %v", err)
 		}
@@ -725,7 +731,7 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 
 // holdIDs lists the cluster's held record IDs, sorted (the retention manager
 // is shared, so this is whole-cluster state regardless of shard count).
-func holdIDs(v core.API) []string {
+func holdIDs(v *core.Cluster) []string {
 	holds := v.Retention().Holds()
 	ids := make([]string, 0, len(holds))
 	for _, h := range holds {
@@ -828,7 +834,7 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 	}
 	m := e.model
 	for sh := 0; sh < e.shards; sh++ {
-		evs, err := e.shard(sh).AuditEvents(auditor, audit.Query{})
+		evs, err := e.shard(sh).AuditEventsCtx(ctx, auditor, audit.Query{})
 		if err != nil {
 			return div("shard %d audit query after remount: %v", sh, err)
 		}
@@ -861,7 +867,7 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 	}
 	for _, id := range provIDs {
 		m.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
-		chain, err := e.v.Provenance(auditor, id)
+		chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
 		var types []provenance.EventType
 		switch {
 		case err == nil:

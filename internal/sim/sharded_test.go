@@ -10,11 +10,12 @@ import "testing"
 
 // TestSimShardedMemory cross-checks a 4-shard memory-backed cluster.
 func TestSimShardedMemory(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		tr, d := Run(RunOpts{Seed: seed, Ops: 300, Workers: 2, Shards: 4, Logf: t.Logf})
-		if d != nil {
-			t.Fatalf("seed %d diverged (trace hash %s): %v", seed, tr.Hash(), d)
-		}
+	for seed, hash := range map[int64]string{
+		1: "aa164407c1c645e30d93e20f809d4be7994ff3d2e574aed76f3a810a791341fd",
+		2: "22fc9b6b74a2659e73e437f1c8ade3600ed100306885f8bdc1be7fdd1030d931",
+		3: "9f50002006cd685f58bcbce6136d661ed8575401338f20d92e63b9a779aa3a88",
+	} {
+		runGolden(t, RunOpts{Seed: seed, Ops: 300, Workers: 2, Shards: 4}, hash)
 	}
 }
 
@@ -25,11 +26,11 @@ func TestSimShardedDurable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durable sim runs take a few seconds")
 	}
-	for _, seed := range []int64{1, 2} {
-		tr, d := Run(RunOpts{Seed: seed, Ops: 220, Workers: 3, Shards: 4, Durable: true, Logf: t.Logf})
-		if d != nil {
-			t.Fatalf("seed %d diverged (trace hash %s): %v", seed, tr.Hash(), d)
-		}
+	for seed, hash := range map[int64]string{
+		1: "63a9c757f86af75df698f6434ef5d856b931db96c94977782a9fe2ed1f71c935",
+		2: "3bdcfd47f0c81bd82bd27fe86a9fc14dfe481bbd7e10c3fe2ad7f0166c4200cb",
+	} {
+		runGolden(t, RunOpts{Seed: seed, Ops: 220, Workers: 3, Shards: 4, Durable: true}, hash)
 	}
 }
 

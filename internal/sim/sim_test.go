@@ -10,11 +10,13 @@ import (
 // old internal/core oracle test: the full reference model cross-checked
 // against a memory-backed vault over several hundred generated ops.
 func TestSimFixedSeedsMemory(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4} {
-		tr, d := Run(RunOpts{Seed: seed, Ops: 300, Workers: 2, Logf: t.Logf})
-		if d != nil {
-			t.Fatalf("seed %d diverged (trace hash %s): %v", seed, tr.Hash(), d)
-		}
+	for seed, hash := range map[int64]string{
+		1: "76699c3d9074262b121369360b07e734c5571e79854066b59f8f1159ed9371b5",
+		2: "6488ffc3260e280e5510ba96d32b81c3dc84dc0bc8d671deab8f78c4e5a91cc5",
+		3: "b771b18221c804b43c87e10e392ec504023e2d222d9dc9a7dd26da81300a5b4d",
+		4: "f41e57d93d99a660c6cf17c6f18d6a141c0b36d407fef9c18602c5797d4bc09b",
+	} {
+		runGolden(t, RunOpts{Seed: seed, Ops: 300, Workers: 2}, hash)
 	}
 }
 
@@ -25,11 +27,12 @@ func TestSimFixedSeedsDurable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durable sim runs take a few seconds")
 	}
-	for _, seed := range []int64{1, 2, 3} {
-		tr, d := Run(RunOpts{Seed: seed, Ops: 250, Workers: 3, Durable: true, Logf: t.Logf})
-		if d != nil {
-			t.Fatalf("seed %d diverged (trace hash %s): %v", seed, tr.Hash(), d)
-		}
+	for seed, hash := range map[int64]string{
+		1: "26cc9c1165eca1d0507f41d12463a661d5eabd7f2ae354307a9bbd9841ab03d1",
+		2: "13e8fb8686e3f14699aedf46b30cd8205546306bd5c37063b62052ff50af5969",
+		3: "afbf7e16395cf434c243a91f8ff8726a67d8ba49b5b1fb227e5f3394a8c4309b",
+	} {
+		runGolden(t, RunOpts{Seed: seed, Ops: 250, Workers: 3, Durable: true}, hash)
 	}
 }
 

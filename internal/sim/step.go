@@ -34,20 +34,20 @@ type OpKind string
 // enospc) that shape the environment; control ops are ordinary Steps so
 // traces capture — and the shrinker minimizes — the whole scenario.
 const (
-	OpPut         OpKind = "put"          // Vault.Put
-	OpGet         OpKind = "get"          // Vault.Get
-	OpGetVersion  OpKind = "get_version"  // Vault.GetVersion
-	OpHistory     OpKind = "history"      // Vault.History
-	OpCorrect     OpKind = "correct"      // Vault.Correct
-	OpSearch      OpKind = "search"       // Vault.Search
-	OpSearchAll   OpKind = "search_all"   // Vault.SearchAll
-	OpShred       OpKind = "shred"        // Vault.Shred
-	OpPlaceHold   OpKind = "place_hold"   // Vault.PlaceHold
-	OpReleaseHold OpKind = "release_hold" // Vault.ReleaseHold
-	OpBreakGlass  OpKind = "break_glass"  // Vault.BreakGlass
+	OpPut         OpKind = "put"          // Vault.PutCtx
+	OpGet         OpKind = "get"          // Vault.GetCtx
+	OpGetVersion  OpKind = "get_version"  // Vault.GetVersionCtx
+	OpHistory     OpKind = "history"      // Vault.HistoryCtx
+	OpCorrect     OpKind = "correct"      // Vault.CorrectCtx
+	OpSearch      OpKind = "search"       // Vault.SearchCtx
+	OpSearchAll   OpKind = "search_all"   // Vault.SearchAllCtx
+	OpShred       OpKind = "shred"        // Vault.ShredCtx
+	OpPlaceHold   OpKind = "place_hold"   // Vault.PlaceHoldCtx
+	OpReleaseHold OpKind = "release_hold" // Vault.ReleaseHoldCtx
+	OpBreakGlass  OpKind = "break_glass"  // Vault.BreakGlassCtx
 	OpRevoke      OpKind = "revoke"       // Authz().Revoke
-	OpDisclosures OpKind = "disclosures"  // Vault.AccountingOfDisclosures
-	OpPatientRecs OpKind = "patient_recs" // Vault.PatientRecords
+	OpDisclosures OpKind = "disclosures"  // Vault.AccountingOfDisclosuresCtx
+	OpPatientRecs OpKind = "patient_recs" // Vault.PatientRecordsCtx
 	OpAdvance     OpKind = "advance"      // advance the virtual clock
 	OpVerify      OpKind = "verify"       // deep cross-check (VerifyAll, audit, provenance, disclosures)
 	OpCrash       OpKind = "crash"        // durable mode: power cut, recover, re-verify, close, cut again, recover
@@ -79,11 +79,11 @@ type Step struct {
 // Plan is a trace header: everything besides the steps a run needs to be
 // reproduced exactly.
 type Plan struct {
-	Format  int    `json:"medsim"` // trace format version
-	Seed    int64  `json:"seed"`
-	Workers int    `json:"workers"`
-	Shards  int    `json:"shards,omitempty"` // cluster shard count; 0 or absent = single vault
-	Durable bool   `json:"durable"`
+	Format  int   `json:"medsim"` // trace format version
+	Seed    int64 `json:"seed"`
+	Workers int   `json:"workers"`
+	Shards  int   `json:"shards,omitempty"` // cluster shard count; 0 or absent = single vault
+	Durable bool  `json:"durable"`
 	// Failover replicates the vault to a warm follower and turns every crash
 	// step into a failover: instead of recovering the primary's crash image,
 	// the follower is promoted and its replica becomes the next generation's

@@ -103,23 +103,24 @@ func Open(dir, name string, master vcrypto.Key) (*core.Cluster, error) {
 	return OpenWith(dir, name, master, Options{})
 }
 
-// OpenWith is Open with explicit Options. The result is a *core.Cluster —
-// with Options.Shards 0 or 1 a pass-through over the classic single-vault
-// layout, otherwise a multi-shard cluster under dir.
+// OpenWith is Open with explicit Options. With Options.Shards 0 or 1 the
+// vault uses the classic single-vault layout, otherwise one directory per
+// shard under dir.
 func OpenWith(dir, name string, master vcrypto.Key, opt Options) (*core.Cluster, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	v, err := core.OpenCluster(core.Config{
+	v, err := core.Open(core.Config{
 		Name:                    name,
 		Master:                  master,
 		Dir:                     dir,
+		Shards:                  opt.Shards,
 		FS:                      opt.FS,
 		AuditCheckpointInterval: 1000,
 		DEKCacheEntries:         opt.DEKCacheEntries,
 		BlockCacheBytes:         opt.BlockCacheBytes,
 		NegCacheEntries:         opt.NegCacheEntries,
-	}, opt.Shards)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -167,6 +168,12 @@ func loadPrincipals(a *authz.Authorizer, path string) error {
 // The vault must be reopened for the change to take effect, mirroring how
 // access-policy changes are deployed, not hot-patched.
 func Grant(dir, principal string, roles []string) error {
+	return grant(faultfs.OS{}, dir, principal, roles)
+}
+
+// grant is Grant over an explicit filesystem, so the crash-image test can
+// cut power at every step of the rewrite.
+func grant(fsys faultfs.FS, dir, principal string, roles []string) error {
 	// Validate against the standard role set before persisting.
 	known := map[string]bool{}
 	for _, r := range authz.StandardRoles() {
@@ -179,7 +186,7 @@ func Grant(dir, principal string, roles []string) error {
 	}
 	path := filepath.Join(dir, PrincipalsFile)
 	existing := map[string]string{}
-	if data, err := os.ReadFile(path); err == nil {
+	if data, err := fsys.ReadFile(path); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
 			line = strings.TrimSpace(line)
 			if line == "" || strings.HasPrefix(line, "#") {
@@ -202,15 +209,13 @@ func Grant(dir, principal string, roles []string) error {
 	for _, id := range ids {
 		fmt.Fprintf(&sb, "%s %s\n", id, existing[id])
 	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	if err := fsys.MkdirAll(dir, 0o700); err != nil {
 		return fmt.Errorf("vaultcfg: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o600); err != nil {
+	// Crash-atomic: a power cut mid-grant must leave the old principals file
+	// or the complete new one, never an empty file that locks everyone out.
+	if err := faultfs.WriteFileAtomic(fsys, path, []byte(sb.String()), 0o600); err != nil {
 		return fmt.Errorf("vaultcfg: writing principals: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("vaultcfg: committing principals: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package vaultcfg
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 )
 
 func TestMasterKeyRoundTrip(t *testing.T) {
@@ -62,14 +64,14 @@ func TestGrantAndOpen(t *testing.T) {
 	defer v.Close()
 
 	rec := ehr.NewGenerator(1, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)).Next()
-	if _, err := v.Put("dr-a", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-a", rec); err != nil {
 		t.Errorf("granted physician cannot write: %v", err)
 	}
-	if _, err := v.Put("stranger", rec); err == nil {
+	if _, err := v.PutCtx(context.Background(), "stranger", rec); err == nil {
 		t.Error("ungranted principal wrote")
 	}
 	// The compliance officer granted via the file can query the audit log.
-	events, err := v.AuditEvents("kim", audit.Query{DeniedOnly: true})
+	events, err := v.AuditEventsCtx(context.Background(), "kim", audit.Query{DeniedOnly: true})
 	if err != nil {
 		t.Fatalf("granted officer cannot audit: %v", err)
 	}
@@ -158,5 +160,43 @@ func TestOpenWithShards(t *testing.T) {
 	defer c.Close()
 	if c.NumShards() != 4 {
 		t.Errorf("adopted NumShards = %d", c.NumShards())
+	}
+}
+
+// TestGrantCrashAtomic cuts power after every mutating filesystem op of a
+// grant that rewrites an existing principals file, under every tail-survival
+// policy: the crash image must hold the old file or the complete new one. A
+// rename that outran its data's fsync shows up here as an empty or truncated
+// principals.conf — which would lock every principal out at the next open.
+func TestGrantCrashAtomic(t *testing.T) {
+	path := filepath.Join("vault", PrincipalsFile)
+	base := faultfs.NewMem()
+	if err := grant(base, "vault", "dr-a", []string{"physician"}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := base.CrashImage(faultfs.KeepNone).ReadFile(path)
+	if err != nil || !strings.Contains(string(old), "dr-a physician") {
+		t.Fatalf("acked grant not durable: %q, %v", old, err)
+	}
+	counter := faultfs.NewFaulty(base.Clone(), nil)
+	if err := grant(counter, "vault", "kim", []string{"compliance-officer"}); err != nil {
+		t.Fatal(err)
+	}
+	complete, _ := counter.ReadFile(path)
+	if counter.MutatingOps() < 4 {
+		t.Fatalf("grant performed %d mutating ops; want at least open, write, sync, rename", counter.MutatingOps())
+	}
+	keeps := map[string]faultfs.KeepPolicy{"none": faultfs.KeepNone, "half": faultfs.KeepHalf, "all": faultfs.KeepAll}
+	for i := 0; i < counter.MutatingOps(); i++ {
+		for name, keep := range keeps {
+			mem := base.Clone()
+			_ = grant(faultfs.NewFaulty(mem, faultfs.CrashAfter(i)), "vault", "kim", []string{"compliance-officer"})
+			got, err := mem.CrashImage(keep).ReadFile(path)
+			if err != nil {
+				t.Errorf("cut after op %d keep-%s: principals file gone: %v", i, name, err)
+			} else if string(got) != string(old) && string(got) != string(complete) {
+				t.Errorf("cut after op %d keep-%s: principals file is neither old nor new: %q", i, name, got)
+			}
+		}
 	}
 }
