@@ -10,6 +10,7 @@ import (
 	"medvault/internal/experiments"
 	"medvault/internal/index"
 	"medvault/internal/merkle"
+	"medvault/internal/provenance"
 	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
 )
@@ -33,15 +34,41 @@ func ablationRecords(b *testing.B) [][]byte {
 	return out
 }
 
-// BenchmarkAblationCodec: canonical encoding alone.
+// BenchmarkAblationCodec: canonical encoding alone — the record codec each
+// way, and the custody event. The audit-event and WAL-entry encoders are
+// unexported; their cases are BenchmarkAblationCodecAuditEvent (internal/audit)
+// and BenchmarkAblationCodecWALVEntry (internal/core), so
+// `go test -bench AblationCodec -benchmem . ./internal/audit ./internal/core`
+// prints the whole set.
 func BenchmarkAblationCodec(b *testing.B) {
 	gen := ehr.NewGenerator(77, experiments.Epoch)
-	recs := gen.Corpus(b.N)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ehr.Encode(recs[i])
+	recs := gen.Corpus(256)
+	encoded := make([][]byte, len(recs))
+	for i, r := range recs {
+		encoded[i] = ehr.Encode(r)
 	}
+	b.Run("record-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ehr.Encode(recs[i%len(recs)])
+		}
+	})
+	b.Run("record-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ehr.Decode(encoded[i%len(encoded)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("custody-event", func(b *testing.B) {
+		ev := provenance.Event{Record: recs[0].ID, Type: provenance.EventCreated, Actor: "dr-a", System: "vault-a",
+			SignerKey: make([]byte, 32), Signature: make([]byte, 64)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			provenance.EncodeEvent(ev)
+		}
+	})
 }
 
 // BenchmarkAblationSeal: AES-256-GCM envelope encryption of the encoded

@@ -18,7 +18,6 @@
 package audit
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/frame"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
@@ -114,15 +114,8 @@ type Checkpoint struct {
 }
 
 func checkpointBytes(seq uint64, head [32]byte, ts time.Time) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/audit-checkpoint/v1\x00")
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	buf.Write(b[:])
-	buf.Write(head[:])
-	binary.BigEndian.PutUint64(b[:], uint64(ts.UnixNano()))
-	buf.Write(b[:])
-	return buf.Bytes()
+	b := binary.BigEndian.AppendUint64([]byte("medvault/audit-checkpoint/v1\x00"), seq)
+	return frame.AppendTime(append(b, head[:]...), ts)
 }
 
 // Verify checks the checkpoint signature.
@@ -420,23 +413,16 @@ func (l *Log) Events() []Event {
 // string is versioned with the field set: v2 added Trace, so a v1 chain
 // cannot be passed off as v2 (or vice versa) by zero-filling the new field.
 func eventHash(e Event) [32]byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/audit-event/v2\x00")
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], e.Seq)
-	buf.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(e.Timestamp.UnixNano()))
-	buf.Write(b[:])
+	b := make([]byte, 0, 160+len(e.Actor)+len(e.Record)+len(e.Detail)+len(e.Trace))
+	b = append(b, "medvault/audit-event/v2\x00"...)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = frame.AppendTime(b, e.Timestamp)
 	// Length-prefix strings so field boundaries cannot be confused.
-	for _, s := range []string{e.Actor, string(e.Action), e.Record, string(e.Outcome), e.Detail, e.Trace} {
-		binary.BigEndian.PutUint32(b[:4], uint32(len(s)))
-		buf.Write(b[:4])
-		buf.WriteString(s)
+	for _, s := range [...]string{e.Actor, string(e.Action), e.Record, string(e.Outcome), e.Detail, e.Trace} {
+		b = frame.AppendStr(b, s)
 	}
-	binary.BigEndian.PutUint64(b[:], e.Version)
-	buf.Write(b[:])
-	buf.Write(e.PrevHash[:])
-	return vcrypto.Hash(buf.Bytes())
+	b = binary.BigEndian.AppendUint64(b, e.Version)
+	return vcrypto.Hash(append(b, e.PrevHash[:]...))
 }
 
 // String renders an event as one log line.

@@ -1,11 +1,10 @@
 package audit
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"time"
+
+	"medvault/internal/frame"
 )
 
 // Persisted event layout (all integers big-endian):
@@ -21,118 +20,36 @@ import (
 const codecVersion = 2
 
 func encodeEvent(e Event) []byte {
-	var buf bytes.Buffer
-	writeU16(&buf, codecVersion)
-	writeU64(&buf, e.Seq)
-	writeU64(&buf, uint64(e.Timestamp.UnixNano()))
-	writeStr(&buf, e.Actor)
-	writeStr(&buf, string(e.Action))
-	writeStr(&buf, e.Record)
-	writeU64(&buf, e.Version)
-	writeStr(&buf, string(e.Outcome))
-	writeStr(&buf, e.Detail)
-	writeStr(&buf, e.Trace)
-	buf.Write(e.PrevHash[:])
-	buf.Write(e.Hash[:])
-	writeBytes(&buf, e.MAC)
-	return buf.Bytes()
+	b := make([]byte, 0, 160+len(e.Actor)+len(e.Record)+len(e.Detail)+len(e.Trace))
+	b = binary.BigEndian.AppendUint16(b, codecVersion)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendStr(b, e.Actor)
+	b = frame.AppendStr(b, string(e.Action))
+	b = frame.AppendStr(b, e.Record)
+	b = binary.BigEndian.AppendUint64(b, e.Version)
+	b = frame.AppendStr(b, string(e.Outcome))
+	b = frame.AppendStr(b, e.Detail)
+	b = frame.AppendStr(b, e.Trace)
+	b = append(b, e.PrevHash[:]...)
+	b = append(b, e.Hash[:]...)
+	return frame.AppendBytes(b, e.MAC)
 }
 
 func decodeEvent(data []byte) (Event, error) {
-	r := bytes.NewReader(data)
-	ver, err := readU16(r)
-	if err != nil || ver != codecVersion {
+	r := frame.NewReader(data)
+	if ver := r.U16(); ver != codecVersion {
 		return Event{}, fmt.Errorf("%w: version %d", ErrCorrupt, ver)
 	}
-	var e Event
-	fields := []func() error{
-		func() error { e.Seq, err = readU64(r); return err },
-		func() error {
-			ns, err := readU64(r)
-			e.Timestamp = time.Unix(0, int64(ns)).UTC()
-			return err
-		},
-		func() error { s, err := readStr(r); e.Actor = s; return err },
-		func() error { s, err := readStr(r); e.Action = Action(s); return err },
-		func() error { s, err := readStr(r); e.Record = s; return err },
-		func() error { e.Version, err = readU64(r); return err },
-		func() error { s, err := readStr(r); e.Outcome = Outcome(s); return err },
-		func() error { s, err := readStr(r); e.Detail = s; return err },
-		func() error { s, err := readStr(r); e.Trace = s; return err },
-		func() error { _, err := io.ReadFull(r, e.PrevHash[:]); return err },
-		func() error { _, err := io.ReadFull(r, e.Hash[:]); return err },
-		func() error { b, err := readBytesField(r); e.MAC = b; return err },
+	e := Event{
+		Seq: r.U64(), Timestamp: r.Time(), Actor: r.Str(), Action: Action(r.Str()), Record: r.Str(),
+		Version: r.U64(), Outcome: Outcome(r.Str()), Detail: r.Str(), Trace: r.Str(),
 	}
-	for _, f := range fields {
-		if err := f(); err != nil {
-			return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	if r.Len() != 0 {
-		return Event{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
+	r.Fixed(e.PrevHash[:])
+	r.Fixed(e.Hash[:])
+	e.MAC = r.Bytes()
+	if err := r.Done(); err != nil {
+		return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return e, nil
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	buf.Write(b[:])
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(p)))
-	buf.Write(b[:])
-	buf.Write(p)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
-}
-
-func readU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
-}
-
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -1,0 +1,66 @@
+package audit
+
+import (
+	"testing"
+	"time"
+
+	"medvault/internal/frame"
+)
+
+func goldenHash(seed byte) (h [32]byte) {
+	for i := range h {
+		h[i] = seed + byte(i)
+	}
+	return h
+}
+
+// TestGoldenEvent pins the persisted v2 event layout and the two byte
+// strings the chain hashes and signs.
+func TestGoldenEvent(t *testing.T) {
+	ev := Event{
+		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
+		Action: ActionCorrect, Record: "p1-enc-0", Version: 2, Outcome: OutcomeAllowed,
+		Detail: "fix dose", Trace: "trace-1", PrevHash: goldenHash(0x10), Hash: goldenHash(0x40),
+		MAC: []byte{0xa1, 0xa2, 0xa3, 0xa4},
+	}
+	frame.CheckGolden(t,
+		frame.Golden{
+			Name: "audit event v2",
+			Hex: "000200000000000000031083bab1fa12cd150000000464722d6100000007636f72726563740000000870312d656e632d" +
+				"30000000000000000200000007616c6c6f7765640000000866697820646f73650000000774726163652d311011121314" +
+				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f404142434445464748494a4b4c4d4e4f5051525354" +
+				"55565758595a5b5c5d5e5f00000004a1a2a3a4",
+			Encode:  func() []byte { return encodeEvent(ev) },
+			Decode:  func(b []byte) (any, error) { return decodeEvent(b) },
+			Want:    ev,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:   "audit event hash domain",
+			Hex:    "2056879974276f0be75eae62cc9a4ed30ed29da9eb01e67f6d23378dfed4f744",
+			Encode: func() []byte { h := eventHash(ev); return h[:] },
+		},
+		frame.Golden{
+			Name: "audit checkpoint signing bytes",
+			Hex: "6d65647661756c742f61756469742d636865636b706f696e742f7631000000000000000007404142434445464748494a" +
+				"4b4c4d4e4f505152535455565758595a5b5c5d5e5f1083bab1fa12cd15",
+			Encode: func() []byte { return checkpointBytes(7, goldenHash(0x40), ev.Timestamp) },
+		},
+	)
+}
+
+// BenchmarkAblationCodecAuditEvent is the audit-event case of the root
+// BenchmarkAblationCodec (the encoder is unexported, so it lives here): one
+// event encoding plus its hash-domain bytes, as every audited operation pays.
+func BenchmarkAblationCodecAuditEvent(b *testing.B) {
+	ev := Event{
+		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
+		Action: ActionCorrect, Record: "p1-enc-0", Version: 2, Outcome: OutcomeAllowed,
+		Detail: "fix dose", Trace: "trace-1", MAC: make([]byte, 32),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev.Hash = eventHash(ev)
+		encodeEvent(ev)
+	}
+}

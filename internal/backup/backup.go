@@ -21,15 +21,13 @@
 package backup
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
 	"medvault/internal/core"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
 )
 
@@ -61,22 +59,21 @@ type Manifest struct {
 }
 
 func (m Manifest) signedBytes() []byte {
-	var buf bytes.Buffer
-	writeStr(&buf, m.System)
-	writeU64(&buf, uint64(m.Timestamp.UnixNano()))
+	b := frame.AppendStr(nil, m.System)
+	b = frame.AppendTime(b, m.Timestamp)
 	if m.Full {
-		buf.WriteByte(1)
+		b = append(b, 1)
 	} else {
-		buf.WriteByte(0)
+		b = append(b, 0)
 	}
-	writeU64(&buf, uint64(m.BaseStamp.UnixNano()))
-	writeU32(&buf, uint32(len(m.Entries)))
+	b = frame.AppendTime(b, m.BaseStamp)
+	b = frame.AppendCount(b, len(m.Entries))
 	for _, e := range m.Entries {
-		writeStr(&buf, e.ID)
-		writeU32(&buf, uint32(e.Versions))
-		buf.Write(e.SealedHash[:])
+		b = frame.AppendStr(b, e.ID)
+		b = frame.AppendCount(b, e.Versions)
+		b = append(b, e.SealedHash[:]...)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // Verify checks the manifest signature against the embedded key; callers
@@ -215,171 +212,56 @@ func Restore(arch *Archive, key vcrypto.Key, target core.API, actor string) (int
 //
 // Layout: magic "MVBK" | bytes manifest | u32 n { str id | bytes sealed }*
 func Encode(arch *Archive) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("MVBK")
-	writeBytes(&buf, encodeManifest(arch.Manifest))
-	writeU32(&buf, uint32(len(arch.Manifest.Entries)))
+	b := frame.AppendBytes([]byte(archiveMagic), encodeManifest(arch.Manifest))
+	b = frame.AppendCount(b, len(arch.Manifest.Entries))
 	for _, e := range arch.Manifest.Entries {
-		writeStr(&buf, e.ID)
-		writeBytes(&buf, arch.Sealed[e.ID])
+		b = frame.AppendStr(b, e.ID)
+		b = frame.AppendBytes(b, arch.Sealed[e.ID])
 	}
-	return buf.Bytes()
+	return b
 }
+
+const archiveMagic = "MVBK"
 
 // Decode parses the output of Encode.
 func Decode(data []byte) (*Archive, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != "MVBK" {
+	r := frame.NewReader(data)
+	if !r.Magic(archiveMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrArchiveInvalid)
 	}
-	mBytes, err := readBytesField(r)
-	if err != nil {
+	mBytes := r.Bytes()
+	arch := &Archive{Sealed: make(map[string][]byte)}
+	for i, n := 0, r.Count(8); i < n; i++ { // id and sealed bundle: two length prefixes
+		id := r.Str()
+		arch.Sealed[id] = r.Bytes()
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
 	}
-	m, err := decodeManifest(mBytes)
-	if err != nil {
+	var err error
+	if arch.Manifest, err = decodeManifest(mBytes); err != nil {
 		return nil, err
-	}
-	arch := &Archive{Manifest: m, Sealed: make(map[string][]byte)}
-	n, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	for i := uint32(0); i < n; i++ {
-		id, err := readStr(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-		}
-		sealed, err := readBytesField(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-		}
-		arch.Sealed[id] = sealed
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrArchiveInvalid)
 	}
 	return arch, nil
 }
 
 func encodeManifest(m Manifest) []byte {
-	var buf bytes.Buffer
-	buf.Write(m.signedBytes())
-	writeBytes(&buf, m.SourceKey)
-	writeBytes(&buf, m.Signature)
-	return buf.Bytes()
+	b := frame.AppendBytes(m.signedBytes(), m.SourceKey)
+	return frame.AppendBytes(b, m.Signature)
 }
 
 func decodeManifest(data []byte) (Manifest, error) {
-	r := bytes.NewReader(data)
-	var m Manifest
-	var err error
-	if m.System, err = readStr(r); err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	ts, err := readU64(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	m.Timestamp = time.Unix(0, int64(ts)).UTC()
-	fb, err := r.ReadByte()
-	if err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	m.Full = fb == 1
-	bs, err := readU64(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	m.BaseStamp = time.Unix(0, int64(bs)).UTC()
-	n, err := readU32(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	for i := uint32(0); i < n; i++ {
-		var e Entry
-		if e.ID, err = readStr(r); err != nil {
-			return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-		}
-		vn, err := readU32(r)
-		if err != nil {
-			return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-		}
-		e.Versions = int(vn)
-		if _, err := io.ReadFull(r, e.SealedHash[:]); err != nil {
-			return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-		}
+	r := frame.NewReader(data)
+	m := Manifest{System: r.Str(), Timestamp: r.Time(), Full: r.U8() == 1, BaseStamp: r.Time()}
+	for i, n := 0, r.Count(4+4+32); i < n; i++ {
+		e := Entry{ID: r.Str(), Versions: int(r.U32())}
+		r.Fixed(e.SealedHash[:])
 		m.Entries = append(m.Entries, e)
 	}
-	key, err := readBytesField(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	m.SourceKey = vcrypto.PublicKey(key)
-	if m.Signature, err = readBytesField(r); err != nil {
-		return m, fmt.Errorf("%w: %v", ErrArchiveInvalid, err)
-	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: trailing manifest bytes", ErrArchiveInvalid)
+	m.SourceKey = vcrypto.PublicKey(r.Bytes())
+	m.Signature = r.Bytes()
+	if err := r.Done(); err != nil {
+		return Manifest{}, fmt.Errorf("%w: manifest: %v", ErrArchiveInvalid, err)
 	}
 	return m, nil
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	writeU32(buf, uint32(len(p)))
-	buf.Write(p)
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
-}
-
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

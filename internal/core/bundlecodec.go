@@ -1,13 +1,12 @@
 package core
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"medvault/internal/ehr"
+	"medvault/internal/frame"
 	"medvault/internal/provenance"
 	"medvault/internal/vcrypto"
 )
@@ -25,82 +24,54 @@ var ErrBadBundle = errors.New("core: corrupt export bundle encoding")
 //	{ bytes record | str author | u64 number | i64 tsNano | 32B plainHash }*
 //	u32 nCustody { bytes provenanceEvent }*
 func EncodeBundle(b ExportBundle) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("MVXB")
-	writeStr(&buf, b.ID)
-	writeStr(&buf, string(b.Category))
-	writeU32(&buf, uint32(len(b.Versions)))
+	out := frame.AppendStr([]byte(bundleMagic), b.ID)
+	out = frame.AppendStr(out, string(b.Category))
+	out = frame.AppendCount(out, len(b.Versions))
 	for _, ev := range b.Versions {
-		writeBytes(&buf, ehr.Encode(ev.Record))
-		writeStr(&buf, ev.Version.Author)
-		writeU64(&buf, ev.Version.Number)
-		writeU64(&buf, uint64(ev.Version.Timestamp.UnixNano()))
-		buf.Write(ev.PlainHash[:])
+		out = frame.AppendBytes(out, ehr.Encode(ev.Record))
+		out = frame.AppendStr(out, ev.Version.Author)
+		out = binary.BigEndian.AppendUint64(out, ev.Version.Number)
+		out = frame.AppendTime(out, ev.Version.Timestamp)
+		out = append(out, ev.PlainHash[:]...)
 	}
-	writeU32(&buf, uint32(len(b.Custody)))
+	out = frame.AppendCount(out, len(b.Custody))
 	for _, ce := range b.Custody {
-		writeBytes(&buf, provenance.EncodeEvent(ce))
+		out = frame.AppendBytes(out, provenance.EncodeEvent(ce))
 	}
-	return buf.Bytes()
+	return out
 }
+
+const bundleMagic = "MVXB"
 
 // DecodeBundle parses the output of EncodeBundle.
 func DecodeBundle(data []byte) (ExportBundle, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != "MVXB" {
+	r := frame.NewReader(data)
+	if !r.Magic(bundleMagic) {
 		return ExportBundle{}, fmt.Errorf("%w: bad magic", ErrBadBundle)
 	}
-	var b ExportBundle
-	id, err := readStr(r)
-	if err != nil {
-		return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-	}
-	b.ID = id
-	cat, err := readStr(r)
-	if err != nil {
-		return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-	}
-	b.Category = ehr.Category(cat)
-	nVer, err := readU32(r)
-	if err != nil {
-		return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-	}
-	for i := uint32(0); i < nVer; i++ {
-		recBytes, err := readBytesField(r)
-		if err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-		}
-		rec, err := ehr.Decode(recBytes)
-		if err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-		}
+	b := ExportBundle{ID: r.Str(), Category: ehr.Category(r.Str())}
+	// A short read leaves the loops early and is reported by Done, not as a
+	// nested decoder's complaint about a zero-length field.
+	for i, n := 0, r.Count(4+4+8+8+32); i < n; i++ {
 		var ev ExportedVersion
-		ev.Record = rec
-		if ev.Version.Author, err = readStr(r); err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
+		recBytes := r.Bytes()
+		ev.Version.Author = r.Str()
+		ev.Version.Number = r.U64()
+		ev.Version.Timestamp = r.Time()
+		r.Fixed(ev.PlainHash[:])
+		if r.Err() != nil {
+			break
 		}
-		if ev.Version.Number, err = readU64(r); err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-		}
-		tsNano, err := readU64(r)
-		if err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-		}
-		ev.Version.Timestamp = time.Unix(0, int64(tsNano)).UTC()
-		if _, err := io.ReadFull(r, ev.PlainHash[:]); err != nil {
+		var err error
+		if ev.Record, err = ehr.Decode(recBytes); err != nil {
 			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
 		}
 		b.Versions = append(b.Versions, ev)
 	}
-	nCust, err := readU32(r)
-	if err != nil {
-		return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
-	}
-	for i := uint32(0); i < nCust; i++ {
-		ceBytes, err := readBytesField(r)
-		if err != nil {
-			return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
+	for i, n := 0, r.Count(4); i < n; i++ {
+		ceBytes := r.Bytes()
+		if r.Err() != nil {
+			break
 		}
 		ce, err := provenance.DecodeEvent(ceBytes)
 		if err != nil {
@@ -108,8 +79,8 @@ func DecodeBundle(data []byte) (ExportBundle, error) {
 		}
 		b.Custody = append(b.Custody, ce)
 	}
-	if r.Len() != 0 {
-		return ExportBundle{}, fmt.Errorf("%w: trailing bytes", ErrBadBundle)
+	if err := r.Done(); err != nil {
+		return ExportBundle{}, fmt.Errorf("%w: %v", ErrBadBundle, err)
 	}
 	return b, nil
 }
@@ -130,10 +101,5 @@ func VerifySignature(pub vcrypto.PublicKey, purpose string, data, sig []byte) er
 }
 
 func signingBytes(purpose string, data []byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/sig/")
-	buf.WriteString(purpose)
-	buf.WriteByte(0)
-	buf.Write(data)
-	return buf.Bytes()
+	return append([]byte("medvault/sig/"+purpose+"\x00"), data...)
 }

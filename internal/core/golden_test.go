@@ -1,0 +1,197 @@
+package core
+
+import (
+	"encoding/hex"
+	"testing"
+	"time"
+
+	"medvault/internal/blockstore"
+	"medvault/internal/ehr"
+	"medvault/internal/frame"
+	"medvault/internal/provenance"
+	"medvault/internal/vcrypto"
+)
+
+var goldenTime = time.Unix(0, 1190000000123456789).UTC()
+
+func goldenHash(seed byte) (h [32]byte) {
+	for i := range h {
+		h[i] = seed + byte(i)
+	}
+	return h
+}
+
+// goldenMetaSnap is a real meta.snap written by the commit that introduced
+// these vectors: one record with a correction, one shredded record, one
+// legal hold. Its keystore and index sections are sealed with that run's
+// nonces, so the vector pins the layout by decode + byte-identical re-encode.
+const goldenMetaSnap = "4d564d5300030000000000000003000000020000000870312d656e632d3000000008636c696e6963616c000000027031" +
+	"0018bfa7bb37dda000000000020000000864722d686f757365000000000000000100000000000000000000000093a508" +
+	"927b06b6843e4ddb7d70e56666d8a4c7397aad47786e410acb7a0b7ef518bfa7bb37dda0000000000000000000000000" +
+	"0864722d686f75736500000000000000020000000000000000000000f595e975e18d923d11255a3a8c7a618231ed8869" +
+	"33e8587d0fbe1a630c7d20e1e918bfa7c93024f80000000000000000020000000870322d656e632d3000000008636c69" +
+	"6e6963616c0000000270320118bfa7bb37dda000000000010000000864722d686f757365000000000000000100000000" +
+	"000000000000007c0c24d2be22a50b85e20099a23a8e1fae6443bd29ef968b790ab4aadccf1be5bf18bfa7bb37dda000" +
+	"0000000000000001000000664d564b530001000000010000000870312d656e632d300000003ce0982f67aecfed2755a0" +
+	"4117d981d90683fc7be82254f53169a64a396ddcc71b24fc5b457442a4a21206dc9595df4a9eb35fcfd4dc0955f471d2" +
+	"57fa000000010000000870322d656e632d300000006400000003fbfef4233fbfb49db01d7c6a4d31ae0c329076b8e2b0" +
+	"0c135c01716d6d2abf27e5ec2fcf5a95455eccf7d08446d0b9113608ee7777f81cbd99fcb41f981dbf161dbd54b3e760" +
+	"273bd13e98bfc0eeab0efc185efe23236b81f5b3c10e87e1f681000002664d5653580001000000030000004030373832" +
+	"646638653430626661336362333731643063313735396239303966316464396562386439666565616161633866333263" +
+	"6631663232393161373766620000002cd626c8641842e28257691bf65962e8b2254cfaf2114d321cf9063be5f41744d7" +
+	"437cc6b0602d453b945a4054000000403236303336353737383836366636363963636636613835633634396535343265" +
+	"65366134336539613737373336666263373165666330613662366665626634330000002cb355104ae473bc029680c8f2" +
+	"86d7a15b6afe93634f705a8a2f5a4da1da0336bfba07e8fab24a0a4a13f5ffa200000040336530386165633133356331" +
+	"663863346234393761313163626230363338336266313433396238363731303132303530343663393431363362306663" +
+	"356435660000002c2d330c4daa82dd26c047b649286228a2fac1d13138b6fc8ab41b3594255d0d99076795d62cd74c0a" +
+	"5e614a1d000000fc24bc7d457aef8247ecc84280aebcc3b4e1616c914eb64bb219f9d47a68a0398e9a7226276d092fd5" +
+	"3c675bda5b97ba0d66b31c5f4c287311da44ddda46b04ae9ff284f8b2692f5fce272a0a158ac71327db80a09fd278e37" +
+	"55a09abb4f1dbc5d8a5ebe62a9756f619c05cc5accea6a0177851b91861e51bf3f00d41b39a439417c6850b5a8d8fc53" +
+	"e40a3a000a07f044088f1012d41db661b05c78bda29cb3a1c2c6741100cfc9c2c5b0163e519af3e13543cad024ba1118" +
+	"f00c7226357fe282f0073eb571514bb5e519f7ebf421d7a328db3a5685d28f44a6ac178cadd11d41343b7244fe3c31cf" +
+	"16dc2644e8f806f8a0cd91124b3bad2825199677000000010000000870312d656e632d300000000a6c69746967617469" +
+	"6f6e18bfa7c93024f800"
+
+// TestGoldenWALEntries pins the four metadata WAL entry layouts and the two
+// byte strings core hashes and signs.
+func TestGoldenWALEntries(t *testing.T) {
+	ver := Version{
+		Number: 2, Author: "dr-a", Timestamp: goldenTime,
+		Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20),
+	}
+	created := goldenTime.Add(-time.Hour)
+	decode := func(b []byte) (any, error) { return decodeWALEntry(b) }
+	frame.CheckGolden(t,
+		frame.Golden{
+			Name: "WAL V entry",
+			Hex: "560000000870312d656e632d30000000036c61620000000270310000000464722d610000000000000002000000030000" +
+				"000000001000202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083bab1fa12cd151083" +
+				"b76bc95a2d1500000003d1d2d3",
+			Encode: func() []byte {
+				return encodeVersionEntry("p1-enc-0", ehr.CategoryLab, "p1", ver, created, []byte{0xd1, 0xd2, 0xd3})
+			},
+			Decode: decode,
+			Want: walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
+				created: created, wrappedDEK: []byte{0xd1, 0xd2, 0xd3}},
+		},
+		frame.Golden{
+			Name:   "WAL S entry",
+			Hex:    "530000000870312d656e632d30",
+			Encode: func() []byte { return encodeShredEntry("p1-enc-0") },
+			Decode: decode,
+			Want:   walEntry{kind: 'S', id: "p1-enc-0"},
+		},
+		frame.Golden{
+			Name:   "WAL H entry",
+			Hex:    "480000000870312d656e632d300000000a6c697469676174696f6e1083bab1fa12cd15",
+			Encode: func() []byte { return encodeHoldEntry("p1-enc-0", "litigation", goldenTime) },
+			Decode: decode,
+			Want:   walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime},
+		},
+		frame.Golden{
+			Name:   "WAL R entry",
+			Hex:    "520000000870312d656e632d30",
+			Encode: func() []byte { return encodeReleaseEntry("p1-enc-0") },
+			Decode: decode,
+			Want:   walEntry{kind: 'R', id: "p1-enc-0"},
+		},
+		frame.Golden{
+			Name: "merkle leaf data",
+			Hex: "7661756c742f6c6561662f7631000000000870312d656e632d300000000000000002202122232425262728292a2b2c2d" +
+				"2e2f303132333435363738393a3b3c3d3e3f",
+			Encode: func() []byte { return leafData("p1-enc-0", 2, goldenHash(0x20)) },
+		},
+		frame.Golden{
+			Name:   "purpose-bound signing bytes",
+			Hex:    "6d65647661756c742f7369672f6261636b75702d6d616e696665737400010203",
+			Encode: func() []byte { return signingBytes("backup-manifest", []byte{1, 2, 3}) },
+		},
+	)
+}
+
+// TestGoldenBundle pins the export bundle layout (migration and backup
+// payload), which nests the ehr and provenance encodings.
+func TestGoldenBundle(t *testing.T) {
+	rec := ehr.Record{
+		ID: "p1-enc-0", Patient: "Ada L.", MRN: "p1", Category: ehr.CategoryClinical,
+		Author: "dr-a", CreatedAt: goldenTime, Title: "Visit", Body: "note text", Codes: []string{"I10"},
+	}
+	bundle := ExportBundle{
+		ID: "p1-enc-0", Category: ehr.CategoryClinical,
+		Versions: []ExportedVersion{{
+			Record:    rec,
+			Version:   Version{Number: 1, Author: "dr-a", Timestamp: goldenTime},
+			PlainHash: goldenHash(0x50),
+		}},
+		Custody: []provenance.Event{{
+			Record: "p1-enc-0", Type: provenance.EventCreated, Timestamp: goldenTime, Actor: "dr-a",
+			System: "vault-a", ContentHash: goldenHash(0x50), Hash: goldenHash(0x70),
+			SignerKey: vcrypto.PublicKey{0xb1, 0xb2}, Signature: []byte{0xc1},
+		}},
+	}
+	frame.CheckGolden(t, frame.Golden{
+		Name: "export bundle",
+		Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000010000005d4d5652310000000870312d65" +
+			"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000464722d611083bab1fa12cd15" +
+			"000000055669736974000000096e6f7465207465787400000001000000034931300000000464722d6100000000000000" +
+			"011083bab1fa12cd15505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f00000001000000" +
+			"ab00010000000870312d656e632d30000000000000000000000007637265617465641083bab1fa12cd15000000046472" +
+			"2d61000000077661756c742d6100000000505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e" +
+			"6f0000000000000000000000000000000000000000000000000000000000000000707172737475767778797a7b7c7d7e" +
+			"7f808182838485868788898a8b8c8d8e8f00000002b1b200000001c1",
+		Encode:  func() []byte { return EncodeBundle(bundle) },
+		Decode:  func(b []byte) (any, error) { return DecodeBundle(b) },
+		Want:    bundle,
+		Corrupt: ErrBadBundle,
+	})
+}
+
+// TestGoldenMetaSnapshot pins meta.snap through the one decoder recovery and
+// ReplicaHeads share.
+func TestGoldenMetaSnapshot(t *testing.T) {
+	want, _ := hex.DecodeString(goldenMetaSnap)
+	frame.CheckGolden(t, frame.Golden{
+		Name: "meta.snap",
+		Hex:  goldenMetaSnap,
+		Decode: func(b []byte) (any, error) {
+			s, err := decodeSnapshot(b)
+			if err != nil {
+				return nil, err
+			}
+			return s.encode(), nil
+		},
+		Want: want,
+	})
+	s, err := decodeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.leafSeq != 3 || len(s.leaves) != 3 || len(s.records) != 2 {
+		t.Fatalf("decoded leafSeq=%d leaves=%d records=%d, want 3/3/2", s.leafSeq, len(s.leaves), len(s.records))
+	}
+	kept, shredded := s.records[0], s.records[1]
+	if kept.id != "p1-enc-0" || kept.category != ehr.CategoryClinical || kept.mrn != "p1" || kept.flags != 0 ||
+		len(kept.versions) != 2 || kept.versions[1].Number != 2 || kept.versions[1].LeafIndex != 2 {
+		t.Errorf("kept record decoded as %+v", kept)
+	}
+	if shredded.id != "p2-enc-0" || shredded.flags != 1 || len(shredded.versions) != 1 {
+		t.Errorf("shredded record decoded as %+v", shredded)
+	}
+	if len(s.holds) != 1 || s.holds[0].Record != "p1-enc-0" || s.holds[0].Reason != "litigation" ||
+		!s.holds[0].Placed.Equal(kept.versions[1].Timestamp) {
+		t.Errorf("holds decoded as %+v", s.holds)
+	}
+}
+
+// BenchmarkAblationCodecWALVEntry is the WAL-entry case of the root
+// BenchmarkAblationCodec (the encoders are unexported, so it lives here): the
+// 'V' entry and the Merkle leaf data every put and correction encodes.
+func BenchmarkAblationCodecWALVEntry(b *testing.B) {
+	ver := Version{Number: 2, Author: "dr-a", Timestamp: goldenTime, Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20)}
+	dek := make([]byte, 60)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		encodeVersionEntry("p1-enc-0", ehr.CategoryLab, "p1", ver, goldenTime, dek)
+		leafData("p1-enc-0", 2, ver.CtHash)
+	}
+}

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/index"
 	"medvault/internal/merkle"
+	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 )
 
@@ -25,25 +24,29 @@ import (
 // WAL entry layouts (integers big-endian, str is u32 len || bytes):
 //
 //	'V' version-append:
-//	    u8 'V' | str id | str category | str mrn | str author |
-//	    u64 versionNumber | u32 refSegment | u64 refOffset | 32B ctHash |
-//	    i64 versionNano | i64 createdNano |
-//	    str wrappedDEK (empty for versions > 1)
+//	    u8 'V' | str id | str category | str mrn | version |
+//	    i64 createdNano | str wrappedDEK (empty for versions > 1)
 //	'S' shred:
 //	    u8 'S' | str id
 //	'H' legal hold:
 //	    u8 'H' | str id | str reason | i64 placedNano
 //	'R' hold release:
 //	    u8 'R' | str id
+//
+// where version, shared with the snapshot, is
+//
+//	str author | u64 number | u32 refSegment | u64 refOffset | 32B ctHash |
+//	i64 versionNano
+//
+// decodeWALEntry is the only parser of these layouts: recovery applies what
+// it returns, and ReplicaHeads derives Merkle leaves from the same struct.
 
 // leafData is what the Merkle log commits to per version.
 func leafData(id string, version uint64, ctHash [32]byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("vault/leaf/v1\x00")
-	writeStr(&buf, id)
-	writeU64(&buf, version)
-	buf.Write(ctHash[:])
-	return buf.Bytes()
+	b := append(make([]byte, 0, 64+len(id)), "vault/leaf/v1\x00"...)
+	b = frame.AppendStr(b, id)
+	b = binary.BigEndian.AppendUint64(b, version)
+	return append(b, ctHash[:]...)
 }
 
 // sealAAD binds a ciphertext to its record and version.
@@ -51,130 +54,106 @@ func sealAAD(id string, version uint64) []byte {
 	return []byte(fmt.Sprintf("%s/v%d", id, version))
 }
 
-func encodeVersionEntry(id string, category ehr.Category, mrn string, ver Version, created time.Time, wrappedDEK []byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('V')
-	writeStr(&buf, id)
-	writeStr(&buf, string(category))
-	writeStr(&buf, mrn)
-	writeStr(&buf, ver.Author)
-	writeU64(&buf, ver.Number)
-	writeU32(&buf, ver.Ref.Segment)
-	writeU64(&buf, ver.Ref.Offset)
-	buf.Write(ver.CtHash[:])
-	writeU64(&buf, uint64(ver.Timestamp.UnixNano()))
-	writeU64(&buf, uint64(created.UnixNano()))
-	writeBytes(&buf, wrappedDEK)
-	return buf.Bytes()
+func appendVersion(b []byte, ver Version) []byte {
+	b = frame.AppendStr(b, ver.Author)
+	b = binary.BigEndian.AppendUint64(b, ver.Number)
+	b = binary.BigEndian.AppendUint32(b, ver.Ref.Segment)
+	b = binary.BigEndian.AppendUint64(b, ver.Ref.Offset)
+	b = append(b, ver.CtHash[:]...)
+	return frame.AppendTime(b, ver.Timestamp)
 }
 
-func encodeShredEntry(id string) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('S')
-	writeStr(&buf, id)
-	return buf.Bytes()
+func readVersion(r *frame.Reader) (ver Version) {
+	ver.Author = r.Str()
+	ver.Number = r.U64()
+	ver.Ref.Segment = r.U32()
+	ver.Ref.Offset = r.U64()
+	r.Fixed(ver.CtHash[:])
+	ver.Timestamp = r.Time()
+	return ver
 }
+
+// versionMinBytes is the shortest encoded version: an empty author.
+const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
+
+func encodeVersionEntry(id string, category ehr.Category, mrn string, ver Version, created time.Time, wrappedDEK []byte) []byte {
+	b := append(make([]byte, 0, 128+len(id)+len(mrn)+len(ver.Author)+len(wrappedDEK)), 'V')
+	b = frame.AppendStr(b, id)
+	b = frame.AppendStr(b, string(category))
+	b = frame.AppendStr(b, mrn)
+	b = appendVersion(b, ver)
+	b = frame.AppendTime(b, created)
+	return frame.AppendBytes(b, wrappedDEK)
+}
+
+func encodeShredEntry(id string) []byte { return frame.AppendStr([]byte{'S'}, id) }
 
 func encodeHoldEntry(id, reason string, placed time.Time) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('H')
-	writeStr(&buf, id)
-	writeStr(&buf, reason)
-	writeU64(&buf, uint64(placed.UnixNano()))
-	return buf.Bytes()
+	b := frame.AppendStr([]byte{'H'}, id)
+	b = frame.AppendStr(b, reason)
+	return frame.AppendTime(b, placed)
 }
 
-func encodeReleaseEntry(id string) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('R')
-	writeStr(&buf, id)
-	return buf.Bytes()
+func encodeReleaseEntry(id string) []byte { return frame.AppendStr([]byte{'R'}, id) }
+
+// walEntry is one decoded metadata WAL entry; kind says which fields beyond
+// id are meaningful.
+type walEntry struct {
+	kind       byte // 'V', 'S', 'H' or 'R'
+	id         string
+	category   ehr.Category // V
+	mrn        string       // V
+	ver        Version      // V (LeafIndex is assigned at replay, not logged)
+	created    time.Time    // V
+	wrappedDEK []byte       // V
+	reason     string       // H
+	placed     time.Time    // H
+}
+
+func decodeWALEntry(data []byte) (walEntry, error) {
+	if len(data) == 0 {
+		return walEntry{}, fmt.Errorf("core: empty WAL entry")
+	}
+	r := frame.NewReader(data)
+	e := walEntry{kind: r.U8(), id: r.Str()}
+	switch e.kind {
+	case 'V':
+		e.category = ehr.Category(r.Str())
+		e.mrn = r.Str()
+		e.ver = readVersion(r)
+		e.created = r.Time()
+		e.wrappedDEK = r.Bytes()
+	case 'H':
+		e.reason = r.Str()
+		e.placed = r.Time()
+	case 'S', 'R':
+	default:
+		return walEntry{}, fmt.Errorf("core: unknown WAL entry kind 0x%02x", e.kind)
+	}
+	if err := r.Done(); err != nil {
+		return walEntry{}, fmt.Errorf("core: WAL %c entry: %w", e.kind, err)
+	}
+	return e, nil
 }
 
 // applyWALEntry replays one metadata mutation during recovery. It rebuilds
 // derived state (Merkle leaves, index postings, retention tracking) from the
 // durable primitives.
 func (v *Vault) applyWALEntry(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("core: empty WAL entry")
+	e, err := decodeWALEntry(data)
+	if err != nil {
+		return err
 	}
-	r := bytes.NewReader(data[1:])
-	switch data[0] {
+	switch e.kind {
 	case 'V':
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		category, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		mrn, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		author, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		var ver Version
-		ver.Author = author
-		if ver.Number, err = readU64(r); err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		if ver.Ref.Segment, err = readU32(r); err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		if ver.Ref.Offset, err = readU64(r); err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		if _, err := io.ReadFull(r, ver.CtHash[:]); err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		tsNano, err := readU64(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		ver.Timestamp = time.Unix(0, int64(tsNano)).UTC()
-		createdNano, err := readU64(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		created := time.Unix(0, int64(createdNano)).UTC()
-		wrappedDEK, err := readBytesField(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL version entry: %w", err)
-		}
-		return v.replayVersion(id, ehr.Category(category), mrn, ver, created, wrappedDEK)
+		return v.replayVersion(e.id, e.category, e.mrn, e.ver, e.created, e.wrappedDEK)
 	case 'S':
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL shred entry: %w", err)
-		}
-		return v.replayShred(id)
+		return v.replayShred(e.id)
 	case 'H':
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL hold entry: %w", err)
-		}
-		reason, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL hold entry: %w", err)
-		}
-		placedNano, err := readU64(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL hold entry: %w", err)
-		}
-		return v.ret.PlaceHoldAt(id, reason, time.Unix(0, int64(placedNano)).UTC())
-	case 'R':
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: WAL release entry: %w", err)
-		}
-		v.ret.ReleaseHold(id)
+		return v.ret.PlaceHoldAt(e.id, e.reason, e.placed)
+	default: // 'R'
+		v.ret.ReleaseHold(e.id)
 		return nil
-	default:
-		return fmt.Errorf("core: unknown WAL entry kind 0x%02x", data[0])
 	}
 }
 
@@ -251,79 +230,141 @@ func (v *Vault) replayShred(id string) error {
 //
 //	magic "MVMS" | u16 version | u64 leafSeq |
 //	u32 nRecords { str id | str category | str mrn | u8 flags |
-//	               i64 createdNano | u32 nVersions { version fields }* }* |
+//	               i64 createdNano | u32 nVersions { version | u64 leafIndex }* }* |
 //	bytes keystoreSnapshot | bytes merkleLeafHashes | bytes indexSnapshot |
 //	u32 nHolds { str id | str reason | i64 placedNano }*
 //
 // flags: bit0 = shredded, bit1 = sanitized (ciphertext removed from media).
+// snapshot.encode and decodeSnapshot are the layout's only writer and reader.
 const (
 	snapMagic   = "MVMS"
 	snapVersion = 3
+
+	snapShredded  = 1
+	snapSanitized = 2
 )
+
+// snapshot is meta.snap as plain data: what recovery restores into a Vault
+// and what ReplicaHeads, keyless, takes leaf hashes and version counts from.
+type snapshot struct {
+	leafSeq  uint64
+	records  []snapRecord // sorted by id
+	keystore []byte       // vcrypto.KeyStore snapshot
+	leaves   []merkle.Hash
+	index    []byte // index.SSE snapshot
+	holds    []retention.Hold
+}
+
+type snapRecord struct {
+	id       string
+	category ehr.Category
+	mrn      string
+	flags    byte
+	created  time.Time
+	versions []Version
+}
+
+func (s *snapshot) encode() []byte {
+	b := binary.BigEndian.AppendUint16([]byte(snapMagic), snapVersion)
+	b = binary.BigEndian.AppendUint64(b, s.leafSeq)
+	b = frame.AppendCount(b, len(s.records))
+	for _, rec := range s.records {
+		b = frame.AppendStr(b, rec.id)
+		b = frame.AppendStr(b, string(rec.category))
+		b = frame.AppendStr(b, rec.mrn)
+		b = append(b, rec.flags)
+		b = frame.AppendTime(b, rec.created)
+		b = frame.AppendCount(b, len(rec.versions))
+		for _, ver := range rec.versions {
+			b = appendVersion(b, ver)
+			b = binary.BigEndian.AppendUint64(b, ver.LeafIndex)
+		}
+	}
+	b = frame.AppendBytes(b, s.keystore)
+	b = frame.AppendBytes(b, merkle.EncodeHashes(s.leaves))
+	b = frame.AppendBytes(b, s.index)
+	b = frame.AppendCount(b, len(s.holds))
+	for _, h := range s.holds {
+		b = frame.AppendStr(b, h.Record)
+		b = frame.AppendStr(b, h.Reason)
+		b = frame.AppendTime(b, h.Placed)
+	}
+	return b
+}
+
+func decodeSnapshot(data []byte) (*snapshot, error) {
+	r := frame.NewReader(data)
+	if !r.Magic(snapMagic) {
+		return nil, fmt.Errorf("core: snapshot has bad magic")
+	}
+	if r.U16() != snapVersion {
+		return nil, fmt.Errorf("core: unsupported snapshot version")
+	}
+	s := &snapshot{leafSeq: r.U64()}
+	s.records = make([]snapRecord, r.Count(3*4+1+8+4))
+	for i := range s.records {
+		rec := &s.records[i]
+		rec.id = r.Str()
+		rec.category = ehr.Category(r.Str())
+		rec.mrn = r.Str()
+		rec.flags = r.U8()
+		rec.created = r.Time()
+		rec.versions = make([]Version, r.Count(versionMinBytes+8))
+		for j := range rec.versions {
+			rec.versions[j] = readVersion(r)
+			rec.versions[j].LeafIndex = r.U64()
+		}
+	}
+	s.keystore = r.Bytes()
+	leafBytes := r.Bytes()
+	s.index = r.Bytes()
+	s.holds = make([]retention.Hold, r.Count(4+4+8))
+	for i := range s.holds {
+		s.holds[i] = retention.Hold{Record: r.Str(), Reason: r.Str(), Placed: r.Time()}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: truncated snapshot: %w", err)
+	}
+	var err error
+	if s.leaves, err = merkle.DecodeHashes(leafBytes); err != nil {
+		return nil, fmt.Errorf("core: restoring commitment log: %w", err)
+	}
+	return s, nil
+}
 
 // writeSnapshotLocked serializes vault metadata to disk; the caller holds
 // the op gate exclusively (Close, SanitizeMedia), so no operation is
 // mutating any record while the snapshot walks the registry.
 func (v *Vault) writeSnapshotLocked() error {
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	writeU16(&buf, snapVersion)
-	writeU64(&buf, v.leafSeq.Load())
-	ids := make([]string, 0, len(v.records))
-	for id := range v.records {
-		ids = append(ids, id)
+	s := snapshot{
+		leafSeq:  v.leafSeq.Load(),
+		keystore: v.keys.Snapshot(),
+		leaves:   v.log.Tree().LeafHashes(),
 	}
-	sort.Strings(ids)
-	writeU32(&buf, uint32(len(ids)))
-	for _, id := range ids {
+	for _, id := range sortedRecordIDs(v.records) {
 		st := v.records[id]
-		writeStr(&buf, id)
-		writeStr(&buf, string(st.category))
-		writeStr(&buf, st.mrn)
-		var flags byte
+		rec := snapRecord{id: id, category: st.category, mrn: st.mrn, created: st.created, versions: st.versions}
 		if st.shredded.Load() {
-			flags |= 1
+			rec.flags |= snapShredded
 		}
 		if st.sanitized {
-			flags |= 2
+			rec.flags |= snapSanitized
 		}
-		buf.WriteByte(flags)
-		writeU64(&buf, uint64(st.created.UnixNano()))
-		writeU32(&buf, uint32(len(st.versions)))
-		for _, ver := range st.versions {
-			writeStr(&buf, ver.Author)
-			writeU64(&buf, ver.Number)
-			writeU32(&buf, ver.Ref.Segment)
-			writeU64(&buf, ver.Ref.Offset)
-			buf.Write(ver.CtHash[:])
-			writeU64(&buf, uint64(ver.Timestamp.UnixNano()))
-			writeU64(&buf, ver.LeafIndex)
-		}
+		s.records = append(s.records, rec)
 	}
-	writeBytes(&buf, v.keys.Snapshot())
-	writeBytes(&buf, merkle.EncodeHashes(v.log.Tree().LeafHashes()))
-	idxSnap, err := v.idx.Snapshot()
-	if err != nil {
+	var err error
+	if s.index, err = v.idx.Snapshot(); err != nil {
 		return fmt.Errorf("core: snapshotting index: %w", err)
 	}
-	writeBytes(&buf, idxSnap)
 	// The retention manager may be shared across a cluster's shards; each
 	// shard snapshots only the holds on records it owns, so no shard restores
 	// (or double-restores) a sibling's holds.
-	holds := v.ret.Holds()[:0:0]
 	for _, h := range v.ret.Holds() {
 		if _, ok := v.records[h.Record]; ok {
-			holds = append(holds, h)
+			s.holds = append(s.holds, h)
 		}
 	}
-	writeU32(&buf, uint32(len(holds)))
-	for _, h := range holds {
-		writeStr(&buf, h.Record)
-		writeStr(&buf, h.Reason)
-		writeU64(&buf, uint64(h.Placed.UnixNano()))
-	}
-
-	if err := faultfs.WriteFileAtomic(v.fs, filepath.Join(v.dir, "meta.snap"), buf.Bytes(), 0o600); err != nil {
+	if err := faultfs.WriteFileAtomic(v.fs, filepath.Join(v.dir, "meta.snap"), s.encode(), 0o600); err != nil {
 		return fmt.Errorf("core: writing snapshot: %w", err)
 	}
 	return nil
@@ -341,209 +382,41 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 		return fmt.Errorf("core: reading snapshot: %w", err)
 	}
 	v.recovery.SnapshotLoaded = true
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapMagic {
-		return fmt.Errorf("core: snapshot has bad magic")
-	}
-	if ver, err := readU16(r); err != nil || ver != snapVersion {
-		return fmt.Errorf("core: unsupported snapshot version")
-	}
-	leafSeq, err := readU64(r)
+	s, err := decodeSnapshot(data)
 	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
+		return err
 	}
-	v.leafSeq.Store(leafSeq)
-	nRecords, err := readU32(r)
-	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	for i := uint32(0); i < nRecords; i++ {
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		category, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		mrn, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		flags, err := r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		createdNano, err := readU64(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		nVersions, err := readU32(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
+	v.leafSeq.Store(s.leafSeq)
+	for _, rec := range s.records {
 		st := &recordState{
-			category:  ehr.Category(category),
-			mrn:       mrn,
-			created:   time.Unix(0, int64(createdNano)).UTC(),
-			sanitized: flags&2 != 0,
+			category:  rec.category,
+			mrn:       rec.mrn,
+			created:   rec.created,
+			sanitized: rec.flags&snapSanitized != 0,
+			versions:  rec.versions,
 		}
-		st.shredded.Store(flags&1 != 0)
-		for j := uint32(0); j < nVersions; j++ {
-			var ver Version
-			if ver.Author, err = readStr(r); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			if ver.Number, err = readU64(r); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			if ver.Ref.Segment, err = readU32(r); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			if ver.Ref.Offset, err = readU64(r); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			if _, err = io.ReadFull(r, ver.CtHash[:]); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			tsNano, err := readU64(r)
-			if err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			ver.Timestamp = time.Unix(0, int64(tsNano)).UTC()
-			if ver.LeafIndex, err = readU64(r); err != nil {
-				return fmt.Errorf("core: truncated snapshot: %w", err)
-			}
-			st.versions = append(st.versions, ver)
-		}
-		v.records[id] = st
+		st.shredded.Store(rec.flags&snapShredded != 0)
+		v.records[rec.id] = st
 		if !st.shredded.Load() {
-			if err := v.ret.Track(id, category, st.created); err != nil {
-				return fmt.Errorf("core: restoring retention for %s: %w", id, err)
+			if err := v.ret.Track(rec.id, string(rec.category), st.created); err != nil {
+				return fmt.Errorf("core: restoring retention for %s: %w", rec.id, err)
 			}
 		}
 	}
-	ksSnap, err := readBytesField(r)
-	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	if v.keys, err = vcrypto.LoadKeyStore(vcrypto.DeriveKey(master, "vault/kek"), ksSnap); err != nil {
+	if v.keys, err = vcrypto.LoadKeyStore(vcrypto.DeriveKey(master, "vault/kek"), s.keystore); err != nil {
 		return fmt.Errorf("core: restoring key store: %w", err)
 	}
 	// LoadKeyStore builds a default-sized DEK cache; reapply the configured
 	// bound. The reopened vault's caches start cold either way.
 	v.keys.SetCacheCapacity(v.dekCacheCap)
-	leafBytes, err := readBytesField(r)
-	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	leaves, err := merkle.DecodeHashes(leafBytes)
-	if err != nil {
-		return fmt.Errorf("core: restoring commitment log: %w", err)
-	}
-	v.log = merkle.LogFromLeafHashes(v.signer, func() time.Time { return v.clk.Now() }, leaves)
-	idxSnap, err := readBytesField(r)
-	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	if v.idx, err = index.LoadSSE(vcrypto.DeriveKey(master, "vault/index"), idxSnap); err != nil {
+	v.log = merkle.LogFromLeafHashes(v.signer, func() time.Time { return v.clk.Now() }, s.leaves)
+	if v.idx, err = index.LoadSSE(vcrypto.DeriveKey(master, "vault/index"), s.index); err != nil {
 		return fmt.Errorf("core: restoring index: %w", err)
 	}
-	nHolds, err := readU32(r)
-	if err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-	for i := uint32(0); i < nHolds; i++ {
-		id, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		reason, err := readStr(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		placedNano, err := readU64(r)
-		if err != nil {
-			return fmt.Errorf("core: truncated snapshot: %w", err)
-		}
-		if err := v.ret.PlaceHoldAt(id, reason, time.Unix(0, int64(placedNano)).UTC()); err != nil {
-			return fmt.Errorf("core: restoring hold on %s: %w", id, err)
+	for _, h := range s.holds {
+		if err := v.ret.PlaceHoldAt(h.Record, h.Reason, h.Placed); err != nil {
+			return fmt.Errorf("core: restoring hold on %s: %w", h.Record, err)
 		}
 	}
 	return nil
-}
-
-// --- little-codec helpers shared by meta WAL and snapshot ---
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	writeU32(buf, uint32(len(p)))
-	buf.Write(p)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
-}
-
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -14,10 +14,8 @@ package core
 // primary's live tree to detect divergence without ever shipping a key.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"strconv"
@@ -69,11 +67,16 @@ func ReplicaHeads(fsys faultfs.FS, dir string) ([]ReplicaHead, error) {
 func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
 	var leaves []merkle.Hash
 	counts := make(map[string]uint64) // id -> highest version with a leaf
-	snap, err := fsys.ReadFile(filepath.Join(dir, "meta.snap"))
+	data, err := fsys.ReadFile(filepath.Join(dir, "meta.snap"))
 	switch {
 	case err == nil:
-		if leaves, err = snapshotLeaves(snap, counts); err != nil {
+		snap, err := decodeSnapshot(data)
+		if err != nil {
 			return ReplicaHead{}, err
+		}
+		leaves = snap.leaves
+		for _, rec := range snap.records {
+			counts[rec.id] = uint64(len(rec.versions))
 		}
 	case errors.Is(err, fs.ErrNotExist):
 		// fresh shard
@@ -91,119 +94,20 @@ func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
 			break // torn tail: ignored, exactly as recovery truncates it
 		}
 		off += n
-		lh, id, number, isVersion, err := versionEntryLeaf(entry)
+		e, err := decodeWALEntry(entry)
 		if err != nil {
 			return ReplicaHead{}, fmt.Errorf("WAL entry at offset %d: %w", off-n, err)
 		}
-		if !isVersion || number <= counts[id] {
+		if e.kind != 'V' || e.ver.Number <= counts[e.id] {
 			// Shred/hold entries append no leaf; neither does a version the
 			// snapshot already restored (WAL-replay idempotence).
 			continue
 		}
-		counts[id] = number
-		leaves = append(leaves, lh)
+		counts[e.id] = e.ver.Number
+		leaves = append(leaves, merkle.LeafHash(leafData(e.id, e.ver.Number, e.ver.CtHash)))
 	}
 	t := merkle.TreeFromLeafHashes(leaves)
 	return ReplicaHead{Size: t.Size(), Root: t.Root()}, nil
-}
-
-// snapshotLeaves extracts the persisted leaf hashes and per-record version
-// counts from a metadata snapshot, without keys.
-func snapshotLeaves(data []byte, counts map[string]uint64) ([]merkle.Hash, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapMagic {
-		return nil, fmt.Errorf("snapshot has bad magic")
-	}
-	if ver, err := readU16(r); err != nil || ver != snapVersion {
-		return nil, fmt.Errorf("unsupported snapshot version")
-	}
-	if _, err := readU64(r); err != nil { // leafSeq
-		return nil, fmt.Errorf("truncated snapshot: %w", err)
-	}
-	nRecords, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("truncated snapshot: %w", err)
-	}
-	for i := uint32(0); i < nRecords; i++ {
-		id, err := readStr(r)
-		if err != nil {
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		if _, err := readStr(r); err != nil { // category
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		if _, err := readStr(r); err != nil { // mrn
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		if _, err := r.ReadByte(); err != nil { // flags
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		if _, err := readU64(r); err != nil { // createdNano
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		nVersions, err := readU32(r)
-		if err != nil {
-			return nil, fmt.Errorf("truncated snapshot: %w", err)
-		}
-		counts[id] = uint64(nVersions)
-		for j := uint32(0); j < nVersions; j++ {
-			if _, err := readStr(r); err != nil { // author
-				return nil, fmt.Errorf("truncated snapshot: %w", err)
-			}
-			// number u64 | segment u32 | offset u64 | ctHash 32 | ts u64 | leafIdx u64
-			skip := make([]byte, 8+4+8+32+8+8)
-			if _, err := io.ReadFull(r, skip); err != nil {
-				return nil, fmt.Errorf("truncated snapshot: %w", err)
-			}
-		}
-	}
-	if _, err := readBytesField(r); err != nil { // keystore snapshot
-		return nil, fmt.Errorf("truncated snapshot: %w", err)
-	}
-	leafBytes, err := readBytesField(r)
-	if err != nil {
-		return nil, fmt.Errorf("truncated snapshot: %w", err)
-	}
-	return merkle.DecodeHashes(leafBytes)
-}
-
-// versionEntryLeaf computes the Merkle leaf hash a WAL 'V' entry commits;
-// isVersion is false for the other (leaf-less) entry kinds.
-func versionEntryLeaf(data []byte) (lh merkle.Hash, id string, number uint64, isVersion bool, err error) {
-	if len(data) == 0 {
-		return lh, "", 0, false, fmt.Errorf("empty WAL entry")
-	}
-	switch data[0] {
-	case 'S', 'H', 'R':
-		return lh, "", 0, false, nil
-	case 'V':
-	default:
-		return lh, "", 0, false, fmt.Errorf("unknown WAL entry kind 0x%02x", data[0])
-	}
-	r := bytes.NewReader(data[1:])
-	if id, err = readStr(r); err != nil {
-		return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-	}
-	for i := 0; i < 3; i++ { // category, mrn, author
-		if _, err = readStr(r); err != nil {
-			return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-		}
-	}
-	if number, err = readU64(r); err != nil {
-		return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-	}
-	if _, err = readU32(r); err != nil { // ref segment
-		return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-	}
-	if _, err = readU64(r); err != nil { // ref offset
-		return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-	}
-	var ctHash [32]byte
-	if _, err = io.ReadFull(r, ctHash[:]); err != nil {
-		return lh, "", 0, false, fmt.Errorf("malformed WAL version entry: %w", err)
-	}
-	return merkle.LeafHash(leafData(id, number, ctHash)), id, number, true, nil
 }
 
 // MerkleRootAt returns the shard's commitment-log root at a historical size

@@ -1,12 +1,10 @@
 package ehr
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"time"
+
+	"medvault/internal/frame"
 )
 
 // ErrCorrupt indicates an undecodable record encoding.
@@ -22,97 +20,41 @@ const recMagic = "MVR1"
 // deterministic: the same record always produces the same bytes, which is
 // what lets content hashes and Merkle commitments identify versions.
 func Encode(r Record) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(recMagic)
-	writeStr(&buf, r.ID)
-	writeStr(&buf, r.Patient)
-	writeStr(&buf, r.MRN)
-	writeStr(&buf, string(r.Category))
-	writeStr(&buf, r.Author)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(r.CreatedAt.UnixNano()))
-	buf.Write(b[:])
-	writeStr(&buf, r.Title)
-	writeStr(&buf, r.Body)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(r.Codes)))
-	buf.Write(n[:])
+	// Everything but the body is short; one allocation covers the usual record.
+	b := append(make([]byte, 0, 192+len(r.Body)), recMagic...)
+	b = frame.AppendStr(b, r.ID)
+	b = frame.AppendStr(b, r.Patient)
+	b = frame.AppendStr(b, r.MRN)
+	b = frame.AppendStr(b, string(r.Category))
+	b = frame.AppendStr(b, r.Author)
+	b = frame.AppendTime(b, r.CreatedAt)
+	b = frame.AppendStr(b, r.Title)
+	b = frame.AppendStr(b, r.Body)
+	b = frame.AppendCount(b, len(r.Codes))
 	for _, c := range r.Codes {
-		writeStr(&buf, c)
+		b = frame.AppendStr(b, c)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // Decode parses the output of Encode.
 func Decode(data []byte) (Record, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != recMagic {
+	r := frame.NewReader(data)
+	if !r.Magic(recMagic) {
 		return Record{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	var rec Record
-	var err error
-	read := func(dst *string) bool {
-		if err != nil {
-			return false
-		}
-		*dst, err = readStr(r)
-		return err == nil
+	rec := Record{
+		ID: r.Str(), Patient: r.Str(), MRN: r.Str(), Category: Category(r.Str()),
+		Author: r.Str(), CreatedAt: r.Time(), Title: r.Str(), Body: r.Str(),
 	}
-	var category string
-	if !read(&rec.ID) || !read(&rec.Patient) || !read(&rec.MRN) || !read(&category) || !read(&rec.Author) {
-		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rec.Category = Category(category)
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rec.CreatedAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[:]))).UTC()
-	if !read(&rec.Title) || !read(&rec.Body) {
-		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	var nb [4]byte
-	if _, err := io.ReadFull(r, nb[:]); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	n := binary.BigEndian.Uint32(nb[:])
-	if int(n) > r.Len() { // each code needs at least a length prefix
-		return Record{}, fmt.Errorf("%w: code count %d implausible", ErrCorrupt, n)
-	}
-	if n > 0 {
+	if n := r.Count(4); n > 0 { // each code needs at least a length prefix
 		rec.Codes = make([]string, n)
 		for i := range rec.Codes {
-			if !read(&rec.Codes[i]) {
-				return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
+			rec.Codes[i] = r.Str()
 		}
 	}
-	if r.Len() != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
+	if err := r.Done(); err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return rec, nil
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	buf.Write(b[:])
-	buf.WriteString(s)
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return "", err
-	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if int(n) > r.Len() {
-		return "", fmt.Errorf("string length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -1,10 +1,23 @@
-// Package frame is the CRC-framed record codec shared by the WAL, the
-// replication stream, and the flight recorder's crash-surviving segments.
+// Package frame is MedVault's one binary codec, in two layers.
 //
+// The frame layer (frame.go) is the CRC-framed record shared by the WAL, the
+// replication stream, and the flight recorder's crash-surviving segments.
 // Layout of one frame: u64 seq | u32 len | u32 crc32c(data) | data, all
 // big-endian. The tail rule every consumer shares: decode frames from the
 // front until one is incomplete or fails its CRC, then discard the rest —
 // a torn final frame from a power cut is truncated, never skipped over.
+//
+// The field layer (field.go) is what goes inside a frame, a snapshot file, a
+// hash or signature domain, or a replication payload: big-endian fixed ints,
+// i64 Unix-nanosecond times, u32-length-prefixed strings and byte fields,
+// u32 element counts. Encoders append (AppendStr, AppendBytes, AppendCount,
+// AppendTime beside encoding/binary's AppendUintN); every decoder in the
+// repository is a straight-line walk of a Reader, which latches the first
+// short read with its byte offset, bounds every count by the bytes that
+// remain, and enforces the no-trailing-bytes rule in Done. A format's layout
+// and its input validation therefore exist once: in its owning package's one
+// encoder and one decoder (DESIGN.md, "On-disk and wire formats"), pinned by
+// a golden byte vector checked through CheckGolden (golden.go).
 //
 // The package sits below wal and obs (it imports nothing but the standard
 // library), which is what lets the flight recorder reuse the exact framing

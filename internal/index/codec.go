@@ -1,11 +1,11 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
+
+	"medvault/internal/frame"
 )
 
 // Plaintext snapshot layout:
@@ -24,51 +24,62 @@ const (
 func (p *Plaintext) Snapshot() ([]byte, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(ptMagic)
-	writeU16(&buf, ptVersion)
-	writeU32(&buf, uint32(len(p.docs)))
-	for _, id := range sortedKeys(p.docs) {
-		writeStr(&buf, id)
-		writeU32(&buf, uint32(len(p.docs[id])))
-		for _, w := range p.docs[id] {
-			writeStr(&buf, w)
+	b := binary.BigEndian.AppendUint16([]byte(ptMagic), ptVersion)
+	return appendDocs(b, p.docs), nil
+}
+
+// appendDocs appends the per-document term lists both snapshot formats
+// share: u32 nDocs { str id | u32 n | str term * n }, documents sorted by ID.
+func appendDocs(b []byte, docs map[string][]string) []byte {
+	b = frame.AppendCount(b, len(docs))
+	for _, id := range sortedKeys(docs) {
+		b = frame.AppendStr(b, id)
+		b = frame.AppendCount(b, len(docs[id]))
+		for _, w := range docs[id] {
+			b = frame.AppendStr(b, w)
 		}
 	}
-	return buf.Bytes(), nil
+	return b
+}
+
+// readDocs is appendDocs' one decoder. Every count is checked against the
+// bytes that remain before it sizes anything.
+func readDocs(r *frame.Reader) map[string][]string {
+	docs := make(map[string][]string)
+	for i, n := 0, r.Count(8); i < n; i++ { // a doc is at least two length prefixes
+		id := r.Str()
+		terms := make([]string, r.Count(4))
+		for j := range terms {
+			terms[j] = r.Str()
+		}
+		docs[id] = terms
+	}
+	return docs
+}
+
+// readHeader consumes a snapshot's magic and version.
+func readHeader(r *frame.Reader, magic string, version uint16) error {
+	if !r.Magic(magic) {
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if r.U16() != version {
+		return fmt.Errorf("%w: bad version", ErrCorrupt)
+	}
+	return nil
 }
 
 // LoadPlaintext reconstructs a plaintext index from a snapshot.
 func LoadPlaintext(snap []byte) (*Plaintext, error) {
+	r := frame.NewReader(snap)
+	if err := readHeader(r, ptMagic, ptVersion); err != nil {
+		return nil, err
+	}
 	p := NewPlaintext()
-	r := bytes.NewReader(snap)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ptMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if ver, err := readU16(r); err != nil || ver != ptVersion {
-		return nil, fmt.Errorf("%w: bad version", ErrCorrupt)
-	}
-	nDocs, err := readU32(r)
-	if err != nil {
+	p.docs = readDocs(r)
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	for i := uint32(0); i < nDocs; i++ {
-		id, err := readStr(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		n, err := readU32(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		words := make([]string, n)
-		for j := range words {
-			if words[j], err = readStr(r); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
-		p.docs[id] = words
+	for id, words := range p.docs {
 		for _, w := range words {
 			set, ok := p.postings[w]
 			if !ok {
@@ -77,9 +88,6 @@ func LoadPlaintext(snap []byte) (*Plaintext, error) {
 			}
 			set[id] = true
 		}
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
 	return p, nil
 }
@@ -100,62 +108,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	writeU32(buf, uint32(len(s)))
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	writeU32(buf, uint32(len(p)))
-	buf.Write(p)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
-}
-
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

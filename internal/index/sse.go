@@ -1,16 +1,16 @@
 package index
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"medvault/internal/frame"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
@@ -199,43 +199,26 @@ func (s *SSE) Len() int {
 func (s *SSE) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(sseMagic)
-	writeU16(&buf, sseVersion)
-	writeU32(&buf, uint32(len(s.postings)))
+	b := binary.BigEndian.AppendUint16([]byte(sseMagic), sseVersion)
+	b = frame.AppendCount(b, len(s.postings))
 	for _, tok := range sortedKeys(s.postings) {
-		writeStr(&buf, tok)
-		var plain bytes.Buffer
-		ids := make([]string, 0, len(s.postings[tok]))
-		for id := range s.postings[tok] {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		writeU32(&plain, uint32(len(ids)))
+		b = frame.AppendStr(b, tok)
+		ids := sortedKeys(s.postings[tok])
+		plain := frame.AppendCount(nil, len(ids))
 		for _, id := range ids {
-			writeStr(&plain, id)
+			plain = frame.AppendStr(plain, id)
 		}
-		sealed, err := vcrypto.Seal(s.valueKey, plain.Bytes(), []byte(tok))
+		sealed, err := vcrypto.Seal(s.valueKey, plain, []byte(tok))
 		if err != nil {
 			return nil, fmt.Errorf("index: sealing postings: %w", err)
 		}
-		writeBytes(&buf, sealed)
+		b = frame.AppendBytes(b, sealed)
 	}
-	var docsPlain bytes.Buffer
-	writeU32(&docsPlain, uint32(len(s.docs)))
-	for _, id := range sortedKeys(s.docs) {
-		writeStr(&docsPlain, id)
-		writeU32(&docsPlain, uint32(len(s.docs[id])))
-		for _, tok := range s.docs[id] {
-			writeStr(&docsPlain, tok)
-		}
-	}
-	sealedDocs, err := vcrypto.Seal(s.valueKey, docsPlain.Bytes(), []byte("docs"))
+	sealedDocs, err := vcrypto.Seal(s.valueKey, appendDocs(nil, s.docs), []byte("docs"))
 	if err != nil {
 		return nil, fmt.Errorf("index: sealing docs table: %w", err)
 	}
-	writeBytes(&buf, sealedDocs)
-	return buf.Bytes(), nil
+	return frame.AppendBytes(b, sealedDocs), nil
 }
 
 const (
@@ -247,78 +230,42 @@ const (
 // key it was built with. Tampered snapshots fail authenticated decryption.
 func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
 	s := NewSSE(master)
-	r := bytes.NewReader(snap)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != sseMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	r := frame.NewReader(snap)
+	if err := readHeader(r, sseMagic, sseVersion); err != nil {
+		return nil, err
 	}
-	if ver, err := readU16(r); err != nil || ver != sseVersion {
-		return nil, fmt.Errorf("%w: bad version", ErrCorrupt)
-	}
-	nTok, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for i := uint32(0); i < nTok; i++ {
-		tok, err := readStr(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		sealed, err := readBytesField(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	for i, n := 0, r.Count(8); i < n; i++ { // token and sealed blob: two length prefixes
+		tok, sealed := r.Str(), r.Bytes()
+		if r.Err() != nil {
+			break // reported by Done below, not as a decryption failure of a zero blob
 		}
 		plain, err := vcrypto.Open(s.valueKey, sealed, []byte(tok))
 		if err != nil {
 			return nil, fmt.Errorf("index: opening postings for token %.8s…: %w", tok, err)
 		}
-		pr := bytes.NewReader(plain)
-		n, err := readU32(pr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		pr := frame.NewReader(plain)
+		nIDs := pr.Count(4)
+		set := make(map[string]bool, nIDs)
+		for j := 0; j < nIDs; j++ {
+			set[pr.Str()] = true
 		}
-		set := make(map[string]bool, n)
-		for j := uint32(0); j < n; j++ {
-			id, err := readStr(pr)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			set[id] = true
+		if err := pr.Done(); err != nil {
+			return nil, fmt.Errorf("%w: postings: %v", ErrCorrupt, err)
 		}
 		s.postings[tok] = set
 	}
-	sealedDocs, err := readBytesField(r)
-	if err != nil {
+	sealedDocs := r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	docsPlain, err := vcrypto.Open(s.valueKey, sealedDocs, []byte("docs"))
 	if err != nil {
 		return nil, fmt.Errorf("index: opening docs table: %w", err)
 	}
-	dr := bytes.NewReader(docsPlain)
-	nDocs, err := readU32(dr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for i := uint32(0); i < nDocs; i++ {
-		id, err := readStr(dr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		nt, err := readU32(dr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		toks := make([]string, nt)
-		for j := range toks {
-			if toks[j], err = readStr(dr); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
-		s.docs[id] = toks
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
+	dr := frame.NewReader(docsPlain)
+	s.docs = readDocs(dr)
+	if err := dr.Done(); err != nil {
+		return nil, fmt.Errorf("%w: docs table: %v", ErrCorrupt, err)
 	}
 	return s, nil
 }

@@ -1,13 +1,13 @@
 package merkle
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
 
+	"medvault/internal/frame"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
@@ -26,15 +26,8 @@ type SignedTreeHead struct {
 
 // sthBytes serializes the signed fields deterministically.
 func sthBytes(size uint64, root Hash, ts time.Time) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/sth/v1\x00")
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], size)
-	buf.Write(b[:])
-	buf.Write(root[:])
-	binary.BigEndian.PutUint64(b[:], uint64(ts.UnixNano()))
-	buf.Write(b[:])
-	return buf.Bytes()
+	b := binary.BigEndian.AppendUint64([]byte("medvault/sth/v1\x00"), size)
+	return frame.AppendTime(append(b, root[:]...), ts)
 }
 
 // Verify checks the STH signature against pub.

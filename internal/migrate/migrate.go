@@ -21,14 +21,13 @@
 package migrate
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"medvault/internal/core"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
 )
 
@@ -64,31 +63,19 @@ type Manifest struct {
 
 // signedBytes serializes the signed portion deterministically.
 func (m Manifest) signedBytes() []byte {
-	var buf bytes.Buffer
-	writeStr(&buf, m.Source)
-	writeStr(&buf, m.Target)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(m.Timestamp.UnixNano()))
-	buf.Write(b[:])
-	binary.BigEndian.PutUint32(b[:4], uint32(len(m.Entries)))
-	buf.Write(b[:4])
+	b := frame.AppendStr(nil, m.Source)
+	b = frame.AppendStr(b, m.Target)
+	b = frame.AppendTime(b, m.Timestamp)
+	b = frame.AppendCount(b, len(m.Entries))
 	for _, e := range m.Entries {
-		writeStr(&buf, e.ID)
-		binary.BigEndian.PutUint32(b[:4], uint32(e.Versions))
-		buf.Write(b[:4])
-		buf.Write(e.BundleHash[:])
+		b = frame.AppendStr(b, e.ID)
+		b = frame.AppendCount(b, e.Versions)
+		b = append(b, e.BundleHash[:]...)
 		for _, h := range e.PlainHashes {
-			buf.Write(h[:])
+			b = append(b, h[:]...)
 		}
 	}
-	return buf.Bytes()
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	buf.Write(b[:])
-	buf.WriteString(s)
+	return b
 }
 
 // Verify checks the manifest signature against the embedded source key.

@@ -196,34 +196,25 @@ func encodeFlightEvent(ev FlightEvent) []byte {
 // yields an event or ok=false, never a panic — FuzzFlightSegment holds it to
 // that.
 func decodeFlightEvent(b []byte) (FlightEvent, bool) {
-	if len(b) < 1+8+8+8 || b[0] != flightEventV1 {
+	r := frame.NewReader(b)
+	if r.U8() != flightEventV1 {
 		return FlightEvent{}, false
 	}
 	ev := FlightEvent{
-		Seq:  binary.BigEndian.Uint64(b[1:9]),
-		Time: time.Unix(0, int64(binary.BigEndian.Uint64(b[9:17]))),
-		Dur:  time.Duration(binary.BigEndian.Uint64(b[17:25])),
+		Seq:  r.U64(),
+		Time: time.Unix(0, int64(r.U64())),
+		Dur:  time.Duration(r.U64()),
 	}
-	rest := b[25:]
-	fields := make([]string, 6)
-	for i := range fields {
-		if len(rest) < 2 {
+	var buf [flightMaxStr]byte
+	for _, dst := range []*string{&ev.Kind, &ev.Record, &ev.Trace, &ev.Outcome, &ev.Shard, &ev.Detail} {
+		n := int(r.U16())
+		if n > flightMaxStr {
 			return FlightEvent{}, false
 		}
-		n := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if n > flightMaxStr || n > len(rest) {
-			return FlightEvent{}, false
-		}
-		fields[i] = string(rest[:n])
-		rest = rest[n:]
+		r.Fixed(buf[:n])
+		*dst = string(buf[:n])
 	}
-	if len(rest) != 0 {
-		return FlightEvent{}, false
-	}
-	ev.Kind, ev.Record, ev.Trace, ev.Outcome, ev.Shard, ev.Detail =
-		fields[0], fields[1], fields[2], fields[3], fields[4], fields[5]
-	return ev, true
+	return ev, r.Done() == nil
 }
 
 // --- persistent segments ---------------------------------------------------

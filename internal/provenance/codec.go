@@ -1,12 +1,10 @@
 package provenance
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"time"
 
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
 )
 
@@ -17,131 +15,44 @@ import (
 //	32B hash | str signerKey | str signature
 const codecVersion = 1
 
-// EncodeEvent serializes a custody event for transfer between systems
-// (migration bundles, backups). The encoding is self-contained: DecodeEvent
-// plus verifyLink recovers and re-validates the event on the other side.
-func EncodeEvent(e Event) []byte { return encodeEvent(e) }
+// EncodeEvent serializes a custody event for storage and for transfer
+// between systems (migration bundles, backups). The encoding is
+// self-contained: DecodeEvent plus verifyLink recovers and re-validates the
+// event on the other side.
+func EncodeEvent(e Event) []byte {
+	b := make([]byte, 0, 192+len(e.Record)+len(e.Actor)+len(e.System)+len(e.Peer)+len(e.SignerKey)+len(e.Signature))
+	b = binary.BigEndian.AppendUint16(b, codecVersion)
+	b = frame.AppendStr(b, e.Record)
+	b = binary.BigEndian.AppendUint64(b, e.Index)
+	b = frame.AppendStr(b, string(e.Type))
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendStr(b, e.Actor)
+	b = frame.AppendStr(b, e.System)
+	b = frame.AppendStr(b, e.Peer)
+	b = append(b, e.ContentHash[:]...)
+	b = append(b, e.PrevHash[:]...)
+	b = append(b, e.Hash[:]...)
+	b = frame.AppendBytes(b, e.SignerKey)
+	return frame.AppendBytes(b, e.Signature)
+}
 
 // DecodeEvent parses the output of EncodeEvent.
-func DecodeEvent(data []byte) (Event, error) { return decodeEvent(data) }
-
-func encodeEvent(e Event) []byte {
-	var buf bytes.Buffer
-	writeU16(&buf, codecVersion)
-	writeStr(&buf, e.Record)
-	writeU64(&buf, e.Index)
-	writeStr(&buf, string(e.Type))
-	writeU64(&buf, uint64(e.Timestamp.UnixNano()))
-	writeStr(&buf, e.Actor)
-	writeStr(&buf, e.System)
-	writeStr(&buf, e.Peer)
-	buf.Write(e.ContentHash[:])
-	buf.Write(e.PrevHash[:])
-	buf.Write(e.Hash[:])
-	writeBytes(&buf, e.SignerKey)
-	writeBytes(&buf, e.Signature)
-	return buf.Bytes()
-}
-
-func decodeEvent(data []byte) (Event, error) {
-	r := bytes.NewReader(data)
-	ver, err := readU16(r)
-	if err != nil || ver != codecVersion {
+func DecodeEvent(data []byte) (Event, error) {
+	r := frame.NewReader(data)
+	if ver := r.U16(); ver != codecVersion {
 		return Event{}, fmt.Errorf("%w: version %d", ErrCorrupt, ver)
 	}
-	var e Event
-	steps := []func() error{
-		func() error { s, err := readStr(r); e.Record = s; return err },
-		func() error { v, err := readU64(r); e.Index = v; return err },
-		func() error { s, err := readStr(r); e.Type = EventType(s); return err },
-		func() error {
-			ns, err := readU64(r)
-			e.Timestamp = time.Unix(0, int64(ns)).UTC()
-			return err
-		},
-		func() error { s, err := readStr(r); e.Actor = s; return err },
-		func() error { s, err := readStr(r); e.System = s; return err },
-		func() error { s, err := readStr(r); e.Peer = s; return err },
-		func() error { _, err := io.ReadFull(r, e.ContentHash[:]); return err },
-		func() error { _, err := io.ReadFull(r, e.PrevHash[:]); return err },
-		func() error { _, err := io.ReadFull(r, e.Hash[:]); return err },
-		func() error {
-			b, err := readBytesField(r)
-			e.SignerKey = vcrypto.PublicKey(b)
-			return err
-		},
-		func() error { b, err := readBytesField(r); e.Signature = b; return err },
+	e := Event{
+		Record: r.Str(), Index: r.U64(), Type: EventType(r.Str()), Timestamp: r.Time(),
+		Actor: r.Str(), System: r.Str(), Peer: r.Str(),
 	}
-	for _, f := range steps {
-		if err := f(); err != nil {
-			return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	if r.Len() != 0 {
-		return Event{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
+	r.Fixed(e.ContentHash[:])
+	r.Fixed(e.PrevHash[:])
+	r.Fixed(e.Hash[:])
+	e.SignerKey = vcrypto.PublicKey(r.Bytes())
+	e.Signature = r.Bytes()
+	if err := r.Done(); err != nil {
+		return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return e, nil
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	buf.Write(b[:])
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(p)))
-	buf.Write(b[:])
-	buf.Write(p)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
-}
-
-func readU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
-}
-
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -1,0 +1,46 @@
+package provenance
+
+import (
+	"testing"
+	"time"
+
+	"medvault/internal/frame"
+	"medvault/internal/vcrypto"
+)
+
+func goldenHash(seed byte) (h [32]byte) {
+	for i := range h {
+		h[i] = seed + byte(i)
+	}
+	return h
+}
+
+// TestGoldenEvent pins the custody-event layout (it travels inside export
+// bundles and backups) and the hash domain signatures cover.
+func TestGoldenEvent(t *testing.T) {
+	ev := Event{
+		Record: "p1-enc-0", Index: 2, Type: EventMigratedOut,
+		Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "arch-1",
+		System: "vault-a", Peer: "vault-b", ContentHash: goldenHash(0x01),
+		PrevHash: goldenHash(0x30), Hash: goldenHash(0x60),
+		SignerKey: vcrypto.PublicKey{0xb1, 0xb2, 0xb3}, Signature: []byte{0xc1, 0xc2},
+	}
+	frame.CheckGolden(t,
+		frame.Golden{
+			Name: "provenance event",
+			Hex: "00010000000870312d656e632d3000000000000000020000000c6d696772617465642d6f75741083bab1fa12cd150000" +
+				"0006617263682d31000000077661756c742d61000000077661756c742d620102030405060708090a0b0c0d0e0f101112" +
+				"131415161718191a1b1c1d1e1f20303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f6061" +
+				"62636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f00000003b1b2b300000002c1c2",
+			Encode:  func() []byte { return EncodeEvent(ev) },
+			Decode:  func(b []byte) (any, error) { return DecodeEvent(b) },
+			Want:    ev,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:   "provenance event hash domain",
+			Hex:    "28409c18a572a23fcc3920f4e58c0dbbb4ddc8d0582056505aee00fc02ab4c68",
+			Encode: func() []byte { h := eventHash(ev); return h[:] },
+		},
+	)
+}

@@ -13,7 +13,6 @@
 package provenance
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
 )
 
@@ -68,21 +68,15 @@ type Event struct {
 
 // eventHash hashes the event's signed content.
 func eventHash(e Event) [32]byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/provenance/v1\x00")
-	var b [8]byte
-	for _, s := range []string{e.Record, string(e.Type), e.Actor, e.System, e.Peer} {
-		binary.BigEndian.PutUint32(b[:4], uint32(len(s)))
-		buf.Write(b[:4])
-		buf.WriteString(s)
+	b := make([]byte, 0, 160+len(e.Record)+len(e.Actor)+len(e.System)+len(e.Peer))
+	b = append(b, "medvault/provenance/v1\x00"...)
+	for _, s := range [...]string{e.Record, string(e.Type), e.Actor, e.System, e.Peer} {
+		b = frame.AppendStr(b, s)
 	}
-	binary.BigEndian.PutUint64(b[:], e.Index)
-	buf.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(e.Timestamp.UnixNano()))
-	buf.Write(b[:])
-	buf.Write(e.ContentHash[:])
-	buf.Write(e.PrevHash[:])
-	return vcrypto.Hash(buf.Bytes())
+	b = binary.BigEndian.AppendUint64(b, e.Index)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = append(b, e.ContentHash[:]...)
+	return vcrypto.Hash(append(b, e.PrevHash[:]...))
 }
 
 // Tracker maintains custody chains for all records in one system.
@@ -125,7 +119,7 @@ func Open(cfg Config) (*Tracker, error) {
 		chains: make(map[string][]Event),
 	}
 	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
-		e, err := decodeEvent(data)
+		e, err := DecodeEvent(data)
 		if err != nil {
 			return err
 		}
@@ -164,7 +158,7 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 	e.Hash = eventHash(e)
 	e.SignerKey = tr.signer.Public()
 	e.Signature = tr.signer.Sign(e.Hash[:])
-	if _, err := tr.store.Append(encodeEvent(e)); err != nil {
+	if _, err := tr.store.Append(EncodeEvent(e)); err != nil {
 		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
 	tr.chains[id] = append(chain, e)
@@ -182,7 +176,7 @@ func (tr *Tracker) Adopt(events []Event) error {
 		if err := verifyLink(tr.chains[e.Record], e); err != nil {
 			return err
 		}
-		if _, err := tr.store.Append(encodeEvent(e)); err != nil {
+		if _, err := tr.store.Append(EncodeEvent(e)); err != nil {
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
 		tr.chains[e.Record] = append(tr.chains[e.Record], e)

@@ -212,13 +212,13 @@ func TestOpenRejectsTamperedPersistence(t *testing.T) {
 		payloads = append(payloads, append([]byte(nil), data...))
 		return nil
 	})
-	e, err := decodeEvent(payloads[0])
+	e, err := DecodeEvent(payloads[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Actor = "forged"
 	evil := blockstore.NewMemory(0)
-	evil.Append(encodeEvent(e))
+	evil.Append(EncodeEvent(e))
 	if _, err := Open(Config{Store: evil, Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) {
 		t.Errorf("tampered persistence accepted: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	e.Hash = eventHash(e)
 	e.Signature = signer.Sign(e.Hash[:])
-	got, err := decodeEvent(encodeEvent(e))
+	got, err := DecodeEvent(EncodeEvent(e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		got.SignerKey.String() != e.SignerKey.String() {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, e)
 	}
-	if _, err := decodeEvent([]byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEvent([]byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("garbage accepted: %v", err)
 	}
 }

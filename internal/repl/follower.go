@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -170,7 +171,7 @@ func (f *Follower) HandlePayload(seq uint64, p []byte) ([]byte, error) {
 		}
 		f.appliedLSN = seq
 		mFramesApplied.Inc()
-		return f.respLocked(frameAck, appendU64(nil, seq)), nil
+		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
 	case frameHeads:
 		pub, sths, ok := decodeHeadsReq(body)
 		if !ok {
@@ -191,7 +192,7 @@ func (f *Follower) HandlePayload(seq uint64, p []byte) ([]byte, error) {
 			return nil, fmt.Errorf("repl: wiping replica for resync: %w", err)
 		}
 		f.inResync = true
-		return f.respLocked(frameAck, appendU64(nil, seq)), nil
+		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
 	case frameSnapFile:
 		if !f.inResync {
 			return nil, fmt.Errorf("%w: snapshot file outside resync", ErrBadFrame)
@@ -203,7 +204,7 @@ func (f *Follower) HandlePayload(seq uint64, p []byte) ([]byte, error) {
 		if err := f.applySnapFileLocked(isDir, rel, data); err != nil {
 			return nil, fmt.Errorf("repl: resyncing %q: %w", rel, err)
 		}
-		return f.respLocked(frameAck, appendU64(nil, seq)), nil
+		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
 	case frameSnapEnd:
 		if !f.inResync || len(body) != 32 {
 			return nil, fmt.Errorf("%w: snapshot end", ErrBadFrame)
@@ -218,7 +219,7 @@ func (f *Follower) HandlePayload(seq uint64, p []byte) ([]byte, error) {
 			return nil, fmt.Errorf("repl: resync digest mismatch")
 		}
 		f.inResync = false
-		return f.respLocked(frameAck, appendU64(nil, seq)), nil
+		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadFrame, kind)
 	}

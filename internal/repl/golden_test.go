@@ -1,0 +1,152 @@
+package repl
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"medvault/internal/frame"
+	"medvault/internal/merkle"
+	"medvault/internal/vcrypto"
+)
+
+func goldenHash(seed byte) (h merkle.Hash) {
+	for i := range h {
+		h[i] = seed + byte(i)
+	}
+	return h
+}
+
+var errGoldenRejected = errors.New("decoder reported !ok")
+
+func okErr(ok bool) error {
+	if ok {
+		return nil
+	}
+	return errGoldenRejected
+}
+
+// TestGoldenWire pins every replication payload body plus the epoch|kind
+// header they ride under.
+func TestGoldenWire(t *testing.T) {
+	ops := []struct {
+		name string
+		hex  string
+		rec  OpRecord
+	}{
+		{"open", "01000000086d6574612e77616c0000044100000180", OpRecord{Kind: opOpen, Path: "meta.wal", Flags: osWronly | osCreate | osAppend, Perm: 0o600}},
+		{"write", "02000000086d6574612e77616c00000003616263", OpRecord{Kind: opWrite, Path: "meta.wal", Data: []byte("abc")}},
+		{"sync", "03000000086d6574612e77616c", OpRecord{Kind: opSync, Path: "meta.wal"}},
+		{"rename", "04000000096d6574612e736e61700000000d6d6574612e736e61702e746d70", OpRecord{Kind: opRename, Path: "meta.snap", Old: "meta.snap.tmp"}},
+		{"remove", "05000000057365672d31", OpRecord{Kind: opRemove, Path: "seg-1"}},
+		{"removeall", "0600000006626c6f636b73", OpRecord{Kind: opRemoveAll, Path: "blocks"}},
+		{"truncate", "07000000086d6574612e77616c0000000000001000", OpRecord{Kind: opTruncate, Path: "meta.wal", Size: 4096}},
+		{"mkdirall", "0800000006626c6f636b73000001c0", OpRecord{Kind: opMkdirAll, Path: "blocks", Perm: 0o700}},
+		{"writefile", "090000000c636c75737465722e636f6e66000001800000000973686172647320340a", OpRecord{Kind: opWriteFile, Path: "cluster.conf", Perm: 0o600, Data: []byte("shards 4\n")}},
+		{"tracemark", "0a000000066131623263330000000774726163652d3100000003707574", OpRecord{Kind: opTraceMark, Path: "a1b2c3", Old: "trace-1", Data: []byte("put")}},
+	}
+	var vectors []frame.Golden
+	for _, op := range ops {
+		op := op
+		vectors = append(vectors, frame.Golden{
+			Name:   "op " + op.name,
+			Hex:    op.hex,
+			Encode: func() []byte { return encodeOp(op.rec) },
+			Decode: func(b []byte) (any, error) { rec, ok := decodeOp(b); return rec, okErr(ok) },
+			Want:   op.rec,
+		})
+	}
+
+	type helloAck struct {
+		Epoch  uint64
+		Heads  []Head
+		Digest [32]byte
+	}
+	heads := []Head{{Size: 3, Root: goldenHash(0x10)}, {Size: 0, Root: goldenHash(0x40)}}
+	type headsReq struct {
+		Pub  vcrypto.PublicKey
+		STHs []merkle.SignedTreeHead
+	}
+	sths := []merkle.SignedTreeHead{{
+		Size: 3, Root: goldenHash(0x10), Timestamp: time.Unix(0, 1190000000123456789).UTC(), Signature: []byte{0xc1, 0xc2},
+	}}
+	type snapFile struct {
+		IsDir bool
+		Rel   string
+		Data  []byte
+	}
+	type reject struct {
+		Epoch  uint64
+		Reason string
+	}
+	vectors = append(vectors,
+		frame.Golden{
+			Name: "hello-ack body",
+			Hex: "0000000000000007000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b" +
+				"2c2d2e2f0000000000000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f70717273" +
+				"7475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f",
+			Encode: func() []byte { return encodeHelloAck(7, heads, goldenHash(0x70)) },
+			Decode: func(b []byte) (any, error) {
+				e, hs, d, ok := decodeHelloAck(b)
+				return helloAck{e, hs, d}, okErr(ok)
+			},
+			Want: helloAck{7, heads, goldenHash(0x70)},
+		},
+		frame.Golden{
+			Name: "heads-ack body",
+			Hex: "000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f00000000" +
+				"00000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f",
+			Encode: func() []byte { return appendHeads(nil, heads) },
+			Decode: func(b []byte) (any, error) {
+				r := frame.NewReader(b)
+				hs := readHeads(r)
+				return hs, r.Done()
+			},
+			Want: heads,
+		},
+		frame.Golden{
+			Name: "heads request body",
+			Hex: "00000002b1b2000000010000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d" +
+				"2e2f1083bab1fa12cd1500000002c1c2",
+			Encode: func() []byte { return encodeHeadsReq(vcrypto.PublicKey{0xb1, 0xb2}, sths) },
+			Decode: func(b []byte) (any, error) {
+				pub, s, ok := decodeHeadsReq(b)
+				return headsReq{pub, s}, okErr(ok)
+			},
+			Want: headsReq{vcrypto.PublicKey{0xb1, 0xb2}, sths},
+		},
+		frame.Golden{
+			Name:   "snapshot file body",
+			Hex:    "000000001173686172642d302f6d6574612e736e6170000000044d564d53",
+			Encode: func() []byte { return encodeSnapFile(false, "shard-0/meta.snap", []byte("MVMS")) },
+			Decode: func(b []byte) (any, error) {
+				isDir, rel, data, ok := decodeSnapFile(b)
+				return snapFile{isDir, rel, data}, okErr(ok)
+			},
+			Want: snapFile{false, "shard-0/meta.snap", []byte("MVMS")},
+		},
+		frame.Golden{
+			Name:   "reject body",
+			Hex:    "00000000000000090000000b7374616c652065706f6368",
+			Encode: func() []byte { return encodeReject(9, "stale epoch") },
+			Decode: func(b []byte) (any, error) {
+				e, reason, ok := decodeReject(b)
+				return reject{e, reason}, okErr(ok)
+			},
+			Want: reject{9, "stale epoch"},
+		},
+		frame.Golden{
+			Name:   "payload header (ack)",
+			Hex:    "000000000000000704000000000000002a",
+			Encode: func() []byte { return payload(7, frameAck, []byte{0, 0, 0, 0, 0, 0, 0, 42}) },
+		},
+	)
+	frame.CheckGolden(t, vectors...)
+
+	// The header is not self-delimiting (the body runs to the frame's end),
+	// so it is checked for its split rather than by truncation.
+	e, k, body, ok := splitPayload(payload(7, frameAck, []byte{42}))
+	if !ok || e != 7 || k != frameAck || len(body) != 1 || body[0] != 42 {
+		t.Errorf("splitPayload = %d, %d, %x, %v", e, k, body, ok)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/vcrypto"
 )
@@ -152,8 +153,8 @@ func DirDigest(fsys faultfs.FS, root string) ([32]byte, error) {
 			kind = 1
 		}
 		h.Write([]byte{kind})
-		h.Write(appendStr(nil, e.rel))
-		h.Write(appendBytes(nil, e.data))
+		h.Write(frame.AppendStr(nil, e.rel))
+		h.Write(frame.AppendBytes(nil, e.data))
 	}
 	var out [32]byte
 	h.Sum(out[:0])
@@ -283,9 +284,9 @@ func roundTripAck(rt roundTripper, p []byte) (lsn uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	d := &dec{b: body}
-	lsn = d.u64()
-	if !d.ok() {
+	r := frame.NewReader(body)
+	lsn = r.U64()
+	if r.Done() != nil {
 		return 0, ErrBadFrame
 	}
 	return lsn, nil
@@ -302,9 +303,9 @@ func headsExchange(rt roundTripper, epoch uint64, pub vcrypto.PublicKey, sths []
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: body}
-	hs := d.heads()
-	if !d.ok() {
+	r := frame.NewReader(body)
+	hs := readHeads(r)
+	if r.Done() != nil {
 		return nil, ErrBadFrame
 	}
 	return hs, nil

@@ -31,8 +31,8 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
@@ -121,96 +121,15 @@ var (
 
 // --- payload codec -------------------------------------------------------
 //
-// The vault core keeps its codec helpers unexported, so the wire format
-// carries its own: big-endian fixed ints, u32-length-prefixed strings and
-// byte fields, matching the WAL framing's endianness.
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(b, v)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// dec is a cursor over a payload; the first short read latches bad and every
-// later read returns zero values, so decoders can parse straight-line and
-// check once at the end.
-type dec struct {
-	b   []byte
-	bad bool
-}
-
-func (d *dec) u8() uint8 {
-	if d.bad || len(d.b) < 1 {
-		d.bad = true
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.bad || len(d.b) < 4 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.bad || len(d.b) < 8 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) bytes() []byte {
-	n := d.u32()
-	if d.bad || uint64(n) > uint64(len(d.b)) {
-		d.bad = true
-		return nil
-	}
-	v := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) str() string { return string(d.bytes()) }
-
-func (d *dec) hash() (h merkle.Hash) {
-	if d.bad || len(d.b) < len(h) {
-		d.bad = true
-		return h
-	}
-	copy(h[:], d.b)
-	d.b = d.b[len(h):]
-	return h
-}
-
-// ok reports a fully consumed, error-free payload.
-func (d *dec) ok() bool { return !d.bad && len(d.b) == 0 }
+// Bodies are written and read with internal/frame's field codec: big-endian
+// fixed ints, u32-length-prefixed strings and byte fields, matching the outer
+// framing's endianness. Decoders report ok=false for a short, over-long or
+// unknown body; the caller turns that into ErrBadFrame.
 
 // payload assembles epoch | kind | body.
 func payload(epoch uint64, kind uint8, body []byte) []byte {
 	out := make([]byte, 0, 9+len(body))
-	out = appendU64(out, epoch)
+	out = binary.BigEndian.AppendUint64(out, epoch)
 	out = append(out, kind)
 	return append(out, body...)
 }
@@ -224,59 +143,58 @@ func splitPayload(p []byte) (epoch uint64, kind uint8, body []byte, ok bool) {
 }
 
 func encodeOp(rec OpRecord) []byte {
-	b := []byte{rec.Kind}
-	b = appendStr(b, rec.Path)
+	b := frame.AppendStr([]byte{rec.Kind}, rec.Path)
 	switch rec.Kind {
 	case opOpen:
-		b = appendU32(b, rec.Flags)
-		b = appendU32(b, rec.Perm)
+		b = binary.BigEndian.AppendUint32(b, rec.Flags)
+		b = binary.BigEndian.AppendUint32(b, rec.Perm)
 	case opWrite:
-		b = appendBytes(b, rec.Data)
+		b = frame.AppendBytes(b, rec.Data)
 	case opRename:
-		b = appendStr(b, rec.Old)
+		b = frame.AppendStr(b, rec.Old)
 	case opTruncate:
-		b = appendU64(b, rec.Size)
+		b = binary.BigEndian.AppendUint64(b, rec.Size)
 	case opMkdirAll:
-		b = appendU32(b, rec.Perm)
+		b = binary.BigEndian.AppendUint32(b, rec.Perm)
 	case opWriteFile:
-		b = appendU32(b, rec.Perm)
-		b = appendBytes(b, rec.Data)
+		b = binary.BigEndian.AppendUint32(b, rec.Perm)
+		b = frame.AppendBytes(b, rec.Data)
 	case opTraceMark:
 		// Path carries the hashed record ID; Old the trace ID; Data the
 		// vault op name ("put", "correct", "shred"). All observability-plane
 		// values — no plaintext.
-		b = appendStr(b, rec.Old)
-		b = appendBytes(b, rec.Data)
+		b = frame.AppendStr(b, rec.Old)
+		b = frame.AppendBytes(b, rec.Data)
 	}
 	return b
 }
 
 func decodeOp(body []byte) (OpRecord, bool) {
-	d := &dec{b: body}
-	rec := OpRecord{Kind: d.u8(), Path: d.str()}
+	r := frame.NewReader(body)
+	rec := OpRecord{Kind: r.U8(), Path: r.Str()}
 	switch rec.Kind {
 	case opOpen:
-		rec.Flags = d.u32()
-		rec.Perm = d.u32()
+		rec.Flags = r.U32()
+		rec.Perm = r.U32()
 	case opWrite:
-		rec.Data = d.bytes()
+		rec.Data = r.Bytes()
 	case opSync, opRemove, opRemoveAll:
 	case opRename:
-		rec.Old = d.str()
+		rec.Old = r.Str()
 	case opTruncate:
-		rec.Size = d.u64()
+		rec.Size = r.U64()
 	case opMkdirAll:
-		rec.Perm = d.u32()
+		rec.Perm = r.U32()
 	case opWriteFile:
-		rec.Perm = d.u32()
-		rec.Data = d.bytes()
+		rec.Perm = r.U32()
+		rec.Data = r.Bytes()
 	case opTraceMark:
-		rec.Old = d.str()
-		rec.Data = d.bytes()
+		rec.Old = r.Str()
+		rec.Data = r.Bytes()
 	default:
 		return OpRecord{}, false
 	}
-	return rec, d.ok()
+	return rec, r.Done() == nil
 }
 
 // Head is a (size, root) pair as exchanged on the wire; the follower's are
@@ -288,23 +206,19 @@ type Head struct {
 }
 
 func appendHeads(b []byte, hs []Head) []byte {
-	b = appendU32(b, uint32(len(hs)))
+	b = frame.AppendCount(b, len(hs))
 	for _, h := range hs {
-		b = appendU64(b, h.Size)
+		b = binary.BigEndian.AppendUint64(b, h.Size)
 		b = append(b, h.Root[:]...)
 	}
 	return b
 }
 
-func (d *dec) heads() []Head {
-	n := d.u32()
-	if d.bad || uint64(n) > uint64(len(d.b)) {
-		d.bad = true
-		return nil
-	}
-	hs := make([]Head, n)
+func readHeads(r *frame.Reader) []Head {
+	hs := make([]Head, r.Count(8+merkle.HashSize))
 	for i := range hs {
-		hs[i] = Head{Size: d.u64(), Root: d.hash()}
+		hs[i].Size = r.U64()
+		r.Fixed(hs[i].Root[:])
 	}
 	return hs
 }
@@ -312,49 +226,44 @@ func (d *dec) heads() []Head {
 // encodeHelloAck carries the follower's epoch, its computed heads, and its
 // dir digest — everything the primary needs for connect-time anti-entropy.
 func encodeHelloAck(epoch uint64, heads []Head, digest [32]byte) []byte {
-	b := appendU64(nil, epoch)
+	b := binary.BigEndian.AppendUint64(nil, epoch)
 	b = appendHeads(b, heads)
 	return append(b, digest[:]...)
 }
 
 func decodeHelloAck(body []byte) (epoch uint64, heads []Head, digest [32]byte, ok bool) {
-	d := &dec{b: body}
-	epoch = d.u64()
-	heads = d.heads()
-	h := d.hash()
-	copy(digest[:], h[:])
-	return epoch, heads, digest, d.ok()
+	r := frame.NewReader(body)
+	epoch = r.U64()
+	heads = readHeads(r)
+	r.Fixed(digest[:])
+	return epoch, heads, digest, r.Done() == nil
 }
 
 // encodeHeadsReq carries the cluster public key and one signed tree head per
 // shard, so the follower can authenticate the primary before comparing.
 func encodeHeadsReq(pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) []byte {
-	b := appendBytes(nil, pub)
-	b = appendU32(b, uint32(len(sths)))
+	b := frame.AppendBytes(nil, pub)
+	b = frame.AppendCount(b, len(sths))
 	for _, s := range sths {
-		b = appendU64(b, s.Size)
+		b = binary.BigEndian.AppendUint64(b, s.Size)
 		b = append(b, s.Root[:]...)
-		b = appendU64(b, uint64(s.Timestamp.UnixNano()))
-		b = appendBytes(b, s.Signature)
+		b = frame.AppendTime(b, s.Timestamp)
+		b = frame.AppendBytes(b, s.Signature)
 	}
 	return b
 }
 
 func decodeHeadsReq(body []byte) (pub vcrypto.PublicKey, sths []merkle.SignedTreeHead, ok bool) {
-	d := &dec{b: body}
-	pub = vcrypto.PublicKey(d.bytes())
-	n := d.u32()
-	if d.bad || uint64(n) > uint64(len(d.b)) {
-		return nil, nil, false
-	}
-	sths = make([]merkle.SignedTreeHead, n)
+	r := frame.NewReader(body)
+	pub = vcrypto.PublicKey(r.Bytes())
+	sths = make([]merkle.SignedTreeHead, r.Count(8+merkle.HashSize+8+4))
 	for i := range sths {
-		sths[i].Size = d.u64()
-		sths[i].Root = d.hash()
-		sths[i].Timestamp = time.Unix(0, int64(d.u64())).UTC()
-		sths[i].Signature = d.bytes()
+		sths[i].Size = r.U64()
+		r.Fixed(sths[i].Root[:])
+		sths[i].Timestamp = r.Time()
+		sths[i].Signature = r.Bytes()
 	}
-	return pub, sths, d.ok()
+	return pub, sths, r.Done() == nil
 }
 
 func encodeSnapFile(isDir bool, rel string, data []byte) []byte {
@@ -362,26 +271,25 @@ func encodeSnapFile(isDir bool, rel string, data []byte) []byte {
 	if isDir {
 		k = 1
 	}
-	b := []byte{k}
-	b = appendStr(b, rel)
-	return appendBytes(b, data)
+	b := frame.AppendStr([]byte{k}, rel)
+	return frame.AppendBytes(b, data)
 }
 
 func decodeSnapFile(body []byte) (isDir bool, rel string, data []byte, ok bool) {
-	d := &dec{b: body}
-	isDir = d.u8() == 1
-	rel = d.str()
-	data = d.bytes()
-	return isDir, rel, data, d.ok()
+	r := frame.NewReader(body)
+	isDir = r.U8() == 1
+	rel = r.Str()
+	data = r.Bytes()
+	return isDir, rel, data, r.Done() == nil
 }
 
 func encodeReject(epoch uint64, reason string) []byte {
-	return appendStr(appendU64(nil, epoch), reason)
+	return frame.AppendStr(binary.BigEndian.AppendUint64(nil, epoch), reason)
 }
 
 func decodeReject(body []byte) (epoch uint64, reason string, ok bool) {
-	d := &dec{b: body}
-	epoch = d.u64()
-	reason = d.str()
-	return epoch, reason, d.ok()
+	r := frame.NewReader(body)
+	epoch = r.U64()
+	reason = r.Str()
+	return epoch, reason, r.Done() == nil
 }

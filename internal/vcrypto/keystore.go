@@ -1,14 +1,13 @@
 package vcrypto
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
+	"medvault/internal/frame"
 	"medvault/internal/obs"
 )
 
@@ -320,60 +319,40 @@ const (
 func (ks *KeyStore) Snapshot() []byte {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(ksMagic)
-	writeU16(&buf, ksVersion)
-	writeU32(&buf, uint32(len(ks.wrapped)))
+	b := binary.BigEndian.AppendUint16([]byte(ksMagic), ksVersion)
+	b = frame.AppendCount(b, len(ks.wrapped))
 	for _, id := range sortedKeys(ks.wrapped) {
-		writeBytes(&buf, []byte(id))
-		writeBytes(&buf, ks.wrapped[id])
+		b = frame.AppendStr(b, id)
+		b = frame.AppendBytes(b, ks.wrapped[id])
 	}
-	writeU32(&buf, uint32(len(ks.shredded)))
+	b = frame.AppendCount(b, len(ks.shredded))
 	for _, id := range sortedKeys(ks.shredded) {
-		writeBytes(&buf, []byte(id))
+		b = frame.AppendStr(b, id)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // LoadKeyStore reconstructs a KeyStore from a Snapshot, using master to
 // unwrap keys on demand. The snapshot's integrity is verified lazily: a
 // corrupted wrapped key surfaces as ErrDecrypt on first Get.
 func LoadKeyStore(master Key, snap []byte) (*KeyStore, error) {
-	r := bytes.NewReader(snap)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ksMagic {
+	r := frame.NewReader(snap)
+	if !r.Magic(ksMagic) {
 		return nil, fmt.Errorf("vcrypto: bad keystore snapshot magic")
 	}
-	ver, err := readU16(r)
-	if err != nil || ver != ksVersion {
+	if ver := r.U16(); ver != ksVersion {
 		return nil, fmt.Errorf("vcrypto: unsupported keystore snapshot version %d", ver)
 	}
 	ks := NewKeyStore(master)
-	nLive, err := readU32(r)
-	if err != nil {
+	for i, n := 0, r.Count(8); i < n; i++ { // id and blob: two length prefixes
+		id := r.Str()
+		ks.wrapped[id] = r.Bytes()
+	}
+	for i, n := 0, r.Count(4); i < n; i++ {
+		ks.shredded[r.Str()] = true
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
-	}
-	for i := uint32(0); i < nLive; i++ {
-		id, err := readBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
-		}
-		blob, err := readBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
-		}
-		ks.wrapped[string(id)] = blob
-	}
-	nShred, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
-	}
-	for i := uint32(0); i < nShred; i++ {
-		id, err := readBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
-		}
-		ks.shredded[string(id)] = true
 	}
 	return ks, nil
 }
@@ -385,50 +364,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeU32(buf, uint32(len(b)))
-	buf.Write(b)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("vcrypto: length %d exceeds remaining %d", n, r.Len())
-	}
-	b := make([]byte, n)
-	_, err = io.ReadFull(r, b)
-	return b, err
 }

@@ -16,8 +16,6 @@
 package worm
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,6 +25,7 @@ import (
 	"medvault/internal/blockstore"
 	"medvault/internal/clock"
 	"medvault/internal/ehr"
+	"medvault/internal/frame"
 	"medvault/internal/index"
 	"medvault/internal/merkle"
 	"medvault/internal/retention"
@@ -104,14 +103,7 @@ func (s *Store) Name() string { return "worm" }
 
 // leafData encodes what the Merkle log commits to for a record.
 func leafData(id string, ctHash [32]byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("worm/leaf/v1\x00")
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(id)))
-	buf.Write(lb[:])
-	buf.WriteString(id)
-	buf.Write(ctHash[:])
-	return buf.Bytes()
+	return append(frame.AppendStr([]byte("worm/leaf/v1\x00"), id), ctHash[:]...)
 }
 
 // Put implements stores.Store: encrypt under a fresh per-record DEK, append
