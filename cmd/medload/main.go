@@ -15,14 +15,14 @@
 //
 //	medload -target http://127.0.0.1:8600 [-actors 200] [-duration 30s]
 //	        [-scenarios admission,audit-storm,...] [-quick]
-//	        [-slo-p99 2s] [-error-budget 0] [-json-dir .] [-no-json]
+//	        [-slo-p99 2s] [-error-budget 0]
 //
 //	medload -print-principals [-actors N]   # emit principals.conf lines
 //
 // The run reports per-endpoint client-side latency percentiles, throughput,
-// and an SLO verdict, and writes a versioned LOAD_<n>.json artifact (schema
-// "medvault-load/v1", documented in EXPERIMENTS.md). Exit status is 0 only
-// when every SLO gate and every invariant holds.
+// and an SLO verdict. Exit status is 0 only when every SLO gate holds and
+// every invariant both holds and checked something — the exit status is the
+// gate; figures anyone may cite come from bench/ (BENCHMARK.json).
 //
 // The target vault must know the load principals; provision them by
 // appending `medload -print-principals -actors N` to the vault directory's
@@ -50,8 +50,6 @@ func main() {
 		quick       = flag.Bool("quick", false, "smoke mode: 16 actors, 3s window")
 		p99         = flag.Duration("slo-p99", 2*time.Second, "per-endpoint p99 latency gate")
 		budget      = flag.Float64("error-budget", 0, "allowed fraction of unexpected-status calls (0 = none)")
-		jsonDir     = flag.String("json-dir", ".", "directory for the LOAD_<n>.json artifact")
-		noJSON      = flag.Bool("no-json", false, "skip the JSON artifact")
 		printPrinc  = flag.Bool("print-principals", false, "print principals.conf lines for -actors actors and exit")
 	)
 	flag.Parse()
@@ -91,12 +89,6 @@ func main() {
 		os.Exit(1)
 	}
 	printReport(os.Stdout, rep)
-	if !*noJSON {
-		if err := writeLoadJSON(*jsonDir, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "medload:", err)
-			os.Exit(1)
-		}
-	}
 	if !rep.SLO.Pass {
 		os.Exit(1)
 	}
@@ -144,6 +136,8 @@ func printReport(w *os.File, rep *report) {
 		verdict := "ok"
 		if inv.Violations > 0 {
 			verdict = "VIOLATED"
+		} else if inv.Checked == 0 && fedBy(inv.Name, rep.Scenarios) != "" {
+			verdict = "VACUOUS"
 		}
 		fmt.Fprintf(w, "invariant %-24s checked=%-4d violations=%-3d %s", inv.Name, inv.Checked, inv.Violations, verdict)
 		if inv.Detail != "" {

@@ -1,12 +1,13 @@
 package main
 
 // Client-side statistics: the collector is a medclient.Recorder shared by
-// every actor; the report is what the CLI prints and LOAD_<n>.json stores.
+// every actor; the report is what the CLI prints and gates its exit on.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,21 +91,20 @@ func (c *collector) record(endpoint string, status int, d time.Duration, err err
 
 // endpointStats is one endpoint's row in the report.
 type endpointStats struct {
-	Endpoint   string  `json:"endpoint"`
-	Count      int64   `json:"count"`
-	Unexpected int64   `json:"unexpected"`
-	P50S       float64 `json:"p50_s"`
-	P95S       float64 `json:"p95_s"`
-	P99S       float64 `json:"p99_s"`
-	MaxS       float64 `json:"max_s"`
+	Endpoint   string
+	Count      int64
+	Unexpected int64
+	P50S       float64
+	P99S       float64
+	MaxS       float64
 }
 
 // invariantResult is one cross-actor invariant's verdict.
 type invariantResult struct {
-	Name       string `json:"name"`
-	Checked    int    `json:"checked"`
-	Violations int    `json:"violations"`
-	Detail     string `json:"detail,omitempty"` // first violation, for the report
+	Name       string
+	Checked    int
+	Violations int
+	Detail     string // first violation, for the report
 }
 
 func (i *invariantResult) fail(detail string) {
@@ -116,28 +116,50 @@ func (i *invariantResult) fail(detail string) {
 
 // sloResult is the run's gate verdict.
 type sloResult struct {
-	P99TargetS  float64  `json:"p99_target_s"`
-	ErrorBudget float64  `json:"error_budget"`
-	Pass        bool     `json:"pass"`
-	Failures    []string `json:"failures,omitempty"`
+	P99TargetS  float64
+	ErrorBudget float64
+	Pass        bool
+	Failures    []string
 }
 
-// report is the run's full outcome; loadjson.go serializes it.
+// report is the run's full outcome.
 type report struct {
-	Schema          string            `json:"schema"`
-	Generated       time.Time         `json:"generated"`
-	Target          string            `json:"target"`
-	Shards          int               `json:"shards"`
-	Scenarios       []string          `json:"scenarios"`
-	Actors          int               `json:"actors"`
-	DurationS       float64           `json:"duration_s"`
-	CallsTotal      int64             `json:"calls_total"`
-	CallsUnexpected int64             `json:"calls_unexpected"`
-	TransportErrors int64             `json:"transport_errors"`
-	ThroughputRPS   float64           `json:"throughput_rps"`
-	Endpoints       []endpointStats   `json:"endpoints"`
-	Invariants      []invariantResult `json:"invariants"`
-	SLO             sloResult         `json:"slo"`
+	Target          string
+	Shards          int
+	Scenarios       []string
+	Actors          int
+	DurationS       float64
+	CallsTotal      int64
+	CallsUnexpected int64
+	TransportErrors int64
+	ThroughputRPS   float64
+	Endpoints       []endpointStats
+	Invariants      []invariantResult
+	SLO             sloResult
+}
+
+// invariantFeeders names, per sampled invariant, the personas whose beats
+// produce its samples. An invariant that checked nothing although a selected
+// scenario fields one of its feeders passed vacuously, and fails the gate.
+// (verify-clean samples nothing; it always checks once.)
+var invariantFeeders = map[string][]string{
+	"breakglass-audited":   {"bg-responder"},
+	"breakglass-disclosed": {"bg-responder"},
+	"denied-audited":       {"records-clerk", "ins-auditor"},
+	"created-readable":     {"admit-clin"},
+}
+
+// fedBy returns the first selected scenario that fields a persona feeding
+// the named invariant, or "" when none does.
+func fedBy(invariant string, selected []string) string {
+	for _, s := range selected {
+		for _, wp := range scenarios[s] {
+			if slices.Contains(invariantFeeders[invariant], wp.persona) {
+				return s
+			}
+		}
+	}
+	return ""
 }
 
 // sloMinCalls is the per-endpoint sample floor for the p99 gate: a handful
@@ -154,8 +176,7 @@ func buildReport(cfg config, shards int, elapsed time.Duration, col *collector, 
 		sort.Float64s(sorted)
 		endpoints = append(endpoints, endpointStats{
 			Endpoint: name, Count: d.count, Unexpected: d.unexpected,
-			P50S: quantile(sorted, 0.50), P95S: quantile(sorted, 0.95),
-			P99S: quantile(sorted, 0.99), MaxS: d.max,
+			P50S: quantile(sorted, 0.50), P99S: quantile(sorted, 0.99), MaxS: d.max,
 		})
 	}
 	total, unexpected, transport := col.total, col.unexpected, col.transport
@@ -204,6 +225,10 @@ func buildReport(cfg config, shards int, elapsed time.Duration, col *collector, 
 			slo.Pass = false
 			slo.Failures = append(slo.Failures,
 				fmt.Sprintf("invariant %s: %d violation(s): %s", inv.Name, inv.Violations, inv.Detail))
+		} else if s := fedBy(inv.Name, cfg.Scenarios); inv.Checked == 0 && s != "" {
+			slo.Pass = false
+			slo.Failures = append(slo.Failures,
+				fmt.Sprintf("invariant %s checked nothing although scenario %s feeds it (vacuous pass)", inv.Name, s))
 		}
 	}
 	rep.SLO = slo

@@ -11,11 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/obs"
 )
@@ -34,25 +34,12 @@ func cmdFlight(args []string) error {
 	}
 	raw := faultfs.OS{}
 
-	// Segments live under DIR/flight for a single vault and under each
-	// shard's own directory in a sharded layout; a torn tail (the crash
-	// frontier) decodes to however many whole frames survived.
-	dirs := []string{filepath.Join(*dir, "flight")}
-	if ents, err := raw.ReadDir(*dir); err == nil {
-		for _, e := range ents {
-			if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-				dirs = append(dirs, filepath.Join(*dir, e.Name(), "flight"))
-			}
-		}
-	}
-	var evs []obs.FlightEvent
-	for _, d := range dirs {
-		got, err := obs.ReadFlightDir(raw, d)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "medvault: reading %s: %v\n", d, err)
-			continue
-		}
-		evs = append(evs, got...)
+	// core.ReadFlightTail knows the layout (DIR/flight for a single vault,
+	// each shard's own directory in a sharded one); a torn tail — the crash
+	// frontier — decodes to however many whole frames survived.
+	evs, err := core.ReadFlightTail(raw, *dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medvault: %v\n", err)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 

@@ -285,3 +285,76 @@ func TestDurableSnapshotIsAtomic(t *testing.T) {
 		t.Error("stray snapshot temp file")
 	}
 }
+
+// TestLiveRecordsGaugeTracksOpenVaults pins medvault_records_live to what
+// the process actually holds open: puts and imports add, a shred subtracts,
+// Close gives the vault's share back, and a reopen counts the recovered
+// records once — not on top of what the first open left behind.
+func TestLiveRecordsGaugeTracksOpenVaults(t *testing.T) {
+	ctx := context.Background()
+	base := metLiveRecords.Value()
+	live := func(when string, want float64) {
+		t.Helper()
+		if got := metLiveRecords.Value() - base; got != want {
+			t.Errorf("%s: records_live moved by %v, want %v", when, got, want)
+		}
+	}
+
+	// A memory-backed source vault provides the bundle to import; closing it
+	// must return its own record to the gauge.
+	g := ehr.NewGenerator(70, testEpoch)
+	nextClinical := func() ehr.Record {
+		for {
+			if r := g.Next(); r.Category == ehr.CategoryClinical {
+				r.CreatedAt = testEpoch
+				return r
+			}
+		}
+	}
+	src, _ := newVault(t)
+	imported := nextClinical()
+	if _, err := src.PutCtx(ctx, "dr-house", imported); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := src.Export("arch-lee", imported.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live("source vault closed", 0)
+
+	dir := t.TempDir()
+	master, _ := vcrypto.NewKey()
+	vc := clock.NewVirtual(testEpoch)
+	v := openDurable(t, dir, master, vc)
+	first := nextClinical()
+	for _, rec := range []ehr.Record{first, nextClinical(), nextClinical()} {
+		if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Import("arch-lee", bundle, "hospital-test"); err != nil {
+		t.Fatal(err)
+	}
+	live("3 puts + 1 import", 4)
+
+	vc.Advance(40 * 365 * 24 * time.Hour)
+	if err := v.ShredCtx(ctx, "arch-lee", first.ID); err != nil {
+		t.Fatal(err)
+	}
+	live("after shred", 3)
+
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live("after Close", 0)
+
+	re := openDurable(t, dir, master, vc)
+	live("after reopen", 3)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live("after second Close", 0)
+}

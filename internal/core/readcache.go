@@ -20,8 +20,8 @@ const (
 // owns its set so each shard's caches report under a shard label while a
 // one-shard vault keeps the original single-label series (the DEK
 // layer's counters live in vcrypto under cache="dek"). The series are
-// registered even for a disabled cache, so /metrics and the bench JSON
-// always expose every layer.
+// registered even for a disabled cache, so /metrics (and the benchmark
+// that scrapes it) always exposes every layer.
 type cacheMetrics struct {
 	hits, misses, evictions *obs.Counter
 	entries                 *obs.Gauge

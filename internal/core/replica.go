@@ -24,6 +24,7 @@ import (
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
 	"medvault/internal/merkle"
+	"medvault/internal/obs"
 )
 
 // ReplicaHead is one shard's Merkle position as computed from raw replica
@@ -33,32 +34,64 @@ type ReplicaHead struct {
 	Root merkle.Hash
 }
 
-// ReplicaHeads computes every shard's (size, root) directly from the
-// metadata files under dir — the snapshot's persisted leaf hashes plus the
-// leaves implied by WAL entries the snapshot does not cover. The shard count
-// is taken from the cluster manifest (1 when absent, matching Open).
-func ReplicaHeads(fsys faultfs.FS, dir string) ([]ReplicaHead, error) {
-	shards := 1
-	if data, err := fsys.ReadFile(filepath.Join(dir, clusterManifest)); err == nil {
-		n, perr := parseManifest(data)
-		if perr != nil {
-			return nil, fmt.Errorf("core: replica manifest: %w", perr)
-		}
-		shards = n
-	} else if !errors.Is(err, fs.ErrNotExist) {
+// replicaShardDirs lists the shard directories of the vault layout under
+// dir, in shard order, from files alone: the count comes from the cluster
+// manifest, and a directory without one is the single-vault layout — dir
+// itself — matching Open.
+func replicaShardDirs(fsys faultfs.FS, dir string) ([]string, error) {
+	data, err := fsys.ReadFile(filepath.Join(dir, clusterManifest))
+	if errors.Is(err, fs.ErrNotExist) {
+		return []string{dir}, nil
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: reading replica manifest: %w", err)
 	}
-	out := make([]ReplicaHead, shards)
-	for i := 0; i < shards; i++ {
-		d := dir
-		if shards > 1 {
-			d = filepath.Join(dir, "shard-"+strconv.Itoa(i))
-		}
-		h, err := replicaShardHead(fsys, d)
-		if err != nil {
+	n, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: replica manifest: %w", err)
+	}
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, "shard-"+strconv.Itoa(i))
+	}
+	return dirs, nil
+}
+
+// ReplicaHeads computes every shard's (size, root) directly from the
+// metadata files under dir — the snapshot's persisted leaf hashes plus the
+// leaves implied by WAL entries the snapshot does not cover.
+func ReplicaHeads(fsys faultfs.FS, dir string) ([]ReplicaHead, error) {
+	dirs, err := replicaShardDirs(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ReplicaHead, len(dirs))
+	for i, d := range dirs {
+		if out[i], err = replicaShardHead(fsys, d); err != nil {
 			return nil, fmt.Errorf("core: replica head of shard %d: %w", i, err)
 		}
-		out[i] = h
+	}
+	return out, nil
+}
+
+// ReadFlightTail decodes the persisted flight-recorder tail of the vault
+// layout under dir — every shard's flight/ segments, in shard order — from
+// a raw (crashed, replicated, or live) directory, without keys. It is the
+// one reader of that layout: the offline `medvault flight` decoder and the
+// torture and simulator crash invariants all call it. Torn segment tails
+// decode to the frames that survived; a missing flight directory is empty.
+func ReadFlightTail(fsys faultfs.FS, dir string) ([]obs.FlightEvent, error) {
+	dirs, err := replicaShardDirs(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []obs.FlightEvent
+	for _, d := range dirs {
+		evs, err := obs.ReadFlightDir(fsys, filepath.Join(d, "flight"))
+		if err != nil {
+			return nil, fmt.Errorf("core: flight tail in %s: %w", d, err)
+		}
+		out = append(out, evs...)
 	}
 	return out, nil
 }

@@ -326,44 +326,38 @@ type flightTail struct {
 	shredOK     map[string]bool // record ID -> acked shred event persisted
 }
 
-// decodeFlightTail reads every flight directory the cluster layout can
-// produce from the raw crash image — before recovery reopens the vault and
-// starts a fresh segment — and audits the events themselves: the torn-tail
-// rule must make them decodable, and no field may carry record plaintext.
-func decodeFlightTail(img *faultfs.Mem, shards int) (flightTail, error) {
+// decodeFlightTail reads the persisted flight tail from the raw crash image
+// — before recovery reopens the vault and starts a fresh segment — and
+// audits the events themselves: the torn-tail rule must make them
+// decodable, and no field may carry record plaintext.
+func decodeFlightTail(img *faultfs.Mem) (flightTail, error) {
 	ft := flightTail{okMutations: make(map[string]int), shredOK: make(map[string]bool)}
 	hashToID := make(map[string]string, len(tortureIDs))
 	for _, id := range tortureIDs {
 		hashToID[obs.HashRecordID(id)] = id
 	}
-	dirs := []string{"vault/flight"}
-	for i := 0; i < shards; i++ {
-		dirs = append(dirs, fmt.Sprintf("vault/shard-%d/flight", i))
+	evs, err := ReadFlightTail(img, "vault")
+	if err != nil {
+		return ft, fmt.Errorf("persisted flight tail unreadable: %w", err)
 	}
-	for _, d := range dirs {
-		evs, err := obs.ReadFlightDir(img, d)
-		if err != nil {
-			return ft, fmt.Errorf("persisted flight tail in %s unreadable: %w", d, err)
+	for _, ev := range evs {
+		for _, s := range ev.Strings() {
+			if strings.Contains(s, sentinelPrefix) {
+				return ft, fmt.Errorf("plaintext sentinel in persisted flight event %d (%s)", ev.Seq, ev.Kind)
+			}
 		}
-		for _, ev := range evs {
-			for _, s := range []string{ev.Kind, ev.Record, ev.Trace, ev.Outcome, ev.Shard, ev.Detail} {
-				if strings.Contains(s, sentinelPrefix) {
-					return ft, fmt.Errorf("plaintext sentinel in persisted flight event in %s", d)
-				}
-			}
-			if ev.Outcome != "ok" {
-				continue
-			}
-			id, known := hashToID[ev.Record]
-			if !known {
-				continue
-			}
-			switch ev.Kind {
-			case "put", "correct":
-				ft.okMutations[id]++
-			case "shred":
-				ft.shredOK[id] = true
-			}
+		if ev.Outcome != "ok" {
+			continue
+		}
+		id, known := hashToID[ev.Record]
+		if !known {
+			continue
+		}
+		switch ev.Kind {
+		case "put", "correct":
+			ft.okMutations[id]++
+		case "shred":
+			ft.shredOK[id] = true
 		}
 	}
 	return ft, nil
@@ -408,7 +402,7 @@ func (ft flightTail) check(v *Cluster) error {
 func recoverAndCheck(img *faultfs.Mem, o *oracle, shards int) error {
 	// Decode the flight tail from the raw image first: the recovery open
 	// below starts a fresh segment in the same directories.
-	ft, err := decodeFlightTail(img, shards)
+	ft, err := decodeFlightTail(img)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package core
 
 // Exported handles on the crash-recovery torture harness. The failover
 // torture in internal/repl reuses the exact scripted workload, acked-state
-// oracle, and plaintext scan that torture.go runs against a single disk —
+// oracle, and recovery battery that torture.go runs against a single disk —
 // but points them at a promoted replica instead of a recovered crash image.
 // Exporting thin wrappers (rather than duplicating the script) keeps the two
 // harnesses answering the same question: "is everything the vault
@@ -33,11 +33,12 @@ func RunTortureWorkload(v *Cluster, vc *clock.Virtual, o *TortureOracle) error {
 	return runWorkload(v, vc, o.o)
 }
 
-// Check audits a recovered or promoted vault against the oracle: every acked
-// version readable with its exact body, acked shreds honored, acked holds in
-// force, and VerifyAll clean.
-func (t *TortureOracle) Check(v *Cluster) error { return t.o.check(v) }
-
-// ScanForPlaintext greps a disk image for the workload's sentinel plaintext;
-// any hit means a record body leaked to the medium.
-func ScanForPlaintext(img *faultfs.Mem) error { return scanForPlaintext(img) }
+// RecoverAndCheck runs the whole post-crash battery against a disk image —
+// a local crash image or a promoted follower's medium alike: the persisted
+// flight tail decodes, is sentinel-free and claims nothing recovery does not
+// rebuild; two recovery passes each satisfy the oracle (every acked version
+// readable with its exact body, acked shreds honored, acked holds in force,
+// VerifyAll clean); and no sentinel plaintext is on the medium.
+func (t *TortureOracle) RecoverAndCheck(img *faultfs.Mem, shards int) error {
+	return recoverAndCheck(img, t.o, shards)
+}

@@ -392,6 +392,10 @@ func (v *Vault) Close() error {
 		return nil
 	}
 	defer v.gate.endExclusive()
+	// The live-records gauge is process-wide: give back what this shard's
+	// recovery, puts and imports added, so a directory opened twice in one
+	// process (follower promotion, harnesses) is not counted twice.
+	metLiveRecords.Add(-float64(v.Len()))
 	// Zeroize every cached plaintext DEK before releasing anything: key
 	// material must not outlive the vault's lifecycle. The block and
 	// negative caches go too — a later reopen starts cold.

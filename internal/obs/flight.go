@@ -56,6 +56,23 @@ type FlightEvent struct {
 	Detail  string        // short PHI-free detail (anomaly kind, error class)
 }
 
+// strs lists the event's string fields in wire order. It is the only list
+// of them: the codec and every leak scan (via Strings) range over it, so a
+// field added here is encoded, decoded and scanned, or none of the three.
+func (ev *FlightEvent) strs() [6]*string {
+	return [6]*string{&ev.Kind, &ev.Record, &ev.Trace, &ev.Outcome, &ev.Shard, &ev.Detail}
+}
+
+// Strings returns every string field of the event — what a plaintext-leak
+// scan must cover.
+func (ev FlightEvent) Strings() [6]string {
+	var out [6]string
+	for i, p := range ev.strs() {
+		out[i] = *p
+	}
+	return out
+}
+
 // HashRecordID maps a record ID to the stable 12-hex-digit token flight
 // events carry. The domain separator keeps the token from doubling as a
 // generic hash of the ID usable outside the flight recorder; resolving a
@@ -182,7 +199,8 @@ func encodeFlightEvent(ev FlightEvent) []byte {
 	b = binary.BigEndian.AppendUint64(b, ev.Seq)
 	b = binary.BigEndian.AppendUint64(b, uint64(ev.Time.UnixNano()))
 	b = binary.BigEndian.AppendUint64(b, uint64(ev.Dur))
-	for _, s := range []string{ev.Kind, ev.Record, ev.Trace, ev.Outcome, ev.Shard, ev.Detail} {
+	for _, p := range ev.strs() {
+		s := *p
 		if len(s) > flightMaxStr {
 			s = s[:flightMaxStr]
 		}
@@ -206,7 +224,7 @@ func decodeFlightEvent(b []byte) (FlightEvent, bool) {
 		Dur:  time.Duration(r.U64()),
 	}
 	var buf [flightMaxStr]byte
-	for _, dst := range []*string{&ev.Kind, &ev.Record, &ev.Trace, &ev.Outcome, &ev.Shard, &ev.Detail} {
+	for _, dst := range ev.strs() {
 		n := int(r.U16())
 		if n > flightMaxStr {
 			return FlightEvent{}, false

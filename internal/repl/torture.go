@@ -13,10 +13,12 @@ import (
 // fault injection and whose capture streams to an in-process follower; the
 // primary is then killed at every mutating filesystem op AND at every
 // stream boundary (before send, after apply, after ack), the follower is
-// promoted, and the promoted vault is audited with the same oracle the
-// local torture uses: every acknowledged write readable with its exact
-// body, VerifyAll clean, no plaintext on the medium — plus the failover-
-// specific invariant that the dead primary's epoch can no longer commit.
+// promoted, and the promoted image is put through the same battery the
+// local torture runs (core's recoverAndCheck): the flight tail decodes and
+// claims nothing recovery loses, two recovery passes each return every
+// acknowledged write with its exact body and a clean VerifyAll, no plaintext
+// on the medium — plus the failover-specific invariant that the dead
+// primary's epoch can no longer commit.
 //
 // One deliberate collapse: crash-before and crash-after an fs op yield the
 // same follower state (an op is shipped only when the inner medium accepts
@@ -164,16 +166,16 @@ func failoverScenario(shards, killFS, killFrame int, mode KillMode, rep *Failove
 		fail("promote: %v", err)
 		return fsOps, frames, nil
 	}
+	// The promoted image owes exactly what a local crash image owes, so it
+	// gets the same battery; the vault is then opened once more to receive
+	// the fence probe below.
+	if cerr := oracle.RecoverAndCheck(fmem, shards); cerr != nil {
+		fail("promoted image fails the recovery battery: %v", cerr)
+	}
 	pv, _, err := core.OpenTortureVault(fmem, shards)
 	if err != nil {
 		fail("promoted vault did not open: %v", err)
 		return fsOps, frames, nil
-	}
-	if cerr := oracle.Check(pv); cerr != nil {
-		fail("acked state lost after failover: %v", cerr)
-	}
-	if serr := core.ScanForPlaintext(fmem); serr != nil {
-		fail("plaintext on follower medium: %v", serr)
 	}
 
 	// Split-brain: the dead primary's epoch must be unable to commit. A

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"medvault/internal/obs"
+	"medvault/internal/core"
 )
 
 // checkFlightTail is the simulator's black-box invariant, evaluated on the
@@ -20,21 +20,15 @@ func (e *engine) checkFlightTail(i int, s Step) *Divergence {
 		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
 	}
 	leaks := append(e.model.allIDs(), mrnPool...)
-	dirs := []string{"vault/flight"}
-	for sh := 0; sh < e.shards; sh++ {
-		dirs = append(dirs, fmt.Sprintf("vault/shard-%d/flight", sh))
+	evs, err := core.ReadFlightTail(e.mem, "vault")
+	if err != nil {
+		return div("flight tail undecodable after power cut: %v", err)
 	}
-	for _, d := range dirs {
-		evs, err := obs.ReadFlightDir(e.mem, d)
-		if err != nil {
-			return div("flight tail %s undecodable after power cut: %v", d, err)
-		}
-		for _, ev := range evs {
-			for _, field := range []string{ev.Kind, ev.Record, ev.Trace, ev.Outcome, ev.Shard, ev.Detail} {
-				for _, leak := range leaks {
-					if leak != "" && strings.Contains(field, leak) {
-						return div("flight event %d in %s leaks %q: %+v", ev.Seq, d, leak, ev)
-					}
+	for _, ev := range evs {
+		for _, field := range ev.Strings() {
+			for _, leak := range leaks {
+				if leak != "" && strings.Contains(field, leak) {
+					return div("flight event %d leaks %q: %+v", ev.Seq, leak, ev)
 				}
 			}
 		}
