@@ -87,7 +87,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "optional debug listener (pprof + /debug/traces); bind to loopback")
 		dekCache  = flag.Int("dek-cache", 0, "plaintext-DEK cache entries (0 = default, -1 disables)")
 		blockMB   = flag.Int("block-cache-mb", 0, "ciphertext block cache size in MiB (0 = default, -1 disables)")
-		negCache  = flag.Int("neg-cache", 0, "negative-lookup cache entries (0 = default, -1 disables)")
 		shards    = flag.Int("shards", 0, "shard count for a new vault directory (0 adopts the existing layout)")
 
 		replicateTo = flag.String("replicate-to", "", "stream every committed write to the follower's replication listener at this address")
@@ -105,7 +104,6 @@ func main() {
 	opt := vaultcfg.Options{
 		DEKCacheEntries: *dekCache,
 		BlockCacheBytes: blockBytes,
-		NegCacheEntries: *negCache,
 		Shards:          *shards,
 	}
 	if *follow {

@@ -35,13 +35,19 @@ import (
 // Audit instrumentation: event volume by outcome and the time each append
 // (hash, MAC, persist) costs the operation that triggered it.
 var (
-	metEvents = func(outcome Outcome) *obs.Counter {
-		return obs.Default.Counter("medvault_audit_events_total",
-			"Audit events appended, by outcome.", obs.L("outcome", string(outcome)))
+	metEvents = map[Outcome]*obs.Counter{ // the defined outcomes, resolved once
+		OutcomeAllowed: eventsCounter(OutcomeAllowed),
+		OutcomeDenied:  eventsCounter(OutcomeDenied),
+		OutcomeError:   eventsCounter(OutcomeError),
 	}
 	metAppendSeconds = obs.Default.Histogram("medvault_audit_append_seconds",
 		"Latency of one audit-chain append (hash, MAC, persist).", obs.LatencyBuckets)
 )
+
+func eventsCounter(outcome Outcome) *obs.Counter {
+	return obs.Default.Counter("medvault_audit_events_total",
+		"Audit events appended, by outcome.", obs.L("outcome", string(outcome)))
+}
 
 // Action classifies an audited operation.
 type Action string
@@ -273,7 +279,11 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	}
 	l.events = append(l.events, e)
 	l.lastHash = e.Hash
-	metEvents(e.Outcome).Inc()
+	met, ok := metEvents[e.Outcome]
+	if !ok { // an outcome no constant names: resolve it through the registry
+		met = eventsCounter(e.Outcome)
+	}
+	met.Inc()
 	if l.every > 0 && len(l.events)%l.every == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}

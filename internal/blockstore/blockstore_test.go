@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -284,6 +285,45 @@ func TestFileRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	if got, err := re.Read(ref); err != nil || string(got) != "post-crash" {
 		t.Errorf("post-crash append: %q %v", got, err)
+	}
+}
+
+// TestFileReadHostileLength flips a frame's on-disk length field to
+// 0xFFFFFFFF: Read must answer ErrCorrupt from the length check, not ask the
+// allocator for 4 GiB before the CRC is ever looked at (the test binary
+// passes under `ulimit -v 4000000`).
+func TestFileReadHostileLength(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFile(dir, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ref, err := f.Append([]byte("EPHI"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, int64(ref.Offset)+1); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = f.Read(ref)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read(hostile length) = %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Read(hostile length) allocated %d bytes before rejecting the frame", got)
 	}
 }
 

@@ -219,6 +219,11 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[1:5])
 	crc := binary.BigEndian.Uint32(hdr[5:9])
+	// The length is attacker-reachable disk content: bound it by the
+	// committed segment before allocating, as decodeFrame does.
+	if frameOverhead+int64(n) > f.sizes[ref.Segment]-int64(ref.Offset) {
+		return nil, fmt.Errorf("%w: frame length %d overruns segment", ErrCorrupt, n)
+	}
 	payload := make([]byte, n)
 	if _, err := file.ReadAt(payload, int64(ref.Offset)+frameOverhead); err != nil {
 		return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrCorrupt, n, err)

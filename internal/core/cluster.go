@@ -553,7 +553,7 @@ func (c *Cluster) SearchAllCtx(ctx context.Context, actor string, keywords ...st
 }
 
 // PatientRecordsCtx returns the sorted IDs of the patient's records the
-// actor may read (never audited, never errors — see Vault.PatientRecordsCtx).
+// actor may read (never audited; the only error is ErrClosed).
 func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error) {
 	return c.searchShards(func(v *Vault) ([]string, error) { return v.PatientRecordsCtx(ctx, actor, mrn) })
 }

@@ -135,6 +135,10 @@ func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
 func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []string, retErr error) {
 	_, sp := v.span(ctx, "core.patient_records")
 	defer func() { sp.End(retErr) }()
+	if err := v.gate.begin(); err != nil {
+		return nil, err
+	}
+	defer v.gate.end()
 	v.regMu.RLock()
 	type cand struct {
 		id  string

@@ -149,9 +149,6 @@ func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string,
 	v.regMu.Lock()
 	v.records[bundle.ID] = st
 	v.regMu.Unlock()
-	// As in Put: the record exists now, so drop any cached negative lookup
-	// (the consult-and-add runs under the same stripe this import holds).
-	v.neg.remove(bundle.ID)
 	metLiveRecords.Add(1)
 
 	// Adopt the source's custody chain, then extend it with the arrival.

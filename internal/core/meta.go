@@ -403,12 +403,9 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 			}
 		}
 	}
-	if v.keys, err = vcrypto.LoadKeyStore(vcrypto.DeriveKey(master, "vault/kek"), s.keystore); err != nil {
+	if err := v.keys.Restore(s.keystore); err != nil {
 		return fmt.Errorf("core: restoring key store: %w", err)
 	}
-	// LoadKeyStore builds a default-sized DEK cache; reapply the configured
-	// bound. The reopened vault's caches start cold either way.
-	v.keys.SetCacheCapacity(v.dekCacheCap)
 	v.log = merkle.LogFromLeafHashes(v.signer, func() time.Time { return v.clk.Now() }, s.leaves)
 	if v.idx, err = index.LoadSSE(vcrypto.DeriveKey(master, "vault/index"), s.index); err != nil {
 		return fmt.Errorf("core: restoring index: %w", err)

@@ -59,15 +59,9 @@ func (v *Vault) observeOp(ctx context.Context, op, id string, start time.Time) f
 		metInflightOps.Add(-1)
 		obs.ActiveOps.End(slot)
 		outcome := outcomeLabel(*errp)
-		labels := []obs.Label{obs.L("op", op), obs.L("outcome", outcome)}
-		if v.shard != "" {
-			labels = append(labels, obs.L("shard", v.shard))
-		}
-		obs.Default.Counter("medvault_core_ops_total",
-			"Vault operations by outcome.", labels...).Inc()
-		obs.Default.Histogram("medvault_core_op_seconds",
-			"Vault operation latency.", obs.LatencyBuckets,
-			labels...).ObserveSince(start)
+		met := v.opMetrics(op, outcome)
+		met.count.Inc()
+		met.seconds.ObserveSince(start)
 
 		ev := v.flight.Record(obs.FlightEvent{
 			Kind:    op,
@@ -86,6 +80,42 @@ func (v *Vault) observeOp(ctx context.Context, op, id string, start time.Time) f
 			}
 		}
 	}
+}
+
+// opSeries is the pair of series one (op, outcome) reports to.
+type opSeries struct {
+	count   *obs.Counter
+	seconds *obs.Histogram
+}
+
+type opKey struct{ op, outcome string }
+
+// opMetrics returns this vault's medvault_core_ops_total and
+// medvault_core_op_seconds series for (op, outcome), resolving them — shard
+// label included — on first use, so a steady-state operation builds no label
+// set and never touches the registry.
+func (v *Vault) opMetrics(op, outcome string) opSeries {
+	k := opKey{op, outcome}
+	v.opMu.RLock()
+	s, ok := v.opMet[k]
+	v.opMu.RUnlock()
+	if ok {
+		return s
+	}
+	labels := []obs.Label{obs.L("op", op), obs.L("outcome", outcome)}
+	if v.shard != "" {
+		labels = append(labels, obs.L("shard", v.shard))
+	}
+	s = opSeries{
+		count: obs.Default.Counter("medvault_core_ops_total",
+			"Vault operations by outcome.", labels...),
+		seconds: obs.Default.Histogram("medvault_core_op_seconds",
+			"Vault operation latency.", obs.LatencyBuckets, labels...),
+	}
+	v.opMu.Lock()
+	v.opMet[k] = s
+	v.opMu.Unlock()
+	return s
 }
 
 // span starts an operation span, stamping the shard attribute when this

@@ -76,27 +76,6 @@ func (v *Vault) stateFor(id string) (*recordState, error) {
 	return st, nil
 }
 
-// stateForRead is stateFor through the negative-lookup cache; the read paths
-// (Get, GetVersion, History) use it so repeated unknown-ID probes skip the
-// registry. The caller must hold the record's stripe lock: Put removes the
-// negative entry under the same stripe's write lock, which is what makes a
-// hit here trustworthy. Shredded records never enter the cache — shredded
-// and not-found stay distinct outcomes.
-func (v *Vault) stateForRead(id string) (*recordState, error) {
-	if v.neg.has(id) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	st, ok := v.lookup(id)
-	if !ok {
-		v.neg.add(id)
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if st.shredded.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrShredded, id)
-	}
-	return st, nil
-}
-
 // auditProbe records a failed lookup: unknown-record or unknown-version
 // probing is signal, so the attempt is written even though nothing else is.
 func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Action, id string, version uint64, err error) {
@@ -217,10 +196,6 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	v.regMu.Lock()
 	v.records[rec.ID] = st
 	v.regMu.Unlock()
-	// The record exists now; forget any cached "does not exist" answer.
-	// Both this removal and the read paths' consult-and-add run under the
-	// record's stripe, so no stale negative entry can survive the Put.
-	v.neg.remove(rec.ID)
 	metLiveRecords.Add(1)
 	// The version is committed (stored, WAL-logged, Merkle-committed,
 	// indexed) and visible; from here the Put has happened. A custody-chain
@@ -274,34 +249,24 @@ func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.
 // GetCtx returns the latest version of the record. The read — allowed or
 // denied — is audited. Get holds only the record's stripe read lock, so
 // reads of distinct records (and of the same record) run in parallel.
-func (v *Vault) GetCtx(ctx context.Context, actor, id string) (_ ehr.Record, _ Version, err error) {
-	defer v.observeOp(ctx, "get", id, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.get")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
-		return ehr.Record{}, Version{}, err
-	}
-	defer v.gate.end()
-	mu := v.stripes.forRecord(id)
-	mu.RLock()
-	defer mu.RUnlock()
-	st, err := v.stateForRead(id)
-	if err != nil {
-		v.auditProbe(ctx, actor, audit.ActionRead, id, 0, err)
-		return ehr.Record{}, Version{}, err
-	}
-	latest := st.versions[len(st.versions)-1]
-	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, latest.Number, string(st.category)); err != nil {
-		return ehr.Record{}, Version{}, err
-	}
-	rec, err := v.readVersion(ctx, id, latest)
-	return rec, latest, err
+func (v *Vault) GetCtx(ctx context.Context, actor, id string) (ehr.Record, Version, error) {
+	return v.read(ctx, actor, id, 0, true)
 }
 
 // GetVersionCtx returns a specific historical version (1-based).
-func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (_ ehr.Record, _ Version, err error) {
-	defer v.observeOp(ctx, "get_version", id, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.get_version")
+func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error) {
+	return v.read(ctx, actor, id, number, false)
+}
+
+// read is the one body of Get and GetVersion: version number of the record,
+// or its newest version when latest is set.
+func (v *Vault) read(ctx context.Context, actor, id string, number uint64, latest bool) (_ ehr.Record, _ Version, err error) {
+	op, span := "get_version", "core.get_version"
+	if latest {
+		op, span = "get", "core.get"
+	}
+	defer v.observeOp(ctx, op, id, time.Now())(&err)
+	ctx, sp := v.span(ctx, span)
 	defer func() { sp.End(err) }()
 	if err := v.gate.begin(); err != nil {
 		return ehr.Record{}, Version{}, err
@@ -310,8 +275,12 @@ func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	defer mu.RUnlock()
-	st, err := v.stateForRead(id)
-	if err == nil && (number == 0 || number > uint64(len(st.versions))) {
+	st, err := v.stateFor(id)
+	switch {
+	case err != nil:
+	case latest:
+		number = uint64(len(st.versions))
+	case number == 0 || number > uint64(len(st.versions)):
 		err = fmt.Errorf("%w: %s has no version %d", ErrNotFound, id, number)
 	}
 	if err != nil {
@@ -339,7 +308,7 @@ func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, 
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	defer mu.RUnlock()
-	st, err := v.stateForRead(id)
+	st, err := v.stateFor(id)
 	if err != nil {
 		v.auditProbe(ctx, actor, audit.ActionRead, id, 0, err)
 		return nil, err

@@ -145,9 +145,6 @@ type Config struct {
 	// BlockCacheBytes bounds the verified-ciphertext block cache
 	// (default DefaultBlockCacheBytes).
 	BlockCacheBytes int64
-	// NegCacheEntries bounds the negative-lookup (known-missing ID) cache
-	// (default DefaultNegCacheEntries).
-	NegCacheEntries int
 }
 
 // Vault is one shard of a Cluster: a complete hybrid compliance store over
@@ -173,9 +170,7 @@ type Vault struct {
 	auth   *authz.Authorizer
 	ret    *retention.Manager
 
-	bcache      *blockCache // verified ciphertext blocks, keyed by Ref
-	neg         *negCache   // record IDs known not to exist
-	dekCacheCap int         // effective DEK-cache bound, reapplied on snapshot load
+	bcache blockCache // verified ciphertext blocks, keyed by Ref
 
 	records  map[string]*recordState
 	leafSeq  atomic.Uint64 // total versions committed (== Merkle log size)
@@ -185,6 +180,9 @@ type Vault struct {
 	masterFP string       // master key fingerprint, for manifests
 	recovery RecoveryInfo // what the last Open rebuilt (durable vaults)
 	shard    string       // shard index label when part of a >1-shard Cluster
+
+	opMu  sync.RWMutex       // guards opMet (a leaf lock)
+	opMet map[opKey]opSeries // op-metric series, resolved on first use
 
 	flight *obs.Flight     // in-memory ring ops report to (never nil)
 	fsink  *obs.FlightSink // durable segment sink under dir/flight; may be nil
@@ -203,24 +201,22 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	signer := vcrypto.SignerFromSeed(vcrypto.DeriveKey(cfg.Master, "vault/signer"))
 	now := func() time.Time { return clk.Now() }
 
-	dekCap := cacheCap(cfg.DEKCacheEntries, vcrypto.DefaultDEKCacheCap)
 	v := &Vault{
-		name:        cfg.Name,
-		clk:         clk,
-		signer:      signer,
-		keys:        vcrypto.NewKeyStoreCached(vcrypto.DeriveKey(cfg.Master, "vault/kek"), dekCap),
-		idx:         index.NewSSE(vcrypto.DeriveKey(cfg.Master, "vault/index")),
-		auth:        auth,
-		ret:         ret,
-		bcache:      newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), tag),
-		neg:         newNegCache(cacheCap(cfg.NegCacheEntries, DefaultNegCacheEntries), tag),
-		dekCacheCap: dekCap,
-		records:     make(map[string]*recordState),
-		dir:         dir,
-		fs:          fsys,
-		masterFP:    cfg.Master.Fingerprint(),
-		shard:       tag,
-		flight:      cfg.Flight,
+		name:     cfg.Name,
+		clk:      clk,
+		signer:   signer,
+		keys:     vcrypto.NewKeyStoreCached(vcrypto.DeriveKey(cfg.Master, "vault/kek"), cacheCap(cfg.DEKCacheEntries, vcrypto.DefaultDEKCacheCap)),
+		idx:      index.NewSSE(vcrypto.DeriveKey(cfg.Master, "vault/index")),
+		auth:     auth,
+		ret:      ret,
+		bcache:   newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), tag),
+		records:  make(map[string]*recordState),
+		opMet:    make(map[opKey]opSeries),
+		dir:      dir,
+		fs:       fsys,
+		masterFP: cfg.Master.Fingerprint(),
+		shard:    tag,
+		flight:   cfg.Flight,
 	}
 	if v.flight == nil {
 		v.flight = obs.DefaultFlight
@@ -397,11 +393,10 @@ func (v *Vault) Close() error {
 	// process (follower promotion, harnesses) is not counted twice.
 	metLiveRecords.Add(-float64(v.Len()))
 	// Zeroize every cached plaintext DEK before releasing anything: key
-	// material must not outlive the vault's lifecycle. The block and
-	// negative caches go too — a later reopen starts cold.
+	// material must not outlive the vault's lifecycle. The block cache
+	// goes too — a later reopen starts cold.
 	v.keys.Purge()
 	v.bcache.purge()
-	v.neg.purge()
 	if v.fsink != nil {
 		v.fsink.Close() // best-effort; flight loss never fails a Close
 	}

@@ -30,12 +30,14 @@ import (
 var outageRoutes = []struct{ method, path, actor, body string }{
 	{"POST", "/records", "dr-house", `{"id":"p1","patient":"Ada","mrn":"mrn-1","category":"clinical","title":"t","body":"b"}`},
 	{"GET", "/records/p1", "dr-house", ""},
+	{"GET", "/records/p1/versions/1", "dr-house", ""},
 	{"GET", "/records/p1/history", "dr-house", ""},
 	{"POST", "/records/p1/corrections", "dr-house", `{"patient":"Ada","mrn":"mrn-1","category":"clinical","title":"t","body":"b"}`},
 	{"DELETE", "/records/p1", "arch-lee", ""},
 	{"GET", "/search?q=x", "dr-house", ""},
 	{"GET", "/audit", "officer-kim", ""},
 	{"GET", "/records/p1/custody", "officer-kim", ""},
+	{"GET", "/patients/mrn-1/records", "dr-house", ""},
 	{"GET", "/patients/mrn-1/disclosures", "officer-kim", ""},
 	{"GET", "/records/p1/versions/1/proof", "dr-house", ""},
 	{"PUT", "/records/p1/hold", "arch-lee", `{"reason":"litigation"}`},

@@ -229,9 +229,9 @@ func (g *gen) genGet(m *Model) Step {
 	if !ok || g.pct(10) {
 		if g.pct(40) {
 			// Probe the ID the next Put in some worker's namespace will
-			// create. Today it is not-found (and enters the negative-lookup
-			// cache); once that Put lands, a later read of the same ID must
-			// succeed — a stale negative entry would diverge from the model.
+			// create. Today it is not-found; once that Put lands, a later
+			// read of the same ID must succeed — a remembered "missing"
+			// answer would diverge from the model.
 			w := g.rng.Intn(g.plan.Workers)
 			s.Record = fmt.Sprintf("w%d-r%04d", w, g.nextID[w])
 		} else {

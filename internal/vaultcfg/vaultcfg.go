@@ -63,7 +63,6 @@ func GenerateMasterKey() (vcrypto.Key, string, error) {
 type Options struct {
 	DEKCacheEntries int   // plaintext-DEK cache bound (entries)
 	BlockCacheBytes int64 // ciphertext block cache bound (bytes)
-	NegCacheEntries int   // negative-lookup cache bound (entries)
 
 	// Shards is the cluster's shard count: 0 adopts the existing layout (the
 	// cluster manifest's pinned count, or 1 for a fresh or pre-cluster
@@ -87,9 +86,6 @@ func (o Options) Validate() error {
 	}
 	if o.BlockCacheBytes < CacheDisabled {
 		return fmt.Errorf("vaultcfg: block-cache %d is invalid (0 = default, %d = disabled, >0 = bound)", o.BlockCacheBytes, CacheDisabled)
-	}
-	if o.NegCacheEntries < CacheDisabled {
-		return fmt.Errorf("vaultcfg: neg-cache %d is invalid (0 = default, %d = disabled, >0 = bound)", o.NegCacheEntries, CacheDisabled)
 	}
 	if o.Shards < 0 || o.Shards > core.MaxShards {
 		return fmt.Errorf("vaultcfg: shards %d is invalid (0 = adopt existing layout, 1..%d = shard count)", o.Shards, core.MaxShards)
@@ -119,7 +115,6 @@ func OpenWith(dir, name string, master vcrypto.Key, opt Options) (*core.Cluster,
 		AuditCheckpointInterval: 1000,
 		DEKCacheEntries:         opt.DEKCacheEntries,
 		BlockCacheBytes:         opt.BlockCacheBytes,
-		NegCacheEntries:         opt.NegCacheEntries,
 	})
 	if err != nil {
 		return nil, err

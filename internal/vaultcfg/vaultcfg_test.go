@@ -111,8 +111,8 @@ func TestPrincipalsFileCommentsAndBlanks(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	valid := []Options{
 		{},
-		{DEKCacheEntries: CacheDisabled, BlockCacheBytes: CacheDisabled, NegCacheEntries: CacheDisabled},
-		{DEKCacheEntries: 64, BlockCacheBytes: 1 << 20, NegCacheEntries: 10, Shards: 4},
+		{DEKCacheEntries: CacheDisabled, BlockCacheBytes: CacheDisabled},
+		{DEKCacheEntries: 64, BlockCacheBytes: 1 << 20, Shards: 4},
 		{Shards: 1},
 	}
 	for _, o := range valid {
@@ -123,7 +123,6 @@ func TestOptionsValidate(t *testing.T) {
 	invalid := []Options{
 		{DEKCacheEntries: -2},
 		{BlockCacheBytes: -7},
-		{NegCacheEntries: -100},
 		{Shards: -1},
 		{Shards: 100000},
 	}

@@ -1,11 +1,9 @@
 package vcrypto
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
-	"medvault/internal/obs"
+	"medvault/internal/lru"
 )
 
 // DefaultDEKCacheCap is the default capacity (in entries) of a KeyStore's
@@ -20,148 +18,14 @@ const DefaultDEKCacheCap = 1024
 // class the cache is designed around. Production code must never set it.
 var TestHookKeepDEKCacheOnShred atomic.Bool
 
-// DEK-cache instrumentation, shared label scheme with the core read caches:
-// medvault_cache_*_total{cache="dek"}.
-var (
-	metDEKCacheHits = obs.Default.Counter("medvault_cache_hits_total",
-		"Read-cache hits by cache layer.", obs.L("cache", "dek"))
-	metDEKCacheMisses = obs.Default.Counter("medvault_cache_misses_total",
-		"Read-cache misses by cache layer.", obs.L("cache", "dek"))
-	metDEKCacheEvictions = obs.Default.Counter("medvault_cache_evictions_total",
-		"Read-cache evictions by cache layer.", obs.L("cache", "dek"))
-	metDEKCacheEntries = obs.Default.Gauge("medvault_cache_entries",
-		"Current read-cache entries by cache layer.", obs.L("cache", "dek"))
-)
-
-// dekCache is a bounded LRU of unwrapped (plaintext) DEKs. Key hygiene is
-// the design center, not speed: every entry that leaves the cache — evicted,
-// invalidated by Shred, or purged on Close — is zeroized in place before the
-// memory is released. A capacity of zero disables caching entirely.
-//
-// dekCache has its own mutex and is always acquired AFTER KeyStore.mu when
-// both are held (KeyStore.mu → dekCache.mu), never the other way around.
-type dekCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List               // front = most recently used
-	ent map[string]*list.Element // record ID -> element holding *dekEntry
-}
-
-type dekEntry struct {
-	id  string
-	dek Key
-}
-
-func newDEKCache(capacity int) *dekCache {
-	if capacity <= 0 {
-		return &dekCache{}
-	}
-	return &dekCache{
-		cap: capacity,
-		ll:  list.New(),
-		ent: make(map[string]*list.Element, capacity),
-	}
-}
-
-func (c *dekCache) enabled() bool { return c != nil && c.cap > 0 }
-
-// get returns the cached DEK for id, refreshing its recency. The returned
-// Key is a copy; the cache retains (and later zeroizes) its own.
-func (c *dekCache) get(id string) (Key, bool) {
-	if !c.enabled() {
-		return Key{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.ent[id]
-	if !ok {
-		return Key{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*dekEntry).dek, true
-}
-
-// put inserts (or refreshes) id's DEK, evicting — and zeroizing — the least
-// recently used entry when over capacity.
-func (c *dekCache) put(id string, dek Key) {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.ent[id]; ok {
-		e := el.Value.(*dekEntry)
-		e.dek.Zero()
-		e.dek = dek
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.ent[id] = c.ll.PushFront(&dekEntry{id: id, dek: dek})
-	metDEKCacheEntries.Add(1)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.removeLocked(oldest)
-		metDEKCacheEvictions.Inc()
-	}
-}
-
-// invalidate removes and zeroizes id's entry, reporting whether one existed.
-func (c *dekCache) invalidate(id string) bool {
-	if !c.enabled() {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.ent[id]
-	if !ok {
-		return false
-	}
-	c.removeLocked(el)
-	return true
-}
-
-// purge zeroizes and drops every entry, returning how many were held.
-func (c *dekCache) purge() int {
-	if !c.enabled() {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		el.Value.(*dekEntry).dek.Zero()
-		n++
-	}
-	c.ll.Init()
-	c.ent = make(map[string]*list.Element, c.cap)
-	metDEKCacheEntries.Add(-float64(n))
-	return n
-}
-
-func (c *dekCache) has(id string) bool {
-	if !c.enabled() {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.ent[id]
-	return ok
-}
-
-func (c *dekCache) len() int {
-	if !c.enabled() {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// removeLocked unlinks el, zeroizing its key material. Caller holds c.mu.
-func (c *dekCache) removeLocked(el *list.Element) {
-	e := el.Value.(*dekEntry)
-	e.dek.Zero()
-	delete(c.ent, e.id)
-	c.ll.Remove(el)
-	metDEKCacheEntries.Add(-1)
+// newDEKCache returns a bounded LRU of unwrapped (plaintext) DEKs by record
+// ID; capacity <= 0 disables it. Key hygiene is the design center, not
+// speed: the cache holds its own copy of each key, and the drop hook
+// zeroizes that copy in place whenever an entry leaves — evicted, replaced,
+// invalidated by Shred, or purged on Close. Its lock is only ever taken
+// after KeyStore.mu when both are held, never the other way around.
+func newDEKCache(capacity int) *lru.Cache[string, *Key] {
+	return lru.New[string](int64(capacity),
+		func(*Key) int64 { return 1 }, (*Key).Zero,
+		lru.NewMetrics("dek", ""))
 }

@@ -24,6 +24,7 @@ func TestDEKCacheLifecycle(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
+		cacheCap   int // 0 = DefaultDEKCacheCap
 		run        func(t *testing.T, ks *KeyStore)
 		wantCached bool // for record "rec" after run
 	}{
@@ -88,9 +89,9 @@ func TestDEKCacheLifecycle(t *testing.T) {
 			wantCached: true,
 		},
 		{
-			name: "disabled cache never holds keys",
+			name:     "disabled cache never holds keys",
+			cacheCap: -1,
 			run: func(t *testing.T, ks *KeyStore) {
-				ks.SetCacheCapacity(-1)
 				if _, err := ks.Get("rec"); err != nil {
 					t.Fatal(err)
 				}
@@ -103,7 +104,10 @@ func TestDEKCacheLifecycle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ks := NewKeyStore(newMaster(t))
+			if tc.cacheCap == 0 {
+				tc.cacheCap = DefaultDEKCacheCap
+			}
+			ks := NewKeyStoreCached(newMaster(t), tc.cacheCap)
 			want, err := ks.Create("rec")
 			if err != nil {
 				t.Fatal(err)
@@ -137,11 +141,9 @@ func TestDEKCacheZeroizeOnEvict(t *testing.T) {
 	if _, err := ks.Create("a"); err != nil {
 		t.Fatal(err)
 	}
-	ks.cache.mu.Lock()
-	entA := ks.cache.ent["a"].Value.(*dekEntry)
-	ks.cache.mu.Unlock()
-	if entA.dek == (Key{}) {
-		t.Fatal("cached entry for a is already zero")
+	entA, _ := ks.cache.Peek("a") // the cache's own copy of the key
+	if entA == nil || *entA == (Key{}) {
+		t.Fatal("cached entry for a is missing or already zero")
 	}
 
 	if _, err := ks.Create("b"); err != nil { // evicts a (cap 1)
@@ -150,7 +152,7 @@ func TestDEKCacheZeroizeOnEvict(t *testing.T) {
 	if ks.HasCachedDEK("a") {
 		t.Fatal("a not evicted from a single-slot cache")
 	}
-	if entA.dek != (Key{}) {
+	if *entA != (Key{}) {
 		t.Fatal("evicted entry's key material was not zeroized")
 	}
 	// The authoritative wrapped copy is untouched: a is still readable.
@@ -170,13 +172,14 @@ func TestDEKCacheZeroizeOnShred(t *testing.T) {
 	if _, err := ks.Create("a"); err != nil {
 		t.Fatal(err)
 	}
-	ks.cache.mu.Lock()
-	ent := ks.cache.ent["a"].Value.(*dekEntry)
-	ks.cache.mu.Unlock()
+	ent, _ := ks.cache.Peek("a")
+	if ent == nil || *ent == (Key{}) {
+		t.Fatal("cached entry for a is missing or already zero")
+	}
 	if err := ks.Shred("a"); err != nil {
 		t.Fatal(err)
 	}
-	if ent.dek != (Key{}) {
+	if *ent != (Key{}) {
 		t.Fatal("shredded entry's key material was not zeroized")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"medvault/internal/frame"
+	"medvault/internal/lru"
 	"medvault/internal/obs"
 )
 
@@ -34,9 +35,9 @@ import (
 type KeyStore struct {
 	mu       sync.RWMutex
 	master   Key
-	wrapped  map[string][]byte // record ID -> Seal(master, DEK, aad=id)
-	shredded map[string]bool   // tombstones for destroyed keys
-	cache    *dekCache         // plaintext DEKs; lock order: mu → cache.mu
+	wrapped  map[string][]byte        // record ID -> Seal(master, DEK, aad=id)
+	shredded map[string]bool          // tombstones for destroyed keys
+	cache    *lru.Cache[string, *Key] // plaintext DEKs; lock order: mu → cache
 }
 
 // NewKeyStore returns an empty KeyStore protected by master, with the
@@ -55,16 +56,6 @@ func NewKeyStoreCached(master Key, cacheCap int) *KeyStore {
 		shredded: make(map[string]bool),
 		cache:    newDEKCache(cacheCap),
 	}
-}
-
-// SetCacheCapacity replaces the DEK cache with an empty one bounded to
-// cacheCap entries (<= 0 disables caching), zeroizing whatever the old cache
-// held. Used by vault open paths that size the cache after LoadKeyStore.
-func (ks *KeyStore) SetCacheCapacity(cacheCap int) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	ks.cache.purge()
-	ks.cache = newDEKCache(cacheCap)
 }
 
 // Create generates, wraps, and registers a fresh DEK for id, returning the
@@ -91,8 +82,8 @@ func (ks *KeyStore) Create(id string) (Key, error) {
 	}
 	ks.wrapped[id] = blob
 	// Writers read what they just wrote: warm the cache so the first Get
-	// after a Put is already a hit. Safe under ks.mu (lock order mu → cache.mu).
-	ks.cache.put(id, dek)
+	// after a Put is already a hit. Safe under ks.mu (lock order mu → cache).
+	ks.cachePut(id, dek)
 	return dek, nil
 }
 
@@ -119,12 +110,16 @@ func (ks *KeyStore) GetCtx(ctx context.Context, id string) (Key, error) {
 	return dek, err
 }
 
+// cachePut gives the cache its own copy of dek, which its drop hook zeroizes.
+func (ks *KeyStore) cachePut(id string, dek Key) { ks.cache.Put(id, &dek) }
+
 func (ks *KeyStore) get(id string) (Key, bool, error) {
-	if dek, ok := ks.cache.get(id); ok {
-		metDEKCacheHits.Inc()
+	// Copy the key out under the cache lock: once Get returns, an eviction
+	// or Shred may zeroize the cache's copy.
+	var dek Key
+	if _, ok := ks.cache.Get(id, func(k *Key) bool { dek = *k; return true }); ok {
 		return dek, true, nil
 	}
-	metDEKCacheMisses.Inc()
 	ks.mu.RLock()
 	// Copy the wrapped blob and master under the read lock: Shred zeroes the
 	// blob in place and Rewrap swaps the master, both under the write lock,
@@ -146,7 +141,7 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 	if err != nil {
 		return Key{}, false, fmt.Errorf("vcrypto: unwrapping DEK for %s: %w", id, err)
 	}
-	dek, err := KeyFromBytes(raw)
+	dek, err = KeyFromBytes(raw)
 	for i := range raw {
 		raw[i] = 0
 	}
@@ -159,7 +154,7 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 	// window for stores mutated by other paths.
 	ks.mu.Lock()
 	if _, live := ks.wrapped[id]; live && !ks.shredded[id] {
-		ks.cache.put(id, dek)
+		ks.cachePut(id, dek)
 	}
 	ks.mu.Unlock()
 	return dek, false, nil
@@ -187,7 +182,7 @@ func (ks *KeyStore) Shred(id string) error {
 	// secure deletion is only complete once no copy of the key — wrapped or
 	// cached — remains obtainable. The entry is zeroized, not just dropped.
 	if !TestHookKeepDEKCacheOnShred.Load() {
-		ks.cache.invalidate(id)
+		ks.cache.Remove(id)
 	}
 	return nil
 }
@@ -198,19 +193,20 @@ func (ks *KeyStore) Shred(id string) error {
 func (ks *KeyStore) Purge() int {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	return ks.cache.purge()
+	return ks.cache.Purge()
 }
 
 // HasCachedDEK reports whether a plaintext DEK for id is currently cached.
 // VerifyAll uses it to prove that no shredded record's key survives in
 // memory; tests use it to pin cache lifecycle semantics.
 func (ks *KeyStore) HasCachedDEK(id string) bool {
-	return ks.cache.has(id)
+	_, ok := ks.cache.Peek(id)
+	return ok
 }
 
 // CachedDEKs returns the number of plaintext DEKs currently cached.
 func (ks *KeyStore) CachedDEKs() int {
-	return ks.cache.len()
+	return ks.cache.Len()
 }
 
 // AdoptWrapped registers an existing wrapped DEK blob for id, as replayed
@@ -333,28 +329,43 @@ func (ks *KeyStore) Snapshot() []byte {
 }
 
 // LoadKeyStore reconstructs a KeyStore from a Snapshot, using master to
-// unwrap keys on demand. The snapshot's integrity is verified lazily: a
-// corrupted wrapped key surfaces as ErrDecrypt on first Get.
+// unwrap keys on demand, with the default-sized DEK cache.
 func LoadKeyStore(master Key, snap []byte) (*KeyStore, error) {
-	r := frame.NewReader(snap)
-	if !r.Magic(ksMagic) {
-		return nil, fmt.Errorf("vcrypto: bad keystore snapshot magic")
-	}
-	if ver := r.U16(); ver != ksVersion {
-		return nil, fmt.Errorf("vcrypto: unsupported keystore snapshot version %d", ver)
-	}
 	ks := NewKeyStore(master)
-	for i, n := 0, r.Count(8); i < n; i++ { // id and blob: two length prefixes
-		id := r.Str()
-		ks.wrapped[id] = r.Bytes()
-	}
-	for i, n := 0, r.Count(4); i < n; i++ {
-		ks.shredded[r.Str()] = true
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
+	if err := ks.Restore(snap); err != nil {
+		return nil, err
 	}
 	return ks, nil
+}
+
+// Restore replaces the store's keys and tombstones with those of a Snapshot
+// taken under the same master key; the DEK cache keeps its bound and starts
+// cold. The snapshot's integrity is verified lazily: a corrupted wrapped key
+// surfaces as ErrDecrypt on first Get. On error the store is unchanged.
+func (ks *KeyStore) Restore(snap []byte) error {
+	r := frame.NewReader(snap)
+	if !r.Magic(ksMagic) {
+		return fmt.Errorf("vcrypto: bad keystore snapshot magic")
+	}
+	if ver := r.U16(); ver != ksVersion {
+		return fmt.Errorf("vcrypto: unsupported keystore snapshot version %d", ver)
+	}
+	wrapped, shredded := make(map[string][]byte), make(map[string]bool)
+	for i, n := 0, r.Count(8); i < n; i++ { // id and blob: two length prefixes
+		id := r.Str()
+		wrapped[id] = r.Bytes()
+	}
+	for i, n := 0, r.Count(4); i < n; i++ {
+		shredded[r.Str()] = true
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
+	}
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	ks.wrapped, ks.shredded = wrapped, shredded
+	ks.cache.Purge()
+	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
