@@ -74,6 +74,7 @@ import (
 	"medvault/internal/obs"
 	"medvault/internal/repl"
 	"medvault/internal/vaultcfg"
+	"medvault/internal/vcrypto"
 )
 
 func main() {
@@ -106,35 +107,26 @@ func main() {
 		BlockCacheBytes: blockBytes,
 		Shards:          *shards,
 	}
-	if *follow {
-		if *replicateTo != "" {
-			fmt.Fprintln(os.Stderr, "medvaultd: -follow and -replicate-to are mutually exclusive")
-			os.Exit(1)
-		}
-		if err := runFollower(*dir, *key, *addr, *replAddr, *name, *tlsCert, *tlsKey, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "medvaultd:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *follow && *replicateTo != "":
+		err = fmt.Errorf("-follow and -replicate-to are mutually exclusive")
+	case *follow:
+		err = runFollower(*dir, *key, *addr, *replAddr, *name, *tlsCert, *tlsKey, opt)
+	default:
+		err = run(*dir, *key, *addr, *name, *tlsCert, *tlsKey, *debugAddr, *replicateTo, opt)
 	}
-	if err := run(*dir, *key, *addr, *name, *tlsCert, *tlsKey, *debugAddr, *replicateTo, opt); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "medvaultd:", err)
 		os.Exit(1)
 	}
 }
 
 func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo string, opt vaultcfg.Options) error {
-	if dir == "" {
-		return fmt.Errorf("-dir is required")
-	}
-	if (tlsCert == "") != (tlsKey == "") {
-		return fmt.Errorf("-tls-cert and -tls-key must be given together")
-	}
-	master, err := vaultcfg.ParseMasterKey(key)
+	master, logger, err := startup(dir, key, tlsCert, tlsKey)
 	if err != nil {
 		return err
 	}
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	// Bind before opening the vault so a bad address fails fast without
 	// churning the vault's recovery path.
 	ln, err := net.Listen("tcp", addr)
@@ -183,11 +175,8 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 		defer capture.Close()
 		logger.Info("replicating", "follower", replicateTo, "epoch", capture.Epoch())
 	}
-	registerBuildInfo(v.NumShards())
-	pm := &postmortems{dir: dir, log: logger}
-	wd, stopWd := startWatchdog(pm, logger)
+	pm, wd, stopWd := startObservability(dir, v.NumShards(), logger)
 	defer stopWd()
-	notifySIGQUIT(pm, logger)
 
 	h := v.Health()
 	logger.Info("vault opened",
@@ -210,29 +199,16 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 		}
 	}
 
-	// Slowloris-resistant timeouts: a client that trickles headers or never
-	// reads its response cannot pin a connection (and its vault resources)
-	// forever. Export streams are the largest responses; WriteTimeout is
-	// sized for them.
-	srv := &http.Server{
-		Handler: httpapi.New(v, httpapi.WithLogger(logger),
-			httpapi.WithWatchdog(wd), httpapi.WithPanicHook(pm.write)),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	var debugSrv *http.Server
 	if debugAddr != "" {
 		dln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		debugSrv = &http.Server{
+		debugSrv := &http.Server{
 			Handler:           debugMux(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
+		defer debugSrv.Close()
 		go func() {
 			logger.Info("debug listener up", "addr", debugAddr)
 			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -241,20 +217,61 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 		}()
 	}
 
+	if tlsCert != "" {
+		logger.Info("serving", "dir", dir, "records", v.Len(), "addr", addr, "tls", true)
+	} else {
+		logger.Warn("serving with PLAINTEXT transport — use -tls-cert/-tls-key in production",
+			"dir", dir, "records", v.Len(), "addr", addr, "tls", false)
+	}
+	handler := httpapi.New(v, httpapi.WithLogger(logger), httpapi.WithWatchdog(wd), httpapi.WithPanicHook(pm.write))
+	if err := serveUntilSignal(logger, ln, handler, tlsCert, tlsKey); err != nil {
+		return err
+	}
+	if wh := v.Health(); wh.WALWedged {
+		logger.Error("WAL wedged at shutdown — vault was read-only", "err", wh.WALWedgeError)
+	}
+	logger.Info("drained; closing vault")
+	return nil // deferred v.Close checkpoints the WAL and snapshots
+}
+
+// startup is the front of both modes: flag checks, the master key, and the
+// process logger (JSON to stderr).
+func startup(dir, key, tlsCert, tlsKey string) (vcrypto.Key, *slog.Logger, error) {
+	if dir == "" {
+		return vcrypto.Key{}, nil, fmt.Errorf("-dir is required")
+	}
+	if (tlsCert == "") != (tlsKey == "") {
+		return vcrypto.Key{}, nil, fmt.Errorf("-tls-cert and -tls-key must be given together")
+	}
+	master, err := vaultcfg.ParseMasterKey(key)
+	return master, slog.New(slog.NewJSONHandler(os.Stderr, nil)), err
+}
+
+// serveUntilSignal serves handler on ln — HTTPS when tlsCert is set — until
+// the listener fails (that error is returned) or SIGINT/SIGTERM arrives;
+// then in-flight requests get 15 s to drain, and nil means a clean stop.
+func serveUntilSignal(logger *slog.Logger, ln net.Listener, handler http.Handler, tlsCert, tlsKey string) error {
+	// Slowloris-resistant timeouts: a client that trickles headers or never
+	// reads its response cannot pin a connection (and its vault resources)
+	// forever. Export streams are the largest responses; WriteTimeout is
+	// sized for them.
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
 		if tlsCert != "" {
-			logger.Info("serving", "dir", dir, "records", v.Len(), "addr", addr, "tls", true)
 			errc <- srv.ServeTLS(ln, tlsCert, tlsKey)
 			return
 		}
-		logger.Warn("serving with PLAINTEXT transport — use -tls-cert/-tls-key in production",
-			"dir", dir, "records", v.Len(), "addr", addr, "tls", false)
 		errc <- srv.Serve(ln)
 	}()
-
 	select {
 	case err := <-errc:
 		return err
@@ -266,17 +283,10 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 		if err := srv.Shutdown(shutCtx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
-		if debugSrv != nil {
-			_ = debugSrv.Shutdown(shutCtx)
-		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
-		if wh := v.Health(); wh.WALWedged {
-			logger.Error("WAL wedged at shutdown — vault was read-only", "err", wh.WALWedgeError)
-		}
-		logger.Info("drained; closing vault")
-		return nil // deferred v.Close checkpoints the WAL and snapshots
+		return nil
 	}
 }
 
@@ -291,18 +301,11 @@ type handlerBox struct{ h http.Handler }
 // replicated WAL tail), and swaps the complete API in on the same listener
 // — clients keep the same address across the failover.
 func runFollower(dir, key, addr, replAddr, name string, tlsCert, tlsKey string, opt vaultcfg.Options) error {
-	if dir == "" {
-		return fmt.Errorf("-dir is required")
-	}
-	if (tlsCert == "") != (tlsKey == "") {
-		return fmt.Errorf("-tls-cert and -tls-key must be given together")
-	}
-	master, err := vaultcfg.ParseMasterKey(key)
+	master, logger, err := startup(dir, key, tlsCert, tlsKey)
 	if err != nil {
 		return err
 	}
 	dir = filepath.Clean(dir)
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	fol, err := repl.NewFollower(faultfs.OS{}, dir)
 	if err != nil {
 		return err
@@ -311,11 +314,8 @@ func runFollower(dir, key, addr, replAddr, name string, tlsCert, tlsKey string, 
 	if err != nil {
 		return fmt.Errorf("replication listener: %w", err)
 	}
-	registerBuildInfo(opt.Shards)
-	pm := &postmortems{dir: dir, log: logger}
-	wd, stopWd := startWatchdog(pm, logger)
+	pm, wd, stopWd := startObservability(dir, opt.Shards, logger)
 	defer stopWd()
-	notifySIGQUIT(pm, logger)
 	go func() {
 		if err := repl.Serve(rln, fol, func(format string, args ...any) {
 			logger.Warn("replication", "msg", fmt.Sprintf(format, args...))
@@ -386,51 +386,21 @@ func runFollower(dir, key, addr, replAddr, name string, tlsCert, tlsKey string, 
 		rln.Close()
 		return err
 	}
-	srv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			handler.Load().(handlerBox).h.ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("follower up", "dir", dir, "addr", addr, "repl_addr", replAddr, "epoch", fol.Epoch())
-		if tlsCert != "" {
-			errc <- srv.ServeTLS(ln, tlsCert, tlsKey)
-			return
-		}
-		errc <- srv.Serve(ln)
-	}()
-	select {
-	case err := <-errc:
-		rln.Close()
+	logger.Info("follower up", "dir", dir, "addr", addr, "repl_addr", replAddr, "epoch", fol.Epoch())
+	err = serveUntilSignal(logger, ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(handlerBox).h.ServeHTTP(w, r)
+	}), tlsCert, tlsKey)
+	rln.Close()
+	if err != nil {
 		return err
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining requests")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		rln.Close()
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if promoted != nil {
-			logger.Info("drained; closing promoted vault")
-			return promoted.Close()
-		}
-		return nil
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if promoted != nil {
+		logger.Info("drained; closing promoted vault")
+		return promoted.Close()
+	}
+	return nil
 }
 
 // debugMux carries the operator-only surfaces: pprof and the trace ring.

@@ -41,7 +41,7 @@ func registerBuildInfo(shards int) {
 type postmortems struct {
 	dir string
 	log *slog.Logger
-	wd  *obs.Watchdog // may be nil until startWatchdog wires it
+	wd  *obs.Watchdog // set by startObservability
 
 	mu   sync.Mutex
 	last time.Time
@@ -65,14 +65,17 @@ func (p *postmortems) write(reason string) {
 	p.log.Info("postmortem bundle written", "path", path, "reason", reason)
 }
 
-// startWatchdog runs the anomaly watchdog for this process. Every anomaly
-// streak is logged; a WAL wedge — the one anomaly that means durable commits
-// are failing right now — also captures a postmortem bundle, because the
-// operator will want the flight tail from the moment it happened, not from
-// whenever they get paged. Returns the watchdog (for /healthz detail) and
-// its stop function.
-func startWatchdog(pm *postmortems, logger *slog.Logger) (*obs.Watchdog, func()) {
-	wd := obs.NewWatchdog(obs.WatchdogConfig{
+// startObservability starts what both modes run for the life of the process:
+// the build-info gauges, SIGQUIT capture, and the anomaly watchdog. Every
+// anomaly streak is logged; a WAL wedge — the one anomaly that means durable
+// commits are failing right now — also captures a postmortem bundle, because
+// the operator will want the flight tail from the moment it happened, not
+// from whenever they get paged. Returns the postmortem writer (the panic
+// hook), the watchdog (for /healthz detail) and its stop function.
+func startObservability(dir string, shards int, logger *slog.Logger) (*postmortems, *obs.Watchdog, func()) {
+	registerBuildInfo(shards)
+	pm := &postmortems{dir: dir, log: logger}
+	pm.wd = obs.NewWatchdog(obs.WatchdogConfig{
 		OnAnomaly: func(a obs.Anomaly) {
 			logger.Warn("watchdog anomaly", "kind", a.Kind, "detail", a.Detail)
 			if a.Kind == "wal_wedge" {
@@ -80,8 +83,8 @@ func startWatchdog(pm *postmortems, logger *slog.Logger) (*obs.Watchdog, func())
 			}
 		},
 	})
-	pm.wd = wd
-	return wd, wd.Start()
+	notifySIGQUIT(pm, logger)
+	return pm, pm.wd, pm.wd.Start()
 }
 
 // notifySIGQUIT turns SIGQUIT into a postmortem bundle plus exit(2) —

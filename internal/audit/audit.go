@@ -180,7 +180,7 @@ func Open(cfg Config) (*Log, error) {
 		if err != nil {
 			return err
 		}
-		if err := l.checkLink(e); err != nil {
+		if err := l.checkLink(e, uint64(len(l.events)), l.lastHash); err != nil {
 			return err
 		}
 		l.events = append(l.events, e)
@@ -193,12 +193,13 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// checkLink validates e against the current tail (chain, hash, MAC).
-func (l *Log) checkLink(e Event) error {
-	if e.Seq != uint64(len(l.events)) {
-		return fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, len(l.events))
+// checkLink validates e as the link at sequence seq following prev: chain
+// position, hash link, content hash, and MAC.
+func (l *Log) checkLink(e Event, seq uint64, prev [32]byte) error {
+	if e.Seq != seq {
+		return fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
 	}
-	if e.PrevHash != l.lastHash {
+	if e.PrevHash != prev {
 		return fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, e.Seq)
 	}
 	if eventHash(e) != e.Hash {
@@ -331,17 +332,8 @@ func (l *Log) Verify() (int, error) {
 	defer l.mu.RUnlock()
 	var prev [32]byte
 	for i, e := range l.events {
-		if e.Seq != uint64(i) {
-			return i, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, i)
-		}
-		if e.PrevHash != prev {
-			return i, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, i)
-		}
-		if eventHash(e) != e.Hash {
-			return i, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, i)
-		}
-		if !vcrypto.VerifyMAC(l.macKey, e.Hash[:], e.MAC) {
-			return i, fmt.Errorf("%w: at seq %d", ErrBadMAC, i)
+		if err := l.checkLink(e, uint64(i), prev); err != nil {
+			return i, err
 		}
 		prev = e.Hash
 	}

@@ -1,0 +1,141 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"medvault/internal/blockstore"
+	"medvault/internal/ehr"
+)
+
+// The one mutation path. A shard's metadata — registry, version lists, key
+// store, retention, index — is a function of its log of walEntry values. An
+// operation checks, does its expensive work, and hands one entry to commit,
+// which logs it and calls apply; recovery is loadSnapshot plus replay, which
+// calls the same apply. Nothing else mutates that state (CI greps for it).
+
+// commit makes e durable, when the shard has a WAL, and then applies it. It
+// is the only holder of commitMu: the WAL enqueue and, for a version, the
+// Merkle append happen under the sequencer so WAL order equals leaf order
+// (see locks.go); the fsync wait happens outside it. rec is the plaintext
+// of a 'V' entry. The caller holds the record's stripe exclusively.
+func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
+	var wait func() error
+	v.commitMu.Lock()
+	if v.metaWAL != nil {
+		_, wait = v.metaWAL.EnqueueCtx(ctx, e.encode())
+	}
+	if e.kind == 'V' {
+		v.appendLeaf(ctx, e)
+	}
+	v.commitMu.Unlock()
+	if wait != nil {
+		if err := wait(); err != nil {
+			// A version's Merkle leaf is committed but its intent is not
+			// durable: the WAL has wedged and the vault is loudly broken —
+			// every later durable mutation fails the same way.
+			return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
+		}
+	}
+	return v.apply(ctx, e, rec)
+}
+
+// appendLeaf commits e's version to the Merkle log and records where.
+func (v *Vault) appendLeaf(ctx context.Context, e *walEntry) {
+	e.ver.LeafIndex = v.log.AppendCtx(ctx, leafData(e.id, e.ver.Number, e.ver.CtHash))
+	v.leafSeq.Add(1)
+}
+
+// replay applies one logged entry during recovery.
+func (v *Vault) replay(data []byte) error {
+	e, err := decodeWALEntry(data)
+	if err != nil {
+		return err
+	}
+	if e.kind == 'V' {
+		// A crash between the snapshot rename and the WAL checkpoint leaves
+		// entries the snapshot already covers. Skip such a version, but only
+		// if it is the same one — else the log and snapshot diverged.
+		if st := v.records[e.id]; st != nil && e.ver.Number >= 1 && e.ver.Number <= uint64(len(st.versions)) {
+			if st.versions[e.ver.Number-1].CtHash != e.ver.CtHash {
+				return fmt.Errorf("core: WAL replay conflicts with snapshot: %s version %d", e.id, e.ver.Number)
+			}
+			return nil
+		}
+		v.appendLeaf(context.Background(), &e)
+	}
+	return v.apply(context.Background(), &e, nil)
+}
+
+// apply is the state transition of one entry: the only code that changes the
+// registry, a version list, the key store, retention tracking and holds, the
+// index, the block cache and the live-records gauge on an entry's behalf. rec
+// is the version's plaintext when the caller holds it (live); nil (replay)
+// reads it back from the block store. The record's DEK becomes registered
+// here, from the blob the entry carries, so a key exists exactly when the
+// version that introduced it is committed.
+func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
+	st, known := v.lookup(e.id)
+	switch {
+	case e.kind == 'V':
+		switch {
+		case e.ver.Number == 1 && !known:
+			if err := v.keys.AdoptWrapped(e.id, e.wrappedDEK); err != nil {
+				return fmt.Errorf("core: registering DEK of %s: %w", e.id, err)
+			}
+			if err := v.ret.Track(e.id, string(e.category), e.created); err != nil {
+				return fmt.Errorf("core: tracking retention of %s: %w", e.id, err)
+			}
+			st = &recordState{category: e.category, mrn: e.mrn, created: e.created.UTC()}
+		case known && e.ver.Number == uint64(len(st.versions))+1:
+		default:
+			return fmt.Errorf("core: version %d does not extend record %s", e.ver.Number, e.id)
+		}
+		st.versions = append(st.versions, e.ver)
+		if !known {
+			v.regMu.Lock()
+			v.records[e.id] = st
+			v.regMu.Unlock()
+			metLiveRecords.Add(1)
+		}
+		if rec == nil {
+			// Not through the block cache: recovery must not fill it.
+			ct, err := v.blocks.Read(e.ver.Ref)
+			if err != nil {
+				return fmt.Errorf("core: replaying ciphertext of %s: %w", e.id, err)
+			}
+			r, err := v.openVersion(ctx, e.id, e.ver, ct)
+			if err != nil {
+				return fmt.Errorf("core: replaying %s: %w", e.id, err)
+			}
+			rec = &r
+		}
+		v.idx.AddCtx(ctx, e.id, rec.SearchText())
+	case known && st.shredded.Load():
+		// Replay over a snapshot that already covers the record's shred.
+	case e.kind == 'S':
+		if !known {
+			return fmt.Errorf("core: shred of unknown record %s", e.id)
+		}
+		if err := v.keys.Shred(e.id); err != nil {
+			return fmt.Errorf("core: shredding key of %s: %w", e.id, err)
+		}
+		// keys.Shred zeroized the cached plaintext DEK; drop the cached
+		// ciphertext blocks too, so shredded bytes leave memory now rather
+		// than at the LRU's leisure.
+		refs := make([]blockstore.Ref, len(st.versions))
+		for i := range st.versions {
+			refs[i] = st.versions[i].Ref
+		}
+		v.bcache.invalidate(refs)
+		v.idx.RemoveCtx(ctx, e.id)
+		v.ret.Forget(e.id)
+		st.shredded.Store(true)
+		metLiveRecords.Add(-1)
+	case e.kind == 'H':
+		return v.ret.PlaceHoldAt(e.id, e.reason, e.placed)
+	case e.kind == 'R':
+		v.ret.ReleaseHold(e.id)
+	}
+	return nil
+}

@@ -1,0 +1,457 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
+)
+
+// oneShot is an injector that fails the first operation hit matches after
+// arm with ErrNoSpace — a transient fault, not a crash.
+type oneShot struct {
+	armed atomic.Bool
+	hit   func(faultfs.Op) bool
+}
+
+func (o *oneShot) inject(op faultfs.Op) *faultfs.Fault {
+	if o.hit(op) && o.armed.CompareAndSwap(true, false) {
+		return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+	}
+	return nil
+}
+
+func underBlocks(kind faultfs.OpKind) func(faultfs.Op) bool {
+	return func(op faultfs.Op) bool { return op.Kind == kind && strings.Contains(op.Path, "/blocks/") }
+}
+
+// importBundle builds an n-version bundle as Export would hand it over.
+func importBundle(id string, n int, at time.Time) ExportBundle {
+	b := ExportBundle{ID: id, Category: ehr.CategoryClinical}
+	for i := 1; i <= n; i++ {
+		rec := tortureRecord(id, i, at)
+		b.Versions = append(b.Versions, ExportedVersion{
+			Record: rec, Version: Version{Number: uint64(i), Author: "dr-house"}, PlainHash: plainHash(rec),
+		})
+	}
+	return b
+}
+
+// noOrphanKeys asserts the standing invariant from the key store's side:
+// every live wrapped DEK belongs to a record the registry knows.
+func noOrphanKeys(t *testing.T, v *Cluster) {
+	t.Helper()
+	for i := 0; i < v.NumShards(); i++ {
+		s := v.Shard(i)
+		for _, id := range s.keys.IDs() {
+			if _, ok := s.lookup(id); !ok {
+				t.Errorf("shard %d holds a data key for unregistered record %s", i, id)
+			}
+		}
+	}
+}
+
+// TestFailedWriteLeavesNoKey: a Put or Import that fails before its first
+// version is durable must leave nothing behind — the same call succeeds on
+// retry, at once and after a restart. Before the one mutation path the DEK
+// was registered ahead of the ciphertext append and never taken back, so one
+// transient ENOSPC poisoned the record ID for good ("key already exists"),
+// and Close persisted the orphan key in meta.snap.
+func TestFailedWriteLeavesNoKey(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		hit  func(faultfs.Op) bool
+	}{
+		{"ENOSPC on the ciphertext append", underBlocks(faultfs.OpWrite)},
+		{"ciphertext fsync fails", underBlocks(faultfs.OpSync)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := faultfs.NewMem()
+			fault := &oneShot{hit: tc.hit}
+			fsys := faultfs.NewFaulty(mem, fault.inject)
+			v, vc, err := openTorture(fsys, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attempt := map[string]func() error{
+				"put": func() error {
+					_, err := v.PutCtx(ctx, "dr-house", tortureRecord("put-now", 1, vc.Now()))
+					return err
+				},
+				"import": func() error { return v.Import("arch-lee", importBundle("imp-now", 3, vc.Now()), "elsewhere") },
+			}
+			for name, op := range attempt {
+				fault.armed.Store(true)
+				if err := op(); !errors.Is(err, faultfs.ErrNoSpace) {
+					t.Fatalf("%s under fault: %v, want ErrNoSpace", name, err)
+				}
+				noOrphanKeys(t, v)
+				if h := v.Health(); h.WALWedged {
+					t.Fatalf("%s: a ciphertext fault wedged the WAL", name)
+				}
+				if err := op(); err != nil {
+					t.Fatalf("%s retried after a transient fault: %v", name, err)
+				}
+			}
+			if n, err := v.VersionCount("imp-now"); err != nil || n != 3 {
+				t.Errorf("retried import has %d versions (%v), want 3", n, err)
+			}
+
+			// The same faults, then a clean restart instead of an instant retry.
+			later := tortureRecord("put-later", 1, vc.Now())
+			fault.armed.Store(true)
+			if _, err := v.PutCtx(ctx, "dr-house", later); err == nil {
+				t.Fatal("faulted Put succeeded")
+			}
+			fault.armed.Store(true)
+			if err := v.Import("arch-lee", importBundle("imp-later", 2, vc.Now()), "elsewhere"); err == nil {
+				t.Fatal("faulted Import succeeded")
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, _, err := openTorture(fsys, 1)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			noOrphanKeys(t, re)
+			if _, err := re.VerifyAll(nil, nil); err != nil {
+				t.Fatalf("VerifyAll after restart: %v", err)
+			}
+			if _, err := re.PutCtx(ctx, "dr-house", later); err != nil {
+				t.Fatalf("Put after a failed Put and a restart: %v", err)
+			}
+			if err := re.Import("arch-lee", importBundle("imp-later", 2, vc.Now()), "elsewhere"); err != nil {
+				t.Fatalf("Import after a failed Import and a restart: %v", err)
+			}
+			if got, _, err := re.GetCtx(ctx, "dr-house", "put-now"); err != nil || got.Body != tortureRecord("put-now", 1, vc.Now()).Body {
+				t.Errorf("record committed by the retry did not survive: %v", err)
+			}
+		})
+	}
+}
+
+// TestVerifyAllFlagsOrphanKey pins the standing invariant: a live wrapped
+// DEK for a record the registry does not know fails the integrity sweep.
+func TestVerifyAllFlagsOrphanKey(t *testing.T) {
+	v, _ := newVault(t)
+	if _, err := v.Shard(0).keys.Create("ghost"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.VerifyAll(nil, nil); !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("VerifyAll with an orphan key: %v", err)
+	}
+}
+
+// TestImportFailingMidwayKeepsCommittedPrefix: every version is its own
+// commit, so an import that fails at version 2 leaves version 1 — live and,
+// identically, after a crash — never a key or a Merkle leaf without a record.
+func TestImportFailingMidwayKeepsCommittedPrefix(t *testing.T) {
+	mem := faultfs.NewMem()
+	writes := 0
+	fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if underBlocks(faultfs.OpWrite)(op) {
+			if writes++; writes == 2 {
+				return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+			}
+		}
+		return nil
+	})
+	v, vc, err := openTorture(fsys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if err := v.Import("arch-lee", importBundle("imp", 3, vc.Now()), "elsewhere"); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("Import: %v", err)
+	}
+	live := captureState(t, v)
+	if n, err := v.VersionCount("imp"); err != nil || n != 1 {
+		t.Fatalf("committed prefix = %d versions (%v), want 1", n, err)
+	}
+	re, _, err := openTorture(mem.CrashImage(faultfs.KeepAll), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := captureState(t, re); !reflect.DeepEqual(got, live) {
+		t.Errorf("recovered state differs from live:\n live %+v\n got  %+v", live, got)
+	}
+	if _, err := re.VerifyAll(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// --- replay == live ----------------------------------------------------------
+
+type versionState struct {
+	Number, LeafIndex uint64
+	Author            string
+	TimestampNano     int64
+	Segment           uint32
+	Offset            uint64
+	CtHash            [32]byte
+}
+
+type shardState struct {
+	Versions map[string][]versionState
+	Shredded []string
+	KeyIDs   []string
+	HeadSize uint64
+	HeadRoot [32]byte
+}
+
+type vaultState struct {
+	Shards   []shardState
+	Holds    []string // "id|reason|placedNano"
+	Searches map[string][]string
+}
+
+var replayKeywords = []string{"hypertension", "asthma", "migraine", "fracture", "torture", "absent"}
+
+// captureState reads everything a shard's log determines.
+func captureState(t *testing.T, v *Cluster) vaultState {
+	t.Helper()
+	s := vaultState{Searches: map[string][]string{}}
+	for i := 0; i < v.NumShards(); i++ {
+		sh := v.Shard(i)
+		ss := shardState{Versions: map[string][]versionState{}, KeyIDs: sh.keys.IDs()}
+		for id, st := range sh.records {
+			for _, ver := range st.versions {
+				ss.Versions[id] = append(ss.Versions[id], versionState{
+					ver.Number, ver.LeafIndex, ver.Author, ver.Timestamp.UnixNano(), ver.Ref.Segment, ver.Ref.Offset, ver.CtHash,
+				})
+			}
+			if st.shredded.Load() {
+				ss.Shredded = append(ss.Shredded, id)
+			}
+		}
+		sort.Strings(ss.Shredded)
+		head := sh.Head()
+		ss.HeadSize, ss.HeadRoot = head.Size, head.Root
+		s.Shards = append(s.Shards, ss)
+	}
+	for _, h := range v.Retention().Holds() {
+		s.Holds = append(s.Holds, fmt.Sprintf("%s|%s|%d", h.Record, h.Reason, h.Placed.UnixNano()))
+	}
+	for _, kw := range replayKeywords {
+		ids, err := v.SearchCtx(context.Background(), "dr-house", kw)
+		if err != nil {
+			t.Fatalf("search %q: %v", kw, err)
+		}
+		s.Searches[kw] = ids
+	}
+	return s
+}
+
+// replayScript drives a seeded mix of every mutating operation.
+type replayScript struct {
+	rng      *rand.Rand
+	versions map[string]int // live record -> version count
+	held     map[string]bool
+	next     int
+}
+
+func (s *replayScript) pick(from map[string]int, ok func(string) bool) (string, bool) {
+	var ids []string
+	for id := range from {
+		if ok(id) {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return "", false
+	}
+	sort.Strings(ids)
+	return ids[s.rng.Intn(len(ids))], true
+}
+
+func (s *replayScript) record(id string, version int, vc interface{ Now() time.Time }) ehr.Record {
+	// Created long ago, so retention has lapsed and the record may be shredded.
+	rec := tortureRecord(id, version, vc.Now().Add(-50*365*24*time.Hour))
+	rec.Body = fmt.Sprintf("%s %s review", sentinel(id, version), replayKeywords[s.rng.Intn(4)])
+	return rec
+}
+
+func (s *replayScript) run(t *testing.T, v *Cluster, vc interface{ Now() time.Time }, steps int) {
+	t.Helper()
+	ctx := context.Background()
+	any := func(string) bool { return true }
+	for i := 0; i < steps; i++ {
+		var err error
+		var what string
+		switch k := s.rng.Intn(10); {
+		case k < 3 || len(s.versions) < 3:
+			id := fmt.Sprintf("rec-%d", s.next)
+			s.next++
+			what = "put " + id
+			_, err = v.PutCtx(ctx, "dr-house", s.record(id, 1, vc))
+			s.versions[id] = 1
+		case k < 5:
+			id, _ := s.pick(s.versions, any)
+			what = "correct " + id
+			s.versions[id]++
+			_, err = v.CorrectCtx(ctx, "dr-house", s.record(id, s.versions[id], vc))
+		case k < 6:
+			id := fmt.Sprintf("imp-%d", s.next)
+			s.next++
+			what = "import " + id
+			b := ExportBundle{ID: id, Category: ehr.CategoryClinical}
+			for n := 1; n <= 1+s.rng.Intn(3); n++ {
+				rec := s.record(id, n, vc)
+				b.Versions = append(b.Versions, ExportedVersion{Record: rec, Version: Version{Number: uint64(n), Author: "dr-else"}, PlainHash: plainHash(rec)})
+			}
+			err = v.Import("arch-lee", b, "elsewhere")
+			s.versions[id] = len(b.Versions)
+		case k < 7:
+			id, ok := s.pick(s.versions, func(id string) bool { return !s.held[id] })
+			if !ok {
+				continue
+			}
+			what = "hold " + id
+			err = v.PlaceHoldCtx(ctx, "arch-lee", id, "matter "+id)
+			s.held[id] = true
+		case k < 8:
+			id, ok := s.pick(s.versions, func(id string) bool { return s.held[id] })
+			if !ok {
+				continue
+			}
+			what = "release " + id
+			err = v.ReleaseHoldCtx(ctx, "arch-lee", id)
+			delete(s.held, id)
+		default:
+			id, ok := s.pick(s.versions, func(id string) bool { return !s.held[id] })
+			if !ok {
+				continue
+			}
+			what = "shred " + id
+			err = v.ShredCtx(ctx, "arch-lee", id)
+			delete(s.versions, id)
+		}
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, what, err)
+		}
+	}
+}
+
+// TestReplayEqualsLive: the state recovery builds by applying the log equals
+// the state the live vault built by applying the same entries — from a pure
+// WAL replay and from a snapshot plus a WAL tail.
+func TestReplayEqualsLive(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, midClose := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/snapshot=%v", shards, midClose), func(t *testing.T) {
+				mem := faultfs.NewMem()
+				v, vc, err := openTorture(mem, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				script := &replayScript{rng: rand.New(rand.NewSource(19)), versions: map[string]int{}, held: map[string]bool{}}
+				script.run(t, v, vc, 60)
+				if midClose {
+					if err := v.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if v, vc, err = openTorture(mem, shards); err != nil {
+						t.Fatal(err)
+					}
+					script.run(t, v, vc, 40)
+				}
+				defer v.Close()
+				img := mem.CrashImage(faultfs.KeepAll) // no Close: the tail lives only in the WAL
+				live := captureState(t, v)
+
+				re, _, err := openTorture(img, shards)
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				defer re.Close()
+				if info := re.Health().LastRecovery; info.WALEntries == 0 || info.SnapshotLoaded != midClose {
+					t.Fatalf("recovery did not take the intended path: %+v", info)
+				}
+				got := captureState(t, re)
+				for i := range live.Shards {
+					if !reflect.DeepEqual(got.Shards[i], live.Shards[i]) {
+						t.Errorf("shard %d: recovered state differs from live:\n live %+v\n got  %+v", i, live.Shards[i], got.Shards[i])
+					}
+				}
+				if !reflect.DeepEqual(got.Holds, live.Holds) {
+					t.Errorf("holds: live %v, recovered %v", live.Holds, got.Holds)
+				}
+				if !reflect.DeepEqual(got.Searches, live.Searches) {
+					t.Errorf("searches: live %v, recovered %v", live.Searches, got.Searches)
+				}
+				if len(live.Searches["absent"]) != 0 || len(live.Searches["asthma"])+len(live.Searches["migraine"]) == 0 {
+					t.Errorf("search probes are not discriminating: %v", live.Searches)
+				}
+				if _, err := re.VerifyAll(nil, nil); err != nil {
+					t.Fatalf("VerifyAll on the recovered vault: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestReplayOverSnapshotSkipsEntriesOfShreddedRecord: a crash between the
+// snapshot rename and the WAL checkpoint leaves a WAL whose hold, release
+// and shred of a record the snapshot already shows shredded must all replay
+// as no-ops. The hold used to fail recovery (retention no longer tracks a
+// shredded record), leaving the vault unopenable.
+func TestReplayOverSnapshotSkipsEntriesOfShreddedRecord(t *testing.T) {
+	ctx := context.Background()
+	mem := faultfs.NewMem()
+	fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpRename && strings.Contains(op.Path, "meta.wal") {
+			return &faultfs.Fault{Crash: true}
+		}
+		return nil
+	})
+	v, vc, err := openTorture(fsys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := vc.Now().Add(-50 * 365 * 24 * time.Hour)
+	for _, id := range []string{"gone", "kept"} {
+		if _, err := v.PutCtx(ctx, "dr-house", tortureRecord(id, 1, old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.PlaceHoldCtx(ctx, "arch-lee", "gone", "inquiry"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ReleaseHoldCtx(ctx, "arch-lee", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ShredCtx(ctx, "arch-lee", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	live := captureState(t, v)
+	if err := v.Close(); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("Close under crash injection: %v", err)
+	}
+	re, _, err := openTorture(mem.CrashImage(faultfs.KeepAll), 1)
+	if err != nil {
+		t.Fatalf("recovery over a snapshot that covers the WAL: %v", err)
+	}
+	defer re.Close()
+	if info := re.Health().LastRecovery; !info.SnapshotLoaded || info.WALEntries != 5 {
+		t.Fatalf("recovery did not replay the covered WAL over the snapshot: %+v", info)
+	}
+	if got := captureState(t, re); !reflect.DeepEqual(got, live) {
+		t.Errorf("recovered state differs from live:\n live %+v\n got  %+v", live, got)
+	}
+	if _, err := re.VerifyAll(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -101,12 +101,6 @@ func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string,
 	mu := v.stripes.forRecord(bundle.ID)
 	mu.Lock()
 	defer mu.Unlock()
-	if st, ok := v.lookup(bundle.ID); ok {
-		if st.shredded.Load() {
-			return fmt.Errorf("%w: %s", ErrShredded, bundle.ID)
-		}
-		return fmt.Errorf("%w: %s", ErrExists, bundle.ID)
-	}
 	for i, ev := range bundle.Versions {
 		if ev.Version.Number != uint64(i)+1 {
 			return fmt.Errorf("core: bundle for %s has non-contiguous versions", bundle.ID)
@@ -114,52 +108,30 @@ func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string,
 		if plainHash(ev.Record) != ev.PlainHash {
 			return fmt.Errorf("%w: %s v%d content hash mismatch in bundle", ErrTampered, bundle.ID, ev.Version.Number)
 		}
-		if ev.Record.ID != bundle.ID {
+		if ev.Record.ID != bundle.ID || ev.Record.Category != bundle.Category {
 			return fmt.Errorf("%w: bundle mixes records", ErrTampered)
 		}
 	}
-
-	first := bundle.Versions[0].Record
-	if err := v.ret.Track(bundle.ID, string(bundle.Category), first.CreatedAt); err != nil {
-		return fmt.Errorf("core: no retention policy covers imported %s: %w", bundle.ID, err)
-	}
-	dek, err := v.keys.Create(bundle.ID)
+	dek, wrapped, err := v.mintFor(bundle.ID, bundle.Category)
 	if err != nil {
-		v.ret.Forget(bundle.ID)
 		return err
 	}
-	wrapped, err := v.keys.WrappedFor(bundle.ID)
-	if err != nil {
-		v.ret.Forget(bundle.ID)
-		return err
-	}
-	st := &recordState{category: bundle.Category, mrn: first.MRN, created: first.CreatedAt.UTC()}
-	for i, ev := range bundle.Versions {
-		wdek := wrapped
-		if i > 0 {
-			wdek = nil
-		}
-		ver, err := v.appendVersion(context.Background(), ev.Record, ev.Version.Author, ev.Version.Number, dek, wdek)
-		if err != nil {
-			v.ret.Forget(bundle.ID)
+	// Each version is its own commit: an import that fails midway leaves the
+	// committed prefix — the same record a restart would recover from the WAL.
+	var last Version
+	for _, ev := range bundle.Versions {
+		if last, err = v.commitVersion(context.Background(), ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped); err != nil {
 			return err
 		}
-		st.versions = append(st.versions, ver)
+		wrapped = nil
 	}
-	v.regMu.Lock()
-	v.records[bundle.ID] = st
-	v.regMu.Unlock()
-	metLiveRecords.Add(1)
 
 	// Adopt the source's custody chain, then extend it with the arrival.
 	if err := v.prov.Adopt(bundle.Custody); err != nil {
 		return fmt.Errorf("core: adopting custody of %s: %w", bundle.ID, err)
 	}
-	last := st.versions[len(st.versions)-1]
-	if _, err := v.prov.Record(bundle.ID, custodyType, actor, last.CtHash, sourceSystem); err != nil {
-		return err
-	}
-	return nil
+	_, err = v.prov.Record(bundle.ID, custodyType, actor, last.CtHash, sourceSystem)
+	return err
 }
 
 // RecordBackedUp extends custody chains with backed-up events after a

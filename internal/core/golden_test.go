@@ -61,39 +61,41 @@ func TestGoldenWALEntries(t *testing.T) {
 	}
 	created := goldenTime.Add(-time.Hour)
 	decode := func(b []byte) (any, error) { return decodeWALEntry(b) }
+	vEntry := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
+		created: created, wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
+	sEntry := walEntry{kind: 'S', id: "p1-enc-0"}
+	hEntry := walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime}
+	rEntry := walEntry{kind: 'R', id: "p1-enc-0"}
 	frame.CheckGolden(t,
 		frame.Golden{
 			Name: "WAL V entry",
 			Hex: "560000000870312d656e632d30000000036c61620000000270310000000464722d610000000000000002000000030000" +
 				"000000001000202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083bab1fa12cd151083" +
 				"b76bc95a2d1500000003d1d2d3",
-			Encode: func() []byte {
-				return encodeVersionEntry("p1-enc-0", ehr.CategoryLab, "p1", ver, created, []byte{0xd1, 0xd2, 0xd3})
-			},
+			Encode: vEntry.encode,
 			Decode: decode,
-			Want: walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
-				created: created, wrappedDEK: []byte{0xd1, 0xd2, 0xd3}},
+			Want:   vEntry,
 		},
 		frame.Golden{
 			Name:   "WAL S entry",
 			Hex:    "530000000870312d656e632d30",
-			Encode: func() []byte { return encodeShredEntry("p1-enc-0") },
+			Encode: sEntry.encode,
 			Decode: decode,
-			Want:   walEntry{kind: 'S', id: "p1-enc-0"},
+			Want:   sEntry,
 		},
 		frame.Golden{
 			Name:   "WAL H entry",
 			Hex:    "480000000870312d656e632d300000000a6c697469676174696f6e1083bab1fa12cd15",
-			Encode: func() []byte { return encodeHoldEntry("p1-enc-0", "litigation", goldenTime) },
+			Encode: hEntry.encode,
 			Decode: decode,
-			Want:   walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime},
+			Want:   hEntry,
 		},
 		frame.Golden{
 			Name:   "WAL R entry",
 			Hex:    "520000000870312d656e632d30",
-			Encode: func() []byte { return encodeReleaseEntry("p1-enc-0") },
+			Encode: rEntry.encode,
 			Decode: decode,
-			Want:   walEntry{kind: 'R', id: "p1-enc-0"},
+			Want:   rEntry,
 		},
 		frame.Golden{
 			Name: "merkle leaf data",
@@ -188,10 +190,10 @@ func TestGoldenMetaSnapshot(t *testing.T) {
 // 'V' entry and the Merkle leaf data every put and correction encodes.
 func BenchmarkAblationCodecWALVEntry(b *testing.B) {
 	ver := Version{Number: 2, Author: "dr-a", Timestamp: goldenTime, Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20)}
-	dek := make([]byte, 60)
+	e := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver, created: goldenTime, wrappedDEK: make([]byte, 60)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		encodeVersionEntry("p1-enc-0", ehr.CategoryLab, "p1", ver, goldenTime, dek)
+		e.encode()
 		leafData("p1-enc-0", 2, ver.CtHash)
 	}
 }

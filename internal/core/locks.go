@@ -20,12 +20,14 @@ import (
 //	         record's stripe exclusively; reads (Get/GetVersion/History/
 //	         Export/proofs) hold it shared. Operations on records in
 //	         different stripes run fully in parallel.
-//	commitMu the commit sequencer: held only across {WAL enqueue, Merkle
-//	         append} so the WAL's entry order always equals the commitment
+//	commitMu the commit sequencer: taken only by Vault.commit (commit.go),
+//	         around {WAL enqueue of one entry, Merkle append of a version's
+//	         leaf}, so the WAL's entry order always equals the commitment
 //	         log's leaf order — recovery replays leaves in WAL order, so a
 //	         divergence would break every inclusion proof after a restart.
-//	         The fsync wait happens after release; sealing, blockstore
-//	         appends, and index updates are outside it entirely.
+//	         Every entry kind passes through it, so holding it is standing at
+//	         an entry boundary. The fsync wait and apply happen after release;
+//	         sealing and blockstore appends are outside it entirely.
 //	leaves   component locks inside blockstore/audit/merkle/index/keystore/
 //	         retention/authz/provenance, plus regMu guarding the records
 //	         map. All are acquired last and never held across a call into

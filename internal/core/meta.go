@@ -38,8 +38,9 @@ import (
 //	str author | u64 number | u32 refSegment | u64 refOffset | 32B ctHash |
 //	i64 versionNano
 //
-// decodeWALEntry is the only parser of these layouts: recovery applies what
-// it returns, and ReplicaHeads derives Merkle leaves from the same struct.
+// walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
+// commit logs the struct it then applies, recovery applies what the parser
+// returns, and ReplicaHeads derives Merkle leaves from the same struct.
 
 // leafData is what the Merkle log commits to per version.
 func leafData(id string, version uint64, ctHash [32]byte) []byte {
@@ -76,38 +77,35 @@ func readVersion(r *frame.Reader) (ver Version) {
 // versionMinBytes is the shortest encoded version: an empty author.
 const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 
-func encodeVersionEntry(id string, category ehr.Category, mrn string, ver Version, created time.Time, wrappedDEK []byte) []byte {
-	b := append(make([]byte, 0, 128+len(id)+len(mrn)+len(ver.Author)+len(wrappedDEK)), 'V')
-	b = frame.AppendStr(b, id)
-	b = frame.AppendStr(b, string(category))
-	b = frame.AppendStr(b, mrn)
-	b = appendVersion(b, ver)
-	b = frame.AppendTime(b, created)
-	return frame.AppendBytes(b, wrappedDEK)
-}
-
-func encodeShredEntry(id string) []byte { return frame.AppendStr([]byte{'S'}, id) }
-
-func encodeHoldEntry(id, reason string, placed time.Time) []byte {
-	b := frame.AppendStr([]byte{'H'}, id)
-	b = frame.AppendStr(b, reason)
-	return frame.AppendTime(b, placed)
-}
-
-func encodeReleaseEntry(id string) []byte { return frame.AppendStr([]byte{'R'}, id) }
-
-// walEntry is one decoded metadata WAL entry; kind says which fields beyond
-// id are meaningful.
+// walEntry is one metadata mutation, as logged and as applied (commit.go);
+// kind says which fields beyond id are meaningful.
 type walEntry struct {
 	kind       byte // 'V', 'S', 'H' or 'R'
 	id         string
 	category   ehr.Category // V
 	mrn        string       // V
-	ver        Version      // V (LeafIndex is assigned at replay, not logged)
+	ver        Version      // V (LeafIndex is assigned at commit and replay, not logged)
 	created    time.Time    // V
 	wrappedDEK []byte       // V
 	reason     string       // H
 	placed     time.Time    // H
+}
+
+func (e *walEntry) encode() []byte {
+	b := append(make([]byte, 0, 128+len(e.id)+len(e.mrn)+len(e.ver.Author)+len(e.wrappedDEK)), e.kind)
+	b = frame.AppendStr(b, e.id)
+	switch e.kind {
+	case 'V':
+		b = frame.AppendStr(b, string(e.category))
+		b = frame.AppendStr(b, e.mrn)
+		b = appendVersion(b, e.ver)
+		b = frame.AppendTime(b, e.created)
+		b = frame.AppendBytes(b, e.wrappedDEK)
+	case 'H':
+		b = frame.AppendStr(b, e.reason)
+		b = frame.AppendTime(b, e.placed)
+	}
+	return b
 }
 
 func decodeWALEntry(data []byte) (walEntry, error) {
@@ -134,96 +132,6 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 		return walEntry{}, fmt.Errorf("core: WAL %c entry: %w", e.kind, err)
 	}
 	return e, nil
-}
-
-// applyWALEntry replays one metadata mutation during recovery. It rebuilds
-// derived state (Merkle leaves, index postings, retention tracking) from the
-// durable primitives.
-func (v *Vault) applyWALEntry(data []byte) error {
-	e, err := decodeWALEntry(data)
-	if err != nil {
-		return err
-	}
-	switch e.kind {
-	case 'V':
-		return v.replayVersion(e.id, e.category, e.mrn, e.ver, e.created, e.wrappedDEK)
-	case 'S':
-		return v.replayShred(e.id)
-	case 'H':
-		return v.ret.PlaceHoldAt(e.id, e.reason, e.placed)
-	default: // 'R'
-		v.ret.ReleaseHold(e.id)
-		return nil
-	}
-}
-
-func (v *Vault) replayVersion(id string, category ehr.Category, mrn string, ver Version, created time.Time, wrappedDEK []byte) error {
-	st := v.records[id]
-	// A crash between the snapshot rename and the WAL checkpoint leaves
-	// entries in the WAL that the snapshot already covers. Replay must be
-	// idempotent: skip a version the snapshot restored, but only if it is
-	// byte-identical — a mismatch means the log and snapshot diverged.
-	if st != nil && ver.Number <= uint64(len(st.versions)) {
-		have := st.versions[ver.Number-1]
-		if have.Number != ver.Number || have.CtHash != ver.CtHash {
-			return fmt.Errorf("core: WAL replay conflicts with snapshot: %s version %d", id, ver.Number)
-		}
-		return nil
-	}
-	if ver.Number == 1 {
-		if st != nil {
-			return fmt.Errorf("core: WAL replays version 1 of existing record %s", id)
-		}
-		if err := v.keys.AdoptWrapped(id, wrappedDEK); err != nil {
-			return fmt.Errorf("core: replaying DEK for %s: %w", id, err)
-		}
-		if err := v.ret.Track(id, string(category), created); err != nil {
-			return fmt.Errorf("core: replaying retention for %s: %w", id, err)
-		}
-		st = &recordState{category: category, mrn: mrn, created: created}
-		v.records[id] = st
-	} else if st == nil {
-		return fmt.Errorf("core: WAL replays version %d of unknown record %s", ver.Number, id)
-	}
-	ver.LeafIndex = v.log.Append(leafData(id, ver.Number, ver.CtHash))
-	v.leafSeq.Add(1)
-	st.versions = append(st.versions, ver)
-
-	// Rebuild the index posting from the (decryptable) latest version.
-	ct, err := v.blocks.Read(ver.Ref)
-	if err != nil {
-		return fmt.Errorf("core: replaying ciphertext of %s: %w", id, err)
-	}
-	dek, err := v.keys.Get(id)
-	if err != nil {
-		return fmt.Errorf("core: replaying key of %s: %w", id, err)
-	}
-	pt, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number))
-	if err != nil {
-		return fmt.Errorf("core: replaying %s: %w", id, err)
-	}
-	rec, err := ehr.Decode(pt)
-	if err != nil {
-		return fmt.Errorf("core: replaying %s: %w", id, err)
-	}
-	v.idx.Add(id, rec.SearchText())
-	return nil
-}
-
-func (v *Vault) replayShred(id string) error {
-	st := v.records[id]
-	if st == nil {
-		return fmt.Errorf("core: WAL shreds unknown record %s", id)
-	}
-	if !st.shredded.Load() {
-		if err := v.keys.Shred(id); err != nil {
-			return fmt.Errorf("core: replaying shred of %s: %w", id, err)
-		}
-		v.idx.Remove(id)
-		v.ret.Forget(id)
-		st.shredded.Store(true)
-	}
-	return nil
 }
 
 // Snapshot layout:
@@ -398,6 +306,7 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 		st.shredded.Store(rec.flags&snapShredded != 0)
 		v.records[rec.id] = st
 		if !st.shredded.Load() {
+			metLiveRecords.Add(1)
 			if err := v.ret.Track(rec.id, string(rec.category), st.created); err != nil {
 				return fmt.Errorf("core: restoring retention for %s: %w", rec.id, err)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/obs"
+	"medvault/internal/provenance"
 )
 
 // Vault-level instrumentation. Every public operation reports its latency
@@ -149,17 +150,20 @@ func outcomeLabel(err error) string {
 	}
 }
 
-// provenanceWarn surfaces a custody-chain append failure that happened after
-// the operation's state was already durably committed. Failing the operation
-// at that point would lie to the caller — the version exists, is indexed,
-// and is Merkle-committed, so a retried Put would hit ErrExists — therefore
-// the gap is reported as a post-commit warning: an audit event with an error
-// outcome plus a counter alerting operators that a chain is incomplete.
-func (v *Vault) provenanceWarn(ctx context.Context, action audit.Action, actor, id string, err error) {
-	metProvenanceErrors.Inc()
-	_, _ = v.aud.AppendCtx(ctx, audit.Event{
-		Actor: actor, Action: action, Record: id,
-		Outcome: audit.OutcomeError,
-		Detail:  "custody chain append failed after commit: " + err.Error(),
-	})
+// custodyAfterCommit extends the record's custody chain once an operation's
+// state is durably committed, and surfaces an append failure without failing
+// the operation: that would lie to the caller — the version exists, is
+// indexed, and is Merkle-committed, so a retried Put would hit ErrExists —
+// therefore the gap is reported as a post-commit warning: an audit event with
+// an error outcome plus a counter alerting operators that a chain is
+// incomplete.
+func (v *Vault) custodyAfterCommit(ctx context.Context, action audit.Action, typ provenance.EventType, actor, id string, ctHash [32]byte) {
+	if _, err := v.prov.Record(id, typ, actor, ctHash, ""); err != nil {
+		metProvenanceErrors.Inc()
+		_, _ = v.aud.AppendCtx(ctx, audit.Event{
+			Actor: actor, Action: action, Record: id,
+			Outcome: audit.OutcomeError,
+			Detail:  "custody chain append failed after commit: " + err.Error(),
+		})
+	}
 }

@@ -85,17 +85,12 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 	})
 }
 
-// appendVersion seals rec under the record's DEK, stores the ciphertext,
-// WAL-logs the metadata, commits to the Merkle log, and re-indexes. The
-// caller holds the record's stripe exclusively (or the gate exclusively).
-//
-// The expensive work — AES-GCM seal, blockstore append, fsync wait — runs
-// outside the commit sequencer; commitMu covers only the WAL enqueue and the
-// Merkle append, both in-memory. That pairing is a hard invariant: recovery
-// replays WAL entries in sequence order and reassigns leaf indexes as it
-// goes, so the WAL's entry order must equal the commitment log's leaf order
-// or every inclusion proof breaks after a restart.
-func (v *Vault) appendVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte) (Version, error) {
+// commitVersion seals rec as the given version of its record under dek, makes
+// the ciphertext durable, and commits the version's 'V' entry; wrappedDEK is
+// the record's minted key blob on version 1 and nil afterwards. The caller
+// holds the record's stripe exclusively. All of it — AES-GCM seal, blockstore
+// append, both fsync waits — runs outside the commit sequencer.
+func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte) (Version, error) {
 	ct, err := vcrypto.SealCtx(ctx, dek, ehr.Encode(rec), sealAAD(rec.ID, number))
 	if err != nil {
 		return Version{}, fmt.Errorf("core: sealing %s v%d: %w", rec.ID, number, err)
@@ -104,40 +99,39 @@ func (v *Vault) appendVersion(ctx context.Context, rec ehr.Record, author string
 	if err != nil {
 		return Version{}, fmt.Errorf("core: storing %s v%d: %w", rec.ID, number, err)
 	}
-	ver := Version{
-		Number:    number,
-		Author:    author,
-		Timestamp: v.now(),
-		Ref:       ref,
-		CtHash:    vcrypto.Hash(ct),
+	e := walEntry{
+		kind: 'V', id: rec.ID, category: rec.Category, mrn: rec.MRN, created: rec.CreatedAt, wrappedDEK: wrappedDEK,
+		ver: Version{Number: number, Author: author, Timestamp: v.now(), Ref: ref, CtHash: vcrypto.Hash(ct)},
 	}
-	if v.metaWAL != nil {
-		// The WAL entry references this ciphertext by offset, and replay reads
-		// it back. Make the ciphertext durable before the intent can become
-		// durable, or a crash after the WAL fsync acks a version whose bytes
-		// only ever existed in the page cache.
-		if err := blockstore.SyncCtx(ctx, v.blocks); err != nil {
-			return Version{}, fmt.Errorf("core: syncing ciphertext of %s v%d: %w", rec.ID, number, err)
+	// The WAL entry references this ciphertext by offset, and replay reads
+	// it back. Make the ciphertext durable before the intent can become
+	// durable, or a crash after the WAL fsync acks a version whose bytes
+	// only ever existed in the page cache. (A memory store's Sync is a no-op.)
+	if err := blockstore.SyncCtx(ctx, v.blocks); err != nil {
+		return Version{}, fmt.Errorf("core: syncing ciphertext of %s v%d: %w", rec.ID, number, err)
+	}
+	if err := v.commit(ctx, &e, &rec); err != nil {
+		return Version{}, err
+	}
+	return e.ver, nil
+}
+
+// mintFor checks that a new record may be created under id — the ID was never
+// used, the category has a retention policy — and mints its DEK. The key is
+// minted, not registered: apply registers it with the version it protects, so
+// a Put or Import that fails before that leaves no key behind. The caller
+// holds the record's stripe exclusively.
+func (v *Vault) mintFor(id string, category ehr.Category) (vcrypto.Key, []byte, error) {
+	if st, ok := v.lookup(id); ok {
+		if st.shredded.Load() {
+			return vcrypto.Key{}, nil, fmt.Errorf("%w: %s (IDs are never reused)", ErrShredded, id)
 		}
+		return vcrypto.Key{}, nil, fmt.Errorf("%w: %s", ErrExists, id)
 	}
-	var wait func() error
-	v.commitMu.Lock()
-	if v.metaWAL != nil {
-		_, wait = v.metaWAL.EnqueueCtx(ctx, encodeVersionEntry(rec.ID, rec.Category, rec.MRN, ver, rec.CreatedAt, wrappedDEK))
+	if _, err := v.ret.PolicyFor(string(category)); err != nil {
+		return vcrypto.Key{}, nil, fmt.Errorf("core: no retention policy covers %s: %w", id, err)
 	}
-	ver.LeafIndex = v.log.AppendCtx(ctx, leafData(rec.ID, number, ver.CtHash))
-	v.leafSeq.Add(1)
-	v.commitMu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			// The Merkle leaf is already committed but the intent is not
-			// durable: the WAL has wedged and the vault is loudly broken —
-			// every subsequent durable mutation fails with the same error.
-			return Version{}, fmt.Errorf("core: logging %s v%d: %w", rec.ID, number, err)
-		}
-	}
-	v.idx.AddCtx(ctx, rec.ID, rec.SearchText())
-	return ver, nil
+	return v.keys.Mint(id)
 }
 
 // PutCtx stores a new record on behalf of actor. The actor needs write
@@ -163,48 +157,18 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	mu := v.stripes.forRecord(rec.ID)
 	mu.Lock()
 	defer mu.Unlock()
-	if st, ok := v.lookup(rec.ID); ok {
-		if st.shredded.Load() {
-			return Version{}, fmt.Errorf("%w: %s (IDs are never reused)", ErrShredded, rec.ID)
-		}
-		return Version{}, fmt.Errorf("%w: %s", ErrExists, rec.ID)
-	}
-	if err := v.ret.Track(rec.ID, string(rec.Category), rec.CreatedAt); err != nil {
-		return Version{}, fmt.Errorf("core: no retention policy covers %s: %w", rec.ID, err)
-	}
-	dek, err := v.keys.Create(rec.ID)
+	dek, wrapped, err := v.mintFor(rec.ID, rec.Category)
 	if err != nil {
-		v.ret.Forget(rec.ID)
 		return Version{}, err
 	}
-	wrapped, err := v.keys.WrappedFor(rec.ID)
+	ver, err := v.commitVersion(ctx, rec, actor, 1, dek, wrapped)
 	if err != nil {
-		v.ret.Forget(rec.ID)
 		return Version{}, err
 	}
-	ver, err := v.appendVersion(ctx, rec, actor, 1, dek, wrapped)
-	if err != nil {
-		v.ret.Forget(rec.ID)
-		return Version{}, err
-	}
-	st := &recordState{
-		category: rec.Category,
-		mrn:      rec.MRN,
-		created:  rec.CreatedAt.UTC(),
-		versions: []Version{ver},
-	}
-	v.regMu.Lock()
-	v.records[rec.ID] = st
-	v.regMu.Unlock()
-	metLiveRecords.Add(1)
 	// The version is committed (stored, WAL-logged, Merkle-committed,
-	// indexed) and visible; from here the Put has happened. A custody-chain
-	// failure is surfaced as a post-commit warning, not an error — returning
-	// an error for an existing record would strand the caller, whose retry
-	// can only get ErrExists.
-	if _, err := v.prov.Record(rec.ID, provenance.EventCreated, actor, ver.CtHash, ""); err != nil {
-		v.provenanceWarn(ctx, audit.ActionCreate, actor, rec.ID, err)
-	}
+	// indexed) and visible; from here the Put has happened, and a custody
+	// failure is a post-commit warning, not an error.
+	v.custodyAfterCommit(ctx, audit.ActionCreate, provenance.EventCreated, actor, rec.ID, ver.CtHash)
 	return ver, nil
 }
 
@@ -232,6 +196,11 @@ func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.
 		}
 		v.bcache.put(ver.Ref, ver.CtHash, ct)
 	}
+	return v.openVersion(ctx, id, ver, ct)
+}
+
+// openVersion decrypts and decodes one version's ciphertext.
+func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []byte) (ehr.Record, error) {
 	dek, err := v.keys.GetCtx(ctx, id)
 	if err != nil {
 		if errors.Is(err, vcrypto.ErrShredded) {
@@ -351,17 +320,13 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if err != nil {
 		return Version{}, err
 	}
-	number := uint64(len(st.versions)) + 1
-	ver, err := v.appendVersion(ctx, rec, actor, number, dek, nil)
+	ver, err := v.commitVersion(ctx, rec, actor, uint64(len(st.versions))+1, dek, nil)
 	if err != nil {
 		return Version{}, err
 	}
-	st.versions = append(st.versions, ver)
-	// Committed and visible; custody failure is a post-commit warning (see
-	// Put) — the correction must not be reported as failed when it exists.
-	if _, err := v.prov.Record(rec.ID, provenance.EventCorrected, actor, ver.CtHash, ""); err != nil {
-		v.provenanceWarn(ctx, audit.ActionCorrect, actor, rec.ID, err)
-	}
+	// Committed and visible: the correction must not be reported as failed
+	// when it exists, so a custody failure is a post-commit warning.
+	v.custodyAfterCommit(ctx, audit.ActionCorrect, provenance.EventCorrected, actor, rec.ID, ver.CtHash)
 	return ver, nil
 }
 
@@ -425,24 +390,19 @@ func (v *Vault) filterSearchHits(actor string, hits []string) []string {
 // SearchCtx returns the IDs of records matching keyword that the actor is
 // allowed to read — results outside the actor's categories are filtered,
 // enforcing minimum-necessary even through search.
-func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) (_ []string, err error) {
-	defer v.observeOp(ctx, "search", "", time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.search")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
-		return nil, err
-	}
-	defer v.gate.end()
-	if err := v.searchAuthorized(ctx, actor); err != nil {
-		return nil, err
-	}
-	return v.filterSearchHits(actor, v.idx.SearchCtx(ctx, keyword)), nil
+func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) ([]string, error) {
+	return v.search(ctx, actor, func(ctx context.Context) []string { return v.idx.SearchCtx(ctx, keyword) })
 }
 
 // SearchAllCtx returns the IDs of readable records containing every keyword
 // (conjunctive search), with the same authorization and filtering semantics
 // as Search.
-func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...string) (_ []string, err error) {
+func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
+	return v.search(ctx, actor, func(ctx context.Context) []string { return v.idx.SearchAllCtx(ctx, keywords...) })
+}
+
+// search is the one body of Search and SearchAll; find queries the index.
+func (v *Vault) search(ctx context.Context, actor string, find func(context.Context) []string) (_ []string, err error) {
 	defer v.observeOp(ctx, "search", "", time.Now())(&err)
 	ctx, sp := v.span(ctx, "core.search")
 	defer func() { sp.End(err) }()
@@ -453,7 +413,7 @@ func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...stri
 	if err := v.searchAuthorized(ctx, actor); err != nil {
 		return nil, err
 	}
-	return v.filterSearchHits(actor, v.idx.SearchAllCtx(ctx, keywords...)), nil
+	return v.filterSearchHits(actor, find(ctx)), nil
 }
 
 // ShredCtx securely deletes the record: its data key is destroyed, its index
@@ -487,35 +447,12 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 		})
 		return err
 	}
-	if v.metaWAL != nil {
-		// The stripe orders this entry after the record's version entries,
-		// which is all replay requires; no Merkle leaf is involved, so the
-		// commit sequencer is not.
-		if _, err := v.metaWAL.AppendCtx(ctx, encodeShredEntry(id)); err != nil {
-			return fmt.Errorf("core: logging shred of %s: %w", id, err)
-		}
-	}
-	if err := v.keys.Shred(id); err != nil {
+	if err := v.commit(ctx, &walEntry{kind: 'S', id: id}, nil); err != nil {
 		return err
 	}
-	// keys.Shred already zeroized the record's cached plaintext DEK. Drop
-	// its cached ciphertext blocks too: they are unreadable without the key,
-	// but the sanitize guarantee — shredded bytes leave the medium — should
-	// extend to memory rather than wait for LRU churn.
-	refs := make([]blockstore.Ref, len(st.versions))
-	for i := range st.versions {
-		refs[i] = st.versions[i].Ref
-	}
-	v.bcache.invalidate(refs)
-	v.idx.RemoveCtx(ctx, id)
-	v.ret.Forget(id)
-	st.shredded.Store(true)
-	metLiveRecords.Add(-1)
 	// The key is destroyed and the shred is WAL-logged — it has happened;
 	// a custody failure here is the same post-commit warning as in Put.
-	if _, err := v.prov.Record(id, provenance.EventShredded, actor, [32]byte{}, ""); err != nil {
-		v.provenanceWarn(ctx, audit.ActionDelete, actor, id, err)
-	}
+	v.custodyAfterCommit(ctx, audit.ActionDelete, provenance.EventShredded, actor, id, [32]byte{})
 	return nil
 }
 
@@ -523,64 +460,44 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 // until release, the hold survives restarts (WAL-logged and snapshotted),
 // and both placement and release are audited. Requires disposition (shred)
 // permission — holds govern destruction.
-func (v *Vault) PlaceHoldCtx(ctx context.Context, actor, id, reason string) (err error) {
-	ctx, sp := v.span(ctx, "core.place_hold")
-	defer func() { sp.End(err) }()
+func (v *Vault) PlaceHoldCtx(ctx context.Context, actor, id, reason string) error {
 	if reason == "" {
 		return fmt.Errorf("core: a legal hold requires a reason")
 	}
-	if err := v.gate.begin(); err != nil {
-		return err
-	}
-	defer v.gate.end()
-	mu := v.stripes.forRecord(id)
-	mu.Lock()
-	defer mu.Unlock()
-	if _, err := v.stateFor(id); err != nil {
-		return err
-	}
-	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionPolicy, id, 0, ""); err != nil {
-		return err
-	}
-	placed := v.now()
-	if v.metaWAL != nil {
-		if _, err := v.metaWAL.AppendCtx(ctx, encodeHoldEntry(id, reason, placed)); err != nil {
-			return fmt.Errorf("core: logging hold on %s: %w", id, err)
-		}
-	}
-	if err := v.ret.PlaceHoldAt(id, reason, placed); err != nil {
-		return err
-	}
-	_, _ = v.aud.AppendCtx(ctx, audit.Event{
-		Actor: actor, Action: audit.ActionPolicy, Record: id,
-		Outcome: audit.OutcomeAllowed, Detail: "legal hold placed: " + reason,
-	})
-	return nil
+	return v.changeHold(ctx, "core.place_hold", actor, walEntry{kind: 'H', id: id, reason: reason, placed: v.now()}, "legal hold placed: "+reason)
 }
 
 // ReleaseHoldCtx lifts a legal hold; the release is WAL-logged and audited.
-func (v *Vault) ReleaseHoldCtx(ctx context.Context, actor, id string) (err error) {
-	ctx, sp := v.span(ctx, "core.release_hold")
+func (v *Vault) ReleaseHoldCtx(ctx context.Context, actor, id string) error {
+	return v.changeHold(ctx, "core.release_hold", actor, walEntry{kind: 'R', id: id}, "legal hold released")
+}
+
+// changeHold is the one body of PlaceHold and ReleaseHold. Placing a hold
+// needs a live record; releasing one that is not there is a no-op.
+func (v *Vault) changeHold(ctx context.Context, span, actor string, e walEntry, detail string) (err error) {
+	ctx, sp := v.span(ctx, span)
 	defer func() { sp.End(err) }()
 	if err := v.gate.begin(); err != nil {
 		return err
 	}
 	defer v.gate.end()
-	mu := v.stripes.forRecord(id)
+	mu := v.stripes.forRecord(e.id)
 	mu.Lock()
 	defer mu.Unlock()
-	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionPolicy, id, 0, ""); err != nil {
-		return err
-	}
-	if v.metaWAL != nil {
-		if _, err := v.metaWAL.AppendCtx(ctx, encodeReleaseEntry(id)); err != nil {
-			return fmt.Errorf("core: logging hold release on %s: %w", id, err)
+	if e.kind == 'H' {
+		if _, err := v.stateFor(e.id); err != nil {
+			return err
 		}
 	}
-	v.ret.ReleaseHold(id)
+	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionPolicy, e.id, 0, ""); err != nil {
+		return err
+	}
+	if err := v.commit(ctx, &e, nil); err != nil {
+		return err
+	}
 	_, _ = v.aud.AppendCtx(ctx, audit.Event{
-		Actor: actor, Action: audit.ActionPolicy, Record: id,
-		Outcome: audit.OutcomeAllowed, Detail: "legal hold released",
+		Actor: actor, Action: audit.ActionPolicy, Record: e.id,
+		Outcome: audit.OutcomeAllowed, Detail: detail,
 	})
 	return nil
 }

@@ -48,43 +48,44 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	before := v.blocks.StorageBytes()
 
 	// Build the sanitized replacement store.
-	var fresh blockstore.Store
+	var fresh blockstore.Store = blockstore.NewMemory(0)
 	durable := v.dir != ""
-	var freshDir string
+	freshDir := filepath.Join(v.dir, "blocks.sanitize")
 	if durable {
-		freshDir = filepath.Join(v.dir, "blocks.sanitize")
 		if err := v.fs.RemoveAll(freshDir); err != nil {
 			return 0, 0, fmt.Errorf("core: sanitize: clearing staging dir: %w", err)
 		}
-		f, err := blockstore.OpenFileFS(v.fs, freshDir, 0)
-		if err != nil {
+		if fresh, err = blockstore.OpenFileFS(v.fs, freshDir, 0); err != nil {
 			return 0, 0, fmt.Errorf("core: sanitize: staging store: %w", err)
 		}
-		fresh = f
-	} else {
-		fresh = blockstore.NewMemory(0)
 	}
 
+	// Copy live ciphertext into the replacement, keeping each record's new refs
+	// aside (nil: a shredded record whose bytes are dropped). The registry only
+	// changes once the replacement is the live medium, so a pass that fails
+	// while copying leaves the vault as it was and can simply be run again.
+	moved := map[*recordState][]blockstore.Ref{}
 	for _, id := range sortedRecordIDs(v.records) {
 		st := v.records[id]
 		if st.shredded.Load() {
 			if !st.sanitized {
 				dropped += len(st.versions)
-				st.sanitized = true
+				moved[st] = nil
 			}
 			continue
 		}
-		for i := range st.versions {
-			ct, err := v.blocks.Read(st.versions[i].Ref)
-			if err != nil {
-				return 0, 0, fmt.Errorf("core: sanitize: reading %s v%d: %w", id, st.versions[i].Number, err)
+		refs := make([]blockstore.Ref, len(st.versions))
+		for i, ver := range st.versions {
+			ct, err := v.blocks.Read(ver.Ref)
+			if err == nil {
+				refs[i], err = fresh.Append(ct)
 			}
-			ref, err := fresh.Append(ct)
 			if err != nil {
-				return 0, 0, fmt.Errorf("core: sanitize: rewriting %s v%d: %w", id, st.versions[i].Number, err)
+				_ = fresh.Close()
+				return 0, 0, fmt.Errorf("core: sanitize: rewriting %s v%d: %w", id, ver.Number, err)
 			}
-			st.versions[i].Ref = ref
 		}
+		moved[st] = refs
 	}
 
 	if durable {
@@ -113,6 +114,18 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 			return 0, 0, fmt.Errorf("core: sanitize: reopening sanitized media: %w", err)
 		}
 		v.blocks = reopened
+	} else {
+		old := v.blocks
+		v.blocks = fresh
+		_ = old.Close()
+	}
+	for st, refs := range moved {
+		st.sanitized = refs == nil
+		for i, ref := range refs {
+			st.versions[i].Ref = ref
+		}
+	}
+	if durable {
 		// Metadata now references the new media only: snapshot and drop
 		// stale WAL intents.
 		if err := v.writeSnapshotLocked(); err != nil {
@@ -121,10 +134,6 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 		if err := v.metaWAL.Checkpoint(); err != nil {
 			return 0, 0, err
 		}
-	} else {
-		old := v.blocks
-		v.blocks = fresh
-		_ = old.Close()
 	}
 	// The rewrite relocated every block, so no cached (ref, bytes) pair is
 	// current — and sanitization's whole point is that shredded bytes leave

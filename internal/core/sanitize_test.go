@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 )
 
 func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
@@ -196,5 +198,96 @@ func TestSanitizeThenContinueOperating(t *testing.T) {
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {
 		t.Fatalf("VerifyAll after post-sanitize writes: %v", err)
+	}
+}
+
+// TestSanitizeMediaFailureLeavesVaultIntact: a pass that fails while copying
+// must leave the vault exactly as it was. SanitizeMedia used to rewrite each
+// version's Ref in place as it copied, so one ENOSPC under blocks.sanitize
+// left healthy records pointing into a store that never went live
+// (ErrTampered on read), and a Close then snapshotted the dangling refs.
+func TestSanitizeMediaFailureLeavesVaultIntact(t *testing.T) {
+	ctx := context.Background()
+	for failAt := 0; ; failAt++ {
+		mem := faultfs.NewMem()
+		writes, fired := 0, false
+		fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+			if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "blocks.sanitize") && !fired {
+				if writes++; writes > failAt {
+					fired = true
+					return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+				}
+			}
+			return nil
+		})
+		v, vc, err := openTorture(fsys, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := vc.Now().Add(-50 * 365 * 24 * time.Hour)
+		bodies := map[string][]string{}
+		for _, id := range []string{"keep-a", "keep-b", "keep-c", "doomed"} {
+			rec := tortureRecord(id, 1, old)
+			if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+				t.Fatal(err)
+			}
+			bodies[id] = []string{rec.Body}
+		}
+		fix := tortureRecord("keep-b", 2, old)
+		if _, err := v.CorrectCtx(ctx, "dr-house", fix); err != nil {
+			t.Fatal(err)
+		}
+		bodies["keep-b"] = append(bodies["keep-b"], fix.Body)
+		if err := v.ShredCtx(ctx, "arch-lee", "doomed"); err != nil {
+			t.Fatal(err)
+		}
+		delete(bodies, "doomed")
+		intact := func(when string, v *Cluster) {
+			t.Helper()
+			for id, want := range bodies {
+				for n, body := range want {
+					got, _, err := v.GetVersionCtx(ctx, "dr-house", id, uint64(n+1))
+					if err != nil || got.Body != body {
+						t.Fatalf("fault at write %d, %s: %s v%d: %v", failAt, when, id, n+1, err)
+					}
+				}
+			}
+			if _, err := v.VerifyAll(nil, nil); err != nil {
+				t.Fatalf("fault at write %d, %s: VerifyAll: %v", failAt, when, err)
+			}
+		}
+
+		_, _, err = v.SanitizeMedia("arch-lee")
+		if !fired {
+			// Past the last staging write: the pass ran clean and we are done.
+			if err != nil {
+				t.Fatalf("unfaulted SanitizeMedia: %v", err)
+			}
+			if failAt < len(bodies) {
+				t.Fatalf("only %d staging writes seen; the fault loop tested nothing", failAt)
+			}
+			v.Close()
+			return
+		}
+		if !errors.Is(err, faultfs.ErrNoSpace) {
+			t.Fatalf("fault at write %d: SanitizeMedia: %v", failAt, err)
+		}
+		intact("after the failed pass", v)
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err := openTorture(fsys, 1)
+		if err != nil {
+			t.Fatalf("fault at write %d: reopen: %v", failAt, err)
+		}
+		intact("after close and reopen", re)
+		dropped, reclaimed, err := re.SanitizeMedia("arch-lee")
+		if err != nil || dropped != 1 || reclaimed <= 0 {
+			t.Fatalf("fault at write %d: second SanitizeMedia: dropped=%d reclaimed=%d err=%v", failAt, dropped, reclaimed, err)
+		}
+		intact("after the retried pass", re)
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -222,30 +222,19 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		v.flight = obs.DefaultFlight
 	}
 
-	var blockSt, auditSt, provSt blockstore.Store
-	if dir == "" {
-		blockSt = blockstore.NewMemory(0)
-		auditSt = blockstore.NewMemory(0)
-		provSt = blockstore.NewMemory(0)
-	} else {
-		var err error
-		if blockSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "blocks"), 0); err != nil {
-			return nil, fmt.Errorf("core: opening block store: %w", err)
-		}
-		if auditSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "audit"), 0); err != nil {
-			return nil, fmt.Errorf("core: opening audit store: %w", err)
-		}
-		if provSt, err = blockstore.OpenFileFS(fsys, filepath.Join(dir, "prov"), 0); err != nil {
-			return nil, fmt.Errorf("core: opening provenance store: %w", err)
+	var err error
+	stores := make([]blockstore.Store, 3)
+	for i, name := range []string{"blocks", "audit", "prov"} {
+		if dir == "" {
+			stores[i] = blockstore.NewMemory(0)
+		} else if stores[i], err = blockstore.OpenFileFS(fsys, filepath.Join(dir, name), 0); err != nil {
+			return nil, fmt.Errorf("core: opening %s store: %w", name, err)
 		}
 	}
-	v.blocks = blockSt
-	v.auditStore = auditSt
-	v.provStore = provSt
+	v.blocks, v.auditStore, v.provStore = stores[0], stores[1], stores[2]
 
-	var err error
 	v.aud, err = audit.Open(audit.Config{
-		Store:              auditSt,
+		Store:              v.auditStore,
 		MACKey:             vcrypto.DeriveKey(cfg.Master, "vault/audit-mac"),
 		Signer:             signer,
 		Now:                now,
@@ -255,7 +244,7 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		return nil, err
 	}
 	v.prov, err = provenance.Open(provenance.Config{
-		Store:  provSt,
+		Store:  v.provStore,
 		Signer: signer,
 		System: cfg.Name,
 		Now:    now,
@@ -268,6 +257,9 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 
 	if dir != "" {
 		if err := v.recover(cfg.Master); err != nil {
+			// Hand back what loadSnapshot and apply added to the live-records
+			// gauge (it is process-wide) before the failure.
+			metLiveRecords.Add(-float64(v.Len()))
 			return nil, err
 		}
 		// The flight sink is best-effort by design: a vault that cannot
@@ -291,27 +283,22 @@ type RecoveryInfo struct {
 	RecordsLive    int  // live records immediately after recovery
 }
 
-// recover loads the metadata snapshot and replays the WAL, rebuilding the
-// records table, key store, Merkle log, and index.
+// recover loads the metadata snapshot and replays the WAL through apply,
+// rebuilding the records table, key store, Merkle log, and index.
 func (v *Vault) recover(master vcrypto.Key) error {
 	v.recovery.Ran = true
-	snapPath := filepath.Join(v.dir, "meta.snap")
-	if err := v.loadSnapshot(master, snapPath); err != nil {
+	if err := v.loadSnapshot(master, filepath.Join(v.dir, "meta.snap")); err != nil {
 		return err
 	}
-	walPath := filepath.Join(v.dir, "meta.wal")
-	w, err := wal.OpenFS(v.fs, walPath, func(e wal.Entry) error {
+	w, err := wal.OpenFS(v.fs, filepath.Join(v.dir, "meta.wal"), func(e wal.Entry) error {
 		v.recovery.WALEntries++
-		return v.applyWALEntry(e.Data)
+		return v.replay(e.Data)
 	})
 	if err != nil {
 		return fmt.Errorf("core: recovering metadata WAL: %w", err)
 	}
 	v.metaWAL = w
 	v.recovery.RecordsLive = v.Len()
-	// The live-records gauge is process-local; account for what recovery
-	// just rebuilt so /metrics is truthful from the first scrape.
-	metLiveRecords.Add(float64(v.recovery.RecordsLive))
 	return nil
 }
 
@@ -411,22 +398,15 @@ func (v *Vault) Close() error {
 			return err
 		}
 	}
-	if err := v.blocks.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
+	for _, st := range []blockstore.Store{v.blocks, v.auditStore, v.provStore} {
+		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
+			return err
+		}
+		if err := st.Close(); err != nil {
+			return err
+		}
 	}
-	if err := v.blocks.Close(); err != nil {
-		return err
-	}
-	if err := v.auditStore.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
-	}
-	if err := v.auditStore.Close(); err != nil {
-		return err
-	}
-	if err := v.provStore.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
-	}
-	return v.provStore.Close()
+	return nil
 }
 
 // now returns the current vault time in UTC.

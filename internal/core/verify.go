@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"medvault/internal/audit"
@@ -33,7 +32,7 @@ type Report struct {
 //     version-bound associated data.
 //  3. The commitment-log size must equal the number of committed versions —
 //     a truncated metadata table (rollback hiding a correction) surfaces
-//     here.
+//     here — and every live data key must belong to a registered record.
 //  4. Every remembered SignedTreeHead must be signature-valid and the
 //     current log proven an append-only extension of it — wholesale history
 //     rewriting surfaces here.
@@ -53,11 +52,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 		return rep, err
 	}
 	defer v.gate.endExclusive()
-	ids := make([]string, 0, len(v.records))
-	for id := range v.records {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedRecordIDs(v.records)
 	size := v.log.Size()
 	root, rootErr := v.log.Tree().RootAt(size)
 	if rootErr != nil {
@@ -79,6 +74,14 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	}
 	if totalVersions != size || v.leafSeq.Load() != size {
 		return fail(fmt.Errorf("%w: metadata lists %d versions but commitment log has %d leaves", ErrTampered, totalVersions, size))
+	}
+
+	// A key for a record the registry does not know is a key held for data
+	// the system does not have; apply registers the two together.
+	for _, id := range v.keys.IDs() {
+		if _, ok := v.records[id]; !ok {
+			return fail(fmt.Errorf("%w: %s: data key held for an unregistered record", ErrTampered, id))
+		}
 	}
 
 	// (1)+(2) per-record verification.

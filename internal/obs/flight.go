@@ -240,9 +240,12 @@ func decodeFlightEvent(b []byte) (FlightEvent, bool) {
 const (
 	flightSegPrefix = "flight-"
 	flightSegSuffix = ".seg"
-	// flightKeepSegments bounds the on-disk footprint: opening a sink prunes
-	// the oldest segments beyond this count.
+	// The on-disk footprint is bounded by keep × bytes even in a process that
+	// is never restarted: a sink rolls to the next numbered segment before
+	// the current one would outgrow flightSegmentBytes, and every roll (the
+	// one in Open included) prunes the oldest segments beyond the count.
 	flightKeepSegments = 8
+	flightSegmentBytes = 8 << 20
 )
 
 // POSIX open flags, mirrored so obs does not import os for three constants
@@ -266,7 +269,7 @@ type FlightSink struct {
 	fs   faultfs.FS
 	dir  string
 	f    faultfs.File
-	size int64
+	size int64 // bytes written to the current segment
 	err  error
 }
 
@@ -312,9 +315,24 @@ func OpenFlightSink(fsys faultfs.FS, dir string) (*FlightSink, error) {
 	if err := fsys.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("obs: creating flight dir %s: %w", dir, err)
 	}
-	nums, err := listFlightSegments(fsys, dir)
+	s := &FlightSink{fs: fsys, dir: dir}
+	if err := s.roll(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// roll closes the current segment, if any, prunes the oldest segments down
+// to the retention bound, and opens the next numbered one. Caller holds s.mu
+// (or owns s exclusively).
+func (s *FlightSink) roll() error {
+	if s.f != nil {
+		_ = s.f.Close()
+		s.f = nil
+	}
+	nums, err := listFlightSegments(s.fs, s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listing flight dir %s: %w", dir, err)
+		return fmt.Errorf("obs: listing flight dir %s: %w", s.dir, err)
 	}
 	next := uint64(1)
 	if len(nums) > 0 {
@@ -323,18 +341,20 @@ func OpenFlightSink(fsys faultfs.FS, dir string) (*FlightSink, error) {
 	for len(nums) >= flightKeepSegments {
 		// Prune failures are non-fatal: a leftover segment wastes bytes, it
 		// does not corrupt anything.
-		_ = fsys.Remove(path.Join(dir, flightSegName(nums[0])))
+		_ = s.fs.Remove(path.Join(s.dir, flightSegName(nums[0])))
 		nums = nums[1:]
 	}
-	f, err := fsys.OpenFile(path.Join(dir, flightSegName(next)), osWronly|osCreate|osAppend, 0o600)
+	f, err := s.fs.OpenFile(path.Join(s.dir, flightSegName(next)), osWronly|osCreate|osAppend, 0o600)
 	if err != nil {
-		return nil, fmt.Errorf("obs: opening flight segment: %w", err)
+		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}
-	return &FlightSink{fs: fsys, dir: dir, f: f}, nil
+	s.f, s.size = f, 0
+	return nil
 }
 
-// Append frames and writes one event. Failures latch the sink off silently;
-// the caller's operation must not care.
+// Append frames and writes one event, rolling to a new segment first when
+// this one is full. Failures latch the sink off silently; the caller's
+// operation must not care.
 func (s *FlightSink) Append(ev FlightEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -342,6 +362,11 @@ func (s *FlightSink) Append(ev FlightEvent) {
 		return
 	}
 	buf := frame.Append(nil, ev.Seq, encodeFlightEvent(ev))
+	if s.size > 0 && s.size+int64(len(buf)) > flightSegmentBytes {
+		if s.err = s.roll(); s.err != nil {
+			return
+		}
+	}
 	if _, err := s.f.Write(buf); err != nil {
 		s.err = err
 		return

@@ -137,6 +137,78 @@ func TestFlightSegmentRotationAndPruning(t *testing.T) {
 	}
 }
 
+// TestFlightSinkRollsWithinOneBoot: a sink that is never reopened must not
+// grow one file forever. Before the roll, the segment only ever changed in
+// OpenFlightSink, so a long-lived daemon appended to a single segment without
+// bound; now it rolls at flightSegmentBytes and prunes at every roll.
+func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
+	mem := faultfs.NewMem()
+	sink, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Maximal events (~3 KiB framed) keep the loop short.
+	pad := strings.Repeat("x", flightMaxStr)
+	ev := FlightEvent{Kind: pad, Record: pad, Trace: pad, Outcome: pad, Shard: pad, Detail: pad}
+	frameLen := len(frame.Append(nil, 0, encodeFlightEvent(ev)))
+	total := (flightKeepSegments + 2) * flightSegmentBytes / frameLen
+
+	segments := func() (n int, bytes int64) {
+		nums, err := listFlightSegments(mem, "d/flight")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, num := range nums {
+			data, err := mem.ReadFile("d/flight/" + flightSegName(num))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) > flightSegmentBytes {
+				t.Fatalf("segment %d holds %d bytes, bound is %d", num, len(data), flightSegmentBytes)
+			}
+			bytes += int64(len(data))
+		}
+		return len(nums), bytes
+	}
+	for seq := 1; seq <= total; seq++ {
+		ev.Seq = uint64(seq)
+		sink.Append(ev)
+		if seq == flightSegmentBytes/frameLen+1 {
+			// Just past the first bound: two segments, nothing pruned yet, and
+			// every event decodes in order across the boundary.
+			if n, _ := segments(); n != 2 {
+				t.Fatalf("%d segments after writing past the bound once, want 2", n)
+			}
+			evs, err := ReadFlightDir(mem, "d/flight")
+			if err != nil || len(evs) != seq {
+				t.Fatalf("decoded %d of %d events across the roll (%v)", len(evs), seq, err)
+			}
+			for i, got := range evs {
+				if got.Seq != uint64(i+1) {
+					t.Fatalf("event %d has seq %d across the roll", i, got.Seq)
+				}
+			}
+		}
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatalf("sink latched an error: %v", err)
+	}
+	n, bytes := segments()
+	if n != flightKeepSegments || bytes > flightKeepSegments*flightSegmentBytes {
+		t.Fatalf("%d segments holding %d bytes after %d events; bound is %d × %d", n, bytes, total, flightKeepSegments, flightSegmentBytes)
+	}
+	// What survives is the newest events, still contiguous.
+	evs, err := ReadFlightDir(mem, "d/flight")
+	if err != nil || len(evs) == 0 || evs[len(evs)-1].Seq != uint64(total) {
+		t.Fatalf("tail after pruning: %d events (%v)", len(evs), err)
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("gap after pruning: seq %d follows %d", evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+}
+
 func TestFlightEventsArePHIFree(t *testing.T) {
 	body := "PATIENT-BODY-SENTINEL"
 	ev := FlightEvent{Kind: "put", Record: HashRecordID("rec-" + body), Outcome: "ok"}

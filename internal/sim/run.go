@@ -904,7 +904,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 
 	// If the mutation itself committed, the fault may instead have landed in
 	// the post-commit custody append, which the vault reports as an
-	// OutcomeError audit event (provenanceWarn) rather than a failed call —
+	// OutcomeError audit event (custodyAfterCommit) rather than a failed call —
 	// an event the model did not predict. Offer it to resyncTails, which
 	// adopts it only if it is actually on the persisted chain.
 	var warn *auEvent

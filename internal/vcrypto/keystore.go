@@ -66,25 +66,44 @@ func NewKeyStoreCached(master Key, cacheCap int) *KeyStore {
 func (ks *KeyStore) Create(id string) (Key, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.shredded[id] {
-		return Key{}, fmt.Errorf("%w: %s", ErrShredded, id)
-	}
-	if _, ok := ks.wrapped[id]; ok {
-		return Key{}, fmt.Errorf("%w: %s", ErrKeyExists, id)
-	}
-	dek, err := NewKey()
+	dek, blob, err := ks.mint(id)
 	if err != nil {
 		return Key{}, err
-	}
-	blob, err := Seal(ks.master, dek[:], []byte(id))
-	if err != nil {
-		return Key{}, fmt.Errorf("vcrypto: wrapping DEK for %s: %w", id, err)
 	}
 	ks.wrapped[id] = blob
 	// Writers read what they just wrote: warm the cache so the first Get
 	// after a Put is already a hit. Safe under ks.mu (lock order mu → cache).
 	ks.cachePut(id, dek)
 	return dek, nil
+}
+
+// Mint is Create without the registration: a fresh DEK for id and its wrapped
+// form, of which the store keeps nothing. A writer seals under the DEK, logs
+// the blob, and calls AdoptWrapped once the write is durable — a write that
+// fails leaves no key for data the system does not hold.
+func (ks *KeyStore) Mint(id string) (Key, []byte, error) {
+	ks.mu.RLock()
+	defer ks.mu.RUnlock()
+	return ks.mint(id)
+}
+
+// mint generates and wraps a DEK for id; the caller holds ks.mu.
+func (ks *KeyStore) mint(id string) (Key, []byte, error) {
+	if ks.shredded[id] {
+		return Key{}, nil, fmt.Errorf("%w: %s", ErrShredded, id)
+	}
+	if _, ok := ks.wrapped[id]; ok {
+		return Key{}, nil, fmt.Errorf("%w: %s", ErrKeyExists, id)
+	}
+	dek, err := NewKey()
+	if err != nil {
+		return Key{}, nil, err
+	}
+	blob, err := Seal(ks.master, dek[:], []byte(id))
+	if err != nil {
+		return Key{}, nil, fmt.Errorf("vcrypto: wrapping DEK for %s: %w", id, err)
+	}
+	return dek, blob, nil
 }
 
 // Get unwraps and returns the DEK for id. It returns ErrShredded if the key
@@ -137,14 +156,7 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 	if blob == nil {
 		return Key{}, false, fmt.Errorf("%w: %s", ErrNoKey, id)
 	}
-	raw, err := Open(master, blob, []byte(id))
-	if err != nil {
-		return Key{}, false, fmt.Errorf("vcrypto: unwrapping DEK for %s: %w", id, err)
-	}
-	dek, err = KeyFromBytes(raw)
-	for i := range raw {
-		raw[i] = 0
-	}
+	dek, err := unwrap(master, id, blob)
 	if err != nil {
 		return Key{}, false, err
 	}
@@ -209,10 +221,23 @@ func (ks *KeyStore) CachedDEKs() int {
 	return ks.cache.Len()
 }
 
-// AdoptWrapped registers an existing wrapped DEK blob for id, as replayed
-// from a write-ahead log or received in a backup. The blob must have been
-// produced under the same master key; a mismatch surfaces as ErrDecrypt on
-// first Get.
+// unwrap opens a wrapped DEK blob under master, zeroizing the intermediate.
+func unwrap(master Key, id string, blob []byte) (Key, error) {
+	raw, err := Open(master, blob, []byte(id))
+	if err != nil {
+		return Key{}, fmt.Errorf("vcrypto: unwrapping DEK for %s: %w", id, err)
+	}
+	dek, err := KeyFromBytes(raw)
+	for i := range raw {
+		raw[i] = 0
+	}
+	return dek, err
+}
+
+// AdoptWrapped registers a wrapped DEK blob for id — minted by Mint, replayed
+// from a write-ahead log, or received in a backup. The blob must unwrap under
+// the store's master key; a foreign blob is refused here rather than on first
+// Get. Like Create, adoption warms the DEK cache.
 func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
@@ -222,7 +247,12 @@ func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
 	if _, ok := ks.wrapped[id]; ok {
 		return fmt.Errorf("%w: %s", ErrKeyExists, id)
 	}
+	dek, err := unwrap(ks.master, id, blob)
+	if err != nil {
+		return err
+	}
 	ks.wrapped[id] = append([]byte(nil), blob...)
+	ks.cachePut(id, dek)
 	return nil
 }
 

@@ -294,15 +294,6 @@ func (l *Log) EnqueueCtx(ctx context.Context, data []byte) (uint64, func() error
 	}
 }
 
-// AppendCtx is Append recording the same spans as EnqueueCtx.
-func (l *Log) AppendCtx(ctx context.Context, data []byte) (uint64, error) {
-	seq, wait := l.EnqueueCtx(ctx, data)
-	if err := wait(); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
 // Wedged returns the fatal error that wedged the log, or nil. A wedged log
 // fails every append with the same error until the process restarts; the
 // health endpoint surfaces this state.
