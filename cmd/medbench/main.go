@@ -39,7 +39,7 @@ func run(which, scale string) error {
 	if scale != "full" && scale != "quick" {
 		return fmt.Errorf("unknown scale %q", scale)
 	}
-	n2, n4, n5, n6, n7, n8, n9 := 500, []int{200, 1000, 5000}, 40, 50, []int{1000, 10000, 50000}, 300, 500
+	n2, n4, n5, n6, n7, n8, n9 := 500, []int{200, 1000, 5000}, 40, 50, []int{1000, 10000, 50000, 500000}, 300, 500
 	if scale == "quick" {
 		n2, n4, n5, n6, n7, n8, n9 = 100, []int{100, 400}, 10, 10, []int{500, 2000}, 60, 100
 	}

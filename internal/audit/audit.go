@@ -13,8 +13,12 @@
 //     emitted periodically and can be stored off-system; verification against
 //     any remembered checkpoint detects wholesale log replacement.
 //
-// Events are persisted to an append-only blockstore; an in-memory tail index
-// serves queries by actor, record, and time range.
+// Events live only in the append-only blockstore. In RAM the log keeps, per
+// event, its blockstore.Ref and a place in the ascending-seq posting lists of
+// the filters the API exposes (record, actor, denied). A query snapshots the
+// narrowest list under the log lock, releases it, and reads, decodes and
+// checks only the events that list names; verification streams the medium, so
+// what it vouches for is the bytes on disk, not a copy of them.
 package audit
 
 import (
@@ -139,10 +143,28 @@ type Log struct {
 	macKey   vcrypto.Key
 	signer   *vcrypto.Signer
 	now      func() time.Time
-	events   []Event // in-memory mirror for queries and verification
+	refs     []blockstore.Ref // refs[seq] is where event seq lives; the only per-event state
+	byRecord postings         // Record != "" only
+	byActor  postings
+	denied   []uint64 // seqs with Outcome == OutcomeDenied
 	lastHash [32]byte
 	every    int // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
+}
+
+// postings maps a filter value to the ascending seqs of the events carrying
+// it. Lists are held by pointer so that extending one never re-assigns the
+// map entry: assignment swaps in the caller's key string, and an actor name
+// sliced from a request's header block would pin the whole block.
+type postings map[string]*[]uint64
+
+func (p postings) add(key string, seq uint64) {
+	list := p[key]
+	if list == nil {
+		list = new([]uint64)
+		p[strings.Clone(key)] = list
+	}
+	*list = append(*list, seq)
 }
 
 // Config configures a Log.
@@ -169,28 +191,68 @@ func Open(cfg Config) (*Log, error) {
 		now = time.Now
 	}
 	l := &Log{
-		store:  cfg.Store,
-		macKey: cfg.MACKey,
-		signer: cfg.Signer,
-		now:    now,
-		every:  cfg.CheckpointInterval,
+		store:    cfg.Store,
+		macKey:   cfg.MACKey,
+		signer:   cfg.Signer,
+		now:      now,
+		every:    cfg.CheckpointInterval,
+		byRecord: postings{},
+		byActor:  postings{},
 	}
-	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
-		e, err := decodeEvent(data)
-		if err != nil {
-			return err
-		}
-		if err := l.checkLink(e, uint64(len(l.events)), l.lastHash); err != nil {
-			return err
-		}
-		l.events = append(l.events, e)
-		l.lastHash = e.Hash
+	err := l.scan(-1, func(ref blockstore.Ref, e Event) error {
+		l.index(ref, e)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
+}
+
+// index records where e lives and which posting lists name it. The caller
+// holds l.mu exclusively (or, in Open, is the only holder of l).
+func (l *Log) index(ref blockstore.Ref, e Event) {
+	l.refs = append(l.refs, ref)
+	l.lastHash = e.Hash
+	if e.Record != "" {
+		l.byRecord.add(e.Record, e.Seq)
+	}
+	l.byActor.add(e.Actor, e.Seq)
+	if e.Outcome == OutcomeDenied {
+		l.denied = append(l.denied, e.Seq)
+	}
+}
+
+var errStopScan = errors.New("audit: stop scan")
+
+// scan streams the medium's first n events (all of them when n < 0) through
+// decodeEvent and checkLink and hands each to fn. A medium that holds fewer
+// than n — the count the caller saw in the running log — is a broken chain.
+func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
+	var prev [32]byte
+	seq := 0
+	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
+		if seq == n {
+			return errStopScan
+		}
+		e, err := decodeEvent(data)
+		if err != nil {
+			return err
+		}
+		if err := l.checkLink(e, uint64(seq), prev); err != nil {
+			return err
+		}
+		prev = e.Hash
+		seq++
+		return fn(ref, e)
+	})
+	if err != nil && !errors.Is(err, errStopScan) {
+		return err
+	}
+	if seq < n {
+		return fmt.Errorf("%w: medium holds %d events, log has %d", ErrChainBroken, seq, n)
+	}
+	return nil
 }
 
 // checkLink validates e as the link at sequence seq following prev: chain
@@ -270,22 +332,22 @@ func (l *Log) AppendAll(events []Event) (Event, error) {
 func (l *Log) appendLocked(e Event) (Event, error) {
 	start := time.Now()
 	defer metAppendSeconds.ObserveSince(start)
-	e.Seq = uint64(len(l.events))
+	e.Seq = uint64(len(l.refs))
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	e.Hash = eventHash(e)
 	e.MAC = vcrypto.MAC(l.macKey, e.Hash[:])
-	if _, err := l.store.Append(encodeEvent(e)); err != nil {
+	ref, err := l.store.Append(encodeEvent(e))
+	if err != nil {
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
-	l.events = append(l.events, e)
-	l.lastHash = e.Hash
+	l.index(ref, e)
 	met, ok := metEvents[e.Outcome]
 	if !ok { // an outcome no constant names: resolve it through the registry
 		met = eventsCounter(e.Outcome)
 	}
 	met.Inc()
-	if l.every > 0 && len(l.events)%l.every == 0 {
+	if l.every > 0 && len(l.refs)%l.every == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}
 	return e, nil
@@ -295,7 +357,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.events)
+	return len(l.refs)
 }
 
 // Checkpoint signs and returns a commitment to the current chain state.
@@ -309,7 +371,7 @@ func (l *Log) Checkpoint() Checkpoint {
 
 func (l *Log) checkpointLocked() Checkpoint {
 	ts := l.now().UTC()
-	seq := uint64(len(l.events))
+	seq := uint64(len(l.refs))
 	return Checkpoint{
 		Seq:       seq,
 		Head:      l.lastHash,
@@ -325,19 +387,33 @@ func (l *Log) Checkpoints() []Checkpoint {
 	return append([]Checkpoint(nil), l.cps...)
 }
 
-// Verify walks the whole chain: hash links, content hashes, and MACs.
-// It returns the number of verified events.
+// Verify walks the whole chain as the medium holds it: hash links, content
+// hashes, and MACs. It returns the number of verified events.
 func (l *Log) Verify() (int, error) {
+	n, _, err := l.verify(0)
+	return n, err
+}
+
+// verify streams the medium through checkLink up to the events the running
+// log had indexed when it was called, and checks that they end in the log's
+// own head. It returns how many verified and the hash of event at-1.
+func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var prev [32]byte
-	for i, e := range l.events {
-		if err := l.checkLink(e, uint64(i), prev); err != nil {
-			return i, err
+	want, head := len(l.refs), l.lastHash
+	l.mu.RUnlock()
+	var last [32]byte
+	err = l.scan(want, func(_ blockstore.Ref, e Event) error {
+		n++
+		last = e.Hash
+		if e.Seq+1 == at {
+			hashAt = e.Hash
 		}
-		prev = e.Hash
+		return nil
+	})
+	if err == nil && last != head {
+		err = fmt.Errorf("%w: medium ends in a different event than the running log", ErrChainBroken)
 	}
-	return len(l.events), nil
+	return n, hashAt, err
 }
 
 // VerifyAgainst verifies the chain and additionally checks it commits to the
@@ -347,18 +423,14 @@ func (l *Log) VerifyAgainst(cp Checkpoint, pub vcrypto.PublicKey) error {
 	if err := cp.Verify(pub); err != nil {
 		return err
 	}
-	if _, err := l.Verify(); err != nil {
+	n, hashAt, err := l.verify(cp.Seq)
+	if err != nil {
 		return err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if cp.Seq > uint64(len(l.events)) {
-		return fmt.Errorf("%w: checkpoint covers %d events, log has %d", ErrCheckpointMismatch, cp.Seq, len(l.events))
+	if cp.Seq > uint64(n) {
+		return fmt.Errorf("%w: checkpoint covers %d events, log has %d", ErrCheckpointMismatch, cp.Seq, n)
 	}
-	if cp.Seq == 0 {
-		return nil
-	}
-	if l.events[cp.Seq-1].Hash != cp.Head {
+	if cp.Seq != 0 && hashAt != cp.Head {
 		return fmt.Errorf("%w: head hash differs at seq %d", ErrCheckpointMismatch, cp.Seq-1)
 	}
 	return nil
@@ -375,40 +447,76 @@ type Query struct {
 	DeniedOnly bool
 }
 
-// Search returns events matching q in chain order.
-func (l *Log) Search(q Query) []Event {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Event
-	for _, e := range l.events {
-		if q.Actor != "" && e.Actor != q.Actor {
-			continue
-		}
-		if q.Record != "" && e.Record != q.Record {
-			continue
-		}
-		if q.Action != "" && e.Action != q.Action {
-			continue
-		}
-		if !q.From.IsZero() && e.Timestamp.Before(q.From) {
-			continue
-		}
-		if !q.Until.IsZero() && e.Timestamp.After(q.Until) {
-			continue
-		}
-		if q.DeniedOnly && e.Outcome != OutcomeDenied {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+func (q Query) matches(e Event) bool {
+	return (q.Actor == "" || e.Actor == q.Actor) &&
+		(q.Record == "" || e.Record == q.Record) &&
+		(q.Action == "" || e.Action == q.Action) &&
+		(q.From.IsZero() || !e.Timestamp.Before(q.From)) &&
+		(q.Until.IsZero() || !e.Timestamp.After(q.Until)) &&
+		(!q.DeniedOnly || e.Outcome == OutcomeDenied)
 }
 
-// Events returns a copy of the full event list in chain order.
-func (l *Log) Events() []Event {
+// Search returns events matching q in chain order, as of the call. It reads
+// the medium outside the log lock: only the events on the narrowest posting
+// list q selects, or — when q names no record, actor or outcome — a stream of
+// the whole chain. Every event returned has been checked (seq, content hash,
+// MAC); a read, decode or check failure fails the query rather than
+// shortening its answer.
+func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Event(nil), l.events...)
+	refs := l.refs
+	var seqs []uint64
+	indexed := false
+	narrow := func(list *[]uint64) {
+		if list == nil { // a value no event carries: the empty list
+			seqs, indexed = nil, true
+		} else if !indexed || len(*list) < len(seqs) {
+			seqs, indexed = *list, true
+		}
+	}
+	if q.Record != "" {
+		narrow(l.byRecord[q.Record])
+	}
+	if q.Actor != "" {
+		narrow(l.byActor[q.Actor])
+	}
+	if q.DeniedOnly {
+		narrow(&l.denied)
+	}
+	l.mu.RUnlock()
+
+	var out []Event
+	if !indexed {
+		err := l.scan(len(refs), func(_ blockstore.Ref, e Event) error {
+			if q.matches(e) {
+				out = append(out, e)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("audit: scanning log: %w", err)
+		}
+		return out, nil
+	}
+	for _, seq := range seqs {
+		data, err := l.store.Read(refs[seq])
+		var e Event
+		if err == nil {
+			e, err = decodeEvent(data)
+		}
+		if err == nil {
+			// No predecessor is at hand, so the link is the one thing not
+			// checked here; Verify owns it.
+			err = l.checkLink(e, seq, e.PrevHash)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("audit: reading event %d: %w", seq, err)
+		}
+		if q.matches(e) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // eventHash hashes the event's content and PrevHash (not MAC). The domain

@@ -3,7 +3,13 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,6 +55,41 @@ func appendN(t *testing.T, l *Log, n int) {
 	}
 }
 
+// allEvents is the whole log in chain order, as the medium holds it.
+func allEvents(t *testing.T, l *Log) []Event {
+	t.Helper()
+	events, err := l.Search(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// storedEvents decodes every frame on the medium, with the ref of each.
+func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Event) {
+	t.Helper()
+	var refs []blockstore.Ref
+	var events []Event
+	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
+		e, err := decodeEvent(data)
+		refs, events = append(refs, ref), append(events, e)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs, events
+}
+
+// rewriteStored plays the format-aware insider with disk access: it replaces
+// the stored event at ref with e (same encoded length) under a valid frame CRC.
+func rewriteStored(t *testing.T, store *blockstore.Memory, ref blockstore.Ref, e Event) {
+	t.Helper()
+	if err := store.CorruptFrame(ref, func([]byte) []byte { return encodeEvent(e) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAppendBuildsChain(t *testing.T) {
 	l, _, _ := newTestLog(t, nil)
 	appendN(t, l, 10)
@@ -62,7 +103,7 @@ func TestAppendBuildsChain(t *testing.T) {
 	if n != 10 {
 		t.Errorf("verified %d events, want 10", n)
 	}
-	events := l.Events()
+	events := allEvents(t, l)
 	for i := 1; i < len(events); i++ {
 		if events[i].PrevHash != events[i-1].Hash {
 			t.Fatalf("chain link broken at %d", i)
@@ -71,47 +112,88 @@ func TestAppendBuildsChain(t *testing.T) {
 }
 
 func TestVerifyDetectsContentTampering(t *testing.T) {
-	l, _, _ := newTestLog(t, nil)
+	store := blockstore.NewMemory(0)
+	l, _, _ := newTestLog(t, store)
 	appendN(t, l, 20)
-	// Tamper with an event in the in-memory mirror (models an insider
-	// editing the running log's state).
-	l.events[7].Actor = "nobody"
-	if _, err := l.Verify(); !errors.Is(err, ErrChainBroken) {
-		t.Errorf("content tamper: %v, want ErrChainBroken", err)
+	// An insider edits one stored event in place, under the running log.
+	refs, events := storedEvents(t, store)
+	forged := events[7]
+	forged.Actor = "dr-9"
+	rewriteStored(t, store, refs[7], forged)
+	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 7 {
+		t.Errorf("content tamper: verified %d, %v; want 7, ErrChainBroken", n, err)
+	}
+	// A query whose answer includes the forged event fails whole; one that
+	// does not is unaffected.
+	if got, err := l.Search(Query{Record: forged.Record}); !errors.Is(err, ErrChainBroken) || got != nil {
+		t.Errorf("query over the forged event: %d events, %v; want none, ErrChainBroken", len(got), err)
+	}
+	if got, err := l.Search(Query{Record: events[8].Record}); err != nil || len(got) != 4 {
+		t.Errorf("query beside the forged event: %d events, %v; want 4, nil", len(got), err)
 	}
 }
 
 func TestVerifyDetectsRechainedForgeryWithoutKey(t *testing.T) {
-	l, _, _ := newTestLog(t, nil)
+	store := blockstore.NewMemory(0)
+	l, _, _ := newTestLog(t, store)
 	appendN(t, l, 10)
 	// An insider who edits event 3 and recomputes hashes downstream still
 	// lacks the MAC key: Verify must fail with ErrBadMAC at the first
 	// re-forged event.
-	l.events[3].Detail = "scrubbed"
-	for i := 3; i < len(l.events); i++ {
+	refs, events := storedEvents(t, store)
+	events[3].Detail = "scrubbd"
+	for i := 3; i < len(events); i++ {
 		if i > 3 {
-			l.events[i].PrevHash = l.events[i-1].Hash
+			events[i].PrevHash = events[i-1].Hash
 		}
-		l.events[i].Hash = eventHash(l.events[i])
+		events[i].Hash = eventHash(events[i])
 		// MAC left stale: attacker cannot recompute it.
+		rewriteStored(t, store, refs[i], events[i])
 	}
-	if _, err := l.Verify(); !errors.Is(err, ErrBadMAC) {
-		t.Errorf("re-chained forgery: %v, want ErrBadMAC", err)
+	if n, err := l.Verify(); !errors.Is(err, ErrBadMAC) || n != 3 {
+		t.Errorf("re-chained forgery: verified %d, %v; want 3, ErrBadMAC", n, err)
+	}
+	if _, err := l.Search(Query{Actor: events[3].Actor}); !errors.Is(err, ErrBadMAC) {
+		t.Errorf("query over the re-chained forgery: %v, want ErrBadMAC", err)
 	}
 }
 
 func TestVerifyDetectsTruncation(t *testing.T) {
-	l, signer, _ := newTestLog(t, nil)
+	dir := t.TempDir()
+	store, err := blockstore.OpenFile(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, signer, key := newTestLog(t, store)
 	appendN(t, l, 10)
 	cp := l.Checkpoint()
-	// Truncate the tail: chain still verifies internally, but the
-	// checkpoint exposes the missing events.
-	l.events = l.events[:5]
-	l.lastHash = l.events[4].Hash
-	if _, err := l.Verify(); err != nil {
-		t.Fatalf("truncated chain should self-verify: %v", err)
+	// Cut the medium back to five events under the running log, which still
+	// remembers ten: the stream comes up short.
+	refs, _ := storedEvents(t, store)
+	if err := os.Truncate(filepath.Join(dir, "seg-00000000.blk"), int64(refs[5].Offset)); err != nil {
+		t.Fatal(err)
 	}
-	if err := l.VerifyAgainst(cp, signer.Public()); !errors.Is(err, ErrCheckpointMismatch) {
+	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 5 {
+		t.Errorf("truncated medium under a running log: verified %d, %v; want 5, ErrChainBroken", n, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A restart over the truncated medium sees a chain that verifies
+	// internally; the remembered checkpoint exposes the missing events.
+	store, err = blockstore.OpenFile(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	re, err := Open(Config{Store: store, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := re.Verify(); err != nil || n != 5 {
+		t.Fatalf("truncated chain should self-verify: %d, %v", n, err)
+	}
+	if err := re.VerifyAgainst(cp, signer.Public()); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("truncation vs checkpoint: %v, want ErrCheckpointMismatch", err)
 	}
 }
@@ -164,7 +246,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)
 	appendN(t, l, 25)
-	want := l.Events()
+	want := allEvents(t, l)
 
 	re, err := Open(Config{Store: store, MACKey: key, Signer: signer})
 	if err != nil {
@@ -173,7 +255,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if re.Len() != 25 {
 		t.Fatalf("reopened Len = %d, want 25", re.Len())
 	}
-	got := re.Events()
+	got := allEvents(t, re)
 	for i := range want {
 		if got[i].Hash != want[i].Hash || got[i].Actor != want[i].Actor {
 			t.Fatalf("event %d differs after reopen", i)
@@ -232,23 +314,235 @@ func TestSearchFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := l.Search(Query{Actor: "dr-1"}); len(got) != 10 {
+	search := func(q Query) []Event {
+		t.Helper()
+		got, err := l.Search(q)
+		if err != nil {
+			t.Fatalf("Search(%+v): %v", q, err)
+		}
+		return got
+	}
+	if got := search(Query{Actor: "dr-1"}); len(got) != 10 {
 		t.Errorf("actor filter: %d events, want 10", len(got))
 	}
-	if got := l.Search(Query{Record: "patient-1"}); len(got) != 7 {
+	if got := search(Query{Record: "patient-1"}); len(got) != 7 {
 		t.Errorf("record filter: %d events, want 7", len(got))
 	}
-	if got := l.Search(Query{DeniedOnly: true}); len(got) != 1 || got[0].Actor != "intruder" {
+	if got := search(Query{DeniedOnly: true}); len(got) != 1 || got[0].Actor != "intruder" {
 		t.Errorf("denied filter: %v", got)
 	}
-	if got := l.Search(Query{Action: ActionCorrect}); len(got) != 0 {
+	if got := search(Query{Action: ActionCorrect}); len(got) != 0 {
 		t.Errorf("action filter: %d events, want 0", len(got))
 	}
-	if got := l.Search(Query{Until: base.Add(-time.Hour)}); len(got) != 0 {
+	if got := search(Query{Until: base.Add(-time.Hour)}); len(got) != 0 {
 		t.Errorf("until filter: %d events, want 0", len(got))
 	}
-	if got := l.Search(Query{From: base.Add(-time.Hour)}); len(got) != 31 {
+	if got := search(Query{From: base.Add(-time.Hour)}); len(got) != 31 {
 		t.Errorf("from filter: %d events, want 31", len(got))
+	}
+}
+
+// randomLog appends n seeded events shaped like a vault's: several records
+// and actors, all three outcomes, store-level events naming no record, and
+// break-glass pairs appended atomically. The clock steps a second per event.
+func randomLog(t *testing.T, rng *rand.Rand, l *Log, n int) {
+	t.Helper()
+	actions := []Action{ActionCreate, ActionRead, ActionCorrect, ActionSearch, ActionVerify, ActionPolicy}
+	outcomes := []Outcome{OutcomeAllowed, OutcomeAllowed, OutcomeAllowed, OutcomeDenied, OutcomeError}
+	for i := 0; i < n; i++ {
+		e := Event{
+			Actor:   fmt.Sprintf("actor-%d", rng.Intn(6)),
+			Action:  actions[rng.Intn(len(actions))],
+			Record:  fmt.Sprintf("rec-%d", rng.Intn(12)),
+			Version: uint64(rng.Intn(3)),
+			Outcome: outcomes[rng.Intn(len(outcomes))],
+			Detail:  "d",
+		}
+		batch := []Event{e}
+		switch rng.Intn(8) {
+		case 0: // store-level event
+			batch[0].Record = ""
+		case 1: // elevated access and its flag
+			batch[0].Outcome = OutcomeAllowed
+			flag := batch[0]
+			flag.Action = ActionBreakGlass
+			batch = append(batch, flag)
+		}
+		if _, err := l.AppendAll(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func randomQuery(rng *rand.Rand, base time.Time, n int) Query {
+	var q Query
+	if rng.Intn(3) == 0 {
+		q.Actor = fmt.Sprintf("actor-%d", rng.Intn(7)) // actor-6 never appears
+	}
+	if rng.Intn(3) == 0 {
+		q.Record = fmt.Sprintf("rec-%d", rng.Intn(13)) // rec-12 never appears
+	}
+	if rng.Intn(4) == 0 {
+		q.Action = []Action{ActionRead, ActionBreakGlass, ActionVerify, ActionDelete}[rng.Intn(4)]
+	}
+	if rng.Intn(4) == 0 {
+		q.From = base.Add(time.Duration(rng.Intn(n)) * time.Second)
+	}
+	if rng.Intn(4) == 0 {
+		q.Until = base.Add(time.Duration(rng.Intn(n)) * time.Second)
+	}
+	q.DeniedOnly = rng.Intn(4) == 0
+	return q
+}
+
+// TestSearchEqualsScanProperty pins the posting index to the medium: for
+// seeded random logs and random queries over all six fields, Search answers
+// exactly what a brute-force filter over store.Scan answers, in chain order,
+// on the log that built its index by appending and on one that built it in
+// Open.
+func TestSearchEqualsScanProperty(t *testing.T) {
+	base := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := blockstore.NewMemory(4 << 10) // several segments
+		signer, _ := vcrypto.NewSigner()
+		key, _ := vcrypto.NewKey()
+		tick := 0
+		cfg := Config{Store: store, MACKey: key, Signer: signer, Now: func() time.Time {
+			tick++
+			return base.Add(time.Duration(tick) * time.Second)
+		}}
+		l, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 150 + rng.Intn(150)
+		randomLog(t, rng, l, n)
+		re, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stored := storedEvents(t, store)
+		queries := []Query{{}, {DeniedOnly: true}, {Actor: "actor-0", Record: "rec-0", DeniedOnly: true}}
+		for i := 0; i < 200; i++ {
+			queries = append(queries, randomQuery(rng, base, 2*n))
+		}
+		for _, q := range queries {
+			var want []Event
+			for _, e := range stored {
+				if q.matches(e) {
+					want = append(want, e)
+				}
+			}
+			for name, log := range map[string]*Log{"live": l, "reopened": re} {
+				got, err := log.Search(q)
+				if err != nil {
+					t.Fatalf("seed %d %s Search(%+v): %v", seed, name, q, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s Search(%+v): %d events, brute force over the medium finds %d", seed, name, q, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestResidentBytesPerEvent is the budget the log's RAM must stay inside: it
+// keeps a ref and posting-list places per event, never the event.
+func TestResidentBytesPerEvent(t *testing.T) {
+	const events, budget = 100_000, 64
+	store, err := blockstore.OpenFile(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	l, _, _ := newTestLog(t, store)
+	for i := 0; i < events; i++ {
+		_, err := l.Append(Event{
+			Actor:   fmt.Sprintf("dr-%d", i%16),
+			Action:  ActionRead,
+			Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", i%3000),
+			Outcome: OutcomeAllowed,
+			Detail:  "role physician permits read on clinical",
+			Trace:   "0123456789abcdef",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	runtime.KeepAlive(l)
+	per := float64(grown) / events
+	t.Logf("resident: %.1f B/event over %d events", per, events)
+	if per > budget {
+		t.Errorf("log keeps %.1f B/event resident, budget is %d", per, budget)
+	}
+}
+
+// TestConcurrentAppendSearchVerify is for the race detector: queries read
+// posting-list snapshots outside the log lock while appends extend them.
+func TestConcurrentAppendSearchVerify(t *testing.T) {
+	l, _, _ := newTestLog(t, blockstore.NewMemory(8<<10))
+	const writers, batches = 2, 150
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				e := Event{Actor: fmt.Sprintf("dr-%d", w), Action: ActionRead, Record: fmt.Sprintf("rec-%d", i%4), Outcome: OutcomeAllowed}
+				flag := e
+				flag.Action = ActionBreakGlass
+				if _, err := l.AppendAll([]Event{e, flag}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for _, q := range []Query{{Record: "rec-1"}, {Actor: "dr-0"}, {}} {
+		readers.Add(1)
+		go func(q Query) {
+			defer readers.Done()
+			for {
+				got, err := l.Search(q)
+				if err != nil {
+					t.Errorf("Search(%+v): %v", q, err)
+					return
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i].Seq <= got[i-1].Seq {
+						t.Errorf("Search(%+v): seq %d after %d", q, got[i].Seq, got[i-1].Seq)
+						return
+					}
+				}
+				if _, err := l.Verify(); err != nil {
+					t.Errorf("Verify: %v", err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if n, err := l.Verify(); err != nil || n != 2*writers*batches {
+		t.Errorf("final Verify: %d, %v; want %d, nil", n, err, 2*writers*batches)
 	}
 }
 

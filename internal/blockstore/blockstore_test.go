@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"medvault/internal/faultfs"
 )
 
 // stores returns one of each backend, pre-sized with small segments so
@@ -180,6 +182,56 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	if m.Len() != 20 {
 		t.Errorf("Len = %d, want 20", m.Len())
+	}
+}
+
+// TestFileReadsShareOneHandlePerSegment: a read costs two preads, not an
+// open and a close around them — each segment is opened read-only once, by
+// the first Read that needs it, and a frame appended after that is readable
+// through the same handle.
+func TestFileReadsShareOneHandlePerSegment(t *testing.T) {
+	readOnlyOpens := 0
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpOpen && op.Index < 0 {
+			readOnlyOpens++
+		}
+		return nil
+	})
+	f, err := OpenFileFS(fsys, "blocks", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []Ref
+	appendOne := func(i int) {
+		ref, err := f.Append(bytes.Repeat([]byte{byte(i)}, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	readAll := func() {
+		for i, ref := range refs {
+			if got, err := f.Read(ref); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 100)) {
+				t.Fatalf("Read(%v) = %d bytes, %v", ref, len(got), err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ { // two frames per segment: the third segment is active
+		appendOne(i)
+	}
+	for round := 0; round < 10; round++ {
+		readAll()
+	}
+	appendOne(5) // lands in the already-opened active segment
+	readAll()
+	if segments := int(refs[len(refs)-1].Segment) + 1; readOnlyOpens != segments {
+		t.Errorf("%d read-only opens for %d reads over %d segments, want one per segment", readOnlyOpens, 10*5+6, segments)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Read(refs[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("Read after Close: %v, want ErrClosed", err)
 	}
 }
 

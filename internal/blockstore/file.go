@@ -29,6 +29,12 @@ type File struct {
 	sizes  []int64      // committed byte length per segment
 	count  int
 	closed bool
+
+	// One read-only handle per segment, opened by the first Read that needs
+	// it and closed by Close; readMu orders the readers that hold only mu's
+	// read side.
+	readMu  sync.Mutex
+	readers []faultfs.File
 }
 
 var _ Store = (*File)(nil)
@@ -205,11 +211,10 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	if int64(ref.Offset) >= f.sizes[ref.Segment] {
 		return nil, fmt.Errorf("%w: offset %d beyond committed %d", ErrNotFound, ref.Offset, f.sizes[ref.Segment])
 	}
-	file, err := f.fs.OpenFile(filepath.Join(f.dir, segName(int(ref.Segment))), os.O_RDONLY, 0)
+	file, err := f.reader(int(ref.Segment))
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: opening segment %d: %w", ref.Segment, err)
+		return nil, err
 	}
-	defer file.Close()
 	var hdr [frameOverhead]byte
 	if _, err := file.ReadAt(hdr[:], int64(ref.Offset)); err != nil {
 		return nil, fmt.Errorf("%w: reading frame header: %v", ErrCorrupt, err)
@@ -235,6 +240,24 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	fileMetrics.readBytes.Add(uint64(len(payload)))
 	fileMetrics.readSeconds.ObserveSince(start)
 	return payload, nil
+}
+
+// reader returns segment i's shared read-only handle, opening it on first
+// use. The caller holds f.mu (either side) and has checked i < len(f.sizes).
+func (f *File) reader(i int) (faultfs.File, error) {
+	f.readMu.Lock()
+	defer f.readMu.Unlock()
+	for len(f.readers) <= i {
+		f.readers = append(f.readers, nil)
+	}
+	if f.readers[i] == nil {
+		file, err := f.fs.OpenFile(filepath.Join(f.dir, segName(i)), os.O_RDONLY, 0)
+		if err != nil {
+			return nil, fmt.Errorf("blockstore: opening segment %d: %w", i, err)
+		}
+		f.readers[i] = file
+	}
+	return f.readers[i], nil
 }
 
 // Scan implements Store.
@@ -310,6 +333,11 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
+	for _, r := range f.readers {
+		if r != nil {
+			r.Close() // only ever read
+		}
+	}
 	if err := f.active.Close(); err != nil {
 		return fmt.Errorf("blockstore: close: %w", err)
 	}

@@ -51,10 +51,9 @@ func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn str
 		if mrn == "" {
 			return fmt.Errorf("core: empty MRN")
 		}
-		var ok bool
-		parts[i], ok = v.disclosuresScan(mrn)
-		found = found || ok
-		return nil
+		part, ok, err := v.disclosuresScan(mrn)
+		parts[i], found = part, found || ok
+		return err
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -68,46 +67,50 @@ func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn str
 }
 
 // disclosuresScan reconstructs this shard's disclosures for the MRN from
-// its audit chain, unsorted. It reports found=false when the shard holds no
-// record (live or shredded) with that MRN, in which case the event scan is
-// skipped entirely. The caller must hold the op gate and applies the final
-// chronological sort after concatenating per-shard results in shard order.
-func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
+// its audit chain, in chain order. It reports found=false when the shard
+// holds no record (live or shredded) with that MRN, in which case the audit
+// log is not read at all; a failed audit read fails the whole accounting.
+// The caller must hold the op gate and applies the final chronological sort
+// after concatenating per-shard results in shard order.
+func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool, err error) {
 	// Collect the patient's record IDs (shredded ones included: the access
 	// history of a destroyed record is still disclosable). The MRN is
 	// immutable after creation, so the registry lock alone suffices.
 	v.regMu.RLock()
-	recordSet := make(map[string]bool)
+	var ids []string
 	for id, st := range v.records {
 		if st.mrn == mrn {
-			recordSet[id] = true
+			ids = append(ids, id)
 		}
 	}
 	v.regMu.RUnlock()
-	if len(recordSet) == 0 {
-		return nil, false
+	if len(ids) == 0 {
+		return nil, false, nil
 	}
 
-	// Mark events that happened under break-glass: the grant's elevated
-	// accesses carry a paired break-glass audit event at the same (actor,
-	// record, seq+1) — we detect them via the explicit ActionBreakGlass
-	// entries referencing the record. Seq numbers are local to this vault's
-	// chain, so the pairing is shard-local by construction: an operation and
-	// its break-glass marker both name the record and therefore live on the
-	// same shard.
-	events := v.aud.Search(audit.Query{})
+	// One by-record query per record of the patient reads exactly the events
+	// that name it. An access that rode a break-glass grant is followed at
+	// seq+1 by an ActionBreakGlass event that authorize appended with it
+	// atomically, naming the same actor and record — so the marker is in the
+	// same record's list as the access it flags, and pairing never needs an
+	// event outside it. (Seq numbers are local to this vault's chain, and both
+	// events name the record, so the pair is shard-local by construction.)
+	var events []audit.Event
 	breakGlassSeqs := make(map[uint64]bool)
-	for _, e := range events {
-		if e.Action == audit.ActionBreakGlass && e.Record != "" {
-			// The elevated operation is the immediately preceding event by
-			// the same actor on the same record.
-			breakGlassSeqs[e.Seq-1] = true
+	for _, id := range ids {
+		evs, err := v.aud.Search(audit.Query{Record: id})
+		if err != nil {
+			return nil, true, err
 		}
+		for _, e := range evs {
+			if e.Action == audit.ActionBreakGlass {
+				breakGlassSeqs[e.Seq-1] = true
+			}
+		}
+		events = append(events, evs...)
 	}
+	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	for _, e := range events {
-		if !recordSet[e.Record] {
-			continue
-		}
 		switch e.Action {
 		case audit.ActionRead, audit.ActionCreate, audit.ActionCorrect,
 			audit.ActionDelete, audit.ActionMigrateOut, audit.ActionMigrateIn,
@@ -123,7 +126,7 @@ func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
 			})
 		}
 	}
-	return out, true
+	return out, true, nil
 }
 
 // PatientRecordsCtx returns the record IDs carrying the patient's MRN that the

@@ -536,7 +536,7 @@ func (v *Vault) AuditEventsCtx(ctx context.Context, actor string, q audit.Query)
 	if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
 		return nil, err
 	}
-	return v.aud.Search(q), nil
+	return v.aud.Search(q)
 }
 
 // ProvenanceCtx returns the record's custody chain; requires audit permission.

@@ -36,8 +36,10 @@ type Report struct {
 //  4. Every remembered SignedTreeHead must be signature-valid and the
 //     current log proven an append-only extension of it — wholesale history
 //     rewriting surfaces here.
-//  5. The audit hash chain and every custody chain must verify; remembered
-//     audit checkpoints must match.
+//  5. The audit hash chain — streamed from the medium, so that it is the
+//     bytes on disk the sweep vouches for, and required to end in the running
+//     log's head — and every custody chain must verify; remembered audit
+//     checkpoints must match.
 //
 // The verification itself is written to the audit log.
 //

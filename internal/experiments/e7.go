@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"time"
 
 	"medvault/internal/audit"
@@ -11,74 +13,110 @@ import (
 
 // E7 measures audit-trail scalability (paper §3 "All access to the storage
 // system should be logged in a trustworthy manner"): append throughput, and
-// full-chain verification time as the log grows. Expected shape: appends are
-// constant-time; verification is linear in log size; checkpoint-anchored
-// verification pays the same linear scan but bounds what an adversary can
-// rewrite to the suffix after the newest off-system checkpoint.
+// full-chain verification time as the log grows, and what the running log
+// keeps resident per event. The log lives in segment files in a temporary
+// directory, so "resident" is the process's own bookkeeping and verification
+// reads the medium. Expected shape: appends are constant-time; verification
+// is linear in log size; resident bytes per event are flat and far below an
+// event's size; checkpoint-anchored verification pays the same linear scan
+// but bounds what an adversary can rewrite to the suffix after the newest
+// off-system checkpoint.
 func E7(sizes []int) (Table, error) {
 	t := Table{
 		ID:     "E7",
-		Title:  "Audit chain: append throughput and verification cost vs size",
-		Header: []string{"events", "append/op", "append rate", "verify(all)", "verify rate", "checkpointed"},
+		Title:  "Audit chain: append throughput, verification cost and resident bytes vs size",
+		Header: []string{"events", "append/op", "append rate", "verify(all)", "verify rate", "checkpointed", "resident B/event"},
 	}
 	for _, n := range sizes {
-		signer, err := vcrypto.NewSigner()
+		row, err := e7Row(n)
 		if err != nil {
 			return Table{}, err
 		}
-		key, err := vcrypto.NewKey()
-		if err != nil {
-			return Table{}, err
-		}
-		log, err := audit.Open(audit.Config{
-			Store:              blockstore.NewMemory(0),
-			MACKey:             key,
-			Signer:             signer,
-			CheckpointInterval: 1000,
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		appendTotal, appendPer, err := timeOp(n, func(i int) error {
-			_, err := log.Append(audit.Event{
-				Actor:   fmt.Sprintf("dr-%d", i%17),
-				Action:  audit.ActionRead,
-				Record:  fmt.Sprintf("mrn-%06d/enc-0", i%512),
-				Outcome: audit.OutcomeAllowed,
-			})
-			return err
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		vStart := time.Now()
-		verified, err := log.Verify()
-		if err != nil {
-			return Table{}, err
-		}
-		verifyCost := time.Since(vStart)
-
-		// Verification anchored to the newest checkpoint.
-		cps := log.Checkpoints()
-		cpCell := "none"
-		if len(cps) > 0 {
-			cp := cps[len(cps)-1]
-			cStart := time.Now()
-			if err := log.VerifyAgainst(cp, signer.Public()); err != nil {
-				return Table{}, err
-			}
-			cpCell = fmtDur(time.Since(cStart))
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmtDur(appendPer),
-			fmtRate(n, appendTotal),
-			fmtDur(verifyCost),
-			fmtRate(verified, verifyCost),
-			cpCell,
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// heapAlloc is the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// e7Row measures one log size on its own temporary directory, removed on
+// return.
+func e7Row(n int) ([]string, error) {
+	signer, err := vcrypto.NewSigner()
+	if err != nil {
+		return nil, err
+	}
+	key, err := vcrypto.NewKey()
+	if err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "medvault-e7-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	store, err := blockstore.OpenFile(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close()
+	before := heapAlloc()
+	log, err := audit.Open(audit.Config{
+		Store:              store,
+		MACKey:             key,
+		Signer:             signer,
+		CheckpointInterval: 1000,
+	})
+	if err != nil {
+		return nil, err
+	}
+	appendTotal, appendPer, err := timeOp(n, func(i int) error {
+		_, err := log.Append(audit.Event{
+			Actor:   fmt.Sprintf("dr-%d", i%17),
+			Action:  audit.ActionRead,
+			Record:  fmt.Sprintf("mrn-%06d/enc-0", i%512),
+			Outcome: audit.OutcomeAllowed,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	resident := float64(int64(heapAlloc())-int64(before)) / float64(n)
+	vStart := time.Now()
+	verified, err := log.Verify()
+	if err != nil {
+		return nil, err
+	}
+	verifyCost := time.Since(vStart)
+
+	// Verification anchored to the newest checkpoint.
+	cps := log.Checkpoints()
+	cpCell := "none"
+	if len(cps) > 0 {
+		cp := cps[len(cps)-1]
+		cStart := time.Now()
+		if err := log.VerifyAgainst(cp, signer.Public()); err != nil {
+			return nil, err
+		}
+		cpCell = fmtDur(time.Since(cStart))
+	}
+	return []string{
+		fmt.Sprintf("%d", n),
+		fmtDur(appendPer),
+		fmtRate(n, appendTotal),
+		fmtDur(verifyCost),
+		fmtRate(verified, verifyCost),
+		cpCell,
+		fmt.Sprintf("%.0f", resident),
+	}, nil
 }
 
 // E7Raw returns verification cost per size for linearity assertions.

@@ -77,7 +77,7 @@ func E9Raw(n int) (map[string]float64, error) {
 // order. scale: "quick" for CI-sized runs, "full" for the numbers recorded
 // in EXPERIMENTS.md.
 func All(scale string) ([]Table, error) {
-	n2, n4sizes, n5, n6, n7sizes, n8, n9 := 500, []int{200, 1000, 5000}, 40, 50, []int{1000, 10000, 50000}, 300, 500
+	n2, n4sizes, n5, n6, n7sizes, n8, n9 := 500, []int{200, 1000, 5000}, 40, 50, []int{1000, 10000, 50000, 500000}, 300, 500
 	if scale == "quick" {
 		n2, n4sizes, n5, n6, n7sizes, n8, n9 = 100, []int{100, 400}, 10, 10, []int{500, 2000}, 60, 100
 	}

@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"medvault/internal/audit"
+	"medvault/internal/clock"
 	"medvault/internal/core"
+	"medvault/internal/faultfs"
 	"medvault/internal/merkle"
+	"medvault/internal/vcrypto"
 )
 
 // rawRequest sends an arbitrary body (not necessarily JSON) as the given
@@ -162,5 +165,61 @@ func TestRouteSpecificErrorMappingsSurvive(t *testing.T) {
 		if code := rawRequest(t, ts.URL, "POST", "/breakglass", tc.actor, tc.body); code != http.StatusBadRequest {
 			t.Errorf("/breakglass with %s = %d, want 400", tc.name, code)
 		}
+	}
+}
+
+// TestCorruptAuditFrameIsAnErrorNotAShorterAnswer: with one byte of an
+// already-written audit frame flipped on the medium of a running durable
+// vault, the routes that would have returned that event answer a 5xx with
+// an error body — never 200 with the rows that still read — and /verify
+// reports the medium as an integrity failure.
+func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
+	master, err := vcrypto.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := faultfs.NewMem()
+	v, err := core.Open(core.Config{Name: "api-test", Master: master, Clock: clock.NewVirtual(epoch), Dir: "vault", FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	provisionPersonas(t, v)
+	ts := httptest.NewServer(New(v))
+	t.Cleanup(ts.Close)
+
+	if code := do(t, ts, "POST", "/records", "dr-house", sampleRecord("p1"), nil); code != http.StatusCreated {
+		t.Fatalf("POST /records = %d", code)
+	}
+	for i := 0; i < 5; i++ {
+		if code := do(t, ts, "GET", "/records/p1", "dr-house", nil, nil); code != http.StatusOK {
+			t.Fatalf("GET /records/p1 = %d", code)
+		}
+	}
+	var events []auditEventPayload
+	if code := do(t, ts, "GET", "/audit?record=p1", "officer-kim", nil, &events); code != http.StatusOK || len(events) != 6 {
+		t.Fatalf("clean audit query = %d with %d events, want 200 with 6", code, len(events))
+	}
+
+	// The create of p1 is the chain's first event; flip a byte inside it.
+	const seg = "vault/audit/seg-00000000.blk"
+	raw, err := mem.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[40] ^= 0x01
+	if err := mem.WriteFile(seg, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/audit?record=p1", "/audit?actor=dr-house", "/audit", "/patients/mrn-1/disclosures"} {
+		var body errorBody
+		if code := do(t, ts, "GET", path, "officer-kim", nil, &body); code != http.StatusInternalServerError || body.Error == "" {
+			t.Errorf("GET %s over a corrupt audit frame = %d %+v, want 500 with an error body", path, code, body)
+		}
+	}
+	var verdict map[string]any
+	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict || verdict["status"] != "INTEGRITY FAILURE" {
+		t.Errorf("POST /verify over a corrupt audit frame = %d %v, want 409 INTEGRITY FAILURE", code, verdict)
 	}
 }
