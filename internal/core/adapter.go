@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"medvault/internal/authz"
@@ -181,19 +180,19 @@ func (a *Adapter) RollbackMetadata(id string) error {
 	return nil
 }
 
-// mapErr translates core sentinels to the stores package's vocabulary where
-// a direct counterpart exists, so the harness can switch on one error set.
+// storesErrs are the stores package's counterparts of core's outcome labels,
+// where one exists.
+var storesErrs = map[string]error{
+	"exists":    stores.ErrExists,
+	"not_found": stores.ErrNotFound,
+	"tampered":  stores.ErrTampered,
+}
+
+// mapErr translates a core outcome to the stores package's vocabulary where a
+// direct counterpart exists, so the harness can switch on one error set.
 func mapErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrExists):
-		return fmt.Errorf("%w: %v", stores.ErrExists, err)
-	case errors.Is(err, ErrNotFound):
-		return fmt.Errorf("%w: %v", stores.ErrNotFound, err)
-	case errors.Is(err, ErrTampered):
-		return fmt.Errorf("%w: %v", stores.ErrTampered, err)
-	default:
-		return err
+	if se, ok := storesErrs[Outcome(err)]; ok {
+		return fmt.Errorf("%w: %v", se, err)
 	}
+	return err
 }

@@ -562,9 +562,11 @@ func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]s
 // grant on every shard, in shard order: the grant elevates access vault-wide
 // (the authorizer is shared), so every shard's chain must show it.
 // Re-issuing on each shard is an idempotent overwrite of the same grant.
-func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error {
+func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) (err error) {
+	ctx, done := c.begin(ctx, "break_glass")
+	defer done(&err)
 	return firstErr(c.gather(false, func(_ int, v *Vault) error {
-		return v.BreakGlassCtx(ctx, actor, reason, duration)
+		return v.admitted(func() error { return v.breakGlass(ctx, actor, reason, duration) })
 	}))
 }
 

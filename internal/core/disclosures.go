@@ -8,7 +8,6 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
-	"medvault/internal/obs"
 )
 
 // Disclosure is one access to a patient's EPHI, as reconstructed from the
@@ -34,26 +33,20 @@ type Disclosure struct {
 // disclosable activity on every chain it reads. Each shard reconstructs the
 // disclosures of the records it holds, and the per-shard ledgers are
 // concatenated in shard order and stably sorted by timestamp, so ties keep
-// shard order deterministically.
-func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
-	ctx, sp := obs.StartSpan(ctx, "core.disclosures")
-	defer func() { sp.End(retErr) }()
+// shard order deterministically. The MRN is unknown only when no shard
+// holds a record carrying it.
+func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, err error) {
+	ctx, done := c.begin(ctx, "disclosures")
+	defer done(&err)
 	parts := make([][]Disclosure, len(c.shards))
 	found := false
 	errs := c.gather(false, func(i int, v *Vault) error {
-		if err := v.gate.begin(); err != nil {
+		return v.admitted(func() (err error) {
+			var ok bool
+			parts[i], ok, err = v.disclosures(ctx, actor, mrn)
+			found = found || ok
 			return err
-		}
-		defer v.gate.end()
-		if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
-			return err
-		}
-		if mrn == "" {
-			return fmt.Errorf("core: empty MRN")
-		}
-		part, ok, err := v.disclosuresScan(mrn)
-		parts[i], found = part, found || ok
-		return err
+		})
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
@@ -66,24 +59,22 @@ func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn str
 	return out, nil
 }
 
-// disclosuresScan reconstructs this shard's disclosures for the MRN from
-// its audit chain, in chain order. It reports found=false when the shard
-// holds no record (live or shredded) with that MRN, in which case the audit
-// log is not read at all; a failed audit read fails the whole accounting.
-// The caller must hold the op gate and applies the final chronological sort
-// after concatenating per-shard results in shard order.
-func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool, err error) {
-	// Collect the patient's record IDs (shredded ones included: the access
-	// history of a destroyed record is still disclosable). The MRN is
-	// immutable after creation, so the registry lock alone suffices.
-	v.regMu.RLock()
-	var ids []string
-	for id, st := range v.records {
-		if st.mrn == mrn {
-			ids = append(ids, id)
-		}
+// disclosures is one shard's part of the accounting: the audited query and
+// the shard's disclosures for the MRN, in chain order. It reports
+// found=false when the shard holds no record (live or shredded) with that
+// MRN, in which case the audit log is not read at all; a failed audit read
+// fails the whole accounting. The caller applies the final chronological
+// sort after concatenating per-shard results in shard order.
+func (v *Vault) disclosures(ctx context.Context, actor, mrn string) (out []Disclosure, found bool, err error) {
+	if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
+		return nil, false, err
 	}
-	v.regMu.RUnlock()
+	if mrn == "" {
+		return nil, false, fmt.Errorf("core: empty MRN")
+	}
+	// Shredded records count: the access history of a destroyed record is
+	// still disclosable.
+	ids := v.recordsOf(mrn)
 	if len(ids) == 0 {
 		return nil, false, nil
 	}
@@ -135,31 +126,26 @@ func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool, err e
 // request correction" precondition). The scan is pure in-memory registry
 // work, so the span has no children; it exists so patient-access requests
 // are visible in traces like every other operation.
-func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []string, retErr error) {
-	_, sp := v.span(ctx, "core.patient_records")
-	defer func() { sp.End(retErr) }()
-	if err := v.gate.begin(); err != nil {
+func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []string, err error) {
+	_, done, err := v.begin(ctx, "patient_records", "")
+	defer done(&err)
+	if err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
+	return v.readable(actor, v.recordsOf(mrn)), nil
+}
+
+// recordsOf returns the IDs of every record carrying the MRN, shredded ones
+// included. The MRN is immutable after creation, so the registry lock alone
+// suffices.
+func (v *Vault) recordsOf(mrn string) []string {
 	v.regMu.RLock()
-	type cand struct {
-		id  string
-		cat string
-	}
-	var cands []cand
+	defer v.regMu.RUnlock()
+	var ids []string
 	for id, st := range v.records {
-		if st.mrn == mrn && !st.shredded.Load() {
-			cands = append(cands, cand{id, string(st.category)})
+		if st.mrn == mrn {
+			ids = append(ids, id)
 		}
 	}
-	v.regMu.RUnlock()
-	var out []string
-	for _, c := range cands {
-		if v.auth.Check(actor, authz.ActRead, c.cat).Allowed {
-			out = append(out, c.id)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return ids
 }

@@ -31,11 +31,12 @@ type ExportBundle struct {
 // Export decrypts the record's full version history for transfer. The
 // export is audited; migration bookkeeping (custody events, manifest
 // signatures) is the migrate package's job.
-func (v *Vault) Export(actor, id string) (ExportBundle, error) {
-	if err := v.gate.begin(); err != nil {
+func (v *Vault) Export(actor, id string) (_ ExportBundle, err error) {
+	ctx, done, err := v.begin(context.Background(), "export", id)
+	defer done(&err)
+	if err != nil {
 		return ExportBundle{}, err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	defer mu.RUnlock()
@@ -43,12 +44,12 @@ func (v *Vault) Export(actor, id string) (ExportBundle, error) {
 	if err != nil {
 		return ExportBundle{}, err
 	}
-	if err := v.authorize(context.Background(), actor, authz.ActMigrate, audit.ActionMigrateOut, id, 0, string(st.category)); err != nil {
+	if err := v.authorize(ctx, actor, authz.ActMigrate, audit.ActionMigrateOut, id, 0, string(st.category)); err != nil {
 		return ExportBundle{}, err
 	}
 	bundle := ExportBundle{ID: id, Category: st.category}
 	for _, ver := range st.versions {
-		rec, err := v.readVersion(context.Background(), id, ver)
+		rec, err := v.readVersion(ctx, id, ver)
 		if err != nil {
 			return ExportBundle{}, fmt.Errorf("core: exporting %s v%d: %w", id, ver.Number, err)
 		}
@@ -78,24 +79,25 @@ func plainHash(rec ehr.Record) [32]byte {
 // custody chain. The caller (the migrate package) has already verified the
 // manifest; Import re-verifies content hashes anyway — defence in depth.
 func (v *Vault) Import(actor string, bundle ExportBundle, sourceSystem string) error {
-	return v.importAs(actor, bundle, sourceSystem, provenance.EventMigratedIn, audit.ActionMigrateIn)
+	return v.importAs("import", actor, bundle, sourceSystem, provenance.EventMigratedIn, audit.ActionMigrateIn)
 }
 
 // ImportRestored ingests a bundle from a verified backup archive; the
 // custody chain gains a restored event instead of a migrated-in one.
 func (v *Vault) ImportRestored(actor string, bundle ExportBundle, sourceSystem string) error {
-	return v.importAs(actor, bundle, sourceSystem, provenance.EventRestored, audit.ActionRestore)
+	return v.importAs("import_restored", actor, bundle, sourceSystem, provenance.EventRestored, audit.ActionRestore)
 }
 
-func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string, custodyType provenance.EventType, auditAction audit.Action) error {
+func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem string, custodyType provenance.EventType, auditAction audit.Action) (err error) {
+	ctx, done, err := v.begin(context.Background(), op, bundle.ID)
+	defer done(&err)
+	if err != nil {
+		return err
+	}
 	if len(bundle.Versions) == 0 {
 		return fmt.Errorf("core: bundle for %s has no versions", bundle.ID)
 	}
-	if err := v.gate.begin(); err != nil {
-		return err
-	}
-	defer v.gate.end()
-	if err := v.authorize(context.Background(), actor, authz.ActMigrate, auditAction, bundle.ID, 0, string(bundle.Category)); err != nil {
+	if err := v.authorize(ctx, actor, authz.ActMigrate, auditAction, bundle.ID, 0, string(bundle.Category)); err != nil {
 		return err
 	}
 	mu := v.stripes.forRecord(bundle.ID)
@@ -120,7 +122,7 @@ func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string,
 	// committed prefix — the same record a restart would recover from the WAL.
 	var last Version
 	for _, ev := range bundle.Versions {
-		if last, err = v.commitVersion(context.Background(), ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped); err != nil {
+		if last, err = v.commitVersion(ctx, ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped); err != nil {
 			return err
 		}
 		wrapped = nil
@@ -137,22 +139,23 @@ func (v *Vault) importAs(actor string, bundle ExportBundle, sourceSystem string,
 // RecordBackedUp extends custody chains with backed-up events after a
 // successful archive write; called by the backup package.
 func (v *Vault) RecordBackedUp(actor, id, destination string) error {
-	return v.recordCustody(id, provenance.EventBackedUp, actor, destination)
+	return v.recordCustody("record_backed_up", id, provenance.EventBackedUp, actor, destination)
 }
 
 // RecordMigratedOut extends the custody chain with a migrated-out event
 // after a successful transfer; called by the migrate package.
 func (v *Vault) RecordMigratedOut(actor, id, targetSystem string) error {
-	return v.recordCustody(id, provenance.EventMigratedOut, actor, targetSystem)
+	return v.recordCustody("record_migrated_out", id, provenance.EventMigratedOut, actor, targetSystem)
 }
 
 // recordCustody extends the record's custody chain with an event carrying
 // the latest version's ciphertext hash.
-func (v *Vault) recordCustody(id string, typ provenance.EventType, actor, peer string) error {
-	if err := v.gate.begin(); err != nil {
+func (v *Vault) recordCustody(op, id string, typ provenance.EventType, actor, peer string) (err error) {
+	_, done, err := v.begin(context.Background(), op, id)
+	defer done(&err)
+	if err != nil {
 		return err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	st, err := v.stateFor(id)

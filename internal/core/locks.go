@@ -49,39 +49,36 @@ type opGate struct {
 	closedFlag atomic.Bool
 }
 
-// begin admits one operation; the caller must pair it with end. It fails
-// with ErrClosed once close has run — and because the shared lock is held
-// for the operation's whole duration, an admitted operation can never
-// observe a closing vault's half-released resources.
-func (g *opGate) begin() error {
-	g.mu.RLock()
+// admit lets one operation in until release — exclusively for a whole-vault
+// pass, which drains in-flight operations first. It fails with ErrClosed
+// once shut has run; since the lock is held for the operation's whole
+// duration, an admitted operation never sees a closing vault's half-released
+// resources. Only the op envelope (envelope.go) calls it.
+func (g *opGate) admit(exclusive bool) error {
+	if exclusive {
+		g.mu.Lock()
+	} else {
+		g.mu.RLock()
+	}
 	if g.closed {
-		g.mu.RUnlock()
+		g.release(exclusive)
 		return ErrClosed
 	}
 	return nil
 }
 
-// end releases an operation admitted by begin.
-func (g *opGate) end() { g.mu.RUnlock() }
-
-// beginExclusive admits a whole-vault pass, waiting for every in-flight
-// operation to finish and blocking new ones until endExclusive.
-func (g *opGate) beginExclusive() error {
-	g.mu.Lock()
-	if g.closed {
+// release lets go of what admit (or a successful shut, exclusively) took.
+func (g *opGate) release(exclusive bool) {
+	if exclusive {
 		g.mu.Unlock()
-		return ErrClosed
+	} else {
+		g.mu.RUnlock()
 	}
-	return nil
 }
-
-// endExclusive releases an exclusive pass.
-func (g *opGate) endExclusive() { g.mu.Unlock() }
 
 // shut marks the gate closed, first draining in-flight operations. It
 // returns false if the gate was already closed. The caller holds the gate
-// exclusively when shut returns true and must release it with endExclusive.
+// exclusively when shut returns true and must release it with release(true).
 func (g *opGate) shut() bool {
 	g.mu.Lock()
 	if g.closed {

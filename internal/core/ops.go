@@ -11,6 +11,7 @@ import (
 	"medvault/internal/authz"
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
+	"medvault/internal/obs"
 	"medvault/internal/provenance"
 	"medvault/internal/vcrypto"
 )
@@ -138,19 +139,17 @@ func (v *Vault) mintFor(id string, category ehr.Category) (vcrypto.Key, []byte, 
 // permission for the record's category. The record's own CreatedAt starts
 // its retention clock. When ctx carries a trace (httpapi, the bench
 // adapter), every mechanism the Put touches — seal, blockstore, WAL, Merkle,
-// index, audit — records its span under a "core.put" parent; the same holds
-// for every other operation and its own parent span.
+// index, audit — records its span under the put's own op span (see
+// envelope.go); the same holds for every other operation.
 func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Version, err error) {
-	defer v.observeOp(ctx, "put", rec.ID, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.put")
-	defer func() { sp.End(err) }()
+	ctx, done, err := v.begin(ctx, "put", rec.ID)
+	defer done(&err)
+	if err != nil {
+		return Version{}, err
+	}
 	if err := rec.Validate(); err != nil {
 		return Version{}, err
 	}
-	if err := v.gate.begin(); err != nil {
-		return Version{}, err
-	}
-	defer v.gate.end()
 	if err := v.authorize(ctx, actor, authz.ActWrite, audit.ActionCreate, rec.ID, 1, string(rec.Category)); err != nil {
 		return Version{}, err
 	}
@@ -172,6 +171,27 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	return ver, nil
 }
 
+var metProvenanceErrors = obs.Default.Counter("medvault_provenance_append_errors_total",
+	"Custody-chain appends that failed after the operation's state was already committed.")
+
+// custodyAfterCommit extends the record's custody chain once an operation's
+// state is durably committed, and surfaces an append failure without failing
+// the operation: that would lie to the caller — the version exists, is
+// indexed, and is Merkle-committed, so a retried Put would hit ErrExists —
+// therefore the gap is reported as a post-commit warning: an audit event with
+// an error outcome plus a counter alerting operators that a chain is
+// incomplete.
+func (v *Vault) custodyAfterCommit(ctx context.Context, action audit.Action, typ provenance.EventType, actor, id string, ctHash [32]byte) {
+	if _, err := v.prov.Record(id, typ, actor, ctHash, ""); err != nil {
+		metProvenanceErrors.Inc()
+		_, _ = v.aud.AppendCtx(ctx, audit.Event{
+			Actor: actor, Action: action, Record: id,
+			Outcome: audit.OutcomeError,
+			Detail:  "custody chain append failed after commit: " + err.Error(),
+		})
+	}
+}
+
 // readVersion reads and verifies one version's content. Caller holds at
 // least the record's stripe read lock.
 //
@@ -180,7 +200,10 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 // ver.CtHash, and a hit is only served when the fill-time hash equals the
 // CtHash this version demands — the same 32-byte comparison either way.
 func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.Record, err error) {
-	ctx, sp := v.span(ctx, "core.read_version")
+	ctx, sp := obs.StartSpan(ctx, "core.read_version")
+	if v.shard != "" {
+		sp.SetAttr("shard", v.shard)
+	}
 	defer func() { sp.End(err) }()
 	ct, cached := v.bcache.get(ver.Ref, ver.CtHash)
 	if cached {
@@ -219,35 +242,29 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 // denied — is audited. Get holds only the record's stripe read lock, so
 // reads of distinct records (and of the same record) run in parallel.
 func (v *Vault) GetCtx(ctx context.Context, actor, id string) (ehr.Record, Version, error) {
-	return v.read(ctx, actor, id, 0, true)
+	return v.read(ctx, "get", actor, id, 0)
 }
 
 // GetVersionCtx returns a specific historical version (1-based).
 func (v *Vault) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error) {
-	return v.read(ctx, actor, id, number, false)
+	return v.read(ctx, "get_version", actor, id, number)
 }
 
-// read is the one body of Get and GetVersion: version number of the record,
-// or its newest version when latest is set.
-func (v *Vault) read(ctx context.Context, actor, id string, number uint64, latest bool) (_ ehr.Record, _ Version, err error) {
-	op, span := "get_version", "core.get_version"
-	if latest {
-		op, span = "get", "core.get"
-	}
-	defer v.observeOp(ctx, op, id, time.Now())(&err)
-	ctx, sp := v.span(ctx, span)
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+// read is the one body of Get (op "get": the record's newest version) and
+// GetVersion ("get_version": version number).
+func (v *Vault) read(ctx context.Context, op, actor, id string, number uint64) (_ ehr.Record, _ Version, err error) {
+	ctx, done, err := v.begin(ctx, op, id)
+	defer done(&err)
+	if err != nil {
 		return ehr.Record{}, Version{}, err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	defer mu.RUnlock()
 	st, err := v.stateFor(id)
 	switch {
 	case err != nil:
-	case latest:
+	case op == "get":
 		number = uint64(len(st.versions))
 	case number == 0 || number > uint64(len(st.versions)):
 		err = fmt.Errorf("%w: %s has no version %d", ErrNotFound, id, number)
@@ -267,13 +284,11 @@ func (v *Vault) read(ctx context.Context, actor, id string, number uint64, lates
 // HistoryCtx returns the version metadata of the record, oldest first. It does
 // not decrypt content, but still requires (and audits) read permission.
 func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, err error) {
-	defer v.observeOp(ctx, "history", id, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.history")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+	ctx, done, err := v.begin(ctx, "history", id)
+	defer done(&err)
+	if err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	defer mu.RUnlock()
@@ -293,16 +308,14 @@ func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, 
 // committed, indexed, audited, and recorded in the custody chain. This is
 // the capability the paper finds missing from compliance WORM storage.
 func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_ Version, err error) {
-	defer v.observeOp(ctx, "correct", rec.ID, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.correct")
-	defer func() { sp.End(err) }()
+	ctx, done, err := v.begin(ctx, "correct", rec.ID)
+	defer done(&err)
+	if err != nil {
+		return Version{}, err
+	}
 	if err := rec.Validate(); err != nil {
 		return Version{}, err
 	}
-	if err := v.gate.begin(); err != nil {
-		return Version{}, err
-	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(rec.ID)
 	mu.Lock()
 	defer mu.Unlock()
@@ -358,11 +371,12 @@ func (v *Vault) searchAuthorized(ctx context.Context, actor string) error {
 	return nil
 }
 
-// filterSearchHits keeps the hits that are live and readable by the actor —
-// per-result visibility enforces minimum-necessary even through search. It
-// takes no stripe locks: liveness comes from the atomic shredded flag, and
-// the category is immutable, so concurrent writers cannot corrupt the scan.
-func (v *Vault) filterSearchHits(actor string, hits []string) []string {
+// readable keeps the IDs that are live and readable by the actor, sorted —
+// per-result visibility enforces minimum-necessary even through search and
+// patient listings. It takes no stripe locks: liveness comes from the atomic
+// shredded flag, and the category is immutable, so concurrent writers cannot
+// corrupt the scan.
+func (v *Vault) readable(actor string, hits []string) []string {
 	type cand struct {
 		id  string
 		cat string
@@ -403,17 +417,15 @@ func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...stri
 
 // search is the one body of Search and SearchAll; find queries the index.
 func (v *Vault) search(ctx context.Context, actor string, find func(context.Context) []string) (_ []string, err error) {
-	defer v.observeOp(ctx, "search", "", time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.search")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+	ctx, done, err := v.begin(ctx, "search", "")
+	defer done(&err)
+	if err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
 	if err := v.searchAuthorized(ctx, actor); err != nil {
 		return nil, err
 	}
-	return v.filterSearchHits(actor, find(ctx)), nil
+	return v.readable(actor, find(ctx)), nil
 }
 
 // ShredCtx securely deletes the record: its data key is destroyed, its index
@@ -423,13 +435,11 @@ func (v *Vault) search(ctx context.Context, actor string, find func(context.Cont
 // unreadable — and the Merkle history of the record's existence is
 // preserved, as disposition accountability requires.
 func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
-	defer v.observeOp(ctx, "shred", id, time.Now())(&err)
-	ctx, sp := v.span(ctx, "core.shred")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+	ctx, done, err := v.begin(ctx, "shred", id)
+	defer done(&err)
+	if err != nil {
 		return err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.Lock()
 	defer mu.Unlock()
@@ -461,26 +471,26 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 // and both placement and release are audited. Requires disposition (shred)
 // permission — holds govern destruction.
 func (v *Vault) PlaceHoldCtx(ctx context.Context, actor, id, reason string) error {
-	if reason == "" {
-		return fmt.Errorf("core: a legal hold requires a reason")
-	}
-	return v.changeHold(ctx, "core.place_hold", actor, walEntry{kind: 'H', id: id, reason: reason, placed: v.now()}, "legal hold placed: "+reason)
+	return v.changeHold(ctx, "place_hold", actor, walEntry{kind: 'H', id: id, reason: reason, placed: v.now()}, "legal hold placed: "+reason)
 }
 
 // ReleaseHoldCtx lifts a legal hold; the release is WAL-logged and audited.
 func (v *Vault) ReleaseHoldCtx(ctx context.Context, actor, id string) error {
-	return v.changeHold(ctx, "core.release_hold", actor, walEntry{kind: 'R', id: id}, "legal hold released")
+	return v.changeHold(ctx, "release_hold", actor, walEntry{kind: 'R', id: id}, "legal hold released")
 }
 
 // changeHold is the one body of PlaceHold and ReleaseHold. Placing a hold
-// needs a live record; releasing one that is not there is a no-op.
-func (v *Vault) changeHold(ctx context.Context, span, actor string, e walEntry, detail string) (err error) {
-	ctx, sp := v.span(ctx, span)
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+// needs a reason and a live record; releasing one that is not there is a
+// no-op.
+func (v *Vault) changeHold(ctx context.Context, op, actor string, e walEntry, detail string) (err error) {
+	ctx, done, err := v.begin(ctx, op, e.id)
+	defer done(&err)
+	if err != nil {
 		return err
 	}
-	defer v.gate.end()
+	if e.kind == 'H' && e.reason == "" {
+		return fmt.Errorf("core: a legal hold requires a reason")
+	}
 	mu := v.stripes.forRecord(e.id)
 	mu.Lock()
 	defer mu.Unlock()
@@ -502,15 +512,10 @@ func (v *Vault) changeHold(ctx context.Context, span, actor string, e walEntry, 
 	return nil
 }
 
-// BreakGlassCtx grants the actor time-boxed emergency access and records the
-// grant in the audit trail.
-func (v *Vault) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) (err error) {
-	ctx, sp := v.span(ctx, "core.break_glass")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
-		return err
-	}
-	defer v.gate.end()
+// breakGlass is one shard's part of Cluster.BreakGlassCtx: it grants the
+// actor time-boxed emergency access and records the grant in the shard's
+// audit trail.
+func (v *Vault) breakGlass(ctx context.Context, actor, reason string, duration time.Duration) error {
 	g, err := v.auth.BreakGlass(actor, reason, duration)
 	if err != nil {
 		return err
@@ -527,12 +532,11 @@ func (v *Vault) BreakGlassCtx(ctx context.Context, actor, reason string, duratio
 // AuditEventsCtx returns audit events matching q; the query itself requires
 // (and is recorded with) audit permission.
 func (v *Vault) AuditEventsCtx(ctx context.Context, actor string, q audit.Query) (_ []audit.Event, err error) {
-	ctx, sp := v.span(ctx, "core.audit_events")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+	ctx, done, err := v.begin(ctx, "audit_events", "")
+	defer done(&err)
+	if err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
 	if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, ""); err != nil {
 		return nil, err
 	}
@@ -541,12 +545,11 @@ func (v *Vault) AuditEventsCtx(ctx context.Context, actor string, q audit.Query)
 
 // ProvenanceCtx returns the record's custody chain; requires audit permission.
 func (v *Vault) ProvenanceCtx(ctx context.Context, actor, id string) (_ []provenance.Event, err error) {
-	ctx, sp := v.span(ctx, "core.provenance")
-	defer func() { sp.End(err) }()
-	if err := v.gate.begin(); err != nil {
+	ctx, done, err := v.begin(ctx, "provenance", id)
+	defer done(&err)
+	if err != nil {
 		return nil, err
 	}
-	defer v.gate.end()
 	if err := v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, id, 0, ""); err != nil {
 		return nil, err
 	}

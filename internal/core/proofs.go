@@ -32,13 +32,12 @@ type VersionProof struct {
 // ProveVersionCtx produces a VersionProof for the given version of the record.
 // It requires (and audits) read permission: the proof reveals the record's
 // existence and write history even though it reveals no content.
-func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (_ VersionProof, retErr error) {
-	ctx, sp := v.span(ctx, "core.prove_version")
-	defer func() { sp.End(retErr) }()
-	if err := v.gate.begin(); err != nil {
+func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (_ VersionProof, err error) {
+	ctx, done, err := v.begin(ctx, "prove_version", id)
+	defer done(&err)
+	if err != nil {
 		return VersionProof{}, err
 	}
-	defer v.gate.end()
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	st, err := v.stateFor(id)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -38,11 +37,12 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	// The rewrite swaps the whole block store under every record at once, so
 	// it runs under the exclusive gate: in-flight operations drain first and
 	// none start until the swap is complete.
-	if err := v.gate.beginExclusive(); err != nil {
+	ctx, done, err := v.beginExclusive("sanitize")
+	defer done(&err)
+	if err != nil {
 		return 0, 0, err
 	}
-	defer v.gate.endExclusive()
-	if err := v.authorize(context.Background(), actor, authz.ActShred, audit.ActionDelete, "", 0, ""); err != nil {
+	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionDelete, "", 0, ""); err != nil {
 		return 0, 0, err
 	}
 	before := v.blocks.StorageBytes()

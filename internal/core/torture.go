@@ -319,11 +319,12 @@ var tortureIDs = []string{"rec-0", "rec-1", "rec-2", "rec-3", "rec-4"}
 
 // flightTail is the decoded, persisted flight-recorder evidence found on a
 // crash image: per workload record, how many successful mutations (put or
-// correct) the tail claims were acknowledged, and whether it records an
-// acknowledged shred.
+// correct) the tail claims were acknowledged, whether it records an
+// acknowledged shred, and which acknowledged hold change it records last.
 type flightTail struct {
 	okMutations map[string]int  // record ID -> acked put/correct events persisted
 	shredOK     map[string]bool // record ID -> acked shred event persisted
+	held        map[string]bool // record ID -> last persisted acked hold op was a placement
 }
 
 // decodeFlightTail reads the persisted flight tail from the raw crash image
@@ -331,7 +332,7 @@ type flightTail struct {
 // audits the events themselves: the torn-tail rule must make them
 // decodable, and no field may carry record plaintext.
 func decodeFlightTail(img *faultfs.Mem) (flightTail, error) {
-	ft := flightTail{okMutations: make(map[string]int), shredOK: make(map[string]bool)}
+	ft := flightTail{okMutations: make(map[string]int), shredOK: make(map[string]bool), held: make(map[string]bool)}
 	hashToID := make(map[string]string, len(tortureIDs))
 	for _, id := range tortureIDs {
 		hashToID[obs.HashRecordID(id)] = id
@@ -358,6 +359,10 @@ func decodeFlightTail(img *faultfs.Mem) (flightTail, error) {
 			ft.okMutations[id]++
 		case "shred":
 			ft.shredOK[id] = true
+		case "place_hold", "release_hold":
+			// One record's events share a shard, so they decode in the
+			// order they were acked: the last one is the newest state.
+			ft.held[id] = ev.Kind == "place_hold"
 		}
 	}
 	return ft, nil
@@ -367,9 +372,10 @@ func decodeFlightTail(img *faultfs.Mem) (flightTail, error) {
 // The flight sink never fsyncs, but it appends an acked-op event only after
 // the op's own WAL fsync returned — so under the prefix crash model every
 // persisted event describes an op whose WAL entry was already durable, and
-// the tail must be a subset of what recovery rebuilds.
-func (ft flightTail) check(v *Cluster) error {
-	ctx := context.Background()
+// the tail must be a subset of what recovery rebuilds. By the oracle's acked
+// order, a persisted hold placement stands unless a release followed it, and
+// a persisted release is final (the workload never re-places a hold).
+func (ft flightTail) check(v *Cluster, o *oracle) error {
 	for id, n := range ft.okMutations {
 		if ft.shredOK[id] {
 			continue
@@ -388,8 +394,20 @@ func (ft flightTail) check(v *Cluster) error {
 		}
 	}
 	for id := range ft.shredOK {
-		if _, _, err := v.GetCtx(ctx, "dr-house", id); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(context.Background(), "dr-house", id); !errors.Is(err, ErrShredded) {
 			return fmt.Errorf("flight tail records acked shred of %s but recovered record is not shredded: err=%v", id, err)
+		}
+	}
+	holds := make(map[string]bool)
+	for _, h := range v.Retention().Holds() {
+		holds[h.Record] = true
+	}
+	for id, placed := range ft.held {
+		switch {
+		case placed && !holds[id] && !o.releaseTried[id]:
+			return fmt.Errorf("flight tail records acked hold on %s but recovery lost it", id)
+		case !placed && holds[id]:
+			return fmt.Errorf("flight tail records acked release of the hold on %s but recovery still holds it", id)
 		}
 	}
 	return nil
@@ -415,7 +433,7 @@ func recoverAndCheck(img *faultfs.Mem, o *oracle, shards int) error {
 			v.Close()
 			return fmt.Errorf("recovery pass %d: %w", pass, err)
 		}
-		if err := ft.check(v); err != nil {
+		if err := ft.check(v, o); err != nil {
 			v.Close()
 			return fmt.Errorf("recovery pass %d flight invariant: %w", pass, err)
 		}

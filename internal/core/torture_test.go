@@ -31,8 +31,10 @@ func TestTortureFull(t *testing.T) {
 }
 
 // tortureInjectionPoints is the exact mutating-fs-op count of the scripted
-// torture workload, by shard count (captured on PR 13's commit).
-var tortureInjectionPoints = map[int]int{1: 85, 4: 134}
+// torture workload, by shard count (captured on PR 13's commit as 85 and 134;
+// +3 since the op envelope persists a flight frame for each of the
+// workload's two hold placements and one release).
+var tortureInjectionPoints = map[int]int{1: 88, 4: 137}
 
 // TestTortureShardedOpCount pins the 4-shard fs-op sequence length the same
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),

@@ -76,6 +76,9 @@ var (
 	ErrWedged = wal.ErrWedged
 )
 
+var metLiveRecords = obs.Default.Gauge("medvault_records_live",
+	"Live (non-shredded) records across vaults in this process.")
+
 // Version describes one committed version of a record.
 type Version struct {
 	Number    uint64 // 1-based; 1 is the original, 2+ are corrections
@@ -374,7 +377,7 @@ func (v *Vault) Close() error {
 	if !v.gate.shut() {
 		return nil
 	}
-	defer v.gate.endExclusive()
+	defer v.gate.release(true)
 	// The live-records gauge is process-wide: give back what this shard's
 	// recovery, puts and imports added, so a directory opened twice in one
 	// process (follower promotion, harnesses) is not counted twice.

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"medvault/internal/audit"
 	"medvault/internal/merkle"
@@ -48,12 +46,12 @@ type Report struct {
 // list mid-verification — so the size/leaf accounting it checks can never
 // be a benign in-flight transient.
 func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (_ Report, err error) {
-	defer v.observeOp(context.Background(), "verify_all", "", time.Now())(&err)
+	_, done, err := v.beginExclusive("verify_all")
+	defer done(&err)
 	var rep Report
-	if err := v.gate.beginExclusive(); err != nil {
+	if err != nil {
 		return rep, err
 	}
-	defer v.gate.endExclusive()
 	ids := sortedRecordIDs(v.records)
 	size := v.log.Size()
 	root, rootErr := v.log.Tree().RootAt(size)

@@ -10,6 +10,7 @@
 package ehr
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -54,24 +55,39 @@ func (r Record) SearchText() string {
 	return r.Title + " " + r.Body + " " + strings.Join(r.Codes, " ")
 }
 
+// ErrInvalid is wrapped by every Validate failure, so callers classify a
+// malformed record without parsing messages.
+var ErrInvalid = errors.New("ehr: invalid record")
+
+// invalidError is a Validate failure: its message is the whole text, and it
+// unwraps to ErrInvalid.
+type invalidError string
+
+func (e invalidError) Error() string { return string(e) }
+func (invalidError) Unwrap() error   { return ErrInvalid }
+
+func invalid(format string, args ...any) error {
+	return invalidError(fmt.Sprintf(format, args...))
+}
+
 // Validate checks structural invariants before storage.
 func (r Record) Validate() error {
 	switch {
 	case r.ID == "":
-		return fmt.Errorf("ehr: record has empty ID")
+		return invalid("ehr: record has empty ID")
 	case r.MRN == "":
-		return fmt.Errorf("ehr: record %s has empty MRN", r.ID)
+		return invalid("ehr: record %s has empty MRN", r.ID)
 	case r.Category == "":
-		return fmt.Errorf("ehr: record %s has empty category", r.ID)
+		return invalid("ehr: record %s has empty category", r.ID)
 	case r.Author == "":
-		return fmt.Errorf("ehr: record %s has empty author", r.ID)
+		return invalid("ehr: record %s has empty author", r.ID)
 	}
 	for _, c := range Categories() {
 		if r.Category == c {
 			return nil
 		}
 	}
-	return fmt.Errorf("ehr: record %s has unknown category %q", r.ID, r.Category)
+	return invalid("ehr: record %s has unknown category %q", r.ID, r.Category)
 }
 
 // --- synthetic corpus ---

@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"io/fs"
+	"os"
 	"sync"
 )
 
@@ -95,7 +96,7 @@ func (f *Faulty) begin(kind OpKind, path string, nbytes int, isMutating bool) (*
 // OpenFile implements FS. Opens that can change state (write, create, or
 // truncate) are injection points; read-only opens pass through uncounted.
 func (f *Faulty) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	const mutatingFlags = osCreate | osTrunc | 0x1 /* O_WRONLY */ | 0x2 /* O_RDWR */
+	const mutatingFlags = os.O_CREATE | os.O_TRUNC | os.O_WRONLY | os.O_RDWR
 	ft, err := f.begin(OpOpen, name, 0, flag&mutatingFlags != 0)
 	if err != nil {
 		return nil, err

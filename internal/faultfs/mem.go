@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -55,29 +56,21 @@ func (m *Mem) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	name = clean(name)
 	f, ok := m.files[name]
 	switch {
-	case ok && flag&(osCreate|osExcl) == osCreate|osExcl:
+	case ok && flag&(os.O_CREATE|os.O_EXCL) == os.O_CREATE|os.O_EXCL:
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrExist}
-	case !ok && flag&osCreate == 0:
+	case !ok && flag&os.O_CREATE == 0:
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	case !ok:
 		f = &memFile{mode: perm}
 		m.files[name] = f
 		m.addParents(name)
 	}
-	if flag&osTrunc != 0 {
+	if flag&os.O_TRUNC != 0 {
 		// Truncation is a journaled namespace operation: durable at once.
 		f.data, f.durable = nil, nil
 	}
 	return &memHandle{f: f}, nil
 }
-
-// Flag values copied from os to avoid importing it here (they are fixed by
-// POSIX and identical on every platform Go supports).
-const (
-	osCreate = 0x40  // os.O_CREATE
-	osExcl   = 0x80  // os.O_EXCL
-	osTrunc  = 0x200 // os.O_TRUNC
-)
 
 // ReadFile implements FS.
 func (m *Mem) ReadFile(name string) ([]byte, error) {

@@ -170,8 +170,8 @@ func TestClientShredLifecycle(t *testing.T) {
 	if _, _, err := phys.CreateRecord(ctx, clientRecord("p1")); err != nil {
 		t.Fatal(err)
 	}
-	// Too early: retention is active; anything but success is acceptable.
-	if status, err := arch.Shred(ctx, "p1", http.StatusForbidden, http.StatusInternalServerError); err != nil {
+	// Too early: retention is active, a policy refusal (409), not a fault.
+	if status, err := arch.Shred(ctx, "p1", http.StatusConflict); err != nil {
 		t.Fatalf("early shred = %d, %v", status, err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
@@ -378,6 +378,10 @@ func TestClientRetentionHolds(t *testing.T) {
 	if _, _, err := phys.CreateRecord(ctx, clientRecord("p1")); err != nil {
 		t.Fatal(err)
 	}
+	// Disposal inside the retention period is refused by policy: 409.
+	if status, err := arch.Shred(ctx, "p1", http.StatusConflict); err != nil {
+		t.Fatalf("shred inside retention = %d, %v", status, err)
+	}
 	vc.Advance(10 * 365 * 24 * time.Hour) // past clinical retention
 
 	for _, tc := range []struct {
@@ -411,8 +415,8 @@ func TestClientRetentionHolds(t *testing.T) {
 		t.Errorf("physician lists holds: %v", err)
 	}
 
-	// Disposal refuses while the hold stands, proceeds after release.
-	if status, err := arch.Shred(ctx, "p1", http.StatusForbidden, http.StatusInternalServerError); err != nil {
+	// Disposal refuses while the hold stands (409), proceeds after release.
+	if status, err := arch.Shred(ctx, "p1", http.StatusConflict); err != nil {
 		t.Fatalf("shred under hold = %d, %v", status, err)
 	}
 	if _, err := arch.ReleaseHold(ctx, "p1"); err != nil {

@@ -13,6 +13,7 @@ import (
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/merkle"
+	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 )
 
@@ -221,5 +222,62 @@ func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	var verdict map[string]any
 	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict || verdict["status"] != "INTEGRITY FAILURE" {
 		t.Errorf("POST /verify over a corrupt audit frame = %d %v, want 409 INTEGRITY FAILURE", code, verdict)
+	}
+}
+
+// TestEveryOutcomeHasAStatus: every label core.Outcome can return answers a
+// status, and only a node failure or an outage is a 5xx — a refusal the
+// vault's policy decides (denial, retention, legal hold) is the request's
+// answer, not a fault. The map holds no label the table lacks.
+func TestEveryOutcomeHasAStatus(t *testing.T) {
+	labels := core.OutcomeLabels()
+	if len(outcomeStatus) != len(labels) {
+		t.Errorf("outcomeStatus has %d labels, the outcome table %d", len(outcomeStatus), len(labels))
+	}
+	fault := map[string]bool{"error": true, "closed": true, "wedged": true}
+	for _, label := range labels {
+		status, ok := outcomeStatus[label]
+		switch {
+		case !ok:
+			t.Errorf("outcome %q has no status", label)
+		case (status >= 500) != fault[label]:
+			t.Errorf("outcome %q answers %d", label, status)
+		}
+	}
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("shred: %w", retention.ErrOnHold), http.StatusConflict},
+		{fmt.Errorf("shred: %w", retention.ErrRetentionActive), http.StatusConflict},
+		{fmt.Errorf("op: %w", core.ErrWedged), http.StatusServiceUnavailable},
+		{&statusError{status: http.StatusConflict, err: core.ErrClosed}, http.StatusServiceUnavailable},
+		{badRequest("nope"), http.StatusBadRequest},
+		{fmt.Errorf("disk on fire"), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		writeErr(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("writeErr(%v) = %d, want %d", tc.err, rec.Code, tc.want)
+		}
+		if (rec.Code == http.StatusServiceUnavailable) != (rec.Header().Get("Retry-After") != "") {
+			t.Errorf("writeErr(%v): Retry-After %q on %d", tc.err, rec.Header().Get("Retry-After"), rec.Code)
+		}
+	}
+}
+
+// TestInvalidRecordIs400: a well-formed body naming an invalid record (no
+// MRN, an unknown category) reaches the vault, which refuses it with outcome
+// "invalid" — a 400 on create and on correct, never a 500.
+func TestInvalidRecordIs400(t *testing.T) {
+	ts, _ := newServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/records", `{"id":"bad-1","patient":"P","category":"clinical","title":"t","body":"b"}`},
+		{"/records", `{"id":"bad-2","patient":"P","mrn":"m","category":"astrology","title":"t","body":"b"}`},
+		{"/records/p1/corrections", `{"patient":"P","category":"clinical","title":"t","body":"b"}`},
+	} {
+		if code := rawRequest(t, ts.URL, "POST", tc.path, "dr-house", tc.body); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s = %d, want 400", tc.path, tc.body, code)
+		}
 	}
 }

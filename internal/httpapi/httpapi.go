@@ -299,6 +299,26 @@ func (e *statusError) Unwrap() error { return e.err }
 
 func badRequest(msg string) error { return &statusError{status: http.StatusBadRequest, msg: msg} }
 
+// outcomeStatus answers each core outcome label (core.Outcome). A refusal
+// the vault's policy decides — access control, retention, a legal hold — is
+// a 4xx like any other verdict on the request; only a node failure ("error")
+// or an outage ("closed", "wedged") is a 5xx.
+var outcomeStatus = map[string]int{
+	"ok":               http.StatusOK,
+	"closed":           http.StatusServiceUnavailable,
+	"wedged":           http.StatusServiceUnavailable,
+	"denied":           http.StatusForbidden,
+	"not_found":        http.StatusNotFound,
+	"shredded":         http.StatusGone,
+	"exists":           http.StatusConflict,
+	"identity_changed": http.StatusUnprocessableEntity,
+	"tampered":         http.StatusConflict,
+	"on_hold":          http.StatusConflict,
+	"retention_active": http.StatusConflict,
+	"invalid":          http.StatusBadRequest,
+	"error":            http.StatusInternalServerError,
+}
+
 // writeErr is the one place an error becomes a response. PHI never appears
 // in error bodies (core errors carry IDs and reasons, not record content).
 //
@@ -306,33 +326,20 @@ func badRequest(msg string) error { return &statusError{status: http.StatusBadRe
 // under any route-specific wrapping: they are the node's problem, not the
 // request's, and answer 503 with a Retry-After so clients retry elsewhere (or
 // later) instead of treating a drainable outage as a client error — or, on
-// /verify, as tampering. Then a statusError answers for itself, and the
-// remaining vault sentinels map to their statuses; anything else is a 500.
+// /verify, as tampering. Then a statusError answers for itself, and anything
+// else answers its outcome's status.
 func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+	status := outcomeStatus[core.Outcome(err)]
 	var body any = errorBody{Error: err.Error()}
 	var se *statusError
 	switch {
-	case errors.Is(err, core.ErrWedged), errors.Is(err, core.ErrClosed):
+	case status == http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", retryAfterSeconds)
-		status = http.StatusServiceUnavailable
 	case errors.As(err, &se):
 		status = se.status
 		if se.body != nil {
 			body = se.body
 		}
-	case errors.Is(err, core.ErrDenied):
-		status = http.StatusForbidden
-	case errors.Is(err, core.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, core.ErrShredded):
-		status = http.StatusGone
-	case errors.Is(err, core.ErrExists):
-		status = http.StatusConflict
-	case errors.Is(err, core.ErrIdentityChanged):
-		status = http.StatusUnprocessableEntity
-	case errors.Is(err, core.ErrTampered):
-		status = http.StatusConflict
 	}
 	writeJSON(w, status, body)
 }
@@ -439,10 +446,8 @@ func fromRecord(rec ehr.Record, ver core.Version) recordPayload {
 
 // decodeRecord reads a record body for create and correct (id, when set,
 // is the path's record ID and overrides the body's), defaulting the author
-// to the actor and the creation time to now. It validates before the vault
-// does: a missing MRN or bogus category is a malformed request (400), not an
-// internal error — the API's contract is that only node-side failures ever
-// answer 5xx.
+// to the actor and the creation time to now. The vault validates it: a
+// missing MRN or bogus category answers 400 through its outcome, "invalid".
 func decodeRecord(r *http.Request, actor, id string) (ehr.Record, error) {
 	var p recordPayload
 	if err := decodeJSON(r, &p); err != nil {
@@ -461,9 +466,6 @@ func decodeRecord(r *http.Request, actor, id string) (ehr.Record, error) {
 	}
 	if rec.CreatedAt.IsZero() {
 		rec.CreatedAt = time.Now().UTC()
-	}
-	if err := rec.Validate(); err != nil {
-		return ehr.Record{}, badRequest(err.Error())
 	}
 	return rec, nil
 }
@@ -882,8 +884,7 @@ func (s *Server) releaseHold(r *http.Request, actor string) (int, any, error) {
 }
 
 // breakGlass issues an emergency grant. The vault rejects an empty reason or
-// an unknown principal; those are the caller's mistake, so any refusal is a
-// 400 — except an outage, which writeErr sees through the wrapping.
+// an unknown principal with outcome "invalid", a 400.
 func (s *Server) breakGlass(r *http.Request, actor string) (int, any, error) {
 	var req struct {
 		Reason  string `json:"reason"`
@@ -895,8 +896,6 @@ func (s *Server) breakGlass(r *http.Request, actor string) (int, any, error) {
 	if req.Minutes <= 0 {
 		req.Minutes = 60
 	}
-	if err := s.vault.BreakGlassCtx(r.Context(), actor, req.Reason, time.Duration(req.Minutes)*time.Minute); err != nil {
-		return 0, nil, &statusError{status: http.StatusBadRequest, err: err}
-	}
-	return http.StatusOK, map[string]any{"status": "granted", "actor": actor, "minutes": req.Minutes}, nil
+	err := s.vault.BreakGlassCtx(r.Context(), actor, req.Reason, time.Duration(req.Minutes)*time.Minute)
+	return http.StatusOK, map[string]any{"status": "granted", "actor": actor, "minutes": req.Minutes}, err
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path"
 	"sort"
 	"strconv"
@@ -248,14 +249,6 @@ const (
 	flightSegmentBytes = 8 << 20
 )
 
-// POSIX open flags, mirrored so obs does not import os for three constants
-// (same convention as faultfs and repl).
-const (
-	osWronly = 0x1
-	osCreate = 0x40
-	osAppend = 0x400
-)
-
 // FlightSink persists events as CRC-framed segments under dir through the
 // faultfs seam. Every Open starts a fresh numbered segment, so the tail of
 // the highest-numbered segment is always the final moments of one boot.
@@ -344,7 +337,7 @@ func (s *FlightSink) roll() error {
 		_ = s.fs.Remove(path.Join(s.dir, flightSegName(nums[0])))
 		nums = nums[1:]
 	}
-	f, err := s.fs.OpenFile(path.Join(s.dir, flightSegName(next)), osWronly|osCreate|osAppend, 0o600)
+	f, err := s.fs.OpenFile(path.Join(s.dir, flightSegName(next)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}

@@ -315,7 +315,7 @@ type OpTracker struct {
 	slots [opSlots]atomic.Int64 // start unixnano; 0 = free
 }
 
-// ActiveOps is the process-wide tracker core.observeOp feeds.
+// ActiveOps is the process-wide tracker the core op envelope feeds.
 var ActiveOps = &OpTracker{}
 
 // Begin claims a slot stamped now and returns it, or -1 when the tracker is

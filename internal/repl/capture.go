@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"os"
 	"path"
 	"strings"
 	"sync"
@@ -335,7 +336,7 @@ func (c *Capture) ShipTrace(trace, op, recordHash string) {
 // follower and return a handle whose writes and syncs ship too; read-only
 // opens pass straight through.
 func (c *Capture) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
-	const mutating = osWronly | osRdwr | osCreate | osTrunc | osAppend
+	const mutating = os.O_WRONLY | os.O_RDWR | os.O_CREATE | os.O_TRUNC | os.O_APPEND
 	rel, under := c.rel(name)
 	if flag&mutating == 0 || !under {
 		return c.inner.OpenFile(name, flag, perm)
@@ -349,7 +350,7 @@ func (c *Capture) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.Fil
 	if err != nil {
 		return nil, err
 	}
-	if err := c.shipLocked(OpRecord{Kind: opOpen, Path: rel, Flags: uint32(flag), Perm: uint32(perm)}); err != nil {
+	if err := c.shipLocked(OpRecord{Kind: opOpen, Path: rel, Flags: flagsToWire(flag), Perm: uint32(perm)}); err != nil {
 		h.Close()
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path"
 	"sync"
 
@@ -251,7 +252,7 @@ func (f *Follower) applyLocked(rec OpRecord) error {
 	switch rec.Kind {
 	case opOpen:
 		f.closeHandleLocked(rec.Path)
-		h, err := f.fsys.OpenFile(p, int(rec.Flags), fs.FileMode(rec.Perm))
+		h, err := f.fsys.OpenFile(p, flagsFromWire(rec.Flags), fs.FileMode(rec.Perm))
 		if err != nil {
 			return err
 		}
@@ -310,7 +311,7 @@ func (f *Follower) handleLocked(rel string) (faultfs.File, error) {
 	if h, ok := f.handles[rel]; ok {
 		return h, nil
 	}
-	h, err := f.fsys.OpenFile(path.Join(f.root, rel), osWronly|osCreate|osAppend, 0o600)
+	h, err := f.fsys.OpenFile(path.Join(f.root, rel), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +367,7 @@ func (f *Follower) applySnapFileLocked(isDir bool, rel string, data []byte) erro
 			return err
 		}
 	}
-	h, err := f.fsys.OpenFile(p, osWronly|osCreate|osTrunc, 0o600)
+	h, err := f.fsys.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}

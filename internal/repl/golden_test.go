@@ -2,6 +2,7 @@ package repl
 
 import (
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestGoldenWire(t *testing.T) {
 		hex  string
 		rec  OpRecord
 	}{
-		{"open", "01000000086d6574612e77616c0000044100000180", OpRecord{Kind: opOpen, Path: "meta.wal", Flags: osWronly | osCreate | osAppend, Perm: 0o600}},
+		{"open", "01000000086d6574612e77616c0000044100000180", OpRecord{Kind: opOpen, Path: "meta.wal", Flags: flagsToWire(os.O_WRONLY | os.O_CREATE | os.O_APPEND), Perm: 0o600}},
 		{"write", "02000000086d6574612e77616c00000003616263", OpRecord{Kind: opWrite, Path: "meta.wal", Data: []byte("abc")}},
 		{"sync", "03000000086d6574612e77616c", OpRecord{Kind: opSync, Path: "meta.wal"}},
 		{"rename", "04000000096d6574612e736e61700000000d6d6574612e736e61702e746d70", OpRecord{Kind: opRename, Path: "meta.snap", Old: "meta.snap.tmp"}},
@@ -148,5 +149,29 @@ func TestGoldenWire(t *testing.T) {
 	e, k, body, ok := splitPayload(payload(7, frameAck, []byte{42}))
 	if !ok || e != 7 || k != frameAck || len(body) != 1 || body[0] != 42 {
 		t.Errorf("splitPayload = %d, %d, %x, %v", e, k, body, ok)
+	}
+}
+
+// TestWireFlags pins the open flags the stream carries at their Linux values
+// whatever the host, and checks they decode back to the host's os.O_*: on
+// darwin O_CREATE is 0x200 and 0x400 is O_TRUNC, so shipping raw host flags
+// would make a follower truncate what the primary appended to.
+func TestWireFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag int
+		wire uint32
+	}{
+		{os.O_RDONLY, 0},
+		{os.O_WRONLY | os.O_CREATE | os.O_APPEND, 0x441},
+		{os.O_WRONLY | os.O_CREATE | os.O_EXCL | os.O_APPEND, 0x4c1},
+		{os.O_WRONLY | os.O_CREATE | os.O_TRUNC, 0x241},
+		{os.O_RDWR, 0x2},
+	} {
+		if got := flagsToWire(tc.flag); got != tc.wire {
+			t.Errorf("flagsToWire(%#x) = %#x, want %#x", tc.flag, got, tc.wire)
+		}
+		if got := flagsFromWire(tc.wire); got != tc.flag {
+			t.Errorf("flagsFromWire(%#x) = %#x, want %#x", tc.wire, got, tc.flag)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -234,7 +235,7 @@ func buildStream(t *testing.T, epoch uint64) (stream []byte, frameEnds []int) {
 	t.Helper()
 	ops := []OpRecord{
 		{Kind: opMkdirAll, Path: ".", Perm: 0o700},
-		{Kind: opOpen, Path: "meta.wal", Flags: osWronly | osCreate | osAppend, Perm: 0o600},
+		{Kind: opOpen, Path: "meta.wal", Flags: flagsToWire(os.O_WRONLY | os.O_CREATE | os.O_APPEND), Perm: 0o600},
 		{Kind: opWrite, Path: "meta.wal", Data: []byte("payload-one")},
 		{Kind: opSync, Path: "meta.wal"},
 		{Kind: opWrite, Path: "meta.wal", Data: []byte("payload-two")},

@@ -73,16 +73,6 @@ func writeEpoch(fsys faultfs.FS, dir string, epoch uint64) error {
 	return nil
 }
 
-// Flag values fixed by POSIX (identical on every platform Go supports),
-// mirrored here so repl does not import os for three constants.
-const (
-	osWronly = 0x1
-	osRdwr   = 0x2
-	osCreate = 0x40
-	osTrunc  = 0x200
-	osAppend = 0x400
-)
-
 // --- directory walk and digest -------------------------------------------
 
 // walkEntry is one node of a replicated directory tree.

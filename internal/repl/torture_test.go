@@ -18,12 +18,13 @@ func TestFailoverTorture(t *testing.T) {
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)
 	}
-	// Exact counts (captured on PR 13's commit): one kill point per mutating
-	// fs op the scripted workload performs — the same 85 the local torture
-	// enumerates — and one per op frame the capture ships. A refactor that
-	// changes the on-disk op sequence moves these numbers.
-	if rep.FSKillPoints != 85 || rep.FrameKillPoints != 90 {
-		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 85 + 90", rep.FSKillPoints, rep.FrameKillPoints)
+	// Exact counts: one kill point per mutating fs op the scripted workload
+	// performs — the same 88 the local torture enumerates — and one per op
+	// frame the capture ships. A refactor that changes the on-disk op
+	// sequence moves these numbers. (PR 13 captured 85 + 90; the op envelope
+	// added one flight-segment write, and its frame, per hold operation.)
+	if rep.FSKillPoints != 88 || rep.FrameKillPoints != 93 {
+		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 88 + 93", rep.FSKillPoints, rep.FrameKillPoints)
 	}
 }
 

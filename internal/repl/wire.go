@@ -31,6 +31,7 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 
 	"medvault/internal/frame"
 	"medvault/internal/merkle"
@@ -97,10 +98,40 @@ type OpRecord struct {
 	Kind  uint8
 	Path  string
 	Old   string // rename: previous path
-	Flags uint32 // open: os.OpenFile flags
+	Flags uint32 // open: os.OpenFile flags, as wireFlags encodes them
 	Perm  uint32 // open/mkdirall/writefile: permission bits
 	Size  uint64 // truncate: new size
 	Data  []byte // write/writefile: payload
+}
+
+// wireFlags fixes every open flag a vault uses at its Linux value on the
+// wire, so a primary and a follower on different platforms read an open
+// alike; Capture encodes os.O_* with flagsToWire, the follower decodes with
+// flagsFromWire.
+var wireFlags = [...]struct {
+	os   int
+	wire uint32
+}{
+	{os.O_WRONLY, 0x1}, {os.O_RDWR, 0x2}, {os.O_CREATE, 0x40},
+	{os.O_EXCL, 0x80}, {os.O_TRUNC, 0x200}, {os.O_APPEND, 0x400},
+}
+
+func flagsToWire(flag int) (w uint32) {
+	for _, f := range wireFlags {
+		if flag&f.os != 0 {
+			w |= f.wire
+		}
+	}
+	return w
+}
+
+func flagsFromWire(w uint32) (flag int) {
+	for _, f := range wireFlags {
+		if w&f.wire != 0 {
+			flag |= f.os
+		}
+	}
+	return flag
 }
 
 // Replication metrics, on the process-wide registry like every other layer.

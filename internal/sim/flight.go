@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 
 	"medvault/internal/core"
@@ -16,9 +15,7 @@ import (
 // ever minted and the whole patient population, so it can scan every string
 // field of every surviving event for all of them.
 func (e *engine) checkFlightTail(i int, s Step) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	leaks := append(e.model.allIDs(), mrnPool...)
 	evs, err := core.ReadFlightTail(e.mem, "vault")
 	if err != nil {

@@ -14,22 +14,23 @@ import (
 	"medvault/internal/retention"
 )
 
-// errKind classifies an operation outcome for comparison with the vault.
+// errKind classifies an operation outcome for comparison with the vault: it
+// is core.Outcome's label, so classify needs no table of its own.
 type errKind string
 
-// Outcome classes. eBadInput covers plain (non-sentinel) argument errors:
-// empty hold reasons, empty MRNs, unknown break-glass principals.
+// Outcome classes. eBadInput ("error") covers plain (non-sentinel) argument
+// errors: empty hold reasons, empty MRNs.
 const (
 	eOK        errKind = "ok"
-	eInvalid   errKind = "invalid-record"
-	eNotFound  errKind = "not-found"
+	eInvalid   errKind = "invalid"
+	eNotFound  errKind = "not_found"
 	eShredded  errKind = "shredded"
 	eDenied    errKind = "denied"
 	eExists    errKind = "exists"
-	eIdentity  errKind = "identity-changed"
-	eOnHold    errKind = "on-hold"
-	eRetention errKind = "retention-active"
-	eBadInput  errKind = "bad-input"
+	eIdentity  errKind = "identity_changed"
+	eOnHold    errKind = "on_hold"
+	eRetention errKind = "retention_active"
+	eBadInput  errKind = "error"
 )
 
 // auEvent is the model's view of one audit event: the fields the simulator
@@ -528,13 +529,13 @@ func (m *Model) releaseHold(s Step) outcome {
 	return outcome{kind: eOK}
 }
 
-// breakGlass mirrors Vault.BreakGlassCtx.
+// breakGlass mirrors Cluster.BreakGlassCtx.
 func (m *Model) breakGlass(s Step) outcome {
 	if s.Reason == "" {
-		return fail(eBadInput)
+		return fail(eInvalid)
 	}
 	if _, ok := m.staff[s.Actor]; !ok {
-		return fail(eBadInput)
+		return fail(eInvalid)
 	}
 	m.grants[s.Actor] = m.now.Add(time.Duration(s.Minutes) * time.Minute)
 	m.append(auEvent{s.Actor, audit.ActionBreakGlass, "", 0, audit.OutcomeAllowed})

@@ -18,7 +18,6 @@ import (
 	"medvault/internal/merkle"
 	"medvault/internal/provenance"
 	"medvault/internal/repl"
-	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 )
 
@@ -108,6 +107,13 @@ func Replay(t Trace, logf func(format string, args ...any)) *Divergence {
 		}
 	}
 	return nil
+}
+
+// divAt returns the constructor of step i's divergences.
+func divAt(i int, s Step) func(format string, args ...any) *Divergence {
+	return func(format string, args ...any) *Divergence {
+		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
+	}
 }
 
 // schedInjector is the run's programmable fault source: an absolute
@@ -252,9 +258,7 @@ func (e *engine) open() error {
 
 // exec runs one step against model and vault and cross-checks the result.
 func (e *engine) exec(i int, s Step) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	switch s.Op {
 	case OpAdvance:
 		e.vc.Advance(time.Duration(s.Hours) * time.Hour)
@@ -318,22 +322,24 @@ func (e *engine) exec(i int, s Step) *Divergence {
 // and compares outcome class and payload. The returned outcome is the
 // model's prediction (needed by reconcile when a fault fired mid-step).
 func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
-	mismatch := func(want outcome, got errKind, err error) *Divergence {
-		return div("outcome: vault %s (%v), model %s", got, err, want.kind)
+	div := divAt(i, s)
+	// check compares the vault's outcome class with the model's; a nil
+	// result with a nil err means the payload is the next thing to compare.
+	check := func(want outcome, err error) *Divergence {
+		if got := classify(err); got != want.kind {
+			return div("outcome: vault %s (%v), model %s", got, err, want.kind)
+		}
+		return nil
 	}
 	switch s.Op {
 	case OpPut:
 		rec := e.stepRecord(s)
 		want := e.model.put(s)
 		ver, err := e.v.PutCtx(ctx, s.Actor, rec)
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK && ver.Number != want.version {
+		if ver.Number != want.version {
 			return want, div("put version: vault %d, model %d", ver.Number, want.version)
 		}
 		return want, nil
@@ -346,56 +352,47 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		if e.plan.Durable {
 			e.inj.rot = false // a denied read leaves the arm untouched; clear it
 		}
-		got := classify(err)
-		if want.flexible && want.kind == eOK && got != eOK {
+		if want.flexible && want.kind == eOK && err != nil {
 			// Bit rot: detecting the corruption (any error) is acceptable;
 			// returning wrong bytes silently would not be, and is caught below.
 			return want, nil
 		}
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK {
-			if ver.Number != want.version {
-				return want, div("get version: vault %d, model %d", ver.Number, want.version)
-			}
-			if rec.Body != want.body {
-				return want, div("get body: vault %q, model %q", rec.Body, want.body)
-			}
+		if ver.Number != want.version {
+			return want, div("get version: vault %d, model %d", ver.Number, want.version)
+		}
+		if rec.Body != want.body {
+			return want, div("get body: vault %q, model %q", rec.Body, want.body)
 		}
 		return want, nil
 	case OpGetVersion:
 		want := e.model.getVersion(s)
 		rec, ver, err := e.v.GetVersionCtx(ctx, s.Actor, s.Record, s.Version)
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK {
-			if ver.Number != want.version {
-				return want, div("get_version number: vault %d, model %d", ver.Number, want.version)
-			}
-			if rec.Body != want.body {
-				return want, div("get_version body: vault %q, model %q", rec.Body, want.body)
-			}
+		if ver.Number != want.version {
+			return want, div("get_version number: vault %d, model %d", ver.Number, want.version)
+		}
+		if rec.Body != want.body {
+			return want, div("get_version body: vault %q, model %q", rec.Body, want.body)
 		}
 		return want, nil
 	case OpHistory:
 		want := e.model.history(s)
 		hist, err := e.v.HistoryCtx(ctx, s.Actor, s.Record)
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK {
-			if len(hist) != len(want.history) {
-				return want, div("history length: vault %d, model %d", len(hist), len(want.history))
-			}
-			for j, v := range hist {
-				if v.Number != uint64(j+1) || v.Author != want.history[j].Author {
-					return want, div("history[%d]: vault v%d by %s, model v%d by %s",
-						j, v.Number, v.Author, j+1, want.history[j].Author)
-				}
+		if len(hist) != len(want.history) {
+			return want, div("history length: vault %d, model %d", len(hist), len(want.history))
+		}
+		for j, v := range hist {
+			if v.Number != uint64(j+1) || v.Author != want.history[j].Author {
+				return want, div("history[%d]: vault v%d by %s, model v%d by %s",
+					j, v.Number, v.Author, j+1, want.history[j].Author)
 			}
 		}
 		return want, nil
@@ -403,11 +400,10 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		rec := e.stepRecord(s)
 		want := e.model.correct(s)
 		ver, err := e.v.CorrectCtx(ctx, s.Actor, rec)
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK && ver.Number != want.version {
+		if ver.Number != want.version {
 			return want, div("correct version: vault %d, model %d", ver.Number, want.version)
 		}
 		return want, nil
@@ -421,53 +417,33 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		} else {
 			ids, err = e.v.SearchCtx(ctx, s.Actor, s.Keywords[0])
 		}
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK && !sameIDs(ids, want.ids) {
+		if !sameIDs(ids, want.ids) {
 			return want, div("search hits: vault %v, model %v", ids, want.ids)
 		}
 		return want, nil
 	case OpShred:
 		want := e.model.shred(s)
-		err := e.v.ShredCtx(ctx, s.Actor, s.Record)
-		if got := classify(err); got != want.kind {
-			return want, mismatch(want, got, err)
-		}
-		return want, nil
+		return want, check(want, e.v.ShredCtx(ctx, s.Actor, s.Record))
 	case OpPlaceHold:
 		want := e.model.placeHold(s)
-		err := e.v.PlaceHoldCtx(ctx, s.Actor, s.Record, s.Reason)
-		if got := classify(err); got != want.kind {
-			return want, mismatch(want, got, err)
-		}
-		return want, nil
+		return want, check(want, e.v.PlaceHoldCtx(ctx, s.Actor, s.Record, s.Reason))
 	case OpReleaseHold:
 		want := e.model.releaseHold(s)
-		err := e.v.ReleaseHoldCtx(ctx, s.Actor, s.Record)
-		if got := classify(err); got != want.kind {
-			return want, mismatch(want, got, err)
-		}
-		return want, nil
+		return want, check(want, e.v.ReleaseHoldCtx(ctx, s.Actor, s.Record))
 	case OpBreakGlass:
 		want := e.model.breakGlass(s)
-		err := e.v.BreakGlassCtx(ctx, s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute)
-		if got := classify(err); got != want.kind {
-			return want, mismatch(want, got, err)
-		}
-		return want, nil
+		return want, check(want, e.v.BreakGlassCtx(ctx, s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute))
 	case OpDisclosures:
 		want := e.model.disclosures(s)
 		ds, err := e.v.AccountingOfDisclosuresCtx(ctx, s.Actor, s.MRN)
-		got := classify(err)
-		if got != want.kind {
-			return want, mismatch(want, got, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
 		}
-		if got == eOK {
-			if d := compareDisclosures(ds, want.discl); d != "" {
-				return want, div("disclosures for %s: %s", s.MRN, d)
-			}
+		if d := compareDisclosures(ds, want.discl); d != "" {
+			return want, div("disclosures for %s: %s", s.MRN, d)
 		}
 		return want, nil
 	case OpPatientRecs:
@@ -499,31 +475,8 @@ func (e *engine) stepRecord(s Step) ehr.Record {
 	}
 }
 
-// classify maps a vault error to the model's outcome classes.
-func classify(err error) errKind {
-	switch {
-	case err == nil:
-		return eOK
-	case errors.Is(err, core.ErrDenied):
-		return eDenied
-	case errors.Is(err, core.ErrShredded):
-		return eShredded
-	case errors.Is(err, core.ErrNotFound):
-		return eNotFound
-	case errors.Is(err, core.ErrExists):
-		return eExists
-	case errors.Is(err, core.ErrIdentityChanged):
-		return eIdentity
-	case errors.Is(err, retention.ErrOnHold):
-		return eOnHold
-	case errors.Is(err, retention.ErrRetentionActive):
-		return eRetention
-	case strings.HasPrefix(err.Error(), "ehr:"):
-		return eInvalid
-	default:
-		return eBadInput
-	}
-}
+// classify names a vault error by its outcome label (core.Outcome).
+func classify(err error) errKind { return errKind(core.Outcome(err)) }
 
 // sameIDs compares two ID slices treating nil and empty as equal.
 func sameIDs(a, b []string) bool {
@@ -574,9 +527,7 @@ func auditQueryEvent(record string) auEvent {
 // sweep, every custody chain, every patient's disclosure accounting, and —
 // last, because everything above appends to it — the complete audit journal.
 func (e *engine) deepCheck(i int, s Step) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	m := e.model
 
 	// Sweep each shard under its own remembered heads and checkpoints —
@@ -756,31 +707,25 @@ func (e *engine) crash(i int, s Step) *Divergence {
 		e.inj.crashAt = e.faulty.MutatingOps() + s.N - 1
 		_ = e.v.Close()
 	}
-	if d := e.cut(i, s); d != nil {
-		return d
+	recoverOnce := func() *Divergence {
+		if d := e.cut(i, s); d != nil {
+			return d
+		}
+		if d := e.checkFlightTail(i, s); d != nil {
+			return d
+		}
+		if d := e.reopenAndResync(i, s); d != nil {
+			return d
+		}
+		return e.deepCheck(i, s)
 	}
-	if d := e.checkFlightTail(i, s); d != nil {
-		return d
-	}
-	if d := e.reopenAndResync(i, s); d != nil {
-		return d
-	}
-	if d := e.deepCheck(i, s); d != nil {
+	if d := recoverOnce(); d != nil {
 		return d
 	}
 	if err := e.v.Close(); err != nil {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf("clean close: %v", err)}
+		return divAt(i, s)("clean close: %v", err)
 	}
-	if d := e.cut(i, s); d != nil {
-		return d
-	}
-	if d := e.checkFlightTail(i, s); d != nil {
-		return d
-	}
-	if d := e.reopenAndResync(i, s); d != nil {
-		return d
-	}
-	return e.deepCheck(i, s)
+	return recoverOnce()
 }
 
 // cut kills the primary. In failover mode the warm follower is promoted and
@@ -795,7 +740,7 @@ func (e *engine) cut(i int, s Step) *Divergence {
 		return nil
 	}
 	if _, err := e.fol.Promote(); err != nil {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf("promoting follower: %v", err)}
+		return divAt(i, s)("promoting follower: %v", err)
 	}
 	e.mem = e.fmem
 	return nil
@@ -808,9 +753,7 @@ func (e *engine) cut(i int, s Step) *Divergence {
 // state (versions, shreds, holds) gets no slack: the deep check that follows
 // requires it exactly.
 func (e *engine) reopenAndResync(i int, s Step) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	if err := e.open(); err != nil {
 		return div("recovery failed: %v", err)
 	}
@@ -829,9 +772,7 @@ func (e *engine) reopenAndResync(i int, s Step) *Divergence {
 // fault); after a power cut only tail truncation is physically possible, so
 // the crash path keeps the strict prefix rule.
 func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, lossy bool) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	m := e.model
 	for sh := 0; sh < e.shards; sh++ {
 		evs, err := e.shard(sh).AuditEventsCtx(ctx, auditor, audit.Query{})
@@ -892,9 +833,7 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 // kept (a process restart, not a power cut), the vault is remounted, and the
 // ambiguity is resolved by probing un-audited observables.
 func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Index: i, Step: s, Msg: fmt.Sprintf(format, args...)}
-	}
+	div := divAt(i, s)
 	if err := e.open(); err != nil {
 		return div("restart after fault failed: %v", err)
 	}
@@ -936,7 +875,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 			switch {
 			case err == nil:
 				m.unshred(s.Record)
-			case errors.Is(err, core.ErrShredded):
+			case classify(err) == eShredded:
 				warn = warnEvent(audit.ActionDelete)
 			default:
 				return div("shred target unreadable after restart: %v", err)

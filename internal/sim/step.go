@@ -44,7 +44,7 @@ const (
 	OpShred       OpKind = "shred"        // Vault.ShredCtx
 	OpPlaceHold   OpKind = "place_hold"   // Vault.PlaceHoldCtx
 	OpReleaseHold OpKind = "release_hold" // Vault.ReleaseHoldCtx
-	OpBreakGlass  OpKind = "break_glass"  // Vault.BreakGlassCtx
+	OpBreakGlass  OpKind = "break_glass"  // Cluster.BreakGlassCtx
 	OpRevoke      OpKind = "revoke"       // Authz().Revoke
 	OpDisclosures OpKind = "disclosures"  // Vault.AccountingOfDisclosuresCtx
 	OpPatientRecs OpKind = "patient_recs" // Vault.PatientRecordsCtx

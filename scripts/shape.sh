@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# shape: the structural rules that keep MedVault at one of each thing. Every
+# rule greps for a construct outside the one place it may live; any match
+# fails the build. Run from anywhere: bash scripts/shape.sh
+set -u
+cd "$(dirname "$0")/.."
+fail=0
+
+# check RULE HITS: report the rule and its offending lines when HITS is set.
+check() {
+	if [ -n "$2" ]; then
+		printf 'shape: %s\n%s\n\n' "$1" "$2" >&2
+		fail=1
+	fi
+}
+
+check "One field codec: internal/frame owns every read/write/append helper" \
+	"$(grep -rnE '^func (write|read|append)(U8|U16|U32|U64|Str|Bytes|BytesField)\(' internal cmd --include='*.go' | grep -v '^internal/frame/')"
+
+check "One mutation path: only internal/core/commit.go logs an entry or applies one" \
+	"$(grep -nE 'st\.versions = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
+
+check "One LRU: internal/lru is the only importer of container/list" \
+	"$(grep -rn '"container/list"' internal cmd --include='*.go' | grep -v '^internal/lru/')"
+
+check "Audit log out of RAM: internal/audit holds no []Event field" \
+	"$(grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+(\[\]|map\[[^]]*\]\*?\[\])Event\b' internal/audit/*.go | grep -v '_test\.go:')"
+
+check "Audit log out of RAM: internal/core never asks the log for everything" \
+	"$(grep -nE 'Search\(audit\.Query\{\}\)' internal/core/*.go | grep -v '_test\.go:')"
+
+# The envelope (internal/core/envelope.go) is the only place an operation is
+# admitted, traced and reported; core.read_version is a step inside get,
+# get_version and export, not an operation.
+check "One op envelope: no gate admission, observeOp or core.<op> span outside internal/core/envelope.go" \
+	"$(grep -nE 'gate\.admit|observeOp|"core\.[a-z_]+' internal/core/*.go | grep -vE '^internal/core/(envelope\.go|[a-z_]*_test\.go):' | grep -v '"core\.read_version"')"
+
+check "One op envelope: httpapi and sim name outcomes by core.Outcome's label, never by sentinel" \
+	"$(grep -rnE '(core|retention)\.Err[A-Za-z]+' internal/httpapi internal/sim --include='*.go' | grep -v '_test\.go:')"
+
+exit $fail
