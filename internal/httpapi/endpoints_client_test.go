@@ -403,6 +403,18 @@ func TestClientRetentionHolds(t *testing.T) {
 			t.Fatalf("%s = %d, %v", tc.name, status, err)
 		}
 	}
+	// The physician's refused hold is the vault's decision, so it is audited.
+	events, _, err := phys.As("officer-kim").Audit(ctx, medclient.AuditQuery{Actor: "dr-house"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	audited := false
+	for _, ev := range events {
+		audited = audited || ev.Action == "policy" && ev.Outcome == "denied" && ev.Record == "p1"
+	}
+	if !audited {
+		t.Errorf("denied hold request not audited: %+v", events)
+	}
 
 	holds, _, err := arch.Holds(ctx)
 	if err != nil || len(holds) != 1 {

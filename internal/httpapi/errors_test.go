@@ -49,7 +49,7 @@ func TestMalformedJSONRejected(t *testing.T) {
 		for _, body := range []string{"{not json", `{"id": `, "\x00\x01\x02"} {
 			actorName := "dr-house"
 			if strings.Contains(tc.path, "hold") {
-				actorName = "arch-lee" // hold endpoints gate on shred permission first
+				actorName = "arch-lee" // may hold records, so only the body is at fault
 			}
 			if code := rawRequest(t, ts.URL, tc.method, tc.path, actorName, body); code != http.StatusBadRequest {
 				t.Errorf("%s %s with %q = %d, want 400", tc.method, tc.path, body, code)

@@ -42,7 +42,7 @@ type WatchdogConfig struct {
 
 	WALQueueMax  float64       // queue depth above this is an anomaly (default 1024)
 	FsyncStall   time.Duration // any fsync slower than this since the last tick (default 1s)
-	ReplLagMax   float64       // un-acked repl frames above this (default 256)
+	ReplLagMax   float64       // captured ops not shipped to the follower above this (default 256)
 	OpAgeMax     time.Duration // oldest in-flight op above this (default 30s)
 	GoroutineMax int           // goroutine count above this (default 20000)
 	HeapMaxBytes uint64        // heap bytes above this (default 0 = disabled)

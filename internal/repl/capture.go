@@ -43,7 +43,7 @@ type Capture struct {
 	inner faultfs.FS
 	raw   faultfs.FS // bypasses capture for repl.state (node identity)
 	root  string
-	sess  Session
+	sess  *Session
 
 	strict bool
 	logf   func(string, ...any)
@@ -52,19 +52,17 @@ type Capture struct {
 	dead      error
 	connected bool
 	epoch     uint64
-	sent      uint64
-	acked     uint64
 	files     map[*captureFile]struct{}
 
 	cluster   *core.Cluster
-	stopTimer chan struct{}
+	stopTimer func() // stops the anti-entropy timer and waits for it
 }
 
 // Config configures a Capture.
 type Config struct {
 	// Session is the connection to the follower; NewCapture performs the
 	// Hello handshake (and any resync it decides on) before returning.
-	Session Session
+	Session *Session
 	// Root is the replicated directory; ops under it ship with relative
 	// paths, ops outside it apply locally only.
 	Root string
@@ -114,6 +112,7 @@ func NewCapture(inner faultfs.FS, cfg Config) (*Capture, error) {
 		return nil, err
 	}
 	c.connected = true
+	mLagFrames.Set(0)
 	return c, nil
 }
 
@@ -145,10 +144,14 @@ func (c *Capture) StartAntiEntropy(cluster *core.Cluster, interval time.Duration
 		c.mu.Unlock()
 		return
 	}
-	stop := make(chan struct{})
-	c.stopTimer = stop
+	stop, done := make(chan struct{}), make(chan struct{})
+	c.stopTimer = func() {
+		close(stop)
+		<-done
+	}
 	c.mu.Unlock()
 	go func() {
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -195,6 +198,8 @@ func (c *Capture) antiEntropyRound() error {
 	span.End(rerr)
 	if rerr != nil {
 		rerr = c.shipFailureLocked(rerr)
+	} else {
+		mLagFrames.Set(0)
 	}
 	return rerr
 }
@@ -225,18 +230,21 @@ func (c *Capture) reconnectLocked(ctx context.Context) error {
 		return err
 	}
 	c.connected = true
+	mLagFrames.Set(0)
 	c.logf("repl: follower link restored")
 	return nil
 }
 
-// Close stops the anti-entropy timer and closes the session.
+// Close stops the anti-entropy timer, waiting out a round in progress, and
+// closes the session.
 func (c *Capture) Close() error {
 	c.mu.Lock()
-	if c.stopTimer != nil {
-		close(c.stopTimer)
-		c.stopTimer = nil
-	}
+	stop := c.stopTimer
+	c.stopTimer = nil
 	c.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
 	return c.sess.Close()
 }
 
@@ -253,30 +261,21 @@ func (c *Capture) rel(p string) (string, bool) {
 	return "", false
 }
 
-// ship sends one op record, counting frames and honoring the failure mode.
-// Callers hold c.mu and have already applied the op to the inner fs.
+// shipLocked sends one op record and honors the failure mode. Callers hold
+// c.mu and have already applied the op to the inner fs. ShipOp returns only
+// after the follower's ack, so a shipped fsync — the one the vault treats as
+// its commit — cannot succeed before the follower holds everything up to
+// and including it.
 func (c *Capture) shipLocked(rec OpRecord) error {
 	if !c.connected {
-		return nil // degraded: the next anti-entropy round resyncs
+		mLagFrames.Add(1) // degraded: the next anti-entropy round resyncs
+		return nil
 	}
-	c.sent++
 	mFramesSent.Inc()
-	mLagFrames.Set(float64(c.sent - c.acked))
-	lsn, err := c.sess.ShipOp(c.epoch, rec)
-	if err != nil {
+	if err := c.sess.ShipOp(c.epoch, rec); err != nil {
 		return c.shipFailureLocked(err)
 	}
-	if rec.Kind == opSync {
-		// The commit barrier: an fsync the vault will treat as durable is
-		// not allowed to succeed until the follower holds everything up to
-		// and including it.
-		if err := c.sess.Barrier(lsn); err != nil {
-			return c.shipFailureLocked(err)
-		}
-	}
-	c.acked++
 	mFramesAcked.Inc()
-	mLagFrames.Set(float64(c.sent - c.acked))
 	return nil
 }
 

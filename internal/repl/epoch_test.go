@@ -39,7 +39,7 @@ func TestHelloEpochTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := fol.HandlePayload(0, payload(tc.hello, frameHello, nil))
+			resp, err := fol.handlePayload(0, payload(tc.hello, frameHello, nil))
 			if err != nil {
 				t.Fatalf("hello must never be connection-fatal: %v", err)
 			}
@@ -96,11 +96,11 @@ func TestOpFrameEpochTable(t *testing.T) {
 			var audited []string
 			fol.SetFenceAuditor(func(d string) { audited = append(audited, d) })
 			rejectionsBefore := mFenceRejections.Value()
-			if _, err := fol.HandlePayload(0, payload(5, frameHello, nil)); err != nil {
+			if _, err := fol.handlePayload(0, payload(5, frameHello, nil)); err != nil {
 				t.Fatal(err)
 			}
 			op := encodeOp(OpRecord{Kind: opMkdirAll, Path: "sub", Perm: 0o700})
-			resp, err := fol.HandlePayload(1, payload(tc.opEpoch, frameOp, op))
+			resp, err := fol.handlePayload(1, payload(tc.opEpoch, frameOp, op))
 			if err != nil {
 				t.Fatalf("epoch mismatch must reject, not kill the connection: %v", err)
 			}
@@ -148,7 +148,7 @@ func TestPromotePersistsAndFences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fol.HandlePayload(0, payload(3, frameHello, nil)); err != nil {
+	if _, err := fol.handlePayload(0, payload(3, frameHello, nil)); err != nil {
 		t.Fatal(err)
 	}
 	newEpoch, err := fol.Promote()
@@ -166,7 +166,7 @@ func TestPromotePersistsAndFences(t *testing.T) {
 		t.Fatalf("epoch %d after reload, want 4 (promotion not persisted)", got)
 	}
 	for _, e := range []uint64{3, 4, 99} {
-		resp, err := fol.HandlePayload(0, payload(e, frameHello, nil))
+		resp, err := fol.handlePayload(0, payload(e, frameHello, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestPromotePersistsAndFences(t *testing.T) {
 // rejection must be query-able from the promoted vault's audit chain by a
 // compliance officer.
 func TestSplitBrainFencingAudited(t *testing.T) {
-	pmem, fmem, fol, cap := pair(t)
+	pmem, fmem, fol, _, cap := pair(t)
 	v := openVault(t, cap, 1)
 	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("acked", 1)); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSplitBrainFencingAudited(t *testing.T) {
 	})
 
 	// The stale primary tries to reconnect with its old epoch.
-	if err := NewPipe(fol, pmem, testRoot).Hello(cap.Epoch()); !errors.Is(err, ErrFenced) {
+	if err := hello(t, fol, pmem, cap.Epoch()); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale reconnect not fenced: %v", err)
 	}
 

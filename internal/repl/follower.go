@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"medvault/internal/faultfs"
-	"medvault/internal/frame"
 	"medvault/internal/obs"
 )
 
@@ -33,7 +32,6 @@ type Follower struct {
 	promoted bool
 
 	nextSeq  uint64 // expected next frame seq on the current connection
-	outSeq   uint64 // seq counter for response frames
 	inResync bool
 
 	handles map[string]faultfs.File // open append handles, keyed by rel path
@@ -101,22 +99,22 @@ func (f *Follower) Promote() (uint64, error) {
 	return f.epoch, nil
 }
 
-// ResetConn is called by a transport when a connection ends: buffered
-// partial state is dropped and open handles are closed. The next Hello
-// resynchronizes whatever a torn stream failed to deliver.
-func (f *Follower) ResetConn() {
+// resetConn runs when ServeConn's connection ends: buffered partial state
+// is dropped and open handles are closed. The next Hello resynchronizes
+// whatever a torn stream failed to deliver.
+func (f *Follower) resetConn() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropHandlesLocked()
 	f.inResync = false
 }
 
-// HandlePayload processes one validated frame (seq from the outer framing,
-// p the decoded payload) and returns exactly one response payload. A nil
-// error with a reject response is a protocol-level refusal (stale epoch,
-// promoted node); a non-nil error is connection-fatal — the transport must
-// drop the stream, but the follower itself stays serviceable.
-func (f *Follower) HandlePayload(seq uint64, p []byte) ([]byte, error) {
+// handlePayload processes one frame readFrame validated (seq from the outer
+// framing, p the decoded payload) and returns exactly one response payload.
+// A nil error with a reject response is a protocol-level refusal (stale
+// epoch, promoted node); a non-nil error is connection-fatal — ServeConn
+// drops the stream, but the follower itself stays serviceable.
+func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
@@ -411,28 +409,4 @@ func opName(k uint8) string {
 		return "tracemark"
 	}
 	return "unknown"
-}
-
-// FeedStream consumes raw stream bytes through the WAL frame codec —
-// satellite coverage for torn tails lives against this function. It decodes
-// every complete frame, hands it to HandlePayload, and returns the responses
-// plus the number of bytes consumed; a trailing partial frame stays in the
-// caller's buffer. A frame that fails validation (bad checksum, short
-// header with no more input coming) is indistinguishable from a torn tail
-// by design: both are dropped by the same frame.Decode check that
-// truncates a torn WAL after a power cut.
-func (f *Follower) FeedStream(buf []byte) (resps [][]byte, consumed int, err error) {
-	for consumed < len(buf) {
-		seq, data, n, ok := frame.Decode(buf[consumed:])
-		if !ok {
-			return resps, consumed, nil
-		}
-		consumed += n
-		resp, err := f.HandlePayload(seq, data)
-		if err != nil {
-			return resps, consumed, err
-		}
-		resps = append(resps, resp)
-	}
-	return resps, consumed, nil
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -8,11 +9,11 @@ import (
 	"medvault/internal/frame"
 )
 
-// FuzzReplFrame throws arbitrary bytes at the follower's stream entry
-// point: the length framing, checksum, epoch header, and op codec must
-// reject whatever they reject without panicking — and whatever happens, the
-// follower must remain able to serve a fresh primary's handshake. A wedged
-// follower is the one failure mode replication cannot self-heal.
+// FuzzReplFrame throws arbitrary bytes at the follower's connection loop:
+// readFrame's length cap and checksum, the epoch header, and the op codec
+// must reject whatever they reject without panicking — and whatever happens,
+// the follower must remain able to serve a fresh primary's handshake. A
+// wedged follower is the one failure mode replication cannot self-heal.
 func FuzzReplFrame(f *testing.F) {
 	f.Add(frame.Append(nil, 0, payload(1, frameHello, nil)))
 	f.Add(frame.Append(nil, 0, payload(1, frameOp,
@@ -22,22 +23,23 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all, just bytes pretending"))
 	f.Add(frame.Append(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
+	huge := frame.Append(nil, 0, payload(1, frameHello, nil))
+	binary.BigEndian.PutUint32(huge[8:12], maxFrameSize) // claims more than the cap allows
+	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fol, err := NewFollower(faultfs.NewMem(), "r")
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, consumed, _ := fol.FeedStream(data) // must not panic
-		if consumed > len(data) {
-			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
-		}
+		serveStream(fol, data) // must not panic
 		// Serviceability probe: a legitimate new primary (any epoch at or
 		// above whatever the stream tricked the follower into) must still
 		// get through a full handshake, resync included.
 		if e := fol.Epoch(); e < math.MaxUint64 {
-			fol.ResetConn()
-			if err := NewPipe(fol, faultfs.NewMem(), "r").Hello(e + 1); err != nil {
+			p := NewPipe(fol)
+			defer p.Kill()
+			if err := NewSession(p, nil, faultfs.NewMem(), "r").Hello(e + 1); err != nil {
 				t.Fatalf("follower wedged after fuzzed stream: %v", err)
 			}
 		}

@@ -1,10 +1,10 @@
 package repl
 
 import (
-	"medvault/internal/faultfs"
+	"net"
+	"sync"
+
 	"medvault/internal/frame"
-	"medvault/internal/merkle"
-	"medvault/internal/vcrypto"
 )
 
 // KillMode selects where, relative to one op frame's round trip, a scripted
@@ -28,121 +28,111 @@ const (
 	KillAfterAck
 )
 
-// Pipe is the in-process transport: fully synchronous, no goroutines, every
-// frame delivered (or killed) deterministically — the property the torture
-// harness needs to enumerate kill points reproducibly. Frames still round-
-// trip through the WAL codec, so the encode/validate path under test is the
-// same one TCP uses.
+// Pipe is the in-process replication link: the primary's end of a
+// net.Pipe whose far end runs ServeConn for a follower — the loop medvaultd
+// -follow runs per TCP connection. A Session over it writes, reads and
+// applies the same bytes a TCP link carries; only the kill script is extra.
+//
+// The script counts op frames as the session writes them (one Write per
+// frame) and kills the primary by closing this end, as the kernel does for
+// a dead process. net.Pipe has no buffer, so a Write returns only once the
+// follower's loop holds the whole frame, and one Read receives a whole
+// response: every kill point is deterministic.
 type Pipe struct {
-	f    *Follower
-	src  faultfs.FS
-	root string
+	net.Conn
+	done chan struct{} // closed when the follower's loop returns
 
-	seq      uint64
-	ackedSeq uint64 // highest op-frame seq whose ack the primary has read
+	mu       sync.Mutex
 	opFrames int
 	killAt   int
 	killMode KillMode
+	armed    KillMode // a kill due on the response to the current op frame
 	killed   bool
 }
 
-var _ Session = (*Pipe)(nil)
-
-// NewPipe connects a primary (whose raw filesystem and replicated root are
-// src/root, used for resync reads) to an in-process follower.
-func NewPipe(f *Follower, src faultfs.FS, root string) *Pipe {
-	return &Pipe{f: f, src: src, root: root, killAt: -1}
+// NewPipe starts a follower loop for f and returns the primary's end.
+func NewPipe(f *Follower) *Pipe {
+	near, far := net.Pipe()
+	p := &Pipe{Conn: near, done: make(chan struct{}), killAt: -1}
+	go func() {
+		defer close(p.done)
+		_ = ServeConn(far, f)
+	}()
+	return p
 }
 
 // KillAtFrame scripts the primary's death at the n-th op frame (0-based),
 // at the given boundary.
 func (p *Pipe) KillAtFrame(n int, mode KillMode) {
-	p.killAt = n
-	p.killMode = mode
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.killAt, p.killMode = n, mode
 }
 
 // OpFrames returns how many op frames have been shipped — run a workload
 // with no kill script and this is the stream-boundary kill-point count.
-func (p *Pipe) OpFrames() int { return p.opFrames }
+func (p *Pipe) OpFrames() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.opFrames
+}
 
 // Killed reports whether the scripted death has fired.
-func (p *Pipe) Killed() bool { return p.killed }
-
-// roundTrip frames a payload, delivers it through the shared WAL codec, and
-// returns the follower's response payload.
-func (p *Pipe) roundTrip(pl []byte) ([]byte, error) {
-	if p.killed {
-		return nil, ErrPrimaryKilled
-	}
-	seq, data, _, ok := frame.Decode(frame.Append(nil, p.seq, pl))
-	p.seq++
-	if !ok {
-		return nil, ErrBadFrame
-	}
-	return p.f.HandlePayload(seq, data)
+func (p *Pipe) Killed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.killed
 }
 
-// Hello implements Session.
-func (p *Pipe) Hello(epoch uint64) error {
-	return helloExchange(p.roundTrip, p.src, p.root, epoch)
+// Kill closes the primary's end, if the script has not already, and waits
+// for the follower's loop to return: after it the follower is quiescent and
+// may be promoted.
+func (p *Pipe) Kill() {
+	p.Conn.Close()
+	<-p.done
 }
 
-// ShipOp implements Session, applying the kill script at op-frame
-// boundaries.
-func (p *Pipe) ShipOp(epoch uint64, rec OpRecord) (uint64, error) {
-	if p.killed {
-		return 0, ErrPrimaryKilled
-	}
-	n := p.opFrames
-	p.opFrames++
-	killHere := n == p.killAt && p.killMode != KillNone
-	if killHere && p.killMode == KillSend {
-		p.killed = true
-		return 0, ErrPrimaryKilled
-	}
-	lsn := p.seq
-	resp, err := p.roundTrip(payload(epoch, frameOp, encodeOp(rec)))
-	if err != nil {
-		return 0, err
-	}
-	if killHere && p.killMode == KillApply {
-		// The follower applied and acked, but the primary dies before the
-		// ack is read.
-		p.killed = true
-		return 0, ErrPrimaryKilled
-	}
-	if _, err := expectKind(resp, frameAck); err != nil {
-		return 0, err
-	}
-	p.ackedSeq = lsn
-	if killHere && p.killMode == KillAfterAck {
-		p.killed = true // this op succeeded; the next call finds a corpse
-	}
-	return lsn, nil
+// kill is the scripted death; callers hold p.mu.
+func (p *Pipe) kill() error {
+	p.killed = true
+	p.Conn.Close()
+	return ErrPrimaryKilled
 }
 
-// Barrier implements Session; the pipe is synchronous, so an ack the
-// primary has read stays valid even if the scripted death fired right after
-// it — only un-acked work is lost.
-func (p *Pipe) Barrier(lsn uint64) error {
-	if lsn <= p.ackedSeq {
-		return nil
+// Write counts op frames and fires KillSend, or arms the kill modes that
+// land on the response.
+func (p *Pipe) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	if !p.killed && len(b) > frame.Overhead+8 && b[frame.Overhead+8] == frameOp { // the kind after the epoch
+		if p.opFrames == p.killAt {
+			p.armed = p.killMode
+		}
+		p.opFrames++
 	}
-	if p.killed {
-		return ErrPrimaryKilled
+	if p.killed || p.armed == KillSend {
+		defer p.mu.Unlock()
+		return 0, p.kill()
 	}
-	return nil
+	p.mu.Unlock()
+	return p.Conn.Write(b)
 }
 
-// Heads implements Session.
-func (p *Pipe) Heads(epoch uint64, pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) ([]Head, error) {
-	return headsExchange(p.roundTrip, epoch, pub, sths)
+// Read fires an armed kill: KillApply before the follower's ack is read,
+// KillAfterAck once it has been.
+func (p *Pipe) Read(b []byte) (int, error) {
+	p.mu.Lock()
+	armed := p.armed
+	p.armed = KillNone
+	if p.killed || armed == KillApply {
+		defer p.mu.Unlock()
+		return 0, p.kill()
+	}
+	p.mu.Unlock()
+	n, err := p.Conn.Read(b)
+	if armed == KillAfterAck {
+		p.mu.Lock()
+		p.kill() // this op succeeded; the next write finds a corpse
+		p.mu.Unlock()
+	}
+	return n, err
 }
-
-// Resync implements Session.
-func (p *Pipe) Resync(epoch uint64) error {
-	return resyncSend(p.roundTrip, p.src, p.root, epoch)
-}
-
-// Close implements Session.
-func (p *Pipe) Close() error { return nil }

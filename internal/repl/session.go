@@ -1,14 +1,18 @@
 package repl
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io/fs"
+	"net"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
@@ -17,25 +21,218 @@ import (
 	"medvault/internal/vcrypto"
 )
 
-// Session is the primary's handle on one replication connection. Both
-// transports — the deterministic in-process pipe the torture harness drives
-// and the length-framed TCP stream medvaultd uses — implement it.
+// Session is the primary's end of one replication link: every frame it
+// sends is written by frame.Append, answered by exactly one frame from the
+// follower's ServeConn loop, and read back by readFrame. medvaultd runs it
+// over TCP (DialTCP); the torture harness, the simulator and the tests run
+// it over an in-process Pipe. The bytes are the same.
 //
 // Hello performs the handshake and connect-time anti-entropy: it proposes
 // the primary's epoch, compares the two sides' computed Merkle heads and
 // directory digests, and runs a full resync if they disagree (a fresh
 // follower, a torn stream, or divergence all land here). ShipOp ships one
-// captured fs op and returns its LSN; Barrier blocks until the follower has
-// acknowledged that LSN — CaptureFS calls it on every fsync, which is what
-// makes an acked client write a replicated one. Heads runs the timer-driven
-// signed-head exchange; Resync forces a full directory transfer.
-type Session interface {
-	Hello(epoch uint64) error
-	ShipOp(epoch uint64, rec OpRecord) (lsn uint64, err error)
-	Barrier(lsn uint64) error
-	Heads(epoch uint64, pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) ([]Head, error)
-	Resync(epoch uint64) error
-	Close() error
+// captured fs op and returns only after the follower's ack, so a shipped
+// fsync cannot succeed before the follower holds it. Heads runs the
+// timer-driven signed-head exchange; Resync forces a full directory
+// transfer.
+type Session struct {
+	mu     sync.Mutex
+	conn   net.Conn // nil once the link has failed
+	br     *bufio.Reader
+	redial func() (net.Conn, error)
+	seq    uint64
+	src    faultfs.FS
+	root   string
+}
+
+// NewSession starts a session over conn. src/root name the primary's raw
+// filesystem and replicated directory, read for resyncs. redial, when set,
+// replaces a failed connection at the next Hello; nil leaves it down.
+func NewSession(conn net.Conn, redial func() (net.Conn, error), src faultfs.FS, root string) *Session {
+	return &Session{conn: conn, br: bufio.NewReader(conn), redial: redial, src: src, root: root}
+}
+
+// DialTCP connects to a follower's replication listener; a failed link is
+// redialed at the next Hello.
+func DialTCP(addr string, src faultfs.FS, root string) (*Session, error) {
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	conn, err := dial()
+	if err != nil {
+		return nil, fmt.Errorf("repl: dialing follower %s: %w", addr, err)
+	}
+	return NewSession(conn, dial, src, root), nil
+}
+
+// roundTrip writes one frame and reads its response; callers hold s.mu.
+// Any transport error drops the connection, and the capture's degraded-mode
+// reconnect calls Hello again, which redials.
+func (s *Session) roundTrip(pl []byte) ([]byte, error) {
+	if s.conn == nil {
+		return nil, errors.New("repl: session disconnected")
+	}
+	out := frame.Append(nil, s.seq, pl)
+	s.seq++
+	if _, err := s.conn.Write(out); err != nil {
+		s.closeLocked()
+		return nil, fmt.Errorf("repl: writing frame: %w", err)
+	}
+	_, resp, err := readFrame(s.br)
+	if err != nil {
+		s.closeLocked()
+		return nil, fmt.Errorf("repl: reading response: %w", err)
+	}
+	return resp, nil
+}
+
+// exchange sends a payload and returns the body of a response of kind
+// want, mapping reject frames to ErrFenced.
+func (s *Session) exchange(pl []byte, want uint8) ([]byte, error) {
+	resp, err := s.roundTrip(pl)
+	if err != nil {
+		return nil, err
+	}
+	_, kind, body, ok := splitPayload(resp)
+	if !ok {
+		return nil, ErrBadFrame
+	}
+	if kind == frameReject {
+		if epoch, reason, ok := decodeReject(body); ok {
+			return nil, fmt.Errorf("%w: follower at epoch %d: %s", ErrFenced, epoch, reason)
+		}
+		return nil, ErrFenced
+	}
+	if kind != want {
+		return nil, fmt.Errorf("%w: unexpected response kind %d", ErrBadFrame, kind)
+	}
+	return body, nil
+}
+
+// ack sends a payload and requires a plain ack back.
+func (s *Session) ack(pl []byte) error {
+	body, err := s.exchange(pl, frameAck)
+	if err != nil {
+		return err
+	}
+	r := frame.NewReader(body)
+	r.U64()
+	if r.Done() != nil {
+		return ErrBadFrame
+	}
+	return nil
+}
+
+// Hello runs the handshake plus connect-time anti-entropy, redialing first
+// if the link failed. It returns ErrFenced when the follower has seen a
+// newer epoch.
+func (s *Session) Hello(epoch uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.conn == nil && s.redial != nil {
+		conn, err := s.redial()
+		if err != nil {
+			return fmt.Errorf("repl: redialing follower: %w", err)
+		}
+		s.conn, s.br = conn, bufio.NewReader(conn)
+	}
+	body, err := s.exchange(payload(epoch, frameHello, nil), frameHelloAck)
+	if err != nil {
+		return err
+	}
+	fepoch, fheads, fdigest, ok := decodeHelloAck(body)
+	if !ok {
+		return ErrBadFrame
+	}
+	if fepoch > epoch {
+		return fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
+	}
+	heads, err := localHeads(s.src, s.root)
+	if err != nil {
+		return fmt.Errorf("repl: computing local heads: %w", err)
+	}
+	digest, err := DirDigest(s.src, s.root)
+	if err != nil {
+		return fmt.Errorf("repl: computing local digest: %w", err)
+	}
+	// Exact equality: no writes are in flight at connect time, so any
+	// difference means the follower must resync.
+	if slices.Equal(heads, fheads) && digest == fdigest {
+		return nil
+	}
+	return s.resyncLocked(epoch)
+}
+
+// ShipOp ships one captured fs op and waits for the follower's ack.
+func (s *Session) ShipOp(epoch uint64, rec OpRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ack(payload(epoch, frameOp, encodeOp(rec)))
+}
+
+// Heads ships the primary's signed heads and returns the follower's
+// computed heads for the caller to judge.
+func (s *Session) Heads(epoch uint64, pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) ([]Head, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	body, err := s.exchange(payload(epoch, frameHeads, encodeHeadsReq(pub, sths)), frameHeadsAck)
+	if err != nil {
+		return nil, err
+	}
+	r := frame.NewReader(body)
+	hs := readHeads(r)
+	if r.Done() != nil {
+		return nil, ErrBadFrame
+	}
+	return hs, nil
+}
+
+// Resync transfers the primary's full tree.
+func (s *Session) Resync(epoch uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resyncLocked(epoch)
+}
+
+// resyncLocked sends snapBegin (the follower wipes its replica), one
+// snapFile per node, and snapEnd carrying the expected digest, so the
+// follower verifies the transfer before trusting it.
+func (s *Session) resyncLocked(epoch uint64) error {
+	tree, err := walkTree(s.src, s.root)
+	if err != nil {
+		return fmt.Errorf("repl: walking %s for resync: %w", s.root, err)
+	}
+	digest, err := DirDigest(s.src, s.root)
+	if err != nil {
+		return err
+	}
+	if err := s.ack(payload(epoch, frameSnapBegin, nil)); err != nil {
+		return err
+	}
+	for _, e := range tree {
+		if err := s.ack(payload(epoch, frameSnapFile, encodeSnapFile(e.isDir, e.rel, e.data))); err != nil {
+			return err
+		}
+	}
+	if err := s.ack(payload(epoch, frameSnapEnd, digest[:])); err != nil {
+		return err
+	}
+	mResyncs.Inc()
+	return nil
+}
+
+// Close closes the connection.
+func (s *Session) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closeLocked()
+}
+
+func (s *Session) closeLocked() error {
+	if s.conn == nil {
+		return nil
+	}
+	err := s.conn.Close()
+	s.conn = nil
+	return err
 }
 
 // --- epoch state ---------------------------------------------------------
@@ -162,141 +359,4 @@ func localHeads(fsys faultfs.FS, root string) ([]Head, error) {
 		out[i] = Head{Size: h.Size, Root: h.Root}
 	}
 	return out, nil
-}
-
-// headsEqual is exact equality — the connect-time criterion, where no writes
-// are in flight and any difference means the follower must resync.
-func headsEqual(a, b []Head) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// --- shared exchange logic ------------------------------------------------
-//
-// Both transports are synchronous request/response streams (every frame the
-// primary sends is answered by exactly one follower frame), so the handshake
-// and resync logic is written once against a roundTrip function.
-
-type roundTripper func(payload []byte) (resp []byte, err error)
-
-// expectKind decodes a response payload and maps reject frames to ErrFenced.
-func expectKind(resp []byte, want uint8) (body []byte, err error) {
-	_, kind, body, ok := splitPayload(resp)
-	if !ok {
-		return nil, ErrBadFrame
-	}
-	if kind == frameReject {
-		if epoch, reason, ok := decodeReject(body); ok {
-			return nil, fmt.Errorf("%w: follower at epoch %d: %s", ErrFenced, epoch, reason)
-		}
-		return nil, ErrFenced
-	}
-	if kind != want {
-		return nil, fmt.Errorf("%w: unexpected response kind %d", ErrBadFrame, kind)
-	}
-	return body, nil
-}
-
-// helloExchange runs the handshake plus connect-time anti-entropy: propose
-// the epoch, compare heads and digests, resync on any mismatch. It returns
-// ErrFenced when the follower has seen a newer epoch.
-func helloExchange(rt roundTripper, src faultfs.FS, root string, epoch uint64) error {
-	resp, err := rt(payload(epoch, frameHello, nil))
-	if err != nil {
-		return err
-	}
-	body, err := expectKind(resp, frameHelloAck)
-	if err != nil {
-		return err
-	}
-	fepoch, fheads, fdigest, ok := decodeHelloAck(body)
-	if !ok {
-		return ErrBadFrame
-	}
-	if fepoch > epoch {
-		return fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
-	}
-	heads, err := localHeads(src, root)
-	if err != nil {
-		return fmt.Errorf("repl: computing local heads: %w", err)
-	}
-	digest, err := DirDigest(src, root)
-	if err != nil {
-		return fmt.Errorf("repl: computing local digest: %w", err)
-	}
-	if headsEqual(heads, fheads) && digest == fdigest {
-		return nil
-	}
-	return resyncSend(rt, src, root, epoch)
-}
-
-// resyncSend transfers the primary's full tree: snapBegin wipes the replica,
-// one snapFile per node, snapEnd carries the expected digest so the follower
-// verifies the transfer before trusting it.
-func resyncSend(rt roundTripper, src faultfs.FS, root string, epoch uint64) error {
-	tree, err := walkTree(src, root)
-	if err != nil {
-		return fmt.Errorf("repl: walking %s for resync: %w", root, err)
-	}
-	digest, err := DirDigest(src, root)
-	if err != nil {
-		return err
-	}
-	if _, err := roundTripAck(rt, payload(epoch, frameSnapBegin, nil)); err != nil {
-		return err
-	}
-	for _, e := range tree {
-		if _, err := roundTripAck(rt, payload(epoch, frameSnapFile, encodeSnapFile(e.isDir, e.rel, e.data))); err != nil {
-			return err
-		}
-	}
-	if _, err := roundTripAck(rt, payload(epoch, frameSnapEnd, digest[:])); err != nil {
-		return err
-	}
-	mResyncs.Inc()
-	return nil
-}
-
-// roundTripAck sends a payload and requires a plain ack back.
-func roundTripAck(rt roundTripper, p []byte) (lsn uint64, err error) {
-	resp, err := rt(p)
-	if err != nil {
-		return 0, err
-	}
-	body, err := expectKind(resp, frameAck)
-	if err != nil {
-		return 0, err
-	}
-	r := frame.NewReader(body)
-	lsn = r.U64()
-	if r.Done() != nil {
-		return 0, ErrBadFrame
-	}
-	return lsn, nil
-}
-
-// headsExchange ships the primary's signed heads and returns the follower's
-// computed heads for the caller to judge.
-func headsExchange(rt roundTripper, epoch uint64, pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) ([]Head, error) {
-	resp, err := rt(payload(epoch, frameHeads, encodeHeadsReq(pub, sths)))
-	if err != nil {
-		return nil, err
-	}
-	body, err := expectKind(resp, frameHeadsAck)
-	if err != nil {
-		return nil, err
-	}
-	r := frame.NewReader(body)
-	hs := readHeads(r)
-	if r.Done() != nil {
-		return nil, ErrBadFrame
-	}
-	return hs, nil
 }

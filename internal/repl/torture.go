@@ -121,12 +121,13 @@ func failoverScenario(shards, killFS, killFrame int, mode KillMode, rep *Failove
 	if err != nil {
 		return 0, 0, err
 	}
-	pipe := NewPipe(fol, pmem, tortureRoot)
+	pipe := NewPipe(fol)
+	defer pipe.Kill()
 	if killFrame >= 0 {
 		pipe.KillAtFrame(killFrame, mode)
 	}
 	capture, err := NewCapture(faulty, Config{
-		Session: pipe,
+		Session: NewSession(pipe, nil, pmem, tortureRoot),
 		Root:    tortureRoot,
 		Raw:     pmem,
 		Strict:  true,
@@ -158,9 +159,12 @@ func failoverScenario(shards, killFS, killFrame int, mode KillMode, rep *Failove
 		frames = pipe.OpFrames()
 	}
 
-	// Failover: promote the follower and open its directory as the new
-	// primary. Recovery replays the replicated WAL tail exactly as it would
-	// a local one.
+	// Failover: the primary dies here if the script has not killed it yet,
+	// and once the follower's loop has seen its end of the link close, the
+	// follower is promoted and its directory opened as the new primary.
+	// Recovery replays the replicated WAL tail exactly as it would a local
+	// one.
+	pipe.Kill()
 	newEpoch, err := fol.Promote()
 	if err != nil {
 		fail("promote: %v", err)
@@ -186,8 +190,10 @@ func failoverScenario(shards, killFS, killFrame int, mode KillMode, rep *Failove
 		fenceDetail = detail
 		pv.AuditReplicationFence(detail)
 	})
-	stale := NewPipe(fol, pmem, tortureRoot)
-	if herr := stale.Hello(capture.Epoch()); !errors.Is(herr, ErrFenced) {
+	stale := NewPipe(fol)
+	herr := NewSession(stale, nil, pmem, tortureRoot).Hello(capture.Epoch())
+	stale.Kill()
+	if !errors.Is(herr, ErrFenced) {
 		fail("stale primary (epoch %d) not fenced by promoted epoch %d: %v", capture.Epoch(), newEpoch, herr)
 	} else if fenceDetail == "" {
 		fail("fence rejection was not audited")

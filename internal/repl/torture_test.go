@@ -1,6 +1,10 @@
 package repl
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestFailoverTorture runs a strided slice of the kill-point matrix on
 // every `go test`: kill the primary at sampled fs-op and stream boundaries,
@@ -26,6 +30,36 @@ func TestFailoverTorture(t *testing.T) {
 	if rep.FSKillPoints != 88 || rep.FrameKillPoints != 93 {
 		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 88 + 93", rep.FSKillPoints, rep.FrameKillPoints)
 	}
+}
+
+// TestFailoverTortureLeavesNoGoroutine: every scenario hangs up its links
+// and waits for the follower's loop, so a run ends with the goroutines it
+// started with.
+func TestFailoverTortureLeavesNoGoroutine(t *testing.T) {
+	before := settledGoroutines()
+	rep, err := RunFailoverTorture(FailoverOpts{Quick: true, Shards: 1})
+	if err != nil || !rep.Passed() {
+		t.Fatalf("quick failover torture: %v, %v", err, rep.Failures)
+	}
+	if after := settledGoroutines(); after != before {
+		t.Fatalf("%d goroutines before the torture, %d after", before, after)
+	}
+}
+
+// settledGoroutines counts goroutines once the count holds still, so a
+// finalizer or an earlier test's goroutine on its way out is not counted.
+func settledGoroutines() int {
+	runtime.GC()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(2 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestFailoverTortureSharded proves the failover path composes with

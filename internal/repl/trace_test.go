@@ -12,7 +12,7 @@ import (
 // carrying the same trace ID in the follower's flight ring, keyed by the
 // same hashed record ID — and never the record plaintext.
 func TestTraceMarkReachesFollowerFlight(t *testing.T) {
-	_, _, fol, cap := pair(t)
+	_, _, fol, _, cap := pair(t)
 	fol.flight = obs.NewFlight(64) // private ring: deterministic assertions
 	v := openVault(t, cap, 1)
 	defer v.Close()

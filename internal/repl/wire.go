@@ -13,9 +13,15 @@
 // discards torn frames, and rebuilds derived state.
 //
 // Commit visibility is what makes "acked implies replicated" hold: the vault
-// acknowledges a write only after the WAL's group-commit fsync, and CaptureFS
-// treats every fsync as a replication barrier — the sync op does not succeed
-// until the follower has acknowledged applying it and everything before it.
+// acknowledges a write only after the WAL's group-commit fsync, and a
+// shipped op returns only after the follower's ack, so an fsync cannot
+// succeed before the follower holds it and everything shipped before it.
+//
+// One Session carries every link: medvaultd dials it over TCP, and the
+// failover torture, the simulator and the tests run it over a Pipe, an
+// in-process net.Pipe whose far end runs the same ServeConn loop a
+// follower runs per TCP connection. Every frame, on every transport, is
+// written by frame.Append and read by readFrame.
 //
 // Epoch fencing keeps a demoted primary from committing after failover:
 // every frame carries the primary's epoch, the follower persists the highest
@@ -41,8 +47,8 @@ import (
 
 // Errors surfaced by the replication layer.
 var (
-	// ErrPrimaryKilled is returned by a torture pipe after its scripted kill
-	// point: the primary process is dead and no further ops will ship.
+	// ErrPrimaryKilled is returned by a Pipe after its scripted kill point:
+	// the primary process is dead and no further ops will ship.
 	ErrPrimaryKilled = errors.New("repl: primary killed at stream boundary")
 	// ErrFenced indicates the follower rejected a frame because the sender's
 	// epoch is stale — a newer primary has been promoted.
@@ -143,7 +149,7 @@ var (
 	mFramesApplied = obs.Default.Counter("medvault_repl_frames_applied_total",
 		"Replication op frames applied by the follower.")
 	mLagFrames = obs.Default.Gauge("medvault_repl_lag_frames",
-		"Op frames shipped but not yet acknowledged.")
+		"Captured ops applied locally but not shipped while the follower link is down; 0 after a handshake or resync.")
 	mResyncs = obs.Default.Counter("medvault_repl_resyncs_total",
 		"Full directory resyncs triggered by anti-entropy.")
 	mFenceRejections = obs.Default.Counter("medvault_repl_fence_rejections_total",

@@ -80,6 +80,7 @@ func Run(opts RunOpts) (Trace, *Divergence) {
 	if err != nil {
 		return t, &Divergence{Index: -1, Msg: "opening vault: " + err.Error()}
 	}
+	defer e.hangUp()
 	g := newGen(plan)
 	for i := 0; i < opts.Ops; i++ {
 		s := g.next(e.model)
@@ -101,6 +102,7 @@ func Replay(t Trace, logf func(format string, args ...any)) *Divergence {
 	if err != nil {
 		return &Divergence{Index: -1, Msg: "opening vault: " + err.Error()}
 	}
+	defer e.hangUp()
 	for i, s := range t.Steps {
 		if d := e.exec(i, s); d != nil {
 			return d
@@ -169,6 +171,7 @@ type engine struct {
 	// follower whose replica disk takes over when the primary dies.
 	fmem *faultfs.Mem
 	fol  *repl.Follower
+	link *repl.Pipe
 
 	heads [][]merkle.SignedTreeHead // indexed by shard
 	cps   [][]audit.Checkpoint      // indexed by shard
@@ -211,6 +214,7 @@ func (e *engine) open() error {
 		return err
 	}
 	cfg := core.Config{Name: e.plan.Name, Master: master, Clock: e.vc}
+	e.hangUp() // the previous generation's primary, if any, is gone
 	if e.plan.Durable {
 		e.inj = &schedInjector{enospcAt: -1, crashAt: -1}
 		e.faulty = faultfs.NewFaulty(e.mem, e.inj.inject)
@@ -227,13 +231,15 @@ func (e *engine) open() error {
 				return err
 			}
 			e.fol = fol
+			e.link = repl.NewPipe(fol)
 			cap, err := repl.NewCapture(e.faulty, repl.Config{
-				Session: repl.NewPipe(fol, e.mem, "vault"),
+				Session: repl.NewSession(e.link, nil, e.mem, "vault"),
 				Root:    "vault",
 				Raw:     e.mem,
 				Strict:  true,
 			})
 			if err != nil {
+				e.hangUp()
 				return err
 			}
 			cfg.FS = cap
@@ -728,22 +734,32 @@ func (e *engine) crash(i int, s Step) *Divergence {
 	return recoverOnce()
 }
 
-// cut kills the primary. In failover mode the warm follower is promoted and
-// its replica disk becomes the next generation's medium — a keep-everything
-// op-boundary image, since the follower applied exactly the ops the
-// primary's disk accepted; the model's prefix reconciliation then finds
-// nothing missing. Otherwise the power cut is simulated directly: a
+// cut kills the primary. In failover mode the primary hangs up, and once the
+// follower's loop has returned the follower is promoted and its replica disk
+// becomes the next generation's medium — a keep-everything op-boundary
+// image, since the follower applied exactly the ops the primary's disk
+// accepted; the model's prefix reconciliation then finds nothing missing. Otherwise the power cut is simulated directly: a
 // keep-nothing crash image of the primary, losing every unsynced byte.
 func (e *engine) cut(i int, s Step) *Divergence {
 	if !e.plan.Failover {
 		e.mem = e.mem.CrashImage(faultfs.KeepNone)
 		return nil
 	}
+	e.hangUp()
 	if _, err := e.fol.Promote(); err != nil {
 		return divAt(i, s)("promoting follower: %v", err)
 	}
 	e.mem = e.fmem
 	return nil
+}
+
+// hangUp closes the primary's end of the replication link, as the kernel
+// does for a dead process, and waits for the follower's loop to return.
+func (e *engine) hangUp() {
+	if e.link != nil {
+		e.link.Kill()
+		e.link = nil
+	}
 }
 
 // reopenAndResync remounts after a power cut and reconciles the model with

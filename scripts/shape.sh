@@ -38,4 +38,11 @@ check "One op envelope: no gate admission, observeOp or core.<op> span outside i
 check "One op envelope: httpapi and sim name outcomes by core.Outcome's label, never by sentinel" \
 	"$(grep -rnE '(core|retention)\.Err[A-Za-z]+' internal/httpapi internal/sim --include='*.go' | grep -v '_test\.go:')"
 
+# Every transport is a net.Conn under the one repl.Session: frames are read
+# and validated only by readFrame, and a shipped op's ack is the barrier.
+repl=$(ls internal/repl/*.go | grep -v '_test\.go$')
+check "One replication session: no Session interface, Barrier, FeedStream, or frame.Decode outside readFrame in internal/repl" \
+	"$(grep -nE 'Barrier\(|FeedStream|\bSession[[:space:]]+interface\b' $repl
+	awk '/^func /{fn=$0} /frame\.Decode\(/ && fn !~ /^func readFrame\(/ {print FILENAME ":" FNR ": " $0}' $repl)"
+
 exit $fail
