@@ -113,11 +113,14 @@ func TestAddReplacesPostings(t *testing.T) {
 }
 
 func TestRemoveSecureDeletion(t *testing.T) {
+	// The removed ID is long enough that SSE ciphertext never contains it
+	// by chance; a two-byte ID matched a random snapshot about once in 500.
+	const removed = "patient-removed-0001"
 	for name, idx := range both(t) {
 		t.Run(name, func(t *testing.T) {
-			idx.Add("p1", "oncology cancer treatment")
+			idx.Add(removed, "oncology cancer treatment")
 			idx.Add("p2", "cancer screening")
-			idx.Remove("p1")
+			idx.Remove(removed)
 			if got := idx.Search("cancer"); !reflect.DeepEqual(got, []string{"p2"}) {
 				t.Errorf("Search after remove = %v", got)
 			}
@@ -128,7 +131,7 @@ func TestRemoveSecureDeletion(t *testing.T) {
 				t.Errorf("Len = %d, want 1", idx.Len())
 			}
 			// Removing twice or removing unknown IDs is harmless.
-			idx.Remove("p1")
+			idx.Remove(removed)
 			idx.Remove("ghost")
 
 			// The deleted document must leave no trace in the stored form.
@@ -136,7 +139,7 @@ func TestRemoveSecureDeletion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Contains(snap, []byte("p1")) {
+			if bytes.Contains(snap, []byte(removed)) {
 				t.Error("removed doc ID still present in snapshot")
 			}
 			if name == "sse" && bytes.Contains(snap, []byte("oncology")) {
