@@ -453,7 +453,7 @@ func cmdDisclosures(args []string) error {
 func cmdBreakGlass(args []string) error {
 	vf := newVaultFlags("breakglass")
 	reason := vf.fs.String("reason", "", "emergency justification (required, audited)")
-	minutes := vf.fs.Int("minutes", 60, "grant duration in minutes")
+	minutes := vf.fs.Int("minutes", 60, "grant duration in minutes (1 to 1440)")
 	vf.fs.Parse(args)
 	v, err := vf.open()
 	if err != nil {

@@ -38,19 +38,18 @@ import (
 
 // Audit instrumentation: event volume by outcome and the time each append
 // (hash, MAC, persist) costs the operation that triggered it.
-var (
-	metEvents = map[Outcome]*obs.Counter{ // the defined outcomes, resolved once
-		OutcomeAllowed: eventsCounter(OutcomeAllowed),
-		OutcomeDenied:  eventsCounter(OutcomeDenied),
-		OutcomeError:   eventsCounter(OutcomeError),
-	}
-	metAppendSeconds = obs.Default.Histogram("medvault_audit_append_seconds",
-		"Latency of one audit-chain append (hash, MAC, persist).", obs.LatencyBuckets)
-)
+var metAppendSeconds = obs.Default.Histogram("medvault_audit_append_seconds",
+	"Latency of one audit-chain append (hash, MAC, persist).", obs.LatencyBuckets)
 
 func eventsCounter(outcome Outcome) *obs.Counter {
 	return obs.Default.Counter("medvault_audit_events_total",
 		"Audit events appended, by outcome.", obs.L("outcome", string(outcome)))
+}
+
+func init() {
+	for _, o := range []Outcome{OutcomeAllowed, OutcomeDenied, OutcomeError} {
+		eventsCounter(o) // every defined outcome is on /metrics from startup, at 0
+	}
 }
 
 // Action classifies an audited operation.
@@ -342,11 +341,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
 	l.index(ref, e)
-	met, ok := metEvents[e.Outcome]
-	if !ok { // an outcome no constant names: resolve it through the registry
-		met = eventsCounter(e.Outcome)
-	}
-	met.Inc()
+	eventsCounter(e.Outcome).Inc()
 	if l.every > 0 && len(l.refs)%l.every == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}

@@ -45,7 +45,13 @@ var (
 	ErrGrantExpired = errors.New("authz: break-glass grant expired")
 	// ErrEmptyReason indicates a break-glass request without justification.
 	ErrEmptyReason = errors.New("authz: break-glass requires a reason")
+	// ErrBadDuration indicates a break-glass duration outside (0, MaxBreakGlass].
+	ErrBadDuration = errors.New("authz: break-glass duration out of range")
 )
+
+// MaxBreakGlass is the longest emergency grant BreakGlass issues, inclusive.
+// Emergency access is for the emergency; a longer need is a role change.
+const MaxBreakGlass = 24 * time.Hour
 
 // Role names a set of permitted actions, optionally scoped to record
 // categories. An empty Categories set means the role applies to all
@@ -188,10 +194,14 @@ func breakGlassCovers(act Action) bool {
 
 // BreakGlass issues a time-boxed emergency grant to principal. The principal
 // must be registered (anonymous break-glass is not a thing) and must supply
-// a reason, which the vault writes to the audit trail.
+// a reason, which the vault writes to the audit trail; the duration must be
+// positive and at most MaxBreakGlass.
 func (a *Authorizer) BreakGlass(principal, reason string, duration time.Duration) (Grant, error) {
 	if reason == "" {
 		return Grant{}, ErrEmptyReason
+	}
+	if duration <= 0 || duration > MaxBreakGlass {
+		return Grant{}, fmt.Errorf("%w: %v", ErrBadDuration, duration)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

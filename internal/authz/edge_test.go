@@ -186,6 +186,17 @@ func TestBreakGlassValidation(t *testing.T) {
 	if _, err := a.BreakGlass("stranger", "help", time.Hour); !errors.Is(err, ErrUnknownPrincipal) {
 		t.Errorf("unknown principal = %v, want ErrUnknownPrincipal", err)
 	}
+	for _, d := range []time.Duration{0, -5 * time.Minute, MaxBreakGlass + time.Nanosecond, 190 * 365 * 24 * time.Hour} {
+		if _, err := a.BreakGlass("dr-house", "help", d); !errors.Is(err, ErrBadDuration) {
+			t.Errorf("duration %v = %v, want ErrBadDuration", d, err)
+		}
+	}
+	if len(a.ActiveGrants()) != 0 {
+		t.Errorf("a refused grant left %+v", a.ActiveGrants())
+	}
+	if _, err := a.BreakGlass("dr-house", "help", MaxBreakGlass); err != nil {
+		t.Errorf("duration MaxBreakGlass = %v, want a grant", err)
+	}
 	// A second grant replaces the first: the newest expiry wins.
 	g1, err := a.BreakGlass("dr-house", "first", time.Minute)
 	if err != nil {

@@ -102,9 +102,15 @@ func (v *Vault) enter(ctx context.Context, op, id string, gate *opGate, exclusiv
 		obs.ActiveOps.End(slot)
 
 		outcome := Outcome(err)
-		met := v.opMetrics(op, outcome, shard)
-		met.count.Inc()
-		met.seconds.ObserveSince(start)
+		// A one-shard vault and a cluster-wide act have no shard label.
+		labels := []obs.Label{obs.L("op", op), obs.L("outcome", outcome), obs.L("shard", shard)}
+		if shard == "" {
+			labels = labels[:2]
+		}
+		obs.Default.Counter("medvault_core_ops_total",
+			"Vault operations by outcome.", labels...).Inc()
+		obs.Default.Histogram("medvault_core_op_seconds",
+			"Vault operation latency.", obs.LatencyBuckets, labels...).ObserveSince(start)
 		ev := v.flight.Record(obs.FlightEvent{
 			Kind:    op,
 			Record:  obs.HashRecordID(id),
@@ -157,6 +163,7 @@ var outcomes = []struct {
 	{retention.ErrRetentionActive, "retention_active"},
 	{ehr.ErrInvalid, "invalid"},
 	{authz.ErrEmptyReason, "invalid"},
+	{authz.ErrBadDuration, "invalid"},
 	{authz.ErrUnknownPrincipal, "invalid"},
 }
 
@@ -184,41 +191,4 @@ func OutcomeLabels() []string {
 		}
 	}
 	return out
-}
-
-// opSeries is the pair of series one (op, outcome) reports to.
-type opSeries struct {
-	count   *obs.Counter
-	seconds *obs.Histogram
-}
-
-type opKey struct{ op, outcome, shard string }
-
-// opMetrics returns this vault's medvault_core_ops_total and
-// medvault_core_op_seconds series for (op, outcome) on shard ("" for a
-// one-shard vault or a cluster-wide act), resolving them on first use, so a steady-state operation builds no label
-// set and never touches the registry. A one-shard vault keeps the exact
-// label set it had before sharding.
-func (v *Vault) opMetrics(op, outcome, shard string) opSeries {
-	k := opKey{op, outcome, shard}
-	v.opMu.RLock()
-	s, ok := v.opMet[k]
-	v.opMu.RUnlock()
-	if ok {
-		return s
-	}
-	labels := []obs.Label{obs.L("op", op), obs.L("outcome", outcome)}
-	if shard != "" {
-		labels = append(labels, obs.L("shard", shard))
-	}
-	s = opSeries{
-		count: obs.Default.Counter("medvault_core_ops_total",
-			"Vault operations by outcome.", labels...),
-		seconds: obs.Default.Histogram("medvault_core_op_seconds",
-			"Vault operation latency.", obs.LatencyBuckets, labels...),
-	}
-	v.opMu.Lock()
-	v.opMet[k] = s
-	v.opMu.Unlock()
-	return s
 }

@@ -271,6 +271,7 @@ func TestOutcomeTable(t *testing.T) {
 		{retention.ErrRetentionActive, "retention_active"},
 		{ehr.Record{}.Validate(), "invalid"},
 		{authz.ErrEmptyReason, "invalid"},
+		{authz.ErrBadDuration, "invalid"},
 		{authz.ErrUnknownPrincipal, "invalid"},
 		{vcrypto.ErrBadKey, "error"},
 	} {

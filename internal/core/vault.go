@@ -184,9 +184,6 @@ type Vault struct {
 	recovery RecoveryInfo // what the last Open rebuilt (durable vaults)
 	shard    string       // shard index label when part of a >1-shard Cluster
 
-	opMu  sync.RWMutex       // guards opMet (a leaf lock)
-	opMet map[opKey]opSeries // op-metric series, resolved on first use
-
 	flight *obs.Flight     // in-memory ring ops report to (never nil)
 	fsink  *obs.FlightSink // durable segment sink under dir/flight; may be nil
 
@@ -214,7 +211,6 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		ret:      ret,
 		bcache:   newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), tag),
 		records:  make(map[string]*recordState),
-		opMet:    make(map[opKey]opSeries),
 		dir:      dir,
 		fs:       fsys,
 		masterFP: cfg.Master.Fingerprint(),

@@ -488,6 +488,33 @@ func TestClientBreakGlass(t *testing.T) {
 	}
 }
 
+// TestBreakGlassDurationBound pins the grant cap over HTTP: a grant longer
+// than authz.MaxBreakGlass is a 400 that leaves no grant behind, including a
+// minute count whose conversion to a duration would wrap into the valid
+// range, and the cap itself is still granted.
+func TestBreakGlassDurationBound(t *testing.T) {
+	phys, _ := newClientServer(t)
+	ctx := context.Background()
+	clerk := phys.As("clerk-bob")
+	if _, _, err := phys.CreateRecord(ctx, clientRecord("p1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, minutes := range []int{24*60 + 1, 1<<53 + 60} { // (1<<53 + 60) minutes wraps to exactly one hour
+		if _, err := clerk.BreakGlass(ctx, "code blue", minutes, http.StatusBadRequest); err != nil {
+			t.Errorf("%d minutes: %v", minutes, err)
+		}
+		if _, _, err := clerk.GetRecord(ctx, "p1", http.StatusForbidden); err != nil {
+			t.Errorf("after a refused %d-minute grant the clerk reads: %v", minutes, err)
+		}
+	}
+	if _, err := clerk.BreakGlass(ctx, "code blue", 24*60); err != nil {
+		t.Fatalf("a grant of exactly the cap: %v", err)
+	}
+	if _, _, err := clerk.GetRecord(ctx, "p1"); err != nil {
+		t.Errorf("read under a 24 h grant: %v", err)
+	}
+}
+
 func TestClientVerify(t *testing.T) {
 	phys, _ := newClientServer(t)
 	ctx := context.Background()

@@ -189,7 +189,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		obs.L("route", route), obs.L("status", statusClass(sw.status))).Inc()
 	obs.Default.Histogram("medvault_http_request_seconds",
 		"HTTP request latency by route pattern.", obs.LatencyBuckets,
-		obs.L("route", route)).ObserveSince(start)
+		obs.L("route", route)).ObserveExemplar(time.Since(start).Seconds(), traceID)
 	if s.logger != nil {
 		s.logger.Info("http request",
 			"method", r.Method,
@@ -879,8 +879,9 @@ func (s *Server) releaseHold(r *http.Request, actor string) (int, any, error) {
 	return http.StatusOK, map[string]string{"status": "released", "id": id}, err
 }
 
-// breakGlass issues an emergency grant. The vault rejects an empty reason or
-// an unknown principal with outcome "invalid", a 400.
+// breakGlass issues an emergency grant, 60 minutes when minutes is omitted or
+// not positive. The vault rejects an empty reason, an unknown principal or a
+// grant longer than authz.MaxBreakGlass with outcome "invalid", a 400.
 func (s *Server) breakGlass(r *http.Request, actor string) (int, any, error) {
 	var req struct {
 		Reason  string `json:"reason"`
@@ -892,6 +893,9 @@ func (s *Server) breakGlass(r *http.Request, actor string) (int, any, error) {
 	if req.Minutes <= 0 {
 		req.Minutes = 60
 	}
-	err := s.vault.BreakGlassCtx(r.Context(), actor, req.Reason, time.Duration(req.Minutes)*time.Minute)
+	// Clamp before multiplying: any count above the cap stays above it
+	// instead of wrapping into a valid duration.
+	minutes := min(req.Minutes, int(authz.MaxBreakGlass/time.Minute)+1)
+	err := s.vault.BreakGlassCtx(r.Context(), actor, req.Reason, time.Duration(minutes)*time.Minute)
 	return http.StatusOK, map[string]any{"status": "granted", "actor": actor, "minutes": req.Minutes}, err
 }

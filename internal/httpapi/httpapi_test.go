@@ -19,7 +19,7 @@ import (
 var epoch = time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 
 // provisionPersonas installs the standard roles plus the test persona set.
-func provisionPersonas(t *testing.T, v *core.Cluster) {
+func provisionPersonas(t testing.TB, v *core.Cluster) {
 	t.Helper()
 	a := v.Authz()
 	for _, r := range authz.StandardRoles() {

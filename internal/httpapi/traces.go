@@ -49,17 +49,16 @@ type attrPayload struct {
 
 // tracesBody is the /debug/traces response envelope: the tracer's lifetime
 // counters first, so an operator can tell "no traces matched" apart from
-// "tracing is sampling everything out". Exemplars map each latency
+// "no traced request arrived". Exemplars map each latency
 // histogram family to the trace ID of its worst observation since the last
 // metrics scrape — the bridge from "this histogram's tail got ugly" to the
 // exact trace (and, via the audit log, request) that put it there.
 type tracesBody struct {
-	Started    uint64            `json:"traces_started"`
-	Finished   uint64            `json:"traces_finished"`
-	SampledOut uint64            `json:"traces_sampled_out"`
-	Count      int               `json:"count"`
-	Exemplars  []exemplarPayload `json:"exemplars,omitempty"`
-	Traces     []tracePayload    `json:"traces"`
+	Started   uint64            `json:"traces_started"`
+	Finished  uint64            `json:"traces_finished"`
+	Count     int               `json:"count"`
+	Exemplars []exemplarPayload `json:"exemplars,omitempty"`
+	Traces    []tracePayload    `json:"traces"`
 }
 
 // exemplarPayload is one histogram family's slowest-observation exemplar.
@@ -117,9 +116,9 @@ func TraceHandler(t *obs.Tracer) http.Handler {
 				SpanN: tr.SpanCount(), Spans: spansToPayload(tr.Spans),
 			}
 		}
-		started, finished, sampledOut := t.Stats()
+		started, finished := t.Stats()
 		writeJSON(w, http.StatusOK, tracesBody{
-			Started: started, Finished: finished, SampledOut: sampledOut,
+			Started: started, Finished: finished,
 			Count: len(out), Exemplars: exemplarsFromRegistry(obs.Default), Traces: out,
 		})
 	})

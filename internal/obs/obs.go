@@ -17,6 +17,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -337,39 +338,36 @@ func (r *Registry) family(name, help string, k kind, bounds []float64) *family {
 	return f
 }
 
-// labelSig builds the canonical key for a label set; labels are sorted so
-// the same set in any order names the same series.
-func labelSig(labels []Label) (string, []Label) {
-	if len(labels) == 0 {
-		return "", nil
-	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	for _, l := range sorted {
-		b.WriteString(l.Key)
-		b.WriteByte(0x1f)
-		b.WriteString(l.Value)
-		b.WriteByte(0x1e)
-	}
-	return b.String(), sorted
-}
-
+// get returns the series for a label set, creating it on first use. The
+// canonical key sorts the labels by key, so the same set in any order names
+// the same series. The key is built in stack buffers, and the compiler does
+// not copy a byte slice converted for a map index, so a lookup that finds
+// its series allocates nothing; that is why no caller caches handles. Only a
+// new series, or a label set too large for the buffers, touches the heap.
 func (f *family) get(labels []Label) *series {
-	sig, sorted := labelSig(labels)
+	var lbuf [8]Label
+	var sbuf [256]byte
+	sorted := append(lbuf[:0], labels...)
+	slices.SortStableFunc(sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	sig := sbuf[:0]
+	for _, l := range sorted {
+		sig = append(sig, l.Key...)
+		sig = append(sig, 0x1f)
+		sig = append(sig, l.Value...)
+		sig = append(sig, 0x1e)
+	}
 	f.mu.RLock()
-	s := f.series[sig]
+	s := f.series[string(sig)]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[sig]; s != nil {
+	if s = f.series[string(sig)]; s != nil {
 		return s
 	}
-	s = &series{labels: sorted}
+	s = &series{labels: append([]Label(nil), sorted...)}
 	switch f.kind {
 	case kindCounter:
 		s.c = &Counter{}
@@ -379,7 +377,7 @@ func (f *family) get(labels []Label) *series {
 		s.h = newHistogram(f.bounds)
 		s.h.ex = f.ex
 	}
-	f.series[sig] = s
+	f.series[string(sig)] = s
 	return s
 }
 

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,12 +34,61 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// TestLookupHitAllocatesNothing pins the property that lets every layer
+// resolve its series by name on every operation: a lookup that finds an
+// existing series allocates nothing.
+func TestLookupHitAllocatesNothing(t *testing.T) {
+	r, b := NewRegistry(), LatencyBuckets
+	for n, lookup := range map[string]func(){
+		"counter/0": func() { r.Counter("c", "").Inc() },
+		"counter/1": func() { r.Counter("c", "", L("op", "get")).Inc() },
+		"counter/2": func() { r.Counter("c", "", L("outcome", "ok"), L("op", "get")).Inc() },
+		"counter/3": func() { r.Counter("c", "", L("shard", "3"), L("op", "get"), L("outcome", "ok")).Inc() },
+		"gauge/0":   func() { r.Gauge("g", "").Set(1) },
+		"gauge/1":   func() { r.Gauge("g", "", L("cache", "dek")).Set(1) },
+		"gauge/2":   func() { r.Gauge("g", "", L("cache", "dek"), L("shard", "0")).Set(1) },
+		"gauge/3":   func() { r.Gauge("g", "", L("shard", "0"), L("cache", "dek"), L("kind", "x")).Set(1) },
+		"hist/0":    func() { r.Histogram("h", "", b).Observe(1) },
+		"hist/1":    func() { r.Histogram("h", "", b, L("span", "core.get")).Observe(1) },
+		"hist/2":    func() { r.Histogram("h", "", b, L("op", "get"), L("outcome", "ok")).Observe(1) },
+		"hist/3":    func() { r.Histogram("h", "", b, L("shard", "1"), L("op", "get"), L("outcome", "ok")).Observe(1) },
+	} {
+		lookup() // the miss that creates the series
+		if got := testing.AllocsPerRun(100, lookup); got != 0 {
+			t.Errorf("%s: a hit allocates %v times, want 0", n, got)
+		}
+	}
+}
+
+// TestLabelOrderIrrelevant checks that one label set in every order is one
+// handle and one series, including a set too large for the lookup's stack
+// buffers.
 func TestLabelOrderIrrelevant(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x", "", L("a", "1"), L("b", "2"))
-	b := r.Counter("x", "", L("b", "2"), L("a", "1"))
-	if a != b {
-		t.Error("label order changed series identity")
+	a := r.Counter("x_total", "", L("a", "1"), L("b", "2"), L("c", "3"))
+	for _, order := range [][]Label{
+		{L("c", "3"), L("a", "1"), L("b", "2")},
+		{L("b", "2"), L("c", "3"), L("a", "1")},
+	} {
+		if r.Counter("x_total", "", order...) != a {
+			t.Errorf("label order %v changed series identity", order)
+		}
+	}
+	var big []Label
+	for i := 0; i < 12; i++ {
+		big = append(big, L(fmt.Sprintf("k%02d", i), strings.Repeat("v", 40)))
+	}
+	h := r.Histogram("big_seconds", "", LatencyBuckets, big...)
+	reversed := slices.Clone(big)
+	slices.Reverse(reversed)
+	if r.Histogram("big_seconds", "", LatencyBuckets, reversed...) != h {
+		t.Error("a label set larger than the stack buffers resolved to another handle")
+	}
+	for _, f := range r.Snapshot() {
+		want := map[string]int{"x_total": 3, "big_seconds": 12}[f.Name]
+		if len(f.Series) != 1 || len(f.Series[0].Labels) != want {
+			t.Errorf("%s: %d series, want one with %d labels", f.Name, len(f.Series), want)
+		}
 	}
 }
 

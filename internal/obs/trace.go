@@ -8,12 +8,11 @@
 // record reference each other: a reviewer goes from "who touched record X"
 // to "what the system did, step by step, and how long each step took".
 //
-// Completed traces land in a bounded, lock-striped ring buffer. Traces at or
-// above the slow threshold are pinned in their own rings (fast traffic can
-// never evict the interesting outliers); fast traces are 1-in-N sampled.
-// Span durations also feed the shared metrics registry (medvault_span_seconds
-// by span name, medvault_trace_seconds by op), so /metrics and /debug/traces
-// agree about where time goes.
+// Completed traces land in a bounded ring buffer. Traces at or above the slow
+// threshold are pinned in a ring of their own, so fast traffic can never
+// evict the interesting outliers. Span durations also feed the shared metrics
+// registry (medvault_span_seconds by span name), so /metrics and
+// /debug/traces agree about where time goes.
 //
 // The zero cost path matters: StartSpan on a context without a trace returns
 // a nil *Span, and every Span method is nil-safe, so un-traced callers (the
@@ -25,20 +24,20 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Default tracing policy. Values chosen so a lightly loaded server retains
-// everything recent while a hammered one degrades to "all slow traces plus a
-// sample of the rest" without unbounded memory.
+// Default tracing policy: the most recent fast traces and the most recent
+// slow ones, in bounded memory.
 const (
 	DefaultTraceCapacity  = 512
 	DefaultSlowCapacity   = 128
 	DefaultSlowThreshold  = 25 * time.Millisecond
-	defaultTracerStripes  = 8
 	maxAcceptedTraceIDLen = 64
 )
 
@@ -82,34 +81,25 @@ type ctxVal struct {
 	parent *Span // nil means children attach at the trace root
 }
 
-// TracerConfig bounds and tunes a Tracer. Zero values select the defaults
-// above; SampleEvery 0 or 1 keeps every fast trace (still ring-bounded).
+// TracerConfig bounds a Tracer. Zero values select the defaults above.
 type TracerConfig struct {
-	Capacity      int           // total retained fast traces across stripes
-	SlowCapacity  int           // total pinned slow traces across stripes
+	Capacity      int           // retained fast traces
+	SlowCapacity  int           // pinned slow traces
 	SlowThreshold time.Duration // traces at/above this duration are pinned
-	SampleEvery   int           // keep 1 in N fast traces
-}
-
-// stripe is one shard of the ring buffer: independent lock, independent
-// rings, so concurrent request completions on different stripes never
-// contend.
-type stripe struct {
-	mu     sync.Mutex
-	recent []*Trace // sampled fast traces, ring
-	rPos   int
-	slow   []*Trace // pinned slow traces, ring
-	sPos   int
 }
 
 // Tracer creates traces, collects finished ones, and serves snapshots.
 // All methods are safe for concurrent use.
 type Tracer struct {
-	cfg     TracerConfig
-	stripes [defaultTracerStripes]stripe
-	n       atomic.Uint64 // finished-trace counter: stripe choice + sampling
-	started atomic.Uint64
-	dropped atomic.Uint64 // fast traces not retained by sampling
+	cfg      TracerConfig
+	started  atomic.Uint64
+	finished atomic.Uint64
+
+	mu     sync.Mutex // guards the two rings
+	recent []*Trace   // fast traces, ring of cfg.Capacity
+	rPos   int
+	slow   []*Trace // pinned slow traces, ring of cfg.SlowCapacity
+	sPos   int
 }
 
 // NewTracer returns a Tracer with cfg (zero fields take defaults).
@@ -122,9 +112,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	}
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 1
 	}
 	return &Tracer{cfg: cfg}
 }
@@ -176,8 +163,8 @@ func (t *Tracer) Start(ctx context.Context, op, id string) (context.Context, *Tr
 
 // Finish seals the trace — closing any spans left open (a cancelled or
 // panicking operation must not leak half-recorded spans), computing the
-// duration, feeding the span histograms — and retains it in the ring buffer
-// subject to the slow/sampling policy.
+// duration, feeding the span histograms — and retains it in the fast or the
+// slow ring.
 func (t *Tracer) Finish(tr *Trace, err error) {
 	if tr == nil {
 		return
@@ -197,35 +184,15 @@ func (t *Tracer) Finish(tr *Trace, err error) {
 	tr.finished = true
 	tr.mu.Unlock()
 
-	// Histograms observe every finished trace, sampled away or not, so the
-	// metrics view reflects real traffic, not retention policy.
-	Default.Histogram("medvault_trace_seconds",
-		"End-to-end traced operation latency by op.", LatencyBuckets,
-		L("op", tr.Op)).ObserveExemplar(tr.Dur.Seconds(), tr.ID)
 	observeSpans(tr.Spans, tr.ID)
-
-	n := t.n.Add(1)
-	if !tr.Slow && t.cfg.SampleEvery > 1 && n%uint64(t.cfg.SampleEvery) != 0 {
-		t.dropped.Add(1)
-		return
-	}
-	st := &t.stripes[n%defaultTracerStripes]
-	st.mu.Lock()
+	t.finished.Add(1)
+	t.mu.Lock()
 	if tr.Slow {
-		st.slow, st.sPos = ringPut(st.slow, st.sPos, perStripe(t.cfg.SlowCapacity), tr)
+		t.slow, t.sPos = ringPut(t.slow, t.sPos, t.cfg.SlowCapacity, tr)
 	} else {
-		st.recent, st.rPos = ringPut(st.recent, st.rPos, perStripe(t.cfg.Capacity), tr)
+		t.recent, t.rPos = ringPut(t.recent, t.rPos, t.cfg.Capacity, tr)
 	}
-	st.mu.Unlock()
-}
-
-// perStripe splits a total capacity across the stripes, at least one each.
-func perStripe(total int) int {
-	c := total / defaultTracerStripes
-	if c < 1 {
-		return 1
-	}
-	return c
+	t.mu.Unlock()
 }
 
 // ringPut appends tr to a bounded ring, growing until capacity then
@@ -340,7 +307,7 @@ func (s *Span) End(err error) {
 
 // TraceFilter selects traces for a snapshot. Zero values match everything.
 type TraceFilter struct {
-	Op     string        // substring match against Trace.Op
+	Op     string        // case-folded substring match against Trace.Op
 	MinDur time.Duration // only traces at least this long
 	Limit  int           // max traces returned (0 = all retained)
 }
@@ -349,22 +316,14 @@ type TraceFilter struct {
 // returned traces are finished and therefore immutable; callers may read
 // them freely.
 func (t *Tracer) Snapshot(f TraceFilter) []*Trace {
-	var out []*Trace
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		for _, tr := range st.recent {
-			out = append(out, tr)
-		}
-		for _, tr := range st.slow {
-			out = append(out, tr)
-		}
-		st.mu.Unlock()
-	}
+	t.mu.Lock()
+	out := append(slices.Clone(t.recent), t.slow...)
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
+	op := strings.ToLower(f.Op)
 	kept := out[:0]
 	for _, tr := range out {
-		if f.Op != "" && !containsFold(tr.Op, f.Op) {
+		if !strings.Contains(strings.ToLower(tr.Op), op) {
 			continue
 		}
 		if tr.Dur < f.MinDur {
@@ -378,10 +337,9 @@ func (t *Tracer) Snapshot(f TraceFilter) []*Trace {
 	return kept
 }
 
-// Stats reports tracer volume counters: traces started, finished, and fast
-// traces dropped by sampling.
-func (t *Tracer) Stats() (started, finished, sampledOut uint64) {
-	return t.started.Load(), t.n.Load(), t.dropped.Load()
+// Stats reports tracer volume counters: traces started and finished.
+func (t *Tracer) Stats() (started, finished uint64) {
+	return t.started.Load(), t.finished.Load()
 }
 
 // SpanCount returns the number of spans in the trace, all levels included.
@@ -394,34 +352,4 @@ func countSpans(spans []*Span) int {
 		n += countSpans(s.Children)
 	}
 	return n
-}
-
-// containsFold is a case-insensitive substring test without importing
-// strings' full machinery at every filter call.
-func containsFold(haystack, needle string) bool {
-	if len(needle) == 0 {
-		return true
-	}
-	if len(needle) > len(haystack) {
-		return false
-	}
-	lower := func(b byte) byte {
-		if b >= 'A' && b <= 'Z' {
-			return b + 'a' - 'A'
-		}
-		return b
-	}
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		ok := true
-		for j := 0; j < len(needle); j++ {
-			if lower(haystack[i+j]) != lower(needle[j]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }

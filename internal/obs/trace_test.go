@@ -119,47 +119,41 @@ func TestFinishClosesOrphanedSpans(t *testing.T) {
 	}
 }
 
+// TestRingEvictionBounds checks that the ring keeps exactly its configured
+// capacity, not a rounding of it.
 func TestRingEvictionBounds(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 16, SlowCapacity: 8, SlowThreshold: time.Hour})
-	for i := 0; i < 500; i++ {
-		_, trace := tr.Start(context.Background(), fmt.Sprintf("op-%d", i), "")
-		tr.Finish(trace, nil)
-	}
-	got := tr.Snapshot(TraceFilter{})
-	if len(got) > 16 {
-		t.Fatalf("retained %d traces, capacity 16", len(got))
-	}
-	if len(got) == 0 {
-		t.Fatal("ring retained nothing")
-	}
-	started, finished, _ := tr.Stats()
-	if started != 500 || finished != 500 {
-		t.Errorf("stats = (%d, %d), want (500, 500)", started, finished)
+	for _, capacity := range []int{5, 16, 20} {
+		tr := NewTracer(TracerConfig{Capacity: capacity, SlowCapacity: 8, SlowThreshold: time.Hour})
+		for i := 0; i < 100; i++ {
+			_, trace := tr.Start(context.Background(), fmt.Sprintf("op-%d", i), "")
+			tr.Finish(trace, nil)
+		}
+		got := tr.Snapshot(TraceFilter{})
+		if len(got) != capacity {
+			t.Errorf("Capacity %d: retained %d traces", capacity, len(got))
+		}
+		if started, finished := tr.Stats(); started != 100 || finished != 100 {
+			t.Errorf("stats = (%d, %d), want (100, 100)", started, finished)
+		}
 	}
 }
 
-func TestSlowTracesPinnedAndSampling(t *testing.T) {
-	// SampleEvery 1000 discards essentially all fast traces, but slow traces
-	// must survive regardless of sampling.
-	tr := NewTracer(TracerConfig{SampleEvery: 1000, SlowThreshold: time.Nanosecond})
+func TestSlowTracesPinned(t *testing.T) {
+	// A burst of fast traffic larger than the fast ring must not evict a
+	// slow trace: it is pinned in a ring of its own.
+	tr := NewTracer(TracerConfig{Capacity: 4, SlowCapacity: 2, SlowThreshold: 20 * time.Millisecond})
 	_, slow := tr.Start(context.Background(), "slow-op", "")
-	time.Sleep(time.Millisecond)
+	time.Sleep(25 * time.Millisecond)
 	tr.Finish(slow, nil)
-
-	fast := NewTracer(TracerConfig{SampleEvery: 1000, SlowThreshold: time.Hour})
 	for i := 0; i < 100; i++ {
-		_, trace := fast.Start(context.Background(), "fast-op", "")
-		fast.Finish(trace, nil)
+		_, trace := tr.Start(context.Background(), "fast-op", "")
+		tr.Finish(trace, nil)
 	}
-
 	if got := tr.Snapshot(TraceFilter{Op: "slow-op"}); len(got) != 1 || !got[0].Slow {
 		t.Errorf("slow trace not pinned: %v", got)
 	}
-	if got := fast.Snapshot(TraceFilter{}); len(got) > 1 {
-		t.Errorf("sampling retained %d fast traces, want <= 1", len(got))
-	}
-	if _, _, sampledOut := fast.Stats(); sampledOut < 90 {
-		t.Errorf("sampledOut = %d, want >= 90", sampledOut)
+	if got := tr.Snapshot(TraceFilter{Op: "fast-op"}); len(got) != 4 {
+		t.Errorf("fast ring holds %d traces, want 4", len(got))
 	}
 }
 
@@ -189,8 +183,8 @@ func TestSnapshotFilter(t *testing.T) {
 
 func TestTracerConcurrency(t *testing.T) {
 	// Hammer every tracer surface from many goroutines; run under -race this
-	// is the data-race check for the striped rings and span trees.
-	tr := NewTracer(TracerConfig{Capacity: 32, SlowCapacity: 8, SampleEvery: 3})
+	// is the data-race check for the rings and span trees.
+	tr := NewTracer(TracerConfig{Capacity: 32, SlowCapacity: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -219,7 +213,7 @@ func TestTracerConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	started, finished, _ := tr.Stats()
+	started, finished := tr.Stats()
 	if started != 1600 || finished != 1600 {
 		t.Errorf("stats = (%d, %d), want (1600, 1600)", started, finished)
 	}
@@ -240,7 +234,7 @@ func TestDoubleFinishAndDoubleEnd(t *testing.T) {
 	if trace.Err != "" {
 		t.Error("second Finish must be a no-op")
 	}
-	if _, finished, _ := tr.Stats(); finished != 1 {
+	if _, finished := tr.Stats(); finished != 1 {
 		t.Errorf("finished = %d, want 1", finished)
 	}
 }

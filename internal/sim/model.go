@@ -531,13 +531,14 @@ func (m *Model) releaseHold(s Step) outcome {
 
 // breakGlass mirrors Cluster.BreakGlassCtx.
 func (m *Model) breakGlass(s Step) outcome {
-	if s.Reason == "" {
+	d := time.Duration(s.Minutes) * time.Minute
+	if s.Reason == "" || d <= 0 || d > authz.MaxBreakGlass {
 		return fail(eInvalid)
 	}
 	if _, ok := m.staff[s.Actor]; !ok {
 		return fail(eInvalid)
 	}
-	m.grants[s.Actor] = m.now.Add(time.Duration(s.Minutes) * time.Minute)
+	m.grants[s.Actor] = m.now.Add(d)
 	m.append(auEvent{s.Actor, audit.ActionBreakGlass, "", 0, audit.OutcomeAllowed})
 	return outcome{kind: eOK}
 }

@@ -45,4 +45,18 @@ check "One replication session: no Session interface, Barrier, FeedStream, or fr
 	"$(grep -nE 'Barrier\(|FeedStream|\bSession[[:space:]]+interface\b' $repl
 	awk '/^func /{fn=$0} /frame\.Decode\(/ && fn !~ /^func readFrame\(/ {print FILENAME ":" FNR ": " $0}' $repl)"
 
+# A registry lookup that finds its series allocates nothing, so every layer
+# names its series at the call site and none keeps metric handles in a map of
+# its own. Handle structs resolved once at construction (lru.Metrics) are not
+# caches; a map of them is.
+gofiles=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/obs/*')
+handle='[*]obs[.](Counter|Gauge|Histogram)'
+holders=$(awk -v h="$handle" '/^type [A-Za-z_]+ struct/ {t=$2} /^}/ {t=""} t != "" && $0 ~ h {print t}' $gofiles | sort -u | paste -sd'|')
+check "One way to a series: no map or sync.Map of metric handles outside internal/obs" \
+	"$(grep -nE "map\[[^]]*\](struct\{.*)?$handle${holders:+|map\[[^]]*\][*]?([a-z]+[.])?($holders)\b}" $gofiles
+	grep -lE "$handle" $gofiles | xargs -r grep -nE 'sync[.]Map')"
+
+check "One way to a series: no trace sampling, tracer stripes, hand-rolled case folding or medvault_trace_seconds" \
+	"$(grep -nE 'SampleEvery|perStripe|containsFold|"medvault_trace_seconds"' $(find . -name '*.go' ! -name '*_test.go'))"
+
 exit $fail
