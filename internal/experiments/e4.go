@@ -18,13 +18,14 @@ import (
 //
 // Expected shape: both indexes answer in microseconds independent of corpus
 // size; the scan grows linearly; the plaintext index leaks every keyword;
-// the SSE index leaks none.
+// the SSE index leaks none; the SSE index's resident bytes per (document,
+// keyword) posting are flat in corpus size.
 func E4(sizes []int) (Table, error) {
 	t := Table{
 		ID:     "E4",
 		Title:  "Search: scan vs plaintext index vs SSE index",
 		Note:   "leak = fraction of condition keywords recoverable from the index's stored bytes.",
-		Header: []string{"n", "scan/op", "plain-idx/op", "sse-idx/op", "plain leak", "sse leak"},
+		Header: []string{"n", "scan/op", "plain-idx/op", "sse-idx/op", "plain leak", "sse leak", "resident B/posting"},
 	}
 	for _, n := range sizes {
 		recs := Corpus(n)
@@ -33,11 +34,17 @@ func E4(sizes []int) (Table, error) {
 			return Table{}, err
 		}
 		plain := index.NewPlaintext()
-		sse := index.NewSSE(master)
+		postings := 0
 		for _, r := range recs {
 			plain.Add(r.ID, r.SearchText())
+			postings += len(index.Tokenize(r.SearchText()))
+		}
+		before := heapAlloc()
+		sse := index.NewSSE(master)
+		for _, r := range recs {
 			sse.Add(r.ID, r.SearchText())
 		}
+		resident := float64(int64(heapAlloc())-int64(before)) / float64(max(postings, 1))
 		kw := ehr.CommonCondition()
 
 		// Full scan over the in-memory corpus (the decrypt cost is paid by
@@ -65,6 +72,7 @@ func E4(sizes []int) (Table, error) {
 			fmtDur(ssePer),
 			fmt.Sprintf("%d/%d", plainLeak, len(ehr.ConditionNames())),
 			fmt.Sprintf("%d/%d", sseLeak, len(ehr.ConditionNames())),
+			fmt.Sprintf("%.0f", resident),
 		})
 	}
 	return t, nil

@@ -25,36 +25,46 @@ func (p *Plaintext) Snapshot() ([]byte, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	b := binary.BigEndian.AppendUint16([]byte(ptMagic), ptVersion)
-	return appendDocs(b, p.docs), nil
+	return appendDocs(b, sortedKeys(p.docs),
+		func(id string) []string { return p.docs[id] },
+		func(w string) string { return w }), nil
 }
 
 // appendDocs appends the per-document term lists both snapshot formats
-// share: u32 nDocs { str id | u32 n | str term * n }, documents sorted by ID.
-func appendDocs(b []byte, docs map[string][]string) []byte {
-	b = frame.AppendCount(b, len(docs))
-	for _, id := range sortedKeys(docs) {
+// share: u32 nDocs { str id | u32 n | str term * n }, one document per ID of
+// ids (sorted), its terms listed by terms and written as spell renders them.
+func appendDocs[T any](b []byte, ids []string, terms func(id string) []T, spell func(T) string) []byte {
+	b = frame.AppendCount(b, len(ids))
+	for _, id := range ids {
 		b = frame.AppendStr(b, id)
-		b = frame.AppendCount(b, len(docs[id]))
-		for _, w := range docs[id] {
-			b = frame.AppendStr(b, w)
+		ts := terms(id)
+		b = frame.AppendCount(b, len(ts))
+		for _, t := range ts {
+			b = frame.AppendStr(b, spell(t))
 		}
 	}
 	return b
 }
 
 // readDocs is appendDocs' one decoder. Every count is checked against the
-// bytes that remain before it sizes anything.
-func readDocs(r *frame.Reader) map[string][]string {
-	docs := make(map[string][]string)
+// bytes that remain before it sizes anything. Each complete document is
+// handed to add as it is read, so a loader holds one term list at a time; a
+// short read stops the walk and is left for the caller's Done.
+func readDocs(r *frame.Reader, add func(id string, terms []string) error) error {
 	for i, n := 0, r.Count(8); i < n; i++ { // a doc is at least two length prefixes
 		id := r.Str()
 		terms := make([]string, r.Count(4))
 		for j := range terms {
 			terms[j] = r.Str()
 		}
-		docs[id] = terms
+		if r.Err() != nil {
+			break
+		}
+		if err := add(id, terms); err != nil {
+			return err
+		}
 	}
-	return docs
+	return nil
 }
 
 // readHeader consumes a snapshot's magic and version.
@@ -75,7 +85,10 @@ func LoadPlaintext(snap []byte) (*Plaintext, error) {
 		return nil, err
 	}
 	p := NewPlaintext()
-	p.docs = readDocs(r)
+	_ = readDocs(r, func(id string, words []string) error { // never fails: a repeated ID keeps its last list
+		p.docs[id] = words
+		return nil
+	})
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"reflect"
 	"testing"
 
 	"medvault/internal/vcrypto"
@@ -8,7 +9,8 @@ import (
 
 // FuzzLoadSSE throws arbitrary bytes at the encrypted-index loader: it must
 // reject garbage without panicking. (Valid snapshots require authenticated
-// decryption, so the fuzzer exercising the framing paths is the point.)
+// decryption, so the fuzzer exercising the framing paths is the point.) A
+// snapshot that loads must survive its own round trip unchanged.
 func FuzzLoadSSE(f *testing.F) {
 	master := vcrypto.DeriveKey(vcrypto.Key{}, "fuzz")
 	s := NewSSE(master)
@@ -25,9 +27,22 @@ func FuzzLoadSSE(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A snapshot that loads must behave like an index.
-		idx.Search("hypertension")
-		idx.Len()
+		again, err := idx.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := LoadSSE(master, again)
+		if err != nil {
+			t.Fatalf("re-snapshot of a loaded snapshot does not load: %v", err)
+		}
+		if re.Len() != idx.Len() {
+			t.Errorf("Len %d after round trip, %d before", re.Len(), idx.Len())
+		}
+		for _, kw := range []string{"hypertension", "asthma", "absent"} {
+			if got, want := re.Search(kw), idx.Search(kw); !reflect.DeepEqual(got, want) {
+				t.Errorf("Search(%q) = %v after round trip, %v before", kw, got, want)
+			}
+		}
 	})
 }
 

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -34,13 +36,35 @@ var (
 // Search cost is one HMAC plus a hash lookup, the same complexity class as
 // the plaintext index; the paper's required trade-off is a constant factor,
 // not an asymptotic penalty (experiment E4 measures it).
+//
+// In memory, terms and documents are numbered: a (document, keyword) pair
+// costs one uint32 in the term's posting list and one in the document's term
+// list. A document is numbered after every live one when it is added (a
+// correction renumbers it), so appending keeps each posting list ascending;
+// removal leaves a zero slot that compact reclaims once a fifth of the slots
+// are dead, so resident size follows the live documents, not their history.
 type SSE struct {
 	mu       sync.RWMutex
 	tokenKey vcrypto.Key
 	valueKey vcrypto.Key
-	postings map[string]map[string]bool // token(hex) -> set of doc IDs (in-memory only)
-	docs     map[string][]string        // doc ID -> its tokens (for secure deletion)
+	termNum  map[string]uint32 // raw token -> term number; shares terms[n].tok's bytes
+	terms    []term            // term number -> term; tok "" once its last document left
+	docNum   map[string]uint32 // doc ID -> doc number; shares docs[n].id's bytes
+	docs     []doc             // doc number -> document; zero once removed
 }
+
+type term struct {
+	tok  string   // the raw 32-byte HMAC token, held only here
+	docs []uint32 // ascending doc numbers
+}
+
+type doc struct {
+	id    string
+	terms []uint32 // term numbers, in Tokenize order
+}
+
+// token is a keyword's raw HMAC-SHA-256 search token.
+type token [32]byte
 
 var _ Index = (*SSE)(nil)
 
@@ -51,8 +75,8 @@ func NewSSE(master vcrypto.Key) *SSE {
 	return &SSE{
 		tokenKey: vcrypto.DeriveKey(master, "index/token"),
 		valueKey: vcrypto.DeriveKey(master, "index/value"),
-		postings: make(map[string]map[string]bool),
-		docs:     make(map[string][]string),
+		termNum:  make(map[string]uint32),
+		docNum:   make(map[string]uint32),
 	}
 }
 
@@ -60,30 +84,80 @@ func NewSSE(master vcrypto.Key) *SSE {
 // token key is immutable, so tokenization needs no lock — callers compute
 // tokens before entering the mutex, keeping the HMAC work (the dominant
 // per-keyword cost) out of the serialized section under concurrency.
-func (s *SSE) token(word string) string {
-	return hex.EncodeToString(vcrypto.MAC(s.tokenKey, []byte(word)))
+func (s *SSE) token(word string) token {
+	return token(vcrypto.MAC(s.tokenKey, []byte(word)))
+}
+
+// tokenHex is a token's snapshot spelling, 64 lowercase hex characters.
+// With parseTokenHex it is the index's only use of hex: in memory a token
+// is its raw bytes.
+func tokenHex(tok string) string { return hex.EncodeToString([]byte(tok)) }
+
+// parseTokenHex reads tokenHex's spelling back, and only that spelling.
+func parseTokenHex(s string) (tok token, ok bool) {
+	if len(s) != hex.EncodedLen(len(tok)) {
+		return tok, false
+	}
+	_, err := hex.Decode(tok[:], []byte(s))
+	return tok, err == nil && hex.EncodeToString(tok[:]) == s
 }
 
 // Add implements Index.
 func (s *SSE) Add(id, text string) {
 	defer metAddSeconds.ObserveSince(time.Now())
 	words := Tokenize(text)
-	toks := make([]string, 0, len(words))
-	for _, w := range words {
-		toks = append(toks, s.token(w))
+	toks := make([]token, len(words))
+	for i, w := range words {
+		toks[i] = s.token(w)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.removeLocked(id)
-	for _, tok := range toks {
-		set, ok := s.postings[tok]
+	s.addLocked(id, toks) // Tokenize deduplicates, so this cannot fail
+}
+
+// addLocked indexes id, which must not be live, under the next doc number.
+// It reports false if toks repeats a token, which Tokenize never does.
+func (s *SSE) addLocked(id string, toks []token) bool {
+	d := uint32(len(s.docs))
+	nums := make([]uint32, len(toks))
+	for i := range toks {
+		t, ok := s.termNum[string(toks[i][:])]
 		if !ok {
-			set = make(map[string]bool)
-			s.postings[tok] = set
+			t = uint32(len(s.terms))
+			tok := string(toks[i][:])
+			s.termNum[tok] = t
+			s.terms = append(s.terms, term{tok: tok})
 		}
-		set[id] = true
+		list := s.terms[t].docs
+		if len(list) > 0 && list[len(list)-1] == d {
+			return false
+		}
+		s.terms[t].docs = append(list, d)
+		nums[i] = t
 	}
-	s.docs[id] = toks
+	s.docNum[id] = d
+	s.docs = append(s.docs, doc{id: id, terms: nums})
+	return true
+}
+
+// lookup returns the posting list of a query token; nil when no live
+// document has it.
+func (s *SSE) lookup(tok token) []uint32 {
+	if t, ok := s.termNum[string(tok[:])]; ok {
+		return s.terms[t].docs
+	}
+	return nil
+}
+
+// idsLocked maps doc numbers to their IDs, sorted.
+func (s *SSE) idsLocked(nums []uint32) []string {
+	out := make([]string, len(nums))
+	for i, d := range nums {
+		out[i] = s.docs[d].id
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Search implements Index.
@@ -92,36 +166,56 @@ func (s *SSE) Search(keyword string) []string {
 	tok := s.token(NormalizeQuery(keyword))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := s.postings[tok]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return s.idsLocked(s.lookup(tok))
 }
 
 // SearchAll implements Index: conjunctive queries cost one HMAC per keyword
-// plus a set intersection, with the same leakage profile as single-keyword
-// search (the server learns which tokens co-occur in the query, nothing
-// lexical).
+// plus a merge of sorted posting lists, with the same leakage profile as
+// single-keyword search (the server learns which tokens co-occur in the
+// query, nothing lexical).
 func (s *SSE) SearchAll(keywords ...string) []string {
 	defer metSearchSeconds.ObserveSince(time.Now())
-	toks := make([]string, 0, len(keywords))
-	for _, kw := range keywords {
-		toks = append(toks, s.token(NormalizeQuery(kw)))
+	toks := make([]token, len(keywords))
+	for i, kw := range keywords {
+		toks[i] = s.token(NormalizeQuery(kw))
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sets := make([]map[string]bool, 0, len(toks))
-	for _, tok := range toks {
-		set := s.postings[tok]
-		if len(set) == 0 {
+	lists := make([][]uint32, len(toks))
+	for i, tok := range toks {
+		if lists[i] = s.lookup(tok); lists[i] == nil {
 			return nil
 		}
-		sets = append(sets, set)
 	}
-	return intersect(sets)
+	hits := intersectSorted(lists)
+	if len(hits) == 0 {
+		return nil
+	}
+	return s.idsLocked(hits)
+}
+
+// intersectSorted returns the numbers on every ascending list, ascending.
+// Starting from the shortest list bounds the work by the rarest keyword's
+// selectivity; each later list is searched from where the last hit was.
+func intersectSorted(lists [][]uint32) []uint32 {
+	if len(lists) == 0 {
+		return nil
+	}
+	slices.SortFunc(lists, func(a, b []uint32) int { return len(a) - len(b) })
+	out := slices.Clone(lists[0])
+	for _, list := range lists[1:] {
+		n := 0
+		for _, d := range out {
+			i, found := slices.BinarySearch(list, d)
+			list = list[i:]
+			if found {
+				out[n] = d
+				n++
+			}
+		}
+		out = out[:n]
+	}
+	return out
 }
 
 // AddCtx is Add recording an "index.add" span on the trace carried by ctx.
@@ -160,7 +254,7 @@ func (s *SSE) RemoveCtx(ctx context.Context, id string) {
 	sp.End(nil)
 }
 
-// Remove implements Index. Because the document's own token list is kept,
+// Remove implements Index. Because the document's own term list is kept,
 // deletion removes every posting without scanning the whole index — the
 // secure-deletion-from-inverted-index construction of the paper's ref [10].
 func (s *SSE) Remove(id string) {
@@ -169,23 +263,64 @@ func (s *SSE) Remove(id string) {
 	s.removeLocked(id)
 }
 
+// removeLocked drops id's number from each of its terms' posting lists, a
+// term whose list empties together with its token, and then id itself.
 func (s *SSE) removeLocked(id string) {
-	for _, tok := range s.docs[id] {
-		if set := s.postings[tok]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(s.postings, tok)
-			}
+	d, ok := s.docNum[id]
+	if !ok {
+		return
+	}
+	for _, t := range s.docs[d].terms {
+		tm := &s.terms[t]
+		i, _ := slices.BinarySearch(tm.docs, d)
+		if tm.docs = slices.Delete(tm.docs, i, i+1); len(tm.docs) == 0 {
+			delete(s.termNum, tm.tok)
+			*tm = term{}
 		}
 	}
-	delete(s.docs, id)
+	delete(s.docNum, id)
+	s.docs[d] = doc{}
+	if dead := len(s.docs) - len(s.docNum); dead > len(s.docNum)/4 {
+		s.compactLocked()
+	}
+}
+
+// compactLocked renumbers the live terms and documents densely, keeping
+// their order (so posting lists stay ascending), into tables and maps sized
+// by what is live. Its O(postings) cost is paid once per live/5 removals.
+func (s *SSE) compactLocked() {
+	terms, docs, docNum := s.terms, s.docs, s.docNum
+	renum := make([]uint32, len(terms))
+	s.terms = make([]term, 0, len(s.termNum))
+	s.termNum = make(map[string]uint32, len(s.termNum))
+	for t, tm := range terms {
+		if tm.tok != "" {
+			renum[t] = uint32(len(s.terms))
+			s.termNum[tm.tok] = renum[t]
+			s.terms = append(s.terms, term{tok: tm.tok, docs: make([]uint32, 0, len(tm.docs))})
+		}
+	}
+	s.docs = make([]doc, 0, len(docNum))
+	s.docNum = make(map[string]uint32, len(docNum))
+	for i, dc := range docs {
+		if n, ok := docNum[dc.id]; !ok || n != uint32(i) {
+			continue
+		}
+		d := uint32(len(s.docs))
+		for j, t := range dc.terms {
+			dc.terms[j] = renum[t]
+			s.terms[renum[t]].docs = append(s.terms[renum[t]].docs, d)
+		}
+		s.docNum[dc.id] = d
+		s.docs = append(s.docs, dc)
+	}
 }
 
 // Len implements Index.
 func (s *SSE) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.docs)
+	return len(s.docNum)
 }
 
 // Snapshot implements Index. Layout:
@@ -194,31 +329,42 @@ func (s *SSE) Len() int {
 //	  { str token | sealed postings }*     sealed under valueKey, aad=token
 //	sealed docs table                       aad="docs"
 //
-// where a sealed postings blob decrypts to str* doc IDs, and the docs table
-// decrypts to { str docID | u32 n | str token * n }*.
+// where tokens are tokenHex spellings in ascending order, a sealed postings
+// blob decrypts to u32 n | str docID * n (sorted), and the docs table to
+// { str docID | u32 n | str token * n }* (sorted by ID, terms in Tokenize
+// order).
 func (s *SSE) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b := binary.BigEndian.AppendUint16([]byte(sseMagic), sseVersion)
-	b = frame.AppendCount(b, len(s.postings))
-	for _, tok := range sortedKeys(s.postings) {
-		b = frame.AppendStr(b, tok)
-		ids := sortedKeys(s.postings[tok])
-		plain := frame.AppendCount(nil, len(ids))
-		for _, id := range ids {
-			plain = frame.AppendStr(plain, id)
-		}
-		sealed, err := vcrypto.Seal(s.valueKey, plain, []byte(tok))
+	b = frame.AppendCount(b, len(s.termNum))
+	for _, tok := range sortedKeys(s.termNum) { // raw byte order is hex order
+		spelled := tokenHex(tok)
+		b = frame.AppendStr(b, spelled)
+		sealed, err := vcrypto.Seal(s.valueKey, s.postingsLocked(s.termNum[tok]), []byte(spelled))
 		if err != nil {
 			return nil, fmt.Errorf("index: sealing postings: %w", err)
 		}
 		b = frame.AppendBytes(b, sealed)
 	}
-	sealedDocs, err := vcrypto.Seal(s.valueKey, appendDocs(nil, s.docs), []byte("docs"))
+	docs := appendDocs(nil, sortedKeys(s.docNum),
+		func(id string) []uint32 { return s.docs[s.docNum[id]].terms },
+		func(t uint32) string { return tokenHex(s.terms[t].tok) })
+	sealedDocs, err := vcrypto.Seal(s.valueKey, docs, []byte("docs"))
 	if err != nil {
 		return nil, fmt.Errorf("index: sealing docs table: %w", err)
 	}
 	return frame.AppendBytes(b, sealedDocs), nil
+}
+
+// postingsLocked is the plaintext of term t's sealed postings blob.
+func (s *SSE) postingsLocked(t uint32) []byte {
+	ids := s.idsLocked(s.terms[t].docs)
+	b := frame.AppendCount(nil, len(ids))
+	for _, id := range ids {
+		b = frame.AppendStr(b, id)
+	}
+	return b
 }
 
 const (
@@ -228,31 +374,17 @@ const (
 
 // LoadSSE reconstructs an SSE index from a snapshot using the same master
 // key it was built with. Tampered snapshots fail authenticated decryption.
+//
+// The docs table is what Remove walks, so the index is built from it, and
+// the postings section must then say exactly what the table implies: a
+// posting the table lacks would survive its document's secure deletion.
+// A malformed token, a repeated token or doc ID, or any disagreement between
+// the two halves is ErrCorrupt.
 func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
 	s := NewSSE(master)
 	r := frame.NewReader(snap)
-	if err := readHeader(r, sseMagic, sseVersion); err != nil {
+	if err := readPostings(r, nil); err != nil {
 		return nil, err
-	}
-	for i, n := 0, r.Count(8); i < n; i++ { // token and sealed blob: two length prefixes
-		tok, sealed := r.Str(), r.Bytes()
-		if r.Err() != nil {
-			break // reported by Done below, not as a decryption failure of a zero blob
-		}
-		plain, err := vcrypto.Open(s.valueKey, sealed, []byte(tok))
-		if err != nil {
-			return nil, fmt.Errorf("index: opening postings for token %.8s…: %w", tok, err)
-		}
-		pr := frame.NewReader(plain)
-		nIDs := pr.Count(4)
-		set := make(map[string]bool, nIDs)
-		for j := 0; j < nIDs; j++ {
-			set[pr.Str()] = true
-		}
-		if err := pr.Done(); err != nil {
-			return nil, fmt.Errorf("%w: postings: %v", ErrCorrupt, err)
-		}
-		s.postings[tok] = set
 	}
 	sealedDocs := r.Bytes()
 	if err := r.Done(); err != nil {
@@ -263,11 +395,72 @@ func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
 		return nil, fmt.Errorf("index: opening docs table: %w", err)
 	}
 	dr := frame.NewReader(docsPlain)
-	s.docs = readDocs(dr)
+	err = readDocs(dr, func(id string, spelled []string) error {
+		if _, dup := s.docNum[id]; dup {
+			return fmt.Errorf("%w: docs table: doc ID repeated", ErrCorrupt)
+		}
+		toks := make([]token, len(spelled))
+		for i, sp := range spelled {
+			var ok bool
+			if toks[i], ok = parseTokenHex(sp); !ok {
+				return fmt.Errorf("%w: docs table: malformed token", ErrCorrupt)
+			}
+		}
+		if !s.addLocked(id, toks) {
+			return fmt.Errorf("%w: docs table: token repeated within a document", ErrCorrupt)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	if err := dr.Done(); err != nil {
 		return nil, fmt.Errorf("%w: docs table: %v", ErrCorrupt, err)
 	}
+	checked := make([]bool, len(s.terms))
+	err = readPostings(frame.NewReader(snap), func(spelled string, sealed []byte) error {
+		tok, ok := parseTokenHex(spelled)
+		if !ok {
+			return fmt.Errorf("%w: postings: malformed token", ErrCorrupt)
+		}
+		plain, err := vcrypto.Open(s.valueKey, sealed, []byte(spelled))
+		if err != nil {
+			return fmt.Errorf("index: opening postings for token %.8s…: %w", spelled, err)
+		}
+		t, ok := s.termNum[string(tok[:])]
+		if !ok || checked[t] || !bytes.Equal(plain, s.postingsLocked(t)) {
+			return fmt.Errorf("%w: postings for token %.8s… are not what the docs table implies", ErrCorrupt, spelled)
+		}
+		checked[t] = true
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if slices.Contains(checked, false) {
+		return nil, fmt.Errorf("%w: postings lack a token the docs table has", ErrCorrupt)
+	}
 	return s, nil
+}
+
+// readPostings consumes the header and the postings section, handing each
+// entry to each (nil: skip it). A short read is left for the caller's Done.
+func readPostings(r *frame.Reader, each func(spelled string, sealed []byte) error) error {
+	if err := readHeader(r, sseMagic, sseVersion); err != nil {
+		return err
+	}
+	for i, n := 0, r.Count(8); i < n; i++ { // token and sealed blob: two length prefixes
+		spelled, sealed := r.Str(), r.Bytes()
+		if r.Err() != nil {
+			break
+		}
+		if each != nil {
+			if err := each(spelled, sealed); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // StorageBytes implements Index.

@@ -59,4 +59,11 @@ check "One way to a series: no map or sync.Map of metric handles outside interna
 check "One way to a series: no trace sampling, tracer stripes, hand-rolled case folding or medvault_trace_seconds" \
 	"$(grep -nE 'SampleEvery|perStripe|containsFold|"medvault_trace_seconds"' $(find . -name '*.go' ! -name '*_test.go'))"
 
+# The SSE index holds each token once as raw bytes, and documents and terms
+# by number; 64-character hex is only the snapshot's spelling of a token.
+sse=internal/index/sse.go
+check "Compact SSE index: no hex-keyed posting sets or []string token lists, and hex only in tokenHex/parseTokenHex, in $sse" \
+	"$(grep -HnE 'map\[string\]map\[string\]bool|\[\]string' $sse | grep -iE 'map\[string\]map|tok'
+	awk '/^func /{fn=$0} /hex\.[A-Z]/ && fn !~ /^func (tokenHex|parseTokenHex)\(/ {print FILENAME ":" FNR ": " $0}' $sse)"
+
 exit $fail
