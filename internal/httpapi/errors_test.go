@@ -225,6 +225,54 @@ func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	}
 }
 
+// TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer: the custody route and
+// /verify read chains from the medium, so with one byte of a written custody
+// frame flipped the route answers 500 with an error body — never 200 with the
+// events that still read — and /verify reports an integrity failure.
+func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
+	master, err := vcrypto.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := faultfs.NewMem()
+	v, err := core.Open(core.Config{Name: "api-test", Master: master, Clock: clock.NewVirtual(epoch), Dir: "vault", FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	provisionPersonas(t, v)
+	ts := httptest.NewServer(New(v))
+	t.Cleanup(ts.Close)
+
+	if code := do(t, ts, "POST", "/records", "dr-house", sampleRecord("p1"), nil); code != http.StatusCreated {
+		t.Fatalf("POST /records = %d", code)
+	}
+	var chain []custodyPayload
+	if code := do(t, ts, "GET", "/records/p1/custody", "officer-kim", nil, &chain); code != http.StatusOK || len(chain) != 1 {
+		t.Fatalf("clean custody = %d with %d events, want 200 with 1", code, len(chain))
+	}
+
+	// The create of p1 is the custody store's first frame; flip a byte inside it.
+	const seg = "vault/prov/seg-00000000.blk"
+	raw, err := mem.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[40] ^= 0x01
+	if err := mem.WriteFile(seg, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	var body errorBody
+	if code := do(t, ts, "GET", "/records/p1/custody", "officer-kim", nil, &body); code != http.StatusInternalServerError || body.Error == "" {
+		t.Errorf("GET /records/p1/custody over a corrupt custody frame = %d %+v, want 500 with an error body", code, body)
+	}
+	var verdict map[string]any
+	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict || verdict["status"] != "INTEGRITY FAILURE" {
+		t.Errorf("POST /verify over a corrupt custody frame = %d %v, want 409 INTEGRITY FAILURE", code, verdict)
+	}
+}
+
 // TestEveryOutcomeHasAStatus: every label core.Outcome can return answers a
 // status, and only a node failure or an outage is a 5xx — a refusal the
 // vault's policy decides (denial, retention, legal hold) is the request's

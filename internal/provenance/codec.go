@@ -17,8 +17,8 @@ const codecVersion = 1
 
 // EncodeEvent serializes a custody event for storage and for transfer
 // between systems (migration bundles, backups). The encoding is
-// self-contained: DecodeEvent plus verifyLink recovers and re-validates the
-// event on the other side.
+// self-contained: DecodeEvent plus checkLink and checkSignature recover and
+// re-validate the event on the other side.
 func EncodeEvent(e Event) []byte {
 	b := make([]byte, 0, 192+len(e.Record)+len(e.Actor)+len(e.System)+len(e.Peer)+len(e.SignerKey)+len(e.Signature))
 	b = binary.BigEndian.AppendUint16(b, codecVersion)

@@ -10,12 +10,20 @@
 // predecessor, and is signed by the system that performed the action — so a
 // record arriving from a migration carries a verifiable history spanning
 // systems, signed by each custodian in turn.
+//
+// Events live only in the append-only blockstore. In RAM the tracker keeps,
+// per record, each event's blockstore.Ref and the chain's head hash. Open and
+// Adopt check every link and signature as events enter; Chain reads the
+// events back and checks their links and that they end in the head, and
+// Verify adds one signature check per event, so what both vouch for is the
+// bytes on the medium, not a copy of them.
 package provenance
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,7 +95,28 @@ type Tracker struct {
 	signer *vcrypto.Signer
 	system string
 	now    func() time.Time
-	chains map[string][]Event
+	chains map[string]*chainRefs
+}
+
+// chainRefs is all a record's custody chain keeps in RAM: where each event
+// lives on the medium and the hash of the last one. The head's event was
+// signature-checked when it entered the tracker, and every event hash covers
+// its predecessor's, so a chain read back from the medium that links up and
+// ends in head is the chain that was signed. It is held by pointer so that
+// extending a chain never re-assigns the map entry, which would swap in the
+// caller's key string.
+type chainRefs struct {
+	head [32]byte
+	refs []blockstore.Ref
+}
+
+// next returns the index and predecessor hash the chain's next event must
+// carry; a nil chain is one with no events yet.
+func (c *chainRefs) next() (uint64, [32]byte) {
+	if c == nil {
+		return 0, [32]byte{}
+	}
+	return uint64(len(c.refs)), c.head
 }
 
 // Config configures a Tracker.
@@ -98,8 +127,8 @@ type Config struct {
 	Now    func() time.Time // nil means time.Now
 }
 
-// Open creates a Tracker, replaying persisted custody events. Chains are
-// verified on load; a tampered chain prevents opening.
+// Open creates a Tracker, replaying persisted custody events. Every link and
+// every signature is verified on load; a tampered chain prevents opening.
 func Open(cfg Config) (*Tracker, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("provenance: Config.Store is required")
@@ -116,17 +145,21 @@ func Open(cfg Config) (*Tracker, error) {
 		signer: cfg.Signer,
 		system: cfg.System,
 		now:    now,
-		chains: make(map[string][]Event),
+		chains: make(map[string]*chainRefs),
 	}
-	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
+	err := cfg.Store.Scan(func(ref blockstore.Ref, data []byte) error {
 		e, err := DecodeEvent(data)
 		if err != nil {
 			return err
 		}
-		if err := verifyLink(tr.chains[e.Record], e); err != nil {
+		index, prev := tr.chains[e.Record].next()
+		if err := checkLink(e, e.Record, index, prev); err != nil {
 			return err
 		}
-		tr.chains[e.Record] = append(tr.chains[e.Record], e)
+		if err := checkSignature(e); err != nil {
+			return err
+		}
+		tr.extend(e.Record, ref, e.Hash)
 		return nil
 	})
 	if err != nil {
@@ -135,104 +168,165 @@ func Open(cfg Config) (*Tracker, error) {
 	return tr, nil
 }
 
+// extend records that id's next event lives at ref and hashes to hash. The
+// caller holds tr.mu exclusively (or, in Open, is the only holder of tr).
+func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
+	c := tr.chains[id]
+	if c == nil {
+		c = new(chainRefs)
+		tr.chains[strings.Clone(id)] = c
+	}
+	c.refs = append(c.refs, ref)
+	c.head = hash
+}
+
 // Record appends a custody event for record id performed by actor, with the
 // record content hash at this moment. peer names the counterpart system for
 // migration events. The completed, signed event is returned.
 func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [32]byte, peer string) (Event, error) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	chain := tr.chains[id]
+	index, prev := tr.chains[id].next()
 	e := Event{
 		Record:      id,
-		Index:       uint64(len(chain)),
+		Index:       index,
 		Type:        typ,
 		Timestamp:   tr.now().UTC(),
 		Actor:       actor,
 		System:      tr.system,
 		Peer:        peer,
 		ContentHash: contentHash,
-	}
-	if len(chain) > 0 {
-		e.PrevHash = chain[len(chain)-1].Hash
+		PrevHash:    prev,
 	}
 	e.Hash = eventHash(e)
 	e.SignerKey = tr.signer.Public()
 	e.Signature = tr.signer.Sign(e.Hash[:])
-	if _, err := tr.store.Append(EncodeEvent(e)); err != nil {
+	ref, err := tr.store.Append(EncodeEvent(e))
+	if err != nil {
 		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
-	tr.chains[id] = append(chain, e)
+	tr.extend(id, ref, e.Hash)
 	return e, nil
 }
 
 // Adopt appends externally produced custody events (e.g. the history that
 // accompanies a migrated record) to this tracker, verifying each link and
 // signature. The adopted history must either start a new chain or extend the
-// record's existing one.
+// record's existing one. The whole batch is checked before any event is
+// persisted, so a rejected history leaves nothing behind and a corrected one
+// can be adopted in its place.
 func (tr *Tracker) Adopt(events []Event) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	type tip struct {
+		index uint64
+		prev  [32]byte
+	}
+	tips := make(map[string]tip)
 	for _, e := range events {
-		if err := verifyLink(tr.chains[e.Record], e); err != nil {
+		t, ok := tips[e.Record]
+		if !ok {
+			t.index, t.prev = tr.chains[e.Record].next()
+		}
+		if err := checkLink(e, e.Record, t.index, t.prev); err != nil {
 			return err
 		}
-		if _, err := tr.store.Append(EncodeEvent(e)); err != nil {
+		if err := checkSignature(e); err != nil {
+			return err
+		}
+		tips[e.Record] = tip{t.index + 1, e.Hash}
+	}
+	for _, e := range events {
+		ref, err := tr.store.Append(EncodeEvent(e))
+		if err != nil {
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
-		tr.chains[e.Record] = append(tr.chains[e.Record], e)
+		tr.extend(e.Record, ref, e.Hash)
 	}
 	return nil
 }
 
-// verifyLink validates e as the next link after chain.
-func verifyLink(chain []Event, e Event) error {
-	if e.Index != uint64(len(chain)) {
-		return fmt.Errorf("%w: record %s: index %d, want %d", ErrChainBroken, e.Record, e.Index, len(chain))
+// checkLink validates e as event index of record id's chain, following the
+// event that hashed to prev: record, position, hash link, and content hash.
+func checkLink(e Event, id string, index uint64, prev [32]byte) error {
+	if e.Record != id {
+		return fmt.Errorf("%w: record %s: event %d belongs to record %s", ErrChainBroken, id, index, e.Record)
 	}
-	var wantPrev [32]byte
-	if len(chain) > 0 {
-		wantPrev = chain[len(chain)-1].Hash
+	if e.Index != index {
+		return fmt.Errorf("%w: record %s: index %d, want %d", ErrChainBroken, id, e.Index, index)
 	}
-	if e.PrevHash != wantPrev {
-		return fmt.Errorf("%w: record %s: prev-hash mismatch at index %d", ErrChainBroken, e.Record, e.Index)
+	if e.PrevHash != prev {
+		return fmt.Errorf("%w: record %s: prev-hash mismatch at index %d", ErrChainBroken, id, index)
 	}
 	if eventHash(e) != e.Hash {
-		return fmt.Errorf("%w: record %s: content hash mismatch at index %d", ErrChainBroken, e.Record, e.Index)
+		return fmt.Errorf("%w: record %s: content hash mismatch at index %d", ErrChainBroken, id, index)
 	}
+	return nil
+}
+
+// checkSignature validates e's custodian signature over its hash.
+func checkSignature(e Event) error {
 	if err := e.SignerKey.Verify(e.Hash[:], e.Signature); err != nil {
 		return fmt.Errorf("%w: record %s index %d: %v", ErrBadSignature, e.Record, e.Index, err)
 	}
 	return nil
 }
 
-// Chain returns a copy of the custody chain for id in order.
+// Chain returns the custody chain for id in order, as of the call. It reads,
+// decodes and link-checks each event from the medium outside the tracker
+// lock, and requires the last to hash to the chain's resident head; a read,
+// decode, link or head failure is an error wrapping ErrChainBroken, never a
+// shorter chain.
 func (tr *Tracker) Chain(id string) ([]Event, error) {
 	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	chain, ok := tr.chains[id]
-	if !ok {
+	c := tr.chains[id]
+	var refs []blockstore.Ref
+	var head [32]byte
+	if c != nil {
+		refs, head = c.refs, c.head
+	}
+	tr.mu.RUnlock()
+	if c == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRecord, id)
 	}
-	return append([]Event(nil), chain...), nil
+	chain := make([]Event, len(refs))
+	var prev [32]byte
+	for i, ref := range refs {
+		data, err := tr.store.Read(ref)
+		var e Event
+		if err == nil {
+			e, err = DecodeEvent(data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %s: reading event %d: %w", ErrChainBroken, id, i, err)
+		}
+		if err := checkLink(e, id, uint64(i), prev); err != nil {
+			return nil, err
+		}
+		chain[i], prev = e, e.Hash
+	}
+	if prev != head {
+		return nil, fmt.Errorf("%w: record %s: medium ends in a different event than the tracker's head", ErrChainBroken, id)
+	}
+	return chain, nil
 }
 
-// Verify re-validates the full custody chain for id: linkage, hashes, and
-// every custodian signature. trusted, when non-nil, restricts acceptable
-// signers; an empty map accepts any internally consistent signer.
+// Verify re-validates the full custody chain for id as the medium holds it:
+// linkage, hashes, and every custodian signature. trusted, when non-nil,
+// restricts acceptable signers; an empty map accepts any internally
+// consistent signer.
 func (tr *Tracker) Verify(id string, trusted map[string]bool) error {
 	chain, err := tr.Chain(id)
 	if err != nil {
 		return err
 	}
-	var prefix []Event
 	for _, e := range chain {
-		if err := verifyLink(prefix, e); err != nil {
+		if err := checkSignature(e); err != nil {
 			return err
 		}
 		if trusted != nil && !trusted[e.SignerKey.String()] {
 			return fmt.Errorf("%w: record %s index %d signed by untrusted key %s", ErrBadSignature, id, e.Index, e.SignerKey)
 		}
-		prefix = append(prefix, e)
 	}
 	return nil
 }
@@ -252,17 +346,6 @@ func (tr *Tracker) VerifyAll(trusted map[string]bool) (int, error) {
 		}
 	}
 	return len(ids), nil
-}
-
-// Records returns the IDs that have custody chains.
-func (tr *Tracker) Records() []string {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	out := make([]string, 0, len(tr.chains))
-	for id := range tr.chains {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Custodians returns, in order of first appearance, the systems that have

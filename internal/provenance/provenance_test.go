@@ -2,6 +2,9 @@ package provenance
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,8 +74,8 @@ func TestChainsAreIndependentPerRecord(t *testing.T) {
 	if chainB[0].Index != 0 {
 		t.Error("record b chain did not start at index 0")
 	}
-	if len(tr.Records()) != 2 {
-		t.Errorf("Records() = %v", tr.Records())
+	if n, err := tr.VerifyAll(nil); n != 2 || err != nil {
+		t.Errorf("VerifyAll = %d, %v; want 2 chains", n, err)
 	}
 }
 
@@ -270,5 +273,179 @@ func TestInjectedClock(t *testing.T) {
 	}
 	if !e.Timestamp.Equal(fixed) {
 		t.Errorf("timestamp = %v, want %v", e.Timestamp, fixed)
+	}
+}
+
+// TestAdoptIsAllOrNothing: a history rejected at its second event leaves no
+// trace of its first, so the corrected history can be adopted afterwards.
+func TestAdoptIsAllOrNothing(t *testing.T) {
+	source, _ := newTracker(t, "a", nil)
+	h := vcrypto.Hash([]byte("x"))
+	source.Record("p1", EventCreated, "dr", h, "")
+	source.Record("p1", EventCorrected, "dr", h, "")
+	history, err := source.Chain("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]Event(nil), history...)
+	forged[1].Actor = "someone-else"
+
+	store := blockstore.NewMemory(0)
+	target, _ := newTracker(t, "b", store)
+	if err := target.Adopt(forged); !errors.Is(err, ErrChainBroken) {
+		t.Fatalf("Adopt(e0, forged e1) = %v, want ErrChainBroken", err)
+	}
+	if _, err := target.Chain("p1"); !errors.Is(err, ErrUnknownRecord) {
+		t.Errorf("Chain after a rejected Adopt = %v, want ErrUnknownRecord", err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Errorf("a rejected Adopt left %d events on the medium", n)
+	}
+	if err := target.Adopt(history); err != nil {
+		t.Fatalf("Adopt of the corrected history: %v", err)
+	}
+	if err := target.Verify("p1", nil); err != nil {
+		t.Errorf("Verify after Adopt: %v", err)
+	}
+}
+
+// TestRechainedForgeryIsAnError: an insider with write access to the medium
+// but not the signing key rewrites a chain's events under valid frame CRCs,
+// with every event hash recomputed so the rewritten chain links. The chain no
+// longer ends in the head the tracker signed, so reading it is an error —
+// not the forged history.
+func TestRechainedForgeryIsAnError(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	tr, _ := newTracker(t, "sys", store)
+	h := vcrypto.Hash([]byte("v"))
+	tr.Record("p1", EventCreated, "dr", h, "")
+	tr.Record("p1", EventCorrected, "dr", h, "")
+
+	var refs []blockstore.Ref
+	var events []Event
+	store.Scan(func(ref blockstore.Ref, data []byte) error {
+		e, err := DecodeEvent(data)
+		refs, events = append(refs, ref), append(events, e)
+		return err
+	})
+	events[0].Actor = "xx" // same length: an in-place edit
+	events[0].Hash = eventHash(events[0])
+	events[1].PrevHash = events[0].Hash
+	events[1].Hash = eventHash(events[1])
+	for i, e := range events {
+		if err := store.CorruptFrame(refs[i], func([]byte) []byte { return EncodeEvent(e) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if chain, err := tr.Chain("p1"); !errors.Is(err, ErrChainBroken) || chain != nil {
+		t.Errorf("Chain over a re-chained forgery: %d events, %v; want none, ErrChainBroken", len(chain), err)
+	}
+	if err := tr.Verify("p1", nil); !errors.Is(err, ErrChainBroken) {
+		t.Errorf("Verify over a re-chained forgery: %v, want ErrChainBroken", err)
+	}
+}
+
+// TestCustodyResidentBytesPerEvent is the budget the tracker's RAM must stay
+// inside: it keeps a ref per event and a head per record, never the event.
+func TestCustodyResidentBytesPerEvent(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	types := []EventType{EventCreated, EventCorrected, EventBackedUp, EventCorrected, EventShredded}
+	for _, tc := range []struct {
+		records, perRecord int
+		budget             float64
+	}{
+		{10_000, 5, 64},
+		{40_000, 1, 160},
+	} {
+		store, err := blockstore.OpenFile(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := heap()
+		tr, _ := newTracker(t, "sys", store)
+		for j := 0; j < tc.perRecord; j++ {
+			for i := 0; i < tc.records; i++ {
+				id := fmt.Sprintf("w0-mrn-%06d-enc-%d", i/4, i%4)
+				if _, err := tr.Record(id, types[j], "dr-house", [32]byte{byte(i)}, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		grown := int64(heap()) - int64(before)
+		runtime.KeepAlive(tr)
+		events := tc.records * tc.perRecord
+		per := float64(grown) / float64(events)
+		t.Logf("%d records × %d events: %.1f B/event resident", tc.records, tc.perRecord, per)
+		if per > tc.budget {
+			t.Errorf("%d records × %d events: tracker keeps %.1f B/event resident, budget is %.0f", tc.records, tc.perRecord, per, tc.budget)
+		}
+		store.Close()
+	}
+}
+
+// TestConcurrentRecordChainVerify is for the race detector: readers snapshot
+// a chain's refs under the tracker lock and read the medium outside it while
+// writers extend the same chains.
+func TestConcurrentRecordChainVerify(t *testing.T) {
+	tr, _ := newTracker(t, "sys", blockstore.NewMemory(8<<10))
+	const writers, events = 2, 100
+	ids := []string{"rec-0", "rec-1", "rec-2"}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				if _, err := tr.Record(ids[(w+i)%len(ids)], EventCorrected, fmt.Sprintf("dr-%d", w), [32]byte{}, ""); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, id := range ids {
+		readers.Add(1)
+		go func(id string) {
+			defer readers.Done()
+			for {
+				chain, err := tr.Chain(id)
+				if err != nil && !errors.Is(err, ErrUnknownRecord) {
+					t.Errorf("Chain(%s): %v", id, err)
+					return
+				}
+				for i, e := range chain {
+					if e.Index != uint64(i) {
+						t.Errorf("Chain(%s): index %d at position %d", id, e.Index, i)
+						return
+					}
+				}
+				if err == nil {
+					if err := tr.Verify(id, nil); err != nil {
+						t.Errorf("Verify(%s): %v", id, err)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if n, err := tr.VerifyAll(nil); err != nil || n != len(ids) {
+		t.Errorf("final VerifyAll: %d, %v; want %d, nil", n, err, len(ids))
 	}
 }

@@ -26,6 +26,9 @@ check "One LRU: internal/lru is the only importer of container/list" \
 check "Audit log out of RAM: internal/audit holds no []Event field" \
 	"$(grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+(\[\]|map\[[^]]*\]\*?\[\])Event\b' internal/audit/*.go | grep -v '_test\.go:')"
 
+check "Custody out of RAM: internal/provenance holds no []Event field" \
+	"$(grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+(\[\]|map\[[^]]*\]\*?\[\])Event\b' internal/provenance/*.go | grep -v '_test\.go:')"
+
 check "Audit log out of RAM: internal/core never asks the log for everything" \
 	"$(grep -nE 'Search\(audit\.Query\{\}\)' internal/core/*.go | grep -v '_test\.go:')"
 
