@@ -155,7 +155,7 @@ func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
 	st, err := v.stateFor(id)
 	var ref blockstore.Ref
 	if err == nil {
-		ref = st.versions[len(st.versions)-1].Ref
+		ref = st.at(st.count()).ref()
 	}
 	mu.RUnlock()
 	if err != nil {
@@ -173,10 +173,10 @@ func (a *Adapter) RollbackMetadata(id string) error {
 	mu.Lock()
 	defer mu.Unlock()
 	st, ok := v.lookup(id)
-	if !ok || len(st.versions) < 2 {
+	if !ok || st.count() < 2 {
 		return fmt.Errorf("%w: %s has no correction to hide", stores.ErrNotFound, id)
 	}
-	st.versions = st.versions[:len(st.versions)-1]
+	st.more = st.more[:len(st.more)-1]
 	return nil
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
+	"medvault/internal/recno"
 )
 
 // The one mutation path. A shard's metadata — registry, version lists, key
@@ -56,8 +58,8 @@ func (v *Vault) replay(data []byte) error {
 		// A crash between the snapshot rename and the WAL checkpoint leaves
 		// entries the snapshot already covers. Skip such a version, but only
 		// if it is the same one — else the log and snapshot diverged.
-		if st := v.records[e.id]; st != nil && e.ver.Number >= 1 && e.ver.Number <= uint64(len(st.versions)) {
-			if st.versions[e.ver.Number-1].CtHash != e.ver.CtHash {
+		if st, ok := v.lookup(e.id); ok && e.ver.Number >= 1 && e.ver.Number <= st.count() {
+			if st.at(e.ver.Number).ctHash != e.ver.CtHash {
 				return fmt.Errorf("core: WAL replay conflicts with snapshot: %s version %d", e.id, e.ver.Number)
 			}
 			return nil
@@ -83,20 +85,16 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 			if err := v.keys.AdoptWrapped(e.id, e.wrappedDEK); err != nil {
 				return fmt.Errorf("core: registering DEK of %s: %w", e.id, err)
 			}
-			if err := v.ret.Track(e.id, string(e.category), e.created); err != nil {
-				return fmt.Errorf("core: tracking retention of %s: %w", e.id, err)
+			if err := v.register(e.id, &recordState{
+				mrn: e.mrn, created: e.created.UnixNano(), first: v.compact(e.ver),
+				category: v.names.Intern(string(e.category)),
+			}); err != nil {
+				return err
 			}
-			st = &recordState{category: e.category, mrn: e.mrn, created: e.created.UTC()}
-		case known && e.ver.Number == uint64(len(st.versions))+1:
+		case known && e.ver.Number == st.count()+1:
+			st.more = append(st.more, v.compact(e.ver))
 		default:
 			return fmt.Errorf("core: version %d does not extend record %s", e.ver.Number, e.id)
-		}
-		st.versions = append(st.versions, e.ver)
-		if !known {
-			v.regMu.Lock()
-			v.records[e.id] = st
-			v.regMu.Unlock()
-			metLiveRecords.Add(1)
 		}
 		if rec == nil {
 			// Not through the block cache: recovery must not fill it.
@@ -123,9 +121,9 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 		// keys.Shred zeroized the cached plaintext DEK; drop the cached
 		// ciphertext blocks too, so shredded bytes leave memory now rather
 		// than at the LRU's leisure.
-		refs := make([]blockstore.Ref, len(st.versions))
-		for i := range st.versions {
-			refs[i] = st.versions[i].Ref
+		refs := make([]blockstore.Ref, st.count())
+		for i := range refs {
+			refs[i] = st.at(uint64(i) + 1).ref()
 		}
 		v.bcache.invalidate(refs)
 		v.idx.RemoveCtx(ctx, e.id)
@@ -136,6 +134,27 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 		return v.ret.PlaceHoldAt(e.id, e.reason, e.placed)
 	case e.kind == 'R':
 		v.ret.ReleaseHold(e.id)
+	}
+	return nil
+}
+
+// register publishes a new record under id and starts its retention clock:
+// apply's step for a record's first version, and recovery's for each record
+// a snapshot holds. Retention is keyed by the table's copy of id, so the
+// caller's string is not kept.
+func (v *Vault) register(id string, st *recordState) error {
+	n := v.recs.Intern(id)
+	if !st.shredded.Load() {
+		if err := v.ret.Track(v.recs.ID(n), string(v.category(st)), time.Unix(0, st.created)); err != nil {
+			return fmt.Errorf("core: tracking retention of %s: %w", id, err)
+		}
+	}
+	v.regMu.Lock()
+	v.records = recno.Grow(v.records, n)
+	v.records[n] = st
+	v.regMu.Unlock()
+	if !st.shredded.Load() {
+		metLiveRecords.Add(1)
 	}
 	return nil
 }

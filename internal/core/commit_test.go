@@ -227,14 +227,14 @@ func captureState(t *testing.T, v *Cluster) vaultState {
 	for i := 0; i < v.NumShards(); i++ {
 		sh := v.Shard(i)
 		ss := shardState{Versions: map[string][]versionState{}, KeyIDs: sh.keys.IDs()}
-		for id, st := range sh.records {
-			for _, ver := range st.versions {
-				ss.Versions[id] = append(ss.Versions[id], versionState{
+		for _, r := range sh.registry() {
+			for _, ver := range sh.versions(r.st) {
+				ss.Versions[r.id] = append(ss.Versions[r.id], versionState{
 					ver.Number, ver.LeafIndex, ver.Author, ver.Timestamp.UnixNano(), ver.Ref.Segment, ver.Ref.Offset, ver.CtHash,
 				})
 			}
-			if st.shredded.Load() {
-				ss.Shredded = append(ss.Shredded, id)
+			if r.st.shredded.Load() {
+				ss.Shredded = append(ss.Shredded, r.id)
 			}
 		}
 		sort.Strings(ss.Shredded)

@@ -142,9 +142,9 @@ func (v *Vault) recordsOf(mrn string) []string {
 	v.regMu.RLock()
 	defer v.regMu.RUnlock()
 	var ids []string
-	for id, st := range v.records {
-		if st.mrn == mrn {
-			ids = append(ids, id)
+	for n, st := range v.records {
+		if st != nil && st.mrn == mrn {
+			ids = append(ids, v.recs.ID(uint32(n)))
 		}
 	}
 	return ids

@@ -44,11 +44,12 @@ func (v *Vault) Export(actor, id string) (_ ExportBundle, err error) {
 	if err != nil {
 		return ExportBundle{}, err
 	}
-	if err := v.authorize(ctx, actor, authz.ActMigrate, audit.ActionMigrateOut, id, 0, string(st.category)); err != nil {
+	category := v.category(st)
+	if err := v.authorize(ctx, actor, authz.ActMigrate, audit.ActionMigrateOut, id, 0, string(category)); err != nil {
 		return ExportBundle{}, err
 	}
-	bundle := ExportBundle{ID: id, Category: st.category}
-	for _, ver := range st.versions {
+	bundle := ExportBundle{ID: id, Category: category}
+	for _, ver := range v.versions(st) {
 		rec, err := v.readVersion(ctx, id, ver)
 		if err != nil {
 			return ExportBundle{}, fmt.Errorf("core: exporting %s v%d: %w", id, ver.Number, err)
@@ -161,7 +162,7 @@ func (v *Vault) recordCustody(op, id string, typ provenance.EventType, actor, pe
 	st, err := v.stateFor(id)
 	var ctHash [32]byte
 	if err == nil {
-		ctHash = st.versions[len(st.versions)-1].CtHash
+		ctHash = st.at(st.count()).ctHash
 	}
 	mu.RUnlock()
 	if err != nil {

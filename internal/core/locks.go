@@ -30,12 +30,17 @@ import (
 //	         sealing and blockstore appends are outside it entirely.
 //	leaves   component locks inside blockstore/audit/merkle/index/keystore/
 //	         retention/authz/provenance, plus regMu guarding the records
-//	         map. All are acquired last and never held across a call into
+//	         slice. All are acquired last and never held across a call into
 //	         another layer.
+//	recno    the mutex of each recno.Table: the shard's record table (shared
+//	         by the registry, key store, custody tracker and index) and its
+//	         names table. It is a leaf below regMu, ks.mu, tr.mu and SSE.mu,
+//	         which look a number up while holding their own lock, and
+//	         nothing is acquired while holding it.
 //
-// Lock order: gate → stripe → commitMu → leaf locks. Nothing acquires a
-// stripe while holding commitMu or a leaf lock, nothing acquires two stripes
-// at once, and regMu is never held across any other acquisition.
+// Lock order: gate → stripe → commitMu → leaf locks → recno. Nothing acquires
+// a stripe while holding commitMu or a leaf lock, nothing acquires two
+// stripes at once, and regMu is held across nothing but a recno lookup.
 const numStripes = 64
 
 // opGate admits operations while the vault is open and lets exclusive

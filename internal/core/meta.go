@@ -249,9 +249,9 @@ func (v *Vault) writeSnapshotLocked() error {
 		keystore: v.keys.Snapshot(),
 		leaves:   v.log.Tree().LeafHashes(),
 	}
-	for _, id := range sortedRecordIDs(v.records) {
-		st := v.records[id]
-		rec := snapRecord{id: id, category: st.category, mrn: st.mrn, created: st.created, versions: st.versions}
+	for _, r := range v.registry() {
+		st := r.st
+		rec := snapRecord{id: r.id, category: v.category(st), mrn: st.mrn, created: time.Unix(0, st.created), versions: v.versions(st)}
 		if st.shredded.Load() {
 			rec.flags |= snapShredded
 		}
@@ -268,7 +268,7 @@ func (v *Vault) writeSnapshotLocked() error {
 	// shard snapshots only the holds on records it owns, so no shard restores
 	// (or double-restores) a sibling's holds.
 	for _, h := range v.ret.Holds() {
-		if _, ok := v.records[h.Record]; ok {
+		if _, ok := v.lookup(h.Record); ok {
 			s.holds = append(s.holds, h)
 		}
 	}
@@ -296,27 +296,37 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 	}
 	v.leafSeq.Store(s.leafSeq)
 	for _, rec := range s.records {
+		for i, ver := range rec.versions {
+			if ver.Number != uint64(i)+1 {
+				return fmt.Errorf("core: snapshot lists version %d of %s at position %d", ver.Number, rec.id, i+1)
+			}
+		}
+		if len(rec.versions) == 0 {
+			return fmt.Errorf("core: snapshot lists %s without versions", rec.id)
+		}
 		st := &recordState{
-			category:  rec.category,
 			mrn:       rec.mrn,
-			created:   rec.created,
+			created:   rec.created.UnixNano(),
+			first:     v.compact(rec.versions[0]),
+			category:  v.names.Intern(string(rec.category)),
 			sanitized: rec.flags&snapSanitized != 0,
-			versions:  rec.versions,
+		}
+		if len(rec.versions) > 1 {
+			st.more = make([]verState, len(rec.versions)-1)
+			for i, ver := range rec.versions[1:] {
+				st.more[i] = v.compact(ver)
+			}
 		}
 		st.shredded.Store(rec.flags&snapShredded != 0)
-		v.records[rec.id] = st
-		if !st.shredded.Load() {
-			metLiveRecords.Add(1)
-			if err := v.ret.Track(rec.id, string(rec.category), st.created); err != nil {
-				return fmt.Errorf("core: restoring retention for %s: %w", rec.id, err)
-			}
+		if err := v.register(rec.id, st); err != nil {
+			return err
 		}
 	}
 	if err := v.keys.Restore(s.keystore); err != nil {
 		return fmt.Errorf("core: restoring key store: %w", err)
 	}
 	v.log = merkle.LogFromLeafHashes(v.signer, func() time.Time { return v.clk.Now() }, s.leaves)
-	if v.idx, err = index.LoadSSE(vcrypto.DeriveKey(master, "vault/index"), s.index); err != nil {
+	if v.idx, err = index.LoadSSEOn(v.recs, vcrypto.DeriveKey(master, "vault/index"), s.index); err != nil {
 		return fmt.Errorf("core: restoring index: %w", err)
 	}
 	for _, h := range s.holds {

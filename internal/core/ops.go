@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"medvault/internal/audit"
@@ -58,11 +60,40 @@ func (v *Vault) authorize(ctx context.Context, actor string, act authz.Action, a
 }
 
 // lookup fetches the record state from the registry, which may be shredded.
+// It only finds the ID's number, so a lookup of an unknown ID grows nothing.
 func (v *Vault) lookup(id string) (*recordState, bool) {
 	v.regMu.RLock()
-	st, ok := v.records[id]
+	defer v.regMu.RUnlock()
+	return v.lookupLocked(id)
+}
+
+// lookupLocked is lookup under regMu.
+func (v *Vault) lookupLocked(id string) (*recordState, bool) {
+	if n, ok := v.recs.Find(id); ok && int(n) < len(v.records) && v.records[n] != nil {
+		return v.records[n], true
+	}
+	return nil, false
+}
+
+// registered is one registry entry with its ID.
+type registered struct {
+	id string
+	st *recordState
+}
+
+// registry returns every record the shard holds, shredded ones included,
+// sorted by ID.
+func (v *Vault) registry() []registered {
+	v.regMu.RLock()
+	var out []registered
+	for n, st := range v.records {
+		if st != nil {
+			out = append(out, registered{v.recs.ID(uint32(n)), st})
+		}
+	}
 	v.regMu.RUnlock()
-	return st, ok
+	slices.SortFunc(out, func(a, b registered) int { return strings.Compare(a.id, b.id) })
+	return out
 }
 
 // stateFor returns the record state, distinguishing missing from shredded.
@@ -265,16 +296,16 @@ func (v *Vault) read(ctx context.Context, op, actor, id string, number uint64) (
 	switch {
 	case err != nil:
 	case op == "get":
-		number = uint64(len(st.versions))
-	case number == 0 || number > uint64(len(st.versions)):
+		number = st.count()
+	case number == 0 || number > st.count():
 		err = fmt.Errorf("%w: %s has no version %d", ErrNotFound, id, number)
 	}
 	if err != nil {
 		v.auditProbe(ctx, actor, audit.ActionRead, id, number, err)
 		return ehr.Record{}, Version{}, err
 	}
-	target := st.versions[number-1]
-	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, number, string(st.category)); err != nil {
+	target := v.version(st, number)
+	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, number, string(v.category(st))); err != nil {
 		return ehr.Record{}, Version{}, err
 	}
 	rec, err := v.readVersion(ctx, id, target)
@@ -297,10 +328,10 @@ func (v *Vault) HistoryCtx(ctx context.Context, actor, id string) (_ []Version, 
 		v.auditProbe(ctx, actor, audit.ActionRead, id, 0, err)
 		return nil, err
 	}
-	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, 0, string(st.category)); err != nil {
+	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, 0, string(v.category(st))); err != nil {
 		return nil, err
 	}
-	return append([]Version(nil), st.versions...), nil
+	return v.versions(st), nil
 }
 
 // CorrectCtx appends an amended version of the record. History is preserved:
@@ -323,17 +354,18 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if err != nil {
 		return Version{}, err
 	}
-	if err := v.authorize(ctx, actor, authz.ActCorrect, audit.ActionCorrect, rec.ID, 0, string(st.category)); err != nil {
+	category := v.category(st)
+	if err := v.authorize(ctx, actor, authz.ActCorrect, audit.ActionCorrect, rec.ID, 0, string(category)); err != nil {
 		return Version{}, err
 	}
-	if rec.Category != st.category {
-		return Version{}, fmt.Errorf("%w: category %q -> %q", ErrIdentityChanged, st.category, rec.Category)
+	if rec.Category != category {
+		return Version{}, fmt.Errorf("%w: category %q -> %q", ErrIdentityChanged, category, rec.Category)
 	}
 	dek, err := v.keys.Get(rec.ID)
 	if err != nil {
 		return Version{}, err
 	}
-	ver, err := v.commitVersion(ctx, rec, actor, uint64(len(st.versions))+1, dek, nil)
+	ver, err := v.commitVersion(ctx, rec, actor, st.count()+1, dek, nil)
 	if err != nil {
 		return Version{}, err
 	}
@@ -384,11 +416,11 @@ func (v *Vault) readable(actor string, hits []string) []string {
 	cands := make([]cand, 0, len(hits))
 	v.regMu.RLock()
 	for _, id := range hits {
-		st, ok := v.records[id]
+		st, ok := v.lookupLocked(id)
 		if !ok || st.shredded.Load() {
 			continue
 		}
-		cands = append(cands, cand{id, string(st.category)})
+		cands = append(cands, cand{id, string(v.category(st))})
 	}
 	v.regMu.RUnlock()
 	var out []string
@@ -447,7 +479,7 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionDelete, id, 0, string(st.category)); err != nil {
+	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionDelete, id, 0, string(v.category(st))); err != nil {
 		return err
 	}
 	if err := v.ret.CanDispose(id); err != nil {
@@ -571,19 +603,16 @@ func (v *Vault) VersionCount(id string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(st.versions), nil
+	return int(st.count()), nil
 }
 
 // RecordIDs returns the IDs of live records, sorted.
 func (v *Vault) RecordIDs() []string {
-	v.regMu.RLock()
 	var out []string
-	for id, st := range v.records {
-		if !st.shredded.Load() {
-			out = append(out, id)
+	for _, r := range v.registry() {
+		if !r.st.shredded.Load() {
+			out = append(out, r.id)
 		}
 	}
-	v.regMu.RUnlock()
-	sort.Strings(out)
 	return out
 }

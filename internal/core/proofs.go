@@ -44,11 +44,11 @@ func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number ui
 	var category string
 	var target Version
 	if err == nil {
-		category = string(st.category)
-		if number == 0 || number > uint64(len(st.versions)) {
+		category = string(v.category(st))
+		if number == 0 || number > st.count() {
 			err = fmt.Errorf("%w: %s has no version %d", ErrNotFound, id, number)
 		} else {
-			target = st.versions[number-1]
+			target = v.version(st, number)
 		}
 	}
 	mu.RUnlock()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
@@ -65,24 +64,24 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	// changes once the replacement is the live medium, so a pass that fails
 	// while copying leaves the vault as it was and can simply be run again.
 	moved := map[*recordState][]blockstore.Ref{}
-	for _, id := range sortedRecordIDs(v.records) {
-		st := v.records[id]
+	for _, r := range v.registry() {
+		st := r.st
 		if st.shredded.Load() {
 			if !st.sanitized {
-				dropped += len(st.versions)
+				dropped += int(st.count())
 				moved[st] = nil
 			}
 			continue
 		}
-		refs := make([]blockstore.Ref, len(st.versions))
-		for i, ver := range st.versions {
-			ct, err := v.blocks.Read(ver.Ref)
+		refs := make([]blockstore.Ref, st.count())
+		for i := range refs {
+			ct, err := v.blocks.Read(st.at(uint64(i) + 1).ref())
 			if err == nil {
 				refs[i], err = fresh.Append(ct)
 			}
 			if err != nil {
 				_ = fresh.Close()
-				return 0, 0, fmt.Errorf("core: sanitize: rewriting %s v%d: %w", id, ver.Number, err)
+				return 0, 0, fmt.Errorf("core: sanitize: rewriting %s v%d: %w", r.id, i+1, err)
 			}
 		}
 		moved[st] = refs
@@ -122,7 +121,8 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	for st, refs := range moved {
 		st.sanitized = refs == nil
 		for i, ref := range refs {
-			st.versions[i].Ref = ref
+			vs := st.at(uint64(i) + 1)
+			vs.segment, vs.offset = ref.Segment, ref.Offset
 		}
 	}
 	if durable {
@@ -148,14 +148,4 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 		Detail:  fmt.Sprintf("media sanitization: %d shredded version(s) removed from media, %d bytes reclaimed", dropped, reclaimed),
 	})
 	return dropped, reclaimed, nil
-}
-
-// sortedRecordIDs orders the rewrite deterministically.
-func sortedRecordIDs(m map[string]*recordState) []string {
-	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -45,6 +45,7 @@ import (
 	"medvault/internal/merkle"
 	"medvault/internal/obs"
 	"medvault/internal/provenance"
+	"medvault/internal/recno"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
@@ -89,18 +90,84 @@ type Version struct {
 	LeafIndex uint64         // position in the commitment log
 }
 
-// recordState is the in-memory metadata for one record. Field protection:
-// category, mrn, and created are immutable after the state is published in
-// the registry; versions is guarded by the record's lock stripe; shredded is
-// atomic so registry scans (Search, Len, PatientRecords) can read it without
-// taking the stripe; sanitized only changes under the exclusive gate.
+// recordState is the in-memory metadata for one record: one allocation, with
+// its first version inline. Strings the registry would repeat per record —
+// the category and each version's author — are numbers in the shard's names
+// table, and times are Unix nanoseconds (the range the WAL and snapshot
+// persist). Field protection: category, mrn, created and first are immutable
+// after the state is published in the registry; more is guarded by the
+// record's lock stripe; shredded is atomic so registry scans (Search, Len,
+// PatientRecords) can read it without taking the stripe; sanitized and
+// version refs only change under the exclusive gate.
 type recordState struct {
-	category  ehr.Category
-	mrn       string    // patient identifier, for accounting of disclosures
-	created   time.Time // record's own creation date; starts retention
-	versions  []Version
+	mrn       string     // patient identifier, for accounting of disclosures
+	created   int64      // record's own creation date; starts retention
+	more      []verState // versions 2, 3, …
+	first     verState   // version 1
+	category  uint32     // names number
 	shredded  atomic.Bool
 	sanitized bool // shredded AND ciphertext removed from media
+}
+
+// verState is one committed version as the registry holds it; its number is
+// its position. Version, the API form, is built from it on the way out.
+type verState struct {
+	ctHash  [32]byte // SHA-256 of the ciphertext, Merkle-committed
+	ts      int64    // commit time
+	leaf    uint64   // position in the commitment log
+	offset  uint64   // ciphertext's blockstore.Ref
+	segment uint32
+	author  uint32 // names number
+}
+
+// count returns how many versions the record has.
+func (st *recordState) count() uint64 { return 1 + uint64(len(st.more)) }
+
+// at returns version number (1-based, at most count).
+func (st *recordState) at(number uint64) *verState {
+	if number == 1 {
+		return &st.first
+	}
+	return &st.more[number-2]
+}
+
+func (vs *verState) ref() blockstore.Ref {
+	return blockstore.Ref{Segment: vs.segment, Offset: vs.offset}
+}
+
+// compact returns ver as the registry holds it.
+func (v *Vault) compact(ver Version) verState {
+	return verState{
+		ctHash: ver.CtHash, ts: ver.Timestamp.UnixNano(), leaf: ver.LeafIndex,
+		offset: ver.Ref.Offset, segment: ver.Ref.Segment, author: v.names.Intern(ver.Author),
+	}
+}
+
+// version builds the record's version number in its API form.
+func (v *Vault) version(st *recordState, number uint64) Version {
+	vs := st.at(number)
+	return Version{
+		Number:    number,
+		Author:    v.names.ID(vs.author),
+		Timestamp: time.Unix(0, vs.ts).UTC(),
+		Ref:       vs.ref(),
+		CtHash:    vs.ctHash,
+		LeafIndex: vs.leaf,
+	}
+}
+
+// versions builds every version of the record, oldest first.
+func (v *Vault) versions(st *recordState) []Version {
+	out := make([]Version, st.count())
+	for i := range out {
+		out[i] = v.version(st, uint64(i)+1)
+	}
+	return out
+}
+
+// category returns the record's category.
+func (v *Vault) category(st *recordState) ehr.Category {
+	return ehr.Category(v.names.ID(st.category))
 }
 
 // Config configures a vault.
@@ -159,7 +226,7 @@ type Vault struct {
 	gate     opGate       // open/close lifecycle; ops hold it shared
 	stripes  lockStripes  // per-record serialization
 	commitMu sync.Mutex   // sequences {WAL enqueue, Merkle append} pairs
-	regMu    sync.RWMutex // guards the records map itself (a leaf lock)
+	regMu    sync.RWMutex // guards the records slice itself (a leaf lock)
 
 	name   string
 	clk    clock.Clock
@@ -175,8 +242,13 @@ type Vault struct {
 
 	bcache blockCache // verified ciphertext blocks, keyed by Ref
 
-	records  map[string]*recordState
-	leafSeq  atomic.Uint64 // total versions committed (== Merkle log size)
+	// recs numbers the shard's records once for the registry, the key store,
+	// the custody tracker and the index, whose per-record state is a slice
+	// indexed by that number. names numbers categories and authors.
+	recs     *recno.Table
+	names    *recno.Table
+	records  []*recordState // record number -> state; nil: no record holds it
+	leafSeq  atomic.Uint64  // total versions committed (== Merkle log size)
 	metaWAL  *wal.Log
 	dir      string
 	fs       faultfs.FS
@@ -201,16 +273,18 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	signer := vcrypto.SignerFromSeed(vcrypto.DeriveKey(cfg.Master, "vault/signer"))
 	now := func() time.Time { return clk.Now() }
 
+	recs := recno.New()
 	v := &Vault{
 		name:     cfg.Name,
 		clk:      clk,
 		signer:   signer,
-		keys:     vcrypto.NewKeyStoreCached(vcrypto.DeriveKey(cfg.Master, "vault/kek"), cacheCap(cfg.DEKCacheEntries, vcrypto.DefaultDEKCacheCap)),
-		idx:      index.NewSSE(vcrypto.DeriveKey(cfg.Master, "vault/index")),
+		keys:     vcrypto.NewKeyStoreOn(recs, vcrypto.DeriveKey(cfg.Master, "vault/kek"), cacheCap(cfg.DEKCacheEntries, vcrypto.DefaultDEKCacheCap)),
+		idx:      index.NewSSEOn(recs, vcrypto.DeriveKey(cfg.Master, "vault/index")),
 		auth:     auth,
 		ret:      ret,
 		bcache:   newBlockCache(cacheCap(cfg.BlockCacheBytes, int64(DefaultBlockCacheBytes)), tag),
-		records:  make(map[string]*recordState),
+		recs:     recs,
+		names:    recno.New(),
 		dir:      dir,
 		fs:       fsys,
 		masterFP: cfg.Master.Fingerprint(),
@@ -243,10 +317,11 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		return nil, err
 	}
 	v.prov, err = provenance.Open(provenance.Config{
-		Store:  v.provStore,
-		Signer: signer,
-		System: cfg.Name,
-		Now:    now,
+		Store:   v.provStore,
+		Signer:  signer,
+		System:  cfg.Name,
+		Now:     now,
+		Records: recs,
 	})
 	if err != nil {
 		return nil, err
@@ -349,7 +424,7 @@ func (v *Vault) Len() int {
 	defer v.regMu.RUnlock()
 	n := 0
 	for _, st := range v.records {
-		if !st.shredded.Load() {
+		if st != nil && !st.shredded.Load() {
 			n++
 		}
 	}

@@ -52,7 +52,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	if err != nil {
 		return rep, err
 	}
-	ids := sortedRecordIDs(v.records)
+	records := v.registry()
 	size := v.log.Size()
 	root, rootErr := v.log.Tree().RootAt(size)
 	if rootErr != nil {
@@ -69,8 +69,8 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 
 	// (3) every committed version is accounted for.
 	var totalVersions uint64
-	for _, st := range v.records {
-		totalVersions += uint64(len(st.versions))
+	for _, r := range records {
+		totalVersions += r.st.count()
 	}
 	if totalVersions != size || v.leafSeq.Load() != size {
 		return fail(fmt.Errorf("%w: metadata lists %d versions but commitment log has %d leaves", ErrTampered, totalVersions, size))
@@ -79,14 +79,14 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	// A key for a record the registry does not know is a key held for data
 	// the system does not have; apply registers the two together.
 	for _, id := range v.keys.IDs() {
-		if _, ok := v.records[id]; !ok {
+		if _, ok := v.lookup(id); !ok {
 			return fail(fmt.Errorf("%w: %s: data key held for an unregistered record", ErrTampered, id))
 		}
 	}
 
 	// (1)+(2) per-record verification.
-	for _, id := range ids {
-		st := v.records[id]
+	for _, r := range records {
+		id, st := r.id, r.st
 		shredded := st.shredded.Load()
 		sanitized := st.sanitized
 		rep.RecordsChecked++
@@ -104,7 +104,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 				return fail(fmt.Errorf("%w: %s: plaintext DEK cached after shred", ErrTampered, id))
 			}
 		}
-		for _, ver := range st.versions {
+		for _, ver := range v.versions(st) {
 			// Sanitized records have no bytes left on the medium — by
 			// design. Their commitment leaves still verify below.
 			var ct []byte

@@ -14,6 +14,7 @@ import (
 
 	"medvault/internal/frame"
 	"medvault/internal/obs"
+	"medvault/internal/recno"
 	"medvault/internal/vcrypto"
 )
 
@@ -41,16 +42,20 @@ var (
 // costs one uint32 in the term's posting list and one in the document's term
 // list. A document is numbered after every live one when it is added (a
 // correction renumbers it), so appending keeps each posting list ascending;
-// removal leaves a zero slot that compact reclaims once a fifth of the slots
+// removal leaves a dead slot that compact reclaims once a fifth of the slots
 // are dead, so resident size follows the live documents, not their history.
+// A document's ID is held once, as its record number in a recno.Table the
+// index may share with the shard's other per-record tables.
 type SSE struct {
 	mu       sync.RWMutex
 	tokenKey vcrypto.Key
 	valueKey vcrypto.Key
 	termNum  map[string]uint32 // raw token -> term number; shares terms[n].tok's bytes
 	terms    []term            // term number -> term; tok "" once its last document left
-	docNum   map[string]uint32 // doc ID -> doc number; shares docs[n].id's bytes
-	docs     []doc             // doc number -> document; zero once removed
+	recs     *recno.Table      // record numbers; lock order: mu → recs
+	docOf    []uint32          // record number -> doc number + 1; 0 when not indexed
+	docs     []doc             // doc number -> document; dead once removed
+	live     int               // live documents
 }
 
 type term struct {
@@ -59,8 +64,8 @@ type term struct {
 }
 
 type doc struct {
-	id    string
 	terms []uint32 // term numbers, in Tokenize order
+	rec   uint32   // the document's record number
 }
 
 // token is a keyword's raw HMAC-SHA-256 search token.
@@ -71,13 +76,26 @@ var _ Index = (*SSE)(nil)
 // NewSSE returns an empty SSE index keyed from master. Token and value keys
 // are domain-separated derivations, so the same master secret can safely
 // drive the envelope layer elsewhere.
-func NewSSE(master vcrypto.Key) *SSE {
+func NewSSE(master vcrypto.Key) *SSE { return NewSSEOn(recno.New(), master) }
+
+// NewSSEOn is NewSSE numbering documents in recs, the table a shard shares
+// among its per-record stores.
+func NewSSEOn(recs *recno.Table, master vcrypto.Key) *SSE {
 	return &SSE{
 		tokenKey: vcrypto.DeriveKey(master, "index/token"),
 		valueKey: vcrypto.DeriveKey(master, "index/value"),
 		termNum:  make(map[string]uint32),
-		docNum:   make(map[string]uint32),
+		recs:     recs,
 	}
+}
+
+// docNum returns the doc number of record number rec, if it is indexed; the
+// caller holds s.mu.
+func (s *SSE) docNum(rec uint32) (uint32, bool) {
+	if int(rec) < len(s.docOf) && s.docOf[rec] != 0 {
+		return s.docOf[rec] - 1, true
+	}
+	return 0, false
 }
 
 // token maps a normalized keyword to its pseudorandom search token. The
@@ -110,15 +128,17 @@ func (s *SSE) Add(id, text string) {
 	for i, w := range words {
 		toks[i] = s.token(w)
 	}
+	rec := s.recs.Intern(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(id)
-	s.addLocked(id, toks) // Tokenize deduplicates, so this cannot fail
+	s.removeLocked(rec)
+	s.addLocked(rec, toks) // Tokenize deduplicates, so this cannot fail
 }
 
-// addLocked indexes id, which must not be live, under the next doc number.
-// It reports false if toks repeats a token, which Tokenize never does.
-func (s *SSE) addLocked(id string, toks []token) bool {
+// addLocked indexes record number rec, which must not be live, under the
+// next doc number. It reports false if toks repeats a token, which Tokenize
+// never does.
+func (s *SSE) addLocked(rec uint32, toks []token) bool {
 	d := uint32(len(s.docs))
 	nums := make([]uint32, len(toks))
 	for i := range toks {
@@ -136,8 +156,10 @@ func (s *SSE) addLocked(id string, toks []token) bool {
 		s.terms[t].docs = append(list, d)
 		nums[i] = t
 	}
-	s.docNum[id] = d
-	s.docs = append(s.docs, doc{id: id, terms: nums})
+	s.docOf = recno.Grow(s.docOf, rec)
+	s.docOf[rec] = d + 1
+	s.docs = append(s.docs, doc{terms: nums, rec: rec})
+	s.live++
 	return true
 }
 
@@ -154,7 +176,7 @@ func (s *SSE) lookup(tok token) []uint32 {
 func (s *SSE) idsLocked(nums []uint32) []string {
 	out := make([]string, len(nums))
 	for i, d := range nums {
-		out[i] = s.docs[d].id
+		out[i] = s.recs.ID(s.docs[d].rec)
 	}
 	sort.Strings(out)
 	return out
@@ -258,15 +280,20 @@ func (s *SSE) RemoveCtx(ctx context.Context, id string) {
 // deletion removes every posting without scanning the whole index — the
 // secure-deletion-from-inverted-index construction of the paper's ref [10].
 func (s *SSE) Remove(id string) {
+	rec, ok := s.recs.Find(id)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(id)
+	s.removeLocked(rec)
 }
 
-// removeLocked drops id's number from each of its terms' posting lists, a
-// term whose list empties together with its token, and then id itself.
-func (s *SSE) removeLocked(id string) {
-	d, ok := s.docNum[id]
+// removeLocked drops record number rec's document number from each of its
+// terms' posting lists, a term whose list empties together with its token,
+// and then the document itself.
+func (s *SSE) removeLocked(rec uint32) {
+	d, ok := s.docNum(rec)
 	if !ok {
 		return
 	}
@@ -278,18 +305,26 @@ func (s *SSE) removeLocked(id string) {
 			*tm = term{}
 		}
 	}
-	delete(s.docNum, id)
+	s.docOf[rec] = 0
 	s.docs[d] = doc{}
-	if dead := len(s.docs) - len(s.docNum); dead > len(s.docNum)/4 {
+	s.live--
+	if dead := len(s.docs) - s.live; dead > s.live/4 {
 		s.compactLocked()
 	}
+}
+
+// isLive reports whether doc number d is its record's document; the caller
+// holds s.mu.
+func (s *SSE) isLive(d int) bool {
+	n, ok := s.docNum(s.docs[d].rec)
+	return ok && n == uint32(d)
 }
 
 // compactLocked renumbers the live terms and documents densely, keeping
 // their order (so posting lists stay ascending), into tables and maps sized
 // by what is live. Its O(postings) cost is paid once per live/5 removals.
 func (s *SSE) compactLocked() {
-	terms, docs, docNum := s.terms, s.docs, s.docNum
+	terms := s.terms
 	renum := make([]uint32, len(terms))
 	s.terms = make([]term, 0, len(s.termNum))
 	s.termNum = make(map[string]uint32, len(s.termNum))
@@ -300,27 +335,27 @@ func (s *SSE) compactLocked() {
 			s.terms = append(s.terms, term{tok: tm.tok, docs: make([]uint32, 0, len(tm.docs))})
 		}
 	}
-	s.docs = make([]doc, 0, len(docNum))
-	s.docNum = make(map[string]uint32, len(docNum))
-	for i, dc := range docs {
-		if n, ok := docNum[dc.id]; !ok || n != uint32(i) {
+	docs := make([]doc, 0, s.live)
+	for i, dc := range s.docs {
+		if !s.isLive(i) {
 			continue
 		}
-		d := uint32(len(s.docs))
+		d := uint32(len(docs))
 		for j, t := range dc.terms {
 			dc.terms[j] = renum[t]
 			s.terms[renum[t]].docs = append(s.terms[renum[t]].docs, d)
 		}
-		s.docNum[dc.id] = d
-		s.docs = append(s.docs, dc)
+		s.docOf[dc.rec] = d + 1
+		docs = append(docs, dc)
 	}
+	s.docs = docs
 }
 
 // Len implements Index.
 func (s *SSE) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.docNum)
+	return s.live
 }
 
 // Snapshot implements Index. Layout:
@@ -347,8 +382,14 @@ func (s *SSE) Snapshot() ([]byte, error) {
 		}
 		b = frame.AppendBytes(b, sealed)
 	}
-	docs := appendDocs(nil, sortedKeys(s.docNum),
-		func(id string) []uint32 { return s.docs[s.docNum[id]].terms },
+	byID := make(map[string]uint32, s.live) // ID -> doc number
+	for d := range s.docs {
+		if s.isLive(d) {
+			byID[s.recs.ID(s.docs[d].rec)] = uint32(d)
+		}
+	}
+	docs := appendDocs(nil, sortedKeys(byID),
+		func(id string) []uint32 { return s.docs[byID[id]].terms },
 		func(t uint32) string { return tokenHex(s.terms[t].tok) })
 	sealedDocs, err := vcrypto.Seal(s.valueKey, docs, []byte("docs"))
 	if err != nil {
@@ -381,7 +422,12 @@ const (
 // A malformed token, a repeated token or doc ID, or any disagreement between
 // the two halves is ErrCorrupt.
 func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
-	s := NewSSE(master)
+	return LoadSSEOn(recno.New(), master, snap)
+}
+
+// LoadSSEOn is LoadSSE numbering documents in recs.
+func LoadSSEOn(recs *recno.Table, master vcrypto.Key, snap []byte) (*SSE, error) {
+	s := NewSSEOn(recs, master)
 	r := frame.NewReader(snap)
 	if err := readPostings(r, nil); err != nil {
 		return nil, err
@@ -396,7 +442,8 @@ func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
 	}
 	dr := frame.NewReader(docsPlain)
 	err = readDocs(dr, func(id string, spelled []string) error {
-		if _, dup := s.docNum[id]; dup {
+		rec := recs.Intern(id)
+		if _, dup := s.docNum(rec); dup {
 			return fmt.Errorf("%w: docs table: doc ID repeated", ErrCorrupt)
 		}
 		toks := make([]token, len(spelled))
@@ -406,7 +453,7 @@ func LoadSSE(master vcrypto.Key, snap []byte) (*SSE, error) {
 				return fmt.Errorf("%w: docs table: malformed token", ErrCorrupt)
 			}
 		}
-		if !s.addLocked(id, toks) {
+		if !s.addLocked(rec, toks) {
 			return fmt.Errorf("%w: docs table: token repeated within a document", ErrCorrupt)
 		}
 		return nil

@@ -15,13 +15,15 @@ import (
 	"testing"
 
 	"medvault/internal/frame"
+	"medvault/internal/recno"
 	"medvault/internal/vcrypto"
 )
 
 // TestSSEResidentBytesPerPosting pins what the index keeps in RAM per
 // (document, keyword) pair, and that churn leaves nothing behind: after
 // corrections and removals the index costs what a fresh one of the
-// survivors does.
+// survivors does. Record numbers are never recycled, so the fresh index
+// numbers every ID the churned one has seen, as a shard's shared table would.
 func TestSSEResidentBytesPerPosting(t *testing.T) {
 	const docs, words, vocab, budget = 20_000, 25, 3_000, 24
 	rng := rand.New(rand.NewSource(1))
@@ -70,7 +72,11 @@ func TestSSEResidentBytesPerPosting(t *testing.T) {
 	s = nil
 
 	before = heap()
-	fresh := NewSSE(master)
+	recs := recno.New()
+	for _, id := range ids {
+		recs.Intern(id)
+	}
+	fresh := NewSSEOn(recs, master)
 	for i := 1; i < docs; i += 2 {
 		fresh.Add(ids[i], texts[(i+3)%docs])
 	}

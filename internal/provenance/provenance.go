@@ -23,12 +23,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"medvault/internal/blockstore"
 	"medvault/internal/frame"
+	"medvault/internal/recno"
 	"medvault/internal/vcrypto"
 )
 
@@ -95,27 +95,23 @@ type Tracker struct {
 	signer *vcrypto.Signer
 	system string
 	now    func() time.Time
-	chains map[string]*chainRefs
+	recs   *recno.Table // record numbers; lock order: mu → recs
+	chains []chainRefs  // record number -> chain; no refs: no chain yet
 }
 
 // chainRefs is all a record's custody chain keeps in RAM: where each event
 // lives on the medium and the hash of the last one. The head's event was
 // signature-checked when it entered the tracker, and every event hash covers
 // its predecessor's, so a chain read back from the medium that links up and
-// ends in head is the chain that was signed. It is held by pointer so that
-// extending a chain never re-assigns the map entry, which would swap in the
-// caller's key string.
+// ends in head is the chain that was signed.
 type chainRefs struct {
 	head [32]byte
 	refs []blockstore.Ref
 }
 
 // next returns the index and predecessor hash the chain's next event must
-// carry; a nil chain is one with no events yet.
-func (c *chainRefs) next() (uint64, [32]byte) {
-	if c == nil {
-		return 0, [32]byte{}
-	}
+// carry.
+func (c chainRefs) next() (uint64, [32]byte) {
 	return uint64(len(c.refs)), c.head
 }
 
@@ -125,6 +121,9 @@ type Config struct {
 	Signer *vcrypto.Signer  // this system's signing identity; required
 	System string           // this system's name, recorded in events
 	Now    func() time.Time // nil means time.Now
+	// Records numbers the records the tracker holds chains for: the table a
+	// shard shares among its per-record stores. Nil means a private one.
+	Records *recno.Table
 }
 
 // Open creates a Tracker, replaying persisted custody events. Every link and
@@ -140,19 +139,23 @@ func Open(cfg Config) (*Tracker, error) {
 	if now == nil {
 		now = time.Now
 	}
+	recs := cfg.Records
+	if recs == nil {
+		recs = recno.New()
+	}
 	tr := &Tracker{
 		store:  cfg.Store,
 		signer: cfg.Signer,
 		system: cfg.System,
 		now:    now,
-		chains: make(map[string]*chainRefs),
+		recs:   recs,
 	}
 	err := cfg.Store.Scan(func(ref blockstore.Ref, data []byte) error {
 		e, err := DecodeEvent(data)
 		if err != nil {
 			return err
 		}
-		index, prev := tr.chains[e.Record].next()
+		index, prev := tr.chain(e.Record).next()
 		if err := checkLink(e, e.Record, index, prev); err != nil {
 			return err
 		}
@@ -168,14 +171,21 @@ func Open(cfg Config) (*Tracker, error) {
 	return tr, nil
 }
 
+// chain returns id's chain as of now, empty if it has none; the caller holds
+// tr.mu. It never numbers id.
+func (tr *Tracker) chain(id string) chainRefs {
+	if n, ok := tr.recs.Find(id); ok && int(n) < len(tr.chains) {
+		return tr.chains[n]
+	}
+	return chainRefs{}
+}
+
 // extend records that id's next event lives at ref and hashes to hash. The
 // caller holds tr.mu exclusively (or, in Open, is the only holder of tr).
 func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
-	c := tr.chains[id]
-	if c == nil {
-		c = new(chainRefs)
-		tr.chains[strings.Clone(id)] = c
-	}
+	n := tr.recs.Intern(id)
+	tr.chains = recno.Grow(tr.chains, n)
+	c := &tr.chains[n]
 	c.refs = append(c.refs, ref)
 	c.head = hash
 }
@@ -186,7 +196,7 @@ func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
 func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [32]byte, peer string) (Event, error) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	index, prev := tr.chains[id].next()
+	index, prev := tr.chain(id).next()
 	e := Event{
 		Record:      id,
 		Index:       index,
@@ -226,7 +236,7 @@ func (tr *Tracker) Adopt(events []Event) error {
 	for _, e := range events {
 		t, ok := tips[e.Record]
 		if !ok {
-			t.index, t.prev = tr.chains[e.Record].next()
+			t.index, t.prev = tr.chain(e.Record).next()
 		}
 		if err := checkLink(e, e.Record, t.index, t.prev); err != nil {
 			return err
@@ -279,14 +289,10 @@ func checkSignature(e Event) error {
 // shorter chain.
 func (tr *Tracker) Chain(id string) ([]Event, error) {
 	tr.mu.RLock()
-	c := tr.chains[id]
-	var refs []blockstore.Ref
-	var head [32]byte
-	if c != nil {
-		refs, head = c.refs, c.head
-	}
+	c := tr.chain(id)
 	tr.mu.RUnlock()
-	if c == nil {
+	refs, head := c.refs, c.head
+	if len(refs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRecord, id)
 	}
 	chain := make([]Event, len(refs))
@@ -335,9 +341,11 @@ func (tr *Tracker) Verify(id string, trusted map[string]bool) error {
 // checked and the first error.
 func (tr *Tracker) VerifyAll(trusted map[string]bool) (int, error) {
 	tr.mu.RLock()
-	ids := make([]string, 0, len(tr.chains))
-	for id := range tr.chains {
-		ids = append(ids, id)
+	var ids []string
+	for n := range tr.chains {
+		if len(tr.chains[n].refs) > 0 {
+			ids = append(ids, tr.recs.ID(uint32(n)))
+		}
 	}
 	tr.mu.RUnlock()
 	for i, id := range ids {

@@ -64,20 +64,23 @@ type Hold struct {
 	Placed time.Time
 }
 
-// entry tracks one record's retention state.
+// entry tracks one record's retention state: its creation instant in Unix
+// nanoseconds (the range the vault persists) and its category's policy, by
+// position in Manager.policies.
 type entry struct {
-	category string
-	created  time.Time
+	created int64
+	policy  uint32
 }
 
 // Manager tracks retention state for all records in a vault.
 // Safe for concurrent use.
 type Manager struct {
-	mu       sync.RWMutex
-	policies map[string]Policy
-	records  map[string]entry
-	holds    map[string]Hold
-	clk      clock.Clock
+	mu        sync.RWMutex
+	policies  []Policy          // in the order categories were first set
+	policyNum map[string]uint32 // category -> position in policies
+	records   map[string]entry
+	holds     map[string]Hold
+	clk       clock.Clock
 }
 
 // NewManager returns a Manager reading time from clk (nil means the system
@@ -87,29 +90,35 @@ func NewManager(clk clock.Clock) *Manager {
 		clk = clock.System{}
 	}
 	return &Manager{
-		policies: make(map[string]Policy),
-		records:  make(map[string]entry),
-		holds:    make(map[string]Hold),
-		clk:      clk,
+		policyNum: make(map[string]uint32),
+		records:   make(map[string]entry),
+		holds:     make(map[string]Hold),
+		clk:       clk,
 	}
 }
 
-// SetPolicy registers or replaces the policy for a category.
+// SetPolicy registers or replaces the policy for a category. A replaced
+// period applies to the records already tracked under the category.
 func (m *Manager) SetPolicy(p Policy) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.policies[p.Category] = p
+	if n, ok := m.policyNum[p.Category]; ok {
+		m.policies[n] = p
+		return
+	}
+	m.policyNum[p.Category] = uint32(len(m.policies))
+	m.policies = append(m.policies, p)
 }
 
 // PolicyFor returns the policy governing a category.
 func (m *Manager) PolicyFor(category string) (Policy, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	p, ok := m.policies[category]
+	n, ok := m.policyNum[category]
 	if !ok {
 		return Policy{}, fmt.Errorf("%w: %q", ErrNoPolicy, category)
 	}
-	return p, nil
+	return m.policies[n], nil
 }
 
 // Track registers a record under its category's policy. The category must
@@ -117,11 +126,17 @@ func (m *Manager) PolicyFor(category string) (Policy, error) {
 func (m *Manager) Track(id, category string, created time.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.policies[category]; !ok {
+	n, ok := m.policyNum[category]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoPolicy, category)
 	}
-	m.records[id] = entry{category: category, created: created.UTC()}
+	m.records[id] = entry{created: created.UnixNano(), policy: n}
 	return nil
+}
+
+// expiresLocked is when e's retention period ends; the caller holds m.mu.
+func (m *Manager) expiresLocked(e entry) time.Time {
+	return time.Unix(0, e.created).UTC().Add(m.policies[e.policy].Period)
 }
 
 // Forget removes a record from tracking after it has been destroyed.
@@ -140,11 +155,7 @@ func (m *Manager) ExpiresAt(id string) (time.Time, error) {
 	if !ok {
 		return time.Time{}, fmt.Errorf("%w: %s", ErrUnknownRecord, id)
 	}
-	p, ok := m.policies[e.category]
-	if !ok {
-		return time.Time{}, fmt.Errorf("%w: %q", ErrNoPolicy, e.category)
-	}
-	return e.created.Add(p.Period), nil
+	return m.expiresLocked(e), nil
 }
 
 // CanDispose reports whether the record may be securely destroyed now:
@@ -212,11 +223,7 @@ func (m *Manager) Expired() []string {
 		if _, held := m.holds[id]; held {
 			continue
 		}
-		p, ok := m.policies[e.category]
-		if !ok {
-			continue
-		}
-		if !now.Before(e.created.Add(p.Period)) {
+		if !now.Before(m.expiresLocked(e)) {
 			out = append(out, id)
 		}
 	}

@@ -3,6 +3,7 @@ package retention
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -161,3 +162,66 @@ func TestRetrackUpdatesSchedule(t *testing.T) {
 		t.Errorf("re-track did not apply occupational schedule: %v", err)
 	}
 }
+
+// TestCompactEntriesAnswerAsBefore: an entry keeps its creation instant as
+// Unix nanoseconds and its policy by position. ExpiresAt, CanDispose and
+// Expired must answer exactly as a {category, time.Time} entry did — for
+// creation times before 1970, to the nanosecond, in a non-UTC zone, and
+// after SetPolicy replaces a tracked category's period.
+func TestCompactEntriesAnswerAsBefore(t *testing.T) {
+	zone := time.FixedZone("UTC-5", -5*3600)
+	created := map[string]time.Time{
+		"pre-epoch": time.Date(1931, 3, 4, 5, 6, 7, 123456789, time.UTC),
+		"epoch":     time.Unix(0, 0),
+		"ns":        epoch.Add(time.Nanosecond),
+		"zoned":     time.Date(2025, 12, 31, 23, 59, 59, 999999999, zone),
+	}
+	now := new(stoppedClock)
+	m := NewManager(now)
+	for _, p := range StandardPolicies() {
+		m.SetPolicy(p)
+	}
+	period := map[string]time.Duration{"clinical": 6 * Year}
+	for id, at := range created {
+		if err := m.Track(id, "clinical", at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for id, at := range created {
+			want := at.UTC().Add(period["clinical"]) // the parent's arithmetic
+			got, err := m.ExpiresAt(id)
+			if err != nil || got != want {
+				t.Errorf("%s: ExpiresAt(%s) = %v, %v; want %v", stage, id, got, err, want)
+			}
+			now.t = want.Add(-time.Nanosecond)
+			if err := m.CanDispose(id); !errors.Is(err, ErrRetentionActive) {
+				t.Errorf("%s: CanDispose(%s) one nanosecond before expiry: %v", stage, id, err)
+			}
+			if slices.Contains(m.Expired(), id) {
+				t.Errorf("%s: %s expired one nanosecond early", stage, id)
+			}
+			now.t = want
+			if err := m.CanDispose(id); err != nil {
+				t.Errorf("%s: CanDispose(%s) at expiry: %v", stage, id, err)
+			}
+			if !slices.Contains(m.Expired(), id) {
+				t.Errorf("%s: %s not expired at its expiry instant", stage, id)
+			}
+		}
+	}
+	check("standard policy")
+	period["clinical"] = 40 * Year
+	m.SetPolicy(Policy{Category: "clinical", Period: period["clinical"]})
+	check("replaced period")
+	if p, err := m.PolicyFor("clinical"); err != nil || p.Period != 40*Year {
+		t.Errorf("PolicyFor after replacement = %v, %v", p, err)
+	}
+}
+
+// stoppedClock reads whatever instant the test last put in it, earlier or
+// later.
+type stoppedClock struct{ t time.Time }
+
+func (c *stoppedClock) Now() time.Time { return c.t }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"medvault/internal/frame"
 	"medvault/internal/lru"
 	"medvault/internal/obs"
+	"medvault/internal/recno"
 )
 
 // KeyStore manages per-record data-encryption keys (DEKs). Every DEK is held
@@ -17,8 +19,8 @@ import (
 // so a snapshot of the KeyStore (for backup or migration) never exposes raw
 // key material.
 //
-// Shred destroys a record's wrapped DEK and remembers the record ID in a
-// tombstone set. Once shredded, the record's ciphertext — every version, on
+// Shred zeroes a record's wrapped DEK and leaves its slot as a tombstone.
+// Once shredded, the record's ciphertext — every version, on
 // every medium it was ever copied to — is permanently unreadable. This is the
 // crypto-shredding construction MedVault uses to satisfy the secure-deletion
 // and media re-use mandates (HIPAA §164.310(d)(2)(i)-(ii)).
@@ -31,14 +33,35 @@ import (
 // deliberately does NOT invalidate: rotation changes only the wrapping of
 // each DEK, never the DEK itself, so cached plaintext keys stay valid.
 //
+// Per-record state is one fixed-size slot, indexed by the record's number in
+// a recno.Table the store may share with the shard's other per-record tables.
+//
 // KeyStore is safe for concurrent use.
 type KeyStore struct {
-	mu       sync.RWMutex
-	master   Key
-	wrapped  map[string][]byte        // record ID -> Seal(master, DEK, aad=id)
-	shredded map[string]bool          // tombstones for destroyed keys
-	cache    *lru.Cache[string, *Key] // plaintext DEKs; lock order: mu → cache
+	mu     sync.RWMutex
+	master Key
+	recs   *recno.Table             // record numbers; lock order: mu → recs
+	slots  []keySlot                // record number -> key state
+	cache  *lru.Cache[string, *Key] // plaintext DEKs; lock order: mu → cache
 }
+
+// wrappedLen is the size of every wrapped DEK: Seal of a KeySize key.
+const wrappedLen = KeySize + Overhead
+
+// keySlot is one record's key: its wrapped DEK while live, zeros once the
+// key is shredded (the slot is then the record's tombstone).
+type keySlot struct {
+	state slotState
+	blob  [wrappedLen]byte
+}
+
+type slotState uint8
+
+const (
+	slotEmpty    slotState = iota // no key was ever registered
+	slotLive                      // blob is Seal(master, DEK, aad=id)
+	slotShredded                  // the key was destroyed
+)
 
 // NewKeyStore returns an empty KeyStore protected by master, with the
 // default-sized DEK cache.
@@ -50,12 +73,39 @@ func NewKeyStore(master Key) *KeyStore {
 // DEK cache bounded to cacheCap entries; cacheCap <= 0 disables caching, so
 // every Get pays the full unwrap.
 func NewKeyStoreCached(master Key, cacheCap int) *KeyStore {
-	return &KeyStore{
-		master:   master,
-		wrapped:  make(map[string][]byte),
-		shredded: make(map[string]bool),
-		cache:    newDEKCache(cacheCap),
+	return NewKeyStoreOn(recno.New(), master, cacheCap)
+}
+
+// NewKeyStoreOn is NewKeyStoreCached numbering records in recs, the table a
+// shard shares among its per-record stores.
+func NewKeyStoreOn(recs *recno.Table, master Key, cacheCap int) *KeyStore {
+	return &KeyStore{master: master, recs: recs, cache: newDEKCache(cacheCap)}
+}
+
+// slot returns id's slot, or nil if it has none; the caller holds ks.mu. It
+// never numbers id, so a lookup of an unknown ID leaves the table as it was.
+func (ks *KeyStore) slot(id string) *keySlot {
+	if n, ok := ks.recs.Find(id); ok && int(n) < len(ks.slots) {
+		return &ks.slots[n]
 	}
+	return nil
+}
+
+// state returns the state of id's slot; the caller holds ks.mu.
+func (ks *KeyStore) state(id string) slotState {
+	if sl := ks.slot(id); sl != nil {
+		return sl.state
+	}
+	return slotEmpty
+}
+
+// register makes blob the live key of id, whose slot is empty, numbering id
+// if need be; the caller holds ks.mu exclusively.
+func (ks *KeyStore) register(id string, blob []byte) {
+	n := ks.recs.Intern(id)
+	ks.slots = recno.Grow(ks.slots, n)
+	ks.slots[n].state = slotLive
+	copy(ks.slots[n].blob[:], blob)
 }
 
 // Create generates, wraps, and registers a fresh DEK for id, returning the
@@ -70,7 +120,7 @@ func (ks *KeyStore) Create(id string) (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	ks.wrapped[id] = blob
+	ks.register(id, blob)
 	// Writers read what they just wrote: warm the cache so the first Get
 	// after a Put is already a hit. Safe under ks.mu (lock order mu → cache).
 	ks.cachePut(id, dek)
@@ -89,11 +139,8 @@ func (ks *KeyStore) Mint(id string) (Key, []byte, error) {
 
 // mint generates and wraps a DEK for id; the caller holds ks.mu.
 func (ks *KeyStore) mint(id string) (Key, []byte, error) {
-	if ks.shredded[id] {
-		return Key{}, nil, fmt.Errorf("%w: %s", ErrShredded, id)
-	}
-	if _, ok := ks.wrapped[id]; ok {
-		return Key{}, nil, fmt.Errorf("%w: %s", ErrKeyExists, id)
+	if err := ks.vacant(id); err != nil {
+		return Key{}, nil, err
 	}
 	dek, err := NewKey()
 	if err != nil {
@@ -104,6 +151,18 @@ func (ks *KeyStore) mint(id string) (Key, []byte, error) {
 		return Key{}, nil, fmt.Errorf("vcrypto: wrapping DEK for %s: %w", id, err)
 	}
 	return dek, blob, nil
+}
+
+// vacant reports whether a key may be registered for id: it has none, live
+// or destroyed. The caller holds ks.mu.
+func (ks *KeyStore) vacant(id string) error {
+	switch ks.state(id) {
+	case slotShredded:
+		return fmt.Errorf("%w: %s", ErrShredded, id)
+	case slotLive:
+		return fmt.Errorf("%w: %s", ErrKeyExists, id)
+	}
+	return nil
 }
 
 // Get unwraps and returns the DEK for id. It returns ErrShredded if the key
@@ -140,32 +199,30 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 		return dek, true, nil
 	}
 	ks.mu.RLock()
-	// Copy the wrapped blob and master under the read lock: Shred zeroes the
-	// blob in place and Rewrap swaps the master, both under the write lock,
-	// so neither may be touched after RUnlock.
+	// Copy the slot and master under the read lock: Shred zeroes the blob in
+	// place and Rewrap swaps the master, both under the write lock, so
+	// neither may be touched after RUnlock.
 	master := ks.master
-	shred := ks.shredded[id]
-	var blob []byte
-	if b, ok := ks.wrapped[id]; ok {
-		blob = append([]byte(nil), b...)
+	var sl keySlot
+	if p := ks.slot(id); p != nil {
+		sl = *p
 	}
 	ks.mu.RUnlock()
-	if shred {
+	switch sl.state {
+	case slotShredded:
 		return Key{}, false, fmt.Errorf("%w: %s", ErrShredded, id)
-	}
-	if blob == nil {
+	case slotEmpty:
 		return Key{}, false, fmt.Errorf("%w: %s", ErrNoKey, id)
 	}
-	dek, err := unwrap(master, id, blob)
+	dek, err := unwrap(master, id, sl.blob[:])
 	if err != nil {
 		return Key{}, false, err
 	}
-	// Insert under the write lock, re-checking the tombstone: a Shred may
-	// have completed between RUnlock and here, and caching the key it just
-	// destroyed would resurrect it. The blob-presence check covers the same
-	// window for stores mutated by other paths.
+	// Insert under the write lock, re-checking the slot: a Shred may have
+	// completed between RUnlock and here, and caching the key it just
+	// destroyed would resurrect it.
 	ks.mu.Lock()
-	if _, live := ks.wrapped[id]; live && !ks.shredded[id] {
+	if ks.state(id) == slotLive {
 		ks.cachePut(id, dek)
 	}
 	ks.mu.Unlock()
@@ -178,18 +235,14 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 func (ks *KeyStore) Shred(id string) error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.shredded[id] {
+	sl := ks.slot(id)
+	switch {
+	case sl == nil || sl.state == slotEmpty:
+		return fmt.Errorf("%w: %s", ErrNoKey, id)
+	case sl.state == slotShredded:
 		return nil
 	}
-	blob, ok := ks.wrapped[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoKey, id)
-	}
-	for i := range blob {
-		blob[i] = 0
-	}
-	delete(ks.wrapped, id)
-	ks.shredded[id] = true
+	*sl = keySlot{state: slotShredded}
 	// Invalidate the plaintext-DEK cache synchronously, before Shred returns:
 	// secure deletion is only complete once no copy of the key — wrapped or
 	// cached — remains obtainable. The entry is zeroized, not just dropped.
@@ -235,24 +288,33 @@ func unwrap(master Key, id string, blob []byte) (Key, error) {
 }
 
 // AdoptWrapped registers a wrapped DEK blob for id — minted by Mint, replayed
-// from a write-ahead log, or received in a backup. The blob must unwrap under
-// the store's master key; a foreign blob is refused here rather than on first
-// Get. Like Create, adoption warms the DEK cache.
+// from a write-ahead log, or received in a backup. The blob must be a wrapped
+// key's size and unwrap under the store's master key; a foreign blob is
+// refused here rather than on first Get. Like Create, adoption warms the DEK
+// cache.
 func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
+	if err := checkWrapped(id, blob); err != nil {
+		return err
+	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.shredded[id] {
-		return fmt.Errorf("%w: %s", ErrShredded, id)
-	}
-	if _, ok := ks.wrapped[id]; ok {
-		return fmt.Errorf("%w: %s", ErrKeyExists, id)
+	if err := ks.vacant(id); err != nil {
+		return err
 	}
 	dek, err := unwrap(ks.master, id, blob)
 	if err != nil {
 		return err
 	}
-	ks.wrapped[id] = append([]byte(nil), blob...)
+	ks.register(id, blob)
 	ks.cachePut(id, dek)
+	return nil
+}
+
+// checkWrapped rejects a blob that cannot be a wrapped DEK by its size.
+func checkWrapped(id string, blob []byte) error {
+	if len(blob) != wrappedLen {
+		return fmt.Errorf("%w: wrapped DEK of %s is %d bytes, want %d", ErrBadKey, id, len(blob), wrappedLen)
+	}
 	return nil
 }
 
@@ -261,14 +323,14 @@ func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
 func (ks *KeyStore) WrappedFor(id string) ([]byte, error) {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	if ks.shredded[id] {
+	sl := ks.slot(id)
+	switch {
+	case sl == nil || sl.state == slotEmpty:
+		return nil, fmt.Errorf("%w: %s", ErrNoKey, id)
+	case sl.state == slotShredded:
 		return nil, fmt.Errorf("%w: %s", ErrShredded, id)
 	}
-	blob, ok := ks.wrapped[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoKey, id)
-	}
-	return append([]byte(nil), blob...), nil
+	return append([]byte(nil), sl.blob[:]...), nil
 }
 
 // Rewrap re-encrypts every live DEK under newMaster and switches the store
@@ -280,9 +342,13 @@ func (ks *KeyStore) WrappedFor(id string) ([]byte, error) {
 func (ks *KeyStore) Rewrap(newMaster Key) error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	rewrapped := make(map[string][]byte, len(ks.wrapped))
-	for id, blob := range ks.wrapped {
-		raw, err := Open(ks.master, blob, []byte(id))
+	rewrapped := make([][wrappedLen]byte, len(ks.slots))
+	for n := range ks.slots {
+		if ks.slots[n].state != slotLive {
+			continue
+		}
+		id := ks.recs.ID(uint32(n))
+		raw, err := Open(ks.master, ks.slots[n].blob[:], []byte(id))
 		if err != nil {
 			return fmt.Errorf("vcrypto: rewrap: unwrapping %s: %w", id, err)
 		}
@@ -293,14 +359,13 @@ func (ks *KeyStore) Rewrap(newMaster Key) error {
 		if err != nil {
 			return fmt.Errorf("vcrypto: rewrap: wrapping %s: %w", id, err)
 		}
-		rewrapped[id] = newBlob
+		copy(rewrapped[n][:], newBlob)
 	}
-	for _, blob := range ks.wrapped {
-		for i := range blob {
-			blob[i] = 0
+	for n := range ks.slots {
+		if ks.slots[n].state == slotLive {
+			ks.slots[n].blob = rewrapped[n]
 		}
 	}
-	ks.wrapped = rewrapped
 	ks.master = newMaster
 	return nil
 }
@@ -309,26 +374,51 @@ func (ks *KeyStore) Rewrap(newMaster Key) error {
 func (ks *KeyStore) IsShredded(id string) bool {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	return ks.shredded[id]
+	return ks.state(id) == slotShredded
 }
 
 // Len returns the number of live (unshredded) keys.
 func (ks *KeyStore) Len() int {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	return len(ks.wrapped)
+	n := 0
+	for i := range ks.slots {
+		if ks.slots[i].state == slotLive {
+			n++
+		}
+	}
+	return n
 }
 
 // IDs returns the record IDs with live keys, sorted.
 func (ks *KeyStore) IDs() []string {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	ids := make([]string, 0, len(ks.wrapped))
-	for id := range ks.wrapped {
-		ids = append(ids, id)
+	live := ks.inState(slotLive)
+	ids := make([]string, len(live))
+	for i, e := range live {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
 	return ids
+}
+
+// numbered is a record ID with its number.
+type numbered struct {
+	id string
+	n  uint32
+}
+
+// inState returns the records whose slot is in state, sorted by ID; the
+// caller holds ks.mu.
+func (ks *KeyStore) inState(state slotState) []numbered {
+	var out []numbered
+	for n := range ks.slots {
+		if ks.slots[n].state == state {
+			out = append(out, numbered{ks.recs.ID(uint32(n)), uint32(n)})
+		}
+	}
+	slices.SortFunc(out, func(a, b numbered) int { return strings.Compare(a.id, b.id) })
+	return out
 }
 
 // keystore snapshot wire format:
@@ -346,14 +436,16 @@ func (ks *KeyStore) Snapshot() []byte {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	b := binary.BigEndian.AppendUint16([]byte(ksMagic), ksVersion)
-	b = frame.AppendCount(b, len(ks.wrapped))
-	for _, id := range sortedKeys(ks.wrapped) {
-		b = frame.AppendStr(b, id)
-		b = frame.AppendBytes(b, ks.wrapped[id])
+	live := ks.inState(slotLive)
+	b = frame.AppendCount(b, len(live))
+	for _, e := range live {
+		b = frame.AppendStr(b, e.id)
+		b = frame.AppendBytes(b, ks.slots[e.n].blob[:])
 	}
-	b = frame.AppendCount(b, len(ks.shredded))
-	for _, id := range sortedKeys(ks.shredded) {
-		b = frame.AppendStr(b, id)
+	dead := ks.inState(slotShredded)
+	b = frame.AppendCount(b, len(dead))
+	for _, e := range dead {
+		b = frame.AppendStr(b, e.id)
 	}
 	return b
 }
@@ -370,7 +462,8 @@ func LoadKeyStore(master Key, snap []byte) (*KeyStore, error) {
 
 // Restore replaces the store's keys and tombstones with those of a Snapshot
 // taken under the same master key; the DEK cache keeps its bound and starts
-// cold. The snapshot's integrity is verified lazily: a corrupted wrapped key
+// cold. A wrapped key of the wrong size, or a record listed twice, is
+// refused here; whether a key unwraps is checked lazily, so a corrupted one
 // surfaces as ErrDecrypt on first Get. On error the store is unchanged.
 func (ks *KeyStore) Restore(snap []byte) error {
 	r := frame.NewReader(snap)
@@ -380,29 +473,53 @@ func (ks *KeyStore) Restore(snap []byte) error {
 	if ver := r.U16(); ver != ksVersion {
 		return fmt.Errorf("vcrypto: unsupported keystore snapshot version %d", ver)
 	}
-	wrapped, shredded := make(map[string][]byte), make(map[string]bool)
-	for i, n := 0, r.Count(8); i < n; i++ { // id and blob: two length prefixes
-		id := r.Str()
-		wrapped[id] = r.Bytes()
+	type key struct {
+		id   string
+		blob []byte
 	}
-	for i, n := 0, r.Count(4); i < n; i++ {
-		shredded[r.Str()] = true
+	live := make([]key, r.Count(8)) // id and blob: two length prefixes
+	for i := range live {
+		live[i] = key{r.Str(), r.Bytes()}
+	}
+	dead := make([]string, r.Count(4))
+	for i := range dead {
+		dead[i] = r.Str()
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("vcrypto: truncated keystore snapshot: %w", err)
 	}
+	for _, k := range live {
+		if err := checkWrapped(k.id, k.blob); err != nil {
+			return fmt.Errorf("vcrypto: keystore snapshot: %w", err)
+		}
+	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	ks.wrapped, ks.shredded = wrapped, shredded
+	var slots []keySlot
+	fill := func(id string, blob []byte) error {
+		n := ks.recs.Intern(id)
+		slots = recno.Grow(slots, n)
+		if slots[n].state != slotEmpty {
+			return fmt.Errorf("vcrypto: keystore snapshot lists %s twice", id)
+		}
+		slots[n].state = slotShredded
+		if blob != nil {
+			slots[n].state = slotLive
+			copy(slots[n].blob[:], blob)
+		}
+		return nil
+	}
+	for _, k := range live {
+		if err := fill(k.id, k.blob); err != nil {
+			return err
+		}
+	}
+	for _, id := range dead {
+		if err := fill(id, nil); err != nil {
+			return err
+		}
+	}
+	ks.slots = slots
 	ks.cache.Purge()
 	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

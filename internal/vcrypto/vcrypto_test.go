@@ -2,9 +2,13 @@ package vcrypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"medvault/internal/frame"
 )
 
 func testKey(t *testing.T) Key {
@@ -431,5 +435,74 @@ func TestHashHex(t *testing.T) {
 	}
 	if len(HashHex(nil)) != 64 {
 		t.Error("hash hex length wrong")
+	}
+}
+
+// TestRestoreRejectsWrongSizeWrappedDEK: every wrapped DEK is a sealed key,
+// KeySize+Overhead bytes. A snapshot carrying a truncated or oversized one
+// is refused at load, naming the record, and leaves the store as it was;
+// the parent accepted it and failed only on the record's first Get. A
+// record listed twice is refused the same way.
+func TestRestoreRejectsWrongSizeWrappedDEK(t *testing.T) {
+	master := testKey(t)
+	src := NewKeyStore(master)
+	for _, id := range []string{"rec-a", "rec-b"} {
+		if _, err := src.Create(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := src.WrappedFor("rec-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(live map[string][]byte, dead ...string) []byte {
+		b := binary.BigEndian.AppendUint16([]byte(ksMagic), ksVersion)
+		b = frame.AppendCount(b, len(live))
+		for _, id := range []string{"rec-a", "rec-b"} {
+			if bl, ok := live[id]; ok {
+				b = frame.AppendBytes(frame.AppendStr(b, id), bl)
+			}
+		}
+		b = frame.AppendCount(b, len(dead))
+		for _, id := range dead {
+			b = frame.AppendStr(b, id)
+		}
+		return b
+	}
+	good, _ := src.WrappedFor("rec-a")
+	for name, tc := range map[string]struct {
+		snap []byte
+		want string
+	}{
+		"truncated": {snap(map[string][]byte{"rec-a": good, "rec-b": blob[:len(blob)-1]}), "rec-b"},
+		"oversized": {snap(map[string][]byte{"rec-a": good, "rec-b": append(blob, 0)}), "rec-b"},
+		"twice":     {snap(map[string][]byte{"rec-a": good}, "rec-a"), "rec-a"},
+	} {
+		ks := NewKeyStore(master)
+		if _, err := ks.Create("kept"); err != nil {
+			t.Fatal(err)
+		}
+		err := ks.Restore(tc.snap)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want an error naming %s", name, err, tc.want)
+		}
+		if _, err := ks.Get("kept"); err != nil || ks.Len() != 1 || ks.IsShredded("rec-a") {
+			t.Errorf("%s: a refused snapshot changed the store: Get(kept) %v, Len %d", name, err, ks.Len())
+		}
+		if _, err := LoadKeyStore(master, tc.snap); err == nil {
+			t.Errorf("%s: LoadKeyStore accepted it", name)
+		}
+	}
+	if ks, err := LoadKeyStore(master, snap(map[string][]byte{"rec-a": good, "rec-b": blob})); err != nil || ks.Len() != 2 {
+		t.Fatalf("well-formed snapshot: %v", err)
+	}
+	for _, bad := range [][]byte{blob[:len(blob)-1], append(blob, 0)} {
+		ks := NewKeyStore(master)
+		if err := ks.AdoptWrapped("rec-b", bad); !errors.Is(err, ErrBadKey) || !strings.Contains(err.Error(), "rec-b") {
+			t.Errorf("AdoptWrapped of a %d-byte blob: %v", len(bad), err)
+		}
+		if ks.Len() != 0 {
+			t.Errorf("a refused blob was registered")
+		}
 	}
 }

@@ -18,7 +18,7 @@ check "One field codec: internal/frame owns every read/write/append helper" \
 	"$(grep -rnE '^func (write|read|append)(U8|U16|U32|U64|Str|Bytes|BytesField)\(' internal cmd --include='*.go' | grep -v '^internal/frame/')"
 
 check "One mutation path: only internal/core/commit.go logs an entry or applies one" \
-	"$(grep -nE 'st\.versions = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
+	"$(grep -nE 'st\.more = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
 
 check "One LRU: internal/lru is the only importer of container/list" \
 	"$(grep -rn '"container/list"' internal cmd --include='*.go' | grep -v '^internal/lru/')"
@@ -68,5 +68,13 @@ sse=internal/index/sse.go
 check "Compact SSE index: no hex-keyed posting sets or []string token lists, and hex only in tokenHex/parseTokenHex, in $sse" \
 	"$(grep -HnE 'map\[string\]map\[string\]bool|\[\]string' $sse | grep -iE 'map\[string\]map|tok'
 	awk '/^func /{fn=$0} /hex\.[A-Z]/ && fn !~ /^func (tokenHex|parseTokenHex)\(/ {print FILENAME ":" FNR ": " $0}' $sse)"
+
+# A shard numbers each record once, in one recno.Table shared by its
+# per-record stores, which index slices by that number: none of them keys
+# per-record state by the ID string. The index's term table is keyed by
+# token, not record.
+check "One record table: no map[string] field in the key store, custody tracker, SSE index (but its term table) or core Vault" \
+	"$(grep -HnE '^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[string\]' internal/vcrypto/keystore.go internal/provenance/provenance.go internal/index/sse.go | grep -vE 'sse\.go:[0-9]+:[[:space:]]+termNum[[:space:]]'
+	awk '/^type Vault struct/ {in_vault=1} in_vault && /^}/ {in_vault=0} in_vault && /map\[string\]/ {print FILENAME ":" FNR ": " $0}' internal/core/vault.go)"
 
 exit $fail
