@@ -186,8 +186,8 @@ func BenchmarkAblationAuditAppend(b *testing.B) {
 }
 
 // BenchmarkAblationWALAppend: durable intent logging with fsync per write —
-// the price of crash consistency on real storage (only paid by durable
-// vaults; the memory-backed benchmarks above skip it).
+// the price of crash consistency on real storage (a vault on an in-memory
+// disk pays the WAL but not the real fsync).
 func BenchmarkAblationWALAppend(b *testing.B) {
 	recs := ablationRecords(b)
 	log, err := wal.Open(b.TempDir()+"/ablate.wal", nil)

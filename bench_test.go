@@ -399,7 +399,7 @@ func BenchmarkVaultVerifyAll(b *testing.B) {
 	}
 }
 
-// newParallelVault builds a memory-backed vault wrapped in the bench adapter
+// newParallelVault builds a vault on an in-memory disk wrapped in the bench adapter
 // for the parallel-scaling benchmarks below.
 func newParallelVault(b *testing.B) *core.Adapter {
 	b.Helper()

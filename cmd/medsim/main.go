@@ -24,16 +24,16 @@ import (
 
 func main() {
 	var (
-		seed    = flag.Int64("seed", 1, "generator seed")
-		ops     = flag.Int("ops", 500, "operations to generate")
-		workers = flag.Int("workers", 2, "logical writers to interleave")
-		shards  = flag.Int("shards", 0, "cluster shard count (0 = battery defaults / single vault)")
-		durable  = flag.Bool("durable", true, "file-backed vault over the fault-injecting memory disk (false = memory backend)")
+		seed     = flag.Int64("seed", 1, "generator seed")
+		ops      = flag.Int("ops", 500, "operations to generate")
+		workers  = flag.Int("workers", 2, "logical writers to interleave")
+		shards   = flag.Int("shards", 0, "cluster shard count (0 = battery defaults / single vault)")
+		durable  = flag.Bool("durable", true, "vault over the fault-injecting memory disk (false = the vault's own in-memory disk, no faults)")
 		failover = flag.Bool("failover", false, "durable mode: replicate to a warm follower and promote it at every crash step")
-		quick   = flag.Bool("quick", false, "run the fixed CI battery instead of a single seed")
-		replay  = flag.String("replay", "", "replay a recorded trace file instead of generating")
-		outPath = flag.String("trace", "", "write the run's trace here (failures always write medsim-failure-<seed>.trace)")
-		verbose = flag.Bool("v", false, "verbose progress")
+		quick    = flag.Bool("quick", false, "run the fixed CI battery instead of a single seed")
+		replay   = flag.String("replay", "", "replay a recorded trace file instead of generating")
+		outPath  = flag.String("trace", "", "write the run's trace here (failures always write medsim-failure-<seed>.trace)")
+		verbose  = flag.Bool("v", false, "verbose progress")
 	)
 	flag.Parse()
 

@@ -35,6 +35,9 @@ func main() {
 	failover := flag.Bool("failover", false, "torture the replication stream: kill the primary at every boundary and promote the follower")
 	verbose := flag.Bool("v", false, "print phase progress")
 	flag.Parse()
+	if *quick && *stride <= 0 {
+		*stride = 5
+	}
 
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -48,7 +51,7 @@ func main() {
 	}
 
 	if *failover {
-		rep, err := repl.RunFailoverTorture(repl.FailoverOpts{Quick: *quick, Stride: *stride, Shards: *shards, Logf: logf})
+		rep, err := repl.RunFailoverTorture(repl.FailoverOpts{Stride: *stride, Shards: *shards, Logf: logf})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "medtorture: %v\n", err)
 			os.Exit(2)
@@ -66,7 +69,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := core.TortureOpts{Quick: *quick, Stride: *stride, Shards: *shards}
+	opts := core.TortureOpts{Stride: *stride, Shards: *shards}
 	if *verbose {
 		opts.Logf = logf
 	}

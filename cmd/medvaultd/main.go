@@ -183,8 +183,6 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 		"dir", dir,
 		"shards", v.NumShards(),
 		"records", h.LiveRecords,
-		"durable", h.Durable,
-		"recovery_ran", h.LastRecovery.Ran,
 		"snapshot_loaded", h.LastRecovery.SnapshotLoaded,
 		"wal_entries_replayed", h.LastRecovery.WALEntries)
 	if v.NumShards() > 1 {
@@ -376,7 +374,7 @@ func runFollower(dir, key, addr, replAddr, name string, tlsCert, tlsKey string, 
 		promoted = v
 		h := v.Health()
 		logger.Info("promoted", "epoch", epoch, "records", h.LiveRecords,
-			"recovery_ran", h.LastRecovery.Ran, "wal_entries_replayed", h.LastRecovery.WALEntries)
+			"wal_entries_replayed", h.LastRecovery.WALEntries)
 		fmt.Fprintf(w, "{\"promoted\":true,\"epoch\":%d}\n", epoch)
 	})
 	handler.Store(handlerBox{mux})

@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A memory-backed vault (pass Config.Dir for durable storage).
+	// A vault on a fresh in-memory disk (pass Config.Dir to keep it on disk).
 	vault, err := core.Open(core.Config{Name: "quickstart-clinic", Master: master})
 	if err != nil {
 		log.Fatal(err)

@@ -83,7 +83,7 @@ func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Eve
 
 // rewriteStored plays the format-aware insider with disk access: it replaces
 // the stored event at ref with e (same encoded length) under a valid frame CRC.
-func rewriteStored(t *testing.T, store *blockstore.Memory, ref blockstore.Ref, e Event) {
+func rewriteStored(t *testing.T, store *blockstore.File, ref blockstore.Ref, e Event) {
 	t.Helper()
 	if err := store.CorruptFrame(ref, func([]byte) []byte { return encodeEvent(e) }); err != nil {
 		t.Fatal(err)

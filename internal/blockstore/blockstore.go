@@ -13,6 +13,7 @@ package blockstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -104,37 +105,60 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// metrics bundles the I/O instrumentation for one backend kind. All stores
-// of a backend share one set, labeled backend="file" or backend="memory",
-// so the /metrics view separates real disk traffic from in-memory traffic.
-type metrics struct {
+func encodeFrame(data []byte) []byte {
+	frame := make([]byte, frameOverhead+len(data))
+	frame[0] = frameMagic
+	binary.BigEndian.PutUint32(frame[1:5], uint32(len(data)))
+	binary.BigEndian.PutUint32(frame[5:9], checksum(data))
+	copy(frame[frameOverhead:], data)
+	return frame
+}
+
+// decodeFrame parses one frame from the front of b, returning a copy of the
+// payload and the total frame length consumed.
+func decodeFrame(b []byte) ([]byte, int, error) {
+	if len(b) < frameOverhead {
+		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+	}
+	if b[0] != frameMagic {
+		return nil, 0, fmt.Errorf("%w: bad frame magic 0x%02x", ErrCorrupt, b[0])
+	}
+	n := binary.BigEndian.Uint32(b[1:5])
+	crc := binary.BigEndian.Uint32(b[5:9])
+	if uint64(frameOverhead)+uint64(n) > uint64(len(b)) {
+		return nil, 0, fmt.Errorf("%w: frame length %d overruns segment", ErrCorrupt, n)
+	}
+	payload := b[frameOverhead : frameOverhead+int(n)]
+	if checksum(payload) != crc {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	out := make([]byte, n)
+	copy(out, payload)
+	return out, frameOverhead + int(n), nil
+}
+
+// fileMetrics is the I/O instrumentation every store shares, labeled
+// backend="file".
+var fileMetrics = struct {
 	appends, appendBytes       *obs.Counter
 	reads, readBytes           *obs.Counter
 	appendSeconds, readSeconds *obs.Histogram
 	syncSeconds                *obs.Histogram
+}{
+	appends: obs.Default.Counter("medvault_blockstore_appends_total",
+		"Blocks appended.", backendFile),
+	appendBytes: obs.Default.Counter("medvault_blockstore_append_bytes_total",
+		"Bytes appended, framing included.", backendFile),
+	reads: obs.Default.Counter("medvault_blockstore_reads_total",
+		"Blocks read.", backendFile),
+	readBytes: obs.Default.Counter("medvault_blockstore_read_bytes_total",
+		"Payload bytes read.", backendFile),
+	appendSeconds: obs.Default.Histogram("medvault_blockstore_append_seconds",
+		"Block append latency.", obs.LatencyBuckets, backendFile),
+	readSeconds: obs.Default.Histogram("medvault_blockstore_read_seconds",
+		"Block read latency.", obs.LatencyBuckets, backendFile),
+	syncSeconds: obs.Default.Histogram("medvault_blockstore_sync_seconds",
+		"Store sync (fsync) latency.", obs.LatencyBuckets, backendFile),
 }
 
-func newMetrics(backend string) *metrics {
-	l := obs.L("backend", backend)
-	return &metrics{
-		appends: obs.Default.Counter("medvault_blockstore_appends_total",
-			"Blocks appended.", l),
-		appendBytes: obs.Default.Counter("medvault_blockstore_append_bytes_total",
-			"Bytes appended, framing included.", l),
-		reads: obs.Default.Counter("medvault_blockstore_reads_total",
-			"Blocks read.", l),
-		readBytes: obs.Default.Counter("medvault_blockstore_read_bytes_total",
-			"Payload bytes read.", l),
-		appendSeconds: obs.Default.Histogram("medvault_blockstore_append_seconds",
-			"Block append latency.", obs.LatencyBuckets, l),
-		readSeconds: obs.Default.Histogram("medvault_blockstore_read_seconds",
-			"Block read latency.", obs.LatencyBuckets, l),
-		syncSeconds: obs.Default.Histogram("medvault_blockstore_sync_seconds",
-			"Store sync (fsync) latency.", obs.LatencyBuckets, l),
-	}
-}
-
-var (
-	fileMetrics   = newMetrics("file")
-	memoryMetrics = newMetrics("memory")
-)
+var backendFile = obs.L("backend", "file")

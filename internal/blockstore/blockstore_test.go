@@ -14,8 +14,8 @@ import (
 	"medvault/internal/faultfs"
 )
 
-// stores returns one of each backend, pre-sized with small segments so
-// rotation is exercised.
+// stores returns the store on each disk — the in-memory one and the real
+// filesystem — pre-sized with small segments so rotation is exercised.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
 	file, err := OpenFile(t.TempDir(), 1024)
@@ -172,13 +172,16 @@ func TestClosedStore(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	m := NewMemory(128)
+	var last Ref
 	for i := 0; i < 20; i++ {
-		if _, err := m.Append(make([]byte, 50)); err != nil {
+		ref, err := m.Append(make([]byte, 50))
+		if err != nil {
 			t.Fatal(err)
 		}
+		last = ref
 	}
-	if m.SegmentCount() < 5 {
-		t.Errorf("expected rotation into >=5 segments, got %d", m.SegmentCount())
+	if segments := last.Segment + 1; segments < 5 {
+		t.Errorf("expected rotation into >=5 segments, got %d", segments)
 	}
 	if m.Len() != 20 {
 		t.Errorf("Len = %d, want 20", m.Len())

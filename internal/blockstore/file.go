@@ -45,6 +45,19 @@ func OpenFile(dir string, segCap int) (*File, error) {
 	return OpenFileFS(faultfs.OS{}, dir, segCap)
 }
 
+// NewMemory returns a store on a private in-memory disk, with the given
+// segment capacity in bytes (0 means 4 MiB).
+func NewMemory(segCap int) *File {
+	if segCap <= 0 {
+		segCap = 4 << 20
+	}
+	f, err := OpenFileFS(faultfs.NewMem(), "blocks", segCap)
+	if err != nil {
+		panic(err) // a fresh in-memory disk has nothing to fail on
+	}
+	return f
+}
+
 // OpenFileFS is OpenFile over an explicit filesystem — the seam the
 // fault-injection and crash-simulation tests use.
 func OpenFileFS(fsys faultfs.FS, dir string, segCap int) (*File, error) {
@@ -349,7 +362,8 @@ func (f *File) Close() error {
 func (f *File) Dir() string { return f.dir }
 
 // ReadRaw reads the raw bytes of all segments concatenated, for the
-// residual-plaintext probe. It bypasses frame validation deliberately.
+// attack injector and the residual-plaintext probe. It bypasses frame
+// validation deliberately.
 func (f *File) ReadRaw() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -362,6 +376,38 @@ func (f *File) ReadRaw() ([]byte, error) {
 		out = append(out, data...)
 	}
 	return out, nil
+}
+
+// CorruptFrame models a format-aware insider with direct disk access: it
+// rewrites the payload of the frame at ref in place — applying mutate to the
+// payload and recomputing a *valid* CRC — so the tampering cannot be caught
+// by the framing layer, only by cryptographic verification above it. mutate
+// must return a payload of the same length (in-place disk edits cannot grow
+// a frame).
+func (f *File) CorruptFrame(ref Ref, mutate func([]byte) []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	if int(ref.Segment) >= len(f.sizes) || int64(ref.Offset) >= f.sizes[ref.Segment] {
+		return fmt.Errorf("%w: %v", ErrNotFound, ref)
+	}
+	path := filepath.Join(f.dir, segName(int(ref.Segment)))
+	seg, err := f.fs.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("blockstore: reading segment %d: %w", ref.Segment, err)
+	}
+	payload, n, err := decodeFrame(seg[ref.Offset:f.sizes[ref.Segment]])
+	if err != nil {
+		return err
+	}
+	mutated := mutate(payload)
+	if len(mutated) != len(payload) {
+		return fmt.Errorf("blockstore: CorruptFrame must preserve length: %d != %d", len(mutated), len(payload))
+	}
+	copy(seg[ref.Offset:ref.Offset+uint64(n)], encodeFrame(mutated))
+	return f.fs.WriteFile(path, seg, 0o600)
 }
 
 var _ io.Closer = (*File)(nil)

@@ -122,18 +122,11 @@ func (a *Adapter) StorageBytes() int64 { return a.v.StorageBytes() }
 func (a *Adapter) RawBytes() []byte {
 	var out []byte
 	for _, v := range a.v.shards {
-		mem, ok := v.blocks.(*blockstore.Memory)
-		if !ok {
-			raw, err := v.blocks.(*blockstore.File).ReadRaw()
-			if err != nil {
-				return nil
-			}
-			out = append(out, raw...)
-		} else {
-			for i := 0; i < mem.SegmentCount(); i++ {
-				out = append(out, mem.RawSegment(i)...)
-			}
+		raw, err := v.blocks.ReadRaw()
+		if err != nil {
+			return nil
 		}
+		out = append(out, raw...)
 		if snap, err := v.idx.Snapshot(); err == nil {
 			out = append(out, snap...)
 		}
@@ -141,15 +134,11 @@ func (a *Adapter) RawBytes() []byte {
 	return out
 }
 
-// TamperRecord implements stores.Tamperable on memory-backed vaults: a
-// format-aware insider rewrites the latest version's ciphertext in place
-// with a valid CRC, on the record's own shard.
+// TamperRecord implements stores.Tamperable: a format-aware insider
+// rewrites the latest version's ciphertext in place with a valid CRC, on the
+// record's own shard.
 func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
 	v := a.v.shardFor(id)
-	mem, ok := v.blocks.(*blockstore.Memory)
-	if !ok {
-		return fmt.Errorf("core: TamperRecord requires a memory-backed vault")
-	}
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
 	st, err := v.stateFor(id)
@@ -161,7 +150,7 @@ func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
 	if err != nil {
 		return mapErr(err)
 	}
-	return mem.CorruptFrame(ref, mutate)
+	return v.blocks.CorruptFrame(ref, mutate)
 }
 
 // RollbackMetadata models the insider who edits the vault's metadata to

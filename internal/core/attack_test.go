@@ -10,6 +10,7 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 	"medvault/internal/merkle"
 	"medvault/internal/stores"
 	"medvault/internal/vcrypto"
@@ -77,6 +78,36 @@ func TestVaultDetectsCiphertextTamper(t *testing.T) {
 	}
 	if _, err := a.Get(recs[5].ID); err == nil {
 		t.Error("tampered record served")
+	}
+}
+
+// TestTamperRecordOnExplicitDir: the insider's in-place rewrite works on any
+// vault, not only on one opened without a Dir, and Verify still catches it.
+func TestTamperRecordOnExplicitDir(t *testing.T) {
+	v, err := Open(Config{Name: "hospital-test", Master: mustKey(t), Clock: mustClock(),
+		Dir: "vault", FS: faultfs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	a, err := NewAdapter(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := ehr.NewGenerator(23, testEpoch).Corpus(4)
+	for _, r := range recs {
+		if err := a.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.TamperRecord(recs[2].ID, func(b []byte) []byte {
+		b[0] ^= 0x01
+		return b
+	}); err != nil {
+		t.Fatalf("TamperRecord: %v", err)
+	}
+	if err := a.Verify(); !errors.Is(err, stores.ErrTampered) {
+		t.Errorf("bit flip undetected by Verify: %v", err)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestCorruptAuditFrameFailsTheAnswer(t *testing.T) {
 
 	// A format-aware insider rewrites the last stored event that names recA:
 	// one MAC bit flipped, under a valid frame CRC.
-	store := v.Shard(0).auditStore.(*blockstore.Memory)
+	store := v.Shard(0).auditStore
 	var target blockstore.Ref
 	if err := store.Scan(func(ref blockstore.Ref, data []byte) error {
 		if bytes.Contains(data, []byte(recA.ID)) {

@@ -139,7 +139,8 @@ type Cluster struct {
 // layout). With more, each shard lives under cfg.Dir/shard-<i> and
 // cfg.Dir/cluster.conf pins the shard count; reopening with a different
 // count is an error, and cfg.Shards == 0 adopts the manifest's count (1 when
-// there is none).
+// there is none). An empty cfg.Dir is a fresh in-memory disk, laid out the
+// same way.
 //
 // All shards share the master key, system name, clock, authorizer, and
 // retention manager, so the vault presents one signing identity and one
@@ -158,17 +159,15 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	if cfg.FS == nil {
+	switch {
+	case cfg.Dir == "":
+		cfg.Dir, cfg.FS = "vault", faultfs.NewMem()
+	case cfg.FS == nil:
 		cfg.FS = faultfs.OS{}
 	}
-	if cfg.Dir != "" {
-		n, err := reconcileManifest(cfg.FS, cfg.Dir, shards)
-		if err != nil {
-			return nil, err
-		}
-		shards = n
-	} else if shards == 0 {
-		shards = 1
+	shards, err := reconcileManifest(cfg.FS, cfg.Dir, shards)
+	if err != nil {
+		return nil, err
 	}
 
 	// One authorizer and one retention manager for the whole vault: grants,
@@ -191,9 +190,7 @@ func Open(cfg Config) (*Cluster, error) {
 		dir, tag := cfg.Dir, ""
 		if shards > 1 {
 			tag = strconv.Itoa(i)
-			if cfg.Dir != "" {
-				dir = filepath.Join(cfg.Dir, "shard-"+tag)
-			}
+			dir = filepath.Join(cfg.Dir, "shard-"+tag)
 		}
 		v, err := openShard(cfg, dir, tag, c.auth, c.ret)
 		if err != nil {
@@ -404,27 +401,25 @@ func (c *Cluster) Heads() []merkle.SignedTreeHead {
 }
 
 // Health reports the vault's current liveness for /healthz. With several
-// shards it merges their reports — Open/Durable only if every shard is,
-// wedged if any shard is (the first wedged shard named), counts summed —
-// and attaches the per-shard reports. InFlightOps is the process-wide
+// shards it merges their reports — Open only if every shard is, wedged if
+// any shard is (the first wedged shard named), counts summed — and attaches
+// the per-shard reports. InFlightOps is the process-wide
 // gauge, not a sum: shards share it.
 func (c *Cluster) Health() HealthStatus {
 	if len(c.shards) == 1 {
 		return c.shards[0].Health()
 	}
-	merged := HealthStatus{Open: true, Durable: true}
+	merged := HealthStatus{Open: true}
 	for i, v := range c.shards {
 		h := v.Health()
 		merged.Shards = append(merged.Shards, h)
 		merged.Open = merged.Open && h.Open
-		merged.Durable = merged.Durable && h.Durable
 		if h.WALWedged && !merged.WALWedged {
 			merged.WALWedged = true
 			merged.WALWedgeError = fmt.Sprintf("shard %d: %s", i, h.WALWedgeError)
 		}
 		merged.WALQueueDepth += h.WALQueueDepth
 		merged.LiveRecords += h.LiveRecords
-		merged.LastRecovery.Ran = merged.LastRecovery.Ran || h.LastRecovery.Ran
 		merged.LastRecovery.SnapshotLoaded = merged.LastRecovery.SnapshotLoaded || h.LastRecovery.SnapshotLoaded
 		merged.LastRecovery.WALEntries += h.LastRecovery.WALEntries
 		merged.LastRecovery.RecordsLive += h.LastRecovery.RecordsLive

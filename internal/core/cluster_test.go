@@ -336,7 +336,7 @@ func TestOneShardClassicLayout(t *testing.T) {
 	}
 }
 
-// newCluster builds a memory-backed n-shard cluster with staff registered.
+// newCluster builds an n-shard cluster on an in-memory disk with staff registered.
 func newCluster(t *testing.T, n int) (*Cluster, *clock.Virtual) {
 	t.Helper()
 	master, err := vcrypto.NewKey()

@@ -16,28 +16,23 @@ import (
 // which logs it and calls apply; recovery is loadSnapshot plus replay, which
 // calls the same apply. Nothing else mutates that state (CI greps for it).
 
-// commit makes e durable, when the shard has a WAL, and then applies it. It
-// is the only holder of commitMu: the WAL enqueue and, for a version, the
-// Merkle append happen under the sequencer so WAL order equals leaf order
-// (see locks.go); the fsync wait happens outside it. rec is the plaintext
-// of a 'V' entry. The caller holds the record's stripe exclusively.
+// commit makes e durable and then applies it. It is the only holder of
+// commitMu: the WAL enqueue and, for a version, the Merkle append happen
+// under the sequencer so WAL order equals leaf order (see locks.go); the
+// fsync wait happens outside it. rec is the plaintext of a 'V' entry. The
+// caller holds the record's stripe exclusively.
 func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
-	var wait func() error
 	v.commitMu.Lock()
-	if v.metaWAL != nil {
-		_, wait = v.metaWAL.EnqueueCtx(ctx, e.encode())
-	}
+	_, wait := v.metaWAL.EnqueueCtx(ctx, e.encode())
 	if e.kind == 'V' {
 		v.appendLeaf(ctx, e)
 	}
 	v.commitMu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			// A version's Merkle leaf is committed but its intent is not
-			// durable: the WAL has wedged and the vault is loudly broken —
-			// every later durable mutation fails the same way.
-			return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
-		}
+	if err := wait(); err != nil {
+		// A version's Merkle leaf is committed but its intent is not
+		// durable: the WAL has wedged and the vault is loudly broken —
+		// every later mutation fails the same way.
+		return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
 	}
 	return v.apply(ctx, e, rec)
 }

@@ -300,7 +300,7 @@ func TestLiveRecordsGaugeTracksOpenVaults(t *testing.T) {
 		}
 	}
 
-	// A memory-backed source vault provides the bundle to import; closing it
+	// A source vault on an in-memory disk provides the bundle to import; closing it
 	// must return its own record to the gauge.
 	g := ehr.NewGenerator(70, testEpoch)
 	nextClinical := func() ehr.Record {

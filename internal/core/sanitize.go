@@ -26,12 +26,12 @@ import (
 // against their commitments (there are no bytes); VerifyAll skips the
 // ciphertext comparison for them and verifies their commitment leaves only.
 //
-// Memory-backed vaults rebuild their in-memory segments. Durable vaults
-// rewrite their segment files into fresh ones and swap directories, then
-// snapshot metadata and checkpoint the WAL (the rewrite changed every block
-// reference, so stale WAL intents must not be replayable). The directory
-// swap is sequenced old→aside, new→live, remove-aside; a crash between the
-// renames leaves a recoverable directory rather than a half-written one.
+// The vault rewrites its segment files into fresh ones and swaps
+// directories, then snapshots metadata and checkpoints the WAL (the rewrite
+// changed every block reference, so stale WAL intents must not be
+// replayable). The directory swap is sequenced old→aside, new→live,
+// remove-aside; a crash between the renames leaves a recoverable directory
+// rather than a half-written one.
 func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err error) {
 	// The rewrite swaps the whole block store under every record at once, so
 	// it runs under the exclusive gate: in-flight operations drain first and
@@ -47,16 +47,13 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	before := v.blocks.StorageBytes()
 
 	// Build the sanitized replacement store.
-	var fresh blockstore.Store = blockstore.NewMemory(0)
-	durable := v.dir != ""
 	freshDir := filepath.Join(v.dir, "blocks.sanitize")
-	if durable {
-		if err := v.fs.RemoveAll(freshDir); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: clearing staging dir: %w", err)
-		}
-		if fresh, err = blockstore.OpenFileFS(v.fs, freshDir, 0); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: staging store: %w", err)
-		}
+	if err := v.fs.RemoveAll(freshDir); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: clearing staging dir: %w", err)
+	}
+	fresh, err := blockstore.OpenFileFS(v.fs, freshDir, 0)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: staging store: %w", err)
 	}
 
 	// Copy live ciphertext into the replacement, keeping each record's new refs
@@ -87,37 +84,31 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 		moved[st] = refs
 	}
 
-	if durable {
-		if err := fresh.Sync(); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: syncing staging store: %w", err)
-		}
-		if err := fresh.Close(); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: closing staging store: %w", err)
-		}
-		if err := v.blocks.Close(); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: closing old store: %w", err)
-		}
-		liveDir := filepath.Join(v.dir, "blocks")
-		asideDir := filepath.Join(v.dir, "blocks.old")
-		if err := v.fs.Rename(liveDir, asideDir); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: setting old media aside: %w", err)
-		}
-		if err := v.fs.Rename(freshDir, liveDir); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: activating sanitized media: %w", err)
-		}
-		if err := v.fs.RemoveAll(asideDir); err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: destroying old media: %w", err)
-		}
-		reopened, err := blockstore.OpenFileFS(v.fs, liveDir, 0)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: sanitize: reopening sanitized media: %w", err)
-		}
-		v.blocks = reopened
-	} else {
-		old := v.blocks
-		v.blocks = fresh
-		_ = old.Close()
+	if err := fresh.Sync(); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: syncing staging store: %w", err)
 	}
+	if err := fresh.Close(); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: closing staging store: %w", err)
+	}
+	if err := v.blocks.Close(); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: closing old store: %w", err)
+	}
+	liveDir := filepath.Join(v.dir, "blocks")
+	asideDir := filepath.Join(v.dir, "blocks.old")
+	if err := v.fs.Rename(liveDir, asideDir); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: setting old media aside: %w", err)
+	}
+	if err := v.fs.Rename(freshDir, liveDir); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: activating sanitized media: %w", err)
+	}
+	if err := v.fs.RemoveAll(asideDir); err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: destroying old media: %w", err)
+	}
+	reopened, err := blockstore.OpenFileFS(v.fs, liveDir, 0)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: sanitize: reopening sanitized media: %w", err)
+	}
+	v.blocks = reopened
 	for st, refs := range moved {
 		st.sanitized = refs == nil
 		for i, ref := range refs {
@@ -125,15 +116,13 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 			vs.segment, vs.offset = ref.Segment, ref.Offset
 		}
 	}
-	if durable {
-		// Metadata now references the new media only: snapshot and drop
-		// stale WAL intents.
-		if err := v.writeSnapshotLocked(); err != nil {
-			return 0, 0, err
-		}
-		if err := v.metaWAL.Checkpoint(); err != nil {
-			return 0, 0, err
-		}
+	// Metadata now references the new media only: snapshot and drop stale
+	// WAL intents.
+	if err := v.writeSnapshotLocked(); err != nil {
+		return 0, 0, err
+	}
+	if err := v.metaWAL.Checkpoint(); err != nil {
+		return 0, 0, err
 	}
 	// The rewrite relocated every block, so no cached (ref, bytes) pair is
 	// current — and sanitization's whole point is that shredded bytes leave

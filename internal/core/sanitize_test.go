@@ -153,11 +153,7 @@ func TestSanitizeMediaDurable(t *testing.T) {
 		t.Fatalf("VerifyAll after reopen: %v", err)
 	}
 	// And the doomed record's ciphertext is genuinely absent from the files.
-	fileStore, ok := re.Shard(0).blocks.(interface{ ReadRaw() ([]byte, error) })
-	if !ok {
-		t.Fatal("expected file-backed store")
-	}
-	raw, err := fileStore.ReadRaw()
+	raw, err := re.Shard(0).blocks.ReadRaw()
 	if err != nil {
 		t.Fatal(err)
 	}

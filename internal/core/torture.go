@@ -58,16 +58,13 @@ var tortureEpoch = time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
 
 // TortureOpts configures a torture run.
 type TortureOpts struct {
-	// Quick subsamples the crash-point matrix (roughly one point in five)
-	// for CI smoke runs. Injection-point enumeration is always complete.
-	Quick bool
 	// Shards is the cluster shard count the workload runs against; <= 1
 	// tortures the classic single vault. Larger counts spread the scripted
 	// records over per-shard WALs, blockstores, and audit chains, so every
 	// crash point exercises multi-shard recovery.
 	Shards int
-	// Stride overrides the subsampling stride; 0 means 1 (every point), or
-	// 5 when Quick is set.
+	// Stride tests every Nth crash point; 0 means 1 (every point). CI smoke
+	// runs use 5. Injection-point enumeration is always complete.
 	Stride int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -609,13 +606,7 @@ func RunTorture(opts TortureOpts) (TortureReport, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	stride := opts.Stride
-	if stride <= 0 {
-		stride = 1
-		if opts.Quick {
-			stride = 5
-		}
-	}
+	stride := max(opts.Stride, 1)
 	shards := opts.Shards
 	if shards < 1 {
 		shards = 1

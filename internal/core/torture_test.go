@@ -40,7 +40,7 @@ var tortureInjectionPoints = map[int]int{1: 88, 4: 137}
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),
 // over the subsampled matrix — enumeration is always complete.
 func TestTortureShardedOpCount(t *testing.T) {
-	rep, err := RunTorture(TortureOpts{Quick: true, Shards: 4})
+	rep, err := RunTorture(TortureOpts{Stride: 5, Shards: 4})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestTortureShardedOpCount(t *testing.T) {
 
 // TestTortureQuick exercises the subsampled CI-smoke path.
 func TestTortureQuick(t *testing.T) {
-	rep, err := RunTorture(TortureOpts{Quick: true})
+	rep, err := RunTorture(TortureOpts{Stride: 5})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}

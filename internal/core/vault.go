@@ -19,12 +19,12 @@
 //   - Retention schedules with legal holds; verified migration and backup
 //     live in their own packages on top of the export API.
 //
-// Open returns the vault: a *Cluster of one or more shards. It is
-// memory-backed by default; give Config.Dir to get durable file-backed
-// storage with write-ahead-logged metadata and crash recovery. Every
-// operation takes a context.Context first — when it carries a trace
-// (httpapi, the bench adapter), each mechanism the operation touches records
-// a child span under it.
+// Open returns the vault: a *Cluster of one or more shards. Every vault
+// stores its data in segment files with write-ahead-logged metadata,
+// snapshots and crash recovery; without Config.Dir those files live on a
+// fresh in-memory disk. Every operation takes a context.Context first —
+// when it carries a trace (httpapi, the bench adapter), each mechanism the
+// operation touches records a child span under it.
 package core
 
 import (
@@ -181,16 +181,18 @@ type Config struct {
 	Clock clock.Clock
 	// Policies are retention schedules; empty means StandardPolicies.
 	Policies []retention.Policy
-	// Dir, when non-empty, makes the vault durable: ciphertext, audit, and
-	// provenance go to segment files under Dir, and record metadata is
-	// write-ahead logged and snapshotted for crash recovery.
+	// Dir is the directory the vault lives in: ciphertext, audit, and
+	// provenance go to segment files under it, and record metadata is
+	// write-ahead logged and snapshotted for crash recovery. Empty means a
+	// fresh in-memory disk (a new faultfs.Mem; FS is then ignored), so the
+	// vault and everything in it ends with the process.
 	Dir string
 	// Shards is the number of independent shards records are hash-partitioned
 	// over. 1 is the classic single-vault layout directly under Dir; N > 1
 	// puts shard i under Dir/shard-<i> and pins N in Dir/cluster.conf; 0
-	// adopts whatever layout Dir already holds (1 for a fresh or memory-backed
-	// vault). The count is part of the data layout: reopening a durable vault
-	// with a different count is an error.
+	// adopts whatever layout Dir already holds (1 for a fresh vault). The
+	// count is part of the data layout: reopening a vault with a different
+	// count is an error.
 	Shards int
 	// FS is the filesystem durable state is written through; nil means the
 	// real one. The crash-recovery torture harness injects faultfs.Mem (with
@@ -201,8 +203,8 @@ type Config struct {
 	AuditCheckpointInterval int
 
 	// Flight is the in-memory flight recorder operations report to; nil
-	// selects the process-wide obs.DefaultFlight. Durable vaults also
-	// checkpoint the ring into crash-decodable segments under Dir/flight.
+	// selects the process-wide obs.DefaultFlight. The vault also checkpoints
+	// the ring into crash-decodable segments under Dir/flight.
 	Flight *obs.Flight
 
 	// Read-path cache sizing. For each knob, zero selects the default and a
@@ -232,7 +234,7 @@ type Vault struct {
 	clk    clock.Clock
 	signer *vcrypto.Signer
 	keys   *vcrypto.KeyStore
-	blocks blockstore.Store
+	blocks *blockstore.File
 	log    *merkle.Log
 	idx    *index.SSE
 	aud    *audit.Log
@@ -253,7 +255,7 @@ type Vault struct {
 	dir      string
 	fs       faultfs.FS
 	masterFP string       // master key fingerprint, for manifests
-	recovery RecoveryInfo // what the last Open rebuilt (durable vaults)
+	recovery RecoveryInfo // what the last Open rebuilt
 	shard    string       // shard index label when part of a >1-shard Cluster
 
 	flight *obs.Flight     // in-memory ring ops report to (never nil)
@@ -261,13 +263,13 @@ type Vault struct {
 
 	// auditStore and provStore are retained so Close can release their
 	// file handles (the audit and provenance logs do not own closing them).
-	auditStore, provStore blockstore.Store
+	auditStore, provStore *blockstore.File
 }
 
-// openShard creates or reopens one shard under dir (memory-backed when dir
-// is empty). cfg arrives normalized by Open — Name, Clock, and FS are set —
-// and auth and ret are the cluster-wide authorizer and retention manager
-// every shard shares. A non-empty tag labels the shard's metrics and spans.
+// openShard creates or reopens one shard under dir. cfg arrives normalized
+// by Open — Name, Clock, Dir and FS are set — and auth and ret are the
+// cluster-wide authorizer and retention manager every shard shares. A
+// non-empty tag labels the shard's metrics and spans.
 func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retention.Manager) (*Vault, error) {
 	clk, fsys := cfg.Clock, cfg.FS
 	signer := vcrypto.SignerFromSeed(vcrypto.DeriveKey(cfg.Master, "vault/signer"))
@@ -296,11 +298,9 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	}
 
 	var err error
-	stores := make([]blockstore.Store, 3)
+	stores := make([]*blockstore.File, 3)
 	for i, name := range []string{"blocks", "audit", "prov"} {
-		if dir == "" {
-			stores[i] = blockstore.NewMemory(0)
-		} else if stores[i], err = blockstore.OpenFileFS(fsys, filepath.Join(dir, name), 0); err != nil {
+		if stores[i], err = blockstore.OpenFileFS(fsys, filepath.Join(dir, name), 0); err != nil {
 			return nil, fmt.Errorf("core: opening %s store: %w", name, err)
 		}
 	}
@@ -329,29 +329,24 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 
 	v.log = merkle.NewLog(signer, now)
 
-	if dir != "" {
-		if err := v.recover(cfg.Master); err != nil {
-			// Hand back what loadSnapshot and apply added to the live-records
-			// gauge (it is process-wide) before the failure.
-			metLiveRecords.Add(-float64(v.Len()))
-			return nil, err
-		}
-		// The flight sink is best-effort by design: a vault that cannot
-		// persist observability events still serves records. Segments go
-		// through v.fs — the same seam the vault's own data uses — so the
-		// torture harness sees them and a replicating primary ships them.
-		if sink, err := obs.OpenFlightSink(fsys, filepath.Join(dir, "flight")); err == nil {
-			v.fsink = sink
-		}
+	if err := v.recover(cfg.Master); err != nil {
+		// Hand back what loadSnapshot and apply added to the live-records
+		// gauge (it is process-wide) before the failure.
+		metLiveRecords.Add(-float64(v.Len()))
+		return nil, err
+	}
+	// The flight sink is best-effort by design: a vault that cannot persist
+	// observability events still serves records. Segments go through v.fs —
+	// the same seam the vault's own data uses — so the torture harness sees
+	// them and a replicating primary ships them.
+	if sink, err := obs.OpenFlightSink(fsys, filepath.Join(dir, "flight")); err == nil {
+		v.fsink = sink
 	}
 	return v, nil
 }
 
-// RecoveryInfo describes what the last Open of a durable vault rebuilt
-// (summed over shards). Memory-backed vaults never run recovery, so Ran
-// stays false.
+// RecoveryInfo describes what the last Open rebuilt (summed over shards).
 type RecoveryInfo struct {
-	Ran            bool // a durable Open executed the recovery path
 	SnapshotLoaded bool // a metadata snapshot existed and was restored
 	WALEntries     int  // WAL entries replayed on top of the snapshot
 	RecordsLive    int  // live records immediately after recovery
@@ -360,7 +355,6 @@ type RecoveryInfo struct {
 // recover loads the metadata snapshot and replays the WAL through apply,
 // rebuilding the records table, key store, Merkle log, and index.
 func (v *Vault) recover(master vcrypto.Key) error {
-	v.recovery.Ran = true
 	if err := v.loadSnapshot(master, filepath.Join(v.dir, "meta.snap")); err != nil {
 		return err
 	}
@@ -380,13 +374,12 @@ func (v *Vault) recover(master vcrypto.Key) error {
 // A vault is serving when Open is true and WALWedged is false.
 type HealthStatus struct {
 	Open          bool         // admitting operations (Close has not run)
-	Durable       bool         // file-backed with a metadata WAL
 	WALWedged     bool         // the metadata WAL refused an fsync and halted
 	WALWedgeError string       // the wedging error, when WALWedged
 	WALQueueDepth int          // group-commit waiters not yet fsynced
 	InFlightOps   int          // vault operations currently executing
 	LiveRecords   int          // non-shredded records
-	LastRecovery  RecoveryInfo // what the last durable Open rebuilt
+	LastRecovery  RecoveryInfo // what the last Open rebuilt
 	// Shards is each shard's own report, in shard order — the detail behind
 	// the merged fields above. Nil for a one-shard vault.
 	Shards []HealthStatus
@@ -397,18 +390,15 @@ type HealthStatus struct {
 // or the WAL is wedged — exactly the situations a health probe exists for.
 func (v *Vault) Health() HealthStatus {
 	h := HealthStatus{
-		Open:         !v.gate.isShut(),
-		Durable:      v.metaWAL != nil,
-		InFlightOps:  int(metInflightOps.Value()),
-		LiveRecords:  v.Len(),
-		LastRecovery: v.recovery,
+		Open:          !v.gate.isShut(),
+		WALQueueDepth: v.metaWAL.QueueDepth(),
+		InFlightOps:   int(metInflightOps.Value()),
+		LiveRecords:   v.Len(),
+		LastRecovery:  v.recovery,
 	}
-	if v.metaWAL != nil {
-		if err := v.metaWAL.Wedged(); err != nil {
-			h.WALWedged = true
-			h.WALWedgeError = err.Error()
-		}
-		h.WALQueueDepth = v.metaWAL.QueueDepth()
+	if err := v.metaWAL.Wedged(); err != nil {
+		h.WALWedged = true
+		h.WALWedgeError = err.Error()
 	}
 	return h
 }
@@ -437,8 +427,8 @@ func (v *Vault) StorageBytes() int64 {
 	return v.blocks.StorageBytes() + int64(v.idx.StorageBytes())
 }
 
-// Close flushes state and releases resources. For durable vaults it writes
-// a metadata snapshot and checkpoints the WAL, so the next Open is fast.
+// Close flushes state and releases resources. It writes a metadata snapshot
+// and checkpoints the WAL, so the next Open is fast.
 //
 // Close first drains: it waits for every in-flight operation to finish (the
 // op gate) before releasing anything, so an operation admitted before Close
@@ -461,18 +451,16 @@ func (v *Vault) Close() error {
 	if v.fsink != nil {
 		v.fsink.Close() // best-effort; flight loss never fails a Close
 	}
-	if v.dir != "" {
-		if err := v.writeSnapshotLocked(); err != nil {
-			return err
-		}
-		if err := v.metaWAL.Checkpoint(); err != nil {
-			return err
-		}
-		if err := v.metaWAL.Close(); err != nil {
-			return err
-		}
+	if err := v.writeSnapshotLocked(); err != nil {
+		return err
 	}
-	for _, st := range []blockstore.Store{v.blocks, v.auditStore, v.provStore} {
+	if err := v.metaWAL.Checkpoint(); err != nil {
+		return err
+	}
+	if err := v.metaWAL.Close(); err != nil {
+		return err
+	}
+	for _, st := range []*blockstore.File{v.blocks, v.auditStore, v.provStore} {
 		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
 			return err
 		}

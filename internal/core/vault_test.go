@@ -18,8 +18,8 @@ import (
 
 var testEpoch = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 
-// newVault builds a memory-backed vault with standard roles and a virtual
-// clock, plus registered principals for each role.
+// newVault builds a vault on a fresh in-memory disk with standard roles and
+// a virtual clock, plus registered principals for each role.
 func newVault(t *testing.T) (*Cluster, *clock.Virtual) {
 	t.Helper()
 	master, err := vcrypto.NewKey()

@@ -151,6 +151,46 @@ func TestMemTruncateIsDurable(t *testing.T) {
 	}
 }
 
+// TestMemSyncedPrefixIsNeverRewritten guards Sync's shared prefix: after a
+// Sync, no later handle Write, Truncate or WriteFile may reach the bytes the
+// durable layer shares with the page cache, so the crash image keeps exactly
+// what the last durable act left.
+func TestMemSyncedPrefixIsNeverRewritten(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after func(m *Mem, h File)
+		want  string
+	}{
+		{"write", func(m *Mem, h File) { h.Write([]byte("XYZ")) }, "0123456789"},
+		{"truncate shrink", func(m *Mem, h File) {
+			m.Truncate("f", 4)
+			h.Write([]byte("XYZXYZXYZ"))
+		}, "0123"},
+		{"truncate grow", func(m *Mem, h File) {
+			m.Truncate("f", 12)
+			h.Write([]byte("XYZ"))
+		}, "0123456789\x00\x00"},
+		{"write file", func(m *Mem, h File) {
+			m.WriteFile("f", []byte("ab"), 0o600)
+			h.Write([]byte("XYZXYZXYZXYZ"))
+		}, "0123456789"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMem()
+			h, _ := m.OpenFile("f", os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
+			h.Write([]byte("01234"))
+			h.Write([]byte("56789")) // leaves spare capacity past the synced length
+			if err := h.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			tc.after(m, h)
+			if got, _ := m.CrashImage(KeepNone).ReadFile("f"); string(got) != tc.want {
+				t.Fatalf("crash image = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestFaultyCountsMutatingOps(t *testing.T) {
 	f := NewFaulty(NewMem(), nil)
 	h, _ := f.OpenFile("x", os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600) // 0

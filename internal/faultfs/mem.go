@@ -358,10 +358,15 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// Sync makes the written content durable without copying it: durable is a
+// capacity-capped prefix of data. Handles only append, past that prefix, and
+// WriteFile, O_TRUNC and Truncate replace or copy the slice, so no later
+// write reaches the bytes durable shares.
 func (h *memHandle) Sync() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.f.durable = append([]byte(nil), h.f.data...)
+	n := len(h.f.data)
+	h.f.durable = h.f.data[:n:n]
 	return nil
 }
 

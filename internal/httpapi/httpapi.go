@@ -327,19 +327,19 @@ var outcomeStatus = map[string]int{
 // request's, and answer 503 with a Retry-After so clients retry elsewhere (or
 // later) instead of treating a drainable outage as a client error — or, on
 // /verify, as tampering. Then a statusError answers for itself, and anything
-// else answers its outcome's status.
+// else answers its outcome's status. Every 503 carries the Retry-After.
 func writeErr(w http.ResponseWriter, err error) {
 	status := outcomeStatus[core.Outcome(err)]
 	var body any = errorBody{Error: err.Error()}
 	var se *statusError
-	switch {
-	case status == http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", retryAfterSeconds)
-	case errors.As(err, &se):
+	if status != http.StatusServiceUnavailable && errors.As(err, &se) {
 		status = se.status
 		if se.body != nil {
 			body = se.body
 		}
+	}
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeJSON(w, status, body)
 }
@@ -491,7 +491,6 @@ type healthPayload struct {
 	Status        string               `json:"status"`
 	System        string               `json:"system"`
 	Records       int                  `json:"records"`
-	Durable       bool                 `json:"durable"`
 	WALWedged     bool                 `json:"wal_wedged"`
 	WALWedgeError string               `json:"wal_wedge_error,omitempty"`
 	WALQueueDepth int                  `json:"wal_queue_depth"`
@@ -522,7 +521,6 @@ type shardHealthPayload struct {
 }
 
 type recoveryPayload struct {
-	Ran            bool `json:"ran"`
 	SnapshotLoaded bool `json:"snapshot_loaded"`
 	WALEntries     int  `json:"wal_entries_replayed"`
 	RecordsLive    int  `json:"records_recovered"`
@@ -557,13 +555,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status:        state,
 		System:        s.vault.Name(),
 		Records:       h.LiveRecords,
-		Durable:       h.Durable,
 		WALWedged:     h.WALWedged,
 		WALWedgeError: h.WALWedgeError,
 		WALQueueDepth: h.WALQueueDepth,
 		InFlightOps:   h.InFlightOps,
 		LastRecovery: recoveryPayload{
-			Ran:            h.LastRecovery.Ran,
 			SnapshotLoaded: h.LastRecovery.SnapshotLoaded,
 			WALEntries:     h.LastRecovery.WALEntries,
 			RecordsLive:    h.LastRecovery.RecordsLive,
@@ -816,8 +812,12 @@ func (s *Server) proof(r *http.Request, actor string) (int, any, error) {
 }
 
 // requireArchivist gates the retention listings, which are no vault
-// operation: the actor needs shred permission on some category.
+// operation and so pass no op gate: the vault must be open, like every vault
+// route, and the actor needs shred permission on some category.
 func (s *Server) requireArchivist(actor string) error {
+	if !s.vault.Health().Open {
+		return &statusError{status: http.StatusServiceUnavailable, msg: "vault closed"}
+	}
 	allowed := s.vault.Authz().Check(actor, authz.ActShred, "").Allowed
 	for _, cat := range ehr.Categories() {
 		if allowed {

@@ -42,8 +42,26 @@ var outageRoutes = []struct{ method, path, actor, body string }{
 	{"GET", "/records/p1/versions/1/proof", "dr-house", ""},
 	{"PUT", "/records/p1/hold", "arch-lee", `{"reason":"litigation"}`},
 	{"DELETE", "/records/p1/hold", "arch-lee", ""},
+	{"GET", "/retention/expired", "arch-lee", ""},
+	{"GET", "/retention/holds", "arch-lee", ""},
 	{"POST", "/breakglass", "clerk-bob", `{"reason":"code blue","minutes":5}`},
 	{"POST", "/verify", "officer-kim", ""},
+}
+
+// TestOutageRoutesCoverEveryVaultRoute: a route added to vaultRoutes without
+// a request here would skip the outage checks below.
+func TestOutageRoutesCoverEveryVaultRoute(t *testing.T) {
+	s := New(nil)
+	covered := map[string]bool{}
+	for _, rt := range outageRoutes {
+		_, pattern := s.mux.Handler(httptest.NewRequest(rt.method, rt.path, nil))
+		covered[pattern] = true
+	}
+	for _, rt := range vaultRoutes {
+		if !covered[rt.pattern] {
+			t.Errorf("vault route %q has no request in outageRoutes", rt.pattern)
+		}
+	}
 }
 
 // expectOutage sends one request and requires 503, Retry-After, and the

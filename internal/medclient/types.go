@@ -132,7 +132,6 @@ type Health struct {
 	Status        string        `json:"status"`
 	System        string        `json:"system"`
 	Records       int           `json:"records"`
-	Durable       bool          `json:"durable"`
 	WALWedged     bool          `json:"wal_wedged"`
 	WALWedgeError string        `json:"wal_wedge_error,omitempty"`
 	WALQueueDepth int           `json:"wal_queue_depth"`

@@ -28,9 +28,8 @@ import (
 
 // FailoverOpts configures a failover torture run.
 type FailoverOpts struct {
-	// Quick subsamples the kill-point matrix (stride 5) for CI.
-	Quick bool
-	// Stride tests every Nth kill point; 0 means 1 (or 5 with Quick).
+	// Stride tests every Nth kill point; 0 means 1 (every point). CI smoke
+	// runs use 5.
 	Stride int
 	// Shards is the cluster shard count (0 or 1 = classic single vault).
 	Shards int
@@ -55,13 +54,7 @@ const tortureRoot = "vault"
 
 // RunFailoverTorture enumerates kill points and checks every failover.
 func RunFailoverTorture(o FailoverOpts) (FailoverReport, error) {
-	stride := o.Stride
-	if stride <= 0 {
-		stride = 1
-		if o.Quick {
-			stride = 5
-		}
-	}
+	stride := max(o.Stride, 1)
 	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

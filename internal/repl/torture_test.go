@@ -37,7 +37,7 @@ func TestFailoverTorture(t *testing.T) {
 // started with.
 func TestFailoverTortureLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
-	rep, err := RunFailoverTorture(FailoverOpts{Quick: true, Shards: 1})
+	rep, err := RunFailoverTorture(FailoverOpts{Stride: 5, Shards: 1})
 	if err != nil || !rep.Passed() {
 		t.Fatalf("quick failover torture: %v, %v", err, rep.Failures)
 	}

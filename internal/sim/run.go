@@ -51,7 +51,7 @@ type RunOpts struct {
 	Ops      int
 	Workers  int  // logical writers the generator interleaves (min 1)
 	Shards   int  // cluster shard count; <= 1 runs the classic single vault
-	Durable  bool // file-backed vault over faultfs.Mem, with crash/fault steps
+	Durable  bool // vault on the engine's faultfs.Mem, with crash/fault steps
 	Failover bool // durable mode: crash steps promote a warm follower instead
 	Name     string
 	Logf     func(format string, args ...any) // nil = silent

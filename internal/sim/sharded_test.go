@@ -8,7 +8,8 @@ import "testing"
 // chain, and the cluster-level merges must equal the model's stable-sorted
 // merge of the per-shard journals.
 
-// TestSimShardedMemory cross-checks a 4-shard memory-backed cluster.
+// TestSimShardedMemory cross-checks a 4-shard cluster on its own in-memory
+// disk, without fault injection.
 func TestSimShardedMemory(t *testing.T) {
 	for seed, hash := range map[int64]string{
 		1: "aa164407c1c645e30d93e20f809d4be7994ff3d2e574aed76f3a810a791341fd",

@@ -8,7 +8,8 @@ import (
 
 // TestSimFixedSeedsMemory is the conformance entry point that replaced the
 // old internal/core oracle test: the full reference model cross-checked
-// against a memory-backed vault over several hundred generated ops.
+// against a vault on its own in-memory disk, without fault injection, over
+// several hundred generated ops.
 func TestSimFixedSeedsMemory(t *testing.T) {
 	for seed, hash := range map[int64]string{
 		1: "76699c3d9074262b121369360b07e734c5571e79854066b59f8f1159ed9371b5",

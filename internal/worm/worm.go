@@ -49,7 +49,7 @@ type entry struct {
 // Store is a software compliance-WORM store.
 type Store struct {
 	mu      sync.RWMutex
-	blocks  *blockstore.Memory
+	blocks  *blockstore.File
 	keys    *vcrypto.KeyStore
 	log     *merkle.Log
 	idx     *index.SSE
@@ -282,10 +282,7 @@ func (s *Store) StorageBytes() int64 {
 // RawBytes implements stores.Store: the full segment log (shredded records'
 // ciphertext included — that is the point) plus the index's stored form.
 func (s *Store) RawBytes() []byte {
-	var out []byte
-	for i := 0; i < s.blocks.SegmentCount(); i++ {
-		out = append(out, s.blocks.RawSegment(i)...)
-	}
+	out, _ := s.blocks.ReadRaw() // an in-memory disk has no read to fail
 	if snap, err := s.idx.Snapshot(); err == nil {
 		out = append(out, snap...)
 	}

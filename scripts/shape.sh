@@ -77,4 +77,10 @@ check "One record table: no map[string] field in the key store, custody tracker,
 	"$(grep -HnE '^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[string\]' internal/vcrypto/keystore.go internal/provenance/provenance.go internal/index/sse.go | grep -vE 'sse\.go:[0-9]+:[[:space:]]+termNum[[:space:]]'
 	awk '/^type Vault struct/ {in_vault=1} in_vault && /^}/ {in_vault=0} in_vault && /map\[string\]/ {print FILENAME ":" FNR ": " $0}' internal/core/vault.go)"
 
+# A vault without Config.Dir is the file-backed vault on a fresh faultfs.Mem:
+# one block store, the WAL, snapshots and recovery on every vault.
+check "One storage path: no memory branch in internal/core and no second block store in internal/blockstore" \
+	"$(grep -nE 'NewMemory|dir [!=]= ""|Dir != ""|metaWAL != nil' internal/core/*.go | grep -v '_test\.go:'
+	grep -rnE '^type Memory\b' internal/blockstore)"
+
 exit $fail
