@@ -13,7 +13,8 @@
 //     emitted periodically and can be stored off-system; verification against
 //     any remembered checkpoint detects wholesale log replacement.
 //
-// Events live only in the append-only blockstore. In RAM the log keeps, per
+// Events live only in the append-only blockstore, and store only what a reader
+// cannot recompute (codec.go). In RAM the log keeps, per
 // event, its blockstore.Ref and a place in the ascending-seq posting lists of
 // the filters the API exposes (record, actor, denied). A query snapshots the
 // narrowest list under the log lock, releases it, and reads, decodes and
@@ -84,7 +85,8 @@ const (
 	OutcomeError   Outcome = "error"
 )
 
-// Event is one audit record.
+// Event is one audit record. Seq and Hash are not stored: a reader knows the
+// one and recomputes the other (codec.go).
 type Event struct {
 	Seq       uint64    // position in the chain, starting at 0
 	Timestamp time.Time // UTC
@@ -234,11 +236,11 @@ func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
 		if seq == n {
 			return errStopScan
 		}
-		e, err := decodeEvent(data)
+		e, err := decodeEvent(data, uint64(seq))
 		if err != nil {
 			return err
 		}
-		if err := l.checkLink(e, uint64(seq), prev); err != nil {
+		if err := l.checkLink(e, prev); err != nil {
 			return err
 		}
 		prev = e.Hash
@@ -254,20 +256,17 @@ func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
 	return nil
 }
 
-// checkLink validates e as the link at sequence seq following prev: chain
-// position, hash link, content hash, and MAC.
-func (l *Log) checkLink(e Event, seq uint64, prev [32]byte) error {
-	if e.Seq != seq {
-		return fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
-	}
+// checkLink validates a decoded event (decodeEvent has placed it at its seq
+// and hashed it) as the link following prev: hash link and MAC. The stored
+// bytes carry no hash of their own, so an edit to an event's content or place
+// surfaces here as a MAC over a hash the key holder never wrote — which also
+// means the chain no longer commits to that event, and the error says both.
+func (l *Log) checkLink(e Event, prev [32]byte) error {
 	if e.PrevHash != prev {
 		return fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, e.Seq)
 	}
-	if eventHash(e) != e.Hash {
-		return fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, e.Seq)
-	}
 	if !vcrypto.VerifyMAC(l.macKey, e.Hash[:], e.MAC) {
-		return fmt.Errorf("%w: at seq %d", ErrBadMAC, e.Seq)
+		return fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, e.Seq, ErrChainBroken)
 	}
 	return nil
 }
@@ -497,12 +496,12 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		data, err := l.store.Read(refs[seq])
 		var e Event
 		if err == nil {
-			e, err = decodeEvent(data)
+			e, err = decodeEvent(data, seq)
 		}
 		if err == nil {
 			// No predecessor is at hand, so the link is the one thing not
 			// checked here; Verify owns it.
-			err = l.checkLink(e, seq, e.PrevHash)
+			err = l.checkLink(e, e.PrevHash)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("audit: reading event %d: %w", seq, err)

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
 )
 
@@ -71,7 +73,7 @@ func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Eve
 	var refs []blockstore.Ref
 	var events []Event
 	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := decodeEvent(data)
+		e, err := decodeEvent(data, uint64(len(events)))
 		refs, events = append(refs, ref), append(events, e)
 		return err
 	})
@@ -288,7 +290,7 @@ func TestOpenRejectsTamperedPersistence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := decodeEvent(payloads[2])
+	e, err := decodeEvent(payloads[2], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,10 +572,12 @@ func TestAutomaticCheckpoints(t *testing.T) {
 	}
 }
 
+// TestEventCodecRoundTripProperty: every stored field comes back as written,
+// and the two the layout leaves out come back as the reader computes them —
+// Seq from the event's place, Hash from its content.
 func TestEventCodecRoundTripProperty(t *testing.T) {
-	f := func(seq uint64, actor, record, detail string, version uint64, prev, hash [32]byte, mac []byte) bool {
+	f := func(seq uint64, actor, record, detail, trace string, version uint64, prev [32]byte, mac []byte) bool {
 		e := Event{
-			Seq:       seq,
 			Timestamp: time.Unix(0, 1234567890).UTC(),
 			Actor:     actor,
 			Action:    ActionCorrect,
@@ -581,17 +585,19 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 			Version:   version,
 			Outcome:   OutcomeAllowed,
 			Detail:    detail,
+			Trace:     trace,
 			PrevHash:  prev,
-			Hash:      hash,
 			MAC:       mac,
 		}
-		got, err := decodeEvent(encodeEvent(e))
+		got, err := decodeEvent(encodeEvent(e), seq)
 		if err != nil {
 			return false
 		}
-		return got.Seq == e.Seq && got.Actor == e.Actor && got.Record == e.Record &&
-			got.Detail == e.Detail && got.Version == e.Version && got.PrevHash == e.PrevHash &&
-			got.Hash == e.Hash && string(got.MAC) == string(e.MAC) && got.Timestamp.Equal(e.Timestamp)
+		e.Seq = seq
+		return got.Seq == seq && got.Actor == e.Actor && got.Record == e.Record &&
+			got.Detail == e.Detail && got.Trace == e.Trace && got.Version == e.Version &&
+			got.PrevHash == e.PrevHash && got.Hash == eventHash(e) && string(got.MAC) == string(e.MAC) &&
+			got.Timestamp.Equal(e.Timestamp)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -600,7 +606,7 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {0}, {0, 2}, append(encodeEvent(Event{}), 0xFF)} {
-		if _, err := decodeEvent(b); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeEvent(b, 0); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage %v accepted: %v", b, err)
 		}
 	}
@@ -613,6 +619,130 @@ func TestEventString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
+	}
+}
+
+// encodeLegacyEvent is the v2 layout older binaries wrote, Seq and Hash
+// included.
+func encodeLegacyEvent(e Event) []byte {
+	b := binary.BigEndian.AppendUint16(nil, 2)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendStr(b, e.Actor)
+	b = frame.AppendStr(b, string(e.Action))
+	b = frame.AppendStr(b, e.Record)
+	b = binary.BigEndian.AppendUint64(b, e.Version)
+	b = frame.AppendStr(b, string(e.Outcome))
+	b = frame.AppendStr(b, e.Detail)
+	b = frame.AppendStr(b, e.Trace)
+	b = append(b, e.PrevHash[:]...)
+	b = append(b, e.Hash[:]...)
+	return frame.AppendBytes(b, e.MAC)
+}
+
+// TestLegacyEventsStillVerify: a medium an older binary began, in the v2
+// layout, opens, verifies against its checkpoint, answers queries and keeps
+// growing in v3; a v2 event whose stored Seq or Hash disagrees with what the
+// reader computes breaks the chain.
+func TestLegacyEventsStillVerify(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	l, signer, key := newTestLog(t, store)
+	appendN(t, l, 6)
+	cp := l.Checkpoint()
+	_, events := storedEvents(t, store)
+
+	medium := func(edit func(i int, e Event) []byte) *blockstore.File {
+		m := blockstore.NewMemory(0)
+		for i, e := range events {
+			if _, err := m.Append(edit(i, e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	mixed := medium(func(i int, e Event) []byte {
+		if i < 4 {
+			return encodeLegacyEvent(e)
+		}
+		return encodeEvent(e)
+	})
+	re, err := Open(Config{Store: mixed, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatalf("open over v2 then v3 events: %v", err)
+	}
+	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
+		t.Fatalf("VerifyAgainst: %v", err)
+	}
+	if got := allEvents(t, re); !reflect.DeepEqual(got, events) {
+		t.Fatal("a mixed medium reads back different events")
+	}
+	if got, err := re.Search(Query{Record: "patient-0"}); err != nil || len(got) != 2 {
+		t.Fatalf("record query over v2 events: %d, %v; want 2", len(got), err)
+	}
+	appendN(t, re, 2)
+	if n, err := re.Verify(); err != nil || n != 8 {
+		t.Fatalf("Verify after appending v3 to a v2 log: %d, %v", n, err)
+	}
+
+	// A genuine event copied over another under a running log: in v2 its
+	// stored seq names another place, in v3 its MAC covers another place.
+	for name, encode := range map[string]func(Event) []byte{"v2": encodeLegacyEvent, "v3": encodeEvent} {
+		moved := medium(func(_ int, e Event) []byte { return encode(e) })
+		running, err := Open(Config{Store: moved, MACKey: key, Signer: signer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, _ := storedEvents(t, moved)
+		if err := moved.CorruptFrame(refs[2], func([]byte) []byte { return encode(events[3]) }); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := running.Search(Query{Record: events[2].Record}); !errors.Is(err, ErrChainBroken) {
+			t.Errorf("%s: query over a moved event: %d events, %v; want ErrChainBroken", name, len(got), err)
+		}
+	}
+
+	for name, forge := range map[string]func(e *Event){
+		"stale stored hash": func(e *Event) { e.Hash[0] ^= 1 },
+		"wrong stored seq":  func(e *Event) { e.Seq = 9 },
+	} {
+		bad := medium(func(i int, e Event) []byte {
+			if i == 2 {
+				forge(&e)
+			}
+			return encodeLegacyEvent(e)
+		})
+		if _, err := Open(Config{Store: bad, MACKey: key, Signer: signer}); !errors.Is(err, ErrChainBroken) {
+			t.Errorf("%s: Open = %v, want ErrChainBroken", name, err)
+		}
+	}
+}
+
+// TestStoredBytesPerEvent is the budget for what one event costs the medium,
+// frame included, with the strings the server writes: an authorization
+// reason as Detail and a generated 16-hex trace ID. The v2 layout, which also
+// stored Seq and Hash, cost 248 B here.
+func TestStoredBytesPerEvent(t *testing.T) {
+	const events, budget = 1000, 176
+	store := blockstore.NewMemory(0)
+	l, _, _ := newTestLog(t, store)
+	for i := 0; i < events; i++ {
+		_, err := l.Append(Event{
+			Actor:   fmt.Sprintf("dr-%d", i%16),
+			Action:  ActionRead,
+			Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", i%3000),
+			Version: 1,
+			Outcome: OutcomeAllowed,
+			Detail:  "role physician permits read on clinical",
+			Trace:   "0123456789abcdef",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := float64(store.StorageBytes()) / events
+	t.Logf("stored: %.1f B/event", per)
+	if per > budget {
+		t.Errorf("an event costs the medium %.1f B, budget is %d", per, budget)
 	}
 }
 

@@ -14,8 +14,8 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// TestGoldenEvent pins the persisted v2 event layout and the two byte
-// strings the chain hashes and signs.
+// TestGoldenEvent pins the persisted v3 event layout, the legacy v2 layout
+// it still reads, and the two byte strings the chain hashes and signs.
 func TestGoldenEvent(t *testing.T) {
 	ev := Event{
 		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
@@ -23,15 +23,31 @@ func TestGoldenEvent(t *testing.T) {
 		Detail: "fix dose", Trace: "trace-1", PrevHash: goldenHash(0x10), Hash: goldenHash(0x40),
 		MAC: []byte{0xa1, 0xa2, 0xa3, 0xa4},
 	}
+	// v3 stores neither Seq nor Hash; decoding the 3rd event recomputes both,
+	// and a hex trace ID is stored as the bytes it spells.
+	v3 := ev
+	v3.Trace = "0123456789abcdef"
+	v3.Hash = eventHash(v3)
 	frame.CheckGolden(t,
 		frame.Golden{
-			Name: "audit event v2",
+			Name: "audit event v3",
+			Hex: "031083bab1fa12cd150864722d61031070312d656e632d3002011066697820646f7365110123456789abcdef1011121314" +
+				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f04a1a2a3a4",
+			Encode:  func() []byte { return encodeEvent(v3) },
+			Decode:  func(b []byte) (any, error) { return decodeEvent(b, 3) },
+			Want:    v3,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "audit event v2 (legacy, read only)",
 			Hex: "000200000000000000031083bab1fa12cd150000000464722d6100000007636f72726563740000000870312d656e632d" +
 				"30000000000000000200000007616c6c6f7765640000000866697820646f73650000000774726163652d311011121314" +
 				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f404142434445464748494a4b4c4d4e4f5051525354" +
 				"55565758595a5b5c5d5e5f00000004a1a2a3a4",
-			Encode:  func() []byte { return encodeEvent(ev) },
-			Decode:  func(b []byte) (any, error) { return decodeEvent(b) },
+			Decode: func(b []byte) (any, error) {
+				e, _, err := parseEvent(b)
+				return e, err
+			},
 			Want:    ev,
 			Corrupt: ErrCorrupt,
 		},
@@ -56,7 +72,7 @@ func BenchmarkAblationCodecAuditEvent(b *testing.B) {
 	ev := Event{
 		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
 		Action: ActionCorrect, Record: "p1-enc-0", Version: 2, Outcome: OutcomeAllowed,
-		Detail: "fix dose", Trace: "trace-1", MAC: make([]byte, 32),
+		Detail: "fix dose", Trace: "0123456789abcdef", MAC: make([]byte, 32),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,14 +2,18 @@ package frame
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// ErrShort is the field codec's one decoding failure: a read, or a count's
-// worth of minimum-size elements, needed more bytes than the input holds.
-// Format decoders wrap it in their own corruption sentinel.
+// ErrShort is the field codec's decoding failure for input that ends too
+// soon: a read, or a count's worth of minimum-size elements, needed more
+// bytes than the input holds. The only other failure is a compact field not
+// in its one encoding. Format decoders wrap either in their own corruption
+// sentinel.
 var ErrShort = errors.New("frame: short field read")
 
 // AppendStr appends s as u32 length | bytes.
@@ -30,6 +34,69 @@ func AppendCount(b []byte, n int) []byte {
 // AppendTime appends t as i64 Unix nanoseconds.
 func AppendTime(b []byte, t time.Time) []byte {
 	return binary.BigEndian.AppendUint64(b, uint64(t.UnixNano()))
+}
+
+// The compact fields below are for event logs, whose per-event bytes are the
+// whole cost: a uvarint where a fixed int would mostly hold zeros, a
+// uvarint-length byte field, a Token for strings the vault often mints as hex,
+// and a Word for strings drawn from a fixed vocabulary. Each has exactly one
+// encoding of a given value, and the Reader refuses any other.
+
+// AppendUvarint appends v as a base-128 varint (encoding/binary's layout).
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// AppendVarint appends v zig-zag encoded as a uvarint, so small magnitudes of
+// either sign stay short.
+func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+
+// AppendVarBytes appends p as uvarint length | bytes.
+func AppendVarBytes(b, p []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
+}
+
+// AppendToken appends s as a uvarint header len<<1|packed and then its bytes.
+// A non-empty s of even length made only of lowercase hex digits is packed:
+// the bytes it spells are stored, half its length. Trace IDs and hashed record
+// IDs are such strings.
+func AppendToken(b []byte, s string) []byte {
+	if !isPackedHex(s) {
+		return append(binary.AppendUvarint(b, uint64(len(s))<<1), s...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s)/2)<<1|1)
+	for i := 0; i < len(s); i += 2 {
+		b = append(b, unhex(s[i])<<4|unhex(s[i+1]))
+	}
+	return b
+}
+
+// unhex is the value of a lowercase hex digit.
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c - 'a' + 10
+}
+
+// AppendWord appends s as its 1-based position in vocab, or as 0 and a Token
+// when vocab lacks it. A vocabulary is part of its format: it may only grow at
+// the end.
+func AppendWord(b []byte, s string, vocab []string) []byte {
+	if i := slices.Index(vocab, s); i >= 0 {
+		return binary.AppendUvarint(b, uint64(i+1))
+	}
+	return AppendToken(binary.AppendUvarint(b, 0), s)
+}
+
+func isPackedHex(s string) bool {
+	if s == "" || len(s)%2 != 0 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Reader is a cursor over one encoded value. The first read that runs short
@@ -103,6 +170,86 @@ func (r *Reader) Bytes() []byte {
 
 // Str reads a u32-length-prefixed string.
 func (r *Reader) Str() string { return string(r.take(int(r.U32()))) }
+
+// fail latches a malformed-field error unless one is already latched.
+func (r *Reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("frame: "+format, args...)
+	}
+}
+
+// Uvarint reads a base-128 varint in its shortest form; a truncated, overlong
+// or padded one latches an error.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	switch {
+	case n == 0:
+		r.err = fmt.Errorf("%w: varint at offset %d runs past the end", ErrShort, r.off)
+	case n < 0 || (n > 1 && r.b[r.off+n-1] == 0):
+		r.fail("malformed varint at offset %d", r.off)
+	default:
+		r.off += n
+	}
+	return v
+}
+
+// Varint reads what AppendVarint wrote.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// VarBytes reads a uvarint-length-prefixed byte field into a fresh slice (nil
+// when the field is empty). A length beyond the input latches ErrShort before
+// anything is allocated.
+func (r *Reader) VarBytes() []byte {
+	return append([]byte(nil), r.take(int(r.Uvarint()))...)
+}
+
+// Token reads what AppendToken wrote.
+func (r *Reader) Token() string {
+	at := r.off
+	h := r.Uvarint()
+	p := r.take(int(h >> 1))
+	switch {
+	case r.err != nil:
+		return ""
+	case h&1 == 0:
+		s := string(p)
+		if isPackedHex(s) {
+			r.fail("unpacked hex token at offset %d", at)
+			return ""
+		}
+		return s
+	case len(p) == 0:
+		r.fail("empty packed token at offset %d", at)
+		return ""
+	}
+	return hex.EncodeToString(p)
+}
+
+// Word reads what AppendWord wrote with the same vocab.
+func (r *Reader) Word(vocab []string) string {
+	at := r.off
+	switch i := r.Uvarint(); {
+	case r.err != nil:
+		return ""
+	case i > uint64(len(vocab)):
+		r.fail("word %d at offset %d is beyond a %d-word vocabulary", i, at, len(vocab))
+		return ""
+	case i > 0:
+		return vocab[i-1]
+	}
+	s := r.Token()
+	if r.err == nil && slices.Contains(vocab, s) {
+		r.fail("vocabulary word %q spelled out at offset %d", s, at)
+		return ""
+	}
+	return s
+}
 
 // Magic consumes len(want) bytes and reports whether they spell want — the
 // leading magic of a snapshot or bundle. A mismatch is the caller's error to

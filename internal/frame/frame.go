@@ -10,8 +10,10 @@
 // The field layer (field.go) is what goes inside a frame, a snapshot file, a
 // hash or signature domain, or a replication payload: big-endian fixed ints,
 // i64 Unix-nanosecond times, u32-length-prefixed strings and byte fields,
-// u32 element counts. Encoders append (AppendStr, AppendBytes, AppendCount,
-// AppendTime beside encoding/binary's AppendUintN); every decoder in the
+// u32 element counts, and, for event logs, compact fields (AppendUvarint,
+// AppendVarint, AppendVarBytes, AppendToken, AppendWord). Encoders append
+// (AppendStr, AppendBytes, AppendCount, AppendTime beside encoding/binary's
+// AppendUintN); every decoder in the
 // repository is a straight-line walk of a Reader, which latches the first
 // short read with its byte offset, bounds every count by the bytes that
 // remain, and enforces the no-trailing-bytes rule in Done. A format's layout

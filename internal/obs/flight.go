@@ -26,7 +26,6 @@ package obs
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -184,56 +183,74 @@ func (f *Flight) Len() int {
 
 // --- binary event codec ----------------------------------------------------
 
-// flightEventV1 is the event encoding version byte. Fields after it:
-// u64 seq | u64 unixnano | u64 durNanos | 6 × (u16 len + bytes) for
-// kind, record, trace, outcome, shard, detail.
-const flightEventV1 = 1
+// flightEventV2 is the event encoding version byte. Fields after it:
+//
+//	varint (unixnano − prev) | uvarint durNanos | 6 × token for
+//	kind, record, trace, outcome, shard, detail
+//
+// (frame.AppendVarint, AppendUvarint, AppendToken). An event stores only what
+// a reader of its segment cannot recompute: its Seq is the frame's, and its
+// time is a delta from the previous event of the same segment (prev is 0 for
+// a segment's first), so a segment still decodes on its own. Hashed record
+// IDs and generated trace IDs are hex, which a token stores as raw bytes.
+//
+// Segments written before v2 hold v1 events (u8 1 | u64 seq | u64 unixnano |
+// u64 durNanos | 6 × (u16 len + bytes)), which still decode.
+const (
+	flightEventV1 = 1
+	flightEventV2 = 2
+)
 
 // flightMaxStr caps each string field on encode AND decode: encode truncates,
 // decode rejects — a frame whose CRC validates but whose lengths are absurd
 // is corruption the CRC missed, not a real event.
 const flightMaxStr = 512
 
-func encodeFlightEvent(ev FlightEvent) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, flightEventV1)
-	b = binary.BigEndian.AppendUint64(b, ev.Seq)
-	b = binary.BigEndian.AppendUint64(b, uint64(ev.Time.UnixNano()))
-	b = binary.BigEndian.AppendUint64(b, uint64(ev.Dur))
+func encodeFlightEvent(ev FlightEvent, prev int64) []byte {
+	b := make([]byte, 0, 48)
+	b = append(b, flightEventV2)
+	b = frame.AppendVarint(b, ev.Time.UnixNano()-prev)
+	b = frame.AppendUvarint(b, uint64(ev.Dur))
 	for _, p := range ev.strs() {
 		s := *p
 		if len(s) > flightMaxStr {
 			s = s[:flightMaxStr]
 		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
+		b = frame.AppendToken(b, s)
 	}
 	return b
 }
 
-// decodeFlightEvent parses one encoded event. It is total: any input either
+// decodeFlightEvent parses one encoded event, the seq-th of its segment,
+// following an event at prev Unix nanoseconds. It is total: any input either
 // yields an event or ok=false, never a panic — FuzzFlightSegment holds it to
 // that.
-func decodeFlightEvent(b []byte) (FlightEvent, bool) {
+func decodeFlightEvent(b []byte, seq uint64, prev int64) (FlightEvent, bool) {
 	r := frame.NewReader(b)
-	if r.U8() != flightEventV1 {
+	var ev FlightEvent
+	switch r.U8() {
+	case flightEventV2:
+		ev = FlightEvent{Seq: seq, Time: time.Unix(0, prev+r.Varint()), Dur: time.Duration(r.Uvarint())}
+		for _, dst := range ev.strs() {
+			if *dst = r.Token(); len(*dst) > flightMaxStr {
+				return FlightEvent{}, false
+			}
+		}
+	case flightEventV1:
+		ev = FlightEvent{Seq: r.U64(), Time: time.Unix(0, int64(r.U64())), Dur: time.Duration(r.U64())}
+		var buf [flightMaxStr]byte
+		for _, dst := range ev.strs() {
+			n := int(r.U16())
+			if n > flightMaxStr {
+				return FlightEvent{}, false
+			}
+			r.Fixed(buf[:n])
+			*dst = string(buf[:n])
+		}
+	default:
 		return FlightEvent{}, false
 	}
-	ev := FlightEvent{
-		Seq:  r.U64(),
-		Time: time.Unix(0, int64(r.U64())),
-		Dur:  time.Duration(r.U64()),
-	}
-	var buf [flightMaxStr]byte
-	for _, dst := range ev.strs() {
-		n := int(r.U16())
-		if n > flightMaxStr {
-			return FlightEvent{}, false
-		}
-		r.Fixed(buf[:n])
-		*dst = string(buf[:n])
-	}
-	return ev, r.Done() == nil
+	return ev, ev.Seq == seq && r.Done() == nil
 }
 
 // --- persistent segments ---------------------------------------------------
@@ -263,6 +280,7 @@ type FlightSink struct {
 	dir  string
 	f    faultfs.File
 	size int64 // bytes written to the current segment
+	last int64 // Unix nanoseconds of its last event; 0 before the first
 	err  error
 }
 
@@ -341,7 +359,7 @@ func (s *FlightSink) roll() error {
 	if err != nil {
 		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}
-	s.f, s.size = f, 0
+	s.f, s.size, s.last = f, 0, 0
 	return nil
 }
 
@@ -354,17 +372,20 @@ func (s *FlightSink) Append(ev FlightEvent) {
 	if s.err != nil || s.f == nil {
 		return
 	}
-	buf := frame.Append(nil, ev.Seq, encodeFlightEvent(ev))
-	if s.size > 0 && s.size+int64(len(buf)) > flightSegmentBytes {
+	body := encodeFlightEvent(ev, s.last)
+	if s.size > 0 && s.size+int64(frame.Overhead+len(body)) > flightSegmentBytes {
 		if s.err = s.roll(); s.err != nil {
 			return
 		}
+		body = encodeFlightEvent(ev, 0) // a segment's first time is absolute
 	}
+	buf := frame.Append(nil, ev.Seq, body)
 	if _, err := s.f.Write(buf); err != nil {
 		s.err = err
 		return
 	}
 	s.size += int64(len(buf))
+	s.last = ev.Time.UnixNano()
 }
 
 // Err returns the latched failure that disabled the sink, if any.
@@ -408,18 +429,18 @@ func (s *FlightSink) Close() error {
 // consumed exactly. The decoder is total over arbitrary input: it never
 // panics, whatever the bytes.
 func DecodeFlightSegment(data []byte) (evs []FlightEvent, tail int) {
-	off := 0
+	off, prev := 0, int64(0)
 	for off < len(data) {
 		seq, body, n, ok := frame.Decode(data[off:])
 		if !ok {
 			break
 		}
-		ev, ok := decodeFlightEvent(body)
-		if !ok || ev.Seq != seq {
+		ev, ok := decodeFlightEvent(body, seq, prev)
+		if !ok {
 			break
 		}
 		evs = append(evs, ev)
-		off += n
+		off, prev = off+n, ev.Time.UnixNano()
 	}
 	return evs, len(data) - off
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +53,8 @@ func TestFlightEventCodecRoundTrip(t *testing.T) {
 		Kind: "put", Record: HashRecordID("rec-1"), Trace: "0123456789abcdef",
 		Outcome: "ok", Dur: 1500 * time.Microsecond, Shard: "3", Detail: "v2",
 	}
-	out, ok := decodeFlightEvent(encodeFlightEvent(in))
+	prev := in.Time.UnixNano() - int64(3*time.Millisecond)
+	out, ok := decodeFlightEvent(encodeFlightEvent(in, prev), in.Seq, prev)
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -150,7 +153,12 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	// Maximal events (~3 KiB framed) keep the loop short.
 	pad := strings.Repeat("x", flightMaxStr)
 	ev := FlightEvent{Kind: pad, Record: pad, Trace: pad, Outcome: pad, Shard: pad, Detail: pad}
-	frameLen := len(frame.Append(nil, 0, encodeFlightEvent(ev)))
+	// Events are a millisecond apart, which every event but a segment's first
+	// stores as its time delta.
+	base := time.Unix(0, 1700000000000000000)
+	at := func(seq int) time.Time { return base.Add(time.Duration(seq) * time.Millisecond) }
+	ev.Time = at(1)
+	frameLen := len(frame.Append(nil, 0, encodeFlightEvent(ev, at(0).UnixNano())))
 	total := (flightKeepSegments + 2) * flightSegmentBytes / frameLen
 
 	segments := func() (n int, bytes int64) {
@@ -171,11 +179,12 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 		return len(nums), bytes
 	}
 	for seq := 1; seq <= total; seq++ {
-		ev.Seq = uint64(seq)
+		ev.Seq, ev.Time = uint64(seq), at(seq)
 		sink.Append(ev)
 		if seq == flightSegmentBytes/frameLen+1 {
 			// Just past the first bound: two segments, nothing pruned yet, and
-			// every event decodes in order across the boundary.
+			// every event decodes in order across the boundary, with its time:
+			// the new segment's first event stores it whole.
 			if n, _ := segments(); n != 2 {
 				t.Fatalf("%d segments after writing past the bound once, want 2", n)
 			}
@@ -184,8 +193,8 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 				t.Fatalf("decoded %d of %d events across the roll (%v)", len(evs), seq, err)
 			}
 			for i, got := range evs {
-				if got.Seq != uint64(i+1) {
-					t.Fatalf("event %d has seq %d across the roll", i, got.Seq)
+				if got.Seq != uint64(i+1) || !got.Time.Equal(at(i+1)) {
+					t.Fatalf("event %d has seq %d, time %v across the roll; want %d, %v", i, got.Seq, got.Time, i+1, at(i+1))
 				}
 			}
 		}
@@ -209,10 +218,93 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	}
 }
 
+// encodeFlightEventV1 is the layout segments held before v2: seq, absolute
+// time and duration as u64s, strings with u16 lengths.
+func encodeFlightEventV1(ev FlightEvent) []byte {
+	b := []byte{flightEventV1}
+	b = binary.BigEndian.AppendUint64(b, ev.Seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(ev.Time.UnixNano()))
+	b = binary.BigEndian.AppendUint64(b, uint64(ev.Dur))
+	for _, s := range ev.Strings() {
+		b = append(binary.BigEndian.AppendUint16(b, uint16(len(s))), s...)
+	}
+	return b
+}
+
+// TestFlightSegmentsDecodeEitherLayout: a v1 segment from an older binary
+// still decodes, and a v2 segment gives back every event exactly — times
+// included, though each is stored as a delta from the one before.
+func TestFlightSegmentsDecodeEitherLayout(t *testing.T) {
+	f := NewFlight(16)
+	var recorded []FlightEvent
+	var v1, v2 []byte
+	prev := int64(0)
+	for i, d := range []time.Duration{0, 3 * time.Millisecond, -time.Second, 90 * time.Minute} {
+		ev := f.Record(FlightEvent{
+			Time: time.Unix(0, 1700000000123456789).Add(d), Kind: "get", Record: HashRecordID(fmt.Sprint("rec-", i)),
+			Trace: "0123456789abcdef", Outcome: "ok", Dur: time.Duration(i) * time.Millisecond,
+		})
+		recorded = append(recorded, ev)
+		v1 = frame.Append(v1, ev.Seq, encodeFlightEventV1(ev))
+		v2 = frame.Append(v2, ev.Seq, encodeFlightEvent(ev, prev))
+		prev = ev.Time.UnixNano()
+	}
+	for name, seg := range map[string][]byte{"v1": v1, "v2": v2} {
+		evs, tail := DecodeFlightSegment(seg)
+		if tail != 0 || len(evs) != len(recorded) {
+			t.Fatalf("%s: %d events, %d tail bytes", name, len(evs), tail)
+		}
+		for i, ev := range evs {
+			want := recorded[i]
+			want.Time = time.Unix(0, want.Time.UnixNano()) // what a decoder can know
+			if ev != want {
+				t.Fatalf("%s: event %d\n got %+v\nwant %+v", name, i, ev, want)
+			}
+		}
+	}
+	if len(v2) >= len(v1)*2/3 {
+		t.Errorf("v2 segment is %d bytes, v1 %d: want under two thirds", len(v2), len(v1))
+	}
+}
+
+// TestFlightStoredBytesPerEvent is the budget for what the op envelope's
+// event costs a segment, frame included: an op kind, a hashed record ID, a
+// generated trace ID, an outcome and a latency, a few milliseconds after the
+// previous event. v1 segments spent 86 B on it.
+func TestFlightStoredBytesPerEvent(t *testing.T) {
+	const events, budget = 1000, 52
+	mem := faultfs.NewMem()
+	sink, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFlight(16)
+	at := time.Unix(0, 1700000000123456789)
+	for i := 0; i < events; i++ {
+		at = at.Add(time.Duration(i%7+1) * time.Millisecond)
+		sink.Append(f.Record(FlightEvent{
+			Time: at, Kind: "put", Record: HashRecordID(fmt.Sprint("rec-", i)), Trace: "0123456789abcdef",
+			Outcome: "ok", Dur: time.Duration(200+i%300) * time.Microsecond,
+		}))
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mem.ReadFile("d/flight/" + flightSegName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(len(data)) / events
+	t.Logf("stored: %.1f B/event", per)
+	if per > budget {
+		t.Errorf("a flight event costs its segment %.1f B, budget is %d", per, budget)
+	}
+}
+
 func TestFlightEventsArePHIFree(t *testing.T) {
 	body := "PATIENT-BODY-SENTINEL"
 	ev := FlightEvent{Kind: "put", Record: HashRecordID("rec-" + body), Outcome: "ok"}
-	enc := string(encodeFlightEvent(ev))
+	enc := string(encodeFlightEvent(ev, 0))
 	if strings.Contains(enc, body) {
 		t.Fatal("encoded event leaks the record ID")
 	}
@@ -225,10 +317,12 @@ func TestFlightEventsArePHIFree(t *testing.T) {
 // including mutated valid segments — never panic it.
 func FuzzFlightSegment(f *testing.F) {
 	var seed []byte
+	var prev int64
 	fl := NewFlight(8)
 	for i := 0; i < 3; i++ {
 		ev := fl.Record(FlightEvent{Kind: "put", Record: HashRecordID("r"), Outcome: "ok", Trace: "0123456789abcdef"})
-		seed = frame.Append(seed, ev.Seq, encodeFlightEvent(ev))
+		seed = frame.Append(seed, ev.Seq, encodeFlightEvent(ev, prev))
+		prev = ev.Time.UnixNano()
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])

@@ -15,8 +15,9 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// TestGoldenEvent pins the custody-event layout (it travels inside export
-// bundles and backups) and the hash domain signatures cover.
+// TestGoldenEvent pins the custody-event transfer layout (it travels inside
+// export bundles and backups, and older mediums hold it), the stored layout a
+// tracker writes, and the hash domain signatures cover.
 func TestGoldenEvent(t *testing.T) {
 	ev := Event{
 		Record: "p1-enc-0", Index: 2, Type: EventMigratedOut,
@@ -25,7 +26,23 @@ func TestGoldenEvent(t *testing.T) {
 		PrevHash: goldenHash(0x30), Hash: goldenHash(0x60),
 		SignerKey: vcrypto.PublicKey{0xb1, 0xb2, 0xb3}, Signature: []byte{0xc1, 0xc2},
 	}
+	// The stored layout leaves out Index, PrevHash and Hash (the reader's
+	// place in the chain gives the first two, and hashing the third) and the
+	// signer key when it is the tracker's own.
+	stored := ev
+	stored.Hash = eventHash(stored)
+	own := ev.SignerKey
+	place := func(string) (uint64, [32]byte) { return 2, goldenHash(0x30) }
 	frame.CheckGolden(t,
+		frame.Golden{
+			Name: "provenance stored event v2",
+			Hex: "021070312d656e632d30041083bab1fa12cd150c617263682d310e7661756c742d610e7661756c742d620102030405" +
+				"060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f200002c1c2",
+			Encode:  func() []byte { return encodeStored(stored, own) },
+			Decode:  func(b []byte) (any, error) { return decodeStored(b, own, place) },
+			Want:    stored,
+			Corrupt: ErrCorrupt,
+		},
 		frame.Golden{
 			Name: "provenance event",
 			Hex: "00010000000870312d656e632d3000000000000000020000000c6d696772617465642d6f75741083bab1fa12cd150000" +

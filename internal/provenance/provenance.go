@@ -11,7 +11,8 @@
 // record arriving from a migration carries a verifiable history spanning
 // systems, signed by each custodian in turn.
 //
-// Events live only in the append-only blockstore. In RAM the tracker keeps,
+// Events live only in the append-only blockstore, in a layout that stores only
+// what the tracker cannot recompute (codec.go). In RAM the tracker keeps,
 // per record, each event's blockstore.Ref and the chain's head hash. Open and
 // Adopt check every link and signature as events enter; Chain reads the
 // events back and checks their links and that they end in the head, and
@@ -150,17 +151,16 @@ func Open(cfg Config) (*Tracker, error) {
 		now:    now,
 		recs:   recs,
 	}
+	next := func(id string) (uint64, [32]byte) { return tr.chain(id).next() }
 	err := cfg.Store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := DecodeEvent(data)
+		e, err := decodeStored(data, tr.signer.Public(), next)
 		if err != nil {
 			return err
 		}
-		index, prev := tr.chain(e.Record).next()
-		if err := checkLink(e, e.Record, index, prev); err != nil {
-			return err
-		}
+		// The medium stores no event hash, so an edited event shows up as a
+		// signature over a hash its custodian never signed: a broken chain.
 		if err := checkSignature(e); err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrChainBroken, err)
 		}
 		tr.extend(e.Record, ref, e.Hash)
 		return nil
@@ -211,7 +211,7 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 	e.Hash = eventHash(e)
 	e.SignerKey = tr.signer.Public()
 	e.Signature = tr.signer.Sign(e.Hash[:])
-	ref, err := tr.store.Append(EncodeEvent(e))
+	ref, err := tr.store.Append(encodeStored(e, tr.signer.Public()))
 	if err != nil {
 		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
@@ -247,7 +247,7 @@ func (tr *Tracker) Adopt(events []Event) error {
 		tips[e.Record] = tip{t.index + 1, e.Hash}
 	}
 	for _, e := range events {
-		ref, err := tr.store.Append(EncodeEvent(e))
+		ref, err := tr.store.Append(encodeStored(e, tr.signer.Public()))
 		if err != nil {
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
@@ -301,13 +301,16 @@ func (tr *Tracker) Chain(id string) ([]Event, error) {
 		data, err := tr.store.Read(ref)
 		var e Event
 		if err == nil {
-			e, err = DecodeEvent(data)
+			e, err = decodeStored(data, tr.signer.Public(), func(string) (uint64, [32]byte) { return uint64(i), prev })
+		}
+		if errors.Is(err, ErrChainBroken) {
+			return nil, err
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %s: reading event %d: %w", ErrChainBroken, id, i, err)
 		}
-		if err := checkLink(e, id, uint64(i), prev); err != nil {
-			return nil, err
+		if e.Record != id {
+			return nil, fmt.Errorf("%w: record %s: event %d belongs to record %s", ErrChainBroken, id, i, e.Record)
 		}
 		chain[i], prev = e, e.Hash
 	}

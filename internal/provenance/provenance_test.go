@@ -3,6 +3,7 @@ package provenance
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -209,19 +210,19 @@ func TestOpenRejectsTamperedPersistence(t *testing.T) {
 	}
 	tr.Record("p1", EventCreated, "dr", [32]byte{}, "")
 
-	// Rebuild a store with the event's actor edited (hash left stale).
+	// Rebuild a store with the event's actor edited (signature left stale).
 	var payloads [][]byte
 	store.Scan(func(_ blockstore.Ref, data []byte) error {
 		payloads = append(payloads, append([]byte(nil), data...))
 		return nil
 	})
-	e, err := DecodeEvent(payloads[0])
+	e, err := decodeStored(payloads[0], signer.Public(), func(string) (uint64, [32]byte) { return 0, [32]byte{} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Actor = "forged"
 	evil := blockstore.NewMemory(0)
-	evil.Append(EncodeEvent(e))
+	evil.Append(encodeStored(e, signer.Public()))
 	if _, err := Open(Config{Store: evil, Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) {
 		t.Errorf("tampered persistence accepted: %v", err)
 	}
@@ -316,7 +317,7 @@ func TestAdoptIsAllOrNothing(t *testing.T) {
 // not the forged history.
 func TestRechainedForgeryIsAnError(t *testing.T) {
 	store := blockstore.NewMemory(0)
-	tr, _ := newTracker(t, "sys", store)
+	tr, signer := newTracker(t, "sys", store)
 	h := vcrypto.Hash([]byte("v"))
 	tr.Record("p1", EventCreated, "dr", h, "")
 	tr.Record("p1", EventCorrected, "dr", h, "")
@@ -324,7 +325,12 @@ func TestRechainedForgeryIsAnError(t *testing.T) {
 	var refs []blockstore.Ref
 	var events []Event
 	store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := DecodeEvent(data)
+		e, err := decodeStored(data, signer.Public(), func(string) (uint64, [32]byte) {
+			if len(events) == 0 {
+				return 0, [32]byte{}
+			}
+			return uint64(len(events)), events[len(events)-1].Hash
+		})
 		refs, events = append(refs, ref), append(events, e)
 		return err
 	})
@@ -333,7 +339,7 @@ func TestRechainedForgeryIsAnError(t *testing.T) {
 	events[1].PrevHash = events[0].Hash
 	events[1].Hash = eventHash(events[1])
 	for i, e := range events {
-		if err := store.CorruptFrame(refs[i], func([]byte) []byte { return EncodeEvent(e) }); err != nil {
+		if err := store.CorruptFrame(refs[i], func([]byte) []byte { return encodeStored(e, signer.Public()) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,6 +349,120 @@ func TestRechainedForgeryIsAnError(t *testing.T) {
 	}
 	if err := tr.Verify("p1", nil); !errors.Is(err, ErrChainBroken) {
 		t.Errorf("Verify over a re-chained forgery: %v, want ErrChainBroken", err)
+	}
+}
+
+// TestLegacyMediumStillOpens: a custody medium an older binary wrote holds
+// events in the transfer layout, Index, PrevHash, Hash and signer key
+// included. It opens, its chains read and verify, new events follow in the
+// stored layout, and a legacy event whose stored place disagrees with its
+// chain breaks it.
+func TestLegacyMediumStillOpens(t *testing.T) {
+	tr, signer := newTracker(t, "sys", nil)
+	h := vcrypto.Hash([]byte("v"))
+	tr.Record("p1", EventCreated, "dr", h, "")
+	tr.Record("p2", EventCreated, "dr", h, "")
+	tr.Record("p1", EventCorrected, "dr", h, "")
+	p1, err := tr.Chain("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := tr.Chain("p2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(events ...Event) *blockstore.File {
+		store := blockstore.NewMemory(0)
+		for _, e := range events {
+			if _, err := store.Append(EncodeEvent(e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return store
+	}
+
+	re, err := Open(Config{Store: legacy(p1[0], p2[0], p1[1]), Signer: signer, System: "sys"})
+	if err != nil {
+		t.Fatalf("open over a legacy medium: %v", err)
+	}
+	if n, err := re.VerifyAll(nil); err != nil || n != 2 {
+		t.Fatalf("VerifyAll over a legacy medium: %d, %v", n, err)
+	}
+	if got, err := re.Chain("p1"); err != nil || !reflect.DeepEqual(got, p1) {
+		t.Fatalf("legacy chain reads back as %+v, %v", got, err)
+	}
+	if _, err := re.Record("p1", EventBackedUp, "op", h, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Verify("p1", nil); err != nil {
+		t.Fatalf("Verify after a stored-layout event follows legacy ones: %v", err)
+	}
+
+	misplaced := p1[1]
+	misplaced.Index = 5
+	if _, err := Open(Config{Store: legacy(p1[0], misplaced), Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) {
+		t.Errorf("legacy event with a wrong stored index: %v, want ErrChainBroken", err)
+	}
+}
+
+// TestStoredLayoutKeepsForeignSigners: the stored layout leaves out only the
+// tracker's own key. An adopted event keeps its custodian's key across a
+// reopen, so the trusted-signer rule still tells custodians apart.
+func TestStoredLayoutKeepsForeignSigners(t *testing.T) {
+	source, sourceSigner := newTracker(t, "hospital-a", nil)
+	h := vcrypto.Hash([]byte("content"))
+	if _, err := source.Record("p1", EventCreated, "dr-a", h, ""); err != nil {
+		t.Fatal(err)
+	}
+	history, err := source.Chain("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := blockstore.NewMemory(0)
+	target, targetSigner := newTracker(t, "hospital-b", store)
+	if err := target.Adopt(history); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := target.Record("p1", EventMigratedIn, "admin-b", h, "hospital-a"); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Store: store, Signer: targetSigner, System: "hospital-b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := re.Chain("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain[0].SignerKey.String() != sourceSigner.Public().String() || chain[1].SignerKey.String() != targetSigner.Public().String() {
+		t.Fatalf("signers after reopen: %s, %s", chain[0].SignerKey, chain[1].SignerKey)
+	}
+	both := map[string]bool{sourceSigner.Public().String(): true, targetSigner.Public().String(): true}
+	if err := re.Verify("p1", both); err != nil {
+		t.Errorf("Verify with both custodians trusted: %v", err)
+	}
+	if err := re.Verify("p1", map[string]bool{targetSigner.Public().String(): true}); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("Verify trusting only the target: %v, want ErrBadSignature", err)
+	}
+}
+
+// TestCustodyStoredBytesPerEvent is the budget for what one custody event
+// costs the medium, frame included, for the events a vault records: a
+// create by a clinician, signed by the vault itself. The transfer layout,
+// which the medium held before, cost 294 B here.
+func TestCustodyStoredBytesPerEvent(t *testing.T) {
+	const events, budget = 1000, 176
+	store := blockstore.NewMemory(0)
+	tr, _ := newTracker(t, "medvault-test", store)
+	for i := 0; i < events; i++ {
+		if _, err := tr.Record(fmt.Sprintf("w0-mrn-%06d-enc-0", i), EventCreated, "dr-house", vcrypto.Hash([]byte{byte(i)}), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := float64(store.StorageBytes()) / events
+	t.Logf("stored: %.1f B/event", per)
+	if per > budget {
+		t.Errorf("a custody event costs the medium %.1f B, budget is %d", per, budget)
 	}
 }
 

@@ -83,4 +83,11 @@ check "One storage path: no memory branch in internal/core and no second block s
 	"$(grep -nE 'NewMemory|dir [!=]= ""|Dir != ""|metaWAL != nil' internal/core/*.go | grep -v '_test\.go:'
 	grep -rnE '^type Memory\b' internal/blockstore)"
 
+# Event logs store only what a reader cannot recompute: an event's seq or
+# chain index is its place, its hash is computed from the rest, and lengths
+# are uvarints. The transfer layout (provenance.EncodeEvent) is self-contained
+# on purpose and is not a stored encoder.
+check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field" \
+	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
+
 exit $fail
