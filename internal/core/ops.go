@@ -138,7 +138,7 @@ func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string
 	// The WAL entry references this ciphertext by offset, and replay reads
 	// it back. Make the ciphertext durable before the intent can become
 	// durable, or a crash after the WAL fsync acks a version whose bytes
-	// only ever existed in the page cache. (A memory store's Sync is a no-op.)
+	// only ever existed in the page cache.
 	if err := blockstore.SyncCtx(ctx, v.blocks); err != nil {
 		return Version{}, fmt.Errorf("core: syncing ciphertext of %s v%d: %w", rec.ID, number, err)
 	}

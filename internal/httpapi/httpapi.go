@@ -29,6 +29,10 @@
 //	GET    /patients/{mrn}/records       patient's records visible to actor
 //	GET    /patients/{mrn}/disclosures   HIPAA accounting of disclosures
 //	GET    /records/{id}/versions/{n}/proof  third-party-verifiable commitment proof
+//	GET    /retention/expired            records past their retention period
+//	GET    /retention/holds              active legal holds
+//	PUT    /records/{id}/hold            place a legal hold {"reason": "..."}
+//	DELETE /records/{id}/hold            release a legal hold
 //	GET    /debug/traces                 retained request traces (op=, min=, limit=)
 //	GET    /debug/flight                 live flight-recorder ring (op=, trace=, record=, limit=)
 //

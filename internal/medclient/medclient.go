@@ -14,15 +14,11 @@
 // happened. The decoded result is non-zero only for the endpoint's success
 // status.
 //
-// The client is the single wire-format oracle for tests and load rigs: it
-// deliberately declares its own request/response structs rather than
-// importing the server's, so the httpapi tests (which drive this client
-// against a live handler) pin the JSON contract from both sides.
-//
-// A Recorder hook observes every call — endpoint label, status, duration,
-// whether the status was expected — which is how cmd/medload collects
-// client-side per-endpoint latency percentiles and error budgets without
-// the client knowing anything about load testing.
+// The client is the single wire-format oracle for the httpapi tests and the
+// bench/ load generator: it deliberately declares its own request/response
+// structs rather than importing the server's, so the httpapi tests (which
+// drive this client against a live handler) pin the JSON contract from both
+// sides.
 package medclient
 
 import (
@@ -49,21 +45,6 @@ const RequestIDHeader = "X-Request-ID"
 // The largest legitimate responses (audit queries, history) are well under
 // this; an endless body is a server bug, not something to OOM over.
 const maxResponseBytes = 32 << 20
-
-// Call is one completed round trip, as seen by a Recorder.
-type Call struct {
-	Endpoint   string        // route-pattern label, e.g. "POST /records"
-	Status     int           // HTTP status; 0 on transport error
-	Duration   time.Duration // request start to body fully read
-	Err        error         // transport error or *StatusError; nil if accepted
-	Unexpected bool          // status outside the call's expected set
-}
-
-// Recorder observes completed calls. Implementations must be safe for
-// concurrent use; the client never serializes calls.
-type Recorder interface {
-	Record(Call)
-}
 
 // StatusError reports a response status outside the expected set.
 type StatusError struct {
@@ -95,7 +76,6 @@ type Client struct {
 	base  string
 	actor string
 	hc    *http.Client
-	rec   Recorder
 }
 
 // Option configures a Client.
@@ -111,11 +91,6 @@ func WithActor(actor string) Option {
 // timeouts, shared transports).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithRecorder installs a Recorder observing every call.
-func WithRecorder(r Recorder) Option {
-	return func(c *Client) { c.rec = r }
 }
 
 // New builds a client for the vault at base (e.g. "http://127.0.0.1:8600").
@@ -136,7 +111,7 @@ func New(base string, opts ...Option) *Client {
 }
 
 // As returns a copy of the client acting as a different principal, sharing
-// the transport and recorder.
+// the transport.
 func (c *Client) As(actor string) *Client {
 	dup := *c
 	dup.actor = actor
@@ -146,26 +121,38 @@ func (c *Client) As(actor string) *Client {
 // Actor returns the principal this client acts as.
 func (c *Client) Actor() string { return c.actor }
 
-// BaseURL returns the target base URL.
-func (c *Client) BaseURL() string { return c.base }
-
 // call performs one round trip. success is the endpoint's natural status;
 // expect, when non-empty, overrides the acceptable set (it need not include
 // success). out is decoded only when the response status equals success —
 // except decodeAll, which decodes any accepted status (healthz serves its
 // payload on 503 too).
-func (c *Client) call(ctx context.Context, method, endpoint, path string, in, out any, success int, expect []int, decodeAll bool) (int, error) {
+func (c *Client) call(ctx context.Context, method, path string, in, out any, success int, expect []int, decodeAll bool) (int, error) {
+	status, raw, err := c.roundTrip(ctx, method, path, in, success, expect)
+	if err != nil {
+		return status, err
+	}
+	if out != nil && (status == success || decodeAll) && len(raw) > 0 {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return status, fmt.Errorf("medclient: decoding %s %s (%d) response: %w", method, path, status, err)
+		}
+	}
+	return status, nil
+}
+
+// roundTrip sends one request and returns the status and raw body, or a
+// *StatusError when the status is outside the accepted set.
+func (c *Client) roundTrip(ctx context.Context, method, path string, in any, success int, expect []int) (int, []byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return 0, fmt.Errorf("medclient: encoding %s %s body: %w", method, path, err)
+			return 0, nil, fmt.Errorf("medclient: encoding %s %s body: %w", method, path, err)
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return 0, fmt.Errorf("medclient: building %s %s: %w", method, path, err)
+		return 0, nil, fmt.Errorf("medclient: building %s %s: %w", method, path, err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -174,18 +161,14 @@ func (c *Client) call(ctx context.Context, method, endpoint, path string, in, ou
 		req.Header.Set(ActorHeader, c.actor)
 	}
 
-	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.record(Call{Endpoint: endpoint, Duration: time.Since(start), Err: err})
-		return 0, err
+		return 0, nil, err
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	resp.Body.Close()
-	elapsed := time.Since(start)
 	if err != nil {
-		c.record(Call{Endpoint: endpoint, Status: resp.StatusCode, Duration: elapsed, Err: err})
-		return resp.StatusCode, fmt.Errorf("medclient: reading %s %s response: %w", method, path, err)
+		return resp.StatusCode, nil, fmt.Errorf("medclient: reading %s %s response: %w", method, path, err)
 	}
 
 	accepted := expect
@@ -193,28 +176,12 @@ func (c *Client) call(ctx context.Context, method, endpoint, path string, in, ou
 		accepted = []int{success}
 	}
 	if !statusIn(resp.StatusCode, accepted) {
-		serr := &StatusError{
+		return resp.StatusCode, nil, &StatusError{
 			Method: method, Path: path, Status: resp.StatusCode,
 			Expected: accepted, Body: truncate(string(raw), 512),
 		}
-		c.record(Call{Endpoint: endpoint, Status: resp.StatusCode, Duration: elapsed, Err: serr, Unexpected: true})
-		return resp.StatusCode, serr
 	}
-	if out != nil && (resp.StatusCode == success || decodeAll) && len(raw) > 0 {
-		if err := json.Unmarshal(raw, out); err != nil {
-			derr := fmt.Errorf("medclient: decoding %s %s (%d) response: %w", method, path, resp.StatusCode, err)
-			c.record(Call{Endpoint: endpoint, Status: resp.StatusCode, Duration: elapsed, Err: derr, Unexpected: true})
-			return resp.StatusCode, derr
-		}
-	}
-	c.record(Call{Endpoint: endpoint, Status: resp.StatusCode, Duration: elapsed})
-	return resp.StatusCode, nil
-}
-
-func (c *Client) record(call Call) {
-	if c.rec != nil {
-		c.rec.Record(call)
-	}
+	return resp.StatusCode, raw, nil
 }
 
 func statusIn(code int, set []int) bool {
@@ -242,14 +209,14 @@ func esc(s string) string { return url.PathEscape(s) }
 // CreateRecord POSTs /records. Success: 201.
 func (c *Client) CreateRecord(ctx context.Context, rec Record, expect ...int) (Record, int, error) {
 	var out Record
-	status, err := c.call(ctx, "POST", "POST /records", "/records", rec, &out, http.StatusCreated, expect, false)
+	status, err := c.call(ctx, "POST", "/records", rec, &out, http.StatusCreated, expect, false)
 	return out, status, err
 }
 
 // GetRecord GETs /records/{id}. Success: 200.
 func (c *Client) GetRecord(ctx context.Context, id string, expect ...int) (Record, int, error) {
 	var out Record
-	status, err := c.call(ctx, "GET", "GET /records/{id}", "/records/"+esc(id), nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/records/"+esc(id), nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -257,14 +224,14 @@ func (c *Client) GetRecord(ctx context.Context, id string, expect ...int) (Recor
 func (c *Client) GetVersion(ctx context.Context, id string, n uint64, expect ...int) (Record, int, error) {
 	var out Record
 	path := "/records/" + esc(id) + "/versions/" + strconv.FormatUint(n, 10)
-	status, err := c.call(ctx, "GET", "GET /records/{id}/versions/{n}", path, nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", path, nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
 // History GETs /records/{id}/history. Success: 200.
 func (c *Client) History(ctx context.Context, id string, expect ...int) ([]VersionInfo, int, error) {
 	var out []VersionInfo
-	status, err := c.call(ctx, "GET", "GET /records/{id}/history", "/records/"+esc(id)+"/history", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/records/"+esc(id)+"/history", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -272,13 +239,13 @@ func (c *Client) History(ctx context.Context, id string, expect ...int) ([]Versi
 func (c *Client) Correct(ctx context.Context, id string, rec Record, expect ...int) (Record, int, error) {
 	var out Record
 	path := "/records/" + esc(id) + "/corrections"
-	status, err := c.call(ctx, "POST", "POST /records/{id}/corrections", path, rec, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "POST", path, rec, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
 // Shred DELETEs /records/{id}. Success: 200.
 func (c *Client) Shred(ctx context.Context, id string, expect ...int) (int, error) {
-	return c.call(ctx, "DELETE", "DELETE /records/{id}", "/records/"+esc(id), nil, nil, http.StatusOK, expect, false)
+	return c.call(ctx, "DELETE", "/records/"+esc(id), nil, nil, http.StatusOK, expect, false)
 }
 
 // --- search, audit, provenance, proofs ---
@@ -291,7 +258,7 @@ func (c *Client) Search(ctx context.Context, terms []string, expect ...int) (IDL
 		q.Add("q", t)
 	}
 	var out IDList
-	status, err := c.call(ctx, "GET", "GET /search", "/search?"+q.Encode(), nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/search?"+q.Encode(), nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -312,14 +279,14 @@ func (c *Client) Audit(ctx context.Context, query AuditQuery, expect ...int) ([]
 		path += "?" + q.Encode()
 	}
 	var out []AuditEvent
-	status, err := c.call(ctx, "GET", "GET /audit", path, nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", path, nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
 // Custody GETs /records/{id}/custody. Success: 200.
 func (c *Client) Custody(ctx context.Context, id string, expect ...int) ([]CustodyEvent, int, error) {
 	var out []CustodyEvent
-	status, err := c.call(ctx, "GET", "GET /records/{id}/custody", "/records/"+esc(id)+"/custody", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/records/"+esc(id)+"/custody", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -327,7 +294,7 @@ func (c *Client) Custody(ctx context.Context, id string, expect ...int) ([]Custo
 func (c *Client) Proof(ctx context.Context, id string, n uint64, expect ...int) (Proof, int, error) {
 	var out Proof
 	path := "/records/" + esc(id) + "/versions/" + strconv.FormatUint(n, 10) + "/proof"
-	status, err := c.call(ctx, "GET", "GET /records/{id}/versions/{n}/proof", path, nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", path, nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -335,7 +302,7 @@ func (c *Client) Proof(ctx context.Context, id string, n uint64, expect ...int) 
 // integrity failure answers 409.
 func (c *Client) Verify(ctx context.Context, expect ...int) (VerifyResult, int, error) {
 	var out VerifyResult
-	status, err := c.call(ctx, "POST", "POST /verify", "/verify", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "POST", "/verify", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -345,13 +312,13 @@ func (c *Client) Verify(ctx context.Context, expect ...int) (VerifyResult, int, 
 // the client's actor. Success: 200.
 func (c *Client) BreakGlass(ctx context.Context, reason string, minutes int, expect ...int) (int, error) {
 	body := map[string]any{"reason": reason, "minutes": minutes}
-	return c.call(ctx, "POST", "POST /breakglass", "/breakglass", body, nil, http.StatusOK, expect, false)
+	return c.call(ctx, "POST", "/breakglass", body, nil, http.StatusOK, expect, false)
 }
 
 // PatientRecords GETs /patients/{mrn}/records. Success: 200.
 func (c *Client) PatientRecords(ctx context.Context, mrn string, expect ...int) (IDList, int, error) {
 	var out IDList
-	status, err := c.call(ctx, "GET", "GET /patients/{mrn}/records", "/patients/"+esc(mrn)+"/records", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/patients/"+esc(mrn)+"/records", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -359,7 +326,7 @@ func (c *Client) PatientRecords(ctx context.Context, mrn string, expect ...int) 
 // disclosures. Success: 200.
 func (c *Client) Disclosures(ctx context.Context, mrn string, expect ...int) ([]Disclosure, int, error) {
 	var out []Disclosure
-	status, err := c.call(ctx, "GET", "GET /patients/{mrn}/disclosures", "/patients/"+esc(mrn)+"/disclosures", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/patients/"+esc(mrn)+"/disclosures", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
@@ -368,26 +335,26 @@ func (c *Client) Disclosures(ctx context.Context, mrn string, expect ...int) ([]
 // ExpiredRecords GETs /retention/expired. Success: 200.
 func (c *Client) ExpiredRecords(ctx context.Context, expect ...int) (IDList, int, error) {
 	var out IDList
-	status, err := c.call(ctx, "GET", "GET /retention/expired", "/retention/expired", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/retention/expired", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
 // Holds GETs /retention/holds. Success: 200.
 func (c *Client) Holds(ctx context.Context, expect ...int) ([]Hold, int, error) {
 	var out []Hold
-	status, err := c.call(ctx, "GET", "GET /retention/holds", "/retention/holds", nil, &out, http.StatusOK, expect, false)
+	status, err := c.call(ctx, "GET", "/retention/holds", nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }
 
 // PlaceHold PUTs /records/{id}/hold. Success: 200.
 func (c *Client) PlaceHold(ctx context.Context, id, reason string, expect ...int) (int, error) {
 	body := map[string]string{"reason": reason}
-	return c.call(ctx, "PUT", "PUT /records/{id}/hold", "/records/"+esc(id)+"/hold", body, nil, http.StatusOK, expect, false)
+	return c.call(ctx, "PUT", "/records/"+esc(id)+"/hold", body, nil, http.StatusOK, expect, false)
 }
 
 // ReleaseHold DELETEs /records/{id}/hold. Success: 200.
 func (c *Client) ReleaseHold(ctx context.Context, id string, expect ...int) (int, error) {
-	return c.call(ctx, "DELETE", "DELETE /records/{id}/hold", "/records/"+esc(id)+"/hold", nil, nil, http.StatusOK, expect, false)
+	return c.call(ctx, "DELETE", "/records/"+esc(id)+"/hold", nil, nil, http.StatusOK, expect, false)
 }
 
 // --- liveness and observability ---
@@ -396,37 +363,14 @@ func (c *Client) ReleaseHold(ctx context.Context, id string, expect ...int) (int
 // with the same payload shape, which is decoded too when expected.
 func (c *Client) Healthz(ctx context.Context, expect ...int) (Health, int, error) {
 	var out Health
-	status, err := c.call(ctx, "GET", "GET /healthz", "/healthz", nil, &out, http.StatusOK, expect, true)
+	status, err := c.call(ctx, "GET", "/healthz", nil, &out, http.StatusOK, expect, true)
 	return out, status, err
 }
 
 // Metrics GETs /metrics and returns the raw Prometheus text. Success: 200.
 func (c *Client) Metrics(ctx context.Context) (string, int, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.base+"/metrics", nil)
-	if err != nil {
-		return "", 0, err
-	}
-	start := time.Now()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.record(Call{Endpoint: "GET /metrics", Duration: time.Since(start), Err: err})
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	elapsed := time.Since(start)
-	if err != nil {
-		c.record(Call{Endpoint: "GET /metrics", Status: resp.StatusCode, Duration: elapsed, Err: err})
-		return "", resp.StatusCode, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		serr := &StatusError{Method: "GET", Path: "/metrics", Status: resp.StatusCode,
-			Expected: []int{http.StatusOK}, Body: truncate(string(raw), 512)}
-		c.record(Call{Endpoint: "GET /metrics", Status: resp.StatusCode, Duration: elapsed, Err: serr, Unexpected: true})
-		return "", resp.StatusCode, serr
-	}
-	c.record(Call{Endpoint: "GET /metrics", Status: resp.StatusCode, Duration: elapsed})
-	return string(raw), resp.StatusCode, nil
+	status, raw, err := c.roundTrip(ctx, "GET", "/metrics", nil, http.StatusOK, nil)
+	return string(raw), status, err
 }
 
 // Raw sends an arbitrary body to an arbitrary path as the client's actor,

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -56,25 +55,6 @@ func sampleRecord(id string) medclient.Record {
 		Category: "clinical", Title: "Visit note",
 		Body: "suspected hypertension, ordered panel", Codes: []string{"I10"},
 		CreatedAt: epoch,
-	}
-}
-
-// countingRecorder tallies calls per endpoint.
-type countingRecorder struct {
-	mu         sync.Mutex
-	calls      map[string]int
-	unexpected int
-}
-
-func (r *countingRecorder) Record(c medclient.Call) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.calls == nil {
-		r.calls = make(map[string]int)
-	}
-	r.calls[c.Endpoint]++
-	if c.Unexpected {
-		r.unexpected++
 	}
 }
 
@@ -153,38 +133,6 @@ func TestMissingActorGets401(t *testing.T) {
 	}
 }
 
-func TestRecorderObservesEveryCall(t *testing.T) {
-	ts := newVaultServer(t)
-	ctx := context.Background()
-	rec := &countingRecorder{}
-	c := medclient.New(ts.URL, medclient.WithActor("dr-house"), medclient.WithRecorder(rec))
-
-	if _, _, err := c.CreateRecord(ctx, sampleRecord("p1")); err != nil {
-		t.Fatal(err)
-	}
-	c.GetRecord(ctx, "p1")
-	c.GetRecord(ctx, "ghost") // unexpected 404
-	c.As("clerk-bob").GetRecord(ctx, "p1", http.StatusForbidden)
-	if _, _, err := c.Healthz(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	for endpoint, want := range map[string]int{
-		"POST /records":     1,
-		"GET /records/{id}": 3,
-		"GET /healthz":      1,
-	} {
-		if rec.calls[endpoint] != want {
-			t.Errorf("calls[%q] = %d, want %d", endpoint, rec.calls[endpoint], want)
-		}
-	}
-	if rec.unexpected != 1 {
-		t.Errorf("unexpected calls = %d, want 1 (the ghost 404)", rec.unexpected)
-	}
-}
-
 func TestFullSurfaceSmoke(t *testing.T) {
 	// One pass over every remaining endpoint the typed client covers, so a
 	// route rename or payload drift on either side fails here first.
@@ -244,7 +192,7 @@ func TestFullSurfaceSmoke(t *testing.T) {
 	if status, err := archivist.ReleaseHold(ctx, "p1"); err != nil || status != http.StatusOK {
 		t.Fatalf("release hold = %d, %v", status, err)
 	}
-	if h, _, err := phys.Healthz(ctx); err != nil || h.Status != "ok" || h.NumShards() != 1 {
+	if h, _, err := phys.Healthz(ctx); err != nil || h.Status != "ok" || len(h.Shards) != 0 {
 		t.Fatalf("healthz = %+v, %v", h, err)
 	}
 	if body, _, err := phys.Metrics(ctx); err != nil || !strings.Contains(body, "medvault_http_requests_total") {

@@ -97,16 +97,26 @@ type Proof struct {
 
 // VerifyResult is POST /verify on success (200). On integrity failure the
 // server answers 409 with {"status": "INTEGRITY FAILURE", "error": ...},
-// which decodes into the same shape.
+// which decodes into the same shape. A single-shard vault answers its one
+// tree head; a multi-shard vault answers one head per shard in Shards, no
+// TreeHeadRoot, and the summed size in TreeHeadSize.
 type VerifyResult struct {
-	Status           string `json:"status"`
-	RecordsChecked   int    `json:"records_checked"`
-	VersionsChecked  int    `json:"versions_checked"`
-	AuditEvents      int    `json:"audit_events"`
-	ProvenanceChains int    `json:"provenance_chains"`
-	TreeHeadSize     uint64 `json:"tree_head_size"`
-	TreeHeadRoot     string `json:"tree_head_root"`
-	Error            string `json:"error,omitempty"`
+	Status           string      `json:"status"`
+	RecordsChecked   int         `json:"records_checked"`
+	VersionsChecked  int         `json:"versions_checked"`
+	AuditEvents      int         `json:"audit_events"`
+	ProvenanceChains int         `json:"provenance_chains"`
+	TreeHeadSize     uint64      `json:"tree_head_size"`
+	TreeHeadRoot     string      `json:"tree_head_root"`
+	Shards           []ShardHead `json:"shards,omitempty"`
+	Error            string      `json:"error,omitempty"`
+}
+
+// ShardHead is one shard's tree head in a multi-shard POST /verify answer.
+type ShardHead struct {
+	Shard        int    `json:"shard"`
+	TreeHeadSize uint64 `json:"tree_head_size"`
+	TreeHeadRoot string `json:"tree_head_root"`
 }
 
 // Hold is one row of GET /retention/holds.
@@ -137,15 +147,6 @@ type Health struct {
 	WALQueueDepth int           `json:"wal_queue_depth"`
 	InFlightOps   int           `json:"in_flight_ops"`
 	Shards        []ShardHealth `json:"shards,omitempty"`
-}
-
-// NumShards reports the cluster size behind the probed node: single-shard
-// deployments omit the per-shard list.
-func (h Health) NumShards() int {
-	if len(h.Shards) > 1 {
-		return len(h.Shards)
-	}
-	return 1
 }
 
 // ErrorEnvelope is the JSON error body every non-2xx vault response carries
