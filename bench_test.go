@@ -322,6 +322,31 @@ func BenchmarkE8Backup(b *testing.B) {
 	}
 }
 
+// BenchmarkE8BackupFixedHistory measures one full backup of 200 freshly
+// created records, so every iteration exports chains of the same length (a
+// create and the backup's own event). BenchmarkE8Backup reuses one vault,
+// whose chains grow by an event per record per iteration.
+func BenchmarkE8BackupFixedHistory(b *testing.B) {
+	key, err := vcrypto.NewKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		subs := subjectsOrDie(b)
+		sub := subs[len(subs)-1]
+		for _, r := range experiments.Corpus(200) {
+			if err := sub.Store.Put(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if _, err := backup.Create(sub.Vault, "bench-admin", key, "bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE8Restore measures verified restore into a fresh vault
 // (experiment E8).
 func BenchmarkE8Restore(b *testing.B) {

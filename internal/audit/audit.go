@@ -141,7 +141,7 @@ func (c Checkpoint) Verify(pub vcrypto.PublicKey) error {
 type Log struct {
 	mu       sync.RWMutex
 	store    blockstore.Store
-	macKey   vcrypto.Key
+	mac      *vcrypto.KeyedMAC
 	signer   *vcrypto.Signer
 	now      func() time.Time
 	refs     []blockstore.Ref // refs[seq] is where event seq lives; the only per-event state
@@ -193,7 +193,7 @@ func Open(cfg Config) (*Log, error) {
 	}
 	l := &Log{
 		store:    cfg.Store,
-		macKey:   cfg.MACKey,
+		mac:      vcrypto.NewKeyedMAC(cfg.MACKey),
 		signer:   cfg.Signer,
 		now:      now,
 		every:    cfg.CheckpointInterval,
@@ -265,7 +265,7 @@ func (l *Log) checkLink(e Event, prev [32]byte) error {
 	if e.PrevHash != prev {
 		return fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, e.Seq)
 	}
-	if !vcrypto.VerifyMAC(l.macKey, e.Hash[:], e.MAC) {
+	if !l.mac.Verify(e.Hash[:], e.MAC) {
 		return fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, e.Seq, ErrChainBroken)
 	}
 	return nil
@@ -334,7 +334,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	e.Hash = eventHash(e)
-	e.MAC = vcrypto.MAC(l.macKey, e.Hash[:])
+	e.MAC = l.mac.Sum(nil, e.Hash[:])
 	ref, err := l.store.Append(encodeEvent(e))
 	if err != nil {
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)

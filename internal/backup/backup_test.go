@@ -12,6 +12,7 @@ import (
 	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
+	"medvault/internal/obs"
 	"medvault/internal/provenance"
 	"medvault/internal/vcrypto"
 )
@@ -67,6 +68,33 @@ func backupKey(t *testing.T) vcrypto.Key {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// TestBackupSignsEveryCustodyEventItCarries pins a full backup's Ed25519
+// signs. The vault's medium holds its custody events under a MAC and signs
+// them as a chain leaves, so a backup signs every event of every chain it
+// carries, and the manifest: with nothing else recorded, the k-th backup of a
+// record signs 1+k events, its create and one backed-up event per backup so
+// far. When every event was signed as it was recorded, each backup signed one
+// event per record (its new backed-up one) and the manifest.
+func TestBackupSignsEveryCustodyEventItCarries(t *testing.T) {
+	const records = 20
+	source := newVault(t, "hospital-a")
+	seed(t, source, records, 1)
+	key := backupKey(t)
+	signs := obs.Default.Counter("medvault_crypto_ed25519_total", "", obs.L("op", "sign"))
+	for k := 1; k <= 3; k++ {
+		before := signs.Value()
+		arch, err := Create(source, "arch-lee", key, "tape")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := signs.Value() - before
+		t.Logf("backup %d: %d signs for %d records", k, got, len(arch.Manifest.Entries))
+		if want := uint64(records*(1+k) + 1); got != want {
+			t.Errorf("backup %d signed %d times, want %d: %d custody events per record and the manifest", k, got, want, 1+k)
+		}
+	}
 }
 
 func TestFullBackupAndRestore(t *testing.T) {

@@ -60,7 +60,9 @@ func (v *Vault) Export(actor, id string) (_ ExportBundle, err error) {
 			PlainHash: plainHash(rec),
 		})
 	}
-	custody, err := v.prov.Chain(id)
+	// The custody chain leaves signed: the medium holds the vault's own
+	// events under a MAC, and the target checks signatures.
+	custody, err := v.prov.Export(id)
 	if err != nil {
 		return ExportBundle{}, err
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"crypto/rand"
 	"encoding/hex"
+	mrand "math/rand"
 	"testing"
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/clock"
 	"medvault/internal/ehr"
 	"medvault/internal/frame"
 	"medvault/internal/provenance"
@@ -144,6 +148,69 @@ func TestGoldenBundle(t *testing.T) {
 		Encode:  func() []byte { return EncodeBundle(bundle) },
 		Decode:  func(b []byte) (any, error) { return DecodeBundle(b) },
 		Want:    bundle,
+		Corrupt: ErrBadBundle,
+	})
+}
+
+// TestGoldenExportedBundle pins the bytes a vault exports for one record put
+// and then corrected, under a fixed master, a virtual clock and a seeded
+// random source (DEKs and nonces, hence the ciphertext hashes custody events
+// commit to). Ed25519 signatures are deterministic (RFC 8032), so however the
+// vault keeps custody events on its own medium, the chain that leaves it in a
+// bundle is these bytes.
+func TestGoldenExportedBundle(t *testing.T) {
+	saved := rand.Reader
+	rand.Reader = mrand.New(mrand.NewSource(7))
+	defer func() { rand.Reader = saved }()
+	var master vcrypto.Key
+	for i := range master {
+		master[i] = byte(i)
+	}
+	v, err := Open(Config{Name: "vault-golden", Master: master, Clock: clock.NewVirtual(goldenTime)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	registerStaff(t, v)
+	ctx := context.Background()
+	rec := ehr.Record{
+		ID: "p1-enc-0", Patient: "Ada L.", MRN: "p1", Category: ehr.CategoryClinical,
+		Author: "dr-house", CreatedAt: goldenTime, Title: "Visit", Body: "note text",
+	}
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Body = "note text, corrected"
+	if _, err := v.CorrectCtx(ctx, "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := v.Export("arch-lee", rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame.CheckGolden(t, frame.Golden{
+		Name: "exported bundle",
+		Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
+			"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
+			"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
+			"00011083bab1fa12cd15218b57459642de2073e74c2e38624762eb1dcdc5504785fa4c1bff0584c3d1ce000000654d56" +
+			"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
+			"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
+			"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
+			"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
+			"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
+			"37ad48f35341dc6a377901e3819f75389d61d24130c26c063562454845dc8ba400000000000000000000000000000000" +
+			"000000000000000000000000000000004d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e632e2c5067b4438" +
+			"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040b2d3ec2a3c4bef32" +
+			"47a536dbd76bc5ce022e0cccdb590ad135882dd8f99486ee6b89ff178f3fae353ac5774bc1401712af7977af44a355e2" +
+			"4b061345e8341d020000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+			"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000049c7abcd470ee2860c" +
+			"8a2780c851533a2e31c99cb39ad0ee3edb9c84436d563e4d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e6" +
+			"32e2c5067b443879ff5631000baf62a2d5fcbc6f3b205c7e9845cdc7875dd25022915b8de4eb7d00000020cb3061f22f" +
+			"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004045949718ad93f2b8d96d4ad654c41a7ba4" +
+			"bdbe2ee10dae8bb59a541d9a6307db1ea2d9305f0aa7cf22c37fc0f175b80364ba2864de31436d1f034ee1a6112909",
+		Encode:  func() []byte { return EncodeBundle(bundle) },
+		Decode:  func(b []byte) (any, error) { return DecodeBundle(b) },
 		Corrupt: ErrBadBundle,
 	})
 }

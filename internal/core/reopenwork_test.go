@@ -1,0 +1,104 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
+	"medvault/internal/obs"
+)
+
+// ed25519Ops reads medvault_crypto_ed25519_total{op}: every Ed25519 sign or
+// verify the process has done.
+func ed25519Ops(op string) uint64 {
+	return obs.Default.Counter("medvault_crypto_ed25519_total", "", obs.L("op", op)).Value()
+}
+
+// TestReopenWorkPerRecord is the exact public-key budget of a durable shard:
+// Ed25519 signs per put, and Ed25519 verifies at a clean reopen (after
+// Close), at a crash reopen (no Close: the tail replays from the WAL) and in
+// a VerifyAll sweep. Custody events are MACed on the medium and signed only
+// when they leave the vault, so the only signs on the write path are the
+// audit checkpoints (one per AuditCheckpointInterval events), and opening or
+// sweeping a medium of the vault's own events does no Ed25519 work at all.
+func TestReopenWorkPerRecord(t *testing.T) {
+	const records, corrected = 300, 100
+	const checkpointEvery = 100 // audit events per signed checkpoint
+	master := mustKey(t)
+	open := func(fs faultfs.FS) *Cluster {
+		t.Helper()
+		v, err := Open(Config{Name: "reopen-work", Master: master, Clock: mustClock(), Dir: "vault", FS: fs,
+			AuditCheckpointInterval: checkpointEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerStaff(t, v)
+		return v
+	}
+	// verifies returns the Ed25519 verifies fn does, per record.
+	verifies := func(fn func()) float64 {
+		before := ed25519Ops("verify")
+		fn()
+		return float64(ed25519Ops("verify")-before) / records
+	}
+
+	mem := faultfs.NewMem()
+	v := open(mem)
+	ctx := context.Background()
+	g := ehr.NewGenerator(23, testEpoch)
+	signs := ed25519Ops("sign")
+	var recs []ehr.Record
+	for i := 0; i < records; i++ {
+		r := g.Next()
+		r.Category = ehr.CategoryClinical
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	for _, r := range recs[:corrected] {
+		if _, err := v.CorrectCtx(ctx, "dr-house", g.Correction(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	puts := records + corrected
+	signed := ed25519Ops("sign") - signs
+	checkpoints := uint64(v.Shard(0).aud.Len() / checkpointEvery)
+
+	crash := verifies(func() {
+		re := open(mem.CrashImage(faultfs.KeepAll))
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var re *Cluster
+	clean := verifies(func() { re = open(mem) })
+	sweep := verifies(func() {
+		if _, err := re.VerifyAll(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d puts and corrections: %d Ed25519 signs (%d audit checkpoints), %.4f per put", puts, signed, checkpoints, float64(signed)/float64(puts))
+	t.Logf("Ed25519 verifies per record: clean reopen %.3f, crash reopen %.3f, VerifyAll %.3f", clean, crash, sweep)
+	// When every custody event was signed, this was 404 signs (1.01 per put)
+	// and 1.333 verifies per record, one per custody event, at either reopen
+	// and in the sweep.
+	if checkpoints == 0 || signed != checkpoints {
+		t.Errorf("%d puts signed %d times; want only the %d audit checkpoints", puts, signed, checkpoints)
+	}
+	for _, c := range []struct {
+		what string
+		per  float64
+	}{{"clean reopen", clean}, {"crash reopen", crash}, {"VerifyAll", sweep}} {
+		if c.per != 0 {
+			t.Errorf("%s did %.3f Ed25519 verifies per record, want 0", c.what, c.per)
+		}
+	}
+}

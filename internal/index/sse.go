@@ -48,7 +48,7 @@ var (
 // index may share with the shard's other per-record tables.
 type SSE struct {
 	mu       sync.RWMutex
-	tokenKey vcrypto.Key
+	tokens   *vcrypto.KeyedMAC // keyword -> token, under the token key
 	valueKey vcrypto.Key
 	termNum  map[string]uint32 // raw token -> term number; shares terms[n].tok's bytes
 	terms    []term            // term number -> term; tok "" once its last document left
@@ -82,7 +82,7 @@ func NewSSE(master vcrypto.Key) *SSE { return NewSSEOn(recno.New(), master) }
 // among its per-record stores.
 func NewSSEOn(recs *recno.Table, master vcrypto.Key) *SSE {
 	return &SSE{
-		tokenKey: vcrypto.DeriveKey(master, "index/token"),
+		tokens:   vcrypto.NewKeyedMAC(vcrypto.DeriveKey(master, "index/token")),
 		valueKey: vcrypto.DeriveKey(master, "index/value"),
 		termNum:  make(map[string]uint32),
 		recs:     recs,
@@ -102,8 +102,9 @@ func (s *SSE) docNum(rec uint32) (uint32, bool) {
 // token key is immutable, so tokenization needs no lock — callers compute
 // tokens before entering the mutex, keeping the HMAC work (the dominant
 // per-keyword cost) out of the serialized section under concurrency.
-func (s *SSE) token(word string) token {
-	return token(vcrypto.MAC(s.tokenKey, []byte(word)))
+func (s *SSE) token(word string) (tok token) {
+	s.tokens.Sum(tok[:0], []byte(word))
+	return tok
 }
 
 // tokenHex is a token's snapshot spelling, 64 lowercase hex characters.

@@ -16,8 +16,9 @@ func goldenHash(seed byte) (h [32]byte) {
 }
 
 // TestGoldenEvent pins the custody-event transfer layout (it travels inside
-// export bundles and backups, and older mediums hold it), the stored layout a
-// tracker writes, and the hash domain signatures cover.
+// export bundles and backups, and older mediums hold it), the stored layouts a
+// tracker writes (v3) and has written (v2, now decode-only), and the hash
+// domain MACs and signatures cover.
 func TestGoldenEvent(t *testing.T) {
 	ev := Event{
 		Record: "p1-enc-0", Index: 2, Type: EventMigratedOut,
@@ -26,20 +27,47 @@ func TestGoldenEvent(t *testing.T) {
 		PrevHash: goldenHash(0x30), Hash: goldenHash(0x60),
 		SignerKey: vcrypto.PublicKey{0xb1, 0xb2, 0xb3}, Signature: []byte{0xc1, 0xc2},
 	}
-	// The stored layout leaves out Index, PrevHash and Hash (the reader's
+	// The stored layouts leave out Index, PrevHash and Hash (the reader's
 	// place in the chain gives the first two, and hashing the third) and the
-	// signer key when it is the tracker's own.
+	// signer key when it is the tracker's own; v3 leaves out the tracker's
+	// own signature too, and carries a MAC over the hash and the stored signer
+	// fields instead.
 	stored := ev
 	stored.Hash = eventHash(stored)
 	own := ev.SignerKey
+	mac := vcrypto.NewKeyedMAC(vcrypto.Key(goldenHash(0x90)))
 	place := func(string) (uint64, [32]byte) { return 2, goldenHash(0x30) }
+	decode := func(b []byte) (any, error) { return decodeStored(b, own, mac, place) }
+	unsigned := stored
+	unsigned.Signature = nil
+	foreign := stored
+	foreign.SignerKey, foreign.Signature = vcrypto.PublicKey{0xd1, 0xd2}, []byte{0xe1}
 	frame.CheckGolden(t,
+		frame.Golden{
+			Name: "provenance stored event v3",
+			Hex: "0301a0b10f01897cb2314552fa11e55d7221279f9ede72eac316860be06f528a7f1070312d656e632d30041083bab1fa" +
+				"12cd150c617263682d310e7661756c742d610e7661756c742d620102030405060708090a0b0c0d0e0f10111213141516" +
+				"1718191a1b1c1d1e1f200000",
+			Encode:  func() []byte { return sealStored(encodeStored(stored, own), mac, stored.Hash) },
+			Decode:  decode,
+			Want:    unsigned,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "provenance stored event v3, foreign signer",
+			Hex: "030fa09aec0868b0cd72e62a10c8c09bb0541bc3591ec4180effc72b3cd2c94bae1070312d656e632d30041083bab1fa" +
+				"12cd150c617263682d310e7661756c742d610e7661756c742d620102030405060708090a0b0c0d0e0f10111213141516" +
+				"1718191a1b1c1d1e1f2002d1d201e1",
+			Encode:  func() []byte { return sealStored(encodeStored(foreign, own), mac, foreign.Hash) },
+			Decode:  decode,
+			Want:    foreign,
+			Corrupt: ErrCorrupt,
+		},
 		frame.Golden{
 			Name: "provenance stored event v2",
 			Hex: "021070312d656e632d30041083bab1fa12cd150c617263682d310e7661756c742d610e7661756c742d620102030405" +
 				"060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f200002c1c2",
-			Encode:  func() []byte { return encodeStored(stored, own) },
-			Decode:  func(b []byte) (any, error) { return decodeStored(b, own, place) },
+			Decode:  decode,
 			Want:    stored,
 			Corrupt: ErrCorrupt,
 		},

@@ -3,24 +3,32 @@
 // HIPAA §164.310(d)(2)(iii) requires "a record of the movements of hardware
 // and electronic media and any person responsible therefore", and the paper
 // singles out trustworthy provenance as the feature missing from every
-// storage model it surveys. This package keeps, per record, a hash-linked and
-// signed chain of custody events: creation, correction, migration out/in,
-// backup, restore, and shredding. Each event names the responsible actor and
-// system, commits to the record content hash at that moment, links to its
-// predecessor, and is signed by the system that performed the action — so a
-// record arriving from a migration carries a verifiable history spanning
-// systems, signed by each custodian in turn.
+// storage model it surveys. This package keeps, per record, a hash-linked
+// chain of custody events: creation, correction, migration out/in, backup,
+// restore, and shredding. Each event names the responsible actor and system,
+// commits to the record content hash at that moment, and links to its
+// predecessor.
+//
+// Signatures sit at the trust boundary. On the system's own medium an event
+// carries a MAC under a key derived from the system's signing seed, which an
+// attacker who reaches the medium cannot make. When a chain leaves the system
+// (Export: migration bundles, backups), each of the system's events is signed
+// by it — so a record arriving from a migration carries a verifiable history
+// spanning systems, signed by each custodian in turn, and the adopted events
+// keep those signatures on the new custodian's medium.
 //
 // Events live only in the append-only blockstore, in a layout that stores only
 // what the tracker cannot recompute (codec.go). In RAM the tracker keeps,
-// per record, each event's blockstore.Ref and the chain's head hash. Open and
-// Adopt check every link and signature as events enter; Chain reads the
-// events back and checks their links and that they end in the head, and
-// Verify adds one signature check per event, so what both vouch for is the
-// bytes on the medium, not a copy of them.
+// per record, each event's blockstore.Ref and the chain's head hash. Open
+// checks every link and MAC as events enter, and Adopt every link and
+// signature; Chain reads the events back and checks their links, their MACs
+// and that they end in the head, and Verify adds a check of every signature
+// an event carries, so what both vouch for is the bytes on the medium, not a
+// copy of them.
 package provenance
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,6 +61,9 @@ var (
 	ErrChainBroken = errors.New("provenance: custody chain broken")
 	// ErrBadSignature indicates a custody event signature failed.
 	ErrBadSignature = errors.New("provenance: custody signature invalid")
+	// ErrBadMAC indicates a stored custody event's MAC failed: the event was
+	// written or edited by someone without the system's signing seed.
+	ErrBadMAC = errors.New("provenance: custody event MAC invalid")
 	// ErrUnknownRecord indicates no custody chain exists for the record.
 	ErrUnknownRecord = errors.New("provenance: unknown record")
 	// ErrCorrupt indicates an undecodable persisted event.
@@ -72,7 +83,7 @@ type Event struct {
 	PrevHash    [32]byte          // hash of the previous event in this record's chain
 	Hash        [32]byte          // hash of this event
 	SignerKey   vcrypto.PublicKey // key of the signing system
-	Signature   []byte            // over Hash
+	Signature   []byte            // over Hash; nil for the tracker's own event until Export signs it
 }
 
 // eventHash hashes the event's signed content.
@@ -94,6 +105,7 @@ type Tracker struct {
 	mu     sync.RWMutex
 	store  blockstore.Store
 	signer *vcrypto.Signer
+	mac    *vcrypto.KeyedMAC // stored-event MACs, keyed from the signer's seed
 	system string
 	now    func() time.Time
 	recs   *recno.Table // record numbers; lock order: mu → recs
@@ -102,9 +114,9 @@ type Tracker struct {
 
 // chainRefs is all a record's custody chain keeps in RAM: where each event
 // lives on the medium and the hash of the last one. The head's event was
-// signature-checked when it entered the tracker, and every event hash covers
-// its predecessor's, so a chain read back from the medium that links up and
-// ends in head is the chain that was signed.
+// MAC- or signature-checked when it entered the tracker, and every event hash
+// covers its predecessor's, so a chain read back from the medium that links
+// up and ends in head is the chain that was authenticated.
 type chainRefs struct {
 	head [32]byte
 	refs []blockstore.Ref
@@ -127,8 +139,12 @@ type Config struct {
 	Records *recno.Table
 }
 
+// macLabel derives the stored-event MAC key from the signer's seed.
+const macLabel = "provenance/custody-mac"
+
 // Open creates a Tracker, replaying persisted custody events. Every link and
-// every signature is verified on load; a tampered chain prevents opening.
+// every MAC is verified on load, and the signature of an event stored before
+// MACs (layout v1 or v2); a tampered chain prevents opening.
 func Open(cfg Config) (*Tracker, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("provenance: Config.Store is required")
@@ -147,20 +163,24 @@ func Open(cfg Config) (*Tracker, error) {
 	tr := &Tracker{
 		store:  cfg.Store,
 		signer: cfg.Signer,
+		mac:    vcrypto.NewKeyedMAC(cfg.Signer.DeriveKey(macLabel)),
 		system: cfg.System,
 		now:    now,
 		recs:   recs,
 	}
 	next := func(id string) (uint64, [32]byte) { return tr.chain(id).next() }
 	err := cfg.Store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := decodeStored(data, tr.signer.Public(), next)
+		e, err := tr.decode(data, next)
 		if err != nil {
 			return err
 		}
-		// The medium stores no event hash, so an edited event shows up as a
-		// signature over a hash its custodian never signed: a broken chain.
-		if err := checkSignature(e); err != nil {
-			return fmt.Errorf("%w: %w", ErrChainBroken, err)
+		// decode checked a v3 event's MAC. An older event carries a signature
+		// instead; the medium stores no event hash, so an edited one shows up
+		// as a signature over a hash its custodian never signed.
+		if data[0] != storedVersion {
+			if err := checkSignature(e); err != nil {
+				return fmt.Errorf("%w: %w", ErrChainBroken, err)
+			}
 		}
 		tr.extend(e.Record, ref, e.Hash)
 		return nil
@@ -169,6 +189,16 @@ func Open(cfg Config) (*Tracker, error) {
 		return nil, fmt.Errorf("provenance: replaying custody log: %w", err)
 	}
 	return tr, nil
+}
+
+// encode is e's stored layout, MACed under the tracker's key.
+func (tr *Tracker) encode(e Event) []byte {
+	return sealStored(encodeStored(e, tr.signer.Public()), tr.mac, e.Hash)
+}
+
+// decode reads a stored event (see decodeStored).
+func (tr *Tracker) decode(data []byte, place func(record string) (uint64, [32]byte)) (Event, error) {
+	return decodeStored(data, tr.signer.Public(), tr.mac, place)
 }
 
 // chain returns id's chain as of now, empty if it has none; the caller holds
@@ -192,7 +222,8 @@ func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
 
 // Record appends a custody event for record id performed by actor, with the
 // record content hash at this moment. peer names the counterpart system for
-// migration events. The completed, signed event is returned.
+// migration events. The completed event is returned unsigned: the medium
+// holds it under the tracker's MAC, and Export signs it when it leaves.
 func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [32]byte, peer string) (Event, error) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -210,8 +241,7 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 	}
 	e.Hash = eventHash(e)
 	e.SignerKey = tr.signer.Public()
-	e.Signature = tr.signer.Sign(e.Hash[:])
-	ref, err := tr.store.Append(encodeStored(e, tr.signer.Public()))
+	ref, err := tr.store.Append(tr.encode(e))
 	if err != nil {
 		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
@@ -221,10 +251,11 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 
 // Adopt appends externally produced custody events (e.g. the history that
 // accompanies a migrated record) to this tracker, verifying each link and
-// signature. The adopted history must either start a new chain or extend the
-// record's existing one. The whole batch is checked before any event is
-// persisted, so a rejected history leaves nothing behind and a corrected one
-// can be adopted in its place.
+// signature before it persists any of them; an adopted event keeps its
+// custodian's signature on the medium, beside the tracker's MAC. The adopted
+// history must either start a new chain or extend the record's existing one.
+// A rejected history leaves nothing behind, so a corrected one can be
+// adopted in its place.
 func (tr *Tracker) Adopt(events []Event) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -247,7 +278,7 @@ func (tr *Tracker) Adopt(events []Event) error {
 		tips[e.Record] = tip{t.index + 1, e.Hash}
 	}
 	for _, e := range events {
-		ref, err := tr.store.Append(encodeStored(e, tr.signer.Public()))
+		ref, err := tr.store.Append(tr.encode(e))
 		if err != nil {
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
@@ -283,10 +314,11 @@ func checkSignature(e Event) error {
 }
 
 // Chain returns the custody chain for id in order, as of the call. It reads,
-// decodes and link-checks each event from the medium outside the tracker
-// lock, and requires the last to hash to the chain's resident head; a read,
-// decode, link or head failure is an error wrapping ErrChainBroken, never a
-// shorter chain.
+// decodes, MAC-checks and link-checks each event from the medium outside the
+// tracker lock, and requires the last to hash to the chain's resident head; a
+// read, decode, MAC, link or head failure is an error wrapping
+// ErrChainBroken, never a shorter chain. The tracker's own events come back
+// unsigned; Export is the chain that leaves the system.
 func (tr *Tracker) Chain(id string) ([]Event, error) {
 	tr.mu.RLock()
 	c := tr.chain(id)
@@ -301,7 +333,7 @@ func (tr *Tracker) Chain(id string) ([]Event, error) {
 		data, err := tr.store.Read(ref)
 		var e Event
 		if err == nil {
-			e, err = decodeStored(data, tr.signer.Public(), func(string) (uint64, [32]byte) { return uint64(i), prev })
+			e, err = tr.decode(data, func(string) (uint64, [32]byte) { return uint64(i), prev })
 		}
 		if errors.Is(err, ErrChainBroken) {
 			return nil, err
@@ -320,18 +352,42 @@ func (tr *Tracker) Chain(id string) ([]Event, error) {
 	return chain, nil
 }
 
+// Export returns id's custody chain as it leaves the system, in a migration
+// bundle or a backup, with every event signed: the tracker's own events,
+// which its medium holds under a MAC, are signed here, and the others keep
+// the signature they were stored with. Ed25519 is deterministic (RFC 8032),
+// so an event carries the same signature every time it is exported.
+func (tr *Tracker) Export(id string) ([]Event, error) {
+	chain, err := tr.Chain(id)
+	if err != nil {
+		return nil, err
+	}
+	for i := range chain {
+		if chain[i].Signature == nil {
+			chain[i].Signature = tr.signer.Sign(chain[i].Hash[:])
+		}
+	}
+	return chain, nil
+}
+
 // Verify re-validates the full custody chain for id as the medium holds it:
-// linkage, hashes, and every custodian signature. trusted, when non-nil,
-// restricts acceptable signers; an empty map accepts any internally
-// consistent signer.
+// linkage, hashes and MACs (Chain), and every signature an event carries — a
+// foreign custodian's on an adopted event, or the one a pre-MAC medium
+// stored. The tracker's own MACed events need no Ed25519 work. trusted, when
+// non-nil, restricts acceptable signers to its keys (in String form): an
+// empty map trusts no signer, so it fails every chain. Nil accepts any signer
+// whose signature checks.
 func (tr *Tracker) Verify(id string, trusted map[string]bool) error {
 	chain, err := tr.Chain(id)
 	if err != nil {
 		return err
 	}
+	own := tr.signer.Public()
 	for _, e := range chain {
-		if err := checkSignature(e); err != nil {
-			return err
+		if e.Signature != nil || !bytes.Equal(e.SignerKey, own) {
+			if err := checkSignature(e); err != nil {
+				return err
+			}
 		}
 		if trusted != nil && !trusted[e.SignerKey.String()] {
 			return fmt.Errorf("%w: record %s index %d signed by untrusted key %s", ErrBadSignature, id, e.Index, e.SignerKey)

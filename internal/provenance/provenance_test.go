@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/frame"
+	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
 
@@ -102,7 +105,7 @@ func TestAdoptMigratedHistory(t *testing.T) {
 	if _, err := source.Record("p1", EventMigratedOut, "admin-a", h, "hospital-b"); err != nil {
 		t.Fatal(err)
 	}
-	history, err := source.Chain("p1")
+	history, err := source.Export("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestAdoptRejectsTamperedHistory(t *testing.T) {
 	h := vcrypto.Hash([]byte("x"))
 	source.Record("p1", EventCreated, "dr", h, "")
 	source.Record("p1", EventCorrected, "dr", h, "")
-	history, _ := source.Chain("p1")
+	history, _ := source.Export("p1")
 
 	// Tamper with the actor of the first event.
 	history[0].Actor = "someone-else"
@@ -141,7 +144,7 @@ func TestAdoptRejectsTamperedHistory(t *testing.T) {
 	}
 
 	// Re-hash after tampering: the signature check must now fail.
-	history2, _ := source.Chain("p1")
+	history2, _ := source.Export("p1")
 	history2[0].Actor = "someone-else"
 	history2[0].Hash = eventHash(history2[0])
 	history2[1].PrevHash = history2[0].Hash
@@ -163,6 +166,10 @@ func TestVerifyTrustedSigners(t *testing.T) {
 	onlyOther := map[string]bool{other.Public().String(): true}
 	if err := tr.Verify("p1", onlyOther); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("untrusted signer accepted: %v", err)
+	}
+	// An empty set is not "no restriction": it trusts no signer.
+	if err := tr.Verify("p1", map[string]bool{}); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("empty trusted set accepted a signer: %v", err)
 	}
 }
 
@@ -210,19 +217,19 @@ func TestOpenRejectsTamperedPersistence(t *testing.T) {
 	}
 	tr.Record("p1", EventCreated, "dr", [32]byte{}, "")
 
-	// Rebuild a store with the event's actor edited (signature left stale).
+	// Rebuild a store with the event's actor edited (MAC left stale).
 	var payloads [][]byte
 	store.Scan(func(_ blockstore.Ref, data []byte) error {
 		payloads = append(payloads, append([]byte(nil), data...))
 		return nil
 	})
-	e, err := decodeStored(payloads[0], signer.Public(), func(string) (uint64, [32]byte) { return 0, [32]byte{} })
+	e, err := tr.decode(payloads[0], func(string) (uint64, [32]byte) { return 0, [32]byte{} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Actor = "forged"
 	evil := blockstore.NewMemory(0)
-	evil.Append(encodeStored(e, signer.Public()))
+	evil.Append(tr.encode(e))
 	if _, err := Open(Config{Store: evil, Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) {
 		t.Errorf("tampered persistence accepted: %v", err)
 	}
@@ -284,7 +291,7 @@ func TestAdoptIsAllOrNothing(t *testing.T) {
 	h := vcrypto.Hash([]byte("x"))
 	source.Record("p1", EventCreated, "dr", h, "")
 	source.Record("p1", EventCorrected, "dr", h, "")
-	history, err := source.Chain("p1")
+	history, err := source.Export("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,45 +317,266 @@ func TestAdoptIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// encodeV2 is the stored layout trackers wrote before custody MACs (v2): the
+// signer key left out when it is the tracker's own, the signature always
+// stored. The package only reads it now; tests write mediums that hold it.
+func encodeV2(e Event, own vcrypto.PublicKey) []byte {
+	b := []byte{storedV2}
+	b = frame.AppendToken(b, e.Record)
+	b = frame.AppendWord(b, string(e.Type), typeWords)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendToken(b, e.Actor)
+	b = frame.AppendToken(b, e.System)
+	b = frame.AppendToken(b, e.Peer)
+	b = append(b, e.ContentHash[:]...)
+	key := e.SignerKey
+	if bytes.Equal(key, own) {
+		key = nil
+	}
+	b = frame.AppendVarBytes(b, key)
+	return frame.AppendVarBytes(b, e.Signature)
+}
+
+// forgeV3 is e in the v3 layout, MACed under a key that is not the tracker's:
+// what an insider without the signing seed can write on its medium.
+func forgeV3(tr *Tracker, e Event) []byte {
+	return sealStored(encodeStored(e, tr.signer.Public()), vcrypto.NewKeyedMAC(vcrypto.Key{0x1d}), e.Hash)
+}
+
 // TestRechainedForgeryIsAnError: an insider with write access to the medium
-// but not the signing key rewrites a chain's events under valid frame CRCs,
-// with every event hash recomputed so the rewritten chain links. The chain no
-// longer ends in the head the tracker signed, so reading it is an error —
-// not the forged history.
+// but not the signing seed rewrites a running tracker's chain under valid
+// frame CRCs, with every event hash recomputed so the rewritten chain links.
+// Reading it is an error, not the forged history. On a v3 medium the
+// rewritten events fail their MACs; on a v2 medium, whose signatures Chain
+// leaves to Verify, the chain no longer ends in the head the tracker
+// authenticated.
 func TestRechainedForgeryIsAnError(t *testing.T) {
-	store := blockstore.NewMemory(0)
-	tr, signer := newTracker(t, "sys", store)
+	v2 := func(tr *Tracker, e Event) []byte { return encodeV2(e, tr.signer.Public()) }
+	for _, c := range []struct {
+		layout          string
+		genuine, forged func(*Tracker, Event) []byte
+	}{
+		{"v3", (*Tracker).encode, forgeV3},
+		{"v2", v2, v2},
+	} {
+		t.Run(c.layout, func(t *testing.T) {
+			tr, signer := newTracker(t, "sys", nil)
+			h := vcrypto.Hash([]byte("v"))
+			tr.Record("p1", EventCreated, "dr", h, "")
+			tr.Record("p1", EventCorrected, "dr", h, "")
+			events, err := tr.Export("p1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := blockstore.NewMemory(0)
+			var refs []blockstore.Ref
+			for _, e := range events {
+				ref, err := store.Append(c.genuine(tr, e))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs = append(refs, ref)
+			}
+			victim, err := Open(Config{Store: store, Signer: signer, System: "sys"})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			events[0].Actor = "xx" // same length: an in-place edit
+			events[0].Hash = eventHash(events[0])
+			events[1].PrevHash = events[0].Hash
+			events[1].Hash = eventHash(events[1])
+			for i, e := range events {
+				if err := store.CorruptFrame(refs[i], func([]byte) []byte { return c.forged(victim, e) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if chain, err := victim.Chain("p1"); !errors.Is(err, ErrChainBroken) || chain != nil {
+				t.Errorf("Chain over a re-chained forgery: %d events, %v; want none, ErrChainBroken", len(chain), err)
+			}
+			if err := victim.Verify("p1", nil); !errors.Is(err, ErrChainBroken) {
+				t.Errorf("Verify over a re-chained forgery: %v, want ErrChainBroken", err)
+			}
+			if _, err := victim.Chain("p1"); c.layout == "v3" && !errors.Is(err, ErrBadMAC) {
+				t.Errorf("a re-chained v3 event: %v, want ErrBadMAC", err)
+			}
+		})
+	}
+}
+
+// TestForeignSignerRewriteFailsOpen: an insider who can write the medium but
+// lacks the signing seed rewrites a chain under a fresh key of their own, in
+// the foreign-signer form an adopted history takes: the events edited,
+// re-hashed, re-linked and validly signed by that key. A v2 medium so
+// rewritten opened, since a foreign signature is checked only against its own
+// key, and passed VerifyAll(nil). Every v3 event carries the tracker's MAC,
+// which the insider cannot make, so the rewrite fails Open.
+func TestForeignSignerRewriteFailsOpen(t *testing.T) {
+	tr, signer := newTracker(t, "sys", nil)
 	h := vcrypto.Hash([]byte("v"))
 	tr.Record("p1", EventCreated, "dr", h, "")
 	tr.Record("p1", EventCorrected, "dr", h, "")
-
-	var refs []blockstore.Ref
-	var events []Event
-	store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := decodeStored(data, signer.Public(), func(string) (uint64, [32]byte) {
-			if len(events) == 0 {
-				return 0, [32]byte{}
-			}
-			return uint64(len(events)), events[len(events)-1].Hash
-		})
-		refs, events = append(refs, ref), append(events, e)
-		return err
-	})
-	events[0].Actor = "xx" // same length: an in-place edit
-	events[0].Hash = eventHash(events[0])
-	events[1].PrevHash = events[0].Hash
-	events[1].Hash = eventHash(events[1])
-	for i, e := range events {
-		if err := store.CorruptFrame(refs[i], func([]byte) []byte { return encodeStored(e, signer.Public()) }); err != nil {
+	events, err := tr.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := blockstore.NewMemory(0)
+	var prev [32]byte
+	for _, e := range events {
+		e.Actor, e.PrevHash = "mallory", prev
+		e.Hash = eventHash(e)
+		e.SignerKey, e.Signature = mallory.Public(), mallory.Sign(e.Hash[:])
+		prev = e.Hash
+		if _, err := forged.Append(forgeV3(tr, e)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	if chain, err := tr.Chain("p1"); !errors.Is(err, ErrChainBroken) || chain != nil {
-		t.Errorf("Chain over a re-chained forgery: %d events, %v; want none, ErrChainBroken", len(chain), err)
+	if _, err := Open(Config{Store: forged, Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) || !errors.Is(err, ErrBadMAC) {
+		t.Errorf("Open over a chain rewritten under a fresh key: %v, want ErrChainBroken and ErrBadMAC", err)
 	}
-	if err := tr.Verify("p1", nil); !errors.Is(err, ErrChainBroken) {
-		t.Errorf("Verify over a re-chained forgery: %v, want ErrChainBroken", err)
+}
+
+// rewritten is a custody medium on which an insider has replaced the event at
+// ref with payload, of any length; while ref is nil it reads as written.
+type rewritten struct {
+	blockstore.Store
+	ref     *blockstore.Ref
+	payload []byte
+}
+
+func (m *rewritten) Read(ref blockstore.Ref) ([]byte, error) {
+	if m.ref != nil && ref == *m.ref {
+		return append([]byte(nil), m.payload...), nil
+	}
+	return m.Store.Read(ref)
+}
+
+func (m *rewritten) Scan(fn func(blockstore.Ref, []byte) error) error {
+	return m.Store.Scan(func(ref blockstore.Ref, data []byte) error {
+		if m.ref != nil && ref == *m.ref {
+			data = m.payload
+		}
+		return fn(ref, data)
+	})
+}
+
+// TestStoredSignerRewriteFailsMAC: a v3 event's MAC covers its signer fields
+// as stored, so an insider cannot move an event between the tracker's own form
+// and the foreign-signer form, even leaving its content, hash and MAC as they
+// were. Stripping an adopted event's key and signature would otherwise make it
+// the vault's own, for Export to sign; giving the vault's own event a fresh
+// key and a valid signature under it would otherwise change its signer. Both
+// rewrites fail a running tracker's Chain, Export and VerifyAll, and a reopen,
+// with ErrBadMAC.
+func TestStoredSignerRewriteFailsMAC(t *testing.T) {
+	source, _ := newTracker(t, "hospital-a", nil)
+	h := vcrypto.Hash([]byte("content"))
+	if _, err := source.Record("p1", EventCreated, "dr-a", h, ""); err != nil {
+		t.Fatal(err)
+	}
+	history, err := source.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		at      int // the rewritten event: 0 is adopted, 1 the target's own
+		rewrite func(e Event, own vcrypto.PublicKey) Event
+	}{
+		{"foreign signer stripped", 0, func(e Event, own vcrypto.PublicKey) Event {
+			e.SignerKey, e.Signature = own, nil
+			return e
+		}},
+		{"own event given a foreign signer", 1, func(e Event, _ vcrypto.PublicKey) Event {
+			e.SignerKey, e.Signature = mallory.Public(), mallory.Sign(e.Hash[:])
+			return e
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			medium := &rewritten{Store: blockstore.NewMemory(0)}
+			target, signer := newTracker(t, "hospital-b", medium)
+			if err := target.Adopt(history); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := target.Record("p1", EventMigratedIn, "admin-b", h, "hospital-a"); err != nil {
+				t.Fatal(err)
+			}
+			chain, err := target.Chain("p1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref blockstore.Ref
+			var genuine []byte
+			i := 0
+			medium.Scan(func(r blockstore.Ref, data []byte) error {
+				if i == c.at {
+					ref, genuine = r, append([]byte(nil), data...)
+				}
+				i++
+				return nil
+			})
+			forged := encodeStored(c.rewrite(chain[c.at], signer.Public()), signer.Public())
+			copy(forged[1:1+macSize], genuine[1:1+macSize]) // the genuine event's MAC
+			medium.ref, medium.payload = &ref, forged
+
+			if _, err := target.Chain("p1"); !errors.Is(err, ErrBadMAC) {
+				t.Errorf("Chain: %v, want ErrBadMAC", err)
+			}
+			if _, err := target.Export("p1"); !errors.Is(err, ErrBadMAC) {
+				t.Errorf("Export: %v, want ErrBadMAC", err)
+			}
+			if _, err := target.VerifyAll(nil); !errors.Is(err, ErrBadMAC) {
+				t.Errorf("VerifyAll: %v, want ErrBadMAC", err)
+			}
+			if _, err := Open(Config{Store: medium, Signer: signer, System: "hospital-b"}); !errors.Is(err, ErrBadMAC) {
+				t.Errorf("Open: %v, want ErrBadMAC", err)
+			}
+		})
+	}
+}
+
+// TestStoredEventByteEditIsCaught: one flipped byte anywhere in a stored v3
+// event, under a valid frame CRC, fails a running tracker's VerifyAll and a
+// reopen of the medium.
+func TestStoredEventByteEditIsCaught(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	tr, signer := newTracker(t, "sys", store)
+	if _, err := tr.Record("p1", EventCreated, "dr-house", vcrypto.Hash([]byte("v")), ""); err != nil {
+		t.Fatal(err)
+	}
+	var ref blockstore.Ref
+	var size int
+	store.Scan(func(r blockstore.Ref, data []byte) error {
+		ref, size = r, len(data)
+		return nil
+	})
+	flip := func(i int) {
+		t.Helper()
+		if err := store.CorruptFrame(ref, func(b []byte) []byte { b[i] ^= 1; return b }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < size; i++ {
+		flip(i)
+		if _, err := tr.VerifyAll(nil); !errors.Is(err, ErrChainBroken) {
+			t.Errorf("byte %d of %d flipped: VerifyAll = %v, want ErrChainBroken", i, size, err)
+		}
+		if _, err := Open(Config{Store: store, Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("byte %d of %d flipped: Open = %v, want ErrChainBroken or ErrCorrupt", i, size, err)
+		}
+		flip(i)
+	}
+	if _, err := tr.VerifyAll(nil); err != nil {
+		t.Fatalf("the restored medium: %v", err)
 	}
 }
 
@@ -363,11 +591,11 @@ func TestLegacyMediumStillOpens(t *testing.T) {
 	tr.Record("p1", EventCreated, "dr", h, "")
 	tr.Record("p2", EventCreated, "dr", h, "")
 	tr.Record("p1", EventCorrected, "dr", h, "")
-	p1, err := tr.Chain("p1")
+	p1, err := tr.Export("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := tr.Chain("p2")
+	p2, err := tr.Export("p2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,6 +633,78 @@ func TestLegacyMediumStillOpens(t *testing.T) {
 	}
 }
 
+// TestMixedLayoutMediumOpens: one medium holds chains written in all three
+// layouts a tracker has used — transfer (v1), v2 and v3 — as a vault upgraded
+// twice would. It opens with one Ed25519 verify per legacy event and none per
+// v3 event, reads back and exports as the chains that were recorded, takes
+// new events, and verifies. A legacy event's stored signature is still
+// checked at Open.
+func TestMixedLayoutMediumOpens(t *testing.T) {
+	tr, signer := newTracker(t, "sys", nil)
+	own := signer.Public()
+	h := vcrypto.Hash([]byte("v"))
+	for _, typ := range []EventType{EventCreated, EventCorrected, EventBackedUp} {
+		if _, err := tr.Record("p1", typ, "dr", h, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Record("p2", EventCreated, "dr", h, ""); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := tr.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := tr.Export("p2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	medium := func(payloads ...[]byte) *blockstore.File {
+		store := blockstore.NewMemory(0)
+		for _, b := range payloads {
+			if _, err := store.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return store
+	}
+	verifies := func() uint64 {
+		return obs.Default.Counter("medvault_crypto_ed25519_total", "", obs.L("op", "verify")).Value()
+	}
+
+	before := verifies()
+	re, err := Open(Config{Store: medium(EncodeEvent(p1[0]), encodeV2(p2[0], own), encodeV2(p1[1], own), tr.encode(p1[2])),
+		Signer: signer, System: "sys"})
+	if err != nil {
+		t.Fatalf("open over a v1+v2+v3 medium: %v", err)
+	}
+	if n := verifies() - before; n != 3 {
+		t.Errorf("Open verified %d signatures, want 3: one per legacy event, none per v3 event", n)
+	}
+	if n, err := re.VerifyAll(nil); err != nil || n != 2 {
+		t.Fatalf("VerifyAll over a mixed medium: %d, %v", n, err)
+	}
+	if got, err := re.Export("p1"); err != nil || !reflect.DeepEqual(got, p1) {
+		t.Fatalf("mixed chain exports as %+v, %v; want %+v", got, err, p1)
+	}
+	if chain, err := re.Chain("p1"); err != nil || chain[1].Signature == nil || chain[2].Signature != nil {
+		t.Fatalf("mixed chain reads back as %+v, %v; want the v2 event signed and the v3 one not", chain, err)
+	}
+	if _, err := re.Record("p1", EventShredded, "op", [32]byte{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Verify("p1", map[string]bool{own.String(): true}); err != nil {
+		t.Errorf("Verify after a v3 event follows legacy ones: %v", err)
+	}
+
+	forged := p1[1]
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[0] ^= 1
+	if _, err := Open(Config{Store: medium(EncodeEvent(p1[0]), encodeV2(forged, own)), Signer: signer, System: "sys"}); !errors.Is(err, ErrChainBroken) || !errors.Is(err, ErrBadSignature) {
+		t.Errorf("a v2 event with a bad stored signature: %v, want ErrChainBroken and ErrBadSignature", err)
+	}
+}
+
 // TestStoredLayoutKeepsForeignSigners: the stored layout leaves out only the
 // tracker's own key. An adopted event keeps its custodian's key across a
 // reopen, so the trusted-signer rule still tells custodians apart.
@@ -414,7 +714,7 @@ func TestStoredLayoutKeepsForeignSigners(t *testing.T) {
 	if _, err := source.Record("p1", EventCreated, "dr-a", h, ""); err != nil {
 		t.Fatal(err)
 	}
-	history, err := source.Chain("p1")
+	history, err := source.Export("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,10 +748,11 @@ func TestStoredLayoutKeepsForeignSigners(t *testing.T) {
 
 // TestCustodyStoredBytesPerEvent is the budget for what one custody event
 // costs the medium, frame included, for the events a vault records: a
-// create by a clinician, signed by the vault itself. The transfer layout,
-// which the medium held before, cost 294 B here.
+// create by a clinician, MACed by the vault itself. The transfer layout,
+// which the medium held first, cost 294 B here, and stored v2, whose events
+// carried a signature, 161 B.
 func TestCustodyStoredBytesPerEvent(t *testing.T) {
-	const events, budget = 1000, 176
+	const events, budget = 1000, 136
 	store := blockstore.NewMemory(0)
 	tr, _ := newTracker(t, "medvault-test", store)
 	for i := 0; i < events; i++ {

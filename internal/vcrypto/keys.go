@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // KeySize is the byte length of all symmetric keys (AES-256, HMAC-SHA-256).
@@ -91,17 +93,44 @@ func DeriveKey(parent Key, label string) Key {
 	return out
 }
 
-// MAC computes HMAC-SHA-256 over data with the given key. It is used for
-// searchable-index token derivation and audit-chain entry MACs.
+// MAC computes HMAC-SHA-256 over data with the given key, for one-shot uses;
+// a key that MACs on every operation is a KeyedMAC.
 func MAC(key Key, data []byte) []byte {
 	mac := hmac.New(sha256.New, key[:])
 	mac.Write(data)
 	return mac.Sum(nil)
 }
 
-// VerifyMAC reports whether sum is a valid MAC over data, in constant time.
-func VerifyMAC(key Key, data, sum []byte) bool {
-	return hmac.Equal(MAC(key, data), sum)
+// KeyedMAC is HMAC-SHA-256 under one key, for the MACs computed per
+// operation: search tokens, audit-event and custody-event MACs. hmac.New
+// hashes the key into fresh inner and outer states on every call; a KeyedMAC
+// keeps keyed states in a pool and resets one instead. Its sums equal MAC's.
+// Safe for concurrent use.
+type KeyedMAC struct {
+	pool sync.Pool // of keyed hash.Hash states, each Reset before it returns
+}
+
+// NewKeyedMAC returns a KeyedMAC under key.
+func NewKeyedMAC(key Key) *KeyedMAC {
+	m := &KeyedMAC{}
+	m.pool.New = func() any { return hmac.New(sha256.New, key[:]) }
+	return m
+}
+
+// Sum appends HMAC-SHA-256(key, data) to dst and returns the result.
+func (m *KeyedMAC) Sum(dst, data []byte) []byte {
+	h := m.pool.Get().(hash.Hash)
+	h.Write(data)
+	dst = h.Sum(dst)
+	h.Reset()
+	m.pool.Put(h)
+	return dst
+}
+
+// Verify reports whether sum is the MAC of data, in constant time.
+func (m *KeyedMAC) Verify(data, sum []byte) bool {
+	var buf [sha256.Size]byte
+	return hmac.Equal(m.Sum(buf[:0], data), sum)
 }
 
 // Hash is the content hash used throughout MedVault (SHA-256).

@@ -6,10 +6,21 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+
+	"medvault/internal/obs"
 )
 
 // ErrBadSignature indicates a signature failed verification.
 var ErrBadSignature = errors.New("vcrypto: bad signature")
+
+// Ed25519 work, counted exactly: what a put or a reopen costs in public-key
+// operations is a budget tests pin, not a profile to read.
+var (
+	metEd25519Sign = obs.Default.Counter("medvault_crypto_ed25519_total",
+		"Ed25519 operations, by op (sign, verify).", obs.L("op", "sign"))
+	metEd25519Verify = obs.Default.Counter("medvault_crypto_ed25519_total",
+		"Ed25519 operations, by op (sign, verify).", obs.L("op", "verify"))
+)
 
 // Signer signs Merkle tree heads, audit checkpoints, migration manifests, and
 // backup manifests with Ed25519. A Signer belongs to exactly one authority
@@ -36,7 +47,17 @@ func SignerFromSeed(seed Key) *Signer {
 }
 
 // Sign returns an Ed25519 signature over msg.
-func (s *Signer) Sign(msg []byte) []byte { return ed25519.Sign(s.priv, msg) }
+func (s *Signer) Sign(msg []byte) []byte {
+	metEd25519Sign.Inc()
+	return ed25519.Sign(s.priv, msg)
+}
+
+// DeriveKey derives a purpose-bound symmetric key from the signer's seed, so
+// a MAC that only this signing identity's holder can make needs no secret
+// of its own.
+func (s *Signer) DeriveKey(label string) Key {
+	return DeriveKey(Key(s.priv.Seed()), label)
+}
 
 // Public returns the verifying key.
 func (s *Signer) Public() PublicKey { return PublicKey(s.pub) }
@@ -49,6 +70,7 @@ func (p PublicKey) Verify(msg, sig []byte) error {
 	if len(p) != ed25519.PublicKeySize {
 		return fmt.Errorf("%w: malformed public key", ErrBadSignature)
 	}
+	metEd25519Verify.Inc()
 	if !ed25519.Verify(ed25519.PublicKey(p), msg, sig) {
 		return ErrBadSignature
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -147,16 +149,73 @@ func TestMACVerify(t *testing.T) {
 	k := testKey(t)
 	msg := []byte("audit entry 42")
 	sum := MAC(k, msg)
-	if !VerifyMAC(k, msg, sum) {
+	m := NewKeyedMAC(k)
+	if !m.Verify(msg, sum) {
 		t.Error("valid MAC rejected")
 	}
-	if VerifyMAC(k, []byte("audit entry 43"), sum) {
+	if m.Verify([]byte("audit entry 43"), sum) {
 		t.Error("MAC accepted for different message")
 	}
+	if NewKeyedMAC(testKey(t)).Verify(msg, sum) {
+		t.Error("MAC accepted under another key")
+	}
 	sum[0] ^= 1
-	if VerifyMAC(k, msg, sum) {
+	if m.Verify(msg, sum) {
 		t.Error("mutated MAC accepted")
 	}
+}
+
+// TestKeyedMACEqualsMAC is for the race detector too: goroutines share one
+// KeyedMAC, and every pooled sum must equal the one-shot MAC of its input —
+// a state returned to the pool unreset would carry one caller's bytes into
+// another's sum.
+func TestKeyedMACEqualsMAC(t *testing.T) {
+	k := testKey(t)
+	m := NewKeyedMAC(k)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				msg := []byte(fmt.Sprintf("worker %d message %d", w, i))
+				want := MAC(k, msg)
+				if got := m.Sum(nil, msg); !bytes.Equal(got, want) {
+					t.Errorf("Sum(%q) = %x, MAC = %x", msg, got, want)
+					return
+				}
+				if !m.Verify(msg, want) || m.Verify(msg[1:], want) {
+					t.Errorf("Verify(%q) disagrees with MAC", msg)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := m.Sum([]byte("prefix"), nil); !bytes.Equal(got, append([]byte("prefix"), MAC(k, nil)...)) {
+		t.Errorf("Sum does not append to dst: %x", got)
+	}
+}
+
+// BenchmarkMAC compares hmac.New per call (MAC) with a pooled, reset state
+// (KeyedMAC) on a search keyword.
+func BenchmarkMAC(b *testing.B) {
+	k := Key{1}
+	word := []byte("hypertension")
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MAC(k, word)
+		}
+	})
+	b.Run("keyed", func(b *testing.B) {
+		m := NewKeyedMAC(k)
+		var out [32]byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Sum(out[:0], word)
+		}
+	})
 }
 
 func TestKeyFromBytes(t *testing.T) {
@@ -405,6 +464,46 @@ func TestSignerFromSeedDeterministic(t *testing.T) {
 	msg := []byte("m")
 	if err := s2.Public().Verify(msg, s1.Sign(msg)); err != nil {
 		t.Errorf("cross verification failed: %v", err)
+	}
+}
+
+// TestSignerDeriveKey: a signer's derived keys are deterministic in its seed,
+// distinct per label, and differ between signers.
+func TestSignerDeriveKey(t *testing.T) {
+	seed := testKey(t)
+	s := SignerFromSeed(seed)
+	if s.DeriveKey("custody") != SignerFromSeed(seed).DeriveKey("custody") {
+		t.Error("derivation is not deterministic in the seed")
+	}
+	if s.DeriveKey("custody") == s.DeriveKey("other") {
+		t.Error("distinct labels produced identical keys")
+	}
+	other, err := NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DeriveKey("custody") == other.DeriveKey("custody") {
+		t.Error("two signers derived the same key")
+	}
+}
+
+// TestEd25519Counted: every Sign and every Verify of a well-formed key
+// counts once in medvault_crypto_ed25519_total.
+func TestEd25519Counted(t *testing.T) {
+	s, err := NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	signs, verifies := metEd25519Sign.Value(), metEd25519Verify.Value()
+	sig := s.Sign([]byte("m"))
+	s.Public().Verify([]byte("m"), sig)
+	s.Public().Verify([]byte("x"), sig)
+	PublicKey{1}.Verify([]byte("m"), sig) // malformed: no Ed25519 work
+	if d := metEd25519Sign.Value() - signs; d != 1 {
+		t.Errorf("signs counted: %d, want 1", d)
+	}
+	if d := metEd25519Verify.Value() - verifies; d != 2 {
+		t.Errorf("verifies counted: %d, want 2", d)
 	}
 }
 

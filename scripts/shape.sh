@@ -90,4 +90,11 @@ check "One storage path: no memory branch in internal/core and no second block s
 check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
 
+# Custody events are MACed on the medium and signed only as a chain leaves the
+# vault (provenance.Tracker.Export); every per-operation MAC goes through
+# vcrypto's pooled KeyedMAC, so hmac.New lives only in internal/vcrypto.
+check "Custody signs at the boundary: no .Sign( in internal/provenance outside Tracker.Export, no hmac.New outside internal/vcrypto" \
+	"$(awk '/^func /{fn=$0} /\.Sign\(/ && fn !~ /^func \(tr \*Tracker\) Export\(/ {print FILENAME ":" FNR ": " $0}' $(ls internal/provenance/*.go | grep -v '_test\.go$')
+	grep -rn 'hmac\.New' --include='*.go' . | grep -v '^\./internal/vcrypto/')"
+
 exit $fail
