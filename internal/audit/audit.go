@@ -14,12 +14,15 @@
 //     any remembered checkpoint detects wholesale log replacement.
 //
 // Events live only in the append-only blockstore, and store only what a reader
-// cannot recompute (codec.go). In RAM the log keeps, per
-// event, its blockstore.Ref and a place in the ascending-seq posting lists of
-// the filters the API exposes (record, actor, denied). A query snapshots the
-// narrowest list under the log lock, releases it, and reads, decodes and
-// checks only the events that list names; verification streams the medium, so
-// what it vouches for is the bytes on disk, not a copy of them.
+// cannot recompute (codec.go): an actor, record ID or detail the log already
+// holds is stored as its number in that field's symbol table. In RAM the log
+// keeps, per event, its blockstore.Ref and a place in the ascending-seq
+// posting lists of the filters the API exposes (record, actor, denied), and,
+// per distinct symbol value, its number. A query snapshots the narrowest list
+// and the symbol tables under the log lock, releases it, and reads, decodes
+// and checks only the events that list names; verification streams the
+// medium, rebuilding the tables from it, so what it vouches for is the bytes
+// on disk, not a copy of them.
 package audit
 
 import (
@@ -147,25 +150,62 @@ type Log struct {
 	refs     []blockstore.Ref // refs[seq] is where event seq lives; the only per-event state
 	byRecord postings         // Record != "" only
 	byActor  postings
-	denied   []uint64 // seqs with Outcome == OutcomeDenied
+	denied   []uint64       // seqs with Outcome == OutcomeDenied
+	details  map[string]int // Detail symbol numbers; the keys are syms[symDetail]
+	syms     symbols        // the v4 symbol tables, sharing the posting and detail keys
 	lastHash [32]byte
 	every    int // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
 }
 
 // postings maps a filter value to the ascending seqs of the events carrying
-// it. Lists are held by pointer so that extending one never re-assigns the
-// map entry: assignment swaps in the caller's key string, and an actor name
-// sliced from a request's header block would pin the whole block.
-type postings map[string]*[]uint64
+// it, and to the value's number in the field's symbol table. Lists are held
+// by pointer so that extending one never re-assigns the map entry:
+// assignment swaps in the caller's key string, and an actor name sliced from
+// a request's header block would pin the whole block.
+type postings map[string]*posting
 
-func (p postings) add(key string, seq uint64) {
+type posting struct {
+	seqs []uint64
+	sym  int // the key's number in its symbol table (unused for "")
+}
+
+// add appends seq to key's list. A key seen for the first time is cloned
+// once and, unless empty, numbered as the next entry of table, which shares
+// the clone.
+func (p postings) add(key string, seq uint64, table *[]string) {
 	list := p[key]
 	if list == nil {
-		list = new([]uint64)
-		p[strings.Clone(key)] = list
+		key = strings.Clone(key)
+		list = &posting{sym: define(table, key)}
+		p[key] = list
 	}
-	*list = append(*list, seq)
+	list.seqs = append(list.seqs, seq)
+}
+
+// seqs is key's list: empty for a value no event carries.
+func (p postings) seqs(key string) []uint64 {
+	if list := p[key]; list != nil {
+		return list.seqs
+	}
+	return nil
+}
+
+// number is key's symbol number, or -1 when no event carries it.
+func (p postings) number(key string) int {
+	if list := p[key]; list != nil {
+		return list.sym
+	}
+	return -1
+}
+
+// define numbers s as the next entry of table; "" is never numbered.
+func define(table *[]string, s string) int {
+	if s == "" {
+		return -1
+	}
+	*table = append(*table, s)
+	return len(*table) - 1
 }
 
 // Config configures a Log.
@@ -199,6 +239,7 @@ func Open(cfg Config) (*Log, error) {
 		every:    cfg.CheckpointInterval,
 		byRecord: postings{},
 		byActor:  postings{},
+		details:  map[string]int{},
 	}
 	err := l.scan(-1, func(ref blockstore.Ref, e Event) error {
 		l.index(ref, e)
@@ -210,33 +251,49 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// index records where e lives and which posting lists name it. The caller
-// holds l.mu exclusively (or, in Open, is the only holder of l).
+// index records where e lives and which posting lists name it, and numbers
+// the symbol values it is the first to carry. The caller holds l.mu
+// exclusively (or, in Open, is the only holder of l), and e is on the
+// medium: a failed append defines nothing.
 func (l *Log) index(ref blockstore.Ref, e Event) {
 	l.refs = append(l.refs, ref)
 	l.lastHash = e.Hash
 	if e.Record != "" {
-		l.byRecord.add(e.Record, e.Seq)
+		l.byRecord.add(e.Record, e.Seq, &l.syms[symRecord])
 	}
-	l.byActor.add(e.Actor, e.Seq)
+	l.byActor.add(e.Actor, e.Seq, &l.syms[symActor])
+	if _, known := l.details[e.Detail]; !known && e.Detail != "" {
+		d := strings.Clone(e.Detail)
+		l.details[d] = define(&l.syms[symDetail], d)
+	}
 	if e.Outcome == OutcomeDenied {
 		l.denied = append(l.denied, e.Seq)
 	}
 }
 
+// symbolNumbers is what encodeEvent needs of the resident tables: the number
+// of each of e's symbol values, -1 for one no event has carried.
+func (l *Log) symbolNumbers(e Event) [numSyms]int {
+	detail, known := l.details[e.Detail]
+	if !known {
+		detail = -1
+	}
+	return [numSyms]int{symActor: l.byActor.number(e.Actor), symRecord: l.byRecord.number(e.Record), symDetail: detail}
+}
+
 var errStopScan = errors.New("audit: stop scan")
 
 // scan streams the medium's first n events (all of them when n < 0) through
-// decodeEvent and checkLink and hands each to fn. A medium that holds fewer
+// a chainReader and checkLink and hands each to fn. A medium that holds fewer
 // than n — the count the caller saw in the running log — is a broken chain.
 func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
 	var prev [32]byte
-	seq := 0
+	cr := newChainReader()
 	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
-		if seq == n {
+		if int(cr.seq) == n {
 			return errStopScan
 		}
-		e, err := decodeEvent(data, uint64(seq))
+		e, err := cr.next(data)
 		if err != nil {
 			return err
 		}
@@ -244,14 +301,13 @@ func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
 			return err
 		}
 		prev = e.Hash
-		seq++
 		return fn(ref, e)
 	})
 	if err != nil && !errors.Is(err, errStopScan) {
 		return err
 	}
-	if seq < n {
-		return fmt.Errorf("%w: medium holds %d events, log has %d", ErrChainBroken, seq, n)
+	if int(cr.seq) < n {
+		return fmt.Errorf("%w: medium holds %d events, log has %d", ErrChainBroken, cr.seq, n)
 	}
 	return nil
 }
@@ -335,7 +391,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.PrevHash = l.lastHash
 	e.Hash = eventHash(e)
 	e.MAC = l.mac.Sum(nil, e.Hash[:])
-	ref, err := l.store.Append(encodeEvent(e))
+	ref, err := l.store.Append(encodeEvent(e, l.symbolNumbers(e)))
 	if err != nil {
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
@@ -458,24 +514,22 @@ func (q Query) matches(e Event) bool {
 // shortening its answer.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	refs := l.refs
+	refs, syms := l.refs, l.syms
 	var seqs []uint64
 	indexed := false
-	narrow := func(list *[]uint64) {
-		if list == nil { // a value no event carries: the empty list
-			seqs, indexed = nil, true
-		} else if !indexed || len(*list) < len(seqs) {
-			seqs, indexed = *list, true
+	narrow := func(list []uint64) {
+		if !indexed || len(list) < len(seqs) {
+			seqs, indexed = list, true
 		}
 	}
 	if q.Record != "" {
-		narrow(l.byRecord[q.Record])
+		narrow(l.byRecord.seqs(q.Record))
 	}
 	if q.Actor != "" {
-		narrow(l.byActor[q.Actor])
+		narrow(l.byActor.seqs(q.Actor))
 	}
 	if q.DeniedOnly {
-		narrow(&l.denied)
+		narrow(l.denied)
 	}
 	l.mu.RUnlock()
 
@@ -496,7 +550,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		data, err := l.store.Read(refs[seq])
 		var e Event
 		if err == nil {
-			e, err = decodeEvent(data, seq)
+			e, _, err = decodeEvent(data, seq, &syms)
 		}
 		if err == nil {
 			// No predecessor is at hand, so the link is the one thing not

@@ -67,13 +67,15 @@ func allEvents(t *testing.T, l *Log) []Event {
 	return events
 }
 
-// storedEvents decodes every frame on the medium, with the ref of each.
+// storedEvents decodes every frame on the medium in chain order, with the
+// ref of each.
 func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Event) {
 	t.Helper()
 	var refs []blockstore.Ref
 	var events []Event
+	cr := newChainReader()
 	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := decodeEvent(data, uint64(len(events)))
+		e, err := cr.next(data)
 		refs, events = append(refs, ref), append(events, e)
 		return err
 	})
@@ -83,11 +85,39 @@ func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Eve
 	return refs, events
 }
 
+// numbersAt is what encodeEvent needs to write e after prefix: the symbol
+// tables are a function of the events before it.
+func numbersAt(prefix []Event, e Event) [numSyms]int {
+	nums := [numSyms]map[string]int{{}, {}, {}}
+	for _, prior := range prefix {
+		for f, s := range symbolValues(prior) {
+			if _, known := nums[f][s]; !known && s != "" {
+				nums[f][s] = len(nums[f])
+			}
+		}
+	}
+	var at [numSyms]int
+	for f, s := range symbolValues(e) {
+		n, known := nums[f][s]
+		if !known {
+			n = -1
+		}
+		at[f] = n
+	}
+	return at
+}
+
+// encodeAt encodes e in the v4 layout as the i-th event of a log whose first
+// i events are events[:i].
+func encodeAt(events []Event, i int, e Event) []byte {
+	return encodeEvent(e, numbersAt(events[:i], e))
+}
+
 // rewriteStored plays the format-aware insider with disk access: it replaces
-// the stored event at ref with e (same encoded length) under a valid frame CRC.
-func rewriteStored(t *testing.T, store *blockstore.File, ref blockstore.Ref, e Event) {
+// the stored event at ref with b (same length) under a valid frame CRC.
+func rewriteStored(t *testing.T, store *blockstore.File, ref blockstore.Ref, b []byte) {
 	t.Helper()
-	if err := store.CorruptFrame(ref, func([]byte) []byte { return encodeEvent(e) }); err != nil {
+	if err := store.CorruptFrame(ref, func([]byte) []byte { return b }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,10 +148,11 @@ func TestVerifyDetectsContentTampering(t *testing.T) {
 	l, _, _ := newTestLog(t, store)
 	appendN(t, l, 20)
 	// An insider edits one stored event in place, under the running log.
+	// Event 7 names dr-1 by reference; the forgery names dr-2 the same way.
 	refs, events := storedEvents(t, store)
 	forged := events[7]
-	forged.Actor = "dr-9"
-	rewriteStored(t, store, refs[7], forged)
+	forged.Actor = "dr-2"
+	rewriteStored(t, store, refs[7], encodeAt(events, 7, forged))
 	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 7 {
 		t.Errorf("content tamper: verified %d, %v; want 7, ErrChainBroken", n, err)
 	}
@@ -143,14 +174,14 @@ func TestVerifyDetectsRechainedForgeryWithoutKey(t *testing.T) {
 	// lacks the MAC key: Verify must fail with ErrBadMAC at the first
 	// re-forged event.
 	refs, events := storedEvents(t, store)
-	events[3].Detail = "scrubbd"
+	events[3].Actor = "dr-1" // shifts the blame to another known actor
 	for i := 3; i < len(events); i++ {
 		if i > 3 {
 			events[i].PrevHash = events[i-1].Hash
 		}
 		events[i].Hash = eventHash(events[i])
 		// MAC left stale: attacker cannot recompute it.
-		rewriteStored(t, store, refs[i], events[i])
+		rewriteStored(t, store, refs[i], encodeAt(events, i, events[i]))
 	}
 	if n, err := l.Verify(); !errors.Is(err, ErrBadMAC) || n != 3 {
 		t.Errorf("re-chained forgery: verified %d, %v; want 3, ErrBadMAC", n, err)
@@ -290,12 +321,10 @@ func TestOpenRejectsTamperedPersistence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := decodeEvent(payloads[2], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, events := storedEvents(t, store)
+	e := events[2]
 	e.Actor = "tampered"
-	payloads[2] = encodeEvent(e)
+	payloads[2] = encodeAt(events, 2, e)
 
 	evil := blockstore.NewMemory(0)
 	for _, p := range payloads {
@@ -589,7 +618,8 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 			PrevHash:  prev,
 			MAC:       mac,
 		}
-		got, err := decodeEvent(encodeEvent(e), seq)
+		none := [numSyms]int{-1, -1, -1}
+		got, _, err := decodeEvent(encodeEvent(e, none), seq, &symbols{})
 		if err != nil {
 			return false
 		}
@@ -605,8 +635,8 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {0}, {0, 2}, append(encodeEvent(Event{}), 0xFF)} {
-		if _, err := decodeEvent(b, 0); !errors.Is(err, ErrCorrupt) {
+	for _, b := range [][]byte{nil, {0}, {0, 2}, {5}, append(encodeEvent(Event{}, [numSyms]int{}), 0xFF)} {
+		if _, _, err := decodeEvent(b, 0, &symbols{}); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage %v accepted: %v", b, err)
 		}
 	}
@@ -640,35 +670,63 @@ func encodeLegacyEvent(e Event) []byte {
 	return frame.AppendBytes(b, e.MAC)
 }
 
-// TestLegacyEventsStillVerify: a medium an older binary began, in the v2
-// layout, opens, verifies against its checkpoint, answers queries and keeps
-// growing in v3; a v2 event whose stored Seq or Hash disagrees with what the
-// reader computes breaks the chain.
+// encodeV3Event is the v3 layout the previous binary wrote: v4 with every
+// symbol field a token.
+func encodeV3Event(e Event) []byte {
+	b := append([]byte(nil), codecV3)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendToken(b, e.Actor)
+	b = frame.AppendWord(b, string(e.Action), actionWords)
+	b = frame.AppendToken(b, e.Record)
+	b = frame.AppendUvarint(b, e.Version)
+	b = frame.AppendWord(b, string(e.Outcome), outcomeWords)
+	b = frame.AppendToken(b, e.Detail)
+	b = frame.AppendToken(b, e.Trace)
+	b = append(b, e.PrevHash[:]...)
+	return frame.AppendVarBytes(b, e.MAC)
+}
+
+// layouts are the stored layouts a medium may hold, each as an encoder of
+// the i-th event of a chain.
+var layouts = map[string]func(events []Event, i int) []byte{
+	"v2": func(events []Event, i int) []byte { return encodeLegacyEvent(events[i]) },
+	"v3": func(events []Event, i int) []byte { return encodeV3Event(events[i]) },
+	"v4": func(events []Event, i int) []byte { return encodeAt(events, i, events[i]) },
+}
+
+// TestLegacyEventsStillVerify: a medium older binaries began, in the v2 and
+// then the v3 layout, opens, verifies against its checkpoint, answers queries
+// and keeps growing in v4, whose first events already refer to values the
+// older events defined; a v2 event whose stored Seq or Hash disagrees with
+// what the reader computes breaks the chain.
 func TestLegacyEventsStillVerify(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)
-	appendN(t, l, 6)
+	appendN(t, l, 12)
 	cp := l.Checkpoint()
 	_, events := storedEvents(t, store)
 
-	medium := func(edit func(i int, e Event) []byte) *blockstore.File {
+	medium := func(encode func(i int) []byte) *blockstore.File {
 		m := blockstore.NewMemory(0)
-		for i, e := range events {
-			if _, err := m.Append(edit(i, e)); err != nil {
+		for i := range events {
+			if _, err := m.Append(encode(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return m
 	}
-	mixed := medium(func(i int, e Event) []byte {
-		if i < 4 {
-			return encodeLegacyEvent(e)
+	mixed := medium(func(i int) []byte {
+		switch {
+		case i < 2:
+			return layouts["v2"](events, i)
+		case i < 6:
+			return layouts["v3"](events, i)
 		}
-		return encodeEvent(e)
+		return layouts["v4"](events, i)
 	})
 	re, err := Open(Config{Store: mixed, MACKey: key, Signer: signer})
 	if err != nil {
-		t.Fatalf("open over v2 then v3 events: %v", err)
+		t.Fatalf("open over v2, v3 then v4 events: %v", err)
 	}
 	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
 		t.Fatalf("VerifyAgainst: %v", err)
@@ -676,27 +734,29 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 	if got := allEvents(t, re); !reflect.DeepEqual(got, events) {
 		t.Fatal("a mixed medium reads back different events")
 	}
-	if got, err := re.Search(Query{Record: "patient-0"}); err != nil || len(got) != 2 {
-		t.Fatalf("record query over v2 events: %d, %v; want 2", len(got), err)
+	if got, err := re.Search(Query{Record: "patient-0"}); err != nil || len(got) != 3 {
+		t.Fatalf("record query over v2, v3 and v4 events: %d, %v; want 3", len(got), err)
 	}
 	appendN(t, re, 2)
-	if n, err := re.Verify(); err != nil || n != 8 {
-		t.Fatalf("Verify after appending v3 to a v2 log: %d, %v", n, err)
+	if n, err := re.Verify(); err != nil || n != 14 {
+		t.Fatalf("Verify after appending v4 to a v2/v3 log: %d, %v", n, err)
 	}
 
 	// A genuine event copied over another under a running log: in v2 its
-	// stored seq names another place, in v3 its MAC covers another place.
-	for name, encode := range map[string]func(Event) []byte{"v2": encodeLegacyEvent, "v3": encodeEvent} {
-		moved := medium(func(_ int, e Event) []byte { return encode(e) })
+	// stored seq names another place, in v3 and v4 its MAC covers another
+	// place. Events 8 and 9 refer to every symbol value, so in v4 both have
+	// the same length.
+	for name, encode := range layouts {
+		moved := medium(func(i int) []byte { return encode(events, i) })
 		running, err := Open(Config{Store: moved, MACKey: key, Signer: signer})
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs, _ := storedEvents(t, moved)
-		if err := moved.CorruptFrame(refs[2], func([]byte) []byte { return encode(events[3]) }); err != nil {
+		if err := moved.CorruptFrame(refs[8], func([]byte) []byte { return encode(events, 9) }); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := running.Search(Query{Record: events[2].Record}); !errors.Is(err, ErrChainBroken) {
+		if got, err := running.Search(Query{Record: events[8].Record}); !errors.Is(err, ErrChainBroken) {
 			t.Errorf("%s: query over a moved event: %d events, %v; want ErrChainBroken", name, len(got), err)
 		}
 	}
@@ -705,7 +765,8 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 		"stale stored hash": func(e *Event) { e.Hash[0] ^= 1 },
 		"wrong stored seq":  func(e *Event) { e.Seq = 9 },
 	} {
-		bad := medium(func(i int, e Event) []byte {
+		bad := medium(func(i int) []byte {
+			e := events[i]
 			if i == 2 {
 				forge(&e)
 			}
@@ -718,31 +779,130 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 }
 
 // TestStoredBytesPerEvent is the budget for what one event costs the medium,
-// frame included, with the strings the server writes: an authorization
-// reason as Detail and a generated 16-hex trace ID. The v2 layout, which also
-// stored Seq and Hash, cost 248 B here.
+// frame included, with the strings the server writes: an actor from a small
+// staff, an authorization reason as Detail and a generated 16-hex trace ID.
+// When every event reads a record no earlier event named, each writes its
+// record ID out; when reads repeat records drawn from 100, nearly every event
+// refers to all three symbol values. The v2 layout, which also stored Seq
+// and Hash, cost 248 B in the first case, and v3, which wrote every string
+// out, 160 B in both.
 func TestStoredBytesPerEvent(t *testing.T) {
-	const events, budget = 1000, 176
-	store := blockstore.NewMemory(0)
-	l, _, _ := newTestLog(t, store)
-	for i := 0; i < events; i++ {
-		_, err := l.Append(Event{
-			Actor:   fmt.Sprintf("dr-%d", i%16),
-			Action:  ActionRead,
-			Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", i%3000),
-			Version: 1,
-			Outcome: OutcomeAllowed,
-			Detail:  "role physician permits read on clinical",
-			Trace:   "0123456789abcdef",
+	for _, tc := range []struct {
+		name    string
+		records int
+		budget  float64
+	}{
+		{"every record new", 3000, 128},
+		{"records drawn from 100", 100, 112},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const events = 1000
+			store := blockstore.NewMemory(0)
+			l, _, _ := newTestLog(t, store)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < events; i++ {
+				rec := i
+				if tc.records < events {
+					rec = rng.Intn(tc.records)
+				}
+				_, err := l.Append(Event{
+					Actor:   fmt.Sprintf("dr-%d", i%16),
+					Action:  ActionRead,
+					Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", rec),
+					Version: 1,
+					Outcome: OutcomeAllowed,
+					Detail:  `role physician permits read on "clinical"`,
+					Trace:   fmt.Sprintf("%016x", rng.Uint64()),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			per := float64(store.StorageBytes()) / events
+			t.Logf("stored: %.1f B/event", per)
+			if per > tc.budget {
+				t.Errorf("an event costs the medium %.1f B, budget is %.0f", per, tc.budget)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestSymbolsAreCanonical: a v4 event has one encoding given the chain before
+// it, and the sequential reader behind Open and Verify refuses any other —
+// a reference to a number the prefix has not defined (one a later event
+// defines, or none does) and a known value written out again. The last
+// decodes to the very event the MAC covers, so only this rule catches it.
+func TestSymbolsAreCanonical(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	l, signer, key := newTestLog(t, store)
+	appendN(t, l, 8)
+	_, events := storedEvents(t, store)
+	numbers := func(i int) [numSyms]int { return numbersAt(events[:i], events[i]) }
+	for name, forge := range map[string]func() (int, []byte){
+		// Event 1 defines dr-1 and patient-1; event 3 refers to dr-0 (#0).
+		"forward reference": func() (int, []byte) {
+			n := numbers(1)
+			n[symRecord] = 3 // patient-3, which event 3 defines
+			return 1, encodeEvent(events[1], n)
+		},
+		"dangling reference": func() (int, []byte) {
+			n := numbers(5)
+			n[symActor] = 40
+			return 5, encodeEvent(events[5], n)
+		},
+		"known value written out": func() (int, []byte) {
+			n := numbers(3)
+			n[symActor] = -1 // dr-0, defined by event 0
+			return 3, encodeEvent(events[3], n)
+		},
+		"known detail written out": func() (int, []byte) {
+			n := numbers(6)
+			n[symDetail] = -1
+			return 6, encodeEvent(events[6], n)
+		},
+	} {
+		at, b := forge()
+		m := blockstore.NewMemory(0)
+		for i, e := range events {
+			p := encodeAt(events, i, e)
+			if i == at {
+				p = b
+			}
+			if _, err := m.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Open(Config{Store: m, MACKey: key, Signer: signer}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", name, err)
 		}
 	}
-	per := float64(store.StorageBytes()) / events
-	t.Logf("stored: %.1f B/event", per)
-	if per > budget {
-		t.Errorf("an event costs the medium %.1f B, budget is %d", per, budget)
+}
+
+// TestEditedDefinitionFailsVerify: every reference to a symbol rests on the
+// event that defined it. An insider who rewrites a defining event in place
+// (same length, valid frame CRC) changes what that event and every later
+// reference decode to, so Verify fails at the definition, and so does Open.
+// A running log still resolves the references through its resident tables,
+// so only queries over the edited event itself fail.
+func TestEditedDefinitionFailsVerify(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	l, signer, key := newTestLog(t, store)
+	appendN(t, l, 9)
+	refs, events := storedEvents(t, store)
+	edited := events[1] // defines dr-1, which events 4 and 7 refer to
+	edited.Actor = "dr-7"
+	rewriteStored(t, store, refs[1], encodeAt(events, 1, edited))
+	if n, err := l.Verify(); !errors.Is(err, ErrBadMAC) || n != 1 {
+		t.Errorf("edited definition: verified %d, %v; want 1, ErrBadMAC", n, err)
+	}
+	if _, err := Open(Config{Store: store, MACKey: key, Signer: signer}); !errors.Is(err, ErrBadMAC) {
+		t.Errorf("Open over an edited definition: %v, want ErrBadMAC", err)
+	}
+	if _, err := l.Search(Query{Actor: "dr-1"}); !errors.Is(err, ErrBadMAC) {
+		t.Errorf("query over the edited definition: %v, want ErrBadMAC", err)
+	}
+	if got, err := l.Search(Query{Record: "patient-4"}); err != nil || len(got) != 1 || got[0].Actor != "dr-1" {
+		t.Errorf("query over event 4, which refers to the edited definition: %v, %v; want it as written", got, err)
 	}
 }
 

@@ -2,29 +2,55 @@ package audit
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
 
+// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 events against.
+var fuzzSymbols = symbols{
+	symActor:  {"dr-a", "0a1b"},
+	symRecord: {"r1"},
+	symDetail: {"role physician permits read on \"clinical\""},
+}
+
 // FuzzDecodeEvent hardens the audit-event decoder against arbitrary
-// persisted bytes: no panics, and successful v3 decodes re-encode
-// canonically (a legacy v2 event decodes but is never written again).
+// persisted bytes: no panics, and successful decodes re-encode canonically —
+// a v4 event against a small fixed symbol table (one that writes out a value
+// the table holds is the sequential reader's ErrCorrupt), a v3 event in its
+// own layout. A legacy v2 event decodes but is never written again.
 func FuzzDecodeEvent(f *testing.F) {
-	f.Add(encodeEvent(Event{
+	e := Event{
 		Timestamp: time.Unix(0, 42).UTC(), Actor: "dr-a",
 		Action: ActionRead, Record: "r1", Version: 2,
 		Outcome: OutcomeAllowed, Detail: "d", Trace: "0a1b", MAC: []byte{1, 2, 3},
-	}))
-	f.Add(encodeEvent(Event{Action: "unlisted", Outcome: "odd", Record: "ab"}))
+	}
+	f.Add(encodeEvent(e, [numSyms]int{0, 0, -1}))
+	f.Add(encodeEvent(e, [numSyms]int{-1, -1, -1}))
+	f.Add(encodeV3Event(e))
+	f.Add(encodeEvent(Event{Action: "unlisted", Outcome: "odd", Record: "ab"}, [numSyms]int{-1, -1, -1}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, legacy, err := parseEvent(data)
+		e, defined, legacy, err := parseEvent(data, &fuzzSymbols)
 		if err != nil || legacy {
 			return
 		}
-		if !bytes.Equal(encodeEvent(e), data) {
-			t.Fatal("decode/encode not canonical")
+		if data[0] == codecV3 {
+			if !bytes.Equal(encodeV3Event(e), data) {
+				t.Fatal("v3 decode/encode not canonical")
+			}
+			return
+		}
+		var nums [numSyms]int
+		for f, s := range symbolValues(e) {
+			nums[f] = slices.Index(fuzzSymbols[f], s)
+			if defined[f] && nums[f] >= 0 {
+				return // a known value written out
+			}
+		}
+		if !bytes.Equal(encodeEvent(e, nums), data) {
+			t.Fatal("v4 decode/encode not canonical")
 		}
 	})
 }

@@ -14,8 +14,9 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// TestGoldenEvent pins the persisted v3 event layout, the legacy v2 layout
-// it still reads, and the two byte strings the chain hashes and signs.
+// TestGoldenEvent pins the persisted v4 event layout, the legacy v3 and v2
+// layouts it still reads, and the two byte strings the chain hashes and
+// signs.
 func TestGoldenEvent(t *testing.T) {
 	ev := Event{
 		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
@@ -23,18 +24,36 @@ func TestGoldenEvent(t *testing.T) {
 		Detail: "fix dose", Trace: "trace-1", PrevHash: goldenHash(0x10), Hash: goldenHash(0x40),
 		MAC: []byte{0xa1, 0xa2, 0xa3, 0xa4},
 	}
-	// v3 stores neither Seq nor Hash; decoding the 3rd event recomputes both,
-	// and a hex trace ID is stored as the bytes it spells.
+	// v3 and v4 store neither Seq nor Hash; decoding the 3rd event recomputes
+	// both, and a hex trace ID is stored as the bytes it spells.
 	v3 := ev
 	v3.Trace = "0123456789abcdef"
 	v3.Hash = eventHash(v3)
+	// In v4 the same event, in a log whose tables already hold its actor (as
+	// entry 1) and its detail (entry 0) but not its record, refers to the
+	// two and defines the third. Its hash is v3's.
+	tables := symbols{symActor: {"dr-b", "dr-a"}, symRecord: {"p0-enc-0"}, symDetail: {"fix dose"}}
+	decodeAt3 := func(syms *symbols) func([]byte) (any, error) {
+		return func(b []byte) (any, error) {
+			e, _, err := decodeEvent(b, 3, syms)
+			return e, err
+		}
+	}
 	frame.CheckGolden(t,
 		frame.Golden{
-			Name: "audit event v3",
+			Name: "audit event v4",
+			Hex: "041083bab1fa12cd150303011070312d656e632d30020102110123456789abcdef1011121314151617" +
+				"18191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f04a1a2a3a4",
+			Encode:  func() []byte { return encodeEvent(v3, [numSyms]int{symActor: 1, symRecord: -1, symDetail: 0}) },
+			Decode:  decodeAt3(&tables),
+			Want:    v3,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "audit event v3 (read only)",
 			Hex: "031083bab1fa12cd150864722d61031070312d656e632d3002011066697820646f7365110123456789abcdef1011121314" +
 				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f04a1a2a3a4",
-			Encode:  func() []byte { return encodeEvent(v3) },
-			Decode:  func(b []byte) (any, error) { return decodeEvent(b, 3) },
+			Decode:  decodeAt3(&symbols{}),
 			Want:    v3,
 			Corrupt: ErrCorrupt,
 		},
@@ -45,7 +64,7 @@ func TestGoldenEvent(t *testing.T) {
 				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f404142434445464748494a4b4c4d4e4f5051525354" +
 				"55565758595a5b5c5d5e5f00000004a1a2a3a4",
 			Decode: func(b []byte) (any, error) {
-				e, _, err := parseEvent(b)
+				e, _, _, err := parseEvent(b, &symbols{})
 				return e, err
 			},
 			Want:    ev,
@@ -77,6 +96,6 @@ func BenchmarkAblationCodecAuditEvent(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev.Hash = eventHash(ev)
-		encodeEvent(ev)
+		encodeEvent(ev, [numSyms]int{symActor: 3, symRecord: 200, symDetail: 1})
 	}
 }

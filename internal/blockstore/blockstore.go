@@ -32,6 +32,10 @@ var (
 	ErrClosed = errors.New("blockstore: store closed")
 	// ErrTooLarge indicates a block exceeding the segment capacity.
 	ErrTooLarge = errors.New("blockstore: block exceeds segment capacity")
+	// ErrWedged wraps the failure that left part of a frame past a segment's
+	// committed end and could not be taken back: the store refuses every
+	// later append rather than write after it.
+	ErrWedged = errors.New("blockstore: wedged, refusing further appends")
 )
 
 // Ref locates a block: which segment and the byte offset of its frame

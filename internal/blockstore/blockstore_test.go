@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"medvault/internal/faultfs"
 )
@@ -493,5 +495,218 @@ func TestOpenFileRejectsGappySegments(t *testing.T) {
 	}
 	if _, err := OpenFile(dir, 1024); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("gappy segment numbering accepted: %v", err)
+	}
+}
+
+// TestSyncLeavesReadsAndAppendsFree: one put's fsync must not hold up a
+// cache-miss read or the next put's append on the same store. The fsync is
+// parked in flight while both complete; it returns once released.
+func TestSyncLeavesReadsAndAppendsFree(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpSync && armed.CompareAndSwap(true, false) {
+			close(parked)
+			return &faultfs.Fault{Hold: release}
+		}
+		return nil
+	})
+	f, err := OpenFileFS(fsys, "blocks", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := f.Append([]byte("first put"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	synced := make(chan error, 1)
+	go func() { synced <- f.Sync() }()
+	<-parked
+
+	done := make(chan error, 1)
+	go func() {
+		if got, err := f.Read(first); err != nil || string(got) != "first put" {
+			done <- fmt.Errorf("read during another put's fsync: %q, %v", got, err)
+			return
+		}
+		ref, err := f.Append([]byte("next put"))
+		if err != nil {
+			done <- fmt.Errorf("append during another put's fsync: %v", err)
+			return
+		}
+		if got, err := f.Read(ref); err != nil || string(got) != "next put" {
+			done <- fmt.Errorf("reading the next put back: %q, %v", got, err)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a read and an append on the store waited out another put's fsync")
+	}
+	select {
+	case err := <-synced:
+		t.Errorf("the parked fsync returned before it was released: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Errorf("Sync: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentAppendReadSyncAcrossRotation is for the race detector: syncs
+// run beside appends that rotate segments (closing the handle a sync may be
+// using) and beside reads, on both disks. No sync may fail, and after the
+// last one every frame survives a power cut.
+func TestConcurrentAppendReadSyncAcrossRotation(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			const writers, per = 2, 60
+			var (
+				mu   sync.Mutex
+				refs []Ref
+				wg   sync.WaitGroup
+			)
+			stop := make(chan struct{})
+			var helpers sync.WaitGroup
+			helpers.Add(2)
+			go func() { // a put's fsync, over and over
+				defer helpers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := s.Sync(); err != nil {
+						t.Errorf("Sync beside rotating appends: %v", err)
+						return
+					}
+				}
+			}()
+			go func() { // reads of frames already appended
+				defer helpers.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					mu.Lock()
+					var ref Ref
+					ok := len(refs) > 0
+					if ok {
+						ref = refs[i%len(refs)]
+					}
+					mu.Unlock()
+					if ok {
+						if _, err := s.Read(ref); err != nil {
+							t.Errorf("Read %v: %v", ref, err)
+							return
+						}
+					}
+				}
+			}()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						ref, err := s.Append(bytes.Repeat([]byte{byte(w)}, 40+i))
+						if err != nil {
+							t.Errorf("Append: %v", err)
+							return
+						}
+						if err := s.Sync(); err != nil {
+							t.Errorf("Sync after own append: %v", err)
+							return
+						}
+						mu.Lock()
+						refs = append(refs, ref)
+						mu.Unlock()
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			helpers.Wait()
+			if segs := refs[len(refs)-1].Segment; segs < 3 {
+				t.Fatalf("only %d rotations: the test does not cross segments", segs)
+			}
+			if s.Len() != writers*per {
+				t.Errorf("Len = %d, want %d", s.Len(), writers*per)
+			}
+		})
+	}
+}
+
+// TestShortWriteIsTakenBack: an append whose write fails part-way must leave
+// no partial frame behind. Before, the next append's Ref pointed at the
+// garbage (its block read back as corrupt) and reopening cut the segment
+// there, dropping every acknowledged frame after it. When the cut itself
+// fails, the store wedges instead of writing after the garbage.
+func TestShortWriteIsTakenBack(t *testing.T) {
+	mem := faultfs.NewMem()
+	var short, failCut atomic.Bool
+	fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		switch {
+		case op.Kind == faultfs.OpWrite && short.CompareAndSwap(true, false):
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace, ApplyBytes: op.Bytes / 2}
+		case op.Kind == faultfs.OpTruncate && failCut.Load():
+			return &faultfs.Fault{Err: faultfs.ErrInjected}
+		}
+		return nil
+	})
+	f, err := OpenFileFS(fsys, "blocks", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	short.Store(true)
+	if _, err := f.Append([]byte("lost to a full disk")); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("short write: %v, want ErrNoSpace", err)
+	}
+	after, err := f.Append([]byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Read(after); err != nil || string(got) != "after" {
+		t.Fatalf("the append after a short write reads back %q, %v", got, err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileFS(mem.CrashImage(faultfs.KeepNone), "blocks", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := re.Scan(func(_ Ref, data []byte) error { got = append(got, string(data)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[before after]" {
+		t.Errorf("after a crash the medium holds %q, want [before after]", got)
+	}
+
+	short.Store(true)
+	failCut.Store(true)
+	if _, err := f.Append([]byte("lost, and stuck")); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("short write with a failing cut: %v, want ErrNoSpace", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := f.Append([]byte("refused")); !errors.Is(err, ErrWedged) {
+			t.Fatalf("append %d after an untaken-back short write: %v, want ErrWedged", i, err)
+		}
 	}
 }

@@ -2,8 +2,10 @@ package blockstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +31,12 @@ type File struct {
 	sizes  []int64      // committed byte length per segment
 	count  int
 	closed bool
+	wedged error // set when a failed append could not be taken back (ErrWedged)
+
+	// syncMu orders the fsyncs, which run outside mu: one at a time, as
+	// when mu covered them, because two fsyncs of one file in flight cost
+	// more than the same two back to back.
+	syncMu sync.Mutex
 
 	// One read-only handle per segment, opened by the first Read that needs
 	// it and closed by Close; readMu orders the readers that hold only mu's
@@ -178,6 +186,9 @@ func (f *File) Append(data []byte) (Ref, error) {
 	if f.closed {
 		return Ref{}, ErrClosed
 	}
+	if f.wedged != nil {
+		return Ref{}, f.wedged
+	}
 	frame := encodeFrame(data)
 	if len(frame) > f.segCap {
 		return Ref{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(frame), f.segCap)
@@ -199,7 +210,10 @@ func (f *File) Append(data []byte) (Ref, error) {
 		cur++
 	}
 	ref := Ref{Segment: uint32(cur), Offset: uint64(f.sizes[cur])}
-	if _, err := f.active.Write(frame); err != nil {
+	if n, err := f.active.Write(frame); err != nil {
+		if n > 0 {
+			f.takeBack(cur)
+		}
 		return Ref{}, fmt.Errorf("blockstore: appending %d bytes: %w", len(frame), err)
 	}
 	f.sizes[cur] += int64(len(frame))
@@ -208,6 +222,17 @@ func (f *File) Append(data []byte) (Ref, error) {
 	fileMetrics.appendBytes.Add(uint64(len(frame)))
 	fileMetrics.appendSeconds.ObserveSince(start)
 	return ref, nil
+}
+
+// takeBack cuts segment cur back to its committed end after a write that
+// failed part-way. The partial frame would otherwise sit where the next
+// append's Ref points, and reopening would cut the segment there, dropping
+// every frame appended after it. When the cut fails the store wedges. The
+// caller holds f.mu exclusively.
+func (f *File) takeBack(cur int) {
+	if err := f.fs.Truncate(filepath.Join(f.dir, segName(cur)), f.sizes[cur]); err != nil {
+		f.wedged = fmt.Errorf("%w: segment %d holds a partial frame past offset %d: %w", ErrWedged, cur, f.sizes[cur], err)
+	}
 }
 
 // Read implements Store.
@@ -323,16 +348,29 @@ func (f *File) StorageBytes() int64 {
 	return total
 }
 
-// Sync implements Store.
+// Sync implements Store. It returns once every frame appended before the
+// call is durable: those frames are in the active segment it fsyncs, or in a
+// segment that rotation fsynced before closing it. The fsync runs outside
+// f.mu, so reads and the next appends go on while it is in flight.
 func (f *File) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	f.mu.RLock()
+	closed, active, segments := f.closed, f.active, len(f.sizes)
+	f.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
 	start := time.Now()
-	if err := f.active.Sync(); err != nil {
-		return fmt.Errorf("blockstore: sync: %w", err)
+	if err := active.Sync(); err != nil {
+		f.mu.RLock()
+		rotated := len(f.sizes) > segments
+		f.mu.RUnlock()
+		if !rotated || !errors.Is(err, fs.ErrClosed) {
+			return fmt.Errorf("blockstore: sync: %w", err)
+		}
+		// Rotation closed the handle under us, after its own fsync of this
+		// segment succeeded.
 	}
 	fileMetrics.syncSeconds.ObserveSince(start)
 	return nil

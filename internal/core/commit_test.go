@@ -17,14 +17,19 @@ import (
 )
 
 // oneShot is an injector that fails the first operation hit matches after
-// arm with ErrNoSpace — a transient fault, not a crash.
+// arm with ErrNoSpace — a transient fault, not a crash. A short one lets half
+// of a write's payload land first.
 type oneShot struct {
 	armed atomic.Bool
 	hit   func(faultfs.Op) bool
+	short bool
 }
 
 func (o *oneShot) inject(op faultfs.Op) *faultfs.Fault {
 	if o.hit(op) && o.armed.CompareAndSwap(true, false) {
+		if o.short {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace, ApplyBytes: op.Bytes / 2}
+		}
 		return &faultfs.Fault{Err: faultfs.ErrNoSpace}
 	}
 	return nil
@@ -69,15 +74,17 @@ func noOrphanKeys(t *testing.T, v *Cluster) {
 func TestFailedWriteLeavesNoKey(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
-		name string
-		hit  func(faultfs.Op) bool
+		name  string
+		hit   func(faultfs.Op) bool
+		short bool
 	}{
-		{"ENOSPC on the ciphertext append", underBlocks(faultfs.OpWrite)},
-		{"ciphertext fsync fails", underBlocks(faultfs.OpSync)},
+		{"ENOSPC on the ciphertext append", underBlocks(faultfs.OpWrite), false},
+		{"short write on the ciphertext append", underBlocks(faultfs.OpWrite), true},
+		{"ciphertext fsync fails", underBlocks(faultfs.OpSync), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := faultfs.NewMem()
-			fault := &oneShot{hit: tc.hit}
+			fault := &oneShot{hit: tc.hit, short: tc.short}
 			fsys := faultfs.NewFaulty(mem, fault.inject)
 			v, vc, err := openTorture(fsys, 1)
 			if err != nil {

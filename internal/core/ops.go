@@ -262,6 +262,7 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 		}
 		return ehr.Record{}, err
 	}
+	obs.CountWork(obs.WorkDecrypt)
 	pt, err := vcrypto.OpenCtx(ctx, dek, ct, sealAAD(id, ver.Number))
 	if err != nil {
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err)

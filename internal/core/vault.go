@@ -360,6 +360,7 @@ func (v *Vault) recover(master vcrypto.Key) error {
 	}
 	w, err := wal.OpenFS(v.fs, filepath.Join(v.dir, "meta.wal"), func(e wal.Entry) error {
 		v.recovery.WALEntries++
+		obs.CountWork(obs.WorkWALReplay)
 		return v.replay(e.Data)
 	})
 	if err != nil {

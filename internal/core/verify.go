@@ -6,6 +6,7 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/merkle"
+	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
 
@@ -130,6 +131,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 				if err != nil {
 					return fail(fmt.Errorf("core: key for %s: %w", id, err))
 				}
+				obs.CountWork(obs.WorkDecrypt)
 				if _, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number)); err != nil {
 					return fail(fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err))
 				}

@@ -10,7 +10,8 @@ import (
 // value (nil pointer) lets the operation through untouched.
 type Fault struct {
 	// Err fails the operation with this error; it never reaches the inner
-	// filesystem. Combine with Crash for error-then-crash scripts.
+	// filesystem, except for the prefix ApplyBytes names on OpWrite. Combine
+	// with Crash for error-then-crash scripts.
 	Err error
 	// Crash simulates a power cut at this operation: the crashed latch is set
 	// and every call from now on returns ErrCrashed. By default the operation
@@ -20,12 +21,20 @@ type Fault struct {
 	// just before it. The caller still sees ErrCrashed — the machine died
 	// before it could observe success — but the disk did the work.
 	After bool
-	// ApplyBytes tears a crashing Write: that many payload bytes reach the
-	// page cache before the cut. Only meaningful with Crash on OpWrite.
+	// ApplyBytes tears a Write: that many payload bytes reach the page cache
+	// before the cut (with Crash) or before the write fails with Err — a
+	// short write, such as a disk filling up mid-frame. Only meaningful on
+	// OpWrite.
 	ApplyBytes int
 	// CorruptRead flips one bit of the data returned by a read — simulated
 	// bit rot on the medium. Only meaningful on OpRead.
 	CorruptRead bool
+	// Hold parks the operation, once the injector has passed it and outside
+	// the wrapper's lock, until Hold is closed; then it runs (or fails) as
+	// the other fields say. Other operations flow meanwhile, so a test can
+	// hold one fsync in flight and watch what it blocks. Only meaningful on
+	// OpSync.
+	Hold <-chan struct{}
 }
 
 // Injector inspects each operation about to run and may return a Fault.
@@ -245,7 +254,12 @@ func (h *faultyFile) Write(p []byte) (int, error) {
 	}
 	if ft != nil {
 		if ft.Err != nil {
-			return 0, ft.Err
+			// Short write: a prefix of the payload lands, then the error.
+			n := min(ft.ApplyBytes, len(p))
+			if n > 0 {
+				n, _ = h.inner.Write(p[:n])
+			}
+			return n, ft.Err
 		}
 		if ft.Crash {
 			// Torn write: a prefix of the payload lands before the cut.
@@ -288,6 +302,9 @@ func (h *faultyFile) Sync() error {
 		return err
 	}
 	if ft != nil {
+		if ft.Hold != nil {
+			<-ft.Hold
+		}
 		if ft.Err != nil {
 			return ft.Err
 		}

@@ -27,10 +27,21 @@ type Mem struct {
 	dirs  map[string]bool
 }
 
+// memFile is one inode. Its mutex guards data and durable against the
+// handles open on it, which may write, read and sync concurrently with each
+// other and with the namespace operations (taken under Mem.mu, then this).
 type memFile struct {
+	mu      sync.Mutex
 	data    []byte // content as the OS would show it (page cache view)
 	durable []byte // content guaranteed to survive a power cut
 	mode    fs.FileMode
+}
+
+// size is the file's current length.
+func (f *memFile) size() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int64(len(f.data))
 }
 
 var _ FS = (*Mem)(nil)
@@ -67,7 +78,9 @@ func (m *Mem) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	}
 	if flag&os.O_TRUNC != 0 {
 		// Truncation is a journaled namespace operation: durable at once.
+		f.mu.Lock()
 		f.data, f.durable = nil, nil
+		f.mu.Unlock()
 	}
 	return &memHandle{f: f}, nil
 }
@@ -80,6 +93,8 @@ func (m *Mem) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return append([]byte(nil), f.data...), nil
 }
 
@@ -96,7 +111,9 @@ func (m *Mem) WriteFile(name string, data []byte, perm fs.FileMode) error {
 		m.files[name] = f
 		m.addParents(name)
 	}
+	f.mu.Lock()
 	f.data = append([]byte(nil), data...)
+	f.mu.Unlock()
 	return nil
 }
 
@@ -184,6 +201,8 @@ func (m *Mem) Truncate(name string, size int64) error {
 	if !ok {
 		return &fs.PathError{Op: "truncate", Path: name, Err: fs.ErrNotExist}
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if size > int64(len(f.data)) {
 		f.data = append(f.data, make([]byte, size-int64(len(f.data)))...)
 	} else {
@@ -215,7 +234,7 @@ func (m *Mem) ReadDir(name string) ([]fs.DirEntry, error) {
 	for p, f := range m.files {
 		if filepath.Dir(p) == name {
 			base := filepath.Base(p)
-			seen[base] = memInfo{name: base, size: int64(len(f.data)), mode: f.mode}
+			seen[base] = memInfo{name: base, size: f.size(), mode: f.mode}
 		}
 	}
 	for d := range m.dirs {
@@ -242,7 +261,7 @@ func (m *Mem) Stat(name string) (fs.FileInfo, error) {
 	defer m.mu.Unlock()
 	name = clean(name)
 	if f, ok := m.files[name]; ok {
-		return memInfo{name: filepath.Base(name), size: int64(len(f.data)), mode: f.mode}, nil
+		return memInfo{name: filepath.Base(name), size: f.size(), mode: f.mode}, nil
 	}
 	if m.dirs[name] {
 		return memInfo{name: filepath.Base(name), dir: true, mode: 0o700}, nil
@@ -282,11 +301,13 @@ func (m *Mem) CrashImage(keep KeepPolicy) *Mem {
 		img.dirs[d] = true
 	}
 	for p, f := range m.files {
+		f.mu.Lock()
 		surviving := append([]byte(nil), f.durable...)
 		if bytes.HasPrefix(f.data, f.durable) {
 			pending := f.data[len(f.durable):]
 			surviving = append(surviving, pending[:keep(len(pending))]...)
 		}
+		f.mu.Unlock()
 		img.files[p] = &memFile{
 			data:    surviving,
 			durable: append([]byte(nil), surviving...),
@@ -303,7 +324,9 @@ func (m *Mem) Dump() map[string][]byte {
 	defer m.mu.Unlock()
 	out := make(map[string][]byte, len(m.files))
 	for p, f := range m.files {
+		f.mu.Lock()
 		out[p] = append([]byte(nil), f.data...)
+		f.mu.Unlock()
 	}
 	return out
 }
@@ -320,11 +343,13 @@ func (m *Mem) Clone() *Mem {
 		img.dirs[d] = true
 	}
 	for p, f := range m.files {
+		f.mu.Lock()
 		img.files[p] = &memFile{
 			data:    append([]byte(nil), f.data...),
 			durable: append([]byte(nil), f.durable...),
 			mode:    f.mode,
 		}
+		f.mu.Unlock()
 	}
 	return img
 }
@@ -332,22 +357,21 @@ func (m *Mem) Clone() *Mem {
 // memHandle is an open handle on a memFile. The inode pointer is held
 // directly, so renames and removes of the name do not detach it.
 type memHandle struct {
-	mu sync.Mutex
-	f  *memFile
+	f *memFile
 }
 
 var _ File = (*memHandle)(nil)
 
 func (h *memHandle) Write(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	h.f.data = append(h.f.data, p...)
 	return len(p), nil
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	if off >= int64(len(h.f.data)) {
 		return 0, io.EOF
 	}
@@ -363,8 +387,8 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 // WriteFile, O_TRUNC and Truncate replace or copy the slice, so no later
 // write reaches the bytes durable shares.
 func (h *memHandle) Sync() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	n := len(h.f.data)
 	h.f.durable = h.f.data[:n:n]
 	return nil

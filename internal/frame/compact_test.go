@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var testVocab = []string{"create", "read", "0a"}
+var (
+	testVocab   = []string{"create", "read", "0a"}
+	testSymbols = []string{"dr-a", "0a1b", "p1-enc-0"}
+)
 
 func TestCompactFieldsRoundTrip(t *testing.T) {
 	tokens := []string{"", "dr-a", "0123456789abcdef", "abc", "ABCD", "0a", strings.Repeat("f", 300), "héllo"}
@@ -26,6 +30,14 @@ func TestCompactFieldsRoundTrip(t *testing.T) {
 	}
 	for _, s := range words {
 		b = AppendWord(b, s, testVocab)
+	}
+	symbols := []struct {
+		s       string
+		n       int
+		defined bool
+	}{{"", -1, false}, {"", 1, false}, {"dr-b", -1, true}, {"0a1b", 1, false}, {"beef", -1, true}, {"p1-enc-0", 2, false}}
+	for _, sym := range symbols {
+		b = AppendSymbol(b, sym.s, sym.n)
 	}
 
 	r := NewReader(b)
@@ -52,6 +64,11 @@ func TestCompactFieldsRoundTrip(t *testing.T) {
 			t.Fatalf("Word = %q, want %q", got, want)
 		}
 	}
+	for _, want := range symbols {
+		if got, defined := r.Symbol(testSymbols); got != want.s || defined != want.defined {
+			t.Fatalf("Symbol = %q, %v; want %q, %v", got, defined, want.s, want.defined)
+		}
+	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
@@ -72,6 +89,10 @@ func TestCompactFieldSizes(t *testing.T) {
 		{AppendWord(nil, "policy", testVocab), 8},
 		{AppendVarBytes(nil, make([]byte, 32)), 33},
 		{AppendUvarint(nil, 2), 1},
+		{AppendSymbol(nil, "", 5), 1},
+		{AppendSymbol(nil, "dr-house", -1), 10},
+		{AppendSymbol(nil, "dr-house", 125), 1},
+		{AppendSymbol(nil, "dr-house", 126), 2},
 	} {
 		if len(tc.enc) != tc.want {
 			t.Errorf("%x: %d bytes, want %d", tc.enc, len(tc.enc), tc.want)
@@ -94,6 +115,9 @@ func TestCompactFieldsRejectOtherEncodings(t *testing.T) {
 		"word beyond vocab":    {[]byte{4}, func(r *Reader) { r.Word(testVocab) }},
 		"spelled-out word":     {append([]byte{0, 4 << 1}, "read"...), func(r *Reader) { r.Word(testVocab) }},
 		"spelled-out hex word": {[]byte{0, 1<<1 | 1, 0x0a}, func(r *Reader) { r.Word(testVocab) }},
+		"symbol beyond table":  {[]byte{5}, func(r *Reader) { r.Symbol(testSymbols) }},
+		"empty symbol defined": {[]byte{1, 0}, func(r *Reader) { r.Symbol(testSymbols) }},
+		"unpacked hex symbol":  {append([]byte{1, 4 << 1}, "0a1b"...), func(r *Reader) { r.Symbol(testSymbols) }},
 	} {
 		r := NewReader(tc.in)
 		tc.read(r)
@@ -106,6 +130,7 @@ func TestCompactFieldsRejectOtherEncodings(t *testing.T) {
 		"hostile length":    {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, func(r *Reader) { r.VarBytes() }},
 		"token past input":  {[]byte{10 << 1, 'a'}, func(r *Reader) { r.Token() }},
 		"packed past input": {[]byte{3<<1 | 1, 0xab}, func(r *Reader) { r.Token() }},
+		"symbol past input": {[]byte{1, 4 << 1, 'd'}, func(r *Reader) { r.Symbol(testSymbols) }},
 	} {
 		r := NewReader(tc.in)
 		tc.read(r)
@@ -116,16 +141,19 @@ func TestCompactFieldsRejectOtherEncodings(t *testing.T) {
 }
 
 // FuzzCompactFields: any bytes a script of compact reads accepts whole
-// re-encode, field by field, to exactly those bytes.
+// re-encode, field by field, to exactly those bytes. A symbol is read against
+// a fixed table, and one written out must not be in it (the rule the event
+// log's sequential reader applies).
 func FuzzCompactFields(f *testing.F) {
 	f.Add(AppendWord(AppendToken(AppendUvarint(nil, 300), "0a1b"), "read", testVocab), []byte{0, 3, 4})
 	f.Add(AppendVarBytes(AppendVarint(nil, -5), []byte("xy")), []byte{1, 2})
 	f.Add([]byte{}, []byte{3})
+	f.Add(AppendSymbol(AppendSymbol(AppendSymbol(nil, "", -1), "x-1", -1), "0a1b", 1), []byte{5, 5, 5})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		r := NewReader(data)
 		var out []byte
 		for _, op := range script {
-			switch op % 5 {
+			switch op % 6 {
 			case 0:
 				out = AppendUvarint(out, r.Uvarint())
 			case 1:
@@ -136,6 +164,13 @@ func FuzzCompactFields(f *testing.F) {
 				out = AppendToken(out, r.Token())
 			case 4:
 				out = AppendWord(out, r.Word(testVocab), testVocab)
+			case 5:
+				s, defined := r.Symbol(testSymbols)
+				n := slices.Index(testSymbols, s)
+				if defined && n >= 0 {
+					return // a known value written out: the log's reader refuses it
+				}
+				out = AppendSymbol(out, s, n)
 			}
 		}
 		if r.Done() == nil && !bytes.Equal(out, data) {

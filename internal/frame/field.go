@@ -39,8 +39,9 @@ func AppendTime(b []byte, t time.Time) []byte {
 // The compact fields below are for event logs, whose per-event bytes are the
 // whole cost: a uvarint where a fixed int would mostly hold zeros, a
 // uvarint-length byte field, a Token for strings the vault often mints as hex,
-// and a Word for strings drawn from a fixed vocabulary. Each has exactly one
-// encoding of a given value, and the Reader refuses any other.
+// a Word for strings drawn from a fixed vocabulary, and a Symbol for strings a
+// log repeats. Each has exactly one encoding of a given value (for a Symbol,
+// given the log's table), and the Reader refuses any other.
 
 // AppendUvarint appends v as a base-128 varint (encoding/binary's layout).
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -85,6 +86,22 @@ func AppendWord(b []byte, s string, vocab []string) []byte {
 		return binary.AppendUvarint(b, uint64(i+1))
 	}
 	return AppendToken(binary.AppendUvarint(b, 0), s)
+}
+
+// AppendSymbol appends s as a symbol field: a value an event log writes out
+// once and refers to by number after. n is s's number in the log's table for
+// the field, or negative when the table does not hold s yet. The header is a
+// uvarint: 0 for "", which is never numbered; 1 and then s as a Token for the
+// occurrence that defines s (it takes the table's next number); n+2 for a
+// reference.
+func AppendSymbol(b []byte, s string, n int) []byte {
+	switch {
+	case s == "":
+		return append(b, 0)
+	case n < 0:
+		return AppendToken(append(b, 1), s)
+	}
+	return binary.AppendUvarint(b, uint64(n)+2)
 }
 
 func isPackedHex(s string) bool {
@@ -249,6 +266,29 @@ func (r *Reader) Word(vocab []string) string {
 		return ""
 	}
 	return s
+}
+
+// Symbol reads what AppendSymbol wrote, resolving a reference through table,
+// the field's values by number. defined reports a value written out: the
+// caller's table must not hold it yet, a rule only a reader holding the
+// table as of this event's place can check. A reference beyond table and an
+// empty value written out latch an error.
+func (r *Reader) Symbol(table []string) (s string, defined bool) {
+	at := r.off
+	switch h := r.Uvarint(); {
+	case r.err != nil || h == 0:
+		return "", false
+	case h == 1:
+		if s = r.Token(); r.err == nil && s == "" {
+			r.fail("empty symbol written out at offset %d", at)
+		}
+		return s, r.err == nil
+	case h-2 >= uint64(len(table)):
+		r.fail("symbol %d at offset %d is beyond a %d-entry table", h-2, at, len(table))
+		return "", false
+	default:
+		return table[h-2], false
+	}
 }
 
 // Magic consumes len(want) bytes and reports whether they spell want — the

@@ -103,6 +103,7 @@ func (s *SSE) docNum(rec uint32) (uint32, bool) {
 // tokens before entering the mutex, keeping the HMAC work (the dominant
 // per-keyword cost) out of the serialized section under concurrency.
 func (s *SSE) token(word string) (tok token) {
+	obs.CountWork(obs.WorkSSEToken)
 	s.tokens.Sum(tok[:0], []byte(word))
 	return tok
 }

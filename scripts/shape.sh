@@ -90,6 +90,12 @@ check "One storage path: no memory branch in internal/core and no second block s
 check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
 
+# An audit actor, record ID or detail is written out once per log and
+# referred to by number after: the stored encoder hands each to the symbol
+# field helper and to nothing else.
+check "Compact event logs: the stored audit encoder writes Actor, Record and Detail only through frame.AppendSymbol" \
+	"$(awk '/^func /{fn=$0} fn ~ /^func encodeEvent\(/ {line=$0; gsub(/frame\.AppendSymbol\(b, e\.(Actor|Record|Detail),/, "", line); if (line ~ /e\.(Actor|Record|Detail)/) print FILENAME ":" FNR ": " $0}' internal/audit/codec.go)"
+
 # Custody events are MACed on the medium and signed only as a chain leaves the
 # vault (provenance.Tracker.Export); every per-operation MAC goes through
 # vcrypto's pooled KeyedMAC, so hmac.New lives only in internal/vcrypto.
