@@ -8,6 +8,7 @@ import (
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/experiments"
+	"medvault/internal/faultfs"
 	"medvault/internal/index"
 	"medvault/internal/merkle"
 	"medvault/internal/provenance"
@@ -190,7 +191,7 @@ func BenchmarkAblationAuditAppend(b *testing.B) {
 // disk pays the WAL but not the real fsync).
 func BenchmarkAblationWALAppend(b *testing.B) {
 	recs := ablationRecords(b)
-	log, err := wal.Open(b.TempDir()+"/ablate.wal", nil)
+	log, err := wal.OpenFS(faultfs.OS{}, b.TempDir()+"/ablate.wal", nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"medvault/internal/core"
@@ -43,18 +42,12 @@ func cmdFlight(args []string) error {
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 
+	filter := obs.FlightFilter{Kind: *op, Trace: *traceID, Record: *record}
 	var out []obs.FlightEvent
 	for _, ev := range evs {
-		if *op != "" && !strings.Contains(strings.ToLower(ev.Kind), strings.ToLower(*op)) {
-			continue
+		if filter.Match(ev) {
+			out = append(out, ev)
 		}
-		if *traceID != "" && ev.Trace != *traceID {
-			continue
-		}
-		if *record != "" && ev.Record != *record {
-			continue
-		}
-		out = append(out, ev)
 	}
 	if *limit > 0 && len(out) > *limit {
 		out = out[len(out)-*limit:]

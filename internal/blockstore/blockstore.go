@@ -6,17 +6,16 @@
 // convenience: nothing in the engine can overwrite a written byte, so every
 // higher layer (WORM, versioned records, audit) inherits physical
 // write-once behaviour on cheap commodity files — the paper's cost
-// requirement. Each block is framed with a CRC-32C so accidental corruption
-// and torn writes are detected on read; *malicious* rewrites (an insider can
+// requirement. Each block is a frame.Block frame (u8 magic 0xB1 | u32 len |
+// u32 CRC-32C | payload), so accidental corruption and torn writes are
+// detected on read; *malicious* rewrites (an insider can
 // recompute a CRC) are caught one layer up by the Merkle commitment log.
 package blockstore
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 
 	"medvault/internal/obs"
@@ -95,50 +94,6 @@ func SyncCtx(ctx context.Context, s Store) error {
 	err := s.Sync()
 	sp.End(err)
 	return err
-}
-
-// Frame layout:
-//
-//	u8 magic (0xB1) | u32 payload length | u32 CRC-32C(payload) | payload
-const (
-	frameMagic    = 0xB1
-	frameOverhead = 1 + 4 + 4
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
-
-func encodeFrame(data []byte) []byte {
-	frame := make([]byte, frameOverhead+len(data))
-	frame[0] = frameMagic
-	binary.BigEndian.PutUint32(frame[1:5], uint32(len(data)))
-	binary.BigEndian.PutUint32(frame[5:9], checksum(data))
-	copy(frame[frameOverhead:], data)
-	return frame
-}
-
-// decodeFrame parses one frame from the front of b, returning a copy of the
-// payload and the total frame length consumed.
-func decodeFrame(b []byte) ([]byte, int, error) {
-	if len(b) < frameOverhead {
-		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
-	}
-	if b[0] != frameMagic {
-		return nil, 0, fmt.Errorf("%w: bad frame magic 0x%02x", ErrCorrupt, b[0])
-	}
-	n := binary.BigEndian.Uint32(b[1:5])
-	crc := binary.BigEndian.Uint32(b[5:9])
-	if uint64(frameOverhead)+uint64(n) > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("%w: frame length %d overruns segment", ErrCorrupt, n)
-	}
-	payload := b[frameOverhead : frameOverhead+int(n)]
-	if checksum(payload) != crc {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	out := make([]byte, n)
-	copy(out, payload)
-	return out, frameOverhead + int(n), nil
 }
 
 // fileMetrics is the I/O instrumentation every store shares, labeled

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 )
 
 // stores returns the store on each disk — the in-memory one and the real
@@ -249,7 +250,7 @@ func TestStorageBytesAccountsFraming(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := int64(n * (sz + frameOverhead))
+			want := int64(n * (sz + frame.Block.Overhead()))
 			if got := s.StorageBytes(); got != want {
 				t.Errorf("StorageBytes = %d, want %d", got, want)
 			}
@@ -322,7 +323,7 @@ func TestFileRecoveryTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := file.Write([]byte{frameMagic, 0, 0}); err != nil {
+	if _, err := file.Write(frame.Block.Append(nil, 0, []byte("torn"))[:3]); err != nil {
 		t.Fatal(err)
 	}
 	file.Close()
@@ -402,7 +403,7 @@ func TestFileDetectsBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[frameOverhead+3] ^= 0xFF
+	raw[frame.Block.Overhead()+3] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +474,8 @@ func TestConcurrentAppendRead(t *testing.T) {
 
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		payload, n, err := decodeFrame(encodeFrame(data))
-		return err == nil && n == len(data)+frameOverhead && bytes.Equal(payload, data)
+		_, payload, n, err := frame.Block.Decode(frame.Block.Append(nil, 0, data))
+		return err == nil && n == len(data)+frame.Block.Overhead() && bytes.Equal(payload, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -707,6 +708,28 @@ func TestShortWriteIsTakenBack(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, err := f.Append([]byte("refused")); !errors.Is(err, ErrWedged) {
 			t.Fatalf("append %d after an untaken-back short write: %v, want ErrWedged", i, err)
+		}
+	}
+}
+
+// BenchmarkFileRead reads one 1 KiB block through File.Read. No cache sits
+// in front of a File, so every iteration reads the frame header and then the
+// payload from the segment; allocs/op is the read path's allocation budget.
+func BenchmarkFileRead(b *testing.B) {
+	f, err := OpenFile(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ref, err := f.Append(bytes.Repeat([]byte("EPHI"), 256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Read(ref); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

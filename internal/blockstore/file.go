@@ -1,7 +1,7 @@
 package blockstore
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 )
 
 // File is a Store backed by segment files in a directory. Segments are named
@@ -97,25 +98,24 @@ func (f *File) recover() error {
 	f.sizes = make([]int64, len(names))
 	for i, name := range names {
 		path := filepath.Join(f.dir, name)
-		valid, blocks, err := validatePrefix(f.fs, path)
+		data, err := f.fs.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
-		info, err := f.fs.Stat(path)
+		valid, err := frame.Block.Walk(data, func(int, uint64, []byte) error {
+			f.count++
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
-		}
-		if valid < info.Size() {
 			if i != len(names)-1 {
 				// Torn frames may only exist at the very end of the log.
-				return fmt.Errorf("%w: segment %s has invalid frame at offset %d", ErrCorrupt, name, valid)
+				return fmt.Errorf("%w: segment %s offset %d: %v", ErrCorrupt, name, valid, err)
 			}
-			if err := f.fs.Truncate(path, valid); err != nil {
+			if err := f.fs.Truncate(path, int64(valid)); err != nil {
 				return fmt.Errorf("blockstore: truncating torn tail of %s: %w", name, err)
 			}
 		}
-		f.sizes[i] = valid
-		f.count += blocks
+		f.sizes[i] = int64(valid)
 	}
 	last := len(names) - 1
 	active, err := f.fs.OpenFile(filepath.Join(f.dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o600)
@@ -148,26 +148,6 @@ func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 	return names, nil
 }
 
-// validatePrefix returns the byte length of the valid frame prefix of the
-// segment file and the number of complete frames in it.
-func validatePrefix(fsys faultfs.FS, path string) (int64, int, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	off := 0
-	blocks := 0
-	for off < len(data) {
-		_, n, err := decodeFrame(data[off:])
-		if err != nil {
-			return int64(off), blocks, nil // torn/corrupt tail starts here
-		}
-		off += n
-		blocks++
-	}
-	return int64(off), blocks, nil
-}
-
 func (f *File) openSegment(i int) error {
 	file, err := f.fs.OpenFile(filepath.Join(f.dir, segName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o600)
 	if err != nil {
@@ -189,12 +169,12 @@ func (f *File) Append(data []byte) (Ref, error) {
 	if f.wedged != nil {
 		return Ref{}, f.wedged
 	}
-	frame := encodeFrame(data)
-	if len(frame) > f.segCap {
-		return Ref{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(frame), f.segCap)
+	buf := frame.Block.Append(nil, 0, data)
+	if len(buf) > f.segCap {
+		return Ref{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(buf), f.segCap)
 	}
 	cur := len(f.sizes) - 1
-	if f.sizes[cur]+int64(len(frame)) > int64(f.segCap) {
+	if f.sizes[cur]+int64(len(buf)) > int64(f.segCap) {
 		// A rotated-away segment is never written again, so this is the last
 		// chance to make its tail durable; close without sync would leave the
 		// frozen segment's recent frames at the mercy of the page cache.
@@ -210,16 +190,16 @@ func (f *File) Append(data []byte) (Ref, error) {
 		cur++
 	}
 	ref := Ref{Segment: uint32(cur), Offset: uint64(f.sizes[cur])}
-	if n, err := f.active.Write(frame); err != nil {
+	if n, err := f.active.Write(buf); err != nil {
 		if n > 0 {
 			f.takeBack(cur)
 		}
-		return Ref{}, fmt.Errorf("blockstore: appending %d bytes: %w", len(frame), err)
+		return Ref{}, fmt.Errorf("blockstore: appending %d bytes: %w", len(buf), err)
 	}
-	f.sizes[cur] += int64(len(frame))
+	f.sizes[cur] += int64(len(buf))
 	f.count++
 	fileMetrics.appends.Inc()
-	fileMetrics.appendBytes.Add(uint64(len(frame)))
+	fileMetrics.appendBytes.Add(uint64(len(buf)))
 	fileMetrics.appendSeconds.ObserveSince(start)
 	return ref, nil
 }
@@ -253,26 +233,25 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [frameOverhead]byte
-	if _, err := file.ReadAt(hdr[:], int64(ref.Offset)); err != nil {
+	hdr := make([]byte, frame.Block.Overhead())
+	if _, err := file.ReadAt(hdr, int64(ref.Offset)); err != nil {
 		return nil, fmt.Errorf("%w: reading frame header: %v", ErrCorrupt, err)
 	}
-	if hdr[0] != frameMagic {
-		return nil, fmt.Errorf("%w: bad frame magic 0x%02x", ErrCorrupt, hdr[0])
+	h, err := frame.Block.Header(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	crc := binary.BigEndian.Uint32(hdr[5:9])
 	// The length is attacker-reachable disk content: bound it by the
-	// committed segment before allocating, as decodeFrame does.
-	if frameOverhead+int64(n) > f.sizes[ref.Segment]-int64(ref.Offset) {
-		return nil, fmt.Errorf("%w: frame length %d overruns segment", ErrCorrupt, n)
+	// committed segment before allocating, as frame.Block.Walk does.
+	if int64(len(hdr))+int64(h.Len) > f.sizes[ref.Segment]-int64(ref.Offset) {
+		return nil, fmt.Errorf("%w: frame length %d overruns segment", ErrCorrupt, h.Len)
 	}
-	payload := make([]byte, n)
-	if _, err := file.ReadAt(payload, int64(ref.Offset)+frameOverhead); err != nil {
-		return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrCorrupt, n, err)
+	payload := make([]byte, h.Len)
+	if _, err := file.ReadAt(payload, int64(ref.Offset)+int64(len(hdr))); err != nil {
+		return nil, fmt.Errorf("%w: reading %d-byte payload: %v", ErrCorrupt, h.Len, err)
 	}
-	if checksum(payload) != crc {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if err := h.Check(payload); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	fileMetrics.reads.Inc()
 	fileMetrics.readBytes.Add(uint64(len(payload)))
@@ -315,16 +294,16 @@ func (f *File) Scan(fn func(ref Ref, data []byte) error) error {
 		if int64(len(data)) > f.sizes[si] {
 			data = data[:f.sizes[si]]
 		}
-		off := uint64(0)
-		for off < uint64(len(data)) {
-			payload, n, err := decodeFrame(data[off:])
-			if err != nil {
-				return fmt.Errorf("segment %d offset %d: %w", si, off, err)
-			}
-			if err := fn(Ref{Segment: uint32(si), Offset: off}, payload); err != nil {
-				return err
-			}
-			off += uint64(n)
+		var stopped error // fn's error, as opposed to a bad frame
+		valid, err := frame.Block.Walk(data, func(off int, _ uint64, payload []byte) error {
+			stopped = fn(Ref{Segment: uint32(si), Offset: uint64(off)}, bytes.Clone(payload))
+			return stopped
+		})
+		if stopped != nil {
+			return stopped
+		}
+		if err != nil {
+			return fmt.Errorf("segment %d offset %d: %w: %v", si, valid, ErrCorrupt, err)
 		}
 	}
 	return nil
@@ -436,15 +415,15 @@ func (f *File) CorruptFrame(ref Ref, mutate func([]byte) []byte) error {
 	if err != nil {
 		return fmt.Errorf("blockstore: reading segment %d: %w", ref.Segment, err)
 	}
-	payload, n, err := decodeFrame(seg[ref.Offset:f.sizes[ref.Segment]])
+	_, payload, n, err := frame.Block.Decode(seg[ref.Offset:f.sizes[ref.Segment]])
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	mutated := mutate(payload)
 	if len(mutated) != len(payload) {
 		return fmt.Errorf("blockstore: CorruptFrame must preserve length: %d != %d", len(mutated), len(payload))
 	}
-	copy(seg[ref.Offset:ref.Offset+uint64(n)], encodeFrame(mutated))
+	copy(seg[ref.Offset:ref.Offset+uint64(n)], frame.Block.Append(nil, 0, mutated))
 	return f.fs.WriteFile(path, seg, 0o600)
 }
 

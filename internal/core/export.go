@@ -117,6 +117,11 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 			return fmt.Errorf("%w: bundle mixes records", ErrTampered)
 		}
 	}
+	// The custody chain is checked whole before anything commits: a chain
+	// Adopt would refuse must not leave committed versions behind.
+	if err := provenance.CheckChain(bundle.ID, bundle.Custody); err != nil {
+		return fmt.Errorf("%w: custody of %s: %w", ErrTampered, bundle.ID, err)
+	}
 	dek, wrapped, err := v.mintFor(bundle.ID, bundle.Category)
 	if err != nil {
 		return err
@@ -132,7 +137,7 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 	}
 
 	// Adopt the source's custody chain, then extend it with the arrival.
-	if err := v.prov.Adopt(bundle.Custody); err != nil {
+	if err := v.prov.Adopt(bundle.ID, bundle.Custody); err != nil {
 		return fmt.Errorf("core: adopting custody of %s: %w", bundle.ID, err)
 	}
 	_, err = v.prov.Record(bundle.ID, custodyType, actor, last.CtHash, sourceSystem)

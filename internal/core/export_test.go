@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"medvault/internal/ehr"
+	"medvault/internal/provenance"
 )
 
 func TestExportAuthzAndContent(t *testing.T) {
@@ -85,6 +86,51 @@ func TestImportRejectsMalformedBundles(t *testing.T) {
 	mixed.Versions[0].PlainHash = plainHash(mixed.Versions[0].Record)
 	if err := dst.Import("arch-lee", mixed, "src"); !errors.Is(err, ErrTampered) {
 		t.Errorf("mixed bundle: %v", err)
+	}
+
+	// A custody chain that does not check out is refused before any version
+	// commits, and no event of it lands on any record's chain: not one that
+	// names another record (each link and signature of which is genuine),
+	// not one with a flipped signature byte.
+	other := g.Next()
+	for ; other.Category != ehr.CategoryClinical; other = g.Next() {
+	}
+	if _, err := src.PutCtx(context.Background(), "dr-house", other); err != nil {
+		t.Fatal(err)
+	}
+	otherBundle, err := src.Export("arch-lee", other.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := bundle
+	foreign.Custody = append(append([]provenance.Event(nil), bundle.Custody...), otherBundle.Custody...)
+	flipped := bundle
+	flipped.Custody = append([]provenance.Event(nil), bundle.Custody...)
+	flipped.Custody[0].Signature = append([]byte(nil), flipped.Custody[0].Signature...)
+	flipped.Custody[0].Signature[0] ^= 1
+	for _, c := range []struct {
+		name   string
+		bundle ExportBundle
+		cause  error
+	}{
+		{"custody event of another record", foreign, provenance.ErrChainBroken},
+		{"flipped custody signature", flipped, provenance.ErrBadSignature},
+	} {
+		err := dst.Import("arch-lee", c.bundle, "src")
+		if !errors.Is(err, ErrTampered) || !errors.Is(err, c.cause) {
+			t.Errorf("%s: Import = %v, want ErrTampered and %v", c.name, err, c.cause)
+		}
+		if _, err := dst.VersionCount(bundle.ID); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: VersionCount after a refused import = %v, want ErrNotFound", c.name, err)
+		}
+		for _, id := range []string{bundle.ID, other.ID} {
+			if chain, err := dst.ProvenanceCtx(context.Background(), "officer-kim", id); !errors.Is(err, provenance.ErrUnknownRecord) {
+				t.Errorf("%s: custody of %s after a refused import = %d events, %v", c.name, id, len(chain), err)
+			}
+		}
+		if _, err := dst.VerifyAll(nil, nil); err != nil {
+			t.Errorf("%s: VerifyAll after a refused import: %v", c.name, err)
+		}
 	}
 
 	// The honest bundle imports once, then conflicts.

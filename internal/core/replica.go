@@ -9,9 +9,10 @@ package core
 // not PHI), and every WAL 'V' entry carries the fields the leaf commits to
 // — record ID, version number, ciphertext hash. ReplicaHeads re-derives the
 // per-shard (size, root) pair from those files alone, mirroring the replay
-// rules recovery applies (snapshot-covered WAL entries append no leaf, a
-// torn WAL tail is ignored). Anti-entropy compares these against the
-// primary's live tree to detect divergence without ever shipping a key.
+// rules recovery applies: snapshot-covered WAL entries append no leaf, and
+// meta.wal is read by wal.Read, the reader recovery's wal.OpenFS uses.
+// Anti-entropy compares these against the primary's live tree to detect
+// divergence without ever shipping a key.
 
 import (
 	"errors"
@@ -22,9 +23,9 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/faultfs"
-	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/obs"
+	"medvault/internal/wal"
 )
 
 // ReplicaHead is one shard's Merkle position as computed from raw replica
@@ -116,28 +117,24 @@ func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
 	default:
 		return ReplicaHead{}, fmt.Errorf("reading snapshot: %w", err)
 	}
-	walData, err := fsys.ReadFile(filepath.Join(dir, "meta.wal"))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return ReplicaHead{}, fmt.Errorf("reading WAL: %w", err)
-	}
-	var off int
-	for off < len(walData) {
-		_, entry, n, ok := frame.Decode(walData[off:])
-		if !ok {
-			break // torn tail: ignored, exactly as recovery truncates it
-		}
-		off += n
-		e, err := decodeWALEntry(entry)
+	// wal.Read is OpenFS's reader without the truncation: a torn tail is
+	// ignored, exactly as recovery cuts it, and a sequence gap is an error.
+	_, _, err = wal.Read(fsys, filepath.Join(dir, "meta.wal"), func(we wal.Entry) error {
+		e, err := decodeWALEntry(we.Data)
 		if err != nil {
-			return ReplicaHead{}, fmt.Errorf("WAL entry at offset %d: %w", off-n, err)
+			return err
 		}
 		if e.kind != 'V' || e.ver.Number <= counts[e.id] {
 			// Shred/hold entries append no leaf; neither does a version the
 			// snapshot already restored (WAL-replay idempotence).
-			continue
+			return nil
 		}
 		counts[e.id] = e.ver.Number
 		leaves = append(leaves, merkle.LeafHash(leafData(e.id, e.ver.Number, e.ver.CtHash)))
+		return nil
+	})
+	if err != nil {
+		return ReplicaHead{}, err
 	}
 	t := merkle.TreeFromLeafHashes(leaves)
 	return ReplicaHead{Size: t.Size(), Root: t.Root()}, nil

@@ -1,11 +1,11 @@
 // Package frame is MedVault's one binary codec, in two layers.
 //
-// The frame layer (frame.go) is the CRC-framed record shared by the WAL, the
-// replication stream, and the flight recorder's crash-surviving segments.
-// Layout of one frame: u64 seq | u32 len | u32 crc32c(data) | data, all
-// big-endian. The tail rule every consumer shares: decode frames from the
-// front until one is incomplete or fails its CRC, then discard the rest —
-// a torn final frame from a power cut is truncated, never skipped over.
+// The frame layer (frame.go) is the CRC-framed record every file and stream
+// of records is made of, under one of two headers (Format: Seq and Block).
+// Format.Walk is the one tail rule: decode from the front until a frame is
+// incomplete or fails its CRC, and report where the valid prefix ends, for
+// the caller to cut there or report corruption. A length field is medium
+// content, so no decoder sizes anything by it before bounding it.
 //
 // The field layer (field.go) is what goes inside a frame, a snapshot file, a
 // hash or signature domain, or a replication payload: big-endian fixed ints,
@@ -21,61 +21,136 @@
 // encoder and one decoder (DESIGN.md, "On-disk and wire formats"), pinned by
 // a golden byte vector checked through CheckGolden (golden.go).
 //
-// The package sits below wal and obs (it imports nothing but the standard
-// library), which is what lets the flight recorder reuse the exact framing
-// the WAL is torture-proven on without an import cycle: wal depends on obs
-// for its metrics, and obs depends on this codec for flight segments.
+// The package sits below wal, blockstore and obs and imports nothing but the
+// standard library. It is the only importer of hash/crc32.
 package frame
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
-// Overhead is the framing cost per record: u64 seq + u32 len + u32 crc.
-const Overhead = 8 + 4 + 4
+// A Format is one of the two frame headers. Every frame is
+//
+//	header | u32 len | u32 crc32c(payload) | payload
+//
+// big-endian. Seq frames (WAL entries, the replication stream, flight
+// segments) open with a u64 sequence number; Block frames (blockstore
+// segments) open with the magic byte 0xB1 and carry no sequence number.
+type Format struct {
+	hdr   int  // header bytes: 8 for a sequence number, 1 for a magic byte
+	magic byte // a one-byte header's value
+}
+
+var (
+	Seq   = Format{hdr: 8}
+	Block = Format{hdr: 1, magic: 0xB1}
+)
+
+// ErrInvalid is wrapped by every frame a decoder refuses: one that is
+// incomplete, has the wrong magic, or fails its CRC. A torn tail and a
+// corrupt frame look alike; where the frame sits decides which it is.
+var ErrInvalid = errors.New("frame: invalid")
+
+var (
+	errShortHeader = fmt.Errorf("%w: truncated header", ErrInvalid)
+	errMagic       = fmt.Errorf("%w: bad magic", ErrInvalid)
+	errOverrun     = fmt.Errorf("%w: length overruns the input", ErrInvalid)
+	errChecksum    = fmt.Errorf("%w: checksum mismatch", ErrInvalid)
+)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Append encodes one framed record onto buf and returns the extended slice.
-func Append(buf []byte, seq uint64, data []byte) []byte {
-	var hdr [Overhead]byte
-	binary.BigEndian.PutUint64(hdr[0:8], seq)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(data)))
-	binary.BigEndian.PutUint32(hdr[12:16], crc32.Checksum(data, castagnoli))
-	buf = append(buf, hdr[:]...)
+// Overhead is the framing cost per frame: the header, u32 len and u32 crc.
+func (f Format) Overhead() int { return f.hdr + 4 + 4 }
+
+// Append encodes one frame of data onto buf, growing it at most once. A
+// Block frame has no sequence number: seq is ignored.
+func (f Format) Append(buf []byte, seq uint64, data []byte) []byte {
+	buf = slices.Grow(buf, f.Overhead()+len(data))
+	if f.hdr == 8 {
+		buf = binary.BigEndian.AppendUint64(buf, seq)
+	} else {
+		buf = append(buf, f.magic)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(data, castagnoli))
 	return append(buf, data...)
 }
 
-// Decode parses one frame from the front of b. ok is false when the bytes do
-// not contain a complete valid frame (a torn tail). data is a copy — callers
-// may retain it after b's backing array is reused.
-func Decode(b []byte) (seq uint64, data []byte, n int, ok bool) {
-	if len(b) < Overhead {
-		return 0, nil, 0, false
-	}
-	seq = binary.BigEndian.Uint64(b[0:8])
-	ln := binary.BigEndian.Uint32(b[8:12])
-	crc := binary.BigEndian.Uint32(b[12:16])
-	if uint64(Overhead)+uint64(ln) > uint64(len(b)) {
-		return 0, nil, 0, false
-	}
-	payload := b[Overhead : Overhead+int(ln)]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, nil, 0, false
-	}
-	data = make([]byte, ln)
-	copy(data, payload)
-	return seq, data, Overhead + int(ln), true
+// Header is what a reader learns from a frame's first Overhead bytes.
+type Header struct {
+	Seq uint64 // a Seq frame's sequence number; 0 for a Block frame
+	Len uint32 // payload bytes: medium content, to bound before sizing anything
+	CRC uint32 // CRC-32C of the payload
 }
 
-// Size reports the total encoded length of the frame whose header begins b,
-// without validating anything — a stream reader uses it to learn how many
-// bytes to collect before handing the complete frame to Decode. ok is false
-// when b holds less than a full header.
-func Size(b []byte) (int, bool) {
-	if len(b) < Overhead {
-		return 0, false
+// Header parses the header at the front of b without looking past it.
+func (f Format) Header(b []byte) (h Header, err error) {
+	switch {
+	case len(b) < f.Overhead():
+		return h, errShortHeader
+	case f.hdr == 8:
+		h.Seq = binary.BigEndian.Uint64(b)
+	case b[0] != f.magic:
+		return h, errMagic
 	}
-	return Overhead + int(binary.BigEndian.Uint32(b[8:12])), true
+	h.Len = binary.BigEndian.Uint32(b[f.hdr:])
+	h.CRC = binary.BigEndian.Uint32(b[f.hdr+4:])
+	return h, nil
+}
+
+// Check reports whether payload is the one h announces: its length and its
+// CRC-32C match.
+func (h Header) Check(payload []byte) error {
+	if uint64(len(payload)) != uint64(h.Len) || crc32.Checksum(payload, castagnoli) != h.CRC {
+		return errChecksum
+	}
+	return nil
+}
+
+// next parses the whole frame at the front of b, bounding its length by the
+// bytes b holds before slicing by it. payload aliases b.
+func (f Format) next(b []byte) (h Header, payload []byte, err error) {
+	if h, err = f.Header(b); err != nil {
+		return h, nil, err
+	}
+	if uint64(f.Overhead())+uint64(h.Len) > uint64(len(b)) {
+		return h, nil, errOverrun
+	}
+	payload = b[f.Overhead() : f.Overhead()+int(h.Len)]
+	return h, payload, h.Check(payload)
+}
+
+// Decode parses one frame from the front of b and returns its sequence
+// number, a copy of its payload that outlives b, and its encoded length n.
+func (f Format) Decode(b []byte) (seq uint64, data []byte, n int, err error) {
+	h, payload, err := f.next(b)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return h.Seq, slices.Clone(payload), f.Overhead() + len(payload), nil
+}
+
+// Walk is the tail rule every frame reader shares: it decodes frames from
+// the front of b until one is incomplete or fails its check, calling fn with
+// each frame's offset, sequence number and payload (which aliases b). It
+// returns the length of the valid prefix and why the walk stopped short of
+// len(b): an error wrapping ErrInvalid for the frame at valid, or fn's error
+// for the frame fn refused. err is nil exactly when b is whole frames.
+func (f Format) Walk(b []byte, fn func(off int, seq uint64, payload []byte) error) (valid int, err error) {
+	for valid < len(b) {
+		h, payload, err := f.next(b[valid:])
+		if err == nil {
+			err = fn(valid, h.Seq, payload)
+		}
+		if err != nil {
+			return valid, err
+		}
+		valid += f.Overhead() + len(payload)
+	}
+	return valid, nil
 }

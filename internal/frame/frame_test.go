@@ -2,60 +2,162 @@ package frame
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
+var formats = map[string]Format{"seq": Seq, "block": Block}
+
 func TestRoundTrip(t *testing.T) {
-	var buf []byte
-	payloads := [][]byte{[]byte("first"), {}, []byte("a longer third payload")}
-	for i, p := range payloads {
-		buf = Append(buf, uint64(i), p)
-	}
-	off := 0
-	for i, p := range payloads {
-		seq, data, n, ok := Decode(buf[off:])
-		if !ok {
-			t.Fatalf("frame %d: decode failed", i)
+	for name, f := range formats {
+		var buf []byte
+		payloads := [][]byte{[]byte("first"), {}, []byte("a longer third payload")}
+		for i, p := range payloads {
+			buf = f.Append(buf, uint64(i), p)
 		}
-		if seq != uint64(i) || !bytes.Equal(data, p) {
-			t.Fatalf("frame %d: got seq=%d data=%q, want seq=%d data=%q", i, seq, data, i, p)
+		off := 0
+		for i, p := range payloads {
+			seq, data, n, err := f.Decode(buf[off:])
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", name, i, err)
+			}
+			if f == Seq && seq != uint64(i) || f == Block && seq != 0 || !bytes.Equal(data, p) {
+				t.Fatalf("%s frame %d: got seq=%d data=%q, want data=%q", name, i, seq, data, p)
+			}
+			h, err := f.Header(buf[off:])
+			if err != nil || f.Overhead()+int(h.Len) != n {
+				t.Fatalf("%s frame %d: Header = %+v, %v; want a %d-byte frame", name, i, h, err, n)
+			}
+			off += n
 		}
-		sz, sok := Size(buf[off:])
-		if !sok || sz != n {
-			t.Fatalf("frame %d: Size=%d,%v want %d,true", i, sz, sok, n)
+		if off != len(buf) {
+			t.Fatalf("%s: decoded %d of %d bytes", name, off, len(buf))
 		}
-		off += n
-	}
-	if off != len(buf) {
-		t.Fatalf("decoded %d of %d bytes", off, len(buf))
 	}
 }
 
 func TestTornTail(t *testing.T) {
-	full := Append(nil, 7, []byte("payload"))
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, _, ok := Decode(full[:cut]); ok {
-			t.Fatalf("decode succeeded on %d/%d bytes", cut, len(full))
+	for name, f := range formats {
+		full := f.Append(nil, 7, []byte("payload"))
+		for cut := 0; cut < len(full); cut++ {
+			if _, _, _, err := f.Decode(full[:cut]); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("%s: decode of %d/%d bytes: %v, want ErrInvalid", name, cut, len(full), err)
+			}
 		}
 	}
 }
 
 func TestCorruptPayload(t *testing.T) {
-	full := Append(nil, 7, []byte("payload"))
-	full[len(full)-1] ^= 0xff
-	if _, _, _, ok := Decode(full); ok {
-		t.Fatal("decode accepted a corrupt payload")
+	for name, f := range formats {
+		full := f.Append(nil, 7, []byte("payload"))
+		full[len(full)-1] ^= 0xff
+		if _, _, _, err := f.Decode(full); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: decode accepted a corrupt payload: %v", name, err)
+		}
+	}
+	badMagic := Block.Append(nil, 0, []byte("payload"))
+	badMagic[0] ^= 1
+	if _, err := Block.Header(badMagic); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Header accepted magic 0x%02x: %v", badMagic[0], err)
 	}
 }
 
 func TestDecodeCopies(t *testing.T) {
-	buf := Append(nil, 1, []byte("abc"))
-	_, data, _, ok := Decode(buf)
-	if !ok {
-		t.Fatal("decode failed")
+	for name, f := range formats {
+		buf := f.Append(nil, 1, []byte("abc"))
+		_, data, _, err := f.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[f.Overhead()] = 'x'
+		if string(data) != "abc" {
+			t.Fatalf("%s: decoded data aliases the input buffer", name)
+		}
 	}
-	buf[Overhead] = 'x'
-	if string(data) != "abc" {
-		t.Fatal("decoded data aliases the input buffer")
+}
+
+// TestWalkStopsAtFirstBadFrame is the tail rule: the valid prefix ends at
+// the first frame that is torn or fails its CRC, even when whole frames
+// follow it, and a refusal by fn ends it at that frame.
+func TestWalkStopsAtFirstBadFrame(t *testing.T) {
+	for name, f := range formats {
+		var img []byte
+		var ends []int
+		for _, p := range []string{"one", "two", "three"} {
+			img = f.Append(img, uint64(len(ends)), []byte(p))
+			ends = append(ends, len(img))
+		}
+		var seen []string
+		collect := func(off int, _ uint64, p []byte) error {
+			seen = append(seen, string(p))
+			return nil
+		}
+		if valid, err := f.Walk(img, collect); valid != len(img) || err != nil || len(seen) != 3 {
+			t.Fatalf("%s: whole image: valid=%d err=%v frames=%q", name, valid, err, seen)
+		}
+
+		bad := bytes.Clone(img)
+		bad[ends[0]+f.Overhead()] ^= 1 // the second frame's payload
+		seen = nil
+		valid, err := f.Walk(bad, collect)
+		if valid != ends[0] || !errors.Is(err, ErrInvalid) || len(seen) != 1 {
+			t.Fatalf("%s: bad second frame: valid=%d err=%v frames=%q, want %d, ErrInvalid, 1 frame", name, valid, err, seen, ends[0])
+		}
+
+		valid, err = f.Walk(img[:ends[1]+2], collect)
+		if valid != ends[1] || !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: torn tail: valid=%d err=%v, want %d", name, valid, err, ends[1])
+		}
+
+		stop := errors.New("stop")
+		valid, err = f.Walk(img, func(off int, _ uint64, _ []byte) error {
+			if off == ends[1] {
+				return stop
+			}
+			return nil
+		})
+		if valid != ends[1] || err != stop {
+			t.Fatalf("%s: refused third frame: valid=%d err=%v, want %d, stop", name, valid, err, ends[1])
+		}
 	}
+}
+
+// FuzzBlockFrame holds the block frame decoder to the rules a medium byte
+// image demands: no panic, no allocation sized by a length field beyond the
+// input that holds it, and every frame it accepts re-encodes to exactly the bytes it came
+// from.
+func FuzzBlockFrame(f *testing.F) {
+	f.Add(Block.Append(nil, 0, []byte("medvault block")))
+	f.Add(Block.Append(Block.Append(nil, 0, nil), 0, bytes.Repeat([]byte{0xB1}, 40)))
+	f.Add([]byte{0xB1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
+	f.Add(Seq.Append(nil, 3, []byte("not a block")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Walk reads every length field and allocates nothing; Decode
+		// allocates one payload copy, no larger than the input that holds it.
+		walk := func() { Block.Walk(data, func(int, uint64, []byte) error { return nil }) }
+		if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
+			t.Fatalf("Walk of %d bytes made %v allocations", len(data), allocs)
+		}
+		decode := func() { Block.Decode(data) }
+		_, got, n, err := Block.Decode(data)
+		if allocs := testing.AllocsPerRun(10, decode); allocs > 1 || cap(got) > 2*len(data)+8 {
+			t.Fatalf("Decode of %d bytes made %v allocations, the payload's of capacity %d", len(data), allocs, cap(got))
+		}
+		if err == nil {
+			if re := Block.Append(nil, 0, got); !bytes.Equal(re, data[:n]) {
+				t.Fatalf("accepted frame re-encodes as %x, was %x", re, data[:n])
+			}
+		}
+		var re []byte
+		valid, err := Block.Walk(data, func(_ int, _ uint64, p []byte) error {
+			re = Block.Append(re, 0, p)
+			return nil
+		})
+		if !bytes.Equal(re, data[:valid]) {
+			t.Fatalf("valid prefix %x re-encodes as %x", data[:valid], re)
+		}
+		if (err == nil) != (valid == len(data)) || err != nil && !errors.Is(err, ErrInvalid) {
+			t.Fatalf("Walk: valid=%d of %d, err=%v", valid, len(data), err)
+		}
+	})
 }

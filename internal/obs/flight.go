@@ -139,7 +139,9 @@ type FlightFilter struct {
 	Limit  int
 }
 
-func (fl FlightFilter) match(ev FlightEvent) bool {
+// Match reports whether ev passes fl's Kind, Trace and Record; Limit is the
+// caller's to apply.
+func (fl FlightFilter) Match(ev FlightEvent) bool {
 	if fl.Kind != "" && !strings.Contains(strings.ToLower(ev.Kind), strings.ToLower(fl.Kind)) {
 		return false
 	}
@@ -163,7 +165,7 @@ func (f *Flight) Snapshot(fl FlightFilter) []FlightEvent {
 	f.mu.Unlock()
 	out := all[:0]
 	for _, ev := range all {
-		if !fl.match(ev) {
+		if !fl.Match(ev) {
 			continue
 		}
 		out = append(out, ev)
@@ -373,13 +375,13 @@ func (s *FlightSink) Append(ev FlightEvent) {
 		return
 	}
 	body := encodeFlightEvent(ev, s.last)
-	if s.size > 0 && s.size+int64(frame.Overhead+len(body)) > flightSegmentBytes {
+	if s.size > 0 && s.size+int64(frame.Seq.Overhead()+len(body)) > flightSegmentBytes {
 		if s.err = s.roll(); s.err != nil {
 			return
 		}
 		body = encodeFlightEvent(ev, 0) // a segment's first time is absolute
 	}
-	buf := frame.Append(nil, ev.Seq, body)
+	buf := frame.Seq.Append(nil, ev.Seq, body)
 	if _, err := s.f.Write(buf); err != nil {
 		s.err = err
 		return
@@ -424,25 +426,21 @@ func (s *FlightSink) Close() error {
 // --- offline decoding ------------------------------------------------------
 
 // DecodeFlightSegment decodes events from one segment's raw bytes, stopping
-// at the first torn or corrupt frame (the shared WAL-tail rule). tail is the
-// count of trailing bytes that did not decode — 0 means the segment was
-// consumed exactly. The decoder is total over arbitrary input: it never
-// panics, whatever the bytes.
+// at the first torn or corrupt frame (frame.Seq.Walk's tail rule) or the
+// first frame that is not a flight event. tail is the count of trailing bytes
+// that did not decode — 0 means the segment was consumed exactly. The
+// decoder is total over arbitrary input: it never panics, whatever the bytes.
 func DecodeFlightSegment(data []byte) (evs []FlightEvent, tail int) {
-	off, prev := 0, int64(0)
-	for off < len(data) {
-		seq, body, n, ok := frame.Decode(data[off:])
-		if !ok {
-			break
-		}
+	var prev int64
+	valid, _ := frame.Seq.Walk(data, func(_ int, seq uint64, body []byte) error {
 		ev, ok := decodeFlightEvent(body, seq, prev)
 		if !ok {
-			break
+			return frame.ErrInvalid // its CRC holds, but it is no flight event
 		}
-		evs = append(evs, ev)
-		off, prev = off+n, ev.Time.UnixNano()
-	}
-	return evs, len(data) - off
+		evs, prev = append(evs, ev), ev.Time.UnixNano()
+		return nil
+	})
+	return evs, len(data) - valid
 }
 
 // ReadFlightDir decodes every segment under dir, oldest segment first,

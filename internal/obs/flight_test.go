@@ -158,7 +158,7 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	base := time.Unix(0, 1700000000000000000)
 	at := func(seq int) time.Time { return base.Add(time.Duration(seq) * time.Millisecond) }
 	ev.Time = at(1)
-	frameLen := len(frame.Append(nil, 0, encodeFlightEvent(ev, at(0).UnixNano())))
+	frameLen := len(frame.Seq.Append(nil, 0, encodeFlightEvent(ev, at(0).UnixNano())))
 	total := (flightKeepSegments + 2) * flightSegmentBytes / frameLen
 
 	segments := func() (n int, bytes int64) {
@@ -245,8 +245,8 @@ func TestFlightSegmentsDecodeEitherLayout(t *testing.T) {
 			Trace: "0123456789abcdef", Outcome: "ok", Dur: time.Duration(i) * time.Millisecond,
 		})
 		recorded = append(recorded, ev)
-		v1 = frame.Append(v1, ev.Seq, encodeFlightEventV1(ev))
-		v2 = frame.Append(v2, ev.Seq, encodeFlightEvent(ev, prev))
+		v1 = frame.Seq.Append(v1, ev.Seq, encodeFlightEventV1(ev))
+		v2 = frame.Seq.Append(v2, ev.Seq, encodeFlightEvent(ev, prev))
 		prev = ev.Time.UnixNano()
 	}
 	for name, seg := range map[string][]byte{"v1": v1, "v2": v2} {
@@ -321,7 +321,7 @@ func FuzzFlightSegment(f *testing.F) {
 	fl := NewFlight(8)
 	for i := 0; i < 3; i++ {
 		ev := fl.Record(FlightEvent{Kind: "put", Record: HashRecordID("r"), Outcome: "ok", Trace: "0123456789abcdef"})
-		seed = frame.Append(seed, ev.Seq, encodeFlightEvent(ev, prev))
+		seed = frame.Seq.Append(seed, ev.Seq, encodeFlightEvent(ev, prev))
 		prev = ev.Time.UnixNano()
 	}
 	f.Add(seed)

@@ -249,40 +249,49 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 	return e, nil
 }
 
-// Adopt appends externally produced custody events (e.g. the history that
-// accompanies a migrated record) to this tracker, verifying each link and
-// signature before it persists any of them; an adopted event keeps its
-// custodian's signature on the medium, beside the tracker's MAC. The adopted
-// history must either start a new chain or extend the record's existing one.
-// A rejected history leaves nothing behind, so a corrected one can be
-// adopted in its place.
-func (tr *Tracker) Adopt(events []Event) error {
+// Adopt appends externally produced custody events for record id (e.g. the
+// history that accompanies a migrated record) to this tracker, verifying
+// every link and signature before it persists any of them; an adopted event
+// keeps its custodian's signature on the medium, beside the tracker's MAC.
+// The adopted history must either start id's chain or extend it, and every
+// event must name id. A rejected history leaves nothing behind, so a
+// corrected one can be adopted in its place.
+func (tr *Tracker) Adopt(id string, events []Event) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	type tip struct {
-		index uint64
-		prev  [32]byte
-	}
-	tips := make(map[string]tip)
-	for _, e := range events {
-		t, ok := tips[e.Record]
-		if !ok {
-			t.index, t.prev = tr.chain(e.Record).next()
-		}
-		if err := checkLink(e, e.Record, t.index, t.prev); err != nil {
-			return err
-		}
-		if err := checkSignature(e); err != nil {
-			return err
-		}
-		tips[e.Record] = tip{t.index + 1, e.Hash}
+	index, prev := tr.chain(id).next()
+	if err := checkFrom(id, events, index, prev); err != nil {
+		return err
 	}
 	for _, e := range events {
 		ref, err := tr.store.Append(tr.encode(e))
 		if err != nil {
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
-		tr.extend(e.Record, ref, e.Hash)
+		tr.extend(id, ref, e.Hash)
+	}
+	return nil
+}
+
+// CheckChain verifies events as the whole custody chain of record id, from
+// its first event: every event names id, links to the one before it, and
+// carries a valid custodian signature. It needs no tracker and persists
+// nothing, so an importer can refuse a chain before committing anything.
+func CheckChain(id string, events []Event) error {
+	return checkFrom(id, events, 0, [32]byte{})
+}
+
+// checkFrom verifies events as id's chain continuing at index after the
+// event that hashed to prev.
+func checkFrom(id string, events []Event, index uint64, prev [32]byte) error {
+	for _, e := range events {
+		if err := checkLink(e, id, index, prev); err != nil {
+			return err
+		}
+		if err := checkSignature(e); err != nil {
+			return err
+		}
+		index, prev = index+1, e.Hash
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func TestAdoptMigratedHistory(t *testing.T) {
 	}
 
 	target, _ := newTracker(t, "hospital-b", nil)
-	if err := target.Adopt(history); err != nil {
+	if err := target.Adopt("p1", history); err != nil {
 		t.Fatalf("Adopt: %v", err)
 	}
 	if _, err := target.Record("p1", EventMigratedIn, "admin-b", h, "hospital-a"); err != nil {
@@ -139,7 +139,7 @@ func TestAdoptRejectsTamperedHistory(t *testing.T) {
 	// Tamper with the actor of the first event.
 	history[0].Actor = "someone-else"
 	target, _ := newTracker(t, "b", nil)
-	if err := target.Adopt(history); !errors.Is(err, ErrChainBroken) {
+	if err := target.Adopt("p1", history); !errors.Is(err, ErrChainBroken) {
 		t.Errorf("tampered history adopted: %v", err)
 	}
 
@@ -150,7 +150,7 @@ func TestAdoptRejectsTamperedHistory(t *testing.T) {
 	history2[1].PrevHash = history2[0].Hash
 	history2[1].Hash = eventHash(history2[1])
 	target2, _ := newTracker(t, "b", nil)
-	if err := target2.Adopt(history2); !errors.Is(err, ErrBadSignature) {
+	if err := target2.Adopt("p1", history2); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("re-hashed forged history adopted: %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestAdoptIsAllOrNothing(t *testing.T) {
 
 	store := blockstore.NewMemory(0)
 	target, _ := newTracker(t, "b", store)
-	if err := target.Adopt(forged); !errors.Is(err, ErrChainBroken) {
+	if err := target.Adopt("p1", forged); !errors.Is(err, ErrChainBroken) {
 		t.Fatalf("Adopt(e0, forged e1) = %v, want ErrChainBroken", err)
 	}
 	if _, err := target.Chain("p1"); !errors.Is(err, ErrUnknownRecord) {
@@ -309,7 +309,7 @@ func TestAdoptIsAllOrNothing(t *testing.T) {
 	if n := store.Len(); n != 0 {
 		t.Errorf("a rejected Adopt left %d events on the medium", n)
 	}
-	if err := target.Adopt(history); err != nil {
+	if err := target.Adopt("p1", history); err != nil {
 		t.Fatalf("Adopt of the corrected history: %v", err)
 	}
 	if err := target.Verify("p1", nil); err != nil {
@@ -504,7 +504,7 @@ func TestStoredSignerRewriteFailsMAC(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			medium := &rewritten{Store: blockstore.NewMemory(0)}
 			target, signer := newTracker(t, "hospital-b", medium)
-			if err := target.Adopt(history); err != nil {
+			if err := target.Adopt("p1", history); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := target.Record("p1", EventMigratedIn, "admin-b", h, "hospital-a"); err != nil {
@@ -720,7 +720,7 @@ func TestStoredLayoutKeepsForeignSigners(t *testing.T) {
 	}
 	store := blockstore.NewMemory(0)
 	target, targetSigner := newTracker(t, "hospital-b", store)
-	if err := target.Adopt(history); err != nil {
+	if err := target.Adopt("p1", history); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := target.Record("p1", EventMigratedIn, "admin-b", h, "hospital-a"); err != nil {

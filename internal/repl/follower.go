@@ -9,6 +9,7 @@ import (
 	"path"
 	"sync"
 
+	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/obs"
 )
@@ -141,7 +142,7 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 		f.nextSeq = seq + 1
 		f.dropHandlesLocked()
 		f.inResync = false
-		heads, err := localHeads(f.fsys, f.root)
+		heads, err := core.ReplicaHeads(f.fsys, f.root)
 		if err != nil {
 			return nil, fmt.Errorf("repl: follower heads: %w", err)
 		}
@@ -181,7 +182,7 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 				return nil, fmt.Errorf("repl: shard %d tree head signature: %w", i, err)
 			}
 		}
-		heads, err := localHeads(f.fsys, f.root)
+		heads, err := core.ReplicaHeads(f.fsys, f.root)
 		if err != nil {
 			return nil, fmt.Errorf("repl: follower heads: %w", err)
 		}

@@ -15,15 +15,15 @@ import (
 // the follower must remain able to serve a fresh primary's handshake. A
 // wedged follower is the one failure mode replication cannot self-heal.
 func FuzzReplFrame(f *testing.F) {
-	f.Add(frame.Append(nil, 0, payload(1, frameHello, nil)))
-	f.Add(frame.Append(nil, 0, payload(1, frameOp,
+	f.Add(frame.Seq.Append(nil, 0, payload(1, frameHello, nil)))
+	f.Add(frame.Seq.Append(nil, 0, payload(1, frameOp,
 		encodeOp(OpRecord{Kind: opWrite, Path: "meta.wal", Data: []byte("x")}))))
-	f.Add(frame.Append(frame.Append(nil, 0, payload(1, frameHello, nil)), 1,
+	f.Add(frame.Seq.Append(frame.Seq.Append(nil, 0, payload(1, frameHello, nil)), 1,
 		payload(1, frameOp, encodeOp(OpRecord{Kind: opMkdirAll, Path: "d", Perm: 0o700}))))
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all, just bytes pretending"))
-	f.Add(frame.Append(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
-	huge := frame.Append(nil, 0, payload(1, frameHello, nil))
+	f.Add(frame.Seq.Append(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
+	huge := frame.Seq.Append(nil, 0, payload(1, frameHello, nil))
 	binary.BigEndian.PutUint32(huge[8:12], maxFrameSize) // claims more than the cap allows
 	f.Add(huge)
 

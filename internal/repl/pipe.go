@@ -103,7 +103,7 @@ func (p *Pipe) kill() error {
 // land on the response.
 func (p *Pipe) Write(b []byte) (int, error) {
 	p.mu.Lock()
-	if !p.killed && len(b) > frame.Overhead+8 && b[frame.Overhead+8] == frameOp { // the kind after the epoch
+	if !p.killed && len(b) > frame.Seq.Overhead()+8 && b[frame.Seq.Overhead()+8] == frameOp { // the kind after the epoch
 		if p.opFrames == p.killAt {
 			p.armed = p.killMode
 		}

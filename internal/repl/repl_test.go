@@ -375,11 +375,11 @@ func buildStream(t *testing.T, epoch uint64) (stream []byte, frameEnds []int) {
 		{Kind: opWrite, Path: "meta.wal", Data: []byte("payload-two")},
 	}
 	var seq uint64
-	stream = frame.Append(nil, seq, payload(epoch, frameHello, nil))
+	stream = frame.Seq.Append(nil, seq, payload(epoch, frameHello, nil))
 	seq++
 	frameEnds = append(frameEnds, len(stream))
 	for _, rec := range ops {
-		stream = frame.Append(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
+		stream = frame.Seq.Append(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
 		seq++
 		frameEnds = append(frameEnds, len(stream))
 	}
@@ -490,7 +490,7 @@ func TestTornFinalFrameOverTCP(t *testing.T) {
 func TestCorruptFrameDropsConnNotFollower(t *testing.T) {
 	stream, ends := buildStream(t, 1)
 	corrupt := append([]byte(nil), stream...)
-	corrupt[ends[len(ends)-2]+frame.Overhead] ^= 0xff // flip a payload byte of the final frame
+	corrupt[ends[len(ends)-2]+frame.Seq.Overhead()] ^= 0xff // flip a payload byte of the final frame
 
 	fol, err := NewFollower(faultfs.NewMem(), testRoot)
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 )
 
 // Session is the primary's end of one replication link: every frame it
-// sends is written by frame.Append, answered by exactly one frame from the
+// sends is written by frame.Seq.Append, answered by exactly one frame from the
 // follower's ServeConn loop, and read back by readFrame. medvaultd runs it
 // over TCP (DialTCP); the torture harness, the simulator and the tests run
 // it over an in-process Pipe. The bytes are the same.
@@ -70,7 +70,7 @@ func (s *Session) roundTrip(pl []byte) ([]byte, error) {
 	if s.conn == nil {
 		return nil, errors.New("repl: session disconnected")
 	}
-	out := frame.Append(nil, s.seq, pl)
+	out := frame.Seq.Append(nil, s.seq, pl)
 	s.seq++
 	if _, err := s.conn.Write(out); err != nil {
 		s.closeLocked()
@@ -145,7 +145,7 @@ func (s *Session) Hello(epoch uint64) error {
 	if fepoch > epoch {
 		return fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
 	}
-	heads, err := localHeads(s.src, s.root)
+	heads, err := core.ReplicaHeads(s.src, s.root)
 	if err != nil {
 		return fmt.Errorf("repl: computing local heads: %w", err)
 	}
@@ -345,18 +345,5 @@ func DirDigest(fsys faultfs.FS, root string) ([32]byte, error) {
 	}
 	var out [32]byte
 	h.Sum(out[:0])
-	return out, nil
-}
-
-// localHeads computes this side's per-shard Merkle heads from raw files.
-func localHeads(fsys faultfs.FS, root string) ([]Head, error) {
-	rh, err := core.ReplicaHeads(fsys, root)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Head, len(rh))
-	for i, h := range rh {
-		out[i] = Head{Size: h.Size, Root: h.Root}
-	}
 	return out, nil
 }

@@ -15,29 +15,28 @@ import (
 // The largest legitimate frame is one resync snapshot file.
 const maxFrameSize = 1 << 30
 
-// readFrame collects one complete frame from r: the header names the total
-// size, and frame.Decode validates the result — the same check that
-// truncates a torn WAL tail, so a stream cut mid-frame surfaces as
+// readFrame collects one complete frame from r: the header names the
+// payload's length, bounded before anything is sized by it, and the
+// payload's CRC is checked before the frame is returned — the check that
+// cuts a torn WAL tail, so a stream cut mid-frame surfaces as
 // io.ErrUnexpectedEOF here and the partial frame is never acted on.
 func readFrame(r io.Reader) (seq uint64, data []byte, err error) {
-	hdr := make([]byte, frame.Overhead)
+	hdr := make([]byte, frame.Seq.Overhead())
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	total, ok := frame.Size(hdr)
-	if !ok || total < frame.Overhead || total > maxFrameSize {
+	h, err := frame.Seq.Header(hdr)
+	if err != nil || len(hdr)+int(h.Len) > maxFrameSize {
 		return 0, nil, ErrBadFrame
 	}
-	buf := make([]byte, total)
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[frame.Overhead:]); err != nil {
+	data = make([]byte, h.Len)
+	if _, err := io.ReadFull(r, data); err != nil {
 		return 0, nil, err
 	}
-	seq, data, _, ok = frame.Decode(buf)
-	if !ok {
+	if h.Check(data) != nil {
 		return 0, nil, ErrBadFrame
 	}
-	return seq, data, nil
+	return h.Seq, data, nil
 }
 
 // Serve accepts replication connections for f, one primary at a time — a
@@ -86,7 +85,7 @@ func ServeConn(conn net.Conn, f *Follower) error {
 		if err != nil {
 			return err
 		}
-		if _, err := conn.Write(frame.Append(nil, outSeq, resp)); err != nil {
+		if _, err := conn.Write(frame.Seq.Append(nil, outSeq, resp)); err != nil {
 			return fmt.Errorf("repl: writing response: %w", err)
 		}
 		outSeq++

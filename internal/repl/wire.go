@@ -21,7 +21,7 @@
 // failover torture, the simulator and the tests run it over a Pipe, an
 // in-process net.Pipe whose far end runs the same ServeConn loop a
 // follower runs per TCP connection. Every frame, on every transport, is
-// written by frame.Append and read by readFrame.
+// written by frame.Seq.Append and read by readFrame.
 //
 // Epoch fencing keeps a demoted primary from committing after failover:
 // every frame carries the primary's epoch, the follower persists the highest
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"os"
 
+	"medvault/internal/core"
 	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/obs"
@@ -237,10 +238,7 @@ func decodeOp(body []byte) (OpRecord, bool) {
 // Head is a (size, root) pair as exchanged on the wire; the follower's are
 // computed from raw replica files (core.ReplicaHeads), the primary's from
 // its live trees.
-type Head struct {
-	Size uint64
-	Root merkle.Hash
-}
+type Head = core.ReplicaHead
 
 func appendHeads(b []byte, hs []Head) []byte {
 	b = frame.AppendCount(b, len(hs))

@@ -66,7 +66,8 @@ var (
 	ErrWedged = errors.New("wal: wedged, refusing further appends")
 )
 
-// Entry is a recovered log entry.
+// Entry is a recovered log entry. Data aliases the log image Read loaded,
+// which nothing else holds, so a caller may keep it.
 type Entry struct {
 	Seq  uint64
 	Data []byte
@@ -99,49 +100,25 @@ type Log struct {
 	flushing bool
 }
 
-// entry layout: u64 seq | u32 len | u32 crc32c(data) | data — the shared
-// codec in internal/frame, which the replication stream and the flight
-// recorder's segments reuse.
-const entryOverhead = frame.Overhead
-
-// Open opens (or creates) the WAL at path on the real filesystem, truncating
-// any torn tail. Recovered entries are replayed to fn in order before Open
-// returns; fn may be nil to skip replay.
-func Open(path string, fn func(Entry) error) (*Log, error) {
-	return OpenFS(faultfs.OS{}, path, fn)
-}
-
-// OpenFS is Open over an explicit filesystem — the seam fault-injection and
-// crash-simulation tests use.
+// OpenFS opens (or creates) the WAL at path on fsys (faultfs.OS for the real
+// filesystem), truncating any torn tail. Recovered entries are replayed to fn
+// in order before OpenFS returns; fn may be nil to skip replay.
 func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o700); err != nil {
 		return nil, fmt.Errorf("wal: creating dir: %w", err)
 	}
-	data, err := fsys.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("wal: reading %s: %w", path, err)
+	var nextSeq uint64
+	off, size, err := Read(fsys, path, func(e Entry) error {
+		nextSeq = e.Seq + 1
+		if fn == nil {
+			return nil
+		}
+		return fn(e)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var (
-		off     int64
-		nextSeq uint64
-	)
-	for int(off) < len(data) {
-		e, n, ok := decodeEntry(data[off:])
-		if !ok {
-			break // torn tail
-		}
-		if e.Seq != nextSeq {
-			return nil, fmt.Errorf("%w: sequence gap at offset %d: got %d, want %d", ErrCorrupt, off, e.Seq, nextSeq)
-		}
-		if fn != nil {
-			if err := fn(e); err != nil {
-				return nil, fmt.Errorf("wal: replaying entry %d: %w", e.Seq, err)
-			}
-		}
-		nextSeq++
-		off += int64(n)
-	}
-	if int(off) < len(data) {
+	if off < size {
 		if err := fsys.Truncate(path, off); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
@@ -153,6 +130,35 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off}
 	l.idle = sync.NewCond(&l.mu)
 	return l, nil
+}
+
+// Read decodes the log at path without opening it for writing. It calls fn
+// with each entry of the valid prefix in order and returns the prefix's
+// length and the file's size; the bytes between them are a torn tail, which
+// Read leaves in place because it never writes. An entry out of sequence is
+// ErrCorrupt wherever it sits. A missing file is an empty log. OpenFS
+// replays through Read, and so does the keyless replica reader
+// (core.ReplicaHeads), so both apply one rule to one file.
+func Read(fsys faultfs.FS, path string, fn func(Entry) error) (valid, size int64, err error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, 0, fmt.Errorf("wal: reading %s: %w", path, err)
+	}
+	var next uint64
+	var refused error // an entry the log or fn refused, as opposed to a torn tail
+	n, _ := frame.Seq.Walk(data, func(off int, seq uint64, payload []byte) error {
+		if seq != next {
+			refused = fmt.Errorf("%w: sequence gap at offset %d: got %d, want %d", ErrCorrupt, off, seq, next)
+		} else if err := fn(Entry{Seq: seq, Data: payload}); err != nil {
+			refused = fmt.Errorf("wal: replaying entry %d: %w", seq, err)
+		}
+		next++
+		return refused
+	})
+	if refused != nil {
+		return 0, 0, refused
+	}
+	return int64(n), int64(len(data)), nil
 }
 
 // Enqueue stages data for the next group commit, returning its sequence
@@ -176,7 +182,7 @@ func (l *Log) Enqueue(data []byte) (uint64, func() error) {
 	}
 	seq := l.nextSeq
 	l.nextSeq++
-	l.batch = appendEntry(l.batch, seq, data)
+	l.batch = frame.Seq.Append(l.batch, seq, data)
 	w := &waiter{done: make(chan struct{})}
 	l.waiters = append(l.waiters, w)
 	metQueueDepth.Add(1)
@@ -394,19 +400,4 @@ func (l *Log) Close() error {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
-}
-
-// appendEntry encodes one framed entry onto buf.
-func appendEntry(buf []byte, seq uint64, data []byte) []byte {
-	return frame.Append(buf, seq, data)
-}
-
-// decodeEntry parses one entry from the front of b. ok is false when the
-// bytes do not contain a complete valid entry (torn tail).
-func decodeEntry(b []byte) (Entry, int, bool) {
-	seq, data, n, ok := frame.Decode(b)
-	if !ok {
-		return Entry{}, 0, false
-	}
-	return Entry{Seq: seq, Data: data}, n, true
 }

@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 )
 
 func openTemp(t *testing.T, fn func(Entry) error) (*Log, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Open(path, fn)
+	l, err := OpenFS(faultfs.OS{}, path, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestReplayAfterReopen(t *testing.T) {
 	l.Close()
 
 	var got []Entry
-	re, err := Open(path, func(e Entry) error {
+	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error {
 		got = append(got, e)
 		return nil
 	})
@@ -91,7 +92,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Close()
 
 	n := 0
-	re, err := Open(path, func(e Entry) error { n++; return nil })
+	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { n++; return nil })
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
@@ -125,11 +126,11 @@ func TestCorruptMiddleEntryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Remove the first entry entirely: second entry now leads with seq 1.
-	entryLen := entryOverhead + 32
+	entryLen := frame.Seq.Overhead() + 32
 	if err := os.WriteFile(path, raw[entryLen:], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenFS(faultfs.OS{}, path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("sequence gap accepted: %v", err)
 	}
 }
@@ -156,7 +157,7 @@ func TestCheckpointEmptiesLog(t *testing.T) {
 	}
 	l.Close()
 	var got []Entry
-	re, err := Open(path, func(e Entry) error { got = append(got, e); return nil })
+	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { got = append(got, e); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 	l.Append([]byte("a"))
 	l.Close()
 	boom := errors.New("boom")
-	if _, err := Open(path, func(Entry) error { return boom }); !errors.Is(err, boom) {
+	if _, err := OpenFS(faultfs.OS{}, path, func(Entry) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("replay error not propagated: %v", err)
 	}
 }
@@ -220,7 +221,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	l.Close()
 	n := 0
-	re, err := Open(path, func(Entry) error { n++; return nil })
+	re, err := OpenFS(faultfs.OS{}, path, func(Entry) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestEmptyPayloadAllowed(t *testing.T) {
 	}
 	l.Close()
 	n := 0
-	re, err := Open(path, func(e Entry) error {
+	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error {
 		if len(e.Data) != 0 {
 			t.Errorf("expected empty payload, got %d bytes", len(e.Data))
 		}
@@ -300,7 +301,7 @@ func TestCheckpointRenameFailureKeepsLogUsable(t *testing.T) {
 
 	// Reopen: all six entries survive — the failed checkpoint dropped nothing.
 	var got []Entry
-	re, err := Open(path, func(e Entry) error { got = append(got, e); return nil })
+	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { got = append(got, e); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 
 	var replayed []Entry
-	l2, err := Open(path, func(e Entry) error { replayed = append(replayed, e); return nil })
+	l2, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { replayed = append(replayed, e); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 	}
 
 	var replayed []string
-	l2, err := Open(path, func(e Entry) error {
+	l2, err := OpenFS(faultfs.OS{}, path, func(e Entry) error {
 		if e.Seq != uint64(len(replayed)) {
 			return fmt.Errorf("seq %d at position %d", e.Seq, len(replayed))
 		}
@@ -508,7 +509,7 @@ func TestCheckpointDuringConcurrentAppends(t *testing.T) {
 	}
 
 	count := 0
-	l2, err := Open(path, func(e Entry) error {
+	l2, err := OpenFS(faultfs.OS{}, path, func(e Entry) error {
 		if e.Seq != uint64(count) {
 			return fmt.Errorf("seq %d at position %d", e.Seq, count)
 		}

@@ -44,9 +44,9 @@ check "One op envelope: httpapi and sim name outcomes by core.Outcome's label, n
 # Every transport is a net.Conn under the one repl.Session: frames are read
 # and validated only by readFrame, and a shipped op's ack is the barrier.
 repl=$(ls internal/repl/*.go | grep -v '_test\.go$')
-check "One replication session: no Session interface, Barrier, FeedStream, or frame.Decode outside readFrame in internal/repl" \
+check "One replication session: no Session interface, Barrier, FeedStream, or frame decoding outside readFrame in internal/repl" \
 	"$(grep -nE 'Barrier\(|FeedStream|\bSession[[:space:]]+interface\b' $repl
-	awk '/^func /{fn=$0} /frame\.Decode\(/ && fn !~ /^func readFrame\(/ {print FILENAME ":" FNR ": " $0}' $repl)"
+	awk '/^func /{fn=$0} /frame\.([A-Za-z]+\.)?(Decode|Walk|Header)\(/ && fn !~ /^func readFrame\(/ {print FILENAME ":" FNR ": " $0}' $repl)"
 
 # A registry lookup that finds its series allocates nothing, so every layer
 # names its series at the call site and none keeps metric handles in a map of
@@ -103,4 +103,11 @@ check "Custody signs at the boundary: no .Sign( in internal/provenance outside T
 	"$(awk '/^func /{fn=$0} /\.Sign\(/ && fn !~ /^func \(tr \*Tracker\) Export\(/ {print FILENAME ":" FNR ": " $0}' $(ls internal/provenance/*.go | grep -v '_test\.go$')
 	grep -rn 'hmac\.New' --include='*.go' . | grep -v '^\./internal/vcrypto/')"
 
+
+# Every frame on a medium or a stream — WAL, replication, flight, blockstore —
+# is encoded and checked by internal/frame, so it holds the one CRC-32C; and
+# meta.wal has one reader, wal.Read, which core reaches through wal.
+check "One frame codec: only internal/frame imports hash/crc32, and internal/core never calls frame.Decode(" \
+	"$(grep -rn '"hash/crc32"' --include='*.go' . | grep -v '^\./internal/frame/'
+	grep -nE 'frame\.([A-Za-z]+\.)?(Decode|Walk)\(' internal/core/*.go)"
 exit $fail
