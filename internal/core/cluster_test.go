@@ -14,7 +14,9 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/clock"
+	"medvault/internal/faultfs"
 	"medvault/internal/vcrypto"
+	"medvault/internal/wal"
 )
 
 // TestShardOfGolden pins the record→shard mapping. These values are part of
@@ -302,6 +304,107 @@ func TestParentSingleVaultDirectoryReopens(t *testing.T) {
 			t.Errorf("sharding over the parent commit's single-vault layout accepted")
 		}
 	}
+}
+
+// TestParentDirectoryMixedWALLayouts: the parent fixture's meta.wal holds
+// legacy 'V' entries; a put and corrections appended to it are compact 'v'
+// entries after them in the same file. A crash replays both layouts over the
+// fixture's v3 snapshot, and a Close then folds everything into a v4
+// snapshot, which reopens to the same versions.
+func TestParentDirectoryMixedWALLayouts(t *testing.T) {
+	var seed [32]byte
+	copy(seed[:], "medvault-fixture-master-seed-32b")
+	master, err := vcrypto.KeyFromBytes(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := parentFixture
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent-single-vault"), dir)
+	cfg := Config{Name: "fixture", Master: master, Clock: clock.NewVirtual(fx.now), Dir: dir, Shards: 1}
+	open := func(what string) *Cluster {
+		t.Helper()
+		v, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		registerStaff(t, v)
+		return v
+	}
+	bodies := map[string][]string{}
+	for id, b := range fx.bodies {
+		bodies[id] = append([]string(nil), b...)
+	}
+	check := func(what string, v *Cluster) {
+		t.Helper()
+		for id, want := range bodies {
+			for i := range want {
+				rec, _, err := v.GetVersionCtx(context.Background(), "dr-house", id, uint64(i+1))
+				if err != nil || rec.Body != want[i] {
+					t.Errorf("%s: %s v%d = %q, %v; want %q", what, id, i+1, rec.Body, err, want[i])
+				}
+			}
+			if _, ver, err := v.GetCtx(context.Background(), "dr-house", id); err != nil || ver.Number != uint64(len(want)) {
+				t.Errorf("%s: %s latest = v%d, %v; want v%d", what, id, ver.Number, err, len(want))
+			}
+		}
+		if _, err := v.VerifyAll(nil, nil); err != nil {
+			t.Errorf("%s: VerifyAll: %v", what, err)
+		}
+	}
+	correct := func(v *Cluster, id string) {
+		t.Helper()
+		rec, _, err := v.GetCtx(context.Background(), "dr-house", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Body = fmt.Sprintf("%s, corrected as v%d", id, len(bodies[id])+1)
+		if _, err := v.CorrectCtx(context.Background(), "dr-house", rec); err != nil {
+			t.Fatalf("correcting %s: %v", id, err)
+		}
+		bodies[id] = append(bodies[id], rec.Body)
+	}
+
+	v := open("opening the parent commit's directory")
+	fresh := clinicalRecord(t, 40)
+	if _, err := v.PutCtx(context.Background(), "dr-house", fresh); err != nil {
+		t.Fatal(err)
+	}
+	bodies[fresh.ID] = []string{fresh.Body}
+	correct(v, fresh.ID)
+	correct(v, "fx-a")
+	correct(v, "fx-d")
+	// Crash: no Close, so no snapshot; the fixture's v3 snapshot and the
+	// whole mixed log are what recovery has.
+	v.Shard(0).blocks.Sync()
+	kinds := map[byte]int{}
+	if _, _, err := wal.Read(faultfs.OS{}, filepath.Join(dir, "meta.wal"), func(e wal.Entry) error {
+		kinds[e.Data[0]]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if kinds['V'] == 0 || kinds['v'] != 4 {
+		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 compact 'v' ones", kinds)
+	}
+	re := open("crash reopen")
+	check("crash reopen", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "meta.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) < 6 || snap[4] != 0 || snap[5] != snapVersion {
+		t.Fatalf("Close wrote meta.snap version %x, want %d", snap[4:6], snapVersion)
+	}
+	re = open("reopen after Close")
+	defer re.Close()
+	if h := re.Health(); !h.LastRecovery.SnapshotLoaded || h.LastRecovery.WALEntries != 0 {
+		t.Errorf("reopen after Close should load the snapshot alone, recovery = %+v", h.LastRecovery)
+	}
+	check("reopen after Close", re)
 }
 
 // TestOneShardClassicLayout: a fresh durable vault at Shards 1 — and at 0 —

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"medvault/internal/ehr"
+	"medvault/internal/frame"
 )
 
 // FuzzDecodeBundle feeds arbitrary bytes to the export-bundle decoder — the
@@ -51,6 +54,48 @@ func FuzzDecodeBundle(f *testing.F) {
 		re := EncodeBundle(b)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
+		}
+	})
+}
+
+// FuzzDecodeWALEntry feeds arbitrary bytes to the metadata WAL's one parser,
+// which replay and ReplicaHeads both run over a medium an attacker may
+// reach. It must never panic, never allocate more than the input could
+// spell (every length is bounded by the input before it sizes anything), and
+// every entry it accepts in a written layout must re-encode to exactly those
+// bytes. Legacy 'V' entries are only ever decoded.
+func FuzzDecodeWALEntry(f *testing.F) {
+	create, correction := goldenCreate(), goldenCorrection()
+	f.Add(create.encode())
+	f.Add(correction.encode())
+	f.Add(append(correction.encode(), frame.AppendVarBytes(nil, []byte{1, 2, 3})...)) // a DEK on a correction
+	f.Add((&walEntry{kind: 'H', id: "r", reason: "litigation", placed: goldenTime}).encode())
+	f.Add((&walEntry{kind: 'S', id: "r"}).encode())
+	f.Add([]byte{})
+	f.Add([]byte{'v', 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// allocated is what one decode allocates, the least of three tries: the
+	// fuzzing engine's own goroutines allocate alongside, never less.
+	allocated := func(data []byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			decodeWALEntry(data)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := allocated(data); n > uint64(len(data))+1024 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		e, err := decodeWALEntry(data)
+		if err != nil || data[0] == 'V' {
+			return
+		}
+		if re := e.encode(); !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	mrand "math/rand"
 	"testing"
 	"time"
@@ -25,10 +26,10 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// goldenMetaSnap is a real meta.snap written by the commit that introduced
+// goldenMetaSnap is a real v3 meta.snap written by the commit that introduced
 // these vectors: one record with a correction, one shredded record, one
 // legal hold. Its keystore and index sections are sealed with that run's
-// nonces, so the vector pins the layout by decode + byte-identical re-encode.
+// nonces, so the vectors pin the layout by decode + re-encode.
 const goldenMetaSnap = "4d564d5300030000000000000003000000020000000870312d656e632d3000000008636c696e6963616c000000027031" +
 	"0018bfa7bb37dda000000000020000000864722d686f757365000000000000000100000000000000000000000093a508" +
 	"927b06b6843e4ddb7d70e56666d8a4c7397aad47786e410acb7a0b7ef518bfa7bb37dda0000000000000000000000000" +
@@ -56,50 +57,131 @@ const goldenMetaSnap = "4d564d5300030000000000000003000000020000000870312d656e63
 	"16dc2644e8f806f8a0cd91124b3bad2825199677000000010000000870312d656e632d300000000a6c69746967617469" +
 	"6f6e18bfa7c93024f800"
 
-// TestGoldenWALEntries pins the four metadata WAL entry layouts and the two
-// byte strings core hashes and signs.
-func TestGoldenWALEntries(t *testing.T) {
-	ver := Version{
-		Number: 2, Author: "dr-a", Timestamp: goldenTime,
-		Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20),
+// goldenMetaSnapV4 is goldenMetaSnap as the v4 encoder writes it: the same
+// records, sealed sections and holds, each version stored compactly.
+const goldenMetaSnapV4 = "4d564d5300040000000000000003000000020000000870312d656e632d3000000008636c696e6963616c000000027031" +
+	"0018bfa7bb37dda00000000002000093a508927b06b6843e4ddb7d70e56666d8a4c7397aad47786e410acb7a0b7ef518" +
+	"bfa7bb37dda0000864722d686f7573650000f50195e975e18d923d11255a3a8c7a618231ed886933e8587d0fbe1a630c" +
+	"7d20e1e918bfa7c93024f8000864722d686f757365020000000870322d656e632d3000000008636c696e6963616c0000" +
+	"000270320118bfa7bb37dda00000000001007c0c24d2be22a50b85e20099a23a8e1fae6443bd29ef968b790ab4aadccf" +
+	"1be5bf18bfa7bb37dda0000864722d686f75736501000000664d564b530001000000010000000870312d656e632d3000" +
+	"00003ce0982f67aecfed2755a04117d981d90683fc7be82254f53169a64a396ddcc71b24fc5b457442a4a21206dc9595" +
+	"df4a9eb35fcfd4dc0955f471d257fa000000010000000870322d656e632d300000006400000003fbfef4233fbfb49db0" +
+	"1d7c6a4d31ae0c329076b8e2b00c135c01716d6d2abf27e5ec2fcf5a95455eccf7d08446d0b9113608ee7777f81cbd99" +
+	"fcb41f981dbf161dbd54b3e760273bd13e98bfc0eeab0efc185efe23236b81f5b3c10e87e1f681000002664d56535800" +
+	"010000000300000040303738326466386534306266613363623337316430633137353962393039663164643965623864" +
+	"396665656161616338663332636631663232393161373766620000002cd626c8641842e28257691bf65962e8b2254cfa" +
+	"f2114d321cf9063be5f41744d7437cc6b0602d453b945a40540000004032363033363537373838363666363639636366" +
+	"366138356336343965353432656536613433653961373737333666626337316566633061366236666562663433000000" +
+	"2cb355104ae473bc029680c8f286d7a15b6afe93634f705a8a2f5a4da1da0336bfba07e8fab24a0a4a13f5ffa2000000" +
+	"403365303861656331333563316638633462343937613131636262303633383362663134333962383637313031323035" +
+	"30343663393431363362306663356435660000002c2d330c4daa82dd26c047b649286228a2fac1d13138b6fc8ab41b35" +
+	"94255d0d99076795d62cd74c0a5e614a1d000000fc24bc7d457aef8247ecc84280aebcc3b4e1616c914eb64bb219f9d4" +
+	"7a68a0398e9a7226276d092fd53c675bda5b97ba0d66b31c5f4c287311da44ddda46b04ae9ff284f8b2692f5fce272a0" +
+	"a158ac71327db80a09fd278e3755a09abb4f1dbc5d8a5ebe62a9756f619c05cc5accea6a0177851b91861e51bf3f00d4" +
+	"1b39a439417c6850b5a8d8fc53e40a3a000a07f044088f1012d41db661b05c78bda29cb3a1c2c6741100cfc9c2c5b016" +
+	"3e519af3e13543cad024ba1118f00c7226357fe282f0073eb571514bb5e519f7ebf421d7a328db3a5685d28f44a6ac17" +
+	"8cadd11d41343b7244fe3c31cf16dc2644e8f806f8a0cd91124b3bad2825199677000000010000000870312d656e632d" +
+	"300000000a6c697469676174696f6e18bfa7c93024f800"
+
+// goldenWALVersion is the version the WAL vectors and the byte budget carry:
+// a correction (number 2) unless the caller renumbers it.
+var goldenWALVersion = Version{
+	Number: 2, Author: "dr-a", Timestamp: goldenTime,
+	Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20),
+}
+
+// goldenCreate and goldenCorrection are the golden record's two
+// version-append entries as commit builds them: the create carries a
+// 60-byte wrapped DEK, the correction repeats the record's identity and
+// carries no DEK.
+func goldenCreate() walEntry {
+	ver := goldenWALVersion
+	ver.Number = 1
+	return walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
+		created: goldenTime.Add(-time.Hour), wrappedDEK: goldenBytes(60)}
+}
+
+func goldenCorrection() walEntry {
+	e := goldenCreate()
+	e.ver, e.wrappedDEK = goldenWALVersion, nil
+	return e
+}
+
+// goldenBytes is n bytes counting up from 0xd0.
+func goldenBytes(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = 0xd0 + byte(i)
 	}
-	created := goldenTime.Add(-time.Hour)
+	return b
+}
+
+// TestGoldenWALEntries pins the metadata WAL entry layouts and the two byte
+// strings core hashes and signs. The legacy 'V' layout is decode-only: no
+// code writes it, and a meta.wal that holds it must still replay.
+func TestGoldenWALEntries(t *testing.T) {
 	decode := func(b []byte) (any, error) { return decodeWALEntry(b) }
-	vEntry := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
-		created: created, wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
+	legacy := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: goldenWALVersion,
+		created: goldenTime.Add(-time.Hour), wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
+	create, correction := goldenCreate(), goldenCorrection()
+	// A decoded correction holds only what its entry stores.
+	stored := walEntry{kind: 'V', id: correction.id, ver: correction.ver}
 	sEntry := walEntry{kind: 'S', id: "p1-enc-0"}
 	hEntry := walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime}
 	rEntry := walEntry{kind: 'R', id: "p1-enc-0"}
 	frame.CheckGolden(t,
 		frame.Golden{
-			Name: "WAL V entry",
+			Name: "WAL V entry (legacy, decode-only)",
 			Hex: "560000000870312d656e632d30000000036c61620000000270310000000464722d610000000000000002000000030000" +
 				"000000001000202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083bab1fa12cd151083" +
 				"b76bc95a2d1500000003d1d2d3",
-			Encode: vEntry.encode,
-			Decode: decode,
-			Want:   vEntry,
+			Decode:  decode,
+			Want:    legacy,
+			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name:   "WAL S entry",
-			Hex:    "530000000870312d656e632d30",
-			Encode: sEntry.encode,
-			Decode: decode,
-			Want:   sEntry,
+			Name: "WAL v entry, create",
+			Hex: "760870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+				"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
+				"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b",
+			Encode:  create.encode,
+			Decode:  decode,
+			Want:    create,
+			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name:   "WAL H entry",
-			Hex:    "480000000870312d656e632d300000000a6c697469676174696f6e1083bab1fa12cd15",
-			Encode: hEntry.encode,
-			Decode: decode,
-			Want:   hEntry,
+			Name: "WAL v entry, correction",
+			Hex: "760870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+				"bab1fa12cd150464722d61",
+			Encode:  correction.encode,
+			Decode:  decode,
+			Want:    stored,
+			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name:   "WAL R entry",
-			Hex:    "520000000870312d656e632d30",
-			Encode: rEntry.encode,
-			Decode: decode,
-			Want:   rEntry,
+			Name:    "WAL S entry",
+			Hex:     "530000000870312d656e632d30",
+			Encode:  sEntry.encode,
+			Decode:  decode,
+			Want:    sEntry,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL H entry",
+			Hex:     "480000000870312d656e632d300000000a6c697469676174696f6e1083bab1fa12cd15",
+			Encode:  hEntry.encode,
+			Decode:  decode,
+			Want:    hEntry,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL R entry",
+			Hex:     "520000000870312d656e632d30",
+			Encode:  rEntry.encode,
+			Decode:  decode,
+			Want:    rEntry,
+			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
 			Name: "merkle leaf data",
@@ -113,6 +195,49 @@ func TestGoldenWALEntries(t *testing.T) {
 			Encode: func() []byte { return signingBytes("backup-manifest", []byte{1, 2, 3}) },
 		},
 	)
+}
+
+// TestWALBytesPerEntry is the exact byte budget of the golden record's two
+// version-append entries, frame excluded. The legacy 'V' layout spent 166 B
+// on the create and 106 B on the correction.
+func TestWALBytesPerEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    walEntry
+		want int
+	}{
+		{"create", goldenCreate(), 132},
+		{"correction", goldenCorrection(), 59},
+	} {
+		if got := len(tc.e.encode()); got != tc.want {
+			t.Errorf("%s entry: %d B, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeWALEntryRejectsOtherEncodings: a 'v' entry has one encoding, so
+// each of these is ErrCorrupt rather than an entry apply would act on.
+func TestDecodeWALEntryRejectsOtherEncodings(t *testing.T) {
+	create, correction := goldenCreate(), goldenCorrection()
+	noDEK := create
+	noDEK.wrappedDEK = nil
+	zero := correction
+	zero.ver.Number = 0
+	// The correction's one-byte segment sits after 'v', the 9-byte ID and
+	// the one-byte number.
+	enc := correction.encode()
+	wideSegment := append(frame.AppendUvarint(enc[:11:11], 1<<32), enc[12:]...)
+	for name, in := range map[string][]byte{
+		"a DEK on a correction":  frame.AppendVarBytes(correction.encode(), []byte{1, 2, 3}),
+		"a create without a DEK": noDEK.encode(),
+		"version 0":              zero.encode(),
+		"trailing bytes":         append(correction.encode(), 0),
+		"a 33-bit segment":       wideSegment,
+	} {
+		if e, err := decodeWALEntry(in); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decoded %+v, %v; want ErrCorrupt", name, e, err)
+		}
+	}
 }
 
 // TestGoldenBundle pins the export bundle layout (migration and backup
@@ -216,39 +341,55 @@ func TestGoldenExportedBundle(t *testing.T) {
 }
 
 // TestGoldenMetaSnapshot pins meta.snap through the one decoder recovery and
-// ReplicaHeads share.
+// ReplicaHeads share. The v3 vector is decode-only; the v4 vector is what
+// the encoder writes for the same state, so it also pins the v3 → v4
+// rewrite a Close after an upgrade performs.
 func TestGoldenMetaSnapshot(t *testing.T) {
-	want, _ := hex.DecodeString(goldenMetaSnap)
-	frame.CheckGolden(t, frame.Golden{
-		Name: "meta.snap",
-		Hex:  goldenMetaSnap,
-		Decode: func(b []byte) (any, error) {
-			s, err := decodeSnapshot(b)
-			if err != nil {
-				return nil, err
-			}
-			return s.encode(), nil
+	v3, _ := hex.DecodeString(goldenMetaSnap)
+	v4, _ := hex.DecodeString(goldenMetaSnapV4)
+	reencode := func(b []byte) (any, error) {
+		s, err := decodeSnapshot(b)
+		if err != nil {
+			return nil, err
+		}
+		return s.encode(), nil
+	}
+	frame.CheckGolden(t,
+		frame.Golden{
+			Name:    "meta.snap v3 (decode-only)",
+			Hex:     goldenMetaSnap,
+			Decode:  reencode,
+			Want:    v4,
+			Corrupt: ErrCorrupt,
 		},
-		Want: want,
-	})
-	s, err := decodeSnapshot(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.leafSeq != 3 || len(s.leaves) != 3 || len(s.records) != 2 {
-		t.Fatalf("decoded leafSeq=%d leaves=%d records=%d, want 3/3/2", s.leafSeq, len(s.leaves), len(s.records))
-	}
-	kept, shredded := s.records[0], s.records[1]
-	if kept.id != "p1-enc-0" || kept.category != ehr.CategoryClinical || kept.mrn != "p1" || kept.flags != 0 ||
-		len(kept.versions) != 2 || kept.versions[1].Number != 2 || kept.versions[1].LeafIndex != 2 {
-		t.Errorf("kept record decoded as %+v", kept)
-	}
-	if shredded.id != "p2-enc-0" || shredded.flags != 1 || len(shredded.versions) != 1 {
-		t.Errorf("shredded record decoded as %+v", shredded)
-	}
-	if len(s.holds) != 1 || s.holds[0].Record != "p1-enc-0" || s.holds[0].Reason != "litigation" ||
-		!s.holds[0].Placed.Equal(kept.versions[1].Timestamp) {
-		t.Errorf("holds decoded as %+v", s.holds)
+		frame.Golden{
+			Name:    "meta.snap v4",
+			Hex:     goldenMetaSnapV4,
+			Decode:  reencode,
+			Want:    v4,
+			Corrupt: ErrCorrupt,
+		},
+	)
+	for name, b := range map[string][]byte{"v3": v3, "v4": v4} {
+		s, err := decodeSnapshot(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.leafSeq != 3 || len(s.leaves) != 3 || len(s.records) != 2 {
+			t.Fatalf("%s decoded leafSeq=%d leaves=%d records=%d, want 3/3/2", name, s.leafSeq, len(s.leaves), len(s.records))
+		}
+		kept, shredded := s.records[0], s.records[1]
+		if kept.id != "p1-enc-0" || kept.category != ehr.CategoryClinical || kept.mrn != "p1" || kept.flags != 0 ||
+			len(kept.versions) != 2 || kept.versions[1].Number != 2 || kept.versions[1].LeafIndex != 2 {
+			t.Errorf("%s kept record decoded as %+v", name, kept)
+		}
+		if shredded.id != "p2-enc-0" || shredded.flags != 1 || len(shredded.versions) != 1 {
+			t.Errorf("%s shredded record decoded as %+v", name, shredded)
+		}
+		if len(s.holds) != 1 || s.holds[0].Record != "p1-enc-0" || s.holds[0].Reason != "litigation" ||
+			!s.holds[0].Placed.Equal(kept.versions[1].Timestamp) {
+			t.Errorf("%s holds decoded as %+v", name, s.holds)
+		}
 	}
 }
 
@@ -256,11 +397,10 @@ func TestGoldenMetaSnapshot(t *testing.T) {
 // BenchmarkAblationCodec (the encoders are unexported, so it lives here): the
 // 'V' entry and the Merkle leaf data every put and correction encodes.
 func BenchmarkAblationCodecWALVEntry(b *testing.B) {
-	ver := Version{Number: 2, Author: "dr-a", Timestamp: goldenTime, Ref: blockstore.Ref{Segment: 3, Offset: 4096}, CtHash: goldenHash(0x20)}
-	e := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver, created: goldenTime, wrappedDEK: make([]byte, 60)}
+	e := goldenCreate()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.encode()
-		leafData("p1-enc-0", 2, ver.CtHash)
+		leafData(e.id, e.ver.Number, e.ver.CtHash)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -21,26 +22,48 @@ import (
 // checkpoint) folds the WAL into an atomic snapshot. Ciphertext, audit, and
 // provenance live in their own append-only stores and recover themselves.
 //
-// WAL entry layouts (integers big-endian, str is u32 len || bytes):
+// WAL entry layouts (fixed-width integers big-endian; str is u32 len ||
+// bytes, varstr and varbytes are uvarint len || bytes):
 //
-//	'V' version-append:
-//	    u8 'V' | str id | str category | str mrn | version |
-//	    i64 createdNano | str wrappedDEK (empty for versions > 1)
+//	'v' version-append:
+//	    u8 'v' | varstr id | uvarint number | cversion |
+//	    and only when number == 1:
+//	    word category | varstr mrn | i64 createdNano | varbytes wrappedDEK
 //	'S' shred:
 //	    u8 'S' | str id
 //	'H' legal hold:
 //	    u8 'H' | str id | str reason | i64 placedNano
 //	'R' hold release:
 //	    u8 'R' | str id
+//	'V' version-append, legacy (decoded, never written):
+//	    u8 'V' | str id | str category | str mrn | version |
+//	    i64 createdNano | str wrappedDEK (empty for versions > 1)
 //
-// where version, shared with the snapshot, is
+// where cversion, shared with meta.snap v4, is
+//
+//	uvarint refSegment | uvarint refOffset | 32B ctHash | i64 versionNano |
+//	varstr author
+//
+// and version, shared with meta.snap v3, is
 //
 //	str author | u64 number | u32 refSegment | u64 refOffset | 32B ctHash |
 //	i64 versionNano
 //
+// A 'v' entry holds only what replay cannot recompute: a correction's
+// category, MRN and created time are its record's, fixed by version 1 (a
+// correction may not change them), and only version 1 carries a DEK. Each
+// entry has exactly one encoding; a create without a DEK, a correction with
+// one, version 0 and trailing bytes are ErrCorrupt. Both version-append
+// layouts decode to kind 'V'.
+//
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, recovery applies what the parser
 // returns, and ReplicaHeads derives Merkle leaves from the same struct.
+
+// walCategories is the 'v' entry's category vocabulary (frame.AppendWord). It
+// is part of the format: it may only grow at the end, and a category not in
+// it is spelled out.
+var walCategories = []string{"clinical", "lab", "imaging", "billing", "occupational"}
 
 // leafData is what the Merkle log commits to per version.
 func leafData(id string, version uint64, ctHash [32]byte) []byte {
@@ -55,15 +78,36 @@ func sealAAD(id string, version uint64) []byte {
 	return []byte(fmt.Sprintf("%s/v%d", id, version))
 }
 
-func appendVersion(b []byte, ver Version) []byte {
-	b = frame.AppendStr(b, ver.Author)
-	b = binary.BigEndian.AppendUint64(b, ver.Number)
-	b = binary.BigEndian.AppendUint32(b, ver.Ref.Segment)
-	b = binary.BigEndian.AppendUint64(b, ver.Ref.Offset)
+// appendCompactVersion writes ver as cversion; its number is the caller's to
+// write (a 'v' entry) or to imply (meta.snap v4).
+func appendCompactVersion(b []byte, ver Version) []byte {
+	b = frame.AppendUvarint(b, uint64(ver.Ref.Segment))
+	b = frame.AppendUvarint(b, ver.Ref.Offset)
 	b = append(b, ver.CtHash[:]...)
-	return frame.AppendTime(b, ver.Timestamp)
+	b = frame.AppendTime(b, ver.Timestamp)
+	return frame.AppendVarStr(b, ver.Author)
 }
 
+// readCompactVersion reads a cversion as the given version number.
+func readCompactVersion(r *frame.Reader, number uint64) Version {
+	ver := Version{Number: number}
+	seg := r.Uvarint()
+	if seg > math.MaxUint32 {
+		r.Fail("segment %d does not fit 32 bits", seg)
+	}
+	ver.Ref.Segment = uint32(seg)
+	ver.Ref.Offset = r.Uvarint()
+	r.Fixed(ver.CtHash[:])
+	ver.Timestamp = r.Time()
+	ver.Author = r.VarStr()
+	return ver
+}
+
+// compactVersionMinBytes is the shortest cversion: one-byte uvarints and an
+// empty author.
+const compactVersionMinBytes = 1 + 1 + 32 + 8 + 1
+
+// readVersion reads the legacy fixed-width version.
 func readVersion(r *frame.Reader) (ver Version) {
 	ver.Author = r.Str()
 	ver.Number = r.U64()
@@ -74,34 +118,42 @@ func readVersion(r *frame.Reader) (ver Version) {
 	return ver
 }
 
-// versionMinBytes is the shortest encoded version: an empty author.
+// versionMinBytes is the shortest legacy version: an empty author.
 const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 
 // walEntry is one metadata mutation, as logged and as applied (commit.go);
-// kind says which fields beyond id are meaningful.
+// kind says which fields beyond id are meaningful. A decoded correction
+// (number > 1) has no category, MRN, created time or DEK: apply takes its
+// record's.
 type walEntry struct {
 	kind       byte // 'V', 'S', 'H' or 'R'
 	id         string
-	category   ehr.Category // V
-	mrn        string       // V
+	category   ehr.Category // V, version 1
+	mrn        string       // V, version 1
 	ver        Version      // V (LeafIndex is assigned at commit and replay, not logged)
-	created    time.Time    // V
-	wrappedDEK []byte       // V
+	created    time.Time    // V, version 1
+	wrappedDEK []byte       // V, version 1
 	reason     string       // H
 	placed     time.Time    // H
 }
 
 func (e *walEntry) encode() []byte {
-	b := append(make([]byte, 0, 128+len(e.id)+len(e.mrn)+len(e.ver.Author)+len(e.wrappedDEK)), e.kind)
+	if e.kind == 'V' {
+		b := append(make([]byte, 0, 72+len(e.id)+len(e.mrn)+len(e.ver.Author)+len(e.wrappedDEK)), 'v')
+		b = frame.AppendVarStr(b, e.id)
+		b = frame.AppendUvarint(b, e.ver.Number)
+		b = appendCompactVersion(b, e.ver)
+		if e.ver.Number == 1 {
+			b = frame.AppendWord(b, string(e.category), walCategories)
+			b = frame.AppendVarStr(b, e.mrn)
+			b = frame.AppendTime(b, e.created)
+			b = frame.AppendVarBytes(b, e.wrappedDEK)
+		}
+		return b
+	}
+	b := append(make([]byte, 0, 32+len(e.id)+len(e.reason)), e.kind)
 	b = frame.AppendStr(b, e.id)
-	switch e.kind {
-	case 'V':
-		b = frame.AppendStr(b, string(e.category))
-		b = frame.AppendStr(b, e.mrn)
-		b = appendVersion(b, e.ver)
-		b = frame.AppendTime(b, e.created)
-		b = frame.AppendBytes(b, e.wrappedDEK)
-	case 'H':
+	if e.kind == 'H' {
 		b = frame.AppendStr(b, e.reason)
 		b = frame.AppendTime(b, e.placed)
 	}
@@ -110,43 +162,64 @@ func (e *walEntry) encode() []byte {
 
 func decodeWALEntry(data []byte) (walEntry, error) {
 	if len(data) == 0 {
-		return walEntry{}, fmt.Errorf("core: empty WAL entry")
+		return walEntry{}, fmt.Errorf("%w: empty WAL entry", ErrCorrupt)
 	}
 	r := frame.NewReader(data)
-	e := walEntry{kind: r.U8(), id: r.Str()}
-	switch e.kind {
+	var e walEntry
+	switch kind := r.U8(); kind {
+	case 'v':
+		e = walEntry{kind: 'V', id: r.VarStr()}
+		e.ver = readCompactVersion(r, r.Uvarint())
+		switch e.ver.Number {
+		case 0:
+			r.Fail("version 0 of %s", e.id)
+		case 1:
+			e.category = ehr.Category(r.Word(walCategories))
+			e.mrn = r.VarStr()
+			e.created = r.Time()
+			if e.wrappedDEK = r.VarBytes(); e.wrappedDEK == nil {
+				r.Fail("create of %s carries no DEK", e.id)
+			}
+		}
 	case 'V':
+		e = walEntry{kind: kind, id: r.Str()}
 		e.category = ehr.Category(r.Str())
 		e.mrn = r.Str()
 		e.ver = readVersion(r)
 		e.created = r.Time()
 		e.wrappedDEK = r.Bytes()
 	case 'H':
+		e = walEntry{kind: kind, id: r.Str()}
 		e.reason = r.Str()
 		e.placed = r.Time()
 	case 'S', 'R':
+		e = walEntry{kind: kind, id: r.Str()}
 	default:
-		return walEntry{}, fmt.Errorf("core: unknown WAL entry kind 0x%02x", e.kind)
+		return walEntry{}, fmt.Errorf("%w: unknown WAL entry kind 0x%02x", ErrCorrupt, kind)
 	}
 	if err := r.Done(); err != nil {
-		return walEntry{}, fmt.Errorf("core: WAL %c entry: %w", e.kind, err)
+		return walEntry{}, fmt.Errorf("%w: WAL %c entry: %w", ErrCorrupt, data[0], err)
 	}
 	return e, nil
 }
 
-// Snapshot layout:
+// Snapshot layout (v4; v3 is decoded, never written):
 //
 //	magic "MVMS" | u16 version | u64 leafSeq |
 //	u32 nRecords { str id | str category | str mrn | u8 flags |
-//	               i64 createdNano | u32 nVersions { version | u64 leafIndex }* }* |
+//	               i64 createdNano | u32 nVersions { cversion | uvarint leafIndex }* }* |
 //	bytes keystoreSnapshot | bytes merkleLeafHashes | bytes indexSnapshot |
 //	u32 nHolds { str id | str reason | i64 placedNano }*
+//
+// A version's number is its place in its record's list, and a record has at
+// least one. v3 wrote each version as version | u64 leafIndex instead, so a
+// v3 number that is not its place is ErrCorrupt.
 //
 // flags: bit0 = shredded, bit1 = sanitized (ciphertext removed from media).
 // snapshot.encode and decodeSnapshot are the layout's only writer and reader.
 const (
 	snapMagic   = "MVMS"
-	snapVersion = 3
+	snapVersion = 4
 
 	snapShredded  = 1
 	snapSanitized = 2
@@ -184,8 +257,8 @@ func (s *snapshot) encode() []byte {
 		b = frame.AppendTime(b, rec.created)
 		b = frame.AppendCount(b, len(rec.versions))
 		for _, ver := range rec.versions {
-			b = appendVersion(b, ver)
-			b = binary.BigEndian.AppendUint64(b, ver.LeafIndex)
+			b = appendCompactVersion(b, ver)
+			b = frame.AppendUvarint(b, ver.LeafIndex)
 		}
 	}
 	b = frame.AppendBytes(b, s.keystore)
@@ -203,10 +276,11 @@ func (s *snapshot) encode() []byte {
 func decodeSnapshot(data []byte) (*snapshot, error) {
 	r := frame.NewReader(data)
 	if !r.Magic(snapMagic) {
-		return nil, fmt.Errorf("core: snapshot has bad magic")
+		return nil, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
 	}
-	if r.U16() != snapVersion {
-		return nil, fmt.Errorf("core: unsupported snapshot version")
+	version := r.U16()
+	if version != 3 && version != snapVersion {
+		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, version)
 	}
 	s := &snapshot{leafSeq: r.U64()}
 	s.records = make([]snapRecord, r.Count(3*4+1+8+4))
@@ -217,10 +291,24 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		rec.mrn = r.Str()
 		rec.flags = r.U8()
 		rec.created = r.Time()
-		rec.versions = make([]Version, r.Count(versionMinBytes+8))
-		for j := range rec.versions {
-			rec.versions[j] = readVersion(r)
-			rec.versions[j].LeafIndex = r.U64()
+		if version == 3 {
+			rec.versions = make([]Version, r.Count(versionMinBytes+8))
+			for j := range rec.versions {
+				rec.versions[j] = readVersion(r)
+				rec.versions[j].LeafIndex = r.U64()
+				if n := rec.versions[j].Number; n != uint64(j)+1 && r.Err() == nil {
+					return nil, fmt.Errorf("%w: snapshot lists version %d of %s at position %d", ErrCorrupt, n, rec.id, j+1)
+				}
+			}
+		} else {
+			rec.versions = make([]Version, r.Count(compactVersionMinBytes+1))
+			for j := range rec.versions {
+				rec.versions[j] = readCompactVersion(r, uint64(j)+1)
+				rec.versions[j].LeafIndex = r.Uvarint()
+			}
+		}
+		if len(rec.versions) == 0 && r.Err() == nil {
+			return nil, fmt.Errorf("%w: snapshot lists %s without versions", ErrCorrupt, rec.id)
 		}
 	}
 	s.keystore = r.Bytes()
@@ -231,7 +319,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		s.holds[i] = retention.Hold{Record: r.Str(), Reason: r.Str(), Placed: r.Time()}
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("core: truncated snapshot: %w", err)
+		return nil, fmt.Errorf("%w: truncated snapshot: %w", ErrCorrupt, err)
 	}
 	var err error
 	if s.leaves, err = merkle.DecodeHashes(leafBytes); err != nil {
@@ -296,14 +384,6 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 	}
 	v.leafSeq.Store(s.leafSeq)
 	for _, rec := range s.records {
-		for i, ver := range rec.versions {
-			if ver.Number != uint64(i)+1 {
-				return fmt.Errorf("core: snapshot lists version %d of %s at position %d", ver.Number, rec.id, i+1)
-			}
-		}
-		if len(rec.versions) == 0 {
-			return fmt.Errorf("core: snapshot lists %s without versions", rec.id)
-		}
 		st := &recordState{
 			mrn:       rec.mrn,
 			created:   rec.created.UnixNano(),

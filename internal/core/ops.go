@@ -362,6 +362,10 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if rec.Category != category {
 		return Version{}, fmt.Errorf("%w: category %q -> %q", ErrIdentityChanged, category, rec.Category)
 	}
+	if rec.MRN != st.mrn {
+		// Neither MRN goes into the error: it reaches the caller and logs.
+		return Version{}, fmt.Errorf("%w: MRN differs from version 1's", ErrIdentityChanged)
+	}
 	dek, err := v.keys.Get(rec.ID)
 	if err != nil {
 		return Version{}, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,8 @@ import (
 
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
+	"medvault/internal/merkle"
 )
 
 // TestAbsentReadsNumberNothing: only what registers a record numbers its ID.
@@ -126,11 +129,16 @@ func TestRecordTablesSurviveReopen(t *testing.T) {
 // as its position, so a snapshot record whose versions are not 1, 2, … —
 // or that has none — is refused at open, naming the record. The parent
 // opened both; the record without versions then panicked on its first Get.
+// A v4 snapshot implies each number, so only a v3 one can misnumber.
 func TestSnapshotVersionsCountFromOne(t *testing.T) {
-	for name, vers := range map[string][]Version{
-		"no versions":    nil,
-		"starts at 2":    {{Number: 2, Author: "dr-house"}},
-		"skips a number": {{Number: 1, Author: "dr-house"}, {Number: 3, Author: "dr-house"}},
+	for name, tc := range map[string]struct {
+		v3      bool
+		numbers []uint64
+	}{
+		"no versions":         {},
+		"no versions (v3)":    {v3: true},
+		"starts at 2 (v3)":    {v3: true, numbers: []uint64{2}},
+		"skips a number (v3)": {v3: true, numbers: []uint64{1, 3}},
 	} {
 		// An empty vault's snapshot, with the odd record added.
 		mem := faultfs.NewMem()
@@ -145,8 +153,12 @@ func TestSnapshotVersionsCountFromOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.records = []snapRecord{{id: "odd-record", category: ehr.CategoryClinical, mrn: "m-1", versions: vers}}
-		if err := mem.WriteFile("vault/meta.snap", snap.encode(), 0o600); err != nil {
+		snap.records = []snapRecord{{id: "odd-record", category: ehr.CategoryClinical, mrn: "m-1"}}
+		data := snap.encode()
+		if tc.v3 {
+			data = snapshotV3(snap, tc.numbers)
+		}
+		if err := mem.WriteFile("vault/meta.snap", data, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		if v, _, err := openTorture(mem, 1); err == nil || !strings.Contains(err.Error(), "odd-record") {
@@ -156,6 +168,26 @@ func TestSnapshotVersionsCountFromOne(t *testing.T) {
 			t.Errorf("%s: Open = %v, want an error naming the record", name, err)
 		}
 	}
+}
+
+// snapshotV3 writes s in the v3 layout, which stored each version's number,
+// giving its one record versions with the given numbers.
+func snapshotV3(s *snapshot, numbers []uint64) []byte {
+	b := binary.BigEndian.AppendUint16([]byte(snapMagic), 3)
+	b = binary.BigEndian.AppendUint64(b, s.leafSeq)
+	b = frame.AppendCount(b, 1)
+	rec := s.records[0]
+	b = frame.AppendStr(frame.AppendStr(frame.AppendStr(b, rec.id), string(rec.category)), rec.mrn)
+	b = frame.AppendTime(append(b, rec.flags), rec.created)
+	b = frame.AppendCount(b, len(numbers))
+	for _, n := range numbers {
+		b = binary.BigEndian.AppendUint64(frame.AppendStr(b, "dr-house"), n)
+		b = append(b, make([]byte, 4+8+32+8+8)...) // ref, ctHash, time, leaf index
+	}
+	b = frame.AppendBytes(b, s.keystore)
+	b = frame.AppendBytes(b, merkle.EncodeHashes(s.leaves))
+	b = frame.AppendBytes(b, s.index)
+	return frame.AppendCount(b, 0)
 }
 
 func readSnapshot(fsys faultfs.FS) (*snapshot, error) {

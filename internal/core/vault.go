@@ -68,6 +68,9 @@ var (
 	// ErrIdentityChanged indicates a correction that tries to alter the
 	// record's identity (ID, MRN, or category).
 	ErrIdentityChanged = errors.New("core: correction must not change record identity")
+	// ErrCorrupt indicates persisted metadata — a meta.wal entry or
+	// meta.snap — that does not decode in its one encoding.
+	ErrCorrupt = errors.New("core: corrupt metadata encoding")
 	// ErrClosed indicates use of a closed vault.
 	ErrClosed = errors.New("core: vault closed")
 	// ErrWedged is wal.ErrWedged re-exported, so layers above core (httpapi)

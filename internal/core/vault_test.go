@@ -203,6 +203,19 @@ func TestCorrectRejectsIdentityChange(t *testing.T) {
 	if _, err := v.CorrectCtx(context.Background(), "dr-house", changed); !errors.Is(err, ErrIdentityChanged) {
 		t.Errorf("category change: %v", err)
 	}
+	// A new MRN would leave the record listed, and its disclosures
+	// accounted, under version 1's patient while it reads as another's.
+	moved := rec
+	moved.MRN, moved.Body = rec.MRN+"-other", rec.Body+" amended"
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", moved); !errors.Is(err, ErrIdentityChanged) {
+		t.Errorf("MRN change: %v", err)
+	}
+	if got, ver, err := v.GetCtx(context.Background(), "dr-house", rec.ID); err != nil || got.MRN != rec.MRN || ver.Number != 1 {
+		t.Errorf("after the MRN change: GET = v%d MRN %q, %v; want v1 MRN %q", ver.Number, got.MRN, err, rec.MRN)
+	}
+	if ids, err := v.PatientRecordsCtx(context.Background(), "dr-house", rec.MRN); err != nil || len(ids) != 1 || ids[0] != rec.ID {
+		t.Errorf("after the MRN change: PatientRecords(%s) = %v, %v; want [%s]", rec.MRN, ids, err, rec.ID)
+	}
 	missing := clinicalRecord(t, 7)
 	missing.ID = "mrn-999999/enc-0"
 	if _, err := v.CorrectCtx(context.Background(), "dr-house", missing); !errors.Is(err, ErrNotFound) {

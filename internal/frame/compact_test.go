@@ -26,6 +26,9 @@ func TestCompactFieldsRoundTrip(t *testing.T) {
 	}
 	b = AppendVarBytes(AppendVarBytes(b, []byte{1, 2, 3}), nil)
 	for _, s := range tokens {
+		b = AppendVarStr(b, s)
+	}
+	for _, s := range tokens {
 		b = AppendToken(b, s)
 	}
 	for _, s := range words {
@@ -53,6 +56,11 @@ func TestCompactFieldsRoundTrip(t *testing.T) {
 	}
 	if got := r.VarBytes(); !bytes.Equal(got, []byte{1, 2, 3}) || r.VarBytes() != nil {
 		t.Fatal("VarBytes did not round-trip (an empty one is nil)")
+	}
+	for _, want := range tokens {
+		if got := r.VarStr(); got != want {
+			t.Fatalf("VarStr = %q, want %q", got, want)
+		}
 	}
 	for _, want := range tokens {
 		if got := r.Token(); got != want {
@@ -88,6 +96,7 @@ func TestCompactFieldSizes(t *testing.T) {
 		{AppendWord(nil, "read", testVocab), 1},
 		{AppendWord(nil, "policy", testVocab), 8},
 		{AppendVarBytes(nil, make([]byte, 32)), 33},
+		{AppendVarStr(nil, "p1-enc-0"), 9},
 		{AppendUvarint(nil, 2), 1},
 		{AppendSymbol(nil, "", 5), 1},
 		{AppendSymbol(nil, "dr-house", -1), 10},
@@ -128,6 +137,7 @@ func TestCompactFieldsRejectOtherEncodings(t *testing.T) {
 	for name, tc := range map[string]input{
 		"truncated varint":  {[]byte{0x80}, func(r *Reader) { r.Uvarint() }},
 		"hostile length":    {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, func(r *Reader) { r.VarBytes() }},
+		"hostile str len":   {[]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'a'}, func(r *Reader) { r.VarStr() }},
 		"token past input":  {[]byte{10 << 1, 'a'}, func(r *Reader) { r.Token() }},
 		"packed past input": {[]byte{3<<1 | 1, 0xab}, func(r *Reader) { r.Token() }},
 		"symbol past input": {[]byte{1, 4 << 1, 'd'}, func(r *Reader) { r.Symbol(testSymbols) }},

@@ -11,9 +11,9 @@ import (
 
 // ErrShort is the field codec's decoding failure for input that ends too
 // soon: a read, or a count's worth of minimum-size elements, needed more
-// bytes than the input holds. The only other failure is a compact field not
-// in its one encoding. Format decoders wrap either in their own corruption
-// sentinel.
+// bytes than the input holds. The only other failure is a value not in its
+// one encoding (Reader.Fail). Format decoders wrap either in their own
+// corruption sentinel.
 var ErrShort = errors.New("frame: short field read")
 
 // AppendStr appends s as u32 length | bytes.
@@ -38,10 +38,11 @@ func AppendTime(b []byte, t time.Time) []byte {
 
 // The compact fields below are for event logs, whose per-event bytes are the
 // whole cost: a uvarint where a fixed int would mostly hold zeros, a
-// uvarint-length byte field, a Token for strings the vault often mints as hex,
-// a Word for strings drawn from a fixed vocabulary, and a Symbol for strings a
-// log repeats. Each has exactly one encoding of a given value (for a Symbol,
-// given the log's table), and the Reader refuses any other.
+// uvarint-length byte or string field, a Token for strings the vault often
+// mints as hex, a Word for strings drawn from a fixed vocabulary, and a
+// Symbol for strings a log repeats. Each has exactly one encoding of a given
+// value (for a Symbol, given the log's table), and the Reader refuses any
+// other.
 
 // AppendUvarint appends v as a base-128 varint (encoding/binary's layout).
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -53,6 +54,11 @@ func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 // AppendVarBytes appends p as uvarint length | bytes.
 func AppendVarBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
+}
+
+// AppendVarStr appends s as uvarint length | bytes.
+func AppendVarStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // AppendToken appends s as a uvarint header len<<1|packed and then its bytes.
@@ -188,8 +194,10 @@ func (r *Reader) Bytes() []byte {
 // Str reads a u32-length-prefixed string.
 func (r *Reader) Str() string { return string(r.take(int(r.U32()))) }
 
-// fail latches a malformed-field error unless one is already latched.
-func (r *Reader) fail(format string, args ...any) {
+// Fail latches a malformed-field error unless one is already latched: the
+// compact fields' own rule breaks, and a format decoder's for a value its
+// layout gives one encoding (frame: prefixes the message).
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("frame: "+format, args...)
 	}
@@ -206,7 +214,7 @@ func (r *Reader) Uvarint() uint64 {
 	case n == 0:
 		r.err = fmt.Errorf("%w: varint at offset %d runs past the end", ErrShort, r.off)
 	case n < 0 || (n > 1 && r.b[r.off+n-1] == 0):
-		r.fail("malformed varint at offset %d", r.off)
+		r.Fail("malformed varint at offset %d", r.off)
 	default:
 		r.off += n
 	}
@@ -226,6 +234,10 @@ func (r *Reader) VarBytes() []byte {
 	return append([]byte(nil), r.take(int(r.Uvarint()))...)
 }
 
+// VarStr reads what AppendVarStr wrote; like VarBytes, it bounds the length
+// by the input before allocating.
+func (r *Reader) VarStr() string { return string(r.take(int(r.Uvarint()))) }
+
 // Token reads what AppendToken wrote.
 func (r *Reader) Token() string {
 	at := r.off
@@ -237,12 +249,12 @@ func (r *Reader) Token() string {
 	case h&1 == 0:
 		s := string(p)
 		if isPackedHex(s) {
-			r.fail("unpacked hex token at offset %d", at)
+			r.Fail("unpacked hex token at offset %d", at)
 			return ""
 		}
 		return s
 	case len(p) == 0:
-		r.fail("empty packed token at offset %d", at)
+		r.Fail("empty packed token at offset %d", at)
 		return ""
 	}
 	return hex.EncodeToString(p)
@@ -255,14 +267,14 @@ func (r *Reader) Word(vocab []string) string {
 	case r.err != nil:
 		return ""
 	case i > uint64(len(vocab)):
-		r.fail("word %d at offset %d is beyond a %d-word vocabulary", i, at, len(vocab))
+		r.Fail("word %d at offset %d is beyond a %d-word vocabulary", i, at, len(vocab))
 		return ""
 	case i > 0:
 		return vocab[i-1]
 	}
 	s := r.Token()
 	if r.err == nil && slices.Contains(vocab, s) {
-		r.fail("vocabulary word %q spelled out at offset %d", s, at)
+		r.Fail("vocabulary word %q spelled out at offset %d", s, at)
 		return ""
 	}
 	return s
@@ -280,11 +292,11 @@ func (r *Reader) Symbol(table []string) (s string, defined bool) {
 		return "", false
 	case h == 1:
 		if s = r.Token(); r.err == nil && s == "" {
-			r.fail("empty symbol written out at offset %d", at)
+			r.Fail("empty symbol written out at offset %d", at)
 		}
 		return s, r.err == nil
 	case h-2 >= uint64(len(table)):
-		r.fail("symbol %d at offset %d is beyond a %d-entry table", h-2, at, len(table))
+		r.Fail("symbol %d at offset %d is beyond a %d-entry table", h-2, at, len(table))
 		return "", false
 	default:
 		return table[h-2], false

@@ -395,7 +395,7 @@ func (m *Model) correct(s Step) outcome {
 	if !m.authorize(s.Actor, authz.ActCorrect, audit.ActionCorrect, s.Record, 0, r.Category) {
 		return fail(eDenied)
 	}
-	if s.Category != r.Category {
+	if s.Category != r.Category || s.MRN != r.MRN {
 		return fail(eIdentity)
 	}
 	r.Versions = append(r.Versions, mVersion{Body: s.Body, Title: s.Title, Author: s.Actor, Codes: s.Codes})

@@ -96,6 +96,13 @@ check "Compact event logs: the stored audit, custody and flight encoders write n
 check "Compact event logs: the stored audit encoder writes Actor, Record and Detail only through frame.AppendSymbol" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func encodeEvent\(/ {line=$0; gsub(/frame\.AppendSymbol\(b, e\.(Actor|Record|Detail),/, "", line); if (line ~ /e\.(Actor|Record|Detail)/) print FILENAME ":" FNR ": " $0}' internal/audit/codec.go)"
 
+# The metadata WAL's version entry stores only what replay cannot recompute:
+# lengths and numbers are uvarints, and a correction repeats nothing its
+# record's version 1 fixed. Its 'V' path in walEntry.encode and the compact
+# version writer it shares with meta.snap write no u32-length or u64 field.
+check "Compact event logs: the metadata WAL's version entry writes no u32-length or u64 field" \
+	"$(awk '/^func /{fn=$0; v=0} fn ~ /^func \(e \*walEntry\) encode\(/ && /e\.kind == .V.|case .V.:/ {v=1} fn ~ /^func \(e \*walEntry\) encode\(/ && v && /^\t}/ {v=0} (v || fn ~ /^func appendCompactVersion\(/) && /frame\.Append(Str|Bytes)\(|AppendUint64\(/ {print FILENAME ":" FNR ": " $0}' internal/core/meta.go)"
+
 # Custody events are MACed on the medium and signed only as a chain leaves the
 # vault (provenance.Tracker.Export); every per-operation MAC goes through
 # vcrypto's pooled KeyedMAC, so hmac.New lives only in internal/vcrypto.
