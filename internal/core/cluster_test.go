@@ -307,7 +307,7 @@ func TestParentSingleVaultDirectoryReopens(t *testing.T) {
 }
 
 // TestParentDirectoryMixedWALLayouts: the parent fixture's meta.wal holds
-// legacy 'V' entries; a put and corrections appended to it are compact 'v'
+// legacy 'V' entries; a put and corrections appended to it are compact 'c'
 // entries after them in the same file. A crash replays both layouts over the
 // fixture's v3 snapshot, and a Close then folds everything into a v4
 // snapshot, which reopens to the same versions.
@@ -384,8 +384,8 @@ func TestParentDirectoryMixedWALLayouts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds['V'] == 0 || kinds['v'] != 4 {
-		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 compact 'v' ones", kinds)
+	if kinds['V'] == 0 || kinds['c'] != 4 {
+		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 compact 'c' ones", kinds)
 	}
 	re := open("crash reopen")
 	check("crash reopen", re)

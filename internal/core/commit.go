@@ -7,6 +7,8 @@ import (
 
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
+	"medvault/internal/obs"
+	"medvault/internal/provenance"
 	"medvault/internal/recno"
 )
 
@@ -57,6 +59,7 @@ func (v *Vault) replay(data []byte) error {
 			if st.at(e.ver.Number).ctHash != e.ver.CtHash {
 				return fmt.Errorf("core: WAL replay conflicts with snapshot: %s version %d", e.id, e.ver.Number)
 			}
+			v.custody(&e) // Close kept this entry for a custody event it owed
 			return nil
 		}
 		v.appendLeaf(context.Background(), &e)
@@ -66,11 +69,11 @@ func (v *Vault) replay(data []byte) error {
 
 // apply is the state transition of one entry: the only code that changes the
 // registry, a version list, the key store, retention tracking and holds, the
-// index, the block cache and the live-records gauge on an entry's behalf. rec
-// is the version's plaintext when the caller holds it (live); nil (replay)
-// reads it back from the block store. The record's DEK becomes registered
-// here, from the blob the entry carries, so a key exists exactly when the
-// version that introduced it is committed.
+// index, the block cache, the live-records gauge and a custody chain on an
+// entry's behalf. rec is the version's plaintext when the caller holds it
+// (live); nil (replay) reads it back from the block store. The record's DEK
+// becomes registered here, from the blob the entry carries, so a key exists
+// exactly when the version that introduced it is committed.
 func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	st, known := v.lookup(e.id)
 	switch {
@@ -130,7 +133,36 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	case e.kind == 'R':
 		v.ret.ReleaseHold(e.id)
 	}
+	v.custody(e)
 	return nil
+}
+
+var metProvenanceErrors = obs.Default.Counter("medvault_provenance_append_errors_total",
+	"Custody events a committed mutation could not append; the shard appends them at its next open.")
+
+// custody appends the custody event e carries, if any, stamped with the
+// version's or the shred's time. Replay completes it instead (see
+// Tracker.Complete), since the event may have survived the cut. A failure
+// cannot fail the committed operation (a retried Put would hit ErrExists):
+// it wedges the tracker, so the shard owes this event and every later one,
+// and Close keeps meta.wal for the next open's replay to append them in order.
+func (v *Vault) custody(e *walEntry) {
+	if !e.custody {
+		return
+	}
+	add := v.prov.RecordAt
+	if v.replaying {
+		add = v.prov.Complete
+	}
+	if add(e.id, custodyType(e.ver.Number), e.ver.Author, e.ver.CtHash, e.ver.Timestamp) != nil {
+		metProvenanceErrors.Inc()
+	}
+}
+
+// custodyType is a mutation's custody event by version number: a shred's
+// (version 0, the zero hash) shredded, version 1's created, a later one's corrected.
+func custodyType(number uint64) provenance.EventType {
+	return [...]provenance.EventType{provenance.EventShredded, provenance.EventCreated, provenance.EventCorrected}[min(number, 2)]
 }
 
 // register publishes a new record under id and starts its retention clock:

@@ -122,6 +122,11 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 	if err := provenance.CheckChain(bundle.ID, bundle.Custody); err != nil {
 		return fmt.Errorf("%w: custody of %s: %w", ErrTampered, bundle.ID, err)
 	}
+	// Nor may an import start while the shard owes custody events: Adopt
+	// would refuse its chain after its versions committed.
+	if v.prov.Wedged() {
+		return fmt.Errorf("core: importing %s: %w", bundle.ID, provenance.ErrWedged)
+	}
 	dek, wrapped, err := v.mintFor(bundle.ID, bundle.Category)
 	if err != nil {
 		return err
@@ -130,7 +135,7 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 	// committed prefix — the same record a restart would recover from the WAL.
 	var last Version
 	for _, ev := range bundle.Versions {
-		if last, err = v.commitVersion(ctx, ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped); err != nil {
+		if last, err = v.commitVersion(ctx, ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped, false); err != nil {
 			return err
 		}
 		wrapped = nil

@@ -62,8 +62,9 @@ func FuzzDecodeBundle(f *testing.F) {
 // which replay and ReplicaHeads both run over a medium an attacker may
 // reach. It must never panic, never allocate more than the input could
 // spell (every length is bounded by the input before it sizes anything), and
-// every entry it accepts in a written layout must re-encode to exactly those
-// bytes. Legacy 'V' entries are only ever decoded.
+// every entry it accepts in a written layout ('c', 'v', 's', 'S', 'H', 'R')
+// must re-encode to exactly those bytes. Legacy 'V' entries are only ever
+// decoded.
 func FuzzDecodeWALEntry(f *testing.F) {
 	create, correction := goldenCreate(), goldenCorrection()
 	f.Add(create.encode())
@@ -71,6 +72,9 @@ func FuzzDecodeWALEntry(f *testing.F) {
 	f.Add(append(correction.encode(), frame.AppendVarBytes(nil, []byte{1, 2, 3})...)) // a DEK on a correction
 	f.Add((&walEntry{kind: 'H', id: "r", reason: "litigation", placed: goldenTime}).encode())
 	f.Add((&walEntry{kind: 'S', id: "r"}).encode())
+	for _, e := range []walEntry{withCustody(create), withCustody(correction), goldenShred()} {
+		f.Add(e.encode())
+	}
 	f.Add([]byte{})
 	f.Add([]byte{'v', 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// allocated is what one decode allocates, the least of three tries: the

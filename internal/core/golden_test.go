@@ -108,6 +108,17 @@ func goldenCorrection() walEntry {
 	return e
 }
 
+// withCustody is e as a put or correction logs it: carrying its custody fact.
+func withCustody(e walEntry) walEntry {
+	e.custody = true
+	return e
+}
+
+// goldenShred is the golden record's shred entry as ShredCtx logs it.
+func goldenShred() walEntry {
+	return walEntry{kind: 'S', custody: true, id: "p1-enc-0", ver: Version{Author: "arch-a", Timestamp: goldenTime}}
+}
+
 // goldenBytes is n bytes counting up from 0xd0.
 func goldenBytes(n int) []byte {
 	b := make([]byte, n)
@@ -130,6 +141,9 @@ func TestGoldenWALEntries(t *testing.T) {
 	sEntry := walEntry{kind: 'S', id: "p1-enc-0"}
 	hEntry := walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime}
 	rEntry := walEntry{kind: 'R', id: "p1-enc-0"}
+	cCreate, cCorrection := withCustody(create), withCustody(correction)
+	cStored := withCustody(stored)
+	shred := goldenShred()
 	frame.CheckGolden(t,
 		frame.Golden{
 			Name: "WAL V entry (legacy, decode-only)",
@@ -157,6 +171,33 @@ func TestGoldenWALEntries(t *testing.T) {
 			Encode:  correction.encode,
 			Decode:  decode,
 			Want:    stored,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL c entry, create",
+			Hex: "630870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+				"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
+				"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b",
+			Encode:  cCreate.encode,
+			Decode:  decode,
+			Want:    cCreate,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL c entry, correction",
+			Hex: "630870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+				"bab1fa12cd150464722d61",
+			Encode:  cCorrection.encode,
+			Decode:  decode,
+			Want:    cStored,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL s entry",
+			Hex:     "730870312d656e632d3006617263682d611083bab1fa12cd15",
+			Encode:  shred.encode,
+			Decode:  decode,
+			Want:    shred,
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
@@ -199,7 +240,9 @@ func TestGoldenWALEntries(t *testing.T) {
 
 // TestWALBytesPerEntry is the exact byte budget of the golden record's two
 // version-append entries, frame excluded. The legacy 'V' layout spent 166 B
-// on the create and 106 B on the correction.
+// on the create and 106 B on the correction; a 'c' entry's custody fact is
+// its tag, so it costs what 'v' does. A shred's 's' entry carries its actor
+// and time where the legacy 'S' entry (13 B) carried neither.
 func TestWALBytesPerEntry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -208,6 +251,9 @@ func TestWALBytesPerEntry(t *testing.T) {
 	}{
 		{"create", goldenCreate(), 132},
 		{"correction", goldenCorrection(), 59},
+		{"c create", withCustody(goldenCreate()), 132},
+		{"c correction", withCustody(goldenCorrection()), 59},
+		{"s shred", goldenShred(), 25},
 	} {
 		if got := len(tc.e.encode()); got != tc.want {
 			t.Errorf("%s entry: %d B, want %d", tc.name, got, tc.want)

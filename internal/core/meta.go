@@ -25,11 +25,13 @@ import (
 // WAL entry layouts (fixed-width integers big-endian; str is u32 len ||
 // bytes, varstr and varbytes are uvarint len || bytes):
 //
-//	'v' version-append:
-//	    u8 'v' | varstr id | uvarint number | cversion |
+//	'c' version-append of a put or correction, 'v' of an import:
+//	    u8 'c' or 'v' | varstr id | uvarint number | cversion |
 //	    and only when number == 1:
 //	    word category | varstr mrn | i64 createdNano | varbytes wrappedDEK
-//	'S' shred:
+//	's' shred:
+//	    u8 's' | varstr id | varstr actor | i64 atNano
+//	'S' shred, legacy (decoded, never written):
 //	    u8 'S' | str id
 //	'H' legal hold:
 //	    u8 'H' | str id | str reason | i64 placedNano
@@ -49,12 +51,16 @@ import (
 //	str author | u64 number | u32 refSegment | u64 refOffset | 32B ctHash |
 //	i64 versionNano
 //
-// A 'v' entry holds only what replay cannot recompute: a correction's
+// A 'c' or 'v' entry holds only what replay cannot recompute: a correction's
 // category, MRN and created time are its record's, fixed by version 1 (a
 // correction may not change them), and only version 1 carries a DEK. Each
 // entry has exactly one encoding; a create without a DEK, a correction with
-// one, version 0 and trailing bytes are ErrCorrupt. Both version-append
-// layouts decode to kind 'V'.
+// one, version 0 and trailing bytes are ErrCorrupt. Every version-append
+// layout decodes to kind 'V', and both shreds to kind 'S'.
+//
+// 'c' and 's' carry the custody event apply appends (and replay completes):
+// the version's author, time and hash, or the shred's actor and time. An
+// import adopts its custody chain, so it writes 'v'; 'V' and 'S' carry none.
 //
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, recovery applies what the parser
@@ -127,10 +133,11 @@ const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 // record's.
 type walEntry struct {
 	kind       byte // 'V', 'S', 'H' or 'R'
+	custody    bool // V, S: the entry carries its custody fact ('c', 's')
 	id         string
 	category   ehr.Category // V, version 1
 	mrn        string       // V, version 1
-	ver        Version      // V (LeafIndex is assigned at commit and replay, not logged)
+	ver        Version      // V (LeafIndex is assigned at commit and replay, not logged); S with custody: Author, Timestamp
 	created    time.Time    // V, version 1
 	wrappedDEK []byte       // V, version 1
 	reason     string       // H
@@ -140,6 +147,9 @@ type walEntry struct {
 func (e *walEntry) encode() []byte {
 	if e.kind == 'V' {
 		b := append(make([]byte, 0, 72+len(e.id)+len(e.mrn)+len(e.ver.Author)+len(e.wrappedDEK)), 'v')
+		if e.custody {
+			b[0] = 'c'
+		}
 		b = frame.AppendVarStr(b, e.id)
 		b = frame.AppendUvarint(b, e.ver.Number)
 		b = appendCompactVersion(b, e.ver)
@@ -150,6 +160,10 @@ func (e *walEntry) encode() []byte {
 			b = frame.AppendVarBytes(b, e.wrappedDEK)
 		}
 		return b
+	}
+	if e.kind == 'S' && e.custody {
+		b := frame.AppendVarStr(append(make([]byte, 0, 16+len(e.id)+len(e.ver.Author)), 's'), e.id)
+		return frame.AppendTime(frame.AppendVarStr(b, e.ver.Author), e.ver.Timestamp)
 	}
 	b := append(make([]byte, 0, 32+len(e.id)+len(e.reason)), e.kind)
 	b = frame.AppendStr(b, e.id)
@@ -167,8 +181,8 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 	r := frame.NewReader(data)
 	var e walEntry
 	switch kind := r.U8(); kind {
-	case 'v':
-		e = walEntry{kind: 'V', id: r.VarStr()}
+	case 'c', 'v':
+		e = walEntry{kind: 'V', custody: kind == 'c', id: r.VarStr()}
 		e.ver = readCompactVersion(r, r.Uvarint())
 		switch e.ver.Number {
 		case 0:
@@ -192,6 +206,8 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 		e = walEntry{kind: kind, id: r.Str()}
 		e.reason = r.Str()
 		e.placed = r.Time()
+	case 's':
+		e = walEntry{kind: 'S', custody: true, id: r.VarStr(), ver: Version{Author: r.VarStr(), Timestamp: r.Time()}}
 	case 'S', 'R':
 		e = walEntry{kind: kind, id: r.Str()}
 	default:

@@ -119,10 +119,11 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 
 // commitVersion seals rec as the given version of its record under dek, makes
 // the ciphertext durable, and commits the version's 'V' entry; wrappedDEK is
-// the record's minted key blob on version 1 and nil afterwards. The caller
+// the record's minted key blob on version 1 and nil afterwards, and custody
+// says whether the entry carries the version's custody event. The caller
 // holds the record's stripe exclusively. All of it — AES-GCM seal, blockstore
 // append, both fsync waits — runs outside the commit sequencer.
-func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte) (Version, error) {
+func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool) (Version, error) {
 	ct, err := vcrypto.SealCtx(ctx, dek, ehr.Encode(rec), sealAAD(rec.ID, number))
 	if err != nil {
 		return Version{}, fmt.Errorf("core: sealing %s v%d: %w", rec.ID, number, err)
@@ -132,7 +133,7 @@ func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string
 		return Version{}, fmt.Errorf("core: storing %s v%d: %w", rec.ID, number, err)
 	}
 	e := walEntry{
-		kind: 'V', id: rec.ID, category: rec.Category, mrn: rec.MRN, created: rec.CreatedAt, wrappedDEK: wrappedDEK,
+		kind: 'V', custody: custody, id: rec.ID, category: rec.Category, mrn: rec.MRN, created: rec.CreatedAt, wrappedDEK: wrappedDEK,
 		ver: Version{Number: number, Author: author, Timestamp: v.now(), Ref: ref, CtHash: vcrypto.Hash(ct)},
 	}
 	// The WAL entry references this ciphertext by offset, and replay reads
@@ -191,36 +192,7 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	if err != nil {
 		return Version{}, err
 	}
-	ver, err := v.commitVersion(ctx, rec, actor, 1, dek, wrapped)
-	if err != nil {
-		return Version{}, err
-	}
-	// The version is committed (stored, WAL-logged, Merkle-committed,
-	// indexed) and visible; from here the Put has happened, and a custody
-	// failure is a post-commit warning, not an error.
-	v.custodyAfterCommit(ctx, audit.ActionCreate, provenance.EventCreated, actor, rec.ID, ver.CtHash)
-	return ver, nil
-}
-
-var metProvenanceErrors = obs.Default.Counter("medvault_provenance_append_errors_total",
-	"Custody-chain appends that failed after the operation's state was already committed.")
-
-// custodyAfterCommit extends the record's custody chain once an operation's
-// state is durably committed, and surfaces an append failure without failing
-// the operation: that would lie to the caller — the version exists, is
-// indexed, and is Merkle-committed, so a retried Put would hit ErrExists —
-// therefore the gap is reported as a post-commit warning: an audit event with
-// an error outcome plus a counter alerting operators that a chain is
-// incomplete.
-func (v *Vault) custodyAfterCommit(ctx context.Context, action audit.Action, typ provenance.EventType, actor, id string, ctHash [32]byte) {
-	if _, err := v.prov.Record(id, typ, actor, ctHash, ""); err != nil {
-		metProvenanceErrors.Inc()
-		_, _ = v.aud.AppendCtx(ctx, audit.Event{
-			Actor: actor, Action: action, Record: id,
-			Outcome: audit.OutcomeError,
-			Detail:  "custody chain append failed after commit: " + err.Error(),
-		})
-	}
+	return v.commitVersion(ctx, rec, actor, 1, dek, wrapped, true)
 }
 
 // readVersion reads and verifies one version's content. Caller holds at
@@ -370,14 +342,7 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if err != nil {
 		return Version{}, err
 	}
-	ver, err := v.commitVersion(ctx, rec, actor, st.count()+1, dek, nil)
-	if err != nil {
-		return Version{}, err
-	}
-	// Committed and visible: the correction must not be reported as failed
-	// when it exists, so a custody failure is a post-commit warning.
-	v.custodyAfterCommit(ctx, audit.ActionCorrect, provenance.EventCorrected, actor, rec.ID, ver.CtHash)
-	return ver, nil
+	return v.commitVersion(ctx, rec, actor, st.count()+1, dek, nil, true)
 }
 
 // searchAuthorized checks and audits search permission: the actor may search
@@ -494,13 +459,7 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 		})
 		return err
 	}
-	if err := v.commit(ctx, &walEntry{kind: 'S', id: id}, nil); err != nil {
-		return err
-	}
-	// The key is destroyed and the shred is WAL-logged — it has happened;
-	// a custody failure here is the same post-commit warning as in Put.
-	v.custodyAfterCommit(ctx, audit.ActionDelete, provenance.EventShredded, actor, id, [32]byte{})
-	return nil
+	return v.commit(ctx, &walEntry{kind: 'S', custody: true, id: id, ver: Version{Author: actor, Timestamp: v.now()}}, nil)
 }
 
 // PlaceHoldCtx puts a durable legal hold on the record: disposition is blocked

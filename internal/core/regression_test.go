@@ -1,18 +1,24 @@
 package core
 
 // Regression tests for the partial-failure bugs: a provenance-store failure
-// after commit must not make a successful Put/Correct look failed, and
+// after commit must not make a successful Put/Correct/Shred look failed, and
 // GetVersion/History must audit unknown-record probes exactly as Get does.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"medvault/internal/audit"
 	"medvault/internal/blockstore"
+	"medvault/internal/clock"
+	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 	"medvault/internal/provenance"
+	"medvault/internal/wal"
 )
 
 // failingStore wraps a Store and fails Append while armed.
@@ -30,12 +36,12 @@ func (f *failingStore) Append(data []byte) (blockstore.Ref, error) {
 	return f.Store.Append(data)
 }
 
-// withFailingProvenance rewires the vault's custody tracker onto a store
-// whose Append can be made to fail on demand.
+// withFailingProvenance rewires the vault's custody tracker onto its own
+// custody store behind a wrapper whose Append can be made to fail on demand.
 func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
 	v := c.Shard(0)
 	t.Helper()
-	fs := &failingStore{Store: blockstore.NewMemory(0)}
+	fs := &failingStore{Store: v.provStore}
 	tr, err := provenance.Open(provenance.Config{
 		Store:  fs,
 		Signer: v.signer,
@@ -49,91 +55,216 @@ func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
 	return fs
 }
 
-// TestPutSurvivesProvenanceFailure: before the fix, Put returned an error
-// after the version was committed, indexed, and inserted — the caller saw
-// failure, but a retry got ErrExists. Now the committed Put succeeds and the
-// custody gap is surfaced through the audit log instead.
-func TestPutSurvivesProvenanceFailure(t *testing.T) {
-	v, _ := newVault(t)
+// checkOwedCustody runs mutate — a put, correction or shred of rec that
+// appends custody event want — with the custody store failing, on a durable
+// vault that prepare has set up. The committed operation succeeds, the
+// counter ticks, retry (if any) answers as if the first call had succeeded,
+// VerifyAll passes once the store heals, Close keeps meta.wal, and the next
+// open's replay appends the owed event, with the version's ciphertext hash
+// (the zero hash for a shred) and time.
+func checkOwedCustody(t *testing.T, rec ehr.Record, want provenance.EventType, prepare func(*Cluster), mutate func(*Cluster) (Version, error), retry func(*Cluster) error) {
+	t.Helper()
+	ctx := context.Background()
+	master, vc, mem := mustKey(t), mustClock(), faultfs.NewMem()
+	open := func() *Cluster {
+		t.Helper()
+		v, err := Open(Config{Name: "owed", Master: master, Clock: vc, Dir: "vault", FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerStaff(t, v)
+		return v
+	}
+	v := open()
+	prepare(v)
 	fs := withFailingProvenance(t, v)
-	rec := clinicalRecord(t, 1)
-
 	fs.fail = true
-	ver, err := v.PutCtx(context.Background(), "dr-house", rec)
+	before := metProvenanceErrors.Value()
+	ver, err := mutate(v)
 	if err != nil {
-		t.Fatalf("Put with failing provenance store = %v, want success (the version is committed)", err)
+		t.Fatalf("%s with failing custody store = %v, want success (the state is committed)", want, err)
 	}
-	if ver.Number != 1 {
-		t.Fatalf("version = %d, want 1", ver.Number)
+	if got := metProvenanceErrors.Value() - before; got != 1 {
+		t.Errorf("medvault_provenance_append_errors_total rose by %d, want 1", got)
 	}
-
-	// The record is fully usable.
-	got, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
-	if err != nil {
-		t.Fatalf("Get after degraded Put: %v", err)
+	if retry != nil {
+		if err := retry(v); err != nil {
+			t.Error(err)
+		}
 	}
-	if got.Body != rec.Body {
-		t.Error("round-trip body mismatch")
+	fs.fail = false
+	if _, err := v.VerifyAll(nil, nil); err != nil {
+		t.Fatalf("VerifyAll after degraded %s: %v", want, err)
 	}
-
-	// The custody gap is audited as an error on the create action.
-	events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Record: rec.ID})
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	if _, _, err := wal.Read(mem, "vault/meta.wal", func(wal.Entry) error { entries++; return nil }); err != nil || entries == 0 {
+		t.Fatalf("Close with an owed custody event left meta.wal with %d entries (%v), want it kept", entries, err)
+	}
+	re := open()
+	defer re.Close()
+	chain, err := re.ProvenanceCtx(ctx, "officer-kim", rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, e := range events {
-		if e.Action == audit.ActionCreate && e.Outcome == audit.OutcomeError &&
-			strings.Contains(e.Detail, "custody chain append failed") {
-			found = true
-		}
+	last := chain[len(chain)-1]
+	if last.Type != want || last.ContentHash != ver.CtHash || last.Actor == "" || !last.Timestamp.Equal(vc.Now()) {
+		t.Errorf("custody chain after reopen ends in %s by %q at %v with hash %x; want the owed %s with hash %x at %v",
+			last.Type, last.Actor, last.Timestamp, last.ContentHash[:4], want, ver.CtHash[:4], vc.Now())
 	}
-	if !found {
-		t.Error("no audit event surfaces the provenance failure")
-	}
+}
 
-	// And crucially: a client that (wrongly) retries is told the record
-	// exists — which is now consistent with the first call having succeeded.
-	if _, err := v.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrExists) {
-		t.Errorf("retried Put = %v, want ErrExists", err)
-	}
-
-	// Once the store heals, the integrity sweep still passes: the vault
-	// never entered a half-committed state.
-	fs.fail = false
-	if _, err := v.VerifyAll(nil, nil); err != nil {
-		t.Fatalf("VerifyAll after degraded Put: %v", err)
-	}
+// TestPutSurvivesProvenanceFailure: before the fix, Put returned an error
+// after the version was committed, indexed, and inserted — the caller saw
+// failure, but a retry got ErrExists. Now the committed Put succeeds and the
+// next open appends its custody event.
+func TestPutSurvivesProvenanceFailure(t *testing.T) {
+	rec := clinicalRecord(t, 1)
+	checkOwedCustody(t, rec, provenance.EventCreated, func(*Cluster) {},
+		func(v *Cluster) (Version, error) {
+			ver, err := v.PutCtx(context.Background(), "dr-house", rec)
+			if err == nil && ver.Number != 1 {
+				t.Fatalf("version = %d, want 1", ver.Number)
+			}
+			got, _, gerr := v.GetCtx(context.Background(), "dr-house", rec.ID)
+			if err == nil && (gerr != nil || got.Body != rec.Body) {
+				t.Errorf("Get after degraded Put = %v, body match %t", gerr, got.Body == rec.Body)
+			}
+			return ver, err
+		},
+		// A client that (wrongly) retries is told the record exists —
+		// consistent with the first call having succeeded.
+		func(v *Cluster) error {
+			if _, err := v.PutCtx(context.Background(), "dr-house", rec); !errors.Is(err, ErrExists) {
+				return fmt.Errorf("retried Put = %v, want ErrExists", err)
+			}
+			return nil
+		})
 }
 
 // TestCorrectSurvivesProvenanceFailure mirrors the Put case for corrections.
 func TestCorrectSurvivesProvenanceFailure(t *testing.T) {
-	v, _ := newVault(t)
 	rec := clinicalRecord(t, 2)
-	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
-		t.Fatal(err)
-	}
-	fs := withFailingProvenance(t, v)
+	checkOwedCustody(t, rec, provenance.EventCorrected,
+		func(v *Cluster) {
+			if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(v *Cluster) (Version, error) {
+			rec.Body += " amended after review"
+			ver, err := v.CorrectCtx(context.Background(), "dr-house", rec)
+			if err == nil && ver.Number != 2 {
+				t.Fatalf("version = %d, want 2", ver.Number)
+			}
+			got, gotVer, gerr := v.GetCtx(context.Background(), "dr-house", rec.ID)
+			if err == nil && (gerr != nil || gotVer.Number != 2 || !strings.Contains(got.Body, "amended")) {
+				t.Errorf("correction not visible after degraded Correct: %v", gerr)
+			}
+			return ver, err
+		}, nil)
+}
 
-	fs.fail = true
-	rec.Body += " amended after review"
-	ver, err := v.CorrectCtx(context.Background(), "dr-house", rec)
-	if err != nil {
-		t.Fatalf("Correct with failing provenance store = %v, want success", err)
-	}
-	if ver.Number != 2 {
-		t.Fatalf("version = %d, want 2", ver.Number)
-	}
-	got, gotVer, err := v.GetCtx(context.Background(), "dr-house", rec.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotVer.Number != 2 || !strings.Contains(got.Body, "amended") {
-		t.Error("correction not visible after degraded Correct")
-	}
-	fs.fail = false
-	if _, err := v.VerifyAll(nil, nil); err != nil {
-		t.Fatalf("VerifyAll after degraded Correct: %v", err)
+// TestShredSurvivesProvenanceFailure: the shred is WAL-logged and the key
+// destroyed before its custody event; a failing custody store must not make
+// it look failed, and a retry is told the record is already shredded.
+func TestShredSurvivesProvenanceFailure(t *testing.T) {
+	rec := clinicalRecord(t, 3)
+	checkOwedCustody(t, rec, provenance.EventShredded,
+		func(v *Cluster) {
+			if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(v *Cluster) (Version, error) {
+			// Age past the clinical retention period.
+			v.Shard(0).clk.(*clock.Virtual).Advance(40 * 365 * 24 * time.Hour)
+			return Version{}, v.ShredCtx(context.Background(), "arch-lee", rec.ID)
+		},
+		func(v *Cluster) error {
+			if err := v.ShredCtx(context.Background(), "arch-lee", rec.ID); !errors.Is(err, ErrShredded) {
+				return fmt.Errorf("retried Shred = %v, want ErrShredded", err)
+			}
+			return nil
+		})
+}
+
+// TestOwedCustodyKeepsAckOrder: once a custody append fails, the shard
+// appends no custody event until it reopens, even after the store heals, so a
+// correction's event cannot land ahead of the create's the shard owes (and a
+// backup's event and an import are refused). Replay then appends both in WAL order, after a Close
+// and after a power cut alike.
+func TestOwedCustodyKeepsAckOrder(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		ctx := context.Background()
+		master, vc, mem := mustKey(t), mustClock(), faultfs.NewMem()
+		open := func(fsys faultfs.FS) *Cluster {
+			t.Helper()
+			v, err := Open(Config{Name: "owed", Master: master, Clock: vc, Dir: "vault", FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			registerStaff(t, v)
+			return v
+		}
+		v := open(mem)
+		fs := withFailingProvenance(t, v)
+		rec := clinicalRecord(t, 4)
+		fs.fail = true
+		created, err := v.PutCtx(ctx, "dr-house", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.fail = false
+		vc.Advance(time.Hour)
+		rec.Body += " amended after review"
+		corrected, err := v.CorrectCtx(ctx, "dr-house", rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Shard(0).RecordBackedUp("arch-lee", rec.ID, "tape-1"); !errors.Is(err, provenance.ErrWedged) {
+			t.Errorf("backed-up event while a create is owed = %v, want ErrWedged", err)
+		}
+		src, _ := newVault(t)
+		other := clinicalRecord(t, 5)
+		other.ID = "migrated-" + other.ID
+		if _, err := src.PutCtx(ctx, "dr-house", other); err != nil {
+			t.Fatal(err)
+		}
+		bundle, err := src.Export("arch-lee", other.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Import("arch-lee", bundle, "src"); !errors.Is(err, provenance.ErrWedged) {
+			t.Errorf("import while a create is owed = %v, want ErrWedged", err)
+		}
+		if _, err := v.VersionCount(other.ID); !errors.Is(err, ErrNotFound) {
+			t.Errorf("refused import left versions behind: %v", err)
+		}
+		img := mem
+		if crash {
+			img = mem.CrashImage(faultfs.KeepNone)
+		} else if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := open(img)
+		chain, err := re.ProvenanceCtx(ctx, "officer-kim", rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Version{created, corrected}
+		if len(chain) != len(want) {
+			t.Fatalf("crash=%t: custody chain has %d events after reopen, want [created, corrected]", crash, len(chain))
+		}
+		for i, e := range chain {
+			if e.Type != custodyType(want[i].Number) || e.ContentHash != want[i].CtHash || !e.Timestamp.Equal(want[i].Timestamp) {
+				t.Errorf("crash=%t: custody event %d is %s %x at %v, want %s %x at %v", crash, i,
+					e.Type, e.ContentHash[:4], e.Timestamp, custodyType(want[i].Number), want[i].CtHash[:4], want[i].Timestamp)
+			}
+		}
+		re.Close()
 	}
 }
 

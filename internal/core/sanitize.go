@@ -117,11 +117,9 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 		}
 	}
 	// Metadata now references the new media only: snapshot and drop stale
-	// WAL intents.
-	if err := v.writeSnapshotLocked(); err != nil {
-		return 0, 0, err
-	}
-	if err := v.metaWAL.Checkpoint(); err != nil {
+	// WAL intents (a kept one is covered by the snapshot, so replay only
+	// completes its custody event).
+	if err := v.checkpoint(); err != nil {
 		return 0, 0, err
 	}
 	// The rewrite relocated every block, so no cached (ref, bytes) pair is

@@ -11,6 +11,9 @@
 //     readable after recovery: acked Put/Correct versions decrypt to the
 //     exact bodies that were written, acked Shreds stay shredded, acked
 //     legal holds are still in force.
+//   - Every acked Put, Correct and Shred has its custody event, in ack order
+//     and carrying the acked version's ciphertext hash (the zero hash for a
+//     shred): replay completes whatever the cut removed, once.
 //   - VerifyAll passes: the WAL-rebuilt version set matches the Merkle
 //     commitment log leaf for leaf, the audit hash chain verifies, and
 //     every provenance custody chain verifies.
@@ -41,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,9 +104,10 @@ func (r TortureReport) Passed() bool { return len(r.Failures) == 0 }
 // it or lose it — and the oracle tolerates either outcome. Sequential use
 // only.
 type oracle struct {
-	bodies   map[string][]string // id -> body per acked version (index = number-1)
-	shredded map[string]bool     // acked shreds
-	holds    map[string]bool     // acked holds not yet acked-released
+	bodies   map[string][]string   // id -> body per acked version (index = number-1)
+	hashes   map[string][][32]byte // id -> ciphertext hash per acked version
+	shredded map[string]bool       // acked shreds
+	holds    map[string]bool       // acked holds not yet acked-released
 
 	shredTried   map[string]bool // Shred attempted (ack unknown at crash)
 	releaseTried map[string]bool // ReleaseHold attempted
@@ -111,6 +116,7 @@ type oracle struct {
 func newOracle() *oracle {
 	return &oracle{
 		bodies:       make(map[string][]string),
+		hashes:       make(map[string][][32]byte),
 		shredded:     make(map[string]bool),
 		holds:        make(map[string]bool),
 		shredTried:   make(map[string]bool),
@@ -178,19 +184,23 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	ctx := context.Background()
 	put := func(id string) error {
 		rec := tortureRecord(id, 1, vc.Now())
-		if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+		ver, err := v.PutCtx(ctx, "dr-house", rec)
+		if err != nil {
 			return err
 		}
 		o.bodies[id] = append(o.bodies[id], rec.Body)
+		o.hashes[id] = append(o.hashes[id], ver.CtHash)
 		return nil
 	}
 	correct := func(id string) error {
 		n := len(o.bodies[id]) + 1
 		rec := tortureRecord(id, n, vc.Now())
-		if _, err := v.CorrectCtx(ctx, "dr-house", rec); err != nil {
+		ver, err := v.CorrectCtx(ctx, "dr-house", rec)
+		if err != nil {
 			return err
 		}
 		o.bodies[id] = append(o.bodies[id], rec.Body)
+		o.hashes[id] = append(o.hashes[id], ver.CtHash)
 		return nil
 	}
 
@@ -293,6 +303,45 @@ func (o *oracle) check(v *Cluster) error {
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {
 		return fmt.Errorf("integrity verification failed after recovery: %w", err)
+	}
+	return o.checkCustody(v)
+}
+
+// checkCustody requires each acked record's custody chain to be its acked
+// Put, Corrects and Shred in ack order, of the types apply appends and with
+// the acked ciphertext hashes (zero for a shred), followed at most by the
+// event of the one operation in flight at the cut: a new version or the
+// attempted shred.
+func (o *oracle) checkCustody(v *Cluster) error {
+	for id, hashes := range o.hashes {
+		chain, err := v.shardFor(id).prov.Chain(id)
+		if err != nil {
+			return fmt.Errorf("custody chain of %s after recovery: %w", id, err)
+		}
+		acked := len(hashes)
+		if o.shredded[id] {
+			acked++
+		}
+		if len(chain) < acked || len(chain) > acked+1 {
+			return fmt.Errorf("%s has %d custody events after recovery, want its %d acked mutations' and at most one in flight", id, len(chain), acked)
+		}
+		for i, e := range chain {
+			number, hash := uint64(i+1), [32]byte{}
+			switch {
+			case i < len(hashes):
+				hash = hashes[i]
+			case i < acked:
+				number = 0 // the acked shred
+			case e.Type == custodyType(0) && o.shredTried[id] && !o.shredded[id],
+				e.Type == custodyType(number) && !slices.Contains(hashes, e.ContentHash):
+				continue // the operation in flight landed
+			default:
+				return fmt.Errorf("custody event %d of %s after recovery is %s, not an operation in flight at the cut", i, id, e.Type)
+			}
+			if e.Type != custodyType(number) || e.ContentHash != hash {
+				return fmt.Errorf("custody event %d of %s after recovery is %s %x, want the acked %s %x", i, id, e.Type, e.ContentHash[:4], custodyType(number), hash[:4])
+			}
+		}
 	}
 	return nil
 }
@@ -596,6 +645,9 @@ func runBitRot(shards int) (int, []TortureFailure) {
 	if _, err := v.VerifyAll(nil, nil); err != nil {
 		fails = append(fails, TortureFailure{Scenario: "bit-rot/aftermath", Point: -1,
 			Detail: fmt.Sprintf("vault does not verify after transient read faults: %v", err)})
+	}
+	if err := o.checkCustody(v); err != nil {
+		fails = append(fails, TortureFailure{Scenario: "bit-rot/aftermath", Point: -1, Detail: err.Error()})
 	}
 	return scenarios, fails
 }

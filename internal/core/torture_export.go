@@ -38,7 +38,8 @@ func RunTortureWorkload(v *Cluster, vc *clock.Virtual, o *TortureOracle) error {
 // flight tail decodes, is sentinel-free and claims nothing recovery does not
 // rebuild; two recovery passes each satisfy the oracle (every acked version
 // readable with its exact body, acked shreds honored, acked holds in force,
-// VerifyAll clean); and no sentinel plaintext is on the medium.
+// VerifyAll clean, one custody event per acked put, correction and shred);
+// and no sentinel plaintext is on the medium.
 func (t *TortureOracle) RecoverAndCheck(img *faultfs.Mem, shards int) error {
 	return recoverAndCheck(img, t.o, shards)
 }

@@ -261,6 +261,10 @@ type Vault struct {
 	recovery RecoveryInfo // what the last Open rebuilt
 	shard    string       // shard index label when part of a >1-shard Cluster
 
+	// replaying is set while recover replays meta.wal: apply's custody step
+	// completes events there instead of appending them.
+	replaying bool
+
 	flight *obs.Flight     // in-memory ring ops report to (never nil)
 	fsink  *obs.FlightSink // durable segment sink under dir/flight; may be nil
 
@@ -361,11 +365,13 @@ func (v *Vault) recover(master vcrypto.Key) error {
 	if err := v.loadSnapshot(master, filepath.Join(v.dir, "meta.snap")); err != nil {
 		return err
 	}
+	v.replaying = true
 	w, err := wal.OpenFS(v.fs, filepath.Join(v.dir, "meta.wal"), func(e wal.Entry) error {
 		v.recovery.WALEntries++
 		obs.CountWork(obs.WorkWALReplay)
 		return v.replay(e.Data)
 	})
+	v.replaying = false
 	if err != nil {
 		return fmt.Errorf("core: recovering metadata WAL: %w", err)
 	}
@@ -432,7 +438,7 @@ func (v *Vault) StorageBytes() int64 {
 }
 
 // Close flushes state and releases resources. It writes a metadata snapshot
-// and checkpoints the WAL, so the next Open is fast.
+// and checkpoints the WAL (see checkpoint), so the next Open is fast.
 //
 // Close first drains: it waits for every in-flight operation to finish (the
 // op gate) before releasing anything, so an operation admitted before Close
@@ -455,24 +461,34 @@ func (v *Vault) Close() error {
 	if v.fsink != nil {
 		v.fsink.Close() // best-effort; flight loss never fails a Close
 	}
-	if err := v.writeSnapshotLocked(); err != nil {
-		return err
-	}
-	if err := v.metaWAL.Checkpoint(); err != nil {
+	if err := v.checkpoint(); err != nil {
 		return err
 	}
 	if err := v.metaWAL.Close(); err != nil {
 		return err
 	}
 	for _, st := range []*blockstore.File{v.blocks, v.auditStore, v.provStore} {
-		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-			return err
-		}
 		if err := st.Close(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkpoint syncs the block, audit and custody stores — a truncated entry
+// can no longer replay a custody event — then writes meta.snap and truncates
+// meta.wal unless the shard owes custody events (its tracker is wedged). The
+// caller holds the op gate exclusively (Close, SanitizeMedia).
+func (v *Vault) checkpoint() error {
+	for _, st := range []*blockstore.File{v.blocks, v.auditStore, v.provStore} {
+		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
+			return err
+		}
+	}
+	if err := v.writeSnapshotLocked(); err != nil || v.prov.Wedged() {
+		return err
+	}
+	return v.metaWAL.Checkpoint()
 }
 
 // now returns the current vault time in UTC.

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,6 +69,10 @@ var (
 	ErrUnknownRecord = errors.New("provenance: unknown record")
 	// ErrCorrupt indicates an undecodable persisted event.
 	ErrCorrupt = errors.New("provenance: corrupt event encoding")
+	// ErrWedged indicates an earlier append failed: the tracker appends
+	// nothing more until it is reopened, so no event lands ahead of one its
+	// owner still owes.
+	ErrWedged = errors.New("provenance: an earlier custody append failed; reopen to append")
 )
 
 // Event is one link in a record's custody chain.
@@ -110,6 +115,7 @@ type Tracker struct {
 	now    func() time.Time
 	recs   *recno.Table // record numbers; lock order: mu → recs
 	chains []chainRefs  // record number -> chain; no refs: no chain yet
+	wedged bool         // an append or Complete failed since Open (see ErrWedged)
 }
 
 // chainRefs is all a record's custody chain keeps in RAM: where each event
@@ -225,14 +231,56 @@ func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
 // migration events. The completed event is returned unsigned: the medium
 // holds it under the tracker's MAC, and Export signs it when it leaves.
 func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [32]byte, peer string) (Event, error) {
+	return tr.append(id, typ, actor, contentHash, peer, tr.now())
+}
+
+// RecordAt appends a committed mutation's custody event at the mutation's
+// own time at, so the event is the same whether the live run appends it or
+// Complete does at the next open.
+func (tr *Tracker) RecordAt(id string, typ EventType, actor string, contentHash [32]byte, at time.Time) error {
+	_, err := tr.append(id, typ, actor, contentHash, "", at)
+	return err
+}
+
+// Complete is RecordAt unless id's chain already holds an event of type typ
+// with content hash contentHash: a crash only cuts a medium's tail, so
+// replaying a log of mutations through Complete appends each lost event once,
+// in log order. It reads id's chain back from the medium, so it is recovery's
+// call, not the live path's. The caller serializes a record's mutations.
+func (tr *Tracker) Complete(id string, typ EventType, actor string, contentHash [32]byte, at time.Time) error {
+	chain, err := tr.Chain(id)
+	if err != nil && !errors.Is(err, ErrUnknownRecord) {
+		tr.mu.Lock()
+		tr.wedged = true // the event may be owed: nothing may land ahead of it
+		tr.mu.Unlock()
+		return err
+	}
+	if slices.ContainsFunc(chain, func(e Event) bool { return e.Type == typ && e.ContentHash == contentHash }) {
+		return nil
+	}
+	return tr.RecordAt(id, typ, actor, contentHash, at)
+}
+
+// Wedged reports whether an append or Complete failed since Open.
+func (tr *Tracker) Wedged() bool {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.wedged
+}
+
+// append persists the tracker's own event for id at time at.
+func (tr *Tracker) append(id string, typ EventType, actor string, contentHash [32]byte, peer string, at time.Time) (Event, error) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	if tr.wedged {
+		return Event{}, ErrWedged
+	}
 	index, prev := tr.chain(id).next()
 	e := Event{
 		Record:      id,
 		Index:       index,
 		Type:        typ,
-		Timestamp:   tr.now().UTC(),
+		Timestamp:   at.UTC(),
 		Actor:       actor,
 		System:      tr.system,
 		Peer:        peer,
@@ -243,6 +291,7 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 	e.SignerKey = tr.signer.Public()
 	ref, err := tr.store.Append(tr.encode(e))
 	if err != nil {
+		tr.wedged = true
 		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
 	tr.extend(id, ref, e.Hash)
@@ -259,6 +308,9 @@ func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [3
 func (tr *Tracker) Adopt(id string, events []Event) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	if tr.wedged {
+		return ErrWedged
+	}
 	index, prev := tr.chain(id).next()
 	if err := checkFrom(id, events, index, prev); err != nil {
 		return err
@@ -266,6 +318,7 @@ func (tr *Tracker) Adopt(id string, events []Event) error {
 	for _, e := range events {
 		ref, err := tr.store.Append(tr.encode(e))
 		if err != nil {
+			tr.wedged = true
 			return fmt.Errorf("provenance: persisting adopted event: %w", err)
 		}
 		tr.extend(id, ref, e.Hash)

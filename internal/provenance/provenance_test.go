@@ -60,6 +60,43 @@ func TestRecordBuildsChain(t *testing.T) {
 	}
 }
 
+// TestCompleteAppendsOnce: Complete appends a mutation's event at the time
+// it is given, and a second Complete of the same event — what replay does for
+// a mutation whose event survived the crash — appends nothing; a different
+// type or content hash is a different event.
+func TestCompleteAppendsOnce(t *testing.T) {
+	tr, _ := newTracker(t, "hospital-a", nil)
+	h1, h2 := vcrypto.Hash([]byte("v1")), vcrypto.Hash([]byte("v2"))
+	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		typ  EventType
+		hash [32]byte
+		want int
+	}{
+		{EventCreated, h1, 1},
+		{EventCreated, h1, 1},
+		{EventCorrected, h1, 2},
+		{EventCorrected, h2, 3},
+		{EventCorrected, h2, 3},
+		{EventShredded, [32]byte{}, 4},
+		{EventShredded, [32]byte{}, 4},
+	} {
+		if err := tr.Complete("p1", c.typ, "dr-jones", c.hash, at); err != nil {
+			t.Fatal(err)
+		}
+		chain, err := tr.Chain("p1")
+		if err != nil || len(chain) != c.want {
+			t.Fatalf("after Complete(%s, %x): %d events (%v), want %d", c.typ, c.hash[:2], len(chain), err, c.want)
+		}
+		if last := chain[len(chain)-1]; !last.Timestamp.Equal(at) || last.Actor != "dr-jones" {
+			t.Errorf("event %d at %v by %q, want %v by dr-jones", last.Index, last.Timestamp, last.Actor, at)
+		}
+	}
+	if err := tr.Verify("p1", nil); err != nil {
+		t.Errorf("Verify: %v", err)
+	}
+}
+
 func TestChainsAreIndependentPerRecord(t *testing.T) {
 	tr, _ := newTracker(t, "sys", nil)
 	for i := 0; i < 3; i++ {

@@ -739,7 +739,7 @@ func (m *Model) resyncJournal(s int, actual []auEvent) (int, bool) {
 
 // resyncJournalLossy is resyncJournal with tolerance for one silently
 // dropped append: several vault paths discard audit-append errors (probe
-// events, post-commit warnings, the verifier's own success event), so a
+// events, hold events, the verifier's own success event), so a
 // one-shot injected fault can leave the persisted chain equal to the
 // expectation with exactly one event deleted mid-chain. At most one
 // deletion is tried — anything beyond that is a real divergence.
@@ -761,22 +761,6 @@ func (m *Model) resyncJournalLossy(s int, actual []auEvent) (int, bool) {
 	}
 	m.journals[s] = saved
 	return pos, false
-}
-
-// resyncProv adopts the surviving custody chain for id after a crash: it
-// must be a prefix of the expected chain.
-func (m *Model) resyncProv(id string, actual []provenance.EventType) bool {
-	want := m.prov[id]
-	if len(actual) > len(want) {
-		return false
-	}
-	for i, t := range actual {
-		if t != want[i] {
-			return false
-		}
-	}
-	m.prov[id] = want[:len(actual):len(actual)]
-	return true
 }
 
 // The drop/pop/unshred helpers revert a speculative mutation when a faulted
@@ -805,10 +789,7 @@ func (m *Model) unshred(id string) {
 	r.Shredded = false
 	last := r.Versions[len(r.Versions)-1]
 	r.Tokens = tokensOf(last.Title, last.Body, last.Codes)
-	p := m.prov[id]
-	if len(p) > 0 && p[len(p)-1] == provenance.EventShredded {
-		m.prov[id] = p[:len(p)-1]
-	}
+	m.prov[id] = m.prov[id][:len(m.prov[id])-1]
 }
 
 // setHolds replaces the model's hold set with what the vault actually has —

@@ -3,8 +3,8 @@ package sim
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -588,27 +588,8 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 	}
 
 	for _, id := range m.allIDs() {
-		m.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
-		chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
-		want := m.prov[id]
-		if len(want) == 0 {
-			// The whole chain was lost to a crash before any event synced;
-			// the vault must report it unknown, not invent one.
-			if !errors.Is(err, provenance.ErrUnknownRecord) {
-				return div("provenance of %s: want unknown-record, got %d events (%v)", id, len(chain), err)
-			}
-			continue
-		}
-		if err != nil {
-			return div("provenance of %s: %v", id, err)
-		}
-		if len(chain) != len(want) {
-			return div("provenance of %s: vault %d events, model %d", id, len(chain), len(want))
-		}
-		for j, ev := range chain {
-			if ev.Type != want[j] {
-				return div("provenance of %s[%d]: vault %s, model %s", id, j, ev.Type, want[j])
-			}
+		if d := e.checkCustody(div, id); d != nil {
+			return d
 		}
 	}
 
@@ -682,6 +663,24 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 		if len(e.cps[s]) > 8 {
 			e.cps[s] = e.cps[s][len(e.cps[s])-8:]
 		}
+	}
+	return nil
+}
+
+// checkCustody requires id's custody chain to be the model's exactly, after a
+// crash or a fault as before it; the query is audited like any other.
+func (e *engine) checkCustody(div func(string, ...any) *Divergence, id string) *Divergence {
+	e.model.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
+	chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
+	if err != nil {
+		return div("provenance of %s: %v", id, err)
+	}
+	types := make([]provenance.EventType, len(chain))
+	for j, ev := range chain {
+		types[j] = ev.Type
+	}
+	if want := e.model.prov[id]; !slices.Equal(types, want) {
+		return div("provenance of %s: vault %v, model %v", id, types, want)
 	}
 	return nil
 }
@@ -765,9 +764,9 @@ func (e *engine) hangUp() {
 // reopenAndResync remounts after a power cut and reconciles the model with
 // what legitimately survived: break-glass grants die with the process,
 // remembered audit checkpoints may now outrun a truncated chain, and the
-// audit/provenance tails — synced only on Close — may be cut short. WAL-acked
-// state (versions, shreds, holds) gets no slack: the deep check that follows
-// requires it exactly.
+// audit tail — synced only on Close — may be cut short. WAL-acked state
+// (versions, shreds, holds, and the custody events replay completes) gets no
+// slack: the deep check that follows requires it exactly.
 func (e *engine) reopenAndResync(i int, s Step) *Divergence {
 	div := divAt(i, s)
 	if err := e.open(); err != nil {
@@ -776,18 +775,15 @@ func (e *engine) reopenAndResync(i int, s Step) *Divergence {
 	m := e.model
 	m.clearGrants()
 	e.cps = make([][]audit.Checkpoint, e.shards)
-	return e.resyncTails(i, s, m.allIDs(), nil, false)
+	return e.resyncTails(i, s, false)
 }
 
-// resyncTails reconciles the audit journal and the given custody chains
-// against the reopened vault (prefix-match or divergence). warn, when
-// non-nil, is a post-commit custody-failure event the vault may have
-// appended beyond the model's expectations (see reconcile); it is adopted
-// only if the persisted chain actually contains it at the expected spot.
-// lossy tolerates one silently dropped append (reconcile after an injected
-// fault); after a power cut only tail truncation is physically possible, so
-// the crash path keeps the strict prefix rule.
-func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, lossy bool) *Divergence {
+// resyncTails reconciles the audit journal against the reopened vault
+// (prefix-match or divergence). lossy tolerates one silently dropped append
+// (reconcile after an injected fault); after a power cut only tail
+// truncation is physically possible, so the crash path keeps the strict
+// prefix rule.
+func (e *engine) resyncTails(i int, s Step, lossy bool) *Divergence {
 	div := divAt(i, s)
 	m := e.model
 	for sh := 0; sh < e.shards; sh++ {
@@ -800,11 +796,6 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 			return div("shard %d audit chain after remount does not end with the query's own event", sh)
 		}
 		chain := got[:len(got)-1]
-		// A post-commit warn event names its record, so it can only have
-		// landed on that record's shard.
-		if warn != nil && m.route(warn.Record) == sh && len(chain) > len(m.journals[sh]) && chain[len(m.journals[sh])] == *warn {
-			m.appendShard(sh, *warn)
-		}
 		resync := m.resyncJournal
 		if lossy {
 			resync = m.resyncJournalLossy
@@ -822,24 +813,6 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 		}
 		m.appendShard(sh, auditQueryEvent(""))
 	}
-	for _, id := range provIDs {
-		m.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
-		chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
-		var types []provenance.EventType
-		switch {
-		case err == nil:
-			for _, ev := range chain {
-				types = append(types, ev.Type)
-			}
-		case errors.Is(err, provenance.ErrUnknownRecord):
-			// nothing survived
-		default:
-			return div("provenance of %s after remount: %v", id, err)
-		}
-		if !m.resyncProv(id, types) {
-			return div("custody chain of %s after remount is not a prefix of expectations", id)
-		}
-	}
 	return nil
 }
 
@@ -847,7 +820,8 @@ func (e *engine) resyncTails(i int, s Step, provIDs []string, warn *auEvent, los
 // have wedged, the operation may have half-landed, and audit appends whose
 // errors the vault deliberately swallows may have been dropped. The disk is
 // kept (a process restart, not a power cut), the vault is remounted, and the
-// ambiguity is resolved by probing un-audited observables.
+// ambiguity is resolved by probing un-audited observables. A faulted custody
+// append of a committed mutation needs no probe: replay appends the event.
 func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 	div := divAt(i, s)
 	if err := e.open(); err != nil {
@@ -857,22 +831,11 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 	m.clearGrants()
 	e.cps = make([][]audit.Checkpoint, e.shards)
 
-	// If the mutation itself committed, the fault may instead have landed in
-	// the post-commit custody append, which the vault reports as an
-	// OutcomeError audit event (custodyAfterCommit) rather than a failed call —
-	// an event the model did not predict. Offer it to resyncTails, which
-	// adopts it only if it is actually on the persisted chain.
-	var warn *auEvent
-	warnEvent := func(action audit.Action) *auEvent {
-		return &auEvent{Actor: s.Actor, Action: action, Record: s.Record, Outcome: audit.OutcomeError}
-	}
 	if want.kind == eOK {
 		switch s.Op {
 		case OpPut:
 			if _, err := e.v.VersionCount(s.Record); err != nil {
 				m.dropRecord(s.Record)
-			} else {
-				warn = warnEvent(audit.ActionCreate)
 			}
 		case OpCorrect:
 			n, err := e.v.VersionCount(s.Record)
@@ -881,9 +844,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 				return div("record vanished across a non-crash restart: %v", err)
 			case n == int(want.version)-1:
 				m.popVersion(s.Record)
-			case n == int(want.version):
-				warn = warnEvent(audit.ActionCorrect)
-			default:
+			case n != int(want.version):
 				return div("correction half-landed: vault has %d versions, model %d", n, want.version)
 			}
 		case OpShred:
@@ -891,9 +852,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 			switch {
 			case err == nil:
 				m.unshred(s.Record)
-			case classify(err) == eShredded:
-				warn = warnEvent(audit.ActionDelete)
-			default:
+			case classify(err) != eShredded:
 				return div("shred target unreadable after restart: %v", err)
 			}
 		case OpPlaceHold, OpReleaseHold:
@@ -914,11 +873,8 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 		return div("reopen after fault reconcile: %v", err)
 	}
 
-	var provIDs []string
-	if s.Record != "" {
-		if _, ok := m.prov[s.Record]; ok {
-			provIDs = []string{s.Record}
-		}
+	if d := e.resyncTails(i, s, true); d != nil || s.Record == "" || m.prov[s.Record] == nil {
+		return d
 	}
-	return e.resyncTails(i, s, provIDs, warn, true)
+	return e.checkCustody(div, s.Record)
 }

@@ -17,8 +17,10 @@ check() {
 check "One field codec: internal/frame owns every read/write/append helper" \
 	"$(grep -rnE '^func (write|read|append)(U8|U16|U32|U64|Str|Bytes|BytesField)\(' internal cmd --include='*.go' | grep -v '^internal/frame/')"
 
-check "One mutation path: only internal/core/commit.go logs an entry or applies one" \
-	"$(grep -nE 'st\.more = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
+# A put's, correction's or shred's custody event is part of its entry's
+# apply, so replay completes one a crash cut off; no other core file names it.
+check "One mutation path: only internal/core/commit.go logs an entry, applies one or names a mutation's custody event" \
+	"$(grep -nE 'st\.more = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)|provenance\.Event(Created|Corrected|Shredded)\b' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
 
 check "One LRU: internal/lru is the only importer of container/list" \
 	"$(grep -rn '"container/list"' internal cmd --include='*.go' | grep -v '^internal/lru/')"
