@@ -117,6 +117,9 @@ var (
 	ErrCheckpointMismatch = errors.New("audit: checkpoint mismatch")
 	// ErrCorrupt indicates an undecodable persisted event.
 	ErrCorrupt = errors.New("audit: corrupt event encoding")
+	// ErrWedged indicates an earlier append failed: the log appends nothing
+	// more until it is reopened, so no event lands after the one it lost.
+	ErrWedged = errors.New("audit: an earlier append failed; reopen to append")
 )
 
 // Checkpoint is a signed commitment to the chain state after Seq events.
@@ -156,6 +159,7 @@ type Log struct {
 	lastHash [32]byte
 	every    int // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
+	wedged   bool // an append failed since Open (see ErrWedged)
 }
 
 // postings maps a filter value to the ascending seqs of the events carrying
@@ -384,6 +388,9 @@ func (l *Log) AppendAll(events []Event) (Event, error) {
 }
 
 func (l *Log) appendLocked(e Event) (Event, error) {
+	if l.wedged {
+		return Event{}, ErrWedged
+	}
 	start := time.Now()
 	defer metAppendSeconds.ObserveSince(start)
 	e.Seq = uint64(len(l.refs))
@@ -393,6 +400,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.MAC = l.mac.Sum(nil, e.Hash[:])
 	ref, err := l.store.Append(encodeEvent(e, l.symbolNumbers(e)))
 	if err != nil {
+		l.wedged = true
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
 	l.index(ref, e)
@@ -401,6 +409,13 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}
 	return e, nil
+}
+
+// Wedged reports whether an append failed since Open.
+func (l *Log) Wedged() bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.wedged
 }
 
 // Len returns the number of events.

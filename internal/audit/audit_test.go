@@ -306,6 +306,64 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// failingStore fails Append while fail is set, as a full or broken medium
+// does; blockstore.File takes such a write back, so the next one succeeds.
+type failingStore struct {
+	blockstore.Store
+	fail bool
+}
+
+func (f *failingStore) Append(data []byte) (blockstore.Ref, error) {
+	if f.fail {
+		return blockstore.Ref{}, errors.New("injected append failure")
+	}
+	return f.Store.Append(data)
+}
+
+// TestFailedAppendWedgesTheLog: an append that fails leaves the log wedged
+// until reopen, so no later event lands after the one it lost and the
+// medium's chain is always a prefix of what callers appended.
+func TestFailedAppendWedgesTheLog(t *testing.T) {
+	store := &failingStore{Store: blockstore.NewMemory(0)}
+	l, signer, key := newTestLog(t, store)
+	appendN(t, l, 4)
+	want := allEvents(t, l)
+
+	store.fail = true
+	if _, err := l.Append(Event{Actor: "lost", Action: ActionRead, Outcome: OutcomeAllowed}); err == nil || errors.Is(err, ErrWedged) {
+		t.Fatalf("failing append = %v, want the store's error", err)
+	}
+	store.fail = false
+	if _, err := l.Append(Event{Actor: "later", Action: ActionRead, Outcome: OutcomeAllowed}); !errors.Is(err, ErrWedged) {
+		t.Errorf("Append after a failed append = %v, want ErrWedged", err)
+	}
+	if _, err := l.AppendAll([]Event{{Actor: "later", Action: ActionRead, Outcome: OutcomeAllowed}}); !errors.Is(err, ErrWedged) {
+		t.Errorf("AppendAll after a failed append = %v, want ErrWedged", err)
+	}
+	if !l.Wedged() || l.Len() != len(want) {
+		t.Errorf("Wedged() = %t, Len() = %d; want true, %d", l.Wedged(), l.Len(), len(want))
+	}
+	if _, stored := storedEvents(t, store); len(stored) != len(want) {
+		t.Errorf("store holds %d events, want the %d before the failure", len(stored), len(want))
+	}
+
+	re, err := Open(Config{Store: store, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatalf("reopen over the healed store: %v", err)
+	}
+	if n, err := re.Verify(); err != nil || n != len(want) {
+		t.Fatalf("reopened log verifies %d events (%v), want %d", n, err, len(want))
+	}
+	for i, e := range allEvents(t, re) {
+		if e.Hash != want[i].Hash {
+			t.Errorf("event %d after reopen differs from the one appended", i)
+		}
+	}
+	if _, err := re.Append(Event{Actor: "x", Action: ActionRead, Outcome: OutcomeAllowed}); err != nil || re.Wedged() {
+		t.Errorf("Append after reopen = %v (wedged %t), want success", err, re.Wedged())
+	}
+}
+
 func TestOpenRejectsTamperedPersistence(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)

@@ -418,6 +418,7 @@ func (c *Cluster) Health() HealthStatus {
 			merged.WALWedged = true
 			merged.WALWedgeError = fmt.Sprintf("shard %d: %s", i, h.WALWedgeError)
 		}
+		merged.AuditWedged = merged.AuditWedged || h.AuditWedged
 		merged.WALQueueDepth += h.WALQueueDepth
 		merged.LiveRecords += h.LiveRecords
 		merged.LastRecovery.SnapshotLoaded = merged.LastRecovery.SnapshotLoaded || h.LastRecovery.SnapshotLoaded

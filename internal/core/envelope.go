@@ -7,9 +7,12 @@ import (
 	"strings"
 	"time"
 
+	"medvault/internal/audit"
 	"medvault/internal/authz"
+	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/obs"
+	"medvault/internal/provenance"
 	"medvault/internal/retention"
 )
 
@@ -153,6 +156,9 @@ var outcomes = []struct {
 }{
 	{ErrClosed, "closed"},
 	{ErrWedged, "wedged"},
+	{audit.ErrWedged, "wedged"},
+	{provenance.ErrWedged, "wedged"},
+	{blockstore.ErrWedged, "wedged"},
 	{ErrDenied, "denied"},
 	{ErrNotFound, "not_found"},
 	{ErrShredded, "shredded"},

@@ -9,9 +9,11 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
+	"medvault/internal/blockstore"
 	"medvault/internal/clock"
 	"medvault/internal/ehr"
 	"medvault/internal/obs"
+	"medvault/internal/provenance"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 )
@@ -260,6 +262,9 @@ func TestOutcomeTable(t *testing.T) {
 		{nil, "ok"},
 		{ErrClosed, "closed"},
 		{ErrWedged, "wedged"},
+		{audit.ErrWedged, "wedged"},
+		{provenance.ErrWedged, "wedged"},
+		{blockstore.ErrWedged, "wedged"},
 		{errors.Join(ErrDenied, ErrClosed), "closed"},
 		{ErrDenied, "denied"},
 		{ErrNotFound, "not_found"},

@@ -501,6 +501,8 @@ func (v *Vault) changeHold(ctx context.Context, op, actor string, e walEntry, de
 	if err := v.commit(ctx, &e, nil); err != nil {
 		return err
 	}
+	// The hold is committed either way; a failed append wedges the audit
+	// log, so the shard's next audited operation answers wedged.
 	_, _ = v.aud.AppendCtx(ctx, audit.Event{
 		Actor: actor, Action: audit.ActionPolicy, Record: e.id,
 		Outcome: audit.OutcomeAllowed, Detail: detail,

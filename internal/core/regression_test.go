@@ -18,20 +18,26 @@ import (
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/provenance"
+	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
 )
 
-// failingStore wraps a Store and fails Append while armed.
+// failingStore wraps a Store and fails Append while armed, after letting
+// pass appends through.
 type failingStore struct {
 	blockstore.Store
 	fail bool
+	pass int
 }
 
 var errInjectedAppend = errors.New("injected append failure")
 
 func (f *failingStore) Append(data []byte) (blockstore.Ref, error) {
 	if f.fail {
-		return blockstore.Ref{}, errInjectedAppend
+		if f.pass == 0 {
+			return blockstore.Ref{}, errInjectedAppend
+		}
+		f.pass--
 	}
 	return f.Store.Append(data)
 }
@@ -53,6 +59,80 @@ func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
 	}
 	v.prov = tr
 	return fs
+}
+
+// withFailingAudit rewires the vault's audit log onto its own audit store
+// behind a wrapper whose Append can be made to fail on demand.
+func withFailingAudit(t *testing.T, c *Cluster, master vcrypto.Key) *failingStore {
+	v := c.Shard(0)
+	t.Helper()
+	fs := &failingStore{Store: v.auditStore}
+	l, err := audit.Open(audit.Config{
+		Store:  fs,
+		MACKey: vcrypto.DeriveKey(master, "vault/audit-mac"),
+		Signer: v.signer,
+		Now:    v.clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.aud = l
+	return fs
+}
+
+// TestSwallowedAuditFailureWedgesTheShard: the post-commit hold event's
+// append error is discarded, since the hold is committed. Before the fix the
+// store healed and the next event landed after the lost one, leaving a chain
+// that verifies with a gap. Now the shard answers wedged to every audited
+// operation until it reopens, and the reopened chain ends where it broke.
+func TestSwallowedAuditFailureWedgesTheShard(t *testing.T) {
+	ctx := context.Background()
+	master, vc, mem := mustKey(t), mustClock(), faultfs.NewMem()
+	open := func() *Cluster {
+		t.Helper()
+		v, err := Open(Config{Name: "audit-wedge", Master: master, Clock: vc, Dir: "vault", FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerStaff(t, v)
+		return v
+	}
+	v := open()
+	rec := clinicalRecord(t, 6)
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	fs := withFailingAudit(t, v, master)
+	fs.fail, fs.pass = true, 1 // the hold's decision event lands; its policy event fails
+	if err := v.PlaceHoldCtx(ctx, "arch-lee", rec.ID, "litigation"); err != nil {
+		t.Fatalf("PlaceHold with a failing hold event = %v, want success (the hold is committed)", err)
+	}
+	fs.fail = false
+	kept := v.Shard(0).aud.Len()
+	if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); Outcome(err) != "wedged" {
+		t.Errorf("Get after a lost audit event = %v (%s), want wedged", err, Outcome(err))
+	}
+	if h := v.Health(); !h.AuditWedged {
+		t.Errorf("Health().AuditWedged = false after a lost audit event")
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := open()
+	defer re.Close()
+	if n := re.Shard(0).aud.Len(); n != kept {
+		t.Errorf("reopened chain holds %d events, want the %d before the lost one", n, kept)
+	}
+	if _, _, err := re.GetCtx(ctx, "dr-house", rec.ID); err != nil {
+		t.Errorf("Get after reopen = %v", err)
+	}
+	if _, err := re.VerifyAll(nil, nil); err != nil {
+		t.Errorf("VerifyAll after reopen = %v", err)
+	}
+	if holds := re.Retention().Holds(); len(holds) != 1 || holds[0].Record != rec.ID {
+		t.Errorf("holds after reopen = %+v, want the one on %s", holds, rec.ID)
+	}
 }
 
 // checkOwedCustody runs mutate — a put, correction or shred of rec that

@@ -381,11 +381,13 @@ func (v *Vault) recover(master vcrypto.Key) error {
 }
 
 // HealthStatus is a point-in-time report of vault liveness for /healthz.
-// A vault is serving when Open is true and WALWedged is false.
+// A vault is serving when Open is true and WALWedged and AuditWedged are
+// false.
 type HealthStatus struct {
 	Open          bool         // admitting operations (Close has not run)
 	WALWedged     bool         // the metadata WAL refused an fsync and halted
 	WALWedgeError string       // the wedging error, when WALWedged
+	AuditWedged   bool         // an audit append failed; audited operations answer wedged until reopen
 	WALQueueDepth int          // group-commit waiters not yet fsynced
 	InFlightOps   int          // vault operations currently executing
 	LiveRecords   int          // non-shredded records
@@ -405,6 +407,7 @@ func (v *Vault) Health() HealthStatus {
 		InFlightOps:   int(metInflightOps.Value()),
 		LiveRecords:   v.Len(),
 		LastRecovery:  v.recovery,
+		AuditWedged:   v.aud.Wedged(),
 	}
 	if err := v.metaWAL.Wedged(); err != nil {
 		h.WALWedged = true

@@ -489,14 +489,15 @@ func idList(ids []string) map[string]any {
 }
 
 // healthPayload is the /healthz body: real vault state, not a static "ok".
-// A wedged WAL or a closed vault answers 503 so load balancers stop routing
-// writes to a node that cannot durably commit them.
+// A wedged WAL or audit log or a closed vault answers 503 so load balancers
+// stop routing requests to a node that cannot durably commit or audit them.
 type healthPayload struct {
 	Status        string               `json:"status"`
 	System        string               `json:"system"`
 	Records       int                  `json:"records"`
 	WALWedged     bool                 `json:"wal_wedged"`
 	WALWedgeError string               `json:"wal_wedge_error,omitempty"`
+	AuditWedged   bool                 `json:"audit_wedged"`
 	WALQueueDepth int                  `json:"wal_queue_depth"`
 	InFlightOps   int                  `json:"in_flight_ops"`
 	LastRecovery  recoveryPayload      `json:"last_recovery"`
@@ -521,6 +522,7 @@ type shardHealthPayload struct {
 	Records       int    `json:"records"`
 	WALWedged     bool   `json:"wal_wedged"`
 	WALWedgeError string `json:"wal_wedge_error,omitempty"`
+	AuditWedged   bool   `json:"audit_wedged"`
 	WALQueueDepth int    `json:"wal_queue_depth"`
 }
 
@@ -538,6 +540,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status, state = http.StatusServiceUnavailable, "closed"
 	case h.WALWedged:
 		status, state = http.StatusServiceUnavailable, "wal-wedged"
+	case h.AuditWedged:
+		status, state = http.StatusServiceUnavailable, "audit-wedged"
 	}
 	var anomalies []anomalyPayload
 	if s.watchdog != nil {
@@ -561,6 +565,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Records:       h.LiveRecords,
 		WALWedged:     h.WALWedged,
 		WALWedgeError: h.WALWedgeError,
+		AuditWedged:   h.AuditWedged,
 		WALQueueDepth: h.WALQueueDepth,
 		InFlightOps:   h.InFlightOps,
 		LastRecovery: recoveryPayload{
@@ -577,6 +582,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			Records:       hs.LiveRecords,
 			WALWedged:     hs.WALWedged,
 			WALWedgeError: hs.WALWedgeError,
+			AuditWedged:   hs.AuditWedged,
 			WALQueueDepth: hs.WALQueueDepth,
 		})
 	}

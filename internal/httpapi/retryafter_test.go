@@ -13,13 +13,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"medvault/internal/audit"
+	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
+	"medvault/internal/faultfs"
 	"medvault/internal/merkle"
+	"medvault/internal/vcrypto"
 )
 
 // outageRoutes is one request per vault route family, well-formed enough to
@@ -143,6 +147,64 @@ func TestWedgedVaultRejectionsCarryRetryAfter(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
 		t.Errorf("wedged healthz Retry-After = %q, want %q", ra, retryAfterSeconds)
+	}
+}
+
+// TestAuditWedgeAnswers503: an unknown-record probe whose audit event fails
+// to append still answers 404, but it wedges the shard's audit log. From then
+// on /healthz answers 503 audit-wedged and every audited request answers 503
+// with Retry-After, instead of serving on with a gap in the audit trail.
+func TestAuditWedgeAnswers503(t *testing.T) {
+	master, err := vcrypto.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "audit") && armed.CompareAndSwap(true, false) {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+		}
+		return nil
+	})
+	v, err := core.Open(core.Config{Name: "api-test", Master: master, Clock: clock.NewVirtual(epoch), Dir: "vault", FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	provisionPersonas(t, v)
+	ts := httptest.NewServer(New(v))
+	t.Cleanup(ts.Close)
+
+	if code := do(t, ts, "POST", "/records", "dr-house", sampleRecord("p1"), nil); code != http.StatusCreated {
+		t.Fatalf("POST /records = %d", code)
+	}
+	armed.Store(true)
+	if code := do(t, ts, "GET", "/records/ghost", "dr-house", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /records/ghost with a failing audit append = %d, want 404", code)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h healthPayload
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "audit-wedged" || !h.AuditWedged {
+		t.Errorf("healthz after a lost audit event = %d %+v, want 503 audit-wedged", resp.StatusCode, h)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
+		t.Errorf("audit-wedged healthz Retry-After = %q, want %q", ra, retryAfterSeconds)
+	}
+	// Every route that records an access decision answers the outage. The
+	// patient and retention listings record none, and /verify discards its
+	// own event's error as the probe does.
+	unaudited := map[string]bool{"/patients/mrn-1/records": true, "/retention/expired": true, "/retention/holds": true, "/verify": true}
+	for _, rt := range outageRoutes {
+		if !unaudited[rt.path] {
+			expectOutage(t, ts.URL, rt.method, rt.path, rt.actor, rt.body)
+		}
 	}
 }
 

@@ -133,17 +133,19 @@ type ShardHealth struct {
 	Records       int    `json:"records"`
 	WALWedged     bool   `json:"wal_wedged"`
 	WALWedgeError string `json:"wal_wedge_error,omitempty"`
+	AuditWedged   bool   `json:"audit_wedged"`
 	WALQueueDepth int    `json:"wal_queue_depth"`
 }
 
 // Health is GET /healthz. A 503 carries the same shape with Status
-// "closed" or "wal-wedged".
+// "closed", "wal-wedged" or "audit-wedged".
 type Health struct {
 	Status        string        `json:"status"`
 	System        string        `json:"system"`
 	Records       int           `json:"records"`
 	WALWedged     bool          `json:"wal_wedged"`
 	WALWedgeError string        `json:"wal_wedge_error,omitempty"`
+	AuditWedged   bool          `json:"audit_wedged"`
 	WALQueueDepth int           `json:"wal_queue_depth"`
 	InFlightOps   int           `json:"in_flight_ops"`
 	Shards        []ShardHealth `json:"shards,omitempty"`

@@ -25,7 +25,7 @@ import (
 
 // Anomaly is one active health finding.
 type Anomaly struct {
-	Kind   string    // "wal_wedge", "wal_queue", "fsync_stall", "repl_lag", "fence_rejection", "op_stall", "goroutines", "heap"
+	Kind   string    // "wal_wedge", "wal_queue", "fsync_stall", "repl_lag", "fence_rejection", "op_stall", "goroutines"
 	Detail string    // PHI-free specifics: observed value vs threshold
 	Since  time.Time // start of the current streak
 }
@@ -40,13 +40,15 @@ type WatchdogConfig struct {
 	// streak (not every tick) — medvaultd hooks postmortem capture here.
 	OnAnomaly func(Anomaly)
 
-	WALQueueMax  float64       // queue depth above this is an anomaly (default 1024)
-	FsyncStall   time.Duration // any fsync slower than this since the last tick (default 1s)
-	ReplLagMax   float64       // captured ops not shipped to the follower above this (default 256)
-	OpAgeMax     time.Duration // oldest in-flight op above this (default 30s)
-	GoroutineMax int           // goroutine count above this (default 20000)
-	HeapMaxBytes uint64        // heap bytes above this (default 0 = disabled)
+	WALQueueMax float64       // queue depth above this is an anomaly (default 1024)
+	FsyncStall  time.Duration // any fsync slower than this since the last tick (default 1s)
+	ReplLagMax  float64       // captured ops not shipped to the follower above this (default 256)
+	OpAgeMax    time.Duration // oldest in-flight op above this (default 30s)
 }
+
+// goroutineMax is the goroutine count above which the watchdog reports an
+// anomaly.
+const goroutineMax = 20000
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.Interval <= 0 {
@@ -69,9 +71,6 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	}
 	if c.OpAgeMax <= 0 {
 		c.OpAgeMax = 30 * time.Second
-	}
-	if c.GoroutineMax <= 0 {
-		c.GoroutineMax = 20000
 	}
 	return c
 }
@@ -225,13 +224,8 @@ func (w *Watchdog) Tick() []Anomaly {
 	if age := ActiveOps.Oldest(); age > w.cfg.OpAgeMax {
 		add("op_stall", fmt.Sprintf("oldest in-flight op running %s, threshold %s", age.Round(time.Millisecond), w.cfg.OpAgeMax))
 	}
-	if n := runtime.NumGoroutine(); n > w.cfg.GoroutineMax {
-		add("goroutines", fmt.Sprintf("%d goroutines exceed %d", n, w.cfg.GoroutineMax))
-	}
-	if w.cfg.HeapMaxBytes > 0 {
-		if hb := uint64(w.heapBytes.Value()); hb > w.cfg.HeapMaxBytes {
-			add("heap", fmt.Sprintf("heap %d bytes exceeds %d", hb, w.cfg.HeapMaxBytes))
-		}
+	if n := runtime.NumGoroutine(); n > goroutineMax {
+		add("goroutines", fmt.Sprintf("%d goroutines exceed %d", n, goroutineMax))
 	}
 
 	w.mu.Lock()

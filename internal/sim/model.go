@@ -737,32 +737,6 @@ func (m *Model) resyncJournal(s int, actual []auEvent) (int, bool) {
 	return 0, true
 }
 
-// resyncJournalLossy is resyncJournal with tolerance for one silently
-// dropped append: several vault paths discard audit-append errors (probe
-// events, hold events, the verifier's own success event), so a
-// one-shot injected fault can leave the persisted chain equal to the
-// expectation with exactly one event deleted mid-chain. At most one
-// deletion is tried — anything beyond that is a real divergence.
-func (m *Model) resyncJournalLossy(s int, actual []auEvent) (int, bool) {
-	pos, ok := m.resyncJournal(s, actual)
-	if ok {
-		return 0, true
-	}
-	if pos >= len(m.journals[s]) {
-		return pos, false // chain is longer than expected: not a dropped append
-	}
-	saved := m.journals[s]
-	trial := make([]jEntry, 0, len(saved)-1)
-	trial = append(trial, saved[:pos]...)
-	trial = append(trial, saved[pos+1:]...)
-	m.journals[s] = trial
-	if _, ok := m.resyncJournal(s, actual); ok {
-		return 0, true
-	}
-	m.journals[s] = saved
-	return pos, false
-}
-
 // The drop/pop/unshred helpers revert a speculative mutation when a faulted
 // operation turns out not to have landed (the runner probes the restarted
 // vault to find out which way the ambiguity resolved).

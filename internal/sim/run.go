@@ -300,9 +300,9 @@ func (e *engine) exec(i int, s Step) *Divergence {
 	want, d := e.vaultOp(i, s)
 	if e.plan.Durable && e.inj.fired {
 		// An injected fault fired inside this step. Whether the operation
-		// half-landed — or silently dropped an audit event the model expects —
-		// is ambiguous from the return value alone; restart and reconcile
-		// instead of comparing.
+		// half-landed — or wedged the audit log short of the events the model
+		// expects — is ambiguous from the return value alone; restart and
+		// reconcile instead of comparing.
 		e.inj.fired = false
 		return e.reconcile(i, s, want)
 	}
@@ -775,15 +775,14 @@ func (e *engine) reopenAndResync(i int, s Step) *Divergence {
 	m := e.model
 	m.clearGrants()
 	e.cps = make([][]audit.Checkpoint, e.shards)
-	return e.resyncTails(i, s, false)
+	return e.resyncTails(i, s)
 }
 
 // resyncTails reconciles the audit journal against the reopened vault
-// (prefix-match or divergence). lossy tolerates one silently dropped append
-// (reconcile after an injected fault); after a power cut only tail
-// truncation is physically possible, so the crash path keeps the strict
-// prefix rule.
-func (e *engine) resyncTails(i int, s Step, lossy bool) *Divergence {
+// (prefix-match or divergence). A power cut cuts the audit tail, and an
+// injected fault wedges the log at the failed append, so after either what
+// survived is a prefix of what the model expected.
+func (e *engine) resyncTails(i int, s Step) *Divergence {
 	div := divAt(i, s)
 	m := e.model
 	for sh := 0; sh < e.shards; sh++ {
@@ -796,11 +795,7 @@ func (e *engine) resyncTails(i int, s Step, lossy bool) *Divergence {
 			return div("shard %d audit chain after remount does not end with the query's own event", sh)
 		}
 		chain := got[:len(got)-1]
-		resync := m.resyncJournal
-		if lossy {
-			resync = m.resyncJournalLossy
-		}
-		if pos, ok := resync(sh, chain); !ok {
+		if pos, ok := m.resyncJournal(sh, chain); !ok {
 			have := "<past end>"
 			if pos < len(chain) {
 				have = fmt.Sprintf("%+v", chain[pos])
@@ -817,11 +812,11 @@ func (e *engine) resyncTails(i int, s Step, lossy bool) *Divergence {
 }
 
 // reconcile handles a step an injected fault fired inside: the vault may
-// have wedged, the operation may have half-landed, and audit appends whose
-// errors the vault deliberately swallows may have been dropped. The disk is
-// kept (a process restart, not a power cut), the vault is remounted, and the
-// ambiguity is resolved by probing un-audited observables. A faulted custody
-// append of a committed mutation needs no probe: replay appends the event.
+// have wedged, the operation may have half-landed, and the audit log may
+// have wedged short of the step's events. The disk is kept (a process
+// restart, not a power cut), the vault is remounted, and the ambiguity is
+// resolved by probing un-audited observables. A faulted custody append of a
+// committed mutation needs no probe: replay appends the event.
 func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 	div := divAt(i, s)
 	if err := e.open(); err != nil {
@@ -873,7 +868,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 		return div("reopen after fault reconcile: %v", err)
 	}
 
-	if d := e.resyncTails(i, s, true); d != nil || s.Record == "" || m.prov[s.Record] == nil {
+	if d := e.resyncTails(i, s); d != nil || s.Record == "" || m.prov[s.Record] == nil {
 		return d
 	}
 	return e.checkCustody(div, s.Record)

@@ -119,4 +119,10 @@ check "Custody signs at the boundary: no .Sign( in internal/provenance outside T
 check "One frame codec: only internal/frame imports hash/crc32, and internal/core never calls frame.Decode(" \
 	"$(grep -rn '"hash/crc32"' --include='*.go' . | grep -v '^\./internal/frame/'
 	grep -nE 'frame\.([A-Za-z]+\.)?(Decode|Walk)\(' internal/core/*.go)"
+
+# A change rewrites the DESIGN.md section it alters instead of appending one,
+# so the document never grows.
+design=$(wc -c < DESIGN.md)
+check "Docs edited in place: DESIGN.md is at most 88018 bytes" \
+	"$([ "$design" -le 88018 ] || echo "DESIGN.md: $design bytes")"
 exit $fail
