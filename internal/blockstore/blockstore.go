@@ -13,10 +13,8 @@
 package blockstore
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"medvault/internal/obs"
 )
@@ -31,9 +29,9 @@ var (
 	ErrClosed = errors.New("blockstore: store closed")
 	// ErrTooLarge indicates a block exceeding the segment capacity.
 	ErrTooLarge = errors.New("blockstore: block exceeds segment capacity")
-	// ErrWedged wraps the failure that left part of a frame past a segment's
-	// committed end and could not be taken back: the store refuses every
-	// later append rather than write after it.
+	// ErrWedged wraps a failed fsync, or the failure that left part of a
+	// frame past a segment's committed end and could not be taken back: the
+	// store refuses every later append and sync rather than vouch for it.
 	ErrWedged = errors.New("blockstore: wedged, refusing further appends")
 )
 
@@ -65,35 +63,6 @@ type Store interface {
 	Sync() error
 	// Close releases resources. The store is unusable afterwards.
 	Close() error
-}
-
-// AppendCtx is s.Append recording a "blockstore.append" span on the trace
-// carried by ctx. The helpers live here rather than on the interface so
-// every Store implementation is traced identically without widening the
-// storage contract.
-func AppendCtx(ctx context.Context, s Store, data []byte) (Ref, error) {
-	_, sp := obs.StartSpan(ctx, "blockstore.append")
-	sp.SetAttr("bytes", strconv.Itoa(len(data)))
-	ref, err := s.Append(data)
-	sp.End(err)
-	return ref, err
-}
-
-// ReadCtx is s.Read recording a "blockstore.read" span.
-func ReadCtx(ctx context.Context, s Store, ref Ref) ([]byte, error) {
-	_, sp := obs.StartSpan(ctx, "blockstore.read")
-	data, err := s.Read(ref)
-	sp.SetAttr("bytes", strconv.Itoa(len(data)))
-	sp.End(err)
-	return data, err
-}
-
-// SyncCtx is s.Sync recording a "blockstore.sync" span.
-func SyncCtx(ctx context.Context, s Store) error {
-	_, sp := obs.StartSpan(ctx, "blockstore.sync")
-	err := s.Sync()
-	sp.End(err)
-	return err
 }
 
 // fileMetrics is the I/O instrumentation every store shares, labeled

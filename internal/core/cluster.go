@@ -379,8 +379,8 @@ func (c *Cluster) Len() int {
 	return n
 }
 
-// StorageBytes reports bytes consumed by ciphertext plus the index's stored
-// form — the cost-experiment accounting.
+// StorageBytes sums the shards' StorageBytes: ciphertext, wherever it
+// lives, plus the index's stored form — the cost-experiment accounting.
 func (c *Cluster) StorageBytes() int64 {
 	var n int64
 	for _, v := range c.shards {

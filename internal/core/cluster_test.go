@@ -307,10 +307,10 @@ func TestParentSingleVaultDirectoryReopens(t *testing.T) {
 }
 
 // TestParentDirectoryMixedWALLayouts: the parent fixture's meta.wal holds
-// legacy 'V' entries; a put and corrections appended to it are compact 'c'
-// entries after them in the same file. A crash replays both layouts over the
-// fixture's v3 snapshot, and a Close then folds everything into a v4
-// snapshot, which reopens to the same versions.
+// legacy 'V' entries; a put and corrections appended to it are 'p' entries,
+// carrying their ciphertext, after them in the same file. A crash replays
+// both layouts over the fixture's v3 snapshot, and a Close then folds
+// everything into a v4 snapshot, which reopens to the same versions.
 func TestParentDirectoryMixedWALLayouts(t *testing.T) {
 	var seed [32]byte
 	copy(seed[:], "medvault-fixture-master-seed-32b")
@@ -384,8 +384,8 @@ func TestParentDirectoryMixedWALLayouts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds['V'] == 0 || kinds['c'] != 4 {
-		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 compact 'c' ones", kinds)
+	if kinds['V'] == 0 || kinds['p'] != 4 {
+		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 'p' ones", kinds)
 	}
 	re := open("crash reopen")
 	check("crash reopen", re)

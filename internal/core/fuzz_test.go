@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -62,18 +63,22 @@ func FuzzDecodeBundle(f *testing.F) {
 // which replay and ReplicaHeads both run over a medium an attacker may
 // reach. It must never panic, never allocate more than the input could
 // spell (every length is bounded by the input before it sizes anything), and
-// every entry it accepts in a written layout ('c', 'v', 's', 'S', 'H', 'R')
-// must re-encode to exactly those bytes. Legacy 'V' entries are only ever
-// decoded.
+// every entry it accepts in a written layout ('p', 'i', 's', 'S', 'H', 'R')
+// must re-encode to exactly those bytes. Legacy 'V', 'c' and 'v' entries are
+// only ever decoded.
 func FuzzDecodeWALEntry(f *testing.F) {
 	create, correction := goldenCreate(), goldenCorrection()
 	f.Add(create.encode())
 	f.Add(correction.encode())
-	f.Add(append(correction.encode(), frame.AppendVarBytes(nil, []byte{1, 2, 3})...)) // a DEK on a correction
+	f.Add(append(correction.encode(), frame.AppendVarBytes(nil, []byte{1, 2, 3})...)) // trailing bytes
 	f.Add((&walEntry{kind: 'H', id: "r", reason: "litigation", placed: goldenTime}).encode())
 	f.Add((&walEntry{kind: 'S', id: "r"}).encode())
 	for _, e := range []walEntry{withCustody(create), withCustody(correction), goldenShred()} {
 		f.Add(e.encode())
+	}
+	for _, legacy := range []string{goldenLegacyCCreate, goldenLegacyCCorrection} {
+		b, _ := hex.DecodeString(legacy)
+		f.Add(b)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'v', 0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -95,7 +100,7 @@ func FuzzDecodeWALEntry(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		e, err := decodeWALEntry(data)
-		if err != nil || data[0] == 'V' {
+		if err != nil || data[0] == 'V' || data[0] == 'c' || data[0] == 'v' {
 			return
 		}
 		if re := e.encode(); !bytes.Equal(re, data) {

@@ -92,21 +92,55 @@ var goldenWALVersion = Version{
 }
 
 // goldenCreate and goldenCorrection are the golden record's two
-// version-append entries as commit builds them: the create carries a
-// 60-byte wrapped DEK, the correction repeats the record's identity and
-// carries no DEK.
+// version-append entries as commit builds them: each carries a 256-byte
+// ciphertext, whose hash is its version's; the create carries a 60-byte
+// wrapped DEK, and the correction repeats the record's identity and carries
+// no DEK. Refs are assigned at commit, not logged.
 func goldenCreate() walEntry {
+	e := legacyCreate()
+	e.ct = goldenCiphertext()
+	e.ver.Ref, e.ver.CtHash = blockstore.Ref{}, vcrypto.Hash(e.ct)
+	return e
+}
+
+func goldenCorrection() walEntry {
+	e := goldenCreate()
+	e.ver.Number, e.wrappedDEK = 2, nil
+	return e
+}
+
+// goldenCiphertext is 256 bytes counting up from 0x40.
+func goldenCiphertext() []byte {
+	b := make([]byte, 256)
+	for i := range b {
+		b[i] = 0x40 + byte(i)
+	}
+	return b
+}
+
+// legacyCreate and legacyCorrection are the same two versions as the legacy
+// 'c' and 'v' layouts held them: a Ref into the block store and the hash.
+func legacyCreate() walEntry {
 	ver := goldenWALVersion
 	ver.Number = 1
 	return walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
 		created: goldenTime.Add(-time.Hour), wrappedDEK: goldenBytes(60)}
 }
 
-func goldenCorrection() walEntry {
-	e := goldenCreate()
+func legacyCorrection() walEntry {
+	e := legacyCreate()
 	e.ver, e.wrappedDEK = goldenWALVersion, nil
 	return e
 }
+
+// The legacy 'c' vectors, decode-only; the byte budget weighs them.
+const (
+	goldenLegacyCCreate = "630870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+		"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
+		"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b"
+	goldenLegacyCCorrection = "630870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
+		"bab1fa12cd150464722d61"
+)
 
 // withCustody is e as a put or correction logs it: carrying its custody fact.
 func withCustody(e walEntry) walEntry {
@@ -129,21 +163,23 @@ func goldenBytes(n int) []byte {
 }
 
 // TestGoldenWALEntries pins the metadata WAL entry layouts and the two byte
-// strings core hashes and signs. The legacy 'V' layout is decode-only: no
-// code writes it, and a meta.wal that holds it must still replay.
+// strings core hashes and signs. The legacy 'V', 'c' and 'v' layouts are
+// decode-only: no code writes them, and a meta.wal that holds them must
+// still replay.
 func TestGoldenWALEntries(t *testing.T) {
 	decode := func(b []byte) (any, error) { return decodeWALEntry(b) }
 	legacy := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: goldenWALVersion,
 		created: goldenTime.Add(-time.Hour), wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
 	create, correction := goldenCreate(), goldenCorrection()
 	// A decoded correction holds only what its entry stores.
-	stored := walEntry{kind: 'V', id: correction.id, ver: correction.ver}
+	stored := walEntry{kind: 'V', id: correction.id, ver: correction.ver, ct: correction.ct}
+	lCreate := legacyCreate()
+	lStored := walEntry{kind: 'V', id: lCreate.id, ver: legacyCorrection().ver}
 	sEntry := walEntry{kind: 'S', id: "p1-enc-0"}
 	hEntry := walEntry{kind: 'H', id: "p1-enc-0", reason: "litigation", placed: goldenTime}
 	rEntry := walEntry{kind: 'R', id: "p1-enc-0"}
-	cCreate, cCorrection := withCustody(create), withCustody(correction)
-	cStored := withCustody(stored)
 	shred := goldenShred()
+	pCreate, pCorrection := withCustody(create), withCustody(correction)
 	frame.CheckGolden(t,
 		frame.Golden{
 			Name: "WAL V entry (legacy, decode-only)",
@@ -159,37 +195,86 @@ func TestGoldenWALEntries(t *testing.T) {
 			Hex: "760870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
 				"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
 				"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b",
-			Encode:  create.encode,
 			Decode:  decode,
-			Want:    create,
+			Want:    lCreate,
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
 			Name: "WAL v entry, correction",
 			Hex: "760870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
 				"bab1fa12cd150464722d61",
+			Decode:  decode,
+			Want:    lStored,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL c entry, create",
+			Hex:     goldenLegacyCCreate,
+			Decode:  decode,
+			Want:    withCustody(lCreate),
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL c entry, correction",
+			Hex:     goldenLegacyCCorrection,
+			Decode:  decode,
+			Want:    withCustody(lStored),
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL i entry, create",
+			Hex: "690870312d656e632d30011083bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9da" +
+				"dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a" +
+				"0b8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
+				"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
+				"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
+				"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
+				"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
+				"2d2e2f303132333435363738393a3b3c3d3e3f",
+			Encode:  create.encode,
+			Decode:  decode,
+			Want:    create,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL i entry, correction",
+			Hex: "690870312d656e632d30021083bab1fa12cd150464722d618002404142434445464748494a4b4c4d4e4f505152535455" +
+				"565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485" +
+				"868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5" +
+				"b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5" +
+				"e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b0c0d0e0f101112131415" +
+				"161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
 			Encode:  correction.encode,
 			Decode:  decode,
 			Want:    stored,
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name: "WAL c entry, create",
-			Hex: "630870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
-				"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
-				"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b",
-			Encode:  cCreate.encode,
+			Name: "WAL p entry, create",
+			Hex: "700870312d656e632d30011083bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9da" +
+				"dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a" +
+				"0b8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
+				"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
+				"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
+				"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
+				"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
+				"2d2e2f303132333435363738393a3b3c3d3e3f",
+			Encode:  pCreate.encode,
 			Decode:  decode,
-			Want:    cCreate,
+			Want:    pCreate,
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name: "WAL c entry, correction",
-			Hex: "630870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
-				"bab1fa12cd150464722d61",
-			Encode:  cCorrection.encode,
+			Name: "WAL p entry, correction",
+			Hex: "700870312d656e632d30021083bab1fa12cd150464722d618002404142434445464748494a4b4c4d4e4f505152535455" +
+				"565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485" +
+				"868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5" +
+				"b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5" +
+				"e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b0c0d0e0f101112131415" +
+				"161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
+			Encode:  pCorrection.encode,
 			Decode:  decode,
-			Want:    cStored,
+			Want:    withCustody(stored),
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
@@ -238,47 +323,64 @@ func TestGoldenWALEntries(t *testing.T) {
 	)
 }
 
-// TestWALBytesPerEntry is the exact byte budget of the golden record's two
-// version-append entries, frame excluded. The legacy 'V' layout spent 166 B
-// on the create and 106 B on the correction; a 'c' entry's custody fact is
-// its tag, so it costs what 'v' does. A shred's 's' entry carries its actor
-// and time where the legacy 'S' entry (13 B) carried neither.
+// TestWALBytesPerEntry is the exact cost on the medium of the golden
+// record's create and correction, frames included. A version used to be a
+// legacy 'c' entry in meta.wal plus a block store frame holding its
+// ciphertext; it is one 'p' entry carrying the ciphertext, with no Ref and
+// no hash (42 B less per version here). A shred's 's' entry carries its
+// actor and time where the legacy 'S' entry (13 B) carried neither.
 func TestWALBytesPerEntry(t *testing.T) {
+	seq, block := frame.Seq.Overhead(), frame.Block.Overhead()
 	for _, tc := range []struct {
-		name string
-		e    walEntry
-		want int
+		name      string
+		legacyHex string
+		e         walEntry
+		old, new  int
 	}{
-		{"create", goldenCreate(), 132},
-		{"correction", goldenCorrection(), 59},
-		{"c create", withCustody(goldenCreate()), 132},
-		{"c correction", withCustody(goldenCorrection()), 59},
-		{"s shred", goldenShred(), 25},
+		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371},
+		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298},
 	} {
-		if got := len(tc.e.encode()); got != tc.want {
-			t.Errorf("%s entry: %d B, want %d", tc.name, got, tc.want)
+		old := seq + len(tc.legacyHex)/2 + block + len(tc.e.ct)
+		got := seq + len(tc.e.encode())
+		t.Logf("%s: %d B as a 'c' entry and a block, %d B as a 'p' entry", tc.name, old, got)
+		if old != tc.old || got != tc.new {
+			t.Errorf("%s: %d B before, %d B now; want %d and %d", tc.name, old, got, tc.old, tc.new)
 		}
+		if old-got < 40 {
+			t.Errorf("%s: the inline ciphertext saves %d B per version, want at least 40", tc.name, old-got)
+		}
+	}
+	if shred := goldenShred(); len(shred.encode()) != 25 {
+		t.Errorf("s shred entry: %d B, want 25", len(shred.encode()))
 	}
 }
 
-// TestDecodeWALEntryRejectsOtherEncodings: a 'v' entry has one encoding, so
-// each of these is ErrCorrupt rather than an entry apply would act on.
+// TestDecodeWALEntryRejectsOtherEncodings: a version entry has one encoding,
+// so each of these is ErrCorrupt rather than an entry apply would act on.
 func TestDecodeWALEntryRejectsOtherEncodings(t *testing.T) {
 	create, correction := goldenCreate(), goldenCorrection()
 	noDEK := create
 	noDEK.wrappedDEK = nil
 	zero := correction
 	zero.ver.Number = 0
-	// The correction's one-byte segment sits after 'v', the 9-byte ID and
-	// the one-byte number.
+	noCiphertext := correction
+	noCiphertext.ct = nil
+	// The legacy correction's one-byte segment sits after 'c', the 9-byte
+	// ID and the one-byte number.
+	legacy, _ := hex.DecodeString(goldenLegacyCCorrection)
+	wideSegment := append(frame.AppendUvarint(legacy[:11:11], 1<<32), legacy[12:]...)
+	// A DEK between the correction's author and its ciphertext (whose
+	// length takes two bytes).
 	enc := correction.encode()
-	wideSegment := append(frame.AppendUvarint(enc[:11:11], 1<<32), enc[12:]...)
+	head := enc[: len(enc)-2-len(correction.ct) : len(enc)-2-len(correction.ct)]
+	withDEK := frame.AppendVarBytes(frame.AppendVarBytes(head, []byte{1, 2, 3}), correction.ct)
 	for name, in := range map[string][]byte{
-		"a DEK on a correction":  frame.AppendVarBytes(correction.encode(), []byte{1, 2, 3}),
-		"a create without a DEK": noDEK.encode(),
-		"version 0":              zero.encode(),
-		"trailing bytes":         append(correction.encode(), 0),
-		"a 33-bit segment":       wideSegment,
+		"a DEK on a correction":            withDEK,
+		"a create without a DEK":           noDEK.encode(),
+		"version 0":                        zero.encode(),
+		"a version without its ciphertext": noCiphertext.encode(),
+		"trailing bytes":                   append(correction.encode(), 0),
+		"a legacy 33-bit segment":          wideSegment,
 	} {
 		if e, err := decodeWALEntry(in); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decoded %+v, %v; want ErrCorrupt", name, e, err)

@@ -111,7 +111,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 			var ct []byte
 			if !sanitized {
 				var err error
-				ct, err = v.blocks.Read(ver.Ref)
+				ct, err = v.ciphertext(ver.Ref)
 				if err != nil {
 					return fail(fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err))
 				}

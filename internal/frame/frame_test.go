@@ -161,3 +161,26 @@ func FuzzBlockFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestReadAtBoundsByCommittedBytes: ReadAt reads back the frame at an
+// offset, and refuses, as ErrInvalid and without reading past them, an
+// offset or a length that leaves the committed bytes.
+func TestReadAtBoundsByCommittedBytes(t *testing.T) {
+	for name, f := range formats {
+		buf := f.Append(f.Append(nil, 7, []byte("first")), 8, []byte("second"))
+		second := int64(f.Overhead() + len("first"))
+		r := bytes.NewReader(buf)
+		if h, p, err := f.ReadAt(r, second, int64(len(buf))); err != nil || string(p) != "second" || f == Seq && h.Seq != 8 {
+			t.Fatalf("%s: ReadAt = %+v, %q, %v", name, h, p, err)
+		}
+		for what, at := range map[string][2]int64{
+			"a negative offset":          {-1, int64(len(buf))},
+			"an offset past the end":     {int64(len(buf)), int64(len(buf))},
+			"a frame past the committed": {second, int64(len(buf)) - 1},
+		} {
+			if _, _, err := f.ReadAt(r, at[0], at[1]); !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s, %s: %v, want ErrInvalid", name, what, err)
+			}
+		}
+	}
+}

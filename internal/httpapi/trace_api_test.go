@@ -127,7 +127,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("trace has %d spans, want >= 5", tr.SpanN)
 		}
 		names := spanNames(tr.Spans, nil)
-		for _, want := range []string{"core.put", "crypto.seal", "wal.enqueue", "blockstore.append", "index.add", "audit.append"} {
+		for _, want := range []string{"core.put", "crypto.seal", "wal.enqueue", "wal.commit", "index.add", "audit.append"} {
 			if !names[want] {
 				t.Errorf("trace missing span %q (have %v)", want, names)
 			}

@@ -16,7 +16,7 @@ func TestFailoverRuns(t *testing.T) {
 	}{
 		{seed: 1, ops: 180, shards: 0, hash: "b8c83bfcdd2a842f9f4477dd2e84c608de22cd00ab3666e33b1c73b6585cc54d"},
 		{seed: 2, ops: 180, shards: 0, hash: "d979e5bd6d3a30f2bf54f8f879b25333f6aaa79be11ad3b5afd23f19cad2ca8d"},
-		{seed: 3, ops: 150, shards: 2, hash: "2fc016631868d3fed5de9953cbfdf2724b41db560b7f630f7ff8be833d7a2bea"},
+		{seed: 3, ops: 150, shards: 2, hash: "b91b55ce6a1252a9b57963db470cf133ec21511bcf649852fa2edbdf99236c0a"},
 	} {
 		runGolden(t, RunOpts{Seed: tc.seed, Ops: tc.ops, Workers: 2, Shards: tc.shards,
 			Durable: true, Failover: true}, tc.hash)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"medvault/internal/audit"
@@ -130,7 +129,7 @@ type schedInjector struct {
 
 func (i *schedInjector) inject(op faultfs.Op) *faultfs.Fault {
 	if op.Kind == faultfs.OpRead {
-		if i.rot && strings.Contains(op.Path, "blocks") {
+		if i.rot && core.CiphertextFile(op.Path) {
 			i.rot = false
 			return &faultfs.Fault{CorruptRead: true}
 		}

@@ -355,7 +355,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 5
 	waits := make([]func() error, 0, n)
 	for i := 0; i < n; i++ {
-		seq, wait := l.Enqueue([]byte(fmt.Sprintf("entry-%d", i)))
+		seq, _, wait := l.Enqueue([]byte(fmt.Sprintf("entry-%d", i)))
 		if seq != uint64(i) {
 			t.Fatalf("Enqueue seq = %d, want %d", seq, i)
 		}
@@ -411,7 +411,7 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				seqMu.Lock()
-				_, wait := l.Enqueue([]byte(payload))
+				_, _, wait := l.Enqueue([]byte(payload))
 				order = append(order, payload)
 				seqMu.Unlock()
 				if err := wait(); err != nil {
