@@ -55,8 +55,6 @@ type Store interface {
 	// returning a non-nil error (which Scan then returns). Scan also
 	// verifies framing as it goes, so a full Scan doubles as a media check.
 	Scan(fn func(ref Ref, data []byte) error) error
-	// Len returns the number of blocks stored.
-	Len() int
 	// StorageBytes returns the total bytes consumed, including framing.
 	StorageBytes() int64
 	// Sync flushes buffered writes to stable storage.

@@ -32,6 +32,16 @@ func stores(t *testing.T) map[string]Store {
 	}
 }
 
+// frames counts the blocks a Scan of s visits.
+func frames(t *testing.T, s Store) int {
+	t.Helper()
+	n := 0
+	if err := s.Scan(func(Ref, []byte) error { n++; return nil }); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return n
+}
+
 func TestAppendReadRoundTrip(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -46,8 +56,8 @@ func TestAppendReadRoundTrip(t *testing.T) {
 				refs = append(refs, ref)
 				want = append(want, data)
 			}
-			if s.Len() != 50 {
-				t.Errorf("Len = %d, want 50", s.Len())
+			if n := frames(t, s); n != 50 {
+				t.Errorf("%d frames, want 50", n)
 			}
 			for i, ref := range refs {
 				got, err := s.Read(ref)
@@ -186,8 +196,8 @@ func TestSegmentRotation(t *testing.T) {
 	if segments := last.Segment + 1; segments < 5 {
 		t.Errorf("expected rotation into >=5 segments, got %d", segments)
 	}
-	if m.Len() != 20 {
-		t.Errorf("Len = %d, want 20", m.Len())
+	if n := frames(t, m); n != 20 {
+		t.Errorf("%d frames, want 20", n)
 	}
 }
 
@@ -281,8 +291,8 @@ func TestFileReopenRecovers(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if re.Len() != 25 {
-		t.Errorf("recovered Len = %d, want 25", re.Len())
+	if n := frames(t, re); n != 25 {
+		t.Errorf("recovered %d frames, want 25", n)
 	}
 	for i, ref := range refs {
 		got, err := re.Read(ref)
@@ -333,8 +343,8 @@ func TestFileRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatalf("recovery with torn tail failed: %v", err)
 	}
 	defer re.Close()
-	if re.Len() != 5 {
-		t.Errorf("recovered %d blocks, want 5", re.Len())
+	if n := frames(t, re); n != 5 {
+		t.Errorf("recovered %d blocks, want 5", n)
 	}
 	// A new append must succeed and be readable.
 	ref, err := re.Append([]byte("post-crash"))
@@ -423,8 +433,8 @@ func TestFileDetectsBitRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 0 {
-		t.Errorf("corrupt block resurrected: Len = %d", re.Len())
+	if n := frames(t, re); n != 0 {
+		t.Errorf("corrupt block resurrected: %d frames", n)
 	}
 }
 
@@ -458,8 +468,8 @@ func TestConcurrentAppendRead(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			if s.Len() != writers*per {
-				t.Errorf("Len = %d, want %d", s.Len(), writers*per)
+			if n := frames(t, s); n != writers*per {
+				t.Errorf("%d frames, want %d", n, writers*per)
 			}
 			seen := make(map[Ref]bool)
 			for _, r := range refs {
@@ -496,6 +506,65 @@ func TestOpenFileRejectsGappySegments(t *testing.T) {
 	}
 	if _, err := OpenFile(dir, 1024); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("gappy segment numbering accepted: %v", err)
+	}
+}
+
+// TestRollThenEmptyBelow: Roll puts the appends after it in a fresh segment
+// (none while the active one is empty), and EmptyBelow cuts every older
+// segment to zero bytes without renumbering, so a reopen reads the frames
+// appended after the roll and nothing before it.
+func TestRollThenEmptyBelow(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Roll(); err != nil || n != 0 {
+		t.Fatalf("Roll of an empty store = %d, %v; want 0", n, err)
+	}
+	for i := 0; i < 30; i++ { // 30 × 59 B frames cross a 1 KiB segment
+		if _, err := s.Append(bytes.Repeat([]byte{'o'}, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := s.Roll()
+	if err != nil || fresh != 2 {
+		t.Fatalf("Roll = %d, %v; want segment 2", fresh, err)
+	}
+	kept, err := s.Append([]byte("kept"))
+	if err != nil || kept.Segment != fresh {
+		t.Fatalf("append after Roll went to %v, %v", kept, err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EmptyBelow(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read(Ref{}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Read into an emptied segment: %v, want ErrNotFound", err)
+	}
+	if got := s.StorageBytes(); got != int64(len(frame.Block.Append(nil, 0, []byte("kept")))) {
+		t.Errorf("StorageBytes after EmptyBelow = %d, want the one kept frame", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= int(fresh); i++ {
+		if _, err := os.Stat(filepath.Join(dir, segName(i))); err != nil {
+			t.Errorf("segment %d: %v", i, err)
+		}
+	}
+	re, err := OpenFile(dir, 1024)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if n := frames(t, re); n != 1 {
+		t.Errorf("reopened store holds %d frames, want 1", n)
+	}
+	if got, err := re.Read(kept); err != nil || string(got) != "kept" {
+		t.Errorf("Read(%v) after reopen = %q, %v", kept, got, err)
 	}
 }
 
@@ -643,8 +712,8 @@ func TestConcurrentAppendReadSyncAcrossRotation(t *testing.T) {
 			if segs := refs[len(refs)-1].Segment; segs < 3 {
 				t.Fatalf("only %d rotations: the test does not cross segments", segs)
 			}
-			if s.Len() != writers*per {
-				t.Errorf("Len = %d, want %d", s.Len(), writers*per)
+			if n := frames(t, s); n != writers*per {
+				t.Errorf("%d frames, want %d", n, writers*per)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ type File struct {
 	segCap int
 	active faultfs.File // newest segment, opened for append
 	sizes  []int64      // committed byte length per segment
-	count  int
 	closed bool
 	wedged error // set by a failed fsync, or a failed append that could not be taken back (ErrWedged)
 
@@ -102,10 +101,7 @@ func (f *File) recover() error {
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
-		valid, err := frame.Block.Walk(data, func(int, uint64, []byte) error {
-			f.count++
-			return nil
-		})
+		valid, err := frame.Block.Walk(data, func(int, uint64, []byte) error { return nil })
 		if err != nil {
 			if i != len(names)-1 {
 				// Torn frames may only exist at the very end of the log.
@@ -175,16 +171,7 @@ func (f *File) Append(data []byte) (Ref, error) {
 	}
 	cur := len(f.sizes) - 1
 	if f.sizes[cur]+int64(len(buf)) > int64(f.segCap) {
-		// A rotated-away segment is never written again, so this is the last
-		// chance to make its tail durable; close without sync would leave the
-		// frozen segment's recent frames at the mercy of the page cache.
-		if err := f.active.Sync(); err != nil {
-			return Ref{}, f.wedge(fmt.Errorf("syncing full segment %d: %w", cur, err))
-		}
-		if err := f.active.Close(); err != nil {
-			return Ref{}, fmt.Errorf("blockstore: closing full segment: %w", err)
-		}
-		if err := f.openSegment(cur + 1); err != nil {
+		if err := f.rotate(); err != nil {
 			return Ref{}, err
 		}
 		cur++
@@ -197,11 +184,66 @@ func (f *File) Append(data []byte) (Ref, error) {
 		return Ref{}, fmt.Errorf("blockstore: appending %d bytes: %w", len(buf), err)
 	}
 	f.sizes[cur] += int64(len(buf))
-	f.count++
 	fileMetrics.appends.Inc()
 	fileMetrics.appendBytes.Add(uint64(len(buf)))
 	fileMetrics.appendSeconds.ObserveSince(start)
 	return ref, nil
+}
+
+// rotate closes the active segment and opens the next one. A rotated-away
+// segment is never written again, so this is the last chance to make its
+// tail durable; close without sync would leave the frozen segment's recent
+// frames at the mercy of the page cache. The caller holds f.mu exclusively.
+func (f *File) rotate() error {
+	cur := len(f.sizes) - 1
+	if err := f.active.Sync(); err != nil {
+		return f.wedge(fmt.Errorf("syncing full segment %d: %w", cur, err))
+	}
+	if err := f.active.Close(); err != nil {
+		return fmt.Errorf("blockstore: closing full segment: %w", err)
+	}
+	return f.openSegment(cur + 1)
+}
+
+// Roll starts a new segment for the appends that follow, unless the active
+// one is still empty, and returns the number of the segment they go to:
+// every frame appended before the call sits below it.
+func (f *File) Roll() (uint32, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch cur := len(f.sizes) - 1; {
+	case f.closed:
+		return 0, ErrClosed
+	case f.wedged != nil:
+		return 0, f.wedged
+	case f.sizes[cur] == 0:
+		return uint32(cur), nil
+	}
+	if err := f.rotate(); err != nil {
+		return 0, err
+	}
+	return uint32(len(f.sizes) - 1), nil
+}
+
+// EmptyBelow cuts every segment numbered below n to zero bytes, taking their
+// frames off the medium; no Ref into them resolves after. The files stay, so
+// segment numbering stays dense, and the active segment is never cut.
+func (f *File) EmptyBelow(n uint32) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	for i := 0; i < int(n) && i < len(f.sizes)-1; i++ {
+		if f.sizes[i] == 0 {
+			continue
+		}
+		if err := f.fs.Truncate(filepath.Join(f.dir, segName(i)), 0); err != nil {
+			return fmt.Errorf("blockstore: emptying segment %d: %w", i, err)
+		}
+		f.sizes[i] = 0
+	}
+	return nil
 }
 
 // wedge makes err the store's last word: after a failed fsync a later one can
@@ -299,13 +341,6 @@ func (f *File) Scan(fn func(ref Ref, data []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// Len implements Store.
-func (f *File) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.count
 }
 
 // StorageBytes implements Store.

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/provenance"
 )
 
 func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
@@ -161,7 +163,11 @@ func TestSanitizeMediaDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two versions were written originally; only one block remains.
-	if got := re.Shard(0).blocks.Len(); got != 1 {
+	got := 0
+	if err := re.Shard(0).blocks.Scan(func(blockstore.Ref, []byte) error { got++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
 		t.Errorf("blocks on media = %d, want 1", got)
 	}
 	if bytes.Contains(raw, []byte(doomed.Patient)) {
@@ -211,7 +217,7 @@ func TestSanitizeMediaFailureLeavesVaultIntact(t *testing.T) {
 		mem := faultfs.NewMem()
 		writes, fired := 0, false
 		fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
-			if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "blocks.sanitize") && !fired {
+			if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "/blocks/") && !fired {
 				if writes++; writes > failAt {
 					fired = true
 					return &faultfs.Fault{Err: faultfs.ErrNoSpace}
@@ -447,5 +453,84 @@ func TestSanitizeMediaRefusesWedgedWAL(t *testing.T) {
 	}
 	if _, err := re.VerifyAll(nil, nil); err != nil {
 		t.Fatalf("VerifyAll after reopen: %v", err)
+	}
+}
+
+// TestSanitizeMediaRefusesOwedCustody: one ENOSPC on a custody write during a
+// shred wedges the shard's tracker, and a shard that owes custody events keeps
+// meta.wal at its checkpoint. SanitizeMedia used to report the shredded
+// version dropped while its ciphertext stayed in meta.wal; it now refuses
+// before it touches the block store or meta.wal, and after a reopen (which
+// appends the owed event) a pass drops it.
+func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
+	ctx := context.Background()
+	mem := faultfs.NewMem()
+	var fail atomic.Bool
+	fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "/prov/") && fail.CompareAndSwap(true, false) {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+		}
+		return nil
+	})
+	v, vc, err := openTorture(fsys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed := tortureRecord("doomed", 1, vc.Now())
+	var ct []byte
+	for _, id := range []string{"kept", "doomed"} {
+		ver, err := v.PutCtx(ctx, "dr-house", tortureRecord(id, 1, vc.Now()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == doomed.ID {
+			if ct, err = v.Shard(0).ciphertext(ver.Ref); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	vc.Advance(40 * 365 * 24 * time.Hour)
+	fail.Store(true)
+	if err := v.ShredCtx(ctx, "arch-lee", doomed.ID); err != nil {
+		t.Fatalf("shred with a failing custody write: %v", err)
+	}
+	if !v.Shard(0).prov.Wedged() {
+		t.Fatal("the failed custody write did not wedge the tracker")
+	}
+	media := func() map[string][]byte {
+		out := map[string][]byte{}
+		for p, data := range mem.Dump() {
+			if strings.HasPrefix(p, "vault/blocks/") || p == "vault/meta.wal" {
+				out[p] = data
+			}
+		}
+		return out
+	}
+	before := media()
+	if _, _, err := v.SanitizeMedia("arch-lee"); !errors.Is(err, provenance.ErrWedged) {
+		t.Fatalf("SanitizeMedia on a shard owing custody: %v, want provenance.ErrWedged", err)
+	}
+	if after := media(); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused SanitizeMedia touched the block store or meta.wal")
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _, err := openTorture(mem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if dropped, _, err := re.SanitizeMedia("arch-lee"); err != nil || dropped != 1 {
+		t.Fatalf("SanitizeMedia after reopen: dropped=%d err=%v, want 1 dropped", dropped, err)
+	}
+	for p, data := range mem.Dump() {
+		if bytes.Contains(data, ct) {
+			t.Errorf("the shredded ciphertext is still in %s after the pass", p)
+		}
+	}
+	if _, _, err := re.GetCtx(ctx, "dr-house", "kept"); err != nil {
+		t.Errorf("live record after the pass: %v", err)
 	}
 }

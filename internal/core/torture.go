@@ -19,7 +19,8 @@
 //     every provenance custody chain verifies.
 //   - No plaintext ever touches the medium: the crash image is scanned for
 //     sentinel strings embedded in every record body, including shredded
-//     ones.
+//     ones. Once a SanitizeMedia is acked, no ciphertext of a record shredded
+//     before it is anywhere on the image either.
 //   - Recovery is idempotent: close and reopen the recovered vault a second
 //     time and the same checks hold.
 //
@@ -32,11 +33,10 @@
 // block store and from meta.wal (the frame CRC and AEAD tag must turn silent
 // corruption into a loud error, never wrong data).
 //
-// Known gaps, on purpose: SanitizeMedia is not in the workload (its
-// rewrite-and-swap has its own tests), and bit rot is injected only under
-// read paths of a healthy vault, not during recovery itself — recovery
-// treats an unreadable tail as torn, which is the designed response to a
-// torn tail but indistinguishable from rot of the final segment.
+// Known gap, on purpose: bit rot is injected only under read paths of a
+// healthy vault, not during recovery itself — recovery treats an unreadable
+// tail as torn, which is the designed response to a torn tail but
+// indistinguishable from rot of the final segment.
 package core
 
 import (
@@ -104,10 +104,12 @@ func (r TortureReport) Passed() bool { return len(r.Failures) == 0 }
 // it or lose it — and the oracle tolerates either outcome. Sequential use
 // only.
 type oracle struct {
-	bodies   map[string][]string   // id -> body per acked version (index = number-1)
-	hashes   map[string][][32]byte // id -> ciphertext hash per acked version
-	shredded map[string]bool       // acked shreds
-	holds    map[string]bool       // acked holds not yet acked-released
+	bodies    map[string][]string   // id -> body per acked version (index = number-1)
+	hashes    map[string][][32]byte // id -> ciphertext hash per acked version
+	cts       map[string][][]byte   // id -> ciphertext per acked version
+	shredded  map[string]bool       // acked shreds
+	sanitized map[string]bool       // acked shreds an acked SanitizeMedia followed
+	holds     map[string]bool       // acked holds not yet acked-released
 
 	shredTried   map[string]bool // Shred attempted (ack unknown at crash)
 	releaseTried map[string]bool // ReleaseHold attempted
@@ -117,7 +119,9 @@ func newOracle() *oracle {
 	return &oracle{
 		bodies:       make(map[string][]string),
 		hashes:       make(map[string][][32]byte),
+		cts:          make(map[string][][]byte),
 		shredded:     make(map[string]bool),
+		sanitized:    make(map[string]bool),
 		holds:        make(map[string]bool),
 		shredTried:   make(map[string]bool),
 		releaseTried: make(map[string]bool),
@@ -182,26 +186,28 @@ func openTorture(fsys faultfs.FS, shards int) (*Cluster, *clock.Virtual, error) 
 // moment was acked and is owed durability.
 func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	ctx := context.Background()
+	acked := func(rec ehr.Record, ver Version) error {
+		o.bodies[rec.ID] = append(o.bodies[rec.ID], rec.Body)
+		o.hashes[rec.ID] = append(o.hashes[rec.ID], ver.CtHash)
+		ct, err := v.shardFor(rec.ID).ciphertext(ver.Ref)
+		o.cts[rec.ID] = append(o.cts[rec.ID], ct)
+		return err
+	}
 	put := func(id string) error {
 		rec := tortureRecord(id, 1, vc.Now())
 		ver, err := v.PutCtx(ctx, "dr-house", rec)
 		if err != nil {
 			return err
 		}
-		o.bodies[id] = append(o.bodies[id], rec.Body)
-		o.hashes[id] = append(o.hashes[id], ver.CtHash)
-		return nil
+		return acked(rec, ver)
 	}
 	correct := func(id string) error {
-		n := len(o.bodies[id]) + 1
-		rec := tortureRecord(id, n, vc.Now())
+		rec := tortureRecord(id, len(o.bodies[id])+1, vc.Now())
 		ver, err := v.CorrectCtx(ctx, "dr-house", rec)
 		if err != nil {
 			return err
 		}
-		o.bodies[id] = append(o.bodies[id], rec.Body)
-		o.hashes[id] = append(o.hashes[id], ver.CtHash)
-		return nil
+		return acked(rec, ver)
 	}
 
 	for i := 0; i < 4; i++ {
@@ -247,6 +253,22 @@ func runWorkload(v *Cluster, vc *clock.Virtual, o *oracle) error {
 	if _, _, err := v.GetCtx(ctx, "dr-house", "rec-0"); !errors.Is(err, ErrShredded) {
 		return fmt.Errorf("read-after-shred of rec-0: want ErrShredded, got %v", err)
 	}
+	// The first pass relocates every version out of meta.wal; the second,
+	// after rec-2's shred, relocates the block-resident versions behind it
+	// and empties the segment the first one wrote.
+	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
+		return err
+	}
+	o.sanitized["rec-0"] = true
+	o.shredTried["rec-2"] = true
+	if err := v.ShredCtx(ctx, "arch-lee", "rec-2"); err != nil {
+		return err
+	}
+	o.shredded["rec-2"] = true
+	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
+		return err
+	}
+	o.sanitized["rec-2"] = true
 	if err := put("rec-4"); err != nil {
 		return err
 	}
@@ -346,14 +368,22 @@ func (o *oracle) checkCustody(v *Cluster) error {
 	return nil
 }
 
-// scanForPlaintext greps a crash image for sentinel plaintext. Every byte
-// on the medium is supposed to be ciphertext, HMAC tokens, or structural
-// metadata — a sentinel hit means a record body leaked.
-func scanForPlaintext(img *faultfs.Mem) error {
-	needle := []byte(sentinelPrefix)
+// scanMedium greps a crash image once for what must not be on it: sentinel
+// plaintext, since every byte on the medium is supposed to be ciphertext,
+// HMAC tokens, or structural metadata; and the ciphertext of every record
+// whose shred an acked SanitizeMedia followed.
+func (o *oracle) scanMedium(img *faultfs.Mem) error {
+	needles := map[string][]byte{"plaintext sentinel": []byte(sentinelPrefix)}
+	for id := range o.sanitized {
+		for i, ct := range o.cts[id] {
+			needles[fmt.Sprintf("ciphertext of sanitized %s v%d", id, i+1)] = ct
+		}
+	}
 	for path, data := range img.Dump() {
-		if bytes.Contains(data, needle) {
-			return fmt.Errorf("plaintext sentinel found on medium in %s", path)
+		for what, needle := range needles {
+			if bytes.Contains(data, needle) {
+				return fmt.Errorf("%s found on medium in %s", what, path)
+			}
 		}
 	}
 	return nil
@@ -487,7 +517,7 @@ func recoverAndCheck(img *faultfs.Mem, o *oracle, shards int) error {
 			return fmt.Errorf("recovery pass %d close: %w", pass, err)
 		}
 	}
-	return scanForPlaintext(img)
+	return o.scanMedium(img)
 }
 
 // enumerate runs the workload once, fault-free, over a recording injector

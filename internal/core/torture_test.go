@@ -36,8 +36,10 @@ func TestTortureFull(t *testing.T) {
 // workload's two hold placements and one release, making 88 and 137). Since
 // a version's ciphertext rides in its meta.wal entry, each of the workload's
 // seven versions writes and fsyncs no block (-14), and Close's checkpoint
-// moves them to the block store with one write each (+7).
-var tortureInjectionPoints = map[int]int{1: 81, 4: 130}
+// moves them to the block store with one write each (+7): 81 and 130. The
+// workload's two SanitizeMedia passes and rec-2's shred, each pass a
+// checkpoint per shard that also relocates, make 117 and 250.
+var tortureInjectionPoints = map[int]int{1: 117, 4: 250}
 
 // TestTortureShardedOpCount pins the 4-shard fs-op sequence length the same
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),

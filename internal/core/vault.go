@@ -484,7 +484,7 @@ func (v *Vault) Close() error {
 	if v.fsink != nil {
 		v.fsink.Close() // best-effort; flight loss never fails a Close
 	}
-	if err := v.checkpoint(); err != nil {
+	if _, err := v.checkpoint(false); err != nil {
 		return err
 	}
 	if err := v.metaWAL.Close(); err != nil {
@@ -498,49 +498,73 @@ func (v *Vault) Close() error {
 	return nil
 }
 
-// checkpoint moves every ciphertext inline in meta.wal to the block store —
-// shredded records' too, which VerifyAll still hashes — and syncs the block,
-// audit and custody stores. Only then does it repoint the moved versions,
-// write meta.snap and, unless the shard owes custody events, truncate
-// meta.wal: a cut anywhere leaves at worst orphan frames. A wedged WAL
-// refuses it. The caller holds the op gate exclusively.
-func (v *Vault) checkpoint() error {
+// checkpoint is core's one mover of ciphertext. It moves every version
+// inline in meta.wal to the block store — shredded records' too, which
+// VerifyAll still hashes — or, to sanitize, rolls the block store to a fresh
+// segment and copies every live version there, wherever it lives, dropping
+// shredded records' versions. It syncs the block, audit and custody stores;
+// only then does it repoint the moved versions (and mark dropped records
+// sanitized), write meta.snap and, unless the shard owes custody events,
+// truncate meta.wal. Sanitizing then empties every older segment. A cut
+// before meta.snap leaves the old snapshot, WAL and segments plus orphan
+// frames; one after it leaves unreferenced bytes the next pass empties. A
+// wedged WAL refuses it. The caller holds the op gate exclusively.
+func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 	if err := v.metaWAL.Wedged(); err != nil {
-		return err
+		return 0, err
+	}
+	var fresh uint32
+	if sanitize {
+		if fresh, err = v.blocks.Roll(); err != nil {
+			return 0, fmt.Errorf("core: checkpoint: rolling the block store: %w", err)
+		}
 	}
 	var moved []*verState
 	var refs []blockstore.Ref
+	var gone []*recordState
 	for _, r := range v.registry() {
-		for n := uint64(1); n <= r.st.count() && !r.st.sanitized; n++ {
-			if vs := r.st.at(n); vs.segment == walSegment {
+		st := r.st
+		if sanitize && st.shredded.Load() && !st.sanitized {
+			dropped += int(st.count())
+			gone = append(gone, st)
+			continue
+		}
+		for n := uint64(1); n <= st.count() && !st.sanitized; n++ {
+			if vs := st.at(n); sanitize || vs.segment == walSegment {
 				ct, err := v.ciphertext(vs.ref())
 				ref := blockstore.Ref{}
 				if err == nil {
 					ref, err = v.blocks.Append(ct)
 				}
 				if err != nil {
-					return fmt.Errorf("core: checkpoint: moving %s v%d to the block store: %w", r.id, n, err)
+					return 0, fmt.Errorf("core: checkpoint: moving %s v%d to the block store: %w", r.id, n, err)
 				}
 				moved, refs = append(moved, vs), append(refs, ref)
 			}
 		}
 	}
 	if err := v.blocks.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return fmt.Errorf("core: checkpoint: syncing ciphertext: %w", err)
+		return 0, fmt.Errorf("core: checkpoint: syncing ciphertext: %w", err)
 	}
 	for _, st := range []*blockstore.File{v.auditStore, v.provStore} {
 		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-			return err
+			return 0, err
 		}
 	}
 	for i, vs := range moved {
 		vs.segment, vs.offset = refs[i].Segment, refs[i].Offset
 	}
+	for _, st := range gone {
+		st.sanitized = true
+	}
 	v.inline.Store(0) // every inline ciphertext moved, or was sanitized away
 	if err := v.writeSnapshotLocked(); err != nil || v.prov.Wedged() {
-		return err
+		return dropped, err
 	}
-	return v.metaWAL.Checkpoint()
+	if err := v.metaWAL.Checkpoint(); err != nil || !sanitize {
+		return dropped, err
+	}
+	return dropped, v.blocks.EmptyBelow(fresh)
 }
 
 // now returns the current vault time in UTC.

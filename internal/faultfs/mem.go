@@ -117,36 +117,13 @@ func (m *Mem) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return nil
 }
 
-// Rename implements FS.
+// Rename implements FS for files; nothing renames a directory.
 func (m *Mem) Rename(oldpath, newpath string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	oldpath, newpath = clean(oldpath), clean(newpath)
 	if m.dirs[oldpath] {
-		// Directory rename: move the directory and everything under it.
-		prefix := oldpath + string(filepath.Separator)
-		moved := make(map[string]*memFile)
-		for p, f := range m.files {
-			if strings.HasPrefix(p, prefix) {
-				moved[newpath+p[len(oldpath):]] = f
-				delete(m.files, p)
-			}
-		}
-		for p, f := range moved {
-			m.files[p] = f
-		}
-		movedDirs := []string{}
-		for d := range m.dirs {
-			if d == oldpath || strings.HasPrefix(d, prefix) {
-				movedDirs = append(movedDirs, d)
-			}
-		}
-		for _, d := range movedDirs {
-			delete(m.dirs, d)
-			m.dirs[newpath+d[len(oldpath):]] = true
-		}
-		m.addParents(newpath + string(filepath.Separator) + "x")
-		return nil
+		return &fs.PathError{Op: "rename", Path: oldpath, Err: fs.ErrInvalid}
 	}
 	f, ok := m.files[oldpath]
 	if !ok {

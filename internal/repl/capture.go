@@ -384,11 +384,8 @@ func (c *Capture) Rename(oldpath, newpath string) error {
 		return err
 	}
 	for cf := range c.files {
-		switch {
-		case cf.rel == relOld:
+		if cf.rel == relOld {
 			cf.rel = relNew
-		case strings.HasPrefix(cf.rel, relOld+"/"):
-			cf.rel = relNew + cf.rel[len(relOld):]
 		}
 	}
 	if !underOld || !underNew {

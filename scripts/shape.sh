@@ -121,11 +121,20 @@ check "One frame codec: only internal/frame imports hash/crc32, and internal/cor
 	grep -nE 'frame\.([A-Za-z]+\.)?(Decode|Walk)\(' internal/core/*.go)"
 
 # A version is one meta.wal write and one fsync: its ciphertext rides in the
-# entry, and only checkpoint moves it to the block store and syncs it there.
-# Every read of version bytes goes through the one helper that finds them.
+# entry, and only checkpoint moves it to the block store and syncs it there —
+# for Close and for SanitizeMedia alike. Every read of version bytes goes
+# through the one helper that finds them.
 check "One barrier per version: internal/core appends to or syncs the block store only in checkpoint, reads it only in ciphertext, and no SyncCtx exists" \
 	"$(awk '/^func /{fn=$0} /\.blocks\.(Sync|Append)\(/ && fn !~ /^func \(v \*Vault\) checkpoint\(/ {print FILENAME ":" FNR ": " $0} /\.blocks\.Read\(/ && fn !~ /^func \(v \*Vault\) ciphertext\(/ {print FILENAME ":" FNR ": " $0}' $(ls internal/core/*.go | grep -v '_test\.go$')
 	grep -rn 'SyncCtx' --include='*.go' .)"
+
+# SanitizeMedia is a checkpoint that relocates: it empties old segments in
+# place, so core renames and removes no directory, and the block store a shard
+# opens is the one it closes.
+core=$(ls internal/core/*.go | grep -v '_test\.go$')
+check "Sanitize is a checkpoint: internal/core calls no .fs.Rename( or .fs.RemoveAll(, and assigns v.blocks only in openShard" \
+	"$(grep -nE '\.fs\.(Rename|RemoveAll)\(' $core
+	awk '/^func /{fn=$0} /v\.blocks(, [A-Za-z_.]+)* =[^=]/ && fn !~ /^func openShard\(/ {print FILENAME ":" FNR ": " $0}' $core)"
 
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
