@@ -7,7 +7,6 @@ import (
 
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
-	"medvault/internal/obs"
 	"medvault/internal/provenance"
 	"medvault/internal/recno"
 	"medvault/internal/wal"
@@ -28,8 +27,9 @@ import (
 func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	v.commitMu.Lock()
 	_, off, wait := v.metaWAL.EnqueueCtx(ctx, e.encode())
+	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
 	if e.kind == 'V' {
-		e.ver.Ref = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
+		e.ver.Ref = e.at
 		v.appendLeaf(ctx, e)
 	}
 	v.commitMu.Unlock()
@@ -61,8 +61,9 @@ func (v *Vault) replay(we wal.Entry) error {
 	if err != nil {
 		return err
 	}
+	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(we.Off)}
 	if e.ct != nil {
-		e.ver.Ref = blockstore.Ref{Segment: walSegment, Offset: uint64(we.Off)}
+		e.ver.Ref = e.at
 	}
 	if e.kind == 'V' {
 		// A crash between the snapshot rename and the WAL checkpoint leaves
@@ -72,8 +73,10 @@ func (v *Vault) replay(we wal.Entry) error {
 			if st.at(e.ver.Number).ctHash != e.ver.CtHash {
 				return fmt.Errorf("core: WAL replay conflicts with snapshot: %s version %d", e.id, e.ver.Number)
 			}
-			v.custody(&e) // Close kept this entry for a custody event it owed
-			return nil
+			// Its custody event is on the medium, which checkpoint writes
+			// first, unless a parent's Close kept the entry for an event it
+			// owed.
+			return v.custody(&e)
 		}
 		v.appendLeaf(context.Background(), &e)
 	}
@@ -150,30 +153,39 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	case e.kind == 'R':
 		v.ret.ReleaseHold(e.id)
 	}
-	v.custody(e)
+	return v.custody(e)
+}
+
+// custody chains the custody event e carries, if any, stamped with the
+// version's or the shred's time, onto its record's chain in RAM: the entry
+// holds the event until checkpoint writes it (Tracker.Pend), so apply writes
+// nothing and cannot fail the committed operation. Replay skips an event a
+// checkpoint or a backup wrote before the cut (Tracker.Complete).
+func (v *Vault) custody(e *walEntry) error {
+	if !e.custody {
+		return nil
+	}
+	typ := custodyType(e.ver.Number)
+	if v.replaying {
+		return v.prov.Complete(e.at, e.id, typ, e.ver.Author, e.ver.CtHash, e.ver.Timestamp)
+	}
+	v.prov.Pend(e.at, e.id, typ, e.ver.Author, e.ver.CtHash, e.ver.Timestamp)
 	return nil
 }
 
-var metProvenanceErrors = obs.Default.Counter("medvault_provenance_append_errors_total",
-	"Custody events a committed mutation could not append; the shard appends them at its next open.")
-
-// custody appends the custody event e carries, if any, stamped with the
-// version's or the shred's time. Replay completes it instead (see
-// Tracker.Complete), since the event may have survived the cut. A failure
-// cannot fail the committed operation (a retried Put would hit ErrExists):
-// it wedges the tracker, so the shard owes this event and every later one,
-// and Close keeps meta.wal for the next open's replay to append them in order.
-func (v *Vault) custody(e *walEntry) {
-	if !e.custody {
-		return
+// pendingCustody reads back the custody event pending in the meta.wal entry
+// at ref (provenance.Config.Pending).
+func (v *Vault) pendingCustody(ref blockstore.Ref) (provenance.Event, error) {
+	we, err := v.metaWAL.ReadAt(int64(ref.Offset))
+	if err != nil {
+		return provenance.Event{}, err
 	}
-	add := v.prov.RecordAt
-	if v.replaying {
-		add = v.prov.Complete
+	e, err := decodeWALEntry(we.Data)
+	if err == nil && !e.custody {
+		err = fmt.Errorf("%w: meta.wal entry at %d carries no custody event", ErrCorrupt, ref.Offset)
 	}
-	if add(e.id, custodyType(e.ver.Number), e.ver.Author, e.ver.CtHash, e.ver.Timestamp) != nil {
-		metProvenanceErrors.Inc()
-	}
+	return provenance.Event{Record: e.id, Type: custodyType(e.ver.Number), Actor: e.ver.Author,
+		Timestamp: e.ver.Timestamp, ContentHash: e.ver.CtHash}, err
 }
 
 // custodyType is a mutation's custody event by version number: a shred's

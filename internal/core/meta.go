@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
@@ -66,10 +67,11 @@ import (
 // are ErrCorrupt. Every version-append layout decodes to kind 'V', and both
 // shreds to kind 'S'.
 //
-// 'p', 'c' and 's' carry the custody event apply appends (and replay
+// 'p', 'c' and 's' carry the custody event apply chains (and replay
 // completes): the version's author, time and hash, or the shred's actor and
-// time. An import adopts its custody chain, so it writes 'i'; 'v', 'V' and
-// 'S' carry none.
+// time. The entry is where that event lives until checkpoint writes it to
+// the custody store. An import adopts its custody chain, so it writes 'i';
+// 'v', 'V' and 'S' carry none.
 //
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, recovery applies what the parser
@@ -141,8 +143,9 @@ const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 // (number > 1) has no category, MRN, created time or DEK: apply takes its
 // record's.
 type walEntry struct {
-	kind       byte // 'V', 'S', 'H' or 'R'
-	custody    bool // V, S: the entry carries its custody fact ('p', 'c', 's')
+	kind       byte           // 'V', 'S', 'H' or 'R'
+	custody    bool           // V, S: the entry carries its custody fact ('p', 'c', 's')
+	at         blockstore.Ref // the entry's own place in meta.wal (walSegment), assigned at commit and replay, not logged
 	id         string
 	category   ehr.Category // V, version 1
 	mrn        string       // V, version 1

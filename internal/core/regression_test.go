@@ -44,15 +44,19 @@ func (f *failingStore) Append(data []byte) (blockstore.Ref, error) {
 
 // withFailingProvenance rewires the vault's custody tracker onto its own
 // custody store behind a wrapper whose Append can be made to fail on demand.
+// The new tracker knows only the events on the medium, so a test calls it
+// before any mutation.
 func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
 	v := c.Shard(0)
 	t.Helper()
 	fs := &failingStore{Store: v.provStore}
 	tr, err := provenance.Open(provenance.Config{
-		Store:  fs,
-		Signer: v.signer,
-		System: v.name,
-		Now:    v.clk.Now,
+		Store:   fs,
+		Signer:  v.signer,
+		System:  v.name,
+		Now:     v.clk.Now,
+		Records: v.recs,
+		Pending: v.pendingCustody,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +139,15 @@ func TestSwallowedAuditFailureWedgesTheShard(t *testing.T) {
 	}
 }
 
-// checkOwedCustody runs mutate — a put, correction or shred of rec that
-// appends custody event want — with the custody store failing, on a durable
-// vault that prepare has set up. The committed operation succeeds, the
-// counter ticks, retry (if any) answers as if the first call had succeeded,
-// VerifyAll passes once the store heals, Close keeps meta.wal, and the next
-// open's replay appends the owed event, with the version's ciphertext hash
-// (the zero hash for a shred) and time.
+// checkOwedCustody runs mutate — a put, correction or shred of rec whose
+// custody event is want — on a durable vault that prepare has set up, then
+// closes it with the custody store failing from that event on, so the
+// checkpoint's flush writes rec's earlier events and fails on the mutation's.
+// The committed operation succeeded, retry (if any) answers as if it had,
+// VerifyAll reads the pending event from meta.wal, Close fails and keeps
+// meta.wal, and the next open's replay pends the owed event after the ones
+// on the medium, with the version's ciphertext hash (the zero hash for a
+// shred) and time.
 func checkOwedCustody(t *testing.T, rec ehr.Record, want provenance.EventType, prepare func(*Cluster), mutate func(*Cluster) (Version, error), retry func(*Cluster) error) {
 	t.Helper()
 	ctx := context.Background()
@@ -156,32 +162,28 @@ func checkOwedCustody(t *testing.T, rec ehr.Record, want provenance.EventType, p
 		return v
 	}
 	v := open()
-	prepare(v)
 	fs := withFailingProvenance(t, v)
-	fs.fail = true
-	before := metProvenanceErrors.Value()
+	prepare(v)
+	earlier, _ := v.ProvenanceCtx(ctx, "officer-kim", rec.ID)
 	ver, err := mutate(v)
 	if err != nil {
-		t.Fatalf("%s with failing custody store = %v, want success (the state is committed)", want, err)
-	}
-	if got := metProvenanceErrors.Value() - before; got != 1 {
-		t.Errorf("medvault_provenance_append_errors_total rose by %d, want 1", got)
+		t.Fatalf("%s = %v, want success (the state is committed)", want, err)
 	}
 	if retry != nil {
 		if err := retry(v); err != nil {
 			t.Error(err)
 		}
 	}
-	fs.fail = false
 	if _, err := v.VerifyAll(nil, nil); err != nil {
-		t.Fatalf("VerifyAll after degraded %s: %v", want, err)
+		t.Fatalf("VerifyAll after %s: %v", want, err)
 	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
+	fs.fail, fs.pass = true, len(earlier)
+	if err := v.Close(); !errors.Is(err, errInjectedAppend) {
+		t.Fatalf("Close with the %s event's custody append failing = %v, want the injected error", want, err)
 	}
 	entries := 0
 	if _, _, err := wal.Read(mem, "vault/meta.wal", func(wal.Entry) error { entries++; return nil }); err != nil || entries == 0 {
-		t.Fatalf("Close with an owed custody event left meta.wal with %d entries (%v), want it kept", entries, err)
+		t.Fatalf("a Close that could not write a custody event left meta.wal with %d entries (%v), want it kept", entries, err)
 	}
 	re := open()
 	defer re.Close()
@@ -190,16 +192,17 @@ func checkOwedCustody(t *testing.T, rec ehr.Record, want provenance.EventType, p
 		t.Fatal(err)
 	}
 	last := chain[len(chain)-1]
-	if last.Type != want || last.ContentHash != ver.CtHash || last.Actor == "" || !last.Timestamp.Equal(vc.Now()) {
-		t.Errorf("custody chain after reopen ends in %s by %q at %v with hash %x; want the owed %s with hash %x at %v",
-			last.Type, last.Actor, last.Timestamp, last.ContentHash[:4], want, ver.CtHash[:4], vc.Now())
+	if len(chain) != len(earlier)+1 || last.Type != want || last.ContentHash != ver.CtHash || last.Actor == "" || !last.Timestamp.Equal(vc.Now()) {
+		t.Errorf("custody chain after reopen has %d events and ends in %s by %q at %v with hash %x; want %d ending in the owed %s with hash %x at %v",
+			len(chain), last.Type, last.Actor, last.Timestamp, last.ContentHash[:4], len(earlier)+1, want, ver.CtHash[:4], vc.Now())
 	}
 }
 
 // TestPutSurvivesProvenanceFailure: before the fix, Put returned an error
 // after the version was committed, indexed, and inserted — the caller saw
-// failure, but a retry got ErrExists. Now the committed Put succeeds and the
-// next open appends its custody event.
+// failure, but a retry got ErrExists. Now the committed Put succeeds, and a
+// custody write that fails at the checkpoint leaves its event to the next
+// open.
 func TestPutSurvivesProvenanceFailure(t *testing.T) {
 	rec := clinicalRecord(t, 1)
 	checkOwedCustody(t, rec, provenance.EventCreated, func(*Cluster) {},
@@ -248,8 +251,8 @@ func TestCorrectSurvivesProvenanceFailure(t *testing.T) {
 }
 
 // TestShredSurvivesProvenanceFailure: the shred is WAL-logged and the key
-// destroyed before its custody event; a failing custody store must not make
-// it look failed, and a retry is told the record is already shredded.
+// destroyed before its custody event is written; a failing custody store must
+// not lose it, and a retry is told the record is already shredded.
 func TestShredSurvivesProvenanceFailure(t *testing.T) {
 	rec := clinicalRecord(t, 3)
 	checkOwedCustody(t, rec, provenance.EventShredded,
@@ -271,11 +274,13 @@ func TestShredSurvivesProvenanceFailure(t *testing.T) {
 		})
 }
 
-// TestOwedCustodyKeepsAckOrder: once a custody append fails, the shard
-// appends no custody event until it reopens, even after the store heals, so a
-// correction's event cannot land ahead of the create's the shard owes (and a
-// backup's event and an import are refused). Replay then appends both in WAL order, after a Close
-// and after a power cut alike.
+// TestOwedCustodyKeepsAckOrder: a backup writes its record's pending events
+// before its own, and once that custody append fails the shard appends no
+// custody event until it reopens, even after the store heals, so a
+// correction's event cannot land ahead of the create's the shard owes (a
+// second backup's event, an import and Close's checkpoint are refused).
+// Replay then chains both in WAL order, after a Close and after a power cut
+// alike.
 func TestOwedCustodyKeepsAckOrder(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		ctx := context.Background()
@@ -292,10 +297,13 @@ func TestOwedCustodyKeepsAckOrder(t *testing.T) {
 		v := open(mem)
 		fs := withFailingProvenance(t, v)
 		rec := clinicalRecord(t, 4)
-		fs.fail = true
 		created, err := v.PutCtx(ctx, "dr-house", rec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		fs.fail = true
+		if err := v.Shard(0).RecordBackedUp("arch-lee", rec.ID, "tape-0"); !errors.Is(err, errInjectedAppend) {
+			t.Fatalf("backed-up event with the custody store failing = %v, want the injected error", err)
 		}
 		fs.fail = false
 		vc.Advance(time.Hour)
@@ -326,8 +334,8 @@ func TestOwedCustodyKeepsAckOrder(t *testing.T) {
 		img := mem
 		if crash {
 			img = mem.CrashImage(faultfs.KeepNone)
-		} else if err := v.Close(); err != nil {
-			t.Fatal(err)
+		} else if err := v.Close(); !errors.Is(err, provenance.ErrWedged) {
+			t.Fatalf("Close while a create is owed = %v, want ErrWedged", err)
 		}
 		re := open(img)
 		chain, err := re.ProvenanceCtx(ctx, "officer-kim", rec.ID)

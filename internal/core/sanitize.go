@@ -5,7 +5,6 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
-	"medvault/internal/provenance"
 )
 
 // SanitizeMedia physically drops the ciphertext of shredded records from the
@@ -41,12 +40,6 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	}
 	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionDelete, "", 0, ""); err != nil {
 		return 0, 0, err
-	}
-	// A shard that owes custody events keeps meta.wal at its checkpoint,
-	// shredded ciphertext included: refuse before anything rolls, as the
-	// checkpoint itself refuses a wedged WAL.
-	if v.prov.Wedged() {
-		return 0, 0, fmt.Errorf("core: sanitize: %w", provenance.ErrWedged)
 	}
 	before := v.StorageBytes()
 	dropped, err = v.checkpoint(true)

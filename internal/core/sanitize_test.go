@@ -456,12 +456,13 @@ func TestSanitizeMediaRefusesWedgedWAL(t *testing.T) {
 	}
 }
 
-// TestSanitizeMediaRefusesOwedCustody: one ENOSPC on a custody write during a
-// shred wedges the shard's tracker, and a shard that owes custody events keeps
-// meta.wal at its checkpoint. SanitizeMedia used to report the shredded
-// version dropped while its ciphertext stayed in meta.wal; it now refuses
-// before it touches the block store or meta.wal, and after a reopen (which
-// appends the owed event) a pass drops it.
+// TestSanitizeMediaRefusesOwedCustody: one ENOSPC on a backup's custody write
+// wedges the shard's tracker while a shred's event is pending in meta.wal,
+// and a checkpoint that cannot write the pending events keeps meta.wal.
+// SanitizeMedia used to report the shredded version dropped while its
+// ciphertext stayed in meta.wal; it now refuses before it touches the block
+// store or meta.wal, and after a reopen (which pends the owed events again)
+// a pass drops it.
 func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 	ctx := context.Background()
 	mem := faultfs.NewMem()
@@ -490,9 +491,12 @@ func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 		}
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	fail.Store(true)
 	if err := v.ShredCtx(ctx, "arch-lee", doomed.ID); err != nil {
-		t.Fatalf("shred with a failing custody write: %v", err)
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	if err := v.RecordBackedUp("arch-lee", "kept", "tape-1"); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("backed-up event with a failing custody write: %v, want ErrNoSpace", err)
 	}
 	if !v.Shard(0).prov.Wedged() {
 		t.Fatal("the failed custody write did not wedge the tracker")
@@ -513,8 +517,8 @@ func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 	if after := media(); !reflect.DeepEqual(after, before) {
 		t.Fatal("a refused SanitizeMedia touched the block store or meta.wal")
 	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
+	if err := v.Close(); !errors.Is(err, provenance.ErrWedged) {
+		t.Fatalf("Close of a shard owing custody: %v, want provenance.ErrWedged", err)
 	}
 
 	re, _, err := openTorture(mem, 1)

@@ -30,7 +30,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -139,9 +138,9 @@ func (vs *verState) ref() blockstore.Ref {
 	return blockstore.Ref{Segment: vs.segment, Offset: vs.offset}
 }
 
-// walSegment is the Ref segment of a ciphertext still inline in its version
-// entry in meta.wal, whose offset is the Ref's; checkpoint moves it.
-const walSegment = math.MaxUint32
+// walSegment is the Ref segment of a ciphertext, or a custody event, still
+// in its entry in meta.wal, whose offset is the Ref's; checkpoint moves it.
+const walSegment = provenance.PendingSegment
 
 // ciphertext reads the version bytes ref names, from a block or a meta.wal
 // entry: core's one reader of either. Callers check them against the hash.
@@ -282,7 +281,7 @@ type Vault struct {
 	shard    string       // shard index label when part of a >1-shard Cluster
 
 	// replaying is set while recover replays meta.wal: apply's custody step
-	// completes events there instead of appending them.
+	// completes events there instead of pending them.
 	replaying bool
 
 	flight *obs.Flight     // in-memory ring ops report to (never nil)
@@ -349,6 +348,7 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		System:  cfg.Name,
 		Now:     now,
 		Records: recs,
+		Pending: v.pendingCustody,
 	})
 	if err != nil {
 		return nil, err
@@ -498,20 +498,25 @@ func (v *Vault) Close() error {
 	return nil
 }
 
-// checkpoint is core's one mover of ciphertext. It moves every version
-// inline in meta.wal to the block store — shredded records' too, which
-// VerifyAll still hashes — or, to sanitize, rolls the block store to a fresh
-// segment and copies every live version there, wherever it lives, dropping
-// shredded records' versions. It syncs the block, audit and custody stores;
-// only then does it repoint the moved versions (and mark dropped records
-// sanitized), write meta.snap and, unless the shard owes custody events,
-// truncate meta.wal. Sanitizing then empties every older segment. A cut
-// before meta.snap leaves the old snapshot, WAL and segments plus orphan
-// frames; one after it leaves unreferenced bytes the next pass empties. A
-// wedged WAL refuses it. The caller holds the op gate exclusively.
+// checkpoint is core's one mover of what meta.wal entries hold. It first
+// writes every pending custody event to the custody store (Tracker.Flush).
+// It then moves every version inline in meta.wal to the block store —
+// shredded records' too, which VerifyAll still hashes — or, to sanitize,
+// rolls the block store to a fresh segment and copies every live version
+// there, wherever it lives, dropping shredded records' versions. It syncs the
+// block, audit and custody stores; only then does it repoint the moved
+// versions (and mark dropped records sanitized), write meta.snap and truncate
+// meta.wal. Sanitizing then empties every older segment. A cut before
+// meta.snap leaves the old snapshot, WAL and segments plus orphan frames; one
+// after it leaves unreferenced bytes the next pass empties. A wedged WAL, or
+// a custody event the flush cannot write, refuses it before anything rolls,
+// and keeps meta.wal. The caller holds the op gate exclusively.
 func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 	if err := v.metaWAL.Wedged(); err != nil {
 		return 0, err
+	}
+	if err := v.prov.Flush(); err != nil {
+		return 0, fmt.Errorf("core: checkpoint: writing custody events: %w", err)
 	}
 	var fresh uint32
 	if sanitize {
@@ -558,7 +563,7 @@ func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 		st.sanitized = true
 	}
 	v.inline.Store(0) // every inline ciphertext moved, or was sanitized away
-	if err := v.writeSnapshotLocked(); err != nil || v.prov.Wedged() {
+	if err := v.writeSnapshotLocked(); err != nil {
 		return dropped, err
 	}
 	if err := v.metaWAL.Checkpoint(); err != nil || !sanitize {

@@ -12,9 +12,11 @@ import (
 	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
+	"medvault/internal/wal"
 )
 
 // rawRequest sends an arbitrary body (not necessarily JSON) as the given
@@ -225,11 +227,10 @@ func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	}
 }
 
-// TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer: the custody route and
-// /verify read chains from the medium, so with one byte of a written custody
-// frame flipped the route answers 500 with an error body — never 200 with the
-// events that still read — and /verify reports an integrity failure.
-func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
+// custodyServer serves a running durable vault holding record p1, whose
+// one-event custody chain reads clean.
+func custodyServer(t *testing.T) (*core.Cluster, *faultfs.Mem, *httptest.Server) {
+	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +252,33 @@ func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	if code := do(t, ts, "GET", "/records/p1/custody", "officer-kim", nil, &chain); code != http.StatusOK || len(chain) != 1 {
 		t.Fatalf("clean custody = %d with %d events, want 200 with 1", code, len(chain))
 	}
+	return v, mem, ts
+}
+
+// checkCustodyRoutesFail requires the custody route to answer 500 with an
+// error body and /verify an integrity failure.
+func checkCustodyRoutesFail(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	var body errorBody
+	if code := do(t, ts, "GET", "/records/p1/custody", "officer-kim", nil, &body); code != http.StatusInternalServerError || body.Error == "" {
+		t.Errorf("GET /records/p1/custody over a corrupt custody frame = %d %+v, want 500 with an error body", code, body)
+	}
+	var verdict map[string]any
+	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict || verdict["status"] != "INTEGRITY FAILURE" {
+		t.Errorf("POST /verify over a corrupt custody frame = %d %v, want 409 INTEGRITY FAILURE", code, verdict)
+	}
+}
+
+// TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer: the custody route and
+// /verify read chains from the medium, so with one byte of a written custody
+// frame flipped the route answers 500 with an error body — never 200 with the
+// events that still read — and /verify reports an integrity failure. A
+// checkpoint (here SanitizeMedia) is what writes the frame.
+func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
+	v, mem, ts := custodyServer(t)
+	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
+		t.Fatal(err)
+	}
 
 	// The create of p1 is the custody store's first frame; flip a byte inside it.
 	const seg = "vault/prov/seg-00000000.blk"
@@ -262,15 +290,37 @@ func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	if err := mem.WriteFile(seg, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	checkCustodyRoutesFail(t, ts)
+}
 
-	var body errorBody
-	if code := do(t, ts, "GET", "/records/p1/custody", "officer-kim", nil, &body); code != http.StatusInternalServerError || body.Error == "" {
-		t.Errorf("GET /records/p1/custody over a corrupt custody frame = %d %+v, want 500 with an error body", code, body)
+// TestEditedPendingCustodyEntryIsAnErrorNotAShorterAnswer: before a
+// checkpoint p1's create event lives in its meta.wal entry. One byte of the
+// author there changed, with the frame's CRC recomputed so the WAL reads
+// clean, fails the custody route and /verify the same way.
+func TestEditedPendingCustodyEntryIsAnErrorNotAShorterAnswer(t *testing.T) {
+	_, mem, ts := custodyServer(t)
+	const path = "vault/meta.wal"
+	raw, err := mem.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var verdict map[string]any
-	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, &verdict); code != http.StatusConflict || verdict["status"] != "INTEGRITY FAILURE" {
-		t.Errorf("POST /verify over a corrupt custody frame = %d %v, want 409 INTEGRITY FAILURE", code, verdict)
+	edited := 0
+	if _, _, err := wal.Read(mem, path, func(e wal.Entry) error {
+		at := bytes.Index(e.Data, []byte("dr-house"))
+		if e.Data[0] != 'p' || at < 0 {
+			return nil
+		}
+		e.Data[at+len("dr-house")-1] ^= 0x01
+		copy(raw[e.Off:], frame.Seq.Append(nil, e.Seq, e.Data))
+		edited++
+		return nil
+	}); err != nil || edited != 1 {
+		t.Fatalf("editing p1's create entry: %d edited, %v", edited, err)
 	}
+	if err := mem.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	checkCustodyRoutesFail(t, ts)
 }
 
 // TestEveryOutcomeHasAStatus: every label core.Outcome can return answers a

@@ -17,14 +17,18 @@
 // spanning systems, signed by each custodian in turn, and the adopted events
 // keep those signatures on the new custodian's medium.
 //
-// Events live only in the append-only blockstore, in a layout that stores only
-// what the tracker cannot recompute (codec.go). In RAM the tracker keeps,
-// per record, each event's blockstore.Ref and the chain's head hash. Open
-// checks every link and MAC as events enter, and Adopt every link and
-// signature; Chain reads the events back and checks their links, their MACs
-// and that they end in the head, and Verify adds a check of every signature
-// an event carries, so what both vouch for is the bytes on the medium, not a
-// copy of them.
+// Events live in the append-only blockstore, in a layout that stores only
+// what the tracker cannot recompute (codec.go), or, until a checkpoint, in
+// the owner's log: a committed mutation's entry already holds its event, so
+// Pend only chains it, and Flush writes every such pending event at the
+// owner's checkpoint. In RAM the tracker keeps, per record, each event's
+// blockstore.Ref (a pending event's names its log entry, see PendingSegment)
+// and the chain's head hash. Open checks every link and MAC as events enter,
+// and Adopt every link and signature; Chain reads the events back — a pending
+// one through Config.Pending — and checks their links, their MACs and that
+// they end in the head, and Verify adds a check of every signature an event
+// carries, so what both vouch for is the bytes on the medium, not a copy of
+// them.
 package provenance
 
 import (
@@ -32,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -75,6 +80,15 @@ var (
 	ErrWedged = errors.New("provenance: an earlier custody append failed; reopen to append")
 )
 
+// PendingSegment is the Ref segment of a pending event (see Pend): its
+// offset is the place in the owner's log of the entry that holds the event,
+// and Config.Pending reads it back from there.
+const PendingSegment = math.MaxUint32
+
+// pending reports whether ref names a pending event rather than a frame in
+// the store.
+func pending(ref blockstore.Ref) bool { return ref.Segment == PendingSegment }
+
 // Event is one link in a record's custody chain.
 type Event struct {
 	Record      string // record ID this event belongs to
@@ -107,22 +121,25 @@ func eventHash(e Event) [32]byte {
 // Tracker maintains custody chains for all records in one system.
 // Safe for concurrent use.
 type Tracker struct {
-	mu     sync.RWMutex
-	store  blockstore.Store
-	signer *vcrypto.Signer
-	mac    *vcrypto.KeyedMAC // stored-event MACs, keyed from the signer's seed
-	system string
-	now    func() time.Time
-	recs   *recno.Table // record numbers; lock order: mu → recs
-	chains []chainRefs  // record number -> chain; no refs: no chain yet
-	wedged bool         // an append or Complete failed since Open (see ErrWedged)
+	mu      sync.RWMutex
+	store   blockstore.Store
+	pending func(blockstore.Ref) (Event, error) // Config.Pending
+	signer  *vcrypto.Signer
+	mac     *vcrypto.KeyedMAC // stored-event MACs, keyed from the signer's seed
+	system  string
+	now     func() time.Time
+	recs    *recno.Table // record numbers; lock order: mu → recs
+	chains  []chainRefs  // record number -> chain; no refs: no chain yet
+	wedged  bool         // an append failed since Open (see ErrWedged)
 }
 
 // chainRefs is all a record's custody chain keeps in RAM: where each event
-// lives on the medium and the hash of the last one. The head's event was
-// MAC- or signature-checked when it entered the tracker, and every event hash
-// covers its predecessor's, so a chain read back from the medium that links
-// up and ends in head is the chain that was authenticated.
+// lives, on the medium or pending in the owner's log, and the hash of the
+// last one. The head's event was MAC- or signature-checked when it entered
+// the tracker, or built by it, and every event hash covers its
+// predecessor's, so a chain read back that links up and ends in head is the
+// chain that was authenticated. A chain reaches the medium in order, so its
+// pending events are its last ones.
 type chainRefs struct {
 	head [32]byte
 	refs []blockstore.Ref
@@ -143,6 +160,11 @@ type Config struct {
 	// Records numbers the records the tracker holds chains for: the table a
 	// shard shares among its per-record stores. Nil means a private one.
 	Records *recno.Table
+	// Pending reads back the event a pending ref names (see Pend): the
+	// Record, Type, Actor, Timestamp and ContentHash of the mutation logged
+	// there. The tracker fills in the rest and checks the result against the
+	// chain, so an edited entry breaks it. Required only by Pend's callers.
+	Pending func(ref blockstore.Ref) (Event, error)
 }
 
 // macLabel derives the stored-event MAC key from the signer's seed.
@@ -167,12 +189,13 @@ func Open(cfg Config) (*Tracker, error) {
 		recs = recno.New()
 	}
 	tr := &Tracker{
-		store:  cfg.Store,
-		signer: cfg.Signer,
-		mac:    vcrypto.NewKeyedMAC(cfg.Signer.DeriveKey(macLabel)),
-		system: cfg.System,
-		now:    now,
-		recs:   recs,
+		store:   cfg.Store,
+		pending: cfg.Pending,
+		signer:  cfg.Signer,
+		mac:     vcrypto.NewKeyedMAC(cfg.Signer.DeriveKey(macLabel)),
+		system:  cfg.System,
+		now:     now,
+		recs:    recs,
 	}
 	next := func(id string) (uint64, [32]byte) { return tr.chain(id).next() }
 	err := cfg.Store.Scan(func(ref blockstore.Ref, data []byte) error {
@@ -227,75 +250,153 @@ func (tr *Tracker) extend(id string, ref blockstore.Ref, hash [32]byte) {
 }
 
 // Record appends a custody event for record id performed by actor, with the
-// record content hash at this moment. peer names the counterpart system for
-// migration events. The completed event is returned unsigned: the medium
-// holds it under the tracker's MAC, and Export signs it when it leaves.
+// record content hash at this moment, after writing id's pending events.
+// peer names the counterpart system for migration events. The completed
+// event is returned unsigned: the medium holds it under the tracker's MAC,
+// and Export signs it when it leaves.
 func (tr *Tracker) Record(id string, typ EventType, actor string, contentHash [32]byte, peer string) (Event, error) {
-	return tr.append(id, typ, actor, contentHash, peer, tr.now())
-}
-
-// RecordAt appends a committed mutation's custody event at the mutation's
-// own time at, so the event is the same whether the live run appends it or
-// Complete does at the next open.
-func (tr *Tracker) RecordAt(id string, typ EventType, actor string, contentHash [32]byte, at time.Time) error {
-	_, err := tr.append(id, typ, actor, contentHash, "", at)
-	return err
-}
-
-// Complete is RecordAt unless id's chain already holds an event of type typ
-// with content hash contentHash: a crash only cuts a medium's tail, so
-// replaying a log of mutations through Complete appends each lost event once,
-// in log order. It reads id's chain back from the medium, so it is recovery's
-// call, not the live path's. The caller serializes a record's mutations.
-func (tr *Tracker) Complete(id string, typ EventType, actor string, contentHash [32]byte, at time.Time) error {
-	chain, err := tr.Chain(id)
-	if err != nil && !errors.Is(err, ErrUnknownRecord) {
-		tr.mu.Lock()
-		tr.wedged = true // the event may be owed: nothing may land ahead of it
-		tr.mu.Unlock()
-		return err
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if err := tr.flush(id); err != nil {
+		return Event{}, err
 	}
-	if slices.ContainsFunc(chain, func(e Event) bool { return e.Type == typ && e.ContentHash == contentHash }) {
+	e := tr.next(Event{Record: id, Type: typ, Actor: actor, ContentHash: contentHash, Peer: peer, Timestamp: tr.now()})
+	if err := tr.append(e); err != nil {
+		return Event{}, err
+	}
+	return e, nil
+}
+
+// Pend chains a committed mutation's custody event — the one Record would
+// append at the mutation's own time at — onto id's chain in RAM without
+// writing it. The mutation's entry, at ref in the owner's log (segment
+// PendingSegment), holds the event until Flush, or a Record or Adopt on id,
+// writes it. The caller serializes a record's mutations.
+func (tr *Tracker) Pend(ref blockstore.Ref, id string, typ EventType, actor string, contentHash [32]byte, at time.Time) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	e := tr.next(Event{Record: id, Type: typ, Actor: actor, ContentHash: contentHash, Timestamp: at})
+	tr.extend(id, ref, e.Hash)
+}
+
+// Complete is Pend unless id's chain already holds an event of type typ with
+// content hash contentHash on the medium: replay's call, for each logged
+// mutation in log order. A chain reaches the medium in order and a crash only
+// cuts its tail, so the mutations whose events reached it are the first of
+// id's: once id's chain has a pending event, Complete reads nothing.
+// Otherwise it reads the chain back from the medium, never through
+// Config.Pending, since the owner's log is being replayed.
+func (tr *Tracker) Complete(ref blockstore.Ref, id string, typ EventType, actor string, contentHash [32]byte, at time.Time) error {
+	tr.mu.RLock()
+	refs := tr.chain(id).refs
+	tr.mu.RUnlock()
+	if len(refs) > 0 && !pending(refs[len(refs)-1]) {
+		chain, err := tr.Chain(id)
+		if err != nil {
+			return err
+		}
+		if slices.ContainsFunc(chain, func(e Event) bool { return e.Type == typ && e.ContentHash == contentHash }) {
+			return nil
+		}
+	}
+	tr.Pend(ref, id, typ, actor, contentHash, at)
+	return nil
+}
+
+// Flush writes every pending event to the medium, each record's in chain
+// order, and points its chain there: the owner's checkpoint calls it before
+// it syncs the store and drops its log. A failed append wedges the tracker,
+// and a wedged tracker refuses while any event is pending.
+func (tr *Tracker) Flush() error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for n := range tr.chains {
+		if err := tr.flush(tr.recs.ID(uint32(n))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flush writes id's pending events, oldest first, reading the chain back so
+// that only events that still end in its head are MACed. The caller holds
+// tr.mu exclusively. The chain gets fresh refs rather than edited ones, since
+// a reader may hold the old.
+func (tr *Tracker) flush(id string) error {
+	n, ok := tr.recs.Find(id)
+	if !ok || int(n) >= len(tr.chains) {
 		return nil
 	}
-	return tr.RecordAt(id, typ, actor, contentHash, at)
+	c := &tr.chains[n]
+	first := len(c.refs)
+	for first > 0 && pending(c.refs[first-1]) {
+		first--
+	}
+	if first == len(c.refs) {
+		return nil
+	}
+	chain, err := tr.read(id, *c)
+	if err != nil {
+		return err
+	}
+	c.refs = slices.Clone(c.refs)
+	for i := first; i < len(c.refs); i++ {
+		ref, err := tr.write(chain[i])
+		if err != nil {
+			return err
+		}
+		c.refs[i] = ref
+	}
+	return nil
 }
 
-// Wedged reports whether an append or Complete failed since Open.
+// Wedged reports whether an append failed since Open.
 func (tr *Tracker) Wedged() bool {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	return tr.wedged
 }
 
-// append persists the tracker's own event for id at time at.
-func (tr *Tracker) append(id string, typ EventType, actor string, contentHash [32]byte, peer string, at time.Time) (Event, error) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.wedged {
-		return Event{}, ErrWedged
-	}
-	index, prev := tr.chain(id).next()
-	e := Event{
-		Record:      id,
-		Index:       index,
-		Type:        typ,
-		Timestamp:   at.UTC(),
-		Actor:       actor,
-		System:      tr.system,
-		Peer:        peer,
-		ContentHash: contentHash,
-		PrevHash:    prev,
-	}
+// next completes e, whose Record, Type, Actor, Timestamp, ContentHash and
+// Peer are set, as the tracker's own event that would extend its record's
+// chain now; the caller holds tr.mu.
+func (tr *Tracker) next(e Event) Event {
+	e.Index, e.PrevHash = tr.chain(e.Record).next()
+	return tr.own(e)
+}
+
+// own completes e, whose place in its chain is set too, as the tracker's own
+// event.
+func (tr *Tracker) own(e Event) Event {
+	e.Timestamp = e.Timestamp.UTC()
+	e.System = tr.system
 	e.Hash = eventHash(e)
 	e.SignerKey = tr.signer.Public()
+	return e
+}
+
+// append persists e, the next event of its record's chain, and extends the
+// chain. The caller holds tr.mu exclusively.
+func (tr *Tracker) append(e Event) error {
+	ref, err := tr.write(e)
+	if err == nil {
+		tr.extend(e.Record, ref, e.Hash)
+	}
+	return err
+}
+
+// write persists e; a failure wedges the tracker, which then writes nothing
+// more. The caller holds tr.mu exclusively.
+func (tr *Tracker) write(e Event) (blockstore.Ref, error) {
+	if tr.wedged {
+		return blockstore.Ref{}, ErrWedged
+	}
 	ref, err := tr.store.Append(tr.encode(e))
 	if err != nil {
 		tr.wedged = true
-		return Event{}, fmt.Errorf("provenance: persisting custody event: %w", err)
+		return ref, fmt.Errorf("provenance: persisting custody event: %w", err)
 	}
-	tr.extend(id, ref, e.Hash)
-	return e, nil
+	return ref, nil
 }
 
 // Adopt appends externally produced custody events for record id (e.g. the
@@ -315,13 +416,13 @@ func (tr *Tracker) Adopt(id string, events []Event) error {
 	if err := checkFrom(id, events, index, prev); err != nil {
 		return err
 	}
+	if err := tr.flush(id); err != nil {
+		return err
+	}
 	for _, e := range events {
-		ref, err := tr.store.Append(tr.encode(e))
-		if err != nil {
-			tr.wedged = true
-			return fmt.Errorf("provenance: persisting adopted event: %w", err)
+		if err := tr.append(e); err != nil {
+			return err
 		}
-		tr.extend(id, ref, e.Hash)
 	}
 	return nil
 }
@@ -376,27 +477,28 @@ func checkSignature(e Event) error {
 }
 
 // Chain returns the custody chain for id in order, as of the call. It reads,
-// decodes, MAC-checks and link-checks each event from the medium outside the
-// tracker lock, and requires the last to hash to the chain's resident head; a
-// read, decode, MAC, link or head failure is an error wrapping
-// ErrChainBroken, never a shorter chain. The tracker's own events come back
-// unsigned; Export is the chain that leaves the system.
+// decodes, MAC-checks and link-checks each event outside the tracker lock —
+// from the medium, or, for a pending event, rebuilt through Config.Pending —
+// and requires the last to hash to the chain's resident head; a read,
+// decode, MAC, link or head failure is an error wrapping ErrChainBroken,
+// never a shorter chain. The tracker's own events come back unsigned; Export
+// is the chain that leaves the system.
 func (tr *Tracker) Chain(id string) ([]Event, error) {
 	tr.mu.RLock()
 	c := tr.chain(id)
 	tr.mu.RUnlock()
-	refs, head := c.refs, c.head
-	if len(refs) == 0 {
+	if len(c.refs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRecord, id)
 	}
-	chain := make([]Event, len(refs))
+	return tr.read(id, c)
+}
+
+// read reads c, id's chain, back and checks it (see Chain).
+func (tr *Tracker) read(id string, c chainRefs) ([]Event, error) {
+	chain := make([]Event, len(c.refs))
 	var prev [32]byte
-	for i, ref := range refs {
-		data, err := tr.store.Read(ref)
-		var e Event
-		if err == nil {
-			e, err = tr.decode(data, func(string) (uint64, [32]byte) { return uint64(i), prev })
-		}
+	for i, ref := range c.refs {
+		e, err := tr.event(ref, uint64(i), prev)
 		if errors.Is(err, ErrChainBroken) {
 			return nil, err
 		}
@@ -408,10 +510,31 @@ func (tr *Tracker) Chain(id string) ([]Event, error) {
 		}
 		chain[i], prev = e, e.Hash
 	}
-	if prev != head {
+	if prev != c.head {
 		return nil, fmt.Errorf("%w: record %s: medium ends in a different event than the tracker's head", ErrChainBroken, id)
 	}
 	return chain, nil
+}
+
+// event reads the event at ref as event index of its chain, after the one
+// that hashed to prev.
+func (tr *Tracker) event(ref blockstore.Ref, index uint64, prev [32]byte) (Event, error) {
+	if !pending(ref) {
+		data, err := tr.store.Read(ref)
+		if err != nil {
+			return Event{}, err
+		}
+		return tr.decode(data, func(string) (uint64, [32]byte) { return index, prev })
+	}
+	if tr.pending == nil {
+		return Event{}, errors.New("provenance: a pending event, and no Config.Pending to read it")
+	}
+	e, err := tr.pending(ref)
+	if err != nil {
+		return Event{}, err
+	}
+	e.Index, e.PrevHash = index, prev
+	return tr.own(e), nil
 }
 
 // Export returns id's custody chain as it leaves the system, in a migration

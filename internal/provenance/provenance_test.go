@@ -60,40 +60,177 @@ func TestRecordBuildsChain(t *testing.T) {
 	}
 }
 
-// TestCompleteAppendsOnce: Complete appends a mutation's event at the time
-// it is given, and a second Complete of the same event — what replay does for
-// a mutation whose event survived the crash — appends nothing; a different
-// type or content hash is a different event.
+// fakeLog is an owner's log of mutations for pending events: a ref's offset
+// is its entry's place. Reads counts Config.Pending calls.
+type fakeLog struct {
+	entries []Event
+	reads   int
+}
+
+// log appends a mutation of p1 by dr-jones and returns the ref of its entry.
+func (l *fakeLog) log(typ EventType, hash [32]byte, at time.Time) blockstore.Ref {
+	return l.logOf("p1", typ, hash, at)
+}
+
+// logOf appends a mutation of id by dr-jones.
+func (l *fakeLog) logOf(id string, typ EventType, hash [32]byte, at time.Time) blockstore.Ref {
+	l.entries = append(l.entries, Event{Record: id, Type: typ, Actor: "dr-jones", ContentHash: hash, Timestamp: at})
+	return blockstore.Ref{Segment: PendingSegment, Offset: uint64(len(l.entries) - 1)}
+}
+
+func (l *fakeLog) pending(ref blockstore.Ref) (Event, error) {
+	l.reads++
+	return l.entries[ref.Offset], nil
+}
+
+// countingStore counts reads of a Store.
+type countingStore struct {
+	blockstore.Store
+	reads int
+}
+
+func (s *countingStore) Read(ref blockstore.Ref) ([]byte, error) {
+	s.reads++
+	return s.Store.Read(ref)
+}
+
+// TestCompleteAppendsOnce: replay completes each logged mutation's event
+// once. A crash after the checkpoint's Flush and a backup wrote the first
+// events to the medium, and before the log was dropped, leaves replay a log
+// whose first events the medium already holds: Complete skips those and
+// pends the rest, and the chain is the live one, backed-up event included.
 func TestCompleteAppendsOnce(t *testing.T) {
-	tr, _ := newTracker(t, "hospital-a", nil)
-	h1, h2 := vcrypto.Hash([]byte("v1")), vcrypto.Hash([]byte("v2"))
-	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
-	for _, c := range []struct {
-		typ  EventType
-		hash [32]byte
-		want int
-	}{
-		{EventCreated, h1, 1},
-		{EventCreated, h1, 1},
-		{EventCorrected, h1, 2},
-		{EventCorrected, h2, 3},
-		{EventCorrected, h2, 3},
-		{EventShredded, [32]byte{}, 4},
-		{EventShredded, [32]byte{}, 4},
-	} {
-		if err := tr.Complete("p1", c.typ, "dr-jones", c.hash, at); err != nil {
+	signer, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, log := blockstore.NewMemory(0), &fakeLog{}
+	open := func() *Tracker {
+		t.Helper()
+		tr, err := Open(Config{Store: store, Signer: signer, System: "hospital-a", Pending: log.pending})
+		if err != nil {
 			t.Fatal(err)
 		}
-		chain, err := tr.Chain("p1")
-		if err != nil || len(chain) != c.want {
-			t.Fatalf("after Complete(%s, %x): %d events (%v), want %d", c.typ, c.hash[:2], len(chain), err, c.want)
-		}
-		if last := chain[len(chain)-1]; !last.Timestamp.Equal(at) || last.Actor != "dr-jones" {
-			t.Errorf("event %d at %v by %q, want %v by dr-jones", last.Index, last.Timestamp, last.Actor, at)
+		return tr
+	}
+	h1, h2, h3 := vcrypto.Hash([]byte("v1")), vcrypto.Hash([]byte("v2")), vcrypto.Hash([]byte("v3"))
+	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+	live := open()
+	pend := func(typ EventType, hash [32]byte) {
+		ts := at.Add(time.Duration(len(log.entries)) * time.Minute)
+		live.Pend(log.log(typ, hash, ts), "p1", typ, "dr-jones", hash, ts)
+	}
+	pend(EventCreated, h1)
+	if _, err := live.Record("p1", EventBackedUp, "arch-lee", h1, "tape-1"); err != nil {
+		t.Fatal(err)
+	}
+	pend(EventCorrected, h2)
+	if err := live.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pend(EventCorrected, h3)
+	pend(EventShredded, [32]byte{})
+	want, err := live.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re := open()
+	for i, e := range log.entries {
+		ref := blockstore.Ref{Segment: PendingSegment, Offset: uint64(i)}
+		if err := re.Complete(ref, e.Record, e.Type, e.Actor, e.ContentHash, e.Timestamp); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := tr.Verify("p1", nil); err != nil {
+	got, err := re.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed chain: %d events, equal to the live one: %t; want the live 5", len(got), reflect.DeepEqual(got, want))
+	}
+	if err := re.Verify("p1", nil); err != nil {
 		t.Errorf("Verify: %v", err)
+	}
+}
+
+// TestCompleteOverAnEmptyMediumReadsNothing: replay over a custody store
+// that holds none of the logged events reads the store not once, and reads
+// the log only when the chain is read back.
+func TestCompleteOverAnEmptyMediumReadsNothing(t *testing.T) {
+	signer, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, log := &countingStore{Store: blockstore.NewMemory(0)}, &fakeLog{}
+	tr, err := Open(Config{Store: store, Signer: signer, System: "hospital-a", Pending: log.pending})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+	for i, typ := range []EventType{EventCreated, EventCorrected, EventCorrected, EventShredded} {
+		hash := [32]byte{byte(i + 1)}
+		if typ == EventShredded {
+			hash = [32]byte{}
+		}
+		ref := log.log(typ, hash, at)
+		if err := tr.Complete(ref, "p1", typ, "dr-jones", hash, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.reads != 0 || log.reads != 0 {
+		t.Errorf("replay of 4 mutations read the store %d times and the log %d times, want 0 and 0", store.reads, log.reads)
+	}
+	if chain, err := tr.Chain("p1"); err != nil || len(chain) != 4 || log.reads != 4 {
+		t.Errorf("chain: %d events (%v), %d log reads; want 4 events from 4 reads", len(chain), err, log.reads)
+	}
+}
+
+// TestFlushWritesOnlyWhatEndsInTheHead: an edited log entry breaks the
+// pending event's chain, so Chain answers ErrChainBroken and Flush MACs
+// nothing; restoring the entry lets Flush write every pending event once,
+// in chain order, after which the chain reads the same from the medium.
+func TestFlushWritesOnlyWhatEndsInTheHead(t *testing.T) {
+	signer, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, log := blockstore.NewMemory(0), &fakeLog{}
+	tr, err := Open(Config{Store: store, Signer: signer, System: "hospital-a", Pending: log.pending})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+	for i, typ := range []EventType{EventCreated, EventCorrected} {
+		hash := [32]byte{byte(i + 1)}
+		tr.Pend(log.log(typ, hash, at), "p1", typ, "dr-jones", hash, at)
+	}
+	want, err := tr.Export("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.entries[0].Actor = "dr-mallory"
+	if _, err := tr.Chain("p1"); !errors.Is(err, ErrChainBroken) {
+		t.Errorf("chain over an edited entry: %v, want ErrChainBroken", err)
+	}
+	if err := tr.Flush(); !errors.Is(err, ErrChainBroken) || store.StorageBytes() != 0 {
+		t.Errorf("Flush over an edited entry: %v with %d B stored; want ErrChainBroken and nothing", err, store.StorageBytes())
+	}
+	log.entries[0].Actor = "dr-jones"
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reads := log.reads
+	got, err := tr.Export("p1")
+	if err != nil || !reflect.DeepEqual(got, want) || log.reads != reads {
+		t.Errorf("chain after Flush: %v, equal: %t, %d log reads; want the pending chain, read from the medium", err, reflect.DeepEqual(got, want), log.reads-reads)
+	}
+	re, err := Open(Config{Store: store, Signer: signer, System: "hospital-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := re.Export("p1"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened chain: %v, equal: %t", err, reflect.DeepEqual(got, want))
 	}
 }
 
@@ -904,6 +1041,100 @@ func TestConcurrentRecordChainVerify(t *testing.T) {
 	wg.Wait()
 	close(done)
 	readers.Wait()
+	if n, err := tr.VerifyAll(nil); err != nil || n != len(ids) {
+		t.Errorf("final VerifyAll: %d, %v; want %d, nil", n, err, len(ids))
+	}
+}
+
+// TestConcurrentPendFlushChain is for the race detector: while each writer
+// pends its own record's mutations and records backups, which write the
+// record's pending events first, and a flusher writes every pending event,
+// readers read chains that mix pending and written events.
+func TestConcurrentPendFlushChain(t *testing.T) {
+	signer, err := vcrypto.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The whole log is written up front, so reading it takes no lock that
+	// would order a reader's ref reads before a flush's rewrite of them.
+	const mutations = 100
+	log := &fakeLog{}
+	at := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+	ids := []string{"rec-0", "rec-1"}
+	for w, id := range ids {
+		for i := 0; i < mutations; i++ {
+			log.logOf(id, EventCorrected, [32]byte{byte(w), byte(i)}, at)
+		}
+	}
+	tr, err := Open(Config{Store: blockstore.NewMemory(8 << 10), Signer: signer, System: "sys",
+		Pending: func(ref blockstore.Ref) (Event, error) { return log.entries[ref.Offset], nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writers sync.WaitGroup
+	for w, id := range ids {
+		writers.Add(1)
+		go func(w int, id string) {
+			defer writers.Done()
+			for i := 0; i < mutations; i++ {
+				ref := blockstore.Ref{Segment: PendingSegment, Offset: uint64(w*mutations + i)}
+				tr.Pend(ref, id, EventCorrected, "dr-jones", [32]byte{byte(w), byte(i)}, at)
+				if i%3 == 2 {
+					if _, err := tr.Record(id, EventBackedUp, "arch-lee", [32]byte{}, "tape-1"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w, id)
+	}
+	done := make(chan struct{})
+	var others sync.WaitGroup
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for {
+			if err := tr.Flush(); err != nil {
+				t.Errorf("Flush: %v", err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for _, id := range ids {
+		others.Add(1)
+		go func(id string) {
+			defer others.Done()
+			for {
+				chain, err := tr.Chain(id)
+				if err != nil && !errors.Is(err, ErrUnknownRecord) {
+					t.Errorf("Chain(%s): %v", id, err)
+					return
+				}
+				for i, e := range chain {
+					if e.Index != uint64(i) {
+						t.Errorf("Chain(%s): index %d at position %d", id, e.Index, i)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(id)
+	}
+	writers.Wait()
+	close(done)
+	others.Wait()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if n, err := tr.VerifyAll(nil); err != nil || n != len(ids) {
 		t.Errorf("final VerifyAll: %d, %v; want %d, nil", n, err, len(ids))
 	}

@@ -17,8 +17,9 @@ check() {
 check "One field codec: internal/frame owns every read/write/append helper" \
 	"$(grep -rnE '^func (write|read|append)(U8|U16|U32|U64|Str|Bytes|BytesField)\(' internal cmd --include='*.go' | grep -v '^internal/frame/')"
 
-# A put's, correction's or shred's custody event is part of its entry's
-# apply, so replay completes one a crash cut off; no other core file names it.
+# A put's, correction's or shred's custody event lives in its entry, and
+# apply chains it from there, live and in replay alike; no other core file
+# names it.
 check "One mutation path: only internal/core/commit.go logs an entry, applies one or names a mutation's custody event" \
 	"$(grep -nE 'st\.more = append|\.shredded\.Store\(true\)|keys\.Shred\(|AdoptWrapped\(|metaWAL\.(Enqueue|Append)|provenance\.Event(Created|Corrected|Shredded)\b' internal/core/*.go | grep -vE '^internal/core/(commit\.go|[a-z_]*_test\.go):')"
 
@@ -135,6 +136,13 @@ core=$(ls internal/core/*.go | grep -v '_test\.go$')
 check "Sanitize is a checkpoint: internal/core calls no .fs.Rename( or .fs.RemoveAll(, and assigns v.blocks only in openShard" \
 	"$(grep -nE '\.fs\.(Rename|RemoveAll)\(' $core
 	awk '/^func /{fn=$0} /v\.blocks(, [A-Za-z_.]+)* =[^=]/ && fn !~ /^func openShard\(/ {print FILENAME ":" FNR ": " $0}' $core)"
+
+# A mutation's custody event stays in its meta.wal entry until checkpoint
+# writes it (Tracker.Flush), so apply writes no custody; the events that are
+# no mutation's — backed up, migrated out and in, restored, adopted — are
+# appended in export.go, after their record's pending ones.
+check "Custody at checkpoint: internal/core calls the tracker's Flush only in checkpoint, and Record or Adopt only in export.go" \
+	"$(awk '/^func /{fn=$0} /\.prov\.Flush\(/ && fn !~ /^func \(v \*Vault\) checkpoint\(/ {print FILENAME ":" FNR ": " $0} /\.prov\.(Record|Adopt)\(/ && FILENAME != "internal/core/export.go" {print FILENAME ":" FNR ": " $0}' $core)"
 
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
