@@ -7,7 +7,8 @@ import (
 	"time"
 )
 
-// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 events against.
+// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 and v5 events
+// against.
 var fuzzSymbols = symbols{
 	symActor:  {"dr-a", "0a1b"},
 	symRecord: {"r1"},
@@ -16,27 +17,30 @@ var fuzzSymbols = symbols{
 
 // FuzzDecodeEvent hardens the audit-event decoder against arbitrary
 // persisted bytes: no panics, and successful decodes re-encode canonically —
-// a v4 event against a small fixed symbol table (one that writes out a value
-// the table holds is the sequential reader's ErrCorrupt), a v3 event in its
-// own layout. A legacy v2 event decodes but is never written again.
+// a v5 event, or a legacy v4 one, against a small fixed symbol table (one
+// that writes out a value the table holds is the sequential reader's
+// ErrCorrupt), a legacy v3 event in its own layout. A legacy v2 event decodes
+// but is never written again.
 func FuzzDecodeEvent(f *testing.F) {
 	e := Event{
 		Timestamp: time.Unix(0, 42).UTC(), Actor: "dr-a",
 		Action: ActionRead, Record: "r1", Version: 2,
 		Outcome: OutcomeAllowed, Detail: "d", Trace: "0a1b", MAC: []byte{1, 2, 3},
 	}
+	e.PrevHash[0], e.PrevHash[31] = 0xaa, 0xbb
 	f.Add(encodeEvent(e, [numSyms]int{0, 0, -1}))
 	f.Add(encodeEvent(e, [numSyms]int{-1, -1, -1}))
+	f.Add(encodeV4Event(e, [numSyms]int{0, 0, -1}))
 	f.Add(encodeV3Event(e))
 	f.Add(encodeEvent(Event{Action: "unlisted", Outcome: "odd", Record: "ab"}, [numSyms]int{-1, -1, -1}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, defined, legacy, err := parseEvent(data, &fuzzSymbols)
-		if err != nil || legacy {
+		e, defined, ver, err := parseEvent(data, &fuzzSymbols)
+		if err != nil || ver == codecV2 {
 			return
 		}
-		if data[0] == codecV3 {
+		if ver == codecV3 {
 			if !bytes.Equal(encodeV3Event(e), data) {
 				t.Fatal("v3 decode/encode not canonical")
 			}
@@ -49,8 +53,12 @@ func FuzzDecodeEvent(f *testing.F) {
 				return // a known value written out
 			}
 		}
-		if !bytes.Equal(encodeEvent(e, nums), data) {
-			t.Fatal("v4 decode/encode not canonical")
+		encode := encodeEvent
+		if ver == codecV4 {
+			encode = encodeV4Event
+		}
+		if !bytes.Equal(encode(e, nums), data) {
+			t.Fatalf("v%d decode/encode not canonical", ver)
 		}
 	})
 }

@@ -20,8 +20,11 @@ import (
 
 // Metadata durability. Record metadata (the versions table) mutates on every
 // Put/Correct/Shred, so it is write-ahead logged; Close (or an explicit
-// checkpoint) folds the WAL into an atomic snapshot. Ciphertext, audit, and
-// provenance live in their own append-only stores and recover themselves.
+// checkpoint) folds the WAL into an atomic snapshot. A put's, correction's or
+// import's ciphertext and a mutation's custody event ride in its WAL entry
+// until a checkpoint moves them to the block store and the custody log, and
+// replay rebuilds them from the entry until then. The audit log lives in its
+// own append-only store and recovers itself.
 //
 // WAL entry layouts (fixed-width integers big-endian; str is u32 len ||
 // bytes, varstr and varbytes are uvarint len || bytes):

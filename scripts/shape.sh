@@ -87,11 +87,12 @@ check "One storage path: no memory branch in internal/core and no second block s
 	grep -rnE '^type Memory\b' internal/blockstore)"
 
 # Event logs store only what a reader cannot recompute: an event's seq or
-# chain index is its place, its hash is computed from the rest, and lengths
-# are uvarints. The transfer layout (provenance.EncodeEvent) is self-contained
+# chain index is its place, its hash is computed from the rest, an audit
+# event links to its predecessor by 8 bytes of that hash, and lengths are
+# uvarints. The transfer layout (provenance.EncodeEvent) is self-contained
 # on purpose and is not a stored encoder.
-check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field" \
-	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
+check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field, and the audit encoder no whole 32-byte hash (its link is 8 bytes)" \
+	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0} fn ~ /^func encodeEvent\(/ && /\[:\]|\[:32\]|\[:len\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
 
 # An audit actor, record ID or detail is written out once per log and
 # referred to by number after: the stored encoder hands each to the symbol
