@@ -1,15 +1,16 @@
-// Command medtorture runs the crash-recovery torture harness: a scripted
-// clinical workload over a fault-injecting in-memory filesystem, with a
+// Command medtorture runs the crash-recovery torture harness: the simulator's
+// fixed clinical script over a fault-injecting in-memory filesystem, with a
 // simulated power cut (and fsync failure, ENOSPC, and bit rot) at every
-// filesystem operation the workload performs, followed by recovery and a
-// full durability audit. See internal/core/torture.go for the invariants.
+// filesystem operation the script performs, after which the simulator's
+// reference model judges the recovered vault. See internal/sim/torture.go
+// for the invariants.
 //
-// With -failover the same workload runs on a replicated primary instead:
+// With -failover the same script runs on a replicated primary instead:
 // the primary is killed at every mutating fs op AND every replication
 // stream boundary (before send, after apply, after ack), the warm follower
-// is promoted, and the promoted vault must hold every acknowledged write
-// with a clean integrity sweep, no plaintext on the medium, and the dead
-// primary's epoch fenced out. See internal/repl/torture.go.
+// is promoted, and the model judges the promoted vault as it judges a crash
+// image, with the dead primary's epoch fenced out. See
+// internal/sim/failover.go.
 //
 //	medtorture                     # full matrix: every injection point
 //	medtorture -quick              # CI smoke: every fifth point
@@ -24,8 +25,7 @@ import (
 	"fmt"
 	"os"
 
-	"medvault/internal/core"
-	"medvault/internal/repl"
+	"medvault/internal/sim"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func main() {
 	}
 
 	if *failover {
-		rep, err := repl.RunFailoverTorture(repl.FailoverOpts{Stride: *stride, Shards: *shards, Logf: logf})
+		rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: *stride, Shards: *shards, Logf: logf})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "medtorture: %v\n", err)
 			os.Exit(2)
@@ -69,11 +69,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := core.TortureOpts{Stride: *stride, Shards: *shards}
+	opts := sim.TortureOpts{Stride: *stride, Shards: *shards}
 	if *verbose {
 		opts.Logf = logf
 	}
-	rep, err := core.RunTorture(opts)
+	rep, err := sim.RunTorture(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "medtorture: %v\n", err)
 		os.Exit(2)

@@ -492,6 +492,24 @@ func (c *Cluster) ProveVersionCtx(ctx context.Context, actor, id string, number 
 // VersionCount routes to the record's shard. See Vault.VersionCount.
 func (c *Cluster) VersionCount(id string) (int, error) { return c.shardFor(id).VersionCount(id) }
 
+// Ciphertext returns the bytes the medium holds for version number of a live
+// record: unaudited, uncached and read-only, for a harness that scans a
+// medium for ciphertext that must no longer be on it.
+func (c *Cluster) Ciphertext(id string, number uint64) ([]byte, error) {
+	v := c.shardFor(id)
+	mu := v.stripes.forRecord(id)
+	mu.RLock()
+	defer mu.RUnlock()
+	st, err := v.stateFor(id)
+	if err != nil {
+		return nil, err
+	}
+	if number == 0 || number > st.count() {
+		return nil, fmt.Errorf("%w: %s v%d", ErrNotFound, id, number)
+	}
+	return v.ciphertext(st.at(number).ref())
+}
+
 // Export routes to the record's shard. See Vault.Export.
 func (c *Cluster) Export(actor, id string) (ExportBundle, error) {
 	return c.shardFor(id).Export(actor, id)

@@ -1,18 +1,23 @@
-package core
+package core_test
 
-import "testing"
+import (
+	"testing"
 
-// TestTortureFull runs the complete crash-recovery torture schedule: every
-// mutating filesystem op the scripted workload performs gets a simulated
-// power cut (four keep policies plus torn writes), a failed fsync, and
-// ENOSPC, and every ciphertext read gets bit rot. Zero invariants may be
+	"medvault/internal/sim"
+)
+
+// TestTortureFull runs the complete crash-recovery torture schedule over the
+// vault: every mutating filesystem op the simulator's torture script
+// performs gets a simulated power cut (four keep policies plus torn writes),
+// a failed fsync, and ENOSPC, and every ciphertext read gets bit rot; the
+// reference model judges every recovered image. Zero invariants may be
 // violated, and the injection-point count is pinned exactly: it is the
-// number of mutating filesystem ops the scripted workload performs, so a
-// refactor that adds, drops, or reorders a single open, write, fsync, or
-// rename on the write path moves it. Update tortureInjectionPoints only
-// together with a deliberate change to the on-disk op sequence.
+// number of mutating filesystem ops the script performs, so a refactor that
+// adds, drops, or reorders a single open, write, fsync, or rename on the
+// write path moves it. Update tortureInjectionPoints only together with a
+// deliberate change to the on-disk op sequence.
 func TestTortureFull(t *testing.T) {
-	rep, err := RunTorture(TortureOpts{Logf: t.Logf})
+	rep, err := sim.RunTorture(sim.TortureOpts{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}
@@ -30,14 +35,14 @@ func TestTortureFull(t *testing.T) {
 	}
 }
 
-// tortureInjectionPoints is the exact mutating-fs-op count of the scripted
-// torture workload, by shard count (captured on PR 13's commit as 85 and 134;
-// +3 since the op envelope persists a flight frame for each of the
-// workload's two hold placements and one release, making 88 and 137). Since
-// a version's ciphertext rides in its meta.wal entry, each of the workload's
-// seven versions writes and fsyncs no block (-14), and Close's checkpoint
-// moves them to the block store with one write each (+7): 81 and 130. The
-// workload's two SanitizeMedia passes and rec-2's shred, each pass a
+// tortureInjectionPoints is the exact mutating-fs-op count of the torture
+// script, by shard count (85 and 134 when first pinned; +3 since the op
+// envelope persists a flight frame for each of the script's two hold
+// placements and one release, making 88 and 137). Since a version's
+// ciphertext rides in its meta.wal entry, each of the script's seven
+// versions writes and fsyncs no block (-14), and Close's checkpoint moves
+// them to the block store with one write each (+7): 81 and 130. The
+// script's two SanitizeMedia passes and rec-2's shred, each pass a
 // checkpoint per shard that also relocates, make 117 and 250.
 var tortureInjectionPoints = map[int]int{1: 117, 4: 250}
 
@@ -45,7 +50,7 @@ var tortureInjectionPoints = map[int]int{1: 117, 4: 250}
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),
 // over the subsampled matrix — enumeration is always complete.
 func TestTortureShardedOpCount(t *testing.T) {
-	rep, err := RunTorture(TortureOpts{Stride: 5, Shards: 4})
+	rep, err := sim.RunTorture(sim.TortureOpts{Stride: 5, Shards: 4})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}
@@ -59,7 +64,7 @@ func TestTortureShardedOpCount(t *testing.T) {
 
 // TestTortureQuick exercises the subsampled CI-smoke path.
 func TestTortureQuick(t *testing.T) {
-	rep, err := RunTorture(TortureOpts{Stride: 5})
+	rep, err := sim.RunTorture(sim.TortureOpts{Stride: 5})
 	if err != nil {
 		t.Fatalf("RunTorture: %v", err)
 	}

@@ -1,28 +1,30 @@
-package repl
+package repl_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
+
+	"medvault/internal/sim"
 )
 
-// TestFailoverTorture runs a strided slice of the kill-point matrix on
-// every `go test`: kill the primary at sampled fs-op and stream boundaries,
-// promote, and audit the promoted vault. CI runs the full matrix via
-// `medtorture -failover`.
+// TestFailoverTorture runs a strided slice of the simulator's kill-point
+// matrix over replication on every `go test`: kill the primary at sampled
+// fs-op and stream boundaries, promote, and have the model judge the
+// promoted vault. CI runs the full matrix via `medtorture -failover`.
 func TestFailoverTorture(t *testing.T) {
 	stride := 7
 	if testing.Short() {
 		stride = 23
 	}
-	rep, err := RunFailoverTorture(FailoverOpts{Stride: stride, Shards: 1, Logf: t.Logf})
+	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: stride, Shards: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("failover torture harness: %v", err)
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)
 	}
-	// Exact counts: one kill point per mutating fs op the scripted workload
+	// Exact counts: one kill point per mutating fs op the torture script
 	// performs — the same 117 the local torture enumerates — and one per op
 	// frame the capture ships. A refactor that changes the on-disk op
 	// sequence moves these numbers. (PR 13 captured 85 + 90; the op envelope
@@ -30,7 +32,7 @@ func TestFailoverTorture(t *testing.T) {
 	// 88 + 93. Inline ciphertext took each version's block write and fsync,
 	// 14 ops and frames, and added Close's block write of each of the seven
 	// versions: 81 + 86. Two SanitizeMedia passes and a second shred in the
-	// workload: 117 + 122.)
+	// script: 117 + 122.)
 	if rep.FSKillPoints != 117 || rep.FrameKillPoints != 122 {
 		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 117 + 122", rep.FSKillPoints, rep.FrameKillPoints)
 	}
@@ -41,7 +43,7 @@ func TestFailoverTorture(t *testing.T) {
 // started with.
 func TestFailoverTortureLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
-	rep, err := RunFailoverTorture(FailoverOpts{Stride: 5, Shards: 1})
+	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: 5, Shards: 1})
 	if err != nil || !rep.Passed() {
 		t.Fatalf("quick failover torture: %v, %v", err, rep.Failures)
 	}
@@ -73,7 +75,7 @@ func TestFailoverTortureSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded failover matrix skipped in -short")
 	}
-	rep, err := RunFailoverTorture(FailoverOpts{Stride: 19, Shards: 2, Logf: t.Logf})
+	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: 19, Shards: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("failover torture harness: %v", err)
 	}

@@ -91,7 +91,7 @@ type outcome struct {
 	history  []mVersion    // history: expected version list
 	ids      []string      // search/search_all/patient_recs: expected sorted IDs
 	discl    []mDisclosure // disclosures: expected ledger
-	flexible bool          // bit-rot get: an error is also acceptable
+	flexible bool          // bit-rot read: an error is also acceptable
 }
 
 func fail(k errKind) outcome { return outcome{kind: k} }
@@ -111,7 +111,13 @@ type Model struct {
 	records  map[string]*mRecord
 	holds    map[string]bool
 	journals [][]jEntry // expected audit chain per shard, in append order
-	prov     map[string][]provenance.EventType
+	// prov is each record's expected custody chain: the type of each event
+	// and the ciphertext hash it carries, learned from the Version the vault
+	// returns (zero for a shred, and until a landed in-flight op's is seen).
+	prov map[string][]provenance.Event
+	// acked is each record's acked put, correct, shred and hold ops in ack
+	// order: what its persisted ok flight events may name.
+	acked map[string][]OpKind
 }
 
 // NewModel builds a model for a vault named name whose clock starts at
@@ -128,7 +134,8 @@ func NewModel(name string, start time.Time) *Model {
 		policies: make(map[string]time.Duration),
 		records:  make(map[string]*mRecord),
 		holds:    make(map[string]bool),
-		prov:     make(map[string][]provenance.EventType),
+		prov:     make(map[string][]provenance.Event),
+		acked:    make(map[string][]OpKind),
 	}
 	for _, r := range authz.StandardRoles() {
 		m.roles[r.Name] = r
@@ -294,6 +301,22 @@ func validCategory(c string) bool {
 	return false
 }
 
+// ack logs step s as acked for its record, with the custody event of that
+// type when it has one ("" for a hold op).
+func (m *Model) ack(s Step, custody provenance.EventType) {
+	m.acked[s.Record] = append(m.acked[s.Record], s.Op)
+	if custody != "" {
+		m.prov[s.Record] = append(m.prov[s.Record], provenance.Event{Type: custody})
+	}
+}
+
+// learnHash records the ciphertext hash of the version an acked put or
+// correction returned on the record's newest custody event.
+func (m *Model) learnHash(id string, h [32]byte) {
+	chain := m.prov[id]
+	chain[len(chain)-1].ContentHash = h
+}
+
 // --- per-operation semantics ---
 
 // put mirrors Vault.PutCtx.
@@ -319,7 +342,7 @@ func (m *Model) put(s Step) outcome {
 		Versions: []mVersion{{Body: s.Body, Title: s.Title, Author: s.Actor, Codes: s.Codes}},
 		Tokens:   tokensOf(s.Title, s.Body, s.Codes),
 	}
-	m.prov[s.Record] = append(m.prov[s.Record], provenance.EventCreated)
+	m.ack(s, provenance.EventCreated)
 	return outcome{kind: eOK, version: 1}
 }
 
@@ -358,7 +381,7 @@ func (m *Model) getVersion(s Step) outcome {
 	if !m.authorize(s.Actor, authz.ActRead, audit.ActionRead, s.Record, s.Version, r.Category) {
 		return fail(eDenied)
 	}
-	return outcome{kind: eOK, version: s.Version, body: r.Versions[s.Version-1].Body}
+	return outcome{kind: eOK, version: s.Version, body: r.Versions[s.Version-1].Body, flexible: s.Rot}
 }
 
 // history mirrors Vault.HistoryCtx.
@@ -400,7 +423,7 @@ func (m *Model) correct(s Step) outcome {
 	}
 	r.Versions = append(r.Versions, mVersion{Body: s.Body, Title: s.Title, Author: s.Actor, Codes: s.Codes})
 	r.Tokens = tokensOf(s.Title, s.Body, s.Codes)
-	m.prov[s.Record] = append(m.prov[s.Record], provenance.EventCorrected)
+	m.ack(s, provenance.EventCorrected)
 	return outcome{kind: eOK, version: uint64(len(r.Versions))}
 }
 
@@ -493,7 +516,7 @@ func (m *Model) shred(s Step) outcome {
 	r.Shredded = true
 	r.Tokens = nil
 	delete(m.holds, s.Record)
-	m.prov[s.Record] = append(m.prov[s.Record], provenance.EventShredded)
+	m.ack(s, provenance.EventShredded)
 	return outcome{kind: eOK}
 }
 
@@ -514,6 +537,7 @@ func (m *Model) placeHold(s Step) outcome {
 	}
 	m.holds[s.Record] = true
 	m.append(auEvent{s.Actor, audit.ActionPolicy, s.Record, 0, audit.OutcomeAllowed})
+	m.ack(s, "")
 	return outcome{kind: eOK}
 }
 
@@ -526,6 +550,7 @@ func (m *Model) releaseHold(s Step) outcome {
 	}
 	delete(m.holds, s.Record)
 	m.append(auEvent{s.Actor, audit.ActionPolicy, s.Record, 0, audit.OutcomeAllowed})
+	m.ack(s, "")
 	return outcome{kind: eOK}
 }
 
@@ -616,6 +641,18 @@ func (m *Model) disclosuresFor(mrn string) []mDisclosure {
 		out[i] = t.d
 	}
 	return out
+}
+
+// sanitize mirrors Cluster.SanitizeMedia: each shard authorizes the pass on
+// its own chain and, when allowed, appends its summary event. No record
+// changes: a shred already made the record unreadable, and the pass only
+// removes its bytes from the medium.
+func (m *Model) sanitize(s Step) outcome {
+	if !m.authorize(s.Actor, authz.ActShred, audit.ActionDelete, "", 0, "") {
+		return fail(eDenied)
+	}
+	m.appendAll(auEvent{s.Actor, audit.ActionDelete, "", 0, audit.OutcomeAllowed})
+	return outcome{kind: eOK}
 }
 
 // patientRecords mirrors Vault.PatientRecordsCtx: live records with the MRN
@@ -737,15 +774,21 @@ func (m *Model) resyncJournal(s int, actual []auEvent) (int, bool) {
 	return 0, true
 }
 
-// The drop/pop/unshred helpers revert a speculative mutation when a faulted
-// operation turns out not to have landed (the runner probes the restarted
-// vault to find out which way the ambiguity resolved).
+// The drop/pop/unshred/setHold helpers revert a speculative mutation when a
+// faulted operation turns out not to have landed (the runner probes the
+// restarted vault to find out which way the ambiguity resolved).
+
+// unack reverts the newest acked op of id.
+func (m *Model) unack(id string) {
+	m.acked[id] = m.acked[id][:len(m.acked[id])-1]
+}
 
 // dropRecord reverts a put that did not land.
 func (m *Model) dropRecord(id string) {
 	delete(m.records, id)
 	delete(m.prov, id)
 	delete(m.holds, id)
+	m.unack(id)
 }
 
 // popVersion reverts a correction that did not land.
@@ -755,6 +798,7 @@ func (m *Model) popVersion(id string) {
 	last := r.Versions[len(r.Versions)-1]
 	r.Tokens = tokensOf(last.Title, last.Body, last.Codes)
 	m.prov[id] = m.prov[id][:len(m.prov[id])-1]
+	m.unack(id)
 }
 
 // unshred reverts a shred that did not land.
@@ -764,14 +808,20 @@ func (m *Model) unshred(id string) {
 	last := r.Versions[len(r.Versions)-1]
 	r.Tokens = tokensOf(last.Title, last.Body, last.Codes)
 	m.prov[id] = m.prov[id][:len(m.prov[id])-1]
+	m.unack(id)
 }
 
-// setHolds replaces the model's hold set with what the vault actually has —
-// used when a faulted hold operation's fate is ambiguous (holds are
-// WAL-durable, so the restarted vault is the source of truth).
-func (m *Model) setHolds(ids []string) {
-	m.holds = make(map[string]bool, len(ids))
-	for _, id := range ids {
-		m.holds[id] = true
+// setHold resolves a faulted hold op on id by what the restarted vault holds
+// (holds are WAL-durable, so the vault is the source of truth): when that
+// differs from the model's speculative state, the op did not land.
+func (m *Model) setHold(id string, held bool) {
+	if m.holds[id] == held {
+		return
 	}
+	if held {
+		m.holds[id] = true
+	} else {
+		delete(m.holds, id)
+	}
+	m.unack(id)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"medvault/internal/audit"
@@ -119,18 +120,37 @@ func divAt(i int, s Step) func(format string, args ...any) *Divergence {
 
 // schedInjector is the run's programmable fault source: an absolute
 // mutating-op index to fail with ENOSPC, an index to cut power at (used to
-// crash mid-Close), and a one-shot bit-rot arm for ciphertext reads.
+// crash mid-Close), a one-shot bit-rot arm for ciphertext reads, and a
+// torture scenario's strike.
 type schedInjector struct {
 	enospcAt int // mutating-op index to fail with ErrNoSpace; -1 disarmed
 	crashAt  int // mutating-op index to latch a power cut at; -1 disarmed
 	rot      bool
-	fired    bool // an ENOSPC fault fired (silent failures count too)
+	skip     int    // armed rot: ciphertext reads to let through first
+	rotted   string // path of the last ciphertext read the rot corrupted
+	fired    bool   // an ENOSPC fault fired (silent failures count too)
+	strike   faultfs.Injector
+}
+
+// ciphertextFile reports whether path is a file a version's ciphertext is
+// read from: a block store segment, or meta.wal until checkpoint.
+func ciphertextFile(path string) bool {
+	return strings.Contains(path, "/blocks/") || strings.Contains(path, "/meta.wal")
 }
 
 func (i *schedInjector) inject(op faultfs.Op) *faultfs.Fault {
+	if i.strike != nil {
+		if f := i.strike(op); f != nil {
+			return f
+		}
+	}
 	if op.Kind == faultfs.OpRead {
-		if i.rot && core.CiphertextFile(op.Path) {
-			i.rot = false
+		if i.rot && ciphertextFile(op.Path) {
+			if i.skip > 0 {
+				i.skip--
+				return nil
+			}
+			i.rot, i.rotted = false, op.Path
 			return &faultfs.Fault{CorruptRead: true}
 		}
 		return nil
@@ -164,19 +184,35 @@ type engine struct {
 	mem    *faultfs.Mem
 	faulty *faultfs.Faulty
 	inj    *schedInjector
-	v      *core.Cluster
+	v      *core.Cluster // nil after a close step, until the next step reopens it
+	strike strike        // a torture scenario's fault, armed on the next open only
 
 	// Failover mode: the capture streams every committed fs op to a warm
 	// follower whose replica disk takes over when the primary dies.
-	fmem *faultfs.Mem
-	fol  *repl.Follower
-	link *repl.Pipe
+	fmem    *faultfs.Mem
+	fol     *repl.Follower
+	link    *repl.Pipe
+	capture *repl.Capture
 
 	heads [][]merkle.SignedTreeHead // indexed by shard
 	cps   [][]audit.Checkpoint      // indexed by shard
 }
 
+// strike is the fault a torture scenario arms on a generation's medium and,
+// in failover mode, on its replication link.
+type strike struct {
+	inject faultfs.Injector
+	link   func(*repl.Pipe)
+}
+
 func newEngine(plan Plan, logf func(format string, args ...any)) (*engine, error) {
+	e := makeEngine(plan, simEpoch, strike{}, logf)
+	return e, e.open()
+}
+
+// makeEngine builds an unopened engine whose clock starts at epoch and whose
+// first generation runs under first.
+func makeEngine(plan Plan, epoch time.Time, first strike, logf func(format string, args ...any)) *engine {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -186,10 +222,11 @@ func newEngine(plan Plan, logf func(format string, args ...any)) (*engine, error
 	}
 	e := &engine{
 		plan:   plan,
-		model:  NewModel(plan.Name, simEpoch),
+		model:  NewModel(plan.Name, epoch),
 		logf:   logf,
 		shards: shards,
-		vc:     clock.NewVirtual(simEpoch),
+		strike: first,
+		vc:     clock.NewVirtual(epoch),
 		master: sha256.Sum256([]byte(fmt.Sprintf("medsim-master/%s/%d", plan.Name, plan.Seed))),
 		heads:  make([][]merkle.SignedTreeHead, shards),
 		cps:    make([][]audit.Checkpoint, shards),
@@ -198,7 +235,7 @@ func newEngine(plan Plan, logf func(format string, args ...any)) (*engine, error
 	if plan.Durable {
 		e.mem = faultfs.NewMem()
 	}
-	return e, e.open()
+	return e
 }
 
 // shard returns the per-shard vault handle for direct chain/head access.
@@ -214,8 +251,10 @@ func (e *engine) open() error {
 	}
 	cfg := core.Config{Name: e.plan.Name, Master: master, Clock: e.vc}
 	e.hangUp() // the previous generation's primary, if any, is gone
+	first := e.strike
+	e.strike = strike{}
 	if e.plan.Durable {
-		e.inj = &schedInjector{enospcAt: -1, crashAt: -1}
+		e.inj = &schedInjector{enospcAt: -1, crashAt: -1, strike: first.inject}
 		e.faulty = faultfs.NewFaulty(e.mem, e.inj.inject)
 		cfg.Dir = "vault"
 		cfg.FS = e.faulty
@@ -231,6 +270,9 @@ func (e *engine) open() error {
 			}
 			e.fol = fol
 			e.link = repl.NewPipe(fol)
+			if first.link != nil {
+				first.link(e.link)
+			}
 			cap, err := repl.NewCapture(e.faulty, repl.Config{
 				Session: repl.NewSession(e.link, nil, e.mem, "vault"),
 				Root:    "vault",
@@ -241,6 +283,7 @@ func (e *engine) open() error {
 				e.hangUp()
 				return err
 			}
+			e.capture = cap
 			cfg.FS = cap
 		}
 	}
@@ -263,64 +306,79 @@ func (e *engine) open() error {
 
 // exec runs one step against model and vault and cross-checks the result.
 func (e *engine) exec(i int, s Step) *Divergence {
+	want, d := e.run(i, s)
+	if e.plan.Durable && e.inj.fired {
+		// An injected fault fired inside this step. Whether the operation
+		// half-landed — or wedged the audit log short of the events the model
+		// expects — is ambiguous from the return value alone (and a deep
+		// check's mismatch unreliable); restart and reconcile instead of
+		// comparing.
+		e.inj.fired = false
+		return e.reconcile(i, s, want)
+	}
+	return d
+}
+
+// run executes one step and returns the model's prediction for it with the
+// first divergence; a fault that fired inside the step is exec's business.
+func (e *engine) run(i int, s Step) (outcome, *Divergence) {
 	div := divAt(i, s)
+	ok := outcome{kind: eOK}
+	if e.v == nil {
+		// A close step shut the vault: this one restarts it, and the
+		// memory-only break-glass grants do not survive that.
+		if err := e.open(); err != nil {
+			return ok, div("reopen after close: %v", err)
+		}
+		e.model.clearGrants()
+	}
 	switch s.Op {
 	case OpAdvance:
 		e.vc.Advance(time.Duration(s.Hours) * time.Hour)
-		e.model.advance(s)
-		return nil
+		return e.model.advance(s), nil
 	case OpVerify:
-		d := e.deepCheck(i, s)
-		if e.plan.Durable && e.inj.fired {
-			// A pending ENOSPC fault fired inside the sweep's own audited
-			// queries; whatever mismatch the sweep reported is unreliable.
-			// Restart and resync instead, like any other faulted step.
-			e.inj.fired = false
-			return e.reconcile(i, s, outcome{kind: eOK})
-		}
-		return d
+		return ok, e.deepCheck(i, s)
 	case OpCrash:
 		if !e.plan.Durable {
-			return nil
+			return ok, nil
 		}
 		e.inj.enospcAt = -1 // a power cut supersedes a pending media fault
-		return e.crash(i, s)
+		return ok, e.crash(i, s)
 	case OpENOSPC:
 		if e.plan.Durable {
 			e.inj.enospcAt = e.faulty.MutatingOps() + s.N
 		}
-		return nil
+		return ok, nil
 	case OpRevoke:
 		e.v.Authz().Revoke(s.Actor)
-		e.model.revoke(s)
-		return nil
+		return e.model.revoke(s), nil
+	case OpClose:
+		// Close checkpoints every shard; no record state changes.
+		err := e.v.Close()
+		e.v = nil
+		if err != nil {
+			return ok, div("close: %v", err)
+		}
+		return ok, nil
 	}
 
 	want, d := e.vaultOp(i, s)
-	if e.plan.Durable && e.inj.fired {
-		// An injected fault fired inside this step. Whether the operation
-		// half-landed — or wedged the audit log short of the events the model
-		// expects — is ambiguous from the return value alone; restart and
-		// reconcile instead of comparing.
-		e.inj.fired = false
-		return e.reconcile(i, s, want)
-	}
-	if d != nil {
-		return d
+	if d != nil || e.plan.Durable && e.inj.fired {
+		return want, d
 	}
 	// Cheap whole-vault invariants after every step; the expensive sweep runs
 	// on OpVerify.
 	if got, wantN := e.v.Len(), len(e.model.liveIDs()); got != wantN {
-		return div("live records: vault %d, model %d", got, wantN)
+		return want, div("live records: vault %d, model %d", got, wantN)
 	}
 	var logSize uint64
 	for _, h := range e.v.Heads() {
 		logSize += h.Size
 	}
 	if wantN := uint64(e.model.totalVersions()); logSize != wantN {
-		return div("commitment log size: vault %d, model %d", logSize, wantN)
+		return want, div("commitment log size: vault %d, model %d", logSize, wantN)
 	}
-	return nil
+	return want, nil
 }
 
 // vaultOp executes a vault operation step, advancing the model alongside,
@@ -347,16 +405,13 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		if ver.Number != want.version {
 			return want, div("put version: vault %d, model %d", ver.Number, want.version)
 		}
+		e.model.learnHash(s.Record, ver.CtHash)
 		return want, nil
 	case OpGet:
-		if s.Rot && e.plan.Durable {
-			e.inj.rot = true
-		}
 		want := e.model.get(s)
+		e.armRot(s)
 		rec, ver, err := e.v.GetCtx(ctx, s.Actor, s.Record)
-		if e.plan.Durable {
-			e.inj.rot = false // a denied read leaves the arm untouched; clear it
-		}
+		e.armRot(Step{}) // a denied read leaves the arm untouched; clear it
 		if want.flexible && want.kind == eOK && err != nil {
 			// Bit rot: detecting the corruption (any error) is acceptable;
 			// returning wrong bytes silently would not be, and is caught below.
@@ -374,7 +429,12 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	case OpGetVersion:
 		want := e.model.getVersion(s)
+		e.armRot(s)
 		rec, ver, err := e.v.GetVersionCtx(ctx, s.Actor, s.Record, s.Version)
+		e.armRot(Step{})
+		if want.flexible && want.kind == eOK && err != nil {
+			return want, nil // bit rot detected, as for get
+		}
 		if d := check(want, err); d != nil || err != nil {
 			return want, d
 		}
@@ -411,6 +471,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		if ver.Number != want.version {
 			return want, div("correct version: vault %d, model %d", ver.Number, want.version)
 		}
+		e.model.learnHash(s.Record, ver.CtHash)
 		return want, nil
 	case OpSearch, OpSearchAll:
 		conj := s.Op == OpSearchAll
@@ -438,6 +499,10 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 	case OpReleaseHold:
 		want := e.model.releaseHold(s)
 		return want, check(want, e.v.ReleaseHoldCtx(ctx, s.Actor, s.Record))
+	case OpSanitize:
+		want := e.model.sanitize(s)
+		_, _, err := e.v.SanitizeMedia(s.Actor)
+		return want, check(want, err)
 	case OpBreakGlass:
 		want := e.model.breakGlass(s)
 		return want, check(want, e.v.BreakGlassCtx(ctx, s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute))
@@ -463,6 +528,14 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	}
 	return outcome{}, div("unknown op %q", s.Op)
+}
+
+// armRot arms a corrupted ciphertext read for a durable read step with Rot
+// set, after the step's N reads, and disarms it for any other step.
+func (e *engine) armRot(s Step) {
+	if e.plan.Durable {
+		e.inj.rot, e.inj.skip = s.Rot, s.N
+	}
 }
 
 // stepRecord builds the concrete ehr.Record a put/correct step submits.
@@ -667,21 +740,41 @@ func (e *engine) deepCheck(i int, s Step) *Divergence {
 }
 
 // checkCustody requires id's custody chain to be the model's exactly, after a
-// crash or a fault as before it; the query is audited like any other.
+// crash or a fault as before it: each event's type, and the ciphertext hash
+// of the version it records (zero for a shred). A landed op the vault never
+// acked has a hash the model has not seen; the chain's event for it is
+// learned here, unless it repeats another event's hash — a replayed
+// duplicate is not the op in flight. The query is audited like any other.
 func (e *engine) checkCustody(div func(string, ...any) *Divergence, id string) *Divergence {
 	e.model.authorize(auditor, authz.ActAudit, audit.ActionVerify, id, 0, "")
 	chain, err := e.v.ProvenanceCtx(ctx, auditor, id)
 	if err != nil {
 		return div("provenance of %s: %v", id, err)
 	}
-	types := make([]provenance.EventType, len(chain))
-	for j, ev := range chain {
-		types[j] = ev.Type
+	want := e.model.prov[id]
+	if len(chain) != len(want) {
+		return div("provenance of %s: vault %d events, model %d", id, len(chain), len(want))
 	}
-	if want := e.model.prov[id]; !slices.Equal(types, want) {
-		return div("provenance of %s: vault %v, model %v", id, types, want)
+	for j, ev := range chain {
+		w := &want[j]
+		if w.ContentHash == ([32]byte{}) && w.Type != provenance.EventShredded && !repeats(chain, j) {
+			w.ContentHash = ev.ContentHash
+		}
+		if ev.Type != w.Type || ev.ContentHash != w.ContentHash {
+			return div("custody event %d of %s: vault %s %x, model %s %x", j, id, ev.Type, ev.ContentHash[:4], w.Type, w.ContentHash[:4])
+		}
 	}
 	return nil
+}
+
+// repeats reports whether another event of chain carries event j's hash.
+func repeats(chain []provenance.Event, j int) bool {
+	for k, ev := range chain {
+		if k != j && ev.ContentHash == chain[j].ContentHash {
+			return true
+		}
+	}
+	return false
 }
 
 // holdIDs lists the cluster's held record IDs, sorted (the retention manager
@@ -711,36 +804,57 @@ func (e *engine) crash(i int, s Step) *Divergence {
 		e.inj.crashAt = e.faulty.MutatingOps() + s.N - 1
 		_ = e.v.Close()
 	}
-	recoverOnce := func() *Divergence {
-		if d := e.cut(i, s); d != nil {
-			return d
-		}
-		if d := e.checkFlightTail(i, s); d != nil {
-			return d
-		}
-		if d := e.reopenAndResync(i, s); d != nil {
-			return d
-		}
-		return e.deepCheck(i, s)
-	}
-	if d := recoverOnce(); d != nil {
+	if d := e.recoverCut(i, s, faultfs.KeepNone, nil); d != nil {
 		return d
 	}
 	if err := e.v.Close(); err != nil {
 		return divAt(i, s)("clean close: %v", err)
 	}
-	return recoverOnce()
+	return e.recoverCut(i, s, faultfs.KeepNone, nil)
+}
+
+// recoverCut brings the vault back from a power cut and judges it: the cut
+// (see cut), the persisted flight tail read off the raw image, the remount,
+// the op a fault cut short settled (want is the model's prediction for step
+// s; nil when no op was in flight), the tail's claims held to the settled
+// model, the audit tail resynced, and the deep check. Everything WAL-acked —
+// versions, shreds, holds, and the custody events replay completes — gets no
+// slack: the deep check requires it exactly.
+func (e *engine) recoverCut(i int, s Step, keep faultfs.KeepPolicy, want *outcome) *Divergence {
+	if d := e.cut(i, s, keep); d != nil {
+		return d
+	}
+	tail, d := e.flightTail(i, s)
+	if d != nil {
+		return d
+	}
+	if d := e.remount(i, s); d != nil {
+		return d
+	}
+	if want != nil {
+		if d := e.settle(i, s, *want); d != nil {
+			return d
+		}
+	}
+	if d := e.checkFlightClaims(i, s, tail); d != nil {
+		return d
+	}
+	if d := e.resyncTails(i, s); d != nil {
+		return d
+	}
+	return e.deepCheck(i, s)
 }
 
 // cut kills the primary. In failover mode the primary hangs up, and once the
 // follower's loop has returned the follower is promoted and its replica disk
 // becomes the next generation's medium — a keep-everything op-boundary
 // image, since the follower applied exactly the ops the primary's disk
-// accepted; the model's prefix reconciliation then finds nothing missing. Otherwise the power cut is simulated directly: a
-// keep-nothing crash image of the primary, losing every unsynced byte.
-func (e *engine) cut(i int, s Step) *Divergence {
+// accepted; the model's prefix reconciliation then finds nothing missing.
+// Otherwise the power cut is simulated directly: a crash image of the
+// primary under keep.
+func (e *engine) cut(i int, s Step, keep faultfs.KeepPolicy) *Divergence {
 	if !e.plan.Failover {
-		e.mem = e.mem.CrashImage(faultfs.KeepNone)
+		e.mem = e.mem.CrashImage(keep)
 		return nil
 	}
 	e.hangUp()
@@ -760,21 +874,16 @@ func (e *engine) hangUp() {
 	}
 }
 
-// reopenAndResync remounts after a power cut and reconciles the model with
-// what legitimately survived: break-glass grants die with the process,
-// remembered audit checkpoints may now outrun a truncated chain, and the
-// audit tail — synced only on Close — may be cut short. WAL-acked state
-// (versions, shreds, holds, and the custody events replay completes) gets no
-// slack: the deep check that follows requires it exactly.
-func (e *engine) reopenAndResync(i int, s Step) *Divergence {
-	div := divAt(i, s)
+// remount restarts the vault over the current medium: break-glass grants
+// die with the process, and remembered audit checkpoints may now outrun a
+// truncated chain.
+func (e *engine) remount(i int, s Step) *Divergence {
 	if err := e.open(); err != nil {
-		return div("recovery failed: %v", err)
+		return divAt(i, s)("remount failed: %v", err)
 	}
-	m := e.model
-	m.clearGrants()
+	e.model.clearGrants()
 	e.cps = make([][]audit.Checkpoint, e.shards)
-	return e.resyncTails(i, s)
+	return nil
 }
 
 // resyncTails reconciles the audit journal against the reopened vault
@@ -810,48 +919,56 @@ func (e *engine) resyncTails(i int, s Step) *Divergence {
 	return nil
 }
 
+// settle resolves step s, which a fault cut short, against the remounted
+// vault: the operation may have landed or not, and un-audited probes tell
+// which, so the model reverts what did not. A faulted custody append of a
+// committed mutation needs no probe: replay appends the event.
+func (e *engine) settle(i int, s Step, want outcome) *Divergence {
+	if want.kind != eOK {
+		return nil // the model predicted a failure and changed nothing
+	}
+	div := divAt(i, s)
+	m := e.model
+	switch s.Op {
+	case OpPut:
+		if _, err := e.v.VersionCount(s.Record); err != nil {
+			m.dropRecord(s.Record)
+		}
+	case OpCorrect:
+		n, err := e.v.VersionCount(s.Record)
+		switch {
+		case err != nil:
+			return div("record vanished in the restart: %v", err)
+		case n == int(want.version)-1:
+			m.popVersion(s.Record)
+		case n != int(want.version):
+			return div("correction half-landed: vault has %d versions, model %d", n, want.version)
+		}
+	case OpShred:
+		_, err := e.v.VersionCount(s.Record)
+		switch {
+		case err == nil:
+			m.unshred(s.Record)
+		case classify(err) != eShredded:
+			return div("shred target unreadable after restart: %v", err)
+		}
+	case OpPlaceHold, OpReleaseHold:
+		m.setHold(s.Record, slices.Contains(holdIDs(e.v), s.Record))
+	}
+	return nil
+}
+
 // reconcile handles a step an injected fault fired inside: the vault may
 // have wedged, the operation may have half-landed, and the audit log may
 // have wedged short of the step's events. The disk is kept (a process
-// restart, not a power cut), the vault is remounted, and the ambiguity is
-// resolved by probing un-audited observables. A faulted custody append of a
-// committed mutation needs no probe: replay appends the event.
+// restart, not a power cut), the vault is remounted, and the step settled.
 func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 	div := divAt(i, s)
-	if err := e.open(); err != nil {
-		return div("restart after fault failed: %v", err)
+	if d := e.remount(i, s); d != nil {
+		return d
 	}
-	m := e.model
-	m.clearGrants()
-	e.cps = make([][]audit.Checkpoint, e.shards)
-
-	if want.kind == eOK {
-		switch s.Op {
-		case OpPut:
-			if _, err := e.v.VersionCount(s.Record); err != nil {
-				m.dropRecord(s.Record)
-			}
-		case OpCorrect:
-			n, err := e.v.VersionCount(s.Record)
-			switch {
-			case err != nil:
-				return div("record vanished across a non-crash restart: %v", err)
-			case n == int(want.version)-1:
-				m.popVersion(s.Record)
-			case n != int(want.version):
-				return div("correction half-landed: vault has %d versions, model %d", n, want.version)
-			}
-		case OpShred:
-			_, err := e.v.VersionCount(s.Record)
-			switch {
-			case err == nil:
-				m.unshred(s.Record)
-			case classify(err) != eShredded:
-				return div("shred target unreadable after restart: %v", err)
-			}
-		case OpPlaceHold, OpReleaseHold:
-			m.setHolds(holdIDs(e.v))
-		}
+	if d := e.settle(i, s, want); d != nil {
+		return d
 	}
 
 	// The probed resolution is only as durable as whatever the faulted op
@@ -867,7 +984,7 @@ func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
 		return div("reopen after fault reconcile: %v", err)
 	}
 
-	if d := e.resyncTails(i, s); d != nil || s.Record == "" || m.prov[s.Record] == nil {
+	if d := e.resyncTails(i, s); d != nil || s.Record == "" || e.model.prov[s.Record] == nil {
 		return d
 	}
 	return e.checkCustody(div, s.Record)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"medvault/internal/obs"
 )
 
 // TestSimFixedSeedsMemory is the conformance entry point that replaced the
@@ -144,5 +146,38 @@ func TestShrinkSubsequencesWellFormed(t *testing.T) {
 			sub = append(sub, tr.Steps[i])
 		}
 		_ = Replay(Trace{Plan: tr.Plan, Steps: sub}, nil)
+	}
+}
+
+// TestFlightClaimsNameHeldOps pins the flight-tail rule: per record, the
+// persisted ok events of puts, corrections, shreds and holds are a
+// subsequence of the ops the model holds as acked — any of them may be lost
+// from the unsynced tail, a hold may be placed again after its release, and
+// nothing acked may be claimed that the model does not hold.
+func TestFlightClaimsNameHeldOps(t *testing.T) {
+	e := makeEngine(Plan{Name: "claims"}, simEpoch, strike{}, nil)
+	e.model.acked = map[string][]OpKind{
+		"r1": {OpPut, OpPlaceHold, OpReleaseHold, OpPlaceHold},
+		"r2": {}, // its put did not land
+	}
+	ok := func(kind OpKind, id string) obs.FlightEvent {
+		return obs.FlightEvent{Kind: string(kind), Record: obs.HashRecordID(id), Outcome: "ok"}
+	}
+	for _, tc := range []struct {
+		name string
+		tail []obs.FlightEvent
+		held bool
+	}{
+		{"every op", []obs.FlightEvent{ok(OpPut, "r1"), ok(OpPlaceHold, "r1"), ok(OpReleaseHold, "r1"), ok(OpPlaceHold, "r1")}, true},
+		{"release lost, hold placed again", []obs.FlightEvent{ok(OpPut, "r1"), ok(OpPlaceHold, "r1"), ok(OpPlaceHold, "r1")}, true},
+		{"failed op", []obs.FlightEvent{{Kind: string(OpPut), Record: obs.HashRecordID("r2"), Outcome: "error"}}, true},
+		{"put that did not land", []obs.FlightEvent{ok(OpPut, "r2")}, false},
+		{"unknown record", []obs.FlightEvent{ok(OpShred, "r9")}, false},
+		{"out of ack order", []obs.FlightEvent{ok(OpReleaseHold, "r1"), ok(OpPut, "r1")}, false},
+		{"one placement too many", []obs.FlightEvent{ok(OpPlaceHold, "r1"), ok(OpPlaceHold, "r1"), ok(OpPlaceHold, "r1")}, false},
+	} {
+		if d := e.checkFlightClaims(0, Step{Op: OpCrash}, tc.tail); (d == nil) != tc.held {
+			t.Errorf("%s: divergence %v, want held=%v", tc.name, d, tc.held)
+		}
 	}
 }

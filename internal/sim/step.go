@@ -1,12 +1,14 @@
-// Package sim is MedVault's deterministic compliance simulator: a full
-// reference model of the vault's observable semantics, a seeded op-sequence
-// generator that drives the real vault through every public operation —
-// valid and invalid — and a checker that cross-checks the two after every
-// step. Where the crash-recovery torture harness (internal/core/torture.go)
-// proves durability invariants, sim proves *compliance* semantics: immutable
+// Package sim is MedVault's deterministic compliance simulator and its one
+// crash oracle: a full reference model of the vault's observable semantics, a
+// seeded op-sequence generator that drives the real vault through every
+// public operation — valid and invalid — and a checker that cross-checks the
+// two after every step. The model judges compliance semantics (immutable
 // version history with corrections, enforced retention and legal holds,
-// complete audit/provenance/disclosure accounting, and authorized search —
-// the paper's Section-3 requirements as executable checks.
+// complete audit/provenance/disclosure accounting, authorized search — the
+// paper's Section-3 requirements as executable checks) and the ack contract
+// alike: the crash-recovery torture harnesses (torture.go) run a fixed script
+// of the same Steps under a fault at every filesystem op and stream boundary,
+// and the model judges every recovered image.
 //
 // Everything is data-driven: a run is a Plan (seed, scale, mode) plus a
 // sequence of Steps, each a concrete serializable operation. The generator
@@ -48,6 +50,8 @@ const (
 	OpRevoke      OpKind = "revoke"       // Authz().Revoke
 	OpDisclosures OpKind = "disclosures"  // Vault.AccountingOfDisclosuresCtx
 	OpPatientRecs OpKind = "patient_recs" // Vault.PatientRecordsCtx
+	OpSanitize    OpKind = "sanitize"     // Cluster.SanitizeMedia
+	OpClose       OpKind = "close"        // Cluster.Close (the checkpoint); the next step reopens
 	OpAdvance     OpKind = "advance"      // advance the virtual clock
 	OpVerify      OpKind = "verify"       // deep cross-check (VerifyAll, audit, provenance, disclosures)
 	OpCrash       OpKind = "crash"        // durable mode: power cut, recover, re-verify, close, cut again, recover
@@ -72,8 +76,8 @@ type Step struct {
 	Minutes  int      `json:"minutes,omitempty"`  // break_glass duration
 	Hours    int      `json:"hours,omitempty"`    // advance amount
 	Backdate int      `json:"backdate,omitempty"` // put: CreatedAt = now - Backdate hours
-	N        int      `json:"n,omitempty"`        // enospc: fail the Nth mutating fs op from now
-	Rot      bool     `json:"rot,omitempty"`      // get: arm a corrupted ciphertext read
+	N        int      `json:"n,omitempty"`        // enospc: fail the Nth mutating fs op from now; rot: ciphertext reads to let through first
+	Rot      bool     `json:"rot,omitempty"`      // get, get_version: arm a corrupted ciphertext read
 }
 
 // Plan is a trace header: everything besides the steps a run needs to be

@@ -145,6 +145,12 @@ check "Sanitize is a checkpoint: internal/core calls no .fs.Rename( or .fs.Remov
 check "Custody at checkpoint: internal/core calls the tracker's Flush only in checkpoint, and Record or Adopt only in export.go" \
 	"$(awk '/^func /{fn=$0} /\.prov\.Flush\(/ && fn !~ /^func \(v \*Vault\) checkpoint\(/ {print FILENAME ":" FNR ": " $0} /\.prov\.(Record|Adopt)\(/ && FILENAME != "internal/core/export.go" {print FILENAME ":" FNR ": " $0}' $core)"
 
+# The reference model in internal/sim is the one crash oracle: only the sim's
+# harnesses (and faultfs, which defines them) cut power, tear a write or fail
+# a sync, so the model judges every recovered image.
+check "One crash oracle: no non-test Go outside internal/faultfs and internal/sim calls CrashImage(, CrashBefore(, CrashAfter(, TornWriteAt( or FailNthSync(" \
+	"$(grep -rnE '(CrashImage|CrashBefore|CrashAfter|TornWriteAt|FailNthSync)\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(faultfs|sim)/')"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
