@@ -2,15 +2,13 @@
 // fixed clinical script over a fault-injecting in-memory filesystem, with a
 // simulated power cut (and fsync failure, ENOSPC, and bit rot) at every
 // filesystem operation the script performs, after which the simulator's
-// reference model judges the recovered vault. See internal/sim/torture.go
-// for the invariants.
-//
-// With -failover the same script runs on a replicated primary instead:
-// the primary is killed at every mutating fs op AND every replication
-// stream boundary (before send, after apply, after ack), the warm follower
-// is promoted, and the model judges the promoted vault as it judges a crash
-// image, with the dead primary's epoch fenced out. See
-// internal/sim/failover.go.
+// reference model judges the recovered vault — the judgement a medsim crash
+// or fault step gets. With -failover the strike is a kill of a replicated
+// primary instead, at every mutating fs op and every replication stream
+// boundary (before send, after apply, after ack); the judgement's cut
+// promotes the warm follower, and the dead primary's epoch must be fenced
+// out. Both matrices report failures alike: scenario, point, and the step in
+// flight. See internal/sim/torture.go for the invariants.
 //
 //	medtorture                     # full matrix: every injection point
 //	medtorture -quick              # CI smoke: every fifth point
@@ -50,38 +48,22 @@ func main() {
 		shardNote = fmt.Sprintf(" (%d shards)", *shards)
 	}
 
-	if *failover {
-		rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: *stride, Shards: *shards, Logf: logf})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "medtorture: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("medtorture: failover matrix: %d fs kill points, %d frame kill points ×3 boundaries, %d scenarios%s\n",
-			rep.FSKillPoints, rep.FrameKillPoints, rep.Scenarios, shardNote)
-		if rep.Passed() {
-			fmt.Println("medtorture: every acknowledged write survived every failover")
-			return
-		}
-		fmt.Printf("medtorture: %d invariant violations:\n", len(rep.Failures))
-		for _, f := range rep.Failures {
-			fmt.Printf("  %s\n", f)
-		}
-		os.Exit(1)
-	}
-
-	opts := sim.TortureOpts{Stride: *stride, Shards: *shards}
-	if *verbose {
-		opts.Logf = logf
-	}
-	rep, err := sim.RunTorture(opts)
+	rep, err := sim.RunTorture(sim.TortureOpts{Shards: *shards, Stride: *stride, Failover: *failover, Logf: logf})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "medtorture: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("medtorture: %d injection points, %d crash scenarios, %d fault scenarios%s\n",
-		rep.InjectionPoints, rep.CrashScenarios, rep.FaultScenarios, shardNote)
+	passed := "all durability invariants held"
+	if *failover {
+		fmt.Printf("medtorture: failover matrix: %d fs kill points, %d frame kill points ×3 boundaries, %d scenarios%s\n",
+			rep.InjectionPoints, rep.FrameKillPoints, rep.CrashScenarios, shardNote)
+		passed = "every acknowledged write survived every failover"
+	} else {
+		fmt.Printf("medtorture: %d injection points, %d crash scenarios, %d fault scenarios%s\n",
+			rep.InjectionPoints, rep.CrashScenarios, rep.FaultScenarios, shardNote)
+	}
 	if rep.Passed() {
-		fmt.Println("medtorture: all durability invariants held")
+		fmt.Println("medtorture: " + passed)
 		return
 	}
 	fmt.Printf("medtorture: %d invariant violations:\n", len(rep.Failures))

@@ -249,3 +249,50 @@ func TestCustodyStoreWrittenOnlyAtCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestImportCustodyDurableAtAck: an import's custody — the source's chain
+// it adopts and its own arrival event — rides in no meta.wal entry, so the
+// import syncs the custody store before it acks. After an acked Import and a
+// power cut, the imported record reopens with both events. Backups and
+// migrations out still reach prov/ unsynced (see
+// TestCustodyStoreWrittenOnlyAtCheckpoint).
+func TestImportCustodyDurableAtAck(t *testing.T) {
+	src, vc, err := openTorture(faultfs.NewMem(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if _, err := src.PutCtx(context.Background(), "dr-house", tortureRecord("moved", 1, vc.Now())); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := src.Export("arch-lee", "moved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := faultfs.NewMem()
+	dst, _, err := openTorture(mem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.Import("arch-lee", bundle, "source-system"); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _, err := openTorture(mem.CrashImage(faultfs.KeepNone), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, err := re.VersionCount("moved"); err != nil || n != 1 {
+		t.Fatalf("imported record after a power cut: %d versions, %v; want 1", n, err)
+	}
+	chain, err := re.Shard(0).prov.Chain("moved")
+	var types []provenance.EventType
+	for _, ev := range chain {
+		types = append(types, ev.Type)
+	}
+	if err != nil || len(types) != 2 || types[0] != provenance.EventCreated || types[1] != provenance.EventMigratedIn {
+		t.Fatalf("custody after a power cut: %v, %v; want created, migrated-in", types, err)
+	}
+}

@@ -145,8 +145,15 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 	if err := v.prov.Adopt(bundle.ID, bundle.Custody); err != nil {
 		return fmt.Errorf("core: adopting custody of %s: %w", bundle.ID, err)
 	}
-	_, err = v.prov.Record(bundle.ID, custodyType, actor, last.CtHash, sourceSystem)
-	return err
+	if _, err := v.prov.Record(bundle.ID, custodyType, actor, last.CtHash, sourceSystem); err != nil {
+		return err
+	}
+	// The adopted chain and the arrival ride in no meta.wal entry, so the
+	// import is durable at ack only once the custody store is.
+	if err := v.provStore.Sync(); err != nil {
+		return fmt.Errorf("core: syncing custody of %s: %w", bundle.ID, err)
+	}
+	return nil
 }
 
 // RecordBackedUp extends custody chains with backed-up events after a

@@ -17,7 +17,7 @@ func TestFailoverTorture(t *testing.T) {
 	if testing.Short() {
 		stride = 23
 	}
-	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: stride, Shards: 1, Logf: t.Logf})
+	rep, err := sim.RunTorture(sim.TortureOpts{Failover: true, Stride: stride, Shards: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("failover torture harness: %v", err)
 	}
@@ -33,8 +33,8 @@ func TestFailoverTorture(t *testing.T) {
 	// 14 ops and frames, and added Close's block write of each of the seven
 	// versions: 81 + 86. Two SanitizeMedia passes and a second shred in the
 	// script: 117 + 122.)
-	if rep.FSKillPoints != 117 || rep.FrameKillPoints != 122 {
-		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 117 + 122", rep.FSKillPoints, rep.FrameKillPoints)
+	if rep.InjectionPoints != 117 || rep.FrameKillPoints != 122 {
+		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 117 + 122", rep.InjectionPoints, rep.FrameKillPoints)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestFailoverTorture(t *testing.T) {
 // started with.
 func TestFailoverTortureLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
-	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: 5, Shards: 1})
+	rep, err := sim.RunTorture(sim.TortureOpts{Failover: true, Stride: 5, Shards: 1})
 	if err != nil || !rep.Passed() {
 		t.Fatalf("quick failover torture: %v, %v", err, rep.Failures)
 	}
@@ -75,7 +75,7 @@ func TestFailoverTortureSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded failover matrix skipped in -short")
 	}
-	rep, err := sim.RunFailoverTorture(sim.FailoverOpts{Stride: 19, Shards: 2, Logf: t.Logf})
+	rep, err := sim.RunTorture(sim.TortureOpts{Failover: true, Stride: 19, Shards: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("failover torture harness: %v", err)
 	}

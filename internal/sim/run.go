@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -196,6 +197,10 @@ type engine struct {
 
 	heads [][]merkle.SignedTreeHead // indexed by shard
 	cps   [][]audit.Checkpoint      // indexed by shard
+
+	// What the medium scan needs that the model does not keep.
+	cts       map[string][][]byte // each record's acked ciphertexts
+	sanitized map[string]bool     // records shredded before an acked sanitize
 }
 
 // strike is the fault a torture scenario arms on a generation's medium and,
@@ -230,6 +235,9 @@ func makeEngine(plan Plan, epoch time.Time, first strike, logf func(format strin
 		master: sha256.Sum256([]byte(fmt.Sprintf("medsim-master/%s/%d", plan.Name, plan.Seed))),
 		heads:  make([][]merkle.SignedTreeHead, shards),
 		cps:    make([][]audit.Checkpoint, shards),
+
+		cts:       make(map[string][][]byte),
+		sanitized: make(map[string]bool),
 	}
 	e.model.setShards(shards)
 	if plan.Durable {
@@ -311,10 +319,13 @@ func (e *engine) exec(i int, s Step) *Divergence {
 		// An injected fault fired inside this step. Whether the operation
 		// half-landed — or wedged the audit log short of the events the model
 		// expects — is ambiguous from the return value alone (and a deep
-		// check's mismatch unreliable); restart and reconcile instead of
-		// comparing.
+		// check's mismatch unreliable), so the step is judged as the op in
+		// flight across a restart that keeps every written byte: the process
+		// restart a fault forces, or in failover mode a promotion, whose
+		// image is the same because only ops the medium accepted were
+		// shipped.
 		e.inj.fired = false
-		return e.reconcile(i, s, want)
+		return e.judge(i, s, faultfs.KeepAll, &want)
 	}
 	return d
 }
@@ -383,7 +394,7 @@ func (e *engine) run(i int, s Step) (outcome, *Divergence) {
 
 // vaultOp executes a vault operation step, advancing the model alongside,
 // and compares outcome class and payload. The returned outcome is the
-// model's prediction (needed by reconcile when a fault fired mid-step).
+// model's prediction, which judge settles when a fault fired mid-step.
 func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 	div := divAt(i, s)
 	// check compares the vault's outcome class with the model's; a nil
@@ -406,6 +417,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 			return want, div("put version: vault %d, model %d", ver.Number, want.version)
 		}
 		e.model.learnHash(s.Record, ver.CtHash)
+		e.noteCiphertext(s.Record, ver.Number)
 		return want, nil
 	case OpGet:
 		want := e.model.get(s)
@@ -472,6 +484,7 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 			return want, div("correct version: vault %d, model %d", ver.Number, want.version)
 		}
 		e.model.learnHash(s.Record, ver.CtHash)
+		e.noteCiphertext(s.Record, ver.Number)
 		return want, nil
 	case OpSearch, OpSearchAll:
 		conj := s.Op == OpSearchAll
@@ -502,7 +515,15 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 	case OpSanitize:
 		want := e.model.sanitize(s)
 		_, _, err := e.v.SanitizeMedia(s.Actor)
-		return want, check(want, err)
+		if d := check(want, err); d != nil || err != nil {
+			return want, d
+		}
+		for id, r := range e.model.records {
+			if r.Shredded {
+				e.sanitized[id] = true
+			}
+		}
+		return want, nil
 	case OpBreakGlass:
 		want := e.model.breakGlass(s)
 		return want, check(want, e.v.BreakGlassCtx(ctx, s.Actor, s.Reason, time.Duration(s.Minutes)*time.Minute))
@@ -528,6 +549,14 @@ func (e *engine) vaultOp(i int, s Step) (outcome, *Divergence) {
 		return want, nil
 	}
 	return outcome{}, div("unknown op %q", s.Op)
+}
+
+// noteCiphertext keeps the ciphertext of an acked version for the medium
+// scan, which must not find it once its record is shredded and sanitized.
+func (e *engine) noteCiphertext(id string, number uint64) {
+	if ct, err := e.v.Ciphertext(id, number); err == nil {
+		e.cts[id] = append(e.cts[id], ct)
+	}
 }
 
 // armRot arms a corrupted ciphertext read for a durable read step with Rot
@@ -789,28 +818,92 @@ func holdIDs(v *core.Cluster) []string {
 	return ids
 }
 
-// crash simulates one or two power cuts around a remount cycle:
-//
-//  1. If N > 0, a crash latch is armed N mutating fs ops ahead and Close is
-//     called — the cut can land mid-snapshot or between the snapshot rename
-//     and the WAL checkpoint, the window WAL-replay idempotence protects.
-//     With N == 0 the vault is abandoned mid-flight (pure power cut).
-//  2. Recover on a KeepNone image (every unsynced byte gone), reconcile
-//     what legitimately could be lost, deep-check everything else.
-//  3. Close cleanly, cut again immediately — catching a snapshot whose
-//     rename outran its fsync — recover and deep-check once more.
+// crash is a power cut. With N > 0 a crash latch is armed N mutating fs ops
+// ahead and Close is called, so the cut can land mid-snapshot or between the
+// snapshot rename and the WAL checkpoint, the window WAL-replay idempotence
+// protects; with N == 0 the vault is abandoned mid-flight. Either way no op
+// is in flight, and every unsynced byte is lost.
 func (e *engine) crash(i int, s Step) *Divergence {
 	if s.N > 0 {
 		e.inj.crashAt = e.faulty.MutatingOps() + s.N - 1
 		_ = e.v.Close()
 	}
-	if d := e.recoverCut(i, s, faultfs.KeepNone, nil); d != nil {
-		return d
+	return e.judge(i, s, faultfs.KeepNone, nil)
+}
+
+// judge is the one judgement of a struck step: a medsim crash or fault step,
+// and every torture scenario. It cuts under keep with step s (index i) in
+// flight — want is the model's prediction for it, nil when no op was — holds
+// what recovers to the model (recoverCut), reads everything back and scans
+// the medium; then closes cleanly, cuts again under KeepNone, catching a
+// snapshot whose rename outran its fsync, and does it all once more.
+func (e *engine) judge(i int, s Step, keep faultfs.KeepPolicy, want *outcome) *Divergence {
+	for pass := 1; pass <= 2; pass++ {
+		if pass == 2 {
+			if err := e.v.Close(); err != nil {
+				return divAt(i, s)("clean close: %v", err)
+			}
+			keep, want = faultfs.KeepNone, nil
+		}
+		d := e.recoverCut(i, s, keep, want)
+		if d == nil {
+			d = e.readBack(i, s)
+		}
+		if d == nil {
+			d = e.scanMedium(i, s)
+		}
+		if d != nil {
+			d.Msg = fmt.Sprintf("recovery pass %d: %s", pass, d.Msg)
+			return d
+		}
 	}
-	if err := e.v.Close(); err != nil {
-		return divAt(i, s)("clean close: %v", err)
+	return nil
+}
+
+// readBack reads every acked version back twice — the second read is served
+// from the block and key caches the first filled, so the cached path must
+// return the same body — and reads every shredded record, each as a step
+// the model judges. The reader is a physician, so a record outside a
+// physician's categories reads back as the denial the model predicts.
+func (e *engine) readBack(i int, s Step) *Divergence {
+	for _, id := range e.model.allIDs() {
+		r := e.model.records[id]
+		reads := []Step{{Op: OpGet, Actor: "dr-house", Record: id}}
+		if !r.Shredded {
+			reads = reads[:0]
+			for n := range r.Versions {
+				read := Step{Op: OpGetVersion, Actor: "dr-house", Record: id, Version: uint64(n + 1)}
+				reads = append(reads, read, read)
+			}
+		}
+		for _, read := range reads {
+			if _, d := e.vaultOp(i, read); d != nil {
+				return divAt(i, s)("read-back %s: %s", read, d.Msg)
+			}
+		}
 	}
-	return e.recoverCut(i, s, faultfs.KeepNone, nil)
+	return nil
+}
+
+// scanMedium greps the medium for what must not be on it: the torture's
+// plaintext sentinel, since every byte on the medium is supposed to be
+// ciphertext, HMAC tokens, or structural metadata; and the ciphertext of
+// every record whose shred an acked sanitize pass followed.
+func (e *engine) scanMedium(i int, s Step) *Divergence {
+	needles := map[string][]byte{"plaintext sentinel": []byte(sentinelPrefix)}
+	for id := range e.sanitized {
+		for n, ct := range e.cts[id] {
+			needles[fmt.Sprintf("ciphertext %d of sanitized %s", n+1, id)] = ct
+		}
+	}
+	for path, data := range e.mem.Dump() {
+		for what, needle := range needles {
+			if bytes.Contains(data, needle) {
+				return divAt(i, s)("%s found on medium in %s", what, path)
+			}
+		}
+	}
+	return nil
 }
 
 // recoverCut brings the vault back from a power cut and judges it: the cut
@@ -845,13 +938,13 @@ func (e *engine) recoverCut(i int, s Step, keep faultfs.KeepPolicy, want *outcom
 	return e.deepCheck(i, s)
 }
 
-// cut kills the primary. In failover mode the primary hangs up, and once the
-// follower's loop has returned the follower is promoted and its replica disk
-// becomes the next generation's medium — a keep-everything op-boundary
-// image, since the follower applied exactly the ops the primary's disk
-// accepted; the model's prefix reconciliation then finds nothing missing.
-// Otherwise the power cut is simulated directly: a crash image of the
-// primary under keep.
+// cut kills the primary: the next generation's medium is a crash image under
+// keep of the primary's disk or, in failover mode, of the replica disk of its
+// follower, promoted once the primary has hung up and the follower's loop has
+// returned. The follower applied exactly the ops the primary's disk accepted
+// and fsyncs where the primary did, so the two images owe the same: KeepAll
+// is a plain promotion, and KeepNone after a clean close is a power cut that
+// reaches the promoted node too.
 func (e *engine) cut(i int, s Step, keep faultfs.KeepPolicy) *Divergence {
 	if !e.plan.Failover {
 		e.mem = e.mem.CrashImage(keep)
@@ -861,7 +954,7 @@ func (e *engine) cut(i int, s Step, keep faultfs.KeepPolicy) *Divergence {
 	if _, err := e.fol.Promote(); err != nil {
 		return divAt(i, s)("promoting follower: %v", err)
 	}
-	e.mem = e.fmem
+	e.mem = e.fmem.CrashImage(keep)
 	return nil
 }
 
@@ -956,36 +1049,4 @@ func (e *engine) settle(i int, s Step, want outcome) *Divergence {
 		m.setHold(s.Record, slices.Contains(holdIDs(e.v), s.Record))
 	}
 	return nil
-}
-
-// reconcile handles a step an injected fault fired inside: the vault may
-// have wedged, the operation may have half-landed, and the audit log may
-// have wedged short of the step's events. The disk is kept (a process
-// restart, not a power cut), the vault is remounted, and the step settled.
-func (e *engine) reconcile(i int, s Step, want outcome) *Divergence {
-	div := divAt(i, s)
-	if d := e.remount(i, s); d != nil {
-		return d
-	}
-	if d := e.settle(i, s, want); d != nil {
-		return d
-	}
-
-	// The probed resolution is only as durable as whatever the faulted op
-	// happened to sync: a mutation that errored after writing (but not
-	// syncing) its WAL entry is visible now yet would vanish in a later
-	// power cut, flipping the answer the model just adopted. Cycle through a
-	// clean close — which checkpoints and syncs everything — so the probed
-	// state is the durable state.
-	if err := e.v.Close(); err != nil {
-		return div("clean close after fault reconcile: %v", err)
-	}
-	if err := e.open(); err != nil {
-		return div("reopen after fault reconcile: %v", err)
-	}
-
-	if d := e.resyncTails(i, s); d != nil || s.Record == "" || e.model.prov[s.Record] == nil {
-		return d
-	}
-	return e.checkCustody(div, s.Record)
 }

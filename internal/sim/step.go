@@ -6,9 +6,12 @@
 // version history with corrections, enforced retention and legal holds,
 // complete audit/provenance/disclosure accounting, authorized search — the
 // paper's Section-3 requirements as executable checks) and the ack contract
-// alike: the crash-recovery torture harnesses (torture.go) run a fixed script
-// of the same Steps under a fault at every filesystem op and stream boundary,
-// and the model judges every recovered image.
+// alike. Every struck step — a generated crash step, a step an injected fault
+// fired in, and each scenario of the crash-recovery torture (torture.go),
+// which runs a fixed script of the same Steps under a strike at every
+// filesystem op and, with Failover, every stream boundary — gets one
+// judgement, engine.judge: cut, recover, settle the op in flight, deep-check,
+// read everything back and scan the medium, then close, cut and do it again.
 //
 // Everything is data-driven: a run is a Plan (seed, scale, mode) plus a
 // sequence of Steps, each a concrete serializable operation. The generator
@@ -54,7 +57,7 @@ const (
 	OpClose       OpKind = "close"        // Cluster.Close (the checkpoint); the next step reopens
 	OpAdvance     OpKind = "advance"      // advance the virtual clock
 	OpVerify      OpKind = "verify"       // deep cross-check (VerifyAll, audit, provenance, disclosures)
-	OpCrash       OpKind = "crash"        // durable mode: power cut, recover, re-verify, close, cut again, recover
+	OpCrash       OpKind = "crash"        // durable mode: power cut with no op in flight, judged (engine.judge)
 	OpENOSPC      OpKind = "enospc"       // durable mode: arm an out-of-space fault N mutating fs ops from now
 )
 

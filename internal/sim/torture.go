@@ -3,10 +3,10 @@ package sim
 // Crash-recovery torture. RunTorture runs tortureScript — a fixed clinical
 // workload of ordinary Steps — against a vault on a fault-injecting
 // faultfs.Mem, enumerates every mutating filesystem op the script performs,
-// and re-runs it once per op with a power cut (or a media fault) injected
-// there. A run stops at the step the fault surfaced in: the one op in
-// flight. The harness then cuts power, remounts the crash image, and the
-// model judges what recovered (see engine.recoverCut):
+// and re-runs it once per op with a strike there. A run stops at the step
+// the strike surfaced in: the one op in flight. engine.judge then cuts,
+// remounts and holds what recovered to the model, as it does for a medsim
+// crash or fault step:
 //
 //   - the op in flight settles either way, by the sim's probes; every step
 //     acknowledged before it is owed durability — an ack is a lower bound,
@@ -23,23 +23,35 @@ package sim
 //     acked, the ciphertext of any record shredded before it;
 //   - recovery is idempotent: after a clean close the same judgement holds.
 //
-// Beyond power cuts the harness injects a failed fsync at every sync point
-// (the WAL must wedge rather than ack on a lying disk), ENOSPC at every write,
-// and single-bit rot on ciphertext reads from the block store and from
-// meta.wal (the frame CRC and AEAD tag must turn silent corruption into a
-// loud error, never wrong data). Bit rot is injected only under read paths
-// of a healthy vault, not during recovery itself: recovery treats an
-// unreadable tail as torn, which is the designed response to a torn tail but
-// indistinguishable from rot of the final segment.
+// The local matrix cuts power at every op under four keep policies and
+// tears every write; it fails every fsync (the WAL must wedge rather than
+// ack on a lying disk) and fills the disk at every write; and it rots
+// single bits on ciphertext reads from the block store and from meta.wal
+// (the frame CRC and AEAD tag must turn silent corruption into a loud error,
+// never wrong data). Bit rot is injected only under read paths of a healthy
+// vault, not during recovery itself: recovery treats an unreadable tail as
+// torn, which is the designed response to a torn tail but indistinguishable
+// from rot of the final segment.
+//
+// With Failover the script runs on a replicated primary whose capture
+// streams to an in-process follower, and the strike is a kill: at every
+// mutating fs op, and at every op frame before send, after apply and after
+// ack. The judgement's cut promotes the follower, whose image owes exactly
+// what a local crash image owes, and the dead primary's epoch must then be
+// fenced out. Crash-before and crash-after an fs op yield the same follower
+// state (an op is shipped only when the inner medium accepts it, and a
+// crashed op returns failure either way), so the failover matrix runs one
+// fs-op kill per index and leaves the finer boundaries to the stream kills.
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/repl"
 )
 
 // tortureEpoch is the fixed start of vault time in every torture run; all
@@ -95,9 +107,13 @@ type TortureOpts struct {
 	// records over per-shard WALs, blockstores, and audit chains, so every
 	// crash point exercises multi-shard recovery.
 	Shards int
-	// Stride tests every Nth crash point; 0 means 1 (every point). CI smoke
-	// runs use 5. Injection-point enumeration is always complete.
+	// Stride tests every Nth injection or kill point; 0 means 1 (every
+	// point). CI smoke runs use 5. Enumeration is always complete.
 	Stride int
+	// Failover runs the failover matrix instead of the local one: the
+	// primary is killed at every fs op and stream boundary, and the warm
+	// follower promoted.
+	Failover bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -106,8 +122,8 @@ type TortureOpts struct {
 // injection point, and — like a medsim divergence — the step in flight and
 // what broke.
 type TortureFailure struct {
-	Scenario string // e.g. "crash-after/keep-none"
-	Point    int    // mutating-op index the fault was injected at; -1 if n/a
+	Scenario string // e.g. "crash-after/keep-none" or "kill/after-ack"
+	Point    int    // fs op, sync or frame index the strike hit; -1 if n/a
 	Divergence
 }
 
@@ -118,7 +134,8 @@ func (f TortureFailure) String() string {
 // TortureReport summarizes a run.
 type TortureReport struct {
 	InjectionPoints int // distinct mutating fs ops the script performs
-	CrashScenarios  int // power-cut simulations executed
+	FrameKillPoints int // failover: op frames the capture ships
+	CrashScenarios  int // power cuts; failover: kills plus the graceful switchover
 	FaultScenarios  int // non-crash fault simulations (EIO/ENOSPC/bit rot)
 	Failures        []TortureFailure
 }
@@ -126,137 +143,37 @@ type TortureReport struct {
 // Passed reports whether every invariant held in every scenario.
 func (r TortureReport) Passed() bool { return len(r.Failures) == 0 }
 
-// torture is one scenario: the engine, and what the medium scan needs that
-// the model does not keep.
-type torture struct {
-	*engine
-	cts       map[string][][]byte // each record's acked ciphertexts
-	sanitized map[string]bool     // records shredded before an acked sanitize
-}
-
-// newTorture opens the torture vault — its name, epoch and staff — on a
+// openTorture opens the torture vault — its name, epoch and staff — on a
 // fresh medium, with first striking its first generation only.
-func newTorture(shards int, failover bool, first strike) (*torture, error) {
-	plan := Plan{Format: traceFormat, Workers: 1, Shards: shards, Durable: true, Failover: failover, Name: "torture"}
-	t := &torture{engine: makeEngine(plan, tortureEpoch, first, nil),
-		cts: make(map[string][][]byte), sanitized: make(map[string]bool)}
-	return t, t.open()
+func openTorture(o TortureOpts, first strike) (*engine, error) {
+	plan := Plan{Format: traceFormat, Workers: 1, Shards: o.Shards, Durable: true, Failover: o.Failover, Name: "torture"}
+	e := makeEngine(plan, tortureEpoch, first, nil)
+	return e, e.open()
 }
 
 // play runs the script until a step diverges from the model. When struck
-// reports that the injected fault fired, the divergence is that fault
-// surfacing: the step is the op in flight, returned with the model's
-// prediction for it. Otherwise the divergence is a failure. inFlight is -1
-// when the whole script ran.
-func (t *torture) play(struck func() bool) (inFlight int, want outcome, d *Divergence) {
+// reports that the strike fired, the divergence is that strike surfacing:
+// the step is the op in flight, returned with the model's prediction for
+// it. Otherwise the divergence is a failure. With no op in flight play
+// returns a crash step after the script's end.
+func (e *engine) play(struck func() bool) (int, Step, *outcome, *Divergence) {
 	for i, s := range tortureScript {
-		want, d := t.run(i, s)
-		if d != nil {
+		if want, d := e.run(i, s); d != nil {
 			if struck() {
-				return i, want, nil
+				return i, s, &want, nil
 			}
-			return i, want, d
-		}
-		if want.kind != eOK {
-			continue
-		}
-		switch s.Op {
-		case OpPut, OpCorrect:
-			n := len(t.model.records[s.Record].Versions)
-			if ct, err := t.v.Ciphertext(s.Record, uint64(n)); err == nil {
-				t.cts[s.Record] = append(t.cts[s.Record], ct)
-			}
-		case OpSanitize:
-			for id, r := range t.model.records {
-				if r.Shredded {
-					t.sanitized[id] = true
-				}
-			}
+			return i, s, nil, d
 		}
 	}
-	return -1, outcome{}, nil
+	return len(tortureScript), Step{Op: OpCrash}, nil, nil
 }
 
-// judge cuts power with the script stopped at inFlight and holds what
-// recovers to the model (engine.recoverCut), reads everything back and scans
-// the medium; then closes cleanly, cuts again and does it all once more.
-// Divergences name the step in flight, or a crash step after the script's
-// end when none was.
-func (t *torture) judge(keep faultfs.KeepPolicy, inFlight int, want outcome) *Divergence {
-	i, s, pending := len(tortureScript), Step{Op: OpCrash}, (*outcome)(nil)
-	if inFlight >= 0 {
-		i, s, pending = inFlight, tortureScript[inFlight], &want
-	}
-	for pass := 1; pass <= 2; pass++ {
-		if pass == 2 {
-			if err := t.v.Close(); err != nil {
-				return divAt(i, s)("clean close: %v", err)
-			}
-			keep, pending = faultfs.KeepNone, nil
-		}
-		d := t.recoverCut(i, s, keep, pending)
-		if d == nil {
-			d = t.readBack(i, s)
-		}
-		if d == nil {
-			d = t.scanMedium(i, s)
-		}
-		if d != nil {
-			d.Msg = fmt.Sprintf("recovery pass %d: %s", pass, d.Msg)
-			return d
-		}
-	}
-	return nil
-}
-
-// readBack reads every acked version back twice — the second read is served
-// from the block and key caches the first filled, so the cached path must
-// return the same body — and reads every shredded record, each as a step
-// the model judges.
-func (t *torture) readBack(i int, s Step) *Divergence {
-	for _, id := range t.model.allIDs() {
-		r := t.model.records[id]
-		reads := []Step{{Op: OpGet, Actor: "dr-house", Record: id}}
-		if !r.Shredded {
-			reads = reads[:0]
-			for n := range r.Versions {
-				read := Step{Op: OpGetVersion, Actor: "dr-house", Record: id, Version: uint64(n + 1)}
-				reads = append(reads, read, read)
-			}
-		}
-		for _, read := range reads {
-			if _, d := t.run(i, read); d != nil {
-				return divAt(i, s)("read-back %s: %s", read, d.Msg)
-			}
-		}
-	}
-	return nil
-}
-
-// scanMedium greps the medium for what must not be on it: sentinel
-// plaintext, since every byte on the medium is supposed to be ciphertext,
-// HMAC tokens, or structural metadata; and the ciphertext of every record
-// whose shred an acked sanitize pass followed.
-func (t *torture) scanMedium(i int, s Step) *Divergence {
-	needles := map[string][]byte{"plaintext sentinel": []byte(sentinelPrefix)}
-	for id := range t.sanitized {
-		for n, ct := range t.cts[id] {
-			needles[fmt.Sprintf("ciphertext %d of sanitized %s", n+1, id)] = ct
-		}
-	}
-	for path, data := range t.mem.Dump() {
-		for what, needle := range needles {
-			if bytes.Contains(data, needle) {
-				return divAt(i, s)("%s found on medium in %s", what, path)
-			}
-		}
-	}
-	return nil
-}
-
-// runScenario runs the script under inject, takes a crash image under keep,
-// and judges recovery. Panics anywhere in the scenario are failures.
-func runScenario(name string, point int, inject faultfs.Injector, keep faultfs.KeepPolicy, shards int) (fail *TortureFailure) {
+// runScenario runs the script with first armed, cuts under keep and judges
+// recovery. In failover mode the first generation is the primary that dies:
+// the cut promotes its follower, and its stale epoch must then be fenced
+// out. A scenario whose point is set must be struck. Panics anywhere in the
+// scenario are failures.
+func runScenario(o TortureOpts, name string, point int, first strike, keep faultfs.KeepPolicy) (fail *TortureFailure) {
 	report := func(d *Divergence) *TortureFailure {
 		return &TortureFailure{Scenario: name, Point: point, Divergence: *d}
 	}
@@ -266,43 +183,87 @@ func runScenario(name string, point int, inject faultfs.Injector, keep faultfs.K
 		}
 	}()
 	struck := false
-	t, err := newTorture(shards, false, strike{inject: func(op faultfs.Op) *faultfs.Fault {
-		f := inject(op)
-		struck = struck || f != nil
-		return f
-	}})
-	inFlight, want := -1, outcome{}
+	if inject := first.inject; inject != nil {
+		first.inject = func(op faultfs.Op) *faultfs.Fault {
+			f := inject(op)
+			struck = struck || f != nil
+			return f
+		}
+	}
+	e, err := openTorture(o, first)
+	defer e.hangUp()
+	link, fol, pmem := e.link, e.fol, e.mem
+	dead := func() bool { return struck || link != nil && link.Killed() }
+	var staleEpoch uint64
+	if e.capture != nil {
+		staleEpoch = e.capture.Epoch()
+	}
+	i, s, want := len(tortureScript), Step{Op: OpCrash}, (*outcome)(nil)
 	switch {
+	case err != nil && (!dead() || o.Failover && e.capture == nil):
+		return report(&Divergence{Index: -1, Msg: "opening vault: " + err.Error()})
 	case err == nil:
-		// The faulted vault is abandoned un-closed, as a power cut leaves it.
+		// The struck vault is abandoned un-closed, as a power cut or a
+		// killed process leaves it.
 		var d *Divergence
-		if inFlight, want, d = t.play(func() bool { return struck }); d != nil {
+		if i, s, want, d = e.play(dead); d != nil {
 			return report(d)
 		}
-	case !struck:
-		return report(&Divergence{Index: -1, Msg: "opening vault: " + err.Error()})
+		if point >= 0 && !dead() {
+			return report(divAt(i, s)("strike never fired"))
+		}
 	}
-	if d := t.judge(keep, inFlight, want); d != nil {
+	if d := e.judge(i, s, keep, want); d != nil {
 		return report(d)
+	}
+	if !o.Failover {
+		return nil
+	}
+	// Split-brain: the dead primary's epoch must be unable to commit. A
+	// revived primary reconnecting with its stale epoch is fenced at Hello,
+	// and the rejection lands in the new primary's audit chain.
+	var fenceDetail string
+	fol.SetFenceAuditor(func(detail string) {
+		fenceDetail = detail
+		e.v.AuditReplicationFence(detail)
+	})
+	stale := repl.NewPipe(fol)
+	herr := repl.NewSession(stale, nil, pmem, "vault").Hello(staleEpoch)
+	stale.Kill()
+	switch {
+	case !errors.Is(herr, repl.ErrFenced):
+		return report(divAt(i, s)("stale primary (epoch %d) not fenced by promoted epoch %d: %v", staleEpoch, fol.Epoch(), herr))
+	case fenceDetail == "":
+		return report(divAt(i, s)("fence rejection was not audited"))
+	}
+	if err := e.v.Close(); err != nil {
+		return report(divAt(i, s)("closing promoted vault: %v", err))
 	}
 	return nil
 }
 
-// enumerate runs the script once, fault-free, over a recording injector and
-// returns the full op trace. It also sanity-checks the harness itself: the
-// clean image must recover and pass the model.
-func enumerate(shards int) ([]faultfs.Op, error) {
-	var trace []faultfs.Op
-	recorder := func(op faultfs.Op) *faultfs.Fault {
-		if op.Index >= 0 {
-			trace = append(trace, op)
-		}
-		return nil
+// enumerate runs the script once, fault-free, recording every mutating fs
+// op and, in failover mode, counting the op frames the capture ships. It
+// also sanity-checks the harness itself: the clean image — in failover mode
+// a graceful switchover — must pass the judgement.
+func enumerate(o TortureOpts) (trace []faultfs.Op, frames int, err error) {
+	var link *repl.Pipe
+	first := strike{
+		inject: func(op faultfs.Op) *faultfs.Fault {
+			if op.Index >= 0 {
+				trace = append(trace, op)
+			}
+			return nil
+		},
+		link: func(p *repl.Pipe) { link = p },
 	}
-	if f := runScenario("clean", -1, recorder, faultfs.KeepAll, shards); f != nil {
-		return nil, fmt.Errorf("torture: clean run fails its own oracle: %s", f)
+	if f := runScenario(o, "clean", -1, first, faultfs.KeepAll); f != nil {
+		return nil, 0, fmt.Errorf("torture: clean run fails its own oracle: %s", f)
 	}
-	return trace, nil
+	if link != nil {
+		frames = link.OpFrames()
+	}
+	return trace, frames, nil
 }
 
 // crashCase is one power-cut scenario at an injection point.
@@ -334,39 +295,38 @@ func crashMatrix(op faultfs.Op) []crashCase {
 // then in the payload read. Every flip must fire, and the vault must return
 // an error or the exact body. Returns the number of scenarios run and any
 // failures.
-func runBitRot(shards int) (int, []TortureFailure) {
+func runBitRot(o TortureOpts) (int, []TortureFailure) {
 	fail := func(name string, d *Divergence) []TortureFailure {
 		return []TortureFailure{{Scenario: name, Point: -1, Divergence: *d}}
 	}
-	t, err := newTorture(shards, false, strike{})
+	e, err := openTorture(o, strike{})
 	if err != nil {
 		return 0, fail("bit-rot/setup", &Divergence{Index: -1, Msg: err.Error()})
 	}
-	never := func() bool { return false }
-	if _, _, d := t.play(never); d != nil {
+	i, _, _, d := e.play(func() bool { return false })
+	if d != nil {
 		return 0, fail("bit-rot/setup", d)
 	}
-	i := len(tortureScript)
-	if _, d := t.run(i, tortureWrite(OpPut, "rot-0", 1)); d != nil {
+	if _, d := e.run(i, tortureWrite(OpPut, "rot-0", 1)); d != nil {
 		return 0, fail("bit-rot/setup", d)
 	}
 
 	var fails []TortureFailure
 	scenarios, inWAL, inBlocks := 0, 0, 0
-	for _, id := range t.model.liveIDs() {
-		for n := range t.model.records[id].Versions {
+	for _, id := range e.model.liveIDs() {
+		for n := range e.model.records[id].Versions {
 			for skip := 0; skip <= 1; skip++ {
 				i++
 				scenarios++
-				t.inj.rotted = ""
+				e.inj.rotted = ""
 				s := Step{Op: OpGetVersion, Actor: "dr-house", Record: id, Version: uint64(n + 1), Rot: true, N: skip}
-				if _, d := t.run(i, s); d != nil {
+				if _, d := e.run(i, s); d != nil {
 					fails = append(fails, fail(fmt.Sprintf("bit-rot/read-%d", skip), d)...)
 				}
 				switch {
-				case strings.Contains(t.inj.rotted, "/meta.wal"):
+				case strings.Contains(e.inj.rotted, "/meta.wal"):
 					inWAL++
-				case strings.Contains(t.inj.rotted, "/blocks/"):
+				case strings.Contains(e.inj.rotted, "/blocks/"):
 					inBlocks++
 				}
 			}
@@ -379,36 +339,59 @@ func runBitRot(shards int) (int, []TortureFailure) {
 	// The medium itself was never corrupted — only reads in flight — so the
 	// vault must pass the deep check and close clean.
 	i++
-	if _, d := t.run(i, Step{Op: OpVerify}); d != nil {
+	if _, d := e.run(i, Step{Op: OpVerify}); d != nil {
 		fails = append(fails, fail("bit-rot/aftermath", d)...)
 	}
-	if err := t.v.Close(); err != nil {
+	if err := e.v.Close(); err != nil {
 		fails = append(fails, fail("bit-rot/close", &Divergence{Index: i, Step: Step{Op: OpClose}, Msg: err.Error()})...)
 	}
 	return scenarios, fails
 }
 
-// RunTorture executes the full torture schedule and reports.
+// killModes names the three stream boundaries a failover kill lands on.
+var killModes = []struct {
+	name string
+	mode repl.KillMode
+}{{"kill/before-send", repl.KillSend}, {"kill/after-apply", repl.KillApply}, {"kill/after-ack", repl.KillAfterAck}}
+
+// RunTorture executes the full torture schedule — the local matrix, or with
+// Failover the failover matrix — and reports.
 func RunTorture(opts TortureOpts) (TortureReport, error) {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	stride := max(opts.Stride, 1)
-	shards := max(opts.Shards, 1)
 
 	var rep TortureReport
-	trace, err := enumerate(shards)
+	trace, frames, err := enumerate(opts)
 	if err != nil {
 		return rep, err
 	}
-	rep.InjectionPoints = len(trace)
-	logf("enumerated %d injection points (stride %d)", len(trace), stride)
-	record := func(f *TortureFailure) {
-		if f != nil {
+	rep.InjectionPoints, rep.FrameKillPoints = len(trace), frames
+	logf("enumerated %d injection points, %d frame kill points (stride %d)", len(trace), frames, stride)
+	scenario := func(count *int, name string, point int, first strike, keep faultfs.KeepPolicy) {
+		*count++
+		if f := runScenario(opts, name, point, first, keep); f != nil {
 			rep.Failures = append(rep.Failures, *f)
 			logf("FAIL %s", f)
 		}
+	}
+
+	if opts.Failover {
+		rep.CrashScenarios++ // the clean run is the graceful switchover
+		for idx, op := range trace {
+			if idx%stride == 0 {
+				scenario(&rep.CrashScenarios, "kill/fs-op", op.Index, strike{inject: faultfs.CrashBefore(op.Index)}, faultfs.KeepAll)
+			}
+		}
+		for _, k := range killModes {
+			for n := 0; n < frames; n += stride {
+				scenario(&rep.CrashScenarios, k.name, n, strike{link: func(p *repl.Pipe) { p.KillAtFrame(n, k.mode) }}, faultfs.KeepAll)
+			}
+		}
+		logf("failover matrix done: %d scenarios, %d failures", rep.CrashScenarios, len(rep.Failures))
+		return rep, nil
 	}
 
 	syncs, writes := 0, 0
@@ -423,34 +406,30 @@ func RunTorture(opts TortureOpts) (TortureReport, error) {
 			continue
 		}
 		for _, sc := range crashMatrix(op) {
-			rep.CrashScenarios++
-			record(runScenario(sc.name, op.Index, sc.inject, sc.keep, shards))
+			scenario(&rep.CrashScenarios, sc.name, op.Index, strike{inject: sc.inject}, sc.keep)
 		}
 	}
 	logf("crash matrix done: %d scenarios", rep.CrashScenarios)
 
 	// Failed fsync at every sync point: the WAL wedges, blockstore syncs
 	// surface the error to the caller — either way nothing acked may be
-	// lost, and nothing may be acked after the lie.
+	// lost, and nothing may be acked after the lie. ENOSPC at every write.
 	for n := 0; n < syncs; n += stride {
-		rep.FaultScenarios++
-		record(runScenario("eio-sync/keep-all", n, faultfs.FailNthSync(n, faultfs.ErrInjected), faultfs.KeepAll, shards))
+		scenario(&rep.FaultScenarios, "eio-sync/keep-all", n, strike{inject: faultfs.FailNthSync(n, faultfs.ErrInjected)}, faultfs.KeepAll)
 	}
-	// ENOSPC at every write point.
 	seen := 0
 	for _, op := range trace {
 		if op.Kind != faultfs.OpWrite && op.Kind != faultfs.OpWriteFile {
 			continue
 		}
 		if seen%stride == 0 {
-			rep.FaultScenarios++
-			record(runScenario("enospc/keep-all", op.Index, faultfs.FailAt(op.Index, faultfs.ErrNoSpace), faultfs.KeepAll, shards))
+			scenario(&rep.FaultScenarios, "enospc/keep-all", op.Index, strike{inject: faultfs.FailAt(op.Index, faultfs.ErrNoSpace)}, faultfs.KeepAll)
 		}
 		seen++
 	}
 	logf("fault matrix done: %d scenarios (%d syncs, %d writes in trace)", rep.FaultScenarios, syncs, writes)
 
-	n, fails := runBitRot(shards)
+	n, fails := runBitRot(opts)
 	rep.FaultScenarios += n
 	rep.Failures = append(rep.Failures, fails...)
 	logf("bit-rot done: %d scenarios", n)

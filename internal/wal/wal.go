@@ -254,8 +254,10 @@ func (l *Log) flushLoop() {
 			metWedged.Set(1)
 			slog.Error("wal wedged: write/fsync failed, refusing further appends",
 				"path", l.path, "err", err)
-			// Mark the black box too: if the process dies before anyone reads
-			// the log line, the persisted flight tail still shows the wedge.
+			// Mark the in-memory flight ring too (the postmortem dump and
+			// the flight endpoint read it). This event is not persisted: what
+			// the persisted flight tail shows is every later op whose outcome
+			// is wedged.
 			obs.DefaultFlight.Record(obs.FlightEvent{
 				Kind: "wal.wedge", Outcome: "error",
 				Detail: "write/fsync failed; WAL refuses further appends",

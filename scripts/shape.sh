@@ -151,6 +151,14 @@ check "Custody at checkpoint: internal/core calls the tracker's Flush only in ch
 check "One crash oracle: no non-test Go outside internal/faultfs and internal/sim calls CrashImage(, CrashBefore(, CrashAfter(, TornWriteAt( or FailNthSync(" \
 	"$(grep -rnE '(CrashImage|CrashBefore|CrashAfter|TornWriteAt|FailNthSync)\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(faultfs|sim)/')"
 
+# A struck step — a medsim crash or fault step, or a torture scenario — has
+# one judgement, engine.judge, and the failover matrix is the torture with a
+# replication strike, not a second harness.
+sim=$(ls internal/sim/*.go | grep -v '_test\.go$')
+check "One judgement: in internal/sim only judge calls recoverCut(, and no Go file defines RunFailoverTorture, FailoverOpts or failoverScenario" \
+	"$(awk '/^func /{fn=$0} /recoverCut\(/ && !/^func \(e \*engine\) recoverCut\(/ && fn !~ /^func \(e \*engine\) judge\(/ {print FILENAME ":" FNR ": " $0}' $sim
+	grep -rnE '^(func|type) (\([^)]*\) )?(RunFailoverTorture|FailoverOpts|failoverScenario)\b' --include='*.go' .)"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
