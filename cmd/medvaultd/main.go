@@ -171,7 +171,7 @@ func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo st
 	}
 	defer v.Close()
 	if capture != nil {
-		capture.StartAntiEntropy(v, 10*time.Second)
+		capture.StartAntiEntropy(10 * time.Second)
 		defer capture.Close()
 		logger.Info("replicating", "follower", replicateTo, "epoch", capture.Epoch())
 	}

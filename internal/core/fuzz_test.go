@@ -60,12 +60,12 @@ func FuzzDecodeBundle(f *testing.F) {
 }
 
 // FuzzDecodeWALEntry feeds arbitrary bytes to the metadata WAL's one parser,
-// which replay and ReplicaHeads both run over a medium an attacker may
-// reach. It must never panic, never allocate more than the input could
-// spell (every length is bounded by the input before it sizes anything), and
-// every entry it accepts in a written layout ('p', 'i', 's', 'S', 'H', 'R')
-// must re-encode to exactly those bytes. Legacy 'V', 'c' and 'v' entries are
-// only ever decoded.
+// which replay runs over a medium an attacker may reach. It must never
+// panic, never allocate more than the input could spell (every length is
+// bounded by the input before it sizes anything), and every entry it
+// accepts in a written layout ('p', 'i', 's', 'S', 'H', 'R') must re-encode
+// to exactly those bytes. Legacy 'V', 'c' and 'v' entries are only ever
+// decoded.
 func FuzzDecodeWALEntry(f *testing.F) {
 	create, correction := goldenCreate(), goldenCorrection()
 	f.Add(create.encode())

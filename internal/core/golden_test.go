@@ -488,10 +488,10 @@ func TestGoldenExportedBundle(t *testing.T) {
 	})
 }
 
-// TestGoldenMetaSnapshot pins meta.snap through the one decoder recovery and
-// ReplicaHeads share. The v3 vector is decode-only; the v4 vector is what
-// the encoder writes for the same state, so it also pins the v3 → v4
-// rewrite a Close after an upgrade performs.
+// TestGoldenMetaSnapshot pins meta.snap through the one decoder recovery
+// uses. The v3 vector is decode-only; the v4 vector is what the encoder
+// writes for the same state, so it also pins the v3 → v4 rewrite a Close
+// after an upgrade performs.
 func TestGoldenMetaSnapshot(t *testing.T) {
 	v3, _ := hex.DecodeString(goldenMetaSnap)
 	v4, _ := hex.DecodeString(goldenMetaSnapV4)

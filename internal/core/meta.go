@@ -77,8 +77,8 @@ import (
 // 'v', 'V' and 'S' carry none.
 //
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
-// commit logs the struct it then applies, recovery applies what the parser
-// returns, and ReplicaHeads derives Merkle leaves from the same struct.
+// commit logs the struct it then applies, and recovery applies what the
+// parser returns.
 
 // walCategories is the version entries' category vocabulary (frame.AppendWord). It
 // is part of the format: it may only grow at the end, and a category not in
@@ -269,8 +269,7 @@ const (
 	snapSanitized = 2
 )
 
-// snapshot is meta.snap as plain data: what recovery restores into a Vault
-// and what ReplicaHeads, keyless, takes leaf hashes and version counts from.
+// snapshot is meta.snap as plain data: what recovery restores into a Vault.
 type snapshot struct {
 	leafSeq  uint64
 	records  []snapRecord // sorted by id

@@ -1,18 +1,9 @@
 package core
 
-// Replica-side metadata readers for WAL replication (internal/repl).
-//
-// A warm follower holds a byte-for-byte replica of a primary's vault
-// directory but has no master key, so it cannot open the vault to learn its
-// Merkle position. It can, however, compute it: the metadata snapshot
-// persists the commitment log's leaf hashes in the clear (they are hashes,
-// not PHI), and every WAL 'V' entry carries the fields the leaf commits to
-// — record ID, version number, ciphertext hash. ReplicaHeads re-derives the
-// per-shard (size, root) pair from those files alone, mirroring the replay
-// rules recovery applies: snapshot-covered WAL entries append no leaf, and
-// meta.wal is read by wal.Read, the reader recovery's wal.OpenFS uses.
-// Anti-entropy compares these against the primary's live tree to detect
-// divergence without ever shipping a key.
+// Keyless readers of a vault directory's layout, and the audit hook for
+// WAL replication (internal/repl). A warm follower holds a byte-for-byte
+// replica of a primary's vault directory but has no master key; the offline
+// flight decoder and the crash harnesses read the same raw directories.
 
 import (
 	"errors"
@@ -23,17 +14,8 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/faultfs"
-	"medvault/internal/merkle"
 	"medvault/internal/obs"
-	"medvault/internal/wal"
 )
-
-// ReplicaHead is one shard's Merkle position as computed from raw replica
-// files, without keys.
-type ReplicaHead struct {
-	Size uint64
-	Root merkle.Hash
-}
 
 // replicaShardDirs lists the shard directories of the vault layout under
 // dir, in shard order, from files alone: the count comes from the cluster
@@ -58,23 +40,6 @@ func replicaShardDirs(fsys faultfs.FS, dir string) ([]string, error) {
 	return dirs, nil
 }
 
-// ReplicaHeads computes every shard's (size, root) directly from the
-// metadata files under dir — the snapshot's persisted leaf hashes plus the
-// leaves implied by WAL entries the snapshot does not cover.
-func ReplicaHeads(fsys faultfs.FS, dir string) ([]ReplicaHead, error) {
-	dirs, err := replicaShardDirs(fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReplicaHead, len(dirs))
-	for i, d := range dirs {
-		if out[i], err = replicaShardHead(fsys, d); err != nil {
-			return nil, fmt.Errorf("core: replica head of shard %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // ReadFlightTail decodes the persisted flight-recorder tail of the vault
 // layout under dir — every shard's flight/ segments, in shard order — from
 // a raw (crashed, replicated, or live) directory, without keys. It is the
@@ -95,64 +60,6 @@ func ReadFlightTail(fsys faultfs.FS, dir string) ([]obs.FlightEvent, error) {
 		out = append(out, evs...)
 	}
 	return out, nil
-}
-
-// replicaShardHead derives one shard directory's Merkle position.
-func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
-	var leaves []merkle.Hash
-	counts := make(map[string]uint64) // id -> highest version with a leaf
-	data, err := fsys.ReadFile(filepath.Join(dir, "meta.snap"))
-	switch {
-	case err == nil:
-		snap, err := decodeSnapshot(data)
-		if err != nil {
-			return ReplicaHead{}, err
-		}
-		leaves = snap.leaves
-		for _, rec := range snap.records {
-			counts[rec.id] = uint64(len(rec.versions))
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		// fresh shard
-	default:
-		return ReplicaHead{}, fmt.Errorf("reading snapshot: %w", err)
-	}
-	// wal.Read is OpenFS's reader without the truncation: a torn tail is
-	// ignored, exactly as recovery cuts it, and a sequence gap is an error.
-	_, _, err = wal.Read(fsys, filepath.Join(dir, "meta.wal"), func(we wal.Entry) error {
-		e, err := decodeWALEntry(we.Data)
-		if err != nil {
-			return err
-		}
-		if e.kind != 'V' || e.ver.Number <= counts[e.id] {
-			// Shred/hold entries append no leaf; neither does a version the
-			// snapshot already restored (WAL-replay idempotence).
-			return nil
-		}
-		counts[e.id] = e.ver.Number
-		leaves = append(leaves, merkle.LeafHash(leafData(e.id, e.ver.Number, e.ver.CtHash)))
-		return nil
-	})
-	if err != nil {
-		return ReplicaHead{}, err
-	}
-	t := merkle.TreeFromLeafHashes(leaves)
-	return ReplicaHead{Size: t.Size(), Root: t.Root()}, nil
-}
-
-// MerkleRootAt returns the shard's commitment-log root at a historical size
-// — the primary-side half of anti-entropy: a follower reporting (size, root)
-// is consistent iff this root matches, i.e. the follower's log is a prefix.
-func (v *Vault) MerkleRootAt(size uint64) (merkle.Hash, error) {
-	return v.log.Tree().RootAt(size)
-}
-
-// MerkleRootAt returns shard's root at a historical size (see Vault).
-func (c *Cluster) MerkleRootAt(shard int, size uint64) (merkle.Hash, error) {
-	if shard < 0 || shard >= len(c.shards) {
-		return merkle.Hash{}, fmt.Errorf("core: no shard %d", shard)
-	}
-	return c.shards[shard].MerkleRootAt(size)
 }
 
 // AuditReplicationFence records a fenced-off replication write in the audit

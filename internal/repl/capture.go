@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/obs"
 )
@@ -25,8 +24,8 @@ import (
 // One mutex serializes every mutating op across the whole tree, holding it
 // over (apply + ship) as a unit. That is what makes the shipped op order
 // equal the applied op order when the vault's shards write concurrently; it
-// also gives anti-entropy a frozen tree to resync from. Reads bypass the
-// lock entirely.
+// also gives anti-entropy a frozen tree to digest and resync from. Reads
+// bypass the lock entirely.
 //
 // Two failure modes:
 //
@@ -34,8 +33,8 @@ import (
 //     capture dead and every later op fails — a killed primary stays killed,
 //     so the workload aborts exactly at the kill point.
 //   - Degraded (medvaultd): a ship failure logs, marks the link down, and
-//     lets the op succeed locally; a background loop reconnects, and Hello's
-//     anti-entropy resyncs whatever the outage missed. A fence rejection is
+//     lets the op succeed locally; the next anti-entropy round's Hello
+//     redials and resyncs whatever the outage missed. A fence rejection is
 //     the exception — it always fails the op, never latches, and never
 //     degrades: a stale primary must not keep committing just because its
 //     link still works.
@@ -53,8 +52,6 @@ type Capture struct {
 	connected bool
 	epoch     uint64
 	files     map[*captureFile]struct{}
-
-	cluster   *core.Cluster
 	stopTimer func() // stops the anti-entropy timer and waits for it
 }
 
@@ -131,15 +128,12 @@ func (c *Capture) Connected() bool {
 	return c.connected
 }
 
-// StartAntiEntropy begins the timer-driven signed-head exchange against the
-// open cluster: every interval the primary sends its signed tree heads, the
-// follower verifies the signatures and answers with its computed heads, and
-// the primary checks the follower is a consistent prefix (same root at the
-// follower's size). Divergence — or a downed link — triggers a full resync
-// under the op freeze. Call after the vault is open; Close stops it.
-func (c *Capture) StartAntiEntropy(cluster *core.Cluster, interval time.Duration) {
+// StartAntiEntropy begins the timer-driven anti-entropy: every interval the
+// primary freezes ops and runs the handshake, which redials a downed link
+// and resyncs a follower whose directory digest differs from the primary's.
+// Close stops it.
+func (c *Capture) StartAntiEntropy(interval time.Duration) {
 	c.mu.Lock()
-	c.cluster = cluster
 	if c.stopTimer != nil {
 		c.mu.Unlock()
 		return
@@ -167,71 +161,28 @@ func (c *Capture) StartAntiEntropy(cluster *core.Cluster, interval time.Duration
 	}()
 }
 
-// antiEntropyRound runs one signed-heads exchange under the op freeze, with
-// a span recording the round and its outcome.
-func (c *Capture) antiEntropyRound() error {
-	ctx, tr := obs.DefaultTracer.Start(context.Background(), "repl.anti_entropy", obs.NewTraceID())
-	var rerr error
-	defer func() { obs.DefaultTracer.Finish(tr, rerr) }()
+// antiEntropyRound runs one handshake under the op freeze, with a trace
+// recording the round and its outcome.
+func (c *Capture) antiEntropyRound() (err error) {
+	_, tr := obs.DefaultTracer.Start(context.Background(), "repl.anti_entropy", obs.NewTraceID())
+	defer func() { obs.DefaultTracer.Finish(tr, err) }()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cluster == nil || c.dead != nil {
+	if c.dead != nil {
 		return nil
+	}
+	if err = c.sess.Hello(c.epoch); err != nil {
+		if c.connected {
+			err = c.shipFailureLocked(err)
+		}
+		return err
 	}
 	if !c.connected {
-		rerr = c.reconnectLocked(ctx)
-		return rerr
-	}
-	sths := c.cluster.Heads()
-	fheads, err := c.sess.Heads(c.epoch, c.cluster.PublicKey(), sths)
-	if err != nil {
-		rerr = c.shipFailureLocked(err)
-		return rerr
-	}
-	if c.prefixConsistentLocked(fheads, len(sths)) {
-		return nil
-	}
-	c.logf("repl: anti-entropy detected divergence, resyncing follower")
-	_, span := obs.StartSpan(ctx, "repl.resync")
-	rerr = c.sess.Resync(c.epoch)
-	span.End(rerr)
-	if rerr != nil {
-		rerr = c.shipFailureLocked(rerr)
-	} else {
-		mLagFrames.Set(0)
-	}
-	return rerr
-}
-
-// prefixConsistentLocked reports whether the follower's heads describe a
-// prefix of each live shard tree: equal sizes need equal roots, a smaller
-// follower size needs the primary's historical root at that size to match.
-func (c *Capture) prefixConsistentLocked(fheads []Head, shards int) bool {
-	if len(fheads) != shards {
-		return false
-	}
-	for i, fh := range fheads {
-		root, err := c.cluster.MerkleRootAt(i, fh.Size)
-		if err != nil || root != fh.Root {
-			return false
-		}
-	}
-	return true
-}
-
-// reconnectLocked re-runs the handshake after an outage; Hello's
-// anti-entropy decides whether a resync is needed.
-func (c *Capture) reconnectLocked(ctx context.Context) error {
-	_, span := obs.StartSpan(ctx, "repl.reconnect")
-	err := c.sess.Hello(c.epoch)
-	span.End(err)
-	if err != nil {
-		return err
+		c.logf("repl: follower link restored")
 	}
 	c.connected = true
 	mLagFrames.Set(0)
-	c.logf("repl: follower link restored")
 	return nil
 }
 

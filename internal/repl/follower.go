@@ -9,7 +9,6 @@ import (
 	"path"
 	"sync"
 
-	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/obs"
 )
@@ -17,7 +16,7 @@ import (
 // Follower applies a primary's captured fs ops into its own replica
 // directory and answers the replication protocol. It needs no keys: it
 // mirrors bytes, verifies structure (framing, sequence, epoch, digests), and
-// computes Merkle heads from raw files for anti-entropy.
+// answers each Hello with the digest of its tree for anti-entropy.
 //
 // A follower survives bad input by dropping the connection, never by
 // wedging: a malformed or torn frame ends the current stream, and the next
@@ -142,15 +141,11 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 		f.nextSeq = seq + 1
 		f.dropHandlesLocked()
 		f.inResync = false
-		heads, err := core.ReplicaHeads(f.fsys, f.root)
-		if err != nil {
-			return nil, fmt.Errorf("repl: follower heads: %w", err)
-		}
 		digest, err := DirDigest(f.fsys, f.root)
 		if err != nil {
 			return nil, fmt.Errorf("repl: follower digest: %w", err)
 		}
-		return f.respLocked(frameHelloAck, encodeHelloAck(f.epoch, heads, digest)), nil
+		return f.respLocked(frameHelloAck, encodeHelloAck(f.epoch, digest)), nil
 	}
 	if epoch < f.epoch {
 		return f.rejectLocked(epoch, "stale epoch"), nil
@@ -172,21 +167,6 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 		f.appliedLSN = seq
 		mFramesApplied.Inc()
 		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
-	case frameHeads:
-		pub, sths, ok := decodeHeadsReq(body)
-		if !ok {
-			return nil, fmt.Errorf("%w: heads frame", ErrBadFrame)
-		}
-		for i, s := range sths {
-			if err := s.Verify(pub); err != nil {
-				return nil, fmt.Errorf("repl: shard %d tree head signature: %w", i, err)
-			}
-		}
-		heads, err := core.ReplicaHeads(f.fsys, f.root)
-		if err != nil {
-			return nil, fmt.Errorf("repl: follower heads: %w", err)
-		}
-		return f.respLocked(frameHeadsAck, appendHeads(nil, heads)), nil
 	case frameSnapBegin:
 		if err := f.wipeLocked(); err != nil {
 			return nil, fmt.Errorf("repl: wiping replica for resync: %w", err)
@@ -332,8 +312,8 @@ func (f *Follower) dropHandlesLocked() {
 	}
 }
 
-// wipeLocked clears the replica tree for a full resync, preserving only the
-// node's own repl.state.
+// wipeLocked clears the replica tree for a full resync, preserving only
+// node-local names.
 func (f *Follower) wipeLocked() error {
 	f.dropHandlesLocked()
 	ents, err := f.fsys.ReadDir(f.root)
@@ -344,7 +324,7 @@ func (f *Follower) wipeLocked() error {
 		return err
 	}
 	for _, e := range ents {
-		if e.Name() == StateFile || e.Name() == StateFile+".tmp" {
+		if nodeLocal(e.Name()) {
 			continue
 		}
 		if err := f.fsys.RemoveAll(path.Join(f.root, e.Name())); err != nil {

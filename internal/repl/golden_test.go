@@ -1,14 +1,14 @@
 package repl
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"testing"
-	"time"
 
+	"medvault/internal/faultfs"
 	"medvault/internal/frame"
 	"medvault/internal/merkle"
-	"medvault/internal/vcrypto"
 )
 
 func goldenHash(seed byte) (h merkle.Hash) {
@@ -60,17 +60,8 @@ func TestGoldenWire(t *testing.T) {
 
 	type helloAck struct {
 		Epoch  uint64
-		Heads  []Head
 		Digest [32]byte
 	}
-	heads := []Head{{Size: 3, Root: goldenHash(0x10)}, {Size: 0, Root: goldenHash(0x40)}}
-	type headsReq struct {
-		Pub  vcrypto.PublicKey
-		STHs []merkle.SignedTreeHead
-	}
-	sths := []merkle.SignedTreeHead{{
-		Size: 3, Root: goldenHash(0x10), Timestamp: time.Unix(0, 1190000000123456789).UTC(), Signature: []byte{0xc1, 0xc2},
-	}}
 	type snapFile struct {
 		IsDir bool
 		Rel   string
@@ -82,39 +73,14 @@ func TestGoldenWire(t *testing.T) {
 	}
 	vectors = append(vectors,
 		frame.Golden{
-			Name: "hello-ack body",
-			Hex: "0000000000000007000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b" +
-				"2c2d2e2f0000000000000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f70717273" +
-				"7475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f",
-			Encode: func() []byte { return encodeHelloAck(7, heads, goldenHash(0x70)) },
+			Name:   "hello-ack body v2",
+			Hex:    "0000000000000007707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f",
+			Encode: func() []byte { return encodeHelloAck(7, goldenHash(0x70)) },
 			Decode: func(b []byte) (any, error) {
-				e, hs, d, ok := decodeHelloAck(b)
-				return helloAck{e, hs, d}, okErr(ok)
+				e, d, ok := decodeHelloAck(b)
+				return helloAck{e, d}, okErr(ok)
 			},
-			Want: helloAck{7, heads, goldenHash(0x70)},
-		},
-		frame.Golden{
-			Name: "heads-ack body",
-			Hex: "000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f00000000" +
-				"00000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f",
-			Encode: func() []byte { return appendHeads(nil, heads) },
-			Decode: func(b []byte) (any, error) {
-				r := frame.NewReader(b)
-				hs := readHeads(r)
-				return hs, r.Done()
-			},
-			Want: heads,
-		},
-		frame.Golden{
-			Name: "heads request body",
-			Hex: "00000002b1b2000000010000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d" +
-				"2e2f1083bab1fa12cd1500000002c1c2",
-			Encode: func() []byte { return encodeHeadsReq(vcrypto.PublicKey{0xb1, 0xb2}, sths) },
-			Decode: func(b []byte) (any, error) {
-				pub, s, ok := decodeHeadsReq(b)
-				return headsReq{pub, s}, okErr(ok)
-			},
-			Want: headsReq{vcrypto.PublicKey{0xb1, 0xb2}, sths},
+			Want: helloAck{7, goldenHash(0x70)},
 		},
 		frame.Golden{
 			Name:   "snapshot file body",
@@ -150,6 +116,53 @@ func TestGoldenWire(t *testing.T) {
 	if !ok || e != 7 || k != frameAck || len(body) != 1 || body[0] != 42 {
 		t.Errorf("splitPayload = %d, %d, %x, %v", e, k, body, ok)
 	}
+}
+
+// TestRetiredWireRefused keeps the vectors of the signed-heads exchange,
+// which this build no longer speaks, and asserts that it refuses them: the
+// v1 hello ack carried keyless per-shard Merkle heads before its digest, a
+// heads request (kind 5) carried signed tree heads and a public key, and a
+// heads ack (kind 6) the follower's computed heads. No wire frame is stored
+// on a medium, so refusal is the whole of their compatibility.
+func TestRetiredWireRefused(t *testing.T) {
+	helloAckV1 := "0000000000000007000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b" +
+		"2c2d2e2f0000000000000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f70717273" +
+		"7475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f"
+	if _, _, ok := decodeHelloAck(mustHex(t, helloAckV1)); ok {
+		t.Error("decodeHelloAck accepted a v1 hello-ack body")
+	}
+
+	retired := []struct {
+		name string
+		kind uint8
+		hex  string
+	}{
+		{"heads request body", 5, "00000002b1b2000000010000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d" +
+			"2e2f1083bab1fa12cd1500000002c1c2"},
+		{"heads-ack body", 6, "000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f00000000" +
+			"00000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f"},
+	}
+	for _, r := range retired {
+		fol, err := NewFollower(faultfs.NewMem(), testRoot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fol.handlePayload(0, payload(1, frameHello, nil)); err != nil {
+			t.Fatalf("%s: hello: %v", r.name, err)
+		}
+		if _, err := fol.handlePayload(1, payload(1, r.kind, mustHex(t, r.hex))); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: follower answered kind %d with %v, want ErrBadFrame", r.name, r.kind, err)
+		}
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestWireFlags pins the open flags the stream carries at their Linux values

@@ -237,21 +237,17 @@ func TestTCPTransport(t *testing.T) {
 			t.Fatalf("put over TCP replication: %v", err)
 		}
 	}
-	// Signed-head anti-entropy over the wire: consistent heads, no resync.
+	// One anti-entropy round over the wire: identical trees, no resync.
 	before := mResyncs.Value()
-	heads, err := sess.Heads(cap.Epoch(), v.PublicKey(), v.Heads())
-	if err != nil {
-		t.Fatalf("heads exchange: %v", err)
-	}
-	if len(heads) != 2 {
-		t.Fatalf("got %d follower heads, want 2", len(heads))
+	if err := cap.antiEntropyRound(); err != nil {
+		t.Fatalf("anti-entropy round over TCP: %v", err)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cap.Close()
 	if mResyncs.Value() != before {
-		t.Fatal("consistent heads must not trigger a resync")
+		t.Fatal("a round over identical trees must not resync")
 	}
 
 	stop()
@@ -552,8 +548,7 @@ func TestDegradedModeContinues(t *testing.T) {
 	}
 
 	// Reconnect through the capture's own path: the anti-entropy round
-	// redials, and Hello's anti-entropy must detect the gap and resync.
-	cap.StartAntiEntropy(v, time.Hour) // wires the cluster; the round runs below
+	// redials, and Hello must detect the gap and resync.
 	before := mResyncs.Value()
 	if err := cap.antiEntropyRound(); err != nil {
 		t.Fatalf("reconnect: %v", err)
@@ -574,53 +569,154 @@ func TestDegradedModeContinues(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyDivergenceResync: the timer path — a diverged follower
-// (its heads are not a prefix of the primary's) must be detected by the
-// signed-head exchange and resynced under the op freeze.
+// TestAntiEntropyDivergenceResync: the timer path — a follower whose tree
+// differs from the primary's in any byte must be detected by the round's
+// handshake and resynced once under the op freeze, whatever the damage.
 func TestAntiEntropyDivergenceResync(t *testing.T) {
-	pmem, fmem, _, _, cap := pair(t)
-	defer cap.Close()
-	v := openVault(t, cap, 1)
-	defer v.Close()
-	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("rec", 1)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		degraded bool // a non-strict capture that redials a dropped link
+		damage   func(t *testing.T, fmem *faultfs.Mem)
+	}{
+		{"alien meta.wal", false, func(t *testing.T, fmem *faultfs.Mem) {
+			// An unrelated vault's WAL: same leaf count, different content.
+			alien := faultfs.NewMem()
+			av := openVault(t, alien, 1)
+			if _, err := av.PutCtx(context.Background(), "dr-house", testRecord("alien", 9)); err != nil {
+				t.Fatal(err)
+			}
+			// Read the alien WAL while that vault is live: Close would
+			// checkpoint the entries into its snapshot.
+			alienWAL, err := alien.ReadFile(testRoot + "/meta.wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := av.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fmem.WriteFile(testRoot+"/meta.wal", alienWAL, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"meta.wal missing its last frame", false, func(t *testing.T, fmem *faultfs.Mem) {
+			offs := walFrames(t, fmem)
+			if err := fmem.Truncate(testRoot+"/meta.wal", int64(offs[len(offs)-2])); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"flipped byte in an audit segment", false, func(t *testing.T, fmem *faultfs.Mem) {
+			name := testRoot + "/audit/seg-00000000.blk"
+			seg, err := fmem.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg[len(seg)-1] ^= 0x01
+			if err := fmem.WriteFile(name, seg, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"meta.wal with a sequence gap", true, func(t *testing.T, fmem *faultfs.Mem) {
+			offs := walFrames(t, fmem)
+			data, err := fmem.ReadFile(testRoot + "/meta.wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap := append(data[:offs[1]:offs[1]], data[offs[2]:]...)
+			if err := fmem.WriteFile(testRoot+"/meta.wal", gap, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pmem, fmem := faultfs.NewMem(), faultfs.NewMem()
+			fol, err := NewFollower(fmem, testRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Root: testRoot, Raw: pmem, Strict: !tc.degraded, Logf: t.Logf}
+			var redial func() (net.Conn, error)
+			if tc.degraded {
+				redial = func() (net.Conn, error) { return link(t, fol), nil }
+			}
+			cfg.Session = NewSession(link(t, fol), redial, pmem, testRoot)
+			cap, err := NewCapture(pmem, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := openVault(t, cap, 1)
+			for i := 0; i < 3; i++ {
+				if _, err := v.PutCtx(context.Background(), "dr-house", testRecord(fmt.Sprintf("rec-%d", i), 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.damage(t, fmem)
+
+			before := mResyncs.Value()
+			cap.StartAntiEntropy(10 * time.Millisecond)
+			deadline := time.Now().Add(2 * time.Second)
+			for mResyncs.Value() == before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cap.Close()
+			if got := mResyncs.Value() - before; got != 1 {
+				t.Fatalf("anti-entropy resynced %v times, want 1", got)
+			}
+			pd, _ := DirDigest(pmem, testRoot)
+			fd, _ := DirDigest(fmem, testRoot)
+			if pd != fd {
+				t.Fatal("follower still diverged after anti-entropy resync")
+			}
+		})
 	}
-	// Sabotage the replica with an unrelated vault's WAL: same leaf count,
-	// different content, so the follower's head is NOT a prefix of the
-	// primary's history. (Mere truncation reads as lag, which prefix
-	// consistency rightly tolerates without a resync.)
-	alien := faultfs.NewMem()
-	av := openVault(t, alien, 1)
-	if _, err := av.PutCtx(context.Background(), "dr-house", testRecord("alien", 9)); err != nil {
-		t.Fatal(err)
-	}
-	// Read the alien WAL while that vault is live: Close would checkpoint
-	// the entries into its snapshot and leave an empty WAL (which would read
-	// as lag, not divergence).
-	alienWAL, err := alien.ReadFile(testRoot + "/meta.wal")
+}
+
+// walFrames returns the offset of every frame in the follower's meta.wal
+// and the file's length, so offs[i]:offs[i+1] is frame i.
+func walFrames(t *testing.T, fmem *faultfs.Mem) []int {
+	t.Helper()
+	data, err := fmem.ReadFile(testRoot + "/meta.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := av.Close(); err != nil {
-		t.Fatal(err)
+	var offs []int
+	n, err := frame.Seq.Walk(data, func(off int, _ uint64, _ []byte) error {
+		offs = append(offs, off)
+		return nil
+	})
+	if err != nil || n != len(data) || len(offs) < 3 {
+		t.Fatalf("follower meta.wal: %d frames in %d of %d bytes, %v; want at least 3 whole frames", len(offs), n, len(data), err)
 	}
-	if err := fmem.WriteFile(testRoot+"/meta.wal", alienWAL, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	return append(offs, n)
+}
 
+// TestPostmortemBundlesStayNodeLocal: medvaultd writes postmortem bundles
+// into the data dir outside the capture, so each node's bundles are its own.
+// A bundle on either node must cost no resync and survive the handshake.
+func TestPostmortemBundlesStayNodeLocal(t *testing.T) {
+	pmem, fmem, _, _, cap := pair(t)
+	defer cap.Close()
+	var bundles []string
+	for _, node := range []*faultfs.Mem{pmem, fmem} {
+		p, err := obs.WritePostmortem(node, testRoot, "test", obs.PostmortemConfig{Flight: obs.NewFlight(8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles = append(bundles, p)
+	}
 	before := mResyncs.Value()
-	cap.StartAntiEntropy(v, 10*time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for mResyncs.Value() == before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if err := cap.antiEntropyRound(); err != nil {
+		t.Fatal(err)
 	}
-	if mResyncs.Value() == before {
-		t.Fatal("anti-entropy never detected the divergence")
+	if got := mResyncs.Value() - before; got != 0 {
+		t.Errorf("postmortem bundles cost %v resyncs, want 0", got)
 	}
-	pd, _ := DirDigest(pmem, testRoot)
-	fd, _ := DirDigest(fmem, testRoot)
-	if pd != fd {
-		t.Fatal("follower still diverged after anti-entropy resync")
+	for i, node := range []*faultfs.Mem{pmem, fmem} {
+		if _, err := node.Stat(bundles[i]); err != nil {
+			t.Errorf("bundle %s after the handshake: %v", bundles[i], err)
+		}
 	}
 }
 

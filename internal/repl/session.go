@@ -8,17 +8,14 @@ import (
 	"io/fs"
 	"net"
 	"path"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
-	"medvault/internal/merkle"
-	"medvault/internal/vcrypto"
+	"medvault/internal/obs"
 )
 
 // Session is the primary's end of one replication link: every frame it
@@ -27,14 +24,12 @@ import (
 // over TCP (DialTCP); the torture harness, the simulator and the tests run
 // it over an in-process Pipe. The bytes are the same.
 //
-// Hello performs the handshake and connect-time anti-entropy: it proposes
-// the primary's epoch, compares the two sides' computed Merkle heads and
-// directory digests, and runs a full resync if they disagree (a fresh
-// follower, a torn stream, or divergence all land here). ShipOp ships one
-// captured fs op and returns only after the follower's ack, so a shipped
-// fsync cannot succeed before the follower holds it. Heads runs the
-// timer-driven signed-head exchange; Resync forces a full directory
-// transfer.
+// Hello performs the handshake, which is the one anti-entropy check: it
+// proposes the primary's epoch, compares the two sides' directory digests,
+// and runs a full resync if they differ (a fresh follower, a torn stream, a
+// lost link or a damaged replica all land here). ShipOp ships one captured
+// fs op and returns only after the follower's ack, so a shipped fsync
+// cannot succeed before the follower holds it.
 type Session struct {
 	mu     sync.Mutex
 	conn   net.Conn // nil once the link has failed
@@ -121,9 +116,11 @@ func (s *Session) ack(pl []byte) error {
 	return nil
 }
 
-// Hello runs the handshake plus connect-time anti-entropy, redialing first
-// if the link failed. It returns ErrFenced when the follower has seen a
-// newer epoch.
+// Hello runs the handshake and anti-entropy, redialing first if the link
+// failed. The primary hashes its tree while the follower hashes its own;
+// byte-identical trees need no resync. Callers keep the tree still (the
+// capture's op freeze, or no writer yet). It returns ErrFenced when the
+// follower has seen a newer epoch.
 func (s *Session) Hello(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,31 +131,37 @@ func (s *Session) Hello(epoch uint64) error {
 		}
 		s.conn, s.br = conn, bufio.NewReader(conn)
 	}
+	var (
+		tree   []walkEntry
+		digest [32]byte
+		werr   error
+	)
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		if tree, werr = walkTree(s.src, s.root); werr == nil {
+			digest = treeDigest(tree)
+		}
+	}()
 	body, err := s.exchange(payload(epoch, frameHello, nil), frameHelloAck)
+	<-walked
 	if err != nil {
 		return err
 	}
-	fepoch, fheads, fdigest, ok := decodeHelloAck(body)
+	fepoch, fdigest, ok := decodeHelloAck(body)
 	if !ok {
 		return ErrBadFrame
 	}
 	if fepoch > epoch {
 		return fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
 	}
-	heads, err := core.ReplicaHeads(s.src, s.root)
-	if err != nil {
-		return fmt.Errorf("repl: computing local heads: %w", err)
+	if werr != nil {
+		return fmt.Errorf("repl: walking %s: %w", s.root, werr)
 	}
-	digest, err := DirDigest(s.src, s.root)
-	if err != nil {
-		return fmt.Errorf("repl: computing local digest: %w", err)
-	}
-	// Exact equality: no writes are in flight at connect time, so any
-	// difference means the follower must resync.
-	if slices.Equal(heads, fheads) && digest == fdigest {
+	if digest == fdigest {
 		return nil
 	}
-	return s.resyncLocked(epoch)
+	return s.resyncLocked(epoch, tree, digest)
 }
 
 // ShipOp ships one captured fs op and waits for the follower's ack.
@@ -168,42 +171,10 @@ func (s *Session) ShipOp(epoch uint64, rec OpRecord) error {
 	return s.ack(payload(epoch, frameOp, encodeOp(rec)))
 }
 
-// Heads ships the primary's signed heads and returns the follower's
-// computed heads for the caller to judge.
-func (s *Session) Heads(epoch uint64, pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) ([]Head, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	body, err := s.exchange(payload(epoch, frameHeads, encodeHeadsReq(pub, sths)), frameHeadsAck)
-	if err != nil {
-		return nil, err
-	}
-	r := frame.NewReader(body)
-	hs := readHeads(r)
-	if r.Done() != nil {
-		return nil, ErrBadFrame
-	}
-	return hs, nil
-}
-
-// Resync transfers the primary's full tree.
-func (s *Session) Resync(epoch uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncLocked(epoch)
-}
-
 // resyncLocked sends snapBegin (the follower wipes its replica), one
-// snapFile per node, and snapEnd carrying the expected digest, so the
+// snapFile per node of tree, and snapEnd carrying tree's digest, so the
 // follower verifies the transfer before trusting it.
-func (s *Session) resyncLocked(epoch uint64) error {
-	tree, err := walkTree(s.src, s.root)
-	if err != nil {
-		return fmt.Errorf("repl: walking %s for resync: %w", s.root, err)
-	}
-	digest, err := DirDigest(s.src, s.root)
-	if err != nil {
-		return err
-	}
+func (s *Session) resyncLocked(epoch uint64, tree []walkEntry, digest [32]byte) error {
 	if err := s.ack(payload(epoch, frameSnapBegin, nil)); err != nil {
 		return err
 	}
@@ -279,9 +250,17 @@ type walkEntry struct {
 	data  []byte // nil for dirs
 }
 
+// nodeLocal reports whether a top-level name under the replicated root
+// belongs to this node alone: its epoch file (and that file's tmp) and the
+// postmortem bundles medvaultd writes outside the capture. Neither node
+// digests, ships or wipes them.
+func nodeLocal(name string) bool {
+	return name == StateFile || name == StateFile+".tmp" || name == obs.PostmortemDir
+}
+
 // walkTree lists root's tree depth-first in name order, relative paths with
-// forward slashes, skipping the top-level repl.state (and its tmp). A
-// missing root yields an empty tree — a fresh node.
+// forward slashes, skipping node-local names. A missing root yields an
+// empty tree — a fresh node.
 func walkTree(fsys faultfs.FS, root string) ([]walkEntry, error) {
 	var out []walkEntry
 	var walk func(dir, rel string) error
@@ -293,7 +272,7 @@ func walkTree(fsys faultfs.FS, root string) ([]walkEntry, error) {
 		sort.Slice(ents, func(i, j int) bool { return ents[i].Name() < ents[j].Name() })
 		for _, e := range ents {
 			name := e.Name()
-			if rel == "" && (name == StateFile || name == StateFile+".tmp") {
+			if rel == "" && nodeLocal(name) {
 				continue
 			}
 			childRel := name
@@ -326,13 +305,18 @@ func walkTree(fsys faultfs.FS, root string) ([]walkEntry, error) {
 }
 
 // DirDigest hashes the full content of root's tree (paths, types, bytes),
-// excluding repl.state. Two nodes with equal digests hold byte-identical
-// replicated state.
+// excluding node-local names. Two nodes with equal digests hold
+// byte-identical replicated state.
 func DirDigest(fsys faultfs.FS, root string) ([32]byte, error) {
 	tree, err := walkTree(fsys, root)
 	if err != nil {
 		return [32]byte{}, err
 	}
+	return treeDigest(tree), nil
+}
+
+// treeDigest is DirDigest over an already walked tree.
+func treeDigest(tree []walkEntry) (out [32]byte) {
 	h := sha256.New()
 	for _, e := range tree {
 		kind := byte(0)
@@ -341,9 +325,9 @@ func DirDigest(fsys faultfs.FS, root string) ([32]byte, error) {
 		}
 		h.Write([]byte{kind})
 		h.Write(frame.AppendStr(nil, e.rel))
-		h.Write(frame.AppendBytes(nil, e.data))
+		h.Write(frame.AppendCount(nil, len(e.data)))
+		h.Write(e.data)
 	}
-	var out [32]byte
 	h.Sum(out[:0])
-	return out, nil
+	return out
 }

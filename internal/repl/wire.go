@@ -23,6 +23,11 @@
 // follower runs per TCP connection. Every frame, on every transport, is
 // written by frame.Seq.Append and read by readFrame.
 //
+// Anti-entropy is one check, the handshake: Hello compares the two nodes'
+// directory digests and resyncs the follower when they differ. The primary
+// runs it at connect and on every timer round under the capture's op
+// freeze, so it covers every replicated byte.
+//
 // Epoch fencing keeps a demoted primary from committing after failover:
 // every frame carries the primary's epoch, the follower persists the highest
 // epoch it has accepted (repl.state), and Promote bumps it. A stale primary's
@@ -39,11 +44,8 @@ import (
 	"errors"
 	"os"
 
-	"medvault/internal/core"
 	"medvault/internal/frame"
-	"medvault/internal/merkle"
 	"medvault/internal/obs"
-	"medvault/internal/vcrypto"
 )
 
 // Errors surfaced by the replication layer.
@@ -69,11 +71,11 @@ const StateFile = "repl.state"
 // outer framing (seq, length, checksum) is the WAL's, via internal/frame.
 const (
 	frameHello     uint8 = iota + 1 // primary → follower: handshake, epoch proposal
-	frameHelloAck                   // follower → primary: epoch, heads, dir digest
+	frameHelloAck                   // follower → primary: epoch, dir digest
 	frameOp                         // primary → follower: one captured fs op
 	frameAck                        // follower → primary: op applied through LSN
-	frameHeads                      // primary → follower: signed tree heads (anti-entropy)
-	frameHeadsAck                   // follower → primary: follower's computed heads
+	_                               // 5, retired: signed tree heads
+	_                               // 6, retired: the follower's computed heads
 	frameSnapBegin                  // primary → follower: full resync starts, wipe replica
 	frameSnapFile                   // primary → follower: one file or dir of the snapshot
 	frameSnapEnd                    // primary → follower: snapshot done + expected digest
@@ -235,70 +237,17 @@ func decodeOp(body []byte) (OpRecord, bool) {
 	return rec, r.Done() == nil
 }
 
-// Head is a (size, root) pair as exchanged on the wire; the follower's are
-// computed from raw replica files (core.ReplicaHeads), the primary's from
-// its live trees.
-type Head = core.ReplicaHead
-
-func appendHeads(b []byte, hs []Head) []byte {
-	b = frame.AppendCount(b, len(hs))
-	for _, h := range hs {
-		b = binary.BigEndian.AppendUint64(b, h.Size)
-		b = append(b, h.Root[:]...)
-	}
-	return b
+// encodeHelloAck carries the follower's epoch and its dir digest —
+// everything the primary needs for anti-entropy.
+func encodeHelloAck(epoch uint64, digest [32]byte) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, epoch), digest[:]...)
 }
 
-func readHeads(r *frame.Reader) []Head {
-	hs := make([]Head, r.Count(8+merkle.HashSize))
-	for i := range hs {
-		hs[i].Size = r.U64()
-		r.Fixed(hs[i].Root[:])
-	}
-	return hs
-}
-
-// encodeHelloAck carries the follower's epoch, its computed heads, and its
-// dir digest — everything the primary needs for connect-time anti-entropy.
-func encodeHelloAck(epoch uint64, heads []Head, digest [32]byte) []byte {
-	b := binary.BigEndian.AppendUint64(nil, epoch)
-	b = appendHeads(b, heads)
-	return append(b, digest[:]...)
-}
-
-func decodeHelloAck(body []byte) (epoch uint64, heads []Head, digest [32]byte, ok bool) {
+func decodeHelloAck(body []byte) (epoch uint64, digest [32]byte, ok bool) {
 	r := frame.NewReader(body)
 	epoch = r.U64()
-	heads = readHeads(r)
 	r.Fixed(digest[:])
-	return epoch, heads, digest, r.Done() == nil
-}
-
-// encodeHeadsReq carries the cluster public key and one signed tree head per
-// shard, so the follower can authenticate the primary before comparing.
-func encodeHeadsReq(pub vcrypto.PublicKey, sths []merkle.SignedTreeHead) []byte {
-	b := frame.AppendBytes(nil, pub)
-	b = frame.AppendCount(b, len(sths))
-	for _, s := range sths {
-		b = binary.BigEndian.AppendUint64(b, s.Size)
-		b = append(b, s.Root[:]...)
-		b = frame.AppendTime(b, s.Timestamp)
-		b = frame.AppendBytes(b, s.Signature)
-	}
-	return b
-}
-
-func decodeHeadsReq(body []byte) (pub vcrypto.PublicKey, sths []merkle.SignedTreeHead, ok bool) {
-	r := frame.NewReader(body)
-	pub = vcrypto.PublicKey(r.Bytes())
-	sths = make([]merkle.SignedTreeHead, r.Count(8+merkle.HashSize+8+4))
-	for i := range sths {
-		sths[i].Size = r.U64()
-		r.Fixed(sths[i].Root[:])
-		sths[i].Timestamp = r.Time()
-		sths[i].Signature = r.Bytes()
-	}
-	return pub, sths, r.Done() == nil
+	return epoch, digest, r.Done() == nil
 }
 
 func encodeSnapFile(isDir bool, rel string, data []byte) []byte {

@@ -139,8 +139,7 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 // length and the file's size; the bytes between them are a torn tail, which
 // Read leaves in place because it never writes. An entry out of sequence is
 // ErrCorrupt wherever it sits. A missing file is an empty log. OpenFS
-// replays through Read, and so does the keyless replica reader
-// (core.ReplicaHeads), so both apply one rule to one file.
+// replays through Read and then cuts the torn tail.
 func Read(fsys faultfs.FS, path string, fn func(Entry) error) (valid, size int64, err error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {

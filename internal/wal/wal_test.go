@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -132,6 +133,41 @@ func TestCorruptMiddleEntryRejected(t *testing.T) {
 	}
 	if _, err := OpenFS(faultfs.OS{}, path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("sequence gap accepted: %v", err)
+	}
+}
+
+// TestReadLeavesTornTailRefusesGap: Read, the decoder OpenFS replays
+// through, reports a torn tail as the gap between the valid prefix and the
+// file's size and leaves it in place, and refuses a sequence gap.
+func TestReadLeavesTornTailRefusesGap(t *testing.T) {
+	mem := faultfs.NewMem()
+	var image []byte
+	for i := uint64(0); i < 3; i++ {
+		image = frame.Seq.Append(image, i, []byte(fmt.Sprintf("e%d", i)))
+	}
+	torn := append(bytes.Clone(image), frame.Seq.Append(nil, 3, []byte("torn"))[:7]...)
+	if err := mem.WriteFile("wal.log", torn, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	valid, size, err := Read(mem, "wal.log", func(e Entry) error { seqs = append(seqs, e.Seq); return nil })
+	if err != nil || valid != int64(len(image)) || size != int64(len(torn)) || len(seqs) != 3 {
+		t.Fatalf("Read over a torn tail = %d, %d, %v with %d entries; want %d, %d, nil with 3",
+			valid, size, err, len(seqs), len(image), len(torn))
+	}
+	if after, _ := mem.ReadFile("wal.log"); !bytes.Equal(after, torn) {
+		t.Errorf("Read changed the file from %d to %d bytes; it must only read", len(torn), len(after))
+	}
+
+	// Renumber the first entry (its sequence number is outside the CRC):
+	// every frame still checks, but the log skips entry 0.
+	gap := bytes.Clone(image)
+	binary.BigEndian.PutUint64(gap, 1)
+	if err := mem.WriteFile("gap.log", gap, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Read(mem, "gap.log", func(Entry) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Read over a sequence gap = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -159,6 +159,13 @@ check "One judgement: in internal/sim only judge calls recoverCut(, and no Go fi
 	"$(awk '/^func /{fn=$0} /recoverCut\(/ && !/^func \(e \*engine\) recoverCut\(/ && fn !~ /^func \(e \*engine\) judge\(/ {print FILENAME ":" FNR ": " $0}' $sim
 	grep -rnE '^(func|type) (\([^)]*\) )?(RunFailoverTorture|FailoverOpts|failoverScenario)\b' --include='*.go' .)"
 
+# The handshake is the one anti-entropy check: each node digests its own
+# directory, so internal/repl needs nothing of the vault's internals, and no
+# keyless Merkle reader or signed-heads exchange comes back beside it.
+check "One anti-entropy check: non-test internal/repl imports no medvault/internal/core, and no Go file defines ReplicaHeads, MerkleRootAt or frameHeads" \
+	"$(grep -n '"medvault/internal/core"' $repl
+	grep -rnE '^(func|type) (\([^)]*\) )?(ReplicaHeads|MerkleRootAt)\b|^[[:space:]]*frameHeads(Ack)?\b' --include='*.go' .)"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
