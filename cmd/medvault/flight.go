@@ -4,7 +4,7 @@ package main
 // flight-recorder segments and postmortem bundles straight from a data
 // directory — crashed, wedged, or live — without opening the vault and
 // without the master key: the flight plane is PHI-free by construction
-// (hashed record IDs, trace IDs, mechanism names), so reading it must not
+// (keyed record tokens, trace IDs, mechanism names), so reading it must not
 // require the ability to decrypt records.
 
 import (
@@ -24,7 +24,7 @@ func cmdFlight(args []string) error {
 	dir := fs.String("dir", "", "vault data directory (required; no key needed)")
 	op := fs.String("op", "", "only events whose kind contains this substring (case-fold)")
 	traceID := fs.String("trace", "", "only events carrying exactly this trace ID")
-	record := fs.String("record", "", "only events for this hashed record ID")
+	record := fs.String("record", "", "only events for this record token")
 	limit := fs.Int("limit", 0, "print at most the last N events (0 = all)")
 	bundles := fs.Bool("bundles", false, "also dump each postmortem bundle's flight tail and anomalies")
 	fs.Parse(args)

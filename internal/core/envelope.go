@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"strings"
@@ -116,7 +117,7 @@ func (v *Vault) enter(ctx context.Context, op, id string, gate *opGate, exclusiv
 			"Vault operation latency.", obs.LatencyBuckets, labels...).ObserveSince(start)
 		ev := v.flight.Record(obs.FlightEvent{
 			Kind:    op,
-			Record:  obs.HashRecordID(id),
+			Record:  v.recordToken(id),
 			Trace:   obs.TraceID(ctx),
 			Outcome: outcome,
 			Dur:     time.Since(start),
@@ -133,6 +134,23 @@ func (v *Vault) enter(ctx context.Context, op, id string, gate *opGate, exclusiv
 	}
 	return ctx, done, gateErr
 }
+
+// recordToken is the token flight events carry for record id: the first six
+// bytes, in hex, of an HMAC of the ID under a key derived from the master key
+// (the same on every shard). A record's events share it, and the flight plane
+// is read without keys, but only a holder of the master key can match a token
+// to an ID: record IDs are guessable, and an unkeyed hash of one is not a
+// pseudonym. "" for "".
+func (v *Vault) recordToken(id string) string {
+	if id == "" {
+		return ""
+	}
+	var sum [32]byte
+	return hex.EncodeToString(v.tokens.Sum(sum[:0], []byte(id))[:6])
+}
+
+// RecordToken is the token flight events carry for record id, on any shard.
+func (c *Cluster) RecordToken(id string) string { return c.shards[0].recordToken(id) }
 
 // TraceShipper is implemented by filesystems that forward observability
 // markers to a replication peer. A replicating primary's capture FS ships

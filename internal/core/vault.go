@@ -284,8 +284,9 @@ type Vault struct {
 	// completes events there instead of pending them.
 	replaying bool
 
-	flight *obs.Flight     // in-memory ring ops report to (never nil)
-	fsink  *obs.FlightSink // durable segment sink under dir/flight; may be nil
+	flight *obs.Flight       // in-memory ring ops report to (never nil)
+	fsink  *obs.FlightSink   // durable segment sink under dir/flight; may be nil
+	tokens *vcrypto.KeyedMAC // keys the flight events' record tokens (recordToken)
 
 	// auditStore and provStore are retained so Close can release their
 	// file handles (the audit and provenance logs do not own closing them).
@@ -318,6 +319,7 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 		masterFP: cfg.Master.Fingerprint(),
 		shard:    tag,
 		flight:   cfg.Flight,
+		tokens:   vcrypto.NewKeyedMAC(vcrypto.DeriveKey(cfg.Master, "vault/flight-token")),
 	}
 	if v.flight == nil {
 		v.flight = obs.DefaultFlight

@@ -63,8 +63,8 @@ func AppendVarStr(b []byte, s string) []byte {
 
 // AppendToken appends s as a uvarint header len<<1|packed and then its bytes.
 // A non-empty s of even length made only of lowercase hex digits is packed:
-// the bytes it spells are stored, half its length. Trace IDs and hashed record
-// IDs are such strings.
+// the bytes it spells are stored, half its length. Trace IDs and record
+// tokens are such strings.
 func AppendToken(b []byte, s string) []byte {
 	if !isPackedHex(s) {
 		return append(binary.AppendUvarint(b, uint64(len(s))<<1), s...)

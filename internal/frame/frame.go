@@ -1,7 +1,8 @@
 // Package frame is MedVault's one binary codec, in two layers.
 //
 // The frame layer (frame.go) is the CRC-framed record every file and stream
-// of records is made of, under one of two headers (Format: Seq and Block).
+// of records is made of, under one of three headers (Format: Seq, Block and
+// Var).
 // Format.Walk is the one tail rule: decode from the front until a frame is
 // incomplete or fails its CRC, and report where the valid prefix ends, for
 // the caller to cut there or report corruption. A length field is medium
@@ -31,24 +32,29 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 )
 
-// A Format is one of the two frame headers. Every frame is
+// A Format is one of the three frame headers. Every frame is
 //
-//	header | u32 len | u32 crc32c(payload) | payload
+//	header | len | u32 crc32c(payload) | payload
 //
-// big-endian. Seq frames (WAL entries, the replication stream, flight
-// segments) open with a u64 sequence number; Block frames (blockstore
-// segments) open with the magic byte 0xB1 and carry no sequence number.
+// big-endian. Seq frames (WAL entries, the replication stream) open with a
+// u64 sequence number and a u32 len; Block frames (blockstore segments) open
+// with the magic byte 0xB1 and a u32 len. Var frames (flight segments) have
+// no header before a uvarint len, in its shortest form and at most a u32:
+// their reader recomputes what a sequence number would say.
 type Format struct {
-	hdr   int  // header bytes: 8 for a sequence number, 1 for a magic byte
-	magic byte // a one-byte header's value
+	hdr    int  // header bytes: 8 for a sequence number, 1 for a magic byte
+	magic  byte // a one-byte header's value
+	varLen bool // len is a uvarint, not a u32
 }
 
 var (
 	Seq   = Format{hdr: 8}
 	Block = Format{hdr: 1, magic: 0xB1}
+	Var   = Format{varLen: true}
 )
 
 // ErrInvalid is wrapped by every frame a decoder refuses: one that is
@@ -59,49 +65,88 @@ var ErrInvalid = errors.New("frame: invalid")
 var (
 	errShortHeader = fmt.Errorf("%w: truncated header", ErrInvalid)
 	errMagic       = fmt.Errorf("%w: bad magic", ErrInvalid)
+	errVarLen      = fmt.Errorf("%w: malformed length", ErrInvalid)
 	errOverrun     = fmt.Errorf("%w: length overruns the input", ErrInvalid)
 	errChecksum    = fmt.Errorf("%w: checksum mismatch", ErrInvalid)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Overhead is the framing cost per frame: the header, u32 len and u32 crc.
-func (f Format) Overhead() int { return f.hdr + 4 + 4 }
-
-// Append encodes one frame of data onto buf, growing it at most once. A
-// Block frame has no sequence number: seq is ignored.
-func (f Format) Append(buf []byte, seq uint64, data []byte) []byte {
-	buf = slices.Grow(buf, f.Overhead()+len(data))
-	if f.hdr == 8 {
-		buf = binary.BigEndian.AppendUint64(buf, seq)
-	} else {
-		buf = append(buf, f.magic)
+// Overhead is the framing cost per frame: the header, len and u32 crc. A Var
+// frame's len is a uvarint, so its Overhead holds for a payload under 128
+// bytes, and each further 7 bits of length cost one byte more.
+func (f Format) Overhead() int {
+	if f.varLen {
+		return 1 + 4
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	return f.hdr + 4 + 4
+}
+
+// maxOverhead bounds a frame's header, len and crc: Overhead, but for a Var
+// frame with the longest len.
+func (f Format) maxOverhead() int {
+	if f.varLen {
+		return binary.MaxVarintLen32 + 4
+	}
+	return f.Overhead()
+}
+
+// Append encodes one frame of data onto buf, growing it at most once. Block
+// and Var frames have no sequence number: seq is ignored.
+func (f Format) Append(buf []byte, seq uint64, data []byte) []byte {
+	buf = slices.Grow(buf, f.maxOverhead()+len(data))
+	switch {
+	case f.varLen:
+		buf = binary.AppendUvarint(buf, uint64(len(data)))
+	case f.hdr == 8:
+		buf = binary.BigEndian.AppendUint64(buf, seq)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	default:
+		buf = append(buf, f.magic)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(data, castagnoli))
 	return append(buf, data...)
 }
 
-// Header is what a reader learns from a frame's first Overhead bytes.
+// Header is what a reader learns from a frame's header, len and crc.
 type Header struct {
-	Seq uint64 // a Seq frame's sequence number; 0 for a Block frame
+	Seq uint64 // a Seq frame's sequence number; 0 for a Block or Var frame
 	Len uint32 // payload bytes: medium content, to bound before sizing anything
 	CRC uint32 // CRC-32C of the payload
 }
 
 // Header parses the header at the front of b without looking past it.
-func (f Format) Header(b []byte) (h Header, err error) {
+func (f Format) Header(b []byte) (Header, error) {
+	h, _, err := f.header(b)
+	return h, err
+}
+
+// header is Header plus the header's length: where the payload starts.
+func (f Format) header(b []byte) (h Header, n int, err error) {
+	if f.varLen {
+		v, k := binary.Uvarint(b)
+		switch {
+		case k == 0:
+			return h, 0, errShortHeader
+		case k < 0 || v > math.MaxUint32 || k > 1 && b[k-1] == 0:
+			return h, 0, errVarLen
+		case len(b) < k+4:
+			return h, 0, errShortHeader
+		}
+		return Header{Len: uint32(v), CRC: binary.BigEndian.Uint32(b[k:])}, k + 4, nil
+	}
 	switch {
 	case len(b) < f.Overhead():
-		return h, errShortHeader
+		return h, 0, errShortHeader
 	case f.hdr == 8:
 		h.Seq = binary.BigEndian.Uint64(b)
 	case b[0] != f.magic:
-		return h, errMagic
+		return h, 0, errMagic
 	}
 	h.Len = binary.BigEndian.Uint32(b[f.hdr:])
 	h.CRC = binary.BigEndian.Uint32(b[f.hdr+4:])
-	return h, nil
+	return h, f.Overhead(), nil
 }
 
 // Check reports whether payload is the one h announces: its length and its
@@ -116,48 +161,50 @@ func (h Header) Check(payload []byte) error {
 // ReadAt reads and checks the frame at off in r, whose first size bytes are
 // committed; they bound the length read from the medium before it allocates.
 func (f Format) ReadAt(r io.ReaderAt, off, size int64) (Header, []byte, error) {
-	hdr := make([]byte, f.Overhead())
-	if off < 0 || off > size-int64(len(hdr)) {
+	if off < 0 || off > size-int64(f.Overhead()) {
 		return Header{}, nil, fmt.Errorf("%w: no frame header at offset %d of %d committed bytes", ErrInvalid, off, size)
 	}
+	hdr := make([]byte, min(int64(f.maxOverhead()), size-off))
 	if _, err := r.ReadAt(hdr, off); err != nil {
 		return Header{}, nil, fmt.Errorf("reading frame header: %w", err)
 	}
-	h, err := f.Header(hdr)
+	h, n, err := f.header(hdr)
 	if err != nil {
 		return h, nil, err
 	}
-	if int64(len(hdr))+int64(h.Len) > size-off {
+	if int64(n)+int64(h.Len) > size-off {
 		return h, nil, fmt.Errorf("%w: frame length %d overruns the %d committed bytes", ErrInvalid, h.Len, size)
 	}
 	payload := make([]byte, h.Len)
-	if _, err := r.ReadAt(payload, off+int64(len(hdr))); err != nil {
+	if _, err := r.ReadAt(payload, off+int64(n)); err != nil {
 		return h, nil, fmt.Errorf("reading %d-byte payload: %w", h.Len, err)
 	}
 	return h, payload, h.Check(payload)
 }
 
 // next parses the whole frame at the front of b, bounding its length by the
-// bytes b holds before slicing by it. payload aliases b.
-func (f Format) next(b []byte) (h Header, payload []byte, err error) {
-	if h, err = f.Header(b); err != nil {
-		return h, nil, err
+// bytes b holds before slicing by it. payload aliases b; n is the frame's
+// encoded length.
+func (f Format) next(b []byte) (h Header, payload []byte, n int, err error) {
+	h, k, err := f.header(b)
+	if err != nil {
+		return h, nil, 0, err
 	}
-	if uint64(f.Overhead())+uint64(h.Len) > uint64(len(b)) {
-		return h, nil, errOverrun
+	if uint64(k)+uint64(h.Len) > uint64(len(b)) {
+		return h, nil, 0, errOverrun
 	}
-	payload = b[f.Overhead() : f.Overhead()+int(h.Len)]
-	return h, payload, h.Check(payload)
+	payload = b[k : k+int(h.Len)]
+	return h, payload, k + len(payload), h.Check(payload)
 }
 
 // Decode parses one frame from the front of b and returns its sequence
 // number, a copy of its payload that outlives b, and its encoded length n.
 func (f Format) Decode(b []byte) (seq uint64, data []byte, n int, err error) {
-	h, payload, err := f.next(b)
+	h, payload, n, err := f.next(b)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return h.Seq, slices.Clone(payload), f.Overhead() + len(payload), nil
+	return h.Seq, slices.Clone(payload), n, nil
 }
 
 // Walk is the tail rule every frame reader shares: it decodes frames from
@@ -168,14 +215,14 @@ func (f Format) Decode(b []byte) (seq uint64, data []byte, n int, err error) {
 // for the frame fn refused. err is nil exactly when b is whole frames.
 func (f Format) Walk(b []byte, fn func(off int, seq uint64, payload []byte) error) (valid int, err error) {
 	for valid < len(b) {
-		h, payload, err := f.next(b[valid:])
+		h, payload, n, err := f.next(b[valid:])
 		if err == nil {
 			err = fn(valid, h.Seq, payload)
 		}
 		if err != nil {
 			return valid, err
 		}
-		valid += f.Overhead() + len(payload)
+		valid += n
 	}
 	return valid, nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var formats = map[string]Format{"seq": Seq, "block": Block}
+var formats = map[string]Format{"seq": Seq, "block": Block, "var": Var}
 
 func TestRoundTrip(t *testing.T) {
 	for name, f := range formats {
@@ -21,7 +21,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s frame %d: %v", name, i, err)
 			}
-			if f == Seq && seq != uint64(i) || f == Block && seq != 0 || !bytes.Equal(data, p) {
+			if f == Seq && seq != uint64(i) || f != Seq && seq != 0 || !bytes.Equal(data, p) {
 				t.Fatalf("%s frame %d: got seq=%d data=%q, want data=%q", name, i, seq, data, p)
 			}
 			h, err := f.Header(buf[off:])
@@ -123,43 +123,58 @@ func TestWalkStopsAtFirstBadFrame(t *testing.T) {
 }
 
 // FuzzBlockFrame holds the block frame decoder to the rules a medium byte
-// image demands: no panic, no allocation sized by a length field beyond the
-// input that holds it, and every frame it accepts re-encodes to exactly the bytes it came
-// from.
+// image demands (checkFrames).
 func FuzzBlockFrame(f *testing.F) {
 	f.Add(Block.Append(nil, 0, []byte("medvault block")))
 	f.Add(Block.Append(Block.Append(nil, 0, nil), 0, bytes.Repeat([]byte{0xB1}, 40)))
 	f.Add([]byte{0xB1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
 	f.Add(Seq.Append(nil, 3, []byte("not a block")))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Walk reads every length field and allocates nothing; Decode
-		// allocates one payload copy, no larger than the input that holds it.
-		walk := func() { Block.Walk(data, func(int, uint64, []byte) error { return nil }) }
-		if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
-			t.Fatalf("Walk of %d bytes made %v allocations", len(data), allocs)
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrames(t, Block, data) })
+}
+
+// FuzzVarFrame holds the Var frame decoder to the same rules; its uvarint
+// length also has one encoding, so a padded or overlong one is refused.
+func FuzzVarFrame(f *testing.F) {
+	f.Add(Var.Append(nil, 0, []byte("medvault frame")))
+	f.Add(Var.Append(Var.Append(nil, 0, nil), 0, bytes.Repeat([]byte{0xF3}, 200)))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 1})
+	f.Add([]byte{0x80, 0x00, 0, 0, 0, 0})
+	f.Add(Block.Append(nil, 0, []byte("not a var frame")))
+	f.Fuzz(func(t *testing.T, data []byte) { checkFrames(t, Var, data) })
+}
+
+// checkFrames holds a decoder of format fm to the rules a medium byte image
+// demands: no panic, no allocation sized by a length field beyond the input
+// that holds it, and every frame it accepts re-encodes to exactly the bytes
+// it came from.
+func checkFrames(t *testing.T, fm Format, data []byte) {
+	// Walk reads every length field and allocates nothing; Decode allocates
+	// one payload copy, no larger than the input that holds it.
+	walk := func() { fm.Walk(data, func(int, uint64, []byte) error { return nil }) }
+	if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
+		t.Fatalf("Walk of %d bytes made %v allocations", len(data), allocs)
+	}
+	decode := func() { fm.Decode(data) }
+	_, got, n, err := fm.Decode(data)
+	if allocs := testing.AllocsPerRun(10, decode); allocs > 1 || cap(got) > 2*len(data)+8 {
+		t.Fatalf("Decode of %d bytes made %v allocations, the payload's of capacity %d", len(data), allocs, cap(got))
+	}
+	if err == nil {
+		if re := fm.Append(nil, 0, got); !bytes.Equal(re, data[:n]) {
+			t.Fatalf("accepted frame re-encodes as %x, was %x", re, data[:n])
 		}
-		decode := func() { Block.Decode(data) }
-		_, got, n, err := Block.Decode(data)
-		if allocs := testing.AllocsPerRun(10, decode); allocs > 1 || cap(got) > 2*len(data)+8 {
-			t.Fatalf("Decode of %d bytes made %v allocations, the payload's of capacity %d", len(data), allocs, cap(got))
-		}
-		if err == nil {
-			if re := Block.Append(nil, 0, got); !bytes.Equal(re, data[:n]) {
-				t.Fatalf("accepted frame re-encodes as %x, was %x", re, data[:n])
-			}
-		}
-		var re []byte
-		valid, err := Block.Walk(data, func(_ int, _ uint64, p []byte) error {
-			re = Block.Append(re, 0, p)
-			return nil
-		})
-		if !bytes.Equal(re, data[:valid]) {
-			t.Fatalf("valid prefix %x re-encodes as %x", data[:valid], re)
-		}
-		if (err == nil) != (valid == len(data)) || err != nil && !errors.Is(err, ErrInvalid) {
-			t.Fatalf("Walk: valid=%d of %d, err=%v", valid, len(data), err)
-		}
+	}
+	var re []byte
+	valid, err := fm.Walk(data, func(_ int, _ uint64, p []byte) error {
+		re = fm.Append(re, 0, p)
+		return nil
 	})
+	if !bytes.Equal(re, data[:valid]) {
+		t.Fatalf("valid prefix %x re-encodes as %x", data[:valid], re)
+	}
+	if (err == nil) != (valid == len(data)) || err != nil && !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Walk: valid=%d of %d, err=%v", valid, len(data), err)
+	}
 }
 
 // TestReadAtBoundsByCommittedBytes: ReadAt reads back the frame at an

@@ -28,9 +28,10 @@ func decodeOne(f Format) func([]byte) (any, error) {
 	}
 }
 
-// TestGoldenFrames pins both frame headers. The block vector was captured
-// from blockstore's own frame encoder before blockstore moved onto this
-// package, the seq vector from Append as it stood then.
+// TestGoldenFrames pins the three frame headers. The block vector was
+// captured from blockstore's own frame encoder before blockstore moved onto
+// this package, the seq vector from Append as it stood then, and the var
+// vectors from Append when flight segments moved onto Var.
 func TestGoldenFrames(t *testing.T) {
 	CheckGolden(t,
 		Golden{
@@ -55,6 +56,22 @@ func TestGoldenFrames(t *testing.T) {
 			Encode:  func() []byte { return Seq.Append(nil, 7, []byte("medvault frame")) },
 			Decode:  decodeOne(Seq),
 			Want:    framed{7, []byte("medvault frame")},
+			Corrupt: ErrInvalid,
+		},
+		Golden{
+			Name:    "var frame",
+			Hex:     "0eb52880786d65647661756c74206672616d65",
+			Encode:  func() []byte { return Var.Append(nil, 7, []byte("medvault frame")) },
+			Decode:  decodeOne(Var),
+			Want:    framed{0, []byte("medvault frame")},
+			Corrupt: ErrInvalid,
+		},
+		Golden{
+			Name:    "empty var frame",
+			Hex:     "0000000000",
+			Encode:  func() []byte { return Var.Append(nil, 0, nil) },
+			Decode:  decodeOne(Var),
+			Want:    framed{0, []byte{}},
 			Corrupt: ErrInvalid,
 		},
 	)

@@ -13,12 +13,13 @@ import (
 //
 //	op=<substring>    only events whose kind contains the substring (case-fold)
 //	trace=<id>        only events carrying exactly this trace ID
-//	record=<hash>     only events for this hashed record ID
+//	record=<token>    only events for this record token
 //	limit=<n>         at most n events (default 100, 0 = all retained)
 //
 // Like /metrics and /debug/traces, the endpoint is unauthenticated and
-// PHI-free by construction: record IDs appear only as truncated salted
-// hashes, and no event field ever carries record content. The trace ID is
+// PHI-free by construction: record IDs appear only as tokens keyed by the
+// vault's master key (core.Vault.RecordToken), which no client can compute
+// from a guessed ID, and no event field ever carries record content. The trace ID is
 // the correlation handle into /debug/traces and the audit log.
 
 // flightEventPayload is the JSON shape of one flight event.

@@ -14,8 +14,8 @@ import (
 
 // newFlightServer builds a server around a vault whose flight ring is
 // private to the test, so concurrent packages sharing obs.DefaultFlight
-// cannot pollute assertions.
-func newFlightServer(t *testing.T) (*httptest.Server, *obs.Flight) {
+// cannot pollute assertions, and the vault, which names record tokens.
+func newFlightServer(t *testing.T) (*httptest.Server, *core.Cluster) {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
@@ -33,11 +33,11 @@ func newFlightServer(t *testing.T) (*httptest.Server, *obs.Flight) {
 	provisionPersonas(t, v)
 	ts := httptest.NewServer(New(v, WithFlight(ring)))
 	t.Cleanup(ts.Close)
-	return ts, ring
+	return ts, v
 }
 
 func TestDebugFlightServesRing(t *testing.T) {
-	ts, _ := newFlightServer(t)
+	ts, v := newFlightServer(t)
 
 	rec := sampleRecord("flight-rec-1")
 	if code := do(t, ts, "POST", "/records", "dr-house", rec, nil); code != http.StatusCreated {
@@ -55,7 +55,7 @@ func TestDebugFlightServesRing(t *testing.T) {
 	if body.Retained == 0 || body.Count == 0 {
 		t.Fatalf("flight ring empty after operations: %+v", body)
 	}
-	wantHash := obs.HashRecordID("flight-rec-1")
+	wantHash := v.RecordToken("flight-rec-1")
 	var sawPut, sawGet bool
 	for _, ev := range body.Events {
 		if strings.Contains(ev.Detail, "Visit note") || strings.Contains(ev.Record, "flight-rec-1") {

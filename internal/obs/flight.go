@@ -1,19 +1,20 @@
 package obs
 
 // The flight recorder is the vault's black box: an always-on, bounded ring
-// of structured, PHI-free events (op kind, hashed record ID, trace ID,
+// of structured, PHI-free events (op kind, record token, trace ID,
 // latency, outcome, fs/WAL/replication markers) that is also streamed
 // through the faultfs seam into CRC-framed segments under <dir>/flight/.
 // After a power cut the persisted tail is decodable offline — the segments
-// reuse the WAL's frame codec (internal/frame) and its tail rule: a torn
-// final frame is discarded, never skipped over.
+// use the one frame codec (internal/frame) and its tail rule: a torn final
+// frame is discarded, never skipped over.
 //
 // PHI freedom is by construction, like /metrics and /debug/traces: record
-// IDs are stored as truncated keyed hashes (HashRecordID), event kinds and
-// outcomes are fixed mechanism labels, and no field ever carries a record
-// body, MRN, patient name, or search keyword. That is what makes it safe
-// to write segments in plaintext next to the ciphertext they describe, and
-// to serve the ring on an unauthenticated debug endpoint.
+// IDs are stored as tokens the vault computes (a truncated HMAC under a key
+// derived from its master key, so only the vault can match one to an ID),
+// event kinds and outcomes are fixed mechanism labels, and no field ever
+// carries a record body, MRN, patient name, or search keyword. That is what
+// makes it safe to write segments in plaintext next to the ciphertext they
+// describe, and to serve the ring on an unauthenticated debug endpoint.
 //
 // Durability piggybacks on the WAL's: events for acknowledged writes are
 // recorded after the WAL group commit's fsync returns, and segment writes
@@ -25,8 +26,6 @@ package obs
 // power cut.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -48,7 +47,7 @@ type FlightEvent struct {
 	Seq     uint64        // assigned by the ring, monotonic per Flight
 	Time    time.Time     // assigned by the ring when zero
 	Kind    string        // op or marker: "put", "get", "wal.wedge", "watchdog", "repl.apply", ...
-	Record  string        // HashRecordID of the record involved, or ""
+	Record  string        // the vault's token for the record involved, or ""
 	Trace   string        // originating trace ID, or ""
 	Outcome string        // "ok", "denied", "error", ... ("" for markers)
 	Dur     time.Duration // op latency (0 for markers)
@@ -71,18 +70,6 @@ func (ev FlightEvent) Strings() [6]string {
 		out[i] = *p
 	}
 	return out
-}
-
-// HashRecordID maps a record ID to the stable 12-hex-digit token flight
-// events carry. The domain separator keeps the token from doubling as a
-// generic hash of the ID usable outside the flight recorder; resolving a
-// token back to a record requires the (authorized) vault itself.
-func HashRecordID(id string) string {
-	if id == "" {
-		return ""
-	}
-	sum := sha256.Sum256([]byte("medvault-flight:" + id))
-	return hex.EncodeToString(sum[:6])
 }
 
 // DefaultFlightCapacity is the ring size of DefaultFlight: enough tail to
@@ -185,49 +172,106 @@ func (f *Flight) Len() int {
 
 // --- binary event codec ----------------------------------------------------
 
-// flightEventV2 is the event encoding version byte. Fields after it:
+// flightSegV3 is the magic byte a v3 segment opens with; it rides in the
+// write of the segment's first event. What follows is frame.Var frames, one
+// event each:
 //
-//	varint (unixnano − prev) | uvarint durNanos | 6 × token for
-//	kind, record, trace, outcome, shard, detail
+//	varint seqΔ | varint timeΔ | uvarint durNanos | word kind | token record |
+//	token trace | word outcome | token shard | token detail
 //
-// (frame.AppendVarint, AppendUvarint, AppendToken). An event stores only what
-// a reader of its segment cannot recompute: its Seq is the frame's, and its
-// time is a delta from the previous event of the same segment (prev is 0 for
-// a segment's first), so a segment still decodes on its own. Hashed record
-// IDs and generated trace IDs are hex, which a token stores as raw bytes.
+// (frame.AppendVarint, AppendUvarint, AppendWord, AppendToken). An event
+// stores only what a reader of its segment cannot recompute: its seq and its
+// Unix-nanosecond time are deltas from the previous event of the same
+// segment (from 0 for a segment's first), so a segment still decodes on its
+// own. Events reach a segment in append order, which is not always seq or
+// time order (Flight.Record and FlightSink.Append are separate critical
+// sections), so both deltas are signed. Kind and outcome are words of the
+// flight vocabularies; record tokens and generated trace IDs are hex,
+// which a token stores as raw bytes.
 //
-// Segments written before v2 hold v1 events (u8 1 | u64 seq | u64 unixnano |
-// u64 durNanos | 6 × (u16 len + bytes)), which still decode.
+// Older segments open with the high byte of a u64 seq, 0x00: frame.Seq
+// frames, each holding a v2 event (u8 2 | varint timeΔ | uvarint durNanos |
+// 6 × token) or a v1 event (u8 1 | u64 seq | u64 unixnano | u64 durNanos |
+// 6 × (u16 len + bytes)). Both still decode.
 const (
+	flightSegV3   = 0xF3
 	flightEventV1 = 1
 	flightEventV2 = 2
 )
+
+// flightKinds and flightOutcomes are the vocabularies of the kind and outcome
+// words: every op the core envelope reports and every core outcome label
+// (core's tests hold them to that), then the markers other layers record. A
+// string outside them is spelled out after a 0 word. They are part of the
+// format, so they only grow, at the end.
+var (
+	flightKinds = []string{
+		"put", "get", "get_version", "history", "correct", "shred", "search",
+		"place_hold", "release_hold", "break_glass", "audit_events", "provenance",
+		"prove_version", "patient_records", "disclosures", "export", "import",
+		"import_restored", "record_backed_up", "record_migrated_out", "verify_all",
+		"sanitize", "repl.apply", "wal.wedge", "watchdog", "http.panic",
+	}
+	flightOutcomes = []string{
+		"ok", "error", "closed", "wedged", "denied", "not_found", "shredded",
+		"exists", "identity_changed", "tampered", "on_hold", "retention_active",
+		"invalid", "anomaly", "panic",
+	}
+)
+
+// flightWords gives each of the event's string fields, in strs order, the
+// vocabulary its v3 word draws on; nil marks a token.
+var flightWords = [6][]string{0: flightKinds, 3: flightOutcomes}
 
 // flightMaxStr caps each string field on encode AND decode: encode truncates,
 // decode rejects — a frame whose CRC validates but whose lengths are absurd
 // is corruption the CRC missed, not a real event.
 const flightMaxStr = 512
 
-func encodeFlightEvent(ev FlightEvent, prev int64) []byte {
-	b := make([]byte, 0, 48)
-	b = append(b, flightEventV2)
-	b = frame.AppendVarint(b, ev.Time.UnixNano()-prev)
+// encodeFlightEvent appends ev's v3 encoding to b. dSeq and dTime are its
+// seq and Unix-nanosecond time less those of the segment's previous event;
+// the sink, which tracks them, computes both.
+func encodeFlightEvent(b []byte, ev FlightEvent, dSeq, dTime int64) []byte {
+	b = frame.AppendVarint(b, dSeq)
+	b = frame.AppendVarint(b, dTime)
 	b = frame.AppendUvarint(b, uint64(ev.Dur))
-	for _, p := range ev.strs() {
+	for i, p := range ev.strs() {
 		s := *p
 		if len(s) > flightMaxStr {
 			s = s[:flightMaxStr]
 		}
-		b = frame.AppendToken(b, s)
+		if vocab := flightWords[i]; vocab != nil {
+			b = frame.AppendWord(b, s, vocab)
+		} else {
+			b = frame.AppendToken(b, s)
+		}
 	}
 	return b
 }
 
-// decodeFlightEvent parses one encoded event, the seq-th of its segment,
-// following an event at prev Unix nanoseconds. It is total: any input either
-// yields an event or ok=false, never a panic — FuzzFlightSegment holds it to
-// that.
-func decodeFlightEvent(b []byte, seq uint64, prev int64) (FlightEvent, bool) {
+// decodeFlightEvent parses one v3 event that follows an event of seq prevSeq
+// at prevTime Unix nanoseconds. It is total: any input either yields an event
+// or ok=false, never a panic — FuzzFlightSegment holds it to that.
+func decodeFlightEvent(b []byte, prevSeq uint64, prevTime int64) (FlightEvent, bool) {
+	r := frame.NewReader(b)
+	ev := FlightEvent{Seq: prevSeq + uint64(r.Varint()), Time: time.Unix(0, prevTime+r.Varint()), Dur: time.Duration(r.Uvarint())}
+	for i, dst := range ev.strs() {
+		if vocab := flightWords[i]; vocab != nil {
+			*dst = r.Word(vocab)
+		} else {
+			*dst = r.Token()
+		}
+		if len(*dst) > flightMaxStr {
+			return FlightEvent{}, false
+		}
+	}
+	return ev, r.Done() == nil
+}
+
+// decodeLegacyFlightEvent parses one v1 or v2 event, the seq-th of its
+// segment, following an event at prev Unix nanoseconds. It is as total as
+// decodeFlightEvent.
+func decodeLegacyFlightEvent(b []byte, seq uint64, prev int64) (FlightEvent, bool) {
 	r := frame.NewReader(b)
 	var ev FlightEvent
 	switch r.U8() {
@@ -281,8 +325,11 @@ type FlightSink struct {
 	fs   faultfs.FS
 	dir  string
 	f    faultfs.File
-	size int64 // bytes written to the current segment
-	last int64 // Unix nanoseconds of its last event; 0 before the first
+	size int64  // bytes written to the current segment
+	seq  uint64 // seq of its last event; 0 before the first
+	last int64  // Unix nanoseconds of its last event; 0 before the first
+	body []byte // the event being encoded, reused
+	buf  []byte // the bytes of one write, reused
 	err  error
 }
 
@@ -361,12 +408,13 @@ func (s *FlightSink) roll() error {
 	if err != nil {
 		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}
-	s.f, s.size, s.last = f, 0, 0
+	s.f, s.size, s.seq, s.last = f, 0, 0, 0
 	return nil
 }
 
 // Append frames and writes one event, rolling to a new segment first when
-// this one is full. Failures latch the sink off silently; the caller's
+// this one is full; the first event of a segment carries its magic byte in
+// the same write. Failures latch the sink off silently; the caller's
 // operation must not care.
 func (s *FlightSink) Append(ev FlightEvent) {
 	s.mu.Lock()
@@ -374,20 +422,29 @@ func (s *FlightSink) Append(ev FlightEvent) {
 	if s.err != nil || s.f == nil {
 		return
 	}
-	body := encodeFlightEvent(ev, s.last)
-	if s.size > 0 && s.size+int64(frame.Seq.Overhead()+len(body)) > flightSegmentBytes {
+	s.frame(ev)
+	if s.size > 0 && s.size+int64(len(s.buf)) > flightSegmentBytes {
 		if s.err = s.roll(); s.err != nil {
 			return
 		}
-		body = encodeFlightEvent(ev, 0) // a segment's first time is absolute
+		s.frame(ev) // a segment's first event is stored whole
 	}
-	buf := frame.Seq.Append(nil, ev.Seq, body)
-	if _, err := s.f.Write(buf); err != nil {
+	if _, err := s.f.Write(s.buf); err != nil {
 		s.err = err
 		return
 	}
-	s.size += int64(len(buf))
-	s.last = ev.Time.UnixNano()
+	s.size += int64(len(s.buf))
+	s.seq, s.last = ev.Seq, ev.Time.UnixNano()
+}
+
+// frame encodes ev as the next event of the current segment into s.buf.
+func (s *FlightSink) frame(ev FlightEvent) {
+	s.body = encodeFlightEvent(s.body[:0], ev, int64(ev.Seq-s.seq), ev.Time.UnixNano()-s.last)
+	s.buf = s.buf[:0]
+	if s.size == 0 {
+		s.buf = append(s.buf, flightSegV3)
+	}
+	s.buf = frame.Var.Append(s.buf, 0, s.body)
 }
 
 // Err returns the latched failure that disabled the sink, if any.
@@ -425,20 +482,30 @@ func (s *FlightSink) Close() error {
 
 // --- offline decoding ------------------------------------------------------
 
-// DecodeFlightSegment decodes events from one segment's raw bytes, stopping
-// at the first torn or corrupt frame (frame.Seq.Walk's tail rule) or the
-// first frame that is not a flight event. tail is the count of trailing bytes
-// that did not decode — 0 means the segment was consumed exactly. The
-// decoder is total over arbitrary input: it never panics, whatever the bytes.
+// DecodeFlightSegment decodes events from one segment's raw bytes, either
+// layout, stopping at the first torn or corrupt frame (frame.Walk's tail
+// rule) or the first frame that is not a flight event. tail is the count of
+// trailing bytes that did not decode — 0 means the segment was consumed
+// exactly. The decoder is total over arbitrary input: it never panics,
+// whatever the bytes.
 func DecodeFlightSegment(data []byte) (evs []FlightEvent, tail int) {
-	var prev int64
-	valid, _ := frame.Seq.Walk(data, func(_ int, seq uint64, body []byte) error {
-		ev, ok := decodeFlightEvent(body, seq, prev)
+	var seq uint64
+	var last int64
+	keep := func(ev FlightEvent, ok bool) error {
 		if !ok {
 			return frame.ErrInvalid // its CRC holds, but it is no flight event
 		}
-		evs, prev = append(evs, ev), ev.Time.UnixNano()
+		evs, seq, last = append(evs, ev), ev.Seq, ev.Time.UnixNano()
 		return nil
+	}
+	if len(data) > 0 && data[0] == flightSegV3 {
+		valid, _ := frame.Var.Walk(data[1:], func(_ int, _ uint64, body []byte) error {
+			return keep(decodeFlightEvent(body, seq, last))
+		})
+		return evs, len(data) - 1 - valid
+	}
+	valid, _ := frame.Seq.Walk(data, func(_ int, frameSeq uint64, body []byte) error {
+		return keep(decodeLegacyFlightEvent(body, frameSeq, last))
 	})
 	return evs, len(data) - valid
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -47,19 +48,27 @@ func TestFlightFilter(t *testing.T) {
 	}
 }
 
+// testToken stands in for the vault's record token: 12 lowercase hex digits.
+func testToken(i int) string { return fmt.Sprintf("%012x", uint64(i)*0x9e3779b97f4a7c15>>16) }
+
 func TestFlightEventCodecRoundTrip(t *testing.T) {
 	in := FlightEvent{
 		Seq: 42, Time: time.Unix(0, 1700000000123456789),
-		Kind: "put", Record: HashRecordID("rec-1"), Trace: "0123456789abcdef",
+		Kind: "put", Record: testToken(1), Trace: "0123456789abcdef",
 		Outcome: "ok", Dur: 1500 * time.Microsecond, Shard: "3", Detail: "v2",
 	}
-	prev := in.Time.UnixNano() - int64(3*time.Millisecond)
-	out, ok := decodeFlightEvent(encodeFlightEvent(in, prev), in.Seq, prev)
-	if !ok {
-		t.Fatal("decode failed")
-	}
-	if out != in {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
+	for _, prev := range []struct {
+		seq  uint64
+		time int64
+	}{{0, 0}, {41, in.Time.UnixNano() - int64(3*time.Millisecond)}, {50, in.Time.UnixNano() + int64(time.Second)}} {
+		b := encodeFlightEvent(nil, in, int64(in.Seq-prev.seq), in.Time.UnixNano()-prev.time)
+		out, ok := decodeFlightEvent(b, prev.seq, prev.time)
+		if !ok {
+			t.Fatalf("after %+v: decode failed", prev)
+		}
+		if out != in {
+			t.Fatalf("after %+v: round trip mismatch:\n in=%+v\nout=%+v", prev, in, out)
+		}
 	}
 }
 
@@ -72,7 +81,7 @@ func TestFlightSinkPersistAndDecode(t *testing.T) {
 	}
 	var last FlightEvent
 	for i := 0; i < 5; i++ {
-		last = f.Record(FlightEvent{Kind: "put", Record: HashRecordID("rec"), Outcome: "ok"})
+		last = f.Record(FlightEvent{Kind: "put", Record: testToken(i), Outcome: "ok"})
 		sink.Append(last)
 	}
 	if err := sink.Err(); err != nil {
@@ -158,7 +167,7 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	base := time.Unix(0, 1700000000000000000)
 	at := func(seq int) time.Time { return base.Add(time.Duration(seq) * time.Millisecond) }
 	ev.Time = at(1)
-	frameLen := len(frame.Seq.Append(nil, 0, encodeFlightEvent(ev, at(0).UnixNano())))
+	frameLen := len(frame.Var.Append(nil, 0, encodeFlightEvent(nil, ev, 1, int64(time.Millisecond))))
 	total := (flightKeepSegments + 2) * flightSegmentBytes / frameLen
 
 	segments := func() (n int, bytes int64) {
@@ -231,48 +240,129 @@ func encodeFlightEventV1(ev FlightEvent) []byte {
 	return b
 }
 
-// TestFlightSegmentsDecodeEitherLayout: a v1 segment from an older binary
-// still decodes, and a v2 segment gives back every event exactly — times
-// included, though each is stored as a delta from the one before.
+// encodeFlightEventV2 is the layout segments held before v3, each event in a
+// frame.Seq frame that carries its seq: the time as a delta from the previous
+// event of the segment, then every string as a token.
+func encodeFlightEventV2(ev FlightEvent, prev int64) []byte {
+	b := []byte{flightEventV2}
+	b = frame.AppendVarint(b, ev.Time.UnixNano()-prev)
+	b = frame.AppendUvarint(b, uint64(ev.Dur))
+	for _, s := range ev.Strings() {
+		b = frame.AppendToken(b, s)
+	}
+	return b
+}
+
+// legacySegment is the segment an older binary wrote for evs: v1 or v2
+// events in frame.Seq frames.
+func legacySegment(version int, evs []FlightEvent) []byte {
+	var seg []byte
+	prev := int64(0)
+	for _, ev := range evs {
+		body := encodeFlightEventV1(ev)
+		if version == flightEventV2 {
+			body = encodeFlightEventV2(ev, prev)
+		}
+		seg = frame.Seq.Append(seg, ev.Seq, body)
+		prev = ev.Time.UnixNano()
+	}
+	return seg
+}
+
+// sinkSegment appends evs, in order, through a FlightSink and returns the
+// segment it wrote.
+func sinkSegment(t testing.TB, evs []FlightEvent) []byte {
+	t.Helper()
+	mem := faultfs.NewMem()
+	sink, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		sink.Append(ev)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mem.ReadFile("d/flight/" + flightSegName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFlightSegmentsDecodeEitherLayout: v1 and v2 segments from older
+// binaries still decode, and a v3 segment gives back every event exactly —
+// seqs and times included, though each is stored as a delta from the one
+// before, and in the v3 row both step backwards, as they do when two
+// goroutines' events reach the sink out of order.
 func TestFlightSegmentsDecodeEitherLayout(t *testing.T) {
 	f := NewFlight(16)
 	var recorded []FlightEvent
-	var v1, v2 []byte
-	prev := int64(0)
 	for i, d := range []time.Duration{0, 3 * time.Millisecond, -time.Second, 90 * time.Minute} {
-		ev := f.Record(FlightEvent{
-			Time: time.Unix(0, 1700000000123456789).Add(d), Kind: "get", Record: HashRecordID(fmt.Sprint("rec-", i)),
+		recorded = append(recorded, f.Record(FlightEvent{
+			Time: time.Unix(0, 1700000000123456789).Add(d), Kind: "get", Record: testToken(i),
 			Trace: "0123456789abcdef", Outcome: "ok", Dur: time.Duration(i) * time.Millisecond,
-		})
-		recorded = append(recorded, ev)
-		v1 = frame.Seq.Append(v1, ev.Seq, encodeFlightEventV1(ev))
-		v2 = frame.Seq.Append(v2, ev.Seq, encodeFlightEvent(ev, prev))
-		prev = ev.Time.UnixNano()
+		}))
 	}
-	for name, seg := range map[string][]byte{"v1": v1, "v2": v2} {
-		evs, tail := DecodeFlightSegment(seg)
-		if tail != 0 || len(evs) != len(recorded) {
-			t.Fatalf("%s: %d events, %d tail bytes", name, len(evs), tail)
+	shuffled := []FlightEvent{recorded[0], recorded[2], recorded[1], recorded[3]}
+	segs := []struct {
+		name string
+		seg  []byte
+		want []FlightEvent
+	}{
+		{"v1", legacySegment(flightEventV1, recorded), recorded},
+		{"v2", legacySegment(flightEventV2, recorded), recorded},
+		{"v3", sinkSegment(t, recorded), recorded},
+		{"v3, seq and time stepping back", sinkSegment(t, shuffled), shuffled},
+	}
+	for _, tc := range segs {
+		evs, tail := DecodeFlightSegment(tc.seg)
+		if tail != 0 || len(evs) != len(tc.want) {
+			t.Fatalf("%s: %d events, %d tail bytes", tc.name, len(evs), tail)
 		}
 		for i, ev := range evs {
-			want := recorded[i]
+			want := tc.want[i]
 			want.Time = time.Unix(0, want.Time.UnixNano()) // what a decoder can know
 			if ev != want {
-				t.Fatalf("%s: event %d\n got %+v\nwant %+v", name, i, ev, want)
+				t.Fatalf("%s: event %d\n got %+v\nwant %+v", tc.name, i, ev, want)
 			}
 		}
 	}
-	if len(v2) >= len(v1)*2/3 {
-		t.Errorf("v2 segment is %d bytes, v1 %d: want under two thirds", len(v2), len(v1))
+	v1, v2, v3 := len(segs[0].seg), len(segs[1].seg), len(segs[2].seg)
+	if v2 >= v1*2/3 || v3 >= v2*3/4 {
+		t.Errorf("v1, v2 and v3 segments are %d, %d and %d bytes: want each step under two thirds and three quarters", v1, v2, v3)
+	}
+}
+
+// TestFlightSegmentTornOrBare: a torn v3 tail decodes to the whole frames
+// before it, and a segment that holds only its magic byte (a first write torn
+// after one byte) to no events and no tail.
+func TestFlightSegmentTornOrBare(t *testing.T) {
+	f := NewFlight(8)
+	var evs []FlightEvent
+	for i := 0; i < 3; i++ {
+		evs = append(evs, f.Record(FlightEvent{Kind: "put", Record: testToken(i), Outcome: "ok"}))
+	}
+	seg := sinkSegment(t, evs)
+	whole2 := len(sinkSegment(t, evs[:2]))
+	for cut := whole2; cut < len(seg); cut++ {
+		got, tail := DecodeFlightSegment(seg[:cut])
+		if len(got) != 2 || got[1].Seq != evs[1].Seq || tail != cut-whole2 {
+			t.Fatalf("cut to %d of %d bytes: %d events, tail %d; want 2, %d", cut, len(seg), len(got), tail, cut-whole2)
+		}
+	}
+	if got, tail := DecodeFlightSegment(seg[:1]); len(got) != 0 || tail != 0 {
+		t.Fatalf("magic byte alone: %d events, tail %d; want 0, 0", len(got), tail)
 	}
 }
 
 // TestFlightStoredBytesPerEvent is the budget for what the op envelope's
-// event costs a segment, frame included: an op kind, a hashed record ID, a
+// event costs a segment, frame included: an op kind, a record token, a
 // generated trace ID, an outcome and a latency, a few milliseconds after the
-// previous event. v1 segments spent 86 B on it.
+// previous event. v1 segments spent 86 B on it, v2 segments 48.
 func TestFlightStoredBytesPerEvent(t *testing.T) {
-	const events, budget = 1000, 52
+	const events, budget = 1000, 36
 	mem := faultfs.NewMem()
 	sink, err := OpenFlightSink(mem, "d/flight")
 	if err != nil {
@@ -283,7 +373,7 @@ func TestFlightStoredBytesPerEvent(t *testing.T) {
 	for i := 0; i < events; i++ {
 		at = at.Add(time.Duration(i%7+1) * time.Millisecond)
 		sink.Append(f.Record(FlightEvent{
-			Time: at, Kind: "put", Record: HashRecordID(fmt.Sprint("rec-", i)), Trace: "0123456789abcdef",
+			Time: at, Kind: "put", Record: testToken(i), Trace: "0123456789abcdef",
 			Outcome: "ok", Dur: time.Duration(200+i%300) * time.Microsecond,
 		}))
 	}
@@ -301,33 +391,59 @@ func TestFlightStoredBytesPerEvent(t *testing.T) {
 	}
 }
 
-func TestFlightEventsArePHIFree(t *testing.T) {
-	body := "PATIENT-BODY-SENTINEL"
-	ev := FlightEvent{Kind: "put", Record: HashRecordID("rec-" + body), Outcome: "ok"}
-	enc := string(encodeFlightEvent(ev, 0))
-	if strings.Contains(enc, body) {
-		t.Fatal("encoded event leaks the record ID")
+// TestFlightSinkAppendAllocs: the sink encodes into buffers it reuses, so an
+// event costs its segment's file no allocation of its own.
+func TestFlightSinkAppendAllocs(t *testing.T) {
+	sink, err := OpenFlightSink(faultfs.NewMem(), "d/flight")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if HashRecordID("a") == HashRecordID("b") || HashRecordID("") != "" {
-		t.Fatal("HashRecordID misbehaves")
+	ev := FlightEvent{Time: time.Unix(0, 1700000000123456789), Kind: "get", Record: testToken(1),
+		Trace: "0123456789abcdef", Outcome: "ok", Dur: 300 * time.Microsecond}
+	allocs := testing.AllocsPerRun(2000, func() {
+		ev.Seq++
+		ev.Time = ev.Time.Add(time.Millisecond)
+		sink.Append(ev)
+	})
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs >= 1 {
+		t.Errorf("FlightSink.Append made %v allocations per event, want under 1", allocs)
+	}
+}
+
+// TestFlightEventsArePHIFree: a stored event spells out none of its fields.
+// Kind and outcome are vocabulary words, and the record token (which the
+// vault keys, so no reader can recompute it from an ID) and the trace ID are
+// packed to the bytes their hex spells.
+func TestFlightEventsArePHIFree(t *testing.T) {
+	ev := FlightEvent{Kind: "put", Record: testToken(7), Trace: "0123456789abcdef", Outcome: "ok"}
+	enc := encodeFlightEvent(nil, ev, 1, 1)
+	for _, field := range ev.Strings() {
+		if field != "" && bytes.Contains(enc, []byte(field)) {
+			t.Fatalf("encoded event %x spells out %q", enc, field)
+		}
 	}
 }
 
 // FuzzFlightSegment proves the offline decoder is total: arbitrary bytes —
 // including mutated valid segments — never panic it.
 func FuzzFlightSegment(f *testing.F) {
-	var seed []byte
-	var prev int64
 	fl := NewFlight(8)
+	var evs []FlightEvent
 	for i := 0; i < 3; i++ {
-		ev := fl.Record(FlightEvent{Kind: "put", Record: HashRecordID("r"), Outcome: "ok", Trace: "0123456789abcdef"})
-		seed = frame.Seq.Append(seed, ev.Seq, encodeFlightEvent(ev, prev))
-		prev = ev.Time.UnixNano()
+		evs = append(evs, fl.Record(FlightEvent{Kind: "put", Record: testToken(i), Outcome: "ok", Trace: "0123456789abcdef"}))
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])
+	v2 := legacySegment(flightEventV2, evs)
+	f.Add(v2)
+	f.Add(v2[:len(v2)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	v3 := sinkSegment(f, evs)
+	f.Add(v3)
+	f.Add(v3[:len(v3)-3])
+	f.Add([]byte{flightSegV3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, tail := DecodeFlightSegment(data)
 		if tail < 0 || tail > len(data) {

@@ -10,8 +10,8 @@
 // can exercise the path under fault injection.
 //
 // Like flight events, bundles are PHI-free by construction: they contain
-// only data already in the observability plane (hashed record IDs, trace
-// IDs, metric names, Go stacks), never record plaintext.
+// only data already in the observability plane (record tokens, trace IDs,
+// metric names, Go stacks), never record plaintext.
 package obs
 
 import (

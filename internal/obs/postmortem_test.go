@@ -11,7 +11,7 @@ import (
 func TestPostmortemWriteAndRead(t *testing.T) {
 	mem := faultfs.NewMem()
 	fl := NewFlight(16)
-	fl.Record(FlightEvent{Kind: "put", Record: HashRecordID("pt-1"), Trace: "aaaa", Outcome: "ok"})
+	fl.Record(FlightEvent{Kind: "put", Record: "a1b2c3d4e5f6", Trace: "aaaa", Outcome: "ok"})
 	reg := NewRegistry()
 	reg.Counter("medvault_ops_total", "", L("op", "put")).Inc()
 	tr := NewTracer(TracerConfig{})

@@ -270,7 +270,7 @@ func (f *Follower) applyLocked(rec OpRecord) error {
 	case opTraceMark:
 		// Observability marker, no fs effect: record the primary's trace ID
 		// against this replica so the apply is joinable to the originating
-		// request. Path is the hashed record ID, Old the trace, Data the op.
+		// request. Path is the record token, Old the trace, Data the op.
 		f.flight.Record(obs.FlightEvent{
 			Kind:    "repl.apply",
 			Record:  rec.Path,

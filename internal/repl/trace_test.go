@@ -10,7 +10,7 @@ import (
 // TestTraceMarkReachesFollowerFlight proves the cross-node join the flight
 // recorder exists for: a traced write on the primary leaves an apply event
 // carrying the same trace ID in the follower's flight ring, keyed by the
-// same hashed record ID — and never the record plaintext.
+// same record token — and never the record plaintext.
 func TestTraceMarkReachesFollowerFlight(t *testing.T) {
 	_, _, fol, _, cap := pair(t)
 	fol.flight = obs.NewFlight(64) // private ring: deterministic assertions
@@ -32,8 +32,8 @@ func TestTraceMarkReachesFollowerFlight(t *testing.T) {
 	if ev.Trace != tr.ID {
 		t.Fatalf("apply event trace %q, want primary's %q", ev.Trace, tr.ID)
 	}
-	if want := obs.HashRecordID(rec.ID); ev.Record != want {
-		t.Fatalf("apply event record %q, want hashed ID %q", ev.Record, want)
+	if want := v.RecordToken(rec.ID); ev.Record != want {
+		t.Fatalf("apply event record %q, want the record token %q", ev.Record, want)
 	}
 	if ev.Detail != "put" {
 		t.Fatalf("apply event detail %q, want op name", ev.Detail)

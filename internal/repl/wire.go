@@ -200,7 +200,7 @@ func encodeOp(rec OpRecord) []byte {
 		b = binary.BigEndian.AppendUint32(b, rec.Perm)
 		b = frame.AppendBytes(b, rec.Data)
 	case opTraceMark:
-		// Path carries the hashed record ID; Old the trace ID; Data the
+		// Path carries the record token; Old the trace ID; Data the
 		// vault op name ("put", "correct", "shred"). All observability-plane
 		// values — no plaintext.
 		b = frame.AppendStr(b, rec.Old)

@@ -43,12 +43,13 @@ var claimed = []OpKind{OpPut, OpCorrect, OpShred, OpPlaceHold, OpReleaseHold}
 // ok event of a put, correct, shred or hold names an op the model holds. One
 // record's events share a shard and decode in the order they were acked, and
 // the unsynced tail may lose any of them, so per record the events are a
-// subsequence of the model's acked ops.
+// subsequence of the model's acked ops. The remounted vault names each
+// record's token.
 func (e *engine) checkFlightClaims(i int, s Step, tail []obs.FlightEvent) *Divergence {
 	acked := e.model.acked
 	ids := make(map[string]string, len(acked))
 	for id := range acked {
-		ids[obs.HashRecordID(id)] = id
+		ids[e.v.RecordToken(id)] = id
 	}
 	matched := make(map[string]int, len(acked))
 	for _, ev := range tail {

@@ -156,12 +156,16 @@ func TestShrinkSubsequencesWellFormed(t *testing.T) {
 // nothing acked may be claimed that the model does not hold.
 func TestFlightClaimsNameHeldOps(t *testing.T) {
 	e := makeEngine(Plan{Name: "claims"}, simEpoch, strike{}, nil)
+	if err := e.open(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.v.Close()
 	e.model.acked = map[string][]OpKind{
 		"r1": {OpPut, OpPlaceHold, OpReleaseHold, OpPlaceHold},
 		"r2": {}, // its put did not land
 	}
 	ok := func(kind OpKind, id string) obs.FlightEvent {
-		return obs.FlightEvent{Kind: string(kind), Record: obs.HashRecordID(id), Outcome: "ok"}
+		return obs.FlightEvent{Kind: string(kind), Record: e.v.RecordToken(id), Outcome: "ok"}
 	}
 	for _, tc := range []struct {
 		name string
@@ -170,7 +174,7 @@ func TestFlightClaimsNameHeldOps(t *testing.T) {
 	}{
 		{"every op", []obs.FlightEvent{ok(OpPut, "r1"), ok(OpPlaceHold, "r1"), ok(OpReleaseHold, "r1"), ok(OpPlaceHold, "r1")}, true},
 		{"release lost, hold placed again", []obs.FlightEvent{ok(OpPut, "r1"), ok(OpPlaceHold, "r1"), ok(OpPlaceHold, "r1")}, true},
-		{"failed op", []obs.FlightEvent{{Kind: string(OpPut), Record: obs.HashRecordID("r2"), Outcome: "error"}}, true},
+		{"failed op", []obs.FlightEvent{{Kind: string(OpPut), Record: e.v.RecordToken("r2"), Outcome: "error"}}, true},
 		{"put that did not land", []obs.FlightEvent{ok(OpPut, "r2")}, false},
 		{"unknown record", []obs.FlightEvent{ok(OpShred, "r9")}, false},
 		{"out of ack order", []obs.FlightEvent{ok(OpReleaseHold, "r1"), ok(OpPut, "r1")}, false},
