@@ -28,7 +28,6 @@
 package audit
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -329,35 +328,6 @@ func (l *Log) Append(e Event) (Event, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appendLocked(e)
-}
-
-// AppendCtx is Append stamping the event with the trace ID carried by ctx
-// (unless the caller set one) and recording an "audit.append" span. The trace
-// ID is hashed and MACed with the rest of the event, so the correlation
-// between an audit entry and its /debug/traces trace is itself tamper-evident.
-func (l *Log) AppendCtx(ctx context.Context, e Event) (Event, error) {
-	_, sp := obs.StartSpan(ctx, "audit.append")
-	if e.Trace == "" {
-		e.Trace = obs.TraceID(ctx)
-	}
-	out, err := l.Append(e)
-	sp.End(err)
-	return out, err
-}
-
-// AppendAllCtx is AppendAll with the same trace stamping and span recording
-// as AppendCtx, covering the whole adjacent batch with one span.
-func (l *Log) AppendAllCtx(ctx context.Context, events []Event) (Event, error) {
-	_, sp := obs.StartSpan(ctx, "audit.append")
-	id := obs.TraceID(ctx)
-	for i := range events {
-		if events[i].Trace == "" {
-			events[i].Trace = id
-		}
-	}
-	out, err := l.AppendAll(events)
-	sp.End(err)
-	return out, err
 }
 
 // AppendAll records the events consecutively under one lock acquisition:

@@ -179,11 +179,7 @@ func Open(cfg Config) (*Cluster, error) {
 		auth: authz.New(func() time.Time { return clk.Now() }),
 		ret:  retention.NewManager(clk),
 	}
-	pols := cfg.Policies
-	if len(pols) == 0 {
-		pols = retention.StandardPolicies()
-	}
-	for _, p := range pols {
+	for _, p := range retention.StandardPolicies() {
 		c.ret.SetPolicy(p)
 	}
 	for i := 0; i < shards; i++ {

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
+	"medvault/internal/obs"
 	"medvault/internal/provenance"
 	"medvault/internal/recno"
 	"medvault/internal/wal"
@@ -25,15 +27,26 @@ import (
 // Ref becomes the entry's place in meta.wal. The caller holds the record's
 // stripe exclusively.
 func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
+	data := e.encode()
 	v.commitMu.Lock()
-	_, off, wait := v.metaWAL.EnqueueCtx(ctx, e.encode())
+	_, es := obs.StartSpan(ctx, "wal.enqueue")
+	es.SetAttr("bytes", strconv.Itoa(len(data)))
+	seq, off, wait := v.metaWAL.Enqueue(data)
+	es.SetAttr("seq", strconv.FormatUint(seq, 10))
+	es.End(nil)
 	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
 	if e.kind == 'V' {
 		e.ver.Ref = e.at
 		v.appendLeaf(ctx, e)
 	}
 	v.commitMu.Unlock()
-	if err := wait(); err != nil {
+	// wal.commit spans the wait for the fsync that made the batch durable:
+	// the durability tax group commit amortizes across concurrent writers.
+	_, cs := obs.StartSpan(ctx, "wal.commit")
+	cs.SetAttr("seq", strconv.FormatUint(seq, 10))
+	err := wait()
+	cs.End(err)
+	if err != nil {
 		// The WAL has wedged, so no entry from this one on becomes durable:
 		// the version's leaf, and any after it, leave the live log, and no
 		// head vouches for a version a restart would not recover.
@@ -50,7 +63,10 @@ func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error 
 
 // appendLeaf commits e's version to the Merkle log and records where.
 func (v *Vault) appendLeaf(ctx context.Context, e *walEntry) {
-	e.ver.LeafIndex = v.log.AppendCtx(ctx, leafData(e.id, e.ver.Number, e.ver.CtHash))
+	_, sp := obs.StartSpan(ctx, "merkle.append")
+	e.ver.LeafIndex = v.log.Append(leafData(e.id, e.ver.Number, e.ver.CtHash))
+	sp.SetAttr("leaf", strconv.FormatUint(e.ver.LeafIndex, 10))
+	sp.End(nil)
 	v.leafSeq.Add(1)
 }
 
@@ -126,7 +142,9 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 			}
 			rec = &r
 		}
-		v.idx.AddCtx(ctx, e.id, rec.SearchText())
+		_, sp := obs.StartSpan(ctx, "index.add")
+		v.idx.Add(e.id, rec.SearchText())
+		sp.End(nil)
 	case known && st.shredded.Load():
 		// Replay over a snapshot that already covers the record's shred.
 	case e.kind == 'S':
@@ -144,7 +162,9 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 			refs[i] = st.at(uint64(i) + 1).ref()
 		}
 		v.bcache.invalidate(refs)
-		v.idx.RemoveCtx(ctx, e.id)
+		_, sp := obs.StartSpan(ctx, "index.remove")
+		v.idx.Remove(e.id)
+		sp.End(nil)
 		v.ret.Forget(e.id)
 		st.shredded.Store(true)
 		metLiveRecords.Add(-1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,7 +49,7 @@ func (v *Vault) authorize(ctx context.Context, actor string, act authz.Action, a
 			Detail:  d.Reason,
 		})
 	}
-	if _, err := v.aud.AppendAllCtx(ctx, events); err != nil {
+	if err := v.appendAudit(ctx, events...); err != nil {
 		return err
 	}
 	if !d.Allowed {
@@ -106,10 +107,27 @@ func (v *Vault) stateFor(id string) (*recordState, error) {
 	return st, nil
 }
 
+// appendAudit is core's one audit append. It stamps every event with the
+// trace ctx carries ("" when untraced) and records one "audit.append" span
+// around the batch, which lands at adjacent sequence numbers with nothing
+// interleaved (audit.Log.AppendAll). The trace ID is hashed and MACed with
+// the rest of the event, so the link from an audit entry to its trace is
+// itself tamper-evident.
+func (v *Vault) appendAudit(ctx context.Context, events ...audit.Event) error {
+	_, sp := obs.StartSpan(ctx, "audit.append")
+	id := obs.TraceID(ctx)
+	for i := range events {
+		events[i].Trace = id
+	}
+	_, err := v.aud.AppendAll(events)
+	sp.End(err)
+	return err
+}
+
 // auditProbe records a failed lookup: unknown-record or unknown-version
 // probing is signal, so the attempt is written even though nothing else is.
 func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Action, id string, version uint64, err error) {
-	_, _ = v.aud.AppendCtx(ctx, audit.Event{
+	_ = v.appendAudit(ctx, audit.Event{
 		Actor: actor, Action: action, Record: id, Version: version,
 		Outcome: audit.OutcomeError, Detail: err.Error(),
 	})
@@ -121,7 +139,11 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 // custody says whether the entry carries the version's custody event. The
 // caller holds the record's stripe exclusively.
 func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool) (Version, error) {
-	ct, err := vcrypto.SealCtx(ctx, dek, ehr.Encode(rec), sealAAD(rec.ID, number))
+	pt := ehr.Encode(rec)
+	_, sp := obs.StartSpan(ctx, "crypto.seal")
+	sp.SetAttr("plaintext_bytes", strconv.Itoa(len(pt)))
+	ct, err := vcrypto.Seal(dek, pt, sealAAD(rec.ID, number))
+	sp.End(err)
 	if err != nil {
 		return Version{}, fmt.Errorf("core: sealing %s v%d: %w", rec.ID, number, err)
 	}
@@ -221,7 +243,10 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 		return ehr.Record{}, err
 	}
 	obs.CountWork(obs.WorkDecrypt)
-	pt, err := vcrypto.OpenCtx(ctx, dek, ct, sealAAD(id, ver.Number))
+	_, sp := obs.StartSpan(ctx, "crypto.open")
+	sp.SetAttr("ciphertext_bytes", strconv.Itoa(len(ct)))
+	pt, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number))
+	sp.End(err)
 	if err != nil {
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err)
 	}
@@ -348,7 +373,7 @@ func (v *Vault) searchAuthorized(ctx context.Context, actor string) error {
 	}
 	// The keyword itself is PHI-adjacent and is deliberately NOT written to
 	// the audit log — only the fact and outcome of the search.
-	if _, err := v.aud.AppendCtx(ctx, audit.Event{
+	if err := v.appendAudit(ctx, audit.Event{
 		Actor: actor, Action: audit.ActionSearch, Outcome: outcome,
 	}); err != nil {
 		return err
@@ -399,18 +424,24 @@ func (v *Vault) readable(actor string, hits []string) []string {
 // allowed to read — results outside the actor's categories are filtered,
 // enforcing minimum-necessary even through search.
 func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) ([]string, error) {
-	return v.search(ctx, actor, func(ctx context.Context) []string { return v.idx.SearchCtx(ctx, keyword) })
+	return v.search(ctx, actor, func(*obs.Span) []string { return v.idx.Search(keyword) })
 }
 
 // SearchAllCtx returns the IDs of readable records containing every keyword
 // (conjunctive search), with the same authorization and filtering semantics
 // as Search.
 func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
-	return v.search(ctx, actor, func(ctx context.Context) []string { return v.idx.SearchAllCtx(ctx, keywords...) })
+	return v.search(ctx, actor, func(sp *obs.Span) []string {
+		sp.SetAttr("keywords", strconv.Itoa(len(keywords)))
+		return v.idx.SearchAll(keywords...)
+	})
 }
 
-// search is the one body of Search and SearchAll; find queries the index.
-func (v *Vault) search(ctx context.Context, actor string, find func(context.Context) []string) (_ []string, err error) {
+// search is the one body of Search and SearchAll; find queries the index
+// inside the "index.search" span, which carries the hit count but never a
+// keyword: traces are an unauthenticated debug surface, and query terms are
+// PHI-adjacent exactly as the SSE threat model says.
+func (v *Vault) search(ctx context.Context, actor string, find func(*obs.Span) []string) (_ []string, err error) {
 	ctx, done, err := v.begin(ctx, "search", "")
 	defer done(&err)
 	if err != nil {
@@ -419,7 +450,11 @@ func (v *Vault) search(ctx context.Context, actor string, find func(context.Cont
 	if err := v.searchAuthorized(ctx, actor); err != nil {
 		return nil, err
 	}
-	return v.readable(actor, find(ctx)), nil
+	_, sp := obs.StartSpan(ctx, "index.search")
+	hits := find(sp)
+	sp.SetAttr("hits", strconv.Itoa(len(hits)))
+	sp.End(nil)
+	return v.readable(actor, hits), nil
 }
 
 // ShredCtx securely deletes the record: its data key is destroyed, its index
@@ -445,7 +480,7 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 		return err
 	}
 	if err := v.ret.CanDispose(id); err != nil {
-		_, _ = v.aud.AppendCtx(ctx, audit.Event{
+		_ = v.appendAudit(ctx, audit.Event{
 			Actor: actor, Action: audit.ActionDelete, Record: id,
 			Outcome: audit.OutcomeDenied, Detail: err.Error(),
 		})
@@ -495,7 +530,7 @@ func (v *Vault) changeHold(ctx context.Context, op, actor string, e walEntry, de
 	}
 	// The hold is committed either way; a failed append wedges the audit
 	// log, so the shard's next audited operation answers wedged.
-	_, _ = v.aud.AppendCtx(ctx, audit.Event{
+	_ = v.appendAudit(ctx, audit.Event{
 		Actor: actor, Action: audit.ActionPolicy, Record: e.id,
 		Outcome: audit.OutcomeAllowed, Detail: detail,
 	})
@@ -510,13 +545,12 @@ func (v *Vault) breakGlass(ctx context.Context, actor, reason string, duration t
 	if err != nil {
 		return err
 	}
-	_, err = v.aud.AppendCtx(ctx, audit.Event{
+	return v.appendAudit(ctx, audit.Event{
 		Actor:   actor,
 		Action:  audit.ActionBreakGlass,
 		Outcome: audit.OutcomeAllowed,
 		Detail:  fmt.Sprintf("grant issued until %s: %s", g.Expires.Format(time.RFC3339), reason),
 	})
-	return err
 }
 
 // AuditEventsCtx returns audit events matching q; the query itself requires

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
 	"medvault/internal/merkle"
+	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
 
@@ -58,7 +60,10 @@ func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number ui
 	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionVerify, id, number, category); err != nil {
 		return VersionProof{}, err
 	}
-	proof, size, err := v.log.ProveInclusionCtx(ctx, target.LeafIndex)
+	_, sp := obs.StartSpan(ctx, "merkle.prove")
+	sp.SetAttr("leaf", strconv.FormatUint(target.LeafIndex, 10))
+	proof, size, err := v.log.ProveInclusion(target.LeafIndex)
+	sp.End(err)
 	if err != nil {
 		return VersionProof{}, fmt.Errorf("core: proving %s v%d: %w", id, number, err)
 	}

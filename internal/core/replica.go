@@ -6,6 +6,7 @@ package core
 // flight decoder and the crash harnesses read the same raw directories.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -69,13 +70,12 @@ func ReadFlightTail(fsys faultfs.FS, dir string) ([]obs.FlightEvent, error) {
 // carries the epochs so the split-brain window is reconstructible from the
 // journal alone.
 func (v *Vault) AuditReplicationFence(detail string) error {
-	_, err := v.aud.Append(audit.Event{
+	return v.appendAudit(context.TODO(), audit.Event{
 		Actor:   "replication",
 		Action:  audit.ActionPolicy,
 		Outcome: audit.OutcomeDenied,
 		Detail:  detail,
 	})
-	return err
 }
 
 // AuditReplicationFence records the fence rejection on shard 0 — the

@@ -52,7 +52,7 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	}
 	reclaimed = before - v.StorageBytes()
 
-	_, _ = v.aud.Append(audit.Event{
+	_ = v.appendAudit(ctx, audit.Event{
 		Actor:   actor,
 		Action:  audit.ActionDelete,
 		Outcome: audit.OutcomeAllowed,

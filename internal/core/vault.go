@@ -200,8 +200,6 @@ type Config struct {
 	Master vcrypto.Key
 	// Clock supplies time; nil means the system clock.
 	Clock clock.Clock
-	// Policies are retention schedules; empty means StandardPolicies.
-	Policies []retention.Policy
 	// Dir is the directory the vault lives in: ciphertext, audit, and
 	// provenance go to segment files under it, and record metadata is
 	// write-ahead logged and snapshotted for crash recovery. Empty means a
@@ -219,9 +217,6 @@ type Config struct {
 	// real one. The crash-recovery torture harness injects faultfs.Mem (with
 	// a fault wrapper) here to simulate power cuts and media faults.
 	FS faultfs.FS
-	// AuditCheckpointInterval is the automatic audit checkpoint cadence in
-	// events (0 disables automatic checkpoints).
-	AuditCheckpointInterval int
 
 	// Flight is the in-memory flight recorder operations report to; nil
 	// selects the process-wide obs.DefaultFlight. The vault also checkpoints
@@ -335,11 +330,10 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	v.blocks, v.auditStore, v.provStore = stores[0], stores[1], stores[2]
 
 	v.aud, err = audit.Open(audit.Config{
-		Store:              v.auditStore,
-		MACKey:             vcrypto.DeriveKey(cfg.Master, "vault/audit-mac"),
-		Signer:             signer,
-		Now:                now,
-		CheckpointInterval: cfg.AuditCheckpointInterval,
+		Store:  v.auditStore,
+		MACKey: vcrypto.DeriveKey(cfg.Master, "vault/audit-mac"),
+		Signer: signer,
+		Now:    now,
 	})
 	if err != nil {
 		return nil, err

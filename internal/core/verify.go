@@ -47,7 +47,7 @@ type Report struct {
 // list mid-verification — so the size/leaf accounting it checks can never
 // be a benign in-flight transient.
 func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (_ Report, err error) {
-	_, done, err := v.beginExclusive("verify_all")
+	ctx, done, err := v.beginExclusive("verify_all")
 	defer done(&err)
 	var rep Report
 	if err != nil {
@@ -61,7 +61,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	}
 
 	fail := func(err error) (Report, error) {
-		_, _ = v.aud.Append(audit.Event{
+		_ = v.appendAudit(ctx, audit.Event{
 			Actor: v.name, Action: audit.ActionVerify,
 			Outcome: audit.OutcomeError, Detail: err.Error(),
 		})
@@ -168,7 +168,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	}
 	rep.ProvenanceChains = chains
 
-	_, _ = v.aud.Append(audit.Event{
+	_ = v.appendAudit(ctx, audit.Event{
 		Actor: v.name, Action: audit.ActionVerify, Outcome: audit.OutcomeAllowed,
 		Detail: fmt.Sprintf("verified %d records, %d versions, %d audit events", rep.RecordsChecked, rep.VersionsChecked, rep.AuditEvents),
 	})

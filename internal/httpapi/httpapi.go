@@ -64,10 +64,11 @@ import (
 // actorHeader names the authenticated principal.
 const actorHeader = "X-MedVault-Actor"
 
-// requestIDHeader carries the trace ID: honored on requests (a well-formed
-// caller-supplied ID is adopted as the trace ID) and always set on responses,
-// so a client can quote the ID back when filing a report and an operator can
-// find the exact trace and audit entries it names.
+// requestIDHeader carries the trace ID on every traced response, so a client
+// can quote the ID back when filing a report and an operator can find the
+// exact trace and audit entries it names. The server mints every ID and never
+// reads the header on a request: a client's ID could carry PHI onto the
+// medium and the unauthenticated debug planes.
 const requestIDHeader = "X-Request-ID"
 
 // Server serves a vault over HTTP.
@@ -160,11 +161,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // label, so path parameters never create new series (and record IDs, which
 // are PHI-adjacent, never reach the metrics output).
 //
-// Vault routes also run under a trace: the middleware starts it (adopting a
-// well-formed X-Request-ID if the caller sent one), threads it through
-// r.Context() so every mechanism the request touches records a child span,
-// echoes the ID in the X-Request-ID response header, and finishes the trace
-// into the tracer's ring where /debug/traces can retrieve it. Observability
+// Vault routes also run under a trace: the middleware starts it under a
+// freshly minted ID, threads it through r.Context() so every mechanism the
+// request touches records a child span, echoes the ID in the X-Request-ID
+// response header, and finishes the trace into the tracer's ring where
+// /debug/traces can retrieve it. Observability
 // endpoints (/healthz, /metrics, /debug/*) are not traced — they would bury
 // the traces that matter under scrape noise.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -176,7 +177,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	var traceID string
 	if traced(route) {
-		ctx, tr := s.tracer.Start(r.Context(), route, r.Header.Get(requestIDHeader))
+		ctx, tr := s.tracer.Start(r.Context(), route, "")
 		traceID = tr.ID
 		w.Header().Set(requestIDHeader, tr.ID)
 		s.serve(sw, r.WithContext(ctx), route, tr.ID)

@@ -3,8 +3,12 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"medvault/internal/authz"
@@ -19,13 +23,19 @@ import (
 // race other tests through obs.DefaultTracer.
 func newDurableServer(t *testing.T) (*httptest.Server, *core.Cluster, *obs.Tracer) {
 	t.Helper()
+	return newDurableServerAt(t, t.TempDir())
+}
+
+// newDurableServerAt is newDurableServer with the vault in dir.
+func newDurableServerAt(t *testing.T, dir string) (*httptest.Server, *core.Cluster, *obs.Tracer) {
+	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, err := core.Open(core.Config{
 		Name: "trace-test", Master: master,
-		Clock: clock.NewVirtual(epoch), Dir: t.TempDir(),
+		Clock: clock.NewVirtual(epoch), Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,31 +93,12 @@ func spanNames(spans []dbgSpan, into map[string]bool) map[string]bool {
 }
 
 // TestTraceRoundTrip is the acceptance check end to end: a mutating request
-// with a caller-supplied X-Request-ID produces (1) the same ID on the
-// response, (2) a retrievable trace whose spans cover crypto, WAL,
-// blockstore, index, and audit, and (3) audit entries stamped with the ID.
+// gets (1) its trace ID in the X-Request-ID response header, (2) a
+// retrievable trace under that ID whose spans cover crypto, WAL, index, and
+// audit, and (3) audit entries stamped with the ID.
 func TestTraceRoundTrip(t *testing.T) {
 	ts, _, _ := newDurableServer(t)
-	const reqID = "req-roundtrip-1"
-
-	body, _ := json.Marshal(sampleRecord("p-traced"))
-	req, err := http.NewRequest("POST", ts.URL+"/records", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(actorHeader, "dr-house")
-	req.Header.Set("X-Request-ID", reqID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Request-ID"); got != reqID {
-		t.Fatalf("X-Request-ID echoed as %q, want %q", got, reqID)
-	}
+	reqID := postRecord(t, ts, "p-traced", "")
 
 	// The trace is retrievable by op filter and carries the request's ID.
 	var out dbgBody
@@ -156,22 +147,86 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceRejectsMalformedRequestID(t *testing.T) {
-	ts, _, _ := newDurableServer(t)
-	req, err := http.NewRequest("GET", ts.URL+"/search?q=panel", nil)
+// postRecord creates sampleRecord(id) as dr-house, sending requestID as
+// X-Request-ID unless it is "", and returns the response's X-Request-ID.
+func postRecord(t *testing.T, ts *httptest.Server, id, requestID string) string {
+	t.Helper()
+	body, _ := json.Marshal(sampleRecord(id))
+	req, err := http.NewRequest("POST", ts.URL+"/records", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set(actorHeader, "dr-house")
-	req.Header.Set("X-Request-ID", "bad id with spaces")
+	if requestID != "" {
+		req.Header.Set("X-Request-ID", requestID)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	got := resp.Header.Get("X-Request-ID")
-	if got == "" || got == "bad id with spaces" || !obs.ValidTraceID(got) {
-		t.Errorf("malformed request ID should be replaced with a generated one, got %q", got)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d", resp.StatusCode)
+	}
+	return resp.Header.Get("X-Request-ID")
+}
+
+// TestServerMintsEveryTraceID: the server never adopts a client's
+// X-Request-ID. A client that sends an MRN as its request ID gets a minted
+// ID back, and the MRN reaches neither the debug planes (/debug/flight,
+// /debug/traces, /metrics) nor the medium (the shard's flight segments, the
+// audit events' trace field).
+func TestServerMintsEveryTraceID(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, _ := newDurableServerAt(t, dir)
+	const phi = "mrn-000123"
+	id := postRecord(t, ts, "p-minted", phi)
+	if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+		t.Errorf("X-Request-ID = %q, want a minted 16-hex-char ID", id)
+	}
+
+	for _, path := range []string{"/debug/flight", "/debug/traces", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(phi)) {
+			t.Errorf("%s serves the client's request ID", path)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "flight", "*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no flight segment under %s (%v)", dir, err)
+	}
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(phi)) {
+			t.Errorf("flight segment %s holds the client's request ID", filepath.Base(seg))
+		}
+	}
+	var events []auditEventPayload
+	if code := do(t, ts, "GET", "/audit?record=p-minted", "officer-kim", nil, &events); code != 200 {
+		t.Fatalf("audit query = %d", code)
+	}
+	var stamped int
+	for _, e := range events {
+		if e.Trace == phi {
+			t.Errorf("audit event %d names the client's request ID", e.Seq)
+		}
+		if e.Trace == id {
+			stamped++
+		}
+	}
+	if stamped == 0 {
+		t.Errorf("no audit entry stamped with the minted trace %q: %+v", id, events)
 	}
 }
 

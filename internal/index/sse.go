@@ -2,13 +2,11 @@ package index
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -240,42 +238,6 @@ func intersectSorted(lists [][]uint32) []uint32 {
 		out = out[:n]
 	}
 	return out
-}
-
-// AddCtx is Add recording an "index.add" span on the trace carried by ctx.
-func (s *SSE) AddCtx(ctx context.Context, id, text string) {
-	_, sp := obs.StartSpan(ctx, "index.add")
-	s.Add(id, text)
-	sp.End(nil)
-}
-
-// SearchCtx is Search recording an "index.search" span. The keyword is
-// deliberately NOT attached to the span: traces are an unauthenticated debug
-// surface, and query terms are PHI-adjacent exactly like the SSE threat
-// model says.
-func (s *SSE) SearchCtx(ctx context.Context, keyword string) []string {
-	_, sp := obs.StartSpan(ctx, "index.search")
-	out := s.Search(keyword)
-	sp.SetAttr("hits", strconv.Itoa(len(out)))
-	sp.End(nil)
-	return out
-}
-
-// SearchAllCtx is SearchAll recording an "index.search" span.
-func (s *SSE) SearchAllCtx(ctx context.Context, keywords ...string) []string {
-	_, sp := obs.StartSpan(ctx, "index.search")
-	sp.SetAttr("keywords", strconv.Itoa(len(keywords)))
-	out := s.SearchAll(keywords...)
-	sp.SetAttr("hits", strconv.Itoa(len(out)))
-	sp.End(nil)
-	return out
-}
-
-// RemoveCtx is Remove recording an "index.remove" span.
-func (s *SSE) RemoveCtx(ctx context.Context, id string) {
-	_, sp := obs.StartSpan(ctx, "index.remove")
-	s.Remove(id)
-	sp.End(nil)
 }
 
 // Remove implements Index. Because the document's own term list is kept,

@@ -38,7 +38,8 @@ import (
 // X-MedVault-Actor contract.
 const ActorHeader = "X-MedVault-Actor"
 
-// RequestIDHeader carries the trace ID the server adopts and echoes.
+// RequestIDHeader carries the trace ID the server mints for a request and
+// echoes on the response; the server ignores it on requests.
 const RequestIDHeader = "X-Request-ID"
 
 // maxResponseBytes bounds how much of a response body the client buffers.

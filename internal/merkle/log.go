@@ -1,10 +1,8 @@
 package merkle
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"time"
 
 	"medvault/internal/frame"
@@ -71,27 +69,6 @@ var metLeaves = obs.Default.Counter("medvault_merkle_leaves_total",
 func (l *Log) Append(data []byte) uint64 {
 	metLeaves.Inc()
 	return l.tree.Append(data)
-}
-
-// AppendCtx is Append recording a "merkle.append" span on the trace carried
-// by ctx. The append itself is in-memory hashing; the span exists so the
-// commitment step shows up in a request's mechanism breakdown next to the
-// I/O it is sequenced with.
-func (l *Log) AppendCtx(ctx context.Context, data []byte) uint64 {
-	_, sp := obs.StartSpan(ctx, "merkle.append")
-	idx := l.Append(data)
-	sp.SetAttr("leaf", strconv.FormatUint(idx, 10))
-	sp.End(nil)
-	return idx
-}
-
-// ProveInclusionCtx is ProveInclusion recording a "merkle.prove" span.
-func (l *Log) ProveInclusionCtx(ctx context.Context, index uint64) (Proof, uint64, error) {
-	_, sp := obs.StartSpan(ctx, "merkle.prove")
-	sp.SetAttr("leaf", strconv.FormatUint(index, 10))
-	p, size, err := l.ProveInclusion(index)
-	sp.End(err)
-	return p, size, err
 }
 
 // Size returns the number of committed leaves.

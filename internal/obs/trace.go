@@ -1,9 +1,9 @@
 // Request-scoped tracing. Where the metrics registry answers "what does each
 // mechanism cost in aggregate?", a trace answers "where did THIS operation's
 // time go": every vault operation carries a Trace through context.Context,
-// and each compliance mechanism it crosses — crypto seal/open, index
-// update/search, WAL enqueue/commit, blockstore I/O, Merkle append/proof,
-// audit append — records a Span. The trace ID is stamped into the operation's
+// and core records a Span for each compliance mechanism it crosses — crypto
+// seal/open, key store, index update/search, WAL enqueue/commit, Merkle
+// append/proof, audit append. The trace ID is stamped into the operation's
 // tamper-evident audit entry, so the compliance record and the performance
 // record reference each other: a reviewer goes from "who touched record X"
 // to "what the system did, step by step, and how long each step took".
@@ -35,10 +35,9 @@ import (
 // Default tracing policy: the most recent fast traces and the most recent
 // slow ones, in bounded memory.
 const (
-	DefaultTraceCapacity  = 512
-	DefaultSlowCapacity   = 128
-	DefaultSlowThreshold  = 25 * time.Millisecond
-	maxAcceptedTraceIDLen = 64
+	DefaultTraceCapacity = 512
+	DefaultSlowCapacity  = 128
+	DefaultSlowThreshold = 25 * time.Millisecond
 )
 
 // Span is one step of a traced operation: a named, timed interval with
@@ -120,8 +119,8 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // metrics: the HTTP layer starts traces here and /debug/traces reads them.
 var DefaultTracer = NewTracer(TracerConfig{})
 
-// NewTraceID returns a fresh 16-hex-char trace ID.
-func NewTraceID() string {
+// newTraceID returns a fresh 16-hex-char trace ID.
+func newTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// Entropy exhaustion is effectively fatal elsewhere (key generation);
@@ -131,32 +130,14 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ValidTraceID reports whether a caller-supplied ID (e.g. an X-Request-ID
-// header) is safe to adopt: bounded length, printable, no separators that
-// could corrupt logs or headers.
-func ValidTraceID(id string) bool {
-	if id == "" || len(id) > maxAcceptedTraceIDLen {
-		return false
-	}
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case r == '-' || r == '_' || r == '.':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Start begins a trace for op, adopting id if it is valid and generating one
-// otherwise, and returns a context carrying the trace for StartSpan calls
-// below. The caller must pass the trace to Finish exactly once.
+// Start begins a trace for op under a freshly minted ID and returns a
+// context carrying the trace for StartSpan calls below. The caller must pass
+// the trace to Finish exactly once. id is not read: the ID reaches the audit
+// log, the flight segments, /debug/traces and the /metrics exemplars, so no
+// caller-chosen string — a client's request ID may well be an MRN — is ever
+// adopted as one.
 func (t *Tracer) Start(ctx context.Context, op, id string) (context.Context, *Trace) {
-	if !ValidTraceID(id) {
-		id = NewTraceID()
-	}
-	tr := &Trace{ID: id, Op: op, Start: time.Now()}
+	tr := &Trace{ID: newTraceID(), Op: op, Start: time.Now()}
 	t.started.Add(1)
 	return context.WithValue(ctx, ctxKey{}, &ctxVal{tr: tr}), tr
 }
@@ -239,8 +220,8 @@ func TraceFrom(ctx context.Context) *Trace {
 	return nil
 }
 
-// TraceID returns the trace ID carried by ctx, or "" when untraced. Audit
-// uses it to stamp events; the HTTP layer echoes it as X-Request-ID.
+// TraceID returns the trace ID carried by ctx, or "" when untraced. Core
+// stamps it into audit events; the HTTP layer echoes it as X-Request-ID.
 func TraceID(ctx context.Context) string {
 	if tr := TraceFrom(ctx); tr != nil {
 		return tr.ID

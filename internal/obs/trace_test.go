@@ -10,34 +10,20 @@ import (
 	"time"
 )
 
-func TestTraceIDAdoptionAndGeneration(t *testing.T) {
+// TestTraceIDsAreMinted: every trace gets a fresh 16-hex-char ID, whatever
+// the caller passes as id.
+func TestTraceIDsAreMinted(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
-	_, a := tr.Start(context.Background(), "op", "caller-supplied-1")
-	if a.ID != "caller-supplied-1" {
-		t.Errorf("valid caller ID not adopted: %q", a.ID)
-	}
-	_, b := tr.Start(context.Background(), "op", "bad id with spaces")
-	if b.ID == "bad id with spaces" || b.ID == "" {
-		t.Errorf("invalid caller ID should be replaced, got %q", b.ID)
-	}
-	_, c := tr.Start(context.Background(), "op", "")
-	if c.ID == "" {
-		t.Error("empty caller ID should generate one")
-	}
-}
-
-func TestValidTraceID(t *testing.T) {
-	good := []string{"a", "req-1", "A.b_c-9", strings.Repeat("x", 64)}
-	for _, id := range good {
-		if !ValidTraceID(id) {
-			t.Errorf("ValidTraceID(%q) = false, want true", id)
+	seen := map[string]bool{}
+	for _, id := range []string{"", "caller-supplied-1", "mrn-000123", "bad id with spaces"} {
+		_, got := tr.Start(context.Background(), "op", id)
+		if len(got.ID) != 16 || strings.Trim(got.ID, "0123456789abcdef") != "" {
+			t.Errorf("Start(%q) minted %q, want 16 hex chars", id, got.ID)
 		}
-	}
-	bad := []string{"", "has space", "new\nline", "héllo", strings.Repeat("x", 65), "semi;colon"}
-	for _, id := range bad {
-		if ValidTraceID(id) {
-			t.Errorf("ValidTraceID(%q) = true, want false", id)
+		if seen[got.ID] {
+			t.Errorf("Start(%q) reused ID %q", id, got.ID)
 		}
+		seen[got.ID] = true
 	}
 }
 

@@ -40,15 +40,16 @@ type WatchdogConfig struct {
 	// streak (not every tick) — medvaultd hooks postmortem capture here.
 	OnAnomaly func(Anomaly)
 
-	WALQueueMax float64       // queue depth above this is an anomaly (default 1024)
-	FsyncStall  time.Duration // any fsync slower than this since the last tick (default 1s)
-	ReplLagMax  float64       // captured ops not shipped to the follower above this (default 256)
-	OpAgeMax    time.Duration // oldest in-flight op above this (default 30s)
+	FsyncStall time.Duration // any fsync slower than this since the last tick (default 1s)
 }
 
-// goroutineMax is the goroutine count above which the watchdog reports an
-// anomaly.
-const goroutineMax = 20000
+// The watchdog's fixed thresholds: a signal above one is an anomaly.
+const (
+	walQueueMax  = 1024             // WAL commit queue depth
+	replLagMax   = 256              // captured ops not yet shipped to the follower
+	opAgeMax     = 30 * time.Second // age of the oldest in-flight op
+	goroutineMax = 20000            // goroutines in the process
+)
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.Interval <= 0 {
@@ -60,17 +61,8 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.Flight == nil {
 		c.Flight = DefaultFlight
 	}
-	if c.WALQueueMax <= 0 {
-		c.WALQueueMax = 1024
-	}
 	if c.FsyncStall <= 0 {
 		c.FsyncStall = time.Second
-	}
-	if c.ReplLagMax <= 0 {
-		c.ReplLagMax = 256
-	}
-	if c.OpAgeMax <= 0 {
-		c.OpAgeMax = 30 * time.Second
 	}
 	return c
 }
@@ -207,22 +199,22 @@ func (w *Watchdog) Tick() []Anomaly {
 	if v, ok := famTotal(snap, "medvault_wal_wedged"); ok && v > 0 {
 		add("wal_wedge", "a WAL in this process has wedged; durable commits are failing")
 	}
-	if v, ok := famTotal(snap, "medvault_wal_queue_depth"); ok && v > w.cfg.WALQueueMax {
-		add("wal_queue", fmt.Sprintf("WAL commit queue depth %.0f exceeds %.0f", v, w.cfg.WALQueueMax))
+	if v, ok := famTotal(snap, "medvault_wal_queue_depth"); ok && v > walQueueMax {
+		add("wal_queue", fmt.Sprintf("WAL commit queue depth %.0f exceeds %d", v, walQueueMax))
 	}
 	slow := w.slowFsyncCount(snap)
 	if prev := w.prevSlow(slow); slow > prev {
 		add("fsync_stall", fmt.Sprintf("%d fsync(s) slower than %s since last tick", slow-prev, w.cfg.FsyncStall))
 	}
-	if v, ok := famTotal(snap, "medvault_repl_lag_frames"); ok && v > w.cfg.ReplLagMax {
-		add("repl_lag", fmt.Sprintf("replication lag %.0f frames exceeds %.0f", v, w.cfg.ReplLagMax))
+	if v, ok := famTotal(snap, "medvault_repl_lag_frames"); ok && v > replLagMax {
+		add("repl_lag", fmt.Sprintf("replication lag %.0f frames exceeds %d", v, replLagMax))
 	}
 	fence, _ := famTotal(snap, "medvault_repl_fence_rejections_total")
 	if prev := w.prevFence(fence); fence > prev {
 		add("fence_rejection", fmt.Sprintf("%.0f epoch fence rejection(s) since last tick — a fenced-out primary is still writing", fence-prev))
 	}
-	if age := ActiveOps.Oldest(); age > w.cfg.OpAgeMax {
-		add("op_stall", fmt.Sprintf("oldest in-flight op running %s, threshold %s", age.Round(time.Millisecond), w.cfg.OpAgeMax))
+	if age := ActiveOps.Oldest(); age > opAgeMax {
+		add("op_stall", fmt.Sprintf("oldest in-flight op running %s, threshold %s", age.Round(time.Millisecond), opAgeMax))
 	}
 	if n := runtime.NumGoroutine(); n > goroutineMax {
 		add("goroutines", fmt.Sprintf("%d goroutines exceed %d", n, goroutineMax))

@@ -127,13 +127,12 @@ func TestWatchdogStreaksAndCallback(t *testing.T) {
 
 func TestWatchdogOpStall(t *testing.T) {
 	w, _, _ := testWatchdog(t)
-	w.cfg.OpAgeMax = time.Nanosecond
 	slot := ActiveOps.Begin()
 	if slot < 0 {
 		t.Skip("tracker saturated")
 	}
 	defer ActiveOps.End(slot)
-	time.Sleep(time.Millisecond)
+	ActiveOps.slots[slot].Store(time.Now().Add(-2 * opAgeMax).UnixNano()) // backdate the op past the threshold
 	if anoms := w.Tick(); !hasKind(anoms, "op_stall") {
 		t.Fatalf("op stall not detected: %+v", anoms)
 	}

@@ -164,7 +164,7 @@ func (c *Capture) StartAntiEntropy(interval time.Duration) {
 // antiEntropyRound runs one handshake under the op freeze, with a trace
 // recording the round and its outcome.
 func (c *Capture) antiEntropyRound() (err error) {
-	_, tr := obs.DefaultTracer.Start(context.Background(), "repl.anti_entropy", obs.NewTraceID())
+	_, tr := obs.DefaultTracer.Start(context.Background(), "repl.anti_entropy", "")
 	defer func() { obs.DefaultTracer.Finish(tr, err) }()
 
 	c.mu.Lock()

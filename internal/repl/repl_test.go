@@ -526,7 +526,8 @@ func TestDegradedModeContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe.KillAtFrame(pipe.OpFrames(), KillSend) // link dies at the next frame
-	const writes = 5
+	// One past the watchdog's lag threshold (obs replLagMax, 256).
+	const writes = 257
 	for i := 0; i < writes; i++ {
 		if _, err := v.PutCtx(context.Background(), "dr-house", testRecord(fmt.Sprintf("during-%d", i), 1)); err != nil {
 			t.Fatalf("degraded primary must keep serving writes: %v", err)
@@ -538,7 +539,7 @@ func TestDegradedModeContinues(t *testing.T) {
 	if lag := mLagFrames.Value(); lag < writes {
 		t.Fatalf("lag gauge %v after %d unreplicated writes", lag, writes)
 	}
-	wd := obs.NewWatchdog(obs.WatchdogConfig{Interval: time.Hour, Flight: obs.NewFlight(8), ReplLagMax: writes - 1})
+	wd := obs.NewWatchdog(obs.WatchdogConfig{Interval: time.Hour, Flight: obs.NewFlight(8)})
 	raised := false
 	for _, a := range wd.Tick() {
 		raised = raised || a.Kind == "repl_lag"

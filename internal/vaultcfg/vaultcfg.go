@@ -107,14 +107,13 @@ func OpenWith(dir, name string, master vcrypto.Key, opt Options) (*core.Cluster,
 		return nil, err
 	}
 	v, err := core.Open(core.Config{
-		Name:                    name,
-		Master:                  master,
-		Dir:                     dir,
-		Shards:                  opt.Shards,
-		FS:                      opt.FS,
-		AuditCheckpointInterval: 1000,
-		DEKCacheEntries:         opt.DEKCacheEntries,
-		BlockCacheBytes:         opt.BlockCacheBytes,
+		Name:            name,
+		Master:          master,
+		Dir:             dir,
+		Shards:          opt.Shards,
+		FS:              opt.FS,
+		DEKCacheEntries: opt.DEKCacheEntries,
+		BlockCacheBytes: opt.BlockCacheBytes,
 	})
 	if err != nil {
 		return nil, err

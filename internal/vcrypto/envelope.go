@@ -1,12 +1,10 @@
 package vcrypto
 
 import (
-	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
-	"strconv"
 	"time"
 
 	"medvault/internal/obs"
@@ -59,26 +57,6 @@ func Open(key Key, blob, aad []byte) ([]byte, error) {
 		return nil, ErrDecrypt
 	}
 	return pt, nil
-}
-
-// SealCtx is Seal recording a "crypto.seal" span on the trace carried by
-// ctx (no-op on an untraced context). The span and the seal histogram time
-// the same interval, so traces and /metrics agree.
-func SealCtx(ctx context.Context, key Key, plaintext, aad []byte) ([]byte, error) {
-	_, sp := obs.StartSpan(ctx, "crypto.seal")
-	sp.SetAttr("plaintext_bytes", strconv.Itoa(len(plaintext)))
-	ct, err := Seal(key, plaintext, aad)
-	sp.End(err)
-	return ct, err
-}
-
-// OpenCtx is Open recording a "crypto.open" span on the trace carried by ctx.
-func OpenCtx(ctx context.Context, key Key, blob, aad []byte) ([]byte, error) {
-	_, sp := obs.StartSpan(ctx, "crypto.open")
-	sp.SetAttr("ciphertext_bytes", strconv.Itoa(len(blob)))
-	pt, err := Open(key, blob, aad)
-	sp.End(err)
-	return pt, err
 }
 
 // Overhead is the number of bytes Seal adds to a plaintext

@@ -15,13 +15,11 @@
 package wal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -284,25 +282,6 @@ func (l *Log) Append(data []byte) (uint64, error) {
 		return 0, err
 	}
 	return seq, nil
-}
-
-// EnqueueCtx is Enqueue recording trace spans: a "wal.enqueue" span around
-// the staging call, and a "wal.commit" span inside the returned wait — the
-// interval from enqueue to the fsync that made the batch durable, which is
-// the durability tax the group commit amortizes across concurrent writers.
-func (l *Log) EnqueueCtx(ctx context.Context, data []byte) (uint64, int64, func() error) {
-	_, es := obs.StartSpan(ctx, "wal.enqueue")
-	es.SetAttr("bytes", strconv.Itoa(len(data)))
-	seq, off, wait := l.Enqueue(data)
-	es.SetAttr("seq", strconv.FormatUint(seq, 10))
-	es.End(nil)
-	return seq, off, func() error {
-		_, cs := obs.StartSpan(ctx, "wal.commit")
-		cs.SetAttr("seq", strconv.FormatUint(seq, 10))
-		err := wait()
-		cs.End(err)
-		return err
-	}
 }
 
 // Wedged returns the fatal error that wedged the log, or nil. A wedged log

@@ -44,6 +44,17 @@ check "One op envelope: no gate admission, observeOp or core.<op> span outside i
 check "One op envelope: httpapi and sim name outcomes by core.Outcome's label, never by sentinel" \
 	"$(grep -rnE '(core|retention)\.Err[A-Za-z]+' internal/httpapi internal/sim --include='*.go' | grep -v '_test\.go:')"
 
+# Core decides which mechanisms are traced, under what span names and
+# attributes, and which trace an audit event names: the leaf packages have one
+# spelling per operation (the key store's GetCtx keeps its cache verdict), and
+# every core audit append goes through appendAudit. The server mints every
+# trace ID, so httpapi never reads a request's X-Request-ID.
+leaves=$(ls internal/wal/*.go internal/merkle/*.go internal/audit/*.go internal/index/*.go internal/vcrypto/envelope.go | grep -v '_test\.go$')
+check "Tracing is decided in core: no obs.StartSpan, obs.TraceID or exported ...Ctx func in wal, merkle, audit, index or vcrypto/envelope.go; core appends audit events only in appendAudit; httpapi reads no X-Request-ID" \
+	"$(grep -nE 'obs\.(StartSpan|TraceID)\(|^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Ctx\(' $leaves
+	awk '/^func /{fn=$0} /\.aud\.Append(All)?\(/ && fn !~ /^func \(v \*Vault\) appendAudit\(/ {print FILENAME ":" FNR ": " $0}' $(ls internal/core/*.go | grep -v '_test\.go$')
+	grep -rnE '\.Header(\.(Get|Values)\(|\[).*(requestIDHeader|X-Request-I[Dd])' internal/httpapi --include='*.go' | grep -v '_test\.go:')"
+
 # Every transport is a net.Conn under the one repl.Session: frames are read
 # and validated only by readFrame, and a shipped op's ack is the barrier.
 repl=$(ls internal/repl/*.go | grep -v '_test\.go$')
