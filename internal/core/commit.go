@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"medvault/internal/blockstore"
@@ -20,42 +19,34 @@ import (
 // which logs it and calls apply; recovery is loadSnapshot plus replay, which
 // calls the same apply. Nothing else mutates that state (CI greps for it).
 
-// commit makes e durable and then applies it. It is the only holder of
-// commitMu: the WAL enqueue and, for a version, the Merkle append happen
-// under the sequencer so WAL order equals leaf order (see locks.go); the
-// fsync wait happens outside it. rec is the plaintext of a 'V' entry, whose
-// Ref becomes the entry's place in meta.wal. The caller holds the record's
+// commit makes e durable and then applies it. The WAL sequences every
+// commit: a version's leaf joins the Merkle log in the entry's durable hook,
+// so leaf order is WAL order and no head ever covers a version a crash can
+// lose (see locks.go). rec is the plaintext of a 'V' entry, whose Ref
+// becomes the entry's place in meta.wal. The caller holds the record's
 // stripe exclusively.
 func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	data := e.encode()
-	v.commitMu.Lock()
+	var durable func()
+	if e.kind == 'V' {
+		durable = func() { v.appendLeaf(ctx, e) }
+	}
 	_, es := obs.StartSpan(ctx, "wal.enqueue")
-	es.SetAttr("bytes", strconv.Itoa(len(data)))
-	seq, off, wait := v.metaWAL.Enqueue(data)
-	es.SetAttr("seq", strconv.FormatUint(seq, 10))
+	es.SetUint("bytes", uint64(len(data)))
+	seq, off, wait := v.metaWAL.Enqueue(data, durable)
+	es.SetUint("seq", seq)
 	es.End(nil)
 	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
 	if e.kind == 'V' {
 		e.ver.Ref = e.at
-		v.appendLeaf(ctx, e)
 	}
-	v.commitMu.Unlock()
 	// wal.commit spans the wait for the fsync that made the batch durable:
 	// the durability tax group commit amortizes across concurrent writers.
 	_, cs := obs.StartSpan(ctx, "wal.commit")
-	cs.SetAttr("seq", strconv.FormatUint(seq, 10))
+	cs.SetUint("seq", seq)
 	err := wait()
 	cs.End(err)
 	if err != nil {
-		// The WAL has wedged, so no entry from this one on becomes durable:
-		// the version's leaf, and any after it, leave the live log, and no
-		// head vouches for a version a restart would not recover.
-		if e.kind == 'V' {
-			v.commitMu.Lock()
-			v.log.Tree().Truncate(e.ver.LeafIndex)
-			v.leafSeq.Store(v.log.Size())
-			v.commitMu.Unlock()
-		}
 		return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
 	}
 	return v.apply(ctx, e, rec)
@@ -65,9 +56,8 @@ func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error 
 func (v *Vault) appendLeaf(ctx context.Context, e *walEntry) {
 	_, sp := obs.StartSpan(ctx, "merkle.append")
 	e.ver.LeafIndex = v.log.Append(leafData(e.id, e.ver.Number, e.ver.CtHash))
-	sp.SetAttr("leaf", strconv.FormatUint(e.ver.LeafIndex, 10))
+	sp.SetUint("leaf", e.ver.LeafIndex)
 	sp.End(nil)
-	v.leafSeq.Add(1)
 }
 
 // replay applies one logged entry during recovery. A version whose

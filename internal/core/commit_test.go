@@ -14,6 +14,7 @@ import (
 
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/merkle"
 )
 
 // oneShot is an injector that fails the first operation hit matches after
@@ -126,6 +127,63 @@ func TestFailedWriteLeavesNoKey(t *testing.T) {
 				re.Close()
 			}
 		})
+	}
+}
+
+// TestSignedHeadCoversOnlyDurableVersions: a tree head signed while a put's
+// meta.wal fsync is in flight vouches only for durable versions, so the vault
+// a power cut leaves still extends it. When the leaf joined the Merkle log
+// ahead of the fsync, the head covered 2 versions where 1 was durable, and
+// after the cut and one more put VerifyAll found equal sizes with different
+// roots.
+func TestSignedHeadCoversOnlyDurableVersions(t *testing.T) {
+	ctx := context.Background()
+	mem := faultfs.NewMem()
+	var hold atomic.Bool
+	inSync, release := make(chan struct{}), make(chan struct{})
+	v, vc, err := openTorture(faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if underWAL(faultfs.OpSync)(op) && hold.CompareAndSwap(true, false) {
+			close(inSync)
+			<-release // the power cut lands while the fsync is held
+			return &faultfs.Fault{Crash: true}
+		}
+		return nil
+	}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.PutCtx(ctx, "dr-house", tortureRecord("durable", 1, vc.Now())); err != nil {
+		t.Fatal(err)
+	}
+	hold.Store(true)
+	put := make(chan error, 1)
+	go func() {
+		_, err := v.PutCtx(ctx, "dr-house", tortureRecord("lost", 1, vc.Now()))
+		put <- err
+	}()
+	<-inSync
+	head := v.Heads()[0]
+	img := mem.CrashImage(faultfs.KeepNone)
+	close(release)
+	if err := <-put; err == nil {
+		t.Fatal("a put whose fsync the power cut took succeeded")
+	}
+	_ = v.Close()
+
+	re, vc, err := openTorture(img, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := re.PutCtx(ctx, "dr-house", tortureRecord("after", 1, vc.Now())); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := re.VerifyAll([]merkle.SignedTreeHead{head}, nil)
+	if err != nil {
+		t.Fatalf("head of size %d signed during the fsync: %v", head.Size, err)
+	}
+	if head.Size != 1 || rep.HeadsChecked != 1 {
+		t.Errorf("head signed during the fsync covers %d versions (%d heads checked), want 1", head.Size, rep.HeadsChecked)
 	}
 }
 

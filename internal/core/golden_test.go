@@ -538,6 +538,11 @@ func TestGoldenMetaSnapshot(t *testing.T) {
 			!s.holds[0].Placed.Equal(kept.versions[1].Timestamp) {
 			t.Errorf("%s holds decoded as %+v", name, s.holds)
 		}
+		// leafSeq is the leaf count, written from the Merkle log's size.
+		s.leafSeq++
+		if _, err := decodeSnapshot(s.encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s with leafSeq past its leaf count: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -20,14 +20,6 @@ import (
 //	         record's stripe exclusively; reads (Get/GetVersion/History/
 //	         Export/proofs) hold it shared. Operations on records in
 //	         different stripes run fully in parallel.
-//	commitMu the commit sequencer: taken only by Vault.commit (commit.go),
-//	         around {WAL enqueue of one entry, Merkle append of a version's
-//	         leaf}, so the WAL's entry order always equals the commitment
-//	         log's leaf order — recovery replays leaves in WAL order, so a
-//	         divergence would break every inclusion proof after a restart.
-//	         Every entry kind passes through it, so holding it is standing at
-//	         an entry boundary. The fsync wait and apply happen after release;
-//	         sealing and blockstore appends are outside it entirely.
 //	leaves   component locks inside blockstore/audit/merkle/index/keystore/
 //	         retention/authz/provenance, plus regMu guarding the records
 //	         slice. All are acquired last and never held across a call into
@@ -38,9 +30,14 @@ import (
 //	         which look a number up while holding their own lock, and
 //	         nothing is acquired while holding it.
 //
-// Lock order: gate → stripe → commitMu → leaf locks → recno. Nothing acquires
-// a stripe while holding commitMu or a leaf lock, nothing acquires two
-// stripes at once, and regMu is held across nothing but a recno lookup.
+// Lock order: gate → stripe → leaf locks → recno. Nothing acquires a stripe
+// while holding a leaf lock, nothing acquires two stripes at once, and regMu
+// is held across nothing but a recno lookup.
+//
+// No lock orders commits: meta.wal does. A version's Merkle append is its WAL
+// entry's durable hook, run in sequence order once the entry is fsynced, so
+// leaf order is WAL order, the order recovery replays leaves in, and no
+// signed head covers a version a crash can lose.
 const numStripes = 64
 
 // opGate admits operations while the vault is open and lets exclusive

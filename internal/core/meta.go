@@ -368,6 +368,9 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	if s.leaves, err = merkle.DecodeHashes(leafBytes); err != nil {
 		return nil, fmt.Errorf("core: restoring commitment log: %w", err)
 	}
+	if s.leafSeq != uint64(len(s.leaves)) {
+		return nil, fmt.Errorf("%w: snapshot's leafSeq %d is not its leaf count %d", ErrCorrupt, s.leafSeq, len(s.leaves))
+	}
 	return s, nil
 }
 
@@ -376,7 +379,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 // mutating any record while the snapshot walks the registry.
 func (v *Vault) writeSnapshotLocked() error {
 	s := snapshot{
-		leafSeq:  v.leafSeq.Load(),
+		leafSeq:  v.log.Size(),
 		keystore: v.keys.Snapshot(),
 		leaves:   v.log.Tree().LeafHashes(),
 	}
@@ -425,7 +428,6 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 	if err != nil {
 		return err
 	}
-	v.leafSeq.Store(s.leafSeq)
 	for _, rec := range s.records {
 		st := &recordState{
 			mrn:       rec.mrn,

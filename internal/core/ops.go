@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -141,7 +140,7 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool) (Version, error) {
 	pt := ehr.Encode(rec)
 	_, sp := obs.StartSpan(ctx, "crypto.seal")
-	sp.SetAttr("plaintext_bytes", strconv.Itoa(len(pt)))
+	sp.SetUint("plaintext_bytes", uint64(len(pt)))
 	ct, err := vcrypto.Seal(dek, pt, sealAAD(rec.ID, number))
 	sp.End(err)
 	if err != nil {
@@ -244,7 +243,7 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 	}
 	obs.CountWork(obs.WorkDecrypt)
 	_, sp := obs.StartSpan(ctx, "crypto.open")
-	sp.SetAttr("ciphertext_bytes", strconv.Itoa(len(ct)))
+	sp.SetUint("ciphertext_bytes", uint64(len(ct)))
 	pt, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number))
 	sp.End(err)
 	if err != nil {
@@ -432,7 +431,7 @@ func (v *Vault) SearchCtx(ctx context.Context, actor, keyword string) ([]string,
 // as Search.
 func (v *Vault) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
 	return v.search(ctx, actor, func(sp *obs.Span) []string {
-		sp.SetAttr("keywords", strconv.Itoa(len(keywords)))
+		sp.SetUint("keywords", uint64(len(keywords)))
 		return v.idx.SearchAll(keywords...)
 	})
 }
@@ -452,7 +451,7 @@ func (v *Vault) search(ctx context.Context, actor string, find func(*obs.Span) [
 	}
 	_, sp := obs.StartSpan(ctx, "index.search")
 	hits := find(sp)
-	sp.SetAttr("hits", strconv.Itoa(len(hits)))
+	sp.SetUint("hits", uint64(len(hits)))
 	sp.End(nil)
 	return v.readable(actor, hits), nil
 }

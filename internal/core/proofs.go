@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"medvault/internal/audit"
 	"medvault/internal/authz"
@@ -61,7 +60,7 @@ func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number ui
 		return VersionProof{}, err
 	}
 	_, sp := obs.StartSpan(ctx, "merkle.prove")
-	sp.SetAttr("leaf", strconv.FormatUint(target.LeafIndex, 10))
+	sp.SetUint("leaf", target.LeafIndex)
 	proof, size, err := v.log.ProveInclusion(target.LeafIndex)
 	sp.End(err)
 	if err != nil {

@@ -62,7 +62,7 @@ func TestSpanTree(t *testing.T) {
 
 	// Every operation's first child is its access decision's audit append.
 	const (
-		version = "[audit.append crypto.seal(plaintext_bytes) wal.enqueue(bytes,seq) merkle.append(leaf) wal.commit(seq) index.add]"
+		version = "[audit.append crypto.seal(plaintext_bytes) wal.enqueue(bytes,seq) wal.commit(seq) merkle.append(leaf) index.add]"
 		logged  = "audit.append wal.enqueue(bytes,seq) wal.commit(seq)"
 		read    = "[audit.append core.read_version(block_cache=%s)[keystore.get(dek_cache=%s) crypto.open(ciphertext_bytes)]]"
 	)
@@ -158,4 +158,42 @@ func TestSpanTree(t *testing.T) {
 		}
 	}
 	c.Close()
+}
+
+// TestUntracedOpsFormatNoAttributes: an operation without a trace formats no
+// span attribute, since its spans are nil. Past 300 puts a WAL sequence number
+// and a Merkle leaf index exceed 99, where strconv starts to allocate, so a
+// correction would pay five allocations for attributes nobody records and a
+// get one. The counts are pinned as ceilings: a new allocation on either path
+// must be a deliberate change to this test.
+func TestUntracedOpsFormatNoAttributes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	v, _ := newVault(t)
+	ctx := context.Background()
+	const runs = 50
+	recs := clinicalRecords(t, 7, 300+runs+1)
+	for _, r := range recs {
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := testing.AllocsPerRun(runs, func() {
+		if _, _, err := v.GetCtx(ctx, "dr-house", recs[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	next := recs[300:]
+	correct := testing.AllocsPerRun(runs, func() {
+		r := next[0]
+		next = next[1:]
+		r.Body += " (amended)"
+		if _, err := v.CorrectCtx(ctx, "dr-house", r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if get > 29 || correct > 86 {
+		t.Errorf("untraced get: %.0f allocations, want at most 29; untraced correct: %.0f, want at most 86", get, correct)
+	}
 }

@@ -239,12 +239,11 @@ type Config struct {
 // the records ShardOf routes to it. Callers reach it through Cluster;
 // Cluster.Shard hands out the shard itself to harnesses that must address
 // one shard's audit chain or tree head. Locking follows the discipline
-// documented in locks.go: gate → stripe → commitMu → leaf locks.
+// documented in locks.go: gate → stripe → leaf locks.
 type Vault struct {
-	gate     opGate       // open/close lifecycle; ops hold it shared
-	stripes  lockStripes  // per-record serialization
-	commitMu sync.Mutex   // sequences {WAL enqueue, Merkle append} pairs
-	regMu    sync.RWMutex // guards the records slice itself (a leaf lock)
+	gate    opGate       // open/close lifecycle; ops hold it shared
+	stripes lockStripes  // per-record serialization
+	regMu   sync.RWMutex // guards the records slice itself (a leaf lock)
 
 	name   string
 	clk    clock.Clock
@@ -266,7 +265,6 @@ type Vault struct {
 	recs     *recno.Table
 	names    *recno.Table
 	records  []*recordState // record number -> state; nil: no record holds it
-	leafSeq  atomic.Uint64  // total versions committed (== Merkle log size)
 	inline   atomic.Int64   // ciphertext bytes still inline in meta.wal
 	metaWAL  *wal.Log
 	dir      string

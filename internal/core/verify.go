@@ -73,7 +73,7 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	for _, r := range records {
 		totalVersions += r.st.count()
 	}
-	if totalVersions != size || v.leafSeq.Load() != size {
+	if totalVersions != size {
 		return fail(fmt.Errorf("%w: metadata lists %d versions but commitment log has %d leaves", ErrTampered, totalVersions, size))
 	}
 

@@ -36,8 +36,9 @@
 //	GET    /debug/traces                 retained request traces (op=, min=, limit=)
 //	GET    /debug/flight                 live flight-recorder ring (op=, trace=, record=, limit=)
 //
-// Every vault route runs under a request trace: the middleware honors a
-// well-formed X-Request-ID header (or mints an ID), threads the trace
+// Every vault route runs under a request trace: the middleware mints its ID
+// (a request's own X-Request-ID header is never read, so no client-chosen
+// string reaches the audit chain or the flight plane), threads the trace
 // through the request context so each compliance mechanism records a child
 // span, echoes the ID in the X-Request-ID response header, and stamps it
 // into every audit entry the request produces. GET /debug/traces retrieves

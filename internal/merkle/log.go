@@ -80,7 +80,7 @@ func (l *Log) Tree() *Tree { return l.tree }
 // Head signs and returns the current tree head.
 func (l *Log) Head() SignedTreeHead {
 	size := l.tree.Size()
-	root := l.tree.Root()
+	root, _ := l.tree.RootAt(size) // the tree only grows, so size is in range
 	ts := l.now().UTC()
 	return SignedTreeHead{
 		Size:      size,

@@ -46,6 +46,33 @@ func TestLogHeadSignatures(t *testing.T) {
 	}
 }
 
+// TestLogHeadRootIsTheRootAtItsSize: a head signed while leaves are being
+// appended commits to the root of the tree at the size it names. A head that
+// read its size and then the root of a grown tree vouched for a pair no log
+// ever had, which every later extension check refuses.
+func TestLogHeadRootIsTheRootAtItsSize(t *testing.T) {
+	log := NewLog(testSigner(t), nil)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				log.Append([]byte(fmt.Sprintf("leaf-%d", i)))
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 500; i++ {
+		head := log.Head()
+		if root, err := log.Tree().RootAt(head.Size); err != nil || root != head.Root {
+			t.Fatalf("head %d of size %d signs a root that is not the tree's at that size (%v)", i, head.Size, err)
+		}
+	}
+}
+
 func TestLogCheckExtends(t *testing.T) {
 	s := testSigner(t)
 	log := NewLog(s, nil)

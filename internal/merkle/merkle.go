@@ -111,17 +111,6 @@ func (t *Tree) AppendLeafHash(lh Hash) uint64 {
 	return idx
 }
 
-// Truncate cuts the tree back to its first size leaves; a tree of no more
-// than size leaves is left as it is. It takes back leaves whose commitment
-// never became durable, which no head may vouch for.
-func (t *Tree) Truncate(size uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for lvl, hs := range t.levels {
-		t.levels[lvl] = hs[:min(size>>lvl, uint64(len(hs)))]
-	}
-}
-
 // Root returns the root hash of the current tree. The root of an empty tree
 // is the hash of the empty string, matching RFC 6962.
 func (t *Tree) Root() Hash {

@@ -317,37 +317,6 @@ func TestLeafHashesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTruncateThenAppend: a tree cut back to m leaves and grown again with
-// other leaves is, root and proofs alike, the tree built from those leaves
-// alone; a cut to m at or past the size changes nothing.
-func TestTruncateThenAppend(t *testing.T) {
-	for n := 0; n <= 33; n++ {
-		for m := 0; m <= n+1; m++ {
-			tree := NewTree()
-			for _, l := range leafData(n) {
-				tree.Append(l)
-			}
-			tree.Truncate(uint64(m))
-			want := leafData(min(m, n))
-			for i := 0; i < 5; i++ {
-				l := []byte(fmt.Sprintf("regrown-%d", i))
-				tree.Append(l)
-				want = append(want, l)
-			}
-			if tree.Root() != naiveMTH(want) {
-				t.Fatalf("n=%d m=%d: root after the cut and regrowth differs", n, m)
-			}
-			size := uint64(len(want))
-			for i := range want {
-				p, err := tree.InclusionProof(uint64(i), size)
-				if err != nil || VerifyInclusion(want[i], uint64(i), size, p, naiveMTH(want)) != nil {
-					t.Fatalf("n=%d m=%d: leaf %d does not prove (%v)", n, m, i, err)
-				}
-			}
-		}
-	}
-}
-
 func TestEncodeDecodeHashes(t *testing.T) {
 	tree := NewTree()
 	for _, l := range leafData(9) {

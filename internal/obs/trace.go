@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -267,6 +268,13 @@ func (s *Span) SetAttr(key, value string) {
 		s.Attrs = append(s.Attrs, Label{Key: key, Value: value})
 	}
 	s.tr.mu.Unlock()
+}
+
+// SetUint is SetAttr for a number, formatted only on a live span.
+func (s *Span) SetUint(key string, n uint64) {
+	if s != nil {
+		s.SetAttr(key, strconv.FormatUint(n, 10))
+	}
 }
 
 // End closes the span, recording the elapsed time and the error, if any.

@@ -182,10 +182,18 @@ func runScenario(o TortureOpts, name string, point int, first strike, keep fault
 			fail = report(&Divergence{Index: -1, Msg: fmt.Sprintf("panic: %v", r)})
 		}
 	}()
+	// A strike on an open vault remembers each shard's head as it finds it:
+	// that head may have left the system, so recovery must extend it too.
 	struck := false
+	var e *engine
 	if inject := first.inject; inject != nil {
 		first.inject = func(op faultfs.Op) *faultfs.Fault {
 			f := inject(op)
+			if f != nil && !struck && e != nil {
+				for s := range e.heads {
+					e.heads[s] = append(e.heads[s], e.shard(s).Head())
+				}
+			}
 			struck = struck || f != nil
 			return f
 		}

@@ -74,8 +74,9 @@ type Entry struct {
 
 // waiter tracks one enqueued entry until its batch is durable.
 type waiter struct {
-	done chan struct{}
-	err  error
+	durable func() // Enqueue's hook; nil for none
+	done    chan struct{}
+	err     error
 }
 
 // Log is a single-file write-ahead log. Safe for concurrent use; concurrent
@@ -165,11 +166,11 @@ func Read(fsys faultfs.FS, path string, fn func(Entry) error) (valid, size int64
 // and a wait function. The entry is NOT durable until wait returns
 // nil; wait blocks until the batch containing the entry has been written and
 // fsynced (or fails with the batch's error). Every caller must invoke wait
-// exactly once — the batch leader's wait performs the flush. Enqueue assigns
-// sequence numbers in call order, so callers that must agree on ordering
-// with another append-only structure can hold their own sequencing lock
-// across Enqueue and release it before waiting.
-func (l *Log) Enqueue(data []byte) (uint64, int64, func() error) {
+// exactly once — the batch leader's wait performs the flush. durable, if not
+// nil, runs after the entry's batch is fsynced and before its wait returns,
+// outside the log's lock and in sequence order across entries; never for a
+// batch that failed to write or sync, or for any entry of a wedged log.
+func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -184,7 +185,7 @@ func (l *Log) Enqueue(data []byte) (uint64, int64, func() error) {
 	l.nextSeq++
 	l.end += int64(frame.Seq.Overhead() + len(data))
 	l.batch = frame.Seq.Append(l.batch, seq, data)
-	w := &waiter{done: make(chan struct{})}
+	w := &waiter{durable: durable, done: make(chan struct{})}
 	l.waiters = append(l.waiters, w)
 	metQueueDepth.Add(1)
 	leader := !l.flushing
@@ -236,6 +237,11 @@ func (l *Log) flushLoop() {
 				metBatchEntries.Observe(float64(len(ws)))
 				metAppends.Add(uint64(len(ws)))
 				metAppendBytes.Add(uint64(len(buf)))
+				for _, w := range ws {
+					if w.durable != nil {
+						w.durable()
+					}
+				}
 			}
 		}
 
@@ -277,7 +283,7 @@ func (l *Log) flushLoop() {
 // written and fsynced before Append returns: when Append succeeds, the
 // intent survives a crash. Concurrent Appends share fsyncs via group commit.
 func (l *Log) Append(data []byte) (uint64, error) {
-	seq, _, wait := l.Enqueue(data)
+	seq, _, wait := l.Enqueue(data, nil)
 	if err := wait(); err != nil {
 		return 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"medvault/internal/faultfs"
@@ -391,7 +392,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 5
 	waits := make([]func() error, 0, n)
 	for i := 0; i < n; i++ {
-		seq, _, wait := l.Enqueue([]byte(fmt.Sprintf("entry-%d", i)))
+		seq, _, wait := l.Enqueue([]byte(fmt.Sprintf("entry-%d", i)), nil)
 		if seq != uint64(i) {
 			t.Fatalf("Enqueue seq = %d, want %d", seq, i)
 		}
@@ -427,10 +428,9 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestEnqueueOrderEqualsReplayOrder drives Enqueue the way the vault's commit
-// sequencer does — an external lock held across Enqueue, released before
-// wait — and checks that replay order equals enqueue order. The vault relies
-// on this to keep WAL order identical to Merkle leaf order.
+// TestEnqueueOrderEqualsReplayOrder holds an external lock across Enqueue,
+// released before wait, and checks that replay order equals enqueue order:
+// Enqueue numbers entries in call order.
 func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 	l, path := openTemp(t, nil)
 
@@ -447,7 +447,7 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				seqMu.Lock()
-				_, _, wait := l.Enqueue([]byte(payload))
+				_, _, wait := l.Enqueue([]byte(payload), nil)
 				order = append(order, payload)
 				seqMu.Unlock()
 				if err := wait(); err != nil {
@@ -481,6 +481,113 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 		if replayed[i] != order[i] {
 			t.Fatalf("position %d: replayed %q, enqueued %q", i, replayed[i], order[i])
 		}
+	}
+}
+
+// TestDurableHooksRunInSeqOrder: concurrent enqueuers' durable hooks run in
+// sequence order — the order replay sees — and each entry's hook has run by
+// the time its wait returns. The vault's Merkle log follows meta.wal this way.
+func TestDurableHooksRunInSeqOrder(t *testing.T) {
+	l, path := openTemp(t, nil)
+
+	const writers, perWriter = 8, 25
+	var (
+		hooked []string // payloads in hook order; the hooks run one at a time
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				payload := fmt.Sprintf("w%d-%d", w, i)
+				var ran atomic.Bool
+				_, _, wait := l.Enqueue([]byte(payload), func() {
+					hooked = append(hooked, payload)
+					ran.Store(true)
+				})
+				if err := wait(); err != nil {
+					t.Errorf("wait %s: %v", payload, err)
+					return
+				}
+				if !ran.Load() {
+					t.Errorf("wait %s returned before its durable hook ran", payload)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var replayed []string
+	if _, _, err := Read(faultfs.OS{}, path, func(e Entry) error {
+		replayed = append(replayed, string(e.Data))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(hooked) != writers*perWriter || len(replayed) != len(hooked) {
+		t.Fatalf("%d hooks ran and %d entries replayed, want %d each", len(hooked), len(replayed), writers*perWriter)
+	}
+	for i := range replayed {
+		if hooked[i] != replayed[i] {
+			t.Fatalf("seq %d: replayed %q, hook %q ran in its place", i, replayed[i], hooked[i])
+		}
+	}
+}
+
+// TestDurableHookSkipsFailedBatch: no hook runs for an entry whose batch's
+// fsync fails, for an entry queued behind that batch, or for any entry of
+// the wedged log; a hook before the failure runs, and Append, which passes
+// none, appends as before.
+func TestDurableHookSkipsFailedBatch(t *testing.T) {
+	inSync, release := make(chan struct{}), make(chan struct{})
+	syncs := 0
+	// The third sync fails, once one more entry has queued behind its batch.
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind != faultfs.OpSync {
+			return nil
+		}
+		if syncs++; syncs == 3 {
+			close(inSync)
+			<-release
+			return &faultfs.Fault{Err: faultfs.ErrInjected}
+		}
+		return nil
+	})
+	l, err := OpenFS(fsys, "wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var ran []string
+	hook := func(name string) func() { return func() { ran = append(ran, name) } }
+
+	if _, err := l.Append([]byte("plain")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, wait := l.Enqueue([]byte("durable"), hook("durable")); wait() != nil {
+		t.Fatal("first hooked entry failed")
+	}
+	_, _, failing := l.Enqueue([]byte("failing"), hook("failing"))
+	_, _, sibling := l.Enqueue([]byte("sibling"), hook("sibling"))
+	failed := make(chan error, 1)
+	go func() { failed <- failing() }() // the leader: its batch holds both
+	<-inSync
+	_, _, queued := l.Enqueue([]byte("queued"), hook("queued"))
+	close(release)
+	for name, err := range map[string]error{"failing": <-failed, "sibling": sibling(), "queued": queued()} {
+		if !errors.Is(err, ErrWedged) {
+			t.Errorf("%s entry: err %v, want ErrWedged", name, err)
+		}
+	}
+	if _, _, wait := l.Enqueue([]byte("after"), hook("after")); !errors.Is(wait(), ErrWedged) {
+		t.Error("an entry of the wedged log did not fail with ErrWedged")
+	}
+	if len(ran) != 1 || ran[0] != "durable" {
+		t.Errorf("hooks ran for %q, want only the durable entry's", ran)
 	}
 }
 

@@ -177,6 +177,15 @@ check "One anti-entropy check: non-test internal/repl imports no medvault/intern
 	"$(grep -n '"medvault/internal/core"' $repl
 	grep -rnE '^(func|type) (\([^)]*\) )?(ReplicaHeads|MerkleRootAt)\b|^[[:space:]]*frameHeads(Ack)?\b' --include='*.go' .)"
 
+# The shard's meta.wal is the one commit order: a version's leaf joins the
+# Merkle log in its entry's durable hook, which runs once the entry is fsynced,
+# so no lock sequences commits beside the WAL, no leaf is ever taken back, and
+# only commit.go appends a leaf (commit live, replay in recovery).
+check "One commit order: no commitMu in non-test internal/core, no Tree.Truncate in internal/merkle, and appendLeaf( only in internal/core/commit.go" \
+	"$(grep -n 'commitMu' $(ls internal/core/*.go | grep -v '_test\.go$')
+	grep -n '^func (t \*Tree) Truncate' internal/merkle/*.go
+	grep -rn 'appendLeaf(' internal cmd --include='*.go' | grep -v '^internal/core/commit\.go:')"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
