@@ -159,3 +159,18 @@ func TestCLIErrors(t *testing.T) {
 		t.Error("unknown role accepted")
 	}
 }
+
+// TestCLIReportsFailedClose: Close writes the checkpoint, so a put whose
+// checkpoint cannot write meta.snap.tmp (a directory squats on the name)
+// must fail the command even though the put itself was acknowledged.
+func TestCLIReportsFailedClose(t *testing.T) {
+	dir, key := setupVault(t)
+	if err := os.Mkdir(filepath.Join(dir, "meta.snap.tmp"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	err := run(t, "put", "-dir", dir, "-key", key, "-actor", "dr-a", "-id", "r1", "-mrn", "p1",
+		"-patient", "Ada L.", "-title", "t", "-body", "b")
+	if err == nil || !strings.Contains(err.Error(), "meta.snap.tmp") {
+		t.Fatalf("put over an unwritable checkpoint = %v, want the Close error", err)
+	}
+}

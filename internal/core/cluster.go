@@ -12,19 +12,19 @@
 //
 // Routing: single-record operations go to ShardOf(id). Whole-vault
 // operations (VerifyAll, Search, Close, Health, retention sweeps, disclosure
-// accounting) visit every shard through gather and merge deterministically
-// — per-shard results are always combined in shard-index order, and
-// order-bearing merges (audit events, disclosures) are then stably sorted by
-// timestamp, so ties keep shard order.
+// accounting) visit every shard through gather, one at a time in shard
+// order, and merge deterministically — per-shard results are combined in
+// shard-index order, and order-bearing merges (audit events, disclosures)
+// are then stably sorted by timestamp, so ties keep shard order.
 //
 // One shard is the smallest cluster, not a second implementation: it takes
 // the same routing and gather paths. The helpers below keep it
 // indistinguishable from the pre-cluster vault — no manifest is written, the
-// directory is the classic single-vault layout, gather spawns no goroutine,
-// no shard index is stamped on errors, metrics, or spans, and a merge of one
-// part is that part — so behavior (error text, audit journal, on-disk fs op
-// sequence) is what it was before sharding existed, which the golden tests
-// in cluster_test.go and torture_test.go pin.
+// directory is the classic single-vault layout, no shard index is stamped
+// on errors, metrics, or spans, and a merge of one part is that part — so
+// behavior (error text, audit journal, on-disk fs op sequence) is what it
+// was before sharding existed, which the golden tests in cluster_test.go
+// and torture_test.go pin.
 package core
 
 import (
@@ -37,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"medvault/internal/audit"
@@ -116,7 +115,7 @@ type API interface {
 	AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error)
 	AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) ([]Disclosure, error)
 	PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error)
-	VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (Report, error)
+	VerifyCtx(ctx context.Context, actor string) (Report, error)
 	SanitizeMedia(actor string) (int, int64, error)
 	RecordIDs() []string
 	ExpiredRecords() []string
@@ -272,29 +271,17 @@ func (c *Cluster) shardFor(id string) *Vault {
 	return c.shards[ShardOf(id, len(c.shards))]
 }
 
-// gather runs fn once per shard and returns the errors indexed by shard;
-// fn stores its result in a slot it owns (parts[i]). Every shard runs to
-// completion — a wedged shard never stops or masks a healthy sibling. With
-// parallel set the shards run concurrently (one shard still runs inline, no
-// goroutine); otherwise one at a time in shard order, for operations whose
-// per-shard audit events must land in a deterministic order.
-func (c *Cluster) gather(parallel bool, fn func(i int, v *Vault) error) []error {
+// gather runs fn once per shard, one at a time in shard order, and returns
+// the errors indexed by shard; fn stores its result in a slot it owns
+// (parts[i]). Every shard runs to completion — a wedged shard never stops or
+// masks a healthy sibling. The order is fixed so that a whole-vault
+// operation's fs ops and per-shard audit events land the same way on every
+// run: a crash injected at one fs op index strikes the same op each time.
+func (c *Cluster) gather(fn func(i int, v *Vault) error) []error {
 	errs := make([]error, len(c.shards))
-	if !parallel || len(c.shards) == 1 {
-		for i, v := range c.shards {
-			errs[i] = fn(i, v)
-		}
-		return errs
-	}
-	var wg sync.WaitGroup
 	for i, v := range c.shards {
-		wg.Add(1)
-		go func(i int, v *Vault) {
-			defer wg.Done()
-			errs[i] = fn(i, v)
-		}(i, v)
+		errs[i] = fn(i, v)
 	}
-	wg.Wait()
 	return errs
 }
 
@@ -425,11 +412,11 @@ func (c *Cluster) Health() HealthStatus {
 	return merged
 }
 
-// Close flushes state and releases resources, every shard concurrently; a
-// failing shard never prevents its siblings from closing. See Vault.Close
+// Close flushes state and releases resources, shard by shard; a failing
+// shard never prevents its siblings from closing. See Vault.Close
 // for the drain-then-release contract each shard honors.
 func (c *Cluster) Close() error {
-	return joinShardErrs(c.gather(true, func(_ int, v *Vault) error { return v.Close() }))
+	return joinShardErrs(c.gather(func(_ int, v *Vault) error { return v.Close() }))
 }
 
 // --- single-record operations, routed to the record's shard ---
@@ -533,14 +520,14 @@ func (c *Cluster) RecordMigratedOut(actor, id, targetSystem string) error {
 
 // --- whole-vault operations: every shard visited, results merged ---
 
-// searchShards runs one ID-listing query per shard concurrently and merges
-// the hits. Each shard audits the decision on its own chain — the shard that
-// holds a hit must also hold the audit trail of the query that found it —
-// and on a shared-authorizer denial every shard still audits its own denial
-// before the error is returned.
+// searchShards runs one ID-listing query per shard and merges the hits.
+// Each shard audits the decision on its own chain — the shard that holds a
+// hit must also hold the audit trail of the query that found it — and on a
+// shared-authorizer denial every shard still audits its own denial before
+// the error is returned.
 func (c *Cluster) searchShards(list func(*Vault) ([]string, error)) ([]string, error) {
 	parts := make([][]string, len(c.shards))
-	errs := c.gather(true, func(i int, v *Vault) (err error) {
+	errs := c.gather(func(i int, v *Vault) (err error) {
 		parts[i], err = list(v)
 		return err
 	})
@@ -575,7 +562,7 @@ func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]s
 func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) (err error) {
 	ctx, done := c.begin(ctx, "break_glass")
 	defer done(&err)
-	return firstErr(c.gather(false, func(_ int, v *Vault) error {
+	return firstErr(c.gather(func(_ int, v *Vault) error {
 		return v.admitted(func() error { return v.breakGlass(ctx, actor, reason, duration) })
 	}))
 }
@@ -586,7 +573,7 @@ func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, durat
 // same-instant events keep shard order. Seq numbers remain shard-local.
 func (c *Cluster) AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error) {
 	parts := make([][]audit.Event, len(c.shards))
-	errs := c.gather(false, func(i int, v *Vault) (err error) {
+	errs := c.gather(func(i int, v *Vault) (err error) {
 		parts[i], err = v.AuditEventsCtx(ctx, actor, q)
 		return err
 	})
@@ -605,7 +592,7 @@ func (c *Cluster) AuditEventsCtx(ctx context.Context, actor string, q audit.Quer
 }
 
 // VerifyAll runs the full integrity sweep (see Vault.VerifyAll) on every
-// shard concurrently and sums the reports. A wedged or tampered shard fails
+// shard in shard order and sums the reports. A wedged or tampered shard fails
 // the sweep with its shard index named, without masking its siblings —
 // every shard is swept and every failure is reported, in shard order.
 //
@@ -617,7 +604,7 @@ func (c *Cluster) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedC
 		return Report{}, fmt.Errorf("core: remembered heads and checkpoints are per-shard; verify them via Shard(i).VerifyAll")
 	}
 	reports := make([]Report, len(c.shards))
-	errs := c.gather(true, func(i int, v *Vault) (err error) {
+	errs := c.gather(func(i int, v *Vault) (err error) {
 		reports[i], err = v.VerifyAll(rememberedHeads, rememberedCheckpoints)
 		return err
 	})
@@ -633,10 +620,25 @@ func (c *Cluster) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedC
 	return total, joinShardErrs(errs)
 }
 
+// VerifyCtx is VerifyAll on a requester's behalf: actor must hold audit
+// permission, which every shard checks and audits, in shard order, before
+// any shard's exclusive sweep starts — so a caller who may not verify never
+// drains the vault.
+func (c *Cluster) VerifyCtx(ctx context.Context, actor string) (Report, error) {
+	if err := firstErr(c.gather(func(_ int, v *Vault) error {
+		return v.admitted(func() error {
+			return v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, "")
+		})
+	})); err != nil {
+		return Report{}, err
+	}
+	return c.VerifyAll(nil, nil)
+}
+
 // SanitizeMedia sweeps every shard in shard order (see Vault.SanitizeMedia)
 // and sums the results.
 func (c *Cluster) SanitizeMedia(actor string) (dropped int, reclaimed int64, err error) {
-	errs := c.gather(false, func(_ int, v *Vault) error {
+	errs := c.gather(func(_ int, v *Vault) error {
 		d, r, err := v.SanitizeMedia(actor)
 		dropped += d
 		reclaimed += r

@@ -40,7 +40,7 @@ func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn str
 	defer done(&err)
 	parts := make([][]Disclosure, len(c.shards))
 	found := false
-	errs := c.gather(false, func(i int, v *Vault) error {
+	errs := c.gather(func(i int, v *Vault) error {
 		return v.admitted(func() (err error) {
 			var ok bool
 			parts[i], ok, err = v.disclosures(ctx, actor, mrn)

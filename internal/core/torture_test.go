@@ -48,7 +48,9 @@ var tortureInjectionPoints = map[int]int{1: 117, 4: 250}
 
 // TestTortureShardedOpCount pins the 4-shard fs-op sequence length the same
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),
-// over the subsampled matrix — enumeration is always complete.
+// over the subsampled matrix — enumeration is always complete. Whole-vault
+// operations visit shards in shard order, so each injection point strikes
+// the same op on every run and the scenario counts are pinned too.
 func TestTortureShardedOpCount(t *testing.T) {
 	rep, err := sim.RunTorture(sim.TortureOpts{Stride: 5, Shards: 4})
 	if err != nil {
@@ -56,6 +58,9 @@ func TestTortureShardedOpCount(t *testing.T) {
 	}
 	if rep.InjectionPoints != tortureInjectionPoints[4] {
 		t.Errorf("enumerated %d injection points at 4 shards, want exactly %d", rep.InjectionPoints, tortureInjectionPoints[4])
+	}
+	if rep.CrashScenarios != 220 || rep.FaultScenarios != 46 {
+		t.Errorf("ran %d crash and %d fault scenarios at 4 shards, want exactly 220 and 46", rep.CrashScenarios, rep.FaultScenarios)
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,6 @@ import (
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
-	"medvault/internal/merkle"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
@@ -116,6 +116,61 @@ func TestUnknownRecordProbeAudited(t *testing.T) {
 	}
 }
 
+// TestVerifyAuthorizesItsCaller: the sweep takes every shard's op gate
+// exclusively, so only an actor with audit permission may start it. An
+// unknown principal and a physician get 403, each shard's chain holds a
+// denied verify event naming the caller, and no sweep ran; a compliance
+// officer's request sweeps every shard.
+func TestVerifyAuthorizesItsCaller(t *testing.T) {
+	master, err := vcrypto.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 2
+	v, err := core.Open(core.Config{Name: "api-test", Master: master, Clock: clock.NewVirtual(epoch), Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	provisionPersonas(t, v)
+	ts := httptest.NewServer(New(v))
+	t.Cleanup(ts.Close)
+
+	verifyEvents := func(actor string) (denied, allowed int) {
+		t.Helper()
+		events, err := v.AuditEventsCtx(context.Background(), "officer-kim", audit.Query{Actor: actor, Action: audit.ActionVerify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			switch e.Outcome {
+			case audit.OutcomeDenied:
+				denied++
+			case audit.OutcomeAllowed:
+				allowed++
+			}
+		}
+		return denied, allowed
+	}
+	for _, actor := range []string{"nobody-at-all", "dr-house"} {
+		if code := do(t, ts, "POST", "/verify", actor, nil, nil); code != http.StatusForbidden {
+			t.Errorf("POST /verify as %s = %d, want 403", actor, code)
+		}
+		if denied, allowed := verifyEvents(actor); denied != shards || allowed != 0 {
+			t.Errorf("%s: %d denied and %d allowed verify events, want %d denied (one per shard)", actor, denied, allowed, shards)
+		}
+	}
+	if _, sweeps := verifyEvents("api-test"); sweeps != 0 {
+		t.Errorf("%d sweeps ran for refused callers, want 0", sweeps)
+	}
+	if code := do(t, ts, "POST", "/verify", "officer-kim", nil, nil); code != http.StatusOK {
+		t.Fatalf("POST /verify as officer-kim = %d, want 200", code)
+	}
+	if _, sweeps := verifyEvents("api-test"); sweeps != shards {
+		t.Errorf("%d shard sweeps ran for the officer, want %d", sweeps, shards)
+	}
+}
+
 // TestMissingActorHeader: attributable access is mandatory — no header, no
 // service, on reads and writes alike.
 func TestMissingActorHeader(t *testing.T) {
@@ -140,7 +195,7 @@ type tamperedAPI struct {
 	core.API
 }
 
-func (tamperedAPI) VerifyAll([]merkle.SignedTreeHead, []audit.Checkpoint) (core.Report, error) {
+func (tamperedAPI) VerifyCtx(context.Context, string) (core.Report, error) {
 	return core.Report{}, fmt.Errorf("%w: p1 v1: ciphertext hash mismatch", core.ErrTampered)
 }
 

@@ -24,7 +24,7 @@
 //	GET    /search?q=keyword             authorized search
 //	GET    /audit?record=&actor=&denied= audit query
 //	GET    /records/{id}/custody         provenance chain
-//	POST   /verify                       full integrity sweep
+//	POST   /verify                       full integrity sweep (audit permission)
 //	POST   /breakglass                   {"reason": "...", "minutes": 60}
 //	GET    /patients/{mrn}/records       patient's records visible to actor
 //	GET    /patients/{mrn}/disclosures   HIPAA accounting of disclosures
@@ -716,12 +716,16 @@ func (s *Server) custody(r *http.Request, actor string) (int, any, error) {
 	return http.StatusOK, out, err
 }
 
-// verify runs the full integrity sweep. Any failure of the sweep itself is
-// reported as 409 INTEGRITY FAILURE — except an outage (closed or wedged
-// vault), which writeErr recognizes through the wrapping and answers 503: a
-// node that is draining has not been tampered with.
-func (s *Server) verify(*http.Request, string) (int, any, error) {
-	rep, err := s.vault.VerifyAll(nil, nil)
+// verify runs the full integrity sweep for an actor with audit permission;
+// a refusal is a 403 like any other, audited on every shard. Any failure of
+// the sweep itself is reported as 409 INTEGRITY FAILURE — except an outage
+// (closed or wedged vault), which writeErr recognizes through the wrapping
+// and answers 503: a node that is draining has not been tampered with.
+func (s *Server) verify(r *http.Request, actor string) (int, any, error) {
+	rep, err := s.vault.VerifyCtx(r.Context(), actor)
+	if core.Outcome(err) == "denied" {
+		return 0, nil, err
+	}
 	if err != nil {
 		return 0, nil, &statusError{status: http.StatusConflict, err: err,
 			body: map[string]any{"status": "INTEGRITY FAILURE", "error": err.Error()}}

@@ -17,12 +17,10 @@ import (
 	"testing"
 	"time"
 
-	"medvault/internal/audit"
 	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
-	"medvault/internal/merkle"
 	"medvault/internal/vcrypto"
 )
 
@@ -110,7 +108,7 @@ func (w wedgedAPI) BreakGlassCtx(context.Context, string, string, time.Duration)
 	return fmt.Errorf("audit: appending grant: %w", core.ErrWedged)
 }
 
-func (w wedgedAPI) VerifyAll([]merkle.SignedTreeHead, []audit.Checkpoint) (core.Report, error) {
+func (w wedgedAPI) VerifyCtx(context.Context, string) (core.Report, error) {
 	return core.Report{}, fmt.Errorf("shard 1: %w", core.ErrWedged)
 }
 
@@ -198,9 +196,8 @@ func TestAuditWedgeAnswers503(t *testing.T) {
 		t.Errorf("audit-wedged healthz Retry-After = %q, want %q", ra, retryAfterSeconds)
 	}
 	// Every route that records an access decision answers the outage. The
-	// patient and retention listings record none, and /verify discards its
-	// own event's error as the probe does.
-	unaudited := map[string]bool{"/patients/mrn-1/records": true, "/retention/expired": true, "/retention/holds": true, "/verify": true}
+	// patient and retention listings record none.
+	unaudited := map[string]bool{"/patients/mrn-1/records": true, "/retention/expired": true, "/retention/holds": true}
 	for _, rt := range outageRoutes {
 		if !unaudited[rt.path] {
 			expectOutage(t, ts.URL, rt.method, rt.path, rt.actor, rt.body)

@@ -31,8 +31,7 @@ type Follower struct {
 	epoch    uint64 // highest epoch accepted, persisted in repl.state
 	promoted bool
 
-	nextSeq  uint64 // expected next frame seq on the current connection
-	inResync bool
+	nextSeq uint64 // expected next frame seq on the current connection
 
 	handles map[string]faultfs.File // open append handles, keyed by rel path
 
@@ -106,7 +105,6 @@ func (f *Follower) resetConn() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropHandlesLocked()
-	f.inResync = false
 }
 
 // handlePayload processes one frame readFrame validated (seq from the outer
@@ -140,7 +138,6 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 		}
 		f.nextSeq = seq + 1
 		f.dropHandlesLocked()
-		f.inResync = false
 		digest, err := DirDigest(f.fsys, f.root)
 		if err != nil {
 			return nil, fmt.Errorf("repl: follower digest: %w", err)
@@ -166,39 +163,6 @@ func (f *Follower) handlePayload(seq uint64, p []byte) ([]byte, error) {
 		}
 		f.appliedLSN = seq
 		mFramesApplied.Inc()
-		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
-	case frameSnapBegin:
-		if err := f.wipeLocked(); err != nil {
-			return nil, fmt.Errorf("repl: wiping replica for resync: %w", err)
-		}
-		f.inResync = true
-		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
-	case frameSnapFile:
-		if !f.inResync {
-			return nil, fmt.Errorf("%w: snapshot file outside resync", ErrBadFrame)
-		}
-		isDir, rel, data, ok := decodeSnapFile(body)
-		if !ok {
-			return nil, fmt.Errorf("%w: snapshot file frame", ErrBadFrame)
-		}
-		if err := f.applySnapFileLocked(isDir, rel, data); err != nil {
-			return nil, fmt.Errorf("repl: resyncing %q: %w", rel, err)
-		}
-		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
-	case frameSnapEnd:
-		if !f.inResync || len(body) != 32 {
-			return nil, fmt.Errorf("%w: snapshot end", ErrBadFrame)
-		}
-		digest, err := DirDigest(f.fsys, f.root)
-		if err != nil {
-			return nil, err
-		}
-		var want [32]byte
-		copy(want[:], body)
-		if digest != want {
-			return nil, fmt.Errorf("repl: resync digest mismatch")
-		}
-		f.inResync = false
 		return f.respLocked(frameAck, binary.BigEndian.AppendUint64(nil, seq)), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadFrame, kind)
@@ -257,6 +221,9 @@ func (f *Follower) applyLocked(rec OpRecord) error {
 		f.dropHandlesLocked()
 		return f.fsys.Remove(p)
 	case opRemoveAll:
+		if rec.Path == "." {
+			return f.wipeLocked() // a resync's first op
+		}
 		f.dropHandlesLocked()
 		return f.fsys.RemoveAll(p)
 	case opTruncate:
@@ -312,8 +279,8 @@ func (f *Follower) dropHandlesLocked() {
 	}
 }
 
-// wipeLocked clears the replica tree for a full resync, preserving only
-// node-local names.
+// wipeLocked clears the replica tree, preserving only node-local names: a
+// RemoveAll of the replicated root, which a resync starts with.
 func (f *Follower) wipeLocked() error {
 	f.dropHandlesLocked()
 	ents, err := f.fsys.ReadDir(f.root)
@@ -332,35 +299,6 @@ func (f *Follower) wipeLocked() error {
 		}
 	}
 	return nil
-}
-
-// applySnapFileLocked materializes one snapshot node durably — the follower
-// fsyncs what it acknowledges, mirroring the primary's durability contract.
-func (f *Follower) applySnapFileLocked(isDir bool, rel string, data []byte) error {
-	p := path.Join(f.root, rel)
-	if isDir {
-		return f.fsys.MkdirAll(p, 0o700)
-	}
-	if dir := path.Dir(p); dir != "." {
-		if err := f.fsys.MkdirAll(dir, 0o700); err != nil {
-			return err
-		}
-	}
-	h, err := f.fsys.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if len(data) > 0 {
-		if _, err := h.Write(data); err != nil {
-			h.Close()
-			return err
-		}
-	}
-	if err := h.Sync(); err != nil {
-		h.Close()
-		return err
-	}
-	return h.Close()
 }
 
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }

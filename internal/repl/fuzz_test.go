@@ -22,7 +22,7 @@ func FuzzReplFrame(f *testing.F) {
 		payload(1, frameOp, encodeOp(OpRecord{Kind: opMkdirAll, Path: "d", Perm: 0o700}))))
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all, just bytes pretending"))
-	f.Add(frame.Seq.Append(nil, 0, payload(math.MaxUint64, frameSnapEnd, make([]byte, 32))))
+	f.Add(frame.Seq.Append(nil, 0, payload(math.MaxUint64, 9, make([]byte, 32)))) // a retired snapshot end
 	huge := frame.Seq.Append(nil, 0, payload(1, frameHello, nil))
 	binary.BigEndian.PutUint32(huge[8:12], maxFrameSize) // claims more than the cap allows
 	f.Add(huge)

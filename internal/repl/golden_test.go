@@ -62,11 +62,6 @@ func TestGoldenWire(t *testing.T) {
 		Epoch  uint64
 		Digest [32]byte
 	}
-	type snapFile struct {
-		IsDir bool
-		Rel   string
-		Data  []byte
-	}
 	type reject struct {
 		Epoch  uint64
 		Reason string
@@ -81,16 +76,6 @@ func TestGoldenWire(t *testing.T) {
 				return helloAck{e, d}, okErr(ok)
 			},
 			Want: helloAck{7, goldenHash(0x70)},
-		},
-		frame.Golden{
-			Name:   "snapshot file body",
-			Hex:    "000000001173686172642d302f6d6574612e736e6170000000044d564d53",
-			Encode: func() []byte { return encodeSnapFile(false, "shard-0/meta.snap", []byte("MVMS")) },
-			Decode: func(b []byte) (any, error) {
-				isDir, rel, data, ok := decodeSnapFile(b)
-				return snapFile{isDir, rel, data}, okErr(ok)
-			},
-			Want: snapFile{false, "shard-0/meta.snap", []byte("MVMS")},
 		},
 		frame.Golden{
 			Name:   "reject body",
@@ -118,12 +103,14 @@ func TestGoldenWire(t *testing.T) {
 	}
 }
 
-// TestRetiredWireRefused keeps the vectors of the signed-heads exchange,
-// which this build no longer speaks, and asserts that it refuses them: the
-// v1 hello ack carried keyless per-shard Merkle heads before its digest, a
-// heads request (kind 5) carried signed tree heads and a public key, and a
-// heads ack (kind 6) the follower's computed heads. No wire frame is stored
-// on a medium, so refusal is the whole of their compatibility.
+// TestRetiredWireRefused keeps the vectors of exchanges this build no longer
+// speaks, and asserts that it refuses them: the v1 hello ack carried keyless
+// per-shard Merkle heads before its digest, a heads request (kind 5) carried
+// signed tree heads and a public key, and a heads ack (kind 6) the
+// follower's computed heads. The snapshot resync's begin (kind 7, empty),
+// file (kind 8: dir flag, path, bytes) and end (kind 9, the expected
+// digest) frames gave way to ordinary op frames. No wire frame is stored on
+// a medium, so refusal is the whole of their compatibility.
 func TestRetiredWireRefused(t *testing.T) {
 	helloAckV1 := "0000000000000007000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b" +
 		"2c2d2e2f0000000000000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f70717273" +
@@ -141,6 +128,9 @@ func TestRetiredWireRefused(t *testing.T) {
 			"2e2f1083bab1fa12cd1500000002c1c2"},
 		{"heads-ack body", 6, "000000020000000000000003101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f00000000" +
 			"00000000404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f"},
+		{"snapshot begin body", 7, ""},
+		{"snapshot file body", 8, "000000001173686172642d302f6d6574612e736e6170000000044d564d53"},
+		{"snapshot end body", 9, "707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f"},
 	}
 	for _, r := range retired {
 		fol, err := NewFollower(faultfs.NewMem(), testRoot)

@@ -193,6 +193,88 @@ func TestConnectResync(t *testing.T) {
 	}
 }
 
+// TestResyncShipsOrdinaryOps: a resync is op frames on the one stream — a
+// RemoveAll of the root, a MkdirAll per directory, an Open, Write and Sync
+// per file. A follower holding extra files, a changed file and its own
+// repl.state converges in one Hello with repl.state untouched, and one whose
+// resync stream is torn part-way converges at the next Hello.
+func TestResyncShipsOrdinaryOps(t *testing.T) {
+	pmem := faultfs.NewMem()
+	v := openVault(t, pmem, 1)
+	if _, err := v.PutCtx(context.Background(), "dr-house", testRecord("rec-0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := walkTree(pmem, testRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 // the RemoveAll
+	for _, e := range tree {
+		switch {
+		case e.isDir:
+			want++
+		case len(e.data) == 0:
+			want += 2
+		default:
+			want += 3
+		}
+	}
+	pd := treeDigest(tree)
+
+	fmem := faultfs.NewMem()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(writeEpoch(fmem, testRoot, 3))
+	must(fmem.MkdirAll(testRoot+"/stray/deep", 0o700))
+	must(fmem.WriteFile(testRoot+"/stray/deep/seg-9.blk", []byte("orphan"), 0o600))
+	must(fmem.WriteFile(testRoot+"/extra.tmp", []byte("left behind"), 0o600))
+	must(fmem.WriteFile(testRoot+"/meta.wal", []byte("a different history"), 0o600))
+	fol, err := NewFollower(fmem, testRoot)
+	must(err)
+	converged := func(when string) {
+		t.Helper()
+		fd, err := DirDigest(fmem, testRoot)
+		must(err)
+		if fd != pd {
+			t.Fatalf("%s: follower digest differs from the primary's", when)
+		}
+		if state, err := fmem.ReadFile(testRoot + "/" + StateFile); err != nil || string(state) != "epoch 3\n" {
+			t.Fatalf("%s: follower %s = %q, %v; want it untouched", when, StateFile, state, err)
+		}
+	}
+
+	before := mResyncs.Value()
+	pipe := link(t, fol)
+	must(NewSession(pipe, nil, pmem, testRoot).Hello(3))
+	if got := mResyncs.Value() - before; got != 1 {
+		t.Fatalf("%v resyncs, want 1", got)
+	}
+	if got := pipe.OpFrames(); got != want {
+		t.Errorf("resync shipped %d op frames, want %d", got, want)
+	}
+	converged("one Hello")
+
+	must(fmem.WriteFile(testRoot+"/meta.wal", []byte("diverged again"), 0o600))
+	torn := link(t, fol)
+	torn.KillAtFrame(want/2, KillApply)
+	if err := NewSession(torn, nil, pmem, testRoot).Hello(3); !errors.Is(err, ErrPrimaryKilled) {
+		t.Fatalf("Hello over a stream torn mid-resync = %v, want ErrPrimaryKilled", err)
+	}
+	torn.Kill()
+	if fd, _ := DirDigest(fmem, testRoot); fd == pd {
+		t.Fatal("a resync torn half-way left the follower converged; the tear tested nothing")
+	}
+	must(hello(t, fol, pmem, 3))
+	converged("the Hello after a torn resync")
+}
+
 // serveTCP runs the follower's listener on a loopback port; stop closes it
 // and waits for Serve, and with it the last connection's loop, to return.
 func serveTCP(t *testing.T, fol *Follower) (addr string, stop func()) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
+	"os"
 	"path"
 	"sort"
 	"strconv"
@@ -143,17 +144,10 @@ func (s *Session) Hello(epoch uint64) error {
 			digest = treeDigest(tree)
 		}
 	}()
-	body, err := s.exchange(payload(epoch, frameHello, nil), frameHelloAck)
+	fdigest, err := s.helloLocked(epoch)
 	<-walked
 	if err != nil {
 		return err
-	}
-	fepoch, fdigest, ok := decodeHelloAck(body)
-	if !ok {
-		return ErrBadFrame
-	}
-	if fepoch > epoch {
-		return fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
 	}
 	if werr != nil {
 		return fmt.Errorf("repl: walking %s: %w", s.root, werr)
@@ -164,6 +158,22 @@ func (s *Session) Hello(epoch uint64) error {
 	return s.resyncLocked(epoch, tree, digest)
 }
 
+// helloLocked proposes epoch and returns the follower's directory digest.
+func (s *Session) helloLocked(epoch uint64) ([32]byte, error) {
+	body, err := s.exchange(payload(epoch, frameHello, nil), frameHelloAck)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	fepoch, fdigest, ok := decodeHelloAck(body)
+	if !ok {
+		return [32]byte{}, ErrBadFrame
+	}
+	if fepoch > epoch {
+		return [32]byte{}, fmt.Errorf("%w: follower at epoch %d, primary at %d", ErrFenced, fepoch, epoch)
+	}
+	return fdigest, nil
+}
+
 // ShipOp ships one captured fs op and waits for the follower's ack.
 func (s *Session) ShipOp(epoch uint64, rec OpRecord) error {
 	s.mu.Lock()
@@ -171,20 +181,35 @@ func (s *Session) ShipOp(epoch uint64, rec OpRecord) error {
 	return s.ack(payload(epoch, frameOp, encodeOp(rec)))
 }
 
-// resyncLocked sends snapBegin (the follower wipes its replica), one
-// snapFile per node of tree, and snapEnd carrying tree's digest, so the
-// follower verifies the transfer before trusting it.
+// resyncLocked rewrites the follower's tree as ordinary acked ops: a
+// RemoveAll of the root (the follower keeps its node-local names), then a
+// MkdirAll per directory and, per file, the Open, Write and Sync a
+// primary's own write of it ships. A second Hello then requires the
+// follower's digest to be the primary's.
 func (s *Session) resyncLocked(epoch uint64, tree []walkEntry, digest [32]byte) error {
-	if err := s.ack(payload(epoch, frameSnapBegin, nil)); err != nil {
-		return err
-	}
+	ops := []OpRecord{{Kind: opRemoveAll, Path: "."}}
 	for _, e := range tree {
-		if err := s.ack(payload(epoch, frameSnapFile, encodeSnapFile(e.isDir, e.rel, e.data))); err != nil {
+		if e.isDir {
+			ops = append(ops, OpRecord{Kind: opMkdirAll, Path: e.rel, Perm: 0o700})
+			continue
+		}
+		ops = append(ops, OpRecord{Kind: opOpen, Path: e.rel, Flags: flagsToWire(os.O_WRONLY | os.O_CREATE | os.O_TRUNC), Perm: 0o600})
+		if len(e.data) > 0 {
+			ops = append(ops, OpRecord{Kind: opWrite, Path: e.rel, Data: e.data})
+		}
+		ops = append(ops, OpRecord{Kind: opSync, Path: e.rel})
+	}
+	for _, rec := range ops {
+		if err := s.ack(payload(epoch, frameOp, encodeOp(rec))); err != nil {
 			return err
 		}
 	}
-	if err := s.ack(payload(epoch, frameSnapEnd, digest[:])); err != nil {
+	fdigest, err := s.helloLocked(epoch)
+	if err != nil {
 		return err
+	}
+	if fdigest != digest {
+		return errors.New("repl: resync digest mismatch")
 	}
 	mResyncs.Inc()
 	return nil

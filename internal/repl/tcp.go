@@ -12,7 +12,8 @@ import (
 
 // maxFrameSize caps what readFrame will allocate from a claimed length, so
 // a corrupt or hostile length field cannot demand an arbitrary allocation.
-// The largest legitimate frame is one resync snapshot file.
+// The largest legitimate frame is one resynced file: a Write op carrying
+// the whole file.
 const maxFrameSize = 1 << 30
 
 // readFrame collects one complete frame from r: the header names the

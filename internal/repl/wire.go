@@ -26,7 +26,10 @@
 // Anti-entropy is one check, the handshake: Hello compares the two nodes'
 // directory digests and resyncs the follower when they differ. The primary
 // runs it at connect and on every timer round under the capture's op
-// freeze, so it covers every replicated byte.
+// freeze, so it covers every replicated byte. A resync is no second
+// protocol: it rewrites the follower's tree as ordinary op frames (a
+// RemoveAll of the root, then a MkdirAll per directory and an Open, Write
+// and Sync per file), and a second Hello requires the digests to agree.
 //
 // Epoch fencing keeps a demoted primary from committing after failover:
 // every frame carries the primary's epoch, the follower persists the highest
@@ -70,16 +73,16 @@ const StateFile = "repl.state"
 // Frame payload kinds. Every payload is u64 epoch | u8 kind | body; the
 // outer framing (seq, length, checksum) is the WAL's, via internal/frame.
 const (
-	frameHello     uint8 = iota + 1 // primary → follower: handshake, epoch proposal
-	frameHelloAck                   // follower → primary: epoch, dir digest
-	frameOp                         // primary → follower: one captured fs op
-	frameAck                        // follower → primary: op applied through LSN
-	_                               // 5, retired: signed tree heads
-	_                               // 6, retired: the follower's computed heads
-	frameSnapBegin                  // primary → follower: full resync starts, wipe replica
-	frameSnapFile                   // primary → follower: one file or dir of the snapshot
-	frameSnapEnd                    // primary → follower: snapshot done + expected digest
-	frameReject                     // follower → primary: frame refused (stale epoch, promoted)
+	frameHello    uint8 = iota + 1 // primary → follower: handshake, epoch proposal
+	frameHelloAck                  // follower → primary: epoch, dir digest
+	frameOp                        // primary → follower: one captured fs op
+	frameAck                       // follower → primary: op applied through LSN
+	_                              // 5, retired: signed tree heads
+	_                              // 6, retired: the follower's computed heads
+	_                              // 7, retired: snapshot begin
+	_                              // 8, retired: snapshot file
+	_                              // 9, retired: snapshot end
+	frameReject                    // follower → primary: frame refused (stale epoch, promoted)
 )
 
 // Captured filesystem op kinds — the mutating subset of faultfs.FS plus
@@ -248,23 +251,6 @@ func decodeHelloAck(body []byte) (epoch uint64, digest [32]byte, ok bool) {
 	epoch = r.U64()
 	r.Fixed(digest[:])
 	return epoch, digest, r.Done() == nil
-}
-
-func encodeSnapFile(isDir bool, rel string, data []byte) []byte {
-	var k byte
-	if isDir {
-		k = 1
-	}
-	b := frame.AppendStr([]byte{k}, rel)
-	return frame.AppendBytes(b, data)
-}
-
-func decodeSnapFile(body []byte) (isDir bool, rel string, data []byte, ok bool) {
-	r := frame.NewReader(body)
-	isDir = r.U8() == 1
-	rel = r.Str()
-	data = r.Bytes()
-	return isDir, rel, data, r.Done() == nil
 }
 
 func encodeReject(epoch uint64, reason string) []byte {

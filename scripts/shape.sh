@@ -186,6 +186,18 @@ check "One commit order: no commitMu in non-test internal/core, no Tree.Truncate
 	grep -n '^func (t \*Tree) Truncate' internal/merkle/*.go
 	grep -rn 'appendLeaf(' internal cmd --include='*.go' | grep -v '^internal/core/commit\.go:')"
 
+# A resync rewrites the follower's tree as ordinary op frames on the one
+# stream, so no snapshot frame, snapshot codec or follower resync state
+# comes back beside it.
+check "One way to change a replica: no Go names frameSnap, encodeSnapFile, decodeSnapFile, applySnapFileLocked or inResync" \
+	"$(grep -rnE 'frameSnap|encodeSnapFile|decodeSnapFile|applySnapFileLocked|inResync' --include='*.go' .)"
+
+# A whole-vault operation visits shards one at a time in shard order, so
+# its fs ops land in the same order on every run and a crash injected at one
+# op index strikes the same op each time.
+check "Shards in shard order: internal/core/cluster.go starts no goroutine" \
+	"$(grep -n 'go func' internal/core/cluster.go)"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
