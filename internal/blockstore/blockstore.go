@@ -6,8 +6,9 @@
 // convenience: nothing in the engine can overwrite a written byte, so every
 // higher layer (WORM, versioned records, audit) inherits physical
 // write-once behaviour on cheap commodity files — the paper's cost
-// requirement. Each block is a frame.Block frame (u8 magic 0xB1 | u32 len |
-// u32 CRC-32C | payload), so accidental corruption and torn writes are
+// requirement. Each block is a frame.Var frame (uvarint len | u32 CRC-32C |
+// payload; segments an older binary wrote hold frame.Block frames, which
+// are read, never appended to), so accidental corruption and torn writes are
 // detected on read; *malicious* rewrites (an insider can
 // recompute a CRC) are caught one layer up by the Merkle commitment log.
 package blockstore

@@ -2,11 +2,15 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,7 +264,7 @@ func TestStorageBytesAccountsFraming(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := int64(n * (sz + frame.Block.Overhead()))
+			want := int64(n * (sz + frame.Var.Overhead()))
 			if got := s.StorageBytes(); got != want {
 				t.Errorf("StorageBytes = %d, want %d", got, want)
 			}
@@ -328,12 +332,12 @@ func TestFileRecoveryTruncatesTornTail(t *testing.T) {
 	f.Close()
 
 	// Simulate a crash mid-append: write a partial frame at the tail.
-	path := filepath.Join(dir, segName(0))
+	path := filepath.Join(dir, SegmentName(0))
 	file, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := file.Write(frame.Block.Append(nil, 0, []byte("torn"))[:3]); err != nil {
+	if _, err := file.Write(frame.Var.Append(nil, 0, []byte("torn"))[:3]); err != nil {
 		t.Fatal(err)
 	}
 	file.Close()
@@ -374,11 +378,11 @@ func TestFileReadHostileLength(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY, 0)
+	seg, err := os.OpenFile(filepath.Join(dir, SegmentName(0)), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seg.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, int64(ref.Offset)+1); err != nil {
+	if _, err := seg.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, int64(ref.Offset)); err != nil { // uvarint 0xFFFFFFFF
 		t.Fatal(err)
 	}
 	seg.Close()
@@ -408,12 +412,12 @@ func TestFileDetectsBitRot(t *testing.T) {
 	f.Sync()
 
 	// Flip one payload byte on disk, out-of-band.
-	path := filepath.Join(dir, segName(0))
+	path := filepath.Join(dir, SegmentName(0))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[frame.Block.Overhead()+3] ^= 0xFF
+	raw[frame.Var.Overhead()+3] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -484,8 +488,10 @@ func TestConcurrentAppendRead(t *testing.T) {
 
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		_, payload, n, err := frame.Block.Decode(frame.Block.Append(nil, 0, data))
-		return err == nil && n == len(data)+frame.Block.Overhead() && bytes.Equal(payload, data)
+		enc := frame.Var.Append(nil, 0, data)
+		_, payload, n, err := frame.Var.Decode(enc)
+		header := len(binary.AppendUvarint(nil, uint64(len(data)))) + 4
+		return err == nil && n == len(enc) && n == header+len(data) && bytes.Equal(payload, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -501,7 +507,7 @@ func TestRefString(t *testing.T) {
 func TestOpenFileRejectsGappySegments(t *testing.T) {
 	dir := t.TempDir()
 	// seg-00000000 missing, seg-00000001 present.
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), nil, 0o600); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(1)), nil, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFile(dir, 1024); !errors.Is(err, ErrCorrupt) {
@@ -522,7 +528,7 @@ func TestRollThenEmptyBelow(t *testing.T) {
 	if n, err := s.Roll(); err != nil || n != 0 {
 		t.Fatalf("Roll of an empty store = %d, %v; want 0", n, err)
 	}
-	for i := 0; i < 30; i++ { // 30 × 59 B frames cross a 1 KiB segment
+	for i := 0; i < 30; i++ { // 30 × 55 B frames cross a 1 KiB segment
 		if _, err := s.Append(bytes.Repeat([]byte{'o'}, 50)); err != nil {
 			t.Fatal(err)
 		}
@@ -544,14 +550,14 @@ func TestRollThenEmptyBelow(t *testing.T) {
 	if _, err := s.Read(Ref{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Read into an emptied segment: %v, want ErrNotFound", err)
 	}
-	if got := s.StorageBytes(); got != int64(len(frame.Block.Append(nil, 0, []byte("kept")))) {
+	if got := s.StorageBytes(); got != int64(len(frame.Var.Append(nil, 0, []byte("kept")))) {
 		t.Errorf("StorageBytes after EmptyBelow = %d, want the one kept frame", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i <= int(fresh); i++ {
-		if _, err := os.Stat(filepath.Join(dir, segName(i))); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, SegmentName(i))); err != nil {
 			t.Errorf("segment %d: %v", i, err)
 		}
 	}
@@ -829,5 +835,108 @@ func BenchmarkFileRead(b *testing.B) {
 		if _, err := f.Read(ref); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// parentListSegments is the segment-name rule of the binary before v2
+// segments, copied verbatim but for its name: prefix seg-, suffix .blk, and
+// a dense number between them.
+func parentListSegments(fsys faultfs.FS, dir string) ([]string, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: listing %s: %w", dir, err)
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), "seg-") && strings.HasSuffix(e.Name(), ".blk") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	// Segment numbering must be dense: a missing middle segment means lost data.
+	for i, name := range names {
+		num, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".blk"))
+		if err != nil || num != i {
+			return nil, fmt.Errorf("%w: unexpected segment file %s at position %d", ErrCorrupt, name, i)
+		}
+	}
+	return names, nil
+}
+
+// TestLegacySegmentsReadThenRolled: a store an older binary wrote, frame.Block
+// frames in seg-NNNNNNNN.blk with a torn frame at the tail, opens with the
+// torn frame cut and every block readable; its appends go to a v2 segment
+// after the legacy ones, and a reopen reads both layouts. The older binary's
+// segment-name rule accepts the store before the open and refuses it after,
+// as it refuses a store this package started.
+func TestLegacySegmentsReadThenRolled(t *testing.T) {
+	mem := faultfs.NewMem()
+	var seg0, seg1 []byte
+	for i := 0; i < 3; i++ {
+		seg0 = frame.Block.Append(seg0, 0, []byte(fmt.Sprintf("legacy-%d", i)))
+	}
+	seg1 = frame.Block.Append(seg1, 0, []byte("legacy-3"))
+	seg1 = append(seg1, frame.Block.Append(nil, 0, []byte("torn"))[:7]...)
+	for i, seg := range [][]byte{seg0, seg1} {
+		if err := mem.WriteFile("s/"+legacySegmentName(i), seg, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := parentListSegments(mem, "s"); err != nil {
+		t.Fatalf("the parent's rule refuses its own store: %v", err)
+	}
+	s, err := OpenFileFS(mem, "s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.Append([]byte("v2-0"))
+	if err != nil || ref != (Ref{Segment: 2}) {
+		t.Fatalf("first append after the legacy segments = %v, %v; want segment 2 offset 0", ref, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := mem.ReadFile("s/" + legacySegmentName(1)); len(got) != len(frame.Block.Append(nil, 0, []byte("legacy-3"))) {
+		t.Errorf("legacy tail segment is %d B after open; want its torn frame cut", len(got))
+	}
+	if _, err := parentListSegments(mem, "s"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("the parent's rule over a store holding a v2 segment: %v, want ErrCorrupt", err)
+	}
+	re, err := OpenFileFS(mem, "s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	var got []string
+	if err := re.Scan(func(_ Ref, data []byte) error { got = append(got, string(data)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := "legacy-0 legacy-1 legacy-2 legacy-3 v2-0"; strings.Join(got, " ") != want {
+		t.Errorf("reopen scans %q, want %q", got, want)
+	}
+
+	fresh := faultfs.NewMem()
+	f, err := OpenFileFS(fresh, "s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := parentListSegments(fresh, "s"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("the parent's rule over a fresh store: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenFileRejectsLegacyAfterV2: segments are legacy, then v2; a legacy
+// segment numbered after a v2 one is no store this package or its
+// predecessor wrote.
+func TestOpenFileRejectsLegacyAfterV2(t *testing.T) {
+	mem := faultfs.NewMem()
+	for name, seg := range map[string][]byte{SegmentName(0): nil, legacySegmentName(1): frame.Block.Append(nil, 0, []byte("x"))} {
+		if err := mem.WriteFile("s/"+name, seg, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenFileFS(mem, "s", 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a legacy segment after a v2 one: %v, want ErrCorrupt", err)
 	}
 }

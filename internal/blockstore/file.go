@@ -19,19 +19,27 @@ import (
 )
 
 // File is a Store backed by segment files in a directory. Segments are named
-// seg-00000000.blk, seg-00000001.blk, ... and are only ever appended to;
-// rotation happens when a segment would exceed its capacity. Reopening a
+// seg-00000000.v2.blk, seg-00000001.v2.blk, ... and are only ever appended
+// to; rotation happens when a segment would exceed its capacity. Reopening a
 // directory recovers the store by scanning existing segments, truncating a
 // torn trailing frame in the newest segment (the only place one can occur).
+//
+// An older binary wrote frame.Block frames to segments named without the
+// .v2, whose numbering the v2 segments continue. A store that holds any
+// refuses to open in that binary, which would otherwise read the first Var
+// frame after its segments as a torn tail and cut it away. Legacy segments
+// are read, never appended to: opening a store whose newest segment is one
+// rolls to a v2 segment.
 type File struct {
-	mu     sync.RWMutex
-	fs     faultfs.FS
-	dir    string
-	segCap int
-	active faultfs.File // newest segment, opened for append
-	sizes  []int64      // committed byte length per segment
-	closed bool
-	wedged error // set by a failed fsync, or a failed append that could not be taken back (ErrWedged)
+	mu      sync.RWMutex
+	fs      faultfs.FS
+	dir     string
+	segCap  int
+	active  faultfs.File // newest segment, opened for append
+	sizes   []int64      // committed byte length per segment
+	varFrom int          // segments below it are legacy frame.Block segments
+	closed  bool
+	wedged  error // set by a failed fsync, or a failed append that could not be taken back (ErrWedged)
 
 	// syncMu orders the fsyncs, which run outside mu: one at a time, as
 	// when mu covered them, because two fsyncs of one file in flight cost
@@ -82,15 +90,35 @@ func OpenFileFS(fsys faultfs.FS, dir string, segCap int) (*File, error) {
 	return f, nil
 }
 
-func segName(i int) string { return fmt.Sprintf("seg-%08d.blk", i) }
+// SegmentName is the file name of segment n of a store this package writes.
+func SegmentName(n int) string { return fmt.Sprintf("seg-%08d.v2.blk", n) }
+
+func legacySegmentName(n int) string { return fmt.Sprintf("seg-%08d.blk", n) }
+
+// path is segment i's file.
+func (f *File) path(i int) string {
+	if i < f.varFrom {
+		return filepath.Join(f.dir, legacySegmentName(i))
+	}
+	return filepath.Join(f.dir, SegmentName(i))
+}
+
+// format is segment i's frame.
+func (f *File) format(i int) frame.Format {
+	if i < f.varFrom {
+		return frame.Block
+	}
+	return frame.Var
+}
 
 // recover scans existing segments, validating frames and truncating a torn
-// tail on the newest segment.
+// tail on the newest segment, and rolls a legacy newest segment.
 func (f *File) recover() error {
-	names, err := listSegments(f.fs, f.dir)
+	names, varFrom, err := listSegments(f.fs, f.dir)
 	if err != nil {
 		return err
 	}
+	f.varFrom = varFrom
 	if len(names) == 0 {
 		return f.openSegment(0)
 	}
@@ -101,7 +129,7 @@ func (f *File) recover() error {
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
-		valid, err := frame.Block.Walk(data, func(int, uint64, []byte) error { return nil })
+		valid, err := f.format(i).Walk(data, func(int, uint64, []byte) error { return nil })
 		if err != nil {
 			if i != len(names)-1 {
 				// Torn frames may only exist at the very end of the log.
@@ -114,38 +142,49 @@ func (f *File) recover() error {
 		f.sizes[i] = int64(valid)
 	}
 	last := len(names) - 1
-	active, err := f.fs.OpenFile(filepath.Join(f.dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o600)
+	active, err := f.fs.OpenFile(f.path(last), os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("blockstore: opening active segment: %w", err)
 	}
 	f.active = active
+	if last < f.varFrom {
+		return f.rotate()
+	}
 	return nil
 }
 
-func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
+// listSegments returns the segment files in dir in order, and the position
+// of the first v2 one (len(names) when there is none).
+func listSegments(fsys faultfs.FS, dir string) (names []string, varFrom int, err error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: listing %s: %w", dir, err)
+		return nil, 0, fmt.Errorf("blockstore: listing %s: %w", dir, err)
 	}
-	var names []string
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasPrefix(e.Name(), "seg-") && strings.HasSuffix(e.Name(), ".blk") {
 			names = append(names, e.Name())
 		}
 	}
+	// Numbering must be dense, a missing middle segment being lost data,
+	// and no legacy segment may follow a v2 one.
 	sort.Strings(names)
-	// Segment numbering must be dense: a missing middle segment means lost data.
+	varFrom = len(names)
 	for i, name := range names {
-		num, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".blk"))
-		if err != nil || num != i {
-			return nil, fmt.Errorf("%w: unexpected segment file %s at position %d", ErrCorrupt, name, i)
+		num, v2 := strings.CutSuffix(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".blk"), ".v2")
+		n, err := strconv.Atoi(num)
+		if v2 && varFrom == len(names) {
+			varFrom = i
+		}
+		if err != nil || n != i || v2 != (i >= varFrom) {
+			return nil, 0, fmt.Errorf("%w: unexpected segment file %s at position %d", ErrCorrupt, name, i)
 		}
 	}
-	return names, nil
+	return names, varFrom, nil
 }
 
+// openSegment creates segment i, a v2 one, as the active segment.
 func (f *File) openSegment(i int) error {
-	file, err := f.fs.OpenFile(filepath.Join(f.dir, segName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o600)
+	file, err := f.fs.OpenFile(filepath.Join(f.dir, SegmentName(i)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("blockstore: creating segment %d: %w", i, err)
 	}
@@ -165,7 +204,7 @@ func (f *File) Append(data []byte) (Ref, error) {
 	if f.wedged != nil {
 		return Ref{}, f.wedged
 	}
-	buf := frame.Block.Append(nil, 0, data)
+	buf := frame.Var.Append(nil, 0, data)
 	if len(buf) > f.segCap {
 		return Ref{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(buf), f.segCap)
 	}
@@ -238,7 +277,7 @@ func (f *File) EmptyBelow(n uint32) error {
 		if f.sizes[i] == 0 {
 			continue
 		}
-		if err := f.fs.Truncate(filepath.Join(f.dir, segName(i)), 0); err != nil {
+		if err := f.fs.Truncate(f.path(i), 0); err != nil {
 			return fmt.Errorf("blockstore: emptying segment %d: %w", i, err)
 		}
 		f.sizes[i] = 0
@@ -260,7 +299,7 @@ func (f *File) wedge(err error) error {
 // every frame appended after it. When the cut fails the store wedges. The
 // caller holds f.mu exclusively.
 func (f *File) takeBack(cur int) {
-	if err := f.fs.Truncate(filepath.Join(f.dir, segName(cur)), f.sizes[cur]); err != nil {
+	if err := f.fs.Truncate(f.path(cur), f.sizes[cur]); err != nil {
 		f.wedge(fmt.Errorf("segment %d holds a partial frame past offset %d: %w", cur, f.sizes[cur], err))
 	}
 }
@@ -283,7 +322,7 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, payload, err := frame.Block.ReadAt(file, int64(ref.Offset), f.sizes[ref.Segment])
+	_, payload, err := f.format(int(ref.Segment)).ReadAt(file, int64(ref.Offset), f.sizes[ref.Segment])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -302,7 +341,7 @@ func (f *File) reader(i int) (faultfs.File, error) {
 		f.readers = append(f.readers, nil)
 	}
 	if f.readers[i] == nil {
-		file, err := f.fs.OpenFile(filepath.Join(f.dir, segName(i)), os.O_RDONLY, 0)
+		file, err := f.fs.OpenFile(f.path(i), os.O_RDONLY, 0)
 		if err != nil {
 			return nil, fmt.Errorf("blockstore: opening segment %d: %w", i, err)
 		}
@@ -319,7 +358,7 @@ func (f *File) Scan(fn func(ref Ref, data []byte) error) error {
 		return ErrClosed
 	}
 	for si := range f.sizes {
-		data, err := f.fs.ReadFile(filepath.Join(f.dir, segName(si)))
+		data, err := f.fs.ReadFile(f.path(si))
 		if err != nil {
 			return fmt.Errorf("blockstore: scanning segment %d: %w", si, err)
 		}
@@ -329,7 +368,7 @@ func (f *File) Scan(fn func(ref Ref, data []byte) error) error {
 			data = data[:f.sizes[si]]
 		}
 		var stopped error // fn's error, as opposed to a bad frame
-		valid, err := frame.Block.Walk(data, func(off int, _ uint64, payload []byte) error {
+		valid, err := f.format(si).Walk(data, func(off int, _ uint64, payload []byte) error {
 			stopped = fn(Ref{Segment: uint32(si), Offset: uint64(off)}, bytes.Clone(payload))
 			return stopped
 		})
@@ -417,7 +456,7 @@ func (f *File) ReadRaw() ([]byte, error) {
 	defer f.mu.RUnlock()
 	var out []byte
 	for si := range f.sizes {
-		data, err := f.fs.ReadFile(filepath.Join(f.dir, segName(si)))
+		data, err := f.fs.ReadFile(f.path(si))
 		if err != nil {
 			return nil, fmt.Errorf("blockstore: raw read of segment %d: %w", si, err)
 		}
@@ -441,12 +480,12 @@ func (f *File) CorruptFrame(ref Ref, mutate func([]byte) []byte) error {
 	if int(ref.Segment) >= len(f.sizes) || int64(ref.Offset) >= f.sizes[ref.Segment] {
 		return fmt.Errorf("%w: %v", ErrNotFound, ref)
 	}
-	path := filepath.Join(f.dir, segName(int(ref.Segment)))
+	path, format := f.path(int(ref.Segment)), f.format(int(ref.Segment))
 	seg, err := f.fs.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("blockstore: reading segment %d: %w", ref.Segment, err)
 	}
-	_, payload, n, err := frame.Block.Decode(seg[ref.Offset:f.sizes[ref.Segment]])
+	_, payload, n, err := format.Decode(seg[ref.Offset:f.sizes[ref.Segment]])
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -454,7 +493,7 @@ func (f *File) CorruptFrame(ref Ref, mutate func([]byte) []byte) error {
 	if len(mutated) != len(payload) {
 		return fmt.Errorf("blockstore: CorruptFrame must preserve length: %d != %d", len(mutated), len(payload))
 	}
-	copy(seg[ref.Offset:ref.Offset+uint64(n)], frame.Block.Append(nil, 0, mutated))
+	copy(seg[ref.Offset:ref.Offset+uint64(n)], format.Append(nil, 0, mutated))
 	return f.fs.WriteFile(path, seg, 0o600)
 }
 

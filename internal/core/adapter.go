@@ -9,9 +9,9 @@ import (
 	"medvault/internal/authz"
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
-	"medvault/internal/frame"
 	"medvault/internal/obs"
 	"medvault/internal/stores"
+	"medvault/internal/wal"
 )
 
 // Adapter presents the vault through the stores.Store interface so the
@@ -160,19 +160,16 @@ func (a *Adapter) TamperRecord(id string, mutate func([]byte) []byte) error {
 	if ref.Segment != walSegment {
 		return v.blocks.CorruptFrame(ref, mutate)
 	}
-	path := filepath.Join(v.dir, "meta.wal")
-	log, err := v.fs.ReadFile(path)
-	we, rerr := v.metaWAL.ReadAt(int64(ref.Offset))
-	e, derr := decodeWALEntry(we.Data)
-	if err := errors.Join(err, rerr, derr); err != nil {
-		return err
-	}
-	n := len(e.ct)
-	if e.ct = mutate(e.ct); len(e.ct) != n {
-		return fmt.Errorf("core: TamperRecord must preserve length: %d != %d", len(e.ct), n)
-	}
-	copy(log[ref.Offset:], frame.Seq.Append(nil, we.Seq, e.encode()))
-	return v.fs.WriteFile(path, log, 0o600)
+	var derr error
+	err = wal.CorruptEntry(v.fs, filepath.Join(v.dir, "meta.wal"), int64(ref.Offset), func(data []byte) []byte {
+		e, err := decodeWALEntry(data)
+		if derr = err; err != nil {
+			return data
+		}
+		e.ct = mutate(e.ct)
+		return e.encode()
+	})
+	return errors.Join(derr, err)
 }
 
 // RollbackMetadata models the insider who edits the vault's metadata to

@@ -39,7 +39,7 @@ func TestVerifyAllSeesTheAuditMedium(t *testing.T) {
 		t.Fatalf("clean sweep: %+v, %v", rep, err)
 	}
 
-	seg := filepath.Join(dir, "audit", "seg-00000000.blk")
+	seg := filepath.Join(dir, "audit", blockstore.SegmentName(0))
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

@@ -186,11 +186,11 @@ func (v *Vault) custody(e *walEntry) error {
 // pendingCustody reads back the custody event pending in the meta.wal entry
 // at ref (provenance.Config.Pending).
 func (v *Vault) pendingCustody(ref blockstore.Ref) (provenance.Event, error) {
-	we, err := v.metaWAL.ReadAt(int64(ref.Offset))
+	data, err := v.metaWAL.ReadAt(int64(ref.Offset))
 	if err != nil {
 		return provenance.Event{}, err
 	}
-	e, err := decodeWALEntry(we.Data)
+	e, err := decodeWALEntry(data)
 	if err == nil && !e.custody {
 		err = fmt.Errorf("%w: meta.wal entry at %d carries no custody event", ErrCorrupt, ref.Offset)
 	}

@@ -12,8 +12,8 @@ import (
 	"medvault/internal/clock"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
-	"medvault/internal/frame"
 	"medvault/internal/provenance"
+	"medvault/internal/wal"
 )
 
 // custodyVault opens a running durable vault holding two records, recA
@@ -82,7 +82,7 @@ func TestVerifyAllSeesTheCustodyMedium(t *testing.T) {
 	}
 
 	// recA's create is the custody store's first frame; flip a byte inside it.
-	const seg = "vault/prov/seg-00000000.blk"
+	seg := "vault/prov/" + blockstore.SegmentName(0)
 	raw, err := mem.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,26 +111,14 @@ func TestVerifyAllSeesAPendingCustodyEntry(t *testing.T) {
 // a format-aware insider would: same length, valid CRC.
 func editWALEntry(t *testing.T, v *Vault, mem *faultfs.Mem, ref blockstore.Ref, edit func(*walEntry)) {
 	t.Helper()
-	path := filepath.Join(v.dir, "meta.wal")
-	raw, err := mem.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	we, err := v.metaWAL.ReadAt(int64(ref.Offset))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := decodeWALEntry(we.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edit(&e)
-	data := e.encode()
-	if len(data) != len(we.Data) {
-		t.Fatalf("edited entry is %d B, was %d", len(data), len(we.Data))
-	}
-	copy(raw[ref.Offset:], frame.Seq.Append(nil, we.Seq, data))
-	if err := mem.WriteFile(path, raw, 0o600); err != nil {
+	if err := wal.CorruptEntry(mem, filepath.Join(v.dir, "meta.wal"), int64(ref.Offset), func(data []byte) []byte {
+		e, err := decodeWALEntry(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&e)
+		return e.encode()
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

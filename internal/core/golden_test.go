@@ -327,27 +327,30 @@ func TestGoldenWALEntries(t *testing.T) {
 // record's create and correction, frames included. A version used to be a
 // legacy 'c' entry in meta.wal plus a block store frame holding its
 // ciphertext; it is one 'p' entry carrying the ciphertext, with no Ref and
-// no hash (42 B less per version here). A shred's 's' entry carries its
-// actor and time where the legacy 'S' entry (13 B) carried neither.
+// no hash (42 B less per version here). The entry's frame.Var frame is 6 B
+// where the frame.Seq frame it replaced was 16 (10 B less). A shred's 's'
+// entry carries its actor and time where the legacy 'S' entry (13 B)
+// carried neither.
 func TestWALBytesPerEntry(t *testing.T) {
 	seq, block := frame.Seq.Overhead(), frame.Block.Overhead()
 	for _, tc := range []struct {
-		name      string
-		legacyHex string
-		e         walEntry
-		old, new  int
+		name           string
+		legacyHex      string
+		e              walEntry
+		old, inSeq, va int
 	}{
-		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371},
-		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298},
+		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371, 361},
+		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298, 288},
 	} {
 		old := seq + len(tc.legacyHex)/2 + block + len(tc.e.ct)
-		got := seq + len(tc.e.encode())
-		t.Logf("%s: %d B as a 'c' entry and a block, %d B as a 'p' entry", tc.name, old, got)
-		if old != tc.old || got != tc.new {
-			t.Errorf("%s: %d B before, %d B now; want %d and %d", tc.name, old, got, tc.old, tc.new)
+		inSeq := seq + len(tc.e.encode())
+		got := len(frame.Var.Append(nil, 0, tc.e.encode()))
+		t.Logf("%s: %d B as a 'c' entry and a block, %d B as a 'p' entry in a Seq frame, %d B in a Var frame", tc.name, old, inSeq, got)
+		if old != tc.old || inSeq != tc.inSeq || got != tc.va {
+			t.Errorf("%s: %d, %d and %d B; want %d, %d and %d", tc.name, old, inSeq, got, tc.old, tc.inSeq, tc.va)
 		}
-		if old-got < 40 {
-			t.Errorf("%s: the inline ciphertext saves %d B per version, want at least 40", tc.name, old-got)
+		if old-inSeq < 40 {
+			t.Errorf("%s: the inline ciphertext saves %d B per version, want at least 40", tc.name, old-inSeq)
 		}
 	}
 	if shred := goldenShred(); len(shred.encode()) != 25 {

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"context"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"medvault/internal/blockstore"
+	"medvault/internal/clock"
+	"medvault/internal/faultfs"
+	"medvault/internal/frame"
+	"medvault/internal/vcrypto"
+	"medvault/internal/wal"
+)
+
+// mediumScript runs a fixed script on a durable vault over a faultfs.Mem
+// disk and returns the disk, the vault still open (the image a kill -9
+// leaves) and the number of ops: creates, corrections, gets, a hold and a
+// shred.
+func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
+	t.Helper()
+	mem := faultfs.NewMem()
+	vc := mustClock()
+	v, err := Open(Config{Name: "medium", Master: mustKey(t), Clock: vc, Dir: "vault", FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	registerStaff(t, v)
+	ctx := context.Background()
+	recs := clinicalRecords(t, 7, 12)
+	ops := 0
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("op %d: %v", ops, err)
+		}
+		ops++
+	}
+	for _, r := range recs {
+		_, err := v.PutCtx(ctx, "dr-house", r)
+		step(err)
+	}
+	for _, r := range recs[:6] {
+		r.Body += " (amended)"
+		_, err := v.CorrectCtx(ctx, "dr-house", r)
+		step(err)
+	}
+	for _, r := range recs {
+		_, _, err := v.GetCtx(ctx, "dr-house", r.ID)
+		step(err)
+	}
+	step(v.PlaceHoldCtx(ctx, "arch-lee", recs[0].ID, "matter 7"))
+	vc.Advance(30 * 365 * 24 * time.Hour) // past the record's retention period
+	step(v.ShredCtx(ctx, "arch-lee", recs[11].ID))
+	return mem, v, ops
+}
+
+// TestMediumBytesPerOp is the exact count behind the frame change: a fixed
+// script's meta.wal and audit/ bytes before Close, here and as the binary
+// with frame.Seq WAL entries and frame.Block audit frames wrote them. The
+// payloads are the same bytes in both; only the frames differ, 16 → 6 B per
+// entry of 128 B or more (5 B under), plus one 20-B layout marker, and 9 →
+// 5 B per audit event under 128 B (6 B up to 16 KiB). The older framing of
+// this run's payloads must add up to what that binary measured.
+func TestMediumBytesPerOp(t *testing.T) {
+	const (
+		parentWAL, parentAudit = 7200, 2636 // 225.0 and 82.4 B/op, measured on the older binary
+		wantWAL, wantAudit     = 7018, 2504 // 219.3 and 78.2 B/op
+	)
+	mem, v, ops := mediumScript(t)
+
+	walPath := filepath.Join("vault", "meta.wal")
+	walImage, err := mem.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, walSeq, walVar := 0, 0, len(frame.Seq.Append(nil, 0, []byte("!var")))
+	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
+		entries++
+		walSeq += len(frame.Seq.Append(nil, 0, e.Data))
+		walVar += len(frame.Var.Append(nil, 0, e.Data))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	events, auditBlock, auditVar := 0, 0, 0
+	if err := v.Shard(0).auditStore.Scan(func(_ blockstore.Ref, p []byte) error {
+		events++
+		auditBlock += len(frame.Block.Append(nil, 0, p))
+		auditVar += len(frame.Var.Append(nil, 0, p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	auditBytes := int(v.Shard(0).auditStore.StorageBytes())
+
+	per := func(n int) float64 { return float64(n) / float64(ops) }
+	t.Logf("%d ops, %d meta.wal entries, %d audit events", ops, entries, events)
+	t.Logf("meta.wal: %d B (%.1f B/op), %d B in Seq frames (%.1f B/op)", len(walImage), per(len(walImage)), walSeq, per(walSeq))
+	t.Logf("audit/:   %d B (%.1f B/op), %d B in Block frames (%.1f B/op)", auditBytes, per(auditBytes), auditBlock, per(auditBlock))
+	if len(walImage) != walVar || auditBytes != auditVar {
+		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
+	}
+	if walSeq != parentWAL || auditBlock != parentAudit {
+		t.Errorf("older framing of this run: meta.wal %d B, audit %d B; the older binary measured %d and %d", walSeq, auditBlock, parentWAL, parentAudit)
+	}
+	if len(walImage) != wantWAL || auditBytes != wantAudit {
+		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)
+	}
+}
+
+// TestUpgradedDirectoryHoldsOnlyV2Tails: every block store in a directory
+// this binary wrote ends in a v2 segment, whose name the older binary's
+// segment rule refuses (blockstore's TestLegacySegmentsReadThenRolled): a
+// fresh vault, and the older binary's fixture directory opened here and
+// written to. TestParentDirectoryMixedWALLayouts reads such a directory back
+// after a crash and after a Close; the older binary's meta.wal open refusing
+// both layouts is wal's TestParentOpenRefusesV2.
+func TestUpgradedDirectoryHoldsOnlyV2Tails(t *testing.T) {
+	v2Tails := func(what string, fsys faultfs.FS, dir string) {
+		t.Helper()
+		for _, store := range []string{"blocks", "audit", "prov"} {
+			names, err := fsys.ReadDir(filepath.Join(dir, store))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last := names[len(names)-1].Name(); last != blockstore.SegmentName(len(names)-1) {
+				t.Errorf("%s: %s/ ends with %s, want a v2 segment", what, store, last)
+			}
+		}
+	}
+
+	mem, _, _ := mediumScript(t)
+	v2Tails("fresh vault", mem, "vault")
+
+	var seed [32]byte
+	copy(seed[:], "medvault-fixture-master-seed-32b")
+	master, err := vcrypto.KeyFromBytes(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent-single-vault"), dir)
+	v, err := Open(Config{Name: "fixture", Master: master, Clock: clock.NewVirtual(parentFixture.now), Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	registerStaff(t, v)
+	rec, _, err := v.GetCtx(context.Background(), "dr-house", "fx-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Body = "fx-c, corrected after the upgrade"
+	if _, err := v.CorrectCtx(context.Background(), "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	v2Tails("the older binary's directory, written to", faultfs.OS{}, dir)
+}

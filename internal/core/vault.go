@@ -148,11 +148,11 @@ func (v *Vault) ciphertext(ref blockstore.Ref) ([]byte, error) {
 	if ref.Segment != walSegment {
 		return v.blocks.Read(ref)
 	}
-	we, err := v.metaWAL.ReadAt(int64(ref.Offset))
+	data, err := v.metaWAL.ReadAt(int64(ref.Offset))
 	if err != nil {
 		return nil, err
 	}
-	e, err := decodeWALEntry(we.Data)
+	e, err := decodeWALEntry(data)
 	return e.ct, err
 }
 

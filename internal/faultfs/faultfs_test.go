@@ -83,13 +83,13 @@ func TestMemWriteFileNotDurableUntilSync(t *testing.T) {
 
 func TestMemRefusesDirectoryRename(t *testing.T) {
 	m := NewMem()
-	if err := m.WriteFile("blocks/seg-00000000.blk", []byte("x"), 0o600); err != nil {
+	if err := m.WriteFile("blocks/a.seg", []byte("x"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Rename("blocks", "blocks.old"); err == nil {
 		t.Fatal("renaming a directory succeeded")
 	}
-	if got, err := m.ReadFile("blocks/seg-00000000.blk"); err != nil || string(got) != "x" {
+	if got, err := m.ReadFile("blocks/a.seg"); err != nil || string(got) != "x" {
 		t.Fatalf("refused rename moved the directory's file: %q, %v", got, err)
 	}
 }

@@ -2,7 +2,9 @@
 //
 // The frame layer (frame.go) is the CRC-framed record every file and stream
 // of records is made of, under one of three headers (Format: Seq, Block and
-// Var).
+// Var). Every file the vault appends to is written in Var; Seq frames the
+// replication stream and the WAL's layout marker, and Block is decoded
+// only, in segments an older binary wrote.
 // Format.Walk is the one tail rule: decode from the front until a frame is
 // incomplete or fails its CRC, and report where the valid prefix ends, for
 // the caller to cut there or report corruption. A length field is medium
@@ -40,11 +42,12 @@ import (
 //
 //	header | len | u32 crc32c(payload) | payload
 //
-// big-endian. Seq frames (WAL entries, the replication stream) open with a
-// u64 sequence number and a u32 len; Block frames (blockstore segments) open
-// with the magic byte 0xB1 and a u32 len. Var frames (flight segments) have
-// no header before a uvarint len, in its shortest form and at most a u32:
-// their reader recomputes what a sequence number would say.
+// big-endian. Seq frames (the replication stream, legacy WAL entries) open
+// with a u64 sequence number and a u32 len; Block frames (legacy blockstore
+// segments) open with the magic byte 0xB1 and a u32 len. Var frames (WAL
+// entries, blockstore and flight segments) have no header before a uvarint
+// len, in its shortest form and at most a u32: their reader recomputes what
+// a sequence number would say.
 type Format struct {
 	hdr    int  // header bytes: 8 for a sequence number, 1 for a magic byte
 	magic  byte // a one-byte header's value

@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"medvault/internal/audit"
+	"medvault/internal/blockstore"
 	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/faultfs"
-	"medvault/internal/frame"
 	"medvault/internal/retention"
 	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
@@ -260,7 +260,7 @@ func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	}
 
 	// The create of p1 is the chain's first event; flip a byte inside it.
-	const seg = "vault/audit/seg-00000000.blk"
+	seg := "vault/audit/" + blockstore.SegmentName(0)
 	raw, err := mem.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 	}
 
 	// The create of p1 is the custody store's first frame; flip a byte inside it.
-	const seg = "vault/prov/seg-00000000.blk"
+	seg := "vault/prov/" + blockstore.SegmentName(0)
 	raw, err := mem.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -355,24 +355,19 @@ func TestCorruptCustodyFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 func TestEditedPendingCustodyEntryIsAnErrorNotAShorterAnswer(t *testing.T) {
 	_, mem, ts := custodyServer(t)
 	const path = "vault/meta.wal"
-	raw, err := mem.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := 0
+	var creates []int64
 	if _, _, err := wal.Read(mem, path, func(e wal.Entry) error {
-		at := bytes.Index(e.Data, []byte("dr-house"))
-		if e.Data[0] != 'p' || at < 0 {
-			return nil
+		if e.Data[0] == 'p' && bytes.Contains(e.Data, []byte("dr-house")) {
+			creates = append(creates, e.Off)
 		}
-		e.Data[at+len("dr-house")-1] ^= 0x01
-		copy(raw[e.Off:], frame.Seq.Append(nil, e.Seq, e.Data))
-		edited++
 		return nil
-	}); err != nil || edited != 1 {
-		t.Fatalf("editing p1's create entry: %d edited, %v", edited, err)
+	}); err != nil || len(creates) != 1 {
+		t.Fatalf("finding p1's create entry: %d found, %v", len(creates), err)
 	}
-	if err := mem.WriteFile(path, raw, 0o600); err != nil {
+	if err := wal.CorruptEntry(mem, path, creates[0], func(data []byte) []byte {
+		data[bytes.Index(data, []byte("dr-house"))+len("dr-house")-1] ^= 0x01
+		return data
+	}); err != nil {
 		t.Fatal(err)
 	}
 	checkCustodyRoutesFail(t, ts)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"medvault/internal/authz"
+	"medvault/internal/blockstore"
 	"medvault/internal/clock"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
@@ -18,6 +19,7 @@ import (
 	"medvault/internal/frame"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
+	"medvault/internal/wal"
 )
 
 const testRoot = "vault"
@@ -688,7 +690,7 @@ func TestAntiEntropyDivergenceResync(t *testing.T) {
 			}
 		}},
 		{"flipped byte in an audit segment", false, func(t *testing.T, fmem *faultfs.Mem) {
-			name := testRoot + "/audit/seg-00000000.blk"
+			name := testRoot + "/audit/" + blockstore.SegmentName(0)
 			seg, err := fmem.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
@@ -765,14 +767,14 @@ func walFrames(t *testing.T, fmem *faultfs.Mem) []int {
 		t.Fatal(err)
 	}
 	var offs []int
-	n, err := frame.Seq.Walk(data, func(off int, _ uint64, _ []byte) error {
-		offs = append(offs, off)
+	n, _, err := wal.Read(fmem, testRoot+"/meta.wal", func(e wal.Entry) error {
+		offs = append(offs, int(e.Off))
 		return nil
 	})
-	if err != nil || n != len(data) || len(offs) < 3 {
+	if err != nil || n != int64(len(data)) || len(offs) < 3 {
 		t.Fatalf("follower meta.wal: %d frames in %d of %d bytes, %v; want at least 3 whole frames", len(offs), n, len(data), err)
 	}
-	return append(offs, n)
+	return append(offs, int(n))
 }
 
 // TestPostmortemBundlesStayNodeLocal: medvaultd writes postmortem bundles

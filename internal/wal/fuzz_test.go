@@ -47,6 +47,9 @@ func FuzzOpen(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	for _, seed := range layoutSeeds() {
+		f.Add(seed.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := faultfs.NewMem()

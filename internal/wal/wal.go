@@ -4,8 +4,16 @@
 // encrypted index, audit chain). The WAL makes the group atomic: the intent
 // record is durably appended first, and on restart any suffix of intents not
 // covered by the last checkpoint is replayed idempotently. Entries are
-// sequence-numbered and CRC-framed; a torn tail from a crash is truncated on
-// open, never silently skipped over.
+// frame.Var frames (uvarint len | u32 CRC-32C | payload), and an entry's
+// sequence number is its position in the file; a torn tail from a crash is
+// truncated on open, never silently skipped over.
+//
+// A log an older binary wrote is frame.Seq frames, each carrying its
+// sequence number. Such a file continues across an upgrade, so the first
+// batch written to a file without one (a fresh checkpoint generation
+// included) opens with a layout marker: a Seq frame an older reader decodes
+// and then refuses, where it would otherwise cut the Var frames after it away
+// as a torn tail. Var frames the marker does not announce are ErrCorrupt.
 //
 // Appends group-commit: concurrent callers coalesce into a batch that is
 // written and fsynced once, and each caller is unblocked only after the
@@ -15,6 +23,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -64,6 +73,12 @@ var (
 	ErrWedged = errors.New("wal: wedged, refusing further appends")
 )
 
+// layoutMarker is the payload of the frame.Seq entry after which a log is
+// frame.Var frames. Its first byte, '!', opens no entry a WAL user writes, so
+// an older binary's replay refuses it; the marker is no entry, and takes no
+// sequence number, in this one.
+var layoutMarker = []byte("!var")
+
 // Entry is a recovered log entry and its frame's offset in the file. Data
 // aliases the log image Read loaded: keeping it keeps the whole image alive.
 type Entry struct {
@@ -90,6 +105,7 @@ type Log struct {
 	nextSeq uint64
 	size    int64 // durable bytes
 	end     int64 // bytes enqueued: where the next frame will start
+	varFrom int64 // where the Var frames start, past the layout marker; 0 before it is enqueued
 	closed  bool
 	wedged  error // fatal write/sync failure; the log refuses further appends
 
@@ -108,8 +124,12 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o700); err != nil {
 		return nil, fmt.Errorf("wal: creating dir: %w", err)
 	}
+	data, err := readFile(fsys, path)
+	if err != nil {
+		return nil, err
+	}
 	var nextSeq uint64
-	off, size, err := Read(fsys, path, func(e Entry) error {
+	varFrom, off, err := walk(data, func(e Entry) error {
 		nextSeq = e.Seq + 1
 		if fn == nil {
 			return nil
@@ -119,6 +139,7 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := int64(len(data))
 	if off < size {
 		if err := fsys.Truncate(path, off); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
@@ -128,7 +149,7 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, end: off}
+	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, end: off, varFrom: varFrom}
 	l.idle = sync.NewCond(&l.mu)
 	return l, nil
 }
@@ -136,29 +157,80 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 // Read decodes the log at path without opening it for writing. It calls fn
 // with each entry of the valid prefix in order and returns the prefix's
 // length and the file's size; the bytes between them are a torn tail, which
-// Read leaves in place because it never writes. An entry out of sequence is
-// ErrCorrupt wherever it sits. A missing file is an empty log. OpenFS
-// replays through Read and then cuts the torn tail.
+// Read leaves in place because it never writes. A legacy entry out of
+// sequence, and Var frames no layout marker announces, are ErrCorrupt
+// wherever they sit. A missing file is an empty log. OpenFS replays through
+// the same walk and then cuts the torn tail.
 func Read(fsys faultfs.FS, path string, fn func(Entry) error) (valid, size int64, err error) {
+	data, err := readFile(fsys, path)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, valid, err = walk(data, fn); err != nil {
+		return 0, 0, err
+	}
+	return valid, int64(len(data)), nil
+}
+
+// readFile loads the log image; a missing file is an empty log.
+func readFile(fsys faultfs.FS, path string) ([]byte, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, 0, fmt.Errorf("wal: reading %s: %w", path, err)
+		return nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
+	return data, nil
+}
+
+// errMarker stops the walk of a log's Seq frames at its layout marker.
+var errMarker = errors.New("wal: layout marker")
+
+// walk decodes a log image: legacy Seq frames up to the layout marker, if
+// any, and Var frames after it. It calls fn with each entry of the valid
+// prefix and returns where the Var frames start (0 without a marker) and
+// the prefix's length.
+func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	var next uint64
 	var refused error // an entry the log or fn refused, as opposed to a torn tail
-	n, _ := frame.Seq.Walk(data, func(off int, seq uint64, payload []byte) error {
-		if seq != next {
-			refused = fmt.Errorf("%w: sequence gap at offset %d: got %d, want %d", ErrCorrupt, off, seq, next)
-		} else if err := fn(Entry{Seq: seq, Off: int64(off), Data: payload}); err != nil {
-			refused = fmt.Errorf("wal: replaying entry %d: %w", seq, err)
+	entry := func(off int, payload []byte) error {
+		if err := fn(Entry{Seq: next, Off: int64(off), Data: payload}); err != nil {
+			refused = fmt.Errorf("wal: replaying entry %d: %w", next, err)
+			return refused
 		}
 		next++
-		return refused
+		return nil
+	}
+	n, err := frame.Seq.Walk(data, func(off int, seq uint64, payload []byte) error {
+		switch {
+		case seq != next:
+			refused = fmt.Errorf("%w: sequence gap at offset %d: got %d, want %d", ErrCorrupt, off, seq, next)
+			return refused
+		case bytes.Equal(payload, layoutMarker):
+			return errMarker
+		}
+		return entry(off, payload)
+	})
+	switch {
+	case refused != nil:
+		return 0, 0, refused
+	case err == nil:
+		return 0, int64(n), nil
+	case err != errMarker:
+		// A torn Seq frame opens with its sequence number's zero high
+		// byte, which a Var frame reads as an empty payload: a whole
+		// non-empty Var frame here is a layout switch without its marker.
+		if _, p, _, verr := frame.Var.Decode(data[n:]); verr == nil && len(p) > 0 {
+			return 0, 0, fmt.Errorf("%w: frame.Var frames at offset %d with no layout marker before them", ErrCorrupt, n)
+		}
+		return 0, int64(n), nil
+	}
+	from := n + frame.Seq.Overhead() + len(layoutMarker)
+	m, _ := frame.Var.Walk(data[from:], func(off int, _ uint64, payload []byte) error {
+		return entry(from+off, payload)
 	})
 	if refused != nil {
 		return 0, 0, refused
 	}
-	return int64(n), int64(len(data)), nil
+	return int64(from), int64(from + m), nil
 }
 
 // Enqueue stages data for the next group commit, returning its sequence
@@ -181,10 +253,15 @@ func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error)
 		l.mu.Unlock()
 		return 0, 0, func() error { return err }
 	}
-	seq, off := l.nextSeq, l.end
+	start := len(l.batch)
+	if l.varFrom == 0 {
+		l.batch = frame.Seq.Append(l.batch, l.nextSeq, layoutMarker)
+		l.varFrom = l.end + int64(len(l.batch)-start)
+	}
+	seq, off := l.nextSeq, l.end+int64(len(l.batch)-start)
 	l.nextSeq++
-	l.end += int64(frame.Seq.Overhead() + len(data))
-	l.batch = frame.Seq.Append(l.batch, seq, data)
+	l.batch = frame.Var.Append(l.batch, 0, data)
+	l.end += int64(len(l.batch) - start)
 	w := &waiter{durable: durable, done: make(chan struct{})}
 	l.waiters = append(l.waiters, w)
 	metQueueDepth.Add(1)
@@ -328,20 +405,59 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// ReadAt reads back and checks the durable entry at off, an offset Enqueue or
-// Read reported in the current checkpoint generation.
-func (l *Log) ReadAt(off int64) (Entry, error) {
+// ReadAt reads back and checks the payload of the durable entry at off, an
+// offset Enqueue or Read reported in the current checkpoint generation.
+func (l *Log) ReadAt(off int64) ([]byte, error) {
 	l.mu.Lock()
-	r, size, closed := l.f, l.size, l.closed
+	r, size, closed, f := l.f, l.size, l.closed, formatAt(l.varFrom, off)
 	l.mu.Unlock()
 	if closed {
-		return Entry{}, ErrClosed
+		return nil, ErrClosed
 	}
-	h, data, err := frame.Seq.ReadAt(r, off, size)
+	_, data, err := f.ReadAt(r, off, size)
 	if err != nil {
-		return Entry{}, fmt.Errorf("%w: entry at offset %d: %v", ErrCorrupt, off, err)
+		return nil, fmt.Errorf("%w: entry at offset %d: %v", ErrCorrupt, off, err)
 	}
-	return Entry{Seq: h.Seq, Off: off, Data: data}, nil
+	return data, nil
+}
+
+// formatAt is the frame of the entry at off in a log whose Var frames start
+// at varFrom: Var past the layout marker, Seq before it.
+func formatAt(varFrom, off int64) frame.Format {
+	if varFrom > 0 && off >= varFrom {
+		return frame.Var
+	}
+	return frame.Seq
+}
+
+// CorruptEntry models a format-aware insider with direct disk access: it
+// rewrites the payload of the entry at off in the log at path, applying
+// mutate and recomputing a valid CRC, so only a check above the WAL can
+// catch the edit. mutate must keep the payload's length.
+func CorruptEntry(fsys faultfs.FS, path string, off int64, mutate func([]byte) []byte) error {
+	data, err := readFile(fsys, path)
+	if err != nil {
+		return err
+	}
+	var found *Entry
+	varFrom, _, err := walk(data, func(e Entry) error {
+		if e.Off == off {
+			found = &e
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if found == nil {
+		return fmt.Errorf("%w: no entry at offset %d", ErrCorrupt, off)
+	}
+	mutated := mutate(bytes.Clone(found.Data))
+	if len(mutated) != len(found.Data) {
+		return fmt.Errorf("wal: CorruptEntry must preserve length: %d != %d", len(mutated), len(found.Data))
+	}
+	copy(data[off:], formatAt(varFrom, off).Append(nil, found.Seq, mutated))
+	return fsys.WriteFile(path, data, 0o600)
 }
 
 // Checkpoint atomically empties the log after its state has been durably
@@ -386,7 +502,7 @@ func (l *Log) Checkpoint() error {
 	}
 	old := l.f
 	l.f = nf
-	l.size, l.end = 0, 0
+	l.size, l.end, l.varFrom = 0, 0, 0
 	l.nextSeq = 0
 	_ = old.Close() // best-effort; the handle points at the unlinked old file
 	metCheckpoints.Inc()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,64 +77,88 @@ func TestReplayAfterReopen(t *testing.T) {
 	}
 }
 
+// TestTornTailTruncated: garbage past the last whole frame is a torn write,
+// cut on open, in either layout: a torn Var frame after a log this package
+// wrote, and the original torn Seq header (sequence number 5) after a legacy
+// log of five Seq frames.
 func TestTornTailTruncated(t *testing.T) {
-	l, path := openTemp(t, nil)
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
-			t.Fatal(err)
-		}
+	var legacy []byte
+	for i := uint64(0); i < 5; i++ {
+		legacy = frame.Seq.Append(legacy, i, []byte(fmt.Sprintf("e%d", i)))
 	}
-	l.Close()
+	for name, torn := range map[string][]byte{
+		"var":    frame.Var.Append(nil, 0, []byte("a torn entry"))[:9],
+		"legacy": {0, 0, 0, 0, 0, 0, 0, 5, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, path := openTemp(t, nil)
+			if name == "legacy" {
+				l.Close()
+				if err := os.WriteFile(path, legacy, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for i := 0; i < 5; i++ {
+					if _, err := l.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.Close()
+			}
 
-	// Append garbage simulating a torn write.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 0})
-	f.Close()
+			// Append garbage simulating a torn write.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(torn)
+			f.Close()
 
-	n := 0
-	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { n++; return nil })
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	defer re.Close()
-	if n != 5 {
-		t.Errorf("replayed %d entries, want 5", n)
-	}
-	if re.NextSeq() != 5 {
-		t.Errorf("NextSeq = %d, want 5", re.NextSeq())
-	}
-	if _, err := re.Append([]byte("recovered")); err != nil {
-		t.Errorf("append after torn-tail recovery: %v", err)
+			n := 0
+			re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error { n++; return nil })
+			if err != nil {
+				t.Fatalf("open with torn tail: %v", err)
+			}
+			defer re.Close()
+			if n != 5 {
+				t.Errorf("replayed %d entries, want 5", n)
+			}
+			if re.NextSeq() != 5 {
+				t.Errorf("NextSeq = %d, want 5", re.NextSeq())
+			}
+			if _, err := re.Append([]byte("recovered")); err != nil {
+				t.Errorf("append after torn-tail recovery: %v", err)
+			}
+		})
 	}
 }
 
+// TestCorruptMiddleEntryRejected: a Var frame carries no sequence number, so
+// the frames after a removed layout marker still check; Open must refuse
+// them rather than read the file as a torn empty log. (A legacy log's
+// sequence gap is TestReadLeavesTornTailRefusesGap's.)
 func TestCorruptMiddleEntryRejected(t *testing.T) {
 	l, path := openTemp(t, nil)
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if _, err := l.Append(bytes.Repeat([]byte{byte('a' + i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.Close()
 
-	// Corrupt the first entry's payload: replay must stop there. Since the
-	// corruption is at entry 0, recovery sees an empty valid prefix — but if
-	// sequence numbers jump (e.g. an entry is surgically removed), Open must
-	// refuse.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Remove the first entry entirely: second entry now leads with seq 1.
-	entryLen := frame.Seq.Overhead() + 32
-	if err := os.WriteFile(path, raw[entryLen:], 0o600); err != nil {
+	marker := len(frame.Seq.Append(nil, 0, layoutMarker))
+	if err := os.WriteFile(path, raw[marker:], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFS(faultfs.OS{}, path, nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("sequence gap accepted: %v", err)
+	if _, err := OpenFS(faultfs.OS{}, path, nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no layout marker") {
+		t.Errorf("Var frames without their layout marker: %v, want ErrCorrupt naming the marker", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw[marker:]) {
+		t.Errorf("a refused log was changed from %d to %d bytes", len(raw)-marker, len(after))
 	}
 }
 

@@ -192,6 +192,13 @@ check "One commit order: no commitMu in non-test internal/core, no Tree.Truncate
 check "One way to change a replica: no Go names frameSnap, encodeSnapFile, decodeSnapFile, applySnapFileLocked or inResync" \
 	"$(grep -rnE 'frameSnap|encodeSnapFile|decodeSnapFile|applySnapFileLocked|inResync' --include='*.go' .)"
 
+# Every file the vault appends to is frame.Var frames: frame.Seq stays for
+# the replication wire and the WAL's layout marker, and frame.Block is read,
+# never written. A tamper model re-frames through the package owning the file.
+check "One file frame: no frame.Seq.Append or frame.Block.Append in non-test Go outside internal/frame, internal/repl and wal.Log.Enqueue" \
+	"$(awk '/^func /{fn=$0} /frame\.(Seq|Block)\.Append\(/ && !(FILENAME == "internal/wal/wal.go" && fn ~ /^func \(l \*Log\) Enqueue\(/) {print FILENAME ":" FNR ": " $0}' \
+		$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/frame/*' ! -path 'internal/repl/*'))"
+
 # A whole-vault operation visits shards one at a time in shard order, so
 # its fs ops land in the same order on every run and a crash injected at one
 # op index strikes the same op each time.
