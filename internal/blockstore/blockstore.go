@@ -48,7 +48,8 @@ func (r Ref) String() string { return fmt.Sprintf("%d:%d", r.Segment, r.Offset) 
 
 // Store is an append-only block store.
 type Store interface {
-	// Append writes data as a new block and returns its reference.
+	// Append writes data, which must not be empty, as a new block and
+	// returns its reference.
 	Append(data []byte) (Ref, error)
 	// Read returns the block at ref. The returned slice is a private copy.
 	Read(ref Ref) ([]byte, error)

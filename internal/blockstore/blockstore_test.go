@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -52,7 +53,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 			var refs []Ref
 			var want [][]byte
 			for i := 0; i < 50; i++ {
-				data := bytes.Repeat([]byte{byte(i)}, i*7%300)
+				data := bytes.Repeat([]byte{byte(i)}, 1+i*7%300)
 				ref, err := s.Append(data)
 				if err != nil {
 					t.Fatalf("Append %d: %v", i, err)
@@ -357,6 +358,57 @@ func TestFileRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	if got, err := re.Read(ref); err != nil || string(got) != "post-crash" {
 		t.Errorf("post-crash append: %q %v", got, err)
+	}
+}
+
+// TestFileRecoveryCutsZeroFilledTail: zeros a filesystem filled a crashed
+// segment's tail with are a torn tail, not empty blocks, even after a block
+// whose own frame ends in zeros; zeros at the tail of an older segment are
+// corruption. Append refuses the empty block zeros would spell.
+func TestFileRecoveryCutsZeroFilledTail(t *testing.T) {
+	mem := faultfs.NewMem()
+	f, err := OpenFileFS(mem, "blocks", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append(nil); !errors.Is(err, errEmpty) {
+		t.Fatalf("Append(nil) = %v, want errEmpty", err)
+	}
+	// The first block fills segment 0; the others end segment 1 in zeros.
+	blocks := [][]byte{bytes.Repeat([]byte{'a'}, 56), {'b', 0, 0, 0}, {'c', 0}}
+	for _, b := range blocks {
+		if _, err := f.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	zeroFill := func(seg int) {
+		t.Helper()
+		path := filepath.Join("blocks", SegmentName(seg))
+		data, err := mem.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.WriteFile(path, append(data, make([]byte, 64)...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroFill(1)
+	re, err := OpenFileFS(mem, "blocks", 64)
+	if err != nil {
+		t.Fatalf("recovery with a zero-filled tail: %v", err)
+	}
+	var got [][]byte
+	if err := re.Scan(func(_ Ref, p []byte) error { got = append(got, bytes.Clone(p)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
+	if !reflect.DeepEqual(got, blocks) {
+		t.Fatalf("recovered %q, want %q", got, blocks)
+	}
+	zeroFill(0)
+	if _, err := OpenFileFS(mem, "blocks", 64); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("zeros at the tail of an older segment: %v, want ErrCorrupt", err)
 	}
 }
 

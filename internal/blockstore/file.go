@@ -55,6 +55,13 @@ type File struct {
 
 var _ Store = (*File)(nil)
 
+var (
+	// errZeroTail stops recovery's walk at a run of zeros that reaches the end.
+	errZeroTail = errors.New("blockstore: zero-filled tail")
+	// errEmpty refuses an empty block, whose frame zeros would spell.
+	errEmpty = errors.New("blockstore: empty block")
+)
+
 // OpenFile opens (or creates) a file-backed store in dir on the real
 // filesystem. segCap is the segment capacity in bytes (0 means 64 MiB).
 func OpenFile(dir string, segCap int) (*File, error) {
@@ -129,7 +136,16 @@ func (f *File) recover() error {
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
-		valid, err := f.format(i).Walk(data, func(int, uint64, []byte) error { return nil })
+		// A filesystem may zero-fill a crashed file's tail, and zeros from a
+		// frame's start to the end decode as empty Var frames, which Append
+		// never writes: a torn tail.
+		zeros := len(bytes.TrimRight(data, "\x00"))
+		valid, err := f.format(i).Walk(data, func(off int, _ uint64, _ []byte) error {
+			if off >= zeros {
+				return errZeroTail
+			}
+			return nil
+		})
 		if err != nil {
 			if i != len(names)-1 {
 				// Torn frames may only exist at the very end of the log.
@@ -203,6 +219,9 @@ func (f *File) Append(data []byte) (Ref, error) {
 	}
 	if f.wedged != nil {
 		return Ref{}, f.wedged
+	}
+	if len(data) == 0 {
+		return Ref{}, errEmpty
 	}
 	buf := frame.Var.Append(nil, 0, data)
 	if len(buf) > f.segCap {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -330,17 +331,20 @@ func TestGoldenWALEntries(t *testing.T) {
 // no hash (42 B less per version here). The entry's frame.Var frame is 6 B
 // where the frame.Seq frame it replaced was 16 (10 B less). A shred's 's'
 // entry carries its actor and time where the legacy 'S' entry (13 B)
-// carried neither.
+// carried neither. With ehr's golden record, filed as lab, sealed in it, a
+// 'p' entry's ciphertext is the sealed layout's 52 B plus the seal's 28,
+// where an older binary sealed its 97-B MVR1 encoding: 45 B less per
+// version, and the correction's frame loses a length byte too.
 func TestWALBytesPerEntry(t *testing.T) {
 	seq, block := frame.Seq.Overhead(), frame.Block.Overhead()
 	for _, tc := range []struct {
-		name           string
-		legacyHex      string
-		e              walEntry
-		old, inSeq, va int
+		name                         string
+		legacyHex                    string
+		e                            walEntry
+		old, inSeq, va, mvr1, sealed int
 	}{
-		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371, 361},
-		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298, 288},
+		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371, 361, 229, 184},
+		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298, 288, 156, 110},
 	} {
 		old := seq + len(tc.legacyHex)/2 + block + len(tc.e.ct)
 		inSeq := seq + len(tc.e.encode())
@@ -351,6 +355,20 @@ func TestWALBytesPerEntry(t *testing.T) {
 		}
 		if old-inSeq < 40 {
 			t.Errorf("%s: the inline ciphertext saves %d B per version, want at least 40", tc.name, old-inSeq)
+		}
+		rec := ehr.Record{
+			ID: tc.e.id, Patient: "Ada L.", MRN: tc.e.mrn, Category: tc.e.category, Author: tc.e.ver.Author,
+			CreatedAt: tc.e.created, Title: "Visit", Body: "note text", Codes: []string{"I10", "E11.9"},
+		}
+		framed := func(pt []byte) int {
+			e := tc.e
+			e.ct = make([]byte, len(pt)+vcrypto.Overhead)
+			return len(frame.Var.Append(nil, 0, e.encode()))
+		}
+		mvr1, sealed := framed(ehr.Encode(rec)), framed(ehr.EncodeSealed(rec))
+		t.Logf("%s: %d B sealing the MVR1 encoding, %d B sealing the sealed layout", tc.name, mvr1, sealed)
+		if mvr1 != tc.mvr1 || sealed != tc.sealed {
+			t.Errorf("%s: %d and %d B; want %d and %d", tc.name, mvr1, sealed, tc.mvr1, tc.sealed)
 		}
 	}
 	if shred := goldenShred(); len(shred.encode()) != 25 {
@@ -433,7 +451,10 @@ func TestGoldenBundle(t *testing.T) {
 // random source (DEKs and nonces, hence the ciphertext hashes custody events
 // commit to). Ed25519 signatures are deterministic (RFC 8032), so however the
 // vault keeps custody events on its own medium, the chain that leaves it in a
-// bundle is these bytes.
+// bundle is these bytes. The MVR1 vector is the same export from a vault that
+// sealed the canonical encoding: it decodes and its chain verifies, and its
+// records are byte for byte the ones this vault exports; only the ciphertext
+// hashes its custody events commit to differ.
 func TestGoldenExportedBundle(t *testing.T) {
 	saved := rand.Reader
 	rand.Reader = mrand.New(mrand.NewSource(7))
@@ -464,32 +485,76 @@ func TestGoldenExportedBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame.CheckGolden(t, frame.Golden{
-		Name: "exported bundle",
-		Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
-			"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
-			"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
-			"00011083bab1fa12cd15218b57459642de2073e74c2e38624762eb1dcdc5504785fa4c1bff0584c3d1ce000000654d56" +
-			"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
-			"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
-			"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
-			"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
-			"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
-			"37ad48f35341dc6a377901e3819f75389d61d24130c26c063562454845dc8ba400000000000000000000000000000000" +
-			"000000000000000000000000000000004d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e632e2c5067b4438" +
-			"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040b2d3ec2a3c4bef32" +
-			"47a536dbd76bc5ce022e0cccdb590ad135882dd8f99486ee6b89ff178f3fae353ac5774bc1401712af7977af44a355e2" +
-			"4b061345e8341d020000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
-			"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000049c7abcd470ee2860c" +
-			"8a2780c851533a2e31c99cb39ad0ee3edb9c84436d563e4d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e6" +
-			"32e2c5067b443879ff5631000baf62a2d5fcbc6f3b205c7e9845cdc7875dd25022915b8de4eb7d00000020cb3061f22f" +
-			"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004045949718ad93f2b8d96d4ad654c41a7ba4" +
-			"bdbe2ee10dae8bb59a541d9a6307db1ea2d9305f0aa7cf22c37fc0f175b80364ba2864de31436d1f034ee1a6112909",
-		Encode:  func() []byte { return EncodeBundle(bundle) },
-		Decode:  func(b []byte) (any, error) { return DecodeBundle(b) },
-		Corrupt: ErrBadBundle,
-	})
+	decode := func(b []byte) (any, error) { return DecodeBundle(b) }
+	frame.CheckGolden(t,
+		frame.Golden{
+			Name:    "exported bundle, MVR1 seal (decode-only)",
+			Hex:     goldenExportedBundleMVR1,
+			Decode:  decode,
+			Corrupt: ErrBadBundle,
+		},
+		frame.Golden{
+			Name: "exported bundle",
+			Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
+				"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
+				"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
+				"00011083bab1fa12cd15218b57459642de2073e74c2e38624762eb1dcdc5504785fa4c1bff0584c3d1ce000000654d56" +
+				"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
+				"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
+				"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
+				"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
+				"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
+				"23af93c6ddf77e9e8034186c0d5ddf8d0006b79f15d0766bdc9d4f51f94d893000000000000000000000000000000000" +
+				"000000000000000000000000000000003d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef419f75450c26733" +
+				"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040868d3486fe0eca12" +
+				"aaac8eef254974249ebcc08be5c1db1de31cb4cc173554bab30b0ce8214dc6363e301fe96c1a88d155df870ccf37c1ee" +
+				"67e36088f05dd80c0000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+				"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000052c5642928fb439483" +
+				"4de8234479f6de88501dea46bea2de3e70d371671920973d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef4" +
+				"19f75450c26733085def8a0050f3ecd8048546fa52a84e87a0c2e8e76251a8eba7012af6e62fb300000020cb3061f22f" +
+				"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004090e3b8d055d4c5af46f8823c120a23d5f2" +
+				"8f4d58ac0219b1519f5e218486bec0f16b1255bfb849c0f89787375cded819bc8a0010147bcaa52f68f321d34a1002",
+			Encode:  func() []byte { return EncodeBundle(bundle) },
+			Decode:  decode,
+			Corrupt: ErrBadBundle,
+		},
+	)
+	old, _ := hex.DecodeString(goldenExportedBundleMVR1)
+	legacy, err := DecodeBundle(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := provenance.CheckChain(legacy.ID, legacy.Custody); err != nil {
+		t.Errorf("MVR1 vector's custody chain: %v", err)
+	}
+	for i, ev := range legacy.Versions {
+		if !bytes.Equal(CanonicalRecordBytes(ev.Record), CanonicalRecordBytes(bundle.Versions[i].Record)) || ev.PlainHash != bundle.Versions[i].PlainHash {
+			t.Errorf("version %d: the MVR1 vector's record differs from this export's", i+1)
+		}
+	}
 }
+
+// goldenExportedBundleMVR1 is TestGoldenExportedBundle's export as a vault
+// that sealed each version's MVR1 encoding wrote it.
+const goldenExportedBundleMVR1 = "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
+	"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
+	"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
+	"00011083bab1fa12cd15218b57459642de2073e74c2e38624762eb1dcdc5504785fa4c1bff0584c3d1ce000000654d56" +
+	"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
+	"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
+	"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
+	"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
+	"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
+	"37ad48f35341dc6a377901e3819f75389d61d24130c26c063562454845dc8ba400000000000000000000000000000000" +
+	"000000000000000000000000000000004d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e632e2c5067b4438" +
+	"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040b2d3ec2a3c4bef32" +
+	"47a536dbd76bc5ce022e0cccdb590ad135882dd8f99486ee6b89ff178f3fae353ac5774bc1401712af7977af44a355e2" +
+	"4b061345e8341d020000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+	"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000049c7abcd470ee2860c" +
+	"8a2780c851533a2e31c99cb39ad0ee3edb9c84436d563e4d38c93a2f1c6eef4915866c8039b5fea8f279d5eae93768e6" +
+	"32e2c5067b443879ff5631000baf62a2d5fcbc6f3b205c7e9845cdc7875dd25022915b8de4eb7d00000020cb3061f22f" +
+	"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004045949718ad93f2b8d96d4ad654c41a7ba4" +
+	"bdbe2ee10dae8bb59a541d9a6307db1ea2d9305f0aa7cf22c37fc0f175b80364ba2864de31436d1f034ee1a6112909"
 
 // TestGoldenMetaSnapshot pins meta.snap through the one decoder recovery
 // uses. The v3 vector is decode-only; the v4 vector is what the encoder

@@ -8,6 +8,7 @@ import (
 
 	"medvault/internal/blockstore"
 	"medvault/internal/clock"
+	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
@@ -57,30 +58,55 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 	return mem, v, ops
 }
 
-// TestMediumBytesPerOp is the exact count behind the frame change: a fixed
-// script's meta.wal and audit/ bytes before Close, here and as the binary
-// with frame.Seq WAL entries and frame.Block audit frames wrote them. The
-// payloads are the same bytes in both; only the frames differ, 16 → 6 B per
-// entry of 128 B or more (5 B under), plus one 20-B layout marker, and 9 →
-// 5 B per audit event under 128 B (6 B up to 16 KiB). The older framing of
-// this run's payloads must add up to what that binary measured.
+// TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
+// fixed script's meta.wal and audit/ bytes before Close, here and as two
+// older binaries wrote them. The binary before this one sealed each version
+// as its MVR1 encoding; the one before that also framed WAL entries as
+// frame.Seq frames and audit events as frame.Block frames (16 → 6 B per entry
+// of 128 B or more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit
+// event under 128 B, 6 B up to 16 KiB). This run's entries, each with a
+// ciphertext as long as its version's MVR1 encoding would seal to, must add
+// up to what those binaries measured.
 func TestMediumBytesPerOp(t *testing.T) {
 	const (
-		parentWAL, parentAudit = 7200, 2636 // 225.0 and 82.4 B/op, measured on the older binary
-		wantWAL, wantAudit     = 7018, 2504 // 219.3 and 78.2 B/op
+		seqWAL, seqAudit   = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals
+		mvr1WAL            = 7018       // 219.3 B/op: frame.Var, MVR1 seals
+		wantWAL, wantAudit = 6036, 2504 // 188.6 and 78.2 B/op
 	)
 	mem, v, ops := mediumScript(t)
+	versions := map[string][]ehr.Record{}
+	for i, r := range clinicalRecords(t, 7, 12) {
+		versions[r.ID] = append(versions[r.ID], r)
+		if i < 6 {
+			r.Body += " (amended)"
+			versions[r.ID] = append(versions[r.ID], r)
+		}
+	}
 
 	walPath := filepath.Join("vault", "meta.wal")
 	walImage, err := mem.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, walSeq, walVar := 0, 0, len(frame.Seq.Append(nil, 0, []byte("!var")))
+	marker := len(frame.Seq.Append(nil, 0, []byte("!var")))
+	entries, walVar, walMVR1, walSeq := 0, marker, marker, 0
 	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
 		entries++
-		walSeq += len(frame.Seq.Append(nil, 0, e.Data))
 		walVar += len(frame.Var.Append(nil, 0, e.Data))
+		older := e.Data
+		if we, err := decodeWALEntry(e.Data); err != nil {
+			return err
+		} else if we.ct != nil {
+			rec := versions[we.id][we.ver.Number-1]
+			sealed, canonical := len(ehr.EncodeSealed(rec)), len(ehr.Encode(rec))
+			if len(we.ct)-sealed != vcrypto.Overhead {
+				t.Errorf("%s v%d: %d B of ciphertext for a %d-B sealed record", we.id, we.ver.Number, len(we.ct), sealed)
+			}
+			we.ct = make([]byte, canonical+vcrypto.Overhead)
+			older = we.encode()
+		}
+		walMVR1 += len(frame.Var.Append(nil, 0, older))
+		walSeq += len(frame.Seq.Append(nil, 0, older))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -99,13 +125,15 @@ func TestMediumBytesPerOp(t *testing.T) {
 
 	per := func(n int) float64 { return float64(n) / float64(ops) }
 	t.Logf("%d ops, %d meta.wal entries, %d audit events", ops, entries, events)
-	t.Logf("meta.wal: %d B (%.1f B/op), %d B in Seq frames (%.1f B/op)", len(walImage), per(len(walImage)), walSeq, per(walSeq))
+	t.Logf("meta.wal: %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
+		len(walImage), per(len(walImage)), walMVR1, per(walMVR1), walSeq, per(walSeq))
 	t.Logf("audit/:   %d B (%.1f B/op), %d B in Block frames (%.1f B/op)", auditBytes, per(auditBytes), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
 	}
-	if walSeq != parentWAL || auditBlock != parentAudit {
-		t.Errorf("older framing of this run: meta.wal %d B, audit %d B; the older binary measured %d and %d", walSeq, auditBlock, parentWAL, parentAudit)
+	if walMVR1 != mvr1WAL || walSeq != seqWAL || auditBlock != seqAudit {
+		t.Errorf("older layouts of this run: meta.wal %d B with MVR1 seals and %d B in Seq frames, audit %d B; the older binaries measured %d, %d and %d",
+			walMVR1, walSeq, auditBlock, mvr1WAL, seqWAL, seqAudit)
 	}
 	if len(walImage) != wantWAL || auditBytes != wantAudit {
 		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)

@@ -49,7 +49,8 @@ import (
 //
 // where identity is
 //
-//	word category | varstr mrn | i64 createdNano | varbytes wrappedDEK
+//	word category (ehr.CategoryWords) | varstr mrn | i64 createdNano |
+//	varbytes wrappedDEK
 //
 // cversion, shared with meta.snap v4, is
 //
@@ -79,11 +80,6 @@ import (
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, and recovery applies what the
 // parser returns.
-
-// walCategories is the version entries' category vocabulary (frame.AppendWord). It
-// is part of the format: it may only grow at the end, and a category not in
-// it is spelled out.
-var walCategories = []string{"clinical", "lab", "imaging", "billing", "occupational"}
 
 // leafData is what the Merkle log commits to per version.
 func leafData(id string, version uint64, ctHash [32]byte) []byte {
@@ -171,7 +167,7 @@ func (e *walEntry) encode() []byte {
 		b = frame.AppendTime(b, e.ver.Timestamp)
 		b = frame.AppendVarStr(b, e.ver.Author)
 		if e.ver.Number == 1 {
-			b = frame.AppendWord(b, string(e.category), walCategories)
+			b = frame.AppendWord(b, string(e.category), ehr.CategoryWords)
 			b = frame.AppendVarStr(b, e.mrn)
 			b = frame.AppendTime(b, e.created)
 			b = frame.AppendVarBytes(b, e.wrappedDEK)
@@ -210,7 +206,7 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 		case 0:
 			r.Fail("version 0 of %s", e.id)
 		case 1:
-			e.category = ehr.Category(r.Word(walCategories))
+			e.category = ehr.Category(r.Word(ehr.CategoryWords))
 			e.mrn = r.VarStr()
 			e.created = r.Time()
 			if e.wrappedDEK = r.VarBytes(); e.wrappedDEK == nil {

@@ -132,13 +132,14 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 	})
 }
 
-// commitVersion seals rec as the given version of its record under dek and
-// commits the 'V' entry that carries the ciphertext: one write and one fsync.
+// commitVersion seals rec, in the sealed layout (ehr.EncodeSealed), as the
+// given version of its record under dek and commits the 'V' entry that
+// carries the ciphertext: one write and one fsync.
 // wrappedDEK is the record's minted key blob on version 1 and nil afterwards;
 // custody says whether the entry carries the version's custody event. The
 // caller holds the record's stripe exclusively.
 func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool) (Version, error) {
-	pt := ehr.Encode(rec)
+	pt := ehr.EncodeSealed(rec)
 	_, sp := obs.StartSpan(ctx, "crypto.seal")
 	sp.SetUint("plaintext_bytes", uint64(len(pt)))
 	ct, err := vcrypto.Seal(dek, pt, sealAAD(rec.ID, number))
@@ -232,7 +233,10 @@ func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.
 	return v.openVersion(ctx, id, ver, ct)
 }
 
-// openVersion decrypts and decodes one version's ciphertext.
+// openVersion decrypts and decodes one version's ciphertext. The sealed
+// layout has no ID: the AAD authenticated id, so the record is id's. A
+// plaintext an older binary sealed is the MVR1 encoding, whose own ID must
+// be id.
 func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []byte) (ehr.Record, error) {
 	dek, err := v.keys.GetCtx(ctx, id)
 	if err != nil {
@@ -249,7 +253,14 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 	if err != nil {
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err)
 	}
-	return ehr.Decode(pt)
+	if len(pt) > 0 && pt[0] == ehr.SealedTag {
+		return ehr.DecodeSealed(pt, id)
+	}
+	rec, err := ehr.Decode(pt)
+	if err == nil && rec.ID != id {
+		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed record names %q", ErrTampered, id, ver.Number, rec.ID)
+	}
+	return rec, err
 }
 
 // GetCtx returns the latest version of the record. The read — allowed or

@@ -51,6 +51,34 @@ func reopenAndCheck(t *testing.T, img *faultfs.Mem, bodies [2]string) {
 	}
 }
 
+// TestRecoveryZeroFilledTails: a filesystem may zero-fill a crashed file's
+// tail. 64 zero bytes after meta.wal and after the newest segment of each
+// block store are torn tails, cut on open; the older binary read the first
+// as an empty WAL entry and the audit log's as a corrupt event.
+func TestRecoveryZeroFilledTails(t *testing.T) {
+	mem := faultfs.NewMem()
+	_, bodies := putTwo(t, mem)
+	img := mem.CrashImage(faultfs.KeepAll)
+	files := []string{"vault/meta.wal"}
+	for _, store := range []string{"blocks", "audit", "prov"} {
+		names, err := img.ReadDir("vault/" + store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, "vault/"+store+"/"+names[len(names)-1].Name())
+	}
+	for _, path := range files {
+		data, err := img.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := img.WriteFile(path, append(data, make([]byte, 64)...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopenAndCheck(t, img, bodies)
+}
+
 // TestRecoverySnapshotTmpLeftBehind: power cut at the snapshot's rename
 // during Close leaves meta.snap.tmp next to an absent (or stale) snapshot.
 // Recovery must come up from the WAL alone and ignore the tmp.

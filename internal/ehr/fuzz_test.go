@@ -2,8 +2,11 @@ package ehr
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
+
+	"medvault/internal/frame"
 )
 
 // FuzzDecode feeds arbitrary bytes to the record decoder: it must never
@@ -25,6 +28,38 @@ func FuzzDecode(f *testing.F) {
 		re := Encode(rec)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
+		}
+	})
+}
+
+// FuzzDecodeSealed feeds arbitrary bytes to the sealed-layout decoder: it
+// must never panic, a hostile code count must not size an allocation beyond
+// the input, and every successful decode must re-encode to identical bytes.
+func FuzzDecodeSealed(f *testing.F) {
+	g := NewGenerator(1, time.Time{})
+	for i := 0; i < 5; i++ {
+		f.Add(EncodeSealed(g.Next()))
+	}
+	noCodes := g.Next()
+	noCodes.Codes = nil
+	enc := EncodeSealed(noCodes)
+	f.Add(frame.AppendUvarint(enc[:len(enc)-1], 1<<62)) // a count no input holds
+	f.Add([]byte{})
+	f.Add([]byte{SealedTag})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := DecodeSealed(data, "fuzz-id")
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(data))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		if re := EncodeSealed(rec); !bytes.Equal(re, data) || rec.ID != "fuzz-id" {
+			t.Fatalf("decode/encode not canonical: %d bytes in, %d out, ID %q", len(data), len(re), rec.ID)
 		}
 	})
 }

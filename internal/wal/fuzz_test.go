@@ -111,6 +111,9 @@ func FuzzEntryFraming(f *testing.F) {
 	f.Add(uint64(7), []byte{}, false)
 	f.Add(uint64(2), bytes.Repeat([]byte{0x00}, 300), true)
 	f.Fuzz(func(t *testing.T, seq uint64, payload []byte, corrupt bool) {
+		if len(payload) == 0 {
+			return // Enqueue refuses it (TestEmptyPayloadRefused)
+		}
 		image := walBytes(t, payload)
 		if corrupt && len(image) > 0 {
 			image[len(image)-1] ^= 0x80

@@ -31,6 +31,9 @@ func layoutSeeds() []struct {
 		{"marker and a torn Var frame", append(bytes.Clone(marker), vars[:6]...), 0},
 		{"marker and Var frames", append(bytes.Clone(marker), vars...), 2},
 		{"legacy entries, then the marker and Var frames", append(append(bytes.Clone(legacy), frame.Seq.Append(nil, 2, layoutMarker)...), vars...), 4},
+		{"marker, Var frames and a zero-filled tail", append(append(bytes.Clone(marker), vars...), make([]byte, 64)...), 2},
+		{"marker and a zero-filled tail", append(bytes.Clone(marker), make([]byte, 5)...), 0},
+		{"legacy entries and a zero-filled tail", append(bytes.Clone(legacy), make([]byte, 64)...), 2},
 		{"Var frames with no marker", vars, -1},
 		{"legacy entries, then Var frames with no marker", append(bytes.Clone(legacy), vars...), -1},
 	}

@@ -75,6 +75,33 @@ func TestOpenTornFinalRecord(t *testing.T) {
 	}
 }
 
+// TestOpenZeroFilledTail: a filesystem may zero-fill a crashed file's
+// tail. Zeros from a frame's start to the end of the file are a torn tail,
+// cut on open, and zeros that end the last entry's own frame are part of it.
+func TestOpenZeroFilledTail(t *testing.T) {
+	entries := [][]byte{[]byte("entry zero"), {'o', 'n', 'e', 0, 0, 0, 0}}
+	full := walBytes(t, entries...)
+	mem := faultfs.NewMem()
+	if err := mem.WriteFile("w.wal", append(bytes.Clone(full), make([]byte, 64)...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	l, err := OpenFS(mem, "w.wal", func(e Entry) error {
+		got = append(got, bytes.Clone(e.Data))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("OpenFS on a zero-filled tail: %v", err)
+	}
+	defer l.Close()
+	if len(got) != 2 || !bytes.Equal(got[1], entries[1]) {
+		t.Fatalf("replayed %q, want %q", got, entries)
+	}
+	if onDisk, _ := mem.ReadFile("w.wal"); !bytes.Equal(onDisk, full) {
+		t.Fatalf("%d bytes on disk after the cut, want the %d written", len(onDisk), len(full))
+	}
+}
+
 // TestCheckpointCrashLeavesTmp: power cut at the checkpoint's rename leaves
 // wal.log.tmp on disk next to the full log. Recovery must replay the full
 // log (the checkpoint never took effect), and the next checkpoint must

@@ -181,14 +181,23 @@ func readFile(fsys faultfs.FS, path string) ([]byte, error) {
 	return data, nil
 }
 
-// errMarker stops the walk of a log's Seq frames at its layout marker.
-var errMarker = errors.New("wal: layout marker")
+var (
+	// errMarker stops the walk of a log's Seq frames at its layout marker.
+	errMarker = errors.New("wal: layout marker")
+	// errZeroTail stops a walk at a run of zeros that reaches the end.
+	errZeroTail = errors.New("wal: zero-filled tail")
+	// errEmpty refuses an empty entry, whose frame zeros would spell.
+	errEmpty = errors.New("wal: empty entry")
+)
 
 // walk decodes a log image: legacy Seq frames up to the layout marker, if
 // any, and Var frames after it. It calls fn with each entry of the valid
 // prefix and returns where the Var frames start (0 without a marker) and
-// the prefix's length.
+// the prefix's length. A filesystem may zero-fill a crashed file's tail, and
+// zeros from a frame's start to the end of the file decode as empty frames,
+// which Enqueue never writes: the prefix ends at the first such frame.
 func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
+	zeros := len(bytes.TrimRight(data, "\x00"))
 	var next uint64
 	var refused error // an entry the log or fn refused, as opposed to a torn tail
 	entry := func(off int, payload []byte) error {
@@ -201,6 +210,8 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	}
 	n, err := frame.Seq.Walk(data, func(off int, seq uint64, payload []byte) error {
 		switch {
+		case off >= zeros:
+			return errZeroTail
 		case seq != next:
 			refused = fmt.Errorf("%w: sequence gap at offset %d: got %d, want %d", ErrCorrupt, off, seq, next)
 			return refused
@@ -212,7 +223,7 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	switch {
 	case refused != nil:
 		return 0, 0, refused
-	case err == nil:
+	case err == nil, err == errZeroTail:
 		return 0, int64(n), nil
 	case err != errMarker:
 		// A torn Seq frame opens with its sequence number's zero high
@@ -225,6 +236,9 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	}
 	from := n + frame.Seq.Overhead() + len(layoutMarker)
 	m, _ := frame.Var.Walk(data[from:], func(off int, _ uint64, payload []byte) error {
+		if from+off >= zeros {
+			return errZeroTail
+		}
 		return entry(from+off, payload)
 	})
 	if refused != nil {
@@ -241,8 +255,12 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 // exactly once — the batch leader's wait performs the flush. durable, if not
 // nil, runs after the entry's batch is fsynced and before its wait returns,
 // outside the log's lock and in sequence order across entries; never for a
-// batch that failed to write or sync, or for any entry of a wedged log.
+// batch that failed to write or sync, or for any entry of a wedged log. An
+// empty entry is refused.
 func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error) {
+	if len(data) == 0 {
+		return 0, 0, func() error { return errEmpty }
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

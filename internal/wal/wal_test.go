@@ -293,16 +293,22 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestEmptyPayloadAllowed(t *testing.T) {
+// TestEmptyPayloadRefused: an empty entry's frame is what a run of zeros
+// spells, which recovery cuts as a torn tail, so Enqueue refuses one; the
+// log takes the next entry at the sequence number the refused one did not.
+func TestEmptyPayloadRefused(t *testing.T) {
 	l, path := openTemp(t, nil)
-	if _, err := l.Append(nil); err != nil {
-		t.Fatal(err)
+	if _, err := l.Append(nil); !errors.Is(err, errEmpty) {
+		t.Fatalf("Append(nil) = %v, want errEmpty", err)
+	}
+	if seq, err := l.Append([]byte("x")); err != nil || seq != 0 {
+		t.Fatalf("Append after the refusal = %d, %v; want 0", seq, err)
 	}
 	l.Close()
 	n := 0
 	re, err := OpenFS(faultfs.OS{}, path, func(e Entry) error {
-		if len(e.Data) != 0 {
-			t.Errorf("expected empty payload, got %d bytes", len(e.Data))
+		if string(e.Data) != "x" {
+			t.Errorf("replayed %q, want \"x\"", e.Data)
 		}
 		n++
 		return nil
