@@ -384,8 +384,8 @@ func TestParentDirectoryMixedWALLayouts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds['V'] == 0 || kinds['p'] != 4 {
-		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries and 4 'p' ones", kinds)
+	if kinds['V'] == 0 || kinds['P'] != 1 || kinds['p'] != 3 {
+		t.Fatalf("meta.wal entry kinds %v, want legacy 'V' entries, one 'P' create and 3 'p' corrections", kinds)
 	}
 	re := open("crash reopen")
 	check("crash reopen", re)

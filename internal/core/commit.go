@@ -94,29 +94,24 @@ func (v *Vault) replay(we wal.Entry) error {
 // index, the block cache, the live-records gauge and a custody chain on an
 // entry's behalf. rec is the version's plaintext when the caller holds it
 // (live); nil (replay) decrypts the ciphertext the entry or, for a legacy
-// entry, the block store holds. The record's DEK becomes registered here, from the blob the entry carries, so a key exists
-// exactly when the version that introduced it is committed.
+// entry, the block store holds. The record's DEK becomes registered here, from
+// the blob the entry carries, so a key exists exactly when the version that
+// introduced it is committed; and the record with the category, MRN and
+// created time of its sealed version 1, so what authorization trusts is what
+// the seal authenticated.
 func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 	st, known := v.lookup(e.id)
 	switch {
 	case e.kind == 'V':
-		switch {
-		case e.ver.Number == 1 && !known:
+		create := e.ver.Number == 1 && !known
+		if !create && (!known || e.ver.Number != st.count()+1) {
+			return fmt.Errorf("core: version %d does not extend record %s", e.ver.Number, e.id)
+		}
+		if create {
 			if err := v.keys.AdoptWrapped(e.id, e.wrappedDEK); err != nil {
 				return fmt.Errorf("core: registering DEK of %s: %w", e.id, err)
 			}
-			if err := v.register(e.id, &recordState{
-				mrn: e.mrn, created: e.created.UnixNano(), first: v.compact(e.ver),
-				category: v.names.Intern(string(e.category)),
-			}); err != nil {
-				return err
-			}
-		case known && e.ver.Number == st.count()+1:
-			st.more = append(st.more, v.compact(e.ver))
-		default:
-			return fmt.Errorf("core: version %d does not extend record %s", e.ver.Number, e.id)
 		}
-		v.inline.Add(int64(len(e.ct))) // nil from a legacy entry
 		if rec == nil {
 			// Not through the block cache: recovery must not fill it.
 			ct := e.ct
@@ -126,12 +121,23 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 					return fmt.Errorf("core: replaying ciphertext of %s: %w", e.id, err)
 				}
 			}
-			r, err := v.openVersion(ctx, e.id, e.ver, ct)
+			r, err := v.openVersion(ctx, e.id, st, e.ver, ct)
 			if err != nil {
 				return fmt.Errorf("core: replaying %s: %w", e.id, err)
 			}
 			rec = &r
 		}
+		if create {
+			if err := v.register(e.id, &recordState{
+				mrn: rec.MRN, created: rec.CreatedAt.UnixNano(), first: v.compact(e.ver),
+				category: v.names.Intern(string(rec.Category)),
+			}); err != nil {
+				return err
+			}
+		} else {
+			st.more = append(st.more, v.compact(e.ver))
+		}
+		v.inline.Add(int64(len(e.ct))) // nil from a legacy entry
 		_, sp := obs.StartSpan(ctx, "index.add")
 		v.idx.Add(e.id, rec.SearchText())
 		sp.End(nil)

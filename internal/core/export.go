@@ -50,7 +50,7 @@ func (v *Vault) Export(actor, id string) (_ ExportBundle, err error) {
 	}
 	bundle := ExportBundle{ID: id, Category: category}
 	for _, ver := range v.versions(st) {
-		rec, err := v.readVersion(ctx, id, ver)
+		rec, err := v.readVersion(ctx, id, st, ver)
 		if err != nil {
 			return ExportBundle{}, fmt.Errorf("core: exporting %s v%d: %w", id, ver.Number, err)
 		}
@@ -113,7 +113,9 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 		if plainHash(ev.Record) != ev.PlainHash {
 			return fmt.Errorf("%w: %s v%d content hash mismatch in bundle", ErrTampered, bundle.ID, ev.Version.Number)
 		}
-		if ev.Record.ID != bundle.ID || ev.Record.Category != bundle.Category {
+		// A version's identity is version 1's, as CorrectCtx enforces: each
+		// read checks its seal against the record's.
+		if ev.Record.ID != bundle.ID || ev.Record.Category != bundle.Category || ev.Record.MRN != bundle.Versions[0].Record.MRN {
 			return fmt.Errorf("%w: bundle mixes records", ErrTampered)
 		}
 	}

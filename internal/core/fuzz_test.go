@@ -63,9 +63,9 @@ func FuzzDecodeBundle(f *testing.F) {
 // which replay runs over a medium an attacker may reach. It must never
 // panic, never allocate more than the input could spell (every length is
 // bounded by the input before it sizes anything), and every entry it
-// accepts in a written layout ('p', 'i', 's', 'S', 'H', 'R') must re-encode
-// to exactly those bytes. Legacy 'V', 'c' and 'v' entries are only ever
-// decoded.
+// accepts in a written layout ('P', 'I', 's', 'S', 'H', 'R', and 'p' and 'i'
+// of a later version) must re-encode to exactly those bytes. Legacy 'V', 'c'
+// and 'v' entries, and 'p' and 'i' creates, are only ever decoded.
 func FuzzDecodeWALEntry(f *testing.F) {
 	create, correction := goldenCreate(), goldenCorrection()
 	f.Add(create.encode())
@@ -76,7 +76,7 @@ func FuzzDecodeWALEntry(f *testing.F) {
 	for _, e := range []walEntry{withCustody(create), withCustody(correction), goldenShred()} {
 		f.Add(e.encode())
 	}
-	for _, legacy := range []string{goldenLegacyCCreate, goldenLegacyCCorrection} {
+	for _, legacy := range []string{goldenLegacyCCreate, goldenLegacyCCorrection, goldenParentPCreate} {
 		b, _ := hex.DecodeString(legacy)
 		f.Add(b)
 	}
@@ -100,7 +100,8 @@ func FuzzDecodeWALEntry(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		e, err := decodeWALEntry(data)
-		if err != nil || data[0] == 'V' || data[0] == 'c' || data[0] == 'v' {
+		if err != nil || data[0] == 'V' || data[0] == 'c' || data[0] == 'v' ||
+			(data[0] == 'p' || data[0] == 'i') && e.ver.Number == 1 {
 			return
 		}
 		if re := e.encode(); !bytes.Equal(re, data) {

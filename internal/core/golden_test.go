@@ -94,14 +94,52 @@ var goldenWALVersion = Version{
 
 // goldenCreate and goldenCorrection are the golden record's two
 // version-append entries as commit builds them: each carries a 256-byte
-// ciphertext, whose hash is its version's; the create carries a 60-byte
-// wrapped DEK, and the correction repeats the record's identity and carries
-// no DEK. Refs are assigned at commit, not logged.
+// ciphertext, whose hash is its version's; the create carries a 40-byte
+// AES-KW wrapped DEK, and the correction carries no DEK. Neither carries the
+// record's identity, which is in the seal. Refs are assigned at commit, not
+// logged.
 func goldenCreate() walEntry {
 	e := legacyCreate()
-	e.ct = goldenCiphertext()
+	e.ct, e.wrappedDEK = goldenCiphertext(), goldenBytes(40)
 	e.ver.Ref, e.ver.CtHash = blockstore.Ref{}, vcrypto.Hash(e.ct)
 	return e
+}
+
+// parentCreate is goldenCreate as the parent binary's 'p' and 'i' creates
+// decode: with a 60-byte AES-GCM wrapped DEK.
+func parentCreate() walEntry {
+	e := goldenCreate()
+	e.wrappedDEK = goldenBytes(60)
+	return e
+}
+
+// goldenIdentity is the golden record's category, MRN and created time,
+// which the parent binary logged in the clear in its creates.
+var goldenIdentity = ehr.Record{Category: ehr.CategoryLab, MRN: "p1", CreatedAt: goldenTime.Add(-time.Hour)}
+
+// parentEncode is e as the parent binary logged it: a create was a 'p' or
+// 'i' entry with its record's identity in the clear ahead of its DEK, a
+// 60-byte AES-GCM blob (e's own DEK, zero-padded to that size); a later
+// version is as e.encode writes it.
+func parentEncode(e walEntry, identity ehr.Record) []byte {
+	if e.kind != 'V' || e.ver.Number != 1 {
+		return e.encode()
+	}
+	b := []byte{'i'}
+	if e.custody {
+		b[0] = 'p'
+	}
+	b = frame.AppendVarStr(b, e.id)
+	b = frame.AppendUvarint(b, 1)
+	b = frame.AppendTime(b, e.ver.Timestamp)
+	b = frame.AppendVarStr(b, e.ver.Author)
+	b = frame.AppendWord(b, string(identity.Category), ehr.CategoryWords)
+	b = frame.AppendVarStr(b, identity.MRN)
+	b = frame.AppendTime(b, identity.CreatedAt)
+	gcm := make([]byte, vcrypto.KeySize+vcrypto.Overhead)
+	copy(gcm, e.wrappedDEK)
+	b = frame.AppendVarBytes(b, gcm)
+	return frame.AppendVarBytes(b, e.ct)
 }
 
 func goldenCorrection() walEntry {
@@ -121,11 +159,11 @@ func goldenCiphertext() []byte {
 
 // legacyCreate and legacyCorrection are the same two versions as the legacy
 // 'c' and 'v' layouts held them: a Ref into the block store and the hash.
+// The create's identity (goldenIdentity) is read past, not decoded.
 func legacyCreate() walEntry {
 	ver := goldenWALVersion
 	ver.Number = 1
-	return walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: ver,
-		created: goldenTime.Add(-time.Hour), wrappedDEK: goldenBytes(60)}
+	return walEntry{kind: 'V', id: "p1-enc-0", ver: ver, wrappedDEK: goldenBytes(60)}
 }
 
 func legacyCorrection() walEntry {
@@ -134,13 +172,22 @@ func legacyCorrection() walEntry {
 	return e
 }
 
-// The legacy 'c' vectors, decode-only; the byte budget weighs them.
+// The legacy 'c' vectors and the parent's 'p' create, decode-only; the byte
+// budget weighs them.
 const (
 	goldenLegacyCCreate = "630870312d656e632d3001038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
 		"bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7" +
 		"e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b"
 	goldenLegacyCCorrection = "630870312d656e632d3002038020202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f1083" +
 		"bab1fa12cd150464722d61"
+	goldenParentPCreate = "700870312d656e632d30011083bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9da" +
+		"dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a" +
+		"0b8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
+		"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
+		"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
+		"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
+		"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
+		"2d2e2f303132333435363738393a3b3c3d3e3f"
 )
 
 // withCustody is e as a put or correction logs it: carrying its custody fact.
@@ -164,13 +211,12 @@ func goldenBytes(n int) []byte {
 }
 
 // TestGoldenWALEntries pins the metadata WAL entry layouts and the two byte
-// strings core hashes and signs. The legacy 'V', 'c' and 'v' layouts are
-// decode-only: no code writes them, and a meta.wal that holds them must
-// still replay.
+// strings core hashes and signs. The legacy 'V', 'c' and 'v' layouts, and
+// the 'p' and 'i' creates, are decode-only: no code writes them, and a
+// meta.wal that holds them must still replay.
 func TestGoldenWALEntries(t *testing.T) {
 	decode := func(b []byte) (any, error) { return decodeWALEntry(b) }
-	legacy := walEntry{kind: 'V', id: "p1-enc-0", category: ehr.CategoryLab, mrn: "p1", ver: goldenWALVersion,
-		created: goldenTime.Add(-time.Hour), wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
+	legacy := walEntry{kind: 'V', id: "p1-enc-0", ver: goldenWALVersion, wrappedDEK: []byte{0xd1, 0xd2, 0xd3}}
 	create, correction := goldenCreate(), goldenCorrection()
 	// A decoded correction holds only what its entry stores.
 	stored := walEntry{kind: 'V', id: correction.id, ver: correction.ver, ct: correction.ct}
@@ -223,7 +269,7 @@ func TestGoldenWALEntries(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name: "WAL i entry, create",
+			Name: "WAL i entry, create (legacy, decode-only)",
 			Hex: "690870312d656e632d30011083bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9da" +
 				"dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a" +
 				"0b8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
@@ -232,9 +278,8 @@ func TestGoldenWALEntries(t *testing.T) {
 				"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
 				"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
 				"2d2e2f303132333435363738393a3b3c3d3e3f",
-			Encode:  create.encode,
 			Decode:  decode,
-			Want:    create,
+			Want:    parentCreate(),
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
@@ -251,15 +296,35 @@ func TestGoldenWALEntries(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name: "WAL p entry, create",
-			Hex: "700870312d656e632d30011083bab1fa12cd150464722d61020270311083b76bc95a2d153cd0d1d2d3d4d5d6d7d8d9da" +
-				"dbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a" +
-				"0b8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
-				"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
-				"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
-				"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
-				"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
-				"2d2e2f303132333435363738393a3b3c3d3e3f",
+			Name:    "WAL p entry, create (legacy, decode-only)",
+			Hex:     goldenParentPCreate,
+			Decode:  decode,
+			Want:    withCustody(parentCreate()),
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL I entry",
+			Hex: "490870312d656e632d30011083bab1fa12cd150464722d6128d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6" +
+				"e7e8e9eaebecedeeeff0f1f2f3f4f5f6f78002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c" +
+				"5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c" +
+				"8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbc" +
+				"bdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebec" +
+				"edeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c" +
+				"1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
+			Encode:  create.encode,
+			Decode:  decode,
+			Want:    create,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name: "WAL P entry",
+			Hex: "500870312d656e632d30011083bab1fa12cd150464722d6128d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6" +
+				"e7e8e9eaebecedeeeff0f1f2f3f4f5f6f78002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c" +
+				"5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c" +
+				"8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbc" +
+				"bdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebec" +
+				"edeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c" +
+				"1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f",
 			Encode:  pCreate.encode,
 			Decode:  decode,
 			Want:    pCreate,
@@ -327,29 +392,38 @@ func TestGoldenWALEntries(t *testing.T) {
 // TestWALBytesPerEntry is the exact cost on the medium of the golden
 // record's create and correction, frames included. A version used to be a
 // legacy 'c' entry in meta.wal plus a block store frame holding its
-// ciphertext; it is one 'p' entry carrying the ciphertext, with no Ref and
-// no hash (42 B less per version here). The entry's frame.Var frame is 6 B
+// ciphertext; it is one entry carrying the ciphertext, with no Ref and no
+// hash (42 B less per version here). The entry's frame.Var frame is 6 B
 // where the frame.Seq frame it replaced was 16 (10 B less). A shred's 's'
 // entry carries its actor and time where the legacy 'S' entry (13 B)
-// carried neither. With ehr's golden record, filed as lab, sealed in it, a
-// 'p' entry's ciphertext is the sealed layout's 52 B plus the seal's 28,
-// where an older binary sealed its 97-B MVR1 encoding: 45 B less per
-// version, and the correction's frame loses a length byte too.
+// carried neither. With ehr's golden record, filed as lab, sealed in it, an
+// entry's ciphertext is the sealed layout's 52 B plus the seal's 28, where an
+// older binary sealed its 97-B MVR1 encoding: 45 B less per version, and the
+// correction's frame loses a length byte too. The parent's 'p' create also
+// carried the record's identity in the clear (12 B here: the category word,
+// the MRN "p1" and the created time) and a 60-B AES-GCM wrapped DEK; the 'P'
+// entry carries neither the identity nor 20 B of that wrap (32 B less).
 func TestWALBytesPerEntry(t *testing.T) {
 	seq, block := frame.Seq.Overhead(), frame.Block.Overhead()
+	if got := hex.EncodeToString(parentEncode(withCustody(parentCreate()), goldenIdentity)); got != goldenParentPCreate {
+		t.Fatalf("parentEncode is not the parent's layout:\n got %s\nwant %s", got, goldenParentPCreate)
+	}
+	varFramed := func(b []byte) int { return len(frame.Var.Append(nil, 0, b)) }
+	parent := func(e walEntry) []byte { return parentEncode(e, goldenIdentity) }
+	now := func(e walEntry) []byte { return e.encode() }
 	for _, tc := range []struct {
-		name                         string
-		legacyHex                    string
-		e                            walEntry
-		old, inSeq, va, mvr1, sealed int
+		name                                   string
+		legacyHex                              string
+		e                                      walEntry
+		old, inSeq, va, mvr1, sealed, kw, kwVa int
 	}{
-		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371, 361, 229, 184},
-		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298, 288, 156, 110},
+		{"create", goldenLegacyCCreate, withCustody(goldenCreate()), 413, 371, 361, 229, 184, 152, 329},
+		{"correction", goldenLegacyCCorrection, withCustody(goldenCorrection()), 340, 298, 288, 156, 110, 110, 288},
 	} {
 		old := seq + len(tc.legacyHex)/2 + block + len(tc.e.ct)
-		inSeq := seq + len(tc.e.encode())
-		got := len(frame.Var.Append(nil, 0, tc.e.encode()))
-		t.Logf("%s: %d B as a 'c' entry and a block, %d B as a 'p' entry in a Seq frame, %d B in a Var frame", tc.name, old, inSeq, got)
+		inSeq := seq + len(parent(tc.e))
+		got := varFramed(parent(tc.e))
+		t.Logf("%s: %d B as a 'c' entry and a block, %d B as the parent's entry in a Seq frame, %d B in a Var frame", tc.name, old, inSeq, got)
 		if old != tc.old || inSeq != tc.inSeq || got != tc.va {
 			t.Errorf("%s: %d, %d and %d B; want %d, %d and %d", tc.name, old, inSeq, got, tc.old, tc.inSeq, tc.va)
 		}
@@ -357,18 +431,20 @@ func TestWALBytesPerEntry(t *testing.T) {
 			t.Errorf("%s: the inline ciphertext saves %d B per version, want at least 40", tc.name, old-inSeq)
 		}
 		rec := ehr.Record{
-			ID: tc.e.id, Patient: "Ada L.", MRN: tc.e.mrn, Category: tc.e.category, Author: tc.e.ver.Author,
-			CreatedAt: tc.e.created, Title: "Visit", Body: "note text", Codes: []string{"I10", "E11.9"},
+			ID: tc.e.id, Patient: "Ada L.", MRN: goldenIdentity.MRN, Category: goldenIdentity.Category, Author: tc.e.ver.Author,
+			CreatedAt: goldenIdentity.CreatedAt, Title: "Visit", Body: "note text", Codes: []string{"I10", "E11.9"},
 		}
-		framed := func(pt []byte) int {
+		framed := func(encode func(walEntry) []byte, pt []byte) int {
 			e := tc.e
 			e.ct = make([]byte, len(pt)+vcrypto.Overhead)
-			return len(frame.Var.Append(nil, 0, e.encode()))
+			return varFramed(encode(e))
 		}
-		mvr1, sealed := framed(ehr.Encode(rec)), framed(ehr.EncodeSealed(rec))
-		t.Logf("%s: %d B sealing the MVR1 encoding, %d B sealing the sealed layout", tc.name, mvr1, sealed)
-		if mvr1 != tc.mvr1 || sealed != tc.sealed {
-			t.Errorf("%s: %d and %d B; want %d and %d", tc.name, mvr1, sealed, tc.mvr1, tc.sealed)
+		mvr1, sealed := framed(parent, ehr.Encode(rec)), framed(parent, ehr.EncodeSealed(rec))
+		kw, kwVa := framed(now, ehr.EncodeSealed(rec)), varFramed(tc.e.encode())
+		t.Logf("%s: %d B sealing the MVR1 encoding, %d B sealing the sealed layout; %d B (%d with the golden ciphertext) as this binary logs it",
+			tc.name, mvr1, sealed, kw, kwVa)
+		if mvr1 != tc.mvr1 || sealed != tc.sealed || kw != tc.kw || kwVa != tc.kwVa {
+			t.Errorf("%s: %d, %d, %d and %d B; want %d, %d, %d and %d", tc.name, mvr1, sealed, kw, kwVa, tc.mvr1, tc.sealed, tc.kw, tc.kwVa)
 		}
 	}
 	if shred := goldenShred(); len(shred.encode()) != 25 {
@@ -395,7 +471,12 @@ func TestDecodeWALEntryRejectsOtherEncodings(t *testing.T) {
 	enc := correction.encode()
 	head := enc[: len(enc)-2-len(correction.ct) : len(enc)-2-len(correction.ct)]
 	withDEK := frame.AppendVarBytes(frame.AppendVarBytes(head, []byte{1, 2, 3}), correction.ct)
+	// A 'P' entry's one-byte number sits after 'P' and the 9-byte ID.
+	pCreate := withCustody(create)
+	renumbered := pCreate.encode()
+	renumbered[10] = 2
 	for name, in := range map[string][]byte{
+		"a P entry of version 2":           renumbered,
 		"a DEK on a correction":            withDEK,
 		"a create without a DEK":           noDEK.encode(),
 		"version 0":                        zero.encode(),
@@ -454,7 +535,8 @@ func TestGoldenBundle(t *testing.T) {
 // bundle is these bytes. The MVR1 vector is the same export from a vault that
 // sealed the canonical encoding: it decodes and its chain verifies, and its
 // records are byte for byte the ones this vault exports; only the ciphertext
-// hashes its custody events commit to differ.
+// hashes its custody events commit to differ. So with the AES-GCM wrap
+// vector.
 func TestGoldenExportedBundle(t *testing.T) {
 	saved := rand.Reader
 	rand.Reader = mrand.New(mrand.NewSource(7))
@@ -494,6 +576,12 @@ func TestGoldenExportedBundle(t *testing.T) {
 			Corrupt: ErrBadBundle,
 		},
 		frame.Golden{
+			Name:    "exported bundle, AES-GCM wrapped DEK (decode-only)",
+			Hex:     goldenExportedBundleGCMWrap,
+			Decode:  decode,
+			Corrupt: ErrBadBundle,
+		},
+		frame.Golden{
 			Name: "exported bundle",
 			Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
 				"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
@@ -504,35 +592,61 @@ func TestGoldenExportedBundle(t *testing.T) {
 				"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
 				"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
 				"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
-				"23af93c6ddf77e9e8034186c0d5ddf8d0006b79f15d0766bdc9d4f51f94d893000000000000000000000000000000000" +
-				"000000000000000000000000000000003d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef419f75450c26733" +
-				"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040868d3486fe0eca12" +
-				"aaac8eef254974249ebcc08be5c1db1de31cb4cc173554bab30b0ce8214dc6363e301fe96c1a88d155df870ccf37c1ee" +
-				"67e36088f05dd80c0000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
-				"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000052c5642928fb439483" +
-				"4de8234479f6de88501dea46bea2de3e70d371671920973d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef4" +
-				"19f75450c26733085def8a0050f3ecd8048546fa52a84e87a0c2e8e76251a8eba7012af6e62fb300000020cb3061f22f" +
-				"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004090e3b8d055d4c5af46f8823c120a23d5f2" +
-				"8f4d58ac0219b1519f5e218486bec0f16b1255bfb849c0f89787375cded819bc8a0010147bcaa52f68f321d34a1002",
+				"d129c05b20cf32e6c3f9f7f1ccee303d7b4c7702f5f6db06f1d08ab382b5f34f00000000000000000000000000000000" +
+				"000000000000000000000000000000003e05f8d5cf16389cb30ccd8f880f30bad8b9fabfc423c66573520b5a8e3946b4" +
+				"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e02000000402b3cf474e04c1c15" +
+				"14c490c62b974698be697a0713455df3cb0bc4252aebcc0736e2105ea2c1ecfd8b7c00416bf9bcfbb1da2aefe2282743" +
+				"4e32d84d3ba2920b0000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+				"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000af75d18853c58ee036" +
+				"a48e21ad311edf102ed9f0bd06cf6316de1514c3dfba733e05f8d5cf16389cb30ccd8f880f30bad8b9fabfc423c66573" +
+				"520b5a8e3946b43a12cc6d82c74c1587818c6fafaeafec14136778a5be74b9ec9e61d8fbaab12200000020cb3061f22f" +
+				"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e02000000403c269ca8d889571e763d672f97c016998d" +
+				"2343aec20d0690076f28ff51600b6dc328ac0fbfa1779bd381dea82cb59a839b11cc8da95e56a790987cf0c4492b0f",
 			Encode:  func() []byte { return EncodeBundle(bundle) },
 			Decode:  decode,
 			Corrupt: ErrBadBundle,
 		},
 	)
-	old, _ := hex.DecodeString(goldenExportedBundleMVR1)
-	legacy, err := DecodeBundle(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := provenance.CheckChain(legacy.ID, legacy.Custody); err != nil {
-		t.Errorf("MVR1 vector's custody chain: %v", err)
-	}
-	for i, ev := range legacy.Versions {
-		if !bytes.Equal(CanonicalRecordBytes(ev.Record), CanonicalRecordBytes(bundle.Versions[i].Record)) || ev.PlainHash != bundle.Versions[i].PlainHash {
-			t.Errorf("version %d: the MVR1 vector's record differs from this export's", i+1)
+	for name, vector := range map[string]string{"MVR1": goldenExportedBundleMVR1, "AES-GCM wrap": goldenExportedBundleGCMWrap} {
+		old, _ := hex.DecodeString(vector)
+		legacy, err := DecodeBundle(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := provenance.CheckChain(legacy.ID, legacy.Custody); err != nil {
+			t.Errorf("%s vector's custody chain: %v", name, err)
+		}
+		for i, ev := range legacy.Versions {
+			if !bytes.Equal(CanonicalRecordBytes(ev.Record), CanonicalRecordBytes(bundle.Versions[i].Record)) || ev.PlainHash != bundle.Versions[i].PlainHash {
+				t.Errorf("version %d: the %s vector's record differs from this export's", i+1, name)
+			}
 		}
 	}
 }
+
+// goldenExportedBundleGCMWrap is TestGoldenExportedBundle's export as a
+// vault that wrapped DEKs with AES-GCM wrote it: the wrap drew a nonce from
+// the seeded random source, so every later nonce, and with them the
+// ciphertext hashes the custody events commit to, differ.
+const goldenExportedBundleGCMWrap = "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
+	"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
+	"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
+	"00011083bab1fa12cd15218b57459642de2073e74c2e38624762eb1dcdc5504785fa4c1bff0584c3d1ce000000654d56" +
+	"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
+	"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
+	"0000000000000864722d686f75736500000000000000021083bab1fa12cd1504f7b0713bd308d8f63e5a746eef4467de" +
+	"6f17378f0acbd43d54f14b77ee6cbc000000020000011100010000000870312d656e632d300000000000000000000000" +
+	"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
+	"23af93c6ddf77e9e8034186c0d5ddf8d0006b79f15d0766bdc9d4f51f94d893000000000000000000000000000000000" +
+	"000000000000000000000000000000003d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef419f75450c26733" +
+	"00000020cb3061f22f33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e0200000040868d3486fe0eca12" +
+	"aaac8eef254974249ebcc08be5c1db1de31cb4cc173554bab30b0ce8214dc6363e301fe96c1a88d155df870ccf37c1ee" +
+	"67e36088f05dd80c0000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+	"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e0000000052c5642928fb439483" +
+	"4de8234479f6de88501dea46bea2de3e70d371671920973d2cf482f738becf25f68be15f9b078f4b65dc444fea1e7ef4" +
+	"19f75450c26733085def8a0050f3ecd8048546fa52a84e87a0c2e8e76251a8eba7012af6e62fb300000020cb3061f22f" +
+	"33cd9b20fba062d6bc3f3db670faf93d3b45a5966dfa06b9373e020000004090e3b8d055d4c5af46f8823c120a23d5f2" +
+	"8f4d58ac0219b1519f5e218486bec0f16b1255bfb849c0f89787375cded819bc8a0010147bcaa52f68f321d34a1002"
 
 // goldenExportedBundleMVR1 is TestGoldenExportedBundle's export as a vault
 // that sealed each version's MVR1 encoding wrote it.

@@ -59,19 +59,25 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 }
 
 // TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
-// fixed script's meta.wal and audit/ bytes before Close, here and as two
-// older binaries wrote them. The binary before this one sealed each version
-// as its MVR1 encoding; the one before that also framed WAL entries as
-// frame.Seq frames and audit events as frame.Block frames (16 → 6 B per entry
-// of 128 B or more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit
-// event under 128 B, 6 B up to 16 KiB). This run's entries, each with a
-// ciphertext as long as its version's MVR1 encoding would seal to, must add
-// up to what those binaries measured.
+// fixed script's meta.wal and audit/ bytes before Close, here and as three
+// older binaries wrote them. The parent logged each create with its record's
+// category, MRN and created time in the clear and a 60-B AES-GCM wrapped DEK
+// (parentEncode); the binary before it sealed each version as its MVR1
+// encoding; the one before that also framed WAL entries as frame.Seq frames
+// and audit events as frame.Block frames (16 → 6 B per entry of 128 B or
+// more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit event
+// under 128 B, 6 B up to 16 KiB). This run's entries, each create
+// re-encoded in the parent's layout, and then each ciphertext as long as
+// its version's MVR1 encoding would seal to, must add up to what those
+// binaries measured. A create is exactly 40 B less than the parent's: 20 B
+// of clear identity (the fixture's MRNs are 10 characters) and 20 B of wrap.
 func TestMediumBytesPerOp(t *testing.T) {
 	const (
 		seqWAL, seqAudit   = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals
 		mvr1WAL            = 7018       // 219.3 B/op: frame.Var, MVR1 seals
-		wantWAL, wantAudit = 6036, 2504 // 188.6 and 78.2 B/op
+		parentWAL          = 6036       // 188.6 B/op: clear identity and AES-GCM wraps in creates
+		wantWAL, wantAudit = 5556, 2504 // 173.6 and 78.2 B/op
+		perCreate          = 40
 	)
 	mem, v, ops := mediumScript(t)
 	versions := map[string][]ehr.Record{}
@@ -89,7 +95,7 @@ func TestMediumBytesPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	marker := len(frame.Seq.Append(nil, 0, []byte("!var")))
-	entries, walVar, walMVR1, walSeq := 0, marker, marker, 0
+	entries, creates, walVar, walParent, walMVR1, walSeq := 0, 0, marker, marker, marker, 0
 	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
 		entries++
 		walVar += len(frame.Var.Append(nil, 0, e.Data))
@@ -97,13 +103,20 @@ func TestMediumBytesPerOp(t *testing.T) {
 		if we, err := decodeWALEntry(e.Data); err != nil {
 			return err
 		} else if we.ct != nil {
-			rec := versions[we.id][we.ver.Number-1]
+			recs := versions[we.id]
+			rec := recs[we.ver.Number-1]
 			sealed, canonical := len(ehr.EncodeSealed(rec)), len(ehr.Encode(rec))
 			if len(we.ct)-sealed != vcrypto.Overhead {
 				t.Errorf("%s v%d: %d B of ciphertext for a %d-B sealed record", we.id, we.ver.Number, len(we.ct), sealed)
 			}
+			if we.ver.Number == 1 {
+				creates++
+			}
+			walParent += len(frame.Var.Append(nil, 0, parentEncode(we, recs[0])))
 			we.ct = make([]byte, canonical+vcrypto.Overhead)
-			older = we.encode()
+			older = parentEncode(we, recs[0])
+		} else {
+			walParent += len(frame.Var.Append(nil, 0, older))
 		}
 		walMVR1 += len(frame.Var.Append(nil, 0, older))
 		walSeq += len(frame.Seq.Append(nil, 0, older))
@@ -124,16 +137,19 @@ func TestMediumBytesPerOp(t *testing.T) {
 	auditBytes := int(v.Shard(0).auditStore.StorageBytes())
 
 	per := func(n int) float64 { return float64(n) / float64(ops) }
-	t.Logf("%d ops, %d meta.wal entries, %d audit events", ops, entries, events)
-	t.Logf("meta.wal: %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
-		len(walImage), per(len(walImage)), walMVR1, per(walMVR1), walSeq, per(walSeq))
+	t.Logf("%d ops, %d meta.wal entries (%d creates), %d audit events", ops, entries, creates, events)
+	t.Logf("meta.wal: %d B (%.1f B/op); in the parent's layout %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
+		len(walImage), per(len(walImage)), walParent, per(walParent), walMVR1, per(walMVR1), walSeq, per(walSeq))
 	t.Logf("audit/:   %d B (%.1f B/op), %d B in Block frames (%.1f B/op)", auditBytes, per(auditBytes), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
 	}
-	if walMVR1 != mvr1WAL || walSeq != seqWAL || auditBlock != seqAudit {
-		t.Errorf("older layouts of this run: meta.wal %d B with MVR1 seals and %d B in Seq frames, audit %d B; the older binaries measured %d, %d and %d",
-			walMVR1, walSeq, auditBlock, mvr1WAL, seqWAL, seqAudit)
+	if walParent != parentWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditBlock != seqAudit {
+		t.Errorf("older layouts of this run: meta.wal %d B in the parent's layout, %d B with MVR1 seals and %d B in Seq frames, audit %d B; the older binaries measured %d, %d, %d and %d",
+			walParent, walMVR1, walSeq, auditBlock, parentWAL, mvr1WAL, seqWAL, seqAudit)
+	}
+	if walParent-len(walImage) != perCreate*creates {
+		t.Errorf("meta.wal is %d B less than in the parent's layout over %d creates, want %d B per create", walParent-len(walImage), creates, perCreate)
 	}
 	if len(walImage) != wantWAL || auditBytes != wantAudit {
 		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)

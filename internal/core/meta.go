@@ -29,9 +29,13 @@ import (
 // WAL entry layouts (fixed-width integers big-endian; str is u32 len ||
 // bytes, varstr and varbytes are uvarint len || bytes):
 //
-//	'p' version-append of a put or correction, 'i' of an import:
+//	'P' create of a put, 'I' of an import (version 1):
+//	    u8 'P' or 'I' | varstr id | uvarint number (1) | i64 versionNano |
+//	    varstr author | varbytes wrappedDEK | varbytes ciphertext
+//	'p' version-append of a correction, 'i' of an imported later version:
 //	    u8 'p' or 'i' | varstr id | uvarint number | i64 versionNano |
-//	    varstr author | identity (only when number == 1) | varbytes ciphertext
+//	    varstr author | identity (only when number == 1, legacy) |
+//	    varbytes ciphertext
 //	'c' ('p'), 'v' ('i'), legacy (decoded, never written):
 //	    u8 'c' or 'v' | varstr id | uvarint number | cversion |
 //	    identity (only when number == 1)
@@ -47,7 +51,7 @@ import (
 //	    u8 'V' | str id | str category | str mrn | version |
 //	    i64 createdNano | str wrappedDEK (empty for versions > 1)
 //
-// where identity is
+// where identity, which an older binary wrote in its creates, is
 //
 //	word category (ehr.CategoryWords) | varstr mrn | i64 createdNano |
 //	varbytes wrappedDEK
@@ -62,20 +66,22 @@ import (
 //	str author | u64 number | u32 refSegment | u64 refOffset | 32B ctHash |
 //	i64 versionNano
 //
-// A 'p' or 'i' entry holds only what replay cannot recompute: the
-// ciphertext, whose hash replay computes and whose Ref is the entry's own
-// offset (walSegment) until checkpoint moves it; a correction's category, MRN
-// and created time are its record's, fixed by version 1, and only version 1
-// carries a DEK. Each entry has exactly one encoding; a create without a DEK,
-// a correction with one, version 0, a missing ciphertext and trailing bytes
-// are ErrCorrupt. Every version-append layout decodes to kind 'V', and both
-// shreds to kind 'S'.
+// A 'P', 'I', 'p' or 'i' entry holds only what the seal cannot vouch for:
+// the ciphertext, whose hash replay computes and whose Ref is the entry's
+// own offset (walSegment) until checkpoint moves it, and a create's wrapped
+// DEK. The record's category, MRN and created time are in the sealed record,
+// which apply opens at replay and registers them from: no entry writes them
+// in the clear, and replay reads none a legacy entry holds. Each entry has
+// exactly one encoding; a create without a DEK, a 'P' or 'I' entry of
+// another version, a correction with a DEK, version 0, a missing ciphertext
+// and trailing bytes are ErrCorrupt. Every version-append layout decodes to
+// kind 'V', and both shreds to kind 'S'.
 //
-// 'p', 'c' and 's' carry the custody event apply chains (and replay
+// 'P', 'p', 'c' and 's' carry the custody event apply chains (and replay
 // completes): the version's author, time and hash, or the shred's actor and
 // time. The entry is where that event lives until checkpoint writes it to
-// the custody store. An import adopts its custody chain, so it writes 'i';
-// 'v', 'V' and 'S' carry none.
+// the custody store. An import adopts its custody chain, so it writes 'I'
+// and 'i'; 'v', 'V' and 'S' carry none.
 //
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, and recovery applies what the
@@ -138,38 +144,41 @@ func readVersion(r *frame.Reader) (ver Version) {
 const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 
 // walEntry is one metadata mutation, as logged and as applied (commit.go);
-// kind says which fields beyond id are meaningful. A decoded correction
-// (number > 1) has no category, MRN, created time or DEK: apply takes its
-// record's.
+// kind says which fields beyond id are meaningful. A version's identity
+// (category, MRN, created time) is not among them: apply takes it from the
+// sealed record.
 type walEntry struct {
 	kind       byte           // 'V', 'S', 'H' or 'R'
-	custody    bool           // V, S: the entry carries its custody fact ('p', 'c', 's')
+	custody    bool           // V, S: the entry carries its custody fact ('P', 'p', 'c', 's')
 	at         blockstore.Ref // the entry's own place in meta.wal (walSegment), assigned at commit and replay, not logged
 	id         string
-	category   ehr.Category // V, version 1
-	mrn        string       // V, version 1
-	ver        Version      // V (Ref and LeafIndex are assigned at commit and replay, not logged); S with custody: Author, Timestamp
-	created    time.Time    // V, version 1
-	wrappedDEK []byte       // V, version 1
-	ct         []byte       // V: the ciphertext ('p', 'i'; nil from a legacy entry, whose bytes are in the block store)
-	reason     string       // H
-	placed     time.Time    // H
+	ver        Version   // V (Ref and LeafIndex are assigned at commit and replay, not logged); S with custody: Author, Timestamp
+	wrappedDEK []byte    // V, version 1
+	ct         []byte    // V: the ciphertext ('P', 'I', 'p', 'i'; nil from a legacy entry, whose bytes are in the block store)
+	reason     string    // H
+	placed     time.Time // H
 }
 
 func (e *walEntry) encode() []byte {
 	if e.kind == 'V' {
-		b := append(make([]byte, 0, 40+len(e.id)+len(e.mrn)+len(e.ver.Author)+len(e.wrappedDEK)+len(e.ct)), 'i')
-		if e.custody {
-			b[0] = 'p'
+		create := e.ver.Number == 1
+		var kind byte
+		switch {
+		case create && e.custody:
+			kind = 'P'
+		case create:
+			kind = 'I'
+		case e.custody:
+			kind = 'p'
+		default:
+			kind = 'i'
 		}
+		b := append(make([]byte, 0, 24+len(e.id)+len(e.ver.Author)+len(e.wrappedDEK)+len(e.ct)), kind)
 		b = frame.AppendVarStr(b, e.id)
 		b = frame.AppendUvarint(b, e.ver.Number)
 		b = frame.AppendTime(b, e.ver.Timestamp)
 		b = frame.AppendVarStr(b, e.ver.Author)
-		if e.ver.Number == 1 {
-			b = frame.AppendWord(b, string(e.category), ehr.CategoryWords)
-			b = frame.AppendVarStr(b, e.mrn)
-			b = frame.AppendTime(b, e.created)
+		if create {
 			b = frame.AppendVarBytes(b, e.wrappedDEK)
 		}
 		return frame.AppendVarBytes(b, e.ct)
@@ -194,21 +203,27 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 	r := frame.NewReader(data)
 	var e walEntry
 	switch kind := r.U8(); kind {
-	case 'p', 'i', 'c', 'v':
-		inline := kind == 'p' || kind == 'i'
-		e = walEntry{kind: 'V', custody: kind == 'p' || kind == 'c', id: r.VarStr()}
+	case 'P', 'I', 'p', 'i', 'c', 'v':
+		inline := kind != 'c' && kind != 'v'
+		create := kind == 'P' || kind == 'I'
+		e = walEntry{kind: 'V', custody: kind == 'P' || kind == 'p' || kind == 'c', id: r.VarStr()}
 		if number := r.Uvarint(); inline {
 			e.ver = Version{Number: number, Timestamp: r.Time(), Author: r.VarStr()}
 		} else {
 			e.ver = readCompactVersion(r, number)
 		}
-		switch e.ver.Number {
-		case 0:
+		switch {
+		case create && e.ver.Number != 1:
+			r.Fail("%c entry of %s holds version %d", kind, e.id, e.ver.Number)
+		case e.ver.Number == 0:
 			r.Fail("version 0 of %s", e.id)
-		case 1:
-			e.category = ehr.Category(r.Word(ehr.CategoryWords))
-			e.mrn = r.VarStr()
-			e.created = r.Time()
+		case e.ver.Number == 1 && !create:
+			// A legacy create: replay takes the identity from the seal.
+			r.Word(ehr.CategoryWords)
+			r.VarStr()
+			r.Time()
+		}
+		if e.ver.Number == 1 {
 			if e.wrappedDEK = r.VarBytes(); e.wrappedDEK == nil {
 				r.Fail("create of %s carries no DEK", e.id)
 			}
@@ -221,10 +236,10 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 		}
 	case 'V':
 		e = walEntry{kind: kind, id: r.Str()}
-		e.category = ehr.Category(r.Str())
-		e.mrn = r.Str()
+		r.Str() // category and MRN: replay takes them from the seal
+		r.Str()
 		e.ver = readVersion(r)
-		e.created = r.Time()
+		r.Time() // created time
 		e.wrappedDEK = r.Bytes()
 	case 'H':
 		e = walEntry{kind: kind, id: r.Str()}

@@ -148,7 +148,7 @@ func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string
 		return Version{}, fmt.Errorf("core: sealing %s v%d: %w", rec.ID, number, err)
 	}
 	e := walEntry{
-		kind: 'V', custody: custody, id: rec.ID, category: rec.Category, mrn: rec.MRN, created: rec.CreatedAt, wrappedDEK: wrappedDEK, ct: ct,
+		kind: 'V', custody: custody, id: rec.ID, wrappedDEK: wrappedDEK, ct: ct,
 		ver: Version{Number: number, Author: author, Timestamp: v.now(), CtHash: vcrypto.Hash(ct)},
 	}
 	if err := v.commit(ctx, &e, &rec); err != nil {
@@ -203,14 +203,14 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	return v.commitVersion(ctx, rec, actor, 1, dek, wrapped, true)
 }
 
-// readVersion reads and verifies one version's content. Caller holds at
-// least the record's stripe read lock.
+// readVersion reads and verifies one version of the record st holds. Caller
+// holds at least the record's stripe read lock.
 //
 // The block cache short-circuits the ciphertext read without weakening the
 // integrity check: an entry is only filled after its bytes hashed to
 // ver.CtHash, and a hit is only served when the fill-time hash equals the
 // CtHash this version demands — the same 32-byte comparison either way.
-func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.Record, err error) {
+func (v *Vault) readVersion(ctx context.Context, id string, st *recordState, ver Version) (_ ehr.Record, err error) {
 	ctx, sp := obs.StartSpan(ctx, "core.read_version")
 	if v.shard != "" {
 		sp.SetAttr("shard", v.shard)
@@ -230,14 +230,13 @@ func (v *Vault) readVersion(ctx context.Context, id string, ver Version) (_ ehr.
 		}
 		v.bcache.put(ver.Ref, ver.CtHash, ct)
 	}
-	return v.openVersion(ctx, id, ver, ct)
+	return v.openVersion(ctx, id, st, ver, ct)
 }
 
-// openVersion decrypts and decodes one version's ciphertext. The sealed
-// layout has no ID: the AAD authenticated id, so the record is id's. A
-// plaintext an older binary sealed is the MVR1 encoding, whose own ID must
-// be id.
-func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []byte) (ehr.Record, error) {
+// openVersion decrypts and decodes one version's ciphertext (sealedRecord).
+// st is the record's registry state, nil while replay registers the record
+// from this very version.
+func (v *Vault) openVersion(ctx context.Context, id string, st *recordState, ver Version, ct []byte) (ehr.Record, error) {
 	dek, err := v.keys.GetCtx(ctx, id)
 	if err != nil {
 		if errors.Is(err, vcrypto.ErrShredded) {
@@ -253,12 +252,25 @@ func (v *Vault) openVersion(ctx context.Context, id string, ver Version, ct []by
 	if err != nil {
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err)
 	}
+	return v.sealedRecord(id, st, ver.Number, pt)
+}
+
+// sealedRecord decodes the plaintext of record id's version number. The
+// sealed layout has no ID: the AAD authenticated id, so the record is id's.
+// A plaintext an older binary sealed is the MVR1 encoding, whose own ID must
+// be id. Unless st is nil, the sealed MRN and category must be the
+// registry's, so a registry edited on the medium (meta.snap holds both in
+// the clear) fails the read rather than authorizing it under a forged
+// category.
+func (v *Vault) sealedRecord(id string, st *recordState, number uint64, pt []byte) (rec ehr.Record, err error) {
 	if len(pt) > 0 && pt[0] == ehr.SealedTag {
-		return ehr.DecodeSealed(pt, id)
+		rec, err = ehr.DecodeSealed(pt, id)
+	} else if rec, err = ehr.Decode(pt); err == nil && rec.ID != id {
+		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed record names %q", ErrTampered, id, number, rec.ID)
 	}
-	rec, err := ehr.Decode(pt)
-	if err == nil && rec.ID != id {
-		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed record names %q", ErrTampered, id, ver.Number, rec.ID)
+	if err == nil && st != nil && (rec.MRN != st.mrn || rec.Category != v.category(st)) {
+		// Neither MRN goes into the error: it reaches the caller and logs.
+		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed identity is not the registry's", ErrTampered, id, number)
 	}
 	return rec, err
 }
@@ -302,7 +314,7 @@ func (v *Vault) read(ctx context.Context, op, actor, id string, number uint64) (
 	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionRead, id, number, string(v.category(st))); err != nil {
 		return ehr.Record{}, Version{}, err
 	}
-	rec, err := v.readVersion(ctx, id, target)
+	rec, err := v.readVersion(ctx, id, st, target)
 	return rec, target, err
 }
 

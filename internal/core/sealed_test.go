@@ -94,7 +94,7 @@ func TestOpenVersionLegacyIDMustMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := shard.openVersion(context.Background(), rec.ID, ver, ct)
+		got, err := shard.openVersion(context.Background(), rec.ID, st, ver, ct)
 		if !errors.Is(err, tc.want) || (err == nil && got.ID != rec.ID) {
 			t.Errorf("MVR1 plaintext naming %q opened as %s: %+v, %v; want %v", tc.id, rec.ID, got, err, tc.want)
 		}

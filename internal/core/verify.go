@@ -28,7 +28,8 @@ type Report struct {
 //     longer be decrypted): CRC framing, ciphertext hash, and a Merkle
 //     inclusion proof against the current tree.
 //  2. Live records must also decrypt cleanly under their DEK with the
-//     version-bound associated data.
+//     version-bound associated data, to a record whose MRN and category are
+//     the registry's.
 //  3. The commitment-log size must equal the number of committed versions —
 //     a truncated metadata table (rollback hiding a correction) surfaces
 //     here — and every live data key must belong to a registered record.
@@ -132,7 +133,11 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 					return fail(fmt.Errorf("core: key for %s: %w", id, err))
 				}
 				obs.CountWork(obs.WorkDecrypt)
-				if _, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number)); err != nil {
+				pt, err := vcrypto.Open(dek, ct, sealAAD(id, ver.Number))
+				if err == nil {
+					_, err = v.sealedRecord(id, st, ver.Number, pt)
+				}
+				if err != nil {
 					return fail(fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err))
 				}
 			}

@@ -357,7 +357,7 @@ func TestEditedPendingCustodyEntryIsAnErrorNotAShorterAnswer(t *testing.T) {
 	const path = "vault/meta.wal"
 	var creates []int64
 	if _, _, err := wal.Read(mem, path, func(e wal.Entry) error {
-		if e.Data[0] == 'p' && bytes.Contains(e.Data, []byte("dr-house")) {
+		if e.Data[0] == 'P' && bytes.Contains(e.Data, []byte("dr-house")) {
 			creates = append(creates, e.Off)
 		}
 		return nil

@@ -1,6 +1,7 @@
 package vcrypto
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -15,9 +16,11 @@ import (
 )
 
 // KeyStore manages per-record data-encryption keys (DEKs). Every DEK is held
-// only in wrapped form — sealed with AES-GCM under the store's master key —
-// so a snapshot of the KeyStore (for backup or migration) never exposes raw
-// key material.
+// only in wrapped form — AES-KW under a per-record KEK that derives from the
+// store's master key and the record ID (keywrap.go) — so a snapshot of the
+// KeyStore (for backup or migration) never exposes raw key material. A blob
+// an older binary wrapped, AES-GCM under the master key with the ID as AAD,
+// still unwraps; Rewrap rewraps it with AES-KW.
 //
 // Shred zeroes a record's wrapped DEK and leaves its slot as a tombstone.
 // Once shredded, the record's ciphertext — every version, on
@@ -25,7 +28,7 @@ import (
 // crypto-shredding construction MedVault uses to satisfy the secure-deletion
 // and media re-use mandates (HIPAA §164.310(d)(2)(i)-(ii)).
 //
-// To keep the hot read path off the AES-GCM unwrap, the store carries a
+// To keep the hot read path off the unwrap, the store carries a
 // bounded plaintext-DEK cache (see dekcache.go). The cache is designed
 // around invalidation first: Shred removes and zeroizes its entry
 // synchronously — before Shred returns, no caller can obtain the key from
@@ -39,27 +42,76 @@ import (
 // KeyStore is safe for concurrent use.
 type KeyStore struct {
 	mu     sync.RWMutex
-	master Key
+	master Key                      // unwraps legacy AES-GCM blobs
+	wrap   *KeyedMAC                // derives each record's AES-KW KEK from its ID
 	recs   *recno.Table             // record numbers; lock order: mu → recs
-	slots  []keySlot                // record number -> key state
+	keys   keyTable                 // record number -> key state
 	cache  *lru.Cache[string, *Key] // plaintext DEKs; lock order: mu → cache
 }
 
-// wrappedLen is the size of every wrapped DEK: Seal of a KeySize key.
-const wrappedLen = KeySize + Overhead
+// gcmWrappedLen is the size of a legacy wrapped DEK: Seal of a KeySize key.
+// Blobs are told apart by size: kwWrappedLen is AES-KW's.
+const gcmWrappedLen = KeySize + Overhead
 
-// keySlot is one record's key: its wrapped DEK while live, zeros once the
-// key is shredded (the slot is then the record's tombstone).
+// keySlot is one record's key: its AES-KW wrapped DEK while live (unless
+// keyTable.legacy holds the key), zeros once the key is shredded (the slot
+// is then the record's tombstone).
 type keySlot struct {
 	state slotState
-	blob  [wrappedLen]byte
+	blob  [kwWrappedLen]byte
+}
+
+// keyTable is the per-record key state, indexed by record number. A live key
+// an older binary wrapped is a 60-byte AES-GCM blob, which would make every
+// slot 20 bytes larger, so legacy holds those few instead.
+type keyTable struct {
+	slots  []keySlot
+	legacy map[uint32][]byte
+}
+
+// setLive makes blob, whose size checkWrapped accepted, record n's live key.
+func (t *keyTable) setLive(n uint32, blob []byte) {
+	t.slots = recno.Grow(t.slots, n)
+	t.slots[n].state = slotLive
+	t.dropLegacy(n)
+	if len(blob) == kwWrappedLen {
+		copy(t.slots[n].blob[:], blob)
+		return
+	}
+	if t.legacy == nil {
+		t.legacy = make(map[uint32][]byte)
+	}
+	t.legacy[n] = bytes.Clone(blob)
+}
+
+// shred makes record n's slot a tombstone, zeroing its blob.
+func (t *keyTable) shred(n uint32) {
+	t.slots = recno.Grow(t.slots, n)
+	t.slots[n] = keySlot{state: slotShredded}
+	t.dropLegacy(n)
+}
+
+// dropLegacy zeroes and forgets record n's legacy blob, if it has one.
+func (t *keyTable) dropLegacy(n uint32) {
+	if b, ok := t.legacy[n]; ok {
+		clear(b)
+		delete(t.legacy, n)
+	}
+}
+
+// wrapped returns live record n's blob, which the caller must not modify.
+func (t *keyTable) wrapped(n uint32) []byte {
+	if b, ok := t.legacy[n]; ok {
+		return b
+	}
+	return t.slots[n].blob[:]
 }
 
 type slotState uint8
 
 const (
 	slotEmpty    slotState = iota // no key was ever registered
-	slotLive                      // blob is Seal(master, DEK, aad=id)
+	slotLive                      // blob wraps the DEK: AES-KW, or a legacy AES-GCM seal
 	slotShredded                  // the key was destroyed
 )
 
@@ -79,22 +131,26 @@ func NewKeyStoreCached(master Key, cacheCap int) *KeyStore {
 // NewKeyStoreOn is NewKeyStoreCached numbering records in recs, the table a
 // shard shares among its per-record stores.
 func NewKeyStoreOn(recs *recno.Table, master Key, cacheCap int) *KeyStore {
-	return &KeyStore{master: master, recs: recs, cache: newDEKCache(cacheCap)}
+	return &KeyStore{master: master, wrap: wrapMAC(master), recs: recs, cache: newDEKCache(cacheCap)}
 }
 
-// slot returns id's slot, or nil if it has none; the caller holds ks.mu. It
-// never numbers id, so a lookup of an unknown ID leaves the table as it was.
-func (ks *KeyStore) slot(id string) *keySlot {
-	if n, ok := ks.recs.Find(id); ok && int(n) < len(ks.slots) {
-		return &ks.slots[n]
-	}
-	return nil
+// wrapMAC derives the per-record KEKs of the store protected by master.
+func wrapMAC(master Key) *KeyedMAC {
+	return NewKeyedMAC(DeriveKey(master, "vcrypto/dek-wrap/kw"))
+}
+
+// find returns id's record number if it has a slot; the caller holds ks.mu.
+// It never numbers id, so a lookup of an unknown ID leaves the table as it
+// was.
+func (ks *KeyStore) find(id string) (uint32, bool) {
+	n, ok := ks.recs.Find(id)
+	return n, ok && int(n) < len(ks.keys.slots)
 }
 
 // state returns the state of id's slot; the caller holds ks.mu.
 func (ks *KeyStore) state(id string) slotState {
-	if sl := ks.slot(id); sl != nil {
-		return sl.state
+	if n, ok := ks.find(id); ok {
+		return ks.keys.slots[n].state
 	}
 	return slotEmpty
 }
@@ -102,10 +158,7 @@ func (ks *KeyStore) state(id string) slotState {
 // register makes blob the live key of id, whose slot is empty, numbering id
 // if need be; the caller holds ks.mu exclusively.
 func (ks *KeyStore) register(id string, blob []byte) {
-	n := ks.recs.Intern(id)
-	ks.slots = recno.Grow(ks.slots, n)
-	ks.slots[n].state = slotLive
-	copy(ks.slots[n].blob[:], blob)
+	ks.keys.setLive(ks.recs.Intern(id), blob)
 }
 
 // Create generates, wraps, and registers a fresh DEK for id, returning the
@@ -146,11 +199,12 @@ func (ks *KeyStore) mint(id string) (Key, []byte, error) {
 	if err != nil {
 		return Key{}, nil, err
 	}
-	blob, err := Seal(ks.master, dek[:], []byte(id))
-	if err != nil {
-		return Key{}, nil, fmt.Errorf("vcrypto: wrapping DEK for %s: %w", id, err)
-	}
-	return dek, blob, nil
+	return dek, wrapDEK(ks.wrap, id, dek), nil
+}
+
+// wrapDEK wraps dek with AES-KW under id's KEK.
+func wrapDEK(wrap *KeyedMAC, id string, dek Key) []byte {
+	return kwWrap(recordKEK(wrap, id), dek[:])
 }
 
 // vacant reports whether a key may be registered for id: it has none, live
@@ -167,7 +221,7 @@ func (ks *KeyStore) vacant(id string) error {
 
 // Get unwraps and returns the DEK for id. It returns ErrShredded if the key
 // was destroyed and ErrNoKey if it never existed. A cache hit skips the
-// AES-GCM unwrap entirely; Shred's synchronous invalidation guarantees a hit
+// unwrap entirely; Shred's synchronous invalidation guarantees a hit
 // can never serve a destroyed key.
 func (ks *KeyStore) Get(id string) (Key, error) {
 	dek, _, err := ks.get(id)
@@ -199,22 +253,25 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 		return dek, true, nil
 	}
 	ks.mu.RLock()
-	// Copy the slot and master under the read lock: Shred zeroes the blob in
-	// place and Rewrap swaps the master, both under the write lock, so
+	// Copy the blob and keys under the read lock: Shred zeroes the blob in
+	// place and Rewrap swaps the keys, both under the write lock, so
 	// neither may be touched after RUnlock.
-	master := ks.master
-	var sl keySlot
-	if p := ks.slot(id); p != nil {
-		sl = *p
+	master, wrap := ks.master, ks.wrap
+	state := slotEmpty
+	var buf [gcmWrappedLen]byte
+	var blob []byte
+	if n, ok := ks.find(id); ok {
+		state = ks.keys.slots[n].state
+		blob = buf[:copy(buf[:], ks.keys.wrapped(n))]
 	}
 	ks.mu.RUnlock()
-	switch sl.state {
+	switch state {
 	case slotShredded:
 		return Key{}, false, fmt.Errorf("%w: %s", ErrShredded, id)
 	case slotEmpty:
 		return Key{}, false, fmt.Errorf("%w: %s", ErrNoKey, id)
 	}
-	dek, err := unwrap(master, id, sl.blob[:])
+	dek, err := unwrap(master, wrap, id, blob)
 	if err != nil {
 		return Key{}, false, err
 	}
@@ -235,14 +292,14 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 func (ks *KeyStore) Shred(id string) error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	sl := ks.slot(id)
+	n, ok := ks.find(id)
 	switch {
-	case sl == nil || sl.state == slotEmpty:
+	case !ok || ks.keys.slots[n].state == slotEmpty:
 		return fmt.Errorf("%w: %s", ErrNoKey, id)
-	case sl.state == slotShredded:
+	case ks.keys.slots[n].state == slotShredded:
 		return nil
 	}
-	*sl = keySlot{state: slotShredded}
+	ks.keys.shred(n)
 	// Invalidate the plaintext-DEK cache synchronously, before Shred returns:
 	// secure deletion is only complete once no copy of the key — wrapped or
 	// cached — remains obtainable. The entry is zeroized, not just dropped.
@@ -274,9 +331,16 @@ func (ks *KeyStore) CachedDEKs() int {
 	return ks.cache.Len()
 }
 
-// unwrap opens a wrapped DEK blob under master, zeroizing the intermediate.
-func unwrap(master Key, id string, blob []byte) (Key, error) {
-	raw, err := Open(master, blob, []byte(id))
+// unwrap opens id's wrapped DEK blob, zeroizing the intermediate: an AES-KW
+// blob under id's KEK from wrap, a legacy AES-GCM one under master.
+func unwrap(master Key, wrap *KeyedMAC, id string, blob []byte) (Key, error) {
+	var raw []byte
+	var err error
+	if len(blob) == kwWrappedLen {
+		raw, err = kwUnwrap(recordKEK(wrap, id), blob)
+	} else {
+		raw, err = Open(master, blob, []byte(id))
+	}
 	if err != nil {
 		return Key{}, fmt.Errorf("vcrypto: unwrapping DEK for %s: %w", id, err)
 	}
@@ -301,7 +365,7 @@ func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
 	if err := ks.vacant(id); err != nil {
 		return err
 	}
-	dek, err := unwrap(ks.master, id, blob)
+	dek, err := unwrap(ks.master, ks.wrap, id, blob)
 	if err != nil {
 		return err
 	}
@@ -312,8 +376,8 @@ func (ks *KeyStore) AdoptWrapped(id string, blob []byte) error {
 
 // checkWrapped rejects a blob that cannot be a wrapped DEK by its size.
 func checkWrapped(id string, blob []byte) error {
-	if len(blob) != wrappedLen {
-		return fmt.Errorf("%w: wrapped DEK of %s is %d bytes, want %d", ErrBadKey, id, len(blob), wrappedLen)
+	if len(blob) != kwWrappedLen && len(blob) != gcmWrappedLen {
+		return fmt.Errorf("%w: wrapped DEK of %s is %d bytes, want %d (or a legacy %d)", ErrBadKey, id, len(blob), kwWrappedLen, gcmWrappedLen)
 	}
 	return nil
 }
@@ -323,18 +387,18 @@ func checkWrapped(id string, blob []byte) error {
 func (ks *KeyStore) WrappedFor(id string) ([]byte, error) {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
-	sl := ks.slot(id)
+	n, ok := ks.find(id)
 	switch {
-	case sl == nil || sl.state == slotEmpty:
+	case !ok || ks.keys.slots[n].state == slotEmpty:
 		return nil, fmt.Errorf("%w: %s", ErrNoKey, id)
-	case sl.state == slotShredded:
+	case ks.keys.slots[n].state == slotShredded:
 		return nil, fmt.Errorf("%w: %s", ErrShredded, id)
 	}
-	return append([]byte(nil), sl.blob[:]...), nil
+	return bytes.Clone(ks.keys.wrapped(n)), nil
 }
 
-// Rewrap re-encrypts every live DEK under newMaster and switches the store
-// to it — periodic key rotation, as key-management policy (and HIPAA's
+// Rewrap rewraps every live DEK, with AES-KW, under newMaster and switches
+// the store to it — periodic key rotation, as key-management policy (and HIPAA's
 // "reasonable safeguards" guidance) expects. Data keys themselves do not
 // change, so no ciphertext needs rewriting — and for the same reason the
 // plaintext-DEK cache is deliberately left warm: its entries are the DEKs,
@@ -342,31 +406,26 @@ func (ks *KeyStore) WrappedFor(id string) ([]byte, error) {
 func (ks *KeyStore) Rewrap(newMaster Key) error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	rewrapped := make([][wrappedLen]byte, len(ks.slots))
-	for n := range ks.slots {
-		if ks.slots[n].state != slotLive {
+	newWrap := wrapMAC(newMaster)
+	rewrapped := make([][]byte, len(ks.keys.slots))
+	for n := range ks.keys.slots {
+		if ks.keys.slots[n].state != slotLive {
 			continue
 		}
 		id := ks.recs.ID(uint32(n))
-		raw, err := Open(ks.master, ks.slots[n].blob[:], []byte(id))
+		dek, err := unwrap(ks.master, ks.wrap, id, ks.keys.wrapped(uint32(n)))
 		if err != nil {
-			return fmt.Errorf("vcrypto: rewrap: unwrapping %s: %w", id, err)
+			return fmt.Errorf("vcrypto: rewrap: %w", err)
 		}
-		newBlob, err := Seal(newMaster, raw, []byte(id))
-		for i := range raw {
-			raw[i] = 0
-		}
-		if err != nil {
-			return fmt.Errorf("vcrypto: rewrap: wrapping %s: %w", id, err)
-		}
-		copy(rewrapped[n][:], newBlob)
+		rewrapped[n] = wrapDEK(newWrap, id, dek)
+		dek.Zero()
 	}
-	for n := range ks.slots {
-		if ks.slots[n].state == slotLive {
-			ks.slots[n].blob = rewrapped[n]
+	for n, blob := range rewrapped {
+		if blob != nil {
+			ks.keys.setLive(uint32(n), blob)
 		}
 	}
-	ks.master = newMaster
+	ks.master, ks.wrap = newMaster, newWrap
 	return nil
 }
 
@@ -382,8 +441,8 @@ func (ks *KeyStore) Len() int {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
 	n := 0
-	for i := range ks.slots {
-		if ks.slots[i].state == slotLive {
+	for i := range ks.keys.slots {
+		if ks.keys.slots[i].state == slotLive {
 			n++
 		}
 	}
@@ -412,8 +471,8 @@ type numbered struct {
 // caller holds ks.mu.
 func (ks *KeyStore) inState(state slotState) []numbered {
 	var out []numbered
-	for n := range ks.slots {
-		if ks.slots[n].state == state {
+	for n := range ks.keys.slots {
+		if ks.keys.slots[n].state == state {
 			out = append(out, numbered{ks.recs.ID(uint32(n)), uint32(n)})
 		}
 	}
@@ -425,6 +484,9 @@ func (ks *KeyStore) inState(state slotState) []numbered {
 //
 //	magic "MVKS" | u16 version | u32 nLive  { u32 idLen id u32 blobLen blob }*
 //	               u32 nShred { u32 idLen id }*
+//
+// where blob is 40 bytes (AES-KW) or, decoded and never written by Mint,
+// Create or Rewrap, a legacy 60 (AES-GCM).
 const (
 	ksMagic   = "MVKS"
 	ksVersion = 1
@@ -440,7 +502,7 @@ func (ks *KeyStore) Snapshot() []byte {
 	b = frame.AppendCount(b, len(live))
 	for _, e := range live {
 		b = frame.AppendStr(b, e.id)
-		b = frame.AppendBytes(b, ks.slots[e.n].blob[:])
+		b = frame.AppendBytes(b, ks.keys.wrapped(e.n))
 	}
 	dead := ks.inState(slotShredded)
 	b = frame.AppendCount(b, len(dead))
@@ -495,17 +557,16 @@ func (ks *KeyStore) Restore(snap []byte) error {
 	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	var slots []keySlot
+	var keys keyTable
 	fill := func(id string, blob []byte) error {
 		n := ks.recs.Intern(id)
-		slots = recno.Grow(slots, n)
-		if slots[n].state != slotEmpty {
+		if int(n) < len(keys.slots) && keys.slots[n].state != slotEmpty {
 			return fmt.Errorf("vcrypto: keystore snapshot lists %s twice", id)
 		}
-		slots[n].state = slotShredded
 		if blob != nil {
-			slots[n].state = slotLive
-			copy(slots[n].blob[:], blob)
+			keys.setLive(n, blob)
+		} else {
+			keys.shred(n)
 		}
 		return nil
 	}
@@ -519,7 +580,7 @@ func (ks *KeyStore) Restore(snap []byte) error {
 			return err
 		}
 	}
-	ks.slots = slots
+	ks.keys = keys
 	ks.cache.Purge()
 	return nil
 }

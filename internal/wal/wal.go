@@ -19,7 +19,9 @@
 // written and fsynced once, and each caller is unblocked only after the
 // batch containing its entry is durable. One fsync amortizes across every
 // entry that arrived while the previous fsync was in flight, which is where
-// the multi-writer throughput of the vault's durable mode comes from.
+// the multi-writer throughput of the vault's durable mode comes from. A
+// batch's leader flushes that one batch and hands the log to the next
+// batch's first waiter, so no caller waits on fsyncs after its own.
 package wal
 
 import (
@@ -90,8 +92,11 @@ type Entry struct {
 // waiter tracks one enqueued entry until its batch is durable.
 type waiter struct {
 	durable func() // Enqueue's hook; nil for none
-	done    chan struct{}
-	err     error
+	// turn receives exactly once: true to lead the flush of the waiter's
+	// batch, false once another leader settled it (err is then set). Its
+	// one-slot buffer lets a sender holding Log.mu never block.
+	turn chan bool
+	err  error
 }
 
 // Log is a single-file write-ahead log. Safe for concurrent use; concurrent
@@ -110,8 +115,8 @@ type Log struct {
 	wedged  error // fatal write/sync failure; the log refuses further appends
 
 	// Group-commit state, guarded by mu. flushing is true while a leader
-	// drains batches; enqueued entries always have a leader responsible for
-	// flushing them.
+	// flushes a batch or hands the log on to the next; enqueued entries
+	// always have a leader responsible for flushing them.
 	batch    []byte
 	waiters  []*waiter
 	flushing bool
@@ -252,7 +257,8 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 // and a wait function. The entry is NOT durable until wait returns
 // nil; wait blocks until the batch containing the entry has been written and
 // fsynced (or fails with the batch's error). Every caller must invoke wait
-// exactly once — the batch leader's wait performs the flush. durable, if not
+// exactly once — the batch leader's wait performs the flush, of its own
+// batch only. durable, if not
 // nil, runs after the entry's batch is fsynced and before its wait returns,
 // outside the log's lock and in sequence order across entries; never for a
 // batch that failed to write or sync, or for any entry of a wedged log. An
@@ -280,98 +286,108 @@ func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error)
 	l.nextSeq++
 	l.batch = frame.Var.Append(l.batch, 0, data)
 	l.end += int64(len(l.batch) - start)
-	w := &waiter{durable: durable, done: make(chan struct{})}
+	w := &waiter{durable: durable, turn: make(chan bool, 1)}
 	l.waiters = append(l.waiters, w)
 	metQueueDepth.Add(1)
-	leader := !l.flushing
-	if leader {
+	if !l.flushing {
 		l.flushing = true
+		w.turn <- true
 	}
 	l.mu.Unlock()
 	return seq, off, func() error {
-		if leader {
-			l.flushLoop()
+		if <-w.turn {
+			l.flush(w)
 		}
-		<-w.done
 		return w.err
 	}
 }
 
-// flushLoop drains batches until none remain. Exactly one leader runs it at
-// a time; entries enqueued while a flush is in flight join the next batch
-// and are flushed by the same leader, which is what coalesces concurrent
-// appends into shared fsyncs.
-func (l *Log) flushLoop() {
+// flush writes and fsyncs the batch its leader, lead, is the first entry of:
+// every entry enqueued until the flush starts. Exactly one leader flushes at
+// a time; entries enqueued while its fsync is in flight form the next batch,
+// which is what coalesces concurrent appends into shared fsyncs. Once the
+// batch is settled, the leader hands the log to the next batch's first
+// waiter, so its own wait returns without flushing anyone else's entries.
+func (l *Log) flush(lead *waiter) {
 	l.mu.Lock()
-	for len(l.waiters) > 0 {
-		buf, ws := l.batch, l.waiters
-		l.batch, l.waiters = nil, nil
-		if l.wedged != nil {
-			// A previous batch failed; the on-disk tail is unknown, so fail
-			// queued entries without writing after the gap.
-			metQueueDepth.Add(-float64(len(ws)))
-			for _, w := range ws {
-				w.err = l.wedged
-				close(w.done)
-			}
-			continue
-		}
-		f := l.f
+	buf, ws := l.batch, l.waiters
+	l.batch, l.waiters = nil, nil
+	if l.wedged != nil {
+		// A previous batch failed; the on-disk tail is unknown, so fail
+		// queued entries without writing after the gap.
+		l.settle(lead, ws, l.wedged)
 		l.mu.Unlock()
+		return
+	}
+	f := l.f
+	l.mu.Unlock()
 
-		var err error
-		if _, err = f.Write(buf); err != nil {
-			err = fmt.Errorf("wal: appending batch: %w", err)
+	var err error
+	if _, err = f.Write(buf); err != nil {
+		err = fmt.Errorf("wal: appending batch: %w", err)
+	} else {
+		syncStart := time.Now()
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("wal: syncing batch: %w", err)
 		} else {
-			syncStart := time.Now()
-			if err = f.Sync(); err != nil {
-				err = fmt.Errorf("wal: syncing batch: %w", err)
-			} else {
-				metFsync.ObserveSince(syncStart)
-				metGroupCommits.Inc()
-				metBatchEntries.Observe(float64(len(ws)))
-				metAppends.Add(uint64(len(ws)))
-				metAppendBytes.Add(uint64(len(buf)))
-				for _, w := range ws {
-					if w.durable != nil {
-						w.durable()
-					}
+			metFsync.ObserveSince(syncStart)
+			metGroupCommits.Inc()
+			metBatchEntries.Observe(float64(len(ws)))
+			metAppends.Add(uint64(len(ws)))
+			metAppendBytes.Add(uint64(len(buf)))
+			for _, w := range ws {
+				if w.durable != nil {
+					w.durable()
 				}
 			}
 		}
+	}
 
-		l.mu.Lock()
-		if err != nil {
-			// A failed write or fsync leaves the on-disk tail unknown; the
-			// log wedges rather than risk appending after a gap. This is the
-			// loudest event a durable vault can emit short of crashing —
-			// every subsequent durable mutation will fail — so it is logged
-			// structurally as well as gauged.
-			l.wedged = fmt.Errorf("%w: %w", ErrWedged, err)
-			err = l.wedged
-			metWedged.Set(1)
-			slog.Error("wal wedged: write/fsync failed, refusing further appends",
-				"path", l.path, "err", err)
-			// Mark the in-memory flight ring too (the postmortem dump and
-			// the flight endpoint read it). This event is not persisted: what
-			// the persisted flight tail shows is every later op whose outcome
-			// is wedged.
-			obs.DefaultFlight.Record(obs.FlightEvent{
-				Kind: "wal.wedge", Outcome: "error",
-				Detail: "write/fsync failed; WAL refuses further appends",
-			})
-		} else {
-			l.size += int64(len(buf))
+	l.mu.Lock()
+	if err != nil {
+		// A failed write or fsync leaves the on-disk tail unknown; the log
+		// wedges rather than risk appending after a gap. This is the
+		// loudest event a durable vault can emit short of crashing — every
+		// subsequent durable mutation will fail — so it is logged
+		// structurally as well as gauged.
+		l.wedged = fmt.Errorf("%w: %w", ErrWedged, err)
+		err = l.wedged
+		metWedged.Set(1)
+		slog.Error("wal wedged: write/fsync failed, refusing further appends",
+			"path", l.path, "err", err)
+		// Mark the in-memory flight ring too (the postmortem dump and the
+		// flight endpoint read it). This event is not persisted: what the
+		// persisted flight tail shows is every later op whose outcome is
+		// wedged.
+		obs.DefaultFlight.Record(obs.FlightEvent{
+			Kind: "wal.wedge", Outcome: "error",
+			Detail: "write/fsync failed; WAL refuses further appends",
+		})
+	} else {
+		l.size += int64(len(buf))
+	}
+	l.settle(lead, ws, err)
+	l.mu.Unlock()
+}
+
+// settle ends the batch ws, which lead flushed, with err, and hands the log
+// to the next batch's first waiter, or marks it idle if none is queued. The
+// durable hooks of ws have run, so the next batch's run after them. The
+// caller holds l.mu.
+func (l *Log) settle(lead *waiter, ws []*waiter, err error) {
+	metQueueDepth.Add(-float64(len(ws)))
+	for _, w := range ws {
+		w.err = err
+		if w != lead {
+			w.turn <- false
 		}
-		metQueueDepth.Add(-float64(len(ws)))
-		for _, w := range ws {
-			w.err = err
-			close(w.done)
-		}
+	}
+	if len(l.waiters) > 0 {
+		l.waiters[0].turn <- true
+		return
 	}
 	l.flushing = false
 	l.idle.Broadcast()
-	l.mu.Unlock()
 }
 
 // Append durably records data and returns its sequence number. The entry is

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"medvault/internal/faultfs"
 	"medvault/internal/frame"
@@ -619,6 +620,75 @@ func TestDurableHookSkipsFailedBatch(t *testing.T) {
 	}
 	if len(ran) != 1 || ran[0] != "durable" {
 		t.Errorf("hooks ran for %q, want only the durable entry's", ran)
+	}
+}
+
+// TestLeaderReturnsBeforeLaterBatch: a batch's leader flushes its own batch
+// and hands the log on, so its wait returns while the batch that queued
+// behind it is still in its fsync, which that batch's first waiter runs. (A
+// leader used to flush every later batch too, so its caller waited on other
+// writers' fsyncs, with no bound under sustained load.)
+func TestLeaderReturnsBeforeLaterBatch(t *testing.T) {
+	holds := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	entered := make(chan int, 4)
+	syncs := 0
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind != faultfs.OpSync {
+			return nil
+		}
+		syncs++
+		entered <- syncs
+		if syncs <= len(holds) {
+			return &faultfs.Fault{Hold: holds[syncs-1]}
+		}
+		return nil
+	})
+	l, err := OpenFS(fsys, "wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(holds[1]) // unblock a leader still flushing the later batch
+		}
+	}()
+
+	_, _, leader := l.Enqueue([]byte("leader"), nil)
+	leaderDone := make(chan error, 1)
+	go func() { leaderDone <- leader() }()
+	if n := <-entered; n != 1 {
+		t.Fatalf("sync %d began first", n)
+	}
+	_, _, later := l.Enqueue([]byte("later"), nil)
+	laterDone := make(chan error, 1)
+	go func() { laterDone <- later() }()
+	close(holds[0])
+
+	select {
+	case err := <-leaderDone:
+		if err != nil {
+			t.Fatalf("leader: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leader's wait did not return while the later batch's fsync is held")
+	}
+	if n := <-entered; n != 2 {
+		t.Fatalf("sync %d began second", n)
+	}
+	select {
+	case err := <-laterDone:
+		t.Fatalf("the later entry's wait returned before its fsync did: %v", err)
+	default:
+	}
+	released = true
+	close(holds[1])
+	if err := <-laterDone; err != nil {
+		t.Fatalf("later: %v", err)
+	}
+	if syncs != 2 {
+		t.Errorf("%d fsyncs for two batches", syncs)
 	}
 }
 

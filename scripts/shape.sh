@@ -206,11 +206,12 @@ check "Shards in shard order: internal/core/cluster.go starts no goroutine" \
 	"$(grep -n 'go func' internal/core/cluster.go)"
 
 # A version is sealed in one layout, which the AAD binds to its record's ID:
-# commitVersion seals, openVersion opens, and only openVersion's legacy
+# commitVersion seals, openVersion opens, and only sealedRecord's legacy
 # branch reads an MVR1 plaintext. The canonical encoding stays the content
-# hash and bundle domain (bundlecodec.go); verify.go only authenticates.
-check "One at-rest record layout: in non-test internal/core, ehr.Decode( only in openVersion and bundlecodec.go, sealAAD( only in commitVersion, openVersion and verify.go" \
-	"$(awk '/^func /{fn=$0} /ehr\.Decode\(/ && !(FILENAME == "internal/core/bundlecodec.go" || fn ~ /^func \(v \*Vault\) openVersion\(/) {print FILENAME ":" FNR ": " $0} /sealAAD\(/ && !/^func sealAAD\(/ && !(FILENAME == "internal/core/verify.go" || fn ~ /^func \(v \*Vault\) (commitVersion|openVersion)\(/) {print FILENAME ":" FNR ": " $0}' $core)"
+# hash and bundle domain (bundlecodec.go); verify.go authenticates and
+# checks identity through sealedRecord.
+check "One at-rest record layout: in non-test internal/core, ehr.Decode( only in sealedRecord and bundlecodec.go, sealAAD( only in commitVersion, openVersion and verify.go" \
+	"$(awk '/^func /{fn=$0} /ehr\.Decode\(/ && !(FILENAME == "internal/core/bundlecodec.go" || fn ~ /^func \(v \*Vault\) sealedRecord\(/) {print FILENAME ":" FNR ": " $0} /sealAAD\(/ && !/^func sealAAD\(/ && !(FILENAME == "internal/core/verify.go" || fn ~ /^func \(v \*Vault\) (commitVersion|openVersion)\(/) {print FILENAME ":" FNR ": " $0}' $core)"
 
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
