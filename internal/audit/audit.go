@@ -4,13 +4,15 @@
 // the log itself be trustworthy: an insider who reads or alters a record must
 // not be able to scrub the evidence. Three mechanisms compose:
 //
-//  1. Every event's hash covers its predecessor's (a hash chain), and every
-//     event stores a link to it, the first 8 bytes of that hash, so deleting,
-//     reordering or splicing events breaks the chain.
+//  1. Every event's hash covers its predecessor's (a hash chain), so
+//     deleting, reordering or splicing events breaks the chain.
 //  2. Every event carries an HMAC under a key derived from the vault master
-//     secret over its place, its content and its link, so an insider without
-//     the key cannot re-forge the chain after editing it, and a reader can
-//     check one event from its own bytes.
+//     secret over its place, its content and its link — the first 8 bytes of
+//     its predecessor's hash, which a reader knows and the event does not
+//     store — so an insider without the key cannot re-forge the chain after
+//     editing it, an event spliced in after another predecessor fails at its
+//     successor, and a reader can check one event from its own bytes and
+//     its link.
 //  3. Checkpoints — Ed25519-signed statements of (sequence, chain head) — are
 //     emitted periodically and can be stored off-system; verification against
 //     any remembered checkpoint detects wholesale log replacement.
@@ -18,19 +20,22 @@
 // Events live only in the append-only blockstore, and store only what a reader
 // cannot recompute (codec.go): an actor, record ID or detail the log already
 // holds is stored as its number in that field's symbol table. In RAM the log
-// keeps, per event, its blockstore.Ref and a place in the ascending-seq
-// posting lists of the filters the API exposes (record, actor, denied), and,
-// per distinct symbol value, its number. A query snapshots the narrowest list
-// and the symbol tables under the log lock, releases it, and reads, decodes
-// and checks only the events that list names; verification streams the
-// medium, rebuilding the tables from it, so what it vouches for is the bytes
-// on disk, not a copy of them.
+// keeps, per event, its offset in its segment, its link and a place in the
+// ascending-seq posting lists of the filters the API exposes (record, actor,
+// denied); per segment, its first event's seq; and, per distinct symbol
+// value, its number. A query snapshots the narrowest list and the symbol
+// tables under the log lock, releases it, and reads, decodes and checks only
+// the events that list names; verification streams the medium, rebuilding
+// the tables from it, so what it vouches for is the bytes on disk, not a
+// copy of them.
 package audit
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -102,15 +107,14 @@ type Event struct {
 	Detail    string // free-form context (never PHI; callers must not put PHI here)
 	Trace     string // trace ID of the operation that produced the event ("" when untraced)
 	// PrevHash is the previous event's Hash (zero for Seq 0), and Hash is
-	// eventHash: this event's place and content || PrevHash. A v5 event
-	// stores only the first linkLen bytes of PrevHash, its link, so only
-	// Append and a reader walking the chain (Open, Verify, an unfiltered
-	// Search) know either; an event Search reads from a posting list has
-	// both zero.
+	// eventHash: this event's place and content || PrevHash. A v6 event
+	// stores neither, so only Append and a reader walking the chain (Open,
+	// Verify, an unfiltered Search) know them; an event Search reads from a
+	// posting list has both zero.
 	PrevHash [32]byte
 	Hash     [32]byte
 	// MAC is an HMAC under the audit key: over macInput (place, content
-	// and link) for a v5 event, over Hash for the older layouts.
+	// and link) for a v6 or v5 event, over Hash for the older layouts.
 	MAC []byte
 }
 
@@ -159,8 +163,8 @@ type Log struct {
 	mac      *vcrypto.KeyedMAC
 	signer   *vcrypto.Signer
 	now      func() time.Time
-	refs     []blockstore.Ref // refs[seq] is where event seq lives; the only per-event state
-	byRecord postings         // Record != "" only
+	places   places   // where each event lives, and its link
+	byRecord postings // Record != "" only
 	byActor  postings
 	denied   []uint64       // seqs with Outcome == OutcomeDenied
 	details  map[string]int // Detail symbol numbers; the keys are syms[symDetail]
@@ -169,6 +173,43 @@ type Log struct {
 	every    int // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
 	wedged   bool // an append failed since Open (see ErrWedged)
+}
+
+// places is where a log's events live and what each links to: the only
+// per-event state besides the posting lists. Appends only extend its
+// slices, so a copy taken under the log lock stays valid outside it.
+type places struct {
+	slots []slot   // slots[seq] is event seq's
+	first []uint64 // first[s] is the seq of segment s's first event, or of the next event when s holds none
+}
+
+// slot is one event's place in its segment and its link, the first linkLen
+// bytes of its predecessor's Hash, which a posting-list read hands
+// decodeEvent: 12 B where a blockstore.Ref alone took 16.
+type slot struct {
+	offset uint32
+	link   [linkLen]byte
+}
+
+// add records that event len(p.slots) lives at ref and links to prev.
+func (p *places) add(ref blockstore.Ref, prev [32]byte) error {
+	if ref.Offset > math.MaxUint32 {
+		return fmt.Errorf("audit: event %d is %d B into its segment, past the 4 GiB an offset holds", len(p.slots), ref.Offset)
+	}
+	for uint64(len(p.first)) <= uint64(ref.Segment) {
+		p.first = append(p.first, uint64(len(p.slots)))
+	}
+	s := slot{offset: uint32(ref.Offset)}
+	copy(s.link[:], prev[:])
+	p.slots = append(p.slots, s)
+	return nil
+}
+
+// ref is where event seq lives: in the last segment whose first event is at
+// or before it.
+func (p places) ref(seq uint64) blockstore.Ref {
+	seg := sort.Search(len(p.first), func(s int) bool { return p.first[s] > seq }) - 1
+	return blockstore.Ref{Segment: uint32(seg), Offset: uint64(p.slots[seq].offset)}
 }
 
 // postings maps a filter value to the ascending seqs of the events carrying
@@ -254,22 +295,21 @@ func Open(cfg Config) (*Log, error) {
 		byActor:  postings{},
 		details:  map[string]int{},
 	}
-	err := l.scan(-1, func(ref blockstore.Ref, e Event) error {
-		l.index(ref, e)
-		return nil
-	})
+	err := l.scan(-1, l.index)
 	if err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
 }
 
-// index records where e lives and which posting lists name it, and numbers
-// the symbol values it is the first to carry. The caller holds l.mu
-// exclusively (or, in Open, is the only holder of l), and e is on the
-// medium: a failed append defines nothing.
-func (l *Log) index(ref blockstore.Ref, e Event) {
-	l.refs = append(l.refs, ref)
+// index records where e lives, what it links to and which posting lists
+// name it, and numbers the symbol values it is the first to carry. The
+// caller holds l.mu exclusively (or, in Open, is the only holder of l), and
+// e is on the medium: a failed append defines nothing.
+func (l *Log) index(ref blockstore.Ref, e Event) error {
+	if err := l.places.add(ref, e.PrevHash); err != nil {
+		return err
+	}
 	l.lastHash = e.Hash
 	if e.Record != "" {
 		l.byRecord.add(e.Record, e.Seq, &l.syms[symRecord])
@@ -282,6 +322,7 @@ func (l *Log) index(ref blockstore.Ref, e Event) {
 	if e.Outcome == OutcomeDenied {
 		l.denied = append(l.denied, e.Seq)
 	}
+	return nil
 }
 
 // symbolNumbers is what encodeEvent needs of the resident tables: the number
@@ -354,20 +395,22 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	}
 	start := time.Now()
 	defer metAppendSeconds.ObserveSince(start)
-	e.Seq = uint64(len(l.refs))
+	e.Seq = uint64(len(l.places.slots))
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	var msg []byte
-	e.Hash, msg = chainSums(e)
+	e.Hash, msg = chainSums(e, codecVersion)
 	e.MAC = l.mac.Sum(nil, msg)
 	ref, err := l.store.Append(encodeEvent(e, l.symbolNumbers(e)))
+	if err == nil {
+		err = l.index(ref, e)
+	}
 	if err != nil {
 		l.wedged = true
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
-	l.index(ref, e)
 	eventsCounter(e.Outcome).Inc()
-	if l.every > 0 && len(l.refs)%l.every == 0 {
+	if l.every > 0 && len(l.places.slots)%l.every == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}
 	return e, nil
@@ -384,7 +427,7 @@ func (l *Log) Wedged() bool {
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.refs)
+	return len(l.places.slots)
 }
 
 // Checkpoint signs and returns a commitment to the current chain state.
@@ -398,7 +441,7 @@ func (l *Log) Checkpoint() Checkpoint {
 
 func (l *Log) checkpointLocked() Checkpoint {
 	ts := l.now().UTC()
-	seq := uint64(len(l.refs))
+	seq := uint64(len(l.places.slots))
 	return Checkpoint{
 		Seq:       seq,
 		Head:      l.lastHash,
@@ -426,7 +469,7 @@ func (l *Log) Verify() (int, error) {
 // own head. It returns how many verified and the hash of event at-1.
 func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
 	l.mu.RLock()
-	want, head := len(l.refs), l.lastHash
+	want, head := len(l.places.slots), l.lastHash
 	l.mu.RUnlock()
 	var last [32]byte
 	err = l.scan(want, func(_ blockstore.Ref, e Event) error {
@@ -486,16 +529,16 @@ func (q Query) matches(e Event) bool {
 // Search returns events matching q in chain order, as of the call. It reads
 // the medium outside the log lock: only the events on the narrowest posting
 // list q selects, or — when q names no record, actor or outcome — a stream of
-// the whole chain. Every event returned has been checked (seq and MAC, and
-// on the stream its link); a read, decode or check failure fails the query
+// the whole chain. Every event returned has been checked (its seq, and its
+// MAC over its link); a read, decode or check failure fails the query
 // rather than shortening its answer. An event read from a posting list is
-// checked from its own bytes and comes back without its chain hashes
-// (PrevHash and Hash zero): a v5 event stores only the first 8 bytes of
-// PrevHash, and the rest takes every earlier event. An event from the
-// stream, which reads every earlier event, has both.
+// checked from its own bytes and the link the log keeps resident, and comes
+// back without its chain hashes (PrevHash and Hash zero): the rest of
+// PrevHash takes every earlier event. An event from the stream, which
+// reads every earlier event, has both.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	refs, syms := l.refs, l.syms
+	pl, syms := l.places, l.syms
 	var seqs []uint64
 	indexed := false
 	narrow := func(list []uint64) {
@@ -516,7 +559,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 
 	var out []Event
 	if !indexed {
-		err := l.scan(len(refs), func(_ blockstore.Ref, e Event) error {
+		err := l.scan(len(pl.slots), func(_ blockstore.Ref, e Event) error {
 			if q.matches(e) {
 				out = append(out, e)
 			}
@@ -528,12 +571,11 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		return out, nil
 	}
 	for _, seq := range seqs {
-		data, err := l.store.Read(refs[seq])
+		data, err := l.store.Read(pl.ref(seq))
 		var e Event
 		if err == nil {
-			// No predecessor is at hand, so the link is the one thing not
-			// checked here; Verify owns it.
-			e, _, err = decodeEvent(data, seq, &syms, nil, l.mac.Verify)
+			link := pl.slots[seq].link
+			e, _, err = decodeEvent(data, seq, &syms, link[:], l.mac.Verify)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("audit: reading event %d: %w", seq, err)
@@ -550,41 +592,53 @@ func (l *Log) Search(q Query) ([]Event, error) {
 // chain cannot be passed off as v2 (or vice versa) by zero-filling the new
 // field.
 func eventHash(e Event) [32]byte {
-	hash, _ := chainSums(e)
+	hash, _ := chainSums(e, codecVersion)
 	return hash
 }
 
-// macInput is what a v5 event's MAC covers: its place, its content and its
-// link, under a domain of its own. Binding the place stops a genuine event
-// being copied over another; binding the link makes the event name the one
-// it followed, which a sequential reader checks (chainReader).
-func macInput(e Event) []byte {
-	b := appendContent(make([]byte, 0, contentCap(e)), macDomain, e)
+// macInput is what a v6 or v5 event's MAC covers (ver says which): its
+// place, its content and its link, under a domain of the layout's own.
+// Binding the place stops a genuine event being copied over another;
+// binding the link makes the event name the one it followed, so a reader
+// that reaches it after any other fails its MAC; the domain makes an event
+// re-spelled in the other layout fail it too.
+func macInput(e Event, ver byte) []byte {
+	b := appendContent(make([]byte, 0, contentCap(e)), macDomain(ver), e)
 	return append(b, e.PrevHash[:linkLen]...)
 }
 
-// The domains of eventHash and macInput.
+// The domains of eventHash and of macInput for each layout that has one.
 const (
-	hashDomain = "medvault/audit-event/v2\x00"
-	macDomain  = "medvault/audit-event-mac/v5\x00"
+	hashDomain    = "medvault/audit-event/v2\x00"
+	macDomainV6   = "medvault/audit-event-mac/v6\x00"
+	macDomainV5   = "medvault/audit-event-mac/v5\x00"
+	macDomainSize = len(macDomainV6)
 )
 
-// chainSums returns eventHash(e) and macInput(e), which a v5 event's writer
-// and a reader walking the chain both need, encoding e's content once: the
-// buffer holds hashDomain right-aligned under macDomain's length, so after
-// hashing it takes macDomain in its place and the link after the content.
-func chainSums(e Event) (hash [32]byte, mac []byte) {
-	pad := len(macDomain) - len(hashDomain)
+func macDomain(ver byte) string {
+	if ver == codecV5 {
+		return macDomainV5
+	}
+	return macDomainV6
+}
+
+// chainSums returns eventHash(e) and macInput(e, ver), which a writer and a
+// reader walking the chain both need, encoding e's content once: the buffer
+// holds hashDomain right-aligned under the MAC domain's length, so after
+// hashing it takes the MAC domain in its place and the link after the
+// content.
+func chainSums(e Event, ver byte) (hash [32]byte, mac []byte) {
+	pad := macDomainSize - len(hashDomain)
 	b := appendContent(make([]byte, pad, contentCap(e)), hashDomain, e)
 	hash = vcrypto.Hash(append(b, e.PrevHash[:]...)[pad:])
-	copy(b, macDomain)
+	copy(b, macDomain(ver))
 	return hash, append(b, e.PrevHash[:linkLen]...)
 }
 
 // contentCap is room for e's hash or MAC input: the longer domain, the
 // content, and a predecessor's hash.
 func contentCap(e Event) int {
-	return len(macDomain) + 136 + len(e.Actor) + len(e.Record) + len(e.Detail) + len(e.Trace)
+	return macDomainSize + 136 + len(e.Actor) + len(e.Record) + len(e.Detail) + len(e.Trace)
 }
 
 // appendContent appends a hash or MAC input's start to b: domain, then the

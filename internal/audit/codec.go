@@ -8,47 +8,52 @@ import (
 	"medvault/internal/obs"
 )
 
-// Persisted event layout, v5 (fixed ints big-endian):
+// Persisted event layout, v6 (fixed ints big-endian):
 //
-//	u8 5 | i64 unixNano | symbol actor | word action | symbol record |
+//	u8 6 | i64 unixNano | symbol actor | word action | symbol record |
 //	uvarint recVersion | word outcome | symbol detail | token trace |
-//	8B link | varbytes mac
+//	32B mac
 //
-// (frame.AppendSymbol, AppendWord, AppendToken, AppendVarBytes). An event
-// stores only what a reader cannot recompute: its Seq is its place in the
-// chain, which every reader knows, and its Hash is eventHash of the rest.
-// Actor, Record and Detail are symbols: a log writes a value out the first
-// time it carries it in that field, numbering it in the field's table, and
-// refers to it by number after. The tables are a function of the decoded
-// event sequence — events of every layout define entries — so a reader
-// rebuilds them from the chain's prefix (chainReader), and the running log
-// keeps them resident (Log.syms).
+// (frame.AppendSymbol, AppendWord, AppendToken). An event stores only what a
+// reader cannot recompute: its Seq is its place in the chain, which every
+// reader knows, and its Hash is eventHash of the rest. Actor, Record and
+// Detail are symbols: a log writes a value out the first time it carries it
+// in that field, numbering it in the field's table, and refers to it by
+// number after. The tables are a function of the decoded event sequence —
+// events of every layout define entries — so a reader rebuilds them from the
+// chain's prefix (chainReader), and the running log keeps them resident
+// (Log.syms).
 //
-// The link is the first linkLen bytes of the predecessor's Hash, not all 32:
-// a reader walking the chain (chainReader) knows the full hash, checks the
-// link against it and hashes the event with it, so eventHash and the signed
-// checkpoints are byte-for-byte the ones v2 to v4 wrote. The MAC covers
-// macInput — seq, the decoded fields and the link — so a reader holding only
-// the event's own bytes (a posting-list read) can still check it.
+// The link is the first linkLen bytes of the predecessor's Hash, and no event
+// stores it: a reader walking the chain (chainReader) has just computed that
+// hash, and a posting-list read takes the link Log keeps resident per event.
+// The MAC covers macInput — seq, the decoded fields and the link — so an
+// event read after any other predecessor than the one its writer chained it
+// to fails its MAC; eventHash and the signed checkpoints are byte-for-byte
+// the ones v2 to v5 wrote. The MAC is HMAC-SHA-256, always macLen bytes.
 //
 // Legacy layouts still decode, so a log begun by an older binary keeps
-// verifying and continues in v5. They store the whole PrevHash, and their
-// MAC covers the event's Hash:
-//   - v4 is v5 with a 32-byte prevHash in place of the link.
+// verifying and continues in v6:
+//   - v5 is v6 with the link stored before the MAC, which a uvarint length
+//     prefixes, and its MAC input under a domain of its own.
+//   - v4 is v5 with a 32-byte prevHash in place of the link, and its MAC
+//     covers the event's Hash, as do v3's and v2's.
 //   - v3 is v4 with every symbol field a token (frame.AppendToken).
 //   - v2 (u16 2 | u64 seq | i64 unixNano | str actor | str action |
 //     str record | u64 recVersion | str outcome | str detail | str trace |
 //     32B prevHash | 32B hash | str mac, str = u32 len || bytes) stored Seq
 //     and Hash, which must equal the ones the reader computes.
 const (
-	codecVersion = 5
+	codecVersion = 6
+	codecV5      = 5
 	codecV4      = 4
 	codecV3      = 3
 	codecV2      = 2
 	linkLen      = 8
+	macLen       = 32
 )
 
-// actionWords and outcomeWords are the vocabularies of the v3, v4 and v5
+// actionWords and outcomeWords are the vocabularies of the v3 and later
 // layouts. They are part of the format: append only.
 var (
 	actionWords = []string{
@@ -59,7 +64,7 @@ var (
 	outcomeWords = []string{string(OutcomeAllowed), string(OutcomeDenied), string(OutcomeError)}
 )
 
-// The symbol fields of the v4 and v5 layouts, indexing a symbols value.
+// The symbol fields of the v4 and later layouts, indexing a symbols value.
 const (
 	symActor = iota
 	symRecord
@@ -77,10 +82,11 @@ func symbolValues(e Event) [numSyms]string {
 	return [numSyms]string{symActor: e.Actor, symRecord: e.Record, symDetail: e.Detail}
 }
 
-// encodeEvent writes e in the v5 layout. nums[f] is the number of e's value
-// in symbol table f, or -1 when the log's table does not hold it yet.
+// encodeEvent writes e in the v6 layout. nums[f] is the number of e's value
+// in symbol table f, or -1 when the log's table does not hold it yet. e.MAC
+// is macLen bytes, as Append's are.
 func encodeEvent(e Event, nums [numSyms]int) []byte {
-	b := make([]byte, 0, 72+len(e.Trace)+len(e.MAC))
+	b := make([]byte, 0, 64+len(e.Trace)+macLen)
 	b = append(b, codecVersion)
 	b = frame.AppendTime(b, e.Timestamp)
 	b = frame.AppendSymbol(b, e.Actor, nums[symActor])
@@ -90,8 +96,7 @@ func encodeEvent(e Event, nums [numSyms]int) []byte {
 	b = frame.AppendWord(b, string(e.Outcome), outcomeWords)
 	b = frame.AppendSymbol(b, e.Detail, nums[symDetail])
 	b = frame.AppendToken(b, e.Trace)
-	b = append(b, e.PrevHash[:linkLen]...)
-	return frame.AppendVarBytes(b, e.MAC)
+	return append(b, e.MAC...)
 }
 
 // macCheck reports whether mac is the audit key's MAC over msg
@@ -99,19 +104,22 @@ func encodeEvent(e Event, nums [numSyms]int) []byte {
 type macCheck func(msg, mac []byte) bool
 
 // decodeEvent reads the stored bytes of the seq-th event, resolving symbol
-// references through syms, and checks them. The MAC is checked with check
-// over what the layout MACs: macInput for v5, the Hash for the older layouts,
-// whose bytes hold the whole PrevHash; every event's own bytes give it, so a
-// forged event fails every read of it and no other. A reader walking the
-// chain passes prev, the predecessor's Hash: decodeEvent checks the event's
-// link to it (the first linkLen bytes for v5, all of a legacy PrevHash) and
-// returns the event with PrevHash and Hash filled in. A reader of the event
-// alone (a posting-list read) passes nil and gets both zero: a v5 event
-// stores only the link, and the rest of PrevHash takes every earlier event.
-// defined reports the symbol fields a v4 or v5 event wrote out; only a
+// references through syms, and checks them against prev: the predecessor's
+// Hash from a reader walking the chain, or only its link, the first linkLen
+// bytes, from a posting-list read, which takes the link Log keeps resident.
+// The MAC is checked with check over what the layout MACs: macInput, link
+// included, for v6 and v5, the Hash for the older layouts, whose bytes hold
+// the whole PrevHash, which must begin with prev. So every event's own bytes
+// and its link give it: a forged event fails every read of it and no other,
+// and a genuine one spliced in after another predecessor fails at the
+// successor, whose MAC names the predecessor it was written after. A v5
+// event's stored link must also equal prev's. A reader walking the chain
+// gets the event back with PrevHash and Hash filled in; a posting-list read
+// gets both zero, since the rest of PrevHash takes every earlier event.
+// defined reports the symbol fields a v4 or later event wrote out; only a
 // reader holding the tables as of seq can tell whether that was their first
 // occurrence (chainReader does).
-func decodeEvent(data []byte, seq uint64, syms *symbols, prev *[32]byte, check macCheck) (e Event, defined [numSyms]bool, err error) {
+func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macCheck) (e Event, defined [numSyms]bool, err error) {
 	obs.CountWork(obs.WorkAuditDecode)
 	e, defined, ver, err := parseEvent(data, syms)
 	switch {
@@ -121,34 +129,38 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev *[32]byte, check m
 		return Event{}, defined, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
 	}
 	e.Seq = seq
+	chained := len(prev) == len(e.PrevHash)
 	var msg []byte // what the MAC covers
-	switch {
-	case ver != codecVersion:
+	switch ver {
+	case codecVersion, codecV5:
+		if ver == codecV5 && !bytes.Equal(e.PrevHash[:linkLen], prev[:linkLen]) {
+			return Event{}, defined, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
+		}
+		copy(e.PrevHash[:], prev)
+		if chained {
+			e.Hash, msg = chainSums(e, ver)
+		} else {
+			msg = macInput(e, ver)
+		}
+	default:
 		hash := eventHash(e)
 		if ver == codecV2 && hash != e.Hash {
 			return Event{}, defined, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, seq)
 		}
-		if prev != nil && e.PrevHash != *prev {
+		if !bytes.Equal(e.PrevHash[:len(prev)], prev) {
 			return Event{}, defined, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, seq)
 		}
 		e.Hash = hash
 		msg = hash[:]
-	case prev == nil:
-		msg = macInput(e)
-	case !bytes.Equal(e.PrevHash[:linkLen], prev[:linkLen]):
-		return Event{}, defined, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
-	default:
-		e.PrevHash = *prev
-		e.Hash, msg = chainSums(e)
 	}
 	// The stored bytes carry no hash of their own, so an edit to an event's
-	// content or place surfaces here as a MAC over bytes the key holder never
-	// wrote — which also means the chain no longer commits to that event, and
-	// the error says both.
+	// content or place, or to the chain before it, surfaces here as a MAC
+	// over bytes the key holder never wrote — which also means the chain no
+	// longer commits to that event, and the error says both.
 	if !check(msg, e.MAC) {
 		return Event{}, defined, fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, seq, ErrChainBroken)
 	}
-	if prev == nil {
+	if !chained {
 		e.PrevHash, e.Hash = [32]byte{}, [32]byte{}
 	}
 	return e, defined, nil
@@ -156,12 +168,12 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev *[32]byte, check m
 
 // parseEvent reads any layout without checking it against a chain, and
 // reports which it was. A v2 event comes back with the Seq and Hash it
-// stored; a v3, v4 or v5 event with both zero, and a v5 one with its link
-// in PrevHash's first linkLen bytes.
+// stored; a later one with both zero, a v6 one with PrevHash zero too, and a
+// v5 one with its link in PrevHash's first linkLen bytes.
 func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver byte, err error) {
 	r := frame.NewReader(data)
 	switch ver = r.U8(); ver {
-	case codecVersion, codecV4:
+	case codecVersion, codecV5, codecV4:
 		e.Timestamp = r.Time()
 		e.Actor, defined[symActor] = r.Symbol(syms[symActor])
 		e.Action = Action(r.Word(actionWords))
@@ -170,12 +182,17 @@ func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver
 		e.Outcome = Outcome(r.Word(outcomeWords))
 		e.Detail, defined[symDetail] = r.Symbol(syms[symDetail])
 		e.Trace = r.Token()
-		if ver == codecVersion {
+		switch ver {
+		case codecVersion:
+			e.MAC = make([]byte, macLen)
+			r.Fixed(e.MAC)
+		case codecV5:
 			r.Fixed(e.PrevHash[:linkLen])
-		} else {
+			e.MAC = r.VarBytes()
+		default:
 			r.Fixed(e.PrevHash[:])
+			e.MAC = r.VarBytes()
 		}
-		e.MAC = r.VarBytes()
 	case codecV3:
 		e = Event{
 			Timestamp: r.Time(), Actor: r.Token(), Action: Action(r.Word(actionWords)), Record: r.Token(),
@@ -207,7 +224,7 @@ func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver
 // rebuilding the symbol tables from the prefix it has read and holding the
 // hash of the last event it read, which it passes decodeEvent as prev. It is
 // the sequential decoder behind Open, Verify and the unfiltered Search, and
-// it refuses a v4 or v5 event not in its one encoding: a value its table
+// it refuses a v4 or later event not in its one encoding: a value its table
 // already holds written out is ErrCorrupt, as is (in frame.Reader.Symbol) a
 // reference to a number not yet defined.
 type chainReader struct {
@@ -229,7 +246,7 @@ func newChainReader(check macCheck) *chainReader {
 // next decodes and checks the next event and adds the values it carries to
 // the tables.
 func (c *chainReader) next(data []byte) (Event, error) {
-	e, defined, err := decodeEvent(data, c.seq, &c.syms, &c.prev, c.check)
+	e, defined, err := decodeEvent(data, c.seq, &c.syms, c.prev[:], c.check)
 	if err != nil {
 		return Event{}, err
 	}

@@ -2,13 +2,14 @@ package audit
 
 import (
 	"bytes"
+	"encoding/hex"
 	"slices"
 	"testing"
 	"time"
 )
 
-// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 and v5 events
-// against.
+// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 and later
+// events against.
 var fuzzSymbols = symbols{
 	symActor:  {"dr-a", "0a1b"},
 	symRecord: {"r1"},
@@ -17,22 +18,28 @@ var fuzzSymbols = symbols{
 
 // FuzzDecodeEvent hardens the audit-event decoder against arbitrary
 // persisted bytes: no panics, and successful decodes re-encode canonically —
-// a v5 event, or a legacy v4 one, against a small fixed symbol table (one
-// that writes out a value the table holds is the sequential reader's
-// ErrCorrupt), a legacy v3 event in its own layout. A legacy v2 event decodes
-// but is never written again.
+// a v6 event, or a legacy v5 or v4 one, against a small fixed symbol table
+// (one that writes out a value the table holds is the sequential reader's
+// ErrCorrupt), a legacy v3 event in its own layout. A legacy v2 event
+// decodes but is never written again.
 func FuzzDecodeEvent(f *testing.F) {
 	e := Event{
 		Timestamp: time.Unix(0, 42).UTC(), Actor: "dr-a",
 		Action: ActionRead, Record: "r1", Version: 2,
-		Outcome: OutcomeAllowed, Detail: "d", Trace: "0a1b", MAC: []byte{1, 2, 3},
+		Outcome: OutcomeAllowed, Detail: "d", Trace: "0a1b", MAC: bytes.Repeat([]byte{7}, macLen),
 	}
 	e.PrevHash[0], e.PrevHash[31] = 0xaa, 0xbb
+	golden, err := hex.DecodeString(goldenEventV6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add(encodeEvent(e, [numSyms]int{0, 0, -1}))
 	f.Add(encodeEvent(e, [numSyms]int{-1, -1, -1}))
+	f.Add(encodeV5Event(e, [numSyms]int{0, 0, -1}))
 	f.Add(encodeV4Event(e, [numSyms]int{0, 0, -1}))
 	f.Add(encodeV3Event(e))
-	f.Add(encodeEvent(Event{Action: "unlisted", Outcome: "odd", Record: "ab"}, [numSyms]int{-1, -1, -1}))
+	f.Add(encodeEvent(Event{Action: "unlisted", Outcome: "odd", Record: "ab", MAC: make([]byte, macLen)}, [numSyms]int{-1, -1, -1}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,10 +60,7 @@ func FuzzDecodeEvent(f *testing.F) {
 				return // a known value written out
 			}
 		}
-		encode := encodeEvent
-		if ver == codecV4 {
-			encode = encodeV4Event
-		}
+		encode := map[byte]func(Event, [numSyms]int) []byte{codecVersion: encodeEvent, codecV5: encodeV5Event, codecV4: encodeV4Event}[ver]
 		if !bytes.Equal(encode(e, nums), data) {
 			t.Fatalf("v%d decode/encode not canonical", ver)
 		}

@@ -133,7 +133,9 @@ func driveWorkload(t *testing.T, v *Cluster, vc *clock.Virtual) []string {
 // scripted workload with this master seed and clock. Every step's error,
 // the VerifyAll report, the tree-head size, and the audit journal (every
 // field a caller observes) must still match it line for line — at
-// Config.Shards 1 and at 0.
+// Config.Shards 1 and at 0. One line has moved since: the failed lookup's
+// audit detail is its outcome label, not_found, where that vault wrote the
+// error's text, which repeated the probed ID the event's Record names.
 func TestClusterOneShardEquivalence(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "one_shard_workload.golden"))
 	if err != nil {

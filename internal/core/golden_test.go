@@ -624,6 +624,66 @@ func TestGoldenExportedBundle(t *testing.T) {
 	}
 }
 
+// TestGoldenExportedBundleLayout pins the layout of an export shaped like
+// TestGoldenExportedBundle's — one record put and then corrected, with its
+// created and corrected custody events — from a literal: fixed ciphertext
+// hashes, event hashes, signer key and 64-B signatures, and no vault or
+// random stream. Its bytes move only when the bundle layout does.
+func TestGoldenExportedBundleLayout(t *testing.T) {
+	rec := ehr.Record{
+		ID: "p1-enc-0", Patient: "Ada L.", MRN: "p1", Category: ehr.CategoryClinical,
+		Author: "dr-house", CreatedAt: goldenTime, Title: "Visit", Body: "note text",
+	}
+	corrected := rec
+	corrected.Body = "note text, corrected"
+	key := goldenHash(0xc0)
+	custody := func(index uint64, typ provenance.EventType, ct, prev, hash, sig byte) provenance.Event {
+		lo, hi := goldenHash(sig), goldenHash(sig+0x20)
+		return provenance.Event{
+			Record: rec.ID, Index: index, Type: typ, Timestamp: goldenTime, Actor: "dr-house", System: "vault-golden",
+			ContentHash: goldenHash(ct), PrevHash: goldenHash(prev), Hash: goldenHash(hash),
+			SignerKey: key[:], Signature: append(lo[:], hi[:]...),
+		}
+	}
+	bundle := ExportBundle{
+		ID: rec.ID, Category: ehr.CategoryClinical,
+		Versions: []ExportedVersion{
+			{Record: rec, Version: Version{Number: 1, Author: "dr-house", Timestamp: goldenTime}, PlainHash: goldenHash(0x50)},
+			{Record: corrected, Version: Version{Number: 2, Author: "dr-house", Timestamp: goldenTime}, PlainHash: goldenHash(0x60)},
+		},
+		Custody: []provenance.Event{
+			custody(0, provenance.EventCreated, 0x20, 0x00, 0x70, 0x80),
+			custody(1, provenance.EventCorrected, 0x30, 0x70, 0x90, 0xa0),
+		},
+	}
+	frame.CheckGolden(t, frame.Golden{
+		Name: "exported bundle layout",
+		Hex: "4d5658420000000870312d656e632d3000000008636c696e6963616c000000020000005a4d5652310000000870312d65" +
+			"6e632d3000000006416461204c2e00000002703100000008636c696e6963616c0000000864722d686f7573651083bab1" +
+			"fa12cd15000000055669736974000000096e6f74652074657874000000000000000864722d686f757365000000000000" +
+			"00011083bab1fa12cd15505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f000000654d56" +
+			"52310000000870312d656e632d3000000006416461204c2e00000002703100000008636c696e6963616c000000086472" +
+			"2d686f7573651083bab1fa12cd15000000055669736974000000146e6f746520746578742c20636f7272656374656400" +
+			"0000000000000864722d686f75736500000000000000021083bab1fa12cd15606162636465666768696a6b6c6d6e6f70" +
+			"7172737475767778797a7b7c7d7e7f000000020000011100010000000870312d656e632d300000000000000000000000" +
+			"07637265617465641083bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000" +
+			"202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f000102030405060708090a0b0c0d0e0f" +
+			"101112131415161718191a1b1c1d1e1f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f" +
+			"00000020c0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf000000408081828384858687" +
+			"88898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7" +
+			"b8b9babbbcbdbebf0000011300010000000870312d656e632d30000000000000000100000009636f7272656374656410" +
+			"83bab1fa12cd150000000864722d686f7573650000000c7661756c742d676f6c64656e00000000303132333435363738" +
+			"393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f707172737475767778797a7b7c7d7e7f808182838485868788" +
+			"898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeaf00000020c0c1c2c3c4" +
+			"c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf00000040a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0" +
+			"b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf",
+		Encode:  func() []byte { return EncodeBundle(bundle) },
+		Decode:  func(b []byte) (any, error) { return DecodeBundle(b) },
+		Want:    bundle,
+		Corrupt: ErrBadBundle,
+	})
+}
+
 // goldenExportedBundleGCMWrap is TestGoldenExportedBundle's export as a
 // vault that wrapped DEKs with AES-GCM wrote it: the wrap drew a nonce from
 // the seeded random source, so every later nonce, and with them the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -59,25 +60,28 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 }
 
 // TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
-// fixed script's meta.wal and audit/ bytes before Close, here and as three
-// older binaries wrote them. The parent logged each create with its record's
+// fixed script's meta.wal and audit/ bytes before Close, here and as four
+// older binaries wrote them. The parent wrote each audit event in the v5
+// layout, whose 8-byte link and 1-byte MAC length v6 leaves out: 9 B per
+// event. The binary before it logged each create with its record's
 // category, MRN and created time in the clear and a 60-B AES-GCM wrapped DEK
-// (parentEncode); the binary before it sealed each version as its MVR1
+// (parentEncode); the binary before that sealed each version as its MVR1
 // encoding; the one before that also framed WAL entries as frame.Seq frames
 // and audit events as frame.Block frames (16 → 6 B per entry of 128 B or
 // more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit event
 // under 128 B, 6 B up to 16 KiB). This run's entries, each create
-// re-encoded in the parent's layout, and then each ciphertext as long as
-// its version's MVR1 encoding would seal to, must add up to what those
-// binaries measured. A create is exactly 40 B less than the parent's: 20 B
-// of clear identity (the fixture's MRNs are 10 characters) and 20 B of wrap.
+// re-encoded with clear identity, then each ciphertext as long as its
+// version's MVR1 encoding would seal to, and each audit event 9 B longer,
+// must add up to what those binaries measured. A create is exactly 40 B
+// less than with clear identity: 20 B of it (the fixture's MRNs are 10
+// characters) and 20 B of wrap.
 func TestMediumBytesPerOp(t *testing.T) {
 	const (
-		seqWAL, seqAudit   = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals
-		mvr1WAL            = 7018       // 219.3 B/op: frame.Var, MVR1 seals
-		parentWAL          = 6036       // 188.6 B/op: clear identity and AES-GCM wraps in creates
-		wantWAL, wantAudit = 5556, 2504 // 173.6 and 78.2 B/op
-		perCreate          = 40
+		seqWAL, seqAudit      = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals, v5 events
+		mvr1WAL               = 7018       // 219.3 B/op: frame.Var, MVR1 seals
+		clearWAL, parentAudit = 6036, 2504 // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
+		wantWAL, wantAudit    = 5556, 2207 // 173.6 and 69.0 B/op
+		perCreate, perEvent   = 40, 9      // perEvent: a v5 event's link and MAC length
 	)
 	mem, v, ops := mediumScript(t)
 	versions := map[string][]ehr.Record{}
@@ -95,7 +99,7 @@ func TestMediumBytesPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	marker := len(frame.Seq.Append(nil, 0, []byte("!var")))
-	entries, creates, walVar, walParent, walMVR1, walSeq := 0, 0, marker, marker, marker, 0
+	entries, creates, walVar, walClear, walMVR1, walSeq := 0, 0, marker, marker, marker, 0
 	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
 		entries++
 		walVar += len(frame.Var.Append(nil, 0, e.Data))
@@ -112,11 +116,11 @@ func TestMediumBytesPerOp(t *testing.T) {
 			if we.ver.Number == 1 {
 				creates++
 			}
-			walParent += len(frame.Var.Append(nil, 0, parentEncode(we, recs[0])))
+			walClear += len(frame.Var.Append(nil, 0, parentEncode(we, recs[0])))
 			we.ct = make([]byte, canonical+vcrypto.Overhead)
 			older = parentEncode(we, recs[0])
 		} else {
-			walParent += len(frame.Var.Append(nil, 0, older))
+			walClear += len(frame.Var.Append(nil, 0, older))
 		}
 		walMVR1 += len(frame.Var.Append(nil, 0, older))
 		walSeq += len(frame.Seq.Append(nil, 0, older))
@@ -125,11 +129,16 @@ func TestMediumBytesPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, auditBlock, auditVar := 0, 0, 0
+	events, auditVar, auditV5, auditBlock := 0, 0, 0, 0
 	if err := v.Shard(0).auditStore.Scan(func(_ blockstore.Ref, p []byte) error {
+		if p[0] != 6 {
+			return fmt.Errorf("audit event %d is in layout v%d, want v6", events, p[0])
+		}
 		events++
-		auditBlock += len(frame.Block.Append(nil, 0, p))
+		v5 := make([]byte, len(p)+perEvent)
 		auditVar += len(frame.Var.Append(nil, 0, p))
+		auditV5 += len(frame.Var.Append(nil, 0, v5))
+		auditBlock += len(frame.Block.Append(nil, 0, v5))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -138,18 +147,22 @@ func TestMediumBytesPerOp(t *testing.T) {
 
 	per := func(n int) float64 { return float64(n) / float64(ops) }
 	t.Logf("%d ops, %d meta.wal entries (%d creates), %d audit events", ops, entries, creates, events)
-	t.Logf("meta.wal: %d B (%.1f B/op); in the parent's layout %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
-		len(walImage), per(len(walImage)), walParent, per(walParent), walMVR1, per(walMVR1), walSeq, per(walSeq))
-	t.Logf("audit/:   %d B (%.1f B/op), %d B in Block frames (%.1f B/op)", auditBytes, per(auditBytes), auditBlock, per(auditBlock))
+	t.Logf("meta.wal: %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
+		len(walImage), per(len(walImage)), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
+	t.Logf("audit/:   %d B (%.1f B/op); in the parent's v5 layout %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
+		auditBytes, per(auditBytes), auditV5, per(auditV5), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
 	}
-	if walParent != parentWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditBlock != seqAudit {
-		t.Errorf("older layouts of this run: meta.wal %d B in the parent's layout, %d B with MVR1 seals and %d B in Seq frames, audit %d B; the older binaries measured %d, %d, %d and %d",
-			walParent, walMVR1, walSeq, auditBlock, parentWAL, mvr1WAL, seqWAL, seqAudit)
+	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV5 != parentAudit || auditBlock != seqAudit {
+		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d and %d",
+			walClear, walMVR1, walSeq, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, parentAudit, seqAudit)
 	}
-	if walParent-len(walImage) != perCreate*creates {
-		t.Errorf("meta.wal is %d B less than in the parent's layout over %d creates, want %d B per create", walParent-len(walImage), creates, perCreate)
+	if walClear-len(walImage) != perCreate*creates {
+		t.Errorf("meta.wal is %d B less than with clear identity over %d creates, want %d B per create", walClear-len(walImage), creates, perCreate)
+	}
+	if auditV5-auditBytes != perEvent*events {
+		t.Errorf("audit/ is %d B less than in v5 over %d events, want %d B per event", auditV5-auditBytes, events, perEvent)
 	}
 	if len(walImage) != wantWAL || auditBytes != wantAudit {
 		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)

@@ -125,10 +125,13 @@ func (v *Vault) appendAudit(ctx context.Context, events ...audit.Event) error {
 
 // auditProbe records a failed lookup: unknown-record or unknown-version
 // probing is signal, so the attempt is written even though nothing else is.
+// The event names the probed ID in Record, so its Detail is the outcome label
+// (not_found, shredded): err's text repeats the ID, and would make every
+// probed ID a detail symbol of its own.
 func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Action, id string, version uint64, err error) {
 	_ = v.appendAudit(ctx, audit.Event{
 		Actor: actor, Action: action, Record: id, Version: version,
-		Outcome: audit.OutcomeError, Detail: err.Error(),
+		Outcome: audit.OutcomeError, Detail: Outcome(err),
 	})
 }
 

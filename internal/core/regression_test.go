@@ -403,3 +403,66 @@ func TestGetVersionAuditsUnknownProbe(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeAuditDetailIsTheOutcome: a failed lookup's audit event names the
+// probed ID in Record and nowhere else; its Detail is the outcome label. So
+// probes of 1,000 distinct absent IDs add at most two details to the log
+// (not_found here), where err's text made each ID a detail of its own.
+func TestProbeAuditDetailIsTheOutcome(t *testing.T) {
+	v, _ := newVault(t)
+	ctx := context.Background()
+	details := func() map[string]bool {
+		t.Helper()
+		events, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, e := range events {
+			set[e.Detail] = true
+		}
+		return set
+	}
+	before := details()
+	const probes = 1000
+	for i := 0; i < probes; i++ {
+		id := fmt.Sprintf("absent-%04d", i)
+		var err error
+		switch i % 3 {
+		case 0:
+			_, _, err = v.GetCtx(ctx, "dr-house", id)
+		case 1:
+			_, _, err = v.GetVersionCtx(ctx, "dr-house", id, 1)
+		default:
+			_, err = v.HistoryCtx(ctx, "dr-house", id)
+		}
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("probe of %s: %v, want ErrNotFound", id, err)
+		}
+	}
+	var added []string
+	for d := range details() {
+		if !before[d] {
+			added = append(added, d)
+		}
+	}
+	if len(added) > 2 {
+		t.Errorf("%d probes added %d details, want at most 2: %q ...", probes, len(added), added[:3])
+	}
+	events, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Actor: "dr-house"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, e := range events {
+		if e.Outcome == audit.OutcomeError && strings.HasPrefix(e.Record, "absent-") {
+			named[e.Record] = true
+			if e.Detail != "not_found" {
+				t.Fatalf("probe of %s has detail %q, want not_found", e.Record, e.Detail)
+			}
+		}
+	}
+	if len(named) != probes {
+		t.Errorf("%d probe events name their ID, want %d", len(named), probes)
+	}
+}

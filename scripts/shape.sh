@@ -98,12 +98,19 @@ check "One storage path: no memory branch in internal/core and no second block s
 	grep -rnE '^type Memory\b' internal/blockstore)"
 
 # Event logs store only what a reader cannot recompute: an event's seq or
-# chain index is its place, its hash is computed from the rest, an audit
-# event links to its predecessor by 8 bytes of that hash, and lengths are
-# uvarints. The transfer layout (provenance.EncodeEvent) is self-contained
+# chain index is its place, its hash is computed from the rest, and lengths
+# are uvarints. The transfer layout (provenance.EncodeEvent) is self-contained
 # on purpose and is not a stored encoder.
-check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field, and the audit encoder no whole 32-byte hash (its link is 8 bytes)" \
+check "Compact event logs: the stored audit, custody and flight encoders write no seq, index, event hash or u32-length field, and the audit encoder no whole 32-byte hash" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func (encodeEvent|encodeStored|encodeFlightEvent)\(/ && /\.Seq|e\.Index|e\.Hash|frame\.Append(Str|Bytes)\(/ {print FILENAME ":" FNR ": " $0} fn ~ /^func encodeEvent\(/ && /\[:\]|\[:32\]|\[:len\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go internal/provenance/codec.go internal/obs/flight.go)"
+
+# An audit event's link, the first 8 bytes of its predecessor's hash, is
+# what every reader already knows: a reader walking the chain computed that
+# hash, and the log keeps each event's link resident for a posting-list read.
+# Only the MAC and hash inputs carry it, so no audit writer stores it.
+audit=$(ls internal/audit/*.go | grep -v '_test\.go$')
+check "Compact event logs: in non-test internal/audit only macInput and chainSums append PrevHash[:linkLen]" \
+	"$(awk '/^func /{fn=$0} /append\(.*PrevHash\[:linkLen\]/ && fn !~ /^func (macInput|chainSums)\(/ {print FILENAME ":" FNR ": " $0}' $audit)"
 
 # An audit actor, record ID or detail is written out once per log and
 # referred to by number after: the stored encoder hands each to the symbol
@@ -212,6 +219,16 @@ check "Shards in shard order: internal/core/cluster.go starts no goroutine" \
 # checks identity through sealedRecord.
 check "One at-rest record layout: in non-test internal/core, ehr.Decode( only in sealedRecord and bundlecodec.go, sealAAD( only in commitVersion, openVersion and verify.go" \
 	"$(awk '/^func /{fn=$0} /ehr\.Decode\(/ && !(FILENAME == "internal/core/bundlecodec.go" || fn ~ /^func \(v \*Vault\) sealedRecord\(/) {print FILENAME ":" FNR ": " $0} /sealAAD\(/ && !/^func sealAAD\(/ && !(FILENAME == "internal/core/verify.go" || fn ~ /^func \(v \*Vault\) (commitVersion|openVersion)\(/) {print FILENAME ":" FNR ": " $0}' $core)"
+
+# Every fuzz target runs in CI's fuzz step on its own package, under a
+# pattern anchored to its name alone: go test refuses a -fuzz pattern that
+# matches two targets, and a refused line stops the step.
+ran=$(awk '/- name: Fuzz/ {on=1; next} on && /- name:|^ *#/ {on=0} on && /go test -fuzz/ {for (i = 1; i < NF; i++) if ($i == "-fuzz") pat = $(i+1); print $NF, pat}' .github/workflows/ci.yml)
+check "Every fuzz target runs: each func Fuzz... in non-bench Go is a -fuzz '^Name\$' line on its package in the CI fuzz step" \
+	"$(grep -rHoE --include='*.go' --exclude-dir=bench '^func Fuzz[A-Za-z0-9_]+' . | while IFS=: read -r file decl; do
+		name=${decl#func }
+		grep -qxF "$(dirname "$file") '^$name\$'" <<<"$ran" || echo "$file: $name"
+	done)"
 
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
