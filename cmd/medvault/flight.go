@@ -41,6 +41,16 @@ func cmdFlight(args []string) error {
 		fmt.Fprintf(os.Stderr, "medvault: %v\n", err)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	// What the on-disk budget kept: a shard holds at most two rings of events.
+	segs, err := core.FlightSegmentCount(raw, *dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "medvault: %v\n", err)
+	}
+	span := ""
+	if len(evs) > 0 {
+		span = fmt.Sprintf(", %s to %s", evs[0].Time.Format(flightTimeLayout), evs[len(evs)-1].Time.Format(flightTimeLayout))
+	}
+	fmt.Printf("flight tail: %d segments, %d events%s\n", segs, len(evs), span)
 
 	filter := obs.FlightFilter{Kind: *op, Trace: *traceID, Record: *record}
 	var out []obs.FlightEvent
@@ -81,8 +91,10 @@ func cmdFlight(args []string) error {
 	return nil
 }
 
+const flightTimeLayout = "2006-01-02T15:04:05.000Z07:00"
+
 func printFlightEvent(ev obs.FlightEvent) {
-	line := fmt.Sprintf("  %s  %-12s", ev.Time.Format("2006-01-02T15:04:05.000Z07:00"), ev.Kind)
+	line := fmt.Sprintf("  %s  %-12s", ev.Time.Format(flightTimeLayout), ev.Kind)
 	if ev.Record != "" {
 		line += " record=" + ev.Record
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -124,5 +125,24 @@ func TestFlightSubcommandReadsLegacySegments(t *testing.T) {
 	}
 	if n := strings.Count(out, "trace=0123456789abcdef outcome=ok dur=1ms"); n != 2 {
 		t.Fatalf("%d legacy events kept their trace, outcome and duration, want 2:\n%s", n, out)
+	}
+
+	// The tail header says what the on-disk budget kept: every segment, every
+	// event, from the legacy put to the newest event printed.
+	segs, err := filepath.Glob(filepath.Join(dir, "flight", "flight-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded int
+	_, counts, _ := strings.Cut(out, "flight events: ")
+	if _, err := fmt.Sscanf(counts, "%d decoded", &decoded); err != nil {
+		t.Fatalf("no event count: %v\n%s", err, out)
+	}
+	legacyEvs, _ := obs.DecodeFlightSegment(legacy)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	last := strings.Fields(lines[len(lines)-2])[0] // the newest event, before the bundle line
+	header := fmt.Sprintf("flight tail: %d segments, %d events, %s to %s", len(segs), decoded, legacyEvs[0].Time.Format(flightTimeLayout), last)
+	if len(segs) < 2 || !strings.Contains(out, header+"\n") {
+		t.Fatalf("missing header %q:\n%s", header, out)
 	}
 }

@@ -37,7 +37,8 @@ func registerBuildInfo(shards int) {
 
 // postmortems writes crash bundles into the data dir, rate-limited so a
 // panic storm or a flapping anomaly cannot fill the disk with near-identical
-// bundles while the one that matters is already on disk.
+// bundles while the one that matters is already on disk, and pruned to the
+// newest postmortemKeep so a wedge that flaps for days cannot either.
 type postmortems struct {
 	dir string
 	log *slog.Logger
@@ -47,7 +48,10 @@ type postmortems struct {
 	last time.Time
 }
 
-const postmortemMinGap = 30 * time.Second
+const (
+	postmortemMinGap = 30 * time.Second
+	postmortemKeep   = 8
+)
 
 func (p *postmortems) write(reason string) {
 	p.mu.Lock()
@@ -63,6 +67,9 @@ func (p *postmortems) write(reason string) {
 		return
 	}
 	p.log.Info("postmortem bundle written", "path", path, "reason", reason)
+	if err := obs.PrunePostmortems(faultfs.OS{}, p.dir, postmortemKeep); err != nil {
+		p.log.Warn("postmortem prune failed", "err", err.Error())
+	}
 }
 
 // startObservability starts what both modes run for the life of the process:

@@ -990,8 +990,8 @@ var layouts = map[string]func(events []Event, i int) []byte{
 
 // TestLegacyEventsStillVerify: a medium older binaries began, in the v2, v3
 // and then the v4 layout, each event MACed over its hash as they did, opens,
-// verifies against the checkpoint of the same chain written in v5, answers
-// queries and keeps growing in v5, whose first events already refer to
+// verifies against the checkpoint of the same chain written in v6, answers
+// queries and keeps growing in v6, whose first events already refer to
 // values the older events defined; a v2 event whose stored Seq or Hash
 // disagrees with what the reader computes breaks the chain.
 func TestLegacyEventsStillVerify(t *testing.T) {
@@ -1038,7 +1038,7 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 	}
 	appendN(t, re, 2)
 	if n, err := re.Verify(); err != nil || n != 14 {
-		t.Fatalf("Verify after appending v5 to a v2/v3/v4 log: %d, %v", n, err)
+		t.Fatalf("Verify after appending v6 to a v2/v3/v4 log: %d, %v", n, err)
 	}
 
 	// A genuine event copied over another under a running log: in v2 its

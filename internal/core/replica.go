@@ -63,6 +63,24 @@ func ReadFlightTail(fsys faultfs.FS, dir string) ([]obs.FlightEvent, error) {
 	return out, nil
 }
 
+// FlightSegmentCount counts the flight segments ReadFlightTail decodes:
+// every shard's under dir.
+func FlightSegmentCount(fsys faultfs.FS, dir string) (int, error) {
+	dirs, err := replicaShardDirs(fsys, dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, d := range dirs {
+		nums, err := obs.FlightSegments(fsys, filepath.Join(d, "flight"))
+		if err != nil {
+			return 0, fmt.Errorf("core: flight segments in %s: %w", d, err)
+		}
+		n += len(nums)
+	}
+	return n, nil
+}
+
 // AuditReplicationFence records a fenced-off replication write in the audit
 // chain: a demoted primary with a stale epoch tried to commit and was
 // rejected. The event is appended as the replication subsystem itself — the

@@ -73,7 +73,9 @@ func (ev FlightEvent) Strings() [6]string {
 }
 
 // DefaultFlightCapacity is the ring size of DefaultFlight: enough tail to
-// reconstruct the seconds before a crash without unbounded memory.
+// reconstruct the seconds before a crash without unbounded memory. It also
+// sizes the tail a FlightSink keeps on disk: segments of half a ring, at
+// most two rings of them (flightSegmentEvents, flightKeepSegments).
 const DefaultFlightCapacity = 4096
 
 // Flight is a bounded ring of FlightEvents, safe for concurrent use.
@@ -304,12 +306,18 @@ func decodeLegacyFlightEvent(b []byte, seq uint64, prev int64) (FlightEvent, boo
 const (
 	flightSegPrefix = "flight-"
 	flightSegSuffix = ".seg"
-	// The on-disk footprint is bounded by keep × bytes even in a process that
-	// is never restarted: a sink rolls to the next numbered segment before
-	// the current one would outgrow flightSegmentBytes, and every roll (the
-	// one in Open included) prunes the oldest segments beyond the count.
-	flightKeepSegments = 8
-	flightSegmentBytes = 8 << 20
+	// The on-disk tail follows the ring, even in a process that is never
+	// restarted: a sink rolls to the next numbered segment once the current
+	// one holds half a ring, and every roll (the one in Open included) prunes
+	// down to the newest four segments — at most two rings of events. So a
+	// boot that has written 1.5 rings keeps at least its newest 1.5 rings,
+	// and a crashed boot's final segment survives until the next boot has.
+	flightSegmentEvents = DefaultFlightCapacity / 2
+	flightKeepSegments  = 2 * DefaultFlightCapacity / flightSegmentEvents
+	// flightSegmentBytes is a backstop for oversized events only: half a
+	// ring of ordinary events (~32 B each) is 64 KiB, of maximal ones (~3 KiB)
+	// 6 MiB, which it cuts to 1 MiB a segment, 4 MiB a shard.
+	flightSegmentBytes = 1 << 20
 )
 
 // FlightSink persists events as CRC-framed segments under dir through the
@@ -325,6 +333,7 @@ type FlightSink struct {
 	fs   faultfs.FS
 	dir  string
 	f    faultfs.File
+	n    int    // events written to the current segment
 	size int64  // bytes written to the current segment
 	seq  uint64 // seq of its last event; 0 before the first
 	last int64  // Unix nanoseconds of its last event; 0 before the first
@@ -349,9 +358,9 @@ func flightSegNum(name string) (uint64, bool) {
 	return n, true
 }
 
-// listFlightSegments returns the segment numbers under dir, ascending. A
-// missing dir is an empty list.
-func listFlightSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
+// FlightSegments returns the numbers of the segments under dir, ascending.
+// A missing dir is an empty list.
+func FlightSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		if _, statErr := fsys.Stat(dir); statErr != nil {
@@ -390,7 +399,7 @@ func (s *FlightSink) roll() error {
 		_ = s.f.Close()
 		s.f = nil
 	}
-	nums, err := listFlightSegments(s.fs, s.dir)
+	nums, err := FlightSegments(s.fs, s.dir)
 	if err != nil {
 		return fmt.Errorf("obs: listing flight dir %s: %w", s.dir, err)
 	}
@@ -408,14 +417,15 @@ func (s *FlightSink) roll() error {
 	if err != nil {
 		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}
-	s.f, s.size, s.seq, s.last = f, 0, 0, 0
+	s.f, s.n, s.size, s.seq, s.last = f, 0, 0, 0, 0
 	return nil
 }
 
 // Append frames and writes one event, rolling to a new segment first when
-// this one is full; the first event of a segment carries its magic byte in
-// the same write. Failures latch the sink off silently; the caller's
-// operation must not care.
+// this one holds half a ring or the event would take it past the byte
+// backstop; the first event of a segment carries its magic byte in the same
+// write. Failures latch the sink off silently; the caller's operation must
+// not care.
 func (s *FlightSink) Append(ev FlightEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -423,7 +433,7 @@ func (s *FlightSink) Append(ev FlightEvent) {
 		return
 	}
 	s.frame(ev)
-	if s.size > 0 && s.size+int64(len(s.buf)) > flightSegmentBytes {
+	if s.n >= flightSegmentEvents || (s.size > 0 && s.size+int64(len(s.buf)) > flightSegmentBytes) {
 		if s.err = s.roll(); s.err != nil {
 			return
 		}
@@ -433,6 +443,7 @@ func (s *FlightSink) Append(ev FlightEvent) {
 		s.err = err
 		return
 	}
+	s.n++
 	s.size += int64(len(s.buf))
 	s.seq, s.last = ev.Seq, ev.Time.UnixNano()
 }
@@ -515,7 +526,7 @@ func DecodeFlightSegment(data []byte) (evs []FlightEvent, tail int) {
 // final segment; earlier segments were closed whole, but the rule is applied
 // uniformly). A missing dir yields no events and no error.
 func ReadFlightDir(fsys faultfs.FS, dir string) ([]FlightEvent, error) {
-	nums, err := listFlightSegments(fsys, dir)
+	nums, err := FlightSegments(fsys, dir)
 	if err != nil {
 		return nil, err
 	}

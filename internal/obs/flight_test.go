@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"path"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -127,83 +129,98 @@ func TestFlightTornTail(t *testing.T) {
 	}
 }
 
+// opEvent is the op envelope's event for seq: a get of a record token with a
+// generated trace ID, a millisecond after seq-1.
+func opEvent(seq int) FlightEvent {
+	return FlightEvent{
+		Seq: uint64(seq), Time: time.Unix(0, 1700000000000000000).Add(time.Duration(seq) * time.Millisecond),
+		Kind: "get", Record: testToken(seq), Trace: "0123456789abcdef", Outcome: "ok", Dur: 300 * time.Microsecond,
+	}
+}
+
+// maxEvent is an oversized event: every string field at flightMaxStr, about
+// 3 KiB framed.
+func maxEvent(seq int) FlightEvent {
+	pad := strings.Repeat("x", flightMaxStr)
+	ev := opEvent(seq)
+	ev.Kind, ev.Record, ev.Trace, ev.Outcome, ev.Shard, ev.Detail = pad, pad, pad, pad, pad, pad
+	return ev
+}
+
+// decodeSegment decodes one segment under dir.
+func decodeSegment(t *testing.T, fsys faultfs.FS, dir string, num uint64) []FlightEvent {
+	t.Helper()
+	data, err := fsys.ReadFile(path.Join(dir, flightSegName(num)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := DecodeFlightSegment(data)
+	return evs
+}
+
+// contiguous fails t unless evs' seqs run without a gap.
+func contiguous(t *testing.T, what string, evs []FlightEvent) {
+	t.Helper()
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("%s: seq %d follows %d", what, evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+}
+
+// TestFlightSegmentRotationAndPruning: every Open starts a fresh segment and
+// prunes to the newest flightKeepSegments, however many boots came before —
+// four segments of half a ring, two rings in all.
 func TestFlightSegmentRotationAndPruning(t *testing.T) {
+	if flightKeepSegments != 4 || flightKeepSegments*flightSegmentEvents != 2*DefaultFlightCapacity {
+		t.Fatalf("keep %d segments of %d events; want 4 of half a ring", flightKeepSegments, flightSegmentEvents)
+	}
 	mem := faultfs.NewMem()
-	for boot := 0; boot < flightKeepSegments+3; boot++ {
+	const boots = flightKeepSegments + 3
+	for boot := 1; boot <= boots; boot++ {
 		sink, err := OpenFlightSink(mem, "d/flight")
 		if err != nil {
 			t.Fatalf("boot %d: %v", boot, err)
 		}
-		sink.Append(FlightEvent{Seq: uint64(boot), Kind: "open"})
+		sink.Append(opEvent(boot))
 		sink.Close()
 	}
-	nums, err := listFlightSegments(mem, "d/flight")
+	nums, err := FlightSegments(mem, "d/flight")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nums) > flightKeepSegments {
-		t.Fatalf("%d segments retained, cap is %d", len(nums), flightKeepSegments)
-	}
-	if nums[len(nums)-1] != uint64(flightKeepSegments+3) {
-		t.Fatalf("newest segment is %d, want %d", nums[len(nums)-1], flightKeepSegments+3)
+	if fmt.Sprint(nums) != fmt.Sprint([]uint64{4, 5, 6, 7}) {
+		t.Fatalf("segments %v after %d boots, want the newest %d: [4 5 6 7]", nums, boots, flightKeepSegments)
 	}
 }
 
-// TestFlightSinkRollsWithinOneBoot: a sink that is never reopened must not
-// grow one file forever. Before the roll, the segment only ever changed in
-// OpenFlightSink, so a long-lived daemon appended to a single segment without
-// bound; now it rolls at flightSegmentBytes and prunes at every roll.
+// TestFlightSinkRollsWithinOneBoot: a sink that is never reopened rolls once
+// its segment holds half a ring and prunes at every roll, so a long-lived
+// daemon keeps two rings, not one file that grows forever.
 func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	mem := faultfs.NewMem()
 	sink, err := OpenFlightSink(mem, "d/flight")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Maximal events (~3 KiB framed) keep the loop short.
-	pad := strings.Repeat("x", flightMaxStr)
-	ev := FlightEvent{Kind: pad, Record: pad, Trace: pad, Outcome: pad, Shard: pad, Detail: pad}
-	// Events are a millisecond apart, which every event but a segment's first
-	// stores as its time delta.
-	base := time.Unix(0, 1700000000000000000)
-	at := func(seq int) time.Time { return base.Add(time.Duration(seq) * time.Millisecond) }
-	ev.Time = at(1)
-	frameLen := len(frame.Var.Append(nil, 0, encodeFlightEvent(nil, ev, 1, int64(time.Millisecond))))
-	total := (flightKeepSegments + 2) * flightSegmentBytes / frameLen
-
-	segments := func() (n int, bytes int64) {
-		nums, err := listFlightSegments(mem, "d/flight")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, num := range nums {
-			data, err := mem.ReadFile("d/flight/" + flightSegName(num))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(data) > flightSegmentBytes {
-				t.Fatalf("segment %d holds %d bytes, bound is %d", num, len(data), flightSegmentBytes)
-			}
-			bytes += int64(len(data))
-		}
-		return len(nums), bytes
-	}
+	total := 3*DefaultFlightCapacity + 100
 	for seq := 1; seq <= total; seq++ {
-		ev.Seq, ev.Time = uint64(seq), at(seq)
-		sink.Append(ev)
-		if seq == flightSegmentBytes/frameLen+1 {
-			// Just past the first bound: two segments, nothing pruned yet, and
+		sink.Append(opEvent(seq))
+		if seq == flightSegmentEvents+1 {
+			// Just past half a ring: two segments, nothing pruned yet, and
 			// every event decodes in order across the boundary, with its time:
 			// the new segment's first event stores it whole.
-			if n, _ := segments(); n != 2 {
-				t.Fatalf("%d segments after writing past the bound once, want 2", n)
+			nums, _ := FlightSegments(mem, "d/flight")
+			if len(nums) != 2 || len(decodeSegment(t, mem, "d/flight", nums[0])) != flightSegmentEvents {
+				t.Fatalf("segments %v after %d events; want 2, the first holding %d", nums, seq, flightSegmentEvents)
 			}
 			evs, err := ReadFlightDir(mem, "d/flight")
 			if err != nil || len(evs) != seq {
 				t.Fatalf("decoded %d of %d events across the roll (%v)", len(evs), seq, err)
 			}
 			for i, got := range evs {
-				if got.Seq != uint64(i+1) || !got.Time.Equal(at(i+1)) {
-					t.Fatalf("event %d has seq %d, time %v across the roll; want %d, %v", i, got.Seq, got.Time, i+1, at(i+1))
+				if want := opEvent(i + 1); got.Seq != want.Seq || !got.Time.Equal(want.Time) {
+					t.Fatalf("event %d has seq %d, time %v across the roll; want %d, %v", i, got.Seq, got.Time, want.Seq, want.Time)
 				}
 			}
 		}
@@ -211,19 +228,215 @@ func TestFlightSinkRollsWithinOneBoot(t *testing.T) {
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink latched an error: %v", err)
 	}
-	n, bytes := segments()
-	if n != flightKeepSegments || bytes > flightKeepSegments*flightSegmentBytes {
-		t.Fatalf("%d segments holding %d bytes after %d events; bound is %d × %d", n, bytes, total, flightKeepSegments, flightSegmentBytes)
+	// Seven segments were written; the newest four remain: three full halves
+	// of a ring and the 100 events of the current one.
+	nums, err := FlightSegments(mem, "d/flight")
+	if err != nil || fmt.Sprint(nums) != fmt.Sprint([]uint64{4, 5, 6, 7}) {
+		t.Fatalf("segments %v after %d events (%v), want [4 5 6 7]", nums, total, err)
 	}
-	// What survives is the newest events, still contiguous.
 	evs, err := ReadFlightDir(mem, "d/flight")
-	if err != nil || len(evs) == 0 || evs[len(evs)-1].Seq != uint64(total) {
-		t.Fatalf("tail after pruning: %d events (%v)", len(evs), err)
+	if err != nil || len(evs) != 3*flightSegmentEvents+100 || evs[len(evs)-1].Seq != uint64(total) {
+		t.Fatalf("tail after pruning: %d events (%v), want %d ending at %d", len(evs), err, 3*flightSegmentEvents+100, total)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("gap after pruning: seq %d follows %d", evs[i].Seq, evs[i-1].Seq)
+	contiguous(t, "tail after pruning", evs)
+}
+
+// TestFlightCrashedBootOutlivesNextRing: a boot that dies without Close
+// leaves its final segment to the next boot, which prunes it only once it has
+// written 1.5 rings of its own — never within its first ring.
+func TestFlightCrashedBootOutlivesNextRing(t *testing.T) {
+	mem := faultfs.NewMem()
+	a, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := 0
+	for ; seq < 3*DefaultFlightCapacity+10; seq++ {
+		a.Append(opEvent(seq + 1))
+	}
+	nums, _ := FlightSegments(mem, "d/flight")
+	finalA, lastA := nums[len(nums)-1], uint64(seq)
+	// Boot A is abandoned, as a crash leaves it: no Close.
+
+	b, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	has := func(num uint64) bool {
+		nums, _ := FlightSegments(mem, "d/flight")
+		return slices.Contains(nums, num)
+	}
+	for written := 1; written <= 2*DefaultFlightCapacity; written++ {
+		seq++
+		b.Append(opEvent(seq))
+		switch written {
+		case DefaultFlightCapacity:
+			evs := decodeSegment(t, mem, "d/flight", finalA)
+			if len(evs) != 10 || evs[len(evs)-1].Seq != lastA {
+				t.Fatalf("after one ring of boot B, boot A's final segment decodes %d events, want 10 ending at %d", len(evs), lastA)
+			}
+		case 3 * flightSegmentEvents:
+			if !has(finalA) {
+				t.Fatalf("boot A's final segment pruned after boot B wrote only 1.5 rings")
+			}
+		case 3*flightSegmentEvents + 1:
+			if has(finalA) {
+				t.Fatalf("boot A's final segment outlived 1.5 rings of boot B")
+			}
 		}
+	}
+	if has(finalA) {
+		t.Fatalf("boot A's final segment survived two rings of boot B")
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlightRollCrashPoints cuts power after every fs op of both kinds of
+// roll — the one in Open, on a directory an older binary left eight segments
+// in, and the one half a ring later — under each keep policy. Close and
+// ReadDir are no injection points (they write nothing), so the cut after the
+// segment's sync stands for a cut at either. Every time, the flight dir must
+// decode a contiguous run of seqs that holds the previous segment's events.
+func TestFlightRollCrashPoints(t *testing.T) {
+	const dir = "d/flight"
+	older := faultfs.NewMem()
+	seq := 0
+	for num := uint64(1); num <= 8; num++ {
+		evs := []FlightEvent{opEvent(seq + 1), opEvent(seq + 2)}
+		seq += 2
+		if err := older.WriteFile(path.Join(dir, flightSegName(num)), sinkSegment(t, evs), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := older.CrashImage(faultfs.KeepAll) // every segment durable
+	first := seq + 1
+
+	// boot opens a sink over fsys, writes half a ring, syncs it and appends
+	// one event more, which rolls. Ops after a cut fail; the sink latches.
+	boot := func(fsys faultfs.FS) {
+		sink, err := OpenFlightSink(fsys, dir)
+		if err != nil {
+			return
+		}
+		for i := 0; i < flightSegmentEvents; i++ {
+			sink.Append(opEvent(first + i))
+		}
+		sink.Sync()
+		sink.Append(opEvent(first + flightSegmentEvents))
+	}
+	// A dry run numbers the ops. The Open's roll removes five segments and
+	// opens one; after the sync, the second roll removes one, opens one and
+	// writes the event that rolled.
+	var kinds []faultfs.OpKind
+	boot(faultfs.NewFaulty(base.CrashImage(faultfs.KeepAll), func(op faultfs.Op) *faultfs.Fault {
+		if op.Index >= 0 {
+			kinds = append(kinds, op.Kind)
+		}
+		return nil
+	}))
+	sync := len(kinds) - 4
+	rolls := append(append([]faultfs.OpKind{}, kinds[:6]...), kinds[sync:]...)
+	want := []faultfs.OpKind{faultfs.OpRemove, faultfs.OpRemove, faultfs.OpRemove, faultfs.OpRemove, faultfs.OpRemove, faultfs.OpOpen,
+		faultfs.OpSync, faultfs.OpRemove, faultfs.OpOpen, faultfs.OpWrite}
+	if !slices.Equal(rolls, want) {
+		t.Fatalf("the rolls' ops are %v, want %v", rolls, want)
+	}
+	points := []int{0, 1, 2, 3, 4, 5, sync, sync + 1, sync + 2, sync + 3}
+
+	policies := map[string]faultfs.KeepPolicy{"KeepNone": faultfs.KeepNone, "KeepAll": faultfs.KeepAll, "KeepHalf": faultfs.KeepHalf}
+	for _, at := range points {
+		for name, keep := range policies {
+			mem := base.CrashImage(faultfs.KeepAll)
+			boot(faultfs.NewFaulty(mem, faultfs.CrashAfter(at)))
+			evs, err := ReadFlightDir(mem.CrashImage(keep), dir)
+			if err != nil {
+				t.Fatalf("cut after op %d, %s: %v", at, name, err)
+			}
+			what := fmt.Sprintf("cut after op %d, %s", at, name)
+			contiguous(t, what, evs)
+			// The previous segment: the older binary's last one while the
+			// Open's roll runs, this boot's first once it has synced it.
+			from, to := uint64(seq-1), uint64(seq)
+			if at >= sync {
+				from, to = uint64(first), uint64(first+flightSegmentEvents-1)
+			}
+			if len(evs) == 0 || evs[0].Seq > from || evs[len(evs)-1].Seq < to {
+				t.Fatalf("%s: decoded %d events, want a run through seqs %d–%d", what, len(evs), from, to)
+			}
+		}
+	}
+}
+
+// TestFlightDiskBudget runs more than 20 rings over seven boots — long ones,
+// short ones, one of oversized events, some ending without Close — and checks
+// the budget every quarter of a ring: flight/ never holds more than four segments or two rings of
+// events, the byte backstop bounds every segment, the newest events decode
+// contiguous through the last one written, and a boot of ordinary events
+// keeps at least min(its events, 1.5 rings) of its own.
+func TestFlightDiskBudget(t *testing.T) {
+	const dir = "d/flight"
+	boots := []struct {
+		events           int
+		oversized, crash bool // crash: the boot ends without Close
+	}{
+		{5*DefaultFlightCapacity + 17, false, false},
+		{100, false, true},
+		{DefaultFlightCapacity, true, false},
+		{4*DefaultFlightCapacity + DefaultFlightCapacity/3, false, true},
+		{3, false, false},
+		{7 * DefaultFlightCapacity, false, false},
+		{3 * DefaultFlightCapacity, false, true},
+	}
+	mem := faultfs.NewMem()
+	seq, rings := 0, 0.0
+	check := func(written int, oversized bool) {
+		t.Helper()
+		nums, err := FlightSegments(mem, dir)
+		if err != nil || len(nums) > flightKeepSegments {
+			t.Fatalf("seq %d: %d segments (%v), budget is %d", seq, len(nums), err, flightKeepSegments)
+		}
+		for _, num := range nums {
+			if data, _ := mem.ReadFile(path.Join(dir, flightSegName(num))); len(data) > flightSegmentBytes {
+				t.Fatalf("seq %d: segment %d holds %d bytes, backstop is %d", seq, num, len(data), flightSegmentBytes)
+			}
+		}
+		evs, err := ReadFlightDir(mem, dir)
+		if err != nil || len(evs) > 2*DefaultFlightCapacity || len(evs) == 0 || evs[len(evs)-1].Seq != uint64(seq) {
+			t.Fatalf("seq %d: %d events decoded (%v), budget is %d, ending at the last written", seq, len(evs), err, 2*DefaultFlightCapacity)
+		}
+		contiguous(t, fmt.Sprintf("seq %d", seq), evs)
+		if own := min(written, len(evs)); !oversized && own < min(written, 3*flightSegmentEvents) {
+			t.Fatalf("seq %d: the boot wrote %d events and kept %d", seq, written, own)
+		}
+	}
+	for _, b := range boots {
+		sink, err := OpenFlightSink(mem, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= b.events; i++ {
+			seq++
+			ev := opEvent(seq)
+			if b.oversized {
+				ev = maxEvent(seq)
+			}
+			sink.Append(ev)
+			if i%(DefaultFlightCapacity/4) == 0 || i == b.events {
+				check(i, b.oversized)
+			}
+		}
+		if err := sink.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rings += float64(b.events) / DefaultFlightCapacity
+		if !b.crash {
+			sink.Close()
+		}
+	}
+	if rings < 20 || len(boots) < 5 {
+		t.Fatalf("ran %.1f rings over %d boots; the budget wants 20 over 5", rings, len(boots))
 	}
 }
 

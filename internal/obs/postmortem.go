@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"path"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -122,22 +123,43 @@ func WritePostmortem(fsys faultfs.FS, dir, reason string, cfg PostmortemConfig) 
 	return final, nil
 }
 
-// ReadPostmortems decodes every bundle under dir/postmortem, oldest first
-// (the timestamped names sort chronologically). A missing directory is an
-// empty result, not an error; an undecodable bundle is skipped — the
-// offline reader must cope with whatever a dying process left behind.
-func ReadPostmortems(fsys faultfs.FS, dir string) ([]Postmortem, error) {
-	pmDir := path.Join(dir, PostmortemDir)
-	ents, err := fsys.ReadDir(pmDir)
-	if err != nil {
-		return nil, nil
-	}
-	var out []Postmortem
+// postmortemNames lists the bundle files under pmDir, oldest first (the
+// timestamped names sort chronologically); a missing directory lists none.
+func postmortemNames(fsys faultfs.FS, pmDir string) []string {
+	ents, _ := fsys.ReadDir(pmDir)
+	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "pm-") || !strings.HasSuffix(name, ".json") {
-			continue
+		if !e.IsDir() && strings.HasPrefix(name, "pm-") && strings.HasSuffix(name, ".json") {
+			names = append(names, name)
 		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// PrunePostmortems removes the oldest bundles under dir/postmortem until at
+// most keep remain. Each goes in one Remove, so a crash mid-prune leaves
+// every remaining bundle whole; the first failed Remove stops the prune.
+func PrunePostmortems(fsys faultfs.FS, dir string, keep int) error {
+	pmDir := path.Join(dir, PostmortemDir)
+	names := postmortemNames(fsys, pmDir)
+	for _, name := range names[:max(len(names)-keep, 0)] {
+		if err := fsys.Remove(path.Join(pmDir, name)); err != nil {
+			return fmt.Errorf("obs: pruning postmortems: %w", err)
+		}
+	}
+	return nil
+}
+
+// ReadPostmortems decodes every bundle under dir/postmortem, oldest first.
+// A missing directory is an empty result, not an error; an undecodable
+// bundle is skipped — the offline reader must cope with whatever a dying
+// process left behind.
+func ReadPostmortems(fsys faultfs.FS, dir string) ([]Postmortem, error) {
+	pmDir := path.Join(dir, PostmortemDir)
+	var out []Postmortem
+	for _, name := range postmortemNames(fsys, pmDir) {
 		data, err := fsys.ReadFile(path.Join(pmDir, name))
 		if err != nil {
 			continue

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -85,5 +87,73 @@ func TestPostmortemCrashAtomic(t *testing.T) {
 	}
 	if pms, _ := ReadPostmortems(mem, "v"); len(pms) != 0 {
 		t.Fatalf("partial bundle visible: %+v", pms)
+	}
+}
+
+// TestPostmortemPruneKeepsNewest: after eleven bundles a prune to eight
+// leaves the eight newest, and a power cut after any of its removes leaves
+// every remaining bundle whole and decodable — the newest ones, at least
+// eight of them.
+func TestPostmortemPruneKeepsNewest(t *testing.T) {
+	const writes, keep = 11, 8
+	cfg := PostmortemConfig{Flight: NewFlight(4), Tracer: NewTracer(TracerConfig{}), Registry: NewRegistry()}
+	mem := faultfs.NewMem()
+	var paths []string
+	for i := 0; i < writes; i++ {
+		p, err := WritePostmortem(mem, "v", fmt.Sprintf("bundle %d", i), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) > 0 && p <= paths[len(paths)-1] {
+			t.Fatalf("bundle %d is named %s, not after %s", i, p, paths[len(paths)-1])
+		}
+		paths = append(paths, p)
+	}
+	reasons := func(fsys faultfs.FS) string {
+		t.Helper()
+		pms, err := ReadPostmortems(fsys, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files := postmortemNames(fsys, "v/"+PostmortemDir); len(files) != len(pms) {
+			t.Fatalf("%d bundle files, %d decode", len(files), len(pms))
+		}
+		var out []string
+		for _, pm := range pms {
+			out = append(out, pm.Reason)
+		}
+		return strings.Join(out, ", ")
+	}
+	newest := func(n int) string {
+		var out []string
+		for i := writes - n; i < writes; i++ {
+			out = append(out, fmt.Sprintf("bundle %d", i))
+		}
+		return strings.Join(out, ", ")
+	}
+
+	img := mem.CrashImage(faultfs.KeepAll)
+	if err := PrunePostmortems(faultfs.NewFaulty(img, faultfs.CrashBefore(0)), "v", keep); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("cut before the first remove: prune returned %v", err)
+	}
+	if got, want := reasons(img), newest(writes); got != want {
+		t.Fatalf("cut before the first remove: bundles %q, want %q", got, want)
+	}
+	for at := 0; at < writes-keep; at++ {
+		for _, keepPolicy := range []faultfs.KeepPolicy{faultfs.KeepNone, faultfs.KeepAll, faultfs.KeepHalf} {
+			img := mem.CrashImage(faultfs.KeepAll)
+			if err := PrunePostmortems(faultfs.NewFaulty(img, faultfs.CrashAfter(at)), "v", keep); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("cut after remove %d: prune returned %v", at, err)
+			}
+			if got, want := reasons(img.CrashImage(keepPolicy)), newest(writes-at-1); got != want {
+				t.Fatalf("cut after remove %d: bundles %q, want %q", at, got, want)
+			}
+		}
+	}
+	if err := PrunePostmortems(mem, "v", keep); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reasons(mem), newest(keep); got != want {
+		t.Fatalf("after pruning: bundles %q, want %q", got, want)
 	}
 }

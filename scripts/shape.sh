@@ -230,6 +230,16 @@ check "Every fuzz target runs: each func Fuzz... in non-bench Go is a -fuzz '^Na
 		grep -qxF "$(dirname "$file") '^$name\$'" <<<"$ran" || echo "$file: $name"
 	done)"
 
+# The on-disk flight tail is sized by the ring it mirrors: half a ring a
+# segment, two rings in all. Spelled as expressions of DefaultFlightCapacity,
+# the tail a crash leaves and the ring a live node serves cannot drift apart.
+flightdefs=$(sed 's://.*$::' internal/obs/flight.go | grep -nE '^[[:space:]]*(const[[:space:]]+)?(flightSegmentEvents|flightKeepSegments)\b[^=]*=')
+check "Flight tail follows the ring: internal/obs/flight.go defines flightSegmentEvents and flightKeepSegments once each, only as expressions of DefaultFlightCapacity" \
+	"$(grep -v DefaultFlightCapacity <<<"$flightdefs" | sed 's:^:internal/obs/flight.go\::'
+	for name in flightSegmentEvents flightKeepSegments; do
+		[ "$(grep -cE "^[0-9]+:[[:space:]]*(const[[:space:]]+)?$name\b" <<<"$flightdefs")" -eq 1 ] || echo "internal/obs/flight.go: $name is not defined exactly once"
+	done)"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
