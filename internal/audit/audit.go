@@ -20,14 +20,14 @@
 // Events live only in the append-only blockstore, and store only what a reader
 // cannot recompute (codec.go): an actor, record ID or detail the log already
 // holds is stored as its number in that field's symbol table. In RAM the log
-// keeps, per event, its offset in its segment, its link and a place in the
-// ascending-seq posting lists of the filters the API exposes (record, actor,
-// denied); per segment, its first event's seq; and, per distinct symbol
-// value, its number. A query snapshots the narrowest list and the symbol
-// tables under the log lock, releases it, and reads, decodes and checks only
-// the events that list names; verification streams the medium, rebuilding
-// the tables from it, so what it vouches for is the bytes on disk, not a
-// copy of them.
+// keeps, per event, its offset in its segment, its link and a place, a
+// uvarint gap of a byte or two, in the ascending-seq posting lists of the
+// filters the API exposes (record, actor, denied); per segment, its first
+// event's seq; and, per distinct symbol value, its number. A query snapshots
+// the shortest list and the symbol tables under the log lock, releases it,
+// and reads, decodes and checks only the events that list names;
+// verification streams the medium, rebuilding the tables from it, so what
+// it vouches for is the bytes on disk, not a copy of them.
 package audit
 
 import (
@@ -166,7 +166,7 @@ type Log struct {
 	places   places   // where each event lives, and its link
 	byRecord postings // Record != "" only
 	byActor  postings
-	denied   []uint64       // seqs with Outcome == OutcomeDenied
+	denied   posting        // events with Outcome == OutcomeDenied
 	details  map[string]int // Detail symbol numbers; the keys are syms[symDetail]
 	syms     symbols        // the symbol tables, sharing the posting and detail keys
 	lastHash [32]byte
@@ -212,16 +212,36 @@ func (p places) ref(seq uint64) blockstore.Ref {
 	return blockstore.Ref{Segment: uint32(seg), Offset: uint64(p.slots[seq].offset)}
 }
 
-// postings maps a filter value to the ascending seqs of the events carrying
+// postings maps a filter value to the posting list of the events carrying
 // it, and to the value's number in the field's symbol table. Lists are held
 // by pointer so that extending one never re-assigns the map entry:
 // assignment swaps in the caller's key string, and an actor name sliced from
 // a request's header block would pin the whole block.
 type postings map[string]*posting
 
+// posting is an ascending list of seqs, held as the uvarint gap from each
+// seq's predecessor (from 0 for the first): one or two bytes an event where
+// a []uint64 took eight. Appends only extend gaps, so a copy of the slice
+// taken under the log lock stays valid outside it.
 type posting struct {
-	seqs []uint64
-	sym  int // the key's number in its symbol table (unused for "")
+	gaps []byte
+	n    int    // seqs on the list
+	last uint64 // the last of them
+	sym  int    // the key's number in its symbol table (unused for "" and denied)
+}
+
+// add appends seq, which follows every seq on the list.
+func (p *posting) add(seq uint64) {
+	p.gaps = binary.AppendUvarint(p.gaps, seq-p.last)
+	p.n++
+	p.last = seq
+}
+
+// nextSeq reads the seq that follows prev from the head of a list's gaps and
+// returns it with the gaps after it.
+func nextSeq(gaps []byte, prev uint64) (uint64, []byte) {
+	gap, n := binary.Uvarint(gaps)
+	return prev + gap, gaps[n:]
 }
 
 // add appends seq to key's list. A key seen for the first time is cloned
@@ -234,15 +254,15 @@ func (p postings) add(key string, seq uint64, table *[]string) {
 		list = &posting{sym: define(table, key)}
 		p[key] = list
 	}
-	list.seqs = append(list.seqs, seq)
+	list.add(seq)
 }
 
-// seqs is key's list: empty for a value no event carries.
-func (p postings) seqs(key string) []uint64 {
+// list is key's posting list: empty for a value no event carries.
+func (p postings) list(key string) posting {
 	if list := p[key]; list != nil {
-		return list.seqs
+		return *list
 	}
-	return nil
+	return posting{}
 }
 
 // number is key's symbol number, or -1 when no event carries it.
@@ -320,7 +340,7 @@ func (l *Log) index(ref blockstore.Ref, e Event) error {
 		l.details[d] = define(&l.syms[symDetail], d)
 	}
 	if e.Outcome == OutcomeDenied {
-		l.denied = append(l.denied, e.Seq)
+		l.denied.add(e.Seq)
 	}
 	return nil
 }
@@ -527,7 +547,7 @@ func (q Query) matches(e Event) bool {
 }
 
 // Search returns events matching q in chain order, as of the call. It reads
-// the medium outside the log lock: only the events on the narrowest posting
+// the medium outside the log lock: only the events on the shortest posting
 // list q selects, or — when q names no record, actor or outcome — a stream of
 // the whole chain. Every event returned has been checked (its seq, and its
 // MAC over its link); a read, decode or check failure fails the query
@@ -539,18 +559,18 @@ func (q Query) matches(e Event) bool {
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
 	pl, syms := l.places, l.syms
-	var seqs []uint64
+	var shortest posting
 	indexed := false
-	narrow := func(list []uint64) {
-		if !indexed || len(list) < len(seqs) {
-			seqs, indexed = list, true
+	narrow := func(list posting) {
+		if !indexed || list.n < shortest.n {
+			shortest, indexed = list, true
 		}
 	}
 	if q.Record != "" {
-		narrow(l.byRecord.seqs(q.Record))
+		narrow(l.byRecord.list(q.Record))
 	}
 	if q.Actor != "" {
-		narrow(l.byActor.seqs(q.Actor))
+		narrow(l.byActor.list(q.Actor))
 	}
 	if q.DeniedOnly {
 		narrow(l.denied)
@@ -570,7 +590,8 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		}
 		return out, nil
 	}
-	for _, seq := range seqs {
+	for gaps, seq := shortest.gaps, uint64(0); len(gaps) > 0; {
+		seq, gaps = nextSeq(gaps, seq)
 		data, err := l.store.Read(pl.ref(seq))
 		var e Event
 		if err == nil {

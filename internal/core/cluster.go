@@ -490,7 +490,8 @@ func (c *Cluster) Ciphertext(id string, number uint64) ([]byte, error) {
 	if number == 0 || number > st.count() {
 		return nil, fmt.Errorf("%w: %s v%d", ErrNotFound, id, number)
 	}
-	return v.ciphertext(st.at(number).ref())
+	ct, _, err := v.ciphertext(st.at(number).ref())
+	return ct, err
 }
 
 // Export routes to the record's shard. See Vault.Export.

@@ -117,7 +117,7 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 			ct := e.ct
 			if ct == nil {
 				var err error
-				if ct, err = v.ciphertext(e.ver.Ref); err != nil {
+				if ct, _, err = v.ciphertext(e.ver.Ref); err != nil {
 					return fmt.Errorf("core: replaying ciphertext of %s: %w", e.id, err)
 				}
 			}

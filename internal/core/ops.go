@@ -224,11 +224,12 @@ func (v *Vault) readVersion(ctx context.Context, id string, st *recordState, ver
 		sp.SetAttr("block_cache", "hit")
 	} else {
 		sp.SetAttr("block_cache", "miss")
-		ct, err = v.ciphertext(ver.Ref)
+		var sum [32]byte
+		ct, sum, err = v.ciphertext(ver.Ref)
 		if err != nil {
 			return ehr.Record{}, fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err)
 		}
-		if vcrypto.Hash(ct) != ver.CtHash {
+		if sum != ver.CtHash {
 			return ehr.Record{}, fmt.Errorf("%w: %s v%d: ciphertext hash mismatch", ErrTampered, id, ver.Number)
 		}
 		v.bcache.put(ver.Ref, ver.CtHash, ct)

@@ -485,7 +485,7 @@ func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 			t.Fatal(err)
 		}
 		if id == doomed.ID {
-			if ct, err = v.Shard(0).ciphertext(ver.Ref); err != nil {
+			if ct, _, err = v.Shard(0).ciphertext(ver.Ref); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -20,7 +20,7 @@ func sealedPlaintext(t *testing.T, v *Vault, id string, number uint64) (ct, pt [
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err = v.ciphertext(v.versions(st)[number-1].Ref)
+	ct, _, err = v.ciphertext(v.versions(st)[number-1].Ref)
 	if err != nil {
 		t.Fatal(err)
 	}

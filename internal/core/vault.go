@@ -143,17 +143,27 @@ func (vs *verState) ref() blockstore.Ref {
 const walSegment = provenance.PendingSegment
 
 // ciphertext reads the version bytes ref names, from a block or a meta.wal
-// entry: core's one reader of either. Callers check them against the hash.
-func (v *Vault) ciphertext(ref blockstore.Ref) ([]byte, error) {
+// entry, and returns them with their SHA-256: core's one reader of either.
+// Callers check the sum against the version's hash; decoding the entry
+// already took it, so a WAL-resident version is hashed once, not twice.
+func (v *Vault) ciphertext(ref blockstore.Ref) ([]byte, [32]byte, error) {
 	if ref.Segment != walSegment {
-		return v.blocks.Read(ref)
+		ct, err := v.blocks.Read(ref)
+		if err != nil {
+			return nil, [32]byte{}, err
+		}
+		return ct, vcrypto.Hash(ct), nil
 	}
 	data, err := v.metaWAL.ReadAt(int64(ref.Offset))
 	if err != nil {
-		return nil, err
+		return nil, [32]byte{}, err
 	}
 	e, err := decodeWALEntry(data)
-	return e.ct, err
+	if err == nil && e.ct == nil {
+		// Only an entry holding its ciphertext has a sum decoding took.
+		err = fmt.Errorf("%w: meta.wal entry at %d holds no ciphertext", ErrCorrupt, ref.Offset)
+	}
+	return e.ct, e.ver.CtHash, err
 }
 
 // compact returns ver as the registry holds it.
@@ -530,7 +540,7 @@ func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 		}
 		for n := uint64(1); n <= st.count() && !st.sanitized; n++ {
 			if vs := st.at(n); sanitize || vs.segment == walSegment {
-				ct, err := v.ciphertext(vs.ref())
+				ct, _, err := v.ciphertext(vs.ref())
 				ref := blockstore.Ref{}
 				if err == nil {
 					ref, err = v.blocks.Append(ct)

@@ -111,12 +111,13 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 			// design. Their commitment leaves still verify below.
 			var ct []byte
 			if !sanitized {
+				var sum [32]byte
 				var err error
-				ct, err = v.ciphertext(ver.Ref)
+				ct, sum, err = v.ciphertext(ver.Ref)
 				if err != nil {
 					return fail(fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err))
 				}
-				if vcrypto.Hash(ct) != ver.CtHash {
+				if sum != ver.CtHash {
 					return fail(fmt.Errorf("%w: %s v%d: ciphertext hash mismatch", ErrTampered, id, ver.Number))
 				}
 			}

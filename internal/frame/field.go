@@ -71,18 +71,22 @@ func AppendToken(b []byte, s string) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(s)/2)<<1|1)
 	for i := 0; i < len(s); i += 2 {
-		b = append(b, unhex(s[i])<<4|unhex(s[i+1]))
+		b = append(b, hexValue[s[i]]<<4|hexValue[s[i+1]])
 	}
 	return b
 }
 
-// unhex is the value of a lowercase hex digit.
-func unhex(c byte) byte {
-	if c <= '9' {
-		return c - '0'
+// hexValue maps a lowercase hex digit to its value and every other byte to
+// 0xFF: a table, because random IDs make a digit-or-letter branch a coin toss.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
 	}
-	return c - 'a' + 10
-}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
 
 // AppendWord appends s as its 1-based position in vocab, or as 0 and a Token
 // when vocab lacks it. A vocabulary is part of its format: it may only grow at
@@ -115,7 +119,7 @@ func isPackedHex(s string) bool {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+		if hexValue[s[i]] > 0xF {
 			return false
 		}
 	}

@@ -78,11 +78,16 @@ func (ev FlightEvent) Strings() [6]string {
 // most two rings of them (flightSegmentEvents, flightKeepSegments).
 const DefaultFlightCapacity = 4096
 
-// Flight is a bounded ring of FlightEvents, safe for concurrent use.
+// Flight is a bounded ring of FlightEvents, safe for concurrent use. A slot
+// holds its event's v3 encoding (encodeFlightEvent, seq and time as deltas
+// from 0) rather than the event: some 72 B resident where a FlightEvent took
+// 152. Record reuses a slot's backing array, so once the ring has wrapped it
+// allocates nothing; Snapshot decodes.
 type Flight struct {
 	mu  sync.Mutex
-	buf []FlightEvent
-	n   int // next write position
+	buf [][]byte
+	enc []byte // the event being encoded, reused
+	n   int    // next write position
 	len int
 	seq uint64
 }
@@ -92,7 +97,7 @@ func NewFlight(capacity int) *Flight {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Flight{buf: make([]FlightEvent, capacity)}
+	return &Flight{buf: make([][]byte, capacity)}
 }
 
 // DefaultFlight is the process-wide recorder, mirroring Default and
@@ -101,7 +106,8 @@ var DefaultFlight = NewFlight(DefaultFlightCapacity)
 
 // Record stores ev, assigning its sequence number (and timestamp, when
 // zero), and returns the completed event so callers can persist the same
-// bytes through a FlightSink.
+// bytes through a FlightSink. The ring cuts a string field longer than
+// flightMaxStr, as the sink does; the returned event keeps it whole.
 func (f *Flight) Record(ev FlightEvent) FlightEvent {
 	f.mu.Lock()
 	f.seq++
@@ -109,7 +115,12 @@ func (f *Flight) Record(ev FlightEvent) FlightEvent {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	f.buf[f.n] = ev
+	f.enc = encodeFlightEvent(f.enc[:0], ev, int64(ev.Seq), ev.Time.UnixNano())
+	slot := f.buf[f.n]
+	if cap(slot) < len(f.enc) {
+		slot = nil // a fresh array of the encoding's size class, not a doubling
+	}
+	f.buf[f.n] = append(slot[:0], f.enc...)
 	f.n = (f.n + 1) % len(f.buf)
 	if f.len < len(f.buf) {
 		f.len++
@@ -143,17 +154,28 @@ func (fl FlightFilter) Match(ev FlightEvent) bool {
 	return true
 }
 
-// Snapshot returns the retained events matching fl, newest first.
+// Snapshot returns the retained events matching fl, newest first. It copies
+// the encodings under the lock and decodes them outside it.
 func (f *Flight) Snapshot(fl FlightFilter) []FlightEvent {
 	f.mu.Lock()
-	all := make([]FlightEvent, 0, f.len)
-	for i := 0; i < f.len; i++ {
+	size := 0
+	for _, slot := range f.buf {
+		size += len(slot)
+	}
+	data, ends := make([]byte, 0, size), make([]int, f.len)
+	for i := range ends {
 		// Walk backwards from the most recently written slot.
-		all = append(all, f.buf[((f.n-1-i)%len(f.buf)+len(f.buf))%len(f.buf)])
+		data = append(data, f.buf[(f.n-1-i+len(f.buf))%len(f.buf)]...)
+		ends[i] = len(data)
 	}
 	f.mu.Unlock()
-	out := all[:0]
-	for _, ev := range all {
+	out := []FlightEvent{}
+	start := 0
+	for _, end := range ends {
+		// The ring holds only what encodeFlightEvent wrote, cut to the caps
+		// the decoder checks, so the decode cannot fail.
+		ev, _ := decodeFlightEvent(data[start:end], 0, 0)
+		start = end
 		if !fl.Match(ev) {
 			continue
 		}
@@ -230,9 +252,10 @@ var flightWords = [6][]string{0: flightKinds, 3: flightOutcomes}
 // is corruption the CRC missed, not a real event.
 const flightMaxStr = 512
 
-// encodeFlightEvent appends ev's v3 encoding to b. dSeq and dTime are its
-// seq and Unix-nanosecond time less those of the segment's previous event;
-// the sink, which tracks them, computes both.
+// encodeFlightEvent appends ev's v3 encoding to b: the one event codec of
+// the ring and the segments. dSeq and dTime are its seq and Unix-nanosecond
+// time less those of the segment's previous event, which the sink tracks; a
+// ring slot stands alone, so the ring passes both whole.
 func encodeFlightEvent(b []byte, ev FlightEvent, dSeq, dTime int64) []byte {
 	b = frame.AppendVarint(b, dSeq)
 	b = frame.AppendVarint(b, dTime)

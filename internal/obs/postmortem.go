@@ -124,27 +124,34 @@ func WritePostmortem(fsys faultfs.FS, dir, reason string, cfg PostmortemConfig) 
 }
 
 // postmortemNames lists the bundle files under pmDir, oldest first (the
-// timestamped names sort chronologically); a missing directory lists none.
-func postmortemNames(fsys faultfs.FS, pmDir string) []string {
+// timestamped names sort chronologically), and the temporary files of the
+// writes a crash cut short; a missing directory lists none.
+func postmortemNames(fsys faultfs.FS, pmDir string) (bundles, temps []string) {
 	ents, _ := fsys.ReadDir(pmDir)
-	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, "pm-") && strings.HasSuffix(name, ".json") {
-			names = append(names, name)
+		switch {
+		case e.IsDir() || !strings.HasPrefix(name, "pm-"):
+		case strings.HasSuffix(name, ".json"):
+			bundles = append(bundles, name)
+		case strings.HasSuffix(name, ".json.tmp"):
+			temps = append(temps, name)
 		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(bundles)
+	return bundles, temps
 }
 
 // PrunePostmortems removes the oldest bundles under dir/postmortem until at
-// most keep remain. Each goes in one Remove, so a crash mid-prune leaves
-// every remaining bundle whole; the first failed Remove stops the prune.
+// most keep remain, and then every bundle's temporary file: a crash
+// mid-bundle leaves one behind, and no write is in flight during a prune
+// (medvaultd writes and prunes under one mutex). Each goes in one Remove,
+// so a crash mid-prune leaves every remaining bundle whole; the first
+// failed Remove stops the prune.
 func PrunePostmortems(fsys faultfs.FS, dir string, keep int) error {
 	pmDir := path.Join(dir, PostmortemDir)
-	names := postmortemNames(fsys, pmDir)
-	for _, name := range names[:max(len(names)-keep, 0)] {
+	names, temps := postmortemNames(fsys, pmDir)
+	for _, name := range append(names[:max(len(names)-keep, 0)], temps...) {
 		if err := fsys.Remove(path.Join(pmDir, name)); err != nil {
 			return fmt.Errorf("obs: pruning postmortems: %w", err)
 		}
@@ -159,7 +166,8 @@ func PrunePostmortems(fsys faultfs.FS, dir string, keep int) error {
 func ReadPostmortems(fsys faultfs.FS, dir string) ([]Postmortem, error) {
 	pmDir := path.Join(dir, PostmortemDir)
 	var out []Postmortem
-	for _, name := range postmortemNames(fsys, pmDir) {
+	names, _ := postmortemNames(fsys, pmDir)
+	for _, name := range names {
 		data, err := fsys.ReadFile(path.Join(pmDir, name))
 		if err != nil {
 			continue

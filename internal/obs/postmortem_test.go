@@ -115,7 +115,7 @@ func TestPostmortemPruneKeepsNewest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if files := postmortemNames(fsys, "v/"+PostmortemDir); len(files) != len(pms) {
+		if files, _ := postmortemNames(fsys, "v/"+PostmortemDir); len(files) != len(pms) {
 			t.Fatalf("%d bundle files, %d decode", len(files), len(pms))
 		}
 		var out []string
@@ -155,5 +155,52 @@ func TestPostmortemPruneKeepsNewest(t *testing.T) {
 	}
 	if got, want := reasons(mem), newest(keep); got != want {
 		t.Fatalf("after pruning: bundles %q, want %q", got, want)
+	}
+}
+
+// TestPostmortemPruneRemovesStaleTemps: a power cut mid-bundle leaves its
+// temporary file behind; the next write's prune removes it with the bundles
+// past the budget, so the directory holds no temporary file and at most
+// keep bundles.
+func TestPostmortemPruneRemovesStaleTemps(t *testing.T) {
+	const keep = 8
+	cfg := PostmortemConfig{Flight: NewFlight(4), Tracer: NewTracer(TracerConfig{}), Registry: NewRegistry()}
+	mem := faultfs.NewMem()
+	for i := 0; i < keep; i++ {
+		if _, err := WritePostmortem(mem, "v", fmt.Sprintf("bundle %d", i), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The cut lands after the temporary file's write (op 0 creates it).
+	if _, err := WritePostmortem(faultfs.NewFaulty(mem, faultfs.CrashAfter(1)), "v", "cut", cfg); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("bundle write under a cut returned %v", err)
+	}
+	img := mem.CrashImage(faultfs.KeepAll)
+	files := func() (bundles, temps int) {
+		t.Helper()
+		ents, err := img.ReadDir("v/" + PostmortemDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				temps++
+			} else {
+				bundles++
+			}
+		}
+		return bundles, temps
+	}
+	if bundles, temps := files(); bundles != keep || temps != 1 {
+		t.Fatalf("the cut left %d bundles and %d temporary files, want %d and 1", bundles, temps, keep)
+	}
+	if _, err := WritePostmortem(img, "v", "after", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrunePostmortems(img, "v", keep); err != nil {
+		t.Fatal(err)
+	}
+	if bundles, temps := files(); bundles != keep || temps != 0 {
+		t.Errorf("prune left %d bundles and %d temporary files, want %d and none", bundles, temps, keep)
 	}
 }

@@ -8,7 +8,8 @@
 // record reference each other: a reviewer goes from "who touched record X"
 // to "what the system did, step by step, and how long each step took".
 //
-// Completed traces land in a bounded ring buffer. Traces at or above the slow
+// Completed traces land in a bounded ring buffer, each as one compact byte
+// string (encodeTrace) that Snapshot decodes. Traces at or above the slow
 // threshold are pinned in a ring of their own, so fast traffic can never
 // evict the interesting outliers. Span durations also feed the shared metrics
 // registry (medvault_span_seconds by span name), so /metrics and
@@ -31,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"medvault/internal/frame"
 )
 
 // Default tracing policy: the most recent fast traces and the most recent
@@ -96,9 +99,9 @@ type Tracer struct {
 	finished atomic.Uint64
 
 	mu     sync.Mutex // guards the two rings
-	recent []*Trace   // fast traces, ring of cfg.Capacity
+	recent [][]byte   // fast traces as encodeTrace wrote them, ring of cfg.Capacity
 	rPos   int
-	slow   []*Trace // pinned slow traces, ring of cfg.SlowCapacity
+	slow   [][]byte // pinned slow traces, ring of cfg.SlowCapacity
 	sPos   int
 }
 
@@ -145,8 +148,8 @@ func (t *Tracer) Start(ctx context.Context, op, id string) (context.Context, *Tr
 
 // Finish seals the trace — closing any spans left open (a cancelled or
 // panicking operation must not leak half-recorded spans), computing the
-// duration, feeding the span histograms — and retains it in the fast or the
-// slow ring.
+// duration, feeding the span histograms — and retains its encoding in the
+// fast or the slow ring. The caller's tr keeps its tree.
 func (t *Tracer) Finish(tr *Trace, err error) {
 	if tr == nil {
 		return
@@ -168,23 +171,98 @@ func (t *Tracer) Finish(tr *Trace, err error) {
 
 	observeSpans(tr.Spans, tr.ID)
 	t.finished.Add(1)
+	var scratch [512]byte // on the stack: the ring's exact-size copy is the one allocation
+	enc := slices.Clone(encodeTrace(scratch[:0], tr))
 	t.mu.Lock()
 	if tr.Slow {
-		t.slow, t.sPos = ringPut(t.slow, t.sPos, t.cfg.SlowCapacity, tr)
+		t.slow, t.sPos = ringPut(t.slow, t.sPos, t.cfg.SlowCapacity, enc)
 	} else {
-		t.recent, t.rPos = ringPut(t.recent, t.rPos, t.cfg.Capacity, tr)
+		t.recent, t.rPos = ringPut(t.recent, t.rPos, t.cfg.Capacity, enc)
 	}
 	t.mu.Unlock()
 }
 
-// ringPut appends tr to a bounded ring, growing until capacity then
+// ringPut appends enc to a bounded ring, growing until capacity then
 // overwriting the oldest slot.
-func ringPut(ring []*Trace, pos, capacity int, tr *Trace) ([]*Trace, int) {
+func ringPut(ring [][]byte, pos, capacity int, enc []byte) ([][]byte, int) {
 	if len(ring) < capacity {
-		return append(ring, tr), pos
+		return append(ring, enc), pos
 	}
-	ring[pos] = tr
+	ring[pos] = enc
 	return ring, (pos + 1) % capacity
+}
+
+// encodeTrace appends a sealed trace to b. The layout is in-memory only —
+// nothing persists it — so it carries no version:
+//
+//	token ID | varstr op | varint start | uvarint dur | varstr err | u8 slow |
+//	spans
+//
+// where start is Unix nanoseconds and spans is a uvarint count and then,
+// for each span, varstr name | varint start less the trace's | uvarint dur |
+// varstr err | uvarint count and that many varstr key, value pairs |
+// children as spans.
+func encodeTrace(b []byte, tr *Trace) []byte {
+	start := tr.Start.UnixNano()
+	b = frame.AppendToken(b, tr.ID)
+	b = frame.AppendVarStr(b, tr.Op)
+	b = frame.AppendVarint(b, start)
+	b = frame.AppendUvarint(b, uint64(tr.Dur))
+	b = frame.AppendVarStr(b, tr.Err)
+	slow := byte(0)
+	if tr.Slow {
+		slow = 1
+	}
+	return appendSpans(append(b, slow), tr.Spans, start)
+}
+
+func appendSpans(b []byte, spans []*Span, start int64) []byte {
+	b = frame.AppendUvarint(b, uint64(len(spans)))
+	for _, s := range spans {
+		b = frame.AppendVarStr(b, s.Name)
+		b = frame.AppendVarint(b, s.Start.UnixNano()-start)
+		b = frame.AppendUvarint(b, uint64(s.Dur))
+		b = frame.AppendVarStr(b, s.Err)
+		b = frame.AppendUvarint(b, uint64(len(s.Attrs)))
+		for _, a := range s.Attrs {
+			b = frame.AppendVarStr(frame.AppendVarStr(b, a.Key), a.Value)
+		}
+		b = appendSpans(b, s.Children, start)
+	}
+	return b
+}
+
+// decodeTraceHead reads what Snapshot filters on from an encodeTrace
+// encoding: a finished trace without its spans, and a reader at them.
+func decodeTraceHead(b []byte) (*Trace, *frame.Reader) {
+	r := frame.NewReader(b)
+	tr := &Trace{ID: r.Token(), Op: r.VarStr(), Start: time.Unix(0, r.Varint()), Dur: time.Duration(r.Uvarint()),
+		Err: r.VarStr(), Slow: r.U8() == 1, finished: true}
+	return tr, r
+}
+
+// readSpans reads the spans of tr that appendSpans wrote, ended and owned
+// by tr, so every Span method on them is the no-op a finished trace's is.
+func readSpans(r *frame.Reader, tr *Trace) []*Span {
+	n := r.Uvarint()
+	if n == 0 {
+		return nil
+	}
+	start := tr.Start.UnixNano()
+	spans := make([]*Span, n)
+	for i := range spans {
+		s := &Span{Name: r.VarStr(), Start: time.Unix(0, start+r.Varint()), Dur: time.Duration(r.Uvarint()),
+			Err: r.VarStr(), tr: tr, ended: true}
+		if k := r.Uvarint(); k > 0 {
+			s.Attrs = make([]Label, k)
+			for j := range s.Attrs {
+				s.Attrs[j] = Label{Key: r.VarStr(), Value: r.VarStr()}
+			}
+		}
+		s.Children = readSpans(r, tr)
+		spans[i] = s
+	}
+	return spans
 }
 
 // closeOpen ends every still-open span in the tree at end time, marking it
@@ -301,24 +379,35 @@ type TraceFilter struct {
 	Limit  int           // max traces returned (0 = all retained)
 }
 
-// Snapshot returns retained finished traces matching f, newest first. The
-// returned traces are finished and therefore immutable; callers may read
-// them freely.
+// Snapshot returns retained finished traces matching f, newest first. It
+// takes the ring's encodings under the lock — a stored encoding is never
+// written again — and decodes outside it, a span tree only for a trace it
+// returns. The returned traces are finished and therefore immutable;
+// callers may read them freely.
 func (t *Tracer) Snapshot(f TraceFilter) []*Trace {
 	t.mu.Lock()
-	out := append(slices.Clone(t.recent), t.slow...)
+	encs := append(slices.Clone(t.recent), t.slow...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
+	type head struct {
+		tr    *Trace
+		spans *frame.Reader
+	}
+	heads := make([]head, len(encs))
+	for i, enc := range encs {
+		heads[i].tr, heads[i].spans = decodeTraceHead(enc)
+	}
+	sort.Slice(heads, func(i, j int) bool { return heads[i].tr.Start.After(heads[j].tr.Start) })
 	op := strings.ToLower(f.Op)
-	kept := out[:0]
-	for _, tr := range out {
-		if !strings.Contains(strings.ToLower(tr.Op), op) {
+	kept := []*Trace{}
+	for _, h := range heads {
+		if !strings.Contains(strings.ToLower(h.tr.Op), op) {
 			continue
 		}
-		if tr.Dur < f.MinDur {
+		if h.tr.Dur < f.MinDur {
 			continue
 		}
-		kept = append(kept, tr)
+		h.tr.Spans = readSpans(h.spans, h.tr)
+		kept = append(kept, h.tr)
 		if f.Limit > 0 && len(kept) >= f.Limit {
 			break
 		}
