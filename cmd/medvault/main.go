@@ -491,7 +491,7 @@ func cmdProve(args []string) error {
 			return err
 		}
 		// Self-check before printing, then emit the verifier's inputs.
-		if err := core.VerifyVersionProof(v.PublicKey(), proof, nil); err != nil {
+		if err := core.VerifyVersionProof(v.PublicKey(), proof, nil, nil); err != nil {
 			return fmt.Errorf("generated proof failed self-verification: %w", err)
 		}
 		fmt.Printf("record:     %s v%d\n", proof.RecordID, proof.Version)

@@ -115,7 +115,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// …time passes, the advocate verifies offline…
-	if err := core.VerifyVersionProof(vault.PublicKey(), proof, nil); err != nil {
+	if err := core.VerifyVersionProof(vault.PublicKey(), proof, nil, nil); err != nil {
 		log.Fatalf("proof rejected: %v", err)
 	}
 	fmt.Printf("\nverifiable read: version %d of %s is committed as leaf %d of the signed tree (size %d)\n",
@@ -126,7 +126,7 @@ func main() {
 	// corrected version — fails.
 	forged := proof
 	forged.Version = 1
-	if err := core.VerifyVersionProof(vault.PublicKey(), forged, nil); err != nil {
+	if err := core.VerifyVersionProof(vault.PublicKey(), forged, nil, nil); err != nil {
 		fmt.Println("a forged proof (claiming v1 is the correction) is rejected, as it must be")
 	}
 }

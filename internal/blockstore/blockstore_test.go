@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -439,14 +440,11 @@ func TestFileReadHostileLength(t *testing.T) {
 	}
 	seg.Close()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = f.Read(ref)
-	runtime.ReadMemStats(&after)
+	got := leastAlloc(1<<20, func() { _, err = f.Read(ref) })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Read(hostile length) = %v, want ErrCorrupt", err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+	if got > 1<<20 {
 		t.Fatalf("Read(hostile length) allocated %d bytes before rejecting the frame", got)
 	}
 }
@@ -991,4 +989,24 @@ func TestOpenFileRejectsLegacyAfterV2(t *testing.T) {
 	if _, err := OpenFileFS(mem, "s", 0); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("a legacy segment after a v2 one: %v, want ErrCorrupt", err)
 	}
+}
+
+// leastAlloc is the fewest bytes run allocates over up to three runs: it
+// stops at the first run within limit and collects garbage before each
+// retry. TotalAlloc is process-wide, so another goroutine's allocations (the
+// fuzzing engine's, a parallel test's) can land in one run's window, but
+// not in every one.
+func leastAlloc(limit uint64, run func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3 && least > limit; i++ {
+		if i > 0 {
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -100,7 +100,7 @@ type API interface {
 	PlaceHoldCtx(ctx context.Context, actor, id, reason string) error
 	ReleaseHoldCtx(ctx context.Context, actor, id string) error
 	ProvenanceCtx(ctx context.Context, actor, id string) ([]provenance.Event, error)
-	ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (VersionProof, error)
+	ProveVersionSinceCtx(ctx context.Context, actor, id string, number, since uint64) (VersionProof, error)
 	VersionCount(id string) (int, error)
 	Export(actor, id string) (ExportBundle, error)
 	Import(actor string, bundle ExportBundle, sourceSystem string) error
@@ -466,10 +466,17 @@ func (c *Cluster) ProvenanceCtx(ctx context.Context, actor, id string) ([]proven
 	return c.shardFor(id).ProvenanceCtx(ctx, actor, id)
 }
 
-// ProveVersionCtx routes to the record's shard; the proof anchors to that
-// shard's tree head.
+// ProveVersionCtx is ProveVersionSinceCtx with no remembered head: the
+// inclusion proof alone.
 func (c *Cluster) ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (VersionProof, error) {
-	return c.shardFor(id).ProveVersionCtx(ctx, actor, id, number)
+	return c.ProveVersionSinceCtx(ctx, actor, id, number, 0)
+}
+
+// ProveVersionSinceCtx routes to the record's shard; the proof anchors to
+// that shard's tree head, and since is a size of that shard's log. See
+// Vault.proveVersion.
+func (c *Cluster) ProveVersionSinceCtx(ctx context.Context, actor, id string, number, since uint64) (VersionProof, error) {
+	return c.shardFor(id).proveVersion(ctx, actor, id, number, since)
 }
 
 // VersionCount routes to the record's shard. See Vault.VersionCount.

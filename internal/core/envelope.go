@@ -186,6 +186,7 @@ var outcomes = []struct {
 	{retention.ErrOnHold, "on_hold"},
 	{retention.ErrRetentionActive, "retention_active"},
 	{ehr.ErrInvalid, "invalid"},
+	{ErrBadSince, "invalid"},
 	{authz.ErrEmptyReason, "invalid"},
 	{authz.ErrBadDuration, "invalid"},
 	{authz.ErrUnknownPrincipal, "invalid"},

@@ -19,8 +19,9 @@ import (
 //
 // The proof says: "the version with this ciphertext hash is leaf L of the
 // commitment log whose signed head (size S, root R) the vault's key signed."
-// Combined with a remembered earlier head and a consistency proof, it also
-// says the log containing it was never rewritten.
+// Asked for with the size of a head the auditor remembers, it also carries
+// the consistency path from that size to the same signed head, and so says
+// the log containing the version never rewrote what the auditor saw.
 type VersionProof struct {
 	RecordID  string
 	Version   uint64
@@ -28,12 +29,19 @@ type VersionProof struct {
 	LeafIndex uint64
 	Inclusion merkle.Proof
 	Head      merkle.SignedTreeHead
+	// Since is the remembered head size the proof was asked for with (0 for
+	// none), and Consistency proves Head extends the log of Since leaves.
+	Since       uint64
+	Consistency merkle.Proof
 }
 
-// ProveVersionCtx produces a VersionProof for the given version of the record.
-// It requires (and audits) read permission: the proof reveals the record's
-// existence and write history even though it reveals no content.
-func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (_ VersionProof, err error) {
+// proveVersion produces a VersionProof for the given version of the record
+// and, when since is not 0, the consistency path from the log of since
+// leaves; both are computed against one signed head. It requires (and
+// audits) read permission: the proof reveals the record's existence and
+// write history even though it reveals no content. A since past the head is
+// ErrBadSince.
+func (v *Vault) proveVersion(ctx context.Context, actor, id string, number, since uint64) (_ VersionProof, err error) {
 	ctx, done, err := v.begin(ctx, "prove_version", id)
 	defer done(&err)
 	if err != nil {
@@ -59,37 +67,33 @@ func (v *Vault) ProveVersionCtx(ctx context.Context, actor, id string, number ui
 	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionVerify, id, number, category); err != nil {
 		return VersionProof{}, err
 	}
+	// Both proofs are against this head, so a concurrent append cannot
+	// leave them under different sizes.
+	p := VersionProof{RecordID: id, Version: number, CtHash: target.CtHash, LeafIndex: target.LeafIndex, Head: v.log.Head(), Since: since}
+	if since > p.Head.Size {
+		return VersionProof{}, fmt.Errorf("%w: since %d, head has %d leaves", ErrBadSince, since, p.Head.Size)
+	}
 	_, sp := obs.StartSpan(ctx, "merkle.prove")
 	sp.SetUint("leaf", target.LeafIndex)
-	proof, size, err := v.log.ProveInclusion(target.LeafIndex)
+	p.Inclusion, err = v.log.Tree().InclusionProof(target.LeafIndex, p.Head.Size)
+	if err == nil {
+		p.Consistency, err = v.log.Tree().ConsistencyProof(since, p.Head.Size)
+	}
 	sp.End(err)
 	if err != nil {
 		return VersionProof{}, fmt.Errorf("core: proving %s v%d: %w", id, number, err)
 	}
-	head := v.log.Head()
-	if head.Size != size {
-		// A concurrent append moved the head; re-prove against the new size.
-		proof, err = v.log.Tree().InclusionProof(target.LeafIndex, head.Size)
-		if err != nil {
-			return VersionProof{}, fmt.Errorf("core: re-proving %s v%d: %w", id, number, err)
-		}
-	}
-	return VersionProof{
-		RecordID:  id,
-		Version:   number,
-		CtHash:    target.CtHash,
-		LeafIndex: target.LeafIndex,
-		Inclusion: proof,
-		Head:      head,
-	}, nil
+	return p, nil
 }
 
 // VerifyVersionProof checks a VersionProof against the vault's public key.
 // It is a package-level function on purpose: the verifier does not hold a
 // vault. ciphertext, when non-nil, is additionally checked against the
 // proof's committed hash — pass the bytes received alongside the proof to
-// bind content to commitment.
-func VerifyVersionProof(pub vcrypto.PublicKey, p VersionProof, ciphertext []byte) error {
+// bind content to commitment. remembered, when non-nil, is a head the
+// caller verified earlier; the proof must then have been asked for with its
+// size, and its consistency path must show that Head extends it.
+func VerifyVersionProof(pub vcrypto.PublicKey, p VersionProof, ciphertext []byte, remembered *merkle.SignedTreeHead) error {
 	if err := p.Head.Verify(pub); err != nil {
 		return fmt.Errorf("core: proof head: %w", err)
 	}
@@ -100,38 +104,14 @@ func VerifyVersionProof(pub vcrypto.PublicKey, p VersionProof, ciphertext []byte
 	if err := merkle.VerifyInclusion(leaf, p.LeafIndex, p.Head.Size, p.Inclusion, p.Head.Root); err != nil {
 		return fmt.Errorf("%w: inclusion proof: %v", ErrTampered, err)
 	}
-	return nil
-}
-
-// ProveExtension proves that the current commitment log extends an earlier
-// signed head append-only — the statement an external auditor requests
-// periodically to pin the vault's history. Verify with VerifyExtension.
-func (v *Vault) ProveExtension(old merkle.SignedTreeHead) (merkle.Proof, merkle.SignedTreeHead, error) {
-	proof, size, err := v.log.ProveConsistency(old.Size)
-	if err != nil {
-		return merkle.Proof{}, merkle.SignedTreeHead{}, fmt.Errorf("core: proving extension: %w", err)
+	if remembered == nil {
+		return nil
 	}
-	head := v.log.Head()
-	if head.Size != size {
-		proof, err = v.log.Tree().ConsistencyProof(old.Size, head.Size)
-		if err != nil {
-			return merkle.Proof{}, merkle.SignedTreeHead{}, fmt.Errorf("core: re-proving extension: %w", err)
-		}
+	if p.Since != remembered.Size {
+		return fmt.Errorf("core: proof is from %d leaves, the remembered head has %d", p.Since, remembered.Size)
 	}
-	return proof, head, nil
-}
-
-// VerifyExtension checks that newHead extends oldHead append-only; both
-// heads must be signed by pub.
-func VerifyExtension(pub vcrypto.PublicKey, oldHead, newHead merkle.SignedTreeHead, proof merkle.Proof) error {
-	if err := oldHead.Verify(pub); err != nil {
-		return fmt.Errorf("core: old head: %w", err)
-	}
-	if err := newHead.Verify(pub); err != nil {
-		return fmt.Errorf("core: new head: %w", err)
-	}
-	if err := merkle.VerifyConsistency(oldHead.Size, newHead.Size, oldHead.Root, newHead.Root, proof); err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
+	if err := merkle.VerifyConsistency(remembered.Size, p.Head.Size, remembered.Root, p.Head.Root, p.Consistency); err != nil {
+		return fmt.Errorf("%w: consistency proof: %v", ErrTampered, err)
 	}
 	return nil
 }

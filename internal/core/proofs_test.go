@@ -38,7 +38,7 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 			t.Fatalf("ProveVersion v%d: %v", n, err)
 		}
 		// The external auditor holds only the vault's public key.
-		if err := VerifyVersionProof(v.PublicKey(), proof, nil); err != nil {
+		if err := VerifyVersionProof(v.PublicKey(), proof, nil, nil); err != nil {
 			t.Errorf("v%d proof rejected: %v", n, err)
 		}
 	}
@@ -50,17 +50,17 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 	}
 	forged := proof
 	forged.Version = 1 // claim the correction is the original
-	if err := VerifyVersionProof(v.PublicKey(), forged, nil); !errors.Is(err, ErrTampered) {
+	if err := VerifyVersionProof(v.PublicKey(), forged, nil, nil); !errors.Is(err, ErrTampered) {
 		t.Errorf("version-swapped proof accepted: %v", err)
 	}
 	forged2 := proof
 	forged2.CtHash[0] ^= 1
-	if err := VerifyVersionProof(v.PublicKey(), forged2, nil); !errors.Is(err, ErrTampered) {
+	if err := VerifyVersionProof(v.PublicKey(), forged2, nil, nil); !errors.Is(err, ErrTampered) {
 		t.Errorf("hash-swapped proof accepted: %v", err)
 	}
 	forged3 := proof
 	forged3.RecordID = "someone-else"
-	if err := VerifyVersionProof(v.PublicKey(), forged3, nil); !errors.Is(err, ErrTampered) {
+	if err := VerifyVersionProof(v.PublicKey(), forged3, nil, nil); !errors.Is(err, ErrTampered) {
 		t.Errorf("record-swapped proof accepted: %v", err)
 	}
 	// Wrong key: the head signature fails.
@@ -68,11 +68,11 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyVersionProof(other.Public(), proof, nil); err == nil {
+	if err := VerifyVersionProof(other.Public(), proof, nil, nil); err == nil {
 		t.Error("proof verified under the wrong authority key")
 	}
 	// Ciphertext binding: wrong bytes fail.
-	if err := VerifyVersionProof(v.PublicKey(), proof, []byte("not the ciphertext")); !errors.Is(err, ErrTampered) {
+	if err := VerifyVersionProof(v.PublicKey(), proof, []byte("not the ciphertext"), nil); !errors.Is(err, ErrTampered) {
 		t.Errorf("wrong ciphertext accepted: %v", err)
 	}
 }
@@ -94,9 +94,15 @@ func TestProveVersionAuthz(t *testing.T) {
 	}
 }
 
+// TestProveExtension: a proof asked for with the size of a head the auditor
+// remembers carries the consistency path from it to the proof's own signed
+// head, and the one verifier checks both. A remembered head from another
+// vault, one with a flipped root byte, or a size the proof was not asked for
+// fails; a size past the head is invalid.
 func TestProveExtension(t *testing.T) {
 	v, _ := newVault(t)
 	g := ehr.NewGenerator(42, testEpoch)
+	var first ehr.Record
 	put := func(n int) {
 		for i := 0; i < n; {
 			r := g.Next()
@@ -106,26 +112,45 @@ func TestProveExtension(t *testing.T) {
 			if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 				t.Fatal(err)
 			}
+			if first.ID == "" {
+				first = r
+			}
 			i++
 		}
 	}
+	ctx := context.Background()
 	put(5)
-	oldHead := v.Shard(0).Head()
-	put(7)
-	proof, newHead, err := v.Shard(0).ProveExtension(oldHead)
+	old, err := v.ProveVersionCtx(ctx, "dr-house", first.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyExtension(v.PublicKey(), oldHead, newHead, proof); err != nil {
+	oldHead := old.Head
+	put(7)
+	proof, err := v.ProveVersionSinceCtx(ctx, "dr-house", first.ID, 1, oldHead.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proof.Head.Size != oldHead.Size+7 || len(proof.Consistency.Hashes) == 0 {
+		t.Fatalf("proof since %d: head %d, %d consistency hashes", oldHead.Size, proof.Head.Size, len(proof.Consistency.Hashes))
+	}
+	if err := VerifyVersionProof(v.PublicKey(), proof, nil, &oldHead); err != nil {
 		t.Errorf("honest extension rejected: %v", err)
 	}
 	// A head from another vault (different key) is rejected.
 	other, _ := newVault(t)
-	if err := VerifyExtension(other.PublicKey(), oldHead, newHead, proof); err == nil {
+	if err := VerifyVersionProof(other.PublicKey(), proof, nil, &oldHead); err == nil {
 		t.Error("extension verified under wrong key")
 	}
-	// Swapped heads fail consistency.
-	if err := VerifyExtension(v.PublicKey(), newHead, newHead, proof); err == nil {
+	flipped := oldHead
+	flipped.Root[0] ^= 1
+	if err := VerifyVersionProof(v.PublicKey(), proof, nil, &flipped); !errors.Is(err, ErrTampered) {
+		t.Errorf("a rewritten remembered root: %v, want ErrTampered", err)
+	}
+	// Swapped heads fail: the proof was not asked for with the new size.
+	if err := VerifyVersionProof(v.PublicKey(), proof, nil, &proof.Head); err == nil {
 		t.Error("mismatched proof accepted")
+	}
+	if _, err := v.ProveVersionSinceCtx(ctx, "dr-house", first.ID, 1, proof.Head.Size+1); !errors.Is(err, ErrBadSince) {
+		t.Errorf("since past the head: %v, want ErrBadSince", err)
 	}
 }

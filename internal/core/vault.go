@@ -71,6 +71,9 @@ var (
 	// ErrCorrupt indicates persisted metadata — a meta.wal entry or
 	// meta.snap — that does not decode in its one encoding.
 	ErrCorrupt = errors.New("core: corrupt metadata encoding")
+	// ErrBadSince indicates a proof asked for since a head size past the
+	// log's.
+	ErrBadSince = errors.New("core: since is past the signed head")
 	// ErrClosed indicates use of a closed vault.
 	ErrClosed = errors.New("core: vault closed")
 	// ErrWedged is wal.ErrWedged re-exported, so layers above core (httpapi)

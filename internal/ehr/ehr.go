@@ -226,9 +226,6 @@ func (g *Generator) Correction(r Record) Record {
 // high-selectivity search term in experiments.
 func CommonCondition() string { return conditions[0].name }
 
-// RareCondition returns the least frequent condition keyword.
-func RareCondition() string { return conditions[len(conditions)-1].name }
-
 // ConditionNames returns all condition keywords, most common first.
 func ConditionNames() []string {
 	out := make([]string, len(conditions))

@@ -53,7 +53,7 @@ func TestConditionSkew(t *testing.T) {
 			}
 		}
 	}
-	common, rare := counts[CommonCondition()], counts[RareCondition()]
+	common, rare := counts[CommonCondition()], counts[conditions[len(conditions)-1].name]
 	if common < 1000 {
 		t.Errorf("common condition appeared only %d times in 3000 records", common)
 	}

@@ -2,6 +2,7 @@ package ehr
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -48,11 +49,10 @@ func FuzzDecodeSealed(f *testing.F) {
 	f.Add([]byte{SealedTag})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rec, err := DecodeSealed(data, "fuzz-id")
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(data))+4096 {
+		var rec Record
+		var err error
+		limit := 64*uint64(len(data)) + 4096
+		if n := leastAlloc(limit, func() { rec, err = DecodeSealed(data, "fuzz-id") }); n > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		if err != nil {
@@ -62,4 +62,24 @@ func FuzzDecodeSealed(f *testing.F) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out, ID %q", len(data), len(re), rec.ID)
 		}
 	})
+}
+
+// leastAlloc is the fewest bytes run allocates over up to three runs: it
+// stops at the first run within limit and collects garbage before each
+// retry. TotalAlloc is process-wide, so another goroutine's allocations (the
+// fuzzing engine's, a parallel test's) can land in one run's window, but
+// not in every one.
+func leastAlloc(limit uint64, run func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3 && least > limit; i++ {
+		if i > 0 {
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -381,18 +381,3 @@ func FailNthSync(n int, err error) Injector {
 		return nil
 	}
 }
-
-// CorruptNthRead flips a bit in the nth read (0-based, counting only reads).
-func CorruptNthRead(n int) Injector {
-	reads := 0
-	return func(op Op) *Fault {
-		if op.Kind != OpRead {
-			return nil
-		}
-		reads++
-		if reads-1 == n {
-			return &Fault{CorruptRead: true}
-		}
-		return nil
-	}
-}

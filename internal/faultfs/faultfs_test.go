@@ -306,7 +306,14 @@ func TestFaultyCrashAfter(t *testing.T) {
 func TestFaultyBitRotOnRead(t *testing.T) {
 	mem := NewMem()
 	mem.WriteFile("x", []byte("payload-bytes"), 0o600)
-	f := NewFaulty(mem, CorruptNthRead(0))
+	corrupted := false // only the first read rots
+	f := NewFaulty(mem, func(op Op) *Fault {
+		if op.Kind != OpRead || corrupted {
+			return nil
+		}
+		corrupted = true
+		return &Fault{CorruptRead: true}
+	})
 	got, err := f.ReadFile("x")
 	if err != nil {
 		t.Fatalf("read: %v", err)

@@ -28,7 +28,7 @@
 //	POST   /breakglass                   {"reason": "...", "minutes": 60}
 //	GET    /patients/{mrn}/records       patient's records visible to actor
 //	GET    /patients/{mrn}/disclosures   HIPAA accounting of disclosures
-//	GET    /records/{id}/versions/{n}/proof  third-party-verifiable commitment proof
+//	GET    /records/{id}/versions/{n}/proof?since=  commitment proof (and consistency since a remembered head size)
 //	GET    /retention/expired            records past their retention period
 //	GET    /retention/holds              active legal holds
 //	PUT    /records/{id}/hold            place a legal hold {"reason": "..."}
@@ -59,6 +59,7 @@ import (
 	"medvault/internal/authz"
 	"medvault/internal/core"
 	"medvault/internal/ehr"
+	"medvault/internal/merkle"
 	"medvault/internal/obs"
 )
 
@@ -788,43 +789,60 @@ func (s *Server) disclosures(r *http.Request, actor string) (int, any, error) {
 }
 
 type proofPayload struct {
-	RecordID  string   `json:"record_id"`
-	Version   uint64   `json:"version"`
-	CtHash    string   `json:"ciphertext_sha256"`
-	LeafIndex uint64   `json:"leaf_index"`
-	Path      []string `json:"inclusion_path"`
-	HeadSize  uint64   `json:"head_size"`
-	HeadRoot  string   `json:"head_root"`
-	HeadTime  string   `json:"head_time"`
-	HeadSig   string   `json:"head_signature"`
-	VaultKey  string   `json:"vault_public_key"`
+	RecordID    string   `json:"record_id"`
+	Version     uint64   `json:"version"`
+	CtHash      string   `json:"ciphertext_sha256"`
+	LeafIndex   uint64   `json:"leaf_index"`
+	Path        []string `json:"inclusion_path"`
+	HeadSize    uint64   `json:"head_size"`
+	HeadRoot    string   `json:"head_root"`
+	HeadTime    string   `json:"head_time"`
+	HeadSig     string   `json:"head_signature"`
+	VaultKey    string   `json:"vault_public_key"`
+	Since       uint64   `json:"since,omitempty"`
+	Consistency []string `json:"consistency_path,omitempty"`
 }
 
+// proof answers an inclusion proof and, with ?since=<head size an auditor
+// remembers>, the consistency path from that size to the same signed head.
 func (s *Server) proof(r *http.Request, actor string) (int, any, error) {
 	n, err := versionParam(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	proof, err := s.vault.ProveVersionCtx(r.Context(), actor, r.PathValue("id"), n)
+	var since uint64
+	if q := r.URL.Query().Get("since"); q != "" {
+		if since, err = strconv.ParseUint(q, 10, 64); err != nil {
+			return 0, nil, badRequest("since must be a head size")
+		}
+	}
+	proof, err := s.vault.ProveVersionSinceCtx(r.Context(), actor, r.PathValue("id"), n, since)
 	if err != nil {
 		return 0, nil, err
 	}
-	path := make([]string, len(proof.Inclusion.Hashes))
-	for i, h := range proof.Inclusion.Hashes {
+	return http.StatusOK, proofPayload{
+		RecordID:    proof.RecordID,
+		Version:     proof.Version,
+		CtHash:      fmt.Sprintf("%x", proof.CtHash),
+		LeafIndex:   proof.LeafIndex,
+		Path:        hexPath(proof.Inclusion),
+		HeadSize:    proof.Head.Size,
+		HeadRoot:    fmt.Sprintf("%x", proof.Head.Root),
+		HeadTime:    proof.Head.Timestamp.Format(time.RFC3339Nano),
+		HeadSig:     fmt.Sprintf("%x", proof.Head.Signature),
+		VaultKey:    s.vault.PublicKey().String(),
+		Since:       proof.Since,
+		Consistency: hexPath(proof.Consistency),
+	}, nil
+}
+
+// hexPath spells a proof's hashes in hex.
+func hexPath(p merkle.Proof) []string {
+	path := make([]string, len(p.Hashes))
+	for i, h := range p.Hashes {
 		path[i] = fmt.Sprintf("%x", h)
 	}
-	return http.StatusOK, proofPayload{
-		RecordID:  proof.RecordID,
-		Version:   proof.Version,
-		CtHash:    fmt.Sprintf("%x", proof.CtHash),
-		LeafIndex: proof.LeafIndex,
-		Path:      path,
-		HeadSize:  proof.Head.Size,
-		HeadRoot:  fmt.Sprintf("%x", proof.Head.Root),
-		HeadTime:  proof.Head.Timestamp.Format(time.RFC3339Nano),
-		HeadSig:   fmt.Sprintf("%x", proof.Head.Signature),
-		VaultKey:  s.vault.PublicKey().String(),
-	}, nil
+	return path
 }
 
 // requireArchivist gates the retention listings, which are no vault

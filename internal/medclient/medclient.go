@@ -293,8 +293,19 @@ func (c *Client) Custody(ctx context.Context, id string, expect ...int) ([]Custo
 
 // Proof GETs /records/{id}/versions/{n}/proof. Success: 200.
 func (c *Client) Proof(ctx context.Context, id string, n uint64, expect ...int) (Proof, int, error) {
+	return c.ProofSince(ctx, id, n, 0, expect...)
+}
+
+// ProofSince GETs /records/{id}/versions/{n}/proof?since=<since>, the proof
+// with the consistency path from a remembered head of since leaves; since 0
+// asks for the inclusion proof alone, as Proof does. Success: 200; a since
+// past the head answers 400.
+func (c *Client) ProofSince(ctx context.Context, id string, n, since uint64, expect ...int) (Proof, int, error) {
 	var out Proof
 	path := "/records/" + esc(id) + "/versions/" + strconv.FormatUint(n, 10) + "/proof"
+	if since != 0 {
+		path += "?since=" + strconv.FormatUint(since, 10)
+	}
 	status, err := c.call(ctx, "GET", path, nil, &out, http.StatusOK, expect, false)
 	return out, status, err
 }

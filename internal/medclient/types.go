@@ -81,18 +81,22 @@ type Disclosure struct {
 }
 
 // Proof is GET /records/{id}/versions/{n}/proof: a third-party-verifiable
-// Merkle inclusion proof under a signed tree head.
+// Merkle inclusion proof under a signed tree head. Asked for with
+// ?since=<a remembered head size>, it also carries Since and the
+// ConsistencyPath from that size to the same head.
 type Proof struct {
-	RecordID      string   `json:"record_id"`
-	Version       uint64   `json:"version"`
-	CtHash        string   `json:"ciphertext_sha256"`
-	LeafIndex     uint64   `json:"leaf_index"`
-	InclusionPath []string `json:"inclusion_path"`
-	HeadSize      uint64   `json:"head_size"`
-	HeadRoot      string   `json:"head_root"`
-	HeadTime      string   `json:"head_time"`
-	HeadSig       string   `json:"head_signature"`
-	VaultKey      string   `json:"vault_public_key"`
+	RecordID        string   `json:"record_id"`
+	Version         uint64   `json:"version"`
+	CtHash          string   `json:"ciphertext_sha256"`
+	LeafIndex       uint64   `json:"leaf_index"`
+	InclusionPath   []string `json:"inclusion_path"`
+	HeadSize        uint64   `json:"head_size"`
+	HeadRoot        string   `json:"head_root"`
+	HeadTime        string   `json:"head_time"`
+	HeadSig         string   `json:"head_signature"`
+	VaultKey        string   `json:"vault_public_key"`
+	Since           uint64   `json:"since,omitempty"`
+	ConsistencyPath []string `json:"consistency_path,omitempty"`
 }
 
 // VerifyResult is POST /verify on success (200). On integrity failure the

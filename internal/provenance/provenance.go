@@ -599,22 +599,3 @@ func (tr *Tracker) VerifyAll(trusted map[string]bool) (int, error) {
 	}
 	return len(ids), nil
 }
-
-// Custodians returns, in order of first appearance, the systems that have
-// held custody of id — the paper's "proper chain of custody for the
-// ownership and transfer of records".
-func (tr *Tracker) Custodians(id string) ([]string, error) {
-	chain, err := tr.Chain(id)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range chain {
-		if !seen[e.System] {
-			seen[e.System] = true
-			out = append(out, e.System)
-		}
-	}
-	return out, nil
-}

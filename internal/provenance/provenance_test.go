@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -265,9 +267,6 @@ func TestUnknownRecord(t *testing.T) {
 	if err := tr.Verify("ghost", nil); !errors.Is(err, ErrUnknownRecord) {
 		t.Errorf("Verify: %v", err)
 	}
-	if _, err := tr.Custodians("ghost"); !errors.Is(err, ErrUnknownRecord) {
-		t.Errorf("Custodians: %v", err)
-	}
 }
 
 func TestAdoptMigratedHistory(t *testing.T) {
@@ -294,11 +293,18 @@ func TestAdoptMigratedHistory(t *testing.T) {
 	if err := target.Verify("p1", nil); err != nil {
 		t.Errorf("cross-system chain failed verification: %v", err)
 	}
-	custodians, err := target.Custodians("p1")
+	// The chain names both custodians, in order of custody.
+	chain, err := target.Chain("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(custodians) != 2 || custodians[0] != "hospital-a" || custodians[1] != "hospital-b" {
+	var custodians []string
+	for _, e := range chain {
+		if !slices.Contains(custodians, e.System) {
+			custodians = append(custodians, e.System)
+		}
+	}
+	if !slices.Equal(custodians, []string{"hospital-a", "hospital-b"}) {
 		t.Errorf("custodians = %v", custodians)
 	}
 }
@@ -945,12 +951,19 @@ func TestCustodyStoredBytesPerEvent(t *testing.T) {
 // TestCustodyResidentBytesPerEvent is the budget the tracker's RAM must stay
 // inside: it keeps a ref per event and a head per record, never the event.
 func TestCustodyResidentBytesPerEvent(t *testing.T) {
+	// heap is the least heap in use over three readings, each after two
+	// collections: another goroutine's live bytes can land in one reading,
+	// while the structure under test is live in all three.
 	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.GC()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.HeapAlloc)
+		}
+		return least
 	}
 	types := []EventType{EventCreated, EventCorrected, EventBackedUp, EventCorrected, EventShredded}
 	for _, tc := range []struct {

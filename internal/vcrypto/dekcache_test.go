@@ -8,11 +8,8 @@ import (
 )
 
 // TestDEKCacheLifecycle pins when the plaintext-DEK cache holds a key and
-// when it must not, operation by operation. The asymmetry between Shred and
-// Rewrap is the point: shredding destroys the DEK so its cached copy must die
-// with it, while rotation changes only the wrapping — the DEKs themselves are
-// unchanged, so invalidating on Rewrap would be a pure performance loss with
-// zero hygiene benefit.
+// when it must not, operation by operation: shredding destroys the DEK, so
+// its cached copy must die with it.
 func TestDEKCacheLifecycle(t *testing.T) {
 	newMaster := func(t *testing.T) Key {
 		t.Helper()
@@ -59,34 +56,6 @@ func TestDEKCacheLifecycle(t *testing.T) {
 				}
 			},
 			wantCached: false,
-		},
-		{
-			name: "rewrap retains the cache",
-			run: func(t *testing.T, ks *KeyStore) {
-				if err := ks.Rewrap(newMaster(t)); err != nil {
-					t.Fatal(err)
-				}
-				if !ks.HasCachedDEK("rec") {
-					t.Fatal("rotation invalidated the DEK cache; DEKs are unchanged by Rewrap")
-				}
-				if _, err := ks.Get("rec"); err != nil {
-					t.Fatalf("Get under rotated master: %v", err)
-				}
-			},
-			wantCached: true,
-		},
-		{
-			name: "rewrap then purge still unwraps under new master",
-			run: func(t *testing.T, ks *KeyStore) {
-				if err := ks.Rewrap(newMaster(t)); err != nil {
-					t.Fatal(err)
-				}
-				ks.Purge()
-				if _, err := ks.Get("rec"); err != nil {
-					t.Fatalf("uncached Get after rotation: %v", err)
-				}
-			},
-			wantCached: true,
 		},
 		{
 			name:     "disabled cache never holds keys",
@@ -184,7 +153,7 @@ func TestDEKCacheZeroizeOnShred(t *testing.T) {
 	}
 }
 
-// TestLoadKeyStoreTruncatedSnapshot feeds LoadKeyStore every prefix of a
+// TestLoadKeyStoreTruncatedSnapshot feeds Restore every prefix of a
 // valid snapshot: each must fail cleanly (no panic, no partial store), and
 // only the complete snapshot may load. The zero-length and sub-magic prefixes
 // are the regression for the short-read bug where a bare Read of the magic
@@ -205,15 +174,15 @@ func TestLoadKeyStoreTruncatedSnapshot(t *testing.T) {
 	}
 	snap := ks.Snapshot()
 
-	if _, err := LoadKeyStore(master, nil); err == nil {
+	if _, err := loadKeyStore(master, nil); err == nil {
 		t.Fatal("nil snapshot loaded")
 	}
 	for cut := 0; cut < len(snap); cut++ {
-		if _, err := LoadKeyStore(master, snap[:cut]); err == nil {
+		if _, err := loadKeyStore(master, snap[:cut]); err == nil {
 			t.Fatalf("snapshot truncated to %d/%d bytes loaded without error", cut, len(snap))
 		}
 	}
-	back, err := LoadKeyStore(master, snap)
+	back, err := loadKeyStore(master, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +191,12 @@ func TestLoadKeyStoreTruncatedSnapshot(t *testing.T) {
 	}
 }
 
-// TestKeyStoreConcurrentGetShredRewrap is the -race stress for the read path:
-// readers hammer Get while other goroutines shred, rotate the master, and
-// create fresh keys. Beyond data races (the reason Get copies the wrapped
-// blob and master under the lock), it checks the end state: every shredded
-// key is gone from both the store and the cache.
-func TestKeyStoreConcurrentGetShredRewrap(t *testing.T) {
+// TestKeyStoreConcurrentGetShred is the -race stress for the read path:
+// readers hammer Get while other goroutines shred and create fresh keys.
+// Beyond data races (the reason Get copies the wrapped blob under the lock),
+// it checks the end state: every shredded key is gone from both the store
+// and the cache.
+func TestKeyStoreConcurrentGetShred(t *testing.T) {
 	master, err := NewKey()
 	if err != nil {
 		t.Fatal(err)
@@ -277,21 +246,6 @@ func TestKeyStoreConcurrentGetShredRewrap(t *testing.T) {
 		for _, v := range victims {
 			if err := ks.Shred(v); err != nil {
 				t.Errorf("Shred(%s): %v", v, err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			m, err := NewKey()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := ks.Rewrap(m); err != nil {
-				t.Errorf("Rewrap: %v", err)
 				return
 			}
 		}

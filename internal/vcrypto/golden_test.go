@@ -22,7 +22,7 @@ func TestGoldenKeyStoreSnapshot(t *testing.T) {
 		Name: "keystore snapshot",
 		Hex:  goldenKeyStoreSnap,
 		Decode: func(b []byte) (any, error) {
-			ks, err := LoadKeyStore(goldenMaster, b)
+			ks, err := loadKeyStore(goldenMaster, b)
 			if err != nil {
 				return nil, err
 			}
@@ -30,7 +30,7 @@ func TestGoldenKeyStoreSnapshot(t *testing.T) {
 		},
 		Want: want,
 	})
-	ks, err := LoadKeyStore(goldenMaster, want)
+	ks, err := loadKeyStore(goldenMaster, want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,9 +135,3 @@ func (m *KeyedMAC) Verify(data, sum []byte) bool {
 
 // Hash is the content hash used throughout MedVault (SHA-256).
 func Hash(data []byte) [32]byte { return sha256.Sum256(data) }
-
-// HashHex returns the hex encoding of Hash(data).
-func HashHex(data []byte) string {
-	h := Hash(data)
-	return hex.EncodeToString(h[:])
-}

@@ -20,7 +20,7 @@ import (
 // store's master key and the record ID (keywrap.go) — so a snapshot of the
 // KeyStore (for backup or migration) never exposes raw key material. A blob
 // an older binary wrapped, AES-GCM under the master key with the ID as AAD,
-// still unwraps; Rewrap rewraps it with AES-KW.
+// still unwraps. No key rotates: a store keeps its master key for life.
 //
 // Shred zeroes a record's wrapped DEK and leaves its slot as a tombstone.
 // Once shredded, the record's ciphertext — every version, on
@@ -32,9 +32,7 @@ import (
 // bounded plaintext-DEK cache (see dekcache.go). The cache is designed
 // around invalidation first: Shred removes and zeroizes its entry
 // synchronously — before Shred returns, no caller can obtain the key from
-// any path — and evicted entries are zeroized before release. Rewrap
-// deliberately does NOT invalidate: rotation changes only the wrapping of
-// each DEK, never the DEK itself, so cached plaintext keys stay valid.
+// any path — and evicted entries are zeroized before release.
 //
 // Per-record state is one fixed-size slot, indexed by the record's number in
 // a recno.Table the store may share with the shard's other per-record tables.
@@ -253,10 +251,8 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 		return dek, true, nil
 	}
 	ks.mu.RLock()
-	// Copy the blob and keys under the read lock: Shred zeroes the blob in
-	// place and Rewrap swaps the keys, both under the write lock, so
-	// neither may be touched after RUnlock.
-	master, wrap := ks.master, ks.wrap
+	// Copy the blob under the read lock: Shred zeroes it in place under the
+	// write lock, so it may not be touched after RUnlock.
 	state := slotEmpty
 	var buf [gcmWrappedLen]byte
 	var blob []byte
@@ -271,7 +267,7 @@ func (ks *KeyStore) get(id string) (Key, bool, error) {
 	case slotEmpty:
 		return Key{}, false, fmt.Errorf("%w: %s", ErrNoKey, id)
 	}
-	dek, err := unwrap(master, wrap, id, blob)
+	dek, err := unwrap(ks.master, ks.wrap, id, blob)
 	if err != nil {
 		return Key{}, false, err
 	}
@@ -397,38 +393,6 @@ func (ks *KeyStore) WrappedFor(id string) ([]byte, error) {
 	return bytes.Clone(ks.keys.wrapped(n)), nil
 }
 
-// Rewrap rewraps every live DEK, with AES-KW, under newMaster and switches
-// the store to it — periodic key rotation, as key-management policy (and HIPAA's
-// "reasonable safeguards" guidance) expects. Data keys themselves do not
-// change, so no ciphertext needs rewriting — and for the same reason the
-// plaintext-DEK cache is deliberately left warm: its entries are the DEKs,
-// which rotation does not touch. On any failure the store is left unchanged.
-func (ks *KeyStore) Rewrap(newMaster Key) error {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	newWrap := wrapMAC(newMaster)
-	rewrapped := make([][]byte, len(ks.keys.slots))
-	for n := range ks.keys.slots {
-		if ks.keys.slots[n].state != slotLive {
-			continue
-		}
-		id := ks.recs.ID(uint32(n))
-		dek, err := unwrap(ks.master, ks.wrap, id, ks.keys.wrapped(uint32(n)))
-		if err != nil {
-			return fmt.Errorf("vcrypto: rewrap: %w", err)
-		}
-		rewrapped[n] = wrapDEK(newWrap, id, dek)
-		dek.Zero()
-	}
-	for n, blob := range rewrapped {
-		if blob != nil {
-			ks.keys.setLive(uint32(n), blob)
-		}
-	}
-	ks.master, ks.wrap = newMaster, newWrap
-	return nil
-}
-
 // IsShredded reports whether id's key has been destroyed.
 func (ks *KeyStore) IsShredded(id string) bool {
 	ks.mu.RLock()
@@ -485,8 +449,8 @@ func (ks *KeyStore) inState(state slotState) []numbered {
 //	magic "MVKS" | u16 version | u32 nLive  { u32 idLen id u32 blobLen blob }*
 //	               u32 nShred { u32 idLen id }*
 //
-// where blob is 40 bytes (AES-KW) or, decoded and never written by Mint,
-// Create or Rewrap, a legacy 60 (AES-GCM).
+// where blob is 40 bytes (AES-KW) or, decoded and never written by Mint or
+// Create, a legacy 60 (AES-GCM).
 const (
 	ksMagic   = "MVKS"
 	ksVersion = 1
@@ -510,16 +474,6 @@ func (ks *KeyStore) Snapshot() []byte {
 		b = frame.AppendStr(b, e.id)
 	}
 	return b
-}
-
-// LoadKeyStore reconstructs a KeyStore from a Snapshot, using master to
-// unwrap keys on demand, with the default-sized DEK cache.
-func LoadKeyStore(master Key, snap []byte) (*KeyStore, error) {
-	ks := NewKeyStore(master)
-	if err := ks.Restore(snap); err != nil {
-		return nil, err
-	}
-	return ks, nil
 }
 
 // Restore replaces the store's keys and tombstones with those of a Snapshot

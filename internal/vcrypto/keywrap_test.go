@@ -63,7 +63,7 @@ func TestGoldenKWKeyStoreSnapshot(t *testing.T) {
 		Hex:    goldenKWKeyStoreSnap,
 		Encode: encode,
 		Decode: func(b []byte) (any, error) {
-			ks, err := LoadKeyStore(goldenMaster, b)
+			ks, err := loadKeyStore(goldenMaster, b)
 			if err != nil {
 				return nil, err
 			}
@@ -71,7 +71,7 @@ func TestGoldenKWKeyStoreSnapshot(t *testing.T) {
 		},
 		Want: want,
 	})
-	ks, err := LoadKeyStore(goldenMaster, want)
+	ks, err := loadKeyStore(goldenMaster, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,9 @@ func TestGoldenKWKeyStoreSnapshot(t *testing.T) {
 }
 
 // TestLegacyGCMBlobs: a DEK an older binary wrapped with AES-GCM (60 B)
-// still registers through AdoptWrapped and LoadKeyStore and unwraps; Rewrap
-// turns it into a 40-B AES-KW blob, and Mint and Create write only those.
-// Shred drops a legacy blob as it zeroes a slot.
+// still registers through AdoptWrapped and Restore and unwraps, unchanged;
+// Mint and Create write only 40-B AES-KW blobs. Shred drops a legacy blob as
+// it zeroes a slot.
 func TestLegacyGCMBlobs(t *testing.T) {
 	master := testKey(t)
 	dek := testKey(t)
@@ -108,7 +108,7 @@ func TestLegacyGCMBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadKeyStore(master, ks.Snapshot())
+	re, err := loadKeyStore(master, ks.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLegacyGCMBlobs(t *testing.T) {
 			t.Errorf("legacy key: %v", err)
 		}
 		if blob, _ := s.WrappedFor("old"); !bytes.Equal(blob, legacy) {
-			t.Errorf("the legacy blob changed without a rewrap")
+			t.Errorf("the legacy blob changed")
 		}
 		if blob, _ := s.WrappedFor("new"); len(blob) != kwWrappedLen {
 			t.Errorf("Create wrapped %d B, want %d", len(blob), kwWrappedLen)
@@ -125,20 +125,6 @@ func TestLegacyGCMBlobs(t *testing.T) {
 	}
 	if len(minted) != kwWrappedLen {
 		t.Errorf("Mint wrapped %d B, want %d", len(minted), kwWrappedLen)
-	}
-	newMaster := testKey(t)
-	if err := re.Rewrap(newMaster); err != nil {
-		t.Fatal(err)
-	}
-	if blob, _ := re.WrappedFor("old"); len(blob) != kwWrappedLen {
-		t.Errorf("Rewrap left a %d-B blob", len(blob))
-	}
-	after, err := LoadKeyStore(newMaster, re.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := after.Get("old"); err != nil || got != dek {
-		t.Errorf("the rewrapped legacy key: %v", err)
 	}
 	if err := ks.Shred("old"); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,16 @@ func testKey(t *testing.T) Key {
 	return k
 }
 
+// loadKeyStore is how a vault reopens its keystore: NewKeyStore, then
+// Restore of a snapshot taken under the same master key.
+func loadKeyStore(master Key, snap []byte) (*KeyStore, error) {
+	ks := NewKeyStore(master)
+	if err := ks.Restore(snap); err != nil {
+		return nil, err
+	}
+	return ks, nil
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	k := testKey(t)
 	for _, pt := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("EPHI"), 1000)} {
@@ -316,9 +326,9 @@ func TestKeyStoreSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := LoadKeyStore(master, ks.Snapshot())
+	restored, err := loadKeyStore(master, ks.Snapshot())
 	if err != nil {
-		t.Fatalf("LoadKeyStore: %v", err)
+		t.Fatalf("loadKeyStore: %v", err)
 	}
 	for _, id := range []string{"a", "c", "d"} {
 		got, err := restored.Get(id)
@@ -366,7 +376,7 @@ func TestKeyStoreSnapshotHasNoPlaintextKeys(t *testing.T) {
 func TestLoadKeyStoreRejectsGarbage(t *testing.T) {
 	master := testKey(t)
 	for _, snap := range [][]byte{nil, []byte("XXXX"), []byte("MVKS\x00\x02"), []byte("MVKS\x00\x01\x00\x00\x00\x05")} {
-		if _, err := LoadKeyStore(master, snap); err == nil {
+		if _, err := loadKeyStore(master, snap); err == nil {
 			t.Errorf("garbage snapshot %q accepted", snap)
 		}
 	}
@@ -377,61 +387,12 @@ func TestLoadKeyStoreWrongMasterFailsOnGet(t *testing.T) {
 	if _, err := ks.Create("pt"); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadKeyStore(testKey(t), ks.Snapshot())
+	restored, err := loadKeyStore(testKey(t), ks.Snapshot())
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if _, err := restored.Get("pt"); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("wrong master unwrap: %v, want ErrDecrypt", err)
-	}
-}
-
-func TestKeyStoreRewrap(t *testing.T) {
-	oldMaster, newMaster := testKey(t), testKey(t)
-	ks := NewKeyStore(oldMaster)
-	deks := map[string]Key{}
-	for _, id := range []string{"a", "b", "c"} {
-		dek, err := ks.Create(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deks[id] = dek
-	}
-	ks.Shred("b")
-
-	if err := ks.Rewrap(newMaster); err != nil {
-		t.Fatalf("Rewrap: %v", err)
-	}
-	// DEKs unchanged; tombstones preserved.
-	for _, id := range []string{"a", "c"} {
-		got, err := ks.Get(id)
-		if err != nil || got != deks[id] {
-			t.Errorf("Get(%s) after rewrap: %v", id, err)
-		}
-	}
-	if !ks.IsShredded("b") {
-		t.Error("tombstone lost in rewrap")
-	}
-	// The snapshot now loads under the NEW master only.
-	snap := ks.Snapshot()
-	if re, err := LoadKeyStore(newMaster, snap); err != nil {
-		t.Fatal(err)
-	} else if _, err := re.Get("a"); err != nil {
-		t.Errorf("restored under new master: %v", err)
-	}
-	re, err := LoadKeyStore(oldMaster, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := re.Get("a"); !errors.Is(err, ErrDecrypt) {
-		t.Errorf("old master still unwraps after rotation: %v", err)
-	}
-	// New keys wrap under the new master.
-	if _, err := ks.Create("d"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ks.Get("d"); err != nil {
-		t.Errorf("Get(d): %v", err)
 	}
 }
 
@@ -528,15 +489,6 @@ func TestPublicKeyHexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHashHex(t *testing.T) {
-	if HashHex([]byte("a")) == HashHex([]byte("b")) {
-		t.Error("hash collision on trivial input")
-	}
-	if len(HashHex(nil)) != 64 {
-		t.Error("hash hex length wrong")
-	}
-}
-
 // TestRestoreRejectsWrongSizeWrappedDEK: every wrapped DEK is a sealed key,
 // KeySize+Overhead bytes. A snapshot carrying a truncated or oversized one
 // is refused at load, naming the record, and leaves the store as it was;
@@ -588,11 +540,11 @@ func TestRestoreRejectsWrongSizeWrappedDEK(t *testing.T) {
 		if _, err := ks.Get("kept"); err != nil || ks.Len() != 1 || ks.IsShredded("rec-a") {
 			t.Errorf("%s: a refused snapshot changed the store: Get(kept) %v, Len %d", name, err, ks.Len())
 		}
-		if _, err := LoadKeyStore(master, tc.snap); err == nil {
-			t.Errorf("%s: LoadKeyStore accepted it", name)
+		if _, err := loadKeyStore(master, tc.snap); err == nil {
+			t.Errorf("%s: loadKeyStore accepted it", name)
 		}
 	}
-	if ks, err := LoadKeyStore(master, snap(map[string][]byte{"rec-a": good, "rec-b": blob})); err != nil || ks.Len() != 2 {
+	if ks, err := loadKeyStore(master, snap(map[string][]byte{"rec-a": good, "rec-b": blob})); err != nil || ks.Len() != 2 {
 		t.Fatalf("well-formed snapshot: %v", err)
 	}
 	for _, bad := range [][]byte{blob[:len(blob)-1], append(blob, 0)} {
