@@ -6,13 +6,13 @@
 //
 //  1. Every event's hash covers its predecessor's (a hash chain), so
 //     deleting, reordering or splicing events breaks the chain.
-//  2. Every event carries an HMAC under a key derived from the vault master
-//     secret over its place, its content and its link — the first 8 bytes of
-//     its predecessor's hash, which a reader knows and the event does not
-//     store — so an insider without the key cannot re-forge the chain after
-//     editing it, an event spliced in after another predecessor fails at its
-//     successor, and a reader can check one event from its own bytes and
-//     its link.
+//  2. Every event carries an HMAC tag under a key derived from the vault
+//     master secret over its place, its content and its link — the first 8
+//     bytes of its predecessor's hash, which a reader knows and the event
+//     does not store — so an insider without the key cannot re-forge the
+//     chain after editing it, an event spliced in after another predecessor
+//     fails at its successor, and a reader can check one event from its own
+//     bytes and its link.
 //  3. Checkpoints — Ed25519-signed statements of (sequence, chain head) — are
 //     emitted periodically and can be stored off-system; verification against
 //     any remembered checkpoint detects wholesale log replacement.
@@ -107,14 +107,15 @@ type Event struct {
 	Detail    string // free-form context (never PHI; callers must not put PHI here)
 	Trace     string // trace ID of the operation that produced the event ("" when untraced)
 	// PrevHash is the previous event's Hash (zero for Seq 0), and Hash is
-	// eventHash: this event's place and content || PrevHash. A v6 event
+	// eventHash: this event's place and content || PrevHash. A v7 event
 	// stores neither, so only Append and a reader walking the chain (Open,
 	// Verify, an unfiltered Search) know them; an event Search reads from a
 	// posting list has both zero.
 	PrevHash [32]byte
 	Hash     [32]byte
-	// MAC is an HMAC under the audit key: over macInput (place, content
-	// and link) for a v6 or v5 event, over Hash for the older layouts.
+	// MAC is an HMAC under the audit key: a v7 event's vcrypto.TagSize-byte
+	// tag over macInput (place, content and link), a v6 or v5 event's whole
+	// HMAC over macInput, an older layout's over Hash.
 	MAC []byte
 }
 
@@ -362,7 +363,7 @@ var errStopScan = errors.New("audit: stop scan")
 // medium that holds fewer than n — the count the caller saw in the running
 // log — is a broken chain.
 func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
-	cr := newChainReader(l.mac.Verify)
+	cr := newChainReader(l.checkMAC)
 	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
 		if int(cr.seq) == n {
 			return errStopScan
@@ -420,7 +421,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.PrevHash = l.lastHash
 	var msg []byte
 	e.Hash, msg = chainSums(e, codecVersion)
-	e.MAC = l.mac.Sum(nil, msg)
+	e.MAC = l.mac.Tag(nil, msg)
 	ref, err := l.store.Append(encodeEvent(e, l.symbolNumbers(e)))
 	if err == nil {
 		err = l.index(ref, e)
@@ -434,6 +435,17 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}
 	return e, nil
+}
+
+// checkMAC is the log's macCheck. A v7 event's tag is checked through
+// VerifyTag, which refuses any other length; an event in a layout no binary
+// writes any more carries a whole HMAC-SHA-256, which only this decoding arm
+// checks.
+func (l *Log) checkMAC(ver byte, msg, mac []byte) bool {
+	if ver == codecVersion {
+		return l.mac.VerifyTag(msg, mac)
+	}
+	return l.mac.Verify(msg, mac)
 }
 
 // Wedged reports whether an append failed since Open.
@@ -596,7 +608,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		var e Event
 		if err == nil {
 			link := pl.slots[seq].link
-			e, _, err = decodeEvent(data, seq, &syms, link[:], l.mac.Verify)
+			e, _, err = decodeEvent(data, seq, &syms, link[:], l.checkMAC)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("audit: reading event %d: %w", seq, err)
@@ -617,12 +629,14 @@ func eventHash(e Event) [32]byte {
 	return hash
 }
 
-// macInput is what a v6 or v5 event's MAC covers (ver says which): its
-// place, its content and its link, under a domain of the layout's own.
+// macInput is what a v7 event's tag and a v6 or v5 event's MAC cover (ver
+// says which): its place, its content and its link, under a domain of the
+// layout's own.
 // Binding the place stops a genuine event being copied over another;
 // binding the link makes the event name the one it followed, so a reader
 // that reaches it after any other fails its MAC; the domain makes an event
-// re-spelled in the other layout fail it too.
+// re-spelled in another layout fail it too — a v6 MAC's first bytes are not
+// a v7 tag, nor a v7 tag padded out a v6 MAC.
 func macInput(e Event, ver byte) []byte {
 	b := appendContent(make([]byte, 0, contentCap(e)), macDomain(ver), e)
 	return append(b, e.PrevHash[:linkLen]...)
@@ -631,16 +645,20 @@ func macInput(e Event, ver byte) []byte {
 // The domains of eventHash and of macInput for each layout that has one.
 const (
 	hashDomain    = "medvault/audit-event/v2\x00"
+	macDomainV7   = "medvault/audit-event-mac/v7\x00"
 	macDomainV6   = "medvault/audit-event-mac/v6\x00"
 	macDomainV5   = "medvault/audit-event-mac/v5\x00"
-	macDomainSize = len(macDomainV6)
+	macDomainSize = len(macDomainV7)
 )
 
 func macDomain(ver byte) string {
-	if ver == codecV5 {
+	switch ver {
+	case codecV5:
 		return macDomainV5
+	case codecV6:
+		return macDomainV6
 	}
-	return macDomainV6
+	return macDomainV7
 }
 
 // chainSums returns eventHash(e) and macInput(e, ver), which a writer and a

@@ -71,7 +71,7 @@ func allEvents(t *testing.T, l *Log) []Event {
 
 // noKey is the MAC check of a reader that holds no audit key: it takes every
 // MAC as it stands.
-func noKey(_, _ []byte) bool { return true }
+func noKey(byte, []byte, []byte) bool { return true }
 
 // storedEvents decodes every frame on the medium in chain order, with the
 // ref of each.
@@ -120,7 +120,7 @@ func numbersAt(prefix []Event, e Event) [numSyms]int {
 	return at
 }
 
-// encodeAt encodes e in the v5 layout as the i-th event of a log whose first
+// encodeAt encodes e in the current layout as the i-th event of a log whose first
 // i events are events[:i].
 func encodeAt(events []Event, i int, e Event) []byte {
 	return encodeEvent(e, numbersAt(events[:i], e))
@@ -279,12 +279,13 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 // The lost event is genuine and its place and predecessor are the same, so
 // it passes its own MAC, read with its link as a posting-list read does, as
 // does every other event; but the event after it was chained to the
-// replacement, so Open and Verify fail at that successor. On a v6 medium its
-// MAC, whose input ends in the link a reader takes from the spliced event's
-// hash, fails (ErrBadMAC, wrapping ErrChainBroken); on a v5 medium, written
-// as an older binary did (appendV5), its stored link does (ErrChainBroken,
-// and no MAC fails). Either way the bound is a guess of 8 link bytes, and the
-// spliced event is not the tail: its successor is what catches the splice.
+// replacement, so Open and Verify fail at that successor. On a v7 medium its
+// tag, and on a v6 one, written as an older binary did (appendV6), its MAC,
+// whose input ends in the link a reader takes from the spliced event's hash,
+// fails (ErrBadMAC, wrapping ErrChainBroken); on a v5 medium (appendV5) its
+// stored link does (ErrChainBroken, and no MAC fails). Either way the bound is
+// a guess of 8 link bytes, and the spliced event is not the tail: its
+// successor is what catches the splice.
 func TestCrashSpliceIsCaught(t *testing.T) {
 	const k = 5
 	for _, tc := range []struct {
@@ -292,12 +293,13 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 		write  func(t *testing.T, l *Log, e Event)
 		atMAC  bool // the successor fails its MAC, not a stored link
 	}{
-		{"v6", func(t *testing.T, l *Log, e Event) {
+		{"v7", func(t *testing.T, l *Log, e Event) {
 			t.Helper()
 			if _, err := l.Append(e); err != nil {
 				t.Fatal(err)
 			}
 		}, true},
+		{"v6", func(t *testing.T, l *Log, e Event) { appendV6(t, l, e) }, true},
 		{"v5", func(t *testing.T, l *Log, e Event) { appendV5(t, l, e) }, false},
 	} {
 		t.Run(tc.layout, func(t *testing.T) {
@@ -377,7 +379,7 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 				t.Fatal(err)
 			}
 			link := l.places.slots[k].link
-			if e, _, err := decodeEvent(spliced, k, &l.syms, link[:], l.mac.Verify); err != nil || e.Action != ActionRead {
+			if e, _, err := decodeEvent(spliced, k, &l.syms, link[:], l.checkMAC); err != nil || e.Action != ActionRead {
 				t.Errorf("the spliced event read with its link: %v, %v; want it to pass its own MAC", e, err)
 			}
 			if n, err := l.Verify(); wrong(err) || n != k+1 {
@@ -867,7 +869,7 @@ func TestAutomaticCheckpoints(t *testing.T) {
 // sequential reader holds. Read on its own with its link, the event has
 // neither. chainSums builds the MAC input macInput does.
 func TestEventCodecRoundTripProperty(t *testing.T) {
-	f := func(seq uint64, actor, record, detail, trace string, version uint64, prev [32]byte, mac [macLen]byte) bool {
+	f := func(seq uint64, actor, record, detail, trace string, version uint64, prev [32]byte, mac [vcrypto.TagSize]byte) bool {
 		e := Event{
 			Timestamp: time.Unix(0, 1234567890).UTC(),
 			Actor:     actor,
@@ -906,7 +908,7 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {0}, {0, 2}, {5}, {6}, {7}, append(encodeEvent(Event{MAC: make([]byte, macLen)}, [numSyms]int{}), 0xFF)} {
+	for _, b := range [][]byte{nil, {0}, {0, 2}, {5}, {6}, {7}, {8}, append(encodeEvent(Event{MAC: make([]byte, vcrypto.TagSize)}, [numSyms]int{}), 0xFF)} {
 		if _, _, err := decodeEvent(b, 0, &symbols{}, make([]byte, linkLen), noKey); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage %v accepted: %v", b, err)
 		}
@@ -941,6 +943,21 @@ func encodeLegacyEvent(e Event) []byte {
 	return frame.AppendBytes(b, e.MAC)
 }
 
+// encodeV6Event is the v6 layout older binaries wrote: v7 with the whole
+// 32-byte MAC in place of the tag.
+func encodeV6Event(e Event, nums [numSyms]int) []byte {
+	b := append([]byte(nil), codecV6)
+	b = frame.AppendTime(b, e.Timestamp)
+	b = frame.AppendSymbol(b, e.Actor, nums[symActor])
+	b = frame.AppendWord(b, string(e.Action), actionWords)
+	b = frame.AppendSymbol(b, e.Record, nums[symRecord])
+	b = frame.AppendUvarint(b, e.Version)
+	b = frame.AppendWord(b, string(e.Outcome), outcomeWords)
+	b = frame.AppendSymbol(b, e.Detail, nums[symDetail])
+	b = frame.AppendToken(b, e.Trace)
+	return append(b, e.MAC...)
+}
+
 // encodeV5Event is the v5 layout older binaries wrote: v6 with the link
 // stored before the MAC, which a uvarint length prefixes.
 func encodeV5Event(e Event, nums [numSyms]int) []byte {
@@ -958,8 +975,20 @@ func encodeV5Event(e Event, nums [numSyms]int) []byte {
 }
 
 // appendV5 is Log.Append as a binary that wrote v5 events did it: the link
-// on the medium and the MAC under v5's domain.
+// on the medium and the whole MAC under v5's domain.
 func appendV5(t *testing.T, l *Log, e Event) Event {
+	t.Helper()
+	return appendLegacy(t, l, e, codecV5, encodeV5Event)
+}
+
+// appendV6 is Log.Append as a binary that wrote v6 events did it: the whole
+// MAC under v6's domain.
+func appendV6(t *testing.T, l *Log, e Event) Event {
+	t.Helper()
+	return appendLegacy(t, l, e, codecV6, encodeV6Event)
+}
+
+func appendLegacy(t *testing.T, l *Log, e Event, ver byte, encode func(Event, [numSyms]int) []byte) Event {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -967,9 +996,9 @@ func appendV5(t *testing.T, l *Log, e Event) Event {
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	var msg []byte
-	e.Hash, msg = chainSums(e, codecV5)
+	e.Hash, msg = chainSums(e, ver)
 	e.MAC = l.mac.Sum(nil, msg)
-	ref, err := l.store.Append(encodeV5Event(e, l.symbolNumbers(e)))
+	ref, err := l.store.Append(encode(e, l.symbolNumbers(e)))
 	if err == nil {
 		err = l.index(ref, e)
 	}
@@ -1021,10 +1050,11 @@ var layouts = map[string]func(events []Event, i int) []byte{
 
 // TestLegacyEventsStillVerify: a medium older binaries began, in the v2, v3
 // and then the v4 layout, each event MACed over its hash as they did, opens,
-// verifies against the checkpoint of the same chain written in v6, answers
-// queries and keeps growing in v6, whose first events already refer to
-// values the older events defined; a v2 event whose stored Seq or Hash
-// disagrees with what the reader computes breaks the chain.
+// verifies against the checkpoint of the same chain written in the current
+// layout, answers queries and keeps growing in the current layout, whose
+// first events already refer to values the older events defined; a v2 event
+// whose stored Seq or Hash disagrees with what the reader computes breaks
+// the chain.
 func TestLegacyEventsStillVerify(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)
@@ -1069,7 +1099,7 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 	}
 	appendN(t, re, 2)
 	if n, err := re.Verify(); err != nil || n != 14 {
-		t.Fatalf("Verify after appending v6 to a v2/v3/v4 log: %d, %v", n, err)
+		t.Fatalf("Verify after appending the current layout to a v2/v3/v4 log: %d, %v", n, err)
 	}
 
 	// A genuine event copied over another under a running log: in v2 its
@@ -1109,10 +1139,11 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 }
 
 // TestV5ThenV6EventsVerify: a log an older binary began in v5 continues in
-// v6, and opens, verifies and answers posting-list queries, v5 events read
-// with the link the log keeps resident as v6 ones are. A v6 event re-spelled
-// as v5 — the link its MAC covers written out, a length before the MAC —
-// fails its MAC, which v5's own domain covers.
+// the layout the running log appends, v7, and opens, verifies and answers
+// posting-list queries, v5 events read with the link the log keeps resident
+// as v7 ones are. A v7 event re-spelled as v5 — the link its tag covers
+// written out, a length before the tag — fails its MAC, which v5's own
+// domain covers.
 func TestV5ThenV6EventsVerify(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)
@@ -1125,10 +1156,10 @@ func TestV5ThenV6EventsVerify(t *testing.T) {
 	}
 	appendN(t, re, 6)
 	if re, err = Open(Config{Store: store, MACKey: key, Signer: signer}); err != nil {
-		t.Fatalf("open over v5 then v6 events: %v", err)
+		t.Fatalf("open over v5 then v7 events: %v", err)
 	}
 	if n, err := re.Verify(); err != nil || n != 12 {
-		t.Fatalf("Verify over v5 then v6 events: %d, %v; want 12", n, err)
+		t.Fatalf("Verify over v5 then v7 events: %d, %v; want 12", n, err)
 	}
 	refs, events := storedEvents(t, store)
 	for i, ref := range refs {
@@ -1136,14 +1167,18 @@ func TestV5ThenV6EventsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := byte(codecV5 + i/6); b[0] != want {
+		want := byte(codecV5)
+		if i >= 6 {
+			want = codecVersion
+		}
+		if b[0] != want {
 			t.Errorf("event %d is stored in v%d, want v%d", i, b[0], want)
 		}
 	}
 	for _, q := range []Query{{Record: "patient-0"}, {Actor: "dr-1"}, {Record: "patient-4"}} {
 		got, err := re.Search(q)
 		if err != nil {
-			t.Fatalf("%+v over v5 and v6 events: %v", q, err)
+			t.Fatalf("%+v over v5 and v7 events: %v", q, err)
 		}
 		var want []Event
 		for _, e := range events {
@@ -1167,7 +1202,128 @@ func TestV5ThenV6EventsVerify(t *testing.T) {
 		}
 	}
 	if _, err := Open(Config{Store: respelled, MACKey: key, Signer: signer}); !errors.Is(err, ErrBadMAC) {
-		t.Errorf("Open over a v6 event re-spelled as v5: %v, want ErrBadMAC", err)
+		t.Errorf("Open over a v7 event re-spelled as v5: %v, want ErrBadMAC", err)
+	}
+}
+
+// TestV6ThenV7EventsVerify: a log an older binary began in v6, with a
+// checkpoint signed over it, continues in v7 in the same segment, and opens,
+// verifies against that checkpoint and answers posting-list queries, v6
+// events checked by their whole MAC and v7 ones by their tag.
+func TestV6ThenV7EventsVerify(t *testing.T) {
+	store := blockstore.NewMemory(0)
+	l, signer, key := newTestLog(t, store)
+	for i := 0; i < 6; i++ {
+		appendV6(t, l, Event{Actor: fmt.Sprintf("dr-%d", i%3), Action: ActionRead, Record: fmt.Sprintf("patient-%d", i%5), Outcome: OutcomeAllowed, Detail: "routine"})
+	}
+	cp := l.Checkpoint()
+	re, err := Open(Config{Store: store, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatalf("open over v6 events: %v", err)
+	}
+	appendN(t, re, 6)
+	if re, err = Open(Config{Store: store, MACKey: key, Signer: signer}); err != nil {
+		t.Fatalf("open over v6 then v7 events: %v", err)
+	}
+	if n, err := re.Verify(); err != nil || n != 12 {
+		t.Fatalf("Verify over v6 then v7 events: %d, %v; want 12", n, err)
+	}
+	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
+		t.Fatalf("the checkpoint signed over the v6 events: %v", err)
+	}
+	refs, events := storedEvents(t, store)
+	for i, ref := range refs {
+		b, err := store.Read(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, macLen := byte(codecV6), macLenV6
+		if i >= 6 {
+			want, macLen = codecVersion, vcrypto.TagSize
+		}
+		if b[0] != want || len(events[i].MAC) != macLen || refs[i].Segment != 0 {
+			t.Errorf("event %d is stored in v%d with a %d-B MAC in segment %d, want v%d, %d B, segment 0", i, b[0], len(events[i].MAC), refs[i].Segment, want, macLen)
+		}
+	}
+	for _, q := range []Query{{Record: "patient-0"}, {Actor: "dr-1"}, {Record: "patient-4"}, {Actor: "dr-2", Record: "patient-2"}} {
+		got, err := re.Search(q)
+		if err != nil {
+			t.Fatalf("%+v over v6 and v7 events: %v", q, err)
+		}
+		var want []Event
+		for _, e := range events {
+			if q.matches(e) {
+				want = append(want, fromPostingList(e))
+			}
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: %d events, want %d (> 0) as the chain holds them", q, len(got), len(want))
+		}
+	}
+}
+
+// TestTagRespellingsFailTheirMAC: a format-aware insider without the key
+// cannot move an event between the tag layout and the whole-MAC one. A v7
+// event re-spelled as v6 with its tag zero-padded to 32 bytes fails, as does
+// a v6 event cut to v7 with its MAC's first 16 bytes kept: each layout's MAC
+// input has a domain of its own, so neither is the other's MAC. Each medium
+// is otherwise genuine, and opens as written.
+func TestTagRespellingsFailTheirMAC(t *testing.T) {
+	const at = 4
+	for _, tc := range []struct {
+		name    string
+		write   func(t *testing.T, l *Log, e Event)
+		respell func(e Event, nums [numSyms]int) []byte
+		ver     byte // the layout the re-spelled event claims
+	}{
+		{"v7 re-spelled as v6, tag zero-padded", func(t *testing.T, l *Log, e Event) {
+			t.Helper()
+			if _, err := l.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}, func(e Event, nums [numSyms]int) []byte {
+			e.MAC = append(bytes.Clone(e.MAC), make([]byte, macLenV6-len(e.MAC))...)
+			return encodeV6Event(e, nums)
+		}, codecV6},
+		{"v6 cut to v7, MAC truncated", func(t *testing.T, l *Log, e Event) { appendV6(t, l, e) },
+			func(e Event, nums [numSyms]int) []byte {
+				e.MAC = e.MAC[:vcrypto.TagSize]
+				return encodeEvent(e, nums)
+			}, codecVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := blockstore.NewMemory(0)
+			l, signer, key := newTestLog(t, store)
+			for i := 0; i < 8; i++ {
+				tc.write(t, l, Event{Actor: fmt.Sprintf("dr-%d", i%3), Action: ActionRead, Record: fmt.Sprintf("patient-%d", i%5), Outcome: OutcomeAllowed, Detail: "routine"})
+			}
+			_, events := storedEvents(t, store)
+			medium := func(respell bool) *blockstore.File {
+				m := blockstore.NewMemory(0)
+				for i, e := range events {
+					nums := numbersAt(events[:i], e)
+					p := encodeEvent(e, nums)
+					if len(e.MAC) != vcrypto.TagSize {
+						p = encodeV6Event(e, nums)
+					}
+					if respell && i == at {
+						if p = tc.respell(e, nums); p[0] != tc.ver {
+							t.Fatalf("re-spelled event is v%d, want v%d", p[0], tc.ver)
+						}
+					}
+					if _, err := m.Append(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return m
+			}
+			if _, err := Open(Config{Store: medium(false), MACKey: key, Signer: signer}); err != nil {
+				t.Fatalf("the medium as written: %v", err)
+			}
+			if _, err := Open(Config{Store: medium(true), MACKey: key, Signer: signer}); !errors.Is(err, ErrBadMAC) {
+				t.Errorf("Open = %v, want ErrBadMAC at event %d", err, at)
+			}
+		})
 	}
 }
 
@@ -1203,15 +1359,16 @@ func TestPlacesFindEverySegment(t *testing.T) {
 // stores an 8-byte link, 118 and 100 B. v5 in a 9-byte frame.Block frame
 // cost 94.1 and 76.1 B; a frame.Var frame takes 5 B of a sub-128-B event,
 // and v5 in one 90.1 and 72.1 B. v6, which stores no link and no MAC
-// length, costs 9 B less: 81.1 and 63.1 B.
+// length, cost 9 B less: 81.1 and 63.1 B. v7 stores a 16-B tag where v6
+// stored a 32-B MAC: 65.1 and 47.1 B.
 func TestStoredBytesPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		records int
 		budget  float64
 	}{
-		{"every record new", 3000, 82},
-		{"records drawn from 100", 100, 64},
+		{"every record new", 3000, 66},
+		{"records drawn from 100", 100, 48},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const events = 1000

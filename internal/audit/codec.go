@@ -2,17 +2,19 @@ package audit
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 
 	"medvault/internal/frame"
 	"medvault/internal/obs"
+	"medvault/internal/vcrypto"
 )
 
-// Persisted event layout, v6 (fixed ints big-endian):
+// Persisted event layout, v7 (fixed ints big-endian):
 //
-//	u8 6 | i64 unixNano | symbol actor | word action | symbol record |
+//	u8 7 | i64 unixNano | symbol actor | word action | symbol record |
 //	uvarint recVersion | word outcome | symbol detail | token trace |
-//	32B mac
+//	16B tag
 //
 // (frame.AppendSymbol, AppendWord, AppendToken). An event stores only what a
 // reader cannot recompute: its Seq is its place in the chain, which every
@@ -27,13 +29,17 @@ import (
 // The link is the first linkLen bytes of the predecessor's Hash, and no event
 // stores it: a reader walking the chain (chainReader) has just computed that
 // hash, and a posting-list read takes the link Log keeps resident per event.
-// The MAC covers macInput — seq, the decoded fields and the link — so an
+// The tag covers macInput — seq, the decoded fields and the link — so an
 // event read after any other predecessor than the one its writer chained it
-// to fails its MAC; eventHash and the signed checkpoints are byte-for-byte
-// the ones v2 to v5 wrote. The MAC is HMAC-SHA-256, always macLen bytes.
+// to fails its tag; eventHash and the signed checkpoints are byte-for-byte
+// the ones v2 to v6 wrote. The tag is HMAC-SHA-256 truncated to
+// vcrypto.TagSize bytes (vcrypto.KeyedMAC.Tag), the one MAC shape the
+// vault's new layouts store.
 //
 // Legacy layouts still decode, so a log begun by an older binary keeps
-// verifying and continues in v6:
+// verifying and continues in v7:
+//   - v6 is v7 with the whole 32-byte HMAC-SHA-256 in place of the tag, and
+//     its MAC input under a domain of its own.
 //   - v5 is v6 with the link stored before the MAC, which a uvarint length
 //     prefixes, and its MAC input under a domain of its own.
 //   - v4 is v5 with a 32-byte prevHash in place of the link, and its MAC
@@ -44,13 +50,14 @@ import (
 //     32B prevHash | 32B hash | str mac, str = u32 len || bytes) stored Seq
 //     and Hash, which must equal the ones the reader computes.
 const (
-	codecVersion = 6
+	codecVersion = 7
+	codecV6      = 6
 	codecV5      = 5
 	codecV4      = 4
 	codecV3      = 3
 	codecV2      = 2
 	linkLen      = 8
-	macLen       = 32
+	macLenV6     = sha256.Size // a v6 event's MAC: the whole HMAC-SHA-256
 )
 
 // actionWords and outcomeWords are the vocabularies of the v3 and later
@@ -82,11 +89,11 @@ func symbolValues(e Event) [numSyms]string {
 	return [numSyms]string{symActor: e.Actor, symRecord: e.Record, symDetail: e.Detail}
 }
 
-// encodeEvent writes e in the v6 layout. nums[f] is the number of e's value
+// encodeEvent writes e in the v7 layout. nums[f] is the number of e's value
 // in symbol table f, or -1 when the log's table does not hold it yet. e.MAC
-// is macLen bytes, as Append's are.
+// is a vcrypto.TagSize-byte tag, as Append's are.
 func encodeEvent(e Event, nums [numSyms]int) []byte {
-	b := make([]byte, 0, 64+len(e.Trace)+macLen)
+	b := make([]byte, 0, 64+len(e.Trace)+vcrypto.TagSize)
 	b = append(b, codecVersion)
 	b = frame.AppendTime(b, e.Timestamp)
 	b = frame.AppendSymbol(b, e.Actor, nums[symActor])
@@ -99,25 +106,25 @@ func encodeEvent(e Event, nums [numSyms]int) []byte {
 	return append(b, e.MAC...)
 }
 
-// macCheck reports whether mac is the audit key's MAC over msg
-// (vcrypto.KeyedMAC.Verify).
-type macCheck func(msg, mac []byte) bool
+// macCheck reports whether mac is the audit key's MAC over msg for an event
+// in layout ver: a v7 event's tag, a legacy event's whole HMAC (Log.checkMAC).
+type macCheck func(ver byte, msg, mac []byte) bool
 
 // decodeEvent reads the stored bytes of the seq-th event, resolving symbol
 // references through syms, and checks them against prev: the predecessor's
 // Hash from a reader walking the chain, or only its link, the first linkLen
 // bytes, from a posting-list read, which takes the link Log keeps resident.
 // The MAC is checked with check over what the layout MACs: macInput, link
-// included, for v6 and v5, the Hash for the older layouts, whose bytes hold
-// the whole PrevHash, which must begin with prev. So every event's own bytes
-// and its link give it: a forged event fails every read of it and no other,
-// and a genuine one spliced in after another predecessor fails at the
+// included, for v7, v6 and v5, the Hash for the older layouts, whose bytes
+// hold the whole PrevHash, which must begin with prev. So every event's own
+// bytes and its link give it: a forged event fails every read of it and no
+// other, and a genuine one spliced in after another predecessor fails at the
 // successor, whose MAC names the predecessor it was written after. A v5
-// event's stored link must also equal prev's. A reader walking the chain
-// gets the event back with PrevHash and Hash filled in; a posting-list read
-// gets both zero, since the rest of PrevHash takes every earlier event.
-// defined reports the symbol fields a v4 or later event wrote out; only a
-// reader holding the tables as of seq can tell whether that was their first
+// event's stored link must also equal prev's. A reader walking the chain gets
+// the event back with PrevHash and Hash filled in; a posting-list read gets
+// both zero, since the rest of PrevHash takes every earlier event. defined
+// reports the symbol fields a v4 or later event wrote out; only a reader
+// holding the tables as of seq can tell whether that was their first
 // occurrence (chainReader does).
 func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macCheck) (e Event, defined [numSyms]bool, err error) {
 	obs.CountWork(obs.WorkAuditDecode)
@@ -132,7 +139,7 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 	chained := len(prev) == len(e.PrevHash)
 	var msg []byte // what the MAC covers
 	switch ver {
-	case codecVersion, codecV5:
+	case codecVersion, codecV6, codecV5:
 		if ver == codecV5 && !bytes.Equal(e.PrevHash[:linkLen], prev[:linkLen]) {
 			return Event{}, defined, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
 		}
@@ -157,7 +164,7 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 	// content or place, or to the chain before it, surfaces here as a MAC
 	// over bytes the key holder never wrote — which also means the chain no
 	// longer commits to that event, and the error says both.
-	if !check(msg, e.MAC) {
+	if !check(ver, msg, e.MAC) {
 		return Event{}, defined, fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, seq, ErrChainBroken)
 	}
 	if !chained {
@@ -168,12 +175,12 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 
 // parseEvent reads any layout without checking it against a chain, and
 // reports which it was. A v2 event comes back with the Seq and Hash it
-// stored; a later one with both zero, a v6 one with PrevHash zero too, and a
-// v5 one with its link in PrevHash's first linkLen bytes.
+// stored; a later one with both zero, a v7 or v6 one with PrevHash zero too,
+// and a v5 one with its link in PrevHash's first linkLen bytes.
 func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver byte, err error) {
 	r := frame.NewReader(data)
 	switch ver = r.U8(); ver {
-	case codecVersion, codecV5, codecV4:
+	case codecVersion, codecV6, codecV5, codecV4:
 		e.Timestamp = r.Time()
 		e.Actor, defined[symActor] = r.Symbol(syms[symActor])
 		e.Action = Action(r.Word(actionWords))
@@ -184,7 +191,10 @@ func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver
 		e.Trace = r.Token()
 		switch ver {
 		case codecVersion:
-			e.MAC = make([]byte, macLen)
+			e.MAC = make([]byte, vcrypto.TagSize)
+			r.Fixed(e.MAC)
+		case codecV6:
+			e.MAC = make([]byte, macLenV6)
 			r.Fixed(e.MAC)
 		case codecV5:
 			r.Fixed(e.PrevHash[:linkLen])

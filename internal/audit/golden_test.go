@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"medvault/internal/frame"
+	"medvault/internal/vcrypto"
 )
 
 func goldenHash(seed byte) (h [32]byte) {
@@ -15,9 +16,9 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// TestGoldenEvent pins the persisted v6 event layout, the legacy v5, v4, v3
-// and v2 layouts it still reads, and the byte strings the chain hashes, the
-// v6 and v5 MACs cover and checkpoints sign.
+// TestGoldenEvent pins the persisted v7 event layout, the legacy v6, v5, v4,
+// v3 and v2 layouts it still reads, and the byte strings the chain hashes,
+// the v7 tag and the v6 and v5 MACs cover and checkpoints sign.
 func TestGoldenEvent(t *testing.T) {
 	ev := Event{
 		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
@@ -34,12 +35,16 @@ func TestGoldenEvent(t *testing.T) {
 	// entry 1) and its detail (entry 0) but not its record, refers to the
 	// two and defines the third. Its hash is v3's. v5 stores 8 bytes of
 	// PrevHash where v4 stored 32, and v6 none, with a MAC of fixed length
-	// (v6's is 32 bytes, as every MAC a log writes). Each layout is read as
-	// the 3rd event of a chain whose 2nd event hashed to goldenHash(0x10),
-	// and each is the same event, Hash included.
+	// (v6's is 32 bytes); v7 is v6 with a vcrypto.TagSize-byte tag, as every
+	// event a log writes. Each layout is read as the 3rd event of a chain
+	// whose 2nd event hashed to goldenHash(0x10), and each is the same event,
+	// Hash included.
 	v6 := v3
 	mac := goldenHash(0xa0)
 	v6.MAC = mac[:]
+	v7 := v3
+	v7.MAC = mac[:vcrypto.TagSize]
+	nums := [numSyms]int{symActor: 1, symRecord: -1, symDetail: 0}
 	tables := symbols{symActor: {"dr-b", "dr-a"}, symRecord: {"p0-enc-0"}, symDetail: {"fix dose"}}
 	readAt3 := func(b []byte) (any, error) {
 		cr := newChainReader(noKey)
@@ -54,9 +59,17 @@ func TestGoldenEvent(t *testing.T) {
 	}
 	frame.CheckGolden(t,
 		frame.Golden{
-			Name:    "audit event v6",
+			Name:    "audit event v7",
+			Hex:     goldenEventV7,
+			Encode:  func() []byte { return encodeEvent(v7, nums) },
+			Decode:  readAt3,
+			Want:    v7,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "audit event v6 (read only)",
 			Hex:     goldenEventV6,
-			Encode:  func() []byte { return encodeEvent(v6, [numSyms]int{symActor: 1, symRecord: -1, symDetail: 0}) },
+			Encode:  func() []byte { return encodeV6Event(v6, nums) },
 			Decode:  readAt3,
 			Want:    v6,
 			Corrupt: ErrCorrupt,
@@ -99,11 +112,18 @@ func TestGoldenEvent(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
+			Name: "audit event v7 tag input",
+			Hex: "6d65647661756c742f61756469742d6576656e742d6d61632f76370000000000000000031083bab1fa12cd150000" +
+				"000464722d6100000007636f72726563740000000870312d656e632d3000000007616c6c6f7765640000000866697820" +
+				"646f73650000000774726163652d3100000000000000021011121314151617",
+			Encode: func() []byte { return macInput(ev, codecVersion) },
+		},
+		frame.Golden{
 			Name: "audit event v6 MAC input",
 			Hex: "6d65647661756c742f61756469742d6576656e742d6d61632f76360000000000000000031083bab1fa12cd150000" +
 				"000464722d6100000007636f72726563740000000870312d656e632d3000000007616c6c6f7765640000000866697820" +
 				"646f73650000000774726163652d3100000000000000021011121314151617",
-			Encode: func() []byte { return macInput(ev, codecVersion) },
+			Encode: func() []byte { return macInput(ev, codecV6) },
 		},
 		frame.Golden{
 			Name: "audit event v5 MAC input",
@@ -126,8 +146,11 @@ func TestGoldenEvent(t *testing.T) {
 	)
 }
 
-// goldenEventV6 is TestGoldenEvent's v6 event, which FuzzDecodeEvent also
-// seeds.
+// goldenEventV7 and goldenEventV6 are TestGoldenEvent's v7 and v6 events,
+// which FuzzDecodeEvent also seeds.
+const goldenEventV7 = "071083bab1fa12cd150303011070312d656e632d30020102110123456789abcdefa0a1a2a3a4a5a6a7" +
+	"a8a9aaabacadaeaf"
+
 const goldenEventV6 = "061083bab1fa12cd150303011070312d656e632d30020102110123456789abcdefa0a1a2a3a4a5a6a7" +
 	"a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf"
 
@@ -138,7 +161,7 @@ func BenchmarkAblationCodecAuditEvent(b *testing.B) {
 	ev := Event{
 		Seq: 3, Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "dr-a",
 		Action: ActionCorrect, Record: "p1-enc-0", Version: 2, Outcome: OutcomeAllowed,
-		Detail: "fix dose", Trace: "0123456789abcdef", MAC: make([]byte, macLen),
+		Detail: "fix dose", Trace: "0123456789abcdef", MAC: make([]byte, vcrypto.TagSize),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -631,13 +631,18 @@ func (c *Cluster) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedC
 // VerifyCtx is VerifyAll on a requester's behalf: actor must hold audit
 // permission, which every shard checks and audits, in shard order, before
 // any shard's exclusive sweep starts — so a caller who may not verify never
-// drains the vault.
+// drains the vault. A refused request runs no sweep, so each shard's
+// verify_all completes with the refusal here.
 func (c *Cluster) VerifyCtx(ctx context.Context, actor string) (Report, error) {
 	if err := firstErr(c.gather(func(_ int, v *Vault) error {
 		return v.admitted(func() error {
 			return v.authorize(ctx, actor, authz.ActAudit, audit.ActionVerify, "", 0, "")
 		})
 	})); err != nil {
+		for _, v := range c.shards {
+			_, done, _ := v.begin(ctx, "verify_all", "")
+			done(&err)
+		}
 		return Report{}, err
 	}
 	return c.VerifyAll(nil, nil)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,15 +45,34 @@ func countSpans(spans []*obs.Span, name string) int {
 	return n
 }
 
+// notOperations are core.API's methods that are not operations: no envelope
+// runs them, so they leave no completion event. Each says why.
+var notOperations = map[string]string{
+	"Name":           "the vault's configured name",
+	"PublicKey":      "the signing identity, fixed at Open",
+	"Sign":           "a purpose-bound signature over the caller's bytes; reads no record",
+	"Health":         "the liveness report, which must answer on a closed or wedged vault",
+	"Close":          "shuts the envelope's gate rather than passing through it",
+	"Len":            "a count of live records",
+	"StorageBytes":   "the ciphertext bytes on the medium",
+	"Heads":          "each shard's latest signed tree head, already signed",
+	"Authz":          "the authorizer, for principal and role setup",
+	"Retention":      "the retention manager, for schedules and holds setup",
+	"VersionCount":   "a record's version count, unaudited, for harnesses",
+	"RecordIDs":      "the live record IDs, unaudited, for harnesses",
+	"ExpiredRecords": "the retention manager's disposition work list",
+}
+
 // TestEveryOperationEmitsOneCompletionEvent runs every operation of core.API
-// on an open vault and again on a closed one, at one shard and at four. Each
-// call must leave exactly one flight event of its kind whose outcome is
-// Outcome(err), one medvault_core_ops_total increment, nothing in flight
-// afterwards, and — on a traced context — one core.<op> span. On four shards
-// an operation that asks every shard for its part (search, listings, audit
-// queries, verify, sanitize) completes once per shard, each part with the
-// request's outcome; a routed record operation, a break-glass grant and an
-// accounting of disclosures complete once.
+// on an open vault and again on a closed one, at one shard and at four: each
+// method of the interface is a case, named by its first word, or one of
+// notOperations, never both. Each call must leave exactly one flight event of
+// its kind whose outcome is Outcome(err), one medvault_core_ops_total
+// increment, nothing in flight afterwards, and — on a traced context — one
+// core.<op> span. On four shards an operation that asks every shard for its
+// part (search, listings, audit queries, verify, sanitize) completes once per
+// shard, each part with the request's outcome; a routed record operation, a
+// break-glass grant and an accounting of disclosures complete once.
 func TestEveryOperationEmitsOneCompletionEvent(t *testing.T) {
 	rec := clinicalRecord(t, 1)
 	fresh := clinicalRecord(t, 2)
@@ -154,6 +175,16 @@ func TestEveryOperationEmitsOneCompletionEvent(t *testing.T) {
 			_, err := v.ProveVersionCtx(ctx, "dr-house", rec.ID, 1)
 			return err
 		}},
+		{name: "ProveVersionSinceCtx", op: "prove_version", want: "ok",
+			prep: func(v *Cluster, _ *clock.Virtual) {
+				if _, err := v.CorrectCtx(bg, "dr-house", corrected); err != nil {
+					t.Fatal(err)
+				}
+			},
+			run: func(ctx context.Context, v *Cluster) error {
+				_, err := v.ProveVersionSinceCtx(ctx, "dr-house", rec.ID, 1, 1)
+				return err
+			}},
 		{name: "PatientRecordsCtx", op: "patient_records", want: "ok", perShard: true, run: func(ctx context.Context, v *Cluster) error {
 			_, err := v.PatientRecordsCtx(ctx, "dr-house", rec.MRN)
 			return err
@@ -186,10 +217,40 @@ func TestEveryOperationEmitsOneCompletionEvent(t *testing.T) {
 			_, err := v.VerifyAll(nil, nil)
 			return err
 		}},
+		{name: "VerifyCtx", op: "verify_all", want: "ok", untraced: true, perShard: true, run: func(ctx context.Context, v *Cluster) error {
+			_, err := v.VerifyCtx(ctx, "officer-kim")
+			return err
+		}},
+		{name: "VerifyCtx denied", op: "verify_all", want: "denied", untraced: true, perShard: true, run: func(ctx context.Context, v *Cluster) error {
+			_, err := v.VerifyCtx(ctx, "dr-house")
+			return err
+		}},
 		{name: "SanitizeMedia", op: "sanitize", want: "ok", untraced: true, perShard: true, run: func(_ context.Context, v *Cluster) error {
 			_, _, err := v.SanitizeMedia("arch-lee")
 			return err
 		}},
+	}
+
+	api, cluster := reflect.TypeOf((*API)(nil)).Elem(), reflect.TypeOf((*Cluster)(nil))
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		method := strings.Fields(tc.name)[0]
+		if _, ok := cluster.MethodByName(method); !ok {
+			t.Errorf("case %q names no method of *Cluster", tc.name)
+		}
+		covered[method] = true
+	}
+	for i := 0; i < api.NumMethod(); i++ {
+		method := api.Method(i).Name
+		_, notOp := notOperations[method]
+		if covered[method] == notOp {
+			t.Errorf("core.API.%s: a case %v, a listed non-operation %v; want exactly one", method, covered[method], notOp)
+		}
+	}
+	for method := range notOperations {
+		if _, ok := api.MethodByName(method); !ok {
+			t.Errorf("non-operation %s is not a method of core.API", method)
+		}
 	}
 
 	for _, shards := range []int{1, 4} {

@@ -60,10 +60,11 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 }
 
 // TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
-// fixed script's meta.wal and audit/ bytes before Close, here and as four
-// older binaries wrote them. The parent wrote each audit event in the v5
-// layout, whose 8-byte link and 1-byte MAC length v6 leaves out: 9 B per
-// event. The binary before it logged each create with its record's
+// fixed script's meta.wal and audit/ bytes before Close, here and as five
+// older binaries wrote them. The parent wrote each audit event in the v6
+// layout, whose 32-B MAC v7 stores as a 16-B tag: 16 B per event. The binary
+// before it wrote v5, whose 8-byte link and 1-byte MAC length v6 leaves out:
+// 9 B more per event. The binary before that logged each create with its record's
 // category, MRN and created time in the clear and a 60-B AES-GCM wrapped DEK
 // (parentEncode); the binary before that sealed each version as its MVR1
 // encoding; the one before that also framed WAL entries as frame.Seq frames
@@ -71,17 +72,19 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 // more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit event
 // under 128 B, 6 B up to 16 KiB). This run's entries, each create
 // re-encoded with clear identity, then each ciphertext as long as its
-// version's MVR1 encoding would seal to, and each audit event 9 B longer,
-// must add up to what those binaries measured. A create is exactly 40 B
+// version's MVR1 encoding would seal to, and each audit event 16 B and then
+// 9 B longer, must add up to what those binaries measured. A create is exactly 40 B
 // less than with clear identity: 20 B of it (the fixture's MRNs are 10
 // characters) and 20 B of wrap.
 func TestMediumBytesPerOp(t *testing.T) {
 	const (
-		seqWAL, seqAudit      = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals, v5 events
-		mvr1WAL               = 7018       // 219.3 B/op: frame.Var, MVR1 seals
-		clearWAL, parentAudit = 6036, 2504 // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
-		wantWAL, wantAudit    = 5556, 2207 // 173.6 and 69.0 B/op
-		perCreate, perEvent   = 40, 9      // perEvent: a v5 event's link and MAC length
+		seqWAL, seqAudit    = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals, v5 events
+		mvr1WAL             = 7018       // 219.3 B/op: frame.Var, MVR1 seals
+		clearWAL, v5Audit   = 6036, 2504 // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
+		parentAudit         = 2207       // 69.0 B/op: v6 events
+		wantWAL, wantAudit  = 5556, 1679 // 173.6 and 52.5 B/op
+		perCreate, perEvent = 40, 9      // perEvent: a v5 event's link and MAC length
+		perTag              = 16         // a v6 event's whole MAC less a v7 tag
 	)
 	mem, v, ops := mediumScript(t)
 	versions := map[string][]ehr.Record{}
@@ -129,14 +132,16 @@ func TestMediumBytesPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, auditVar, auditV5, auditBlock := 0, 0, 0, 0
+	events, auditVar, auditV6, auditV5, auditBlock := 0, 0, 0, 0, 0
 	if err := v.Shard(0).auditStore.Scan(func(_ blockstore.Ref, p []byte) error {
-		if p[0] != 6 {
-			return fmt.Errorf("audit event %d is in layout v%d, want v6", events, p[0])
+		if p[0] != 7 {
+			return fmt.Errorf("audit event %d is in layout v%d, want v7", events, p[0])
 		}
 		events++
-		v5 := make([]byte, len(p)+perEvent)
+		v6 := make([]byte, len(p)+perTag)
+		v5 := make([]byte, len(v6)+perEvent)
 		auditVar += len(frame.Var.Append(nil, 0, p))
+		auditV6 += len(frame.Var.Append(nil, 0, v6))
 		auditV5 += len(frame.Var.Append(nil, 0, v5))
 		auditBlock += len(frame.Block.Append(nil, 0, v5))
 		return nil
@@ -149,20 +154,20 @@ func TestMediumBytesPerOp(t *testing.T) {
 	t.Logf("%d ops, %d meta.wal entries (%d creates), %d audit events", ops, entries, creates, events)
 	t.Logf("meta.wal: %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
 		len(walImage), per(len(walImage)), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
-	t.Logf("audit/:   %d B (%.1f B/op); in the parent's v5 layout %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
-		auditBytes, per(auditBytes), auditV5, per(auditV5), auditBlock, per(auditBlock))
+	t.Logf("audit/:   %d B (%.1f B/op); in the parent's v6 layout %d B (%.1f B/op), in v5 %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
+		auditBytes, per(auditBytes), auditV6, per(auditV6), auditV5, per(auditV5), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
 	}
-	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV5 != parentAudit || auditBlock != seqAudit {
-		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d and %d",
-			walClear, walMVR1, walSeq, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, parentAudit, seqAudit)
+	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV6 != parentAudit || auditV5 != v5Audit || auditBlock != seqAudit {
+		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v6, %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d, %d and %d",
+			walClear, walMVR1, walSeq, auditV6, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, parentAudit, v5Audit, seqAudit)
 	}
 	if walClear-len(walImage) != perCreate*creates {
 		t.Errorf("meta.wal is %d B less than with clear identity over %d creates, want %d B per create", walClear-len(walImage), creates, perCreate)
 	}
-	if auditV5-auditBytes != perEvent*events {
-		t.Errorf("audit/ is %d B less than in v5 over %d events, want %d B per event", auditV5-auditBytes, events, perEvent)
+	if auditV6-auditBytes != perTag*events || auditV5-auditV6 != perEvent*events {
+		t.Errorf("audit/ is %d B less than in v6 and %d B less than in v5 over %d events, want %d and %d B more per event", auditV6-auditBytes, auditV5-auditBytes, events, perTag, perTag+perEvent)
 	}
 	if len(walImage) != wantWAL || auditBytes != wantAudit {
 		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)

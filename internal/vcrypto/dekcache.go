@@ -26,6 +26,6 @@ var TestHookKeepDEKCacheOnShred atomic.Bool
 // after KeyStore.mu when both are held, never the other way around.
 func newDEKCache(capacity int) *lru.Cache[string, *Key] {
 	return lru.New[string](int64(capacity),
-		func(*Key) int64 { return 1 }, (*Key).Zero,
+		func(*Key) int64 { return 1 }, func(k *Key) { *k = Key{} },
 		lru.NewMetrics("dek", ""))
 }

@@ -64,14 +64,6 @@ func KeyFromBytes(b []byte) (Key, error) {
 	return k, nil
 }
 
-// Zero overwrites the key material in place. After Zero the key must not be
-// used again. This is best-effort hygiene; Go's GC may have copied the value.
-func (k *Key) Zero() {
-	for i := range k {
-		k[i] = 0
-	}
-}
-
 // Fingerprint returns a short hex identifier of the key, safe to log:
 // it is the first 8 bytes of SHA-256(key) and reveals nothing useful about
 // the key material.
@@ -131,6 +123,27 @@ func (m *KeyedMAC) Sum(dst, data []byte) []byte {
 func (m *KeyedMAC) Verify(data, sum []byte) bool {
 	var buf [sha256.Size]byte
 	return hmac.Equal(m.Sum(buf[:0], data), sum)
+}
+
+// TagSize is the byte length of a truncated tag: HMAC-SHA-256-128 (RFC
+// 4868), half the hash output, the floor RFC 2104 §5 sets. A keyless forger
+// succeeds with probability 2^-128 per attempt.
+const TagSize = 16
+
+// Tag appends the first TagSize bytes of HMAC-SHA-256(key, data) to dst and
+// returns the result: the MAC a record stores when every byte of it is paid
+// for on the medium.
+func (m *KeyedMAC) Tag(dst, data []byte) []byte {
+	n := len(dst) + TagSize
+	return m.Sum(dst, data)[:n:n] // one allocation; the cap hides the rest of the MAC
+}
+
+// VerifyTag reports whether tag is the Tag of data, in constant time. A tag
+// of any length but TagSize is refused, so neither a shorter prefix nor the
+// whole MAC passes for one.
+func (m *KeyedMAC) VerifyTag(data, tag []byte) bool {
+	var buf [sha256.Size]byte
+	return len(tag) == TagSize && hmac.Equal(m.Sum(buf[:0], data)[:TagSize], tag)
 }
 
 // Hash is the content hash used throughout MedVault (SHA-256).

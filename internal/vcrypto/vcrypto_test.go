@@ -175,6 +175,44 @@ func TestMACVerify(t *testing.T) {
 	}
 }
 
+// TestTagIsTheMACPrefix: a tag is the first TagSize bytes of the whole MAC,
+// appended to dst, and VerifyTag takes it and nothing else: a tag of another
+// message or key, a flipped bit, and every other length — among them the
+// empty tag, the tag less its last byte, the MAC's first 17 bytes and the
+// whole MAC, each a prefix of the MAC a prefix compare would pass.
+func TestTagIsTheMACPrefix(t *testing.T) {
+	k := testKey(t)
+	msg := []byte("audit event 42")
+	m := NewKeyedMAC(k)
+	sum := MAC(k, msg)
+	tag := m.Tag(nil, msg)
+	if !bytes.Equal(tag, sum[:TagSize]) || cap(tag) != TagSize {
+		t.Fatalf("Tag = %x (cap %d), want the MAC's first %d bytes %x and no more", tag, cap(tag), TagSize, sum[:TagSize])
+	}
+	if got := m.Tag([]byte("prefix"), msg); !bytes.Equal(got, append([]byte("prefix"), tag...)) {
+		t.Errorf("Tag does not append to dst: %x", got)
+	}
+	if !m.VerifyTag(msg, tag) {
+		t.Error("valid tag rejected")
+	}
+	if m.VerifyTag([]byte("audit event 43"), tag) {
+		t.Error("tag accepted for a different message")
+	}
+	if NewKeyedMAC(testKey(t)).VerifyTag(msg, tag) {
+		t.Error("tag accepted under another key")
+	}
+	flipped := bytes.Clone(tag)
+	flipped[TagSize-1] ^= 1
+	if m.VerifyTag(msg, flipped) {
+		t.Error("mutated tag accepted")
+	}
+	for _, n := range []int{0, 15, 17, 32} {
+		if m.VerifyTag(msg, sum[:n]) {
+			t.Errorf("a %d-byte prefix of the MAC accepted as a tag", n)
+		}
+	}
+}
+
 // TestKeyedMACEqualsMAC is for the race detector too: goroutines share one
 // KeyedMAC, and every pooled sum must equal the one-shot MAC of its input —
 // a state returned to the pool unreset would carry one caller's bytes into
@@ -255,14 +293,6 @@ func TestKeyFingerprintStable(t *testing.T) {
 	}
 	if len(k.Fingerprint()) != 16 {
 		t.Errorf("fingerprint length %d, want 16 hex chars", len(k.Fingerprint()))
-	}
-}
-
-func TestKeyZero(t *testing.T) {
-	k, _ := KeyFromBytes(bytes.Repeat([]byte{9}, 32))
-	k.Zero()
-	if k != (Key{}) {
-		t.Error("Zero left key material behind")
 	}
 }
 

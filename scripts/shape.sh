@@ -118,6 +118,17 @@ check "Compact event logs: in non-test internal/audit only macInput and chainSum
 check "Compact event logs: the stored audit encoder writes Actor, Record and Detail only through frame.AppendSymbol" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func encodeEvent\(/ {line=$0; gsub(/frame\.AppendSymbol\(b, e\.(Actor|Record|Detail),/, "", line); if (line ~ /e\.(Actor|Record|Detail)/) print FILENAME ":" FNR ": " $0}' internal/audit/codec.go)"
 
+# An audit event is MACed in one shape, the truncated tag internal/vcrypto
+# owns: the log tags through KeyedMAC.Tag and checks through VerifyTag, the
+# whole-MAC Verify survives only in checkMAC's arm for the decode-only
+# layouts, and no audit code truncates a sum or spells a MAC length of its
+# own ([32]byte is a hash, not a MAC length). Flight's 6-byte record token (internal/core/envelope.go) names a
+# record; it is not a MAC, and this rule does not look at it.
+tagdefs=$(grep -rnE '^[[:space:]]*(const[[:space:]]+|var[[:space:]]+)?TagSize\b[^=]*=[^=]' --include='*.go' --exclude-dir=bench .)
+check "One tag shape: non-test internal/audit calls no .Sum(, a KeyedMAC's .Verify( only in checkMAC, and writes no 16 or 32 on a line naming a MAC or tag; TagSize is defined once, in internal/vcrypto/keys.go" \
+	"$(awk '/^func /{fn=$0} {code=$0; sub(/\/\/.*/, "", code); gsub(/\[32\]byte/, "", code)} code ~ /\.Sum\(/ || (code ~ /[Mm]ac\.Verify\(/ && fn !~ /^func \(l \*Log\) checkMAC\(/) || (code ~ /[Mm][Aa][Cc]|[Tt]ag/ && code ~ /(^|[^0-9A-Za-z_.])(16|32)([^0-9A-Za-z_]|$)/) {print FILENAME ":" FNR ": " $0}' $audit
+	[ "$(grep -c . <<<"$tagdefs")" -eq 1 ] && grep -q '^\./internal/vcrypto/keys\.go:' <<<"$tagdefs" || printf 'TagSize definitions:\n%s\n' "${tagdefs:-none}")"
+
 # The metadata WAL's version entry stores only what replay cannot recompute:
 # lengths and numbers are uvarints, and a correction repeats nothing its
 # record's version 1 fixed. Its 'V' path in walEntry.encode and the compact
