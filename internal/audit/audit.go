@@ -23,9 +23,10 @@
 // keeps, per event, its offset in its segment, its link and a place, a
 // uvarint gap of a byte or two, in the ascending-seq posting lists of the
 // filters the API exposes (record, actor, denied); per segment, its first
-// event's seq; and, per distinct symbol value, its number. A query snapshots
-// the shortest list and the symbol tables under the log lock, releases it,
-// and reads, decodes and checks only the events that list names;
+// event's seq; and, per distinct symbol value, its entry in the field's
+// recno.Table, whose number is the value's symbol number and indexes its
+// posting list. A query snapshots the shortest list under the log lock,
+// releases it, and reads, decodes and checks only the events that list names;
 // verification streams the medium, rebuilding the tables from it, so what
 // it vouches for is the bytes on disk, not a copy of them.
 package audit
@@ -43,6 +44,7 @@ import (
 	"medvault/internal/blockstore"
 	"medvault/internal/frame"
 	"medvault/internal/obs"
+	"medvault/internal/recno"
 	"medvault/internal/vcrypto"
 )
 
@@ -164,12 +166,11 @@ type Log struct {
 	mac      *vcrypto.KeyedMAC
 	signer   *vcrypto.Signer
 	now      func() time.Time
-	places   places   // where each event lives, and its link
-	byRecord postings // Record != "" only
-	byActor  postings
-	denied   posting        // events with Outcome == OutcomeDenied
-	details  map[string]int // Detail symbol numbers; the keys are syms[symDetail]
-	syms     symbols        // the symbol tables, sharing the posting and detail keys
+	places   places    // where each event lives, and its link
+	syms     *symbols  // the log's own: it numbers values no shard registers
+	byRecord []posting // by record symbol number
+	byActor  []posting // by actor symbol number
+	denied   posting   // events with Outcome == OutcomeDenied
 	lastHash [32]byte
 	every    int // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
@@ -213,74 +214,58 @@ func (p places) ref(seq uint64) blockstore.Ref {
 	return blockstore.Ref{Segment: uint32(seg), Offset: uint64(p.slots[seq].offset)}
 }
 
-// postings maps a filter value to the posting list of the events carrying
-// it, and to the value's number in the field's symbol table. Lists are held
-// by pointer so that extending one never re-assigns the map entry:
-// assignment swaps in the caller's key string, and an actor name sliced from
-// a request's header block would pin the whole block.
-type postings map[string]*posting
-
 // posting is an ascending list of seqs, held as the uvarint gap from each
-// seq's predecessor (from 0 for the first): one or two bytes an event where
-// a []uint64 took eight. Appends only extend gaps, so a copy of the slice
-// taken under the log lock stays valid outside it.
+// seq's predecessor (from 0 for the first): one to three bytes an event
+// where a []uint64 took eight, so its length in bytes stands in for its
+// count. A list of one seq — most records' — holds it in end alone and
+// allocates no gaps. Appends only extend gaps, so a copy of the slice taken
+// under the log lock stays valid outside it.
 type posting struct {
-	gaps []byte
-	n    int    // seqs on the list
-	last uint64 // the last of them
-	sym  int    // the key's number in its symbol table (unused for "" and denied)
+	gaps []byte // empty until the list holds two seqs
+	end  uint64 // one past the last seq on the list; 0 when it holds none
 }
 
 // add appends seq, which follows every seq on the list.
 func (p *posting) add(seq uint64) {
-	p.gaps = binary.AppendUvarint(p.gaps, seq-p.last)
-	p.n++
-	p.last = seq
-}
-
-// nextSeq reads the seq that follows prev from the head of a list's gaps and
-// returns it with the gaps after it.
-func nextSeq(gaps []byte, prev uint64) (uint64, []byte) {
-	gap, n := binary.Uvarint(gaps)
-	return prev + gap, gaps[n:]
-}
-
-// add appends seq to key's list. A key seen for the first time is cloned
-// once and, unless empty, numbered as the next entry of table, which shares
-// the clone.
-func (p postings) add(key string, seq uint64, table *[]string) {
-	list := p[key]
-	if list == nil {
-		key = strings.Clone(key)
-		list = &posting{sym: define(table, key)}
-		p[key] = list
+	if p.end > 0 {
+		last := p.end - 1
+		if len(p.gaps) == 0 {
+			p.gaps = binary.AppendUvarint(p.gaps, last)
+		}
+		p.gaps = binary.AppendUvarint(p.gaps, seq-last)
 	}
-	list.add(seq)
+	p.end = seq + 1
 }
 
-// list is key's posting list: empty for a value no event carries.
-func (p postings) list(key string) posting {
-	if list := p[key]; list != nil {
-		return *list
+// each calls fn with every seq on the list, ascending, until fn fails.
+func (p posting) each(fn func(seq uint64) error) error {
+	if len(p.gaps) == 0 && p.end > 0 {
+		return fn(p.end - 1)
+	}
+	for gaps, seq := p.gaps, uint64(0); len(gaps) > 0; {
+		gap, n := binary.Uvarint(gaps)
+		seq, gaps = seq+gap, gaps[n:]
+		if err := fn(seq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addTo appends seq to the posting list of symbol number n in lists.
+func addTo(lists []posting, n uint32, seq uint64) []posting {
+	lists = recno.Grow(lists, n)
+	lists[n].add(seq)
+	return lists
+}
+
+// listOf is the posting list of value s in field f: empty for a value no
+// event carries.
+func (l *Log) listOf(lists []posting, f int, s string) posting {
+	if n, ok := l.syms[f].Find(s); ok {
+		return lists[n]
 	}
 	return posting{}
-}
-
-// number is key's symbol number, or -1 when no event carries it.
-func (p postings) number(key string) int {
-	if list := p[key]; list != nil {
-		return list.sym
-	}
-	return -1
-}
-
-// define numbers s as the next entry of table; "" is never numbered.
-func define(table *[]string, s string) int {
-	if s == "" {
-		return -1
-	}
-	*table = append(*table, s)
-	return len(*table) - 1
 }
 
 // Config configures a Log.
@@ -307,16 +292,14 @@ func Open(cfg Config) (*Log, error) {
 		now = time.Now
 	}
 	l := &Log{
-		store:    cfg.Store,
-		mac:      vcrypto.NewKeyedMAC(cfg.MACKey),
-		signer:   cfg.Signer,
-		now:      now,
-		every:    cfg.CheckpointInterval,
-		byRecord: postings{},
-		byActor:  postings{},
-		details:  map[string]int{},
+		store:  cfg.Store,
+		mac:    vcrypto.NewKeyedMAC(cfg.MACKey),
+		signer: cfg.Signer,
+		now:    now,
+		every:  cfg.CheckpointInterval,
+		syms:   newSymbols(),
 	}
-	err := l.scan(-1, l.index)
+	err := l.scan(-1, l.syms, l.index)
 	if err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
@@ -332,13 +315,12 @@ func (l *Log) index(ref blockstore.Ref, e Event) error {
 		return err
 	}
 	l.lastHash = e.Hash
+	nums := l.syms.define(e)
 	if e.Record != "" {
-		l.byRecord.add(e.Record, e.Seq, &l.syms[symRecord])
+		l.byRecord = addTo(l.byRecord, nums[symRecord], e.Seq)
 	}
-	l.byActor.add(e.Actor, e.Seq, &l.syms[symActor])
-	if _, known := l.details[e.Detail]; !known && e.Detail != "" {
-		d := strings.Clone(e.Detail)
-		l.details[d] = define(&l.syms[symDetail], d)
+	if e.Actor != "" {
+		l.byActor = addTo(l.byActor, nums[symActor], e.Seq)
 	}
 	if e.Outcome == OutcomeDenied {
 		l.denied.add(e.Seq)
@@ -346,24 +328,14 @@ func (l *Log) index(ref blockstore.Ref, e Event) error {
 	return nil
 }
 
-// symbolNumbers is what encodeEvent needs of the resident tables: the number
-// of each of e's symbol values, -1 for one no event has carried.
-func (l *Log) symbolNumbers(e Event) [numSyms]int {
-	detail, known := l.details[e.Detail]
-	if !known {
-		detail = -1
-	}
-	return [numSyms]int{symActor: l.byActor.number(e.Actor), symRecord: l.byRecord.number(e.Record), symDetail: detail}
-}
-
 var errStopScan = errors.New("audit: stop scan")
 
 // scan streams the medium's first n events (all of them when n < 0) through
-// a chainReader, which checks their links and MACs, and hands each to fn. A
-// medium that holds fewer than n — the count the caller saw in the running
-// log — is a broken chain.
-func (l *Log) scan(n int, fn func(blockstore.Ref, Event) error) error {
-	cr := newChainReader(l.checkMAC)
+// a chainReader numbering symbols in syms, which checks their links and
+// MACs, and hands each to fn. A medium that holds fewer than n — the count
+// the caller saw in the running log — is a broken chain.
+func (l *Log) scan(n int, syms *symbols, fn func(blockstore.Ref, Event) error) error {
+	cr := newChainReader(l.checkMAC, syms)
 	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
 		if int(cr.seq) == n {
 			return errStopScan
@@ -422,7 +394,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	var msg []byte
 	e.Hash, msg = chainSums(e, codecVersion)
 	e.MAC = l.mac.Tag(nil, msg)
-	ref, err := l.store.Append(encodeEvent(e, l.symbolNumbers(e)))
+	ref, err := l.store.Append(encodeEvent(e, l.syms.numbers(e)))
 	if err == nil {
 		err = l.index(ref, e)
 	}
@@ -504,7 +476,7 @@ func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
 	want, head := len(l.places.slots), l.lastHash
 	l.mu.RUnlock()
 	var last [32]byte
-	err = l.scan(want, func(_ blockstore.Ref, e Event) error {
+	err = l.scan(want, newSymbols(), func(_ blockstore.Ref, e Event) error {
 		n++
 		last = e.Hash
 		if e.Seq+1 == at {
@@ -559,9 +531,9 @@ func (q Query) matches(e Event) bool {
 }
 
 // Search returns events matching q in chain order, as of the call. It reads
-// the medium outside the log lock: only the events on the shortest posting
-// list q selects, or — when q names no record, actor or outcome — a stream of
-// the whole chain. Every event returned has been checked (its seq, and its
+// the medium outside the log lock: only the events on the posting list of
+// fewest bytes q selects, or — when q names no record, actor or outcome — a
+// stream of the whole chain. Every event returned has been checked (its seq, and its
 // MAC over its link); a read, decode or check failure fails the query
 // rather than shortening its answer. An event read from a posting list is
 // checked from its own bytes and the link the log keeps resident, and comes
@@ -570,19 +542,19 @@ func (q Query) matches(e Event) bool {
 // reads every earlier event, has both.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	pl, syms := l.places, l.syms
+	pl := l.places
 	var shortest posting
 	indexed := false
 	narrow := func(list posting) {
-		if !indexed || list.n < shortest.n {
+		if !indexed || len(list.gaps) < len(shortest.gaps) {
 			shortest, indexed = list, true
 		}
 	}
 	if q.Record != "" {
-		narrow(l.byRecord.list(q.Record))
+		narrow(l.listOf(l.byRecord, symRecord, q.Record))
 	}
 	if q.Actor != "" {
-		narrow(l.byActor.list(q.Actor))
+		narrow(l.listOf(l.byActor, symActor, q.Actor))
 	}
 	if q.DeniedOnly {
 		narrow(l.denied)
@@ -591,7 +563,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 
 	var out []Event
 	if !indexed {
-		err := l.scan(len(pl.slots), func(_ blockstore.Ref, e Event) error {
+		err := l.scan(len(pl.slots), newSymbols(), func(_ blockstore.Ref, e Event) error {
 			if q.matches(e) {
 				out = append(out, e)
 			}
@@ -602,20 +574,23 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		}
 		return out, nil
 	}
-	for gaps, seq := shortest.gaps, uint64(0); len(gaps) > 0; {
-		seq, gaps = nextSeq(gaps, seq)
+	err := shortest.each(func(seq uint64) error {
 		data, err := l.store.Read(pl.ref(seq))
 		var e Event
 		if err == nil {
 			link := pl.slots[seq].link
-			e, _, err = decodeEvent(data, seq, &syms, link[:], l.checkMAC)
+			e, _, err = decodeEvent(data, seq, l.syms, link[:], l.checkMAC)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("audit: reading event %d: %w", seq, err)
+			return fmt.Errorf("audit: reading event %d: %w", seq, err)
 		}
 		if q.matches(e) {
 			out = append(out, e)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

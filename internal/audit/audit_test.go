@@ -16,6 +16,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"medvault/internal/blockstore"
 	"medvault/internal/frame"
@@ -69,6 +70,17 @@ func allEvents(t *testing.T, l *Log) []Event {
 	return events
 }
 
+// symbolsOf is symbol tables holding tables' values, numbered in order.
+func symbolsOf(tables [numSyms][]string) *symbols {
+	syms := newSymbols()
+	for f, table := range tables {
+		for _, s := range table {
+			syms[f].Intern(s)
+		}
+	}
+	return syms
+}
+
 // noKey is the MAC check of a reader that holds no audit key: it takes every
 // MAC as it stands.
 func noKey(byte, []byte, []byte) bool { return true }
@@ -79,7 +91,7 @@ func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Eve
 	t.Helper()
 	var refs []blockstore.Ref
 	var events []Event
-	cr := newChainReader(noKey)
+	cr := newChainReader(noKey, newSymbols())
 	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
 		e, err := cr.next(data)
 		refs, events = append(refs, ref), append(events, e)
@@ -379,7 +391,7 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 				t.Fatal(err)
 			}
 			link := l.places.slots[k].link
-			if e, _, err := decodeEvent(spliced, k, &l.syms, link[:], l.checkMAC); err != nil || e.Action != ActionRead {
+			if e, _, err := decodeEvent(spliced, k, l.syms, link[:], l.checkMAC); err != nil || e.Action != ActionRead {
 				t.Errorf("the spliced event read with its link: %v, %v; want it to pass its own MAC", e, err)
 			}
 			if n, err := l.Verify(); wrong(err) || n != k+1 {
@@ -759,21 +771,23 @@ func TestResidentBytesPerEvent(t *testing.T) {
 }
 
 // TestPostingGapsRoundTrip: a posting list gives back the seqs added to it,
-// seq 0 and gaps past a uvarint's first byte included, and its count and
-// last seq follow them.
+// seq 0 and gaps past a uvarint's first byte included, at every length from
+// none; a list of one seq allocates no gaps.
 func TestPostingGapsRoundTrip(t *testing.T) {
 	want := []uint64{0, 1, 2, 130, 131, 20_000, 1 << 40}
 	var p posting
-	for _, seq := range want {
-		p.add(seq)
-	}
-	var got []uint64
-	for gaps, seq := p.gaps, uint64(0); len(gaps) > 0; {
-		seq, gaps = nextSeq(gaps, seq)
-		got = append(got, seq)
-	}
-	if !reflect.DeepEqual(got, want) || p.n != len(want) || p.last != want[len(want)-1] {
-		t.Fatalf("list of %d (last %d) gives %v, want %v", p.n, p.last, got, want)
+	for n := 0; n <= len(want); n++ {
+		var got []uint64
+		p.each(func(seq uint64) error { got = append(got, seq); return nil })
+		if n > 0 && !reflect.DeepEqual(got, want[:n]) || n == 0 && got != nil {
+			t.Fatalf("list of %d gives %v, want %v", n, got, want[:n])
+		}
+		if n < len(want) {
+			p.add(want[n])
+		}
+		if n == 0 && p.gaps != nil {
+			t.Errorf("a list of one seq holds %d B of gaps", len(p.gaps))
+		}
 	}
 	if len(p.gaps) != 1+1+1+2+1+3+6 {
 		t.Errorf("%d gaps take %d B", len(want), len(p.gaps))
@@ -883,13 +897,13 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 			MAC:       mac[:],
 		}
 		b := encodeEvent(e, [numSyms]int{-1, -1, -1})
-		cr := newChainReader(noKey)
+		cr := newChainReader(noKey, newSymbols())
 		cr.seq, cr.prev = seq, prev
 		got, err := cr.next(b)
 		if err != nil {
 			return false
 		}
-		alone, _, err := decodeEvent(b, seq, &symbols{}, prev[:linkLen], noKey)
+		alone, _, err := decodeEvent(b, seq, newSymbols(), prev[:linkLen], noKey)
 		if err != nil {
 			return false
 		}
@@ -909,7 +923,7 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {0}, {0, 2}, {5}, {6}, {7}, {8}, append(encodeEvent(Event{MAC: make([]byte, vcrypto.TagSize)}, [numSyms]int{}), 0xFF)} {
-		if _, _, err := decodeEvent(b, 0, &symbols{}, make([]byte, linkLen), noKey); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := decodeEvent(b, 0, newSymbols(), make([]byte, linkLen), noKey); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage %v accepted: %v", b, err)
 		}
 	}
@@ -998,7 +1012,7 @@ func appendLegacy(t *testing.T, l *Log, e Event, ver byte, encode func(Event, [n
 	var msg []byte
 	e.Hash, msg = chainSums(e, ver)
 	e.MAC = l.mac.Sum(nil, msg)
-	ref, err := l.store.Append(encode(e, l.symbolNumbers(e)))
+	ref, err := l.store.Append(encode(e, l.syms.numbers(e)))
 	if err == nil {
 		err = l.index(ref, e)
 	}
@@ -1496,5 +1510,70 @@ func TestInjectedClock(t *testing.T) {
 	}
 	if !e.Timestamp.Equal(fixed) {
 		t.Errorf("timestamp = %v, want %v", e.Timestamp, fixed)
+	}
+}
+
+// heapInUse is the least heap in use over three readings, each after two
+// collections: another goroutine's live bytes can land in one reading, while
+// the structure under test is live in all three.
+func heapInUse() int64 {
+	least := int64(math.MaxInt64)
+	for range 3 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		least = min(least, int64(ms.HeapAlloc))
+	}
+	return least
+}
+
+// TestResidentBytesPerRecord budgets what the log keeps in RAM per record at
+// a vault's shape — 20,000 records of one or two events each, by a handful
+// of actors — where each record's symbol-table entry and posting list
+// outweigh its events' slots, which TestResidentBytesPerEvent budgets and
+// this figure leaves out. With posting lists in a map keyed by value, a
+// second map for details and symbol tables of strings it measured
+// 152.4 B/record; with a recno.Table per symbol field, posting lists in a
+// slice indexed by symbol number and a one-seq list held without gaps,
+// 103.4. The budget is 70 % of the old figure.
+func TestResidentBytesPerRecord(t *testing.T) {
+	const records, budget = 20_000, 106
+	store, err := blockstore.OpenFile(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	before := heapInUse()
+	l, _, _ := newTestLog(t, store)
+	for i := 0; i < records; i++ {
+		e := Event{
+			Actor:   fmt.Sprintf("dr-%d", i%4),
+			Action:  ActionCreate,
+			Record:  fmt.Sprintf("w%d-mrn-%06d-enc-%d", i%2, i/3, i%3),
+			Version: 1,
+			Outcome: OutcomeAllowed,
+			Detail:  "role physician permits create on clinical",
+			Trace:   fmt.Sprintf("%016x", i),
+		}
+		events := []Event{e}
+		if i%2 == 0 {
+			e.Action, e.Detail = ActionRead, "role physician permits read on clinical"
+			events = append(events, e)
+		}
+		for _, e := range events {
+			if _, err := l.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	grown := heapInUse() - before
+	slots := int64(cap(l.places.slots)) * int64(unsafe.Sizeof(slot{}))
+	runtime.KeepAlive(l)
+	per := float64(grown-slots) / records
+	t.Logf("resident: %.1f B/record over %d records and %d events (152.4 with map-keyed lists), besides %.1f B/record of event slots",
+		per, records, l.Len(), float64(slots)/records)
+	if per > budget {
+		t.Errorf("log keeps %.1f B/record resident, budget is %d", per, budget)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"medvault/internal/frame"
 	"medvault/internal/obs"
+	"medvault/internal/recno"
 	"medvault/internal/vcrypto"
 )
 
@@ -79,10 +80,36 @@ const (
 	numSyms
 )
 
-// symbols is a log's symbol tables: per field, its distinct non-empty values
-// by number, in order of first appearance. Tables only grow, so a copy taken
-// under the log lock stays valid while appends extend them.
-type symbols [numSyms][]string
+// symbols is a log's symbol tables: per field, a recno.Table of its distinct
+// non-empty values, numbered in order of first appearance, the order a
+// table numbers what it interns. A table is safe for concurrent use and only
+// grows, so a query reads it outside the log lock.
+type symbols [numSyms]*recno.Table
+
+func newSymbols() *symbols { return &symbols{recno.New(), recno.New(), recno.New()} }
+
+// numbers is what encodeEvent needs of the tables: the number of each of
+// e's symbol values, -1 for one no event has carried.
+func (t *symbols) numbers(e Event) (nums [numSyms]int) {
+	for f, s := range symbolValues(e) {
+		nums[f] = -1
+		if n, ok := t[f].Find(s); ok {
+			nums[f] = int(n)
+		}
+	}
+	return nums
+}
+
+// define numbers each of e's non-empty symbol values that the tables lack,
+// and returns every value's number (0 for an empty one).
+func (t *symbols) define(e Event) (nums [numSyms]uint32) {
+	for f, s := range symbolValues(e) {
+		if s != "" {
+			nums[f] = t[f].Intern(s)
+		}
+	}
+	return nums
+}
 
 // symbolValues is e's value for each symbol field.
 func symbolValues(e Event) [numSyms]string {
@@ -182,12 +209,12 @@ func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver
 	switch ver = r.U8(); ver {
 	case codecVersion, codecV6, codecV5, codecV4:
 		e.Timestamp = r.Time()
-		e.Actor, defined[symActor] = r.Symbol(syms[symActor])
+		e.Actor, defined[symActor] = r.Symbol(syms[symActor].IDs())
 		e.Action = Action(r.Word(actionWords))
-		e.Record, defined[symRecord] = r.Symbol(syms[symRecord])
+		e.Record, defined[symRecord] = r.Symbol(syms[symRecord].IDs())
 		e.Version = r.Uvarint()
 		e.Outcome = Outcome(r.Word(outcomeWords))
-		e.Detail, defined[symDetail] = r.Symbol(syms[symDetail])
+		e.Detail, defined[symDetail] = r.Symbol(syms[symDetail].IDs())
 		e.Trace = r.Token()
 		switch ver {
 		case codecVersion:
@@ -241,38 +268,26 @@ type chainReader struct {
 	check macCheck
 	seq   uint64
 	prev  [32]byte // Hash of event seq-1; zero before the first
-	syms  symbols
-	nums  [numSyms]map[string]int
+	syms  *symbols // empty, or (in Open) the log's, which index extends after next
 }
 
-func newChainReader(check macCheck) *chainReader {
-	c := &chainReader{check: check}
-	for f := range c.nums {
-		c.nums[f] = make(map[string]int)
-	}
-	return c
+func newChainReader(check macCheck, syms *symbols) *chainReader {
+	return &chainReader{check: check, syms: syms}
 }
 
 // next decodes and checks the next event and adds the values it carries to
 // the tables.
 func (c *chainReader) next(data []byte) (Event, error) {
-	e, defined, err := decodeEvent(data, c.seq, &c.syms, c.prev[:], c.check)
+	e, defined, err := decodeEvent(data, c.seq, c.syms, c.prev[:], c.check)
 	if err != nil {
 		return Event{}, err
 	}
 	for f, s := range symbolValues(e) {
-		if s == "" {
-			continue
+		if n, known := c.syms[f].Find(s); known && defined[f] {
+			return Event{}, fmt.Errorf("%w: seq %d writes out a value symbol %d already holds", ErrCorrupt, c.seq, n)
 		}
-		if _, known := c.nums[f][s]; known {
-			if defined[f] {
-				return Event{}, fmt.Errorf("%w: seq %d writes out a value symbol %d already holds", ErrCorrupt, c.seq, c.nums[f][s])
-			}
-			continue
-		}
-		c.nums[f][s] = len(c.syms[f])
-		c.syms[f] = append(c.syms[f], s)
 	}
+	c.syms.define(e)
 	c.seq++
 	c.prev = e.Hash
 	return e, nil

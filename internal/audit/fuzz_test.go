@@ -10,13 +10,16 @@ import (
 	"medvault/internal/vcrypto"
 )
 
-// fuzzSymbols is the fixed table FuzzDecodeEvent decodes v4 and later
-// events against.
-var fuzzSymbols = symbols{
-	symActor:  {"dr-a", "0a1b"},
-	symRecord: {"r1"},
-	symDetail: {"role physician permits read on \"clinical\""},
-}
+// fuzzTables are the fixed tables FuzzDecodeEvent decodes v4 and later
+// events against, and fuzzSymbols holds them.
+var (
+	fuzzTables = [numSyms][]string{
+		symActor:  {"dr-a", "0a1b"},
+		symRecord: {"r1"},
+		symDetail: {"role physician permits read on \"clinical\""},
+	}
+	fuzzSymbols = symbolsOf(fuzzTables)
+)
 
 // FuzzDecodeEvent hardens the audit-event decoder against arbitrary
 // persisted bytes: no panics, and successful decodes re-encode canonically —
@@ -50,7 +53,7 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, defined, ver, err := parseEvent(data, &fuzzSymbols)
+		e, defined, ver, err := parseEvent(data, fuzzSymbols)
 		if err != nil || ver == codecV2 {
 			return
 		}
@@ -62,7 +65,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		var nums [numSyms]int
 		for f, s := range symbolValues(e) {
-			nums[f] = slices.Index(fuzzSymbols[f], s)
+			nums[f] = slices.Index(fuzzTables[f], s)
 			if defined[f] && nums[f] >= 0 {
 				return // a known value written out
 			}

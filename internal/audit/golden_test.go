@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -45,16 +44,10 @@ func TestGoldenEvent(t *testing.T) {
 	v7 := v3
 	v7.MAC = mac[:vcrypto.TagSize]
 	nums := [numSyms]int{symActor: 1, symRecord: -1, symDetail: 0}
-	tables := symbols{symActor: {"dr-b", "dr-a"}, symRecord: {"p0-enc-0"}, symDetail: {"fix dose"}}
+	tables := [numSyms][]string{symActor: {"dr-b", "dr-a"}, symRecord: {"p0-enc-0"}, symDetail: {"fix dose"}}
 	readAt3 := func(b []byte) (any, error) {
-		cr := newChainReader(noKey)
+		cr := newChainReader(noKey, symbolsOf(tables))
 		cr.seq, cr.prev = 3, goldenHash(0x10)
-		for f, table := range tables {
-			cr.syms[f] = slices.Clone(table)
-			for n, s := range table {
-				cr.nums[f][s] = n
-			}
-		}
 		return cr.next(b)
 	}
 	frame.CheckGolden(t,
@@ -105,7 +98,7 @@ func TestGoldenEvent(t *testing.T) {
 				"15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f404142434445464748494a4b4c4d4e4f5051525354" +
 				"55565758595a5b5c5d5e5f00000004a1a2a3a4",
 			Decode: func(b []byte) (any, error) {
-				e, _, _, err := parseEvent(b, &symbols{})
+				e, _, _, err := parseEvent(b, newSymbols())
 				return e, err
 			},
 			Want:    ev,

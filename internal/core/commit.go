@@ -129,7 +129,7 @@ func (v *Vault) apply(ctx context.Context, e *walEntry, rec *ehr.Record) error {
 		}
 		if create {
 			if err := v.register(e.id, &recordState{
-				mrn: rec.MRN, created: rec.CreatedAt.UnixNano(), first: v.compact(e.ver),
+				mrn: v.names.Intern(rec.MRN), created: rec.CreatedAt.UnixNano(), first: v.compact(e.ver),
 				category: v.names.Intern(string(rec.Category)),
 			}); err != nil {
 				return err

@@ -139,11 +139,15 @@ func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []s
 // included. The MRN is immutable after creation, so the registry lock alone
 // suffices.
 func (v *Vault) recordsOf(mrn string) []string {
+	num, ok := v.names.Find(mrn)
+	if !ok {
+		return nil
+	}
 	v.regMu.RLock()
 	defer v.regMu.RUnlock()
 	var ids []string
 	for n, st := range v.records {
-		if st != nil && st.mrn == mrn {
+		if st != nil && st.mrn == num {
 			ids = append(ids, v.recs.ID(uint32(n)))
 		}
 	}

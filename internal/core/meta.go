@@ -396,7 +396,7 @@ func (v *Vault) writeSnapshotLocked() error {
 	}
 	for _, r := range v.registry() {
 		st := r.st
-		rec := snapRecord{id: r.id, category: v.category(st), mrn: st.mrn, created: time.Unix(0, st.created), versions: v.versions(st)}
+		rec := snapRecord{id: r.id, category: v.category(st), mrn: v.names.ID(st.mrn), created: time.Unix(0, st.created), versions: v.versions(st)}
 		if st.shredded.Load() {
 			rec.flags |= snapShredded
 		}
@@ -441,7 +441,7 @@ func (v *Vault) loadSnapshot(master vcrypto.Key, path string) error {
 	}
 	for _, rec := range s.records {
 		st := &recordState{
-			mrn:       rec.mrn,
+			mrn:       v.names.Intern(rec.mrn),
 			created:   rec.created.UnixNano(),
 			first:     v.compact(rec.versions[0]),
 			category:  v.names.Intern(string(rec.category)),

@@ -272,7 +272,7 @@ func (v *Vault) sealedRecord(id string, st *recordState, number uint64, pt []byt
 	} else if rec, err = ehr.Decode(pt); err == nil && rec.ID != id {
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed record names %q", ErrTampered, id, number, rec.ID)
 	}
-	if err == nil && st != nil && (rec.MRN != st.mrn || rec.Category != v.category(st)) {
+	if err == nil && st != nil && (rec.MRN != v.names.ID(st.mrn) || rec.Category != v.category(st)) {
 		// Neither MRN goes into the error: it reaches the caller and logs.
 		return ehr.Record{}, fmt.Errorf("%w: %s v%d: sealed identity is not the registry's", ErrTampered, id, number)
 	}
@@ -371,7 +371,7 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if rec.Category != category {
 		return Version{}, fmt.Errorf("%w: category %q -> %q", ErrIdentityChanged, category, rec.Category)
 	}
-	if rec.MRN != st.mrn {
+	if rec.MRN != v.names.ID(st.mrn) {
 		// Neither MRN goes into the error: it reaches the caller and logs.
 		return Version{}, fmt.Errorf("%w: MRN differs from version 1's", ErrIdentityChanged)
 	}

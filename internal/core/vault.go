@@ -98,18 +98,18 @@ type Version struct {
 
 // recordState is the in-memory metadata for one record: one allocation, with
 // its first version inline. Strings the registry would repeat per record —
-// the category and each version's author — are numbers in the shard's names
-// table, and times are Unix nanoseconds (the range the WAL and snapshot
-// persist). Field protection: category, mrn, created and first are immutable
-// after the state is published in the registry; more is guarded by the
-// record's lock stripe; shredded is atomic so registry scans (Search, Len,
-// PatientRecords) can read it without taking the stripe; sanitized and
-// version refs only change under the exclusive gate.
+// the patient's MRN, the category and each version's author — are numbers
+// in the shard's names table, and times are Unix nanoseconds (the range the
+// WAL and snapshot persist). Field protection: category, mrn, created and
+// first are immutable after the state is published in the registry; more is
+// guarded by the record's lock stripe; shredded is atomic so registry scans
+// (Search, Len, PatientRecords) can read it without taking the stripe;
+// sanitized and version refs only change under the exclusive gate.
 type recordState struct {
-	mrn       string     // patient identifier, for accounting of disclosures
 	created   int64      // record's own creation date; starts retention
 	more      []verState // versions 2, 3, …
 	first     verState   // version 1
+	mrn       uint32     // names number of the patient's MRN, for accounting of disclosures
 	category  uint32     // names number
 	shredded  atomic.Bool
 	sanitized bool // shredded AND ciphertext removed from media
@@ -274,7 +274,7 @@ type Vault struct {
 
 	// recs numbers the shard's records once for the registry, the key store,
 	// the custody tracker and the index, whose per-record state is a slice
-	// indexed by that number. names numbers categories and authors.
+	// indexed by that number. names numbers MRNs, categories and authors.
 	recs     *recno.Table
 	names    *recno.Table
 	records  []*recordState // record number -> state; nil: no record holds it

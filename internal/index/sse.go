@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,13 +38,17 @@ var (
 // not an asymptotic penalty (experiment E4 measures it).
 //
 // In memory, terms and documents are numbered: a (document, keyword) pair
-// costs one uint32 in the term's posting list and one in the document's term
-// list. A document is numbered after every live one when it is added (a
+// costs a uvarint gap in the term's posting list (postings.go) and a uvarint
+// term number, a byte while the vocabulary is under 128 terms, in the
+// document's term list. Every term list sits in one byte arena, in Tokenize
+// order (the order the snapshot's docs table keeps), and a document is a
+// fixed-size entry naming its bytes. A document is numbered after every live one when it is added (a
 // correction renumbers it), so appending keeps each posting list ascending;
-// removal leaves a dead slot that compact reclaims once a fifth of the slots
-// are dead, so resident size follows the live documents, not their history.
-// A document's ID is held once, as its record number in a recno.Table the
-// index may share with the shard's other per-record tables.
+// removal leaves a dead slot, and dead arena bytes, that compact reclaims
+// once a fifth of the slots are dead, so resident size follows the live
+// documents, not their history. A document's ID is held once, as its record
+// number in a recno.Table the index may share with the shard's other
+// per-record tables.
 type SSE struct {
 	mu       sync.RWMutex
 	tokens   *vcrypto.KeyedMAC // keyword -> token, under the token key
@@ -53,17 +58,29 @@ type SSE struct {
 	recs     *recno.Table      // record numbers; lock order: mu → recs
 	docOf    []uint32          // record number -> doc number + 1; 0 when not indexed
 	docs     []doc             // doc number -> document; dead once removed
+	arena    []byte            // every document's term list
 	live     int               // live documents
 }
 
 type term struct {
-	tok  string   // the raw 32-byte HMAC token, held only here
-	docs []uint32 // ascending doc numbers
+	tok   string // the raw 32-byte HMAC token, held only here
+	posts postings
 }
 
+// doc is a document: its term numbers, uvarints in Tokenize order, are
+// arena[off:off+size].
 type doc struct {
-	terms []uint32 // term numbers, in Tokenize order
-	rec   uint32   // the document's record number
+	off, size uint32
+	rec       uint32 // the document's record number
+}
+
+// eachTerm calls fn with each of dc's term numbers, in Tokenize order.
+func (s *SSE) eachTerm(dc doc, fn func(t uint32)) {
+	for list := s.arena[dc.off : dc.off+dc.size]; len(list) > 0; {
+		t, n := binary.Uvarint(list)
+		fn(uint32(t))
+		list = list[n:]
+	}
 }
 
 // token is a keyword's raw HMAC-SHA-256 search token.
@@ -140,7 +157,10 @@ func (s *SSE) Add(id, text string) {
 // never does.
 func (s *SSE) addLocked(rec uint32, toks []token) bool {
 	d := uint32(len(s.docs))
-	nums := make([]uint32, len(toks))
+	if len(s.arena) > math.MaxUint32-len(toks)*binary.MaxVarintLen32 {
+		panic("index: term arena past the 4 GiB a doc offset holds")
+	}
+	off := len(s.arena)
 	for i := range toks {
 		t, ok := s.termNum[string(toks[i][:])]
 		if !ok {
@@ -149,35 +169,37 @@ func (s *SSE) addLocked(rec uint32, toks []token) bool {
 			s.termNum[tok] = t
 			s.terms = append(s.terms, term{tok: tok})
 		}
-		list := s.terms[t].docs
-		if len(list) > 0 && list[len(list)-1] == d {
+		p := &s.terms[t].posts
+		if p.n > 0 && p.last == d {
 			return false
 		}
-		s.terms[t].docs = append(list, d)
-		nums[i] = t
+		p.add(d)
+		s.arena = binary.AppendUvarint(reserve(s.arena, binary.MaxVarintLen32), uint64(t))
 	}
 	s.docOf = recno.Grow(s.docOf, rec)
 	s.docOf[rec] = d + 1
-	s.docs = append(s.docs, doc{terms: nums, rec: rec})
+	s.docs = append(s.docs, doc{off: uint32(off), size: uint32(len(s.arena) - off), rec: rec})
 	s.live++
 	return true
 }
 
 // lookup returns the posting list of a query token; nil when no live
 // document has it.
-func (s *SSE) lookup(tok token) []uint32 {
+func (s *SSE) lookup(tok token) *postings {
 	if t, ok := s.termNum[string(tok[:])]; ok {
-		return s.terms[t].docs
+		return &s.terms[t].posts
 	}
 	return nil
 }
 
-// idsLocked maps doc numbers to their IDs, sorted.
-func (s *SSE) idsLocked(nums []uint32) []string {
-	out := make([]string, len(nums))
-	for i, d := range nums {
-		out[i] = s.recs.ID(s.docs[d].rec)
+// idsLocked maps a posting list's doc numbers to their IDs, sorted; nil
+// maps to none.
+func (s *SSE) idsLocked(p *postings) []string {
+	if p == nil {
+		return []string{}
 	}
+	ids, out := s.recs.IDs(), make([]string, 0, p.n)
+	p.each(func(d uint32) { out = append(out, ids[s.docs[d].rec]) })
 	sort.Strings(out)
 	return out
 }
@@ -203,34 +225,39 @@ func (s *SSE) SearchAll(keywords ...string) []string {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lists := make([][]uint32, len(toks))
+	lists := make([]*postings, len(toks))
 	for i, tok := range toks {
 		if lists[i] = s.lookup(tok); lists[i] == nil {
 			return nil
 		}
 	}
-	hits := intersectSorted(lists)
+	hits := intersectPostings(lists)
 	if len(hits) == 0 {
 		return nil
 	}
-	return s.idsLocked(hits)
+	ids, out := s.recs.IDs(), make([]string, len(hits))
+	for i, d := range hits {
+		out[i] = ids[s.docs[d].rec]
+	}
+	sort.Strings(out)
+	return out
 }
 
-// intersectSorted returns the numbers on every ascending list, ascending.
+// intersectPostings returns the doc numbers on every list, ascending.
 // Starting from the shortest list bounds the work by the rarest keyword's
 // selectivity; each later list is searched from where the last hit was.
-func intersectSorted(lists [][]uint32) []uint32 {
+func intersectPostings(lists []*postings) []uint32 {
 	if len(lists) == 0 {
 		return nil
 	}
-	slices.SortFunc(lists, func(a, b []uint32) int { return len(a) - len(b) })
-	out := slices.Clone(lists[0])
+	slices.SortFunc(lists, func(a, b *postings) int { return int(a.n) - int(b.n) })
+	out := make([]uint32, 0, lists[0].n)
+	lists[0].each(func(d uint32) { out = append(out, d) })
 	for _, list := range lists[1:] {
+		sk := seeker{p: list, b: -1}
 		n := 0
 		for _, d := range out {
-			i, found := slices.BinarySearch(list, d)
-			list = list[i:]
-			if found {
+			if sk.has(d) {
 				out[n] = d
 				n++
 			}
@@ -261,14 +288,13 @@ func (s *SSE) removeLocked(rec uint32) {
 	if !ok {
 		return
 	}
-	for _, t := range s.docs[d].terms {
+	s.eachTerm(s.docs[d], func(t uint32) {
 		tm := &s.terms[t]
-		i, _ := slices.BinarySearch(tm.docs, d)
-		if tm.docs = slices.Delete(tm.docs, i, i+1); len(tm.docs) == 0 {
+		if tm.posts.remove(d); tm.posts.n == 0 {
 			delete(s.termNum, tm.tok)
 			*tm = term{}
 		}
-	}
+	})
 	s.docOf[rec] = 0
 	s.docs[d] = doc{}
 	s.live--
@@ -285,8 +311,9 @@ func (s *SSE) isLive(d int) bool {
 }
 
 // compactLocked renumbers the live terms and documents densely, keeping
-// their order (so posting lists stay ascending), into tables and maps sized
-// by what is live. Its O(postings) cost is paid once per live/5 removals.
+// their order (so posting lists stay ascending), into tables, maps and an
+// arena sized by what is live. Its O(postings) cost is paid once per live/5
+// removals.
 func (s *SSE) compactLocked() {
 	terms := s.terms
 	renum := make([]uint32, len(terms))
@@ -296,23 +323,40 @@ func (s *SSE) compactLocked() {
 		if tm.tok != "" {
 			renum[t] = uint32(len(s.terms))
 			s.termNum[tm.tok] = renum[t]
-			s.terms = append(s.terms, term{tok: tm.tok, docs: make([]uint32, 0, len(tm.docs))})
+			// Renumbering never widens a gap, so the old list's bytes, and
+			// the room add reserves, hold the new one.
+			gaps := make([]byte, 0, len(tm.posts.gaps)+binary.MaxVarintLen32)
+			s.terms = append(s.terms, term{tok: tm.tok, posts: postings{gaps: gaps}})
 		}
 	}
 	docs := make([]doc, 0, s.live)
+	arena := make([]byte, 0, s.liveBytesLocked())
 	for i, dc := range s.docs {
 		if !s.isLive(i) {
 			continue
 		}
 		d := uint32(len(docs))
-		for j, t := range dc.terms {
-			dc.terms[j] = renum[t]
-			s.terms[renum[t]].docs = append(s.terms[renum[t]].docs, d)
-		}
+		off := len(arena)
+		s.eachTerm(dc, func(t uint32) {
+			s.terms[renum[t]].posts.add(d)
+			arena = binary.AppendUvarint(arena, uint64(renum[t]))
+		})
 		s.docOf[dc.rec] = d + 1
-		docs = append(docs, dc)
+		docs = append(docs, doc{off: uint32(off), size: uint32(len(arena) - off), rec: dc.rec})
 	}
-	s.docs = docs
+	s.docs, s.arena = docs, arena
+}
+
+// liveBytesLocked is the arena bytes of the live documents' term lists,
+// which renumbering never lengthens.
+func (s *SSE) liveBytesLocked() int {
+	n := 0
+	for i, dc := range s.docs {
+		if s.isLive(i) {
+			n += int(dc.size)
+		}
+	}
+	return n
 }
 
 // Len implements Index.
@@ -353,7 +397,7 @@ func (s *SSE) Snapshot() ([]byte, error) {
 		}
 	}
 	docs := appendDocs(nil, sortedKeys(byID),
-		func(id string) []uint32 { return s.docs[byID[id]].terms },
+		func(id string) []uint32 { return s.termsLocked(s.docs[byID[id]]) },
 		func(t uint32) string { return tokenHex(s.terms[t].tok) })
 	sealedDocs, err := vcrypto.Seal(s.valueKey, docs, []byte("docs"))
 	if err != nil {
@@ -362,9 +406,16 @@ func (s *SSE) Snapshot() ([]byte, error) {
 	return frame.AppendBytes(b, sealedDocs), nil
 }
 
+// termsLocked is dc's term numbers, in Tokenize order.
+func (s *SSE) termsLocked(dc doc) []uint32 {
+	var out []uint32
+	s.eachTerm(dc, func(t uint32) { out = append(out, t) })
+	return out
+}
+
 // postingsLocked is the plaintext of term t's sealed postings blob.
 func (s *SSE) postingsLocked(t uint32) []byte {
-	ids := s.idsLocked(s.terms[t].docs)
+	ids := s.idsLocked(&s.terms[t].posts)
 	b := frame.AppendCount(nil, len(ids))
 	for _, id := range ids {
 		b = frame.AppendStr(b, id)

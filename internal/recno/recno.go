@@ -97,6 +97,14 @@ func (t *Table) ID(n uint32) string {
 	return t.ids[n]
 }
 
+// IDs returns every numbered ID, indexed by its number. Numbers are only
+// ever added, so the slice stays valid while later Interns extend the table.
+func (t *Table) IDs() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ids[:len(t.ids):len(t.ids)]
+}
+
 // Len returns how many IDs are numbered.
 func (t *Table) Len() int {
 	t.mu.RLock()

@@ -77,19 +77,23 @@ check "One way to a series: no trace sampling, tracer stripes, hand-rolled case 
 	"$(grep -nE 'SampleEvery|perStripe|containsFold|"medvault_trace_seconds"' $(find . -name '*.go' ! -name '*_test.go'))"
 
 # The SSE index holds each token once as raw bytes, and documents and terms
-# by number; 64-character hex is only the snapshot's spelling of a token.
+# by number; 64-character hex is only the snapshot's spelling of a token. A
+# document's term list is bytes in the index's arena, not a slice of its own.
 sse=internal/index/sse.go
-check "Compact SSE index: no hex-keyed posting sets or []string token lists, and hex only in tokenHex/parseTokenHex, in $sse" \
+check "Compact SSE index: no hex-keyed posting sets, []string token lists or []uint32 document term lists, and hex only in tokenHex/parseTokenHex, in $sse" \
 	"$(grep -HnE 'map\[string\]map\[string\]bool|\[\]string' $sse | grep -iE 'map\[string\]map|tok'
-	awk '/^func /{fn=$0} /hex\.[A-Z]/ && fn !~ /^func (tokenHex|parseTokenHex)\(/ {print FILENAME ":" FNR ": " $0}' $sse)"
+	awk '/^func /{fn=$0} /hex\.[A-Z]/ && fn !~ /^func (tokenHex|parseTokenHex)\(/ {print FILENAME ":" FNR ": " $0}' $sse
+	awk '/^type doc struct/ {in_doc=1} in_doc && /^}/ {in_doc=0} in_doc && /\[\]uint32/ {print FILENAME ":" FNR ": " $0}' $sse)"
 
 # A shard numbers each record once, in one recno.Table shared by its
 # per-record stores, which index slices by that number: none of them keys
 # per-record state by the ID string. The index's term table is keyed by
-# token, not record.
-check "One record table: no map[string] field in the key store, custody tracker, SSE index (but its term table) or core Vault" \
+# token, not record. The audit log numbers its symbol values the same way,
+# in recno.Tables of its own, and indexes its posting lists by that number.
+check "One record table: no map[string] field in the key store, custody tracker, SSE index (but its term table), core Vault or audit Log and chainReader, and no map[string] type in internal/audit" \
 	"$(grep -HnE '^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[string\]' internal/vcrypto/keystore.go internal/provenance/provenance.go internal/index/sse.go | grep -vE 'sse\.go:[0-9]+:[[:space:]]+termNum[[:space:]]'
-	awk '/^type Vault struct/ {in_vault=1} in_vault && /^}/ {in_vault=0} in_vault && /map\[string\]/ {print FILENAME ":" FNR ": " $0}' internal/core/vault.go)"
+	awk '/^type Vault struct/ {in_vault=1} in_vault && /^}/ {in_vault=0} in_vault && /map\[string\]/ {print FILENAME ":" FNR ": " $0}' internal/core/vault.go
+	awk '/^type (Log|chainReader) struct/ {in_t=1} in_t && /^}/ {in_t=0} (in_t || /^type [A-Za-z_]+ .*map\[string\]/) && /map\[string\]/ {print FILENAME ":" FNR ": " $0}' internal/audit/audit.go internal/audit/codec.go)"
 
 # A vault without Config.Dir is the file-backed vault on a fresh faultfs.Mem:
 # one block store, the WAL, snapshots and recovery on every vault.
