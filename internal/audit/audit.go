@@ -17,8 +17,11 @@
 //     emitted periodically and can be stored off-system; verification against
 //     any remembered checkpoint detects wholesale log replacement.
 //
-// Events live only in the append-only blockstore, and store only what a reader
-// cannot recompute (codec.go): an actor, record ID or detail the log already
+// Events live in the append-only blockstore, or, with a tail (Attach), until
+// the owner's checkpoint in the owner's log: a standalone event as an entry
+// of its own, and an event whose fields the owner's entry already holds
+// folded into that entry (codec.go). Either way an event stores only what a
+// reader cannot recompute: an actor, record ID or detail the log already
 // holds is stored as its number in that field's symbol table. In RAM the log
 // keeps, per event, its offset in its segment, its link and a place, a
 // uvarint gap of a byte or two, in the ascending-seq posting lists of the
@@ -136,6 +139,9 @@ var (
 	// ErrWedged indicates an earlier append failed: the log appends nothing
 	// more until it is reopened, so no event lands after the one it lost.
 	ErrWedged = errors.New("audit: an earlier append failed; reopen to append")
+
+	// errNoTail refuses a call only a log with a tail serves (Attach).
+	errNoTail = errors.New("audit: the log has no tail")
 )
 
 // Checkpoint is a signed commitment to the chain state after Seq events.
@@ -163,6 +169,7 @@ func (c Checkpoint) Verify(pub vcrypto.PublicKey) error {
 type Log struct {
 	mu       sync.RWMutex
 	store    blockstore.Store
+	tail     *Tail // nil: every event is appended to store
 	mac      *vcrypto.KeyedMAC
 	signer   *vcrypto.Signer
 	now      func() time.Time
@@ -172,44 +179,86 @@ type Log struct {
 	byActor  []posting // by actor symbol number
 	denied   posting   // events with Outcome == OutcomeDenied
 	lastHash [32]byte
-	every    int // checkpoint interval in events (0 = manual only)
+	// shown is how many events a reader may read: with a tail, those whose
+	// entries are written (sequenced ones may still be in flight), and
+	// shownHead is event shown-1's hash.
+	shown     uint64
+	shownHead [32]byte
+	// tailSyms is each symbol table's size when the tail began: Flush's
+	// count of the values tail events define.
+	tailSyms [numSyms]int
+	skip     uint64 // the seq Resume takes its next entry for; an overlap with the store when below len(places.slots)
+	resumed  bool   // Resume has placed the tail's first entry
+	every    int    // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
-	wedged   bool // an append failed since Open (see ErrWedged)
+	wedged   bool // an append or Flush failed since Open (see ErrWedged)
 }
+
+// pendingSegment is the Ref segment of a tail event: its offset is the place
+// of its entry in the owner's log (the convention of the vault's walSegment).
+const pendingSegment = math.MaxUint32
 
 // places is where a log's events live and what each links to: the only
 // per-event state besides the posting lists. Appends only extend its
-// slices, so a copy taken under the log lock stays valid outside it.
+// slices, so a copy taken under the log lock stays valid outside it; Flush,
+// which runs with no reader in flight, rewrites the tail's slots in place.
 type places struct {
-	slots []slot   // slots[seq] is event seq's
-	first []uint64 // first[s] is the seq of segment s's first event, or of the next event when s holds none
+	slots  []slot   // slots[seq] is event seq's
+	first  []uint64 // first[s] is the seq of segment s's first event, or of the next event when s holds none
+	stored uint64   // events in the store; the tail's follow them
+	// tail[seq-stored] is tail event seq's offset in the owner's log, at
+	// full width: that log is cut only at the owner's checkpoint, so it may
+	// outgrow the 4 GiB a slot's offset holds.
+	tail []uint64
 }
 
-// slot is one event's place in its segment and its link, the first linkLen
-// bytes of its predecessor's Hash, which a posting-list read hands
-// decodeEvent: 12 B where a blockstore.Ref alone took 16.
+// slot is one event's place in its segment (unused for a tail event) and its
+// link, the first linkLen bytes of its predecessor's Hash, which a
+// posting-list read hands decodeEvent: 12 B where a blockstore.Ref alone took
+// 16.
 type slot struct {
 	offset uint32
 	link   [linkLen]byte
 }
 
-// add records that event len(p.slots) lives at ref and links to prev.
-func (p *places) add(ref blockstore.Ref, prev [32]byte) error {
-	if ref.Offset > math.MaxUint32 {
-		return fmt.Errorf("audit: event %d is %d B into its segment, past the 4 GiB an offset holds", len(p.slots), ref.Offset)
+// fits reports a stored event whose offset in its segment a slot cannot
+// hold.
+func fits(ref blockstore.Ref) error {
+	if ref.Segment != pendingSegment && ref.Offset > math.MaxUint32 {
+		return fmt.Errorf("audit: an event is %d B into segment %d, past the 4 GiB a slot holds", ref.Offset, ref.Segment)
 	}
-	for uint64(len(p.first)) <= uint64(ref.Segment) {
-		p.first = append(p.first, uint64(len(p.slots)))
-	}
-	s := slot{offset: uint32(ref.Offset)}
-	copy(s.link[:], prev[:])
-	p.slots = append(p.slots, s)
 	return nil
 }
 
-// ref is where event seq lives: in the last segment whose first event is at
-// or before it.
+// add records that event len(p.slots) lives at ref, which fits, and links to
+// prev. A tail event (pendingSegment) follows every stored one.
+func (p *places) add(ref blockstore.Ref, prev [32]byte) {
+	var s slot
+	copy(s.link[:], prev[:])
+	p.slots = append(p.slots, s)
+	if ref.Segment == pendingSegment {
+		p.tail = append(p.tail, ref.Offset)
+		return
+	}
+	p.store(ref)
+}
+
+// store records that event p.stored, the first not in the store, lives there
+// at ref, which fits.
+func (p *places) store(ref blockstore.Ref) {
+	for uint64(len(p.first)) <= uint64(ref.Segment) {
+		p.first = append(p.first, p.stored)
+	}
+	p.slots[p.stored].offset = uint32(ref.Offset)
+	p.stored++
+}
+
+// ref is where event seq lives: in the tail, or in the last segment whose
+// first event is at or before it.
 func (p places) ref(seq uint64) blockstore.Ref {
+	if seq >= p.stored {
+		return blockstore.Ref{Segment: pendingSegment, Offset: p.tail[seq-p.stored]}
+	}
 	seg := sort.Search(len(p.first), func(s int) bool { return p.first[s] > seq }) - 1
 	return blockstore.Ref{Segment: uint32(seg), Offset: uint64(p.slots[seq].offset)}
 }
@@ -299,21 +348,38 @@ func Open(cfg Config) (*Log, error) {
 		every:  cfg.CheckpointInterval,
 		syms:   newSymbols(),
 	}
-	err := l.scan(-1, l.syms, l.index)
+	err := l.scan(-1, places{}, l.syms, l.index)
 	if err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
 }
 
-// index records where e lives, what it links to and which posting lists
-// name it, and numbers the symbol values it is the first to carry. The
-// caller holds l.mu exclusively (or, in Open, is the only holder of l), and
-// e is on the medium: a failed append defines nothing.
+// index is place for an event already on the medium, which a reader may
+// read from now on.
 func (l *Log) index(ref blockstore.Ref, e Event) error {
-	if err := l.places.add(ref, e.PrevHash); err != nil {
+	if err := fits(ref); err != nil {
 		return err
 	}
+	l.place(ref, e)
+	l.show(e.Seq+1, e.Hash)
+	return nil
+}
+
+// show lets readers read the first n events, which end in head.
+func (l *Log) show(n uint64, head [32]byte) {
+	if n > l.shown {
+		l.shown, l.shownHead = n, head
+	}
+}
+
+// place records where e lives (ref, which fits), what it links to and which
+// posting lists name it, and numbers the symbol values it is the first to
+// carry. The caller holds l.mu exclusively (or, in Open, is the only holder
+// of l), and e is on the medium or, with a tail, enqueued to it: a failed
+// append defines nothing.
+func (l *Log) place(ref blockstore.Ref, e Event) {
+	l.places.add(ref, e.PrevHash)
 	l.lastHash = e.Hash
 	nums := l.syms.define(e)
 	if e.Record != "" {
@@ -325,22 +391,22 @@ func (l *Log) index(ref blockstore.Ref, e Event) error {
 	if e.Outcome == OutcomeDenied {
 		l.denied.add(e.Seq)
 	}
-	return nil
 }
 
 var errStopScan = errors.New("audit: stop scan")
 
 // scan streams the medium's first n events (all of them when n < 0) through
 // a chainReader numbering symbols in syms, which checks their links and
-// MACs, and hands each to fn. A medium that holds fewer than n — the count
-// the caller saw in the running log — is a broken chain.
-func (l *Log) scan(n int, syms *symbols, fn func(blockstore.Ref, Event) error) error {
+// MACs, and hands each to fn: the store's, and then, up to n, the tail's in
+// pl. A medium that holds fewer than n — the count the caller saw in the
+// running log — is a broken chain.
+func (l *Log) scan(n int, pl places, syms *symbols, fn func(blockstore.Ref, Event) error) error {
 	cr := newChainReader(l.checkMAC, syms)
 	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
 		if int(cr.seq) == n {
 			return errStopScan
 		}
-		e, err := cr.next(data)
+		e, err := cr.next(nil, data)
 		if err != nil {
 			return err
 		}
@@ -349,8 +415,42 @@ func (l *Log) scan(n int, syms *symbols, fn func(blockstore.Ref, Event) error) e
 	if err != nil && !errors.Is(err, errStopScan) {
 		return err
 	}
+	if err == nil && int(cr.seq) < n && cr.seq == pl.stored {
+		err = l.scanTail(pl, n, func(ref blockstore.Ref, host *Event, data []byte) error {
+			e, err := cr.next(host, data)
+			if err == nil {
+				err = fn(ref, e)
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
 	if int(cr.seq) < n {
 		return fmt.Errorf("%w: medium holds %d events, log has %d", ErrChainBroken, cr.seq, n)
+	}
+	return nil
+}
+
+// scanTail reads the tail's events from the first to event n-1 in one pass
+// (Tail.Scan) and hands fn each with its place, which must be the one pl
+// holds.
+func (l *Log) scanTail(pl places, n int, fn func(ref blockstore.Ref, host *Event, data []byte) error) error {
+	seq := pl.stored
+	err := l.tail.Scan(int64(pl.ref(seq).Offset), func(off int64, host *Event, data []byte) error {
+		if int(seq) == n {
+			return errStopScan
+		}
+		ref := pl.ref(seq)
+		if off != int64(ref.Offset) {
+			return fmt.Errorf("%w: event %d is at %d in the tail, not %d", ErrChainBroken, seq, off, ref.Offset)
+		}
+		seq++
+		return fn(ref, host, data)
+	})
+	if err != nil && !errors.Is(err, errStopScan) {
+		return fmt.Errorf("%w: reading the tail: %w", ErrChainBroken, err)
 	}
 	return nil
 }
@@ -358,10 +458,10 @@ func (l *Log) scan(n int, syms *symbols, fn func(blockstore.Ref, Event) error) e
 // Append records an event and returns it with chain fields filled in.
 // Timestamp, Seq, PrevHash, Hash, and MAC are assigned by the log; caller
 // fields in those positions are ignored.
+// With a tail, the event is an entry of its own there, and Append returns
+// once that entry is written.
 func (l *Log) Append(e Event) (Event, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(e)
+	return l.AppendAll([]Event{e})
 }
 
 // AppendAll records the events consecutively under one lock acquisition:
@@ -371,6 +471,24 @@ func (l *Log) Append(e Event) (Event, error) {
 // concurrent operations can interleave. It returns the last event appended.
 func (l *Log) AppendAll(events []Event) (Event, error) {
 	l.mu.Lock()
+	if l.tail != nil {
+		var last Event
+		var err error
+		waits := make([]func() error, 0, 2) // a decision and its break-glass flag
+		for _, e := range events {
+			var wait func() error
+			if e, wait, err = l.enqueue(e, nil); err != nil {
+				break
+			}
+			waits = append(waits, wait)
+			last = e
+		}
+		l.mu.Unlock()
+		if err = l.await(waits, last, err); err != nil {
+			return Event{}, err
+		}
+		return last, nil
+	}
 	defer l.mu.Unlock()
 	var last Event
 	for _, e := range events {
@@ -388,13 +506,9 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	}
 	start := time.Now()
 	defer metAppendSeconds.ObserveSince(start)
-	e.Seq = uint64(len(l.places.slots))
-	e.Timestamp = l.now().UTC()
-	e.PrevHash = l.lastHash
-	var msg []byte
-	e.Hash, msg = chainSums(e, codecVersion)
-	e.MAC = l.mac.Tag(nil, msg)
-	ref, err := l.store.Append(encodeEvent(e, l.syms.numbers(e)))
+	e.Timestamp = l.now()
+	nums := l.seal(&e)
+	ref, err := l.store.Append(encodeEvent(e, nums))
 	if err == nil {
 		err = l.index(ref, e)
 	}
@@ -409,6 +523,284 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	return e, nil
 }
 
+// Tail is the owner's log a Log keeps its events in between the owner's
+// checkpoints (Attach). Each event is an entry there: a standalone one's
+// payload is its v7 encoding, whose layout byte tells the owner's entry kinds
+// apart, and a folded one rides in an entry of the owner's own whose fields
+// give the event's actor, record, time and action (AppendFolded).
+type Tail struct {
+	// Enqueue stages a standalone event's entry to be written, and returns
+	// its offset in the owner's log and the wait that returns once it is
+	// written.
+	Enqueue func(entry []byte) (off int64, wait func() error)
+	// Read returns the written entry at off: a standalone event's v7 bytes
+	// with host nil, or a folded event's host fields (Actor, Action, Record,
+	// Version, Outcome, Timestamp) and its fold.
+	Read func(off int64) (host *Event, data []byte, err error)
+	// Scan calls fn, in order, with every written entry that holds an
+	// event from the one at off on, as Read would return it, until fn
+	// fails; data is valid only during the call.
+	Scan func(off int64, fn func(off int64, host *Event, data []byte) error) error
+	// Wedged is the owner's log's wedge, which is the audit log's: once set,
+	// no event reaches the tail.
+	Wedged func() error
+}
+
+// Attach keeps the log's events after the ones its store holds in t, until
+// Flush copies them to the store. The owner attaches the log before it
+// replays its own log through Resume and before any append.
+func (l *Log) Attach(t Tail) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tail = &t
+	l.markTail()
+}
+
+// markTail starts the tail at the log's next event. The caller holds l.mu.
+func (l *Log) markTail() {
+	for f, t := range l.syms {
+		l.tailSyms[f] = t.Len()
+	}
+	l.skip = uint64(len(l.places.slots))
+	l.resumed = false
+}
+
+// enqueue sequences e as the chain's next event and stages it in the tail
+// under the log lock, so chain order is the tail's order: a standalone event
+// as an entry of its own (fold nil), stamped now, or, when fold is set, the
+// event stamped with its own time as the fold fold hands its host entry. The
+// entry's wait, which the caller must call exactly once, returns once it is
+// written; then await lets readers read the event. An error means nothing
+// was staged, and comes with no wait. The caller holds l.mu exclusively.
+func (l *Log) enqueue(e Event, fold func(fold []byte) (int64, func() error)) (Event, func() error, error) {
+	if l.tail == nil {
+		return Event{}, nil, errNoTail
+	}
+	if err := l.refuse(); err != nil {
+		return Event{}, nil, err
+	}
+	start := time.Now()
+	defer metAppendSeconds.ObserveSince(start)
+	if fold == nil {
+		e.Timestamp = l.now()
+	}
+	nums := l.seal(&e)
+	var off int64
+	var wait func() error
+	if fold == nil {
+		off, wait = l.tail.Enqueue(encodeEvent(e, nums))
+	} else {
+		off, wait = fold(appendFold(make([]byte, 0, 8+len(e.Trace)+len(e.MAC)), e, nums))
+	}
+	l.place(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, e)
+	eventsCounter(e.Outcome).Inc()
+	return e, wait, nil
+}
+
+// await calls the waits of the entries AppendAll staged, in order, and once
+// all are written lets readers read every event up to last, or returns the
+// first failure, err's if set.
+func (l *Log) await(waits []func() error, last Event, err error) error {
+	for _, wait := range waits {
+		if werr := wait(); err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.show(last.Seq+1, last.Hash)
+	l.mu.Unlock()
+	return nil
+}
+
+// seal makes e, stamped with its Timestamp, the chain's next event: its
+// seq, link, hash and tag. It returns the numbers encodeEvent needs. The
+// caller holds l.mu exclusively.
+func (l *Log) seal(e *Event) [numSyms]int {
+	e.Seq = uint64(len(l.places.slots))
+	e.Timestamp = e.Timestamp.UTC()
+	e.PrevHash = l.lastHash
+	var msg []byte
+	e.Hash, msg = chainSums(*e, codecVersion)
+	e.MAC = l.mac.Tag(nil, msg)
+	return l.syms.numbers(*e)
+}
+
+// refuse is the error an append meets: the log's own wedge, or its tail's.
+// The caller holds l.mu.
+func (l *Log) refuse() error {
+	if l.wedged {
+		return ErrWedged
+	}
+	if l.tail != nil {
+		return l.tail.Wedged()
+	}
+	return nil
+}
+
+// AppendFolded records e, stamped with its own Timestamp, as the chain's
+// next event inside the entry put stages in the tail: put gets the event's
+// fold — its detail, trace and tag (codec.go) — to end its entry with, and
+// returns the entry's offset and wait. The entry's other fields must give
+// e's Actor, Record, Action, Version, Outcome and Timestamp back (Tail.Read).
+// The wait AppendFolded returns must be called exactly once, in place of
+// put's: it waits for the entry to be written, and then lets readers read
+// the event. A log without a tail refuses, as does a wedged one, without
+// calling put.
+func (l *Log) AppendFolded(e Event, put func(fold []byte) (off int64, wait func() error)) func() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e, wait, err := l.enqueue(e, put)
+	if err != nil {
+		return func() error { return err }
+	}
+	seq, head := e.Seq, e.Hash
+	return func() error {
+		if err := wait(); err != nil {
+			return err
+		}
+		l.mu.Lock()
+		l.show(seq+1, head)
+		l.mu.Unlock()
+		return nil
+	}
+}
+
+// Resume takes the next entry of the tail as the owner replays its log: the
+// entry at off holds a standalone event (host nil, data its v7 bytes) or a
+// folded one (host its fields, data its fold). It checks the event's tag
+// against the chain it continues, and numbers and indexes it as an append
+// would. A checkpoint cut between copying the tail to the store and cutting
+// the owner's log leaves the tail's first events in the store too: replay
+// finds the first entry's seq among the store's last events by its tag, and
+// skips each event the store already holds after checking its tag there.
+func (l *Log) Resume(off int64, host *Event, data []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e, defined, err := parseTail(host, data, l.syms)
+	if err != nil {
+		return err
+	}
+	n := uint64(len(l.places.slots))
+	if !l.resumed {
+		// The first entry starts the tail, or overlaps the store's end.
+		l.resumed = true
+		if n > 0 && !l.tagged(e, n, l.lastHash[:linkLen]) {
+			for s := n; s > 0; s-- {
+				if link := l.places.slots[s-1].link; l.tagged(e, s-1, link[:]) {
+					l.skip = s - 1
+					break
+				}
+			}
+		}
+	}
+	if l.skip < n {
+		if link := l.places.slots[l.skip].link; !l.tagged(e, l.skip, link[:]) {
+			return fmt.Errorf("%w at seq %d (%w): the tail's copy in the store differs", ErrBadMAC, l.skip, ErrChainBroken)
+		}
+		l.skip++
+		return nil
+	}
+	cr := chainReader{check: l.checkMAC, seq: n, prev: l.lastHash, syms: l.syms}
+	if e, err = cr.accept(e, defined, codecVersion); err != nil {
+		return err
+	}
+	l.skip++
+	return l.index(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, e)
+}
+
+// tagged reports whether e's tag checks as event seq's after the event whose
+// hash begins with link.
+func (l *Log) tagged(e Event, seq uint64, link []byte) bool {
+	e.Seq = seq
+	copy(e.PrevHash[:], link)
+	return l.checkMAC(codecVersion, macInput(e, codecVersion), e.MAC)
+}
+
+// Flush copies the tail to the store, oldest event first — a standalone
+// event's bytes as they are, a folded one encoded as a standalone v7 event
+// with its own tag — syncs the store, and only then points the events'
+// places there: the owner calls it before it cuts its log, with no append or
+// read in flight, since a read that placed an event in the tail before the
+// cut would look for it in the owner's next log; so the tail's slots are
+// re-pointed in place, in O(tail). A failure wedges the log, since the store
+// may hold part of the copy. A log without a tail refuses.
+func (l *Log) Flush() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.tail == nil:
+		return errNoTail
+	case l.wedged:
+		return ErrWedged
+	}
+	pl := &l.places
+	n := uint64(len(pl.slots))
+	if l.shown != n {
+		return fmt.Errorf("audit: %d events are in flight", n-l.shown)
+	}
+	if pl.stored == n {
+		return nil
+	}
+	count := l.tailSyms
+	refs := make([]blockstore.Ref, 0, n-pl.stored)
+	err := l.scanTail(*pl, int(n), func(_ blockstore.Ref, host *Event, data []byte) error {
+		enc, err := l.copyable(host, data, &count)
+		var ref blockstore.Ref
+		if err == nil {
+			ref, err = l.store.Append(enc)
+		}
+		if err == nil {
+			err = fits(ref)
+		}
+		refs = append(refs, ref)
+		return err
+	})
+	if err != nil || len(refs) != int(n-pl.stored) {
+		l.wedged = true
+		return fmt.Errorf("audit: copying event %d to the store: %w", int(pl.stored)+len(refs)-1, err)
+	}
+	if err := l.store.Sync(); err != nil {
+		l.wedged = true
+		return fmt.Errorf("audit: syncing the tail's copy: %w", err)
+	}
+	for _, ref := range refs {
+		pl.store(ref)
+	}
+	pl.tail = nil
+	l.markTail()
+	return nil
+}
+
+// copyable returns a tail event, read as Tail.Read returns it, in its v7
+// encoding as the store holds it. count is each symbol table's size as of
+// the event, which its values advance. It checks nothing: the copy carries
+// the event's own tag, which every reader of the store checks. The caller
+// holds l.mu.
+func (l *Log) copyable(host *Event, data []byte, count *[numSyms]int) ([]byte, error) {
+	e, _, err := parseTail(host, data, l.syms)
+	if err != nil {
+		return nil, err
+	}
+	var nums [numSyms]int
+	for f, v := range symbolValues(e) {
+		if v == "" {
+			continue
+		}
+		n, _ := l.syms[f].Find(v)
+		if nums[f] = int(n); int(n) == count[f] {
+			nums[f] = -1 // the event defines it
+			count[f]++
+		}
+	}
+	if host == nil {
+		return data, nil // the store's Append copies it
+	}
+	return encodeEvent(e, nums), nil
+}
+
 // checkMAC is the log's macCheck. A v7 event's tag is checked through
 // VerifyTag, which refuses any other length; an event in a layout no binary
 // writes any more carries a whole HMAC-SHA-256, which only this decoding arm
@@ -420,18 +812,23 @@ func (l *Log) checkMAC(ver byte, msg, mac []byte) bool {
 	return l.mac.Verify(msg, mac)
 }
 
-// Wedged reports whether an append failed since Open.
-func (l *Log) Wedged() bool {
+// Wedged reports whether an append or a Flush failed since Open, or the
+// tail's log wedged.
+func (l *Log) Wedged() bool { return l.Refusal() != nil }
+
+// Refusal is the error the next append would fail with before it is
+// sequenced: ErrWedged, the tail's wedge, or nil.
+func (l *Log) Refusal() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.wedged
+	return l.refuse()
 }
 
-// Len returns the number of events.
+// Len returns the number of events a reader reads.
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.places.slots)
+	return int(l.shown)
 }
 
 // Checkpoint signs and returns a commitment to the current chain state.
@@ -443,14 +840,15 @@ func (l *Log) Checkpoint() Checkpoint {
 	return cp
 }
 
+// checkpointLocked signs the events a reader reads: with a tail, an event
+// still in flight may never reach it.
 func (l *Log) checkpointLocked() Checkpoint {
 	ts := l.now().UTC()
-	seq := uint64(len(l.places.slots))
 	return Checkpoint{
-		Seq:       seq,
-		Head:      l.lastHash,
+		Seq:       l.shown,
+		Head:      l.shownHead,
 		Timestamp: ts,
-		Signature: l.signer.Sign(checkpointBytes(seq, l.lastHash, ts)),
+		Signature: l.signer.Sign(checkpointBytes(l.shown, l.shownHead, ts)),
 	}
 }
 
@@ -473,10 +871,10 @@ func (l *Log) Verify() (int, error) {
 // own head. It returns how many verified and the hash of event at-1.
 func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
 	l.mu.RLock()
-	want, head := len(l.places.slots), l.lastHash
+	want, head, pl := int(l.shown), l.shownHead, l.places
 	l.mu.RUnlock()
 	var last [32]byte
-	err = l.scan(want, newSymbols(), func(_ blockstore.Ref, e Event) error {
+	err = l.scan(want, pl, newSymbols(), func(_ blockstore.Ref, e Event) error {
 		n++
 		last = e.Hash
 		if e.Seq+1 == at {
@@ -542,7 +940,7 @@ func (q Query) matches(e Event) bool {
 // reads every earlier event, has both.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	pl := l.places
+	pl, shown := l.places, l.shown
 	var shortest posting
 	indexed := false
 	narrow := func(list posting) {
@@ -563,7 +961,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 
 	var out []Event
 	if !indexed {
-		err := l.scan(len(pl.slots), newSymbols(), func(_ blockstore.Ref, e Event) error {
+		err := l.scan(int(shown), pl, newSymbols(), func(_ blockstore.Ref, e Event) error {
 			if q.matches(e) {
 				out = append(out, e)
 			}
@@ -575,12 +973,10 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		return out, nil
 	}
 	err := shortest.each(func(seq uint64) error {
-		data, err := l.store.Read(pl.ref(seq))
-		var e Event
-		if err == nil {
-			link := pl.slots[seq].link
-			e, _, err = decodeEvent(data, seq, l.syms, link[:], l.checkMAC)
+		if seq >= shown {
+			return errStopScan // in flight, as is every seq after it
 		}
+		e, err := l.read(pl, seq)
 		if err != nil {
 			return fmt.Errorf("audit: reading event %d: %w", seq, err)
 		}
@@ -589,10 +985,34 @@ func (l *Log) Search(q Query) ([]Event, error) {
 		}
 		return nil
 	})
-	if err != nil {
+	if err != nil && err != errStopScan {
 		return nil, err
 	}
 	return out, nil
+}
+
+// read reads event seq, wherever pl says it lives, and checks it against its
+// link (decodeEvent).
+func (l *Log) read(pl places, seq uint64) (Event, error) {
+	link := pl.slots[seq].link
+	ref := pl.ref(seq)
+	if ref.Segment != pendingSegment {
+		data, err := l.store.Read(ref)
+		if err != nil {
+			return Event{}, err
+		}
+		e, _, err := decodeEvent(data, seq, l.syms, link[:], l.checkMAC)
+		return e, err
+	}
+	host, data, err := l.tail.Read(int64(ref.Offset))
+	if err != nil {
+		return Event{}, err
+	}
+	e, _, err := parseTail(host, data, l.syms)
+	if err != nil {
+		return Event{}, err
+	}
+	return checkEvent(e, codecVersion, seq, link[:], l.checkMAC)
 }
 
 // eventHash hashes the event's place, content and PrevHash (not MAC). The

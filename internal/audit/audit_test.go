@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +94,7 @@ func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Eve
 	var events []Event
 	cr := newChainReader(noKey, newSymbols())
 	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := cr.next(data)
+		e, err := cr.next(nil, data)
 		refs, events = append(refs, ref), append(events, e)
 		return err
 	})
@@ -899,7 +900,7 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 		b := encodeEvent(e, [numSyms]int{-1, -1, -1})
 		cr := newChainReader(noKey, newSymbols())
 		cr.seq, cr.prev = seq, prev
-		got, err := cr.next(b)
+		got, err := cr.next(nil, b)
 		if err != nil {
 			return false
 		}
@@ -1343,23 +1344,44 @@ func TestTagRespellingsFailTheirMAC(t *testing.T) {
 
 // TestPlacesFindEverySegment: a log keeps one offset per event and one first
 // seq per segment, and finds each event's segment from them, across a
-// segment that holds no event; an offset past 4 GiB is refused.
+// segment that holds no event; an offset past 4 GiB is refused in a segment,
+// and kept at full width in the tail, whose events store re-points to the
+// segments.
 func TestPlacesFindEverySegment(t *testing.T) {
 	refs := []blockstore.Ref{{Segment: 0, Offset: 0}, {Segment: 0, Offset: 90}, {Segment: 2, Offset: 0}, {Segment: 3, Offset: 0}, {Segment: 3, Offset: 1 << 31}}
 	var p places
 	for _, ref := range refs {
-		if err := p.add(ref, [32]byte{}); err != nil {
+		if err := fits(ref); err != nil {
 			t.Fatal(err)
 		}
+		p.add(ref, [32]byte{})
 	}
-	for seq, want := range refs {
-		if got := p.ref(uint64(seq)); got != want {
-			t.Errorf("event %d: %v, want %v", seq, got, want)
+	check := func(refs []blockstore.Ref) {
+		t.Helper()
+		for seq, want := range refs {
+			if got := p.ref(uint64(seq)); got != want {
+				t.Errorf("event %d: %v, want %v", seq, got, want)
+			}
 		}
 	}
-	if err := p.add(blockstore.Ref{Segment: 3, Offset: 1 << 32}, [32]byte{}); err == nil || len(p.slots) != len(refs) {
-		t.Errorf("an offset of 4 GiB: %v, %d slots; want an error and none added", err, len(p.slots))
+	check(refs)
+	if err := fits(blockstore.Ref{Segment: 3, Offset: 1 << 32}); err == nil {
+		t.Errorf("an offset of 4 GiB in a segment fits")
 	}
+	tail := []blockstore.Ref{{Segment: pendingSegment, Offset: 1 << 32}, {Segment: pendingSegment, Offset: 5<<30 + 7}}
+	for _, ref := range tail {
+		if err := fits(ref); err != nil {
+			t.Fatal(err)
+		}
+		p.add(ref, [32]byte{})
+	}
+	check(append(slices.Clone(refs), tail...))
+	moved := []blockstore.Ref{{Segment: 3, Offset: 1<<31 + 60}, {Segment: 5, Offset: 0}}
+	for _, ref := range moved {
+		p.store(ref)
+	}
+	p.tail = nil
+	check(append(slices.Clone(refs), moved...))
 }
 
 // TestStoredBytesPerEvent is the budget for what one event costs the medium,
@@ -1575,5 +1597,237 @@ func TestResidentBytesPerRecord(t *testing.T) {
 		per, records, l.Len(), float64(slots)/records)
 	if per > budget {
 		t.Errorf("log keeps %.1f B/record resident, budget is %d", per, budget)
+	}
+}
+
+// memTail is a Tail over an in-memory owner's log whose entries are written
+// as they are enqueued: a standalone event's bytes, or a folded one's host
+// fields and fold.
+// memTail is a tail in memory whose entry i is at offset base+i.
+type memTail struct {
+	entries []tailEntry
+	wedge   error
+	base    int64
+}
+
+type tailEntry struct {
+	host *Event
+	data []byte
+}
+
+func (m *memTail) tail() Tail {
+	return Tail{
+		Enqueue: func(entry []byte) (int64, func() error) { return m.put(nil, entry) },
+		Read: func(off int64) (*Event, []byte, error) {
+			if i := off - m.base; i >= 0 && i < int64(len(m.entries)) {
+				e := m.entries[i]
+				return e.host, bytes.Clone(e.data), nil
+			}
+			return nil, nil, fmt.Errorf("no entry at %d", off)
+		},
+		Wedged: func() error { return m.wedge },
+		Scan: func(off int64, fn func(int64, *Event, []byte) error) error {
+			for i := off - m.base; i < int64(len(m.entries)); i++ {
+				if err := fn(m.base+i, m.entries[i].host, m.entries[i].data); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
+
+func (m *memTail) put(host *Event, data []byte) (int64, func() error) {
+	m.entries = append(m.entries, tailEntry{host, bytes.Clone(data)})
+	return m.base + int64(len(m.entries)-1), func() error { return m.wedge }
+}
+
+// fold appends e folded into a host entry of m's.
+func (m *memTail) fold(t *testing.T, l *Log, e Event) {
+	t.Helper()
+	host := Event{Actor: e.Actor, Action: e.Action, Record: e.Record, Version: e.Version, Outcome: e.Outcome, Timestamp: e.Timestamp.UTC()}
+	wait := l.AppendFolded(e, func(fold []byte) (int64, func() error) { return m.put(&host, fold) })
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resume replays m's entries into l, as the owner's recovery does.
+func (m *memTail) resume(l *Log) error {
+	for i, e := range m.entries {
+		if err := l.Resume(m.base+int64(i), e.host, e.data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tailScript appends to l, whose tail is m, a mix of standalone events, a
+// break-glass pair and folded ones that write out new values and refer to
+// old ones.
+func tailScript(t *testing.T, l *Log, m *memTail, at time.Time) {
+	t.Helper()
+	for i := 0; i < 6; i++ {
+		if _, err := l.AppendAll([]Event{
+			{Actor: fmt.Sprintf("dr-%d", i%2), Action: ActionRead, Record: fmt.Sprintf("rec-%d", i%3), Outcome: OutcomeAllowed, Detail: "role physician permits read", Trace: "0af7651916cd43dd"},
+			{Actor: "nurse", Action: ActionBreakGlass, Record: fmt.Sprintf("rec-%d", i%3), Outcome: OutcomeAllowed, Detail: "grant"},
+		}[:1+i%2]); err != nil {
+			t.Fatal(err)
+		}
+		m.fold(t, l, Event{Actor: fmt.Sprintf("dr-%d", i%3), Action: ActionCreate, Record: fmt.Sprintf("new-%d", i), Version: 1,
+			Outcome: OutcomeAllowed, Detail: "role physician permits write", Timestamp: at.Add(time.Duration(i) * time.Second)})
+	}
+}
+
+// TestTailKeepsTheChainUntilFlush: with a tail the store holds nothing until
+// Flush, readers read every event from the tail as the store would serve it,
+// and after Flush the store holds the same chain — standalone events byte
+// for byte, folded ones as v7 events with their own tags — which a reopened
+// log verifies and answers alike. A log reopened before Flush resumes the
+// chain from the tail's entries. The owner's log is cut only at its
+// checkpoint, so it may outgrow 4 GiB: the same holds with every entry past
+// that.
+func TestTailKeepsTheChainUntilFlush(t *testing.T) {
+	for _, base := range []int64{0, 5 << 30} {
+		t.Run(fmt.Sprintf("base %d", base), func(t *testing.T) { checkTailUntilFlush(t, base) })
+	}
+}
+
+func checkTailUntilFlush(t *testing.T, base int64) {
+	store := blockstore.NewMemory(0)
+	l, signer, key := newTestLog(t, store)
+	m := &memTail{base: base}
+	l.Attach(m.tail())
+	tailScript(t, l, m, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
+	if store.StorageBytes() != 0 {
+		t.Fatalf("the store holds %d B before Flush", store.StorageBytes())
+	}
+	want := allEvents(t, l)
+	if len(want) != 15 || l.Len() != 15 {
+		t.Fatalf("%d events read, Len %d; want 15", len(want), l.Len())
+	}
+	byRecord, err := l.Search(Query{Record: "new-2"})
+	if err != nil || len(byRecord) != 1 || byRecord[0].Detail != "role physician permits write" || !byRecord[0].Timestamp.Equal(want[byRecord[0].Seq].Timestamp) {
+		t.Fatalf("posting-list read of a folded event: %+v, %v", byRecord, err)
+	}
+	cp := l.Checkpoint()
+	if err := l.VerifyAgainst(cp, signer.Public()); err != nil {
+		t.Fatal(err)
+	}
+
+	reopen := func(store blockstore.Store) *Log {
+		t.Helper()
+		re, err := Open(Config{Store: store, MACKey: key, Signer: signer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+	// Reopened before Flush: the chain resumes from the tail.
+	re := reopen(blockstore.NewMemory(0))
+	re.Attach(m.tail())
+	if err := m.resume(re); err != nil {
+		t.Fatal(err)
+	}
+	if got := allEvents(t, re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the chain resumed from the tail differs:\n got %v\nwant %v", got, want)
+	}
+
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	refs, stored := storedEvents(t, store)
+	if len(refs) != len(want) {
+		t.Fatalf("Flush wrote %d events, want %d", len(refs), len(want))
+	}
+	for i, e := range m.entries {
+		if data, _ := store.Read(refs[i]); e.host == nil && !bytes.Equal(data, e.data) {
+			t.Errorf("standalone event %d was not copied byte for byte", i)
+		}
+	}
+	if got := allEvents(t, l); !reflect.DeepEqual(got, want) || stored[1].Action != ActionCreate {
+		t.Fatalf("the flushed log reads differently")
+	}
+	re = reopen(store)
+	if got := allEvents(t, re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the flushed chain reopens differently")
+	}
+	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cutStore is a store whose appends fail after left of them.
+type cutStore struct {
+	blockstore.Store
+	left int
+}
+
+func (c *cutStore) Append(data []byte) (blockstore.Ref, error) {
+	if c.left == 0 {
+		return blockstore.Ref{}, errors.New("injected append failure")
+	}
+	c.left--
+	return c.Store.Append(data)
+}
+
+// TestResumeSkipsWhatAFlushCopied: a cut between Flush's copy and the
+// owner's log cut leaves the tail's first events in the store too, all of
+// them or, when the copy failed part way, some. Replay skips each after
+// checking its tag as the stored event's, and resumes the chain after them;
+// an edited folded event fails its tag instead.
+func TestResumeSkipsWhatAFlushCopied(t *testing.T) {
+	at := time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC)
+	for _, copied := range []int{0, 5, 15} {
+		mem := blockstore.NewMemory(0)
+		fs := &cutStore{Store: mem, left: copied}
+		l, signer, key := newTestLog(t, nil)
+		l.store = fs
+		m := &memTail{}
+		l.Attach(m.tail())
+		tailScript(t, l, m, at)
+		want := allEvents(t, l)
+		if err := l.Flush(); (err == nil) != (copied == len(want)) {
+			t.Fatalf("Flush copying %d of %d: %v", copied, len(want), err)
+		}
+		re, err := Open(Config{Store: mem, MACKey: key, Signer: signer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.Attach(m.tail())
+		if err := m.resume(re); err != nil {
+			t.Fatalf("%d copied: resuming: %v", copied, err)
+		}
+		if got := allEvents(t, re); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d copied: the resumed chain differs", copied)
+		}
+		if _, err := re.Append(Event{Actor: "dr-0", Action: ActionRead, Record: "rec-0", Outcome: OutcomeAllowed}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := re.Verify(); err != nil || n != len(want)+1 {
+			t.Fatalf("%d copied: %d events verify after one more, %v", copied, n, err)
+		}
+	}
+
+	l, signer, key := newTestLog(t, nil)
+	m := &memTail{}
+	l.Attach(m.tail())
+	tailScript(t, l, m, at)
+	for _, edit := range []func(*Event){
+		func(h *Event) { h.Actor = "dr-9" },
+		func(h *Event) { h.Timestamp = h.Timestamp.Add(time.Nanosecond) },
+	} {
+		edited := *m.entries[1].host
+		edit(&edited)
+		tampered := &memTail{entries: slices.Clone(m.entries)}
+		tampered.entries[1].host = &edited
+		re, err := Open(Config{Store: blockstore.NewMemory(0), MACKey: key, Signer: signer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.Attach(tampered.tail())
+		if err := tampered.resume(re); !errors.Is(err, ErrBadMAC) {
+			t.Errorf("resuming over an edited folded event: %v, want ErrBadMAC", err)
+		}
 	}
 }

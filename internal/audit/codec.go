@@ -37,6 +37,18 @@ import (
 // vcrypto.TagSize bytes (vcrypto.KeyedMAC.Tag), the one MAC shape the
 // vault's new layouts store.
 //
+// A tail event (Log.Attach) is an entry of the owner's log. A standalone
+// one's payload is its v7 encoding. A folded one rides at the end of an
+// entry of the owner's whose other fields give its actor, record, time,
+// action, version and outcome, and adds only its fold:
+//
+//	symbol detail | token trace | 16B tag
+//
+// Its actor and record are in that entry in the clear, so they define their
+// symbols where the event is the first to carry them, as a written-out
+// value would. A checkpoint copies a folded event to the store as the v7
+// event with those fields and the same tag (Log.Flush).
+//
 // Legacy layouts still decode, so a log begun by an older binary keeps
 // verifying and continues in v7:
 //   - v6 is v7 with the whole 32-byte HMAC-SHA-256 in place of the tag, and
@@ -60,6 +72,10 @@ const (
 	linkLen      = 8
 	macLenV6     = sha256.Size // a v6 event's MAC: the whole HMAC-SHA-256
 )
+
+// StandaloneKind opens a standalone tail event's entry: its layout byte,
+// which no entry kind of the owner's log may take.
+const StandaloneKind = codecVersion
 
 // actionWords and outcomeWords are the vocabularies of the v3 and later
 // layouts. They are part of the format: append only.
@@ -133,6 +149,63 @@ func encodeEvent(e Event, nums [numSyms]int) []byte {
 	return append(b, e.MAC...)
 }
 
+// appendFold appends e's fold: what a folded event's host entry does not
+// hold. nums is as for encodeEvent.
+func appendFold(b []byte, e Event, nums [numSyms]int) []byte {
+	b = frame.AppendSymbol(b, e.Detail, nums[symDetail])
+	b = frame.AppendToken(b, e.Trace)
+	return append(b, e.MAC...)
+}
+
+// ReadFold reads one fold from r and returns a copy of its bytes. It checks
+// only the fold's structure: whether a detail reference resolves, and the
+// tag, only a reader holding the chain can tell (Log.Resume, and every read
+// of the event).
+func ReadFold(r *frame.Reader) []byte {
+	at := r.Offset()
+	readFold(r, nil, &Event{})
+	return r.Since(at)
+}
+
+// readFold is the fold's one parser: it reads a fold's detail, trace and tag
+// from r into e, and reports whether the detail is written out. A detail
+// reference resolves through table; with table nil it is only read past.
+func readFold(r *frame.Reader, table *recno.Table, e *Event) (defined bool) {
+	if table != nil {
+		e.Detail, defined = r.Symbol(table.IDs())
+	} else if r.Uvarint() == 1 {
+		// A value written out, whose rules Symbol states.
+		if r.Token() == "" && r.Err() == nil {
+			r.Fail("an empty symbol written out")
+		}
+	}
+	e.Trace = r.Token()
+	e.MAC = make([]byte, vcrypto.TagSize)
+	r.Fixed(e.MAC)
+	return defined
+}
+
+// parseTail reads a tail entry's event without checking it against a chain:
+// a standalone one's v7 bytes (host nil), which must be v7, or a folded
+// one's fold completing host. It is the one check of a standalone entry's
+// layout: the owner's log hands its payload on unparsed.
+func parseTail(host *Event, data []byte, syms *symbols) (e Event, defined [numSyms]bool, err error) {
+	if host == nil {
+		e, defined, ver, err := parseEvent(data, syms)
+		if err == nil && ver != codecVersion {
+			err = fmt.Errorf("%w: a tail event in layout v%d", ErrCorrupt, ver)
+		}
+		return e, defined, err
+	}
+	e = *host
+	r := frame.NewReader(data)
+	defined[symDetail] = readFold(r, syms[symDetail], &e)
+	if err := r.Done(); err != nil {
+		return Event{}, [numSyms]bool{}, fmt.Errorf("%w: fold: %v", ErrCorrupt, err)
+	}
+	return e, defined, nil
+}
+
 // macCheck reports whether mac is the audit key's MAC over msg for an event
 // in layout ver: a v7 event's tag, a legacy event's whole HMAC (Log.checkMAC).
 type macCheck func(ver byte, msg, mac []byte) bool
@@ -154,13 +227,20 @@ type macCheck func(ver byte, msg, mac []byte) bool
 // holding the tables as of seq can tell whether that was their first
 // occurrence (chainReader does).
 func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macCheck) (e Event, defined [numSyms]bool, err error) {
-	obs.CountWork(obs.WorkAuditDecode)
 	e, defined, ver, err := parseEvent(data, syms)
-	switch {
-	case err != nil:
+	if err != nil {
 		return Event{}, defined, err
-	case ver == codecV2 && e.Seq != seq:
-		return Event{}, defined, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
+	}
+	e, err = checkEvent(e, ver, seq, prev, check)
+	return e, defined, err
+}
+
+// checkEvent is decodeEvent's check of e, parsed from layout ver, as the
+// seq-th event after prev.
+func checkEvent(e Event, ver byte, seq uint64, prev []byte, check macCheck) (Event, error) {
+	obs.CountWork(obs.WorkAuditDecode)
+	if ver == codecV2 && e.Seq != seq {
+		return Event{}, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
 	}
 	e.Seq = seq
 	chained := len(prev) == len(e.PrevHash)
@@ -168,7 +248,7 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 	switch ver {
 	case codecVersion, codecV6, codecV5:
 		if ver == codecV5 && !bytes.Equal(e.PrevHash[:linkLen], prev[:linkLen]) {
-			return Event{}, defined, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
+			return Event{}, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
 		}
 		copy(e.PrevHash[:], prev)
 		if chained {
@@ -179,10 +259,10 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 	default:
 		hash := eventHash(e)
 		if ver == codecV2 && hash != e.Hash {
-			return Event{}, defined, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, seq)
+			return Event{}, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, seq)
 		}
 		if !bytes.Equal(e.PrevHash[:len(prev)], prev) {
-			return Event{}, defined, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, seq)
+			return Event{}, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, seq)
 		}
 		e.Hash = hash
 		msg = hash[:]
@@ -192,12 +272,12 @@ func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macC
 	// over bytes the key holder never wrote — which also means the chain no
 	// longer commits to that event, and the error says both.
 	if !check(ver, msg, e.MAC) {
-		return Event{}, defined, fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, seq, ErrChainBroken)
+		return Event{}, fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, seq, ErrChainBroken)
 	}
 	if !chained {
 		e.PrevHash, e.Hash = [32]byte{}, [32]byte{}
 	}
-	return e, defined, nil
+	return e, nil
 }
 
 // parseEvent reads any layout without checking it against a chain, and
@@ -275,10 +355,30 @@ func newChainReader(check macCheck, syms *symbols) *chainReader {
 	return &chainReader{check: check, syms: syms}
 }
 
-// next decodes and checks the next event and adds the values it carries to
-// the tables.
-func (c *chainReader) next(data []byte) (Event, error) {
-	e, defined, err := decodeEvent(data, c.seq, c.syms, c.prev[:], c.check)
+// next decodes and checks the next event — stored bytes, or a tail entry
+// (parseTail) when host is set — and adds the values it carries to the
+// tables.
+func (c *chainReader) next(host *Event, data []byte) (Event, error) {
+	var e Event
+	var defined [numSyms]bool
+	var ver byte = codecVersion
+	var err error
+	if host == nil {
+		e, defined, ver, err = parseEvent(data, c.syms)
+	} else {
+		e, defined, err = parseTail(host, data, c.syms)
+	}
+	if err != nil {
+		return Event{}, err
+	}
+	return c.accept(e, defined, ver)
+}
+
+// accept checks e, parsed from layout ver with defined its written-out
+// symbol fields, as the next event, and adds the values it carries to the
+// tables.
+func (c *chainReader) accept(e Event, defined [numSyms]bool, ver byte) (Event, error) {
+	e, err := checkEvent(e, ver, c.seq, c.prev[:], c.check)
 	if err != nil {
 		return Event{}, err
 	}

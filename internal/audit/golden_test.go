@@ -48,7 +48,7 @@ func TestGoldenEvent(t *testing.T) {
 	readAt3 := func(b []byte) (any, error) {
 		cr := newChainReader(noKey, symbolsOf(tables))
 		cr.seq, cr.prev = 3, goldenHash(0x10)
-		return cr.next(b)
+		return cr.next(nil, b)
 	}
 	frame.CheckGolden(t,
 		frame.Golden{

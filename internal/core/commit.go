@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"medvault/internal/audit"
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/obs"
@@ -23,23 +24,38 @@ import (
 // commit: a version's leaf joins the Merkle log in the entry's durable hook,
 // so leaf order is WAL order and no head ever covers a version a crash can
 // lose (see locks.go). rec is the plaintext of a 'V' entry, whose Ref
-// becomes the entry's place in meta.wal. The caller holds the record's
-// stripe exclusively.
-func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error {
-	data := e.encode()
+// becomes the entry's place in meta.wal. An owed allowance, a create's or
+// correction's allowed audit event, is sequenced as the chain's next event
+// and folded into the entry (audit.Log.AppendFolded), stamped with the
+// version's time. The entry is encoded before the audit log's lock is taken,
+// but for the fold, and its ciphertext is copied once, into meta.wal's
+// batch. The caller holds the record's stripe exclusively.
+func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record, owed *allowance) error {
 	var durable func()
+	var parts [][]byte
+	folded := owed.take()
 	if e.kind == 'V' {
 		durable = func() { v.appendLeaf(ctx, e) }
+		head, mid := e.versionParts(folded)
+		parts = [][]byte{head, nil, mid, e.ct} // the fold, if any, goes second
+	} else {
+		parts = [][]byte{e.encode()}
 	}
 	_, es := obs.StartSpan(ctx, "wal.enqueue")
-	es.SetUint("bytes", uint64(len(data)))
-	seq, off, wait := v.metaWAL.Enqueue(data, durable)
-	es.SetUint("seq", seq)
-	es.End(nil)
-	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
-	if e.kind == 'V' {
-		e.ver.Ref = e.at
+	var seq uint64
+	var wait func() error
+	if folded {
+		owed.e.Timestamp = e.ver.Timestamp
+		wait = v.aud.AppendFolded(owed.e, func(fold []byte) (int64, func() error) {
+			e.event, parts[1] = fold, fold
+			var staged func() error
+			seq, staged = v.stage(es, e, parts, durable)
+			return int64(e.at.Offset), staged
+		})
+	} else {
+		seq, wait = v.stage(es, e, parts, durable)
 	}
+	es.End(nil)
 	// wal.commit spans the wait for the fsync that made the batch durable:
 	// the durability tax group commit amortizes across concurrent writers.
 	_, cs := obs.StartSpan(ctx, "wal.commit")
@@ -50,6 +66,24 @@ func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record) error 
 		return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
 	}
 	return v.apply(ctx, e, rec)
+}
+
+// stage enqueues e, encoded as parts, in meta.wal to be made durable,
+// recording its size and sequence number on its wal.enqueue span es, and
+// gives e (and a version its Ref) its place there.
+func (v *Vault) stage(es *obs.Span, e *walEntry, parts [][]byte, durable func()) (uint64, func() error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	es.SetUint("bytes", uint64(n))
+	seq, off, wait := v.metaWAL.Enqueue(wal.Durable, durable, parts...)
+	es.SetUint("seq", seq)
+	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
+	if e.kind == 'V' {
+		e.ver.Ref = e.at
+	}
+	return seq, wait
 }
 
 // appendLeaf commits e's version to the Merkle log and records where.
@@ -66,6 +100,16 @@ func (v *Vault) replay(we wal.Entry) error {
 	e, err := decodeWALEntry(we.Data)
 	if err != nil {
 		return err
+	}
+	if e.event != nil {
+		// The audit event goes first: an entry whose event fails its tag
+		// applies nothing.
+		if err := v.aud.Resume(we.Off, e.auditHost(), e.event); err != nil {
+			return fmt.Errorf("%w: the audit event in meta.wal at %d: %w", ErrTampered, we.Off, err)
+		}
+		if e.kind == 'A' {
+			return nil
+		}
 	}
 	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(we.Off)}
 	if e.ct != nil {
@@ -187,6 +231,40 @@ func (v *Vault) custody(e *walEntry) error {
 	}
 	v.prov.Pend(e.at, e.id, typ, e.ver.Author, e.ver.CtHash, e.ver.Timestamp)
 	return nil
+}
+
+// auditEntry reads back the audit event in the meta.wal entry at off
+// (audit.Tail.Read).
+func (v *Vault) auditEntry(off int64) (*audit.Event, []byte, error) {
+	data, err := v.metaWAL.ReadAt(off)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := parseWALEntry(data)
+	if err == nil && e.event == nil {
+		err = fmt.Errorf("%w: meta.wal entry at %d holds no audit event", ErrCorrupt, off)
+	}
+	return e.auditHost(), e.event, err
+}
+
+// scanAudit reads the audit events of the meta.wal entries from the one at
+// off on, in one pass (audit.Tail.Scan).
+func (v *Vault) scanAudit(off int64, fn func(off int64, host *audit.Event, data []byte) error) error {
+	return v.metaWAL.Scan(off, func(off int64, data []byte) error {
+		e, err := parseWALEntry(data)
+		if err != nil || e.event == nil {
+			return err
+		}
+		return fn(off, e.auditHost(), e.event)
+	})
+}
+
+// enqueueAudit stages a standalone audit event's entry in meta.wal, to be
+// written (audit.Tail.Enqueue): an operation that changed nothing does not
+// wait for an fsync, and a mutation's durable entry follows its events.
+func (v *Vault) enqueueAudit(entry []byte) (int64, func() error) {
+	_, off, wait := v.metaWAL.Enqueue(wal.Written, nil, entry)
+	return off, wait
 }
 
 // pendingCustody reads back the custody event pending in the meta.wal entry

@@ -137,7 +137,7 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 	// committed prefix — the same record a restart would recover from the WAL.
 	var last Version
 	for _, ev := range bundle.Versions {
-		if last, err = v.commitVersion(ctx, ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped, false); err != nil {
+		if last, err = v.commitVersion(ctx, ev.Record, ev.Version.Author, ev.Version.Number, dek, wrapped, false, nil); err != nil {
 			return err
 		}
 		wrapped = nil

@@ -63,8 +63,9 @@ func FuzzDecodeBundle(f *testing.F) {
 // which replay runs over a medium an attacker may reach. It must never
 // panic, never allocate more than the input could spell (every length is
 // bounded by the input before it sizes anything), and every entry it
-// accepts in a written layout ('P', 'I', 's', 'S', 'H', 'R', and 'p' and 'i'
-// of a later version) must re-encode to exactly those bytes. Legacy 'V', 'c'
+// accepts in a written layout ('P', 'I', 's', 'S', 'H', 'R', 'p' and 'i' of a
+// later version, a 'P' or 'p' with a folded audit event, and a standalone
+// audit event's) must re-encode to exactly those bytes. Legacy 'V', 'c'
 // and 'v' entries, and 'p' and 'i' creates, are only ever decoded.
 func FuzzDecodeWALEntry(f *testing.F) {
 	create, correction := goldenCreate(), goldenCorrection()
@@ -73,9 +74,12 @@ func FuzzDecodeWALEntry(f *testing.F) {
 	f.Add(append(correction.encode(), frame.AppendVarBytes(nil, []byte{1, 2, 3})...)) // trailing bytes
 	f.Add((&walEntry{kind: 'H', id: "r", reason: "litigation", placed: goldenTime}).encode())
 	f.Add((&walEntry{kind: 'S', id: "r"}).encode())
-	for _, e := range []walEntry{withCustody(create), withCustody(correction), goldenShred()} {
+	for _, e := range []walEntry{withCustody(create), withCustody(correction), goldenShred(),
+		goldenFolded(withCustody(create)), goldenFolded(withCustody(correction))} {
 		f.Add(e.encode())
 	}
+	audit, _ := hex.DecodeString(goldenAuditEntry)
+	f.Add(audit)
 	for _, legacy := range []string{goldenLegacyCCreate, goldenLegacyCCorrection, goldenParentPCreate} {
 		b, _ := hex.DecodeString(legacy)
 		f.Add(b)

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	mrand "math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -210,6 +211,22 @@ func goldenBytes(n int) []byte {
 	return b
 }
 
+// goldenAuditEntry is a standalone audit event's meta.wal entry: the v7
+// event "dr-a read p1-enc-0 v1, allowed", untraced, with the tag a0..af.
+const goldenAuditEntry = "07" + "1083bab1fa12cd15" + "010864722d61" + "02" + "011070312d656e632d30" + "01" + "01" + "00" + "00" +
+	"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+
+// goldenFold is the fold of a create's or correction's allowed event: its
+// detail the log's detail symbol 0, its trace 0af7651916cd43dd and its tag
+// b0..bf.
+const goldenFold = "02" + "110af7651916cd43dd" + "b0b1b2b3b4b5b6b7b8b9babbbcbdbebf"
+
+// goldenFolded is e, a 'P' or 'p' entry, with goldenFold folded in.
+func goldenFolded(e walEntry) walEntry {
+	e.event, _ = hex.DecodeString(goldenFold)
+	return e
+}
+
 // TestGoldenWALEntries pins the metadata WAL entry layouts and the two byte
 // strings core hashes and signs. The legacy 'V', 'c' and 'v' layouts, and
 // the 'p' and 'i' creates, are decode-only: no code writes them, and a
@@ -227,6 +244,15 @@ func TestGoldenWALEntries(t *testing.T) {
 	rEntry := walEntry{kind: 'R', id: "p1-enc-0"}
 	shred := goldenShred()
 	pCreate, pCorrection := withCustody(create), withCustody(correction)
+	fCreate, fCorrection := goldenFolded(pCreate), goldenFolded(pCorrection)
+	aEntry := walEntry{kind: 'A'}
+	aEntry.event, _ = hex.DecodeString(goldenAuditEntry)
+	goldenCt := "8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
+		"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
+		"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
+		"cdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfc" +
+		"fdfeff000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c" +
+		"2d2e2f303132333435363738393a3b3c3d3e3f"
 	frame.CheckGolden(t,
 		frame.Golden{
 			Name: "WAL V entry (legacy, decode-only)",
@@ -344,6 +370,30 @@ func TestGoldenWALEntries(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
+			// The payload is the audit package's v7 event, whose own golden
+			// vectors refuse its prefixes: decoding hands it on unparsed.
+			Name:   "WAL 7 entry (a standalone audit event)",
+			Hex:    goldenAuditEntry,
+			Encode: aEntry.encode,
+		},
+		frame.Golden{
+			Name: "WAL P entry, folded",
+			Hex: "500870312d656e632d30011083bab1fa12cd150464722d6128d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6" +
+				"e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7" + "00" + goldenFold + goldenCt,
+			Encode:  fCreate.encode,
+			Decode:  decode,
+			Want:    fCreate,
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
+			Name:    "WAL p entry, folded correction",
+			Hex:     "700870312d656e632d30021083bab1fa12cd150464722d61" + "00" + goldenFold + goldenCt,
+			Encode:  fCorrection.encode,
+			Decode:  decode,
+			Want:    goldenFolded(withCustody(stored)),
+			Corrupt: ErrCorrupt,
+		},
+		frame.Golden{
 			Name:    "WAL s entry",
 			Hex:     "730870312d656e632d3006617263682d611083bab1fa12cd15",
 			Encode:  shred.encode,
@@ -387,6 +437,9 @@ func TestGoldenWALEntries(t *testing.T) {
 			Encode: func() []byte { return signingBytes("backup-manifest", []byte{1, 2, 3}) },
 		},
 	)
+	if got, err := decodeWALEntry(aEntry.event); err != nil || !reflect.DeepEqual(got, aEntry) {
+		t.Errorf("WAL 7 entry: decoded %+v, %v; want its payload unparsed", got, err)
+	}
 }
 
 // TestWALBytesPerEntry is the exact cost on the medium of the golden

@@ -60,31 +60,40 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 }
 
 // TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
-// fixed script's meta.wal and audit/ bytes before Close, here and as five
-// older binaries wrote them. The parent wrote each audit event in the v6
-// layout, whose 32-B MAC v7 stores as a 16-B tag: 16 B per event. The binary
-// before it wrote v5, whose 8-byte link and 1-byte MAC length v6 leaves out:
-// 9 B more per event. The binary before that logged each create with its record's
-// category, MRN and created time in the clear and a 60-B AES-GCM wrapped DEK
-// (parentEncode); the binary before that sealed each version as its MVR1
-// encoding; the one before that also framed WAL entries as frame.Seq frames
-// and audit events as frame.Block frames (16 → 6 B per entry of 128 B or
-// more, 5 B under, plus one 20-B layout marker; 9 → 5 B per audit event
-// under 128 B, 6 B up to 16 KiB). This run's entries, each create
-// re-encoded with clear identity, then each ciphertext as long as its
-// version's MVR1 encoding would seal to, and each audit event 16 B and then
-// 9 B longer, must add up to what those binaries measured. A create is exactly 40 B
-// less than with clear identity: 20 B of it (the fixture's MRNs are 10
-// characters) and 20 B of wrap.
+// fixed script's meta.wal and audit/ bytes before Close, here and as six
+// older binaries wrote them. The parent wrote every audit event to audit/ as
+// its own frame; this binary writes each to meta.wal, a create's or
+// correction's allowed event folded into its own entry (its detail, trace
+// and tag, after an empty-ciphertext marker) and every other as an entry of
+// its own, the same v7 bytes in the same Var frame. So the parent's meta.wal
+// is this run's without the standalone entries and the folds, and its
+// audit/ is what Close copies there: every event in v7. The binary before
+// the parent wrote each event in the v6 layout, whose 32-B MAC v7 stores as a
+// 16-B tag: 16 B per event. The binary before it wrote v5, whose 8-byte link
+// and 1-byte MAC length v6 leaves out: 9 B more per event. The binary before
+// that logged each create with its record's category, MRN and created time in
+// the clear and a 60-B AES-GCM wrapped DEK (parentEncode); the binary before
+// that sealed each version as its MVR1 encoding; the one before that also
+// framed WAL entries as frame.Seq frames and audit events as frame.Block
+// frames (16 → 6 B per entry of 128 B or more, 5 B under, plus one 20-B
+// layout marker; 9 → 5 B per audit event under 128 B, 6 B up to 16 KiB).
+// This run's entries, each create re-encoded with clear identity, then each
+// ciphertext as long as its version's MVR1 encoding would seal to, and each
+// audit event 16 B and then 9 B longer, must add up to what those binaries
+// measured. A create is exactly 40 B less than with clear identity: 20 B of
+// it (the fixture's MRNs are 10 characters) and 20 B of wrap.
 func TestMediumBytesPerOp(t *testing.T) {
 	const (
-		seqWAL, seqAudit    = 7200, 2636 // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals, v5 events
-		mvr1WAL             = 7018       // 219.3 B/op: frame.Var, MVR1 seals
-		clearWAL, v5Audit   = 6036, 2504 // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
-		parentAudit         = 2207       // 69.0 B/op: v6 events
-		wantWAL, wantAudit  = 5556, 1679 // 173.6 and 52.5 B/op
-		perCreate, perEvent = 40, 9      // perEvent: a v5 event's link and MAC length
-		perTag              = 16         // a v6 event's whole MAC less a v7 tag
+		seqWAL, seqAudit     = 7200, 2636  // 225.0 and 82.4 B/op: frame.Seq and frame.Block, MVR1 seals, v5 events
+		mvr1WAL              = 7018        // 219.3 B/op: frame.Var, MVR1 seals
+		clearWAL, v5Audit    = 6036, 2504  // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
+		v6Audit              = 2207        // 69.0 B/op: v6 events
+		parentWAL, parentAud = 5556, 1679  // 173.6 and 52.5 B/op: every audit event in audit/
+		wantWAL, wantAudit   = 6698, 0     // 209.3 and 0 B/op: every audit event in meta.wal
+		perCreate, perEvent  = 40, 9       // perEvent: a v5 event's link and MAC length
+		perTag               = 16          // a v6 event's whole MAC less a v7 tag
+		folded, folds, alone = 18, 412, 15 // folded events, their folds in B, standalone events
+		perFolded, perAlone  = 1, 0        // what meta.wal spends on an event beyond its fold, or its v7 frame
 	)
 	mem, v, ops := mediumScript(t)
 	versions := map[string][]ehr.Record{}
@@ -101,15 +110,31 @@ func TestMediumBytesPerOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if auditBytes := int(v.Shard(0).auditStore.StorageBytes()); len(walImage) != wantWAL || auditBytes != wantAudit {
+		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)
+	}
 	marker := len(frame.Seq.Append(nil, 0, []byte("!var")))
-	entries, creates, walVar, walClear, walMVR1, walSeq := 0, 0, marker, marker, marker, 0
+	entries, creates, walVar, walParent, walClear, walMVR1, walSeq := 0, 0, marker, marker, marker, marker, 0
+	foldedEvents, foldBytes, aloneEvents, aloneFrames := 0, 0, 0, 0
 	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
 		entries++
 		walVar += len(frame.Var.Append(nil, 0, e.Data))
-		older := e.Data
-		if we, err := decodeWALEntry(e.Data); err != nil {
+		we, err := decodeWALEntry(e.Data)
+		switch {
+		case err != nil:
 			return err
-		} else if we.ct != nil {
+		case we.kind == 'A':
+			aloneEvents++
+			aloneFrames += len(frame.Var.Append(nil, 0, e.Data))
+			return nil
+		case we.event != nil:
+			foldedEvents++
+			foldBytes += len(we.event)
+			we.event = nil // as the parent logged it
+		}
+		older := we.encode()
+		walParent += len(frame.Var.Append(nil, 0, older))
+		if we.ct != nil {
 			recs := versions[we.id]
 			rec := recs[we.ver.Number-1]
 			sealed, canonical := len(ehr.EncodeSealed(rec)), len(ehr.Encode(rec))
@@ -131,9 +156,17 @@ func TestMediumBytesPerOp(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := blockstore.OpenFileFS(mem, filepath.Join("vault", "audit"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 
 	events, auditVar, auditV6, auditV5, auditBlock := 0, 0, 0, 0, 0
-	if err := v.Shard(0).auditStore.Scan(func(_ blockstore.Ref, p []byte) error {
+	if err := store.Scan(func(_ blockstore.Ref, p []byte) error {
 		if p[0] != 7 {
 			return fmt.Errorf("audit event %d is in layout v%d, want v7", events, p[0])
 		}
@@ -148,29 +181,37 @@ func TestMediumBytesPerOp(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	auditBytes := int(v.Shard(0).auditStore.StorageBytes())
+	auditBytes := int(store.StorageBytes())
 
 	per := func(n int) float64 { return float64(n) / float64(ops) }
-	t.Logf("%d ops, %d meta.wal entries (%d creates), %d audit events", ops, entries, creates, events)
-	t.Logf("meta.wal: %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
-		len(walImage), per(len(walImage)), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
-	t.Logf("audit/:   %d B (%.1f B/op); in the parent's v6 layout %d B (%.1f B/op), in v5 %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
+	t.Logf("%d ops, %d meta.wal entries (%d creates, %d folded events, %d standalone), %d audit events", ops, entries, creates, foldedEvents, aloneEvents, events)
+	t.Logf("meta.wal: %d B (%.1f B/op); the parent's %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
+		len(walImage), per(len(walImage)), walParent, per(walParent), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
+	t.Logf("audit/ after Close: %d B (%.1f B/op), the parent's before it; in the v6 layout %d B (%.1f B/op), in v5 %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
 		auditBytes, per(auditBytes), auditV6, per(auditV6), auditV5, per(auditV5), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
 	}
-	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV6 != parentAudit || auditV5 != v5Audit || auditBlock != seqAudit {
-		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v6, %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d, %d and %d",
-			walClear, walMVR1, walSeq, auditV6, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, parentAudit, v5Audit, seqAudit)
+	if foldedEvents != folded || foldBytes != folds || aloneEvents != alone || events != folded+alone {
+		t.Errorf("%d folded events (%d B of folds) and %d standalone, %d in audit/ after Close; want %d (%d B), %d and %d",
+			foldedEvents, foldBytes, aloneEvents, events, folded, folds, alone, folded+alone)
 	}
-	if walClear-len(walImage) != perCreate*creates {
-		t.Errorf("meta.wal is %d B less than with clear identity over %d creates, want %d B per create", walClear-len(walImage), creates, perCreate)
+	if len(walImage)-walParent != perFolded*folded+folds+aloneFrames+perAlone*alone {
+		t.Errorf("meta.wal is %d B more than the parent's, want %d B per folded event beyond its %d B of folds, and the standalone events' %d B of frames",
+			len(walImage)-walParent, perFolded, folds, aloneFrames)
+	}
+	if walParent != parentWAL || auditBytes != parentAud {
+		t.Errorf("the parent's layouts of this run: meta.wal %d B, audit/ %d B; the parent measured %d and %d", walParent, auditBytes, parentWAL, parentAud)
+	}
+	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV6 != v6Audit || auditV5 != v5Audit || auditBlock != seqAudit {
+		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v6, %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d, %d and %d",
+			walClear, walMVR1, walSeq, auditV6, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, v6Audit, v5Audit, seqAudit)
+	}
+	if walClear-walParent != perCreate*creates {
+		t.Errorf("the parent's meta.wal is %d B less than with clear identity over %d creates, want %d B per create", walClear-walParent, creates, perCreate)
 	}
 	if auditV6-auditBytes != perTag*events || auditV5-auditV6 != perEvent*events {
 		t.Errorf("audit/ is %d B less than in v6 and %d B less than in v5 over %d events, want %d and %d B more per event", auditV6-auditBytes, auditV5-auditBytes, events, perTag, perTag+perEvent)
-	}
-	if len(walImage) != wantWAL || auditBytes != wantAudit {
-		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
+	"medvault/internal/audit"
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
@@ -23,8 +25,10 @@ import (
 // checkpoint) folds the WAL into an atomic snapshot. A put's, correction's or
 // import's ciphertext and a mutation's custody event ride in its WAL entry
 // until a checkpoint moves them to the block store and the custody log, and
-// replay rebuilds them from the entry until then. The audit log lives in its
-// own append-only store and recovers itself.
+// replay rebuilds them from the entry until then. So does every audit event
+// since the last checkpoint (audit.Tail): a create's or correction's allowed
+// event inside its own entry, any other as an entry of its own; replay
+// resumes the audit chain from them.
 //
 // WAL entry layouts (fixed-width integers big-endian; str is u32 len ||
 // bytes, varstr and varbytes are uvarint len || bytes):
@@ -36,6 +40,10 @@ import (
 //	    u8 'p' or 'i' | varstr id | uvarint number | i64 versionNano |
 //	    varstr author | identity (only when number == 1, legacy) |
 //	    varbytes ciphertext
+//	'P' or 'p' with the allowed audit event folded in:
+//	    the 'P' or 'p' entry with u8 0 | fold before its varbytes ciphertext
+//	7 standalone audit event (audit.StandaloneKind):
+//	    the event's v7 encoding, whose layout byte is the kind
 //	'c' ('p'), 'v' ('i'), legacy (decoded, never written):
 //	    u8 'c' or 'v' | varstr id | uvarint number | cversion |
 //	    identity (only when number == 1)
@@ -83,9 +91,34 @@ import (
 // the custody store. An import adopts its custody chain, so it writes 'I'
 // and 'i'; 'v', 'V' and 'S' carry none.
 //
+// A folded 'P' or 'p' entry also carries the allowed event of the access
+// decision that let the create or correction through: its actor is the
+// version's author, its record the entry's, its time the version's, its
+// action create (version 1) or correct (version 0), its outcome allowed. Its
+// fold is what the entry lacks — detail, trace and tag — in the audit
+// package's layout (audit.ReadFold), which replay checks against the chain.
+// An empty ciphertext, which no version has, announces it: an older binary
+// refuses the entry rather than lose the event, and no prefix of a folded
+// entry is an unfolded one.
+//
 // walEntry.encode and decodeWALEntry are the layouts' only writer and parser:
 // commit logs the struct it then applies, and recovery applies what the
 // parser returns.
+
+// auditHost is the fields of the allowed audit event a folded entry carries
+// that the entry itself holds (audit.Tail.Read); nil for any other
+// entry.
+func (e *walEntry) auditHost() *audit.Event {
+	if e.kind != 'V' || e.event == nil {
+		return nil
+	}
+	action, version := audit.ActionCreate, uint64(1)
+	if e.ver.Number > 1 {
+		action, version = audit.ActionCorrect, 0
+	}
+	return &audit.Event{Actor: e.ver.Author, Action: action, Record: e.id, Version: version,
+		Outcome: audit.OutcomeAllowed, Timestamp: e.ver.Timestamp}
+}
 
 // leafData is what the Merkle log commits to per version.
 func leafData(id string, version uint64, ctHash [32]byte) []byte {
@@ -148,7 +181,7 @@ const versionMinBytes = 4 + 8 + 4 + 8 + 32 + 8
 // (category, MRN, created time) is not among them: apply takes it from the
 // sealed record.
 type walEntry struct {
-	kind       byte           // 'V', 'S', 'H' or 'R'
+	kind       byte           // 'V', 'S', 'H', 'R', or 'A' for a standalone audit event
 	custody    bool           // V, S: the entry carries its custody fact ('P', 'p', 'c', 's')
 	at         blockstore.Ref // the entry's own place in meta.wal (walSegment), assigned at commit and replay, not logged
 	id         string
@@ -157,31 +190,16 @@ type walEntry struct {
 	ct         []byte    // V: the ciphertext ('P', 'I', 'p', 'i'; nil from a legacy entry, whose bytes are in the block store)
 	reason     string    // H
 	placed     time.Time // H
+	event      []byte    // A: the audit event's v7 bytes; V ('P', 'p'): its allowed event's fold, nil for none
 }
 
 func (e *walEntry) encode() []byte {
+	if e.kind == 'A' {
+		return e.event
+	}
 	if e.kind == 'V' {
-		create := e.ver.Number == 1
-		var kind byte
-		switch {
-		case create && e.custody:
-			kind = 'P'
-		case create:
-			kind = 'I'
-		case e.custody:
-			kind = 'p'
-		default:
-			kind = 'i'
-		}
-		b := append(make([]byte, 0, 24+len(e.id)+len(e.ver.Author)+len(e.wrappedDEK)+len(e.ct)), kind)
-		b = frame.AppendVarStr(b, e.id)
-		b = frame.AppendUvarint(b, e.ver.Number)
-		b = frame.AppendTime(b, e.ver.Timestamp)
-		b = frame.AppendVarStr(b, e.ver.Author)
-		if create {
-			b = frame.AppendVarBytes(b, e.wrappedDEK)
-		}
-		return frame.AppendVarBytes(b, e.ct)
+		head, mid := e.versionParts(e.event != nil)
+		return slices.Concat(head, e.event, mid, e.ct)
 	}
 	if e.kind == 'S' && e.custody {
 		b := frame.AppendVarStr(append(make([]byte, 0, 16+len(e.id)+len(e.ver.Author)), 's'), e.id)
@@ -196,9 +214,58 @@ func (e *walEntry) encode() []byte {
 	return b
 }
 
+// versionParts is a 'V' entry's encoding around its fold and ciphertext,
+// which encode joins and commit hands meta.wal without copying them first:
+// head is every byte before the fold (its marker included when folded is
+// set), and mid the ciphertext's length, which follows the fold.
+func (e *walEntry) versionParts(folded bool) (head, mid []byte) {
+	create := e.ver.Number == 1
+	var kind byte
+	switch {
+	case create && e.custody:
+		kind = 'P'
+	case create:
+		kind = 'I'
+	case e.custody:
+		kind = 'p'
+	default:
+		kind = 'i'
+	}
+	b := append(make([]byte, 0, 24+len(e.id)+len(e.ver.Author)+len(e.wrappedDEK)+binary.MaxVarintLen64), kind)
+	b = frame.AppendVarStr(b, e.id)
+	b = frame.AppendUvarint(b, e.ver.Number)
+	b = frame.AppendTime(b, e.ver.Timestamp)
+	b = frame.AppendVarStr(b, e.ver.Author)
+	if create {
+		b = frame.AppendVarBytes(b, e.wrappedDEK)
+	}
+	if folded {
+		b = append(b, 0)
+	}
+	n := len(b)
+	b = frame.AppendUvarint(b, uint64(len(e.ct)))
+	return b[:n:n], b[n:]
+}
+
+// decodeWALEntry is parseWALEntry plus a version's ciphertext hash, which
+// only a reader of the version needs.
 func decodeWALEntry(data []byte) (walEntry, error) {
+	e, err := parseWALEntry(data)
+	if err == nil && e.ct != nil {
+		e.ver.CtHash = vcrypto.Hash(e.ct)
+	}
+	return e, err
+}
+
+// parseWALEntry decodes one entry. A standalone audit event's payload, which
+// it aliases, is the audit package's to parse: replay hands it to the audit
+// log, which checks its layout as it checks the event against the chain.
+func parseWALEntry(data []byte) (walEntry, error) {
 	if len(data) == 0 {
 		return walEntry{}, fmt.Errorf("%w: empty WAL entry", ErrCorrupt)
+	}
+	if data[0] == audit.StandaloneKind {
+		return walEntry{kind: 'A', event: data}, nil
 	}
 	r := frame.NewReader(data)
 	var e walEntry
@@ -229,10 +296,13 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 			}
 		}
 		if inline {
-			if e.ct = r.VarBytes(); e.ct == nil {
+			if e.ct = r.VarBytes(); e.ct == nil && e.custody {
+				e.event = audit.ReadFold(r) // a folded entry
+				e.ct = r.VarBytes()
+			}
+			if e.ct == nil {
 				r.Fail("version %d of %s carries no ciphertext", e.ver.Number, e.id)
 			}
-			e.ver.CtHash = vcrypto.Hash(e.ct)
 		}
 	case 'V':
 		e = walEntry{kind: kind, id: r.Str()}

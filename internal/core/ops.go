@@ -22,6 +22,17 @@ import (
 // with their own audit event, so emergency access is always reviewable.
 // The caller holds the op gate (shared or exclusive).
 func (v *Vault) authorize(ctx context.Context, actor string, act authz.Action, auditAction audit.Action, recordID string, version uint64, category string) error {
+	_, err := v.authorizeOwed(ctx, actor, act, auditAction, recordID, version, category, false)
+	return err
+}
+
+// authorizeOwed is authorize for a create or a correction when fold is set:
+// a plain allowance — allowed, no break-glass — is not appended but returned
+// owed, for commit to fold into the operation's 'V' entry, or for the
+// operation's deferred settle to append if it gives up first. The decision's
+// audit.append span is recorded here either way; a folded event is
+// sequenced inside the entry's wal.enqueue.
+func (v *Vault) authorizeOwed(ctx context.Context, actor string, act authz.Action, auditAction audit.Action, recordID string, version uint64, category string, fold bool) (*allowance, error) {
 	d := v.auth.Check(actor, act, category)
 	outcome := audit.OutcomeAllowed
 	if !d.Allowed {
@@ -35,6 +46,17 @@ func (v *Vault) authorize(ctx context.Context, actor string, act authz.Action, a
 		Outcome: outcome,
 		Detail:  d.Reason,
 	}}
+	if fold && d.Allowed && !d.BreakGlass {
+		// A log that can append nothing fails the operation now, as an
+		// append would, not after the work it would do first.
+		if err := v.aud.Refusal(); err != nil {
+			return nil, err
+		}
+		_, sp := obs.StartSpan(ctx, "audit.append")
+		events[0].Trace = obs.TraceID(ctx)
+		sp.End(nil)
+		return &allowance{e: events[0], owed: true}, nil
+	}
 	if d.Allowed && d.BreakGlass {
 		// The decision and its break-glass flag are appended atomically:
 		// AccountingOfDisclosures pairs them by adjacent sequence numbers,
@@ -49,12 +71,37 @@ func (v *Vault) authorize(ctx context.Context, actor string, act authz.Action, a
 		})
 	}
 	if err := v.appendAudit(ctx, events...); err != nil {
-		return err
+		return nil, err
 	}
 	if !d.Allowed {
-		return fmt.Errorf("%w: %s %s on %q: %s", ErrDenied, actor, act, recordID, d.Reason)
+		return nil, fmt.Errorf("%w: %s %s on %q: %s", ErrDenied, actor, act, recordID, d.Reason)
 	}
-	return nil
+	return nil, nil
+}
+
+// allowance is a create's or correction's allowed audit event while the
+// operation owes it to the chain (authorizeOwed).
+type allowance struct {
+	e    audit.Event
+	owed bool
+}
+
+// take reports whether the event is still owed, and marks it paid: commit
+// folds it into the entry it logs.
+func (a *allowance) take() bool {
+	if a == nil || !a.owed {
+		return false
+	}
+	a.owed = false
+	return true
+}
+
+// settle appends the event if the operation gave up before commit took it,
+// so the chain holds the decision in the place it held before the fold.
+func (a *allowance) settle(ctx context.Context, v *Vault) {
+	if a.take() {
+		_ = v.appendAudit(ctx, a.e)
+	}
 }
 
 // lookup fetches the record state from the registry, which may be shredded.
@@ -106,12 +153,13 @@ func (v *Vault) stateFor(id string) (*recordState, error) {
 	return st, nil
 }
 
-// appendAudit is core's one audit append. It stamps every event with the
-// trace ctx carries ("" when untraced) and records one "audit.append" span
-// around the batch, which lands at adjacent sequence numbers with nothing
-// interleaved (audit.Log.AppendAll). The trace ID is hashed and MACed with
-// the rest of the event, so the link from an audit entry to its trace is
-// itself tamper-evident.
+// appendAudit is core's one append of standalone audit events. It stamps
+// every event with the trace ctx carries ("" when untraced) and records one
+// "audit.append" span around the batch, which lands at adjacent sequence
+// numbers with nothing interleaved (audit.Log.AppendAll), each an entry of
+// meta.wal that is written, not synced, when it returns (enqueueAudit). The
+// trace ID is hashed and MACed with the rest of the event, so the link from
+// an audit entry to its trace is itself tamper-evident.
 func (v *Vault) appendAudit(ctx context.Context, events ...audit.Event) error {
 	_, sp := obs.StartSpan(ctx, "audit.append")
 	id := obs.TraceID(ctx)
@@ -139,9 +187,10 @@ func (v *Vault) auditProbe(ctx context.Context, actor string, action audit.Actio
 // given version of its record under dek and commits the 'V' entry that
 // carries the ciphertext: one write and one fsync.
 // wrappedDEK is the record's minted key blob on version 1 and nil afterwards;
-// custody says whether the entry carries the version's custody event. The
-// caller holds the record's stripe exclusively.
-func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool) (Version, error) {
+// custody says whether the entry carries the version's custody event, and
+// owed, when still owed, is the allowed audit event it folds. The caller
+// holds the record's stripe exclusively.
+func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string, number uint64, dek vcrypto.Key, wrappedDEK []byte, custody bool, owed *allowance) (Version, error) {
 	pt := ehr.EncodeSealed(rec)
 	_, sp := obs.StartSpan(ctx, "crypto.seal")
 	sp.SetUint("plaintext_bytes", uint64(len(pt)))
@@ -154,7 +203,7 @@ func (v *Vault) commitVersion(ctx context.Context, rec ehr.Record, author string
 		kind: 'V', custody: custody, id: rec.ID, wrappedDEK: wrappedDEK, ct: ct,
 		ver: Version{Number: number, Author: author, Timestamp: v.now(), CtHash: vcrypto.Hash(ct)},
 	}
-	if err := v.commit(ctx, &e, &rec); err != nil {
+	if err := v.commit(ctx, &e, &rec, owed); err != nil {
 		return Version{}, err
 	}
 	return e.ver, nil
@@ -193,9 +242,11 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	if err := rec.Validate(); err != nil {
 		return Version{}, err
 	}
-	if err := v.authorize(ctx, actor, authz.ActWrite, audit.ActionCreate, rec.ID, 1, string(rec.Category)); err != nil {
+	owed, err := v.authorizeOwed(ctx, actor, authz.ActWrite, audit.ActionCreate, rec.ID, 1, string(rec.Category), true)
+	if err != nil {
 		return Version{}, err
 	}
+	defer owed.settle(ctx, v)
 	mu := v.stripes.forRecord(rec.ID)
 	mu.Lock()
 	defer mu.Unlock()
@@ -203,7 +254,7 @@ func (v *Vault) PutCtx(ctx context.Context, actor string, rec ehr.Record) (_ Ver
 	if err != nil {
 		return Version{}, err
 	}
-	return v.commitVersion(ctx, rec, actor, 1, dek, wrapped, true)
+	return v.commitVersion(ctx, rec, actor, 1, dek, wrapped, true, owed)
 }
 
 // readVersion reads and verifies one version of the record st holds. Caller
@@ -365,9 +416,11 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 		return Version{}, err
 	}
 	category := v.category(st)
-	if err := v.authorize(ctx, actor, authz.ActCorrect, audit.ActionCorrect, rec.ID, 0, string(category)); err != nil {
+	owed, err := v.authorizeOwed(ctx, actor, authz.ActCorrect, audit.ActionCorrect, rec.ID, 0, string(category), true)
+	if err != nil {
 		return Version{}, err
 	}
+	defer owed.settle(ctx, v)
 	if rec.Category != category {
 		return Version{}, fmt.Errorf("%w: category %q -> %q", ErrIdentityChanged, category, rec.Category)
 	}
@@ -379,7 +432,7 @@ func (v *Vault) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (_
 	if err != nil {
 		return Version{}, err
 	}
-	return v.commitVersion(ctx, rec, actor, st.count()+1, dek, nil, true)
+	return v.commitVersion(ctx, rec, actor, st.count()+1, dek, nil, true, owed)
 }
 
 // searchAuthorized checks and audits search permission: the actor may search
@@ -512,7 +565,7 @@ func (v *Vault) ShredCtx(ctx context.Context, actor, id string) (err error) {
 		})
 		return err
 	}
-	return v.commit(ctx, &walEntry{kind: 'S', custody: true, id: id, ver: Version{Author: actor, Timestamp: v.now()}}, nil)
+	return v.commit(ctx, &walEntry{kind: 'S', custody: true, id: id, ver: Version{Author: actor, Timestamp: v.now()}}, nil, nil)
 }
 
 // PlaceHoldCtx puts a durable legal hold on the record: disposition is blocked
@@ -551,11 +604,12 @@ func (v *Vault) changeHold(ctx context.Context, op, actor string, e walEntry, de
 	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionPolicy, e.id, 0, ""); err != nil {
 		return err
 	}
-	if err := v.commit(ctx, &e, nil); err != nil {
+	if err := v.commit(ctx, &e, nil, nil); err != nil {
 		return err
 	}
-	// The hold is committed either way; a failed append wedges the audit
-	// log, so the shard's next audited operation answers wedged.
+	// The hold is committed either way; a failed append wedges meta.wal,
+	// the audit log's tail, so the shard's next audited operation answers
+	// wedged.
 	_ = v.appendAudit(ctx, audit.Event{
 		Actor: actor, Action: audit.ActionPolicy, Record: e.id,
 		Outcome: audit.OutcomeAllowed, Detail: detail,

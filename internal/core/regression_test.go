@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +19,6 @@ import (
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/provenance"
-	"medvault/internal/vcrypto"
 	"medvault/internal/wal"
 )
 
@@ -65,53 +65,47 @@ func withFailingProvenance(t *testing.T, c *Cluster) *failingStore {
 	return fs
 }
 
-// withFailingAudit rewires the vault's audit log onto its own audit store
-// behind a wrapper whose Append can be made to fail on demand.
-func withFailingAudit(t *testing.T, c *Cluster, master vcrypto.Key) *failingStore {
-	v := c.Shard(0)
-	t.Helper()
-	fs := &failingStore{Store: v.auditStore}
-	l, err := audit.Open(audit.Config{
-		Store:  fs,
-		MACKey: vcrypto.DeriveKey(master, "vault/audit-mac"),
-		Signer: v.signer,
-		Now:    v.clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.aud = l
-	return fs
-}
-
 // TestSwallowedAuditFailureWedgesTheShard: the post-commit hold event's
 // append error is discarded, since the hold is committed. Before the fix the
 // store healed and the next event landed after the lost one, leaving a chain
-// that verifies with a gap. Now the shard answers wedged to every audited
-// operation until it reopens, and the reopened chain ends where it broke.
+// that verifies with a gap. Now the event's meta.wal write fails and wedges
+// the WAL, whose wedge is the audit log's: the shard answers wedged to every
+// audited operation, and refuses to checkpoint, until it reopens, and the
+// reopened chain ends where it broke.
 func TestSwallowedAuditFailureWedgesTheShard(t *testing.T) {
 	ctx := context.Background()
 	master, vc, mem := mustKey(t), mustClock(), faultfs.NewMem()
-	open := func() *Cluster {
+	// pass is how many more meta.wal writes land before one fails; below 0
+	// none fails.
+	var pass atomic.Int32
+	pass.Store(-1)
+	faulty := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpWrite && strings.HasSuffix(op.Path, "/meta.wal") && pass.Load() >= 0 && pass.Add(-1) < 0 {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+		}
+		return nil
+	})
+	open := func(fsys faultfs.FS) *Cluster {
 		t.Helper()
-		v, err := Open(Config{Name: "audit-wedge", Master: master, Clock: vc, Dir: "vault", FS: mem})
+		v, err := Open(Config{Name: "audit-wedge", Master: master, Clock: vc, Dir: "vault", FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
 		registerStaff(t, v)
 		return v
 	}
-	v := open()
+	v := open(faulty)
 	rec := clinicalRecord(t, 6)
 	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	fs := withFailingAudit(t, v, master)
-	fs.fail, fs.pass = true, 1 // the hold's decision event lands; its policy event fails
+	pass.Store(2) // the hold's decision event and its entry land; its policy event fails
 	if err := v.PlaceHoldCtx(ctx, "arch-lee", rec.ID, "litigation"); err != nil {
 		t.Fatalf("PlaceHold with a failing hold event = %v, want success (the hold is committed)", err)
 	}
-	fs.fail = false
+	if n := pass.Load(); n != -1 {
+		t.Fatalf("%d meta.wal writes left to land after the hold, want the policy event's failed", n+1)
+	}
 	kept := v.Shard(0).aud.Len()
 	if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); Outcome(err) != "wedged" {
 		t.Errorf("Get after a lost audit event = %v (%s), want wedged", err, Outcome(err))
@@ -119,11 +113,11 @@ func TestSwallowedAuditFailureWedgesTheShard(t *testing.T) {
 	if h := v.Health(); !h.AuditWedged {
 		t.Errorf("Health().AuditWedged = false after a lost audit event")
 	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
+	if err := v.Close(); !errors.Is(err, wal.ErrWedged) {
+		t.Errorf("Close of a wedged shard = %v, want the WAL's wedge", err)
 	}
 
-	re := open()
+	re := open(mem)
 	defer re.Close()
 	if n := re.Shard(0).aud.Len(); n != kept {
 		t.Errorf("reopened chain holds %d events, want the %d before the lost one", n, kept)

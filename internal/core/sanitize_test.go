@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"medvault/internal/audit"
 	"medvault/internal/blockstore"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
 	"medvault/internal/provenance"
+	"medvault/internal/wal"
 )
 
 func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
@@ -344,6 +346,10 @@ func TestSanitizeMediaBlockSyncFailureKeepsWAL(t *testing.T) {
 	if _, _, err := v.SanitizeMedia("arch-lee"); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("SanitizeMedia under a failing block fsync: %v", err)
 	}
+	// The pass's own decision is audited in meta.wal, and nothing else.
+	if walBefore = onlyAuditAppended(t, mem, walBefore); walBefore == nil {
+		t.Fatal("the failed SanitizeMedia wrote meta.wal beyond its audit event")
+	}
 	_ = v.Close()
 	if walAfter, err := mem.ReadFile("vault/meta.wal"); err != nil || !bytes.Equal(walAfter, walBefore) {
 		t.Fatalf("Close after a failed block fsync left meta.wal at %d B (%v), want it as it was (%d B)", len(walAfter), err, len(walBefore))
@@ -514,6 +520,10 @@ func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 	if _, _, err := v.SanitizeMedia("arch-lee"); !errors.Is(err, provenance.ErrWedged) {
 		t.Fatalf("SanitizeMedia on a shard owing custody: %v, want provenance.ErrWedged", err)
 	}
+	// The pass's own decision is audited in meta.wal, and nothing else.
+	if before["vault/meta.wal"] = onlyAuditAppended(t, mem, before["vault/meta.wal"]); before["vault/meta.wal"] == nil {
+		t.Fatal("the refused SanitizeMedia wrote meta.wal beyond its audit event")
+	}
 	if after := media(); !reflect.DeepEqual(after, before) {
 		t.Fatal("a refused SanitizeMedia touched the block store or meta.wal")
 	}
@@ -537,4 +547,24 @@ func TestSanitizeMediaRefusesOwedCustody(t *testing.T) {
 	if _, _, err := re.GetCtx(ctx, "dr-house", "kept"); err != nil {
 		t.Errorf("live record after the pass: %v", err)
 	}
+}
+
+// onlyAuditAppended returns the shard's meta.wal on mem if it is before
+// followed by standalone audit entries and nothing else: what an audited
+// operation that changed nothing writes. Otherwise it returns nil.
+func onlyAuditAppended(t *testing.T, mem *faultfs.Mem, before []byte) []byte {
+	t.Helper()
+	after, err := mem.ReadFile("vault/meta.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	only := bytes.HasPrefix(after, before)
+	valid, _, err := wal.Read(mem, "vault/meta.wal", func(e wal.Entry) error {
+		only = only && (e.Off < int64(len(before)) || e.Data[0] == audit.StandaloneKind)
+		return nil
+	})
+	if err != nil || valid != int64(len(after)) || !only {
+		return nil
+	}
+	return after
 }

@@ -43,8 +43,13 @@ func TestTortureFull(t *testing.T) {
 // versions writes and fsyncs no block (-14), and Close's checkpoint moves
 // them to the block store with one write each (+7): 81 and 130. The
 // script's two SanitizeMedia passes and rec-2's shred, each pass a
-// checkpoint per shard that also relocates, make 117 and 250.
-var tortureInjectionPoints = map[int]int{1: 117, 4: 250}
+// checkpoint per shard that also relocates, make 117 and 250. Since every
+// audit event rides in meta.wal, a standalone one is a meta.wal write where
+// it was an audit/ write, a folded one (each of the seven versions') is no
+// write of its own (-7), and each checkpoint copies the events since the
+// last to audit/, one write each, and syncs audit/ only if it copied any
+// (+21): 131 and 276.
+var tortureInjectionPoints = map[int]int{1: 131, 4: 276}
 
 // TestTortureShardedOpCount pins the 4-shard fs-op sequence length the same
 // way (per-shard WALs, blockstores, audit chains, and the manifest write),
@@ -59,8 +64,8 @@ func TestTortureShardedOpCount(t *testing.T) {
 	if rep.InjectionPoints != tortureInjectionPoints[4] {
 		t.Errorf("enumerated %d injection points at 4 shards, want exactly %d", rep.InjectionPoints, tortureInjectionPoints[4])
 	}
-	if rep.CrashScenarios != 220 || rep.FaultScenarios != 46 {
-		t.Errorf("ran %d crash and %d fault scenarios at 4 shards, want exactly 220 and 46", rep.CrashScenarios, rep.FaultScenarios)
+	if rep.CrashScenarios != 247 || rep.FaultScenarios != 51 {
+		t.Errorf("ran %d crash and %d fault scenarios at 4 shards, want exactly 247 and 51", rep.CrashScenarios, rep.FaultScenarios)
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("invariant violated: %s", f)

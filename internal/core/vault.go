@@ -349,6 +349,14 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	if err != nil {
 		return nil, err
 	}
+	// The chain's events since the last checkpoint live in meta.wal, which
+	// recover replays into it.
+	v.aud.Attach(audit.Tail{
+		Enqueue: v.enqueueAudit,
+		Read:    v.auditEntry,
+		Scan:    v.scanAudit,
+		Wedged:  func() error { return v.metaWAL.Wedged() },
+	})
 	v.prov, err = provenance.Open(provenance.Config{
 		Store:   v.provStore,
 		Signer:  signer,
@@ -414,8 +422,8 @@ type HealthStatus struct {
 	Open          bool         // admitting operations (Close has not run)
 	WALWedged     bool         // the metadata WAL refused an fsync and halted
 	WALWedgeError string       // the wedging error, when WALWedged
-	AuditWedged   bool         // an audit append failed; audited operations answer wedged until reopen
-	WALQueueDepth int          // group-commit waiters not yet fsynced
+	AuditWedged   bool         // no audit event can be written (the WAL's wedge); audited operations answer wedged until reopen
+	WALQueueDepth int          // group-commit waiters not yet settled
 	InFlightOps   int          // vault operations currently executing
 	LiveRecords   int          // non-shredded records
 	LastRecovery  RecoveryInfo // what the last Open rebuilt
@@ -506,12 +514,14 @@ func (v *Vault) Close() error {
 }
 
 // checkpoint is core's one mover of what meta.wal entries hold. It first
-// writes every pending custody event to the custody store (Tracker.Flush).
+// copies the audit chain's tail to the audit store and syncs it
+// (audit.Log.Flush), then writes every pending custody event to the custody
+// store (Tracker.Flush).
 // It then moves every version inline in meta.wal to the block store —
 // shredded records' too, which VerifyAll still hashes — or, to sanitize,
 // rolls the block store to a fresh segment and copies every live version
 // there, wherever it lives, dropping shredded records' versions. It syncs the
-// block, audit and custody stores; only then does it repoint the moved
+// block and custody stores; only then does it repoint the moved
 // versions (and mark dropped records sanitized), write meta.snap and truncate
 // meta.wal. Sanitizing then empties every older segment. A cut before
 // meta.snap leaves the old snapshot, WAL and segments plus orphan frames; one
@@ -521,6 +531,9 @@ func (v *Vault) Close() error {
 func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 	if err := v.metaWAL.Wedged(); err != nil {
 		return 0, err
+	}
+	if err := v.aud.Flush(); err != nil {
+		return 0, fmt.Errorf("core: checkpoint: writing audit events: %w", err)
 	}
 	if err := v.prov.Flush(); err != nil {
 		return 0, fmt.Errorf("core: checkpoint: writing custody events: %w", err)
@@ -558,10 +571,8 @@ func (v *Vault) checkpoint(sanitize bool) (dropped int, err error) {
 	if err := v.blocks.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
 		return 0, fmt.Errorf("core: checkpoint: syncing ciphertext: %w", err)
 	}
-	for _, st := range []*blockstore.File{v.auditStore, v.provStore} {
-		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-			return 0, err
-		}
+	if err := v.provStore.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
+		return 0, err
 	}
 	for i, vs := range moved {
 		vs.segment, vs.offset = refs[i].Segment, refs[i].Offset

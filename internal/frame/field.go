@@ -332,6 +332,18 @@ func (r *Reader) Count(minElemBytes int) int {
 	return int(n)
 }
 
+// Offset is how many bytes r has consumed: the offset Since takes.
+func (r *Reader) Offset() int { return r.off }
+
+// Since returns a copy of the bytes r consumed from offset at, an earlier
+// Offset, on; nil once r is bad.
+func (r *Reader) Since(at int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	return append([]byte(nil), r.b[at:r.off]...)
+}
+
 // Err reports the latched short-read error, if any.
 func (r *Reader) Err() error { return r.err }
 

@@ -94,22 +94,30 @@ func (f Format) maxOverhead() int {
 	return f.Overhead()
 }
 
-// Append encodes one frame of data onto buf, growing it at most once. Block
-// and Var frames have no sequence number: seq is ignored.
-func (f Format) Append(buf []byte, seq uint64, data []byte) []byte {
-	buf = slices.Grow(buf, f.maxOverhead()+len(data))
+// Append encodes one frame onto buf, growing it at most once: its payload is
+// data's parts joined, so a caller holding a payload in pieces copies each
+// once. Block and Var frames have no sequence number: seq is ignored.
+func (f Format) Append(buf []byte, seq uint64, data ...[]byte) []byte {
+	n, crc := 0, uint32(0)
+	for _, p := range data {
+		n, crc = n+len(p), crc32.Update(crc, castagnoli, p)
+	}
+	buf = slices.Grow(buf, f.maxOverhead()+n)
 	switch {
 	case f.varLen:
-		buf = binary.AppendUvarint(buf, uint64(len(data)))
+		buf = binary.AppendUvarint(buf, uint64(n))
 	case f.hdr == 8:
 		buf = binary.BigEndian.AppendUint64(buf, seq)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	default:
 		buf = append(buf, f.magic)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(data, castagnoli))
-	return append(buf, data...)
+	buf = binary.BigEndian.AppendUint32(buf, crc)
+	for _, p := range data {
+		buf = append(buf, p...)
+	}
+	return buf
 }
 
 // Header is what a reader learns from a frame's header, len and crc.

@@ -228,7 +228,7 @@ func TestRouteSpecificErrorMappingsSurvive(t *testing.T) {
 
 // TestCorruptAuditFrameIsAnErrorNotAShorterAnswer: with one byte of an
 // already-written audit frame flipped on the medium of a running durable
-// vault, the routes that would have returned that event answer a 5xx with
+// vault, once a checkpoint has written the frames, the routes that would have returned that event answer a 5xx with
 // an error body — never 200 with the rows that still read — and /verify
 // reports the medium as an integrity failure.
 func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
@@ -259,7 +259,12 @@ func TestCorruptAuditFrameIsAnErrorNotAShorterAnswer(t *testing.T) {
 		t.Fatalf("clean audit query = %d with %d events, want 200 with 6", code, len(events))
 	}
 
-	// The create of p1 is the chain's first event; flip a byte inside it.
+	// A checkpoint (here SanitizeMedia) copies the chain from meta.wal to
+	// audit/. The create of p1 is the chain's first event; flip a byte
+	// inside it.
+	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
+		t.Fatal(err)
+	}
 	seg := "vault/audit/" + blockstore.SegmentName(0)
 	raw, err := mem.ReadFile(seg)
 	if err != nil {

@@ -9,6 +9,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -148,10 +149,12 @@ func TestWedgedVaultRejectionsCarryRetryAfter(t *testing.T) {
 	}
 }
 
-// TestAuditWedgeAnswers503: an unknown-record probe whose audit event fails
-// to append still answers 404, but it wedges the shard's audit log. From then
-// on /healthz answers 503 audit-wedged and every audited request answers 503
-// with Retry-After, instead of serving on with a gap in the audit trail.
+// TestAuditWedgeAnswers503: a checkpoint (here SanitizeMedia) whose copy of
+// the audit events to audit/ fails wedges the shard's audit log, since the
+// store may hold part of the copy. From then on /healthz answers 503
+// audit-wedged and every audited request answers 503 with Retry-After,
+// instead of serving on with a gap in the audit trail. (An audit event that
+// fails to reach meta.wal wedges the WAL, which /healthz reports first.)
 func TestAuditWedgeAnswers503(t *testing.T) {
 	master, err := vcrypto.NewKey()
 	if err != nil {
@@ -159,7 +162,7 @@ func TestAuditWedgeAnswers503(t *testing.T) {
 	}
 	var armed atomic.Bool
 	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
-		if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "audit") && armed.CompareAndSwap(true, false) {
+		if op.Kind == faultfs.OpWrite && strings.Contains(op.Path, "/audit/") && armed.CompareAndSwap(true, false) {
 			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
 		}
 		return nil
@@ -176,9 +179,12 @@ func TestAuditWedgeAnswers503(t *testing.T) {
 	if code := do(t, ts, "POST", "/records", "dr-house", sampleRecord("p1"), nil); code != http.StatusCreated {
 		t.Fatalf("POST /records = %d", code)
 	}
-	armed.Store(true)
 	if code := do(t, ts, "GET", "/records/ghost", "dr-house", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("GET /records/ghost with a failing audit append = %d, want 404", code)
+		t.Fatalf("GET /records/ghost = %d, want 404", code)
+	}
+	armed.Store(true)
+	if _, _, err := v.SanitizeMedia("arch-lee"); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("SanitizeMedia with a failing audit copy = %v, want ErrNoSpace", err)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -25,16 +25,17 @@ func TestFailoverTorture(t *testing.T) {
 		t.Errorf("invariant violated: %s", f)
 	}
 	// Exact counts: one kill point per mutating fs op the torture script
-	// performs — the same 117 the local torture enumerates — and one per op
+	// performs — the same 131 the local torture enumerates — and one per op
 	// frame the capture ships. A refactor that changes the on-disk op
 	// sequence moves these numbers. (PR 13 captured 85 + 90; the op envelope
 	// added one flight-segment write, and its frame, per hold operation:
 	// 88 + 93. Inline ciphertext took each version's block write and fsync,
 	// 14 ops and frames, and added Close's block write of each of the seven
 	// versions: 81 + 86. Two SanitizeMedia passes and a second shred in the
-	// script: 117 + 122.)
-	if rep.InjectionPoints != 117 || rep.FrameKillPoints != 122 {
-		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 117 + 122", rep.InjectionPoints, rep.FrameKillPoints)
+	// script: 117 + 122. Audit events in meta.wal, copied to audit/ at each
+	// checkpoint: 131 + 136.)
+	if rep.InjectionPoints != 131 || rep.FrameKillPoints != 136 {
+		t.Errorf("enumerated %d fs + %d frame kill points, want exactly 131 + 136", rep.InjectionPoints, rep.FrameKillPoints)
 	}
 }
 

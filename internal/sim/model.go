@@ -118,6 +118,14 @@ type Model struct {
 	// acked is each record's acked put, correct, shred and hold ops in ack
 	// order: what its persisted ok flight events may name.
 	acked map[string][]OpKind
+	// owed is, per shard, how long a chain that survives a cut must be: up
+	// to the access decision of the last acked mutation, which the vault
+	// makes durable with the mutation itself. authEnd is the journal length
+	// just past the last decision on a record's shard, and unowe what the
+	// newest ack raised, so a reverted one can take it back.
+	owed    []int
+	authEnd int
+	unowe   func()
 }
 
 // NewModel builds a model for a vault named name whose clock starts at
@@ -128,6 +136,7 @@ func NewModel(name string, start time.Time) *Model {
 		now:      start.UTC(),
 		shards:   1,
 		journals: make([][]jEntry, 1),
+		owed:     make([]int, 1),
 		roles:    make(map[string]authz.Role),
 		staff:    make(map[string][]string),
 		grants:   make(map[string]time.Time),
@@ -158,6 +167,7 @@ func (m *Model) setShards(n int) {
 	}
 	m.shards = n
 	m.journals = make([][]jEntry, n)
+	m.owed = make([]int, n)
 }
 
 // route names the shard a record's audit events land on — the same routing
@@ -271,6 +281,9 @@ func (m *Model) authorize(actor string, act authz.Action, action audit.Action, r
 	if allowed && bg {
 		m.append(auEvent{actor, audit.ActionBreakGlass, record, version, audit.OutcomeAllowed})
 	}
+	if record != "" {
+		m.authEnd = len(m.journals[m.route(record)])
+	}
 	return allowed
 }
 
@@ -305,6 +318,9 @@ func validCategory(c string) bool {
 // type when it has one ("" for a hold op).
 func (m *Model) ack(s Step, custody provenance.EventType) {
 	m.acked[s.Record] = append(m.acked[s.Record], s.Op)
+	sh, prev := m.route(s.Record), m.owed[m.route(s.Record)]
+	m.owed[sh] = max(prev, m.authEnd)
+	m.unowe = func() { m.owed[sh] = prev }
 	if custody != "" {
 		m.prov[s.Record] = append(m.prov[s.Record], provenance.Event{Type: custody})
 	}
@@ -755,15 +771,20 @@ func (m *Model) noteVaultEvent(e auEvent) { m.appendAll(e) }
 func (m *Model) clearGrants() { m.grants = make(map[string]time.Time) }
 
 // resyncJournal reconciles shard s's expected audit chain with the chain
-// that actually survived a crash or restart. The audit store's tail is not
-// fsynced per event, so a power cut may truncate it; what survived must be
-// a prefix of what the model expected, and the model adopts the truncation.
-// It returns the mismatch position and false if the survivor is NOT a
-// prefix — that is a real divergence, not crash damage.
+// that actually survived a crash or restart. An event of an operation that
+// changed nothing is written but not fsynced, so a power cut may truncate
+// the chain; what survived must be a prefix of what the model expected that
+// reaches every acked mutation's decision, and the model adopts the
+// truncation. It returns the mismatch position and false if the survivor is
+// NOT such a prefix — that is a real divergence, not crash damage: a
+// survivor too short to hold what it owes fails at its own end.
 func (m *Model) resyncJournal(s int, actual []auEvent) (int, bool) {
 	journal := m.journals[s]
 	if len(actual) > len(journal) {
 		return len(journal), false
+	}
+	if len(actual) < m.owed[s] {
+		return len(actual), false
 	}
 	for i, e := range actual {
 		if e != journal[i].ev {
@@ -781,6 +802,7 @@ func (m *Model) resyncJournal(s int, actual []auEvent) (int, bool) {
 // unack reverts the newest acked op of id.
 func (m *Model) unack(id string) {
 	m.acked[id] = m.acked[id][:len(m.acked[id])-1]
+	m.unowe()
 }
 
 // dropRecord reverts a put that did not land.

@@ -980,9 +980,10 @@ func (e *engine) remount(i int, s Step) *Divergence {
 }
 
 // resyncTails reconciles the audit journal against the reopened vault
-// (prefix-match or divergence). A power cut cuts the audit tail, and an
-// injected fault wedges the log at the failed append, so after either what
-// survived is a prefix of what the model expected.
+// (prefix-match or divergence). A power cut cuts the events no fsync
+// followed, and an injected fault wedges the log at the failed append, so
+// after either what survived is a prefix of what the model expected — one
+// that holds every acked mutation's decision (resyncJournal).
 func (e *engine) resyncTails(i int, s Step) *Divergence {
 	div := divAt(i, s)
 	m := e.model
@@ -997,6 +998,9 @@ func (e *engine) resyncTails(i int, s Step) *Divergence {
 		}
 		chain := got[:len(got)-1]
 		if pos, ok := m.resyncJournal(sh, chain); !ok {
+			if pos == len(chain) && pos < m.owed[sh] {
+				return div("shard %d audit chain after remount ends at %d events, before the access decision of an acked mutation (event %d)", sh, pos, m.owed[sh]-1)
+			}
 			have := "<past end>"
 			if pos < len(chain) {
 				have = fmt.Sprintf("%+v", chain[pos])

@@ -15,17 +15,22 @@
 // and then refuses, where it would otherwise cut the Var frames after it away
 // as a torn tail. Var frames the marker does not announce are ErrCorrupt.
 //
-// Appends group-commit: concurrent callers coalesce into a batch that is
-// written and fsynced once, and each caller is unblocked only after the
-// batch containing its entry is durable. One fsync amortizes across every
-// entry that arrived while the previous fsync was in flight, which is where
-// the multi-writer throughput of the vault's durable mode comes from. A
-// batch's leader flushes that one batch and hands the log to the next
-// batch's first waiter, so no caller waits on fsyncs after its own.
+// Appends group-commit in two stages. Concurrent callers coalesce into a
+// batch that one of them writes while the previous fsync may still be in
+// flight; an entry that asked only to be written (Written) is released then,
+// and becomes durable with the next fsync. The entries that asked to be
+// durable (Durable) of every batch written since the last fsync share the
+// next one, which one of them runs. One fsync amortizes across every entry
+// written while the previous fsync was in flight, which is where the
+// multi-writer throughput of the vault's durable mode comes from, and a
+// Written entry never waits for an fsync. Each stage's runner hands its role
+// on to the next batch's first waiter when it is done, so no caller waits on
+// writes or fsyncs after its own.
 package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -43,7 +48,9 @@ import (
 // WAL traffic shares the underlying disk.
 var (
 	metAppends = obs.Default.Counter("medvault_wal_appends_total",
-		"WAL entries durably appended.")
+		"WAL entries durably appended that asked for durability.")
+	metWrittenOnly = obs.Default.Counter("medvault_wal_written_only_total",
+		"WAL entries written that asked only to be written (audit events of reads).")
 	metAppendBytes = obs.Default.Counter("medvault_wal_append_bytes_total",
 		"Bytes appended to the WAL, framing included.")
 	metFsync = obs.Default.Histogram("medvault_wal_fsync_seconds",
@@ -53,7 +60,7 @@ var (
 	metGroupCommits = obs.Default.Counter("medvault_wal_group_commits_total",
 		"Write+fsync cycles; appends/group_commits is the batching factor.")
 	metBatchEntries = obs.Default.Histogram("medvault_wal_batch_entries",
-		"Entries coalesced per group commit.",
+		"Entries that asked for durability coalesced per group commit.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	metQueueDepth = obs.Default.Gauge("medvault_wal_queue_depth",
 		"Entries enqueued for group commit but not yet durable.")
@@ -89,38 +96,80 @@ type Entry struct {
 	Data []byte
 }
 
-// waiter tracks one enqueued entry until its batch is durable.
+// Durability is what an entry's wait waits for.
+type Durability bool
+
+const (
+	// Durable entries are written and fsynced before their wait returns.
+	Durable Durability = true
+	// Written entries are written before their wait returns; their batch is
+	// fsynced only if another of its entries is Durable.
+	Written Durability = false
+)
+
+// waiter tracks one enqueued entry until its batch is written, and fsynced
+// if it asked to be durable.
 type waiter struct {
+	want    Durability
 	durable func() // Enqueue's hook; nil for none
-	// turn receives exactly once: true to lead the flush of the waiter's
-	// batch, false once another leader settled it (err is then set). Its
-	// one-slot buffer lets a sender holding Log.mu never block.
-	turn chan bool
+	// turn is done once per role the waiter is given (give): to write its
+	// batch, to run the next fsync, or settled (err is then set). A waiter
+	// re-arms it before it runs a role, which leaves it to be given
+	// another. Giving never blocks, so a giver may hold Log.mu.
+	turn sync.WaitGroup
+	role role
 	err  error
+}
+
+// role is what a waiter is handed.
+type role uint8
+
+const (
+	settled role = iota // return err
+	writer              // write the pending batch
+	syncer              // fsync the written Durable entries
+)
+
+// give hands w a role.
+func (w *waiter) give(r role) {
+	w.role = r
+	w.turn.Done()
 }
 
 // Log is a single-file write-ahead log. Safe for concurrent use; concurrent
 // appends are group-committed.
 type Log struct {
 	mu      sync.Mutex
-	idle    *sync.Cond // signaled when a flush cycle drains (flushing -> false)
+	idle    *sync.Cond // signaled when both stages drain (writing and syncing false)
 	fs      faultfs.FS
 	f       faultfs.File
 	path    string
 	nextSeq uint64
 	size    int64 // durable bytes
+	written int64 // bytes written, durable or not: ReadAt's bound
 	end     int64 // bytes enqueued: where the next frame will start
 	varFrom int64 // where the Var frames start, past the layout marker; 0 before it is enqueued
 	closed  bool
 	wedged  error // fatal write/sync failure; the log refuses further appends
 
-	// Group-commit state, guarded by mu. flushing is true while a leader
-	// flushes a batch or hands the log on to the next; enqueued entries
-	// always have a leader responsible for flushing them.
+	// Group-commit state, guarded by mu. batch and waiters are the pending
+	// batch, not yet written; toSync the written Durable entries no fsync
+	// has covered, in sequence order. writing and syncing are true while a
+	// waiter runs that stage or hands it on, so pending entries always have
+	// a writer, and written Durable ones a syncer, responsible for them.
 	batch    []byte
 	waiters  []*waiter
-	flushing bool
+	toSync   []*waiter
+	writing  bool
+	syncing  bool
+	queued   int       // entries not yet settled
+	spare    []*waiter // an emptied waiter slice, for reuse
+	spareBuf []byte    // a written batch's buffer, emptied for reuse (Write keeps no reference)
 }
+
+// maxSpareBuf bounds the batch buffer a log keeps for reuse, so one large
+// entry does not pin its size.
+const maxSpareBuf = 64 << 10
 
 // OpenFS opens (or creates) the WAL at path on fsys (faultfs.OS for the real
 // filesystem), truncating any torn tail. Recovered entries are replayed to fn
@@ -154,7 +203,7 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, end: off, varFrom: varFrom}
+	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, written: off, end: off, varFrom: varFrom}
 	l.idle = sync.NewCond(&l.mu)
 	return l, nil
 }
@@ -252,19 +301,26 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	return int64(from), int64(from + m), nil
 }
 
-// Enqueue stages data for the next group commit, returning its sequence
+// Enqueue stages an entry for the next group commit, returning its sequence
 // number, the offset its frame will have in the file (ReadAt's argument)
 // and a wait function. The entry is NOT durable until wait returns
-// nil; wait blocks until the batch containing the entry has been written and
-// fsynced (or fails with the batch's error). Every caller must invoke wait
-// exactly once — the batch leader's wait performs the flush, of its own
-// batch only. durable, if not
-// nil, runs after the entry's batch is fsynced and before its wait returns,
-// outside the log's lock and in sequence order across entries; never for a
-// batch that failed to write or sync, or for any entry of a wedged log. An
-// empty entry is refused.
-func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error) {
-	if len(data) == 0 {
+// nil; wait blocks until the batch containing the entry has been written,
+// and, for a Durable entry, fsynced (or fails with the batch's error). A
+// Written entry's wait returns once its batch is written: ReadAt reads it
+// back from then on, and the next fsync makes it durable. Every caller must
+// invoke wait exactly once — a waiter's wait may write its batch or run
+// the fsync that covers it, for no entry after its own. durable, if not
+// nil, runs after the entry is fsynced and before its wait returns, outside
+// the log's lock and in sequence order across entries; never for an entry
+// whose write or fsync failed, or for any entry of a wedged log; a Written
+// entry takes none. The entry's payload is parts joined, each copied once,
+// into the batch; an empty entry is refused.
+func (l *Log) Enqueue(want Durability, durable func(), parts ...[]byte) (uint64, int64, func() error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
 		return 0, 0, func() error { return errEmpty }
 	}
 	l.mu.Lock()
@@ -277,6 +333,9 @@ func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error)
 		l.mu.Unlock()
 		return 0, 0, func() error { return err }
 	}
+	if l.batch == nil {
+		l.batch, l.spareBuf = l.spareBuf, nil
+	}
 	start := len(l.batch)
 	if l.varFrom == 0 {
 		l.batch = frame.Seq.Append(l.batch, l.nextSeq, layoutMarker)
@@ -284,57 +343,111 @@ func (l *Log) Enqueue(data []byte, durable func()) (uint64, int64, func() error)
 	}
 	seq, off := l.nextSeq, l.end+int64(len(l.batch)-start)
 	l.nextSeq++
-	l.batch = frame.Var.Append(l.batch, 0, data)
+	l.batch = frame.Var.Append(l.batch, 0, parts...)
 	l.end += int64(len(l.batch) - start)
-	w := &waiter{durable: durable, turn: make(chan bool, 1)}
+	w := &waiter{want: want, durable: durable}
+	w.turn.Add(1)
+	if l.waiters == nil {
+		l.waiters, l.spare = l.spare, nil
+	}
 	l.waiters = append(l.waiters, w)
+	l.queued++
 	metQueueDepth.Add(1)
-	if !l.flushing {
-		l.flushing = true
-		w.turn <- true
+	if !l.writing {
+		l.writing = true
+		w.give(writer)
 	}
 	l.mu.Unlock()
 	return seq, off, func() error {
-		if <-w.turn {
-			l.flush(w)
+		for {
+			w.turn.Wait()
+			r := w.role
+			if r == settled {
+				return w.err
+			}
+			w.turn.Add(1)
+			if r == writer {
+				l.write()
+			} else {
+				l.sync()
+			}
 		}
-		return w.err
 	}
 }
 
-// flush writes and fsyncs the batch its leader, lead, is the first entry of:
-// every entry enqueued until the flush starts. Exactly one leader flushes at
-// a time; entries enqueued while its fsync is in flight form the next batch,
-// which is what coalesces concurrent appends into shared fsyncs. Once the
-// batch is settled, the leader hands the log to the next batch's first
-// waiter, so its own wait returns without flushing anyone else's entries.
-func (l *Log) flush(lead *waiter) {
+// write writes the pending batch, whose first waiter runs it, and settles
+// its Written entries; its Durable ones join toSync, and the first waiter of
+// toSync runs the next fsync unless one is in flight. It then hands the
+// writer role to the next pending batch's first waiter. A failed write
+// wedges the log.
+func (l *Log) write() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	buf, ws := l.batch, l.waiters
 	l.batch, l.waiters = nil, nil
-	if l.wedged != nil {
-		// A previous batch failed; the on-disk tail is unknown, so fail
-		// queued entries without writing after the gap.
-		l.settle(lead, ws, l.wedged)
+	err := l.wedged
+	if err == nil {
+		f := l.f
 		l.mu.Unlock()
-		return
+		_, err = f.Write(buf)
+		l.mu.Lock()
+		if err != nil {
+			err = l.wedge(fmt.Errorf("wal: appending batch: %w", err))
+		}
 	}
-	f := l.f
-	l.mu.Unlock()
-
-	var err error
-	if _, err = f.Write(buf); err != nil {
-		err = fmt.Errorf("wal: appending batch: %w", err)
+	if err != nil {
+		l.settle(ws, err)
 	} else {
-		syncStart := time.Now()
-		if err = f.Sync(); err != nil {
-			err = fmt.Errorf("wal: syncing batch: %w", err)
-		} else {
-			metFsync.ObserveSince(syncStart)
+		metAppendBytes.Add(uint64(len(buf)))
+		l.written += int64(len(buf))
+		if l.spareBuf == nil && cap(buf) <= maxSpareBuf {
+			l.spareBuf = buf[:0]
+		}
+		if l.toSync == nil {
+			l.toSync, l.spare = l.spare, nil
+		}
+		for _, w := range ws {
+			if w.want == Written {
+				metWrittenOnly.Inc()
+				l.settleOne(w, nil)
+			} else {
+				l.toSync = append(l.toSync, w)
+			}
+		}
+		clear(ws)
+		if l.spare == nil {
+			l.spare = ws[:0]
+		}
+		if !l.syncing && len(l.toSync) > 0 {
+			l.syncing = true
+			l.toSync[0].give(syncer)
+		}
+	}
+	if len(l.waiters) > 0 {
+		l.waiters[0].give(writer)
+	} else {
+		l.writing = false
+		l.drained()
+	}
+}
+
+// sync fsyncs every entry written so far, so the written Durable entries
+// waiting for it — its runner's among them — are durable, runs their hooks
+// in sequence order and settles them. It then hands the syncer role to the
+// first Durable entry written meanwhile. A failed fsync wedges the log; a
+// log already wedged settles the entries as wedged without one.
+func (l *Log) sync() {
+	l.mu.Lock()
+	ws, n, f, err := l.toSync, l.written, l.f, l.wedged
+	l.toSync = nil
+	l.mu.Unlock()
+	if err == nil {
+		start := time.Now()
+		if err = f.Sync(); err == nil {
+			metFsync.ObserveSince(start)
 			metGroupCommits.Inc()
 			metBatchEntries.Observe(float64(len(ws)))
 			metAppends.Add(uint64(len(ws)))
-			metAppendBytes.Add(uint64(len(buf)))
 			for _, w := range ws {
 				if w.durable != nil {
 					w.durable()
@@ -342,59 +455,78 @@ func (l *Log) flush(lead *waiter) {
 			}
 		}
 	}
-
 	l.mu.Lock()
-	if err != nil {
-		// A failed write or fsync leaves the on-disk tail unknown; the log
-		// wedges rather than risk appending after a gap. This is the
-		// loudest event a durable vault can emit short of crashing — every
-		// subsequent durable mutation will fail — so it is logged
-		// structurally as well as gauged.
-		l.wedged = fmt.Errorf("%w: %w", ErrWedged, err)
-		err = l.wedged
-		metWedged.Set(1)
-		slog.Error("wal wedged: write/fsync failed, refusing further appends",
-			"path", l.path, "err", err)
-		// Mark the in-memory flight ring too (the postmortem dump and the
-		// flight endpoint read it). This event is not persisted: what the
-		// persisted flight tail shows is every later op whose outcome is
-		// wedged.
-		obs.DefaultFlight.Record(obs.FlightEvent{
-			Kind: "wal.wedge", Outcome: "error",
-			Detail: "write/fsync failed; WAL refuses further appends",
-		})
-	} else {
-		l.size += int64(len(buf))
+	defer l.mu.Unlock()
+	if err != nil && l.wedged == nil {
+		err = l.wedge(fmt.Errorf("wal: syncing batch: %w", err))
 	}
-	l.settle(lead, ws, err)
-	l.mu.Unlock()
+	if err == nil && n > l.size {
+		l.size = n // the fsync covered every byte written before it
+	}
+	l.settle(ws, err)
+	if l.spare == nil {
+		l.spare = ws[:0]
+	}
+	if len(l.toSync) > 0 {
+		l.toSync[0].give(syncer)
+	} else {
+		l.syncing = false
+		l.drained()
+	}
 }
 
-// settle ends the batch ws, which lead flushed, with err, and hands the log
-// to the next batch's first waiter, or marks it idle if none is queued. The
-// durable hooks of ws have run, so the next batch's run after them. The
+// wedge records err, the failed write or fsync that leaves the on-disk tail
+// unknown, and returns the error every later entry fails with: the log
+// appends nothing after a gap. The caller holds l.mu.
+func (l *Log) wedge(err error) error {
+	// This is the loudest event a durable vault can emit short of
+	// crashing — every subsequent durable mutation will fail — so it is
+	// logged structurally as well as gauged.
+	l.wedged = fmt.Errorf("%w: %w", ErrWedged, err)
+	metWedged.Set(1)
+	slog.Error("wal wedged: write/fsync failed, refusing further appends",
+		"path", l.path, "err", l.wedged)
+	// Mark the in-memory flight ring too (the postmortem dump and the
+	// flight endpoint read it). This event is not persisted: what the
+	// persisted flight tail shows is every later op whose outcome is
+	// wedged.
+	obs.DefaultFlight.Record(obs.FlightEvent{
+		Kind: "wal.wedge", Outcome: "error",
+		Detail: "write/fsync failed; WAL refuses further appends",
+	})
+	return l.wedged
+}
+
+// settle ends the waits of ws with err and empties the slice. The caller
+// holds l.mu.
+func (l *Log) settle(ws []*waiter, err error) {
+	for i, w := range ws {
+		l.settleOne(w, err)
+		ws[i] = nil
+	}
+}
+
+// settleOne ends w's wait with err. The caller holds l.mu.
+func (l *Log) settleOne(w *waiter, err error) {
+	w.err = err
+	l.queued--
+	metQueueDepth.Add(-1)
+	w.give(settled)
+}
+
+// drained wakes Checkpoint and Close once neither stage is running. The
 // caller holds l.mu.
-func (l *Log) settle(lead *waiter, ws []*waiter, err error) {
-	metQueueDepth.Add(-float64(len(ws)))
-	for _, w := range ws {
-		w.err = err
-		if w != lead {
-			w.turn <- false
-		}
+func (l *Log) drained() {
+	if !l.writing && !l.syncing {
+		l.idle.Broadcast()
 	}
-	if len(l.waiters) > 0 {
-		l.waiters[0].turn <- true
-		return
-	}
-	l.flushing = false
-	l.idle.Broadcast()
 }
 
 // Append durably records data and returns its sequence number. The entry is
 // written and fsynced before Append returns: when Append succeeds, the
 // intent survives a crash. Concurrent Appends share fsyncs via group commit.
 func (l *Log) Append(data []byte) (uint64, error) {
-	seq, _, wait := l.Enqueue(data, nil)
+	seq, _, wait := l.Enqueue(Durable, nil, data)
 	if err := wait(); err != nil {
 		return 0, err
 	}
@@ -415,12 +547,12 @@ func (l *Log) Wedged() error {
 func (l *Log) QueueDepth() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.waiters)
+	return l.queued
 }
 
-// waitIdle blocks until no flush cycle is active. Caller holds l.mu.
+// waitIdle blocks until neither stage is running. Caller holds l.mu.
 func (l *Log) waitIdle() {
-	for l.flushing {
+	for l.writing || l.syncing {
 		l.idle.Wait()
 	}
 }
@@ -439,11 +571,11 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// ReadAt reads back and checks the payload of the durable entry at off, an
+// ReadAt reads back and checks the payload of the written entry at off, an
 // offset Enqueue or Read reported in the current checkpoint generation.
 func (l *Log) ReadAt(off int64) ([]byte, error) {
 	l.mu.Lock()
-	r, size, closed, f := l.f, l.size, l.closed, formatAt(l.varFrom, off)
+	r, size, closed, f := l.f, l.written, l.closed, formatAt(l.varFrom, off)
 	l.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
@@ -453,6 +585,54 @@ func (l *Log) ReadAt(off int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: entry at offset %d: %v", ErrCorrupt, off, err)
 	}
 	return data, nil
+}
+
+// scanChunk is the least a Scan reads at a time.
+const scanChunk = 64 << 10
+
+// Scan calls fn, in order, with the offset and payload of every written
+// entry from the one at off, an offset past the layout marker that Enqueue
+// or Read reported: what ReadAt returns for each, from sequential reads of
+// scanChunk bytes or more. The payload is valid only during fn's call. An
+// entry that is not whole, or fails its check, is ErrCorrupt.
+func (l *Log) Scan(off int64, fn func(off int64, data []byte) error) error {
+	l.mu.Lock()
+	r, end, varFrom, closed := l.f, l.written, l.varFrom, l.closed
+	l.mu.Unlock()
+	switch {
+	case closed:
+		return ErrClosed
+	case varFrom == 0 || off < varFrom:
+		return fmt.Errorf("%w: no entry past the layout marker at offset %d", ErrCorrupt, off)
+	}
+	buf := make([]byte, scanChunk)
+	for off < end {
+		n := min(int64(len(buf)), end-off)
+		if _, err := r.ReadAt(buf[:n], off); err != nil {
+			return fmt.Errorf("%w: reading at offset %d: %v", ErrCorrupt, off, err)
+		}
+		var fnErr error
+		valid, err := frame.Var.Walk(buf[:n], func(at int, _ uint64, p []byte) error {
+			fnErr = fn(off+int64(at), p)
+			return fnErr
+		})
+		off += int64(valid)
+		switch {
+		case fnErr != nil:
+			return fnErr
+		case err == nil || valid > 0:
+			continue // the entry that did not fit starts the next read
+		}
+		// The first entry does not fit the buffer: read it whole, unless it
+		// is whole already, and so corrupt.
+		h, herr := frame.Var.Header(buf[:n])
+		need := int64(len(binary.AppendUvarint(nil, uint64(h.Len)))+4) + int64(h.Len)
+		if herr != nil || need <= n || off+need > end {
+			return fmt.Errorf("%w: entry at offset %d: %v", ErrCorrupt, off, err)
+		}
+		buf = make([]byte, need)
+	}
+	return nil
 }
 
 // formatAt is the frame of the entry at off in a log whose Var frames start
@@ -536,7 +716,7 @@ func (l *Log) Checkpoint() error {
 	}
 	old := l.f
 	l.f = nf
-	l.size, l.end, l.varFrom = 0, 0, 0
+	l.size, l.written, l.end, l.varFrom = 0, 0, 0, 0
 	l.nextSeq = 0
 	_ = old.Close() // best-effort; the handle points at the unlinked old file
 	metCheckpoints.Inc()

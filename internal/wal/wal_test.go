@@ -424,7 +424,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 5
 	waits := make([]func() error, 0, n)
 	for i := 0; i < n; i++ {
-		seq, _, wait := l.Enqueue([]byte(fmt.Sprintf("entry-%d", i)), nil)
+		seq, _, wait := l.Enqueue(Durable, nil, []byte(fmt.Sprintf("entry-%d", i)))
 		if seq != uint64(i) {
 			t.Fatalf("Enqueue seq = %d, want %d", seq, i)
 		}
@@ -479,7 +479,7 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				seqMu.Lock()
-				_, _, wait := l.Enqueue([]byte(payload), nil)
+				_, _, wait := l.Enqueue(Durable, nil, []byte(payload))
 				order = append(order, payload)
 				seqMu.Unlock()
 				if err := wait(); err != nil {
@@ -534,10 +534,10 @@ func TestDurableHooksRunInSeqOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				var ran atomic.Bool
-				_, _, wait := l.Enqueue([]byte(payload), func() {
+				_, _, wait := l.Enqueue(Durable, func() {
 					hooked = append(hooked, payload)
 					ran.Store(true)
-				})
+				}, []byte(payload))
 				if err := wait(); err != nil {
 					t.Errorf("wait %s: %v", payload, err)
 					return
@@ -600,22 +600,22 @@ func TestDurableHookSkipsFailedBatch(t *testing.T) {
 	if _, err := l.Append([]byte("plain")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, wait := l.Enqueue([]byte("durable"), hook("durable")); wait() != nil {
+	if _, _, wait := l.Enqueue(Durable, hook("durable"), []byte("durable")); wait() != nil {
 		t.Fatal("first hooked entry failed")
 	}
-	_, _, failing := l.Enqueue([]byte("failing"), hook("failing"))
-	_, _, sibling := l.Enqueue([]byte("sibling"), hook("sibling"))
+	_, _, failing := l.Enqueue(Durable, hook("failing"), []byte("failing"))
+	_, _, sibling := l.Enqueue(Durable, hook("sibling"), []byte("sibling"))
 	failed := make(chan error, 1)
 	go func() { failed <- failing() }() // the leader: its batch holds both
 	<-inSync
-	_, _, queued := l.Enqueue([]byte("queued"), hook("queued"))
+	_, _, queued := l.Enqueue(Durable, hook("queued"), []byte("queued"))
 	close(release)
 	for name, err := range map[string]error{"failing": <-failed, "sibling": sibling(), "queued": queued()} {
 		if !errors.Is(err, ErrWedged) {
 			t.Errorf("%s entry: err %v, want ErrWedged", name, err)
 		}
 	}
-	if _, _, wait := l.Enqueue([]byte("after"), hook("after")); !errors.Is(wait(), ErrWedged) {
+	if _, _, wait := l.Enqueue(Durable, hook("after"), []byte("after")); !errors.Is(wait(), ErrWedged) {
 		t.Error("an entry of the wedged log did not fail with ErrWedged")
 	}
 	if len(ran) != 1 || ran[0] != "durable" {
@@ -655,13 +655,13 @@ func TestLeaderReturnsBeforeLaterBatch(t *testing.T) {
 		}
 	}()
 
-	_, _, leader := l.Enqueue([]byte("leader"), nil)
+	_, _, leader := l.Enqueue(Durable, nil, []byte("leader"))
 	leaderDone := make(chan error, 1)
 	go func() { leaderDone <- leader() }()
 	if n := <-entered; n != 1 {
 		t.Fatalf("sync %d began first", n)
 	}
-	_, _, later := l.Enqueue([]byte("later"), nil)
+	_, _, later := l.Enqueue(Durable, nil, []byte("later"))
 	laterDone := make(chan error, 1)
 	go func() { laterDone <- later() }()
 	close(holds[0])
@@ -766,5 +766,147 @@ func TestCheckpointDuringConcurrentAppends(t *testing.T) {
 	defer l2.Close()
 	if count > writers*perWriter {
 		t.Fatalf("replayed %d entries, more than the %d ever appended", count, writers*perWriter)
+	}
+}
+
+// TestWrittenEntriesSkipTheFsync: a batch of Written entries is written and
+// not fsynced, its waits return with the entries readable, and Size, the
+// durable bytes, stays put: a power cut loses them. A Durable entry's fsync
+// makes every byte before it durable. A Written entry that shares a batch
+// with a Durable one is released once the batch is written, while the
+// batch's fsync is still in flight.
+func TestWrittenEntriesSkipTheFsync(t *testing.T) {
+	mem := faultfs.NewMem()
+	var writes, syncs int
+	hold := make(chan struct{})
+	fsys := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		switch op.Kind {
+		case faultfs.OpWrite:
+			writes++
+		case faultfs.OpSync:
+			if syncs++; syncs == 2 {
+				return &faultfs.Fault{Hold: hold}
+			}
+		}
+		return nil
+	})
+	l, err := OpenFS(fsys, "wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	replayed := func(keep faultfs.KeepPolicy) []string {
+		t.Helper()
+		var got []string
+		if _, _, err := Read(mem.CrashImage(keep), "wal.log", func(e Entry) error {
+			got = append(got, string(e.Data))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	_, off, wait := l.Enqueue(Written, nil, []byte("read-1"))
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := l.ReadAt(off); err != nil || string(data) != "read-1" {
+		t.Fatalf("ReadAt of a written entry = %q, %v", data, err)
+	}
+	if writes != 1 || syncs != 0 || l.Size() != 0 {
+		t.Fatalf("a Written batch: %d writes, %d fsyncs, %d durable bytes; want 1, 0 and 0", writes, syncs, l.Size())
+	}
+	if got := replayed(faultfs.KeepNone); len(got) != 0 {
+		t.Fatalf("a power cut kept %q", got)
+	}
+	if _, err := l.Append([]byte("put-1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(faultfs.KeepNone); len(got) != 2 || l.Size() != int64(len(mustRead(t, mem))) {
+		t.Fatalf("after a Durable entry a power cut keeps %q (%d of %d bytes durable), want both entries", got, l.Size(), len(mustRead(t, mem)))
+	}
+
+	_, _, durable := l.Enqueue(Durable, nil, []byte("put-2"))
+	_, _, written := l.Enqueue(Written, nil, []byte("read-2"))
+	durableDone, writtenDone := make(chan error, 1), make(chan error, 1)
+	go func() { durableDone <- durable() }() // the leader: its fsync is held
+	go func() { writtenDone <- written() }()
+	select {
+	case err := <-writtenDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(hold)
+		t.Fatal("a Written entry waited for its batch's fsync")
+	}
+	select {
+	case err := <-durableDone:
+		t.Fatalf("the Durable entry returned (%v) before its fsync", err)
+	default:
+	}
+	close(hold)
+	if err := <-durableDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(faultfs.KeepNone); len(got) != 4 {
+		t.Fatalf("a power cut after the shared fsync keeps %q, want all four entries", got)
+	}
+}
+
+func mustRead(t *testing.T, mem *faultfs.Mem) []byte {
+	t.Helper()
+	data, err := mem.ReadFile("wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestScanReadsWhatReadAtReads: Scan hands fn every written entry from an
+// offset on, in order, each as ReadAt reads it, across reads that split an
+// entry and entries larger than one read; an entry whose payload was
+// edited under its old CRC is ErrCorrupt.
+func TestScanReadsWhatReadAtReads(t *testing.T) {
+	mem := faultfs.NewMem()
+	l, err := OpenFS(mem, "wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var offs []int64
+	for i, size := range []int{10, scanChunk - 7, 300, 3 * scanChunk, 1, scanChunk} {
+		data := bytes.Repeat([]byte{byte('a' + i)}, size)
+		want := Written
+		if i%2 == 1 {
+			want = Durable
+		}
+		_, off, wait := l.Enqueue(want, nil, data)
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+	}
+	for _, from := range []int{0, 2} {
+		i := from
+		if err := l.Scan(offs[from], func(off int64, data []byte) error {
+			want, err := l.ReadAt(offs[i])
+			if err != nil || off != offs[i] || !bytes.Equal(data, want) {
+				t.Fatalf("entry %d: Scan gave offset %d (%d B), want %d (%d B, %v)", i, off, len(data), offs[i], len(want), err)
+			}
+			i++
+			return nil
+		}); err != nil || i != len(offs) {
+			t.Fatalf("Scan from entry %d: %d entries, %v", from, i-from, err)
+		}
+	}
+	image, _ := mem.ReadFile("wal.log")
+	image[offs[3]+100] ^= 1
+	if err := mem.WriteFile("wal.log", image, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Scan(offs[0], func(int64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan over an edited entry: %v, want ErrCorrupt", err)
 	}
 }

@@ -47,12 +47,12 @@ check "One op envelope: httpapi and sim name outcomes by core.Outcome's label, n
 # Core decides which mechanisms are traced, under what span names and
 # attributes, and which trace an audit event names: the leaf packages have one
 # spelling per operation (the key store's GetCtx keeps its cache verdict), and
-# every core audit append goes through appendAudit. The server mints every
-# trace ID, so httpapi never reads a request's X-Request-ID.
+# every core audit append stamps its trace in one place (the one audit write
+# path, below). The server mints every trace ID, so httpapi never reads a
+# request's X-Request-ID.
 leaves=$(ls internal/wal/*.go internal/merkle/*.go internal/audit/*.go internal/index/*.go internal/vcrypto/envelope.go | grep -v '_test\.go$')
-check "Tracing is decided in core: no obs.StartSpan, obs.TraceID or exported ...Ctx func in wal, merkle, audit, index or vcrypto/envelope.go; core appends audit events only in appendAudit; httpapi reads no X-Request-ID" \
+check "Tracing is decided in core: no obs.StartSpan, obs.TraceID or exported ...Ctx func in wal, merkle, audit, index or vcrypto/envelope.go; httpapi reads no X-Request-ID" \
 	"$(grep -nE 'obs\.(StartSpan|TraceID)\(|^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*Ctx\(' $leaves
-	awk '/^func /{fn=$0} /\.aud\.Append(All)?\(/ && fn !~ /^func \(v \*Vault\) appendAudit\(/ {print FILENAME ":" FNR ": " $0}' $(ls internal/core/*.go | grep -v '_test\.go$')
 	grep -rnE '\.Header(\.(Get|Values)\(|\[).*(requestIDHeader|X-Request-I[Dd])' internal/httpapi --include='*.go' | grep -v '_test\.go:')"
 
 # Every transport is a net.Conn under the one repl.Session: frames are read
@@ -170,6 +170,14 @@ core=$(ls internal/core/*.go | grep -v '_test\.go$')
 check "Sanitize is a checkpoint: internal/core calls no .fs.Rename( or .fs.RemoveAll(, and assigns v.blocks only in openShard" \
 	"$(grep -nE '\.fs\.(Rename|RemoveAll)\(' $core
 	awk '/^func /{fn=$0} /v\.blocks(, [A-Za-z_.]+)* =[^=]/ && fn !~ /^func openShard\(/ {print FILENAME ":" FNR ": " $0}' $core)"
+
+# Every audit event of a shard rides in meta.wal until a checkpoint: a
+# standalone one as its own entry through appendAudit, a create's or
+# correction's allowed event folded into its entry in commit. Only checkpoint
+# copies the tail to audit/ (audit.Log.Flush), and core writes audit/ itself
+# nowhere.
+check "One audit write path: non-test internal/core appends to the audit log only in appendAudit and commit, flushes it only in checkpoint, and never appends to auditStore" \
+	"$(awk '/^func /{fn=$0} /\.aud\.Append[A-Za-z]*\(/ && fn !~ /^func \(v \*Vault\) (appendAudit|commit)\(/ {print FILENAME ":" FNR ": " $0} /\.aud\.Flush\(/ && fn !~ /^func \(v \*Vault\) checkpoint\(/ {print FILENAME ":" FNR ": " $0} /auditStore\.Append\(/ {print FILENAME ":" FNR ": " $0}' $core)"
 
 # A mutation's custody event stays in its meta.wal entry until checkpoint
 # writes it (Tracker.Flush), so apply writes no custody; the events that are
