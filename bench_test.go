@@ -293,7 +293,7 @@ func BenchmarkE7AuditVerify(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := log.Verify(); err != nil {
+				if _, err := log.Verify(nil); err != nil {
 					b.Fatal(err)
 				}
 			}

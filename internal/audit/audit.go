@@ -157,14 +157,6 @@ func checkpointBytes(seq uint64, head [32]byte, ts time.Time) []byte {
 	return frame.AppendTime(append(b, head[:]...), ts)
 }
 
-// Verify checks the checkpoint signature.
-func (c Checkpoint) Verify(pub vcrypto.PublicKey) error {
-	if err := pub.Verify(checkpointBytes(c.Seq, c.Head, c.Timestamp), c.Signature); err != nil {
-		return fmt.Errorf("audit: checkpoint signature: %w", err)
-	}
-	return nil
-}
-
 // Log is a tamper-evident audit log. Safe for concurrent use.
 type Log struct {
 	mu       sync.RWMutex
@@ -859,17 +851,20 @@ func (l *Log) Checkpoints() []Checkpoint {
 	return append([]Checkpoint(nil), l.cps...)
 }
 
-// Verify walks the whole chain as the medium holds it: hash links, content
-// hashes, and MACs. It returns the number of verified events.
-func (l *Log) Verify() (int, error) {
-	n, _, err := l.verify(0)
-	return n, err
-}
-
-// verify streams the medium through scan up to the events the running
-// log had indexed when it was called, and checks that they end in the log's
-// own head. It returns how many verified and the hash of event at-1.
-func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
+// Verify walks the whole chain as the medium holds it — hash links, content
+// hashes and MACs — in one stream, up to the events the running log had
+// indexed when it was called, and requires it to end in the log's own head.
+// Each of cps must carry pub's signature, and the chain must commit to it:
+// its event cp.Seq-1 must hash to cp.Head, the defence against wholesale
+// replacement with a freshly built chain. It returns how many events verified.
+func (l *Log) Verify(pub vcrypto.PublicKey, cps ...Checkpoint) (n int, err error) {
+	hashes := make(map[uint64][32]byte, len(cps)) // by Seq: the hash of event Seq-1
+	for _, cp := range cps {
+		if err := pub.Verify(checkpointBytes(cp.Seq, cp.Head, cp.Timestamp), cp.Signature); err != nil {
+			return 0, fmt.Errorf("audit: checkpoint signature: %w", err)
+		}
+		hashes[cp.Seq] = [32]byte{}
+	}
 	l.mu.RLock()
 	want, head, pl := int(l.shown), l.shownHead, l.places
 	l.mu.RUnlock()
@@ -877,35 +872,25 @@ func (l *Log) verify(at uint64) (n int, hashAt [32]byte, err error) {
 	err = l.scan(want, pl, newSymbols(), func(_ blockstore.Ref, e Event) error {
 		n++
 		last = e.Hash
-		if e.Seq+1 == at {
-			hashAt = e.Hash
+		if _, ok := hashes[e.Seq+1]; ok {
+			hashes[e.Seq+1] = e.Hash
 		}
 		return nil
 	})
 	if err == nil && last != head {
 		err = fmt.Errorf("%w: medium ends in a different event than the running log", ErrChainBroken)
 	}
-	return n, hashAt, err
-}
-
-// VerifyAgainst verifies the chain and additionally checks it commits to the
-// remembered checkpoint: the event at cp.Seq-1 must hash to cp.Head. This is
-// the defence against wholesale log replacement with a freshly built chain.
-func (l *Log) VerifyAgainst(cp Checkpoint, pub vcrypto.PublicKey) error {
-	if err := cp.Verify(pub); err != nil {
-		return err
+	for _, cp := range cps {
+		switch {
+		case err != nil:
+			return n, err
+		case cp.Seq > uint64(n):
+			err = fmt.Errorf("%w: checkpoint covers %d events, log has %d", ErrCheckpointMismatch, cp.Seq, n)
+		case cp.Seq != 0 && hashes[cp.Seq] != cp.Head:
+			err = fmt.Errorf("%w: head hash differs at seq %d", ErrCheckpointMismatch, cp.Seq-1)
+		}
 	}
-	n, hashAt, err := l.verify(cp.Seq)
-	if err != nil {
-		return err
-	}
-	if cp.Seq > uint64(n) {
-		return fmt.Errorf("%w: checkpoint covers %d events, log has %d", ErrCheckpointMismatch, cp.Seq, n)
-	}
-	if cp.Seq != 0 && hashAt != cp.Head {
-		return fmt.Errorf("%w: head hash differs at seq %d", ErrCheckpointMismatch, cp.Seq-1)
-	}
-	return nil
+	return n, err
 }
 
 // Query filters events. Zero-valued fields match everything.

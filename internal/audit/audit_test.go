@@ -154,7 +154,7 @@ func TestAppendBuildsChain(t *testing.T) {
 	if l.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", l.Len())
 	}
-	n, err := l.Verify()
+	n, err := l.Verify(nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestVerifyDetectsContentTampering(t *testing.T) {
 	forged := events[7]
 	forged.Actor = "dr-2"
 	rewriteStored(t, store, refs[7], encodeAt(events, 7, forged))
-	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 7 {
+	if n, err := l.Verify(nil); !errors.Is(err, ErrChainBroken) || n != 7 {
 		t.Errorf("content tamper: verified %d, %v; want 7, ErrChainBroken", n, err)
 	}
 	// A query whose answer includes the forged event fails whole; one that
@@ -211,7 +211,7 @@ func TestMovedEventFailsItsQuery(t *testing.T) {
 	if got, err := l.Search(Query{Record: events[8].Record}); !errors.Is(err, ErrBadMAC) {
 		t.Errorf("query over a moved event: %d events, %v; want ErrBadMAC", len(got), err)
 	}
-	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 8 {
+	if n, err := l.Verify(nil); !errors.Is(err, ErrChainBroken) || n != 8 {
 		t.Errorf("moved event: verified %d, %v; want 8, ErrChainBroken", n, err)
 	}
 }
@@ -233,7 +233,7 @@ func TestVerifyDetectsRechainedForgeryWithoutKey(t *testing.T) {
 		// MAC left stale: attacker cannot recompute it.
 		rewriteStored(t, store, refs[i], encodeAt(events, i, events[i]))
 	}
-	if n, err := l.Verify(); !errors.Is(err, ErrBadMAC) || n != 3 {
+	if n, err := l.Verify(nil); !errors.Is(err, ErrBadMAC) || n != 3 {
 		t.Errorf("re-chained forgery: verified %d, %v; want 3, ErrBadMAC", n, err)
 	}
 	// No event stores its predecessor's hash, so re-chaining rewrote none
@@ -262,7 +262,7 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, blockstore.SegmentName(0)), int64(refs[5].Offset)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := l.Verify(); !errors.Is(err, ErrChainBroken) || n != 5 {
+	if n, err := l.Verify(nil); !errors.Is(err, ErrChainBroken) || n != 5 {
 		t.Errorf("truncated medium under a running log: verified %d, %v; want 5, ErrChainBroken", n, err)
 	}
 	if err := store.Close(); err != nil {
@@ -279,10 +279,10 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := re.Verify(); err != nil || n != 5 {
+	if n, err := re.Verify(nil); err != nil || n != 5 {
 		t.Fatalf("truncated chain should self-verify: %d, %v", n, err)
 	}
-	if err := re.VerifyAgainst(cp, signer.Public()); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := re.Verify(signer.Public(), cp); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("truncation vs checkpoint: %v, want ErrCheckpointMismatch", err)
 	}
 }
@@ -395,7 +395,7 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 			if e, _, err := decodeEvent(spliced, k, l.syms, link[:], l.checkMAC); err != nil || e.Action != ActionRead {
 				t.Errorf("the spliced event read with its link: %v, %v; want it to pass its own MAC", e, err)
 			}
-			if n, err := l.Verify(); wrong(err) || n != k+1 {
+			if n, err := l.Verify(nil); wrong(err) || n != k+1 {
 				t.Errorf("spliced medium under a running log: verified %d, %v; want %d, ErrChainBroken at the successor (ErrBadMAC: %v)", n, err, k+1, tc.atMAC)
 			}
 			if err := store.Close(); err != nil {
@@ -415,13 +415,41 @@ func TestVerifyAgainstHonestLog(t *testing.T) {
 	appendN(t, l, 8)
 	cp := l.Checkpoint()
 	appendN(t, l, 7) // keep growing after the checkpoint
-	if err := l.VerifyAgainst(cp, signer.Public()); err != nil {
+	if _, err := l.Verify(signer.Public(), cp); err != nil {
 		t.Errorf("honest log failed checkpoint verification: %v", err)
 	}
 	// Zero checkpoint is always satisfied by a verifying log.
 	l2, s2, _ := newTestLog(t, nil)
-	if err := l2.VerifyAgainst(l2.Checkpoint(), s2.Public()); err != nil {
+	if _, err := l2.Verify(s2.Public(), l2.Checkpoint()); err != nil {
 		t.Errorf("empty checkpoint: %v", err)
+	}
+}
+
+// TestVerifyChecksEveryCheckpointInOneStream: Verify proves every checkpoint
+// it is handed from one stream of the chain, and each on its own, so a
+// checkpoint the log does not commit to fails the call even beside an
+// honest one at the same seq (a fork the key signed), or when it covers
+// events the log does not hold.
+func TestVerifyChecksEveryCheckpointInOneStream(t *testing.T) {
+	l, signer, _ := newTestLog(t, nil)
+	var cps []Checkpoint
+	for i := 0; i < 3; i++ {
+		appendN(t, l, 4)
+		cps = append(cps, l.Checkpoint())
+	}
+	if n, err := l.Verify(signer.Public(), cps...); err != nil || n != 12 {
+		t.Fatalf("three honest checkpoints: %d, %v", n, err)
+	}
+	sign := func(seq uint64, head [32]byte) Checkpoint {
+		ts := time.Unix(0, 1).UTC()
+		return Checkpoint{Seq: seq, Head: head, Timestamp: ts, Signature: signer.Sign(checkpointBytes(seq, head, ts))}
+	}
+	fork := cps[1].Head
+	fork[0] ^= 1
+	for name, cp := range map[string]Checkpoint{"fork": sign(8, fork), "beyond": sign(13, cps[2].Head)} {
+		if _, err := l.Verify(signer.Public(), append(cps, cp)...); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s beside three honest checkpoints: %v, want ErrCheckpointMismatch", name, err)
+		}
 	}
 }
 
@@ -444,12 +472,12 @@ func TestVerifyAgainstWholesaleReplacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := evil.VerifyAgainst(cp, signer.Public()); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := evil.Verify(signer.Public(), cp); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("replaced log: %v, want ErrCheckpointMismatch", err)
 	}
 	// And a checkpoint forged by the evil signer fails signature check.
 	forged := evil.Checkpoint()
-	if err := evil.VerifyAgainst(forged, signer.Public()); !errors.Is(err, vcrypto.ErrBadSignature) {
+	if _, err := evil.Verify(signer.Public(), forged); !errors.Is(err, vcrypto.ErrBadSignature) {
 		t.Errorf("forged checkpoint: %v, want ErrBadSignature", err)
 	}
 }
@@ -473,14 +501,14 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("event %d differs after reopen", i)
 		}
 	}
-	if _, err := re.Verify(); err != nil {
+	if _, err := re.Verify(nil); err != nil {
 		t.Errorf("reopened log fails verify: %v", err)
 	}
 	// Appends continue the chain.
 	if _, err := re.Append(Event{Actor: "x", Action: ActionRead, Outcome: OutcomeAllowed}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := re.Verify(); err != nil {
+	if _, err := re.Verify(nil); err != nil {
 		t.Errorf("verify after continued append: %v", err)
 	}
 }
@@ -530,7 +558,7 @@ func TestFailedAppendWedgesTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen over the healed store: %v", err)
 	}
-	if n, err := re.Verify(); err != nil || n != len(want) {
+	if n, err := re.Verify(nil); err != nil || n != len(want) {
 		t.Fatalf("reopened log verifies %d events (%v), want %d", n, err, len(want))
 	}
 	for i, e := range allEvents(t, re) {
@@ -834,7 +862,7 @@ func TestConcurrentAppendSearchVerify(t *testing.T) {
 						return
 					}
 				}
-				if _, err := l.Verify(); err != nil {
+				if _, err := l.Verify(nil); err != nil {
 					t.Errorf("Verify: %v", err)
 					return
 				}
@@ -849,7 +877,7 @@ func TestConcurrentAppendSearchVerify(t *testing.T) {
 	wg.Wait()
 	close(done)
 	readers.Wait()
-	if n, err := l.Verify(); err != nil || n != 2*writers*batches {
+	if n, err := l.Verify(nil); err != nil || n != 2*writers*batches {
 		t.Errorf("final Verify: %d, %v; want %d, nil", n, err, 2*writers*batches)
 	}
 }
@@ -872,7 +900,7 @@ func TestAutomaticCheckpoints(t *testing.T) {
 		t.Fatalf("got %d automatic checkpoints, want 3", len(cps))
 	}
 	for _, cp := range cps {
-		if err := l.VerifyAgainst(cp, signer.Public()); err != nil {
+		if _, err := l.Verify(signer.Public(), cp); err != nil {
 			t.Errorf("checkpoint at seq %d: %v", cp.Seq, err)
 		}
 	}
@@ -1103,8 +1131,8 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over v2, v3 then v4 events: %v", err)
 	}
-	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
-		t.Fatalf("VerifyAgainst: %v", err)
+	if _, err := re.Verify(signer.Public(), cp); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	if got := allEvents(t, re); !reflect.DeepEqual(got, events) {
 		t.Fatal("a mixed medium reads back different events")
@@ -1113,7 +1141,7 @@ func TestLegacyEventsStillVerify(t *testing.T) {
 		t.Fatalf("record query over v2, v3 and v4 events: %d, %v; want 3", len(got), err)
 	}
 	appendN(t, re, 2)
-	if n, err := re.Verify(); err != nil || n != 14 {
+	if n, err := re.Verify(nil); err != nil || n != 14 {
 		t.Fatalf("Verify after appending the current layout to a v2/v3/v4 log: %d, %v", n, err)
 	}
 
@@ -1173,7 +1201,7 @@ func TestV5ThenV6EventsVerify(t *testing.T) {
 	if re, err = Open(Config{Store: store, MACKey: key, Signer: signer}); err != nil {
 		t.Fatalf("open over v5 then v7 events: %v", err)
 	}
-	if n, err := re.Verify(); err != nil || n != 12 {
+	if n, err := re.Verify(nil); err != nil || n != 12 {
 		t.Fatalf("Verify over v5 then v7 events: %d, %v; want 12", n, err)
 	}
 	refs, events := storedEvents(t, store)
@@ -1240,10 +1268,10 @@ func TestV6ThenV7EventsVerify(t *testing.T) {
 	if re, err = Open(Config{Store: store, MACKey: key, Signer: signer}); err != nil {
 		t.Fatalf("open over v6 then v7 events: %v", err)
 	}
-	if n, err := re.Verify(); err != nil || n != 12 {
+	if n, err := re.Verify(nil); err != nil || n != 12 {
 		t.Fatalf("Verify over v6 then v7 events: %d, %v; want 12", n, err)
 	}
-	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
+	if _, err := re.Verify(signer.Public(), cp); err != nil {
 		t.Fatalf("the checkpoint signed over the v6 events: %v", err)
 	}
 	refs, events := storedEvents(t, store)
@@ -1503,7 +1531,7 @@ func TestEditedDefinitionFailsVerify(t *testing.T) {
 	edited := events[1] // defines dr-1, which events 4 and 7 refer to
 	edited.Actor = "dr-7"
 	rewriteStored(t, store, refs[1], encodeAt(events, 1, edited))
-	if n, err := l.Verify(); !errors.Is(err, ErrBadMAC) || n != 1 {
+	if n, err := l.Verify(nil); !errors.Is(err, ErrBadMAC) || n != 1 {
 		t.Errorf("edited definition: verified %d, %v; want 1, ErrBadMAC", n, err)
 	}
 	if _, err := Open(Config{Store: store, MACKey: key, Signer: signer}); !errors.Is(err, ErrBadMAC) {
@@ -1711,7 +1739,7 @@ func checkTailUntilFlush(t *testing.T, base int64) {
 		t.Fatalf("posting-list read of a folded event: %+v, %v", byRecord, err)
 	}
 	cp := l.Checkpoint()
-	if err := l.VerifyAgainst(cp, signer.Public()); err != nil {
+	if _, err := l.Verify(signer.Public(), cp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1752,7 +1780,7 @@ func checkTailUntilFlush(t *testing.T, base int64) {
 	if got := allEvents(t, re); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the flushed chain reopens differently")
 	}
-	if err := re.VerifyAgainst(cp, signer.Public()); err != nil {
+	if _, err := re.Verify(signer.Public(), cp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1804,7 +1832,7 @@ func TestResumeSkipsWhatAFlushCopied(t *testing.T) {
 		if _, err := re.Append(Event{Actor: "dr-0", Action: ActionRead, Record: "rec-0", Outcome: OutcomeAllowed}); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := re.Verify(); err != nil || n != len(want)+1 {
+		if n, err := re.Verify(nil); err != nil || n != len(want)+1 {
 			t.Fatalf("%d copied: %d events verify after one more, %v", copied, n, err)
 		}
 	}

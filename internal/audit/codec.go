@@ -157,7 +157,7 @@ func appendFold(b []byte, e Event, nums [numSyms]int) []byte {
 	return append(b, e.MAC...)
 }
 
-// ReadFold reads one fold from r and returns a copy of its bytes. It checks
+// ReadFold reads one fold from r and returns its bytes in place. It checks
 // only the fold's structure: whether a detail reference resolves, and the
 // tag, only a reader holding the chain can tell (Log.Resume, and every read
 // of the event).

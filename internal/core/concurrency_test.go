@@ -256,7 +256,7 @@ func TestConcurrentVaultOperations(t *testing.T) {
 	if rep.VersionsChecked != wantVersions {
 		t.Errorf("versions = %d, want %d", rep.VersionsChecked, wantVersions)
 	}
-	if _, err := v.Shard(0).aud.Verify(); err != nil {
+	if _, err := v.Shard(0).aud.Verify(nil); err != nil {
 		t.Errorf("audit chain after concurrency: %v", err)
 	}
 }

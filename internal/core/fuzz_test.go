@@ -102,6 +102,25 @@ func FuzzDecodeWALEntry(f *testing.F) {
 	})
 }
 
+// TestParseWALEntryCopiesNoCiphertext: parseWALEntry reads a version's
+// ciphertext and its folded audit event in place, so parsing a folded create
+// of 64 KiB allocates what its header spells — the ID, author and wrapped DEK
+// — and not the ciphertext: under 1 KiB, the least of three readings. (A
+// parser that copied the ciphertext allocated more than 64 KiB.)
+func TestParseWALEntryCopiesNoCiphertext(t *testing.T) {
+	e := goldenFolded(withCustody(goldenCreate()))
+	e.ct = bytes.Repeat([]byte{0x5a}, 64<<10)
+	data := e.encode()
+	var got walEntry
+	var err error
+	if n := leastAlloc(1<<10, func() { got, err = parseWALEntry(data) }); n >= 1<<10 {
+		t.Errorf("parsing a folded %d-byte entry allocated %d bytes", len(data), n)
+	}
+	if err != nil || !bytes.Equal(got.ct, e.ct) || !bytes.Equal(got.event, e.event) || !bytes.Equal(got.wrappedDEK, e.wrappedDEK) {
+		t.Fatalf("the entry did not round-trip: %v", err)
+	}
+}
+
 // leastAlloc is the fewest bytes run allocates over up to three runs: it
 // stops at the first run within limit and collects garbage before each
 // retry. TotalAlloc is process-wide, so another goroutine's allocations (the

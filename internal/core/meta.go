@@ -257,9 +257,9 @@ func decodeWALEntry(data []byte) (walEntry, error) {
 	return e, err
 }
 
-// parseWALEntry decodes one entry. A standalone audit event's payload, which
-// it aliases, is the audit package's to parse: replay hands it to the audit
-// log, which checks its layout as it checks the event against the chain.
+// parseWALEntry decodes one entry; its ciphertext and audit event alias
+// data. A standalone event's payload is the audit package's to parse: replay
+// hands it to the audit log, which checks its layout against the chain.
 func parseWALEntry(data []byte) (walEntry, error) {
 	if len(data) == 0 {
 		return walEntry{}, fmt.Errorf("%w: empty WAL entry", ErrCorrupt)
@@ -296,9 +296,9 @@ func parseWALEntry(data []byte) (walEntry, error) {
 			}
 		}
 		if inline {
-			if e.ct = r.VarBytes(); e.ct == nil && e.custody {
+			if e.ct = r.VarView(); e.ct == nil && e.custody {
 				e.event = audit.ReadFold(r) // a folded entry
-				e.ct = r.VarBytes()
+				e.ct = r.VarView()
 			}
 			if e.ct == nil {
 				r.Fail("version %d of %s carries no ciphertext", e.ver.Number, e.id)

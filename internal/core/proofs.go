@@ -40,7 +40,7 @@ type VersionProof struct {
 // leaves; both are computed against one signed head. It requires (and
 // audits) read permission: the proof reveals the record's existence and
 // write history even though it reveals no content. A since past the head is
-// ErrBadSince.
+// ErrBadSince, and a version whose leaf is not its own ErrTampered.
 func (v *Vault) proveVersion(ctx context.Context, actor, id string, number, since uint64) (_ VersionProof, err error) {
 	ctx, done, err := v.begin(ctx, "prove_version", id)
 	defer done(&err)
@@ -65,6 +65,9 @@ func (v *Vault) proveVersion(ctx context.Context, actor, id string, number, sinc
 		return VersionProof{}, err
 	}
 	if err := v.authorize(ctx, actor, authz.ActRead, audit.ActionVerify, id, number, category); err != nil {
+		return VersionProof{}, err
+	}
+	if err := v.checkLeaf(id, target); err != nil {
 		return VersionProof{}, err
 	}
 	// Both proofs are against this head, so a concurrent append cannot

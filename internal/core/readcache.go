@@ -47,8 +47,12 @@ func (c blockCache) get(ref blockstore.Ref, wantHash [32]byte) ([]byte, bool) {
 	return b.data, ok
 }
 
-// put caches data (whose hash the caller has already verified) under ref.
+// put caches data (whose hash the caller has already verified) under ref,
+// copied out of its meta.wal entry, if any: the cache keeps what it counts.
 func (c blockCache) put(ref blockstore.Ref, hash [32]byte, data []byte) {
+	if ref.Segment == walSegment {
+		data = append([]byte(nil), data...)
+	}
 	c.lru.Put(ref, cachedBlock{hash: hash, data: data})
 }
 

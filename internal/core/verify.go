@@ -13,7 +13,7 @@ import (
 // Report summarizes a full-vault verification pass.
 type Report struct {
 	RecordsChecked    int // live and shredded records examined
-	VersionsChecked   int // version ciphertexts hash-verified and proof-checked
+	VersionsChecked   int // version ciphertexts hash-verified and leaf-checked
 	AuditEvents       int // audit chain length verified
 	ProvenanceChains  int // custody chains verified
 	HeadsChecked      int // remembered tree heads proven consistent
@@ -25,8 +25,8 @@ type Report struct {
 //
 //  1. Every version of every record (shredded ones included — their
 //     ciphertext must still match its commitment even though it can no
-//     longer be decrypted): CRC framing, ciphertext hash, and a Merkle
-//     inclusion proof against the current tree.
+//     longer be decrypted): CRC framing, ciphertext hash, and its own leaf
+//     in the commitment log (checkLeaf).
 //  2. Live records must also decrypt cleanly under their DEK with the
 //     version-bound associated data, to a record whose MRN and category are
 //     the registry's.
@@ -36,10 +36,10 @@ type Report struct {
 //  4. Every remembered SignedTreeHead must be signature-valid and the
 //     current log proven an append-only extension of it — wholesale history
 //     rewriting surfaces here.
-//  5. The audit hash chain — streamed from the medium, so that it is the
-//     bytes on disk the sweep vouches for, and required to end in the running
-//     log's head — and every custody chain must verify; remembered audit
-//     checkpoints must match.
+//  5. The audit hash chain — streamed from the medium once, so that it is
+//     the bytes on disk the sweep vouches for, and required to end in the
+//     running log's head and to commit to every remembered audit checkpoint
+//     — and every custody chain must verify.
 //
 // The verification itself is written to the audit log.
 //
@@ -56,10 +56,6 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	}
 	records := v.registry()
 	size := v.log.Size()
-	root, rootErr := v.log.Tree().RootAt(size)
-	if rootErr != nil {
-		return rep, rootErr
-	}
 
 	fail := func(err error) (Report, error) {
 		_ = v.appendAudit(ctx, audit.Event{
@@ -121,12 +117,8 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 					return fail(fmt.Errorf("%w: %s v%d: ciphertext hash mismatch", ErrTampered, id, ver.Number))
 				}
 			}
-			proof, err := v.log.Tree().InclusionProof(ver.LeafIndex, size)
-			if err != nil {
-				return fail(fmt.Errorf("core: proving %s v%d: %w", id, ver.Number, err))
-			}
-			if err := merkle.VerifyInclusion(leafData(id, ver.Number, ver.CtHash), ver.LeafIndex, size, proof, root); err != nil {
-				return fail(fmt.Errorf("%w: %s v%d: %v", ErrTampered, id, ver.Number, err))
+			if err := v.checkLeaf(id, ver); err != nil {
+				return fail(err)
 			}
 			if !shredded {
 				dek, err := v.keys.Get(id)
@@ -155,17 +147,11 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 	}
 
 	// (5) audit chain and provenance.
-	n, err := v.aud.Verify()
+	n, err := v.aud.Verify(v.signer.Public(), rememberedCheckpoints...)
 	if err != nil {
 		return fail(fmt.Errorf("%w: audit chain: %v", ErrTampered, err))
 	}
-	rep.AuditEvents = n
-	for _, cp := range rememberedCheckpoints {
-		if err := v.aud.VerifyAgainst(cp, v.signer.Public()); err != nil {
-			return fail(fmt.Errorf("%w: audit checkpoint at %d: %v", ErrTampered, cp.Seq, err))
-		}
-		rep.CheckpointsProven++
-	}
+	rep.AuditEvents, rep.CheckpointsProven = n, len(rememberedCheckpoints)
 	// Custody chains may legitimately carry other systems' signatures
 	// (migrated records), so signer trust is not restricted here.
 	chains, err := v.prov.VerifyAll(nil)
@@ -179,4 +165,15 @@ func (v *Vault) VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedChe
 		Detail: fmt.Sprintf("verified %d records, %d versions, %d audit events", rep.RecordsChecked, rep.VersionsChecked, rep.AuditEvents),
 	})
 	return rep, nil
+}
+
+// checkLeaf is ErrTampered unless the commitment log's leaf at
+// ver.LeafIndex is version ver of id's: all a proof against a root of the
+// same tree could check. The sweep and the proof route both run it.
+func (v *Vault) checkLeaf(id string, ver Version) error {
+	leaf, err := v.log.Tree().LeafHashAt(ver.LeafIndex)
+	if err != nil || leaf != merkle.LeafHash(leafData(id, ver.Number, ver.CtHash)) {
+		return fmt.Errorf("%w: %s v%d is not leaf %d of the commitment log", ErrTampered, id, ver.Number, ver.LeafIndex)
+	}
+	return nil
 }

@@ -96,7 +96,7 @@ func e7Row(n int) ([]string, error) {
 	}
 	resident := float64(int64(heapAlloc())-int64(before)) / float64(n)
 	vStart := time.Now()
-	verified, err := log.Verify()
+	verified, err := log.Verify(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func e7Row(n int) ([]string, error) {
 	if len(cps) > 0 {
 		cp := cps[len(cps)-1]
 		cStart := time.Now()
-		if err := log.VerifyAgainst(cp, signer.Public()); err != nil {
+		if _, err := log.Verify(signer.Public(), cp); err != nil {
 			return nil, err
 		}
 		cpCell = fmtDur(time.Since(cStart))
@@ -147,7 +147,7 @@ func E7Raw(sizes []int) (map[int]time.Duration, error) {
 			}
 		}
 		start := time.Now()
-		if _, err := log.Verify(); err != nil {
+		if _, err := log.Verify(nil); err != nil {
 			return nil, err
 		}
 		out[n] = time.Since(start)

@@ -82,6 +82,26 @@ func TestCompactFieldsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVarViewAliasesItsInput: VarView reads VarBytes' field without copying
+// it — the bytes it returns are the input's, capped at the field's end, so an
+// append to them cannot write over the next field — and, like VarBytes, an
+// empty field is nil and a length beyond the input latches ErrShort.
+func TestVarViewAliasesItsInput(t *testing.T) {
+	b := AppendVarBytes(AppendVarBytes(nil, []byte{1, 2, 3}), nil)
+	b = append(b, 9)
+	r := NewReader(b)
+	got := r.VarView()
+	if !bytes.Equal(got, []byte{1, 2, 3}) || &got[0] != &b[1] || cap(got) != 3 {
+		t.Fatalf("VarView = %v (cap %d), want the input's bytes 1 2 3 in place", got, cap(got))
+	}
+	if r.VarView() != nil || r.U8() != 9 || r.Done() != nil {
+		t.Fatal("an empty VarView is not nil, or the reader lost its place")
+	}
+	if r := NewReader([]byte{5, 1}); r.VarView() != nil || !errors.Is(r.Err(), ErrShort) {
+		t.Fatalf("a field longer than its input: %v, want ErrShort", r.Err())
+	}
+}
+
 // TestCompactFieldSizes pins what the compact fields are for: hex IDs cost
 // half their length plus one, a vocabulary word one byte.
 func TestCompactFieldSizes(t *testing.T) {

@@ -129,7 +129,7 @@ func isPackedHex(s string) bool {
 // Reader is a cursor over one encoded value. The first read that runs short
 // latches an error naming its byte offset, and every later read returns the
 // zero value without advancing, so a decoder parses straight-line and checks
-// Err or Done once. Nothing a Reader returns aliases its input.
+// Err or Done once. Only VarView and Since return bytes of its input.
 type Reader struct {
 	b   []byte
 	off int
@@ -238,6 +238,15 @@ func (r *Reader) VarBytes() []byte {
 	return append([]byte(nil), r.take(int(r.Uvarint()))...)
 }
 
+// VarView is VarBytes without the copy: the field in place, capped at its
+// end (nil when empty), for a caller that keeps it no longer than the input.
+func (r *Reader) VarView() []byte {
+	if p := r.take(int(r.Uvarint())); len(p) > 0 {
+		return p[:len(p):len(p)]
+	}
+	return nil
+}
+
 // VarStr reads what AppendVarStr wrote; like VarBytes, it bounds the length
 // by the input before allocating.
 func (r *Reader) VarStr() string { return string(r.take(int(r.Uvarint()))) }
@@ -335,13 +344,13 @@ func (r *Reader) Count(minElemBytes int) int {
 // Offset is how many bytes r has consumed: the offset Since takes.
 func (r *Reader) Offset() int { return r.off }
 
-// Since returns a copy of the bytes r consumed from offset at, an earlier
-// Offset, on; nil once r is bad.
+// Since returns the bytes r consumed from offset at, an earlier Offset, on,
+// in place and capped at their end; nil once r is bad.
 func (r *Reader) Since(at int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	return append([]byte(nil), r.b[at:r.off]...)
+	return r.b[at:r.off:r.off]
 }
 
 // Err reports the latched short-read error, if any.

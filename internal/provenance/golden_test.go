@@ -15,18 +15,31 @@ func goldenHash(seed byte) (h [32]byte) {
 	return h
 }
 
-// TestGoldenEvent pins the custody-event transfer layout (it travels inside
-// export bundles and backups, and older mediums hold it), the stored layouts a
-// tracker writes (v3) and has written (v2, now decode-only), and the hash
-// domain MACs and signatures cover.
-func TestGoldenEvent(t *testing.T) {
-	ev := Event{
+// goldenTracker is TestGoldenEvent's custody event, and the tracker that
+// stores it: its signing key (the event's own signer), its MAC, and the
+// place in its record's chain that the next event takes.
+func goldenTracker() (ev Event, own vcrypto.PublicKey, mac *vcrypto.KeyedMAC, place func(string) (uint64, [32]byte)) {
+	ev = Event{
 		Record: "p1-enc-0", Index: 2, Type: EventMigratedOut,
 		Timestamp: time.Unix(0, 1190000000123456789).UTC(), Actor: "arch-1",
 		System: "vault-a", Peer: "vault-b", ContentHash: goldenHash(0x01),
 		PrevHash: goldenHash(0x30), Hash: goldenHash(0x60),
 		SignerKey: vcrypto.PublicKey{0xb1, 0xb2, 0xb3}, Signature: []byte{0xc1, 0xc2},
 	}
+	mac = vcrypto.NewKeyedMAC(vcrypto.Key(goldenHash(0x90)))
+	return ev, ev.SignerKey, mac, func(string) (uint64, [32]byte) { return 2, goldenHash(0x30) }
+}
+
+// goldenStoredV2 is goldenTracker's event in the decode-only stored layout v2.
+const goldenStoredV2 = "021070312d656e632d30041083bab1fa12cd150c617263682d310e7661756c742d610e7661756c742d620102030405" +
+	"060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f200002c1c2"
+
+// TestGoldenEvent pins the custody-event transfer layout (it travels inside
+// export bundles and backups, and older mediums hold it), the stored layouts a
+// tracker writes (v3) and has written (v2, now decode-only), and the hash
+// domain MACs and signatures cover.
+func TestGoldenEvent(t *testing.T) {
+	ev, own, mac, place := goldenTracker()
 	// The stored layouts leave out Index, PrevHash and Hash (the reader's
 	// place in the chain gives the first two, and hashing the third) and the
 	// signer key when it is the tracker's own; v3 leaves out the tracker's
@@ -34,9 +47,6 @@ func TestGoldenEvent(t *testing.T) {
 	// fields instead.
 	stored := ev
 	stored.Hash = eventHash(stored)
-	own := ev.SignerKey
-	mac := vcrypto.NewKeyedMAC(vcrypto.Key(goldenHash(0x90)))
-	place := func(string) (uint64, [32]byte) { return 2, goldenHash(0x30) }
 	decode := func(b []byte) (any, error) { return decodeStored(b, own, mac, place) }
 	unsigned := stored
 	unsigned.Signature = nil
@@ -64,9 +74,8 @@ func TestGoldenEvent(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			Name: "provenance stored event v2",
-			Hex: "021070312d656e632d30041083bab1fa12cd150c617263682d310e7661756c742d610e7661756c742d620102030405" +
-				"060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f200002c1c2",
+			Name:    "provenance stored event v2",
+			Hex:     goldenStoredV2,
 			Decode:  decode,
 			Want:    stored,
 			Corrupt: ErrCorrupt,

@@ -243,6 +243,15 @@ check "Shards in shard order: internal/core/cluster.go starts no goroutine" \
 check "One at-rest record layout: in non-test internal/core, ehr.Decode( only in sealedRecord and bundlecodec.go, sealAAD( only in commitVersion, openVersion and verify.go" \
 	"$(awk '/^func /{fn=$0} /ehr\.Decode\(/ && !(FILENAME == "internal/core/bundlecodec.go" || fn ~ /^func \(v \*Vault\) sealedRecord\(/) {print FILENAME ":" FNR ": " $0} /sealAAD\(/ && !/^func sealAAD\(/ && !(FILENAME == "internal/core/verify.go" || fn ~ /^func \(v \*Vault\) (commitVersion|openVersion)\(/) {print FILENAME ":" FNR ": " $0}' $core)"
 
+# The sweep proves each fact once. A version's commitment is the commitment
+# log's leaf at its index, compared in place (checkLeaf), so only the proof
+# route builds or checks an inclusion proof; and one stream of the audit
+# chain checks it and every remembered checkpoint.
+check "One sweep pass: in non-test internal/core, InclusionProof and VerifyInclusion only in proofs.go, and verify.go calls the audit log's verification exactly once" \
+	"$(grep -nE '\b(InclusionProof|VerifyInclusion)\b' $core | grep -v '^internal/core/proofs\.go:'
+	calls=$(grep -cE '\.aud\.Verify[A-Za-z]*\(' internal/core/verify.go)
+	[ "$calls" -eq 1 ] || echo "internal/core/verify.go: $calls lines call the audit log's verification")"
+
 # Every fuzz target runs in CI's fuzz step on its own package, under a
 # pattern anchored to its name alone: go test refuses a -fuzz pattern that
 # matches two targets, and a refused line stops the step.
