@@ -18,7 +18,9 @@
 // -debug-addr starts a second listener (bind it to loopback) carrying
 // net/http/pprof plus /debug/traces and /debug/flight, so profiling and
 // trace inspection survive even when the main listener is saturated or
-// firewalled.
+// firewalled. Without it, and in follower mode, which has no debug
+// listener, nothing can serve a heap profile, so the runtime samples no
+// allocations (runtime.MemProfileRate = 0).
 //
 // An anomaly watchdog ticks in the background: active findings appear as
 // degraded detail on /healthz and as medvault_watchdog_anomalies_total.
@@ -63,6 +65,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -85,7 +88,7 @@ func main() {
 		name      = flag.String("name", "medvaultd", "system name recorded in custody chains")
 		tlsCert   = flag.String("tls-cert", "", "TLS certificate file (enables HTTPS with -tls-key)")
 		tlsKey    = flag.String("tls-key", "", "TLS private key file")
-		debugAddr = flag.String("debug-addr", "", "optional debug listener (pprof + /debug/traces); bind to loopback")
+		debugAddr = flag.String("debug-addr", "", "optional debug listener (pprof + /debug/traces); bind to loopback. Without it (and with -follow) heap profiling is off")
 		dekCache  = flag.Int("dek-cache", 0, "plaintext-DEK cache entries (0 = default, -1 disables)")
 		blockMB   = flag.Int("block-cache-mb", 0, "ciphertext block cache size in MiB (0 = default, -1 disables)")
 		shards    = flag.Int("shards", 0, "shard count for a new vault directory (0 adopts the existing layout)")
@@ -95,6 +98,7 @@ func main() {
 		replAddr    = flag.String("repl-addr", ":8610", "follower mode: replication stream listen address")
 	)
 	flag.Parse()
+	runtime.MemProfileRate = memProfileRate(*debugAddr, *follow)
 	// The MiB flag scales to bytes only for positive sizes; 0 (default) and
 	// the -1 disable sentinel pass through for vaultcfg to validate, so
 	// "-block-cache-mb -7" is rejected instead of shifting into a surprise.
@@ -120,6 +124,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "medvaultd:", err)
 		os.Exit(1)
 	}
+}
+
+// memProfileRate is the heap-sampling rate for a server with debug listener
+// debugAddr, in follower mode or not: the runtime's default where
+// /debug/pprof/heap can serve the profile, and 0 where nothing can, since
+// sampling keeps a bucket table of a megabyte or more that no one reads.
+func memProfileRate(debugAddr string, follow bool) int {
+	if debugAddr == "" || follow {
+		return 0
+	}
+	return runtime.MemProfileRate
 }
 
 func run(dir, key, addr, name string, tlsCert, tlsKey, debugAddr, replicateTo string, opt vaultcfg.Options) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,5 +35,25 @@ func TestRunRefusesBadAddr(t *testing.T) {
 	// An unparseable listen address fails fast instead of serving.
 	if err := run(dir, hexKey, "not-an-addr", "n", "", "", "", "", vaultcfg.Options{}); err == nil {
 		t.Error("bad address accepted")
+	}
+}
+
+// TestMemProfileRateNeedsADebugListener: the runtime samples the heap only
+// for a primary with a debug listener, at its default rate; a server
+// without one, and a follower, which never has one, sample nothing.
+func TestMemProfileRateNeedsADebugListener(t *testing.T) {
+	for _, c := range []struct {
+		debugAddr string
+		follow    bool
+		want      int
+	}{
+		{"127.0.0.1:8601", false, runtime.MemProfileRate},
+		{"", false, 0},
+		{"", true, 0},
+		{"127.0.0.1:8601", true, 0},
+	} {
+		if got := memProfileRate(c.debugAddr, c.follow); got != c.want {
+			t.Errorf("memProfileRate(%q, %t) = %d, want %d", c.debugAddr, c.follow, got, c.want)
+		}
 	}
 }

@@ -23,13 +23,14 @@
 // folded into that entry (codec.go). Either way an event stores only what a
 // reader cannot recompute: an actor, record ID or detail the log already
 // holds is stored as its number in that field's symbol table. In RAM the log
-// keeps, per event, its offset in its segment, its link and a place, a
-// uvarint gap of a byte or two, in the ascending-seq posting lists of the
-// filters the API exposes (record, actor, denied); per segment, its first
-// event's seq; and, per distinct symbol value, its entry in the field's
-// recno.Table, whose number is the value's symbol number and indexes its
-// posting list. A query snapshots the shortest list under the log lock,
-// releases it, and reads, decodes and checks only the events that list names;
+// keeps, per event, a place, a uvarint gap of a byte or two, in the
+// ascending-seq posting lists of the filters the API exposes (record, actor,
+// denied); per anchorEvery events and per segment, an anchor: where one
+// event lives and its predecessor's hash; and, per distinct symbol value,
+// its entry in the field's recno.Table, whose number is the value's symbol
+// number and indexes its posting list. A query snapshots the shortest list
+// under the log lock, releases it, and streams forward from the anchor at or
+// before each event that list names, checking every event it passes;
 // verification streams the medium, rebuilding the tables from it, so what
 // it vouches for is the bytes on disk, not a copy of them.
 package audit
@@ -165,7 +166,7 @@ type Log struct {
 	mac      *vcrypto.KeyedMAC
 	signer   *vcrypto.Signer
 	now      func() time.Time
-	places   places    // where each event lives, and its link
+	places   places    // where the log's events live
 	syms     *symbols  // the log's own: it numbers values no shard registers
 	byRecord []posting // by record symbol number
 	byActor  []posting // by actor symbol number
@@ -179,9 +180,10 @@ type Log struct {
 	// tailSyms is each symbol table's size when the tail began: Flush's
 	// count of the values tail events define.
 	tailSyms [numSyms]int
-	skip     uint64 // the seq Resume takes its next entry for; an overlap with the store when below len(places.slots)
-	resumed  bool   // Resume has placed the tail's first entry
-	every    int    // checkpoint interval in events (0 = manual only)
+	skip     uint64   // the seq Resume takes its next entry for; an overlap with the store when below places.n
+	skipPrev [32]byte // the hash of event skip-1 while skip is in the overlap
+	resumed  bool     // Resume has placed the tail's first entry
+	every    int      // checkpoint interval in events (0 = manual only)
 	cps      []Checkpoint
 	wedged   bool // an append or Flush failed since Open (see ErrWedged)
 }
@@ -190,69 +192,49 @@ type Log struct {
 // of its entry in the owner's log (the convention of the vault's walSegment).
 const pendingSegment = math.MaxUint32
 
-// places is where a log's events live and what each links to: the only
-// per-event state besides the posting lists. Appends only extend its
-// slices, so a copy taken under the log lock stays valid outside it; Flush,
-// which runs with no reader in flight, rewrites the tail's slots in place.
+// anchorEvery is how many events apart the log keeps an anchor at most: a
+// posting-list read streams forward from the anchor at or before its event,
+// so it decodes at most anchorEvery-1 events it does not answer.
+const anchorEvery = 32
+
+// anchor is where a forward stream starts: event seq lives at ref (a tail
+// event's ref holds its entry's full-width offset in the owner's log) and
+// follows the event whose Hash is prev.
+type anchor struct {
+	seq  uint64
+	ref  blockstore.Ref
+	prev [32]byte
+}
+
+// places is where a log's events live, held as anchors: every
+// anchorEvery-th event has one, and so do the first event of each segment
+// and the tail's first, which keeps it when Flush copies it to the store, so
+// a stream from an anchor never crosses a segment or the store/tail seam.
+// Appends only extend anchors, so a copy taken under the log lock stays
+// valid outside it; Flush, which runs with no reader in flight, replaces the
+// tail's in place.
 type places struct {
-	slots  []slot   // slots[seq] is event seq's
-	first  []uint64 // first[s] is the seq of segment s's first event, or of the next event when s holds none
-	stored uint64   // events in the store; the tail's follow them
-	// tail[seq-stored] is tail event seq's offset in the owner's log, at
-	// full width: that log is cut only at the owner's checkpoint, so it may
-	// outgrow the 4 GiB a slot's offset holds.
-	tail []uint64
+	anchors []anchor
+	n       uint64 // events placed
+	stored  uint64 // events in the store; the tail's follow them
+	seg     uint32 // event n-1's segment
 }
 
-// slot is one event's place in its segment (unused for a tail event) and its
-// link, the first linkLen bytes of its predecessor's Hash, which a
-// posting-list read hands decodeEvent: 12 B where a blockstore.Ref alone took
-// 16.
-type slot struct {
-	offset uint32
-	link   [linkLen]byte
-}
-
-// fits reports a stored event whose offset in its segment a slot cannot
-// hold.
-func fits(ref blockstore.Ref) error {
-	if ref.Segment != pendingSegment && ref.Offset > math.MaxUint32 {
-		return fmt.Errorf("audit: an event is %d B into segment %d, past the 4 GiB a slot holds", ref.Offset, ref.Segment)
-	}
-	return nil
-}
-
-// add records that event len(p.slots) lives at ref, which fits, and links to
-// prev. A tail event (pendingSegment) follows every stored one.
+// add records that event p.n lives at ref and follows the event whose Hash
+// is prev. A tail event (pendingSegment) follows every stored one.
 func (p *places) add(ref blockstore.Ref, prev [32]byte) {
-	var s slot
-	copy(s.link[:], prev[:])
-	p.slots = append(p.slots, s)
-	if ref.Segment == pendingSegment {
-		p.tail = append(p.tail, ref.Offset)
-		return
+	if p.n%anchorEvery == 0 || ref.Segment != p.seg {
+		p.anchors = append(p.anchors, anchor{p.n, ref, prev})
 	}
-	p.store(ref)
+	if ref.Segment != pendingSegment {
+		p.stored++
+	}
+	p.n, p.seg = p.n+1, ref.Segment
 }
 
-// store records that event p.stored, the first not in the store, lives there
-// at ref, which fits.
-func (p *places) store(ref blockstore.Ref) {
-	for uint64(len(p.first)) <= uint64(ref.Segment) {
-		p.first = append(p.first, p.stored)
-	}
-	p.slots[p.stored].offset = uint32(ref.Offset)
-	p.stored++
-}
-
-// ref is where event seq lives: in the tail, or in the last segment whose
-// first event is at or before it.
-func (p places) ref(seq uint64) blockstore.Ref {
-	if seq >= p.stored {
-		return blockstore.Ref{Segment: pendingSegment, Offset: p.tail[seq-p.stored]}
-	}
-	seg := sort.Search(len(p.first), func(s int) bool { return p.first[s] > seq }) - 1
-	return blockstore.Ref{Segment: uint32(seg), Offset: uint64(p.slots[seq].offset)}
+// at is the index of the last anchor at or before seq.
+func (p places) at(seq uint64) int {
+	return sort.Search(len(p.anchors), func(i int) bool { return p.anchors[i].seq > seq }) - 1
 }
 
 // posting is an ascending list of seqs, held as the uvarint gap from each
@@ -340,8 +322,7 @@ func Open(cfg Config) (*Log, error) {
 		every:  cfg.CheckpointInterval,
 		syms:   newSymbols(),
 	}
-	err := l.scan(-1, places{}, l.syms, l.index)
-	if err != nil {
+	if err := l.scan(-1, places{}, l.syms, l.index); err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
@@ -349,13 +330,9 @@ func Open(cfg Config) (*Log, error) {
 
 // index is place for an event already on the medium, which a reader may
 // read from now on.
-func (l *Log) index(ref blockstore.Ref, e Event) error {
-	if err := fits(ref); err != nil {
-		return err
-	}
+func (l *Log) index(ref blockstore.Ref, e Event) {
 	l.place(ref, e)
 	l.show(e.Seq+1, e.Hash)
-	return nil
 }
 
 // show lets readers read the first n events, which end in head.
@@ -365,8 +342,8 @@ func (l *Log) show(n uint64, head [32]byte) {
 	}
 }
 
-// place records where e lives (ref, which fits), what it links to and which
-// posting lists name it, and numbers the symbol values it is the first to
+// place records where e lives (ref), what it follows and which posting lists
+// name it, and numbers the symbol values it is the first to
 // carry. The caller holds l.mu exclusively (or, in Open, is the only holder
 // of l), and e is on the medium or, with a tail, enqueued to it: a failed
 // append defines nothing.
@@ -392,26 +369,26 @@ var errStopScan = errors.New("audit: stop scan")
 // MACs, and hands each to fn: the store's, and then, up to n, the tail's in
 // pl. A medium that holds fewer than n — the count the caller saw in the
 // running log — is a broken chain.
-func (l *Log) scan(n int, pl places, syms *symbols, fn func(blockstore.Ref, Event) error) error {
+func (l *Log) scan(n int, pl places, syms *symbols, fn func(blockstore.Ref, Event)) error {
 	cr := newChainReader(l.checkMAC, syms)
 	err := l.store.Scan(func(ref blockstore.Ref, data []byte) error {
 		if int(cr.seq) == n {
 			return errStopScan
 		}
 		e, err := cr.next(nil, data)
-		if err != nil {
-			return err
+		if err == nil {
+			fn(ref, e)
 		}
-		return fn(ref, e)
+		return err
 	})
 	if err != nil && !errors.Is(err, errStopScan) {
 		return err
 	}
 	if err == nil && int(cr.seq) < n && cr.seq == pl.stored {
-		err = l.scanTail(pl, n, func(ref blockstore.Ref, host *Event, data []byte) error {
+		err = l.scanTail(pl, n, func(off int64, host *Event, data []byte) error {
 			e, err := cr.next(host, data)
 			if err == nil {
-				err = fn(ref, e)
+				fn(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, e)
 			}
 			return err
 		})
@@ -426,25 +403,68 @@ func (l *Log) scan(n int, pl places, syms *symbols, fn func(blockstore.Ref, Even
 }
 
 // scanTail reads the tail's events from the first to event n-1 in one pass
-// (Tail.Scan) and hands fn each with its place, which must be the one pl
-// holds.
-func (l *Log) scanTail(pl places, n int, fn func(ref blockstore.Ref, host *Event, data []byte) error) error {
-	seq := pl.stored
-	err := l.tail.Scan(int64(pl.ref(seq).Offset), func(off int64, host *Event, data []byte) error {
+// (Tail.Scan) and hands fn each with its offset there, which must be the one
+// pl's anchor holds for each event that has one.
+func (l *Log) scanTail(pl places, n int, fn func(off int64, host *Event, data []byte) error) error {
+	seq, i := pl.stored, pl.at(pl.stored)
+	err := l.tail.Scan(int64(pl.anchors[i].ref.Offset), func(off int64, host *Event, data []byte) error {
 		if int(seq) == n {
 			return errStopScan
 		}
-		ref := pl.ref(seq)
-		if off != int64(ref.Offset) {
-			return fmt.Errorf("%w: event %d is at %d in the tail, not %d", ErrChainBroken, seq, off, ref.Offset)
+		if i < len(pl.anchors) && pl.anchors[i].seq == seq {
+			if want := pl.anchors[i].ref.Offset; off != int64(want) {
+				return fmt.Errorf("%w: event %d is at %d in the tail, not %d", ErrChainBroken, seq, off, want)
+			}
+			i++
 		}
 		seq++
-		return fn(ref, host, data)
+		return fn(off, host, data)
 	})
 	if err != nil && !errors.Is(err, errStopScan) {
 		return fmt.Errorf("%w: reading the tail: %w", ErrChainBroken, err)
 	}
 	return nil
+}
+
+// stream reads anchor i's stretch, from its event to event end-1 or to the
+// next anchor's, through a chainReader that starts at the anchor and
+// resolves symbols through the log's tables, and hands fn each event with
+// its chain hashes until fn fails: in the store from one read of the stretch
+// (Store.ScanSpan), in the tail by Tail.Scan from the anchor's entry. A
+// medium that holds fewer is a broken chain.
+func (l *Log) stream(pl places, i int, end uint64, fn func(Event) error) error {
+	a := pl.anchors[i]
+	if i+1 < len(pl.anchors) {
+		end = min(end, pl.anchors[i+1].seq)
+	}
+	cr := chainReader{check: l.checkMAC, seq: a.seq, prev: a.prev, syms: l.syms, resolved: true}
+	each := func(host *Event, data []byte) error {
+		if cr.seq == end {
+			return errStopScan
+		}
+		e, err := cr.next(host, data)
+		if err == nil {
+			err = fn(e)
+		}
+		return err
+	}
+	var err error
+	if a.ref.Segment == pendingSegment {
+		err = l.tail.Scan(int64(a.ref.Offset), func(_ int64, host *Event, data []byte) error { return each(host, data) })
+	} else {
+		to := uint64(math.MaxUint64)
+		if i+1 < len(pl.anchors) && pl.anchors[i+1].ref.Segment == a.ref.Segment {
+			to = pl.anchors[i+1].ref.Offset
+		}
+		err = l.store.ScanSpan(a.ref, to, func(_ blockstore.Ref, data []byte) error { return each(nil, data) })
+	}
+	switch {
+	case errors.Is(err, errStopScan):
+		return nil
+	case err == nil && cr.seq < end:
+		return fmt.Errorf("%w: medium holds event %d before %d", ErrChainBroken, cr.seq, end)
+	}
+	return err
 }
 
 // Append records an event and returns it with chain fields filled in.
@@ -501,15 +521,13 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.Timestamp = l.now()
 	nums := l.seal(&e)
 	ref, err := l.store.Append(encodeEvent(e, nums))
-	if err == nil {
-		err = l.index(ref, e)
-	}
 	if err != nil {
 		l.wedged = true
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
+	l.index(ref, e)
 	eventsCounter(e.Outcome).Inc()
-	if l.every > 0 && len(l.places.slots)%l.every == 0 {
+	if l.every > 0 && l.places.n%uint64(l.every) == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
 	}
 	return e, nil
@@ -525,13 +543,11 @@ type Tail struct {
 	// its offset in the owner's log and the wait that returns once it is
 	// written.
 	Enqueue func(entry []byte) (off int64, wait func() error)
-	// Read returns the written entry at off: a standalone event's v7 bytes
-	// with host nil, or a folded event's host fields (Actor, Action, Record,
-	// Version, Outcome, Timestamp) and its fold.
-	Read func(off int64) (host *Event, data []byte, err error)
 	// Scan calls fn, in order, with every written entry that holds an
-	// event from the one at off on, as Read would return it, until fn
-	// fails; data is valid only during the call.
+	// event from the one at off on, until fn fails: a standalone event's v7
+	// bytes with host nil, or a folded event's host fields (Actor, Action,
+	// Record, Version, Outcome, Timestamp) and its fold. data is valid only
+	// during the call.
 	Scan func(off int64, fn func(off int64, host *Event, data []byte) error) error
 	// Wedged is the owner's log's wedge, which is the audit log's: once set,
 	// no event reaches the tail.
@@ -553,7 +569,7 @@ func (l *Log) markTail() {
 	for f, t := range l.syms {
 		l.tailSyms[f] = t.Len()
 	}
-	l.skip = uint64(len(l.places.slots))
+	l.skip = l.places.n
 	l.resumed = false
 }
 
@@ -611,7 +627,7 @@ func (l *Log) await(waits []func() error, last Event, err error) error {
 // seq, link, hash and tag. It returns the numbers encodeEvent needs. The
 // caller holds l.mu exclusively.
 func (l *Log) seal(e *Event) [numSyms]int {
-	e.Seq = uint64(len(l.places.slots))
+	e.Seq = l.places.n
 	e.Timestamp = e.Timestamp.UTC()
 	e.PrevHash = l.lastHash
 	var msg []byte
@@ -636,7 +652,7 @@ func (l *Log) refuse() error {
 // next event inside the entry put stages in the tail: put gets the event's
 // fold — its detail, trace and tag (codec.go) — to end its entry with, and
 // returns the entry's offset and wait. The entry's other fields must give
-// e's Actor, Record, Action, Version, Outcome and Timestamp back (Tail.Read).
+// e's Actor, Record, Action, Version, Outcome and Timestamp back (Tail.Scan).
 // The wait AppendFolded returns must be called exactly once, in place of
 // put's: it waits for the entry to be written, and then lets readers read
 // the event. A log without a tail refuses, as does a wedged one, without
@@ -666,8 +682,10 @@ func (l *Log) AppendFolded(e Event, put func(fold []byte) (off int64, wait func(
 // against the chain it continues, and numbers and indexes it as an append
 // would. A checkpoint cut between copying the tail to the store and cutting
 // the owner's log leaves the tail's first events in the store too: replay
-// finds the first entry's seq among the store's last events by its tag, and
-// skips each event the store already holds after checking its tag there.
+// finds the first entry's seq among the store's events by its tag, streaming
+// the store newest stretch first, checks each entry the store already holds
+// as the chain from there, and requires that chain to end in the store's
+// head.
 func (l *Log) Resume(off int64, host *Event, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -675,24 +693,32 @@ func (l *Log) Resume(off int64, host *Event, data []byte) error {
 	if err != nil {
 		return err
 	}
-	n := uint64(len(l.places.slots))
+	n := l.places.n
 	if !l.resumed {
-		// The first entry starts the tail, or overlaps the store's end.
+		// The first entry starts the tail, or repeats a stored event: the one
+		// its tag checks as, found by streaming the store newest stretch first.
 		l.resumed = true
-		if n > 0 && !l.tagged(e, n, l.lastHash[:linkLen]) {
-			for s := n; s > 0; s-- {
-				if link := l.places.slots[s-1].link; l.tagged(e, s-1, link[:]) {
-					l.skip = s - 1
-					break
+		chained := l.tagged(e, n, l.lastHash[:linkLen])
+		for i := len(l.places.anchors) - 1; !chained && i >= 0 && l.skip == n; i-- {
+			err = l.stream(l.places, i, n, func(s Event) error {
+				if !l.tagged(e, s.Seq, s.PrevHash[:linkLen]) {
+					return nil
 				}
+				l.skip, l.skipPrev = s.Seq, s.PrevHash
+				return errStopScan
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
 	if l.skip < n {
-		if link := l.places.slots[l.skip].link; !l.tagged(e, l.skip, link[:]) {
-			return fmt.Errorf("%w at seq %d (%w): the tail's copy in the store differs", ErrBadMAC, l.skip, ErrChainBroken)
+		if e, err = checkEvent(e, codecVersion, l.skip, l.skipPrev, l.checkMAC); err != nil {
+			return fmt.Errorf("%w: the tail's copy in the store differs", err)
 		}
-		l.skip++
+		if l.skip, l.skipPrev = l.skip+1, e.Hash; l.skip == n && e.Hash != l.lastHash {
+			return fmt.Errorf("%w: the tail's copy ends in another event than the store", ErrChainBroken)
+		}
 		return nil
 	}
 	cr := chainReader{check: l.checkMAC, seq: n, prev: l.lastHash, syms: l.syms}
@@ -700,7 +726,8 @@ func (l *Log) Resume(off int64, host *Event, data []byte) error {
 		return err
 	}
 	l.skip++
-	return l.index(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, e)
+	l.index(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, e)
+	return nil
 }
 
 // tagged reports whether e's tag checks as event seq's after the event whose
@@ -716,8 +743,8 @@ func (l *Log) tagged(e Event, seq uint64, link []byte) bool {
 // with its own tag — syncs the store, and only then points the events'
 // places there: the owner calls it before it cuts its log, with no append or
 // read in flight, since a read that placed an event in the tail before the
-// cut would look for it in the owner's next log; so the tail's slots are
-// re-pointed in place, in O(tail). A failure wedges the log, since the store
+// cut would look for it in the owner's next log; so the tail's anchors are
+// replaced in place, in O(tail). A failure wedges the log, since the store
 // may hold part of the copy. A log without a tail refuses.
 func (l *Log) Flush() error {
 	l.mu.Lock()
@@ -729,52 +756,54 @@ func (l *Log) Flush() error {
 		return ErrWedged
 	}
 	pl := &l.places
-	n := uint64(len(pl.slots))
-	if l.shown != n {
-		return fmt.Errorf("audit: %d events are in flight", n-l.shown)
+	if l.shown != pl.n {
+		return fmt.Errorf("audit: %d events are in flight", pl.n-l.shown)
 	}
-	if pl.stored == n {
+	if pl.stored == pl.n {
 		return nil
 	}
+	// The copies' places, anchored as appends to the store would be, the
+	// first keeping its anchor: each copy follows the hash of the one before.
+	i := pl.at(pl.stored)
+	copies := places{n: pl.stored, stored: pl.stored, seg: pendingSegment}
+	prev := pl.anchors[i].prev
 	count := l.tailSyms
-	refs := make([]blockstore.Ref, 0, n-pl.stored)
-	err := l.scanTail(*pl, int(n), func(_ blockstore.Ref, host *Event, data []byte) error {
-		enc, err := l.copyable(host, data, &count)
+	err := l.scanTail(*pl, int(pl.n), func(_ int64, host *Event, data []byte) error {
+		e, enc, err := l.copyable(host, data, &count)
 		var ref blockstore.Ref
 		if err == nil {
 			ref, err = l.store.Append(enc)
 		}
 		if err == nil {
-			err = fits(ref)
+			copies.add(ref, prev)
+			e.Seq, e.PrevHash = copies.n-1, prev
+			prev = eventHash(e)
 		}
-		refs = append(refs, ref)
 		return err
 	})
-	if err != nil || len(refs) != int(n-pl.stored) {
+	if err != nil || copies.n != pl.n {
 		l.wedged = true
-		return fmt.Errorf("audit: copying event %d to the store: %w", int(pl.stored)+len(refs)-1, err)
+		return fmt.Errorf("audit: copying event %d to the store: %w", copies.n, err)
 	}
 	if err := l.store.Sync(); err != nil {
 		l.wedged = true
 		return fmt.Errorf("audit: syncing the tail's copy: %w", err)
 	}
-	for _, ref := range refs {
-		pl.store(ref)
-	}
-	pl.tail = nil
+	copies.anchors = append(pl.anchors[:i], copies.anchors...)
+	*pl = copies
 	l.markTail()
 	return nil
 }
 
-// copyable returns a tail event, read as Tail.Read returns it, in its v7
+// copyable returns a tail event, read as Tail.Scan hands it on, and its v7
 // encoding as the store holds it. count is each symbol table's size as of
 // the event, which its values advance. It checks nothing: the copy carries
 // the event's own tag, which every reader of the store checks. The caller
 // holds l.mu.
-func (l *Log) copyable(host *Event, data []byte, count *[numSyms]int) ([]byte, error) {
+func (l *Log) copyable(host *Event, data []byte, count *[numSyms]int) (Event, []byte, error) {
 	e, _, err := parseTail(host, data, l.syms)
 	if err != nil {
-		return nil, err
+		return Event{}, nil, err
 	}
 	var nums [numSyms]int
 	for f, v := range symbolValues(e) {
@@ -788,9 +817,9 @@ func (l *Log) copyable(host *Event, data []byte, count *[numSyms]int) ([]byte, e
 		}
 	}
 	if host == nil {
-		return data, nil // the store's Append copies it
+		return e, data, nil // the store's Append copies it
 	}
-	return encodeEvent(e, nums), nil
+	return e, encodeEvent(e, nums), nil
 }
 
 // checkMAC is the log's macCheck. A v7 event's tag is checked through
@@ -869,13 +898,12 @@ func (l *Log) Verify(pub vcrypto.PublicKey, cps ...Checkpoint) (n int, err error
 	want, head, pl := int(l.shown), l.shownHead, l.places
 	l.mu.RUnlock()
 	var last [32]byte
-	err = l.scan(want, pl, newSymbols(), func(_ blockstore.Ref, e Event) error {
+	err = l.scan(want, pl, newSymbols(), func(_ blockstore.Ref, e Event) {
 		n++
 		last = e.Hash
 		if _, ok := hashes[e.Seq+1]; ok {
 			hashes[e.Seq+1] = e.Hash
 		}
-		return nil
 	})
 	if err == nil && last != head {
 		err = fmt.Errorf("%w: medium ends in a different event than the running log", ErrChainBroken)
@@ -914,15 +942,15 @@ func (q Query) matches(e Event) bool {
 }
 
 // Search returns events matching q in chain order, as of the call. It reads
-// the medium outside the log lock: only the events on the posting list of
-// fewest bytes q selects, or — when q names no record, actor or outcome — a
-// stream of the whole chain. Every event returned has been checked (its seq, and its
-// MAC over its link); a read, decode or check failure fails the query
-// rather than shortening its answer. An event read from a posting list is
-// checked from its own bytes and the link the log keeps resident, and comes
-// back without its chain hashes (PrevHash and Hash zero): the rest of
-// PrevHash takes every earlier event. An event from the stream, which
-// reads every earlier event, has both.
+// the medium outside the log lock: the events on the posting list of fewest
+// bytes q selects, each by a stream from the anchor at or before it, which
+// consecutive events of one anchor's stretch share, or — when q names no
+// record, actor or outcome — a stream of the whole chain. Every event a
+// stream passes is checked (its seq, its link and its MAC), so a read,
+// decode or check failure on the way fails the query rather than shortening
+// its answer. An event read from a posting list comes back without its
+// chain hashes (PrevHash and Hash zero), as the query's answer does not
+// depend on where its stream started; one from the whole chain has both.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
 	pl, shown := l.places, l.shown
@@ -946,58 +974,43 @@ func (l *Log) Search(q Query) ([]Event, error) {
 
 	var out []Event
 	if !indexed {
-		err := l.scan(int(shown), pl, newSymbols(), func(_ blockstore.Ref, e Event) error {
+		err := l.scan(int(shown), pl, newSymbols(), func(_ blockstore.Ref, e Event) {
 			if q.matches(e) {
 				out = append(out, e)
 			}
-			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("audit: scanning log: %w", err)
 		}
 		return out, nil
 	}
-	err := shortest.each(func(seq uint64) error {
+	var hits []uint64
+	shortest.each(func(seq uint64) error {
 		if seq >= shown {
 			return errStopScan // in flight, as is every seq after it
 		}
-		e, err := l.read(pl, seq)
-		if err != nil {
-			return fmt.Errorf("audit: reading event %d: %w", seq, err)
-		}
-		if q.matches(e) {
-			out = append(out, e)
-		}
+		hits = append(hits, seq)
 		return nil
 	})
-	if err != nil && err != errStopScan {
-		return nil, err
+	for k := 0; k < len(hits); {
+		i, last := pl.at(hits[k]), k // last: the last hit in anchor i's stretch
+		for last+1 < len(hits) && pl.at(hits[last+1]) == i {
+			last++
+		}
+		err := l.stream(pl, i, hits[last]+1, func(e Event) error {
+			if e.Seq == hits[k] {
+				if k++; q.matches(e) {
+					e.PrevHash, e.Hash = [32]byte{}, [32]byte{}
+					out = append(out, e)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("audit: reading events %d to %d: %w", pl.anchors[i].seq, hits[last], err)
+		}
 	}
 	return out, nil
-}
-
-// read reads event seq, wherever pl says it lives, and checks it against its
-// link (decodeEvent).
-func (l *Log) read(pl places, seq uint64) (Event, error) {
-	link := pl.slots[seq].link
-	ref := pl.ref(seq)
-	if ref.Segment != pendingSegment {
-		data, err := l.store.Read(ref)
-		if err != nil {
-			return Event{}, err
-		}
-		e, _, err := decodeEvent(data, seq, l.syms, link[:], l.checkMAC)
-		return e, err
-	}
-	host, data, err := l.tail.Read(int64(ref.Offset))
-	if err != nil {
-		return Event{}, err
-	}
-	e, _, err := parseTail(host, data, l.syms)
-	if err != nil {
-		return Event{}, err
-	}
-	return checkEvent(e, codecVersion, seq, link[:], l.checkMAC)
 }
 
 // eventHash hashes the event's place, content and PrevHash (not MAC). The

@@ -90,18 +90,7 @@ func noKey(byte, []byte, []byte) bool { return true }
 // ref of each.
 func storedEvents(t *testing.T, store blockstore.Store) ([]blockstore.Ref, []Event) {
 	t.Helper()
-	var refs []blockstore.Ref
-	var events []Event
-	cr := newChainReader(noKey, newSymbols())
-	err := store.Scan(func(ref blockstore.Ref, data []byte) error {
-		e, err := cr.next(nil, data)
-		refs, events = append(refs, ref), append(events, e)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return refs, events
+	return mediumEvents(t, store, nil)
 }
 
 // fromPostingList is e as Search answers it from a posting list: without its
@@ -182,13 +171,12 @@ func TestVerifyDetectsContentTampering(t *testing.T) {
 	if n, err := l.Verify(nil); !errors.Is(err, ErrChainBroken) || n != 7 {
 		t.Errorf("content tamper: verified %d, %v; want 7, ErrChainBroken", n, err)
 	}
-	// A query whose answer includes the forged event fails whole; one that
-	// does not is unaffected.
-	if got, err := l.Search(Query{Record: forged.Record}); !errors.Is(err, ErrChainBroken) || got != nil {
-		t.Errorf("query over the forged event: %d events, %v; want none, ErrChainBroken", len(got), err)
-	}
-	if got, err := l.Search(Query{Record: events[8].Record}); err != nil || len(got) != 4 {
-		t.Errorf("query beside the forged event: %d events, %v; want 4, nil", len(got), err)
+	// A query whose answer includes the forged event fails whole, and so does
+	// one whose stream from the anchor before its answer passes it.
+	for name, rec := range map[string]string{"over": forged.Record, "past": events[8].Record} {
+		if got, err := l.Search(Query{Record: rec}); !errors.Is(err, ErrChainBroken) || got != nil {
+			t.Errorf("query %s the forged event: %d events, %v; want none, ErrChainBroken", name, len(got), err)
+		}
 	}
 }
 
@@ -237,13 +225,13 @@ func TestVerifyDetectsRechainedForgeryWithoutKey(t *testing.T) {
 		t.Errorf("re-chained forgery: verified %d, %v; want 3, ErrBadMAC", n, err)
 	}
 	// No event stores its predecessor's hash, so re-chaining rewrote none
-	// of the events after the edited one: a query over them answers them
-	// as written, and one over the edited event fails.
-	if got, err := l.Search(Query{Actor: events[3].Actor}); err != nil || len(got) != 3 {
-		t.Errorf("query over events the re-chaining left as they were: %d events, %v; want 3, nil", len(got), err)
-	}
-	if _, err := l.Search(Query{Actor: "dr-0"}); !errors.Is(err, ErrBadMAC) {
-		t.Errorf("query over the re-chained forgery: %v, want ErrBadMAC", err)
+	// of the events after the edited one; but a query's stream checks every
+	// event it passes, so one over them fails at the edited event, as one
+	// over the edited event does.
+	for _, actor := range []string{events[3].Actor, "dr-0"} {
+		if _, err := l.Search(Query{Actor: actor}); !errors.Is(err, ErrBadMAC) {
+			t.Errorf("query by %s over the re-chained forgery: %v, want ErrBadMAC", actor, err)
+		}
 	}
 }
 
@@ -290,8 +278,8 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 // TestCrashSpliceIsCaught: someone holding a copy of the medium from before a
 // crash splices an event the crash lost back over the event that replaced it.
 // The lost event is genuine and its place and predecessor are the same, so
-// it passes its own MAC, read with its link as a posting-list read does, as
-// does every other event; but the event after it was chained to the
+// it passes its own MAC, read after its predecessor as a stream from an
+// anchor reads it, as does every other event; but the event after it was chained to the
 // replacement, so Open and Verify fail at that successor. On a v7 medium its
 // tag, and on a v6 one, written as an older binary did (appendV6), its MAC,
 // whose input ends in the link a reader takes from the spliced event's hash,
@@ -376,6 +364,7 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 			if now := frames(store); now[k].Offset != from || now[k+1].Offset != to {
 				t.Fatalf("replacement frame spans [%d, %d), the lost one [%d, %d)", now[k].Offset, now[k+1].Offset, from, to)
 			}
+			_, replaced := storedEvents(t, store)
 			f, err := os.OpenFile(seg, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -391,9 +380,9 @@ func TestCrashSpliceIsCaught(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			link := l.places.slots[k].link
-			if e, _, err := decodeEvent(spliced, k, l.syms, link[:], l.checkMAC); err != nil || e.Action != ActionRead {
-				t.Errorf("the spliced event read with its link: %v, %v; want it to pass its own MAC", e, err)
+			cr := chainReader{check: l.checkMAC, seq: k, prev: replaced[k-1].Hash, syms: l.syms, resolved: true}
+			if e, err := cr.next(nil, spliced); err != nil || e.Action != ActionRead {
+				t.Errorf("the spliced event read after its predecessor: %v, %v; want it to pass its own MAC", e, err)
 			}
 			if n, err := l.Verify(nil); wrong(err) || n != k+1 {
 				t.Errorf("spliced medium under a running log: verified %d, %v; want %d, ErrChainBroken at the successor (ErrBadMAC: %v)", n, err, k+1, tc.atMAC)
@@ -638,13 +627,20 @@ func TestSearchFilters(t *testing.T) {
 	}
 }
 
-// randomLog appends n seeded events shaped like a vault's: several records
+// randomLog appends n seeded batches shaped like a vault's: several records
 // and actors, all three outcomes, store-level events naming no record, and
 // break-glass pairs appended atomically. The clock steps a second per event.
-func randomLog(t *testing.T, rng *rand.Rand, l *Log, n int) {
+// With a tail (m non-nil), about one batch in 8 is a folded create, and
+// about one in 40 is followed by a Flush, after which the owner cuts m. An
+// event just before, at or just after a multiple of anchorEvery names record
+// edge-31, edge-0 or edge-1, and the last event before each Flush and the
+// first after it name seam, so queries' hits fall on, beside and across
+// anchors and the store/tail seam.
+func randomLog(t *testing.T, rng *rand.Rand, l *Log, m *memTail, now func() time.Time, n int) {
 	t.Helper()
 	actions := []Action{ActionCreate, ActionRead, ActionCorrect, ActionSearch, ActionVerify, ActionPolicy}
 	outcomes := []Outcome{OutcomeAllowed, OutcomeAllowed, OutcomeAllowed, OutcomeDenied, OutcomeError}
+	seam := false
 	for i := 0; i < n; i++ {
 		e := Event{
 			Actor:   fmt.Sprintf("actor-%d", rng.Intn(6)),
@@ -655,6 +651,7 @@ func randomLog(t *testing.T, rng *rand.Rand, l *Log, n int) {
 			Detail:  "d",
 		}
 		batch := []Event{e}
+		fold := false
 		switch rng.Intn(8) {
 		case 0: // store-level event
 			batch[0].Record = ""
@@ -663,9 +660,34 @@ func randomLog(t *testing.T, rng *rand.Rand, l *Log, n int) {
 			flag := batch[0]
 			flag.Action = ActionBreakGlass
 			batch = append(batch, flag)
+		case 2: // a create folded into its host entry
+			fold = m != nil
 		}
-		if _, err := l.AppendAll(batch); err != nil {
+		flush := m != nil && rng.Intn(40) == 0
+		for j := range batch {
+			if edge := (l.Len() + j) % anchorEvery; edge <= 1 || edge == anchorEvery-1 {
+				batch[j].Record = fmt.Sprintf("edge-%d", edge)
+			}
+		}
+		if seam {
+			batch[0].Record, seam = "seam", false
+		}
+		if flush {
+			batch[len(batch)-1].Record = "seam"
+		}
+		if fold {
+			e := batch[0]
+			e.Action, e.Outcome, e.Timestamp = ActionCreate, OutcomeAllowed, now()
+			m.fold(t, l, e)
+		} else if _, err := l.AppendAll(batch); err != nil {
 			t.Fatal(err)
+		}
+		if flush {
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			m.cut()
+			seam = true
 		}
 	}
 }
@@ -691,111 +713,210 @@ func randomQuery(rng *rand.Rand, base time.Time, n int) Query {
 	return q
 }
 
+// mediumEvents decodes every event on the medium in chain order — the
+// store's, then those of tail m unless it is nil — with the ref of each (a
+// tail event's holds its entry's offset in pendingSegment).
+func mediumEvents(t *testing.T, store blockstore.Store, m *memTail) ([]blockstore.Ref, []Event) {
+	t.Helper()
+	var refs []blockstore.Ref
+	var events []Event
+	cr := newChainReader(noKey, newSymbols())
+	add := func(ref blockstore.Ref, host *Event, data []byte) error {
+		e, err := cr.next(host, data)
+		refs, events = append(refs, ref), append(events, e)
+		return err
+	}
+	err := store.Scan(func(ref blockstore.Ref, data []byte) error { return add(ref, nil, data) })
+	for i := 0; err == nil && m != nil && i < len(m.entries); i++ {
+		err = add(blockstore.Ref{Segment: pendingSegment, Offset: uint64(m.base) + uint64(i)}, m.entries[i].host, m.entries[i].data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs, events
+}
+
 // TestSearchEqualsScanProperty pins the posting index to the medium: for
 // seeded random logs and random queries over all six fields, Search answers
-// exactly what a brute-force filter over store.Scan answers, in chain order,
+// exactly what a brute-force filter over the medium answers, in chain order,
 // on the log that built its index by appending and on one that built it in
-// Open — each event as Search answers it: without its chain hashes when read
-// from a posting list (fromPostingList).
+// Open and Resume — each event as Search answers it: without its chain
+// hashes when read from a posting list (fromPostingList). Each seed builds a
+// log in store mode and one with a tail of standalone and folded events,
+// flushed at random points, over segments small enough to rotate; queries
+// over records placed on, just before and just after anchors, and across
+// each Flush's seam, reach their hits through anchors of both kinds. A tag
+// byte flipped in an event that is no hit, between a hit and the anchor
+// before it, fails the query, which streams through it.
 func TestSearchEqualsScanProperty(t *testing.T) {
 	base := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		store := blockstore.NewMemory(4 << 10) // several segments
-		signer, _ := vcrypto.NewSigner()
-		key, _ := vcrypto.NewKey()
-		tick := 0
-		cfg := Config{Store: store, MACKey: key, Signer: signer, Now: func() time.Time {
-			tick++
-			return base.Add(time.Duration(tick) * time.Second)
-		}}
-		l, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 150 + rng.Intn(150)
-		randomLog(t, rng, l, n)
-		re, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stored := storedEvents(t, store)
-		queries := []Query{{}, {DeniedOnly: true}, {Actor: "actor-0", Record: "rec-0", DeniedOnly: true}}
-		for i := 0; i < 200; i++ {
-			queries = append(queries, randomQuery(rng, base, 2*n))
-		}
-		for _, q := range queries {
-			indexed := q.Record != "" || q.Actor != "" || q.DeniedOnly
-			var want []Event
-			for _, e := range stored {
-				if q.matches(e) {
-					if indexed {
-						e = fromPostingList(e)
+		for _, tail := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			store := blockstore.NewMemory(4 << 10) // several segments
+			signer, _ := vcrypto.NewSigner()
+			key, _ := vcrypto.NewKey()
+			tick := 0
+			now := func() time.Time {
+				tick++
+				return base.Add(time.Duration(tick) * time.Second)
+			}
+			cfg := Config{Store: store, MACKey: key, Signer: signer, Now: now}
+			l, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m *memTail
+			if tail {
+				m = &memTail{base: 1 << 33}
+				l.Attach(m.tail())
+			}
+			n := 150 + rng.Intn(150)
+			randomLog(t, rng, l, m, now, n)
+			re, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail {
+				re.Attach(m.tail())
+				if err := m.resume(re); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refs, medium := mediumEvents(t, store, m)
+			rotated := false
+			for _, a := range l.places.anchors {
+				rotated = rotated || a.seq%anchorEvery != 0 && a.ref.Segment != pendingSegment
+			}
+			if !rotated || tail && l.places.stored == 0 {
+				t.Fatalf("seed %d (tail %t): no segment rotation, or nothing flushed", seed, tail)
+			}
+			queries := []Query{{}, {DeniedOnly: true}, {Actor: "actor-0", Record: "rec-0", DeniedOnly: true}}
+			for _, rec := range []string{"edge-31", "edge-0", "edge-1", "seam"} {
+				queries = append(queries, Query{Record: rec})
+			}
+			for i := 0; i < 200; i++ {
+				queries = append(queries, randomQuery(rng, base, 2*n))
+			}
+			for _, q := range queries {
+				indexed := q.Record != "" || q.Actor != "" || q.DeniedOnly
+				var want []Event
+				for _, e := range medium {
+					if q.matches(e) {
+						if indexed {
+							e = fromPostingList(e)
+						}
+						want = append(want, e)
 					}
-					want = append(want, e)
+				}
+				for name, log := range map[string]*Log{"live": l, "reopened": re} {
+					got, err := log.Search(q)
+					if err != nil {
+						t.Fatalf("seed %d (tail %t) %s Search(%+v): %v", seed, tail, name, q, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d (tail %t) %s Search(%+v): %d events, brute force over the medium finds %d", seed, tail, name, q, len(got), len(want))
+					}
 				}
 			}
-			for name, log := range map[string]*Log{"live": l, "reopened": re} {
-				got, err := log.Search(q)
-				if err != nil {
-					t.Fatalf("seed %d %s Search(%+v): %v", seed, name, q, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s Search(%+v): %d events, brute force over the medium finds %d", seed, name, q, len(got), len(want))
-				}
-			}
+			checkTamperedNeighbour(t, rng, l, store, m, refs, medium)
 		}
 	}
 }
 
-// TestResidentBytesPerEvent is the budget the log's RAM must stay inside: it
-// keeps a slot (offset and link) and posting-list places per event, never
-// the event. With a 16-B blockstore.Ref per event and no link it measured
-// 46.8 B/event; the 12-B slot with the link resident, 43.0; posting lists of
-// uvarint gaps where they held uint64 seqs measure 23.9, and the budget is
-// that plus some 15 %.
+// checkTamperedNeighbour flips the last tag byte of an event that is no hit
+// of its record's query but lies between one of its hits and the anchor
+// before that hit, and requires the query, whose stream passes it, to fail;
+// then it flips the byte back and requires the query to pass.
+func checkTamperedNeighbour(t *testing.T, rng *rand.Rand, l *Log, store *blockstore.File, m *memTail, refs []blockstore.Ref, medium []Event) {
+	t.Helper()
+	pl := l.places
+	for _, h := range rng.Perm(len(medium)) {
+		rec, from := medium[h].Record, int(pl.anchors[pl.at(uint64(h))].seq)
+		if rec == "" || h == from {
+			continue
+		}
+		j := from + rng.Intn(h-from)
+		if medium[j].Record == rec {
+			continue
+		}
+		flip := func() {
+			t.Helper()
+			if ref := refs[j]; ref.Segment == pendingSegment {
+				data := m.entries[ref.Offset-uint64(m.base)].data
+				data[len(data)-1] ^= 0x01
+			} else if err := store.CorruptFrame(ref, func(b []byte) []byte {
+				b[len(b)-1] ^= 0x01
+				return b
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flip()
+		if _, err := l.Search(Query{Record: rec}); !errors.Is(err, ErrChainBroken) {
+			t.Errorf("query over %s, whose stream from event %d to its hit %d passes event %d with a flipped tag: %v, want ErrChainBroken", rec, from, h, j, err)
+		}
+		flip()
+		if _, err := l.Search(Query{Record: rec}); err != nil {
+			t.Errorf("query over %s after the tag is restored: %v", rec, err)
+		}
+		return
+	}
+	t.Fatal("no event lies between a hit and its anchor")
+}
+
+// TestResidentBytesPerEvent is the budget the log's RAM must stay inside:
+// posting-list places per event and an anchor per anchorEvery events, never
+// the event — in store mode, and with a tail holding standalone events and
+// one folded event in 8, as a shard's meta.wal does between checkpoints (the
+// tail's entries are the medium, so they are dropped before the reading).
+// With a 16-B blockstore.Ref per event and no link it measured 46.8 B/event
+// in store mode; the 12-B slot with the link resident, 43.0; posting lists
+// of uvarint gaps where they held uint64 seqs, 22.6, and 31.4 in tail mode,
+// which kept a tail event's full-width offset too. Anchors in place of the
+// slots and offsets measure 9.4 in both modes, and the budget is that plus
+// some 15 %.
 func TestResidentBytesPerEvent(t *testing.T) {
-	const events, budget = 100_000, 28
-	store, err := blockstore.OpenFile(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	// heap is the least heap in use over three readings, each after two
-	// collections: another goroutine's live bytes can land in one reading,
-	// while the structure under test is live in all three.
-	heap := func() uint64 {
-		least := uint64(math.MaxUint64)
-		for range 3 {
-			runtime.GC()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			least = min(least, ms.HeapAlloc)
-		}
-		return least
-	}
-	before := heap()
-	l, _, _ := newTestLog(t, store)
-	for i := 0; i < events; i++ {
-		_, err := l.Append(Event{
-			Actor:   fmt.Sprintf("dr-%d", i%16),
-			Action:  ActionRead,
-			Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", i%3000),
-			Outcome: OutcomeAllowed,
-			Detail:  "role physician permits read on clinical",
-			Trace:   "0123456789abcdef",
+	const events, budget = 100_000, 11
+	for _, tail := range []bool{false, true} {
+		t.Run(map[bool]string{false: "store", true: "tail"}[tail], func(t *testing.T) {
+			store, err := blockstore.OpenFile(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			before := heapInUse()
+			l, _, _ := newTestLog(t, store)
+			m := &memTail{}
+			if tail {
+				l.Attach(m.tail())
+			}
+			at := time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC)
+			for i := 0; i < events; i++ {
+				e := Event{
+					Actor:   fmt.Sprintf("dr-%d", i%16),
+					Action:  ActionRead,
+					Record:  fmt.Sprintf("w0-mrn-%06d-enc-0", i%3000),
+					Outcome: OutcomeAllowed,
+					Detail:  "role physician permits read on clinical",
+					Trace:   "0123456789abcdef",
+				}
+				if tail && i%8 == 7 {
+					e.Action, e.Version, e.Timestamp = ActionCreate, 1, at.Add(time.Duration(i)*time.Millisecond)
+					m.fold(t, l, e)
+				} else if _, err := l.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.entries = nil
+			grown := heapInUse() - before
+			runtime.KeepAlive(l)
+			per := float64(grown) / events
+			t.Logf("resident: %.1f B/event over %d events", per, events)
+			if per > budget {
+				t.Errorf("log keeps %.1f B/event resident, budget is %d", per, budget)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	grown := int64(heap()) - int64(before)
-	runtime.KeepAlive(l)
-	per := float64(grown) / events
-	t.Logf("resident: %.1f B/event over %d events", per, events)
-	if per > budget {
-		t.Errorf("log keeps %.1f B/event resident, budget is %d", per, budget)
 	}
 }
 
@@ -909,8 +1030,7 @@ func TestAutomaticCheckpoints(t *testing.T) {
 // TestEventCodecRoundTripProperty: every stored field comes back as written,
 // and what the layout leaves out comes back as the reader computes it — Seq
 // from the event's place; PrevHash and Hash from the predecessor a
-// sequential reader holds. Read on its own with its link, the event has
-// neither. chainSums builds the MAC input macInput does.
+// sequential reader holds. chainSums builds the MAC input macInput does.
 func TestEventCodecRoundTripProperty(t *testing.T) {
 	f := func(seq uint64, actor, record, detail, trace string, version uint64, prev [32]byte, mac [vcrypto.TagSize]byte) bool {
 		e := Event{
@@ -932,17 +1052,12 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		alone, _, err := decodeEvent(b, seq, newSymbols(), prev[:linkLen], noKey)
-		if err != nil {
-			return false
-		}
 		e.Seq = seq
 		_, input := chainSums(e, codecVersion)
 		return got.Seq == seq && got.Actor == e.Actor && got.Record == e.Record &&
 			got.Detail == e.Detail && got.Trace == e.Trace && got.Version == e.Version &&
 			got.PrevHash == e.PrevHash && got.Hash == eventHash(e) && string(got.MAC) == string(e.MAC) &&
 			got.Timestamp.Equal(e.Timestamp) &&
-			reflect.DeepEqual(alone, fromPostingList(got)) &&
 			bytes.Equal(input, macInput(e, codecVersion))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -952,7 +1067,7 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {0}, {0, 2}, {5}, {6}, {7}, {8}, append(encodeEvent(Event{MAC: make([]byte, vcrypto.TagSize)}, [numSyms]int{}), 0xFF)} {
-		if _, _, err := decodeEvent(b, 0, newSymbols(), make([]byte, linkLen), noKey); !errors.Is(err, ErrCorrupt) {
+		if _, err := newChainReader(noKey, newSymbols()).next(nil, b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage %v accepted: %v", b, err)
 		}
 	}
@@ -1035,19 +1150,17 @@ func appendLegacy(t *testing.T, l *Log, e Event, ver byte, encode func(Event, [n
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = uint64(len(l.places.slots))
+	e.Seq = l.places.n
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	var msg []byte
 	e.Hash, msg = chainSums(e, ver)
 	e.MAC = l.mac.Sum(nil, msg)
 	ref, err := l.store.Append(encode(e, l.syms.numbers(e)))
-	if err == nil {
-		err = l.index(ref, e)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.index(ref, e)
 	return e
 }
 
@@ -1370,46 +1483,43 @@ func TestTagRespellingsFailTheirMAC(t *testing.T) {
 	}
 }
 
-// TestPlacesFindEverySegment: a log keeps one offset per event and one first
-// seq per segment, and finds each event's segment from them, across a
-// segment that holds no event; an offset past 4 GiB is refused in a segment,
-// and kept at full width in the tail, whose events store re-points to the
-// segments.
+// TestPlacesFindEverySegment: a log anchors every anchorEvery-th event, the
+// first of each segment and the tail's first, so the anchor at or before any
+// event is in its segment and its stretch reaches it: across a segment that
+// holds no event, at an offset past 4 GiB in a segment, and in the tail,
+// whose offsets are kept at full width too.
 func TestPlacesFindEverySegment(t *testing.T) {
-	refs := []blockstore.Ref{{Segment: 0, Offset: 0}, {Segment: 0, Offset: 90}, {Segment: 2, Offset: 0}, {Segment: 3, Offset: 0}, {Segment: 3, Offset: 1 << 31}}
+	var refs []blockstore.Ref
+	for i := range 40 {
+		refs = append(refs, blockstore.Ref{Segment: 0, Offset: uint64(90 * i)})
+	}
+	refs = append(refs, blockstore.Ref{Segment: 2, Offset: 0}, blockstore.Ref{Segment: 2, Offset: 5 << 30}, blockstore.Ref{Segment: 3, Offset: 0})
+	for i := range 35 {
+		refs = append(refs, blockstore.Ref{Segment: pendingSegment, Offset: 5<<30 + uint64(7*i)})
+	}
 	var p places
-	for _, ref := range refs {
-		if err := fits(ref); err != nil {
-			t.Fatal(err)
-		}
-		p.add(ref, [32]byte{})
+	for seq, ref := range refs {
+		p.add(ref, [32]byte{byte(seq)})
 	}
-	check := func(refs []blockstore.Ref) {
-		t.Helper()
-		for seq, want := range refs {
-			if got := p.ref(uint64(seq)); got != want {
-				t.Errorf("event %d: %v, want %v", seq, got, want)
-			}
+	var seqs []uint64
+	for _, a := range p.anchors {
+		seqs = append(seqs, a.seq)
+		if a.ref != refs[a.seq] || a.prev != [32]byte{byte(a.seq)} {
+			t.Errorf("anchor of event %d holds %v after %x, want %v", a.seq, a.ref, a.prev[0], refs[a.seq])
 		}
 	}
-	check(refs)
-	if err := fits(blockstore.Ref{Segment: 3, Offset: 1 << 32}); err == nil {
-		t.Errorf("an offset of 4 GiB in a segment fits")
+	if want := []uint64{0, 32, 40, 42, 43, 64}; !reflect.DeepEqual(seqs, want) {
+		t.Errorf("anchors at %v, want %v", seqs, want)
 	}
-	tail := []blockstore.Ref{{Segment: pendingSegment, Offset: 1 << 32}, {Segment: pendingSegment, Offset: 5<<30 + 7}}
-	for _, ref := range tail {
-		if err := fits(ref); err != nil {
-			t.Fatal(err)
+	for seq, ref := range refs {
+		i := p.at(uint64(seq))
+		if a := p.anchors[i]; a.seq > uint64(seq) || a.ref.Segment != ref.Segment {
+			t.Errorf("event %d in segment %d: anchor %d in segment %d", seq, ref.Segment, a.seq, a.ref.Segment)
 		}
-		p.add(ref, [32]byte{})
 	}
-	check(append(slices.Clone(refs), tail...))
-	moved := []blockstore.Ref{{Segment: 3, Offset: 1<<31 + 60}, {Segment: 5, Offset: 0}}
-	for _, ref := range moved {
-		p.store(ref)
+	if p.n != uint64(len(refs)) || p.stored != 43 {
+		t.Errorf("%d events placed, %d stored; want %d, 43", p.n, p.stored, len(refs))
 	}
-	p.tail = nil
-	check(append(slices.Clone(refs), moved...))
 }
 
 // TestStoredBytesPerEvent is the budget for what one event costs the medium,
@@ -1522,7 +1632,8 @@ func TestSymbolsAreCanonical(t *testing.T) {
 // (same length, valid frame CRC) changes what that event and every later
 // reference decode to, so Verify fails at the definition, and so does Open.
 // A running log still resolves the references through its resident tables,
-// so only queries over the edited event itself fail.
+// but a query's stream checks every event it passes, so a query over a later
+// event that refers to the edited definition fails at that definition too.
 func TestEditedDefinitionFailsVerify(t *testing.T) {
 	store := blockstore.NewMemory(0)
 	l, signer, key := newTestLog(t, store)
@@ -1540,8 +1651,8 @@ func TestEditedDefinitionFailsVerify(t *testing.T) {
 	if _, err := l.Search(Query{Actor: "dr-1"}); !errors.Is(err, ErrBadMAC) {
 		t.Errorf("query over the edited definition: %v, want ErrBadMAC", err)
 	}
-	if got, err := l.Search(Query{Record: "patient-4"}); err != nil || len(got) != 1 || got[0].Actor != "dr-1" {
-		t.Errorf("query over event 4, which refers to the edited definition: %v, %v; want it as written", got, err)
+	if got, err := l.Search(Query{Record: "patient-4"}); !errors.Is(err, ErrBadMAC) {
+		t.Errorf("query over event 4, which refers to the edited definition: %v, %v; want ErrBadMAC", got, err)
 	}
 }
 
@@ -1581,14 +1692,15 @@ func heapInUse() int64 {
 // TestResidentBytesPerRecord budgets what the log keeps in RAM per record at
 // a vault's shape — 20,000 records of one or two events each, by a handful
 // of actors — where each record's symbol-table entry and posting list
-// outweigh its events' slots, which TestResidentBytesPerEvent budgets and
-// this figure leaves out. With posting lists in a map keyed by value, a
-// second map for details and symbol tables of strings it measured
-// 152.4 B/record; with a recno.Table per symbol field, posting lists in a
-// slice indexed by symbol number and a one-seq list held without gaps,
-// 103.4. The budget is 70 % of the old figure.
+// outweigh its events' anchors, which this figure leaves out and budgets on
+// their own. With posting lists in a map keyed by value, a second map for
+// details and symbol tables of strings it measured 152.4 B/record; with a
+// recno.Table per symbol field, posting lists in a slice indexed by symbol
+// number and a one-seq list held without gaps, 103.4. The budget is 70 % of
+// the old figure. A 12-B slot per event took 18.8 B/record; the anchors take
+// 2.9.
 func TestResidentBytesPerRecord(t *testing.T) {
-	const records, budget = 20_000, 106
+	const records, budget, anchorBudget = 20_000, 106, 4
 	store, err := blockstore.OpenFile(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -1618,13 +1730,16 @@ func TestResidentBytesPerRecord(t *testing.T) {
 		}
 	}
 	grown := heapInUse() - before
-	slots := int64(cap(l.places.slots)) * int64(unsafe.Sizeof(slot{}))
+	anchors := int64(cap(l.places.anchors)) * int64(unsafe.Sizeof(anchor{}))
 	runtime.KeepAlive(l)
-	per := float64(grown-slots) / records
-	t.Logf("resident: %.1f B/record over %d records and %d events (152.4 with map-keyed lists), besides %.1f B/record of event slots",
-		per, records, l.Len(), float64(slots)/records)
+	per := float64(grown-anchors) / records
+	t.Logf("resident: %.1f B/record over %d records and %d events (152.4 with map-keyed lists), besides %.1f B/record of anchors",
+		per, records, l.Len(), float64(anchors)/records)
 	if per > budget {
 		t.Errorf("log keeps %.1f B/record resident, budget is %d", per, budget)
+	}
+	if per := float64(anchors) / records; per > anchorBudget {
+		t.Errorf("log keeps %.1f B/record of anchors, budget is %d", per, anchorBudget)
 	}
 }
 
@@ -1646,14 +1761,7 @@ type tailEntry struct {
 func (m *memTail) tail() Tail {
 	return Tail{
 		Enqueue: func(entry []byte) (int64, func() error) { return m.put(nil, entry) },
-		Read: func(off int64) (*Event, []byte, error) {
-			if i := off - m.base; i >= 0 && i < int64(len(m.entries)) {
-				e := m.entries[i]
-				return e.host, bytes.Clone(e.data), nil
-			}
-			return nil, nil, fmt.Errorf("no entry at %d", off)
-		},
-		Wedged: func() error { return m.wedge },
+		Wedged:  func() error { return m.wedge },
 		Scan: func(off int64, fn func(int64, *Event, []byte) error) error {
 			for i := off - m.base; i < int64(len(m.entries)); i++ {
 				if err := fn(m.base+i, m.entries[i].host, m.entries[i].data); err != nil {
@@ -1663,6 +1771,13 @@ func (m *memTail) tail() Tail {
 			return nil
 		},
 	}
+}
+
+// cut empties m as the owner's log is cut after a Flush: its next entry
+// follows the last at the next offset.
+func (m *memTail) cut() {
+	m.base += int64(len(m.entries))
+	m.entries = nil
 }
 
 func (m *memTail) put(host *Event, data []byte) (int64, func() error) {
@@ -1802,8 +1917,10 @@ func (c *cutStore) Append(data []byte) (blockstore.Ref, error) {
 // TestResumeSkipsWhatAFlushCopied: a cut between Flush's copy and the
 // owner's log cut leaves the tail's first events in the store too, all of
 // them or, when the copy failed part way, some. Replay skips each after
-// checking its tag as the stored event's, and resumes the chain after them;
-// an edited folded event fails its tag instead.
+// checking its tag as the chain from the stored event it repeats, and
+// resumes the chain after them; an edited folded event fails its tag
+// instead, and so does a tail whose copy ends in another event than the
+// store's last.
 func TestResumeSkipsWhatAFlushCopied(t *testing.T) {
 	at := time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC)
 	for _, copied := range []int{0, 5, 15} {
@@ -1857,5 +1974,34 @@ func TestResumeSkipsWhatAFlushCopied(t *testing.T) {
 		if err := tampered.resume(re); !errors.Is(err, ErrBadMAC) {
 			t.Errorf("resuming over an edited folded event: %v, want ErrBadMAC", err)
 		}
+	}
+
+	// A store that holds the tail's first five events and then another the
+	// key tagged as the sixth: the tail's sixth checks as the chain from the
+	// fifth, but the store ends in another event.
+	mem := blockstore.NewMemory(0)
+	l, signer, key = newTestLog(t, nil)
+	l.store = &cutStore{Store: mem, left: 5}
+	m = &memTail{}
+	l.Attach(m.tail())
+	tailScript(t, l, m, at)
+	if err := l.Flush(); err == nil {
+		t.Fatal("Flush copied past the store's cut")
+	}
+	fork, err := Open(Config{Store: mem, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.Append(Event{Actor: "dr-9", Action: ActionRead, Record: "rec-0", Outcome: OutcomeAllowed}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Store: mem, MACKey: key, Signer: signer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &memTail{entries: m.entries[:6]}
+	re.Attach(short.tail())
+	if err := short.resume(re); !errors.Is(err, ErrChainBroken) {
+		t.Errorf("resuming a tail whose copy ends in another event than the store's: %v, want ErrChainBroken", err)
 	}
 }

@@ -29,7 +29,8 @@ import (
 //
 // The link is the first linkLen bytes of the predecessor's Hash, and no event
 // stores it: a reader walking the chain (chainReader) has just computed that
-// hash, and a posting-list read takes the link Log keeps resident per event.
+// hash, from the first event or from an anchor (Log.stream), which holds the
+// whole hash its event follows.
 // The tag covers macInput — seq, the decoded fields and the link — so an
 // event read after any other predecessor than the one its writer chained it
 // to fails its tag; eventHash and the signed checkpoints are byte-for-byte
@@ -210,58 +211,35 @@ func parseTail(host *Event, data []byte, syms *symbols) (e Event, defined [numSy
 // in layout ver: a v7 event's tag, a legacy event's whole HMAC (Log.checkMAC).
 type macCheck func(ver byte, msg, mac []byte) bool
 
-// decodeEvent reads the stored bytes of the seq-th event, resolving symbol
-// references through syms, and checks them against prev: the predecessor's
-// Hash from a reader walking the chain, or only its link, the first linkLen
-// bytes, from a posting-list read, which takes the link Log keeps resident.
-// The MAC is checked with check over what the layout MACs: macInput, link
-// included, for v7, v6 and v5, the Hash for the older layouts, whose bytes
-// hold the whole PrevHash, which must begin with prev. So every event's own
-// bytes and its link give it: a forged event fails every read of it and no
-// other, and a genuine one spliced in after another predecessor fails at the
+// checkEvent checks e, parsed from layout ver, as the seq-th event, whose
+// predecessor's Hash is prev, and returns it with PrevHash and Hash filled
+// in. The MAC is checked with check over what the layout MACs: macInput,
+// link included, for v7, v6 and v5, the Hash for the older layouts, whose
+// bytes hold the whole PrevHash, which must be prev. So every event's own
+// bytes and its predecessor give it: a forged event fails every read of it,
+// and a genuine one spliced in after another predecessor fails at the
 // successor, whose MAC names the predecessor it was written after. A v5
-// event's stored link must also equal prev's. A reader walking the chain gets
-// the event back with PrevHash and Hash filled in; a posting-list read gets
-// both zero, since the rest of PrevHash takes every earlier event. defined
-// reports the symbol fields a v4 or later event wrote out; only a reader
-// holding the tables as of seq can tell whether that was their first
-// occurrence (chainReader does).
-func decodeEvent(data []byte, seq uint64, syms *symbols, prev []byte, check macCheck) (e Event, defined [numSyms]bool, err error) {
-	e, defined, ver, err := parseEvent(data, syms)
-	if err != nil {
-		return Event{}, defined, err
-	}
-	e, err = checkEvent(e, ver, seq, prev, check)
-	return e, defined, err
-}
-
-// checkEvent is decodeEvent's check of e, parsed from layout ver, as the
-// seq-th event after prev.
-func checkEvent(e Event, ver byte, seq uint64, prev []byte, check macCheck) (Event, error) {
+// event's stored link must also be prev's.
+func checkEvent(e Event, ver byte, seq uint64, prev [32]byte, check macCheck) (Event, error) {
 	obs.CountWork(obs.WorkAuditDecode)
 	if ver == codecV2 && e.Seq != seq {
 		return Event{}, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
 	}
 	e.Seq = seq
-	chained := len(prev) == len(e.PrevHash)
 	var msg []byte // what the MAC covers
 	switch ver {
 	case codecVersion, codecV6, codecV5:
 		if ver == codecV5 && !bytes.Equal(e.PrevHash[:linkLen], prev[:linkLen]) {
 			return Event{}, fmt.Errorf("%w: link mismatch at seq %d", ErrChainBroken, seq)
 		}
-		copy(e.PrevHash[:], prev)
-		if chained {
-			e.Hash, msg = chainSums(e, ver)
-		} else {
-			msg = macInput(e, ver)
-		}
+		e.PrevHash = prev
+		e.Hash, msg = chainSums(e, ver)
 	default:
 		hash := eventHash(e)
 		if ver == codecV2 && hash != e.Hash {
 			return Event{}, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, seq)
 		}
-		if !bytes.Equal(e.PrevHash[:len(prev)], prev) {
+		if e.PrevHash != prev {
 			return Event{}, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, seq)
 		}
 		e.Hash = hash
@@ -273,9 +251,6 @@ func checkEvent(e Event, ver byte, seq uint64, prev []byte, check macCheck) (Eve
 	// longer commits to that event, and the error says both.
 	if !check(ver, msg, e.MAC) {
 		return Event{}, fmt.Errorf("%w at seq %d (%w)", ErrBadMAC, seq, ErrChainBroken)
-	}
-	if !chained {
-		e.PrevHash, e.Hash = [32]byte{}, [32]byte{}
 	}
 	return e, nil
 }
@@ -339,16 +314,20 @@ func parseEvent(data []byte, syms *symbols) (e Event, defined [numSyms]bool, ver
 
 // chainReader decodes a log's events in chain order from the first,
 // rebuilding the symbol tables from the prefix it has read and holding the
-// hash of the last event it read, which it passes decodeEvent as prev. It is
-// the sequential decoder behind Open, Verify and the unfiltered Search, and
-// it refuses a v4 or later event not in its one encoding: a value its table
+// hash of the last event it read, which it passes checkEvent as prev. It is
+// the sequential decoder behind Open, Verify and every Search, and it
+// refuses a v4 or later event not in its one encoding: a value its table
 // already holds written out is ErrCorrupt, as is (in frame.Reader.Symbol) a
-// reference to a number not yet defined.
+// reference to a number not yet defined. One that starts at an anchor
+// (resolved) resolves symbols through the log's tables instead, which hold
+// every value, so only a reader from the first event can tell a first
+// occurrence.
 type chainReader struct {
-	check macCheck
-	seq   uint64
-	prev  [32]byte // Hash of event seq-1; zero before the first
-	syms  *symbols // empty, or (in Open) the log's, which index extends after next
+	check    macCheck
+	seq      uint64
+	prev     [32]byte // Hash of event seq-1; zero before the first
+	syms     *symbols // empty, or the log's: in Open, which index extends after next, or resolved
+	resolved bool     // syms holds every value: define none, and refuse none written out
 }
 
 func newChainReader(check macCheck, syms *symbols) *chainReader {
@@ -378,16 +357,18 @@ func (c *chainReader) next(host *Event, data []byte) (Event, error) {
 // symbol fields, as the next event, and adds the values it carries to the
 // tables.
 func (c *chainReader) accept(e Event, defined [numSyms]bool, ver byte) (Event, error) {
-	e, err := checkEvent(e, ver, c.seq, c.prev[:], c.check)
+	e, err := checkEvent(e, ver, c.seq, c.prev, c.check)
 	if err != nil {
 		return Event{}, err
 	}
-	for f, s := range symbolValues(e) {
-		if n, known := c.syms[f].Find(s); known && defined[f] {
-			return Event{}, fmt.Errorf("%w: seq %d writes out a value symbol %d already holds", ErrCorrupt, c.seq, n)
+	if !c.resolved {
+		for f, s := range symbolValues(e) {
+			if n, known := c.syms[f].Find(s); known && defined[f] {
+				return Event{}, fmt.Errorf("%w: seq %d writes out a value symbol %d already holds", ErrCorrupt, c.seq, n)
+			}
 		}
+		c.syms.define(e)
 	}
-	c.syms.define(e)
 	c.seq++
 	c.prev = e.Hash
 	return e, nil

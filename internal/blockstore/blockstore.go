@@ -57,6 +57,11 @@ type Store interface {
 	// returning a non-nil error (which Scan then returns). Scan also
 	// verifies framing as it goes, so a full Scan doubles as a media check.
 	Scan(fn func(ref Ref, data []byte) error) error
+	// ScanSpan calls fn, in order, for every block of from's segment from
+	// the one at from up to offset to, or to the segment's committed end
+	// when to is past it, from one read of that span; it stops early as
+	// Scan does. data is valid only during fn's call.
+	ScanSpan(from Ref, to uint64, fn func(ref Ref, data []byte) error) error
 	// StorageBytes returns the total bytes consumed, including framing.
 	StorageBytes() int64
 	// Sync flushes buffered writes to stable storage.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,6 +132,58 @@ func TestScanEarlyStop(t *testing.T) {
 			}
 			if n != 3 {
 				t.Errorf("callback ran %d times, want 3", n)
+			}
+		})
+	}
+}
+
+// TestScanSpanReadsOneStretchOfASegment: ScanSpan gives back, in order and
+// as Read does, the blocks of one segment from a ref up to an offset or to
+// the segment's end, never one of the next segment; it stops early as Scan
+// does, and refuses a span that starts past the committed end.
+func TestScanSpanReadsOneStretchOfASegment(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			var refs []Ref
+			for i := 0; i < 30; i++ { // 100-B blocks in 1 KiB segments: several rotations
+				ref, err := s.Append(bytes.Repeat([]byte{byte(i)}, 100))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs = append(refs, ref)
+			}
+			span := func(from Ref, to uint64) (got []int) {
+				t.Helper()
+				if err := s.ScanSpan(from, to, func(ref Ref, data []byte) error {
+					i := slices.Index(refs, ref)
+					if i < 0 || !bytes.Equal(data, bytes.Repeat([]byte{byte(i)}, 100)) {
+						t.Fatalf("block at %v: %d B, not the one appended there", ref, len(data))
+					}
+					got = append(got, i)
+					return nil
+				}); err != nil {
+					t.Fatalf("ScanSpan(%v, %d): %v", from, to, err)
+				}
+				return got
+			}
+			if got := span(refs[1], refs[3].Offset); !reflect.DeepEqual(got, []int{1, 2}) {
+				t.Errorf("span to block 3's offset: blocks %v, want [1 2]", got)
+			}
+			var last []int // block 1's segment, from block 1 to its end
+			for i := 1; i < len(refs) && refs[i].Segment == refs[1].Segment; i++ {
+				last = append(last, i)
+			}
+			if got := span(refs[1], math.MaxUint64); !reflect.DeepEqual(got, last) || refs[len(last)+1].Segment == refs[1].Segment {
+				t.Errorf("span to the segment's end: blocks %v, want %v", got, last)
+			}
+			stop := errors.New("stop")
+			if err := s.ScanSpan(refs[0], math.MaxUint64, func(Ref, []byte) error { return stop }); !errors.Is(err, stop) {
+				t.Errorf("ScanSpan stopped by fn = %v, want its error", err)
+			}
+			end := refs[len(refs)-1]
+			end.Offset += 200
+			if err := s.ScanSpan(end, math.MaxUint64, func(Ref, []byte) error { return nil }); !errors.Is(err, ErrNotFound) {
+				t.Errorf("ScanSpan past the committed end = %v, want ErrNotFound", err)
 			}
 		})
 	}

@@ -351,6 +351,48 @@ func (f *File) Read(ref Ref) ([]byte, error) {
 	return payload, nil
 }
 
+// ScanSpan implements Store.
+func (f *File) ScanSpan(from Ref, to uint64, fn func(ref Ref, data []byte) error) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.closed {
+		return ErrClosed
+	}
+	if int(from.Segment) >= len(f.sizes) {
+		return fmt.Errorf("%w: segment %d", ErrNotFound, from.Segment)
+	}
+	end := min(to, uint64(f.sizes[from.Segment]))
+	if from.Offset >= end {
+		return fmt.Errorf("%w: span [%d, %d) of committed %d", ErrNotFound, from.Offset, to, f.sizes[from.Segment])
+	}
+	file, err := f.reader(int(from.Segment))
+	if err != nil {
+		return err
+	}
+	span := make([]byte, end-from.Offset)
+	if _, err := file.ReadAt(span, int64(from.Offset)); err != nil {
+		return fmt.Errorf("blockstore: reading segment %d: %w", from.Segment, err)
+	}
+	return f.walk(from, span, fn)
+}
+
+// walk calls fn with each block framed in span, the bytes of from's segment
+// from from on, until fn fails; a bad frame is ErrCorrupt.
+func (f *File) walk(from Ref, span []byte, fn func(ref Ref, data []byte) error) error {
+	var stopped error // fn's error, as opposed to a bad frame
+	valid, err := f.format(int(from.Segment)).Walk(span, func(off int, _ uint64, payload []byte) error {
+		stopped = fn(Ref{Segment: from.Segment, Offset: from.Offset + uint64(off)}, payload)
+		return stopped
+	})
+	if stopped != nil {
+		return stopped
+	}
+	if err != nil {
+		return fmt.Errorf("segment %d offset %d: %w: %v", from.Segment, from.Offset+uint64(valid), ErrCorrupt, err)
+	}
+	return nil
+}
+
 // reader returns segment i's shared read-only handle, opening it on first
 // use. The caller holds f.mu (either side) and has checked i < len(f.sizes).
 func (f *File) reader(i int) (faultfs.File, error) {
@@ -386,16 +428,10 @@ func (f *File) Scan(fn func(ref Ref, data []byte) error) error {
 		if int64(len(data)) > f.sizes[si] {
 			data = data[:f.sizes[si]]
 		}
-		var stopped error // fn's error, as opposed to a bad frame
-		valid, err := f.format(si).Walk(data, func(off int, _ uint64, payload []byte) error {
-			stopped = fn(Ref{Segment: uint32(si), Offset: uint64(off)}, bytes.Clone(payload))
-			return stopped
-		})
-		if stopped != nil {
-			return stopped
-		}
-		if err != nil {
-			return fmt.Errorf("segment %d offset %d: %w: %v", si, valid, ErrCorrupt, err)
+		if err := f.walk(Ref{Segment: uint32(si)}, data, func(ref Ref, payload []byte) error {
+			return fn(ref, bytes.Clone(payload))
+		}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -69,7 +69,8 @@ func TestVerifyAllSeesTheAuditMedium(t *testing.T) {
 
 // TestCorruptAuditFrameFailsTheAnswer: an audit query or an accounting of
 // disclosures whose answer includes an event that no longer reads back
-// verified is an error — never the list minus that event.
+// verified is an error — never the list minus that event — and so is one
+// whose stream from the chain anchor before its answer passes that event.
 func TestCorruptAuditFrameFailsTheAnswer(t *testing.T) {
 	v, _ := newVault(t)
 	ctx := context.Background()
@@ -112,9 +113,24 @@ func TestCorruptAuditFrameFailsTheAnswer(t *testing.T) {
 	if ds, err := v.AccountingOfDisclosuresCtx(ctx, "officer-kim", "mrn-777"); !errors.Is(err, audit.ErrBadMAC) || ds != nil {
 		t.Errorf("accounting over the forged event: %d rows, %v; want none, ErrBadMAC", len(ds), err)
 	}
-	// An answer the forged event is no part of is still served.
-	if evs, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Record: recB.ID}); err != nil || len(evs) != 4 {
-		t.Errorf("audit query beside the forged event: %d events, %v; want 4, nil", len(evs), err)
+	// An answer the forged event is no part of fails too while its stream
+	// passes the forged event, and is served once it starts at a later
+	// anchor.
+	if evs, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Record: recB.ID}); !errors.Is(err, audit.ErrBadMAC) || evs != nil {
+		t.Errorf("audit query past the forged event: %d events, %v; want none, ErrBadMAC", len(evs), err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, _, err := v.GetCtx(ctx, "dr-house", recB.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recC := mk("mrn-778/enc-0")
+	recC.MRN = "mrn-778"
+	if _, err := v.PutCtx(ctx, "dr-house", recC); err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Record: recC.ID}); err != nil || len(evs) != 1 {
+		t.Errorf("audit query a stretch after the forged event: %d events, %v; want 1, nil", len(evs), err)
 	}
 }
 

@@ -233,20 +233,6 @@ func (v *Vault) custody(e *walEntry) error {
 	return nil
 }
 
-// auditEntry reads back the audit event in the meta.wal entry at off
-// (audit.Tail.Read).
-func (v *Vault) auditEntry(off int64) (*audit.Event, []byte, error) {
-	data, err := v.metaWAL.ReadAt(off)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := parseWALEntry(data)
-	if err == nil && e.event == nil {
-		err = fmt.Errorf("%w: meta.wal entry at %d holds no audit event", ErrCorrupt, off)
-	}
-	return e.auditHost(), e.event, err
-}
-
 // scanAudit reads the audit events of the meta.wal entries from the one at
 // off on, in one pass (audit.Tail.Scan).
 func (v *Vault) scanAudit(off int64, fn func(off int64, host *audit.Event, data []byte) error) error {

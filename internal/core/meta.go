@@ -106,8 +106,7 @@ import (
 // parser returns.
 
 // auditHost is the fields of the allowed audit event a folded entry carries
-// that the entry itself holds (audit.Tail.Read); nil for any other
-// entry.
+// that the entry itself holds (audit.Tail.Scan); nil for any other entry.
 func (e *walEntry) auditHost() *audit.Event {
 	if e.kind != 'V' || e.event == nil {
 		return nil

@@ -353,7 +353,6 @@ func openShard(cfg Config, dir, tag string, auth *authz.Authorizer, ret *retenti
 	// recover replays into it.
 	v.aud.Attach(audit.Tail{
 		Enqueue: v.enqueueAudit,
-		Read:    v.auditEntry,
 		Scan:    v.scanAudit,
 		Wedged:  func() error { return v.metaWAL.Wedged() },
 	})

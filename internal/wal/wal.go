@@ -587,14 +587,17 @@ func (l *Log) ReadAt(off int64) ([]byte, error) {
 	return data, nil
 }
 
-// scanChunk is the least a Scan reads at a time.
-const scanChunk = 64 << 10
+// A Scan's first read is scanFirst bytes, and each next one twice the last
+// up to scanChunk, or one whole entry larger than that: a Scan that stops
+// after a few entries, as the audit log's stream of one stretch does, reads
+// and allocates little.
+const scanFirst, scanChunk = 4 << 10, 64 << 10
 
 // Scan calls fn, in order, with the offset and payload of every written
 // entry from the one at off, an offset past the layout marker that Enqueue
 // or Read reported: what ReadAt returns for each, from sequential reads of
-// scanChunk bytes or more. The payload is valid only during fn's call. An
-// entry that is not whole, or fails its check, is ErrCorrupt.
+// growing size. The payload is valid only during fn's call. An entry that
+// is not whole, or fails its check, is ErrCorrupt.
 func (l *Log) Scan(off int64, fn func(off int64, data []byte) error) error {
 	l.mu.Lock()
 	r, end, varFrom, closed := l.f, l.written, l.varFrom, l.closed
@@ -605,7 +608,7 @@ func (l *Log) Scan(off int64, fn func(off int64, data []byte) error) error {
 	case varFrom == 0 || off < varFrom:
 		return fmt.Errorf("%w: no entry past the layout marker at offset %d", ErrCorrupt, off)
 	}
-	buf := make([]byte, scanChunk)
+	buf := make([]byte, scanFirst)
 	for off < end {
 		n := min(int64(len(buf)), end-off)
 		if _, err := r.ReadAt(buf[:n], off); err != nil {
@@ -621,6 +624,9 @@ func (l *Log) Scan(off int64, fn func(off int64, data []byte) error) error {
 		case fnErr != nil:
 			return fnErr
 		case err == nil || valid > 0:
+			if len(buf) < scanChunk {
+				buf = make([]byte, 2*len(buf))
+			}
 			continue // the entry that did not fit starts the next read
 		}
 		// The first entry does not fit the buffer: read it whole, unless it
