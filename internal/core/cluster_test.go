@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"medvault/internal/audit"
+	"medvault/internal/blockstore"
 	"medvault/internal/clock"
 	"medvault/internal/faultfs"
 	"medvault/internal/vcrypto"
@@ -407,6 +408,102 @@ func TestParentDirectoryMixedWALLayouts(t *testing.T) {
 		t.Errorf("reopen after Close should load the snapshot alone, recovery = %+v", h.LastRecovery)
 	}
 	check("reopen after Close", re)
+}
+
+// TestParentV7TailContinuesInV8: testdata/parent-v7-tail is the image a
+// kill -9 of the parent binary left after it opened
+// testdata/parent-single-vault, read fx-a, fx-c, fx-d and fx-a again, put
+// and corrected mrn-000000/enc-0 and refused a clerk's read of fx-a, its
+// clock stepping 1.5 s an op: every audit event since that open is in
+// meta.wal, the reads and the refusal as v7 entries, the create and the
+// correction folded. This binary replays the v7 tail and continues the chain
+// in v8 entries after it; an audit checkpoint signed before its first v8
+// event verifies after it, and Close flushes the mixed chain to audit/,
+// which reopens, verifies and answers fx-a's audit query with every read.
+func TestParentV7TailContinuesInV8(t *testing.T) {
+	var seed [32]byte
+	copy(seed[:], "medvault-fixture-master-seed-32b")
+	master, err := vcrypto.KeyFromBytes(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent-v7-tail"), dir)
+	later := parentFixture.now.Add(time.Minute)
+	cfg := Config{Name: "fixture", Master: master, Clock: clock.NewVirtual(later), Dir: dir, Shards: 1}
+	standalone := func(want7, want8 int) {
+		t.Helper()
+		kinds := map[byte]int{}
+		if _, _, err := wal.Read(faultfs.OS{}, filepath.Join(dir, "meta.wal"), func(e wal.Entry) error {
+			if audit.IsStandalone(e.Data[0]) {
+				kinds[e.Data[0]]++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if kinds[7] != want7 || kinds[8] != want8 || len(kinds) > 2 {
+			t.Fatalf("meta.wal holds standalone audit entries of kinds %v, want %d of 7 and %d of 8", kinds, want7, want8)
+		}
+	}
+	standalone(5, 0)
+	v, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("replaying the parent's v7 tail: %v", err)
+	}
+	registerStaff(t, v)
+	before := v.Shard(0).AuditCheckpoint()
+	ctx := context.Background()
+	for _, id := range []string{"fx-a", "fx-d"} {
+		if _, _, err := v.GetCtx(ctx, "dr-house", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	standalone(5, 2)
+	if _, err := v.VerifyAll(nil, []audit.Checkpoint{before}); err != nil {
+		t.Fatalf("VerifyAll over the mixed tail against a checkpoint from before it: %v", err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := blockstore.OpenFileFS(faultfs.OS{}, filepath.Join(dir, "audit"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts := map[byte]int{}
+	if err := store.Scan(func(_ blockstore.Ref, p []byte) error {
+		layouts[p[0]]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if layouts[7] != 5 || layouts[8] != 2+3 {
+		t.Errorf("audit/ after Close holds events of layouts %v, want the parent's 5 in v7, and its 2 folds and this binary's reads and verification in v8", layouts)
+	}
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopening the flushed mixed chain: %v", err)
+	}
+	defer re.Close()
+	registerStaff(t, re)
+	if _, err := re.VerifyAll(nil, []audit.Checkpoint{before}); err != nil {
+		t.Fatalf("VerifyAll after Close: %v", err)
+	}
+	events, err := re.AuditEventsCtx(ctx, "officer-kim", audit.Query{Record: "fx-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []string
+	for _, e := range events {
+		if e.Action == audit.ActionRead && !e.Timestamp.Before(parentFixture.now) {
+			reads = append(reads, fmt.Sprintf("%s %s %s", e.Actor, e.Outcome, e.Timestamp.Sub(parentFixture.now)))
+		}
+	}
+	if want := []string{"dr-house allowed 0s", "dr-house allowed 4.5s", "clerk-bob denied 9s", "dr-house allowed 1m0s"}; !reflect.DeepEqual(reads, want) {
+		t.Errorf("fx-a's reads since the parent's open: %q, want %q", reads, want)
+	}
 }
 
 // TestOneShardClassicLayout: a fresh durable vault at Shards 1 — and at 0 —

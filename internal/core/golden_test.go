@@ -211,10 +211,16 @@ func goldenBytes(n int) []byte {
 	return b
 }
 
-// goldenAuditEntry is a standalone audit event's meta.wal entry: the v7
-// event "dr-a read p1-enc-0 v1, allowed", untraced, with the tag a0..af.
-const goldenAuditEntry = "07" + "1083bab1fa12cd15" + "010864722d61" + "02" + "011070312d656e632d30" + "01" + "01" + "00" + "00" +
-	"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+// goldenAuditEntry is a standalone audit event's meta.wal entry: the v8
+// event "dr-a read p1-enc-0 v1, allowed", untraced, 1 ms after its
+// predecessor, with the tag a0..af. goldenAuditEntryV7 is the same event as
+// the parent wrote it, in v7.
+const (
+	goldenAuditEntry = "08" + "80897a" + "12" + "010864722d61" + "011070312d656e632d30" + "01" + "00" + "00" +
+		"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+	goldenAuditEntryV7 = "07" + "1083bab1fa12cd15" + "010864722d61" + "02" + "011070312d656e632d30" + "01" + "01" + "00" + "00" +
+		"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+)
 
 // goldenFold is the fold of a create's or correction's allowed event: its
 // detail the log's detail symbol 0, its trace 0af7651916cd43dd and its tag
@@ -245,8 +251,9 @@ func TestGoldenWALEntries(t *testing.T) {
 	shred := goldenShred()
 	pCreate, pCorrection := withCustody(create), withCustody(correction)
 	fCreate, fCorrection := goldenFolded(pCreate), goldenFolded(pCorrection)
-	aEntry := walEntry{kind: 'A'}
+	aEntry, aEntryV7 := walEntry{kind: 'A'}, walEntry{kind: 'A'}
 	aEntry.event, _ = hex.DecodeString(goldenAuditEntry)
+	aEntryV7.event, _ = hex.DecodeString(goldenAuditEntryV7)
 	goldenCt := "8002404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c" +
 		"6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c" +
 		"9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcc" +
@@ -370,11 +377,17 @@ func TestGoldenWALEntries(t *testing.T) {
 			Corrupt: ErrCorrupt,
 		},
 		frame.Golden{
-			// The payload is the audit package's v7 event, whose own golden
+			// The payload is the audit package's v8 event, whose own golden
 			// vectors refuse its prefixes: decoding hands it on unparsed.
-			Name:   "WAL 7 entry (a standalone audit event)",
+			Name:   "WAL 8 entry (a standalone audit event)",
 			Hex:    goldenAuditEntry,
 			Encode: aEntry.encode,
+		},
+		frame.Golden{
+			// A v7 event, which the parent wrote, is handed on as is too.
+			Name:   "WAL 7 entry (a standalone audit event, decode-only)",
+			Hex:    goldenAuditEntryV7,
+			Encode: aEntryV7.encode,
 		},
 		frame.Golden{
 			Name: "WAL P entry, folded",

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -60,18 +62,21 @@ func mediumScript(t *testing.T) (*faultfs.Mem, *Cluster, int) {
 }
 
 // TestMediumBytesPerOp is the exact count behind the at-rest layouts: a
-// fixed script's meta.wal and audit/ bytes before Close, here and as six
-// older binaries wrote them. The parent wrote every audit event to audit/ as
-// its own frame; this binary writes each to meta.wal, a create's or
-// correction's allowed event folded into its own entry (its detail, trace
-// and tag, after an empty-ciphertext marker) and every other as an entry of
-// its own, the same v7 bytes in the same Var frame. So the parent's meta.wal
-// is this run's without the standalone entries and the folds, and its
-// audit/ is what Close copies there: every event in v7. The binary before
-// the parent wrote each event in the v6 layout, whose 32-B MAC v7 stores as a
-// 16-B tag: 16 B per event. The binary before it wrote v5, whose 8-byte link
-// and 1-byte MAC length v6 leaves out: 9 B more per event. The binary before
-// that logged each create with its record's category, MRN and created time in
+// fixed script's meta.wal and audit/ bytes before Close, here and as eight
+// older binaries wrote them. This binary writes every audit event in the v8
+// layout; the parent wrote the same events in v7 (v7Len), so its meta.wal is
+// this run's with each standalone entry re-spelled, and its audit/ after
+// Close is this run's with every event re-spelled. The binary before wrote
+// every audit event to audit/ as its own frame; its parent writes each to
+// meta.wal, a create's or correction's allowed event folded into its own
+// entry (its detail, trace and tag, after an empty-ciphertext marker) and
+// every other as an entry of its own, the same bytes in the same Var frame.
+// So that binary's meta.wal is this run's without the standalone entries and
+// the folds, and its audit/ is the parent's after Close: every event in v7.
+// The binary before it wrote each event in the v6 layout, whose 32-B MAC v7
+// stores as a 16-B tag: 16 B per event. The binary before it wrote v5, whose
+// 8-byte link and 1-byte MAC length v6 leaves out: 9 B more per event. The
+// binary before that logged each create with its record's category, MRN and created time in
 // the clear and a 60-B AES-GCM wrapped DEK (parentEncode); the binary before
 // that sealed each version as its MVR1 encoding; the one before that also
 // framed WAL entries as frame.Seq frames and audit events as frame.Block
@@ -88,12 +93,15 @@ func TestMediumBytesPerOp(t *testing.T) {
 		mvr1WAL              = 7018        // 219.3 B/op: frame.Var, MVR1 seals
 		clearWAL, v5Audit    = 6036, 2504  // 188.6 and 78.2 B/op: clear identity and AES-GCM wraps in creates; v5 events
 		v6Audit              = 2207        // 69.0 B/op: v6 events
-		parentWAL, parentAud = 5556, 1679  // 173.6 and 52.5 B/op: every audit event in audit/
-		wantWAL, wantAudit   = 6698, 0     // 209.3 and 0 B/op: every audit event in meta.wal
+		oldWAL, v7Audit      = 5556, 1679  // 173.6 and 52.5 B/op: every audit event in audit/, in v7
+		parentWAL            = 6698        // 209.3 B/op: every audit event in meta.wal, in v7
+		wantWAL, wantAudit   = 6586, 0     // 205.8 and 0 B/op: every audit event in meta.wal, in v8
+		v8Audit              = 1431        // 44.7 B/op: audit/ after Close, in v8
 		perCreate, perEvent  = 40, 9       // perEvent: a v5 event's link and MAC length
 		perTag               = 16          // a v6 event's whole MAC less a v7 tag
 		folded, folds, alone = 18, 412, 15 // folded events, their folds in B, standalone events
-		perFolded, perAlone  = 1, 0        // what meta.wal spends on an event beyond its fold, or its v7 frame
+		perFolded, perAlone  = 1, 0        // what meta.wal spends on an event beyond its fold, or its frame
+		getFrame             = 29          // a get's standalone event once its detail is defined (36 B in v7)
 	)
 	mem, v, ops := mediumScript(t)
 	versions := map[string][]ehr.Record{}
@@ -114,8 +122,9 @@ func TestMediumBytesPerOp(t *testing.T) {
 		t.Errorf("meta.wal %d B, audit %d B; want %d and %d", len(walImage), auditBytes, wantWAL, wantAudit)
 	}
 	marker := len(frame.Seq.Append(nil, 0, []byte("!var")))
-	entries, creates, walVar, walParent, walClear, walMVR1, walSeq := 0, 0, marker, marker, marker, marker, 0
-	foldedEvents, foldBytes, aloneEvents, aloneFrames := 0, 0, 0, 0
+	entries, creates, walVar, walOld, walClear, walMVR1, walSeq := 0, 0, marker, marker, marker, marker, 0
+	foldedEvents, foldBytes, aloneEvents, aloneFrames, walParent := 0, 0, 0, 0, marker
+	var aloneSizes []int
 	if _, _, err := wal.Read(mem, walPath, func(e wal.Entry) error {
 		entries++
 		walVar += len(frame.Var.Append(nil, 0, e.Data))
@@ -126,6 +135,8 @@ func TestMediumBytesPerOp(t *testing.T) {
 		case we.kind == 'A':
 			aloneEvents++
 			aloneFrames += len(frame.Var.Append(nil, 0, e.Data))
+			aloneSizes = append(aloneSizes, len(frame.Var.Append(nil, 0, e.Data)))
+			walParent += len(frame.Var.Append(nil, 0, make([]byte, v7Len(e.Data))))
 			return nil
 		case we.event != nil:
 			foldedEvents++
@@ -133,7 +144,8 @@ func TestMediumBytesPerOp(t *testing.T) {
 			we.event = nil // as the parent logged it
 		}
 		older := we.encode()
-		walParent += len(frame.Var.Append(nil, 0, older))
+		walOld += len(frame.Var.Append(nil, 0, older))
+		walParent += len(frame.Var.Append(nil, 0, e.Data))
 		if we.ct != nil {
 			recs := versions[we.id]
 			rec := recs[we.ver.Number-1]
@@ -165,15 +177,17 @@ func TestMediumBytesPerOp(t *testing.T) {
 	}
 	defer store.Close()
 
-	events, auditVar, auditV6, auditV5, auditBlock := 0, 0, 0, 0, 0
+	events, auditVar, auditV7, auditV6, auditV5, auditBlock := 0, 0, 0, 0, 0, 0
 	if err := store.Scan(func(_ blockstore.Ref, p []byte) error {
-		if p[0] != 7 {
-			return fmt.Errorf("audit event %d is in layout v%d, want v7", events, p[0])
+		if p[0] != 8 {
+			return fmt.Errorf("audit event %d is in layout v%d, want v8", events, p[0])
 		}
 		events++
-		v6 := make([]byte, len(p)+perTag)
+		v7 := make([]byte, v7Len(p))
+		v6 := make([]byte, len(v7)+perTag)
 		v5 := make([]byte, len(v6)+perEvent)
 		auditVar += len(frame.Var.Append(nil, 0, p))
+		auditV7 += len(frame.Var.Append(nil, 0, v7))
 		auditV6 += len(frame.Var.Append(nil, 0, v6))
 		auditV5 += len(frame.Var.Append(nil, 0, v5))
 		auditBlock += len(frame.Block.Append(nil, 0, v5))
@@ -185,34 +199,54 @@ func TestMediumBytesPerOp(t *testing.T) {
 
 	per := func(n int) float64 { return float64(n) / float64(ops) }
 	t.Logf("%d ops, %d meta.wal entries (%d creates, %d folded events, %d standalone), %d audit events", ops, entries, creates, foldedEvents, aloneEvents, events)
-	t.Logf("meta.wal: %d B (%.1f B/op); the parent's %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
-		len(walImage), per(len(walImage)), walParent, per(walParent), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
-	t.Logf("audit/ after Close: %d B (%.1f B/op), the parent's before it; in the v6 layout %d B (%.1f B/op), in v5 %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
-		auditBytes, per(auditBytes), auditV6, per(auditV6), auditV5, per(auditV5), auditBlock, per(auditBlock))
+	t.Logf("meta.wal: %d B (%.1f B/op); in the v7 layout, the parent's, %d B (%.1f B/op); with every audit event in audit/ %d B (%.1f B/op); with clear identity in creates %d B (%.1f B/op); with MVR1 seals %d B (%.1f B/op), and in Seq frames %d B (%.1f B/op)",
+		len(walImage), per(len(walImage)), walParent, per(walParent), walOld, per(walOld), walClear, per(walClear), walMVR1, per(walMVR1), walSeq, per(walSeq))
+	t.Logf("audit/ after Close: %d B (%.1f B/op); in the v7 layout %d B (%.1f B/op), in v6 %d B (%.1f B/op), in v5 %d B (%.1f B/op), and in Block frames %d B (%.1f B/op)",
+		auditBytes, per(auditBytes), auditV7, per(auditV7), auditV6, per(auditV6), auditV5, per(auditV5), auditBlock, per(auditBlock))
 	if len(walImage) != walVar || auditBytes != auditVar {
 		t.Errorf("meta.wal is %d B and audit/ %d B, but their payloads in Var frames %d and %d B", len(walImage), auditBytes, walVar, auditVar)
+	}
+	// The gets' events, the first defining its detail; then the hold's
+	// decision and event, and the shred's decision, 30 years on.
+	want := []int{71}
+	for range 11 {
+		want = append(want, getFrame)
+	}
+	if want = append(want, 73, 57, 80); !slices.Equal(aloneSizes, want) {
+		t.Errorf("standalone events of %v B, frame included; want %v", aloneSizes, want)
 	}
 	if foldedEvents != folded || foldBytes != folds || aloneEvents != alone || events != folded+alone {
 		t.Errorf("%d folded events (%d B of folds) and %d standalone, %d in audit/ after Close; want %d (%d B), %d and %d",
 			foldedEvents, foldBytes, aloneEvents, events, folded, folds, alone, folded+alone)
 	}
-	if len(walImage)-walParent != perFolded*folded+folds+aloneFrames+perAlone*alone {
-		t.Errorf("meta.wal is %d B more than the parent's, want %d B per folded event beyond its %d B of folds, and the standalone events' %d B of frames",
-			len(walImage)-walParent, perFolded, folds, aloneFrames)
+	if len(walImage)-walOld != perFolded*folded+folds+aloneFrames+perAlone*alone {
+		t.Errorf("meta.wal is %d B more than with every audit event in audit/, want %d B per folded event beyond its %d B of folds, and the standalone events' %d B of frames",
+			len(walImage)-walOld, perFolded, folds, aloneFrames)
 	}
-	if walParent != parentWAL || auditBytes != parentAud {
-		t.Errorf("the parent's layouts of this run: meta.wal %d B, audit/ %d B; the parent measured %d and %d", walParent, auditBytes, parentWAL, parentAud)
+	if walParent != parentWAL || auditBytes != v8Audit || walOld != oldWAL || auditV7 != v7Audit {
+		t.Errorf("this run's layouts: audit/ %d B; the parent's meta.wal %d B and audit/ %d B, and the binary's before it meta.wal %d B; want %d, %d, %d and %d",
+			auditBytes, walParent, auditV7, walOld, v8Audit, parentWAL, v7Audit, oldWAL)
 	}
 	if walClear != clearWAL || walMVR1 != mvr1WAL || walSeq != seqWAL || auditV6 != v6Audit || auditV5 != v5Audit || auditBlock != seqAudit {
 		t.Errorf("older layouts of this run: meta.wal %d B with clear identity, %d B with MVR1 seals and %d B in Seq frames, audit %d B in v6, %d B in v5 and %d B in Block frames; the older binaries measured %d, %d, %d, %d, %d and %d",
 			walClear, walMVR1, walSeq, auditV6, auditV5, auditBlock, clearWAL, mvr1WAL, seqWAL, v6Audit, v5Audit, seqAudit)
 	}
-	if walClear-walParent != perCreate*creates {
-		t.Errorf("the parent's meta.wal is %d B less than with clear identity over %d creates, want %d B per create", walClear-walParent, creates, perCreate)
+	if walClear-walOld != perCreate*creates {
+		t.Errorf("meta.wal with every audit event in audit/ is %d B less than with clear identity over %d creates, want %d B per create", walClear-walOld, creates, perCreate)
 	}
-	if auditV6-auditBytes != perTag*events || auditV5-auditV6 != perEvent*events {
-		t.Errorf("audit/ is %d B less than in v6 and %d B less than in v5 over %d events, want %d and %d B more per event", auditV6-auditBytes, auditV5-auditBytes, events, perTag, perTag+perEvent)
+	if auditV6-auditV7 != perTag*events || auditV5-auditV6 != perEvent*events {
+		t.Errorf("audit/ in v7 is %d B less than in v6 and %d B less than in v5 over %d events, want %d and %d B more per event", auditV6-auditV7, auditV5-auditV7, events, perTag, perTag+perEvent)
 	}
+}
+
+// v7Len is the length of v8 audit event p spelled in the v7 layout, which
+// holds the same fields: the whole 8-B time where v8 holds a varint delta,
+// a header byte per word where v8 packs both words and the trace's shape
+// into one uvarint, and a length byte before a minted trace ID's 8 bytes.
+func v7Len(p []byte) int {
+	_, delta := binary.Uvarint(p[1:])
+	shape, packed := binary.Uvarint(p[1+delta:])
+	return len(p) + 8 - delta + 2 - packed + int(shape&1)
 }
 
 // TestUpgradedDirectoryHoldsOnlyV2Tails: every block store in a directory

@@ -42,8 +42,10 @@ import (
 //	    varbytes ciphertext
 //	'P' or 'p' with the allowed audit event folded in:
 //	    the 'P' or 'p' entry with u8 0 | fold before its varbytes ciphertext
-//	7 standalone audit event (audit.StandaloneKind):
-//	    the event's v7 encoding, whose layout byte is the kind
+//	8 standalone audit event (audit.IsStandalone):
+//	    the event's v8 encoding, whose layout byte is the kind
+//	7 standalone audit event, an older binary's (decoded, never written):
+//	    the event's v7 encoding
 //	'c' ('p'), 'v' ('i'), legacy (decoded, never written):
 //	    u8 'c' or 'v' | varstr id | uvarint number | cversion |
 //	    identity (only when number == 1)
@@ -263,7 +265,7 @@ func parseWALEntry(data []byte) (walEntry, error) {
 	if len(data) == 0 {
 		return walEntry{}, fmt.Errorf("%w: empty WAL entry", ErrCorrupt)
 	}
-	if data[0] == audit.StandaloneKind {
+	if audit.IsStandalone(data[0]) {
 		return walEntry{kind: 'A', event: data}, nil
 	}
 	r := frame.NewReader(data)

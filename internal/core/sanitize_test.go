@@ -560,7 +560,7 @@ func onlyAuditAppended(t *testing.T, mem *faultfs.Mem, before []byte) []byte {
 	}
 	only := bytes.HasPrefix(after, before)
 	valid, _, err := wal.Read(mem, "vault/meta.wal", func(e wal.Entry) error {
-		only = only && (e.Off < int64(len(before)) || e.Data[0] == audit.StandaloneKind)
+		only = only && (e.Off < int64(len(before)) || audit.IsStandalone(e.Data[0]))
 		return nil
 	})
 	if err != nil || valid != int64(len(after)) || !only {

@@ -2,10 +2,10 @@ package frame
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -66,10 +66,16 @@ func AppendVarStr(b []byte, s string) []byte {
 // the bytes it spells are stored, half its length. Trace IDs and record
 // tokens are such strings.
 func AppendToken(b []byte, s string) []byte {
-	if !isPackedHex(s) {
+	if !IsPackedHex(s) {
 		return append(binary.AppendUvarint(b, uint64(len(s))<<1), s...)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s)/2)<<1|1)
+	return AppendPackedHex(binary.AppendUvarint(b, uint64(len(s)/2)<<1|1), s)
+}
+
+// AppendPackedHex appends the bytes s spells, with no header: a Token's
+// packed body, for a field whose layout fixes its length. IsPackedHex(s)
+// must hold.
+func AppendPackedHex(b []byte, s string) []byte {
 	for i := 0; i < len(s); i += 2 {
 		b = append(b, hexValue[s[i]]<<4|hexValue[s[i+1]])
 	}
@@ -92,11 +98,16 @@ var hexValue = func() (t [256]byte) {
 // when vocab lacks it. A vocabulary is part of its format: it may only grow at
 // the end.
 func AppendWord(b []byte, s string, vocab []string) []byte {
-	if i := slices.Index(vocab, s); i >= 0 {
-		return binary.AppendUvarint(b, uint64(i+1))
+	i := WordIndex(s, vocab)
+	if b = binary.AppendUvarint(b, i); i == 0 {
+		b = AppendToken(b, s)
 	}
-	return AppendToken(binary.AppendUvarint(b, 0), s)
+	return b
 }
+
+// WordIndex is the header AppendWord writes for s: its 1-based position in
+// vocab, or 0 when vocab lacks it and s follows as a Token.
+func WordIndex(s string, vocab []string) uint64 { return uint64(slices.Index(vocab, s) + 1) }
 
 // AppendSymbol appends s as a symbol field: a value an event log writes out
 // once and refers to by number after. n is s's number in the log's table for
@@ -114,7 +125,9 @@ func AppendSymbol(b []byte, s string, n int) []byte {
 	return binary.AppendUvarint(b, uint64(n)+2)
 }
 
-func isPackedHex(s string) bool {
+// IsPackedHex reports whether AppendToken packs s: a non-empty, even-length
+// string of lowercase hex digits.
+func IsPackedHex(s string) bool {
 	if s == "" || len(s)%2 != 0 {
 		return false
 	}
@@ -129,7 +142,7 @@ func isPackedHex(s string) bool {
 // Reader is a cursor over one encoded value. The first read that runs short
 // latches an error naming its byte offset, and every later read returns the
 // zero value without advancing, so a decoder parses straight-line and checks
-// Err or Done once. Only VarView and Since return bytes of its input.
+// Err or Done once. Only VarView, View and Since return bytes of its input.
 type Reader struct {
 	b   []byte
 	off int
@@ -261,7 +274,7 @@ func (r *Reader) Token() string {
 		return ""
 	case h&1 == 0:
 		s := string(p)
-		if isPackedHex(s) {
+		if IsPackedHex(s) {
 			r.Fail("unpacked hex token at offset %d", at)
 			return ""
 		}
@@ -270,17 +283,44 @@ func (r *Reader) Token() string {
 		r.Fail("empty packed token at offset %d", at)
 		return ""
 	}
-	return hex.EncodeToString(p)
+	return hexString(p)
+}
+
+// PackedHex reads what AppendPackedHex wrote of a 2n-digit string: n bytes,
+// spelled back as lowercase hex.
+func (r *Reader) PackedHex(n int) string {
+	if p := r.take(n); p != nil {
+		return hexString(p)
+	}
+	return ""
+}
+
+// hexString is p in lowercase hex, built in place: the string's 2*len(p)
+// bytes are its one allocation.
+func hexString(p []byte) string {
+	const digits = "0123456789abcdef"
+	var sb strings.Builder
+	sb.Grow(2 * len(p))
+	for _, c := range p {
+		sb.WriteByte(digits[c>>4])
+		sb.WriteByte(digits[c&0xF])
+	}
+	return sb.String()
 }
 
 // Word reads what AppendWord wrote with the same vocab.
-func (r *Reader) Word(vocab []string) string {
+func (r *Reader) Word(vocab []string) string { return r.WordOf(r.Uvarint(), vocab) }
+
+// WordOf reads the rest of a word whose header i (WordIndex) a layout holds
+// elsewhere: vocab[i-1], or for 0 a Token that vocab must lack. A header
+// beyond vocab latches an error.
+func (r *Reader) WordOf(i uint64, vocab []string) string {
 	at := r.off
-	switch i := r.Uvarint(); {
+	switch {
 	case r.err != nil:
 		return ""
 	case i > uint64(len(vocab)):
-		r.Fail("word %d at offset %d is beyond a %d-word vocabulary", i, at, len(vocab))
+		r.Fail("word %d before offset %d is beyond a %d-word vocabulary", i, at, len(vocab))
 		return ""
 	case i > 0:
 		return vocab[i-1]
@@ -324,6 +364,16 @@ func (r *Reader) Magic(want string) bool { return string(r.take(len(want))) == w
 // Fixed fills dst with the next len(dst) bytes; dst is left untouched when
 // they are not there.
 func (r *Reader) Fixed(dst []byte) { copy(dst, r.take(len(dst))) }
+
+// View is Fixed without the copy: the next n bytes in place, capped at their
+// end (nil when they are not there), for a caller that keeps them no longer
+// than the input.
+func (r *Reader) View(n int) []byte {
+	if p := r.take(n); p != nil {
+		return p[:n:n]
+	}
+	return nil
+}
 
 // Count reads a u32 element count for a loop whose every element occupies at
 // least minElemBytes, and latches ErrShort when that many elements cannot fit

@@ -99,30 +99,47 @@ func MAC(key Key, data []byte) []byte {
 // keeps keyed states in a pool and resets one instead. Its sums equal MAC's.
 // Safe for concurrent use.
 type KeyedMAC struct {
-	pool sync.Pool // of keyed hash.Hash states, each Reset before it returns
+	pool sync.Pool // of *keyedHash, each Reset before it returns
+}
+
+// keyedHash is a keyed HMAC state and room for one sum, so a check compares
+// against a sum that allocates nothing.
+type keyedHash struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
 // NewKeyedMAC returns a KeyedMAC under key.
 func NewKeyedMAC(key Key) *KeyedMAC {
 	m := &KeyedMAC{}
-	m.pool.New = func() any { return hmac.New(sha256.New, key[:]) }
+	m.pool.New = func() any { return &keyedHash{h: hmac.New(sha256.New, key[:])} }
 	return m
 }
 
 // Sum appends HMAC-SHA-256(key, data) to dst and returns the result.
 func (m *KeyedMAC) Sum(dst, data []byte) []byte {
-	h := m.pool.Get().(hash.Hash)
-	h.Write(data)
-	dst = h.Sum(dst)
-	h.Reset()
-	m.pool.Put(h)
+	k := m.pool.Get().(*keyedHash)
+	k.h.Write(data)
+	dst = k.h.Sum(dst)
+	k.h.Reset()
+	m.pool.Put(k)
 	return dst
+}
+
+// check reports whether the first len(want) bytes of data's MAC are want, in
+// constant time; want must be non-empty and at most a whole MAC.
+func (m *KeyedMAC) check(data, want []byte) bool {
+	k := m.pool.Get().(*keyedHash)
+	k.h.Write(data)
+	ok := hmac.Equal(k.h.Sum(k.sum[:0])[:len(want)], want)
+	k.h.Reset()
+	m.pool.Put(k)
+	return ok
 }
 
 // Verify reports whether sum is the MAC of data, in constant time.
 func (m *KeyedMAC) Verify(data, sum []byte) bool {
-	var buf [sha256.Size]byte
-	return hmac.Equal(m.Sum(buf[:0], data), sum)
+	return len(sum) == sha256.Size && m.check(data, sum)
 }
 
 // TagSize is the byte length of a truncated tag: HMAC-SHA-256-128 (RFC
@@ -142,8 +159,7 @@ func (m *KeyedMAC) Tag(dst, data []byte) []byte {
 // of any length but TagSize is refused, so neither a shorter prefix nor the
 // whole MAC passes for one.
 func (m *KeyedMAC) VerifyTag(data, tag []byte) bool {
-	var buf [sha256.Size]byte
-	return len(tag) == TagSize && hmac.Equal(m.Sum(buf[:0], data)[:TagSize], tag)
+	return len(tag) == TagSize && m.check(data, tag)
 }
 
 // Hash is the content hash used throughout MedVault (SHA-256).

@@ -122,6 +122,12 @@ check "Compact event logs: in non-test internal/audit only macInput and chainSum
 check "Compact event logs: the stored audit encoder writes Actor, Record and Detail only through frame.AppendSymbol" \
 	"$(awk '/^func /{fn=$0} fn ~ /^func encodeEvent\(/ {line=$0; gsub(/frame\.AppendSymbol\(b, e\.(Actor|Record|Detail),/, "", line); if (line ~ /e\.(Actor|Record|Detail)/) print FILENAME ":" FNR ": " $0}' internal/audit/codec.go)"
 
+# An audit event's time is its predecessor's plus a delta: a reader walking
+# the chain has just read that time, and an anchor holds it for a stream
+# that starts there. So the stored encoder writes no whole time.
+check "Compact event logs: the stored audit encoder calls no frame.AppendTime" \
+	"$(awk '/^func /{fn=$0} fn ~ /^func encodeEvent\(/ && /frame\.AppendTime\(/ {print FILENAME ":" FNR ": " $0}' internal/audit/codec.go)"
+
 # An audit event is MACed in one shape, the truncated tag internal/vcrypto
 # owns: the log tags through KeyedMAC.Tag and checks through VerifyTag, the
 # whole-MAC Verify survives only in checkMAC's arm for the decode-only
