@@ -175,11 +175,6 @@ type Log struct {
 	denied   posting   // events with Outcome == OutcomeDenied
 	lastHash [32]byte
 	lastTime int64 // Unix nanoseconds of event places.n-1; 0 before the first
-	// shown is how many events a reader may read: with a tail, those whose
-	// entries are written (sequenced ones may still be in flight), and
-	// shownHead is event shown-1's hash.
-	shown     uint64
-	shownHead [32]byte
 	// tailSyms is each symbol table's size when the tail began: Flush's
 	// count of the values tail events define.
 	tailSyms [numSyms]int
@@ -337,31 +332,17 @@ func Open(cfg Config) (*Log, error) {
 		every:  cfg.CheckpointInterval,
 		syms:   newSymbols(),
 	}
-	if err := l.scan(-1, places{}, l.syms, l.index); err != nil {
+	if err := l.scan(-1, places{}, l.syms, l.place); err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
 }
 
-// index is place for an event already on the medium, which a reader may
-// read from now on.
-func (l *Log) index(ref blockstore.Ref, e *Event) {
-	l.place(ref, e)
-	l.show(e.Seq+1, e.Hash)
-}
-
-// show lets readers read the first n events, which end in head.
-func (l *Log) show(n uint64, head [32]byte) {
-	if n > l.shown {
-		l.shown, l.shownHead = n, head
-	}
-}
-
 // place records where e lives (ref), what it follows and which posting lists
 // name it, and numbers the symbol values it is the first to
 // carry. The caller holds l.mu exclusively (or, in Open, is the only holder
-// of l), and e is on the medium or, with a tail, enqueued to it: a failed
-// append defines nothing.
+// of l), and e is on the medium: a failed append defines nothing, and a
+// reader may read e from now on.
 func (l *Log) place(ref blockstore.Ref, e *Event) {
 	l.places.add(ref, e.PrevHash, l.lastTime)
 	l.lastHash, l.lastTime = e.Hash, e.Timestamp.UnixNano()
@@ -499,52 +480,55 @@ func (l *Log) Append(e Event) (Event, error) {
 // concurrent operations can interleave. It returns the last event appended.
 func (l *Log) AppendAll(events []Event) (Event, error) {
 	l.mu.Lock()
-	if l.tail != nil {
-		var last Event
-		var err error
-		waits := make([]func() error, 0, 2) // a decision and its break-glass flag
-		for _, e := range events {
-			var wait func() error
-			if e, wait, err = l.enqueue(e, nil); err != nil {
-				break
-			}
-			waits = append(waits, wait)
-			last = e
-		}
-		l.mu.Unlock()
-		if err = l.await(waits, last, err); err != nil {
-			return Event{}, err
-		}
-		return last, nil
-	}
 	defer l.mu.Unlock()
 	var last Event
 	for _, e := range events {
 		var err error
-		if last, err = l.appendLocked(e); err != nil {
+		if last, err = l.appendLocked(e, nil); err != nil {
 			return Event{}, err
 		}
 	}
 	return last, nil
 }
 
-func (l *Log) appendLocked(e Event) (Event, error) {
-	if l.wedged {
-		return Event{}, ErrWedged
+// appendLocked seals e as the chain's next event and writes it: to the
+// store, or, with a tail, as an entry of its own there stamped now (fold
+// nil), or, stamped with its own time, as the fold that fold writes in its
+// host entry. Only then does it place e, so chain order is the medium's
+// order and readers read only written events. An error places nothing. The
+// caller holds l.mu exclusively.
+func (l *Log) appendLocked(e Event, fold func(fold []byte) (int64, error)) (Event, error) {
+	if err := l.refuse(); err != nil {
+		return Event{}, err
 	}
 	start := time.Now()
 	defer metAppendSeconds.ObserveSince(start)
-	e.Timestamp = l.now()
+	if fold == nil {
+		e.Timestamp = l.now()
+	}
 	nums, err := l.seal(&e)
 	if err != nil {
 		return Event{}, err
 	}
-	ref, err := l.store.Append(encodeEvent(e, nums, l.lastTime))
-	if err != nil {
-		l.wedged = true
-		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
+	var ref blockstore.Ref
+	if l.tail == nil {
+		if ref, err = l.store.Append(encodeEvent(e, nums, l.lastTime)); err != nil {
+			l.wedged = true
+			return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
+		}
+	} else {
+		var off int64
+		if fold != nil {
+			off, err = fold(appendFold(make([]byte, 0, 8+len(e.Trace)+len(e.MAC)), e, nums))
+		} else {
+			off, err = l.tail.Enqueue(encodeEvent(e, nums, l.lastTime))
+		}
+		if err != nil {
+			return Event{}, err
+		}
+		ref = blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}
 	}
-	l.index(ref, &e)
+	l.place(ref, &e)
 	eventsCounter(e.Outcome).Inc()
 	if l.every > 0 && l.places.n%uint64(l.every) == 0 {
 		l.cps = append(l.cps, l.checkpointLocked())
@@ -559,10 +543,9 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 // owner's own whose fields give the event's actor, record, time and action
 // (AppendFolded).
 type Tail struct {
-	// Enqueue stages a standalone event's entry to be written, and returns
-	// its offset in the owner's log and the wait that returns once it is
-	// written.
-	Enqueue func(entry []byte) (off int64, wait func() error)
+	// Enqueue writes a standalone event's entry, and returns its offset in
+	// the owner's log; an error means it wrote nothing.
+	Enqueue func(entry []byte) (off int64, err error)
 	// Scan calls fn, in order, with every written entry that holds an
 	// event from the one at off on, until fn fails: a standalone event's
 	// bytes with host nil, or a folded event's host fields (Actor, Action,
@@ -591,59 +574,6 @@ func (l *Log) markTail() {
 	}
 	l.skip = l.places.n
 	l.resumed = false
-}
-
-// enqueue sequences e as the chain's next event and stages it in the tail
-// under the log lock, so chain order is the tail's order: a standalone event
-// as an entry of its own (fold nil), stamped now, or, when fold is set, the
-// event stamped with its own time as the fold fold hands its host entry. The
-// entry's wait, which the caller must call exactly once, returns once it is
-// written; then await lets readers read the event. An error means nothing
-// was staged, and comes with no wait. The caller holds l.mu exclusively.
-func (l *Log) enqueue(e Event, fold func(fold []byte) (int64, func() error)) (Event, func() error, error) {
-	if l.tail == nil {
-		return Event{}, nil, errNoTail
-	}
-	if err := l.refuse(); err != nil {
-		return Event{}, nil, err
-	}
-	start := time.Now()
-	defer metAppendSeconds.ObserveSince(start)
-	if fold == nil {
-		e.Timestamp = l.now()
-	}
-	nums, err := l.seal(&e)
-	if err != nil {
-		return Event{}, nil, err
-	}
-	var off int64
-	var wait func() error
-	if fold == nil {
-		off, wait = l.tail.Enqueue(encodeEvent(e, nums, l.lastTime))
-	} else {
-		off, wait = fold(appendFold(make([]byte, 0, 8+len(e.Trace)+len(e.MAC)), e, nums))
-	}
-	l.place(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, &e)
-	eventsCounter(e.Outcome).Inc()
-	return e, wait, nil
-}
-
-// await calls the waits of the entries AppendAll staged, in order, and once
-// all are written lets readers read every event up to last, or returns the
-// first failure, err's if set.
-func (l *Log) await(waits []func() error, last Event, err error) error {
-	for _, wait := range waits {
-		if werr := wait(); err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.show(last.Seq+1, last.Hash)
-	l.mu.Unlock()
-	return nil
 }
 
 // seal makes e, stamped with its Timestamp, the chain's next event: its
@@ -676,31 +606,20 @@ func (l *Log) refuse() error {
 }
 
 // AppendFolded records e, stamped with its own Timestamp, as the chain's
-// next event inside the entry put stages in the tail: put gets the event's
+// next event inside the entry put writes to the tail: put gets the event's
 // fold — its detail, trace and tag (codec.go) — to end its entry with, and
-// returns the entry's offset and wait. The entry's other fields must give
-// e's Actor, Record, Action, Version, Outcome and Timestamp back (Tail.Scan).
-// The wait AppendFolded returns must be called exactly once, in place of
-// put's: it waits for the entry to be written, and then lets readers read
-// the event. A log without a tail refuses, as does a wedged one, without
-// calling put.
-func (l *Log) AppendFolded(e Event, put func(fold []byte) (off int64, wait func() error)) func() error {
+// returns the entry's offset, or an error if it wrote nothing. The entry's
+// other fields must give e's Actor, Record, Action, Version, Outcome and
+// Timestamp back (Tail.Scan). A log without a tail refuses, as does a
+// wedged one, without calling put.
+func (l *Log) AppendFolded(e Event, put func(fold []byte) (off int64, err error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, wait, err := l.enqueue(e, put)
-	if err != nil {
-		return func() error { return err }
+	if l.tail == nil {
+		return errNoTail
 	}
-	seq, head := e.Seq, e.Hash
-	return func() error {
-		if err := wait(); err != nil {
-			return err
-		}
-		l.mu.Lock()
-		l.show(seq+1, head)
-		l.mu.Unlock()
-		return nil
-	}
+	_, err := l.appendLocked(e, put)
+	return err
 }
 
 // Resume takes the next entry of the tail as the owner replays its log: the
@@ -743,7 +662,7 @@ func (l *Log) Resume(off int64, host *Event, data []byte) error {
 		return nil
 	}
 	l.skip++
-	l.index(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, &e)
+	l.place(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, &e)
 	return nil
 }
 
@@ -805,9 +724,6 @@ func (l *Log) Flush() error {
 		return ErrWedged
 	}
 	pl := &l.places
-	if l.shown != pl.n {
-		return fmt.Errorf("audit: %d events are in flight", pl.n-l.shown)
-	}
 	if pl.stored == pl.n {
 		return nil
 	}
@@ -899,7 +815,7 @@ func (l *Log) Refusal() error {
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return int(l.shown)
+	return int(l.places.n)
 }
 
 // Checkpoint signs and returns a commitment to the current chain state.
@@ -911,15 +827,14 @@ func (l *Log) Checkpoint() Checkpoint {
 	return cp
 }
 
-// checkpointLocked signs the events a reader reads: with a tail, an event
-// still in flight may never reach it.
+// checkpointLocked signs the events a reader reads.
 func (l *Log) checkpointLocked() Checkpoint {
 	ts := l.now().UTC()
 	return Checkpoint{
-		Seq:       l.shown,
-		Head:      l.shownHead,
+		Seq:       l.places.n,
+		Head:      l.lastHash,
 		Timestamp: ts,
-		Signature: l.signer.Sign(checkpointBytes(l.shown, l.shownHead, ts)),
+		Signature: l.signer.Sign(checkpointBytes(l.places.n, l.lastHash, ts)),
 	}
 }
 
@@ -945,7 +860,7 @@ func (l *Log) Verify(pub vcrypto.PublicKey, cps ...Checkpoint) (n int, err error
 		hashes[cp.Seq] = [32]byte{}
 	}
 	l.mu.RLock()
-	want, head, pl := int(l.shown), l.shownHead, l.places
+	want, head, pl := int(l.places.n), l.lastHash, l.places
 	l.mu.RUnlock()
 	var last [32]byte
 	err = l.scan(want, pl, newSymbols(), func(_ blockstore.Ref, e *Event) {
@@ -1003,7 +918,7 @@ func (q Query) matches(e *Event) bool {
 // depend on where its stream started; one from the whole chain has both.
 func (l *Log) Search(q Query) ([]Event, error) {
 	l.mu.RLock()
-	pl, shown := l.places, l.shown
+	pl := l.places
 	var shortest posting
 	indexed := false
 	narrow := func(list posting) {
@@ -1024,7 +939,7 @@ func (l *Log) Search(q Query) ([]Event, error) {
 
 	var out []Event
 	if !indexed {
-		err := l.scan(int(shown), pl, newSymbols(), func(_ blockstore.Ref, e *Event) {
+		err := l.scan(int(pl.n), pl, newSymbols(), func(_ blockstore.Ref, e *Event) {
 			if q.matches(e) {
 				out = append(out, e.owned())
 			}
@@ -1036,9 +951,6 @@ func (l *Log) Search(q Query) ([]Event, error) {
 	}
 	var hits []uint64
 	shortest.each(func(seq uint64) error {
-		if seq >= shown {
-			return errStopScan // in flight, as is every seq after it
-		}
 		hits = append(hits, seq)
 		return nil
 	})

@@ -1294,7 +1294,7 @@ func appendLegacy(t *testing.T, l *Log, e Event, ver byte, encode func(Event, [n
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.index(ref, &e)
+	l.place(ref, &e)
 	return e
 }
 
@@ -1906,7 +1906,7 @@ type tailEntry struct {
 
 func (m *memTail) tail() Tail {
 	return Tail{
-		Enqueue: func(entry []byte) (int64, func() error) { return m.put(nil, entry) },
+		Enqueue: func(entry []byte) (int64, error) { return m.put(nil, entry) },
 		Wedged:  func() error { return m.wedge },
 		Scan: func(off int64, fn func(int64, *Event, []byte) error) error {
 			for i := off - m.base; i < int64(len(m.entries)); i++ {
@@ -1926,17 +1926,19 @@ func (m *memTail) cut() {
 	m.entries = nil
 }
 
-func (m *memTail) put(host *Event, data []byte) (int64, func() error) {
+func (m *memTail) put(host *Event, data []byte) (int64, error) {
+	if m.wedge != nil {
+		return 0, m.wedge
+	}
 	m.entries = append(m.entries, tailEntry{host, bytes.Clone(data)})
-	return m.base + int64(len(m.entries)-1), func() error { return m.wedge }
+	return m.base + int64(len(m.entries)-1), nil
 }
 
 // fold appends e folded into a host entry of m's.
 func (m *memTail) fold(t *testing.T, l *Log, e Event) {
 	t.Helper()
 	host := Event{Actor: e.Actor, Action: e.Action, Record: e.Record, Version: e.Version, Outcome: e.Outcome, Timestamp: e.Timestamp.UTC()}
-	wait := l.AppendFolded(e, func(fold []byte) (int64, func() error) { return m.put(&host, fold) })
-	if err := wait(); err != nil {
+	if err := l.AppendFolded(e, func(fold []byte) (int64, error) { return m.put(&host, fold) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -2162,12 +2164,11 @@ func enqueueV7(t *testing.T, l *Log, m *memTail, e Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, wait := m.put(nil, encodeV7Event(e, nums))
-	if err := wait(); err != nil {
+	off, err := m.put(nil, encodeV7Event(e, nums))
+	if err != nil {
 		t.Fatal(err)
 	}
 	l.place(blockstore.Ref{Segment: pendingSegment, Offset: uint64(off)}, &e)
-	l.show(e.Seq+1, e.Hash)
 }
 
 // TestV7TailContinuesInV8: a tail an older binary wrote — standalone events

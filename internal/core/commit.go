@@ -28,8 +28,8 @@ import (
 // correction's allowed audit event, is sequenced as the chain's next event
 // and folded into the entry (audit.Log.AppendFolded), stamped with the
 // version's time. The entry is encoded before the audit log's lock is taken,
-// but for the fold, and its ciphertext is copied once, into meta.wal's
-// batch. The caller holds the record's stripe exclusively.
+// but for the fold, and its ciphertext is copied once, into the frame
+// meta.wal writes. The caller holds the record's stripe exclusively.
 func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record, owed *allowance) error {
 	var durable func()
 	var parts [][]byte
@@ -44,23 +44,26 @@ func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record, owed *
 	_, es := obs.StartSpan(ctx, "wal.enqueue")
 	var seq uint64
 	var wait func() error
+	var err error
 	if folded {
 		owed.e.Timestamp = e.ver.Timestamp
-		wait = v.aud.AppendFolded(owed.e, func(fold []byte) (int64, func() error) {
+		err = v.aud.AppendFolded(owed.e, func(fold []byte) (int64, error) {
 			e.event, parts[1] = fold, fold
-			var staged func() error
-			seq, staged = v.stage(es, e, parts, durable)
-			return int64(e.at.Offset), staged
+			var err error
+			seq, wait, err = v.stage(es, e, parts, durable)
+			return int64(e.at.Offset), err
 		})
 	} else {
-		seq, wait = v.stage(es, e, parts, durable)
+		seq, wait, err = v.stage(es, e, parts, durable)
 	}
 	es.End(nil)
-	// wal.commit spans the wait for the fsync that made the batch durable:
+	// wal.commit spans the wait for the fsync that made the entry durable:
 	// the durability tax group commit amortizes across concurrent writers.
 	_, cs := obs.StartSpan(ctx, "wal.commit")
 	cs.SetUint("seq", seq)
-	err := wait()
+	if err == nil {
+		err = wait()
+	}
 	cs.End(err)
 	if err != nil {
 		return fmt.Errorf("core: logging %c entry of %s: %w", e.kind, e.id, err)
@@ -68,22 +71,22 @@ func (v *Vault) commit(ctx context.Context, e *walEntry, rec *ehr.Record, owed *
 	return v.apply(ctx, e, rec)
 }
 
-// stage enqueues e, encoded as parts, in meta.wal to be made durable,
+// stage writes e, encoded as parts, to meta.wal to be made durable,
 // recording its size and sequence number on its wal.enqueue span es, and
 // gives e (and a version its Ref) its place there.
-func (v *Vault) stage(es *obs.Span, e *walEntry, parts [][]byte, durable func()) (uint64, func() error) {
+func (v *Vault) stage(es *obs.Span, e *walEntry, parts [][]byte, durable func()) (uint64, func() error, error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	es.SetUint("bytes", uint64(n))
-	seq, off, wait := v.metaWAL.Enqueue(wal.Durable, durable, parts...)
+	seq, off, wait, err := v.metaWAL.Enqueue(wal.Durable, durable, parts...)
 	es.SetUint("seq", seq)
 	e.at = blockstore.Ref{Segment: walSegment, Offset: uint64(off)}
 	if e.kind == 'V' {
 		e.ver.Ref = e.at
 	}
-	return seq, wait
+	return seq, wait, err
 }
 
 // appendLeaf commits e's version to the Merkle log and records where.
@@ -245,12 +248,12 @@ func (v *Vault) scanAudit(off int64, fn func(off int64, host *audit.Event, data 
 	})
 }
 
-// enqueueAudit stages a standalone audit event's entry in meta.wal, to be
-// written (audit.Tail.Enqueue): an operation that changed nothing does not
-// wait for an fsync, and a mutation's durable entry follows its events.
-func (v *Vault) enqueueAudit(entry []byte) (int64, func() error) {
-	_, off, wait := v.metaWAL.Enqueue(wal.Written, nil, entry)
-	return off, wait
+// enqueueAudit writes a standalone audit event's entry to meta.wal
+// (audit.Tail.Enqueue): an operation that changed nothing does not wait for
+// an fsync, and a mutation's durable entry follows its events.
+func (v *Vault) enqueueAudit(entry []byte) (int64, error) {
+	_, off, _, err := v.metaWAL.Enqueue(wal.Written, nil, entry)
+	return off, err
 }
 
 // pendingCustody reads back the custody event pending in the meta.wal entry

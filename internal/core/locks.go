@@ -23,8 +23,8 @@ import (
 //	leaves   component locks inside blockstore/audit/merkle/index/keystore/
 //	         retention/authz/provenance, plus regMu guarding the records
 //	         slice. All are acquired last and never held across a call into
-//	         another layer, but for the audit log's, held while it stages an
-//	         event in meta.wal (audit → wal), so chain order is WAL order.
+//	         another layer, but for the audit log's, held while it writes
+//	         an event to meta.wal (audit → wal), so chain order is WAL order.
 //	recno    the mutex of each recno.Table: the shard's record table (shared
 //	         by the registry, key store, custody tracker and index) and its
 //	         names table. It is a leaf below regMu, ks.mu, tr.mu and SSE.mu,

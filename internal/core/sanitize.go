@@ -41,7 +41,9 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	if err := v.authorize(ctx, actor, authz.ActShred, audit.ActionDelete, "", 0, ""); err != nil {
 		return 0, 0, err
 	}
-	before := v.StorageBytes()
+	// Nothing changes the index during the pass, so only ciphertext is
+	// reclaimed.
+	before := v.ciphertextBytes()
 	dropped, err = v.checkpoint(true)
 	// Versions moved and meta.wal may have been truncated, so no cached
 	// (ref, bytes) pair is current — and shredded bytes must leave this
@@ -50,7 +52,7 @@ func (v *Vault) SanitizeMedia(actor string) (dropped int, reclaimed int64, err e
 	if err != nil {
 		return 0, 0, err
 	}
-	reclaimed = before - v.StorageBytes()
+	reclaimed = before - v.ciphertextBytes()
 
 	_ = v.appendAudit(ctx, audit.Event{
 		Actor:   actor,

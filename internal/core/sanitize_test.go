@@ -61,6 +61,9 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 	if reclaimed <= 0 || v.StorageBytes() >= bytesBefore {
 		t.Errorf("no bytes reclaimed: before=%d after=%d", bytesBefore, v.StorageBytes())
 	}
+	if after := v.StorageBytes(); reclaimed != bytesBefore-after {
+		t.Errorf("reclaimed %d bytes, but storage went from %d to %d", reclaimed, bytesBefore, after)
+	}
 
 	// Live records remain fully readable and verifiable.
 	for _, r := range keep {

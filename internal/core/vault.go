@@ -422,7 +422,7 @@ type HealthStatus struct {
 	WALWedged     bool         // the metadata WAL refused an fsync and halted
 	WALWedgeError string       // the wedging error, when WALWedged
 	AuditWedged   bool         // no audit event can be written (the WAL's wedge); audited operations answer wedged until reopen
-	WALQueueDepth int          // group-commit waiters not yet settled
+	WALQueueDepth int          // durable meta.wal entries written, awaiting their fsync
 	InFlightOps   int          // vault operations currently executing
 	LiveRecords   int          // non-shredded records
 	LastRecovery  RecoveryInfo // what the last Open rebuilt
@@ -471,7 +471,13 @@ func (v *Vault) Len() int {
 // StorageBytes reports bytes consumed by ciphertext, wherever it lives, plus
 // the index's stored form — the cost-experiment accounting.
 func (v *Vault) StorageBytes() int64 {
-	return v.blocks.StorageBytes() + v.inline.Load() + int64(v.idx.StorageBytes())
+	return v.ciphertextBytes() + int64(v.idx.StorageBytes())
+}
+
+// ciphertextBytes is StorageBytes without the index, whose stored form takes
+// a snapshot of the whole index to measure.
+func (v *Vault) ciphertextBytes() int64 {
+	return v.blocks.StorageBytes() + v.inline.Load()
 }
 
 // Close flushes state and releases resources. It writes a metadata snapshot

@@ -72,33 +72,3 @@ func E9Raw(n int) (map[string]float64, error) {
 	}
 	return out, nil
 }
-
-// All runs every experiment at the given scale and returns the tables in
-// order. scale: "quick" for CI-sized runs, "full" for the numbers recorded
-// in EXPERIMENTS.md.
-func All(scale string) ([]Table, error) {
-	n2, n4sizes, n5, n6, n7sizes, n8, n9 := 500, []int{200, 1000, 5000}, 40, 50, []int{1000, 10000, 50000, 500000}, 300, 500
-	if scale == "quick" {
-		n2, n4sizes, n5, n6, n7sizes, n8, n9 = 100, []int{100, 400}, 10, 10, []int{500, 2000}, 60, 100
-	}
-	var out []Table
-	steps := []func() (Table, error){
-		E1,
-		func() (Table, error) { return E2(n2) },
-		E3,
-		func() (Table, error) { return E4(n4sizes) },
-		func() (Table, error) { return E5(n5) },
-		func() (Table, error) { return E6(n6) },
-		func() (Table, error) { return E7(n7sizes) },
-		func() (Table, error) { return E8(n8) },
-		func() (Table, error) { return E9(n9) },
-	}
-	for _, step := range steps {
-		tbl, err := step()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}

@@ -10,22 +10,20 @@
 //
 // A log an older binary wrote is frame.Seq frames, each carrying its
 // sequence number. Such a file continues across an upgrade, so the first
-// batch written to a file without one (a fresh checkpoint generation
+// entry written to a file without one (a fresh checkpoint generation
 // included) opens with a layout marker: a Seq frame an older reader decodes
 // and then refuses, where it would otherwise cut the Var frames after it away
 // as a torn tail. Var frames the marker does not announce are ErrCorrupt.
 //
-// Appends group-commit in two stages. Concurrent callers coalesce into a
-// batch that one of them writes while the previous fsync may still be in
-// flight; an entry that asked only to be written (Written) is released then,
-// and becomes durable with the next fsync. The entries that asked to be
-// durable (Durable) of every batch written since the last fsync share the
-// next one, which one of them runs. One fsync amortizes across every entry
-// written while the previous fsync was in flight, which is where the
-// multi-writer throughput of the vault's durable mode comes from, and a
-// Written entry never waits for an fsync. Each stage's runner hands its role
-// on to the next batch's first waiter when it is done, so no caller waits on
-// writes or fsyncs after its own.
+// An entry is framed and written under the log's lock when it is enqueued,
+// so the call that writes it returns the write's error, and ReadAt reads it
+// back from then on. An entry that asked only to be written (Written) is
+// done then, and becomes durable with the next fsync. An entry that asked to
+// be durable (Durable) waits for an fsync that covers its bytes, which its
+// wait runs itself unless one is in flight: every Durable entry written
+// while one fsync runs shares the next, which is where the multi-writer
+// throughput of the vault's durable mode comes from. A wait covered by an
+// fsync returns when that fsync ends, never after a later one.
 package wal
 
 import (
@@ -58,12 +56,12 @@ var (
 	metCheckpoints = obs.Default.Counter("medvault_wal_checkpoints_total",
 		"WAL checkpoints completed.")
 	metGroupCommits = obs.Default.Counter("medvault_wal_group_commits_total",
-		"Write+fsync cycles; appends/group_commits is the batching factor.")
+		"Fsyncs that made Durable entries durable; appends/group_commits is the batching factor.")
 	metBatchEntries = obs.Default.Histogram("medvault_wal_batch_entries",
 		"Entries that asked for durability coalesced per group commit.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	metQueueDepth = obs.Default.Gauge("medvault_wal_queue_depth",
-		"Entries enqueued for group commit but not yet durable.")
+		"Durable WAL entries written whose wait for an fsync has not returned.")
 	metWedged = obs.Default.Gauge("medvault_wal_wedged",
 		"1 when a WAL in this process has wedged on a write/fsync failure.")
 )
@@ -96,78 +94,47 @@ type Entry struct {
 	Data []byte
 }
 
-// Durability is what an entry's wait waits for.
+// Durability is what an entry's writer waits for.
 type Durability bool
 
 const (
-	// Durable entries are written and fsynced before their wait returns.
+	// Durable entries are written, and fsynced before their wait returns.
 	Durable Durability = true
-	// Written entries are written before their wait returns; their batch is
-	// fsynced only if another of its entries is Durable.
+	// Written entries are written, and take no wait: the next fsync makes
+	// them durable.
 	Written Durability = false
 )
 
-// waiter tracks one enqueued entry until its batch is written, and fsynced
-// if it asked to be durable.
-type waiter struct {
-	want    Durability
-	durable func() // Enqueue's hook; nil for none
-	// turn is done once per role the waiter is given (give): to write its
-	// batch, to run the next fsync, or settled (err is then set). A waiter
-	// re-arms it before it runs a role, which leaves it to be given
-	// another. Giving never blocks, so a giver may hold Log.mu.
-	turn sync.WaitGroup
-	role role
-	err  error
-}
-
-// role is what a waiter is handed.
-type role uint8
-
-const (
-	settled role = iota // return err
-	writer              // write the pending batch
-	syncer              // fsync the written Durable entries
-)
-
-// give hands w a role.
-func (w *waiter) give(r role) {
-	w.role = r
-	w.turn.Done()
-}
-
 // Log is a single-file write-ahead log. Safe for concurrent use; concurrent
-// appends are group-committed.
+// Durable entries share fsyncs.
 type Log struct {
 	mu      sync.Mutex
-	idle    *sync.Cond // signaled when both stages drain (writing and syncing false)
+	synced  *sync.Cond // broadcast when an fsync ends
 	fs      faultfs.FS
 	f       faultfs.File
 	path    string
 	nextSeq uint64
 	size    int64 // durable bytes
-	written int64 // bytes written, durable or not: ReadAt's bound
-	end     int64 // bytes enqueued: where the next frame will start
-	varFrom int64 // where the Var frames start, past the layout marker; 0 before it is enqueued
+	written int64 // bytes written, durable or not: where the next frame starts, and ReadAt's bound
+	varFrom int64 // where the Var frames start, past the layout marker; 0 before it is written
 	closed  bool
 	wedged  error // fatal write/sync failure; the log refuses further appends
 
-	// Group-commit state, guarded by mu. batch and waiters are the pending
-	// batch, not yet written; toSync the written Durable entries no fsync
-	// has covered, in sequence order. writing and syncing are true while a
-	// waiter runs that stage or hands it on, so pending entries always have
-	// a writer, and written Durable ones a syncer, responsible for them.
-	batch    []byte
-	waiters  []*waiter
-	toSync   []*waiter
-	writing  bool
+	// Group-commit state, guarded by mu. The Durable entries are numbered
+	// from 0 in the order they are written, for as long as the Log lives:
+	// entries [0, covered) are durable, and hooks holds the durable hook
+	// (or nil) of each entry written since the last fsync began, in order.
+	// syncing is true while a waiter runs an fsync; queued counts the
+	// Durable entries whose wait has not returned.
+	hooks    []func()
+	durables uint64
+	covered  uint64
 	syncing  bool
-	queued   int       // entries not yet settled
-	spare    []*waiter // an emptied waiter slice, for reuse
-	spareBuf []byte    // a written batch's buffer, emptied for reuse (Write keeps no reference)
+	queued   int
+	buf      []byte // the frame of the last entry written, emptied for reuse
 }
 
-// maxSpareBuf bounds the batch buffer a log keeps for reuse, so one large
+// maxSpareBuf bounds the frame buffer a log keeps for reuse, so one large
 // entry does not pin its size.
 const maxSpareBuf = 64 << 10
 
@@ -203,8 +170,8 @@ func OpenFS(fsys faultfs.FS, path string, fn func(Entry) error) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, written: off, end: off, varFrom: varFrom}
-	l.idle = sync.NewCond(&l.mu)
+	l := &Log{fs: fsys, f: f, path: path, nextSeq: nextSeq, size: off, written: off, varFrom: varFrom}
+	l.synced = sync.NewCond(&l.mu)
 	return l, nil
 }
 
@@ -301,177 +268,127 @@ func walk(data []byte, fn func(Entry) error) (varFrom, valid int64, err error) {
 	return int64(from), int64(from + m), nil
 }
 
-// Enqueue stages an entry for the next group commit, returning its sequence
-// number, the offset its frame will have in the file (ReadAt's argument)
-// and a wait function. The entry is NOT durable until wait returns
-// nil; wait blocks until the batch containing the entry has been written,
-// and, for a Durable entry, fsynced (or fails with the batch's error). A
-// Written entry's wait returns once its batch is written: ReadAt reads it
-// back from then on, and the next fsync makes it durable. Every caller must
-// invoke wait exactly once — a waiter's wait may write its batch or run
-// the fsync that covers it, for no entry after its own. durable, if not
-// nil, runs after the entry is fsynced and before its wait returns, outside
-// the log's lock and in sequence order across entries; never for an entry
-// whose write or fsync failed, or for any entry of a wedged log; a Written
-// entry takes none. The entry's payload is parts joined, each copied once,
-// into the batch; an empty entry is refused.
-func (l *Log) Enqueue(want Durability, durable func(), parts ...[]byte) (uint64, int64, func() error) {
+// Enqueue writes an entry, the concatenation of parts, and returns its
+// sequence number, the offset of its frame in the file (ReadAt's argument),
+// and, for a Durable entry, a wait; on an error the entry is not logged,
+// and a failed write wedges the log. From then on ReadAt reads the entry
+// back, and the next fsync makes it durable.
+// A Durable entry is NOT durable until its wait, which the caller must
+// invoke exactly once, returns nil: it blocks until an fsync covers the
+// entry, which it runs itself unless one is in flight, or fails with the
+// error that wedged the log. durable, if not nil, runs after the entry is
+// fsynced and before its wait returns, outside the log's lock and in
+// sequence order across entries; never for an entry whose fsync failed, or
+// for any entry of a wedged log. A Written entry takes no hook and no wait.
+// An empty entry is refused.
+func (l *Log) Enqueue(want Durability, durable func(), parts ...[]byte) (seq uint64, off int64, wait func() error, err error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	if n == 0 {
-		return 0, 0, func() error { return errEmpty }
+		return 0, 0, nil, errEmpty
 	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, 0, func() error { return ErrClosed }
+	defer l.mu.Unlock()
+	switch {
+	case l.closed:
+		return 0, 0, nil, ErrClosed
+	case l.wedged != nil:
+		return 0, 0, nil, l.wedged
 	}
-	if l.wedged != nil {
-		err := l.wedged
-		l.mu.Unlock()
-		return 0, 0, func() error { return err }
-	}
-	if l.batch == nil {
-		l.batch, l.spareBuf = l.spareBuf, nil
-	}
-	start := len(l.batch)
+	buf := l.buf[:0]
 	if l.varFrom == 0 {
-		l.batch = frame.Seq.Append(l.batch, l.nextSeq, layoutMarker)
-		l.varFrom = l.end + int64(len(l.batch)-start)
+		buf = frame.Seq.Append(buf, l.nextSeq, layoutMarker)
 	}
-	seq, off := l.nextSeq, l.end+int64(len(l.batch)-start)
+	at := len(buf)
+	buf = frame.Var.Append(buf, 0, parts...)
+	if _, err := l.f.Write(buf); err != nil {
+		return 0, 0, nil, l.wedge(fmt.Errorf("wal: appending entry: %w", err))
+	}
+	if cap(buf) <= maxSpareBuf {
+		l.buf = buf[:0]
+	}
+	metAppendBytes.Add(uint64(len(buf)))
+	seq, off = l.nextSeq, l.written+int64(at)
+	if l.varFrom == 0 {
+		l.varFrom = off
+	}
 	l.nextSeq++
-	l.batch = frame.Var.Append(l.batch, 0, parts...)
-	l.end += int64(len(l.batch) - start)
-	w := &waiter{want: want, durable: durable}
-	w.turn.Add(1)
-	if l.waiters == nil {
-		l.waiters, l.spare = l.spare, nil
+	l.written += int64(len(buf))
+	if want == Written {
+		metWrittenOnly.Inc()
+		return seq, off, nil, nil
 	}
-	l.waiters = append(l.waiters, w)
+	i := l.durables
+	l.durables++
+	l.hooks = append(l.hooks, durable)
 	l.queued++
 	metQueueDepth.Add(1)
-	if !l.writing {
-		l.writing = true
-		w.give(writer)
-	}
-	l.mu.Unlock()
-	return seq, off, func() error {
-		for {
-			w.turn.Wait()
-			r := w.role
-			if r == settled {
-				return w.err
-			}
-			w.turn.Add(1)
-			if r == writer {
-				l.write()
-			} else {
-				l.sync()
-			}
-		}
-	}
+	return seq, off, func() error { return l.wait(i) }, nil
 }
 
-// write writes the pending batch, whose first waiter runs it, and settles
-// its Written entries; its Durable ones join toSync, and the first waiter of
-// toSync runs the next fsync unless one is in flight. It then hands the
-// writer role to the next pending batch's first waiter. A failed write
-// wedges the log.
-func (l *Log) write() {
+// wait blocks until Durable entry i is durable, or the log wedged without an
+// fsync in flight that covers it.
+func (l *Log) wait(i uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf, ws := l.batch, l.waiters
-	l.batch, l.waiters = nil, nil
-	err := l.wedged
-	if err == nil {
-		f := l.f
-		l.mu.Unlock()
-		_, err = f.Write(buf)
-		l.mu.Lock()
-		if err != nil {
-			err = l.wedge(fmt.Errorf("wal: appending batch: %w", err))
+	defer func() { l.queued--; metQueueDepth.Add(-1) }()
+	for l.covered <= i {
+		switch {
+		case l.syncing:
+			l.synced.Wait()
+		case l.wedged != nil:
+			return l.wedged
+		default:
+			l.sync()
 		}
 	}
-	if err != nil {
-		l.settle(ws, err)
-	} else {
-		metAppendBytes.Add(uint64(len(buf)))
-		l.written += int64(len(buf))
-		if l.spareBuf == nil && cap(buf) <= maxSpareBuf {
-			l.spareBuf = buf[:0]
-		}
-		if l.toSync == nil {
-			l.toSync, l.spare = l.spare, nil
-		}
-		for _, w := range ws {
-			if w.want == Written {
-				metWrittenOnly.Inc()
-				l.settleOne(w, nil)
-			} else {
-				l.toSync = append(l.toSync, w)
-			}
-		}
-		clear(ws)
-		if l.spare == nil {
-			l.spare = ws[:0]
-		}
-		if !l.syncing && len(l.toSync) > 0 {
-			l.syncing = true
-			l.toSync[0].give(syncer)
-		}
-	}
-	if len(l.waiters) > 0 {
-		l.waiters[0].give(writer)
-	} else {
-		l.writing = false
-		l.drained()
-	}
+	return nil
 }
 
-// sync fsyncs every entry written so far, so the written Durable entries
-// waiting for it — its runner's among them — are durable, runs their hooks
-// in sequence order and settles them. It then hands the syncer role to the
-// first Durable entry written meanwhile. A failed fsync wedges the log; a
-// log already wedged settles the entries as wedged without one.
+// sync fsyncs every byte written so far, so the Durable entries written
+// since the last fsync began are durable, and runs their hooks in sequence
+// order. A failed fsync wedges the log. The caller holds l.mu, which sync
+// releases during the fsync and the hooks, with no fsync in flight and the
+// log not wedged.
 func (l *Log) sync() {
-	l.mu.Lock()
-	ws, n, f, err := l.toSync, l.written, l.f, l.wedged
-	l.toSync = nil
+	hooks, n, f := l.hooks, l.written, l.f
+	l.hooks, l.syncing = nil, true
 	l.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
 	if err == nil {
-		start := time.Now()
-		if err = f.Sync(); err == nil {
-			metFsync.ObserveSince(start)
-			metGroupCommits.Inc()
-			metBatchEntries.Observe(float64(len(ws)))
-			metAppends.Add(uint64(len(ws)))
-			for _, w := range ws {
-				if w.durable != nil {
-					w.durable()
-				}
+		metFsync.ObserveSince(start)
+		metGroupCommits.Inc()
+		metBatchEntries.Observe(float64(len(hooks)))
+		metAppends.Add(uint64(len(hooks)))
+		for _, h := range hooks {
+			if h != nil {
+				h()
 			}
 		}
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err != nil && l.wedged == nil {
-		err = l.wedge(fmt.Errorf("wal: syncing batch: %w", err))
+	l.syncing = false
+	switch {
+	case err == nil:
+		l.size, l.covered = n, l.covered+uint64(len(hooks))
+	case l.wedged == nil:
+		l.wedge(fmt.Errorf("wal: syncing batch: %w", err))
 	}
-	if err == nil && n > l.size {
-		l.size = n // the fsync covered every byte written before it
-	}
-	l.settle(ws, err)
-	if l.spare == nil {
-		l.spare = ws[:0]
-	}
-	if len(l.toSync) > 0 {
-		l.toSync[0].give(syncer)
-	} else {
-		l.syncing = false
-		l.drained()
+	l.synced.Broadcast()
+}
+
+// drain makes every Durable entry written so far durable, unless the log
+// wedges, and waits out an fsync in flight. The caller holds l.mu.
+func (l *Log) drain() {
+	for l.syncing || l.wedged == nil && len(l.hooks) > 0 {
+		if l.syncing {
+			l.synced.Wait()
+		} else {
+			l.sync()
+		}
 	}
 }
 
@@ -497,37 +414,15 @@ func (l *Log) wedge(err error) error {
 	return l.wedged
 }
 
-// settle ends the waits of ws with err and empties the slice. The caller
-// holds l.mu.
-func (l *Log) settle(ws []*waiter, err error) {
-	for i, w := range ws {
-		l.settleOne(w, err)
-		ws[i] = nil
-	}
-}
-
-// settleOne ends w's wait with err. The caller holds l.mu.
-func (l *Log) settleOne(w *waiter, err error) {
-	w.err = err
-	l.queued--
-	metQueueDepth.Add(-1)
-	w.give(settled)
-}
-
-// drained wakes Checkpoint and Close once neither stage is running. The
-// caller holds l.mu.
-func (l *Log) drained() {
-	if !l.writing && !l.syncing {
-		l.idle.Broadcast()
-	}
-}
-
 // Append durably records data and returns its sequence number. The entry is
 // written and fsynced before Append returns: when Append succeeds, the
 // intent survives a crash. Concurrent Appends share fsyncs via group commit.
 func (l *Log) Append(data []byte) (uint64, error) {
-	seq, _, wait := l.Enqueue(Durable, nil, data)
-	if err := wait(); err != nil {
+	seq, _, wait, err := l.Enqueue(Durable, nil, data)
+	if err == nil {
+		err = wait()
+	}
+	if err != nil {
 		return 0, err
 	}
 	return seq, nil
@@ -542,19 +437,12 @@ func (l *Log) Wedged() error {
 	return l.wedged
 }
 
-// QueueDepth returns the number of entries staged for group commit whose
-// durability is not yet acknowledged.
+// QueueDepth returns the number of Durable entries written whose wait has
+// not returned.
 func (l *Log) QueueDepth() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.queued
-}
-
-// waitIdle blocks until neither stage is running. Caller holds l.mu.
-func (l *Log) waitIdle() {
-	for l.writing || l.syncing {
-		l.idle.Wait()
-	}
 }
 
 // NextSeq returns the sequence number the next Append will use.
@@ -683,8 +571,8 @@ func CorruptEntry(fsys faultfs.FS, path string, off int64, mutate func([]byte) [
 // Checkpoint atomically empties the log after its state has been durably
 // captured elsewhere (e.g. blockstore sync). Sequence numbering restarts at
 // zero: sequences are per-checkpoint-generation, and a replay only ever sees
-// the entries appended since the last checkpoint. Checkpoint waits for any
-// in-flight group commit to drain first.
+// the entries appended since the last checkpoint. Checkpoint first makes
+// every Durable entry written durable (drain).
 //
 // Checkpoint is failure-atomic: the replacement file is built, synced, and
 // renamed into place before the live handle is touched, so if any step fails
@@ -694,11 +582,11 @@ func CorruptEntry(fsys faultfs.FS, path string, off int64, mutate func([]byte) [
 func (l *Log) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	l.drain()
+	switch {
+	case l.closed:
 		return ErrClosed
-	}
-	l.waitIdle()
-	if l.wedged != nil {
+	case l.wedged != nil:
 		return l.wedged
 	}
 	// Build the empty replacement without touching the live handle. The tmp
@@ -722,21 +610,21 @@ func (l *Log) Checkpoint() error {
 	}
 	old := l.f
 	l.f = nf
-	l.size, l.written, l.end, l.varFrom = 0, 0, 0, 0
+	l.size, l.written, l.varFrom = 0, 0, 0
 	l.nextSeq = 0
 	_ = old.Close() // best-effort; the handle points at the unlinked old file
 	metCheckpoints.Inc()
 	return nil
 }
 
-// Close closes the log file after draining any in-flight group commit.
+// Close closes the log file after draining it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	l.waitIdle()
+	l.drain()
 	l.closed = true
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close: %w", err)

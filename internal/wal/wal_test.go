@@ -412,11 +412,11 @@ func TestCheckpointTempFailureKeepsLogUsable(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces enqueues several entries before invoking any wait:
-// the first enqueuer is the batch leader, so all entries must land in one
-// write+fsync cycle. The group-commit counter pins the "one fsync, many
-// entries" claim; the followers' waits return after the leader's flush
-// without doing I/O of their own.
+// TestGroupCommitCoalesces writes several entries before invoking any wait:
+// the first wait runs an fsync that covers them all, so all entries must
+// share one group commit. The group-commit counter pins the "one fsync, many
+// entries" claim; the later waits find their entries durable and do no I/O
+// of their own.
 func TestGroupCommitCoalesces(t *testing.T) {
 	l, path := openTemp(t, nil)
 	before := metGroupCommits.Value()
@@ -424,14 +424,14 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 5
 	waits := make([]func() error, 0, n)
 	for i := 0; i < n; i++ {
-		seq, _, wait := l.Enqueue(Durable, nil, []byte(fmt.Sprintf("entry-%d", i)))
+		seq, _, wait := enqueue(l, Durable, nil, []byte(fmt.Sprintf("entry-%d", i)))
 		if seq != uint64(i) {
 			t.Fatalf("Enqueue seq = %d, want %d", seq, i)
 		}
 		waits = append(waits, wait)
 	}
-	// The leader's wait (first enqueued) performs the flush of the whole
-	// batch; the followers then find their entries already durable.
+	// The first wait runs the fsync that covers every entry; the later
+	// waits then find their entries already durable.
 	for i, wait := range waits {
 		if err := wait(); err != nil {
 			t.Fatalf("wait %d: %v", i, err)
@@ -479,7 +479,7 @@ func TestEnqueueOrderEqualsReplayOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				seqMu.Lock()
-				_, _, wait := l.Enqueue(Durable, nil, []byte(payload))
+				_, _, wait := enqueue(l, Durable, nil, []byte(payload))
 				order = append(order, payload)
 				seqMu.Unlock()
 				if err := wait(); err != nil {
@@ -534,7 +534,7 @@ func TestDurableHooksRunInSeqOrder(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", w, i)
 				var ran atomic.Bool
-				_, _, wait := l.Enqueue(Durable, func() {
+				_, _, wait := enqueue(l, Durable, func() {
 					hooked = append(hooked, payload)
 					ran.Store(true)
 				}, []byte(payload))
@@ -584,8 +584,7 @@ func TestDurableHookSkipsFailedBatch(t *testing.T) {
 		}
 		if syncs++; syncs == 3 {
 			close(inSync)
-			<-release
-			return &faultfs.Fault{Err: faultfs.ErrInjected}
+			return &faultfs.Fault{Hold: release, Err: faultfs.ErrInjected}
 		}
 		return nil
 	})
@@ -600,22 +599,22 @@ func TestDurableHookSkipsFailedBatch(t *testing.T) {
 	if _, err := l.Append([]byte("plain")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, wait := l.Enqueue(Durable, hook("durable"), []byte("durable")); wait() != nil {
+	if _, _, wait := enqueue(l, Durable, hook("durable"), []byte("durable")); wait() != nil {
 		t.Fatal("first hooked entry failed")
 	}
-	_, _, failing := l.Enqueue(Durable, hook("failing"), []byte("failing"))
-	_, _, sibling := l.Enqueue(Durable, hook("sibling"), []byte("sibling"))
+	_, _, failing := enqueue(l, Durable, hook("failing"), []byte("failing"))
+	_, _, sibling := enqueue(l, Durable, hook("sibling"), []byte("sibling"))
 	failed := make(chan error, 1)
-	go func() { failed <- failing() }() // the leader: its batch holds both
+	go func() { failed <- failing() }() // its fsync covers both
 	<-inSync
-	_, _, queued := l.Enqueue(Durable, hook("queued"), []byte("queued"))
+	_, _, queued := enqueue(l, Durable, hook("queued"), []byte("queued"))
 	close(release)
 	for name, err := range map[string]error{"failing": <-failed, "sibling": sibling(), "queued": queued()} {
 		if !errors.Is(err, ErrWedged) {
 			t.Errorf("%s entry: err %v, want ErrWedged", name, err)
 		}
 	}
-	if _, _, wait := l.Enqueue(Durable, hook("after"), []byte("after")); !errors.Is(wait(), ErrWedged) {
+	if _, _, wait := enqueue(l, Durable, hook("after"), []byte("after")); !errors.Is(wait(), ErrWedged) {
 		t.Error("an entry of the wedged log did not fail with ErrWedged")
 	}
 	if len(ran) != 1 || ran[0] != "durable" {
@@ -623,11 +622,11 @@ func TestDurableHookSkipsFailedBatch(t *testing.T) {
 	}
 }
 
-// TestLeaderReturnsBeforeLaterBatch: a batch's leader flushes its own batch
-// and hands the log on, so its wait returns while the batch that queued
-// behind it is still in its fsync, which that batch's first waiter runs. (A
-// leader used to flush every later batch too, so its caller waited on other
-// writers' fsyncs, with no bound under sustained load.)
+// TestLeaderReturnsBeforeLaterBatch: a wait that runs an fsync returns when
+// that fsync ends, while an entry written during it is still in the next
+// fsync, which that entry's own wait runs. (A leader used to flush every
+// later batch too, so its caller waited on other writers' fsyncs, with no
+// bound under sustained load.)
 func TestLeaderReturnsBeforeLaterBatch(t *testing.T) {
 	holds := []chan struct{}{make(chan struct{}), make(chan struct{})}
 	entered := make(chan int, 4)
@@ -655,13 +654,13 @@ func TestLeaderReturnsBeforeLaterBatch(t *testing.T) {
 		}
 	}()
 
-	_, _, leader := l.Enqueue(Durable, nil, []byte("leader"))
+	_, _, leader := enqueue(l, Durable, nil, []byte("leader"))
 	leaderDone := make(chan error, 1)
 	go func() { leaderDone <- leader() }()
 	if n := <-entered; n != 1 {
 		t.Fatalf("sync %d began first", n)
 	}
-	_, _, later := l.Enqueue(Durable, nil, []byte("later"))
+	_, _, later := enqueue(l, Durable, nil, []byte("later"))
 	laterDone := make(chan error, 1)
 	go func() { laterDone <- later() }()
 	close(holds[0])
@@ -689,6 +688,85 @@ func TestLeaderReturnsBeforeLaterBatch(t *testing.T) {
 	}
 	if syncs != 2 {
 		t.Errorf("%d fsyncs for two batches", syncs)
+	}
+}
+
+// TestCoveredWaitSkipsLaterFsync: a wait whose entry an fsync covers
+// returns when that fsync ends, although another wait ran it and the next
+// fsync has begun. A, B and D are written and A's wait runs fsync 1; C is
+// written during it, and C's wait runs fsync 2, which the test holds. B's
+// wait, begun during fsync 1, and D's, begun during fsync 2, return
+// meanwhile.
+func TestCoveredWaitSkipsLaterFsync(t *testing.T) {
+	holds := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	entered := make(chan int, 4)
+	syncs := 0
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind != faultfs.OpSync {
+			return nil
+		}
+		syncs++
+		entered <- syncs
+		if syncs <= len(holds) {
+			return &faultfs.Fault{Hold: holds[syncs-1]}
+		}
+		return nil
+	})
+	l, err := OpenFS(fsys, "wal.log", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(holds[1])
+		}
+	}()
+	run := func(wait func() error) chan error {
+		done := make(chan error, 1)
+		go func() { done <- wait() }()
+		return done
+	}
+
+	_, _, a := enqueue(l, Durable, nil, []byte("A"))
+	_, _, b := enqueue(l, Durable, nil, []byte("B"))
+	_, _, d := enqueue(l, Durable, nil, []byte("D"))
+	aDone := run(a)
+	if n := <-entered; n != 1 {
+		t.Fatalf("sync %d began first", n)
+	}
+	_, _, c := enqueue(l, Durable, nil, []byte("C"))
+	bDone, cDone := run(b), run(c)
+	close(holds[0])
+	if n := <-entered; n != 2 {
+		t.Fatalf("sync %d began second", n)
+	}
+	for _, w := range []struct {
+		name string
+		done chan error
+	}{{"A", aDone}, {"B", bDone}, {"D", run(d)}} {
+		select {
+		case err := <-w.done:
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s's wait did not return while fsync 2 is held", w.name)
+		}
+	}
+	select {
+	case err := <-cDone:
+		t.Fatalf("C's wait returned (%v) before its fsync did", err)
+	default:
+	}
+	released = true
+	close(holds[1])
+	if err := <-cDone; err != nil {
+		t.Fatalf("C: %v", err)
+	}
+	if syncs != 2 {
+		t.Errorf("%d fsyncs, want 2", syncs)
 	}
 }
 
@@ -769,12 +847,11 @@ func TestCheckpointDuringConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestWrittenEntriesSkipTheFsync: a batch of Written entries is written and
-// not fsynced, its waits return with the entries readable, and Size, the
-// durable bytes, stays put: a power cut loses them. A Durable entry's fsync
-// makes every byte before it durable. A Written entry that shares a batch
-// with a Durable one is released once the batch is written, while the
-// batch's fsync is still in flight.
+// TestWrittenEntriesSkipTheFsync: a Written entry is written and not
+// fsynced, readable once Enqueue returns, and Size, the durable bytes, stays
+// put: a power cut loses it. A Durable entry's fsync makes every byte before
+// it durable. A Written entry written just before a Durable one is done
+// while the Durable entry's fsync, which covers both, is still in flight.
 func TestWrittenEntriesSkipTheFsync(t *testing.T) {
 	mem := faultfs.NewMem()
 	var writes, syncs int
@@ -807,7 +884,7 @@ func TestWrittenEntriesSkipTheFsync(t *testing.T) {
 		return got
 	}
 
-	_, off, wait := l.Enqueue(Written, nil, []byte("read-1"))
+	_, off, wait := enqueue(l, Written, nil, []byte("read-1"))
 	if err := wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -827,10 +904,10 @@ func TestWrittenEntriesSkipTheFsync(t *testing.T) {
 		t.Fatalf("after a Durable entry a power cut keeps %q (%d of %d bytes durable), want both entries", got, l.Size(), len(mustRead(t, mem)))
 	}
 
-	_, _, durable := l.Enqueue(Durable, nil, []byte("put-2"))
-	_, _, written := l.Enqueue(Written, nil, []byte("read-2"))
+	_, _, durable := enqueue(l, Durable, nil, []byte("put-2"))
+	_, _, written := enqueue(l, Written, nil, []byte("read-2"))
 	durableDone, writtenDone := make(chan error, 1), make(chan error, 1)
-	go func() { durableDone <- durable() }() // the leader: its fsync is held
+	go func() { durableDone <- durable() }() // its fsync is held
 	go func() { writtenDone <- written() }()
 	select {
 	case err := <-writtenDone:
@@ -853,6 +930,16 @@ func TestWrittenEntriesSkipTheFsync(t *testing.T) {
 	if got := replayed(faultfs.KeepNone); len(got) != 4 {
 		t.Fatalf("a power cut after the shared fsync keeps %q, want all four entries", got)
 	}
+}
+
+// enqueue is Enqueue with the write's error, or a Written entry's success,
+// returned by the wait, for a test that waits on every entry alike.
+func enqueue(l *Log, want Durability, hook func(), parts ...[]byte) (uint64, int64, func() error) {
+	seq, off, wait, err := l.Enqueue(want, hook, parts...)
+	if err != nil || wait == nil {
+		return seq, off, func() error { return err }
+	}
+	return seq, off, wait
 }
 
 func mustRead(t *testing.T, mem *faultfs.Mem) []byte {
@@ -882,7 +969,7 @@ func TestScanReadsWhatReadAtReads(t *testing.T) {
 		if i%2 == 1 {
 			want = Durable
 		}
-		_, off, wait := l.Enqueue(want, nil, data)
+		_, off, wait := enqueue(l, want, nil, data)
 		if err := wait(); err != nil {
 			t.Fatal(err)
 		}
