@@ -348,8 +348,15 @@ func TestArchiveEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestBackupRequiresPermission(t *testing.T) {
 	source := newVault(t, "a")
-	seed(t, source, 2, 8)
+	ids, _ := seed(t, source, 2, 8)
 	if _, err := Create(source, "dr-house", backupKey(t), "tape"); !errors.Is(err, core.ErrDenied) {
 		t.Errorf("physician backup: %v", err)
+	}
+	// The refusal leaves no backed-up event on the record's custody chain.
+	for _, id := range ids {
+		chain, err := source.ProvenanceCtx(context.Background(), "arch-lee", id)
+		if err != nil || len(chain) != 1 {
+			t.Errorf("%s after a denied backup: %d custody events, %v; want 1", id, len(chain), err)
+		}
 	}
 }

@@ -159,36 +159,40 @@ func (v *Vault) importAs(op, actor string, bundle ExportBundle, sourceSystem str
 }
 
 // RecordBackedUp extends custody chains with backed-up events after a
-// successful archive write; called by the backup package.
+// successful archive write; called by the backup package. The actor needs
+// backup permission, and the decision is audited, before anything is
+// appended.
 func (v *Vault) RecordBackedUp(actor, id, destination string) error {
-	return v.recordCustody("record_backed_up", id, provenance.EventBackedUp, actor, destination)
+	return v.recordCustody("record_backed_up", id, provenance.EventBackedUp, authz.ActBackup, audit.ActionBackup, actor, destination)
 }
 
 // RecordMigratedOut extends the custody chain with a migrated-out event
-// after a successful transfer; called by the migrate package.
+// after a successful transfer; called by the migrate package. The actor
+// needs migrate permission, and the decision is audited, before anything is
+// appended.
 func (v *Vault) RecordMigratedOut(actor, id, targetSystem string) error {
-	return v.recordCustody("record_migrated_out", id, provenance.EventMigratedOut, actor, targetSystem)
+	return v.recordCustody("record_migrated_out", id, provenance.EventMigratedOut, authz.ActMigrate, audit.ActionMigrateOut, actor, targetSystem)
 }
 
-// recordCustody extends the record's custody chain with an event carrying
-// the latest version's ciphertext hash.
-func (v *Vault) recordCustody(op, id string, typ provenance.EventType, actor, peer string) (err error) {
-	_, done, err := v.begin(context.Background(), op, id)
+// recordCustody authorizes and audits the act, as Export does, then extends
+// the record's custody chain with an event carrying the latest version's
+// ciphertext hash.
+func (v *Vault) recordCustody(op, id string, typ provenance.EventType, act authz.Action, auditAction audit.Action, actor, peer string) (err error) {
+	ctx, done, err := v.begin(context.Background(), op, id)
 	defer done(&err)
 	if err != nil {
 		return err
 	}
 	mu := v.stripes.forRecord(id)
 	mu.RLock()
+	defer mu.RUnlock()
 	st, err := v.stateFor(id)
-	var ctHash [32]byte
-	if err == nil {
-		ctHash = st.at(st.count()).ctHash
-	}
-	mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	_, err = v.prov.Record(id, typ, actor, ctHash, peer)
+	if err := v.authorize(ctx, actor, act, auditAction, id, 0, string(v.category(st))); err != nil {
+		return err
+	}
+	_, err = v.prov.Record(id, typ, actor, st.at(st.count()).ctHash, peer)
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"medvault/internal/audit"
 	"medvault/internal/ehr"
 	"medvault/internal/provenance"
 )
@@ -174,5 +175,56 @@ func TestVersionCountAndRecordIDs(t *testing.T) {
 	}
 	if v.Name() == "" || v.StorageBytes() <= 0 {
 		t.Error("Name/StorageBytes trivial accessors broken")
+	}
+}
+
+// TestCustodyEventsNeedPermission: a backup or migration custody event is
+// appended only for an actor allowed the act, and the decision is audited
+// either way, as Export's is.
+func TestCustodyEventsNeedPermission(t *testing.T) {
+	v, _ := newVault(t)
+	ctx := context.Background()
+	rec := clinicalRecord(t, 52)
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	chain := func() int {
+		t.Helper()
+		c, err := v.ProvenanceCtx(ctx, "officer-kim", rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(c)
+	}
+	want := chain()
+	for _, c := range []struct {
+		action audit.Action
+		record func(actor string) error
+	}{
+		{audit.ActionBackup, func(actor string) error { return v.RecordBackedUp(actor, rec.ID, "tape-7") }},
+		{audit.ActionMigrateOut, func(actor string) error { return v.RecordMigratedOut(actor, rec.ID, "county-ehr") }},
+	} {
+		for _, actor := range []string{"dr-house", "nurse-joy", "nobody-at-all"} {
+			if err := c.record(actor); !errors.Is(err, ErrDenied) {
+				t.Errorf("%s by %s: %v, want denied", c.action, actor, err)
+			}
+			if got := chain(); got != want {
+				t.Errorf("%s denied to %s: custody chain has %d events, want %d", c.action, actor, got, want)
+			}
+			evs, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Actor: actor, Record: rec.ID, Action: c.action, DeniedOnly: true})
+			if err != nil || len(evs) != 1 {
+				t.Errorf("%s denied to %s: %d denied audit events, %v; want 1", c.action, actor, len(evs), err)
+			}
+		}
+		if err := c.record("arch-lee"); err != nil {
+			t.Fatalf("%s by the archivist: %v", c.action, err)
+		}
+		if want++; chain() != want {
+			t.Errorf("%s by the archivist: custody chain did not grow to %d", c.action, want)
+		}
+		evs, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Actor: "arch-lee", Record: rec.ID, Action: c.action})
+		if err != nil || len(evs) != 1 || evs[0].Outcome != audit.OutcomeAllowed {
+			t.Errorf("%s by the archivist: audit events %+v, %v; want one allowed", c.action, evs, err)
+		}
 	}
 }

@@ -104,12 +104,11 @@ func probeEncryptedAtRest(sub Subject) (string, error) {
 // surfaces satisfies the requirement; an undetected mounted attack fails it.
 func probeAttack(kind attack.Kind) func(Subject) (string, error) {
 	return func(sub Subject) (string, error) {
-		recs := Corpus(6)
-		if err := seed(sub.Store, recs); err != nil {
+		victim, other, err := seedForAttack(sub.Store)
+		if err != nil {
 			return "", err
 		}
-		_ = sub.Store.Correct(correctionOf(recs[0])) // give replay a target
-		res := attack.Mount(sub.Store, kind, recs[0].ID, recs[1].ID)
+		res := attack.Mount(sub.Store, kind, victim, other)
 		switch res.Outcome() {
 		case "detected", "not-mountable":
 			return pass, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"medvault/internal/ehr"
 	"medvault/internal/stores"
@@ -15,69 +16,28 @@ import (
 // factor for crypto + commitment + audit, and the scan-based models' search
 // degrades linearly with corpus size.
 func E2(n int) (Table, error) {
-	subjects, err := NewSubjects()
-	if err != nil {
-		return Table{}, err
-	}
 	t := Table{
 		ID:     "E2",
 		Title:  fmt.Sprintf("Operation latency by storage model (n=%d records)", n),
 		Note:   "put = create; get = read latest; correct = amend (n/a on WORM); search = common keyword.",
 		Header: []string{"store", "put/op", "put rate", "get/op", "correct/op", "search/op", "search hits"},
 	}
-	recs := Corpus(n)
-	kw := ehr.CommonCondition()
-	for _, sub := range subjects {
-		s := sub.Store
-		putTotal, putPer, err := timeOp(len(recs), func(i int) error { return s.Put(recs[i]) })
-		if err != nil {
-			return Table{}, fmt.Errorf("E2 %s put: %w", s.Name(), err)
-		}
-		_, getPer, err := timeOp(len(recs), func(i int) error {
-			_, err := s.Get(recs[i].ID)
-			return err
-		})
-		if err != nil {
-			return Table{}, fmt.Errorf("E2 %s get: %w", s.Name(), err)
-		}
-		correctCell := "n/a (write-once)"
-		nCorr := len(recs) / 10
-		if nCorr == 0 {
-			nCorr = 1
-		}
-		_, corrPer, err := timeOp(nCorr, func(i int) error {
-			return s.Correct(correctionOf(recs[i]))
-		})
-		if err == nil {
-			correctCell = fmtDur(corrPer)
-		} else if !errorsIsUnsupported(err) {
-			return Table{}, fmt.Errorf("E2 %s correct: %w", s.Name(), err)
-		}
-		var hits int
-		searches := 20
-		_, searchPer, err := timeOp(searches, func(i int) error {
-			ids, err := s.Search(kw)
-			hits = len(ids)
-			return err
-		})
-		if err != nil {
-			return Table{}, fmt.Errorf("E2 %s search: %w", s.Name(), err)
-		}
+	ms, err := measureStores(n)
+	if err != nil {
+		return Table{}, err
+	}
+	for _, m := range ms {
 		t.Rows = append(t.Rows, []string{
-			s.Name(),
-			fmtDur(putPer),
-			fmtRate(len(recs), putTotal),
-			fmtDur(getPer),
-			correctCell,
-			fmtDur(searchPer),
-			fmt.Sprintf("%d", hits),
+			m.store,
+			fmtDur(m.put),
+			fmtRate(n, m.putTotal),
+			fmtDur(m.get),
+			m.correct,
+			fmtDur(m.search),
+			fmt.Sprintf("%d", m.hits),
 		})
 	}
 	return t, nil
-}
-
-func errorsIsUnsupported(err error) bool {
-	return errors.Is(err, stores.ErrUnsupported)
 }
 
 // E2Series is the figure-shaped counterpart of E2: per-store put/get/search
@@ -92,76 +52,69 @@ func E2Series(sizes []int) (Table, error) {
 		Header: []string{"store", "n", "put/op", "get/op", "search/op"},
 	}
 	for _, n := range sizes {
-		subjects, err := NewSubjects()
+		ms, err := measureStores(n)
 		if err != nil {
 			return Table{}, err
 		}
-		recs := Corpus(n)
-		kw := ehr.CommonCondition()
-		for _, sub := range subjects {
-			s := sub.Store
-			_, putPer, err := timeOp(len(recs), func(i int) error { return s.Put(recs[i]) })
-			if err != nil {
-				return Table{}, fmt.Errorf("E2b %s put: %w", s.Name(), err)
-			}
-			_, getPer, err := timeOp(len(recs), func(i int) error {
-				_, err := s.Get(recs[i].ID)
-				return err
-			})
-			if err != nil {
-				return Table{}, fmt.Errorf("E2b %s get: %w", s.Name(), err)
-			}
-			_, searchPer, err := timeOp(10, func(i int) error {
-				_, err := s.Search(kw)
-				return err
-			})
-			if err != nil {
-				return Table{}, fmt.Errorf("E2b %s search: %w", s.Name(), err)
-			}
+		for _, m := range ms {
 			t.Rows = append(t.Rows, []string{
-				s.Name(), fmt.Sprintf("%d", n),
-				fmtDur(putPer), fmtDur(getPer), fmtDur(searchPer),
+				m.store, fmt.Sprintf("%d", n),
+				fmtDur(m.put), fmtDur(m.get), fmtDur(m.search),
 			})
 		}
 	}
 	return t, nil
 }
 
-// E2Raw returns machine-readable per-op latencies (nanoseconds) keyed by
-// store and operation, for tests asserting the trade-off's shape.
-func E2Raw(n int) (map[string]map[string]int64, error) {
+// storeLatency is one store's per-op latencies at one corpus size.
+type storeLatency struct {
+	store                      string
+	putTotal, put, get, search time.Duration
+	correct                    string // a duration cell, or n/a on a write-once store
+	hits                       int
+}
+
+// measureStores times, on fresh subjects, n puts, n gets, n/10 corrections
+// and 20 searches for the common keyword in each storage model.
+func measureStores(n int) ([]storeLatency, error) {
 	subjects, err := NewSubjects()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[string]int64)
 	recs := Corpus(n)
 	kw := ehr.CommonCondition()
+	var out []storeLatency
 	for _, sub := range subjects {
 		s := sub.Store
-		m := make(map[string]int64)
-		_, putPer, err := timeOp(len(recs), func(i int) error { return s.Put(recs[i]) })
+		m := storeLatency{store: s.Name(), correct: "n/a (write-once)"}
+		m.putTotal, m.put, err = timeOp(len(recs), func(i int) error { return s.Put(recs[i]) })
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s put: %w", s.Name(), err)
 		}
-		m["put"] = putPer.Nanoseconds()
-		_, getPer, err := timeOp(len(recs), func(i int) error {
+		_, m.get, err = timeOp(len(recs), func(i int) error {
 			_, err := s.Get(recs[i].ID)
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s get: %w", s.Name(), err)
 		}
-		m["get"] = getPer.Nanoseconds()
-		_, searchPer, err := timeOp(10, func(i int) error {
-			_, err := s.Search(kw)
+		_, corrPer, err := timeOp(max(len(recs)/10, 1), func(i int) error {
+			return s.Correct(correctionOf(recs[i]))
+		})
+		if err == nil {
+			m.correct = fmtDur(corrPer)
+		} else if !errors.Is(err, stores.ErrUnsupported) {
+			return nil, fmt.Errorf("%s correct: %w", s.Name(), err)
+		}
+		_, m.search, err = timeOp(20, func(i int) error {
+			ids, err := s.Search(kw)
+			m.hits = len(ids)
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s search: %w", s.Name(), err)
 		}
-		m["search"] = searchPer.Nanoseconds()
-		out[s.Name()] = m
+		out = append(out, m)
 	}
 	return out, nil
 }

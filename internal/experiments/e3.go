@@ -57,27 +57,3 @@ func seedForAttack(s stores.Store) (victim, other string, err error) {
 	_ = s.Correct(correctionOf(recs[0])) // WORM refuses; replay then has no target, as intended
 	return recs[0].ID, recs[1].ID, nil
 }
-
-// E3Raw returns the full result set for tests.
-func E3Raw() ([]attack.Result, error) {
-	subjects, err := NewSubjects()
-	if err != nil {
-		return nil, err
-	}
-	var out []attack.Result
-	for _, kind := range attack.Kinds() {
-		for i := range subjects {
-			fresh, err := NewSubjects()
-			if err != nil {
-				return nil, err
-			}
-			sub := fresh[i]
-			victim, other, err := seedForAttack(sub.Store)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, attack.Mount(sub.Store, kind, victim, other))
-		}
-	}
-	return out, nil
-}

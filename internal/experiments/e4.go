@@ -110,32 +110,3 @@ func leakFraction(idx index.Index) (int, error) {
 	}
 	return leaked, nil
 }
-
-// E4Raw returns (scan, plain, sse) per-op latencies and leak counts for the
-// largest size, for shape assertions in tests.
-func E4Raw(n int) (scan, plain, sse time.Duration, plainLeak, sseLeak int, err error) {
-	recs := Corpus(n)
-	master, kerr := vcrypto.NewKey()
-	if kerr != nil {
-		return 0, 0, 0, 0, 0, kerr
-	}
-	p := index.NewPlaintext()
-	s := index.NewSSE(master)
-	for _, r := range recs {
-		p.Add(r.ID, r.SearchText())
-		s.Add(r.ID, r.SearchText())
-	}
-	kw := ehr.CommonCondition()
-	scan = measure(5, func() {
-		for _, r := range recs {
-			containsKeyword(r, kw)
-		}
-	})
-	plain = measure(100, func() { p.Search(kw) })
-	sse = measure(100, func() { s.Search(kw) })
-	if plainLeak, err = leakFraction(p); err != nil {
-		return
-	}
-	sseLeak, err = leakFraction(s)
-	return
-}

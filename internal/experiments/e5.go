@@ -78,16 +78,3 @@ func E5(n int) (Table, error) {
 	}
 	return t, nil
 }
-
-// E5Raw reports, per store, whether any disposed record was recoverable.
-func E5Raw(n int) (map[string]bool, error) {
-	table, err := E5(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]bool)
-	for _, row := range table.Rows {
-		out[row[0]] = row[2] == "YES"
-	}
-	return out, nil
-}

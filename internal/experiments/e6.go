@@ -123,29 +123,3 @@ func custodySpans(v *core.Cluster, id string) (bool, error) {
 	}
 	return len(systems) >= 2, nil
 }
-
-// E6Raw reports (migratedHonest, failedTampered) for tests.
-func E6Raw(n int) (int, int, error) {
-	src, dst, ids, err := migrationPair(n)
-	if err != nil {
-		return 0, 0, err
-	}
-	rep, err := migrate.Run(src, dst, ids, migrate.Options{Actor: "bench-admin"})
-	if err != nil {
-		return 0, 0, err
-	}
-	src2, dst2, ids2, err := migrationPair(n)
-	if err != nil {
-		return 0, 0, err
-	}
-	evil := func(b []byte) []byte {
-		out := append([]byte(nil), b...)
-		out[len(out)/2] ^= 0x01
-		return out
-	}
-	rep2, err := migrate.Run(src2, dst2, ids2, migrate.Options{Actor: "bench-admin", Channel: evil})
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(rep.Migrated), len(rep2.Failed), nil
-}

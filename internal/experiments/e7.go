@@ -124,33 +124,3 @@ func e7Row(n int) ([]string, error) {
 		fmt.Sprintf("%.0f", float64(store.StorageBytes())/float64(n)),
 	}, nil
 }
-
-// E7Raw returns verification cost per size for linearity assertions.
-func E7Raw(sizes []int) (map[int]time.Duration, error) {
-	out := make(map[int]time.Duration)
-	for _, n := range sizes {
-		signer, err := vcrypto.NewSigner()
-		if err != nil {
-			return nil, err
-		}
-		key, err := vcrypto.NewKey()
-		if err != nil {
-			return nil, err
-		}
-		log, err := audit.Open(audit.Config{Store: blockstore.NewMemory(0), MACKey: key, Signer: signer})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if _, err := log.Append(audit.Event{Actor: "a", Action: audit.ActionRead, Outcome: audit.OutcomeAllowed}); err != nil {
-				return nil, err
-			}
-		}
-		start := time.Now()
-		if _, err := log.Verify(nil); err != nil {
-			return nil, err
-		}
-		out[n] = time.Since(start)
-	}
-	return out, nil
-}

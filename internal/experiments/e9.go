@@ -5,12 +5,15 @@ import (
 )
 
 // E9 measures storage cost (paper §3 "Cost": compliance "should not be
-// cost-prohibitive" and must run on cheap commodity media): bytes on disk
-// per record for each storage model, and the overhead factor relative to the
+// cost-prohibitive" and must run on cheap commodity media): each storage
+// model's StorageBytes per record, and the overhead factor relative to the
 // relational baseline (which stores little more than the raw rows).
-// Expected shape: the hybrid's overhead is a modest constant factor — the
-// price of framing, AEAD, commitments, audit, and the encrypted index — not
-// an asymptotic blowup.
+// For WORM and MedVault that is the ciphertext (block store, plus what
+// MedVault still holds inline in meta.wal) and the encrypted index's stored
+// form; commitments, audit events, custody chains and the rest of meta.wal
+// are not counted (ROADMAP item 15 walks the medium instead). Expected
+// shape: the hybrid's overhead is a modest constant factor — the price of
+// AEAD framing and the encrypted index — not an asymptotic blowup.
 func E9(n int) (Table, error) {
 	subjects, err := NewSubjects()
 	if err != nil {
@@ -56,19 +59,4 @@ func E9(n int) (Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// E9Raw returns bytes-per-record per store for shape assertions.
-func E9Raw(n int) (map[string]float64, error) {
-	table, err := E9(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, row := range table.Rows {
-		var v float64
-		fmt.Sscanf(row[2], "%f", &v)
-		out[row[0]] = v
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@
 //
 //	E1  requirements-vs-models compliance matrix   (paper §3 + §4)
 //	E2  security/performance trade-off             (§4 closing paragraph)
+//	E2b the same latencies across corpus sizes     (§4)
 //	E3  insider-attack detection matrix            (§3 Integrity, §4)
 //	E4  trustworthy index: cost and leakage        (§3 Availability, refs [9])
 //	E5  secure deletion / media re-use             (§2 §164.310(d)(2), §3)
@@ -12,8 +13,10 @@
 //	E8  retention sweep + backup/restore           (§3 Retention, Backup)
 //	E9  storage cost overhead                      (§3 Cost)
 //
-// cmd/medbench prints these tables; the package's tests assert the paper's
-// qualitative claims hold (who wins, what is detected, what leaks).
+// cmd/medbench prints these tables. The package's tests read the same
+// tables, cell by cell, and assert the paper's qualitative claims hold (who
+// wins, what is detected, what leaks); one of them checks that EXPERIMENTS.md
+// quotes every cell that does not depend on timing as medbench prints it.
 package experiments
 
 import (

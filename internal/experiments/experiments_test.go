@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"medvault/internal/attack"
 )
@@ -24,6 +26,9 @@ func cellOf(t *testing.T, tbl Table, rowName, col string) string {
 	}
 	for _, row := range tbl.Rows {
 		if row[0] == rowName {
+			if colIdx >= len(row) {
+				t.Fatalf("%s: row %q has no cell for %q", tbl.ID, rowName, col)
+			}
 			return row[colIdx]
 		}
 	}
@@ -78,25 +83,49 @@ func TestE1ComplianceMatrixShape(t *testing.T) {
 	}
 }
 
+// durOf reads a duration cell, as fmtDur prints it.
+func durOf(t *testing.T, tbl Table, rowName, col string) time.Duration {
+	t.Helper()
+	cell := cellOf(t, tbl, rowName, col)
+	d, err := time.ParseDuration(cell)
+	if err != nil {
+		t.Fatalf("%s[%q][%s] = %q: %v", tbl.ID, rowName, col, cell, err)
+	}
+	return d
+}
+
+// numOf reads the number a cell starts with ("1654", "7/15", "8 (all
+// detected)").
+func numOf(t *testing.T, tbl Table, rowName, col string) float64 {
+	t.Helper()
+	cell := cellOf(t, tbl, rowName, col)
+	var v float64
+	if _, err := fmt.Sscanf(cell, "%g", &v); err != nil {
+		t.Fatalf("%s[%q][%s] = %q: %v", tbl.ID, rowName, col, cell, err)
+	}
+	return v
+}
+
 func TestE2TradeOffShape(t *testing.T) {
-	raw, err := E2Raw(150)
+	tbl, err := E2(150)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + tbl.String())
 	// The relational baseline must be the fastest writer; the hybrid pays
 	// overhead but stays within a sane constant factor (<2000x here as an
 	// alarm threshold; observed is typically ~10-100x).
-	rel, mv := raw["relational"], raw["medvault"]
-	if rel["put"] >= mv["put"] {
-		t.Errorf("relational put (%dns) not faster than medvault (%dns)", rel["put"], mv["put"])
+	relPut, mvPut := durOf(t, tbl, "relational", "put/op"), durOf(t, tbl, "medvault", "put/op")
+	if relPut >= mvPut {
+		t.Errorf("relational put (%v) not faster than medvault (%v)", relPut, mvPut)
 	}
-	if mv["put"] > rel["put"]*2000 {
-		t.Errorf("medvault put overhead pathological: %dns vs %dns", mv["put"], rel["put"])
+	if mvPut > relPut*2000 {
+		t.Errorf("medvault put overhead pathological: %v vs %v", mvPut, relPut)
 	}
 	// Indexed search beats decrypt-scan search by a wide margin at n=150.
-	co := raw["crypt-only"]
-	if co["search"] <= mv["search"] {
-		t.Errorf("scan search (%dns) should be slower than SSE search (%dns)", co["search"], mv["search"])
+	coSearch, mvSearch := durOf(t, tbl, "crypt-only", "search/op"), durOf(t, tbl, "medvault", "search/op")
+	if coSearch <= mvSearch {
+		t.Errorf("scan search (%v) should be slower than SSE search (%v)", coSearch, mvSearch)
 	}
 }
 
@@ -116,98 +145,100 @@ func TestE2SeriesShape(t *testing.T) {
 }
 
 func TestE3DetectionShape(t *testing.T) {
-	results, err := E3Raw()
+	tbl, err := E3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStore := map[string]map[attack.Kind]string{}
-	for _, r := range results {
-		if byStore[r.Store] == nil {
-			byStore[r.Store] = map[attack.Kind]string{}
-		}
-		byStore[r.Store][r.Attack] = r.Outcome()
-	}
+	t.Log("\n" + tbl.String())
 	// MedVault and WORM: nothing mounted goes undetected.
 	for _, store := range []string{"medvault", "worm"} {
-		for kind, outcome := range byStore[store] {
-			if outcome == "UNDETECTED" {
-				t.Errorf("%s: %s undetected", store, kind)
+		for _, row := range tbl.Rows {
+			if outcome := cellOf(t, tbl, row[0], store); outcome == "UNDETECTED" {
+				t.Errorf("%s: %s undetected", store, row[0])
 			}
 		}
 	}
 	// The paper's §4 failures are reproduced.
-	if byStore["crypt-only"][attack.Replay] != "UNDETECTED" {
-		t.Errorf("crypt-only replay = %s", byStore["crypt-only"][attack.Replay])
-	}
-	if byStore["relational"][attack.FieldRewrite] != "UNDETECTED" {
-		t.Errorf("relational rewrite = %s", byStore["relational"][attack.FieldRewrite])
-	}
-	if byStore["object-store"][attack.CatalogSwap] != "UNDETECTED" {
-		t.Errorf("object-store catalog swap = %s", byStore["object-store"][attack.CatalogSwap])
-	}
-	if byStore["object-store"][attack.BitFlip] != "detected" {
-		t.Errorf("object-store bit flip = %s", byStore["object-store"][attack.BitFlip])
+	for _, c := range []struct {
+		kind  attack.Kind
+		store string
+		want  string
+	}{
+		{attack.Replay, "crypt-only", "UNDETECTED"},
+		{attack.FieldRewrite, "relational", "UNDETECTED"},
+		{attack.CatalogSwap, "object-store", "UNDETECTED"},
+		{attack.BitFlip, "object-store", "detected"},
+	} {
+		if got := cellOf(t, tbl, string(c.kind), c.store); got != c.want {
+			t.Errorf("%s %s = %s, want %s", c.store, c.kind, got, c.want)
+		}
 	}
 }
 
 func TestE4IndexShape(t *testing.T) {
-	scan, plainIdx, sseIdx, plainLeak, sseLeak, err := E4Raw(800)
+	tbl, err := E4([]int{800})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + tbl.String())
+	scan, plainIdx, sseIdx := durOf(t, tbl, "800", "scan/op"), durOf(t, tbl, "800", "plain-idx/op"), durOf(t, tbl, "800", "sse-idx/op")
 	if plainIdx >= scan || sseIdx >= scan {
 		t.Errorf("index (%v plain / %v sse) not faster than scan (%v)", plainIdx, sseIdx, scan)
 	}
-	if plainLeak == 0 {
+	if numOf(t, tbl, "800", "plain leak") == 0 {
 		t.Error("plaintext index leaked nothing — probe broken")
 	}
-	if sseLeak != 0 {
-		t.Errorf("SSE index leaked %d keywords", sseLeak)
+	if sseLeak := numOf(t, tbl, "800", "sse leak"); sseLeak != 0 {
+		t.Errorf("SSE index leaked %v keywords", sseLeak)
 	}
 }
 
 func TestE5ShredShape(t *testing.T) {
-	rec, err := E5Raw(10)
+	tbl, err := E5(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for store, want := range map[string]bool{
-		"crypt-only":   true, // master key recovers freed ciphertext
-		"relational":   true, // plaintext residue
-		"object-store": true, // plaintext residue
-		"worm":         false,
-		"medvault":     false,
+	t.Log("\n" + tbl.String())
+	for store, want := range map[string]string{
+		"crypt-only":   "YES", // master key recovers freed ciphertext
+		"relational":   "YES", // plaintext residue
+		"object-store": "YES", // plaintext residue
+		"worm":         "no",
+		"medvault":     "no",
 	} {
-		if got, ok := rec[store]; !ok || got != want {
-			t.Errorf("E5[%s] recoverable = %v, want %v", store, got, want)
+		if got := cellOf(t, tbl, store, "recoverable"); got != want {
+			t.Errorf("E5[%s] recoverable = %s, want %s", store, got, want)
 		}
 	}
 }
 
 func TestE6MigrationShape(t *testing.T) {
-	migrated, tamperedFailed, err := E6Raw(8)
+	tbl, err := E6(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if migrated != 8 {
-		t.Errorf("honest migration moved %d/8", migrated)
+	t.Log("\n" + tbl.String())
+	if migrated := numOf(t, tbl, "honest channel", "migrated"); migrated != 8 {
+		t.Errorf("honest migration moved %v/8", migrated)
 	}
-	if tamperedFailed != 8 {
-		t.Errorf("tampering channel: %d/8 detected", tamperedFailed)
+	if detected := numOf(t, tbl, "tampering channel", "failed"); detected != 8 {
+		t.Errorf("tampering channel: %v/8 detected", detected)
 	}
 }
 
 func TestE7AuditShape(t *testing.T) {
-	costs, err := E7Raw([]int{400, 3200})
+	tbl, err := E7([]int{400, 3200})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + tbl.String())
+	small, large := durOf(t, tbl, "400", "verify(all)"), durOf(t, tbl, "3200", "verify(all)")
 	// Verification should grow with size (roughly linear; assert at least
 	// 2x over an 8x size increase to stay timing-noise tolerant).
-	if costs[3200] < costs[400]*2 {
-		t.Logf("verification cost barely grew (%v -> %v); acceptable on fast machines", costs[400], costs[3200])
+	if large < small*2 {
+		t.Logf("verification cost barely grew (%v -> %v); acceptable on fast machines", small, large)
 	}
-	if costs[3200] <= 0 || costs[400] <= 0 {
+	if large <= 0 || small <= 0 {
 		t.Error("zero verification cost measured")
 	}
 }
@@ -229,13 +260,14 @@ func TestE8RunsClean(t *testing.T) {
 }
 
 func TestE9OverheadShape(t *testing.T) {
-	perRec, err := E9Raw(120)
+	tbl, err := E9(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, mv := perRec["relational"], perRec["medvault"]
+	t.Log("\n" + tbl.String())
+	rel, mv := numOf(t, tbl, "relational", "bytes/record"), numOf(t, tbl, "medvault", "bytes/record")
 	if rel <= 0 || mv <= 0 {
-		t.Fatalf("bad measurements: %v", perRec)
+		t.Fatalf("bad measurements: relational %v, medvault %v", rel, mv)
 	}
 	if mv <= rel {
 		t.Error("hybrid should cost more per record than the bare relational baseline")

@@ -278,6 +278,12 @@ check "Flight tail follows the ring: internal/obs/flight.go defines flightSegmen
 		[ "$(grep -cE "^[0-9]+:[[:space:]]*(const[[:space:]]+)?$name\b" <<<"$flightdefs")" -eq 1 ] || echo "internal/obs/flight.go: $name is not defined exactly once"
 	done)"
 
+# A paper table is measured once: the shape tests read the Table that E<n>
+# returns, which is what medbench prints, so no second implementation of an
+# experiment lives beside it for the tests.
+check "One run per paper table: no func E<n>Raw in internal/experiments" \
+	"$(grep -rnE '^func E[0-9]+[a-z]?Raw\b' internal/experiments --include='*.go')"
+
 # A change rewrites the DESIGN.md section it alters instead of appending one,
 # so the document never grows.
 design=$(wc -c < DESIGN.md)
